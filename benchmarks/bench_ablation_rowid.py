@@ -22,7 +22,7 @@ from conftest import print_table
 
 from repro.ordbms.table import ROWID_PSEUDO
 from repro.sgml.nodetypes import NodeType
-from repro.store import XmlStore, governing_context, section_text
+from repro.store import XmlStore
 from repro.workloads import CorpusSpec, generate_corpus
 
 
@@ -109,10 +109,13 @@ class KeyJoinTraversal:
 def _resolve_physical(store, hits):
     answers = []
     for hit in hits:
-        context = governing_context(store.database, hit)
+        # A fresh accessor per hit: the ablation counts hops, so no memo
+        # may carry from one hit to the next (the key-join side has none).
+        accessor = store.new_accessor()
+        context = accessor.governing_context(hit)
         if context is not None:
             answers.append(
-                (context["NODEID"], section_text(store.database, context))
+                (context["NODEID"], accessor.section_text(context))
             )
     return answers
 

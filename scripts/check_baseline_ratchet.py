@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Baseline ratchets: debt may only shrink, banked perf may only rise.
+"""Baseline ratchets: debt and source size may only shrink, banked perf may
+only rise.
 
-Two locks, one guard:
+Three locks, one guard:
 
 **Analysis debt** (``analysis-baseline.json`` vs ``analysis-baseline.lock``).
 The baseline exists for *transitional* debt — entries are supposed to
@@ -27,11 +28,18 @@ never drop below (or vanish from) the locked value, so a
 the baseline — lowering a floor fails here until the lock itself is
 re-reviewed and rewritten with ``--update``.
 
-Both lock formats are one line per entry, tab-separated — line-diffable
-in review, no JSON nesting to mis-merge:
+**Source size** (``src/**/*.py`` vs ``src-lines.lock``).  The paper's
+argument is leanness, so the physical line count of the source tree is a
+tracked metric that may only fall: a tree larger than the lock fails, a
+smaller one passes and suggests ``--update`` to bank the reduction.
+
+The analysis and bench locks are one line per entry, tab-separated —
+line-diffable in review, no JSON nesting to mis-merge — and the source
+lock is a single number:
 
 * analysis: ``rule<TAB>path<TAB>content``
 * bench:    ``artifact<TAB>dotted.key<TAB>value``
+* source:   ``lines``
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ DEFAULT_BASELINE = REPO_ROOT / "analysis-baseline.json"
 DEFAULT_LOCK = REPO_ROOT / "analysis-baseline.lock"
 DEFAULT_BENCH_BASELINES = REPO_ROOT / "benchmarks" / "baselines"
 DEFAULT_BENCH_LOCK = DEFAULT_BENCH_BASELINES / "ratchets.lock"
+DEFAULT_SRC = REPO_ROOT / "src"
+DEFAULT_SRC_LOCK = REPO_ROOT / "src-lines.lock"
 
 #: Leaf-name prefix marking a benchmark key as a banked floor (kept in
 #: sync with ``benchmarks/check_regression.py``).
@@ -163,11 +173,44 @@ def check_bench_ratchets(
     return status, messages
 
 
+def src_lines(src_dir: Path) -> int:
+    """Physical lines of ``src/**/*.py`` (what ``cat | wc -l`` counts)."""
+    return sum(
+        path.read_bytes().count(b"\n") for path in src_dir.rglob("*.py")
+    )
+
+
+def check_src_lines(src_dir: Path, lock_path: Path) -> tuple[int, list[str]]:
+    """Returns (exit status, messages) for the source-size side."""
+    if not lock_path.is_file():
+        return 1, [
+            f"error: {lock_path} is missing; run --update to create it"
+        ]
+    locked = int(lock_path.read_text())
+    current = src_lines(src_dir)
+    if current > locked:
+        return 1, [
+            f"src ratchet: {src_dir.name}/ grew to {current} lines, above "
+            f"the locked {locked} — delete as much as was added, or re-lock "
+            "with --update after review"
+        ]
+    messages = []
+    if current < locked:
+        messages.append(
+            f"src ratchet: {src_dir.name}/ shrank by {locked - current} "
+            "line(s); run --update to tighten the lock"
+        )
+    messages.append(
+        f"ok: {current} source line(s), not above the locked {locked}"
+    )
+    return 0, messages
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Fail when analysis-baseline.json grows or a committed bench "
-            "ratchet drops."
+            "Fail when analysis-baseline.json grows, a committed bench "
+            "ratchet drops or src/ gains lines."
         ),
     )
     parser.add_argument(
@@ -185,8 +228,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
     )
     parser.add_argument(
+        "--src", type=Path, default=DEFAULT_SRC, metavar="DIR",
+    )
+    parser.add_argument(
+        "--src-lock", type=Path, default=DEFAULT_SRC_LOCK, metavar="FILE",
+    )
+    parser.add_argument(
         "--update", action="store_true",
-        help="rewrite both locks from the current baselines (after review)",
+        help="rewrite every lock from the current tree (after review)",
     )
     args = parser.parse_args(argv)
 
@@ -200,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
             f"locked {len(ratchets)} bench ratchet key(s) in "
             f"{args.bench_lock.name}"
         )
+        lines = src_lines(args.src)
+        args.src_lock.write_text(f"{lines}\n")
+        print(f"locked {lines} source line(s) in {args.src_lock.name}")
         return 0
     if not args.lock.is_file():
         print(
@@ -226,12 +278,13 @@ def main(argv: list[str] | None = None) -> int:
             "--update to tighten the lock"
         )
     print(f"ok: {len(keys)} baseline entry(ies), all within the locked set")
-    bench_status, messages = check_bench_ratchets(
+    bench_status, bench_messages = check_bench_ratchets(
         args.bench_baselines, args.bench_lock
     )
-    for message in messages:
+    src_status, src_messages = check_src_lines(args.src, args.src_lock)
+    for message in bench_messages + src_messages:
         print(message)
-    return bench_status
+    return max(bench_status, src_status)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Maluf, Bell & Ashish, *Lean Middleware*, ACM SIGMOD 2005.
 The package implements the paper's complete stack, bottom to top:
 
 * :mod:`repro.ordbms` — the object-relational substrate (heap tables with
-  physical ROWIDs, B+tree and inverted-text indexes, executor, WAL-style
+  physical ROWIDs, B+tree and inverted-text indexes, WAL-style
   transactions);
 * :mod:`repro.sgml` — the tolerant SGML/HTML/XML parser, DOM and the five
   NETMARK node types;

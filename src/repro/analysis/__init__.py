@@ -17,7 +17,7 @@ Rule families
   boundaries; ``except Exception`` / bare ``except`` is banned unless
   annotated ``# lint: allow-broad-except(<reason>)``.
 * **transaction & rowid discipline** — no cross-object mutation of
-  private state outside ``ordbms/transaction.py`` / ``ordbms/executor.py``;
+  private state outside ``ordbms/transaction.py``;
   no :class:`~repro.ordbms.rowid.RowId` minted from raw ints outside
   ``ordbms/rowid.py``.
 * **determinism** — no wall-clock reads or unseeded randomness in

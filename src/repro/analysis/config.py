@@ -275,9 +275,7 @@ class AnalysisConfig:
     #: Path suffixes of modules allowed to mutate other objects' private
     #: state (the transaction/recovery machinery rewrites heap internals
     #: by design).
-    mutation_exempt: frozenset[str] = frozenset(
-        {"ordbms/transaction.py", "ordbms/executor.py"}
-    )
+    mutation_exempt: frozenset[str] = frozenset({"ordbms/transaction.py"})
 
     #: A path containing any of these parts is exempt from the
     #: determinism rules (benchmarks time things; that is their job).

@@ -7,9 +7,9 @@ inside the physical layer (``ordbms/rowid.py``; the heap file carries
 per-line pragmas for the two places it mints addresses).
 
 ``private-mutation`` guards the transactional counterpart: nobody pokes
-another object's ``_private`` state from outside, except the WAL /
-executor machinery whose whole job is rewriting heap internals during
-commit and rollback.  Constructor-style factories (``store =
+another object's ``_private`` state from outside, except the transaction
+machinery whose whole job is rewriting heap internals during commit and
+rollback.  Constructor-style factories (``store =
 cls.__new__(cls); store._x = ...``) are recognised and allowed — an
 object wiring up *itself* is not a boundary violation.
 """

@@ -46,10 +46,6 @@ class TransactionError(DatabaseError):
     """Illegal transaction state transition (e.g. commit with no begin)."""
 
 
-class QueryPlanError(DatabaseError):
-    """The executor was given an inconsistent or unsupported plan."""
-
-
 class WalError(DatabaseError):
     """Base class for write-ahead-log failures (device, format, replay)."""
 

@@ -7,7 +7,6 @@ primitives NETMARK's design exploits:
 * heap tables with stable **physical ROWIDs** and O(1) fetch-by-rowid,
 * B+tree secondary indexes,
 * an inverted **text index** (the Oracle Text substitute),
-* a predicate/plan executor for structured queries,
 * single-writer transactions with logical undo.
 
 Entry point: :class:`Database`.
@@ -16,45 +15,11 @@ Entry point: :class:`Database`.
 from repro.ordbms.btree import BTreeIndex
 from repro.ordbms.catalog import Catalog
 from repro.ordbms.database import Database, DatabaseStats
-from repro.ordbms.expr import (
-    And,
-    Col,
-    Compare,
-    Expr,
-    InList,
-    IsNull,
-    Like,
-    Lit,
-    Not,
-    Or,
-    conjuncts,
-    equality_on,
-)
-from repro.ordbms.executor import (
-    Aggregate,
-    AggSpec,
-    Distinct,
-    Filter,
-    HashJoin,
-    IndexLookup,
-    IndexRange,
-    Limit,
-    NestedLoopJoin,
-    PlanNode,
-    Project,
-    SeqScan,
-    Sort,
-    TextSearch,
-    UnionAll,
-    Values,
-    execute,
-)
 from repro.ordbms.mvcc import ABSENT, MvccState, Snapshot
 from repro.ordbms.recovery import RecoveryResult, recover
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import Column, ForeignKey, TableSchema
 from repro.ordbms.snapshot import dump_database, load_database
-from repro.ordbms.sql import SqlError, SqlResult, execute_sql
 from repro.ordbms.table import ROWID_PSEUDO, Table
 from repro.ordbms.textindex import STOPWORDS, TextIndex, tokenize
 from repro.ordbms.transaction import Transaction
@@ -80,69 +45,37 @@ from repro.ordbms.wal import (
 __all__ = [
     "ABSENT",
     "ALL_TYPES",
-    "Aggregate",
-    "AggSpec",
-    "And",
     "BTreeIndex",
     "CLOB",
     "Catalog",
-    "Col",
     "Column",
-    "Compare",
     "Database",
     "DatabaseStats",
     "DataType",
-    "Distinct",
-    "Expr",
     "FLOAT",
     "FileLogDevice",
-    "Filter",
     "ForeignKey",
-    "HashJoin",
     "INTEGER",
-    "InList",
-    "IndexLookup",
-    "IndexRange",
-    "IsNull",
-    "Like",
-    "Limit",
-    "Lit",
     "LogDevice",
     "MemoryLogDevice",
     "MvccState",
-    "NestedLoopJoin",
-    "Not",
-    "Or",
-    "PlanNode",
-    "Project",
     "ROWID",
     "ROWID_PSEUDO",
     "RecoveryResult",
     "RowId",
     "STOPWORDS",
-    "SeqScan",
     "Snapshot",
-    "Sort",
-    "SqlError",
-    "SqlResult",
     "TIMESTAMP",
     "Table",
     "TableSchema",
     "TextIndex",
-    "TextSearch",
     "Transaction",
-    "UnionAll",
     "VARCHAR",
-    "Values",
     "WalRecord",
     "WriteAheadLog",
-    "conjuncts",
     "decode_value",
     "dump_database",
     "encode_value",
-    "equality_on",
-    "execute",
-    "execute_sql",
     "load_database",
     "recover",
     "tokenize",

@@ -16,7 +16,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 from repro import obs
 from repro.errors import CatalogError, ConstraintError, RowIdError
 from repro.ordbms.btree import BTreeIndex
-from repro.ordbms.expr import Expr
 from repro.ordbms.mvcc import ABSENT, MvccState
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import TableSchema
@@ -347,7 +346,7 @@ class Table:
         return self._heap.exists(rowid)
 
     def scan(
-        self, predicate: Expr | Callable[[Mapping[str, Any]], bool] | None = None
+        self, predicate: Callable[[Mapping[str, Any]], bool] | None = None
     ) -> Iterator[dict[str, Any]]:
         """Yield rows (as dicts, including the ROWID pseudo-column)."""
         examined = 0
@@ -355,12 +354,7 @@ class Table:
             for rowid, row in self._heap.scan():
                 examined += 1
                 record = self._with_rowid(rowid, row)
-                if predicate is None:
-                    yield record
-                elif isinstance(predicate, Expr):
-                    if predicate.evaluate(record):
-                        yield record
-                elif predicate(record):
+                if predicate is None or predicate(record):
                     yield record
         finally:
             # One bump per scan (early close included), not one per row:

@@ -121,14 +121,6 @@ class TextIndex:
                 return set()
         return result if result is not None else set()
 
-    def lookup_any(self, terms: Iterable[str]) -> set[RowId]:
-        """ROWIDs containing *any* term (disjunctive)."""
-        obs.inc("repro_ordbms_textindex_lookups_total", kind="any")
-        result: set[RowId] = set()
-        for term in terms:
-            result |= self._rows(term)
-        return result
-
     def lookup_phrase(self, phrase: str) -> set[RowId]:
         """ROWIDs whose text contains ``phrase`` as consecutive tokens."""
         obs.inc("repro_ordbms_textindex_lookups_total", kind="phrase")

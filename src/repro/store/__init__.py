@@ -25,20 +25,6 @@ from repro.store.schema import (
     encode_metadata,
     xml_schema,
 )
-from repro.store.traversal import (
-    children_of,
-    context_title,
-    fetch_node,
-    governing_context,
-    is_context,
-    is_text,
-    iter_contexts,
-    next_sibling_of,
-    parent_of,
-    scope_rowids,
-    section_scope,
-    section_text,
-)
 from repro.store.xmlstore import StoredDocument, XmlStore
 
 __all__ = [
@@ -53,28 +39,16 @@ __all__ = [
     "XML_TABLE",
     "XmlStore",
     "check_store",
-    "children_of",
     "classify_counts",
     "compose_document",
     "compose_node",
     "compose_section",
-    "context_title",
     "create_netmark_schema",
     "decode_attributes",
     "decode_metadata",
     "doc_schema",
     "encode_attributes",
     "encode_metadata",
-    "fetch_node",
-    "governing_context",
-    "is_context",
-    "is_text",
-    "iter_contexts",
-    "next_sibling_of",
-    "parent_of",
     "repair_store",
-    "scope_rowids",
-    "section_scope",
-    "section_text",
     "xml_schema",
 ]

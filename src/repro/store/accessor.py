@@ -37,8 +37,8 @@ the same rows again and again while walking overlapping sections.  A
   tiers.
 
 Accessors are cheap to construct; the query engine makes one per query,
-and the legacy :mod:`repro.store.traversal` functions make an ephemeral
-one per call so every caller shares a single traversal implementation.
+and an :class:`~repro.store.xmlstore.XmlStore` keeps a long-lived one for
+reconstruction.  This class is the only traversal implementation.
 """
 
 from __future__ import annotations

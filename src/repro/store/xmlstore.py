@@ -34,7 +34,6 @@ from repro.store.schema import (
     create_netmark_schema,
     decode_metadata,
 )
-from repro.store.traversal import iter_contexts
 
 Row = dict[str, Any]
 
@@ -58,27 +57,25 @@ class XmlStore:
         self,
         database: Database | None = None,
         config: NodeTypeConfig = DEFAULT_CONFIG,
-        materialize_paths: bool = False,
     ) -> None:
-        self.database = database or Database()
+        database = database or Database()
+        create_netmark_schema(database)
+        self._wire(database, config)
+
+    def _wire(self, database: Database, config: NodeTypeConfig) -> None:
+        """Bind every field to a database that already has the schema."""
+        self.database = database
         self.config = config
-        self._doc_table, self._xml_table = create_netmark_schema(self.database)
-        self._decomposer = Decomposer(self.database, config)
-        self._accessor = NodeAccessor(self.database)
+        self._doc_table = database.table(DOC_TABLE)
+        self._xml_table = database.table(XML_TABLE)
+        self._decomposer = Decomposer(database, config)
+        self._accessor = NodeAccessor(database)
         #: Cross-query structural-lift memo pool; cache-enabled query
         #: engines read through it (see :mod:`repro.store.liftcache`).
         self.lift_cache = LiftCache(
             generation=self._xml_table.generation,
-            lsn=self.database.mvcc.lsn,
+            lsn=database.mvcc.lsn,
         )
-        #: With ``materialize_paths`` every ingest pre-computes the new
-        #: document's context paths (titles, scopes, governing lifts)
-        #: straight into :attr:`lift_cache`, so the first query over a
-        #: fresh document already runs against warm lifts.  Off by
-        #: default: it trades ingest latency for first-query latency,
-        #: and it deliberately lives in the lift cache rather than a
-        #: third table — the FIG5 claim (``table_count == 2``) holds.
-        self.materialize_paths = materialize_paths
         #: Set by :meth:`open` when the store came back from a crash.
         self.last_recovery = None
 
@@ -102,7 +99,7 @@ class XmlStore:
         """
         from repro.ordbms.snapshot import load_database
 
-        return cls._adopt(load_database(snapshot_text), config)
+        return cls.adopt(load_database(snapshot_text), config)
 
     @classmethod
     def open(
@@ -125,7 +122,7 @@ class XmlStore:
             store.database.enable_wal(device)
             return store
         result = recover(device)
-        store = cls._adopt(result.database, config)
+        store = cls.adopt(result.database, config)
         store.last_recovery = result
         return store
 
@@ -141,28 +138,11 @@ class XmlStore:
 
         The entry point for databases materialised elsewhere — crash
         recovery output, a replication follower's applied state — where
-        the NETMARK tables exist but no :class:`XmlStore` does yet.
+        the NETMARK tables exist but no :class:`XmlStore` does yet.  The
+        id allocators resume past the highest stored ids.
         """
-        return cls._adopt(database, config)
-
-    @classmethod
-    def _adopt(
-        cls, database: Database, config: NodeTypeConfig
-    ) -> "XmlStore":
-        """Wire a store around a database that already has the schema."""
         store = cls.__new__(cls)
-        store.database = database
-        store.config = config
-        store._doc_table = database.table(DOC_TABLE)
-        store._xml_table = database.table(XML_TABLE)
-        store._decomposer = Decomposer(database, config)
-        store._accessor = NodeAccessor(database)
-        store.lift_cache = LiftCache(
-            generation=store._xml_table.generation,
-            lsn=database.mvcc.lsn,
-        )
-        store.materialize_paths = False
-        store.last_recovery = None
+        store._wire(database, config)
         max_doc = max(
             (row["DOC_ID"] for row in store._doc_table.scan()), default=0
         )
@@ -184,8 +164,6 @@ class XmlStore:
         # write position catches up with the table generation — the one
         # counter the per-query accessor memos are guarded by too.
         self._note_write(result.doc_id)
-        if self.materialize_paths:
-            self._materialize_context_paths(result.doc_id)
         return result
 
     def store_text(
@@ -244,27 +222,6 @@ class XmlStore:
         self.lift_cache.note_write(
             self._xml_table.generation, self.database.mvcc.lsn, doc_id
         )
-
-    def _materialize_context_paths(self, doc_id: int) -> None:
-        """Pre-compute a fresh document's context paths into the pool.
-
-        One pass over the new document's CONTEXT rows warms the title,
-        scope, section-text and governing/ancestor lifts that context
-        and content queries will ask for, so the index probes that
-        consult them hit instead of walking.  Runs through a shared
-        accessor, so admission (generation tokens) applies exactly as it
-        would for a query — a racing write simply drops the warmup.
-        """
-        accessor = self.new_accessor(lifts=self.lift_cache)
-        for context_row in self._xml_table.lookup("DOC_ID", doc_id):
-            if not NodeAccessor.is_context(context_row):
-                continue
-            accessor.context_title(context_row)
-            accessor.section_text(context_row)
-            for scope_row in accessor.section_scope(context_row):
-                if NodeAccessor.is_text(scope_row):
-                    accessor.governing_context(scope_row)
-                    accessor.context_ancestor(scope_row)
 
     # -- snapshots (MVCC) -----------------------------------------------------
 
@@ -367,7 +324,9 @@ class XmlStore:
     def contexts(self, doc_id: int) -> Iterator[Row]:
         """CONTEXT element rows of one document."""
         self.describe(doc_id)  # raises if unknown
-        return iter_contexts(self.database, doc_id)
+        rows = self._xml_table.lookup("DOC_ID", doc_id)
+        contexts = filter(NodeAccessor.is_context, rows)
+        return iter(sorted(contexts, key=lambda row: row["NODEID"]))
 
     def fetch_node(self, rowid: RowId) -> Row:
         return self.database.fetch(XML_TABLE, rowid)

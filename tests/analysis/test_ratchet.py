@@ -1,4 +1,5 @@
-"""The baseline ratchet guards: debt may shrink, banked perf may rise."""
+"""The baseline ratchet guards: debt and source size may shrink, banked
+perf may rise."""
 
 import importlib.util
 import json
@@ -21,13 +22,21 @@ def entry(content, rule="layering", path="src/repro/x.py"):
     return {"rule": rule, "path": path, "content": content, "reason": "r"}
 
 
+def src_args(tmp_path):
+    """Point the source-size side at an isolated (empty) tree."""
+    src_dir = tmp_path / "src"
+    src_dir.mkdir(exist_ok=True)
+    return ["--src", str(src_dir), "--src-lock", str(tmp_path / "src.lock")]
+
+
 def bench_args(tmp_path):
-    """Point the bench-ratchet side at an isolated (empty) directory."""
+    """Point the bench and source sides at isolated (empty) directories."""
     bench_dir = tmp_path / "bench-baselines"
     bench_dir.mkdir(exist_ok=True)
     return [
         "--bench-baselines", str(bench_dir),
         "--bench-lock", str(bench_dir / "ratchets.lock"),
+        *src_args(tmp_path),
     ]
 
 
@@ -97,6 +106,7 @@ class TestBenchRatchet:
             "--lock", str(tmp_path / "baseline.lock"),
             "--bench-baselines", str(bench_dir),
             "--bench-lock", str(bench_dir / "ratchets.lock"),
+            *src_args(tmp_path),
         ]
         return args, bench_dir
 
@@ -148,5 +158,55 @@ class TestBenchRatchet:
     def test_repo_bench_lock_matches_committed_baselines(self):
         status, _ = ratchet.check_bench_ratchets(
             ratchet.DEFAULT_BENCH_BASELINES, ratchet.DEFAULT_BENCH_LOCK
+        )
+        assert status == 0
+
+
+class TestSrcLinesRatchet:
+    """The physical line count of ``src/**/*.py`` may only fall."""
+
+    def _setup(self, tmp_path, lines=3):
+        baseline = tmp_path / "baseline.json"
+        write_baseline(baseline, [])
+        args = ["--baseline", str(baseline),
+                "--lock", str(tmp_path / "baseline.lock"),
+                *bench_args(tmp_path)]
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text("x = 1\n" * lines)
+        (package / "notes.txt").write_text("not source\n" * 50)
+        return args, package / "mod.py"
+
+    def test_update_locks_the_count_and_roundtrips(self, tmp_path, capsys):
+        args, _ = self._setup(tmp_path, lines=3)
+        assert ratchet.main([*args, "--update"]) == 0
+        assert (tmp_path / "src.lock").read_text() == "3\n"
+        assert ratchet.main(args) == 0
+        assert "3 source line(s)" in capsys.readouterr().out
+
+    def test_grown_tree_fails(self, tmp_path, capsys):
+        args, module = self._setup(tmp_path, lines=3)
+        assert ratchet.main([*args, "--update"]) == 0
+        module.write_text("x = 1\n" * 4)
+        assert ratchet.main(args) == 1
+        assert "grew to 4 lines" in capsys.readouterr().out
+
+    def test_shrunk_tree_passes_and_suggests_tightening(self, tmp_path,
+                                                        capsys):
+        args, module = self._setup(tmp_path, lines=3)
+        assert ratchet.main([*args, "--update"]) == 0
+        module.write_text("x = 1\n")
+        assert ratchet.main(args) == 0
+        assert "shrank by 2 line(s)" in capsys.readouterr().out
+
+    def test_missing_src_lock_fails(self, tmp_path, capsys):
+        args, _ = self._setup(tmp_path)
+        (tmp_path / "baseline.lock").write_text("")
+        assert ratchet.main(args) == 1
+        assert "src.lock is missing" in capsys.readouterr().out
+
+    def test_repo_src_lock_is_not_exceeded(self):
+        status, _ = ratchet.check_src_lines(
+            ratchet.DEFAULT_SRC, ratchet.DEFAULT_SRC_LOCK
         )
         assert status == 0

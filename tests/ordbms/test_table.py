@@ -7,7 +7,6 @@ from repro.ordbms import (
     CLOB,
     INTEGER,
     VARCHAR,
-    Col,
     Column,
     Table,
     TableSchema,
@@ -122,7 +121,7 @@ class TestAccess:
     def test_scan_with_expr_predicate(self, table):
         for i in range(5):
             table.insert({"ID": i})
-        rows = list(table.scan(Col("ID") >= 3))
+        rows = list(table.scan(lambda row: row["ID"] >= 3))
         assert sorted(row["ID"] for row in rows) == [3, 4]
 
     def test_scan_with_callable_predicate(self, table):

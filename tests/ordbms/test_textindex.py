@@ -61,9 +61,6 @@ class TestLookup:
         assert index.lookup_all(["engine", "budget"]) == {rid(2)}
         assert index.lookup_all(["engine", "nozzle"]) == set()
 
-    def test_lookup_any_disjunctive(self, index):
-        assert index.lookup_any(["shuttle", "travel"]) == {rid(1), rid(3)}
-
     def test_lookup_all_empty_terms(self, index):
         assert index.lookup_all([]) == set()
 

@@ -1,22 +1,14 @@
-"""Decomposition rows and ROWID traversal semantics (§2.1.4)."""
+"""Decomposition rows and ROWID traversal semantics (§2.1.4).
+
+Every walk goes through the store's one :class:`NodeAccessor`.
+"""
 
 import pytest
 
 from repro.ordbms.table import ROWID_PSEUDO
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
-from repro.store import (
-    XmlStore,
-    children_of,
-    classify_counts,
-    context_title,
-    governing_context,
-    next_sibling_of,
-    parent_of,
-    scope_rowids,
-    section_scope,
-    section_text,
-)
+from repro.store import XmlStore, classify_counts
 
 
 @pytest.fixture
@@ -60,16 +52,16 @@ class TestDecomposition:
     def test_parent_rowids_consistent(self, store_with_doc):
         store, result = store_with_doc
         for row in store.xml_table.scan():
-            parent = parent_of(store.database, row)
+            parent = store.accessor.parent(row)
             if parent is not None:
                 assert parent["NODEID"] == row["PARENTNODEID"]
 
     def test_sibling_chain_terminates_and_orders(self, store_with_doc):
         store, result = store_with_doc
         root = store.fetch_node(result.root_rowid)
-        first, second = children_of(store.database, root)
-        assert next_sibling_of(store.database, first)["NODEID"] == second["NODEID"]
-        assert next_sibling_of(store.database, second) is None
+        first, second = store.accessor.children(root)
+        assert store.accessor.next_sibling(first)["NODEID"] == second["NODEID"]
+        assert store.accessor.next_sibling(second) is None
 
     def test_node_types_recorded(self, store_with_doc):
         store, result = store_with_doc
@@ -81,9 +73,9 @@ class TestDecomposition:
     def test_children_sorted_by_ordinal(self, store_with_doc):
         store, result = store_with_doc
         root = store.fetch_node(result.root_rowid)
-        sections = children_of(store.database, root)
+        sections = store.accessor.children(root)
         titles = [
-            context_title(store.database, children_of(store.database, s)[0])
+            store.accessor.context_title(store.accessor.children(s)[0])
             for s in sections
         ]
         assert titles == ["Alpha", "Beta"]
@@ -93,34 +85,34 @@ class TestTraversal:
     def test_governing_context_of_content_text(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "beta text")
-        context = governing_context(store.database, row)
-        assert context_title(store.database, context) == "Beta"
+        context = store.accessor.governing_context(row)
+        assert store.accessor.context_title(context) == "Beta"
 
     def test_governing_context_stops_at_own_section(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "alpha text one")
-        context = governing_context(store.database, row)
-        assert context_title(store.database, context) == "Alpha"
+        context = store.accessor.governing_context(row)
+        assert store.accessor.context_title(context) == "Alpha"
 
     def test_heading_text_has_context_ancestor(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "Alpha")
-        parent = parent_of(store.database, row)
+        parent = store.accessor.parent(row)
         assert parent["NODETYPE"] == int(NodeType.CONTEXT)
 
     def test_section_scope_excludes_next_section(self, store_with_doc):
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
-        context = parent_of(store.database, alpha_heading)
-        text = section_text(store.database, context)
+        context = store.accessor.parent(alpha_heading)
+        text = store.accessor.section_text(context)
         assert "alpha text one" in text and "alpha text two" in text
         assert "beta" not in text
 
     def test_scope_rowids_are_section_rows(self, store_with_doc):
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
-        context = parent_of(store.database, alpha_heading)
-        rowids = scope_rowids(store.database, context)
+        context = store.accessor.parent(alpha_heading)
+        rowids = store.accessor.scope_rowids(context)
         [content_row] = text_rows(store, "alpha text one")
         assert content_row[ROWID_PSEUDO] in rowids
 
@@ -133,11 +125,11 @@ class TestTraversal:
         )
         store.store_document(document)
         [row] = text_rows(store, "two")
-        context = governing_context(store.database, row)
-        assert context_title(store.database, context) == "First"
+        context = store.accessor.governing_context(row)
+        assert store.accessor.context_title(context) == "First"
         [row3] = text_rows(store, "three")
-        context3 = governing_context(store.database, row3)
-        assert context_title(store.database, context3) == "Second"
+        context3 = store.accessor.governing_context(row3)
+        assert store.accessor.context_title(context3) == "Second"
 
     def test_flat_html_scope_stops_at_next_heading(self):
         store = XmlStore()
@@ -147,15 +139,15 @@ class TestTraversal:
         )
         store.store_document(document)
         [heading] = text_rows(store, "First")
-        context = parent_of(store.database, heading)
-        assert section_text(store.database, context) == "one"
+        context = store.accessor.parent(heading)
+        assert store.accessor.section_text(context) == "one"
 
     def test_front_matter_has_no_context(self):
         store = XmlStore()
         document = parse_xml("<body><p>preamble</p><h2>H</h2></body>")
         store.store_document(document)
         [row] = text_rows(store, "preamble")
-        assert governing_context(store.database, row) is None
+        assert store.accessor.governing_context(row) is None
 
     def test_scope_of_multiple_documents_isolated(self, store_with_doc):
         store, _ = store_with_doc
@@ -165,6 +157,6 @@ class TestTraversal:
         )
         store.store_document(second)
         rows = text_rows(store, "alpha text one")
-        context = governing_context(store.database, rows[0])
-        text = section_text(store.database, context)
+        context = store.accessor.governing_context(rows[0])
+        text = store.accessor.section_text(context)
         assert "other document" not in text

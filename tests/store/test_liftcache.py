@@ -13,8 +13,6 @@ from repro.ordbms.table import ROWID_PSEUDO
 from repro.store.accessor import NodeAccessor
 from repro.store.liftcache import MISS, LiftCache
 from repro.store.schema import XML_TABLE
-from repro.store.xmlstore import XmlStore
-from tests.conftest import SAMPLE_FILES
 
 
 class TestLiftCacheUnit:
@@ -195,24 +193,3 @@ class TestStoreIntegration:
             assert after["rejected_puts"] >= before["rejected_puts"] + len(
                 contexts
             )
-
-    def test_materialize_paths_warms_the_first_query(self):
-        store = XmlStore(materialize_paths=True)
-        for name, text in SAMPLE_FILES:
-            store.store_text(text, name)
-        assert len(store.lift_cache) > 0
-        doc_id = store.documents()[0].doc_id
-        contexts = _context_rows(store, doc_id)
-        accessor = store.new_accessor(lifts=store.lift_cache)
-        for row in contexts:
-            accessor.context_title(row)
-            accessor.section_text(row)
-        assert accessor.stats.shared_misses == 0
-        assert accessor.stats.shared_hits == 2 * len(contexts)
-
-    def test_table_count_stays_two_with_materialized_paths(self):
-        """The FIG5 claim survives: materialized context paths live in
-        the lift pool, not in a third table."""
-        store = XmlStore(materialize_paths=True)
-        store.store_text("# A\n\nbody\n", "a.md")
-        assert store.table_count == 2
