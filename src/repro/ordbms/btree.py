@@ -4,7 +4,10 @@ Keys are arbitrary comparable Python values (the engine only indexes one
 type per column, so heterogeneous comparisons never arise).  Duplicate keys
 are supported — each leaf entry holds the list of ROWIDs carrying that key,
 which is exactly what the NETMARK ``XML`` table needs for columns such as
-``NODENAME`` where many nodes share a value.
+``NODENAME`` where many nodes share a value.  Each list is kept in ROWID
+(physical) order: rows arrive in that order, so adding one is an append,
+and un-indexing one row of a low-cardinality column such as ``NODETYPE``
+is a binary search rather than thousands of tuple compares.
 
 The implementation is a textbook order-``FANOUT`` B+tree: leaves are linked
 left-to-right for range scans, internal nodes hold separator keys, splits
@@ -77,8 +80,9 @@ class BTreeIndex:
         position = bisect.bisect_left(leaf.keys, key)
         while position < len(leaf.keys) and leaf.keys[position] == key:
             rowids = leaf.values[position]
-            if rowid in rowids:
-                rowids.remove(rowid)
+            at = bisect.bisect_left(rowids, rowid)
+            if at < len(rowids) and rowids[at] == rowid:
+                del rowids[at]
                 if not rowids:
                     del leaf.keys[position]
                     del leaf.values[position]
@@ -186,7 +190,11 @@ class BTreeIndex:
         if isinstance(node, _Leaf):
             position = bisect.bisect_left(node.keys, key)
             if position < len(node.keys) and node.keys[position] == key:
-                node.values[position].append(rowid)
+                rowids = node.values[position]
+                if rowid > rowids[-1]:
+                    rowids.append(rowid)
+                else:
+                    bisect.insort(rowids, rowid)
                 return None
             node.keys.insert(position, key)
             node.values.insert(position, [rowid])

@@ -14,8 +14,9 @@ proxy for the I/O the paper's Oracle deployment saved.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, ContextManager, Mapping
 
 from repro import obs
 from repro.errors import TransactionError, WalError
@@ -70,6 +71,8 @@ class Database:
     mvcc: MvccState = field(default_factory=MvccState)
     _current: Transaction | None = None
     _next_txid: int = 1
+    #: GC horizon of the last commit-time history sweep.
+    _swept_horizon: int = -1
 
     # -- DDL ----------------------------------------------------------------
 
@@ -101,8 +104,23 @@ class Database:
             self.wal.log_begin(txid)
         return self._current
 
+    def transaction(self) -> ContextManager[Transaction | None]:
+        """Join the open transaction, else :meth:`begin` one — for a step
+        that is atomic alone and also composes (a replace is delete + load)."""
+        if self.in_transaction:
+            return contextlib.nullcontext(self._current)
+        return self.begin()
+
     def _transaction_closed(self, transaction: Transaction) -> None:
         self.mvcc.transaction_closed()
+        # Reclaim MVCC history now: what this transaction superseded is
+        # at or below every future pin.  An unmoved horizon (a long-held
+        # snapshot) frees nothing new, so commits stay O(own statements).
+        horizon = self.mvcc.gc_horizon()
+        if horizon != self._swept_horizon:
+            self._swept_horizon = horizon
+            for table in self.catalog:
+                table.vacuum_versions(horizon)
         if transaction is self._current:
             self._current = None
         if transaction._state == "committed":

@@ -120,7 +120,7 @@ def dump_database(database: Database) -> str:
         heap = table._heap  # noqa: SLF001 - deliberate: physical layout
         for file_no, blocks in enumerate(heap._files):
             for block_no, block in enumerate(blocks):
-                for slot_no, row in enumerate(block.slots):
+                for slot_no, row in enumerate(block):
                     address = f"F{file_no}.B{block_no}.S{slot_no}"
                     if row is _TOMBSTONE:
                         lines.append(f"TOMB {address}")

@@ -13,6 +13,8 @@ migrates rows, so ROWIDs are stable for the lifetime of a row.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
 from typing import Any, Iterator
 
 from repro.errors import RowIdError
@@ -28,24 +30,6 @@ FILE_CAPACITY = 1024
 _TOMBSTONE = object()
 
 
-class _Block:
-    """A fixed-capacity array of row slots."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self) -> None:
-        self.slots: list[Any] = []
-
-    @property
-    def full(self) -> bool:
-        return len(self.slots) >= BLOCK_CAPACITY
-
-    def append(self, row: tuple[Any, ...]) -> int:
-        slot_no = len(self.slots)
-        self.slots.append(row)
-        return slot_no
-
-
 class HeapFile:
     """The physical storage for one table.
 
@@ -57,39 +41,68 @@ class HeapFile:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._files: list[list[_Block]] = [[_Block()]]
+        #: files -> blocks -> slots; a block is a plain list of rows.
+        self._files: list[list[list[Any]]] = [[[]]]
+        #: Addresses minted ahead of their rows, next to land first.
+        self._ahead: deque[RowId] = deque()
         self._live_rows = 0
 
     # -- mutation ---------------------------------------------------------
 
+    def next_rowids(self, count: int) -> list[RowId]:
+        """The addresses the next ``count`` inserts will land at, in order.
+
+        Slots are append-only (tombstones are never reused), so these are
+        a function of the heap tail alone.  A loader that must store a
+        row's forward links before the linked rows exist asks for a
+        document's worth; :meth:`insert` then hands out these very
+        objects, so an address is minted once however early it is asked for.
+        """
+        ahead = self._ahead
+        if len(ahead) < count:
+            if ahead:
+                file_no, block_no, slot_no = ahead[-1]
+                slot_no += 1
+            else:
+                file_no = len(self._files) - 1
+                block_no = len(self._files[file_no]) - 1
+                slot_no = len(self._files[file_no][block_no])
+            for _ in range(count - len(ahead)):
+                if slot_no >= BLOCK_CAPACITY:
+                    slot_no = 0
+                    block_no += 1
+                    if block_no >= FILE_CAPACITY:
+                        file_no, block_no = file_no + 1, 0
+                ahead.append(RowId(file_no, block_no, slot_no))  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
+                slot_no += 1
+        return list(islice(ahead, count))
+
     def insert(self, row: tuple[Any, ...]) -> RowId:
         """Append ``row`` and return its physical address."""
-        file_no = len(self._files) - 1
-        blocks = self._files[file_no]
-        if blocks[-1].full:
-            if len(blocks) >= FILE_CAPACITY:
-                self._files.append([_Block()])
-                file_no += 1
-                blocks = self._files[file_no]
-            else:
-                blocks.append(_Block())
-        block_no = len(blocks) - 1
-        slot_no = blocks[-1].append(row)
+        if not self._ahead:
+            self.next_rowids(1)
+        rowid = self._ahead.popleft()
+        if rowid.file_no == len(self._files):
+            self._files.append([])
+        blocks = self._files[rowid.file_no]
+        if rowid.block_no == len(blocks):
+            blocks.append([])
+        blocks[rowid.block_no].append(row)
         self._live_rows += 1
-        return RowId(file_no, block_no, slot_no)  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
+        return rowid
 
     def update(self, rowid: RowId, row: tuple[Any, ...]) -> None:
         """Replace the row at ``rowid`` in place."""
         block = self._block(rowid)
         self._check_live(block, rowid)
-        block.slots[rowid.slot_no] = row
+        block[rowid.slot_no] = row
 
     def delete(self, rowid: RowId) -> tuple[Any, ...]:
         """Tombstone the row at ``rowid`` and return its former value."""
         block = self._block(rowid)
         self._check_live(block, rowid)
-        old = block.slots[rowid.slot_no]
-        block.slots[rowid.slot_no] = _TOMBSTONE
+        old = block[rowid.slot_no]
+        block[rowid.slot_no] = _TOMBSTONE
         self._live_rows -= 1
         return old
 
@@ -100,15 +113,15 @@ class HeapFile:
         what lets undo records later in the log keep referring to it.
         """
         block = self._block(rowid)
-        if rowid.slot_no >= len(block.slots):
+        if rowid.slot_no >= len(block):
             raise RowIdError(
                 f"ROWID {rowid} is out of range for table {self.name}"
             )
-        if block.slots[rowid.slot_no] is not _TOMBSTONE:
+        if block[rowid.slot_no] is not _TOMBSTONE:
             raise RowIdError(
                 f"ROWID {rowid} is not a deleted slot in table {self.name}"
             )
-        block.slots[rowid.slot_no] = row
+        block[rowid.slot_no] = row
         self._live_rows += 1
 
     # -- access -----------------------------------------------------------
@@ -117,7 +130,7 @@ class HeapFile:
         """Return the row at ``rowid``; O(1)."""
         block = self._block(rowid)
         self._check_live(block, rowid)
-        return block.slots[rowid.slot_no]
+        return block[rowid.slot_no]
 
     def exists(self, rowid: RowId) -> bool:
         """True when ``rowid`` addresses a live (non-deleted) row."""
@@ -125,15 +138,15 @@ class HeapFile:
             block = self._block(rowid)
         except RowIdError:
             return False
-        if rowid.slot_no >= len(block.slots):
+        if rowid.slot_no >= len(block):
             return False
-        return block.slots[rowid.slot_no] is not _TOMBSTONE
+        return block[rowid.slot_no] is not _TOMBSTONE
 
     def scan(self) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
         """Yield ``(rowid, row)`` for every live row in physical order."""
         for file_no, blocks in enumerate(self._files):
             for block_no, block in enumerate(blocks):
-                for slot_no, row in enumerate(block.slots):
+                for slot_no, row in enumerate(block):
                     if row is not _TOMBSTONE:
                         yield RowId(file_no, block_no, slot_no), row  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
 
@@ -149,8 +162,8 @@ class HeapFile:
         """
         for file_no, blocks in enumerate(self._files):
             for block_no, block in enumerate(blocks):
-                for slot_no in range(len(block.slots)):
-                    yield RowId(file_no, block_no, slot_no), block.slots[slot_no]  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
+                for slot_no in range(len(block)):
+                    yield RowId(file_no, block_no, slot_no), block[slot_no]  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
 
     def __len__(self) -> int:
         return self._live_rows
@@ -162,7 +175,7 @@ class HeapFile:
 
     # -- internals ---------------------------------------------------------
 
-    def _block(self, rowid: RowId) -> _Block:
+    def _block(self, rowid: RowId) -> list[Any]:
         if not rowid.is_valid:
             raise RowIdError(f"invalid ROWID {rowid} for table {self.name}")
         try:
@@ -172,12 +185,12 @@ class HeapFile:
                 f"ROWID {rowid} is out of range for table {self.name}"
             ) from None
 
-    def _check_live(self, block: _Block, rowid: RowId) -> None:
-        if rowid.slot_no >= len(block.slots):
+    def _check_live(self, block: list[Any], rowid: RowId) -> None:
+        if rowid.slot_no >= len(block):
             raise RowIdError(
                 f"ROWID {rowid} is out of range for table {self.name}"
             )
-        if block.slots[rowid.slot_no] is _TOMBSTONE:
+        if block[rowid.slot_no] is _TOMBSTONE:
             raise RowIdError(
                 f"ROWID {rowid} addresses a deleted row in table {self.name}"
             )

@@ -256,6 +256,10 @@ class Table:
             self._commit_statement(lsn)
         return rowid
 
+    def next_rowids(self, count: int) -> list[RowId]:
+        """Where the next ``count`` inserts will land (heap look-ahead)."""
+        return self._heap.next_rowids(count)
+
     def update(self, rowid: RowId, changes: Mapping[str, Any]) -> None:
         """Apply ``changes`` (column->value) to the row at ``rowid``."""
         old_row = self._heap.fetch(rowid)

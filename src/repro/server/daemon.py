@@ -209,7 +209,7 @@ class NetmarkDaemon:
 
     def _settle_journalled(self, path: str, marker: int) -> IngestRecord:
         name = base_name(path)
-        if self._journalled_committed(name, marker):
+        if self._journal_evidence(name) >= marker:
             if self.vfs.is_file(path):
                 if self.keep_originals:
                     self._move(path, self.processed_folder)
@@ -240,7 +240,7 @@ class NetmarkDaemon:
     def _journal_begin(self, path: str, content: str) -> None:
         """Record the ingest about to run, durably, before the store sees it."""
         name = base_name(path)
-        line = f"{path}\t{_digest(content)}\t{self._journal_marker(name)}\n"
+        line = f"{path}\t{_digest(content)}\t{self._journal_evidence(name) + 1}\n"
         self.vfs.write(self.journal_path, line)
 
     def _journal_clear(self) -> None:
@@ -249,41 +249,18 @@ class NetmarkDaemon:
         except ReproError:
             pass  # a stale journal is settled (idempotently) on next startup
 
-    def _journal_marker(self, name: str) -> int:
-        """The evidence an ingest of ``name`` will leave if it commits.
+    def _journal_evidence(self, name: str) -> int:
+        """What ingests of ``name`` have left in the store so far.
 
-        Replace mode: the revision number the new document will carry.
-        Append mode: the number of stored documents with that file name
-        once the new one lands.  Either is checkable after recovery
+        Replace mode: the stored revision number (0 when none).  Append
+        mode: the number of stored documents with that file name.  An
+        ingest that commits raises it by one — checkable after recovery
         without trusting any in-memory state.
         """
         if self.replace_existing:
             existing = self.store.lookup_by_name(name)
-            if existing is None:
-                return 1
-            try:
-                return int(existing.metadata.get("revision", "1")) + 1
-            except ValueError:
-                return 2
-        return 1 + sum(
-            1 for entry in self.store.documents() if entry.file_name == name
-        )
-
-    def _journalled_committed(self, name: str, marker: int) -> bool:
-        """Did the journalled ingest's transaction survive recovery?"""
-        if self.replace_existing:
-            existing = self.store.lookup_by_name(name)
-            if existing is None:
-                return False
-            try:
-                revision = int(existing.metadata.get("revision", "1"))
-            except ValueError:
-                revision = 1
-            return revision >= marker
-        count = sum(
-            1 for entry in self.store.documents() if entry.file_name == name
-        )
-        return count >= marker
+            return 0 if existing is None else existing.revision
+        return len(self.store.doc_table.lookup("FILE_NAME", name))
 
     # -- internals ------------------------------------------------------------------
 

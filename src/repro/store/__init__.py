@@ -7,7 +7,7 @@ rebuilds documents and sections for retrieval and result composition.
 
 from repro.store.accessor import AccessorStats, NodeAccessor
 from repro.store.compose import compose_document, compose_node, compose_section
-from repro.store.decompose import DecomposeResult, Decomposer, classify_counts
+from repro.store.decompose import DecomposeResult, Decomposer
 from repro.store.fsck import (
     FsckReport,
     Violation,
@@ -39,7 +39,6 @@ __all__ = [
     "XML_TABLE",
     "XmlStore",
     "check_store",
-    "classify_counts",
     "compose_document",
     "compose_node",
     "compose_section",

@@ -269,15 +269,8 @@ class NodeAccessor:
                 "PARENTNODEID", node_id, self.snapshot.lsn
             )
         else:
-            index = self.table.index_on("PARENTNODEID")
-            if index is not None:
-                child_rows = self.nodes(index.search(node_id))
-            else:  # schema always creates the index; scan is the safety net
-                child_rows = [
-                    child
-                    for child in self.table.scan()
-                    if child["PARENTNODEID"] == node_id
-                ]
+            index = self.table.index_on("PARENTNODEID")  # schema-created
+            child_rows = self.nodes(index.search(node_id))
         child_rows.sort(key=lambda child: child["ORDINAL"])
         for child in child_rows:
             self._rows[child[ROWID_PSEUDO]] = child

@@ -4,24 +4,28 @@
 into its constituent nodes and dynamically inserts them into two primary
 database tables — namely, XML and DOC."
 
-The decomposer walks the DOM depth-first, emitting one row per node.
-Parent links are physical ROWIDs (known by the time a child is inserted —
-parents precede children in a depth-first walk); the **next-sibling**
-ROWID can only be known after the next sibling is inserted, so sibling
-links are patched with in-place updates as the walk proceeds.  The result
-is the traversal structure the paper exploits: O(1) hops up (PARENTROWID)
-and across (SIBLINGID).
+The decomposer flattens the DOM in document order and emits one finished
+row per node.  The whole tree is in memory before the first insert and
+the heap is append-only, so the addresses the rows will land at are
+known up front (:meth:`repro.ordbms.table.Table.next_rowids`): every row
+is written once, already carrying its parent's ROWID (``PARENTROWID``)
+**and** its next sibling's (``SIBLINGID``), and is never touched again.
+The heap still mints each address; an insert that lands anywhere but
+its reserved address fails the load, which rolls the document back.
+The result is the traversal structure the paper exploits: O(1) hops up
+and across.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
+from typing import Any
 
+from repro.errors import RowIdError
 from repro.ordbms import Database, RowId
 from repro.sgml.config import NodeTypeConfig
-from repro.sgml.dom import Document, Element, Node, Text
-from repro.sgml.nodetypes import NodeType
+from repro.sgml.dom import Document, Element, Node
 from repro.store.schema import (
     DOC_TABLE,
     XML_TABLE,
@@ -59,7 +63,8 @@ class Decomposer:
         doc_id = self._next_doc_id
         self._next_doc_id += 1
         size = document.metadata.get("char_size")
-        with database.begin():
+        flat = _flatten(document.root)
+        with database.transaction():
             database.insert(
                 DOC_TABLE,
                 {
@@ -71,85 +76,50 @@ class Decomposer:
                     "METADATA": encode_metadata(document.metadata),
                 },
             )
-            root_rowid, count = self._insert_subtree(
-                document.root,
-                doc_id=doc_id,
-                parent_rowid=None,
-                parent_nodeid=None,
-                ordinal=0,
-            )
-        return DecomposeResult(doc_id=doc_id, root_rowid=root_rowid, node_count=count)
-
-    # -- internals -----------------------------------------------------------
-
-    def _insert_subtree(
-        self,
-        node: Node,
-        doc_id: int,
-        parent_rowid: RowId | None,
-        parent_nodeid: int | None,
-        ordinal: int,
-    ) -> tuple[RowId, int]:
-        database = self._database
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        node_type = self._config.classify(node)
-        if isinstance(node, Text):
-            values = {
-                "NODEID": node_id,
-                "DOC_ID": doc_id,
-                "PARENTROWID": parent_rowid,
-                "PARENTNODEID": parent_nodeid,
-                "NODETYPE": int(node_type),
-                "NODENAME": None,
-                "NODEDATA": node.data,
-                "ORDINAL": ordinal,
-                "ATTRS": None,
-            }
-            rowid = database.insert(XML_TABLE, values)
-            return rowid, 1
-
-        assert isinstance(node, Element)
-        values = {
-            "NODEID": node_id,
-            "DOC_ID": doc_id,
-            "PARENTROWID": parent_rowid,
-            "PARENTNODEID": parent_nodeid,
-            "NODETYPE": int(node_type),
-            "NODENAME": node.tag,
-            "NODEDATA": None,
-            "ORDINAL": ordinal,
-            "ATTRS": encode_attributes(node.attributes),
-        }
-        rowid = database.insert(XML_TABLE, values)
-        count = 1
-        previous_child_rowid: RowId | None = None
-        for child_ordinal, child in enumerate(node.children):
-            child_rowid, child_count = self._insert_subtree(
-                child,
-                doc_id=doc_id,
-                parent_rowid=rowid,
-                parent_nodeid=node_id,
-                ordinal=child_ordinal,
-            )
-            count += child_count
-            if previous_child_rowid is not None:
-                # Patch the previous sibling's forward link now that its
-                # successor's physical address is known.
-                database.update(
-                    XML_TABLE, previous_child_rowid, {"SIBLINGID": child_rowid}
+            rowids = database.table(XML_TABLE).next_rowids(len(flat))
+            first_id = self._next_node_id
+            self._next_node_id += len(flat)
+            for position, (node, parent, ordinal, sibling) in enumerate(flat):
+                is_element = isinstance(node, Element)
+                landed = database.insert(
+                    XML_TABLE,
+                    {
+                        "NODEID": first_id + position,
+                        "DOC_ID": doc_id,
+                        "PARENTROWID": None if parent is None else rowids[parent],
+                        "PARENTNODEID": None if parent is None else first_id + parent,
+                        "SIBLINGID": None if sibling is None else rowids[sibling],
+                        "NODETYPE": int(self._config.classify(node)),
+                        "NODENAME": node.tag if is_element else None,
+                        "NODEDATA": None if is_element else node.data,
+                        "ORDINAL": ordinal,
+                        "ATTRS": encode_attributes(node.attributes) if is_element else None,
+                    },
                 )
-            previous_child_rowid = child_rowid
-        return rowid, count
+                if landed != rowids[position]:
+                    raise RowIdError(
+                        f"node {first_id + position} landed at {landed}, not "
+                        f"at its reserved address {rowids[position]}"
+                    )
+        return DecomposeResult(doc_id=doc_id, root_rowid=rowids[0], node_count=len(flat))
 
 
-def classify_counts(
-    database: Database, doc_id: int
-) -> dict[NodeType, int]:
-    """Histogram of node types for one document (test/diagnostic helper)."""
-    xml_table = database.table(XML_TABLE)
-    counts: dict[NodeType, int] = {}
-    for row in xml_table.lookup("DOC_ID", doc_id):
-        node_type = NodeType(row["NODETYPE"])
-        counts[node_type] = counts.get(node_type, 0) + 1
-    return counts
+def _flatten(root: Node) -> list[list[Any]]:
+    """``root``'s subtree in document order, as ``[node, parent, ordinal,
+    next sibling]`` entries; parent and sibling are positions or None."""
+    flat: list[list[Any]] = []
+    last_child: dict[int | None, int] = {}
+    stack: list[tuple[Node, int | None, int]] = [(root, None, 0)]
+    while stack:
+        node, parent, ordinal = stack.pop()
+        position = len(flat)
+        if ordinal:
+            flat[last_child[parent]][3] = position
+        last_child[parent] = position
+        flat.append([node, parent, ordinal, None])
+        if isinstance(node, Element):
+            stack.extend(
+                (child, position, index)
+                for index, child in reversed(list(enumerate(node.children)))
+            )
+    return flat

@@ -20,9 +20,11 @@ Two tables store *every* document of *any* type — the schema-less claim:
     deterministic; implicit in Oracle's physical order, explicit here),
     ``ATTRS`` — serialised element attributes.
 
-Indexes created with the schema: B+trees on ``XML.DOC_ID``,
-``XML.NODENAME`` and ``XML.NODETYPE`` plus the text index on
-``XML.NODEDATA`` (the Oracle Text stand-in the query path hits first).
+Indexes created with the schema: B+trees on ``DOC.FILE_NAME`` (the
+write path's "is this name already stored" probe), ``XML.DOC_ID``,
+``XML.PARENTNODEID``, ``XML.NODENAME`` and ``XML.NODETYPE`` plus the
+text index on ``XML.NODEDATA`` (the Oracle Text stand-in the query path
+hits first).
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ def create_netmark_schema(database: Database) -> tuple[Table, Table]:
     type never adds to it (the property FIG5's ablation measures).
     """
     doc_table = database.create_table(doc_schema())
+    doc_table.create_index("FILE_NAME")
     xml_table = database.create_table(xml_schema())
     xml_table.create_index("DOC_ID")
     xml_table.create_index("PARENTNODEID")

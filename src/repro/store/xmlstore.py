@@ -21,7 +21,7 @@ from typing import Any, Iterator
 
 from repro.converters import convert
 from repro.errors import DocumentNotFoundError
-from repro.ordbms import Database, RowId, Snapshot, Table
+from repro.ordbms import ROWID_PSEUDO, Database, RowId, Snapshot, Table
 from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
 from repro.sgml.dom import Document, Element
 from repro.store.accessor import NodeAccessor
@@ -49,6 +49,14 @@ class StoredDocument:
     format: str
     metadata: dict[str, str]
 
+    @property
+    def revision(self) -> int:
+        """The ``revision`` metadata counter (1 when absent or unreadable)."""
+        try:
+            return int(self.metadata.get("revision", "1"))
+        except ValueError:
+            return 1
+
 
 class XmlStore:
     """Schema-less document storage over the ORDBMS substrate."""
@@ -67,6 +75,9 @@ class XmlStore:
         self.database = database
         self.config = config
         self._doc_table = database.table(DOC_TABLE)
+        if self._doc_table.index_on("FILE_NAME") is None:
+            # A checkpoint or snapshot written before the index existed.
+            self._doc_table.create_index("FILE_NAME")
         self._xml_table = database.table(XML_TABLE)
         self._decomposer = Decomposer(database, config)
         self._accessor = NodeAccessor(database)
@@ -191,30 +202,32 @@ class XmlStore:
         failure leaves the old revision untouched.
         """
         document = convert(text, name)
-        revision = 1
         existing = self.lookup_by_name(name)
-        if existing is not None:
-            try:
-                revision = int(existing.metadata.get("revision", "1")) + 1
-            except ValueError:
-                revision = 2
+        if existing is None:
+            document.metadata["revision"] = 1
+            return self.store_document(document, file_date=file_date)
+        document.metadata["revision"] = existing.revision + 1
+        # One transaction, one commit: readers and a crash see the old
+        # revision or the new one, never neither.
+        with self.database.begin():
             self.delete_document(existing.doc_id)
-        document.metadata["revision"] = revision
-        return self.store_document(document, file_date=file_date)
+            result = self._decomposer.load(document, file_date=file_date)
+        self._note_write(existing.doc_id)
+        self._note_write(result.doc_id)
+        return result
 
     def delete_document(self, doc_id: int) -> int:
         """Remove a document and all its nodes; returns nodes removed."""
-        from repro.ordbms.table import ROWID_PSEUDO
-
         doc_rows = self._doc_table.lookup("DOC_ID", doc_id)
         if not doc_rows:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
         node_rows = self._xml_table.lookup("DOC_ID", doc_id)
-        with self.database.begin():
+        with self.database.transaction():
             for node_row in node_rows:
                 self.database.delete(XML_TABLE, node_row[ROWID_PSEUDO])
             self.database.delete(DOC_TABLE, doc_rows[0][ROWID_PSEUDO])
-        self._note_write(doc_id)
+        if not self.database.in_transaction:  # else: the opener, after its commit
+            self._note_write(doc_id)
         return len(node_rows)
 
     def _note_write(self, doc_id: int) -> None:
@@ -266,10 +279,10 @@ class XmlStore:
         return self._to_stored(rows[0])
 
     def lookup_by_name(self, file_name: str) -> StoredDocument | None:
-        for row in self._doc_table.scan():
-            if row["FILE_NAME"] == file_name:
-                return self._to_stored(row)
-        return None
+        """The stored document named ``file_name`` (the oldest, if several:
+        index postings are in ROWID order, as a scan would meet them)."""
+        rows = self._doc_table.lookup("FILE_NAME", file_name)
+        return self._to_stored(rows[0]) if rows else None
 
     def __len__(self) -> int:
         return len(self._doc_table)

@@ -251,3 +251,60 @@ class TestCli:
         )
         assert not errors
         assert not [d for d in deltas if d.failed]
+
+
+_bank_spec = importlib.util.spec_from_file_location(
+    "bank_e2e_counters", _GATE_PATH.with_name("bank_e2e_counters.py")
+)
+bank = importlib.util.module_from_spec(_bank_spec)
+_bank_spec.loader.exec_module(bank)
+
+
+class TestWritePathCounterGate:
+    """``bank_e2e_counters.py`` + ``check_regression.py --tolerance 0``."""
+
+    @staticmethod
+    def run_output(**overrides: float) -> str:
+        values = {name: 1.5 for name in bank.COUNTERS + bank.TIMINGS}
+        values["ordbms.table.updates_per_write"] = 0.0
+        values.update(overrides)
+        metrics = {name: {"value": value, "unit": "x"} for name, value in values.items()}
+        result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+        return "# diagnostic lines come first\n" + json.dumps(result) + "\n"
+
+    def gate(self, tmp_path: Path, fresh_output: str) -> list:
+        fresh, baselines = tmp_path / "fresh", tmp_path / "baselines"
+        fresh.mkdir()
+        baselines.mkdir()
+        _write(baselines, bank.ARTIFACT, bank.artifact_from(self.run_output()))
+        _write(fresh, bank.ARTIFACT, bank.artifact_from(fresh_output))
+        deltas, errors = gate.check(
+            fresh, baselines, artifacts=(bank.ARTIFACT,), tolerance=0.0
+        )
+        assert not errors
+        return deltas
+
+    def test_a_back_patch_creeping_back_fails_exactly(self, tmp_path):
+        deltas = self.gate(
+            tmp_path, self.run_output(**{"ordbms.table.updates_per_write": 0.0025})
+        )
+        assert [d.path for d in deltas if d.failed] == [
+            "counters.ordbms.table.updates_per_write"
+        ]
+
+    def test_timings_drift_without_failing(self, tmp_path):
+        doubled = {name: 3.0 for name in bank.TIMINGS}
+        deltas = self.gate(tmp_path, self.run_output(**doubled))
+        assert not [d for d in deltas if d.failed]
+        assert sum(d.status == "drift" for d in deltas) == len(bank.TIMINGS)
+
+    def test_a_run_that_failed_its_own_checks_is_not_banked(self):
+        broken = json.loads(self.run_output().splitlines()[-1])
+        broken["failed"] = 1
+        with pytest.raises(SystemExit):
+            bank.artifact_from(json.dumps(broken))
+
+    def test_committed_baseline_names_every_counter(self):
+        committed = json.loads((gate.BASELINE_DIR / bank.ARTIFACT).read_text())
+        assert set(committed["counters"]) == set(bank.COUNTERS)
+        assert committed["counters"]["ordbms.table.updates_per_write"] == 0.0

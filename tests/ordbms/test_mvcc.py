@@ -204,6 +204,59 @@ class TestVersionGc:
         database.vacuum_versions()
         assert table.version_count == 0
 
+    def test_commit_reclaims_history_when_nothing_is_pinned(self, database, table):
+        rid = database.insert("T", {"ID": 1, "V": "base"})
+        with database.begin():
+            database.update("T", rid, {"V": "v1"})
+            database.insert("T", {"ID": 2})
+            assert len(table._history) == 2  # the txn pin holds them
+        assert len(table._history) == 0
+        with pytest.raises(KeyError):
+            with database.begin():
+                database.delete("T", rid)
+                raise KeyError("abort")
+        assert len(table._history) == 0  # a rollback closes and sweeps too
+
+    def test_commit_sweep_keeps_what_a_pin_needs(self, database, table):
+        rid = database.insert("T", {"ID": 1, "V": "v0"})
+        old = database.open_snapshot()
+        with database.begin():
+            database.update("T", rid, {"V": "v1"})
+        young = database.open_snapshot()
+        with database.begin():
+            database.update("T", rid, {"V": "v2"})
+        assert table.version_count == 2
+        assert table.visible_row(rid, old.lsn)["V"] == "v0"
+        old.release()
+        with database.begin():
+            database.insert("T", {"ID": 2})
+        # The horizon moved to the young pin: v0 is gone, v1 is kept.
+        assert [image[1] for _, image in table._history[rid]] == ["v1"]
+        assert table.visible_row(rid, young.lsn)["V"] == "v1"
+        young.release()
+
+    def test_commit_under_a_held_pin_does_not_sweep_again(
+        self, database, table, monkeypatch
+    ):
+        database.insert("T", {"ID": 0})
+        sweeps = []
+        real = type(table).vacuum_versions
+        monkeypatch.setattr(
+            type(table), "vacuum_versions",
+            lambda self, horizon=None: sweeps.append(horizon) or real(self, horizon),
+        )
+        with database.open_snapshot() as snap:
+            for index in range(1, 6):
+                with database.begin():
+                    database.insert("T", {"ID": index})
+            # One sweep when the pin became the horizon, none after: a
+            # long-held pin must not make every commit walk all history.
+            assert sweeps == [snap.lsn]
+            assert table.version_count == 5
+        with database.begin():
+            database.insert("T", {"ID": 6})
+        assert len(sweeps) == 2 and table.version_count == 0
+
     def test_gc_horizon_tracks_oldest_pin(self, database):
         mvcc = database.mvcc
         database.insert("T", {"ID": 1})

@@ -8,7 +8,7 @@ import pytest
 from repro.ordbms.table import ROWID_PSEUDO
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
-from repro.store import XmlStore, classify_counts
+from repro.store import XML_TABLE, XmlStore
 
 
 @pytest.fixture
@@ -25,6 +25,15 @@ def store_with_doc():
     )
     result = store.store_document(document)
     return store, result
+
+
+def classify_counts(database, doc_id):
+    """Histogram of node types for one document."""
+    counts = {}
+    for row in database.table(XML_TABLE).lookup("DOC_ID", doc_id):
+        node_type = NodeType(row["NODETYPE"])
+        counts[node_type] = counts.get(node_type, 0) + 1
+    return counts
 
 
 def text_rows(store, needle):

@@ -31,7 +31,7 @@ class TestCleanStore:
         assert report.ok
         assert report.documents_checked == len(loaded)
         assert report.nodes_checked == loaded.node_count
-        assert report.indexes_checked == 7  # 1 DOC + 4 XML btrees + 1 text
+        assert report.indexes_checked == 8  # 2 DOC + 5 XML btrees + 1 text
 
     def test_empty_store_is_clean(self, store):
         assert check_store(store.database).ok

@@ -100,6 +100,39 @@ class TestPinnedReads:
         reclaimed = store.database.vacuum_versions()
         assert reclaimed > 0
 
+    def test_commits_sweeping_under_a_pin_leave_its_view_alone(
+        self, store, corpus
+    ):
+        entry = store.documents()[0]
+        engine = QueryEngine(store)
+        older = store.snapshot()
+        store.store_text(corpus[12].text, corpus[12].name)
+        quiesced_doc = serialize(store.document(entry.doc_id), indent=2)
+        quiesced_hits = serialize(engine.execute("Context=Budget").to_xml(), indent=2)
+        with store.snapshot() as snap:
+            # Every commit below tries a history sweep; releasing the
+            # older pin moves the horizon up to this one, so the next
+            # commit really reclaims — everything at or below the pin,
+            # nothing above it.
+            store.replace_text(corpus[18].text, entry.file_name)
+            older.release()
+            for file in corpus[13:16]:
+                store.store_text(file.text, file.name)
+            history = store.xml_table._history
+            assert history and all(
+                lsn > snap.lsn for entries in history.values() for lsn, _ in entries
+            )
+            assert serialize(
+                store.document(entry.doc_id, snapshot=snap), indent=2
+            ) == quiesced_doc
+            assert serialize(
+                engine.execute("Context=Budget", snapshot=snap).to_xml(), indent=2
+            ) == quiesced_hits
+        # Last pin gone: the next commit leaves no history behind at all.
+        store.store_text(corpus[16].text, corpus[16].name)
+        assert len(store.xml_table._history) == 0
+        assert len(store.doc_table._history) == 0
+
 
 class TestSnapshotQueries:
     @pytest.mark.parametrize(

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DocumentNotFoundError
+from repro.ordbms import MemoryLogDevice
+from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
-from repro.store import XmlStore
+from repro.store import XmlStore, check_store
 
 
 class TestIngestion:
@@ -143,3 +145,92 @@ class TestDeletion:
         store.delete_document(result.doc_id)
         index = store.xml_table.text_index_on("NODEDATA")
         assert index.lookup("uniquemarker") == set()
+
+
+def scan_by_name(store, name):
+    """The reference ``lookup_by_name``: first match of a full DOC scan."""
+    for row in store.doc_table.scan():
+        if row["FILE_NAME"] == name:
+            return store._to_stored(row)
+    return None
+
+
+class TestLookupByNameIndex:
+    NAMES = ("a.md", "b.md", "c.md", "never.md")
+
+    def assert_agrees(self, store):
+        for name in self.NAMES:
+            assert store.lookup_by_name(name) == scan_by_name(store, name)
+
+    def test_schema_indexes_file_name(self, store):
+        assert store.doc_table.index_on("FILE_NAME") is not None
+
+    def test_agrees_with_scan_across_duplicates_deletes_and_rollbacks(self, store):
+        first = store.store_text("# A\none\n", "a.md")
+        store.store_text("# B\ntwo\n", "b.md")
+        again = store.store_text("# A\nthree\n", "a.md")  # append mode: same name twice
+        self.assert_agrees(store)
+        assert store.lookup_by_name("a.md").doc_id == first.doc_id  # the oldest
+        with pytest.raises(KeyError):
+            with store.database.begin():
+                store.delete_document(first.doc_id)
+                store._decomposer.load(Document(Element("doc"), name="c.md"))
+                assert store.lookup_by_name("a.md").doc_id == again.doc_id
+                raise KeyError("abort")
+        # Rolled back: the restored row is the oldest again, c.md never was.
+        self.assert_agrees(store)
+        assert store.lookup_by_name("a.md").doc_id == first.doc_id
+        store.delete_document(first.doc_id)
+        self.assert_agrees(store)
+        assert store.lookup_by_name("a.md").doc_id == again.doc_id
+        store.replace_text("# A\nfour\n", "a.md")
+        self.assert_agrees(store)
+        assert store.lookup_by_name("a.md").revision == 2
+
+
+#: ``XmlStore.dump()`` of a store written before DOC had a FILE_NAME
+#: index (its DOC schema line declares no secondary index): memo.md
+#: stored twice, plan.md stored and deleted.
+PRE_INDEX_SNAPSHOT = (
+    "%NETMARK-SNAPSHOT 1\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\t-\t-\n"
+    "ROW F0.B0.S0 i:1\ts:memo.md\t~\ti:24\ts:markdown\ts:char_size=24;format=markdown;line_count=4\n"
+    "ROW F0.B0.S1 i:2\ts:memo.md\t~\ti:24\ts:markdown\ts:char_size=24;format=markdown;line_count=4\n"
+    "TOMB F0.B0.S2\n"
+    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|PARENTNODEID|NODENAME|NODETYPE\tNODEDATA\n"
+    "ROW F0.B0.S0 i:1\ti:1\t~\t~\t~\ti:1\ts:document\t~\ti:0\t~\n"
+    "ROW F0.B0.S1 i:2\ti:1\tr:F0.B0.S0\ti:1\t~\ti:5\ts:section\t~\ti:0\t~\n"
+    "ROW F0.B0.S2 i:3\ti:1\tr:F0.B0.S1\ti:2\tr:F0.B0.S4\ti:3\ts:context\t~\ti:0\t~\n"
+    "ROW F0.B0.S3 i:4\ti:1\tr:F0.B0.S2\ti:3\t~\ti:2\t~\ts:Budget\ti:0\t~\n"
+    "ROW F0.B0.S4 i:5\ti:1\tr:F0.B0.S1\ti:2\t~\ti:1\ts:content\t~\ti:1\t~\n"
+    "ROW F0.B0.S5 i:6\ti:1\tr:F0.B0.S4\ti:5\t~\ti:2\t~\ts:Travel funds.\ti:0\t~\n"
+    "ROW F0.B0.S6 i:7\ti:2\t~\t~\t~\ti:1\ts:document\t~\ti:0\t~\n"
+    "ROW F0.B0.S7 i:8\ti:2\tr:F0.B0.S6\ti:7\t~\ti:5\ts:section\t~\ti:0\t~\n"
+    "ROW F0.B0.S8 i:9\ti:2\tr:F0.B0.S7\ti:8\tr:F0.B0.S10\ti:3\ts:context\t~\ti:0\t~\n"
+    "ROW F0.B0.S9 i:10\ti:2\tr:F0.B0.S8\ti:9\t~\ti:2\t~\ts:Ops\ti:0\t~\n"
+    "ROW F0.B0.S10 i:11\ti:2\tr:F0.B0.S7\ti:8\t~\ti:1\ts:content\t~\ti:1\t~\n"
+    "ROW F0.B0.S11 i:12\ti:2\tr:F0.B0.S10\ti:11\t~\ti:2\t~\ts:Launch pad work.\ti:0\t~\n"
+    + "".join(f"TOMB F0.B0.S{slot}\n" for slot in range(12, 18))
+)
+
+
+class TestPreIndexSnapshot:
+    def check_opened(self, store):
+        assert store.doc_table.index_on("FILE_NAME") is not None
+        assert store.lookup_by_name("memo.md").doc_id == 1
+        assert store.lookup_by_name("plan.md") is None
+        assert check_store(store.database).ok
+        # It writes like any other store, past the old tombstones.
+        result = store.replace_text("# Plan\n\nRecover.\n", "plan.md")
+        assert store.fetch_node(result.root_rowid)["ROWID_"].slot_no == 18
+        assert store.lookup_by_name("plan.md").doc_id == 3
+        assert "FILE_NAME" in store.dump().split("\n")[2]
+
+    def test_restore_adds_the_index(self):
+        self.check_opened(XmlStore.restore(PRE_INDEX_SNAPSHOT))
+
+    def test_open_from_an_old_checkpoint_adds_the_index(self):
+        device = MemoryLogDevice()
+        device.save_checkpoint(encode_checkpoint(0, PRE_INDEX_SNAPSHOT))
+        store = XmlStore.open(device)
+        self.check_opened(store)
+        assert XmlStore.open(device).lookup_by_name("plan.md").doc_id == 3
