@@ -97,7 +97,7 @@ class BTreeIndex:
     # -- queries -----------------------------------------------------------
 
     def search(self, key: Any) -> list[RowId]:
-        """Return all ROWIDs with exactly ``key`` (possibly empty)."""
+        """Return all ROWIDs with exactly ``key`` (possibly empty), in ROWID order."""
         self.probes += 1
         result: list[RowId] = []
         leaf: _Leaf | None = self._find_leaf(key)
@@ -119,7 +119,7 @@ class BTreeIndex:
         include_low: bool = True,
         include_high: bool = True,
     ) -> Iterator[tuple[Any, RowId]]:
-        """Yield ``(key, rowid)`` pairs with ``low <= key <= high`` in order.
+        """Yield ``(key, rowid)`` pairs with ``low <= key <= high``, sorted.
 
         ``None`` bounds are open-ended; the ``include_*`` flags make each
         bound strict when False.

@@ -14,9 +14,8 @@ proxy for the I/O the paper's Oracle deployment saved.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Any, ContextManager, Mapping
+from typing import Any, Mapping
 
 from repro import obs
 from repro.errors import TransactionError, WalError
@@ -103,13 +102,6 @@ class Database:
         if self.wal is not None:
             self.wal.log_begin(txid)
         return self._current
-
-    def transaction(self) -> ContextManager[Transaction | None]:
-        """Join the open transaction, else :meth:`begin` one — for a step
-        that is atomic alone and also composes (a replace is delete + load)."""
-        if self.in_transaction:
-            return contextlib.nullcontext(self._current)
-        return self.begin()
 
     def _transaction_closed(self, transaction: Transaction) -> None:
         self.mvcc.transaction_closed()

@@ -260,7 +260,7 @@ class NetmarkDaemon:
         if self.replace_existing:
             existing = self.store.lookup_by_name(name)
             return 0 if existing is None else existing.revision
-        return len(self.store.doc_table.lookup("FILE_NAME", name))
+        return self.store.count_by_name(name)
 
     # -- internals ------------------------------------------------------------------
 

@@ -64,7 +64,7 @@ class Decomposer:
         self._next_doc_id += 1
         size = document.metadata.get("char_size")
         flat = _flatten(document.root)
-        with database.transaction():
+        with database.begin():
             database.insert(
                 DOC_TABLE,
                 {

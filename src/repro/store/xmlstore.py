@@ -203,18 +203,11 @@ class XmlStore:
         """
         document = convert(text, name)
         existing = self.lookup_by_name(name)
-        if existing is None:
-            document.metadata["revision"] = 1
-            return self.store_document(document, file_date=file_date)
-        document.metadata["revision"] = existing.revision + 1
-        # One transaction, one commit: readers and a crash see the old
-        # revision or the new one, never neither.
-        with self.database.begin():
+        document.metadata["revision"] = 1
+        if existing is not None:
+            document.metadata["revision"] = existing.revision + 1
             self.delete_document(existing.doc_id)
-            result = self._decomposer.load(document, file_date=file_date)
-        self._note_write(existing.doc_id)
-        self._note_write(result.doc_id)
-        return result
+        return self.store_document(document, file_date=file_date)
 
     def delete_document(self, doc_id: int) -> int:
         """Remove a document and all its nodes; returns nodes removed."""
@@ -222,12 +215,11 @@ class XmlStore:
         if not doc_rows:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
         node_rows = self._xml_table.lookup("DOC_ID", doc_id)
-        with self.database.transaction():
+        with self.database.begin():
             for node_row in node_rows:
                 self.database.delete(XML_TABLE, node_row[ROWID_PSEUDO])
             self.database.delete(DOC_TABLE, doc_rows[0][ROWID_PSEUDO])
-        if not self.database.in_transaction:  # else: the opener, after its commit
-            self._note_write(doc_id)
+        self._note_write(doc_id)
         return len(node_rows)
 
     def _note_write(self, doc_id: int) -> None:
@@ -283,6 +275,10 @@ class XmlStore:
         index postings are in ROWID order, as a scan would meet them)."""
         rows = self._doc_table.lookup("FILE_NAME", file_name)
         return self._to_stored(rows[0]) if rows else None
+
+    def count_by_name(self, file_name: str) -> int:
+        """How many stored documents are named ``file_name`` (append mode)."""
+        return len(self._doc_table.lookup("FILE_NAME", file_name))
 
     def __len__(self) -> int:
         return len(self._doc_table)

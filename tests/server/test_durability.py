@@ -5,10 +5,9 @@ import pytest
 from repro.errors import CorruptLogError, CrashError, FsckError, RecoveryError
 from repro.netmark import Netmark
 from repro.ordbms import MemoryLogDevice
-from repro.resilience import FaultPlan, crash_matrix
+from repro.resilience import FaultPlan
 from repro.server.daemon import NetmarkDaemon
 from repro.server.vfs import VirtualFileSystem
-from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store
 
 NDOC = "{\\ndoc1}\n{\\style Heading1}Budget\n{\\style Normal}Travel funds.\n"
@@ -123,74 +122,6 @@ class TestCrashRestart:
         [record] = daemon.poll()
         assert record.ok
         assert len(store) == 1
-
-
-class TestReplaceIsOneTransaction:
-    """Kill a replace at every WAL append: the old revision or the new."""
-
-    @staticmethod
-    def seeded_device():
-        device = MemoryLogDevice()
-        XmlStore.open(device).replace_text(NDOC, "r.ndoc")
-        return device
-
-    @staticmethod
-    def content(store):
-        [entry] = store.documents()
-        return entry.revision, serialize(store.document(entry.doc_id)), store.node_count
-
-    def test_crash_anywhere_in_a_replace_keeps_one_whole_revision(self):
-        drops = []
-
-        def replace(device):
-            store = XmlStore.open(device)
-            vfs = VirtualFileSystem()
-            drops.append(vfs)
-            daemon = NetmarkDaemon(store, vfs, "/incoming")
-            vfs.write("/incoming/r.ndoc", NDOC2)
-            [record] = daemon.poll()
-            assert record.ok
-
-        old = self.content(XmlStore.open(self.seeded_device()))
-        matrix = crash_matrix(self.seeded_device, replace)
-        new = self.content(XmlStore.open(matrix.baseline))
-        assert (old[0], new[0]) == (1, 2) and old[1] != new[1]
-        # One BEGIN, a DELETE per old row, an INSERT per new one, one COMMIT.
-        assert matrix.total_appends == (old[2] + 1) + (new[2] + 1) + 2
-        assert len(matrix.points) == 2 * matrix.total_appends
-        for point, vfs in zip(matrix.points, drops[1:]):
-            assert point.crashed
-            store = XmlStore.open(point.device)
-            assert self.content(store) == old, (point.kind, point.index)
-            assert check_store(store.database).ok
-            # The journal settles it: the replace did not commit, so the
-            # file is quarantined and the old revision keeps serving.
-            daemon = NetmarkDaemon(store, vfs, "/incoming")
-            [record] = daemon.startup_recovery()
-            assert not record.ok
-            assert vfs.exists("/incoming/errors/r.ndoc")
-            assert daemon.poll() == []
-
-    def test_replace_commits_once_and_rolls_back_whole(self, monkeypatch):
-        device = self.seeded_device()
-        store = XmlStore.open(device)
-        old = self.content(store)
-        store.replace_text(NDOC2, "r.ndoc")
-        assert store.database.stats.transactions_committed == 1
-        load = store._decomposer.load
-
-        def load_then_die(document, file_date=None):
-            load(document, file_date=file_date)
-            raise RuntimeError("died with the new rows in")
-
-        monkeypatch.setattr(store._decomposer, "load", load_then_die)
-        new = self.content(store)
-        with pytest.raises(RuntimeError):
-            store.replace_text(NDOC, "r.ndoc")
-        # The delete had joined the failed transaction and came back with it.
-        assert self.content(store) == new != old
-        assert check_store(store.database).ok
-        assert self.content(XmlStore.open(device)) == new
 
 
 class TestNetmarkDurableFacade:

@@ -174,6 +174,19 @@ class TestCorruptionClasses:
             f"after repairing {code}: {sorted(report.codes())}"
         )
 
+    def test_postings_out_of_rowid_order_are_drift(self, loaded):
+        """``BTreeIndex.delete`` bisects a posting list, so one out of
+        ROWID order (same contents) would make it miss: fsck says so."""
+        index = loaded.xml_table.index_on("NODETYPE")
+        key, first = next(index.items())
+        postings = index._find_leaf(key).values[0]
+        assert postings[0] == first and len(postings) > 1
+        postings.reverse()
+        assert not index.delete(key, first)  # the miss fsck is guarding
+        assert "btree-drift" in check_store(loaded.database).codes()
+        assert repair_store(loaded.database).ok
+        assert loaded.xml_table.index_on("NODETYPE").search(key)[0] == first
+
     def test_structural_loss_survives_repair(self, loaded):
         """Genuinely lost data is still reported after a repair pass."""
         self.seed(loaded, "orphan-node")

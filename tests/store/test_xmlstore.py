@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DocumentNotFoundError
-from repro.ordbms import MemoryLogDevice
+from repro.ordbms import ROWID_PSEUDO, MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
@@ -171,15 +171,22 @@ class TestLookupByNameIndex:
         again = store.store_text("# A\nthree\n", "a.md")  # append mode: same name twice
         self.assert_agrees(store)
         assert store.lookup_by_name("a.md").doc_id == first.doc_id  # the oldest
+        assert [store.count_by_name(name) for name in self.NAMES] == [2, 1, 0, 0]
+        database = store.database
         with pytest.raises(KeyError):
-            with store.database.begin():
-                store.delete_document(first.doc_id)
-                store._decomposer.load(Document(Element("doc"), name="c.md"))
+            with database.begin():
+                for row in store.xml_table.lookup("DOC_ID", first.doc_id):
+                    database.delete("XML", row[ROWID_PSEUDO])
+                [row] = store.doc_table.lookup("DOC_ID", first.doc_id)
+                database.delete("DOC", row[ROWID_PSEUDO])
+                database.insert("DOC", {"DOC_ID": 99, "FILE_NAME": "c.md"})
                 assert store.lookup_by_name("a.md").doc_id == again.doc_id
+                assert store.count_by_name("c.md") == 1
                 raise KeyError("abort")
         # Rolled back: the restored row is the oldest again, c.md never was.
         self.assert_agrees(store)
         assert store.lookup_by_name("a.md").doc_id == first.doc_id
+        assert [store.count_by_name(name) for name in self.NAMES] == [2, 1, 0, 0]
         store.delete_document(first.doc_id)
         self.assert_agrees(store)
         assert store.lookup_by_name("a.md").doc_id == again.doc_id
