@@ -1,18 +1,21 @@
-"""Bank the write path's work counters from one traced end-to-end run.
+"""Bank the write and read paths' work counters from traced end-to-end runs.
 
-Runs ``benchmarks/e2e/run.py --workload ingest_durable --trace 1`` at a
-fixed seed and a short ``--seconds`` (the run executes the same
-operations whatever the box's speed, so its counts repeat bit for bit)
-and writes ``BENCH_e2e_ingest.json`` in the repo root for the perf gate::
+Each entry of :data:`RUNS` runs ``benchmarks/e2e/run.py --workload W
+--trace 1`` at a fixed seed and a short ``--seconds`` (a run executes
+the same operations whatever the box's speed, so its counts repeat bit
+for bit) and writes its artifact in the repo root for the perf gate::
 
     python benchmarks/bank_e2e_counters.py
     python benchmarks/check_regression.py BENCH_e2e_ingest.json --tolerance 0
+    python benchmarks/check_regression.py BENCH_e2e_read.json --tolerance 0
 
 Under ``--tolerance 0`` every key in ``counters`` must equal the
 committed baseline exactly — a sibling back-patch, a second fsync or a
-fatter WAL record cannot come back unnoticed.  Where the time went is
-printed for the CI log and kept out of the artifact: timings belong to
-the machine, and would churn the committed baseline.
+fatter WAL record cannot come back unnoticed on the write side, nor an
+ancestor prefetch, a per-element child probe or a posting-row fetch on
+the read side.  Where the time went is printed for the CI log and kept
+out of the artifacts: timings belong to the machine, and would churn
+the committed baselines.
 """
 
 from __future__ import annotations
@@ -21,29 +24,70 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-ARTIFACT = "BENCH_e2e_ingest.json"
-WORKLOAD, SEED, SECONDS = "ingest_durable", 1, 4  # one 400-document round
 
-#: Per-layer metrics that are pure functions of the inputs.
-COUNTERS = (
-    "ordbms.table.inserts_per_write",
-    "ordbms.table.updates_per_write",
-    "ordbms.wal.appends_per_write",
-    "ordbms.wal.bytes_per_write",
-    "ordbms.wal.syncs_per_write",
+
+class BankedRun(NamedTuple):
+    """One traced run: its identity, what is gated, what is only printed."""
+
+    artifact: str
+    workload: str
+    seed: int
+    seconds: int
+    #: Per-layer metrics that are pure functions of the inputs.
+    counters: tuple[str, ...]
+    #: Where the time went: printed, never written to the artifact.
+    timings: tuple[str, ...]
+
+    def artifact_from(self, metrics: dict[str, float]) -> dict[str, object]:
+        """The gate artifact: the run's identity and its exact counters."""
+        return {
+            "run": {
+                "workload": self.workload, "seed": self.seed,
+                "seconds": self.seconds,
+            },
+            "counters": {name: metrics[name] for name in self.counters},
+        }
+
+
+INGEST = BankedRun(
+    "BENCH_e2e_ingest.json", "ingest_durable", 1, 4,  # one 400-document round
+    counters=(
+        "ordbms.table.inserts_per_write",
+        "ordbms.table.updates_per_write",
+        "ordbms.wal.appends_per_write",
+        "ordbms.wal.bytes_per_write",
+        "ordbms.wal.syncs_per_write",
+    ),
+    timings=(
+        "server.daemon.write_ms_per_write",
+        "server.daemon.self_ms_per_write",
+        "store.xmlstore.lookup_ms_per_write",
+        "store.decompose.self_ms_per_write",
+        "ordbms.table.insert_ms_per_write",
+        "ordbms.table.update_ms_per_write",
+        "ordbms.wal.append_ms_per_write",
+    ),
 )
-#: Where the time went: printed, never written to the artifact.
-TIMINGS = (
-    "server.daemon.write_ms_per_write",
-    "server.daemon.self_ms_per_write",
-    "store.xmlstore.lookup_ms_per_write",
-    "store.decompose.self_ms_per_write",
-    "ordbms.table.insert_ms_per_write",
-    "ordbms.table.update_ms_per_write",
-    "ordbms.wal.append_ms_per_write",
+READ = BankedRun(
+    "BENCH_e2e_read.json", "search_cold", 1, 1,  # two 64-request rounds
+    counters=(
+        "query.engine.rows_read_per_match",
+        "store.accessor.rows_fetched_per_match",
+        "ordbms.btree.probes_per_read",
+        "ordbms.textindex.lookups_per_read",
+        "server.http.response_bytes_per_read",
+    ),
+    timings=(
+        "server.http.request_ms_per_read",
+        "query.engine.self_ms_per_read",
+        "query.results.self_ms_per_read",
+        "sgml.serializer.self_ms_per_read",
+    ),
 )
+RUNS = (INGEST, READ)
 
 
 def metrics_from(output: str) -> dict[str, float]:
@@ -55,33 +99,29 @@ def metrics_from(output: str) -> dict[str, float]:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def artifact_from(metrics: dict[str, float]) -> dict[str, object]:
-    """The gate artifact: the run's identity and its exact counters."""
-    return {
-        "run": {"workload": WORKLOAD, "seed": SEED, "seconds": SECONDS},
-        "counters": {name: metrics[name] for name in COUNTERS},
-    }
-
-
 def main() -> int:
-    run = subprocess.run(
-        [
-            sys.executable, str(REPO_ROOT / "benchmarks" / "e2e" / "run.py"),
-            "--workload", WORKLOAD, "--trace", "1",
-            "--seed", str(SEED), "--seconds", str(SECONDS),
-        ],
-        capture_output=True, text=True, check=False,
-    )
-    if run.returncode != 0:
-        sys.stderr.write(run.stdout + run.stderr)
-        return run.returncode
-    metrics = metrics_from(run.stdout)
-    (REPO_ROOT / ARTIFACT).write_text(
-        json.dumps(artifact_from(metrics), indent=2, sort_keys=True) + "\n"
-    )
-    for kind, names in (("counter", COUNTERS), ("timing", TIMINGS)):
-        for name in names:
-            print(f"{kind:8s} {name:45s} {metrics[name]:12.4f}")
+    for banked in RUNS:
+        run = subprocess.run(
+            [
+                sys.executable, str(REPO_ROOT / "benchmarks" / "e2e" / "run.py"),
+                "--workload", banked.workload, "--trace", "1",
+                "--seed", str(banked.seed), "--seconds", str(banked.seconds),
+            ],
+            capture_output=True, text=True, check=False,
+        )
+        if run.returncode != 0:
+            sys.stderr.write(run.stdout + run.stderr)
+            return run.returncode
+        metrics = metrics_from(run.stdout)
+        (REPO_ROOT / banked.artifact).write_text(
+            json.dumps(banked.artifact_from(metrics), indent=2, sort_keys=True)
+            + "\n"
+        )
+        for kind, names in (
+            ("counter", banked.counters), ("timing", banked.timings)
+        ):
+            for name in names:
+                print(f"{kind:8s} {name:45s} {metrics[name]:12.4f}")
     return 0
 
 

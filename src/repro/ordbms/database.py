@@ -15,7 +15,7 @@ proxy for the I/O the paper's Oracle deployment saved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro import obs
 from repro.errors import TransactionError, WalError
@@ -276,3 +276,12 @@ class Database:
         self.stats.rowid_fetches += len(rowids)
         self.stats.batch_fetches += 1
         return self.table(table_name).fetch_many(rowids)
+
+    def rows_after(
+        self, table_name: str, rowid: RowId
+    ) -> Iterator[dict[str, Any]]:
+        """Live :meth:`Table.rows_after`: one batch, a fetch per row pulled."""
+        self.stats.batch_fetches += 1
+        for row in self.table(table_name).rows_after(rowid):
+            self.stats.rowid_fetches += 1
+            yield row

@@ -111,7 +111,7 @@ class TableSchema:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
+        return tuple(self._index)
 
     def has_column(self, name: str) -> bool:
         return name.upper() in self._index
@@ -170,4 +170,4 @@ class TableSchema:
                 f"row width {len(row)} does not match table {self.name} "
                 f"width {len(self.columns)}"
             )
-        return {column.name: value for column, value in zip(self.columns, row)}
+        return dict(zip(self._index, row))  # keys are in column order

@@ -48,11 +48,6 @@ _TYPE_NAMES = {
     "ROWID": _types.ROWID,
 }
 
-# Historical private aliases (pre-valuecodec); kept so existing callers
-# and tests keep working against the shared codec.
-_encode_value = encode_value
-_decode_value = decode_value
-
 
 def _encode_schema(table: Table) -> str:
     schema = table.schema
@@ -125,7 +120,7 @@ def dump_database(database: Database) -> str:
                     if row is _TOMBSTONE:
                         lines.append(f"TOMB {address}")
                     else:
-                        encoded = "\t".join(_encode_value(v) for v in row)
+                        encoded = "\t".join(encode_value(v) for v in row)
                         lines.append(f"ROW {address} {encoded}")
     return "\n".join(lines) + "\n"
 
@@ -170,7 +165,7 @@ def load_database(text: str, name: str = "restored") -> Database:
             else:
                 address_text, _, payload = rest.partition(" ")
                 row_values = tuple(
-                    _decode_value(part) for part in payload.split("\t")
+                    decode_value(part) for part in payload.split("\t")
                 ) if payload else ()
             _restore_slot(table, RowId.decode(address_text), row_values)
         else:

@@ -144,26 +144,43 @@ class HeapFile:
 
     def scan(self) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
         """Yield ``(rowid, row)`` for every live row in physical order."""
-        for file_no, blocks in enumerate(self._files):
-            for block_no, block in enumerate(blocks):
-                for slot_no, row in enumerate(block):
-                    if row is not _TOMBSTONE:
-                        yield RowId(file_no, block_no, slot_no), row  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
+        return (slot for slot in self.scan_all() if slot[1] is not None)
 
-    def scan_all(self) -> Iterator[tuple[RowId, Any]]:
-        """Yield ``(rowid, row-or-tombstone)`` for every allocated slot.
+    def scan_all(
+        self, after: RowId | None = None
+    ) -> Iterator[tuple[RowId, Any]]:
+        """Yield ``(rowid, row)`` for every allocated slot, ``None`` for a
+        tombstoned one, in physical order — from the slot right behind
+        ``after`` when it is given.
 
-        Unlike :meth:`scan`, tombstoned slots are included (their value
-        is the private tombstone sentinel) — the MVCC snapshot scan needs
-        their addresses to resolve pre-images of recently deleted rows.
+        Tombstoned slots are included: the MVCC snapshot scan needs their
+        addresses to resolve pre-images of recently deleted rows, and a
+        forward read stops at the first one.  Rows are laid down in
+        arrival order and never move, so what was written in one go
+        after ``after`` — the rest of its document — is what follows it.
         The structure is append-only, so iterating concurrently with an
         inserting writer is safe; callers wanting a stable inventory run
         this under :meth:`repro.ordbms.table.Table.stable_read`.
         """
-        for file_no, blocks in enumerate(self._files):
-            for block_no, block in enumerate(blocks):
-                for slot_no in range(len(block)):
-                    yield RowId(file_no, block_no, slot_no), block[slot_no]  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
+        first_file = first_block = first_slot = 0
+        if after is not None:
+            if not after.is_valid:
+                raise RowIdError(
+                    f"invalid ROWID {after} for table {self.name}"
+                )
+            first_file, first_block, first_slot = after
+            first_slot += 1
+        for file_no in range(first_file, len(self._files)):
+            blocks = self._files[file_no]
+            for block_no in range(first_block, len(blocks)):
+                block = blocks[block_no]
+                for slot_no in range(first_slot, len(block)):
+                    row = block[slot_no]
+                    if row is _TOMBSTONE:
+                        row = None
+                    yield RowId(file_no, block_no, slot_no), row  # lint: allow-rowid-mint(the heap file IS the physical layer that mints addresses)
+                first_slot = 0
+            first_block = 0
 
     def __len__(self) -> int:
         return self._live_rows

@@ -11,6 +11,7 @@ automatically created B+tree indexes, so enforcement is O(log n).
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from repro import obs
@@ -30,6 +31,11 @@ ROWID_PSEUDO = "ROWID_"
 #: to bound history growth during sustained ingest, large enough that the
 #: sweep cost amortizes to noise.
 AUTO_VACUUM_INTERVAL = 256
+
+#: Slots a forward read (:meth:`Table.rows_after`) takes in its first
+#: seqlock window — about one section — and in its largest: each window
+#: doubles up to a size a busy writer still leaves time to finish.
+RUN_CHUNK, RUN_CHUNK_MAX = 8, 512
 
 _T = TypeVar("_T")
 
@@ -171,12 +177,15 @@ class Table:
             raise CatalogError(
                 f"index on {self.schema.name}.{column} already exists"
             )
+        self._indexes[column] = self._build_index(column)
+        return self._indexes[column]
+
+    def _build_index(self, column: str) -> BTreeIndex:
         index = BTreeIndex(f"{self.schema.name}_{column}_IDX")
         position = self.schema.position(column)
         for rowid, row in self._heap.scan():
             if row[position] is not None:
                 index.insert(row[position], rowid)
-        self._indexes[column] = index
         return index
 
     def create_text_index(self, column: str) -> TextIndex:
@@ -187,13 +196,16 @@ class Table:
             raise CatalogError(
                 f"text index on {self.schema.name}.{column} already exists"
             )
+        self._text_indexes[column] = self._build_text_index(column)
+        return self._text_indexes[column]
+
+    def _build_text_index(self, column: str) -> TextIndex:
         index = TextIndex(f"{self.schema.name}_{column}_TXT")
         position = self.schema.position(column)
         for rowid, row in self._heap.scan():
             value = row[position]
             if isinstance(value, str) and value:
                 index.add(rowid, value)
-        self._text_indexes[column] = index
         return index
 
     def rebuild_indexes(self) -> None:
@@ -205,21 +217,10 @@ class Table:
         """
         self._seq += 1
         try:
-            for column, index in list(self._indexes.items()):
-                fresh = BTreeIndex(index.name)
-                position = self.schema.position(column)
-                for rowid, row in self._heap.scan():
-                    if row[position] is not None:
-                        fresh.insert(row[position], rowid)
-                self._indexes[column] = fresh
-            for column, text_index in list(self._text_indexes.items()):
-                fresh_text = TextIndex(text_index.name)
-                position = self.schema.position(column)
-                for rowid, row in self._heap.scan():
-                    value = row[position]
-                    if isinstance(value, str) and value:
-                        fresh_text.add(rowid, value)
-                self._text_indexes[column] = fresh_text
+            for column in self._indexes:
+                self._indexes[column] = self._build_index(column)
+            for column in self._text_indexes:
+                self._text_indexes[column] = self._build_text_index(column)
         finally:
             self._seq += 1
             self._generation += 1
@@ -339,13 +340,6 @@ class Table:
         """
         return self._heap.fetch(rowid)
 
-    def try_fetch(self, rowid: RowId) -> dict[str, Any] | None:
-        """Like :meth:`fetch` but returns None for dead/out-of-range rowids."""
-        try:
-            return self.fetch(rowid)
-        except RowIdError:
-            return None
-
     def exists(self, rowid: RowId) -> bool:
         return self._heap.exists(rowid)
 
@@ -409,6 +403,11 @@ class Table:
             current: Any = self._heap.fetch(rowid)
         except RowIdError:  # tombstoned or not-yet-allocated slot
             current = ABSENT
+        return self._as_of(rowid, current, pin)
+
+    def _as_of(self, rowid: RowId, current: Any, pin: int) -> Any:
+        """``current`` (the heap's value, read first), or the pre-image
+        that stood in its slot at ``pin``."""
         entries = self._history.get(rowid)
         if entries:
             for lsn, image in entries:
@@ -421,29 +420,95 @@ class Table:
     def visible_row(self, rowid: RowId, pin: int) -> dict[str, Any] | None:
         """The row at ``rowid`` as of commit LSN ``pin`` (None if absent)."""
         image = self.stable_read(lambda: self._visible_image(rowid, pin))
-        if image is ABSENT:
-            return None
-        return self._with_rowid(rowid, image)
+        return None if image is ABSENT else self._with_rowid(rowid, image)
 
     def visible_many(
         self, rowids: Iterable[RowId], pin: int
     ) -> list[dict[str, Any]]:
-        """Batch :meth:`visible_row`; every rowid must be visible."""
+        """Batch :meth:`visible_row`; every rowid must be visible.
+
+        The whole list resolves inside one seqlock window.  With no
+        history on the table the heap *is* the pinned view, so the
+        common case is one list lookup per row.
+        """
+        rowids = list(rowids)
+        fetch = self._heap.fetch
+
+        def read() -> list[Any]:
+            if not self._history:
+                try:
+                    return [fetch(rowid) for rowid in rowids]
+                except RowIdError:
+                    pass  # a dead slot: the per-row path says which
+            return [self._visible_image(rowid, pin) for rowid in rowids]
+
         rows = []
-        for rowid in rowids:
-            row = self.visible_row(rowid, pin)
-            if row is None:
+        for rowid, image in zip(rowids, self.stable_read(read)):
+            if image is ABSENT:
                 raise RowIdError(
                     f"ROWID {rowid} is not visible at LSN {pin} in table "
                     f"{self.schema.name}"
                 )
-            rows.append(row)
+            rows.append(self._with_rowid(rowid, image))
         if rows:
             obs.inc(
                 "repro_ordbms_rows_read_total", len(rows),
                 table=self.schema.name, path="snapshot",
             )
         return rows
+
+    def _slots_after(
+        self, rowid: RowId | None, pin: int | None
+    ) -> Iterator[tuple[RowId, Any]]:
+        """``(rowid, image)`` for every slot stored after ``rowid`` (every
+        slot when None), as of ``pin`` (live when None); a slot with no
+        row in that view carries :data:`ABSENT`.  Slots are taken a
+        chunk at a time, each chunk inside one seqlock window."""
+        chunk = RUN_CHUNK
+
+        def window() -> list[tuple[RowId, Any]]:
+            slots = [
+                (slot, ABSENT if row is None else row)
+                for slot, row in islice(self._heap.scan_all(rowid), chunk)
+            ]
+            if pin is not None and self._history:
+                slots = [
+                    (slot, self._as_of(slot, row, pin)) for slot, row in slots
+                ]
+            return slots
+
+        while True:
+            slots = self.stable_read(window)
+            yield from slots
+            if len(slots) < chunk:
+                return
+            rowid, chunk = slots[-1][0], min(chunk * 2, RUN_CHUNK_MAX)
+
+    def rows_after(
+        self, rowid: RowId, pin: int | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """Lazily yield the rows stored right after ``rowid``, in order.
+
+        The forward read: one pass over the slots that physically follow
+        ``rowid``, as of ``pin`` (live when None), ending at the first
+        slot that holds no row in that view or at the heap tail.  A row
+        is decoded only when the consumer pulls it, so stopping early
+        costs nothing.
+        """
+        decoded = 0
+        try:
+            for slot, image in self._slots_after(rowid, pin):
+                if image is ABSENT:
+                    return
+                decoded += 1
+                yield self._with_rowid(slot, image)
+        finally:
+            if decoded:
+                obs.inc(
+                    "repro_ordbms_rows_read_total", decoded,
+                    table=self.schema.name,
+                    path="fetch" if pin is None else "snapshot",
+                )
 
     def changed_rowids_since(self, pin: int) -> set[RowId]:
         """Rowids mutated by any statement after ``pin``.
@@ -462,54 +527,97 @@ class Table:
     def snapshot_scan(self, pin: int) -> Iterator[dict[str, Any]]:
         """Yield every row visible at ``pin``, in physical order.
 
-        The slot inventory is captured stably first; rows inserted after
-        the capture carry LSNs above the pin and would be invisible
-        anyway, and tombstoned slots resolve through their pre-images.
+        Rows inserted while the scan runs carry LSNs above the pin and
+        are invisible anyway, and tombstoned slots resolve through their
+        pre-images.
         """
-        rowids = self.stable_read(
-            lambda: [rowid for rowid, _ in self._heap.scan_all()]
-        )
         examined = 0
-        for rowid in rowids:
-            examined += 1
-            row = self.visible_row(rowid, pin)
-            if row is not None:
-                yield row
-        if examined:
-            obs.inc(
-                "repro_ordbms_rows_read_total", examined,
-                table=self.schema.name, path="snapshot_scan",
+        try:
+            for slot, image in self._slots_after(None, pin):
+                examined += 1
+                if image is not ABSENT:
+                    yield self._with_rowid(slot, image)
+        finally:
+            if examined:
+                obs.inc(
+                    "repro_ordbms_rows_read_total", examined,
+                    table=self.schema.name, path="snapshot_scan",
+                )
+
+    def _rowids_as_of(
+        self,
+        probe: Callable[[], Iterable[RowId]],
+        judge: Callable[[tuple[Any, ...]], bool],
+        pin: int,
+    ) -> list[RowId]:
+        """Generation-aware probing: an index answer corrected to ``pin``.
+
+        ``probe`` reads the *live* postings (a fresh collection); they
+        keep their verdict unless the row changed after the pin, and
+        every rowid that did (which covers rows updated away from, or
+        deleted out of, the postings) is re-judged on its visible image.
+        The probe runs before the changed-set read: any statement racing
+        us either finishes before the probe (its rowid is in the postings
+        or gone from them) or lands a history entry the changed-set read
+        sees.  Physical order, whatever the races.
+        """
+        rowids = self.stable_read(probe)
+        changed = self.changed_rowids_since(pin)
+        if changed:
+            rowids = [rowid for rowid in rowids if rowid not in changed]
+            for rowid in changed:
+                image = self.stable_read(lambda: self._visible_image(rowid, pin))
+                if image is not ABSENT and judge(image):
+                    rowids.append(rowid)
+        return sorted(rowids)
+
+    def snapshot_rowids(self, column: str, value: Any, pin: int) -> list[RowId]:
+        """ROWIDs of the rows whose indexed ``column`` equals ``value`` as
+        of ``pin`` — membership without the rows."""
+        index = self._indexes.get(column.upper())
+        if index is None:
+            raise CatalogError(
+                f"no index on {self.schema.name}.{column.upper()}"
             )
+        position = self.schema.position(column)
+        obs.inc("repro_ordbms_btree_probes_total", index=index.name)
+        return self._rowids_as_of(
+            lambda: index.search(value),
+            lambda image: image[position] == value, pin,
+        )
+
+    def snapshot_text_rowids(
+        self,
+        column: str,
+        lookup: Callable[[TextIndex], Iterable[RowId]],
+        predicate: Callable[[str], bool],
+        pin: int,
+    ) -> list[RowId]:
+        """The text-index twin of :meth:`snapshot_rowids`: ``lookup`` is
+        the raw probe, ``predicate`` its meaning on one row's text."""
+        index = self._text_indexes[column.upper()]
+        position = self.schema.position(column)
+        return self._rowids_as_of(
+            lambda: lookup(index),
+            lambda image: bool(image[position]) and predicate(image[position]),
+            pin,
+        )
 
     def snapshot_search(
         self, column: str, value: Any, pin: int
     ) -> list[dict[str, Any]]:
-        """Generation-aware equality lookup as of ``pin``.
-
-        Candidates are the *live* index postings plus every rowid that
-        changed after the pin (which covers rows updated away from, or
-        deleted out of, the postings); each candidate's visible image is
-        then re-checked against ``value``.  The postings probe runs
-        before the changed-set read: any statement racing us either
-        finishes before the probe (its rowid is in the postings or gone
-        from them) or lands a history entry the changed-set read sees.
-        """
+        """Equality lookup as of ``pin``: the rows of
+        :meth:`snapshot_rowids`, or a filtered :meth:`snapshot_scan`
+        when ``column`` has no index."""
         column = column.upper()
-        index = self._indexes.get(column)
-        if index is None:
+        if column not in self._indexes:
             self.schema.column(column)  # validates existence
             return [
                 row for row in self.snapshot_scan(pin) if row[column] == value
             ]
-        current = self.stable_read(lambda: set(index.search(value)))
-        candidates = current | self.changed_rowids_since(pin)
-        obs.inc("repro_ordbms_btree_probes_total", index=index.name)
-        rows = []
-        for rowid in sorted(candidates):
-            row = self.visible_row(rowid, pin)
-            if row is not None and row[column] == value:
-                rows.append(row)
-        return rows
+        return self.visible_many(
+            self.snapshot_rowids(column, value, pin), pin
+        )
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -6,8 +6,7 @@ to postings of ``(rowid, positions)`` so the query layer can do:
 
 * single-term lookup (``Content=Shuttle``),
 * conjunctive multi-term lookup,
-* exact phrase lookup (``Context=Technology Gap``) using term positions,
-* prefix lookup (used by the query language's ``*`` suffix wildcard).
+* exact phrase lookup (``Context=Technology Gap``) using term positions.
 
 Tokenisation is lower-cased word extraction with a small stopword list;
 both are deliberately simple and, critically, *identical* for indexing and
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro import obs
 from repro.ordbms.rowid import RowId
@@ -149,20 +148,6 @@ class TextIndex:
                     matches.add(rowid)
                     break
         return matches
-
-    def lookup_prefix(self, prefix: str) -> set[RowId]:
-        """ROWIDs containing any term that starts with ``prefix``."""
-        obs.inc("repro_ordbms_textindex_lookups_total", kind="prefix")
-        prefix = prefix.lower()
-        result: set[RowId] = set()
-        for term, by_row in self._postings.items():
-            if term.startswith(prefix):
-                result.update(by_row)
-        return result
-
-    def terms(self) -> Iterator[str]:
-        """Yield every distinct indexed term (unordered)."""
-        return iter(self._postings)
 
     def signature(self) -> tuple[tuple[str, RowId, tuple[int, ...]], ...]:
         """Canonical content signature, for index-agreement checks.

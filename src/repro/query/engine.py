@@ -15,8 +15,9 @@ explicit operator tree (:mod:`repro.query.plan`) and pulled lazily:
    * For a *content* search the hit resolves to its governing context —
      nearest enclosing or preceding CONTEXT (``GoverningLift``).
 
-3. **Downward sibling walk.**  The matched context's section is collected
-   through ``SIBLINGID`` hops (``SectionWalk``) and reconstructed lazily
+3. **Downward walk.**  The matched context's section — its following
+   siblings up to the next context — is read in one forward pass over
+   the rows stored after it (``SectionWalk``) and reconstructed lazily
    at materialization.
 
 A combined ``Context=X&Content=Y`` query intersects: sections whose
@@ -268,53 +269,6 @@ class QueryEngine:
         plan_element.append(root.explain_element())
         return Document(plan_element, name="plan.xml")
 
-    # -- the three search kinds (list-returning spec API) ---------------------
-
-    def context_search(self, spec: ContextSpec) -> list[SectionMatch]:
-        """Sections whose heading matches any phrase in ``spec``."""
-        return self._run(XdbQuery(context=spec))
-
-    def content_search(self, spec: ContentSpec) -> list[SectionMatch]:
-        """Sections containing the content terms (grouped by context).
-
-        Each match carries a relevance ``score``: 1.0 plus 0.5 for every
-        matching text node set in emphasis markup — the INTENSE node type
-        finally earning its keep.  Result *order* stays the stable
-        (document, node) order; callers wanting relevance order use
-        :meth:`~repro.query.results.ResultSet.ranked`.
-        """
-        return self._run(XdbQuery(content=spec))
-
-    def combined_search(
-        self, context_spec: ContextSpec, content_spec: ContentSpec
-    ) -> list[SectionMatch]:
-        """Sections matching the context whose scope contains the content.
-
-        Paper example: ``Context=Technology Gap&Content=Shrinking`` returns
-        the Technology Gap sections of documents where "Shrinking" occurs
-        *within* that section.
-        """
-        return self._run(XdbQuery(context=context_spec, content=content_spec))
-
-    def nodename_search(
-        self, nodename: str, content: ContentSpec | None = None
-    ) -> list[SectionMatch]:
-        """Element-instance search: one match per ``<nodename>`` element.
-
-        The match's context is the element's governing context (or its
-        own heading when the element *is* a CONTEXT); the content is the
-        element's text.  With a content spec, only matching instances
-        whose text satisfies it are returned.
-        """
-        return self._run(XdbQuery(nodename=nodename, content=content))
-
-    def _run(self, query: XdbQuery) -> list[SectionMatch]:
-        ctx, root = self.compile(query)
-        matches = list(root.rows())
-        obs.inc("repro_query_rows_returned_total", len(matches))
-        self._publish_plan_stats(ctx)
-        return matches
-
     @staticmethod
     def _publish_plan_stats(ctx: PlanContext) -> None:
         """Fold the query's accessor traffic into the metric registry.
@@ -326,34 +280,16 @@ class QueryEngine:
         included — these series describe plan execution.
         """
         stats = ctx.accessor.stats
-        if stats.rows_fetched:
-            obs.inc(
-                "repro_store_accessor_rows_fetched_total",
-                stats.rows_fetched,
-            )
-        if stats.batch_fetches:
-            obs.inc(
-                "repro_store_accessor_batch_fetches_total",
-                stats.batch_fetches,
-            )
-        if stats.child_lookups:
-            obs.inc(
-                "repro_store_accessor_index_probes_total",
-                stats.child_lookups,
-            )
-        if stats.cache_hits:
-            obs.inc(
-                "repro_store_accessor_cache_hits_total", stats.cache_hits
-            )
-        if stats.shared_hits:
-            obs.inc(
-                "repro_cache_hits_total", stats.shared_hits, cache="lift"
-            )
-        if stats.shared_misses:
-            obs.inc(
-                "repro_cache_misses_total", stats.shared_misses,
-                cache="lift",
-            )
+        for count, series, labels in (
+            (stats.rows_fetched, "repro_store_accessor_rows_fetched_total", {}),
+            (stats.batch_fetches, "repro_store_accessor_batch_fetches_total", {}),
+            (stats.child_lookups, "repro_store_accessor_index_probes_total", {}),
+            (stats.cache_hits, "repro_store_accessor_cache_hits_total", {}),
+            (stats.shared_hits, "repro_cache_hits_total", {"cache": "lift"}),
+            (stats.shared_misses, "repro_cache_misses_total", {"cache": "lift"}),
+        ):
+            if count:
+                obs.inc(series, count, **labels)
 
     # -- plan construction ------------------------------------------------------
 

@@ -7,7 +7,7 @@ at a time and counts them — so a downstream ``Limit`` stops the whole
 pipeline early: no section is walked, no title resolved, no match
 materialized beyond what the limit requires.
 
-Operator inventory (leaf → root):
+Operator inventory (leaf → root; each class says the rest):
 
 ``IndexProbe`` / ``Scan``
     TEXT-row sources: the inverted-index probe of paper §2.1.4, or the
@@ -16,35 +16,24 @@ Operator inventory (leaf → root):
     Order-preserving, ROWID-deduplicating merge of several probes.
 ``ContextLift`` / ``GoverningLift``
     The upward traversal: heading hits lift to their CONTEXT *ancestor*
-    (context search), content hits to their *governing* context
-    (content search, which also accumulates INTENSE score boosts and
-    collects document-level hits that precede every context).
-``Sort``
-    Stable (document, node) ordering of lifted context rows.
-``DocFilter`` / ``FormatFilter``
-    The ``Doc=`` / ``Format=`` narrowing filters.
+    (context search), content hits to their *governing* context (content
+    search, which also accumulates INTENSE score boosts and collects
+    document-level hits that precede every context).
+``NodenameProbe``, ``Sort``, ``DocFilter`` / ``FormatFilter``
+    The nodename source, the stable (document, node) presentation order,
+    and the ``Doc=`` / ``Format=`` narrowing filters.
 ``Intersect``
     Document-level semijoin: content terms must occur *somewhere* in a
-    candidate's document, checked purely against index postings before
-    any section walk.  Sound and complete at document granularity (a
-    section's text is drawn from the document's own TEXT rows), applied
-    only for terms the tokenizer maps to themselves.
-``Rank``
-    Blocking: tags each candidate with its presentation position, then
-    re-orders by descending score (stable).  Downstream ``Limit`` is
-    thereby *rank-aware* — with INTENSE-boosted scores it keeps the
-    best-scored matches, with uniform scores it degenerates to
-    presentation order.
-``SectionWalk``
-    The downward sibling walk: does the candidate's section (heading
-    included) satisfy the content spec?  Document-level candidates pass
-    through untested, matching the engine's long-standing behaviour.
-``ContentFilter``
-    Nodename variant: composes the element and tests its text.
-``Limit``
-    Stops pulling after N rows.
-``Present``
-    Restores presentation order after ``Rank`` (blocking, cheap).
+    candidate's document, decided on index postings and row addresses
+    alone, before any section is read.
+``Rank`` … ``Limit`` … ``Present``
+    ``Rank`` (blocking) tags presentation positions and re-orders by
+    descending score, so ``Limit`` is *rank-aware*; ``Present`` restores
+    presentation order afterwards.
+``SectionWalk`` / ``ContentFilter``
+    The expensive per-candidate content test, directly under ``Limit``:
+    one forward read of the candidate's section (heading included), or,
+    for a nodename search, of the composed element.
 ``Materialize``
     Converts surviving candidates into lazy
     :class:`~repro.query.results.SectionMatch` objects.
@@ -57,7 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import DocumentNotFoundError, QueryError
 from repro.obs import PlanProfiler
@@ -78,13 +67,18 @@ if TYPE_CHECKING:  # pragma: no cover
 Row = dict[str, Any]
 
 
-def phrase_in(phrase: str, text: str) -> bool:
+def phrase_in(phrase: str | list[str], text: str) -> bool:
     """Token-level phrase containment, case-insensitive.
 
     ``Budget`` is contained in ``FY04 Budget Summary`` but not in
     ``Budgetary`` — token boundaries matter, substring match does not.
+    A caller testing one phrase against many texts passes its tokens
+    (``tokenize(phrase, keep_stopwords=True)``), tokenized once.
     """
-    needle = tokenize(phrase, keep_stopwords=True)
+    needle = (
+        tokenize(phrase, keep_stopwords=True)
+        if isinstance(phrase, str) else phrase
+    )
     haystack = tokenize(text, keep_stopwords=True)
     if not needle:
         return False
@@ -229,25 +223,20 @@ class PlanNode:
         self.wall_seconds = 0.0
 
     def rows(self) -> Iterator[Any]:
-        budget = self.ctx.budget
-        if self.ctx.profiler is None and budget is None:
-            for item in self._produce():
-                self.rows_out += 1
-                yield item
+        if self.ctx.profiler is not None:
+            yield from self._profiled_rows()
             return
-        if self.ctx.profiler is None:
+        budget = self.ctx.budget
+        for item in self._produce():
             # Cooperative cancellation: the budget check is this
             # operator's batch boundary.  ``admits`` raises on
             # cancellation or a hard deadline; with ``Partial=1`` it
             # returns False and the whole tree stops pulling, leaving
             # downstream operators with a truncated (partial) prefix.
-            for item in self._produce():
-                if not budget.admits(self.name):
-                    return
-                self.rows_out += 1
-                yield item
-            return
-        yield from self._profiled_rows()
+            if budget is not None and not budget.admits(self.name):
+                return
+            self.rows_out += 1
+            yield item
 
     def _profiled_rows(self) -> Iterator[Any]:
         """The instrumented pull loop behind ``Explain=profile``.
@@ -308,8 +297,26 @@ class PlanNode:
 # -- leaf sources -------------------------------------------------------------
 
 
-class IndexProbe(PlanNode):
-    """Inverted-index probe over XML.NODEDATA; yields TEXT-row candidates.
+class TextSource(PlanNode):
+    """A leaf yielding the TEXT rows whose NODEDATA matches one search key."""
+
+    def __init__(self, ctx: PlanContext, key: str, phrase_mode: bool) -> None:
+        kind = "phrase" if phrase_mode else "terms"
+        super().__init__(ctx, detail=f'{kind} "{key}"')
+        self.key = key
+        self.phrase_mode = phrase_mode
+
+    def _matches(self, data: str | None) -> bool:
+        return data is not None and scan_match(self.key, data, self.phrase_mode)
+
+    def _produce(self) -> Iterator[Candidate]:
+        for row in self._rows():
+            if row["NODETYPE"] == int(NodeType.TEXT):
+                yield Candidate("text", row["DOC_ID"], row)
+
+
+class IndexProbe(TextSource):
+    """Inverted-index probe over XML.NODEDATA.
 
     The posting list comes back as rowids; the rows arrive in ONE batched
     fetch through the accessor (and stay cached for later lifts/walks).
@@ -317,57 +324,26 @@ class IndexProbe(PlanNode):
 
     name = "index-probe"
 
-    def __init__(self, ctx: PlanContext, key: str, phrase_mode: bool) -> None:
-        kind = "phrase" if phrase_mode else "terms"
-        super().__init__(ctx, detail=f'{kind} "{key}"')
-        self.key = key
-        self.phrase_mode = phrase_mode
-
-    def _produce(self) -> Iterator[Candidate]:
-        self.ctx.text_index()  # missing index is a fault even under MVCC
+    def _lookup(self, index: TextIndex) -> set[Any]:
         if self.phrase_mode:
-            rowids = self.ctx.accessor.probe_text(
-                lambda index: index.lookup_phrase(self.key),
-                lambda data: phrase_in(self.key, data),
-            )
-        else:
-            rowids = self.ctx.accessor.probe_text(
-                lambda index: index.lookup_all(tokenize(self.key)),
-                lambda data: scan_match(self.key, data, False),
-            )
-        for row in self.ctx.accessor.nodes(list(rowids)):
-            if row["NODETYPE"] == int(NodeType.TEXT):
-                yield Candidate("text", row["DOC_ID"], row)
+            return index.lookup_phrase(self.key)
+        return index.lookup_all(tokenize(self.key))
+
+    def _rows(self) -> Iterable[Row]:
+        self.ctx.text_index()  # missing index is a fault even under MVCC
+        accessor = self.ctx.accessor
+        return accessor.nodes(accessor.probe_text(self._lookup, self._matches))
 
 
-class Scan(PlanNode):
+class Scan(TextSource):
     """Full-table scan source (the ABL-IDX ablation's ``use_index=False``)."""
 
     name = "scan"
 
-    def __init__(self, ctx: PlanContext, key: str, phrase_mode: bool) -> None:
-        kind = "phrase" if phrase_mode else "terms"
-        super().__init__(ctx, detail=f'{kind} "{key}"')
-        self.key = key
-        self.phrase_mode = phrase_mode
-
-    def _produce(self) -> Iterator[Candidate]:
-        table = self.ctx.store.xml_table
-        if self.ctx.snapshot is not None:
-            rows: Iterator[Row] = (
-                row
-                for row in table.snapshot_scan(self.ctx.snapshot.lsn)
-                if row["NODEDATA"] is not None
-                and scan_match(self.key, row["NODEDATA"], self.phrase_mode)
-            )
-        else:
-            rows = table.scan(
-                lambda row: row["NODEDATA"] is not None
-                and scan_match(self.key, row["NODEDATA"], self.phrase_mode)
-            )
-        for row in rows:
-            if row["NODETYPE"] == int(NodeType.TEXT):
-                yield Candidate("text", row["DOC_ID"], row)
+    def _rows(self) -> Iterable[Row]:
+        table, pin = self.ctx.store.xml_table, self.ctx.snapshot
+        rows = table.scan() if pin is None else table.snapshot_scan(pin.lsn)
+        return (row for row in rows if self._matches(row["NODEDATA"]))
 
 
 class Union(PlanNode):
@@ -410,10 +386,9 @@ class ContextLift(PlanNode):
         accessor = self.ctx.accessor
         confirmed: set[Any] = set()
         for source, phrase in self.pairs:
-            hits = list(source.rows())
-            accessor.prefetch_ancestors([hit.row for hit in hits])
-            for candidate in hits:
-                context = accessor.context_ancestor(candidate.row)
+            needle = tokenize(phrase, keep_stopwords=True)
+            hits = [hit.row for hit in source.rows()]
+            for context in accessor.lift_all(hits, governing=False):
                 if context is None:
                     continue
                 rowid = context[ROWID_PSEUDO]
@@ -421,7 +396,7 @@ class ContextLift(PlanNode):
                     continue
                 # The index matched one TEXT node; confirm the phrase
                 # holds across the whole heading.
-                if phrase_in(phrase, accessor.context_title(context)):
+                if phrase_in(needle, accessor.context_title(context)):
                     confirmed.add(rowid)
                     yield Candidate("section", context["DOC_ID"], context)
 
@@ -443,16 +418,18 @@ class GoverningLift(PlanNode):
         contexts: dict[Any, Row] = {}
         boosts: dict[Any, float] = {}
         doc_level: dict[int, Row] = {}
-        hits = list(self.children[0].rows())
-        accessor.prefetch_ancestors([hit.row for hit in hits])
-        for candidate in hits:
-            context = accessor.governing_context(candidate.row)
+        hits = [hit.row for hit in self.children[0].rows()]
+        # The emphasis test walks every hit's ancestors whatever the memos
+        # say of its governing context: fetch them by level, not by hop.
+        accessor.prefetch_ancestors(hits)
+        lifted = accessor.lift_all(hits, governing=True)
+        for row, context in zip(hits, lifted):
             if context is None:
-                doc_level.setdefault(candidate.doc_id, candidate.row)
+                doc_level.setdefault(row["DOC_ID"], row)
                 continue
             key = context[ROWID_PSEUDO]
             contexts.setdefault(key, context)
-            if self.ctx.is_emphasized(candidate.row):
+            if self.ctx.is_emphasized(row):
                 boosts[key] = boosts.get(key, 0.0) + 0.5
         ordered = sorted(
             contexts.values(), key=lambda row: (row["DOC_ID"], row["NODEID"])
@@ -484,9 +461,10 @@ class Sort(PlanNode):
     name = "sort"
 
     def _produce(self) -> Iterator[Candidate]:
-        candidates = list(self.children[0].rows())
-        candidates.sort(key=lambda c: (c.row["DOC_ID"], c.row["NODEID"]))
-        yield from candidates
+        yield from sorted(
+            self.children[0].rows(),
+            key=lambda c: (c.row["DOC_ID"], c.row["NODEID"]),
+        )
 
 
 # -- filters ------------------------------------------------------------------
@@ -527,7 +505,17 @@ class FormatFilter(PlanNode):
                 yield candidate
 
 
-class Intersect(PlanNode):
+class ContentTest(PlanNode):
+    """An operator that holds candidates against the query's content spec."""
+
+    def __init__(
+        self, ctx: PlanContext, child: PlanNode, spec: ContentSpec
+    ) -> None:
+        super().__init__(ctx, child, detail=f"{spec.mode}: {spec.text}")
+        self.spec = spec
+
+
+class Intersect(ContentTest):
     """Document-level semijoin against content-term postings.
 
     A section's text (heading included) is drawn entirely from TEXT rows
@@ -540,70 +528,64 @@ class Intersect(PlanNode):
     ``phrase`` intersects per-token sets); when a term falls outside
     that shape the semijoin abstains rather than guess.
 
-    The document sets are computed lazily on first pull, one batched
-    posting fetch per term, and the fetched rows stay in the accessor
-    cache for the section walks that follow.
+    Membership, not rows: each token's postings stay a set of ROWIDs
+    (:meth:`NodeAccessor.probe_text`, correct as of the pin) and a
+    candidate's document is the set of its rows' addresses
+    (:meth:`NodeAccessor.lookup_rowids`, one ``XML.DOC_ID`` probe per
+    document) — the document has the token when the two intersect, and
+    no posting row is fetched to learn its ``DOC_ID``.
     """
 
     name = "intersect"
 
-    def __init__(
-        self, ctx: PlanContext, child: PlanNode, spec: ContentSpec
-    ) -> None:
-        super().__init__(ctx, child, detail=f"{spec.mode}: {spec.text}")
-        self.spec = spec
-
-    def _docs_with_token(self, token: str) -> set[int]:
+    def _postings(self, token: str) -> set[Any]:
         self.ctx.text_index()  # missing index is a fault even under MVCC
-        rowids = self.ctx.accessor.probe_text(
+        return set(self.ctx.accessor.probe_text(
             lambda index: index.lookup(token),
             lambda data: token.lower() in tokenize(data, keep_stopwords=True),
-        )
-        rows = self.ctx.accessor.nodes(list(rowids))
-        return {row["DOC_ID"] for row in rows}
+        ))
 
-    def _allowed_docs(self) -> set[int] | None:
-        """Documents that could host a match — None means "cannot prune"."""
+    def _required(self) -> tuple[list[set[Any]], bool] | None:
+        """Per-token posting sets and whether every one must be met —
+        None means "cannot prune"."""
         spec = self.spec
         if spec.mode == "phrase":
             tokens = tokenize(spec.text, keep_stopwords=True)
-            if not tokens:
-                return None
-            allowed = self._docs_with_token(tokens[0])
-            for token in tokens[1:]:
-                allowed &= self._docs_with_token(token)
-            return allowed
-        clean = []
-        for term in spec.terms:
-            if tokenize(term, keep_stopwords=True) != [term.lower()]:
-                if spec.mode == "any":
-                    return None  # an odd term: abstain entirely
-                continue  # "all": skip just this term's pruning
-            clean.append(term.lower())
-        if not clean:
+        else:
+            tokens = [
+                term.lower() for term in spec.terms
+                if tokenize(term, keep_stopwords=True) == [term.lower()]
+            ]
+            if spec.mode == "any" and len(tokens) < len(spec.terms):
+                return None  # an odd term: abstain ("all" just skips it)
+        if not tokens:
             return None
-        if spec.mode == "any":
-            allowed = set()
-            for token in clean:
-                allowed |= self._docs_with_token(token)
-            return allowed
-        allowed = self._docs_with_token(clean[0])
-        for token in clean[1:]:
-            allowed &= self._docs_with_token(token)
-        return allowed
+        return [self._postings(token) for token in tokens], spec.mode != "any"
 
     def _produce(self) -> Iterator[Candidate]:
-        allowed = self._allowed_docs()
+        required = self._required()
+        if required is None:
+            yield from self.children[0].rows()
+            return
+        postings, every = required
+        quantifier = all if every else any
+        admitted: dict[int, bool] = {}
         for candidate in self.children[0].rows():
-            if allowed is None or candidate.doc_id in allowed:
+            doc_id = candidate.doc_id
+            if doc_id not in admitted:
+                rowids = self.ctx.accessor.lookup_rowids("DOC_ID", doc_id)
+                admitted[doc_id] = quantifier(
+                    not found.isdisjoint(rowids) for found in postings
+                )
+            if admitted[doc_id]:
                 yield candidate
 
 
-class SectionWalk(PlanNode):
-    """The downward sibling walk: content containment per candidate.
+class SectionWalk(ContentTest):
+    """The downward walk: content containment per candidate.
 
     This is the expensive operator — resolving a section's text means
-    hopping SIBLINGIDs and fetching subtrees — so it sits directly under
+    reading every row of the section — so it sits directly under
     ``Limit``: candidates beyond what the limit needs are never walked.
     Document-level candidates pass through untested (they matched on a
     context-less hit; there is no section to test).
@@ -611,22 +593,15 @@ class SectionWalk(PlanNode):
 
     name = "section-walk"
 
-    def __init__(
-        self, ctx: PlanContext, child: PlanNode, spec: ContentSpec
-    ) -> None:
-        super().__init__(ctx, child, detail=f"{spec.mode}: {spec.text}")
-        self.spec = spec
-
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
-            if candidate.kind != "section":
-                yield candidate
-                continue
-            if self.ctx.section_satisfies(candidate.row, self.spec):
+            if candidate.kind != "section" or self.ctx.section_satisfies(
+                candidate.row, self.spec
+            ):
                 yield candidate
 
 
-class ContentFilter(PlanNode):
+class ContentFilter(ContentTest):
     """Nodename-search content test: compose the element, test its text.
 
     The composed node and normalized text are cached on the candidate so
@@ -634,12 +609,6 @@ class ContentFilter(PlanNode):
     """
 
     name = "content-filter"
-
-    def __init__(
-        self, ctx: PlanContext, child: PlanNode, spec: ContentSpec
-    ) -> None:
-        super().__init__(ctx, child, detail=f"{spec.mode}: {spec.text}")
-        self.spec = spec
 
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
@@ -706,9 +675,7 @@ class Present(PlanNode):
     name = "present"
 
     def _produce(self) -> Iterator[Candidate]:
-        candidates = list(self.children[0].rows())
-        candidates.sort(key=lambda c: c.order)
-        yield from candidates
+        yield from sorted(self.children[0].rows(), key=lambda c: c.order)
 
 
 # -- materialization ----------------------------------------------------------

@@ -1,40 +1,32 @@
 """Batched, memoized node access for the read path.
 
 The paper's traversal story (§2.1.4) is ROWID hops — each parent /
-sibling / child step is an O(1) physical fetch.  Correct, but the seed
-implementation paid one *point* ``Table.fetch`` per hop and re-fetched
-the same rows again and again while walking overlapping sections.  A
-:class:`NodeAccessor` is the per-query fix:
+sibling / child step an O(1) physical fetch.  A :class:`NodeAccessor`
+keeps the hops and asks for rows last:
 
-* **batching** — rowid lists (index postings, child sets, subtree
-  frontiers) are pulled through :meth:`~repro.ordbms.table.Table.fetch_many`
-  in one call instead of N;
-* **memoization** — node rows, child sets, governing contexts, section
-  scopes and titles are computed once per accessor and reused across
-  every operator of a query plan (and across the lazy
-  :class:`~repro.query.results.SectionMatch` resolutions that follow);
+* **batching** — rowid lists (index postings, ancestor frontiers, memo
+  answers) come through one ``fetch_many`` / ``visible_many`` call;
+* **forward reads** — a document's rows are one contiguous ROWID run in
+  document order (DESIGN.md §17), so a subtree or a whole section is the
+  rows stored right after its first (:meth:`NodeAccessor.subtree`), read
+  in one pass instead of a child probe per element and a hop per sibling;
+* **memoization** — node rows, child sets and the five structural lifts
+  (context ancestor, governing context, section scope, text, title) are
+  computed once per accessor and reused by every operator of a plan and
+  by the lazy :class:`~repro.query.results.SectionMatch` loaders;
 * **invalidation** — every cache is guarded by the XML table's
-  write-generation counter; any insert/update/delete/restore moves the
-  counter and the next read through the accessor drops all cached state
-  before answering.  A stale answer is therefore impossible: laziness
-  never outlives a write.
+  write-generation counter: any write moves it and the next read drops
+  all cached state first, so laziness never outlives a write;
 * **snapshot pinning** — constructed with a
   :class:`~repro.ordbms.mvcc.Snapshot`, the accessor reads *through* the
-  pin instead: every row resolves to its version as of the snapshot's
-  commit LSN, index probes are patched with the rows that changed since
-  (generation-aware probing), and the caches never invalidate — the
-  pinned view cannot go stale because it never moves.  This is what lets
-  a whole query (plan operators plus lazy match resolution) execute
-  against one consistent generation while ingest runs concurrently.
+  pin: rows resolve to their version as of its commit LSN, index probes
+  are patched with the rows that changed since, and the caches never
+  invalidate — the pinned view cannot go stale because it never moves;
 * **shared lifts** — constructed with a
-  :class:`~repro.store.liftcache.LiftCache` (cache-enabled query
-  engines pass the store's), the five structural memos additionally
-  read through the cross-query pool, so a lift one query computed is a
-  hit for the next.  The pool is keyed by the *same* write-generation
-  counter that guards the private memos (live mode) or by the pinned
-  commit LSN (snapshot mode), so shared state can never outlive a write
-  the private memos would have noticed — one source of truth, two cache
-  tiers.
+  :class:`~repro.store.liftcache.LiftCache`, the lift memos read through
+  the cross-query pool, keyed by the *same* generation counter (live) or
+  the pinned LSN, so shared state can never outlive a write the private
+  memos would have noticed — one source of truth, two cache tiers.
 
 Accessors are cheap to construct; the query engine makes one per query,
 and an :class:`~repro.store.xmlstore.XmlStore` keeps a long-lived one for
@@ -46,19 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.errors import RowIdError
 from repro.ordbms import Database, RowId, Snapshot
 from repro.ordbms.table import ROWID_PSEUDO
 from repro.ordbms.textindex import TextIndex
 from repro.sgml.nodetypes import NodeType
-from repro.store.liftcache import MISS as _SHARED_MISS
+from repro.store.liftcache import MISS as _MISS  # None is a legal memo value
 from repro.store.liftcache import LiftCache
 from repro.store.schema import XML_TABLE
 
 Row = dict[str, Any]
-
-#: Cache-miss sentinel (``None`` is a legal memoized value).
-_MISS: Any = object()
 
 
 @dataclass
@@ -102,13 +90,12 @@ class NodeAccessor:
         self._generation = (
             snapshot.lsn if snapshot is not None else self.table.generation
         )
+        #: The version these reads are valid at (see LiftCache).
+        self._token = ("gen" if snapshot is None else "lsn", self._generation)
         self._rows: dict[RowId, Row] = {}
         self._children: dict[int, tuple[RowId, ...]] = {}
-        self._governing: dict[RowId, RowId | None] = {}
-        self._ancestor: dict[RowId, RowId | None] = {}
-        self._scopes: dict[RowId, tuple[RowId, ...]] = {}
-        self._titles: dict[RowId, str] = {}
-        self._texts: dict[RowId, str] = {}
+        #: The five structural memos, keyed ``(kind, rowid)``.
+        self._memo: dict[tuple[str, RowId], Any] = {}
 
     # -- generation guard ---------------------------------------------------
 
@@ -119,14 +106,11 @@ class NodeAccessor:
         generation = self.table.generation
         if generation != self._generation:
             self._generation = generation
+            self._token = ("gen", generation)
             self.stats.invalidations += 1
             self._rows.clear()
             self._children.clear()
-            self._governing.clear()
-            self._ancestor.clear()
-            self._scopes.clear()
-            self._titles.clear()
-            self._texts.clear()
+            self._memo.clear()
             if self._lifts is not None:
                 # Same tripwire, same counter: if the store's write hooks
                 # already advanced the shared pool this is a no-op; a
@@ -138,31 +122,37 @@ class NodeAccessor:
         """The table write generation this accessor's caches reflect."""
         return self._generation
 
-    # -- shared lift pool ---------------------------------------------------
+    # -- the memo: private first, then the shared lift pool ------------------
 
-    def _lift_token(self) -> tuple[str, int]:
-        """The version this accessor's reads are valid at (see LiftCache)."""
-        if self.snapshot is not None:
-            return ("lsn", self.snapshot.lsn)
-        return ("gen", self._generation)
+    def _recall(self, kind: str, row: Row) -> Any:
+        """The memoized ``kind`` lift of ``row``, or ``_MISS``.
 
-    def _lift_get(self, row: Row, kind: str, rowid: RowId) -> Any:
-        if self._lifts is None:
-            return _SHARED_MISS
-        value = self._lifts.get(
-            row["DOC_ID"], kind, rowid, self._lift_token()
-        )
-        if value is _SHARED_MISS:
-            self.stats.shared_misses += 1
-        else:
-            self.stats.shared_hits += 1
+        One read of the private memo, then at most one of the shared
+        pool, whose answer the private memo adopts — so however often a
+        lift is asked for, the pool is asked once.
+        """
+        self._sync()
+        key = (kind, row[ROWID_PSEUDO])
+        value = self._memo.get(key, _MISS)
+        if value is not _MISS:
+            self.stats.cache_hits += 1
+        elif self._lifts is not None:
+            value = self._lifts.get(row["DOC_ID"], kind, key[1], self._token)
+            if value is _MISS:
+                self.stats.shared_misses += 1
+            else:
+                self.stats.shared_hits += 1
+                self._memo[key] = value
         return value
 
-    def _lift_put(self, row: Row, kind: str, rowid: RowId, value: Any) -> None:
+    def _remember(self, kind: str, row: Row, value: Any) -> Any:
+        """Memoize a computed lift, privately and in the shared pool."""
+        self._memo[kind, row[ROWID_PSEUDO]] = value
         if self._lifts is not None:
             self._lifts.put(
-                row["DOC_ID"], kind, rowid, value, self._lift_token()
+                row["DOC_ID"], kind, row[ROWID_PSEUDO], value, self._token
             )
+        return value
 
     # -- row access ---------------------------------------------------------
 
@@ -174,13 +164,7 @@ class NodeAccessor:
             self.stats.cache_hits += 1
             return row
         if self.snapshot is not None:
-            pinned = self.table.visible_row(rowid, self.snapshot.lsn)
-            if pinned is None:
-                raise RowIdError(
-                    f"ROWID {rowid} is not visible at LSN "
-                    f"{self.snapshot.lsn}"
-                )
-            row = pinned
+            [row] = self.table.visible_many([rowid], self.snapshot.lsn)
         else:
             row = self.database.fetch(XML_TABLE, rowid)
         self.stats.point_fetches += 1
@@ -188,18 +172,16 @@ class NodeAccessor:
         self._rows[rowid] = row
         return row
 
-    def _fetch_batch(self, rowids: list[RowId]) -> list[Row]:
-        """One batched fetch, through the pin when one is set."""
-        if self.snapshot is not None:
-            return self.table.visible_many(rowids, self.snapshot.lsn)
-        return self.database.fetch_many(XML_TABLE, rowids)
-
     def nodes(self, rowids: Sequence[RowId]) -> list[Row]:
-        """Rows for ``rowids`` in order; missing ones come in ONE batch."""
+        """Rows for ``rowids`` in order; missing ones come in ONE batch
+        (through the pin when one is set)."""
         self._sync()
         missing = [rowid for rowid in rowids if rowid not in self._rows]
         if missing:
-            fetched = self._fetch_batch(missing)
+            if self.snapshot is not None:
+                fetched = self.table.visible_many(missing, self.snapshot.lsn)
+            else:
+                fetched = self.database.fetch_many(XML_TABLE, missing)
             self.stats.batch_fetches += 1
             self.stats.rows_fetched += len(fetched)
             for row in fetched:
@@ -211,31 +193,12 @@ class NodeAccessor:
         """Warm the cache with every proper ancestor of ``rows``.
 
         One batched fetch per tree *level* instead of one point fetch per
-        parent hop: the lifts call this before walking a whole candidate
-        set upward, so the subsequent per-row walks run entirely against
-        cached rows.  Purely a cache warmer — results are unaffected.
+        parent hop, so the per-row walks upward that follow run entirely
+        against cached rows.  Purely a cache warmer.
         """
-        self._sync()
-        frontier = {
-            row["PARENTROWID"]
-            for row in rows
-            if row["PARENTROWID"] is not None
-        }
-        while frontier:
-            missing = [
-                rowid for rowid in frontier if rowid not in self._rows
-            ]
-            if missing:
-                fetched = self._fetch_batch(missing)
-                self.stats.batch_fetches += 1
-                self.stats.rows_fetched += len(fetched)
-                for row in fetched:
-                    self._rows[row[ROWID_PSEUDO]] = row
-            frontier = {
-                self._rows[rowid]["PARENTROWID"]
-                for rowid in frontier
-                if self._rows[rowid]["PARENTROWID"] is not None
-            }
+        while rows:
+            frontier = {row["PARENTROWID"] for row in rows} - {None}
+            rows = self.nodes(list(frontier))
 
     # -- single hops ---------------------------------------------------------
 
@@ -264,16 +227,8 @@ class NodeAccessor:
             self.stats.cache_hits += 1
             return [self._rows[rowid] for rowid in cached]
         self.stats.child_lookups += 1
-        if self.snapshot is not None:
-            child_rows = self.table.snapshot_search(
-                "PARENTNODEID", node_id, self.snapshot.lsn
-            )
-        else:
-            index = self.table.index_on("PARENTNODEID")  # schema-created
-            child_rows = self.nodes(index.search(node_id))
+        child_rows = self.lookup_rows("PARENTNODEID", node_id)
         child_rows.sort(key=lambda child: child["ORDINAL"])
-        for child in child_rows:
-            self._rows[child[ROWID_PSEUDO]] = child
         self._children[node_id] = tuple(
             child[ROWID_PSEUDO] for child in child_rows
         )
@@ -291,41 +246,29 @@ class NodeAccessor:
         ``lookup`` runs the raw probe against the live NODEDATA index;
         ``predicate`` re-evaluates the probe's semantics against a row's
         visible NODEDATA.  Live mode: exactly the raw probe.  Snapshot
-        mode: rows unchanged since the pin keep the index's verdict,
-        while every row that changed after the pin (updated, deleted, or
-        inserted — whether or not it is still in the postings) is
-        re-judged on its pinned text.  The probe runs before the
-        changed-set read, so a racing statement either lands in the
-        postings we read or in the changed set we read after — never in
-        neither.
+        mode: :meth:`~repro.ordbms.table.Table.snapshot_text_rowids` —
+        rows unchanged since the pin keep the index's verdict, every row
+        that changed after it is re-judged on its pinned text.
         """
         index = self.table.text_index_on("NODEDATA")
         if index is None:
             return []
         if self.snapshot is None:
             return list(lookup(index))
-        pin = self.snapshot.lsn
-        current = self.table.stable_read(lambda: set(lookup(index)))
-        changed = self.table.changed_rowids_since(pin)
-        visible = sorted(current - changed)
-        for rowid in sorted(changed):
-            row = self.table.visible_row(rowid, pin)
-            if row is None:
-                continue
-            data = row.get("NODEDATA")
-            if isinstance(data, str) and data and predicate(data):
-                visible.append(rowid)
-        visible.sort()  # physical order: deterministic regardless of races
-        return visible
+        return self.table.snapshot_text_rowids(
+            "NODEDATA", lookup, predicate, self.snapshot.lsn
+        )
+
+    def lookup_rowids(self, column: str, value: Any) -> list[RowId]:
+        """Addresses of the rows whose (indexed) ``column`` equals
+        ``value``, in physical order — through the pin, no row fetched."""
+        if self.snapshot is not None:
+            return self.table.snapshot_rowids(column, value, self.snapshot.lsn)
+        return self.table.index_on(column).search(value)
 
     def lookup_rows(self, column: str, value: Any) -> list[Row]:
-        """Equality lookup through the pin (live mode: ``Table.lookup``)."""
-        if self.snapshot is None:
-            return self.table.lookup(column, value)
-        rows = self.table.snapshot_search(column, value, self.snapshot.lsn)
-        for row in rows:
-            self._rows[row[ROWID_PSEUDO]] = row
-        return rows
+        """The rows at :meth:`lookup_rowids`, in one batch."""
+        return self.nodes(self.lookup_rowids(column, value))
 
     # -- node predicates -------------------------------------------------------
 
@@ -339,169 +282,151 @@ class NodeAccessor:
 
     # -- traversal (paper §2.1.4), memoized ------------------------------------
 
+    def _memoized(
+        self, kind: str, row: Row, compute: Callable[[Row], Any]
+    ) -> Any:
+        value = self._recall(kind, row)
+        if value is _MISS:
+            value = self._remember(kind, row, compute(row))
+        return value
+
     def context_ancestor(self, row: Row) -> Row | None:
         """Nearest *proper ancestor* CONTEXT element (else None)."""
-        self._sync()
-        rowid = row[ROWID_PSEUDO]
-        memo = self._ancestor.get(rowid, _MISS)
-        if memo is not _MISS:
-            self.stats.cache_hits += 1
-            return None if memo is None else self.node(memo)
-        shared = self._lift_get(row, "ancestor", rowid)
-        if shared is not _SHARED_MISS:
-            self._ancestor[rowid] = shared
-            return None if shared is None else self.node(shared)
-        current = row
-        found: Row | None = None
-        while True:
-            parent = self.parent(current)
-            if parent is None:
-                break
-            if self.is_context(parent):
-                found = parent
-                break
-            current = parent
-        memo = None if found is None else found[ROWID_PSEUDO]
-        self._ancestor[rowid] = memo
-        self._lift_put(row, "ancestor", rowid, memo)
-        return found
+        memo = self._memoized("ancestor", row, self._walk_up)
+        return None if memo is None else self.node(memo)
 
     def governing_context(self, row: Row) -> Row | None:
-        """Nearest enclosing/preceding CONTEXT for any node row.
+        """Nearest enclosing/preceding CONTEXT for any node row (None for
+        front matter preceding every context)."""
+        memo = self._memoized(
+            "governing", row, lambda row: self._walk_up(row, preceding=True)
+        )
+        return None if memo is None else self.node(memo)
 
-        Walk up parent links; at each level, an enclosing CONTEXT wins,
-        else the latest *preceding* CONTEXT sibling does.  None for
-        front matter preceding every context.
+    def lift_all(self, rows: Sequence[Row], governing: bool) -> list[Row | None]:
+        """:meth:`governing_context` (else :meth:`context_ancestor`) of
+        every row, asking the memos before fetching anything.
+
+        Each hit is resolved against the private memo and the shared
+        pool exactly once; ancestors are prefetched, level by level,
+        only for the hits neither could answer, and the answers' CONTEXT
+        rows arrive in one batch.
         """
-        self._sync()
-        rowid = row[ROWID_PSEUDO]
-        memo = self._governing.get(rowid, _MISS)
-        if memo is not _MISS:
-            self.stats.cache_hits += 1
-            return None if memo is None else self.node(memo)
-        shared = self._lift_get(row, "governing", rowid)
-        if shared is not _SHARED_MISS:
-            self._governing[rowid] = shared
-            return None if shared is None else self.node(shared)
+        kind = "governing" if governing else "ancestor"
+        memos = [self._recall(kind, row) for row in rows]
+        self.prefetch_ancestors(
+            [row for row, memo in zip(rows, memos) if memo is _MISS]
+        )
+        for position, row in enumerate(rows):
+            if memos[position] is _MISS:
+                memos[position] = self._remember(
+                    kind, row, self._walk_up(row, preceding=governing)
+                )
+        self.nodes(list(dict.fromkeys(m for m in memos if m is not None)))
+        return [None if m is None else self._rows[m] for m in memos]
+
+    def _walk_up(self, row: Row, preceding: bool = False) -> RowId | None:
+        """Walk up parent links to the first CONTEXT: at each level an
+        enclosing CONTEXT wins, else — with ``preceding``, the governing
+        lift — the latest *preceding* CONTEXT sibling does."""
         current = row
-        found: Row | None = None
         while True:
             parent = self.parent(current)
             if parent is None:
-                break
+                return None
             if self.is_context(parent):
-                found = parent
-                break
+                return parent[ROWID_PSEUDO]
             best: Row | None = None
-            for sibling in self.children(parent):
+            for sibling in self.children(parent) if preceding else ():
                 if sibling["ORDINAL"] >= current["ORDINAL"]:
                     break
                 if self.is_context(sibling):
                     best = sibling
             if best is not None:
-                found = best
-                break
+                return best[ROWID_PSEUDO]
             current = parent
-        memo = None if found is None else found[ROWID_PSEUDO]
-        self._governing[rowid] = memo
-        self._lift_put(row, "governing", rowid, memo)
-        return found
 
-    def subtree(self, row: Row) -> list[Row]:
-        """All descendant rows in document order (children batched)."""
-        result: list[Row] = []
-        for child in self.children(row):
-            result.append(child)
-            result.extend(self.subtree(child))
-        return result
+    def subtree(self, row: Row, siblings: bool = False) -> list[Row]:
+        """All descendant rows in document order — one forward read.
+
+        A document's rows sit in one contiguous ROWID run in document
+        order (DESIGN.md §17), so the descendants of ``row`` are the
+        rows stored right after it, up to the first whose parent is not
+        in the run.  With ``siblings`` the run also admits the following
+        non-CONTEXT siblings of ``row`` and their subtrees — the paper's
+        walk "back down the tree structure via the sibling node", i.e.
+        the whole section a CONTEXT ``row`` heads.  Another document's
+        row, or a slot with no row in this view, ends the run: a
+        document is visible whole or not at all.
+        """
+        self._sync()
+        doc_id, beside = row["DOC_ID"], row["PARENTROWID"]
+        inside = {row[ROWID_PSEUDO]}
+        run: list[Row] = []
+        if self.snapshot is not None:
+            following = self.table.rows_after(
+                row[ROWID_PSEUDO], self.snapshot.lsn
+            )
+        else:
+            following = self.database.rows_after(XML_TABLE, row[ROWID_PSEUDO])
+        self.stats.batch_fetches += 1
+        for candidate in following:
+            self.stats.rows_fetched += 1
+            above = candidate["PARENTROWID"]
+            if candidate["DOC_ID"] != doc_id or not (
+                above in inside
+                or (
+                    siblings and above == beside
+                    and not self.is_context(candidate)
+                )
+            ):
+                break
+            rowid = candidate[ROWID_PSEUDO]
+            inside.add(rowid)
+            self._rows[rowid] = candidate
+            run.append(candidate)
+        following.close()  # publishes the read's row count now
+        return run
 
     def section_scope(self, context_row: Row) -> list[Row]:
         """Rows of the section governed by ``context_row``.
 
         Every following sibling (plus its subtree) up to, but not
-        including, the next CONTEXT sibling — the paper's "traversing
-        back down the tree structure via the sibling node".
+        including, the next CONTEXT sibling.  The memo (and the shared
+        pool) carries rowids only — immutable, thread-safe; the rows
+        come through this accessor's own fetch path, so snapshot
+        pinning still applies.
         """
-        self._sync()
-        rowid = context_row[ROWID_PSEUDO]
-        cached = self._scopes.get(rowid)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return [self._rows[scope_rowid] for scope_rowid in cached]
-        shared = self._lift_get(context_row, "scope", rowid)
-        if shared is not _SHARED_MISS:
-            # Shared entries carry rowids only (immutable, thread-safe);
-            # the rows themselves come through this accessor's own
-            # fetch path, so snapshot pinning still applies.
-            self._scopes[rowid] = shared
-            return self.nodes(list(shared))
-        scope: list[Row] = []
-        sibling = self.next_sibling(context_row)
-        while sibling is not None:
-            if self.is_context(sibling):
-                break
-            scope.append(sibling)
-            scope.extend(self.subtree(sibling))
-            sibling = self.next_sibling(sibling)
-        rowids = tuple(scope_row[ROWID_PSEUDO] for scope_row in scope)
-        self._scopes[rowid] = rowids
-        self._lift_put(context_row, "scope", rowid, rowids)
-        return scope
+        return self.nodes(
+            self._memoized("scope", context_row, self._walk_scope)
+        )
 
-    def scope_rowids(self, context_row: Row) -> set[RowId]:
-        """Physical rowids of a section scope (containment tests)."""
-        return {
-            scope_row[ROWID_PSEUDO]
-            for scope_row in self.section_scope(context_row)
-        }
+    def _walk_scope(self, context_row: Row) -> tuple[RowId, ...]:
+        beside = context_row["PARENTROWID"]
+        run = self.subtree(context_row, siblings=True)
+        for first, row in enumerate(run):
+            if row["PARENTROWID"] == beside:  # before it: the heading's own
+                return tuple(row[ROWID_PSEUDO] for row in run[first:])
+        return ()
 
     def section_text(self, context_row: Row) -> str:
         """Concatenated TEXT data of the scope — the "content portion"."""
-        self._sync()
-        rowid = context_row[ROWID_PSEUDO]
-        cached = self._texts.get(rowid)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        shared = self._lift_get(context_row, "text", rowid)
-        if shared is not _SHARED_MISS:
-            self._texts[rowid] = shared
-            return shared
-        text = _joined_text(
-            scope_row
-            for scope_row in self.section_scope(context_row)
-            if self.is_text(scope_row)
+        return self._memoized(
+            "text", context_row,
+            lambda row: self._joined_text(self.section_scope(row)),
         )
-        self._texts[rowid] = text
-        self._lift_put(context_row, "text", rowid, text)
-        return text
 
     def context_title(self, context_row: Row) -> str:
         """Heading text of a CONTEXT element (its TEXT descendants)."""
-        self._sync()
-        rowid = context_row[ROWID_PSEUDO]
-        cached = self._titles.get(rowid)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        shared = self._lift_get(context_row, "title", rowid)
-        if shared is not _SHARED_MISS:
-            self._titles[rowid] = shared
-            return shared
-        title = _joined_text(
-            descendant
-            for descendant in self.subtree(context_row)
-            if self.is_text(descendant)
+        return self._memoized(
+            "title", context_row,
+            lambda row: self._joined_text(self.subtree(row)),
         )
-        self._titles[rowid] = title
-        self._lift_put(context_row, "title", rowid, title)
-        return title
 
-
-def _joined_text(rows) -> str:
-    pieces = [
-        (row["NODEDATA"] or "").strip()
-        for row in rows
-        if row["NODEDATA"]
-    ]
-    return " ".join(piece for piece in pieces if piece)
+    def _joined_text(self, rows: Iterable[Row]) -> str:
+        pieces = [
+            (row["NODEDATA"] or "").strip()
+            for row in rows
+            if self.is_text(row) and row["NODEDATA"]
+        ]
+        return " ".join(piece for piece in pieces if piece)

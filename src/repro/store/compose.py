@@ -5,11 +5,11 @@ document retrieval (HTTP GET of a stored document) and by result
 composition, which lifts individual *sections* back into DOM fragments
 before XSLT formatting.
 
-All row access funnels through a :class:`~repro.store.accessor.NodeAccessor`
-so child sets come back in batched fetches and repeated composition of
-overlapping fragments (a section and the document containing it) reuses
-cached rows.  Callers may pass their own accessor to share its caches;
-otherwise an ephemeral one is made per call.
+All row access funnels through a :class:`~repro.store.accessor.NodeAccessor`:
+a node, a section or a whole document is one forward read of the rows
+stored after its first (:meth:`NodeAccessor.subtree`), hung together by
+parent link.  Callers may pass their own accessor (a pinned one reads
+through its snapshot); otherwise an ephemeral one is made per call.
 
 The decompose→compose round trip preserves structure, attributes, text
 and node order exactly; the property-based tests drive random trees
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.ordbms import Database
+from repro.errors import StoreError
+from repro.ordbms import ROWID_PSEUDO, Database, RowId
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import NodeAccessor
@@ -29,18 +30,34 @@ from repro.store.schema import decode_attributes
 Row = dict[str, Any]
 
 
+def _build(rows: list[Row], beside: Element) -> Element:
+    """Hang the DOM node of each row under its parent's; returns ``beside``.
+
+    The rows are a forward-read run, head first: document order, so a
+    row's parent is built before the row arrives and children append in
+    order.  A row whose parent is not in the run — the head, and the
+    siblings a section run admits after it — goes under ``beside``.
+    """
+    built: dict[RowId, Element] = {}
+    for row in rows:
+        if row["NODETYPE"] == int(NodeType.TEXT):
+            node: Element | Text = Text(row["NODEDATA"] or "")
+        else:
+            node = built[row[ROWID_PSEUDO]] = Element(
+                row["NODENAME"] or "node", decode_attributes(row["ATTRS"])
+            )
+            node.synthetic = row["NODETYPE"] == int(NodeType.SIMULATION)
+        built.get(row["PARENTROWID"], beside).append(node)
+    return beside
+
+
 def compose_node(
     database: Database, row: Row, accessor: NodeAccessor | None = None
 ) -> Element | Text:
     """Rebuild the DOM subtree rooted at ``row``."""
     accessor = accessor or NodeAccessor(database)
-    if row["NODETYPE"] == int(NodeType.TEXT):
-        return Text(row["NODEDATA"] or "")
-    element = Element(row["NODENAME"] or "node", decode_attributes(row["ATTRS"]))
-    element.synthetic = row["NODETYPE"] == int(NodeType.SIMULATION)
-    for child_row in accessor.children(row):
-        element.append(compose_node(database, child_row, accessor))
-    return element
+    [node] = _build([row] + accessor.subtree(row), Element("parent")).children
+    return node.detach()
 
 
 def compose_document(
@@ -49,25 +66,28 @@ def compose_document(
     name: str = "",
     accessor: NodeAccessor | None = None,
 ) -> Document:
-    """Rebuild the full DOM of document ``doc_id``."""
-    accessor = accessor or NodeAccessor(database)
-    roots = [
-        row
-        for row in accessor.lookup_rows("DOC_ID", doc_id)
-        if row["PARENTROWID"] is None
-    ]
-    if len(roots) != 1:
-        from repro.errors import StoreError
+    """Rebuild the full DOM of document ``doc_id``.
 
+    A document's rows are one ROWID run in document order: its lowest
+    address is its root and the rest is exactly the root's subtree —
+    ``XML.DOC_ID``'s postings say how many rows that must be.
+    """
+    accessor = accessor or NodeAccessor(database)
+    rowids = accessor.lookup_rowids("DOC_ID", doc_id)
+    rows = accessor.nodes(rowids[:1])
+    if rows:
+        rows += accessor.subtree(rows[0])
+    if len(rows) != len(rowids) or not rows or rows[0]["PARENTROWID"] is not None:
         raise StoreError(
-            f"document {doc_id} has {len(roots)} root nodes, expected 1"
+            f"document {doc_id}'s {len(rowids)} rows are not one root node "
+            f"followed by its subtree"
         )
-    root = compose_node(database, roots[0], accessor)
-    if isinstance(root, Text):  # a bare text root cannot occur via decompose
-        wrapper = Element("document", synthetic=True)
-        wrapper.append(root)
-        root = wrapper
-    return Document(root, name=name)
+    # A bare text root cannot occur via decompose; it would stay wrapped.
+    wrapper = _build(rows, Element("document", synthetic=True))
+    [root] = wrapper.children
+    return Document(
+        wrapper if isinstance(root, Text) else root.detach(), name=name
+    )
 
 
 def compose_section(
@@ -80,12 +100,7 @@ def compose_section(
     subtree up to the next context, reconstructed in full.
     """
     accessor = accessor or NodeAccessor(database)
-    section = Element("section", synthetic=True)
-    section.append(compose_node(database, context_row, accessor))
-    sibling = accessor.next_sibling(context_row)
-    while sibling is not None:
-        if sibling["NODETYPE"] == int(NodeType.CONTEXT):
-            break
-        section.append(compose_node(database, sibling, accessor))
-        sibling = accessor.next_sibling(sibling)
-    return section
+    return _build(
+        [context_row] + accessor.subtree(context_row, siblings=True),
+        Element("section", synthetic=True),
+    )

@@ -13,6 +13,9 @@ enforce those, so this module does, after the fact:
   pointing at the next child in ``(ORDINAL, NODEID)`` order, the last
   child ending the chain with NULL;
 * every ``NODETYPE`` is one of the five NETMARK types;
+* each document's rows, taken in ROWID order, are a pre-order walk of its
+  tree — the layout the read path's forward reads
+  (:meth:`repro.store.accessor.NodeAccessor.subtree`) stand on;
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
@@ -60,6 +63,7 @@ CODES = (
     "foreign-sibling",
     "duplicate-ordinal",
     "sibling-chain",  # repairable
+    "doc-order",
     "btree-drift",  # repairable
     "text-index-drift",  # repairable
 )
@@ -155,6 +159,7 @@ def check_store(database: Database) -> FsckReport:
     _check_roots(report, nodes, doc_ids)
     _check_parent_chains(report, nodes, by_rowid)
     _check_sibling_chains(report, nodes, by_rowid)
+    _check_doc_order(report, nodes)
     report.indexes_checked = _check_indexes(report, (doc_table, xml_table))
     return report
 
@@ -387,6 +392,48 @@ def _check_sibling_chains(
                     f"SIBLINGID is {actual}, expected {expected_next} "
                     f"(next child by ORDINAL order)",
                 ))
+
+
+def _check_doc_order(report: FsckReport, nodes: list[Row]) -> None:
+    """Each document is one ROWID run, laid out as a pre-order walk.
+
+    Walking the heap in physical order, every row's parent must be on
+    the path of still-open ancestors (so every subtree is contiguous and
+    every parent precedes its children), siblings must arrive in ORDINAL
+    order, and no other document's live row may sit inside the run.  One
+    report per document, at the first row that breaks the walk; nothing
+    here is derivable, so ``--repair`` leaves it.
+    """
+    seen: dict[int, bool] = {}  # document -> already reported
+    doc_id = None
+    path: list[list[Any]] = []  # open ancestors: [rowid, last child's ORDINAL]
+    for row in nodes:
+        parent, problem = row["PARENTROWID"], ""
+        if row["DOC_ID"] != doc_id:
+            doc_id = row["DOC_ID"]
+            if doc_id in seen:
+                problem = "the run resumes after another document's rows"
+            elif parent is not None:
+                problem = "the run does not start at the root"
+            path = [[None, -1]]  # the slot the root hangs from
+        if seen.setdefault(doc_id, False):
+            continue
+        while not problem and path[-1][0] != parent:
+            path.pop()
+            if not path:
+                problem = f"parent {parent} is not an open ancestor"
+        if not problem and row["ORDINAL"] <= path[-1][1]:
+            problem = "stored after a sibling it should precede"
+        if problem:
+            seen[doc_id] = True
+            report.violations.append(Violation(
+                "doc-order", XML_TABLE, str(row[ROWID_PSEUDO]), doc_id,
+                f"rows are not a pre-order walk of the tree: {problem}",
+            ))
+            continue
+        # One root only: nothing else may hang from the slot above it.
+        path[-1][1] = row["ORDINAL"] if parent is not None else len(nodes)
+        path.append([row[ROWID_PSEUDO], -1])
 
 
 def _check_indexes(report: FsckReport, tables: tuple[Table, ...]) -> int:

@@ -147,10 +147,7 @@ class LiftCache:
         """The memoized lift value, or :data:`MISS`."""
         key = (doc_id, kind, rowid)
         with self._lock:
-            if not self._current(token):
-                self.misses += 1
-                return MISS
-            if key not in self._entries:
+            if not self._current(token) or key not in self._entries:
                 self.misses += 1
                 return MISS
             self._entries.move_to_end(key)

@@ -21,11 +21,11 @@ from typing import Any, Iterator
 
 from repro.converters import convert
 from repro.errors import DocumentNotFoundError
-from repro.ordbms import ROWID_PSEUDO, Database, RowId, Snapshot, Table
+from repro.ordbms import ROWID_PSEUDO, Database, Snapshot, Table
 from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
-from repro.sgml.dom import Document, Element
+from repro.sgml.dom import Document
 from repro.store.accessor import NodeAccessor
-from repro.store.compose import compose_document, compose_section
+from repro.store.compose import compose_document
 from repro.store.liftcache import LiftCache
 from repro.store.decompose import DecomposeResult, Decomposer
 from repro.store.schema import (
@@ -309,10 +309,6 @@ class XmlStore:
             accessor=accessor,
         )
 
-    def section(self, context_row: Row) -> Element:
-        """Reconstruct the section governed by a CONTEXT row."""
-        return compose_section(self.database, context_row, self._accessor)
-
     @property
     def accessor(self) -> NodeAccessor:
         """The store's long-lived accessor (generation-guarded caches)."""
@@ -336,9 +332,6 @@ class XmlStore:
         rows = self._xml_table.lookup("DOC_ID", doc_id)
         contexts = filter(NodeAccessor.is_context, rows)
         return iter(sorted(contexts, key=lambda row: row["NODEID"]))
-
-    def fetch_node(self, rowid: RowId) -> Row:
-        return self.database.fetch(XML_TABLE, rowid)
 
     # -- table access for the query layer -------------------------------------
 

@@ -263,10 +263,12 @@ _bank_spec.loader.exec_module(bank)
 class TestWritePathCounterGate:
     """``bank_e2e_counters.py`` + ``check_regression.py --tolerance 0``."""
 
-    @staticmethod
-    def run_output(**overrides: float) -> str:
-        values = {name: 1.5 for name in bank.COUNTERS + bank.TIMINGS}
-        values["ordbms.table.updates_per_write"] = 0.0
+    RUN = bank.INGEST
+
+    @classmethod
+    def run_output(cls, **overrides: float) -> str:
+        values = {name: 1.5 for name in cls.RUN.counters + cls.RUN.timings}
+        values[cls.RUN.counters[1]] = 0.0
         values.update(overrides)
         metrics = {name: {"value": value, "unit": "x"} for name, value in values.items()}
         result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
@@ -277,23 +279,23 @@ class TestWritePathCounterGate:
         fresh.mkdir()
         baselines.mkdir()
         for directory, output in ((baselines, self.run_output()), (fresh, fresh_output)):
-            _write(directory, bank.ARTIFACT, bank.artifact_from(bank.metrics_from(output)))
+            _write(
+                directory, self.RUN.artifact,
+                self.RUN.artifact_from(bank.metrics_from(output)),
+            )
         deltas, errors = gate.check(
-            fresh, baselines, artifacts=(bank.ARTIFACT,), tolerance=0.0
+            fresh, baselines, artifacts=(self.RUN.artifact,), tolerance=0.0
         )
         assert not errors
         return deltas
 
     def test_a_back_patch_creeping_back_fails_exactly(self, tmp_path):
-        deltas = self.gate(
-            tmp_path, self.run_output(**{"ordbms.table.updates_per_write": 0.0025})
-        )
-        assert [d.path for d in deltas if d.failed] == [
-            "counters.ordbms.table.updates_per_write"
-        ]
+        crept = self.RUN.counters[1]  # updates per write / rows fetched per match
+        deltas = self.gate(tmp_path, self.run_output(**{crept: 0.0025}))
+        assert [d.path for d in deltas if d.failed] == [f"counters.{crept}"]
 
     def test_timings_stay_out_of_the_artifact(self, tmp_path):
-        doubled = {name: 3.0 for name in bank.TIMINGS}
+        doubled = {name: 3.0 for name in self.RUN.timings}
         deltas = self.gate(tmp_path, self.run_output(**doubled))
         assert {d.path.split(".")[0] for d in deltas} == {"counters", "run"}
         assert not [d for d in deltas if d.status != "ok"]
@@ -305,7 +307,15 @@ class TestWritePathCounterGate:
             bank.metrics_from(json.dumps(broken))
 
     def test_committed_baseline_is_exactly_the_gated_counters(self):
-        committed = json.loads((gate.BASELINE_DIR / bank.ARTIFACT).read_text())
+        committed = json.loads((gate.BASELINE_DIR / self.RUN.artifact).read_text())
         assert set(committed) == {"run", "counters"}
-        assert set(committed["counters"]) == set(bank.COUNTERS)
-        assert committed["counters"]["ordbms.table.updates_per_write"] == 0.0
+        assert set(committed["counters"]) == set(self.RUN.counters)
+        assert committed["run"]["workload"] == self.RUN.workload
+        if self.RUN is bank.INGEST:
+            assert committed["counters"]["ordbms.table.updates_per_write"] == 0.0
+
+
+class TestReadPathCounterGate(TestWritePathCounterGate):
+    """The same gate over the traced ``search_cold`` run's counters."""
+
+    RUN = bank.READ

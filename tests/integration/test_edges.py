@@ -113,11 +113,13 @@ class TestSmallHelpers:
 
 
 class TestStoreDefensiveness:
-    def test_try_fetch_bad_rowid(self):
+    def test_fetch_bad_rowid_raises(self):
+        from repro.errors import RowIdError
         from repro.ordbms import RowId
 
         store = XmlStore()
-        assert store.xml_table.try_fetch(RowId(8, 8, 8)) is None
+        with pytest.raises(RowIdError):
+            store.xml_table.fetch(RowId(8, 8, 8))
 
     def test_double_store_same_name_allowed_as_distinct_docs(self):
         store = XmlStore()

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.errors import RowIdError, TransactionError
+from repro.errors import CatalogError, RowIdError, TransactionError
 from repro.ordbms import (
     ABSENT,
     Column,
@@ -15,7 +15,7 @@ from repro.ordbms import (
     TableSchema,
     VARCHAR,
 )
-from repro.ordbms.table import AUTO_VACUUM_INTERVAL
+from repro.ordbms.table import AUTO_VACUUM_INTERVAL, RUN_CHUNK
 
 
 @pytest.fixture
@@ -87,6 +87,33 @@ class TestSnapshotVisibility:
             with pytest.raises(RowIdError):
                 table.visible_many([rid], snap.lsn)
 
+    def test_visible_many_names_the_absent_rowid_batch_or_single(
+        self, database, table
+    ):
+        """One window for the whole batch changes nothing about who is
+        visible: a rowid absent at the pin raises, wherever it sits, with
+        or without history on the table."""
+        seen = [database.insert("T", {"ID": n, "V": "old"}) for n in range(3)]
+        gone = database.insert("T", {"ID": 9})
+        database.delete("T", gone)
+        database.vacuum_versions()
+        assert not table._history  # the dead-slot path: no history to ask
+        with database.open_snapshot() as snap:
+            for batch in ([gone], [seen[0], gone, seen[1]]):
+                with pytest.raises(RowIdError, match=str(gone)):
+                    table.visible_many(batch, snap.lsn)
+            late = database.insert("T", {"ID": 10})
+            database.update("T", seen[1], {"V": "new"})
+            database.delete("T", seen[2])
+            assert table._history  # the per-row path
+            for batch in ([late], seen + [late], [late, gone]):
+                with pytest.raises(RowIdError, match=str(late)):
+                    table.visible_many(batch, snap.lsn)
+            rows = table.visible_many(reversed(seen), snap.lsn)
+            assert [row["V"] for row in rows] == ["old"] * 3
+            assert [row["ROWID_"] for row in rows] == seen[::-1]
+            assert table.visible_row(late, snap.lsn) is None
+
     def test_snapshot_scan_is_as_of_pin(self, database, table):
         database.insert("T", {"ID": 1, "V": "a"})
         rid2 = database.insert("T", {"ID": 2, "V": "b"})
@@ -126,6 +153,68 @@ class TestSnapshotVisibility:
             database.insert("T", {"ID": 2, "V": "x"})
             rows = table.snapshot_search("V", "x", snap.lsn)
             assert [row["ID"] for row in rows] == [1]
+
+    def test_snapshot_rowids_is_snapshot_search_without_the_rows(
+        self, database, table
+    ):
+        table.create_index("V")
+        kept = database.insert("T", {"ID": 1, "V": "a"})
+        moved = database.insert("T", {"ID": 2, "V": "a"})
+        dropped = database.insert("T", {"ID": 3, "V": "a"})
+        with database.open_snapshot() as snap:
+            assert table.snapshot_rowids("V", "a", snap.lsn) == [
+                kept, moved, dropped,
+            ]  # nothing changed yet: the live postings, as they stand
+            database.update("T", moved, {"V": "b"})
+            database.delete("T", dropped)
+            database.insert("T", {"ID": 4, "V": "a"})
+            for value in ("a", "b", "c"):
+                assert table.snapshot_rowids("V", value, snap.lsn) == [
+                    row["ROWID_"]
+                    for row in table.snapshot_search("V", value, snap.lsn)
+                ]
+            assert table.snapshot_rowids("v", "a", snap.lsn) == [
+                kept, moved, dropped,
+            ]
+            assert table.snapshot_rowids("V", "b", snap.lsn) == []
+        unindexed = Database("d").create_table(table.schema)
+        with pytest.raises(CatalogError):
+            unindexed.snapshot_rowids("V", "a", 0)
+
+    def test_rows_after_is_the_physical_run_as_of_the_pin(
+        self, database, table
+    ):
+        first, *rest = [
+            database.insert("T", {"ID": n, "V": f"v{n}"})
+            for n in range(3 * RUN_CHUNK)
+        ]
+        assert [row["ROWID_"] for row in table.rows_after(first)] == rest
+        with database.open_snapshot() as snap:
+            late = database.insert("T", {"ID": 999})
+            database.update("T", rest[0], {"V": "changed"})
+            database.delete("T", rest[4])
+            pinned = list(table.rows_after(first, snap.lsn))
+            assert [row["ROWID_"] for row in pinned] == rest  # not ``late``
+            assert pinned[0]["V"] == "v1" and pinned[4]["V"] == "v5"
+            # Live, the deleted slot ends the run; pinned, the late row does.
+            assert [r["ROWID_"] for r in table.rows_after(first)] == rest[:4]
+            assert list(table.rows_after(rest[-1], snap.lsn)) == []
+            assert [r["ROWID_"] for r in table.rows_after(rest[-1])] == [late]
+
+    def test_rows_after_decodes_only_what_is_pulled(self, database, table):
+        previous = obs.push_registry()
+        try:
+            rowids = [database.insert("T", {"ID": n}) for n in range(40)]
+            run = table.rows_after(rowids[0])
+            assert [next(run)["ID"], next(run)["ID"]] == [1, 2]
+            run.close()
+            [(series, decoded)] = [
+                item for item in obs.snapshot().items()
+                if item[0].startswith("repro_ordbms_rows_read_total")
+            ]
+            assert decoded == 2 and 'path="fetch"' in series
+        finally:
+            obs.set_registry(previous)
 
     def test_changed_rowids_since(self, database, table):
         rid1 = database.insert("T", {"ID": 1})

@@ -18,9 +18,9 @@ from repro.ordbms import (
     VARCHAR,
 )
 from repro.ordbms.snapshot import (
-    _decode_value,
-    _encode_value,
+    decode_value,
     dump_database,
+    encode_value,
     load_database,
 )
 
@@ -66,17 +66,17 @@ class TestValueCoding:
          dt.datetime(2005, 6, 14, 12, 30), RowId(1, 2, 3)],
     )
     def test_round_trip(self, value):
-        assert _decode_value(_encode_value(value)) == value
+        assert decode_value(encode_value(value)) == value
 
     def test_bad_value_rejected(self):
         with pytest.raises(DatabaseError):
-            _encode_value(object())
+            encode_value(object())
         with pytest.raises(DatabaseError):
-            _encode_value(True)
+            encode_value(True)
 
     def test_bad_text_rejected(self):
         with pytest.raises(DatabaseError):
-            _decode_value("x:nope")
+            decode_value("x:nope")
 
 
 class TestRoundTrip:

@@ -140,3 +140,30 @@ class TestFileRollover:
         assert len(heap) == total
         # Scan order still matches insert order across files.
         assert [row[0] for _, row in heap.scan()] == list(range(total))
+
+
+class TestScanAll:
+    def test_every_slot_after_an_address_across_blocks_and_files(
+        self, monkeypatch
+    ):
+        import repro.ordbms.storage as storage_module
+
+        monkeypatch.setattr(storage_module, "BLOCK_CAPACITY", 4)
+        monkeypatch.setattr(storage_module, "FILE_CAPACITY", 2)
+        heap = HeapFile("T")
+        rowids = [heap.insert((i,)) for i in range(19)]  # 3 files, 5 blocks
+        heap.delete(rowids[6])
+        slots = list(heap.scan_all())
+        assert [rowid for rowid, _ in slots] == rowids
+        assert [row for _, row in slots] == [
+            None if i == 6 else (i,) for i in range(19)
+        ]
+        for start in (0, 3, 4, 7, 8, 17):  # mid-block, block end, file end
+            assert list(heap.scan_all(rowids[start])) == slots[start + 1:]
+        assert list(heap.scan_all(rowids[-1])) == []
+        # Addresses past the tail (a reservation not landed yet) follow nothing.
+        assert list(heap.scan_all(heap.next_rowids(2)[1])) == []
+
+    def test_invalid_start_raises(self, heap):
+        with pytest.raises(RowIdError):
+            list(heap.scan_all(RowId(0, -1, 0)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CatalogError, ConstraintError
+from repro.errors import CatalogError, ConstraintError, RowIdError
 from repro.ordbms import (
     CLOB,
     INTEGER,
@@ -113,10 +113,11 @@ class TestAccess:
         rowid = table.insert({"ID": 1})
         assert table.fetch(rowid)[ROWID_PSEUDO] == rowid
 
-    def test_try_fetch_returns_none_for_dead(self, table):
+    def test_fetch_raises_for_dead(self, table):
         rowid = table.insert({"ID": 1})
         table.delete(rowid)
-        assert table.try_fetch(rowid) is None
+        with pytest.raises(RowIdError):
+            table.fetch(rowid)
 
     def test_scan_with_expr_predicate(self, table):
         for i in range(5):

@@ -86,14 +86,6 @@ class TestPhrase:
         assert index.lookup_phrase("shuttle nozzle") == set()
 
 
-class TestPrefix:
-    def test_prefix(self, index):
-        assert index.lookup_prefix("shr") == {rid(3)}
-
-    def test_prefix_matches_whole_word_too(self, index):
-        assert index.lookup_prefix("budget") == {rid(2), rid(3)}
-
-
 class TestMutation:
     def test_remove_makes_row_unfindable(self, index):
         index.remove(rid(1), "The shuttle engine failed during ascent")

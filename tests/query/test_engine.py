@@ -3,7 +3,7 @@
 import pytest
 
 from repro.query import QueryEngine, parse_query, phrase_in
-from repro.query.ast import ContentSpec, ContextSpec
+from repro.query.ast import ContentSpec, ContextSpec, XdbQuery
 from repro.store import XmlStore
 
 
@@ -167,11 +167,11 @@ class TestScanFallback:
 
 class TestDirectSpecs:
     def test_context_search_api(self, engine):
-        matches = engine.context_search(ContextSpec(("Overview",)))
+        matches = engine.execute(XdbQuery(context=ContextSpec(("Overview",))))
         assert [match.file_name for match in matches] == ["notes.md"]
 
     def test_content_search_api(self, engine):
-        matches = engine.content_search(ContentSpec(("equipment",)))
+        matches = engine.execute(XdbQuery(content=ContentSpec(("equipment",))))
         assert {match.file_name for match in matches} == {
             "notes.md", "budget.csv",
         }

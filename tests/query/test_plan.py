@@ -66,11 +66,11 @@ class TestLimitPushdown:
         full_ctx, _, full = drain(engine, "Content=travel")
         limited_ctx, _, limited = drain(engine, "Content=travel&limit=3")
         assert len(full) == DOC_COUNT
-        # Sibling hops happen only inside section walks; the limited run
-        # must do strictly less of them.
+        # Both runs fetch the same hits and ancestors; only the section
+        # walks differ, so the limited run must fetch strictly fewer rows.
         assert (
-            limited_ctx.accessor.stats.sibling_hops
-            < full_ctx.accessor.stats.sibling_hops
+            limited_ctx.accessor.stats.rows_fetched
+            < full_ctx.accessor.stats.rows_fetched
         )
 
     def test_limited_prefix_matches_full_run(self, wide_store):
@@ -88,7 +88,15 @@ class TestLimitPushdown:
         assert find_operator(root, "materialize").rows_out == 2
         # A context search tests headings only; section scopes stay
         # untouched until a caller asks a lazy match for its content.
-        assert ctx.accessor.stats.sibling_hops == 0
+        # The same query with a content test must walk the two sections
+        # it admits, and fetches their rows on top.
+        walked_ctx, _, _ = drain(
+            engine, "Context=Budget&Content=travel&limit=2"
+        )
+        assert (
+            ctx.accessor.stats.rows_fetched
+            < walked_ctx.accessor.stats.rows_fetched
+        )
 
     def test_combined_query_respects_limit(self, wide_store):
         engine = QueryEngine(wide_store)
@@ -101,10 +109,10 @@ class TestLazyMaterialization:
     def test_section_resolution_deferred_until_access(self, wide_store):
         engine = QueryEngine(wide_store)
         ctx, _, matches = drain(engine, "Context=Budget&limit=2")
-        hops_before = ctx.accessor.stats.sibling_hops
+        fetched_before = ctx.accessor.stats.rows_fetched
         match = matches[0]
         assert "Travel spending" in match.content
-        assert ctx.accessor.stats.sibling_hops > hops_before
+        assert ctx.accessor.stats.rows_fetched > fetched_before
 
     def test_lazy_match_survives_source_rebrand(self, wide_store):
         engine = QueryEngine(wide_store)

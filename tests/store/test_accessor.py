@@ -90,7 +90,7 @@ class TestMemoization:
         accessor.stats.reset()
         assert accessor.section_text(alpha) == text
         assert accessor.stats.point_fetches == 0
-        assert accessor.stats.sibling_hops == 0
+        assert accessor.stats.rows_fetched == 0
         assert accessor.stats.cache_hits == 1
 
     def test_governing_context_memoized_per_row(self, store_with_doc):

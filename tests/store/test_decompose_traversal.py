@@ -54,7 +54,7 @@ class TestDecomposition:
 
     def test_root_has_no_parent(self, store_with_doc):
         store, result = store_with_doc
-        root = store.fetch_node(result.root_rowid)
+        root = store.accessor.node(result.root_rowid)
         assert root["PARENTROWID"] is None
         assert root["NODENAME"] == "document"
 
@@ -67,7 +67,7 @@ class TestDecomposition:
 
     def test_sibling_chain_terminates_and_orders(self, store_with_doc):
         store, result = store_with_doc
-        root = store.fetch_node(result.root_rowid)
+        root = store.accessor.node(result.root_rowid)
         first, second = store.accessor.children(root)
         assert store.accessor.next_sibling(first)["NODEID"] == second["NODEID"]
         assert store.accessor.next_sibling(second) is None
@@ -81,7 +81,7 @@ class TestDecomposition:
 
     def test_children_sorted_by_ordinal(self, store_with_doc):
         store, result = store_with_doc
-        root = store.fetch_node(result.root_rowid)
+        root = store.accessor.node(result.root_rowid)
         sections = store.accessor.children(root)
         titles = [
             store.accessor.context_title(store.accessor.children(s)[0])
@@ -121,7 +121,9 @@ class TestTraversal:
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
         context = store.accessor.parent(alpha_heading)
-        rowids = store.accessor.scope_rowids(context)
+        rowids = {
+            row[ROWID_PSEUDO] for row in store.accessor.section_scope(context)
+        }
         [content_row] = text_rows(store, "alpha text one")
         assert content_row[ROWID_PSEUDO] in rowids
 

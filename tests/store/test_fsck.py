@@ -128,6 +128,20 @@ class TestCorruptionClasses:
                 XML_TABLE, child[ROWID_PSEUDO],
                 {"SIBLINGID": child[ROWID_PSEUDO]},
             )
+        elif code == "doc-order":
+            # A well-linked node of document 1, stored behind document
+            # 2's rows: no link is wrong, only where the row sits.
+            last = max(
+                (row for row in rows if row["PARENTROWID"] == child[ROWID_PSEUDO]),
+                key=lambda row: row["ORDINAL"],
+            )
+            late = database.insert(XML_TABLE, {
+                "NODEID": 9999, "DOC_ID": 1, "NODETYPE": 2,
+                "NODENAME": "late", "ORDINAL": last["ORDINAL"] + 1,
+                "PARENTROWID": child[ROWID_PSEUDO],
+                "PARENTNODEID": child["NODEID"],
+            })
+            database.update(XML_TABLE, last[ROWID_PSEUDO], {"SIBLINGID": late})
         elif code == "btree-drift":
             index = store.xml_table.index_on("NODENAME")
             index.insert("ghost-entry", child[ROWID_PSEUDO])
@@ -153,6 +167,7 @@ class TestCorruptionClasses:
             "foreign-sibling",
             "duplicate-ordinal",
             "sibling-chain",
+            "doc-order",
             "btree-drift",
             "text-index-drift",
         ],
@@ -186,6 +201,46 @@ class TestCorruptionClasses:
         assert "btree-drift" in check_store(loaded.database).codes()
         assert repair_store(loaded.database).ok
         assert loaded.xml_table.index_on("NODETYPE").search(key)[0] == first
+
+    def test_misplaced_row_is_the_only_finding_and_repair_leaves_it(self, loaded):
+        """``doc-order`` is about where a row sits, nothing else: every
+        link of the planted row is right, and nothing derivable moves it."""
+        self.seed(loaded, "doc-order")
+        report = check_store(loaded.database)
+        assert report.codes() == {"doc-order"} and report.count("doc-order") == 1
+        assert report.violations[0].doc_id == 1
+        assert repair_store(loaded.database).codes() == {"doc-order"}
+
+    @pytest.mark.parametrize(
+        "layout, problem",
+        [
+            # (name, parent, ordinal) in the order the rows are stored
+            ([("a", "r", 0), ("r", None, 0)], "does not start at the root"),
+            ([("r", None, 0), ("a", "r", 0), ("b", "r", 1), ("c", "a", 0)],
+             "not an open ancestor"),
+            ([("r", None, 0), ("b", "r", 1), ("a", "r", 0)],
+             "after a sibling it should precede"),
+            ([("r", None, 0), ("a", "r", 0), ("s", None, 1)],
+             "after a sibling it should precede"),  # a second root
+        ],
+    )
+    def test_every_way_of_leaving_document_order(self, store, layout, problem):
+        database = store.database
+        database.insert("DOC", {"DOC_ID": 1, "FILE_NAME": "planted.xml"})
+        names = [name for name, _, _ in layout]
+        addresses = dict(zip(names, store.xml_table.next_rowids(len(layout))))
+        for name, parent, ordinal in layout:
+            database.insert(XML_TABLE, {
+                "NODEID": names.index(name) + 1, "DOC_ID": 1, "NODETYPE": 2,
+                "NODENAME": name, "ORDINAL": ordinal,
+                "PARENTROWID": addresses.get(parent),
+                "PARENTNODEID": names.index(parent) + 1 if parent else None,
+            })
+        [found] = [
+            violation for violation in check_store(database).violations
+            if violation.code == "doc-order"
+        ]
+        assert problem in found.detail
 
     def test_structural_loss_survives_repair(self, loaded):
         """Genuinely lost data is still reported after a repair pass."""

@@ -1,7 +1,11 @@
 """Store-level MVCC: pinned reads stay byte-identical under ingest."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
@@ -179,3 +183,70 @@ class TestSnapshotQueries:
                 engine.execute(query, snapshot=snap).to_xml(), indent=2
             )
         assert pinned == quiesced
+
+
+class TestPinnedReadersUnderARealWriter:
+    """The read path's batch window, forward read and rowid-only probe,
+    pinned, while another thread rewrites the very rows they answer from."""
+
+    QUERY = "Context=Technology Gap&Content=program&Cache=0"
+
+    def pinned_view(self, store, engine, snap):
+        """The body, every matched section's run and every matched
+        document's rowids, all as of ``snap``."""
+        results = engine.execute(self.QUERY, snapshot=snap)
+        accessor = store.new_accessor(snap)
+        runs = [
+            accessor.subtree(accessor.node(match.rowid), siblings=True)
+            for match in results
+        ]
+        rowids = [
+            store.xml_table.snapshot_rowids("DOC_ID", match.doc_id, snap.lsn)
+            for match in results
+        ]
+        return serialize(results.to_xml(), indent=2), runs, rowids
+
+    def test_answers_do_not_move_while_the_writer_does(self, store, corpus):
+        engine = QueryEngine(store, cache=QueryCache())
+        matched = engine.execute(self.QUERY).documents()
+        assert len(matched) >= 3
+        spare = {file.name.rsplit(".", 1)[1]: file for file in corpus[12:]}
+        failures: list[BaseException] = []
+
+        def write():
+            try:
+                for round_no in range(3):
+                    for name in matched[1:]:  # the matched sections themselves
+                        store.replace_text(
+                            spare[name.rsplit(".", 1)[1]].text, name
+                        )
+                    for file in corpus[12:]:  # more rows with the term
+                        store.replace_text(file.text, file.name)
+                doomed = store.lookup_by_name(matched[0])
+                store.delete_document(doomed.doc_id)
+            except BaseException as error:  # pragma: no cover - failure path
+                failures.append(error)
+
+        writer = threading.Thread(target=write)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with store.snapshot() as snap:
+                before = self.pinned_view(store, engine, snap)
+                assert all(before[1]) and all(before[2])
+                writer.start()
+                reads = 0
+                while writer.is_alive() or reads < 3:
+                    assert self.pinned_view(store, engine, snap) == before
+                    reads += 1
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+                assert self.pinned_view(store, engine, snap) == before
+        finally:
+            sys.setswitchinterval(interval)
+            writer.join(timeout=60)
+        assert not failures
+        assert store.xml_table.read_retries >= 0  # may rise; answers may not
+        assert matched[0] not in engine.execute(self.QUERY).documents()
+        with store.snapshot() as later:
+            assert self.pinned_view(store, engine, later) != before

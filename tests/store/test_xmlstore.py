@@ -12,7 +12,7 @@ from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
-from repro.store import XmlStore, check_store
+from repro.store import XmlStore, check_store, compose_section
 
 
 class TestIngestion:
@@ -85,9 +85,11 @@ class TestReconstruction:
         [budget_context] = [
             row
             for row in loaded_store.contexts(1)
-            if "Budget" in (loaded_store.section(row).text_content())
+            if "Budget" in (
+                compose_section(loaded_store.database, row).text_content()
+            )
         ]
-        section = loaded_store.section(budget_context)
+        section = compose_section(loaded_store.database, budget_context)
         assert section.tag == "section"
         assert section.find("context") is not None
 
@@ -228,7 +230,7 @@ class TestPreIndexSnapshot:
         assert check_store(store.database).ok
         # It writes like any other store, past the old tombstones.
         result = store.replace_text("# Plan\n\nRecover.\n", "plan.md")
-        assert store.fetch_node(result.root_rowid)["ROWID_"].slot_no == 18
+        assert store.xml_table.fetch(result.root_rowid)["ROWID_"].slot_no == 18
         assert store.lookup_by_name("plan.md").doc_id == 3
         assert "FILE_NAME" in store.dump().split("\n")[2]
 
