@@ -228,7 +228,7 @@ def test_report_limit_pushdown_fetches(benchmark, stores):
 
 
 def test_report_result_cache(benchmark, stores):
-    """Hot-query replay through the generation-keyed result cache.
+    """Hot-query replay through the commit-LSN-keyed result cache.
 
     The cache's acceptance claim (PR 10): a hot fig6 context search at
     the largest corpus must replay at >= 5x the uncached engine's

@@ -223,7 +223,12 @@ class Netmark:
     def fsck(self, repair: bool = False) -> FsckReport:
         """Run the store consistency checker (optionally repairing)."""
         if repair:
-            return repair_store(self.store.database)
+            report = repair_store(self.store.database)
+            # Repair is the one writer that edits stored rows in place,
+            # so the one event that can falsify a pooled lift.  (The
+            # result cache needs nothing: its updates move the LSN.)
+            self.store.lift_cache.clear()
+            return report
         return check_store(self.store.database)
 
     # -- catalog ------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """MVCC: commit-LSN-stamped row versions and snapshot pins.
 
-This generalizes the accessor's write-generation scheme (PR 3) into real
-multi-version concurrency control.  One :class:`MvccState` per database
-holds the **commit LSN** — a monotonic counter bumped by every mutation
-statement — and the set of *pinned* LSNs held by open :class:`Snapshot`
-handles.  The concurrency model is deliberately asymmetric:
+One :class:`MvccState` per database holds the **commit LSN** — a
+monotonic counter bumped by every mutation statement, and the one
+version counter in the system: the live accessor's guard and the result
+cache's stamp read it too — and the set of *pinned* LSNs held by open
+:class:`Snapshot` handles.  The concurrency model is deliberately
+asymmetric:
 
 * **Single writer.**  Exactly one thread (the daemon's ingest path)
   mutates the database.  :meth:`MvccState.begin_statement` enforces this
@@ -27,7 +28,7 @@ handles.  The concurrency model is deliberately asymmetric:
 * **Bounded GC.**  History is reclaimed by :meth:`Table.vacuum_versions`
   down to the *GC horizon* — the oldest pinned LSN (transaction pins
   included), or the current LSN when nothing is pinned.  A pinned
-  generation is therefore never reclaimed; an idle system converges to
+  version is therefore never reclaimed; an idle system converges to
   zero retained versions.
 
 Writer statement protocol (see :class:`repro.ordbms.table.Table`): open

@@ -70,6 +70,11 @@ class StreamReplayer:
     COMMIT / ROLLBACK record streams past; :meth:`discard_in_flight`
     undoes whatever is still open (the loser-discard step, used at
     end-of-log and at failover promotion).
+
+    Physical replay bypasses the table statements, so the replayer moves
+    the database's commit LSN itself — once per resolved transaction,
+    loser discard and autocommit mutation — and a result cached over a
+    follower's store is stamped like one over the coordinator's.
     """
 
     def __init__(self, database: Database, applied_lsn: int = 0) -> None:
@@ -103,13 +108,17 @@ class StreamReplayer:
             _apply(self.database, record)
             if mutations is not None:
                 mutations.append(record)
+            else:
+                self._publish()
             self.records_applied += 1
         elif record.kind == COMMIT:
             _close(self._open, record)
+            self._publish()
             self.transactions_committed += 1
         elif record.kind == ROLLBACK:
             for mutation in reversed(_close(self._open, record)):
                 _undo(self.database, mutation)
+            self._publish()
             self.transactions_rolled_back += 1
         elif record.kind == TRUNCATE:
             mutations = _close(self._open, record)
@@ -143,7 +152,14 @@ class StreamReplayer:
         for record in reversed(leftovers):
             _undo(self.database, record)
         self._open.clear()
+        if losers:
+            self._publish()
         return losers
+
+    def _publish(self) -> None:
+        """Rows changed for every reader: move the commit LSN."""
+        mvcc = self.database.mvcc
+        mvcc.commit_statement(mvcc.lsn + 1)
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,6 @@ class Table:
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self._heap = HeapFile(schema.name)
-        #: Write-generation counter: bumped by every mutation (insert,
-        #: update, delete, restore).  Read-side caches such as
-        #: :class:`repro.store.accessor.NodeAccessor` snapshot this value
-        #: and invalidate themselves when it moves.
-        self._generation = 0
         #: Seqlock for lock-free readers: odd while a mutation statement
         #: is mid-flight (heap/index structures may be inconsistent),
         #: even otherwise.  Readers snapshot it around structural reads
@@ -103,7 +98,6 @@ class Table:
         self._history.setdefault(rowid, []).append((lsn, image))
 
     def _commit_statement(self, lsn: int | None) -> None:
-        self._generation += 1
         if lsn is None or self._mvcc is None:
             return
         self._mvcc.commit_statement(lsn)
@@ -115,7 +109,7 @@ class Table:
         """Version-GC: drop history entries at or below the GC horizon.
 
         The horizon defaults to the database's — the oldest pinned LSN
-        (so a pinned generation is never reclaimed), or the current LSN
+        (so a pinned version is never reclaimed), or the current LSN
         when no snapshot is open.  Runs on the writer thread; the new
         history dict is swapped in atomically so concurrent readers keep
         a consistent (pre-sweep) reference.  Returns entries reclaimed.
@@ -213,8 +207,11 @@ class Table:
 
         Derived state is exactly that — derivable; this is the repair
         path ``store.fsck --repair`` and recovery diagnostics use when
-        an index has drifted from the rows it claims to describe.
+        an index has drifted from the rows it claims to describe.  A
+        statement like any other: probes may answer differently after
+        it, so it moves the commit LSN.
         """
+        lsn = self._begin_statement()
         self._seq += 1
         try:
             for column in self._indexes:
@@ -223,7 +220,7 @@ class Table:
                 self._text_indexes[column] = self._build_text_index(column)
         finally:
             self._seq += 1
-            self._generation += 1
+            self._commit_statement(lsn)
 
     def index_on(self, column: str) -> BTreeIndex | None:
         return self._indexes.get(column.upper())
@@ -236,11 +233,6 @@ class Table:
         return tuple(self._indexes)
 
     # -- mutation -----------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Monotonic write counter; moves on every mutation of this table."""
-        return self._generation
 
     def insert(self, values: Mapping[str, Any]) -> RowId:
         """Validate, constraint-check and store a row; returns its ROWID."""
@@ -550,7 +542,7 @@ class Table:
         judge: Callable[[tuple[Any, ...]], bool],
         pin: int,
     ) -> list[RowId]:
-        """Generation-aware probing: an index answer corrected to ``pin``.
+        """Pin-aware probing: an index answer corrected to ``pin``.
 
         ``probe`` reads the *live* postings (a fresh collection); they
         keep their verdict unless the row changed after the pin, and

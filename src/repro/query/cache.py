@@ -1,22 +1,18 @@
-"""The generation-keyed result cache (PR 10 tentpole, part 1).
+"""The commit-LSN-keyed result cache.
 
 A :class:`QueryCache` memoizes complete engine answers.  The key is the
 *normalized semantic core* of an :class:`~repro.query.ast.XdbQuery` —
 every field that changes what the engine returns (context phrases,
 content terms + mode, nodename, doc/format filters, limit, index mode)
-— plus a **version stamp** that pins the entry to the store state it was
-computed against:
-
-* snapshot execution stamps ``("lsn", snapshot.lsn)``.  MVCC makes a
-  result at LSN *S* eternally valid *for readers pinned at S*; a new
-  request only presents the same stamp when no commit has happened since
-  (its fresh pin lands on the same LSN), so an entry is never served
-  across a generation bump — invalidation on commit is exact and free.
-* live execution stamps ``("gen", doc-generation, xml-generation)``,
-  captured **before** the plan runs.  Any commit moves a generation, so
-  later lookups miss; if a write raced the plan, the entry was keyed at
-  the pre-write stamp and is simply unreachable.  Stale-generation
-  entries are purged on the next store (exact invalidation on commit).
+— plus one **version stamp**, the commit LSN of the store state the
+answer was computed against: the pin's LSN for a snapshot execution,
+``database.mvcc.lsn`` for a live one, captured **before** the plan
+runs.  MVCC makes a result at LSN *S* eternally valid for readers at
+*S*; a new request presents the same stamp only when nothing has
+committed since, so an entry is never served across a commit.  If a
+write raced a live plan, the entry was keyed at the pre-write LSN and
+is simply unreachable.  Entries below the storing reader's LSN are
+purged on the next store.
 
 Presentation fields (stylesheet, databank, trace, explain, deadline,
 extras) are *excluded* from the key: they do not change the match list,
@@ -58,7 +54,6 @@ DEFAULT_CAPACITY = 256
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
 
 Key = tuple
-Version = tuple
 
 
 class QueryCache:
@@ -98,25 +93,19 @@ class QueryCache:
     # -- keying -------------------------------------------------------------
 
     @staticmethod
-    def version_for(
-        store, snapshot: Snapshot | None
-    ) -> Version:
-        """The store-state stamp a run executed (or will execute) at.
+    def version_for(store, snapshot: Snapshot | None) -> int:
+        """The commit LSN a run executed (or will execute) at.
 
         Must be captured *before* plan execution: if a write commits
-        mid-plan the entry stays keyed at the pre-write stamp, which no
+        mid-plan the entry stays keyed at the pre-write LSN, which no
         later lookup can present — unreachable beats stale.
         """
         if snapshot is not None:
-            return ("lsn", snapshot.lsn)
-        return (
-            "gen",
-            store.doc_table.generation,
-            store.xml_table.generation,
-        )
+            return snapshot.lsn
+        return store.database.mvcc.lsn
 
     @staticmethod
-    def key_for(query: XdbQuery, use_index: bool, version: Version) -> Key:
+    def key_for(query: XdbQuery, use_index: bool, version: int) -> Key:
         """Normalize the semantic core of ``query`` into a cache key."""
         return (
             query.context.phrases if query.context is not None else None,
@@ -151,14 +140,13 @@ class QueryCache:
         return entry[0]
 
     def store(
-        self, key: Key, matches: list[SectionMatch], version: Version
+        self, key: Key, matches: list[SectionMatch], version: int
     ) -> None:
         """Admit a complete, eagerly-resolved answer under ``key``.
 
-        ``version`` is the stamp inside ``key``; live-mode stores use it
-        to purge entries left over from older generations (the exact
-        invalidation-on-commit sweep — cheap, because the pool is small
-        and the sweep runs only on misses).
+        ``version`` is the stamp inside ``key``; entries stamped below
+        it are purged (the invalidation-on-commit sweep — cheap, because
+        the pool is small and the sweep runs only on misses).
         """
         frozen = tuple(matches)
         size = sum(
@@ -167,14 +155,11 @@ class QueryCache:
         )
         evicted = 0
         with self._lock:
-            if version[0] == "gen":
-                stale = [
-                    old_key
-                    for old_key in self._entries
-                    if old_key[-1][0] == "gen" and old_key[-1] != version
-                ]
-                for old_key in stale:
-                    self._bytes -= self._entries.pop(old_key)[1]
+            stale = [
+                old_key for old_key in self._entries if old_key[-1] < version
+            ]
+            for old_key in stale:
+                self._bytes -= self._entries.pop(old_key)[1]
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]

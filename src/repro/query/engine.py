@@ -32,8 +32,8 @@ matter how large the corpus.  ``explain`` runs the same plan and returns
 the operator tree with observed row counts instead of results.
 
 All row access goes through one per-query
-:class:`~repro.store.accessor.NodeAccessor` (batched, memoized,
-write-generation guarded), shared with the lazy
+:class:`~repro.store.accessor.NodeAccessor` (batched, memoized, pinned
+or commit-LSN guarded), shared with the lazy
 :class:`~repro.query.results.SectionMatch` loaders the plan emits.
 """
 
@@ -100,8 +100,8 @@ class QueryEngine:
     """Evaluates XDB queries against one :class:`XmlStore`.
 
     With ``cache`` (a :class:`~repro.query.cache.QueryCache`) the engine
-    serves repeated queries from the generation-keyed result cache and
-    its plans read structural lifts through the store's shared
+    serves repeated queries from the commit-LSN-keyed result cache and
+    its plans read lifts and catalog entries through the store's shared
     :class:`~repro.store.liftcache.LiftCache`.  Both are byte-identical
     by construction; ``Cache=0`` on a query opts that request out.
     Without ``cache`` (the default) execution is exactly the uncached

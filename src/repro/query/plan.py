@@ -112,9 +112,10 @@ class PlanContext:
     """Shared execution state for one query's plan.
 
     Owns the per-query :class:`NodeAccessor` (memoized, batch-fetching
-    row access) and a memo of DOC-table catalog entries so repeated
-    ``describe`` lookups during filtering and materialization cost one
-    B+tree probe per document, total.
+    row access), through whose memo catalog entries go too: repeated
+    ``describe`` lookups during filtering and materialization cost at
+    most one B+tree probe per document, none when the store's pool
+    already holds the entry.
     """
 
     def __init__(
@@ -138,15 +139,13 @@ class PlanContext:
         #: checks it at its pull boundary, so one expired deadline stops
         #: the whole tree cooperatively.  None = unbounded.
         self.budget = budget
-        self._entries: dict[int, StoredDocument] = {}
 
     def entry(self, doc_id: int) -> StoredDocument:
-        """Catalog entry for ``doc_id``, memoized per plan."""
-        entry = self._entries.get(doc_id)
-        if entry is None:
-            entry = self.store.describe(doc_id, snapshot=self.snapshot)
-            self._entries[doc_id] = entry
-        return entry
+        """Catalog entry for ``doc_id`` — a DOC row is as write-once as
+        an XML row, so the entry is memoized like a lift."""
+        return self.accessor.memoized(
+            "entry", doc_id, self.store.describe, doc_id, self.snapshot
+        )
 
     def file_name(self, doc_id: int) -> str:
         return self.entry(doc_id).file_name

@@ -21,8 +21,8 @@ fragment are resolved on first attribute access (then cached on the
 match).  Sorting, limiting and federated routing therefore never pay for
 section reconstruction of matches that get cut; only the matches that
 actually render resolve.  Loader-backed resolution goes through the
-per-query :class:`~repro.store.accessor.NodeAccessor`, whose
-write-generation guard keeps late resolution consistent with the store.
+per-query :class:`~repro.store.accessor.NodeAccessor`, whose pin (or,
+live, commit-LSN guard) keeps late resolution consistent with the store.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class ResultSet:
     complete answer has ``partial=False`` and renders byte-identically
     to the pre-resilience format.
 
-    ``cached`` marks an answer replayed from the generation-keyed result
+    ``cached`` marks an answer replayed from the commit-LSN-keyed result
     cache.  It is *transport metadata*, deliberately not rendered by
     :meth:`to_xml` — a cached answer must stay byte-identical to a fresh
     one; the HTTP layer stamps its envelope (``cached="true"``) instead.

@@ -14,19 +14,20 @@ keeps the hops and asks for rows last:
   (context ancestor, governing context, section scope, text, title) are
   computed once per accessor and reused by every operator of a plan and
   by the lazy :class:`~repro.query.results.SectionMatch` loaders;
-* **invalidation** — every cache is guarded by the XML table's
-  write-generation counter: any write moves it and the next read drops
-  all cached state first, so laziness never outlives a write;
+* **invalidation** — a live accessor's private caches are guarded by
+  the database's commit LSN: any statement moves it and the next read
+  drops all cached state first, so laziness never outlives a write;
 * **snapshot pinning** — constructed with a
   :class:`~repro.ordbms.mvcc.Snapshot`, the accessor reads *through* the
   pin: rows resolve to their version as of its commit LSN, index probes
   are patched with the rows that changed since, and the caches never
   invalidate — the pinned view cannot go stale because it never moves;
-* **shared lifts** — constructed with a
-  :class:`~repro.store.liftcache.LiftCache`, the lift memos read through
-  the cross-query pool, keyed by the *same* generation counter (live) or
-  the pinned LSN, so shared state can never outlive a write the private
-  memos would have noticed — one source of truth, two cache tiers.
+* **shared facts** — constructed with a
+  :class:`~repro.store.liftcache.LiftCache`, the memo reads through the
+  cross-query pool.  Stored rows never change, so a lift is a fact about
+  its ROWID for every reader that can see the row, and the pool needs no
+  version: an accessor only refrains from *publishing* while a
+  transaction is open around its live reads.
 
 Accessors are cheap to construct; the query engine makes one per query,
 and an :class:`~repro.store.xmlstore.XmlStore` keeps a long-lived one for
@@ -36,7 +37,7 @@ reconstruction.  This class is the only traversal implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.ordbms import Database, RowId, Snapshot
 from repro.ordbms.table import ROWID_PSEUDO
@@ -83,75 +84,80 @@ class NodeAccessor:
         self.database = database
         self.table = database.table(XML_TABLE)
         self.stats = AccessorStats()
-        #: Pinned MVCC snapshot; None means "live" (generation-guarded).
+        #: Pinned MVCC snapshot; None means "live" (commit-LSN-guarded).
         self.snapshot = snapshot
-        #: Cross-query lift pool; None means "private memos only".
+        #: Cross-query memo pool; None means "private memos only".
         self._lifts = lifts
         self._generation = (
-            snapshot.lsn if snapshot is not None else self.table.generation
+            snapshot.lsn if snapshot is not None else database.mvcc.lsn
         )
-        #: The version these reads are valid at (see LiftCache).
-        self._token = ("gen" if snapshot is None else "lsn", self._generation)
         self._rows: dict[RowId, Row] = {}
         self._children: dict[int, tuple[RowId, ...]] = {}
-        #: The five structural memos, keyed ``(kind, rowid)``.
-        self._memo: dict[tuple[str, RowId], Any] = {}
+        #: The one memo: the five structural lifts keyed ``(kind,
+        #: rowid)`` and catalog entries keyed ``("entry", doc_id)``.
+        self._memo: dict[tuple[str, Hashable], Any] = {}
 
-    # -- generation guard ---------------------------------------------------
+    # -- the live guard -------------------------------------------------------
 
     def _sync(self) -> None:
-        """Drop every cache if the table has been written to since."""
+        """Drop every private cache if anything committed since."""
         if self.snapshot is not None:
             return  # the pinned view never moves, so caches never stale
-        generation = self.table.generation
-        if generation != self._generation:
-            self._generation = generation
-            self._token = ("gen", generation)
+        lsn = self.database.mvcc.lsn
+        if lsn != self._generation:
+            self._generation = lsn
             self.stats.invalidations += 1
             self._rows.clear()
             self._children.clear()
             self._memo.clear()
-            if self._lifts is not None:
-                # Same tripwire, same counter: if the store's write hooks
-                # already advanced the shared pool this is a no-op; a
-                # write that bypassed the facade clears it wholesale.
-                self._lifts.observe(generation, self.database.mvcc.lsn)
 
     @property
     def generation(self) -> int:
-        """The table write generation this accessor's caches reflect."""
+        """The commit LSN this accessor's caches reflect: the pin, or
+        the LSN the live guard last saw."""
         return self._generation
 
-    # -- the memo: private first, then the shared lift pool ------------------
+    # -- the memo: private first, then the shared pool -----------------------
 
-    def _recall(self, kind: str, row: Row) -> Any:
-        """The memoized ``kind`` lift of ``row``, or ``_MISS``.
+    def _recall(self, kind: str, key: Hashable) -> Any:
+        """The memoized ``kind`` fact about ``key``, or ``_MISS``.
 
         One read of the private memo, then at most one of the shared
         pool, whose answer the private memo adopts — so however often a
-        lift is asked for, the pool is asked once.
+        fact is asked for, the pool is asked once.
         """
         self._sync()
-        key = (kind, row[ROWID_PSEUDO])
-        value = self._memo.get(key, _MISS)
+        value = self._memo.get((kind, key), _MISS)
         if value is not _MISS:
             self.stats.cache_hits += 1
         elif self._lifts is not None:
-            value = self._lifts.get(row["DOC_ID"], kind, key[1], self._token)
+            value = self._lifts.get(kind, key)
             if value is _MISS:
                 self.stats.shared_misses += 1
             else:
                 self.stats.shared_hits += 1
-                self._memo[key] = value
+                self._memo[kind, key] = value
         return value
 
-    def _remember(self, kind: str, row: Row, value: Any) -> Any:
-        """Memoize a computed lift, privately and in the shared pool."""
-        self._memo[kind, row[ROWID_PSEUDO]] = value
-        if self._lifts is not None:
-            self._lifts.put(
-                row["DOC_ID"], kind, row[ROWID_PSEUDO], value, self._token
-            )
+    def _remember(self, kind: str, key: Hashable, value: Any) -> Any:
+        """Memoize a computed fact privately and, from a
+        transaction-consistent view, in the shared pool: a live read
+        inside an open transaction may have seen half a document."""
+        self._memo[kind, key] = value
+        if self._lifts is not None and (
+            self.snapshot is not None or not self.database.in_transaction
+        ):
+            self._lifts.put(kind, key, value)
+        return value
+
+    def memoized(
+        self, kind: str, key: Hashable, compute: Callable[..., Any], *args: Any
+    ) -> Any:
+        """The ``kind`` fact about ``key`` (a ROWID, or a doc id for the
+        plan's catalog entries): ``compute(*args)``, at most once."""
+        value = self._recall(kind, key)
+        if value is _MISS:
+            value = self._remember(kind, key, compute(*args))
         return value
 
     # -- row access ---------------------------------------------------------
@@ -234,7 +240,7 @@ class NodeAccessor:
         )
         return child_rows
 
-    # -- generation-aware probes (MVCC) -----------------------------------------
+    # -- pin-aware probes (MVCC) ------------------------------------------------
 
     def probe_text(
         self,
@@ -282,24 +288,18 @@ class NodeAccessor:
 
     # -- traversal (paper §2.1.4), memoized ------------------------------------
 
-    def _memoized(
-        self, kind: str, row: Row, compute: Callable[[Row], Any]
-    ) -> Any:
-        value = self._recall(kind, row)
-        if value is _MISS:
-            value = self._remember(kind, row, compute(row))
-        return value
-
     def context_ancestor(self, row: Row) -> Row | None:
         """Nearest *proper ancestor* CONTEXT element (else None)."""
-        memo = self._memoized("ancestor", row, self._walk_up)
+        memo = self.memoized(
+            "ancestor", row[ROWID_PSEUDO], self._walk_up, row
+        )
         return None if memo is None else self.node(memo)
 
     def governing_context(self, row: Row) -> Row | None:
         """Nearest enclosing/preceding CONTEXT for any node row (None for
         front matter preceding every context)."""
-        memo = self._memoized(
-            "governing", row, lambda row: self._walk_up(row, preceding=True)
+        memo = self.memoized(
+            "governing", row[ROWID_PSEUDO], self._walk_up, row, True
         )
         return None if memo is None else self.node(memo)
 
@@ -313,14 +313,15 @@ class NodeAccessor:
         rows arrive in one batch.
         """
         kind = "governing" if governing else "ancestor"
-        memos = [self._recall(kind, row) for row in rows]
+        memos = [self._recall(kind, row[ROWID_PSEUDO]) for row in rows]
         self.prefetch_ancestors(
             [row for row, memo in zip(rows, memos) if memo is _MISS]
         )
         for position, row in enumerate(rows):
             if memos[position] is _MISS:
                 memos[position] = self._remember(
-                    kind, row, self._walk_up(row, preceding=governing)
+                    kind, row[ROWID_PSEUDO],
+                    self._walk_up(row, preceding=governing),
                 )
         self.nodes(list(dict.fromkeys(m for m in memos if m is not None)))
         return [None if m is None else self._rows[m] for m in memos]
@@ -397,9 +398,9 @@ class NodeAccessor:
         come through this accessor's own fetch path, so snapshot
         pinning still applies.
         """
-        return self.nodes(
-            self._memoized("scope", context_row, self._walk_scope)
-        )
+        return self.nodes(self.memoized(
+            "scope", context_row[ROWID_PSEUDO], self._walk_scope, context_row
+        ))
 
     def _walk_scope(self, context_row: Row) -> tuple[RowId, ...]:
         beside = context_row["PARENTROWID"]
@@ -411,16 +412,16 @@ class NodeAccessor:
 
     def section_text(self, context_row: Row) -> str:
         """Concatenated TEXT data of the scope — the "content portion"."""
-        return self._memoized(
-            "text", context_row,
-            lambda row: self._joined_text(self.section_scope(row)),
+        return self.memoized(
+            "text", context_row[ROWID_PSEUDO],
+            lambda: self._joined_text(self.section_scope(context_row)),
         )
 
     def context_title(self, context_row: Row) -> str:
         """Heading text of a CONTEXT element (its TEXT descendants)."""
-        return self._memoized(
-            "title", context_row,
-            lambda row: self._joined_text(self.subtree(row)),
+        return self.memoized(
+            "title", context_row[ROWID_PSEUDO],
+            lambda: self._joined_text(self.subtree(context_row)),
         )
 
     def _joined_text(self, rows: Iterable[Row]) -> str:

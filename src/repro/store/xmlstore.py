@@ -81,12 +81,9 @@ class XmlStore:
         self._xml_table = database.table(XML_TABLE)
         self._decomposer = Decomposer(database, config)
         self._accessor = NodeAccessor(database)
-        #: Cross-query structural-lift memo pool; cache-enabled query
-        #: engines read through it (see :mod:`repro.store.liftcache`).
-        self.lift_cache = LiftCache(
-            generation=self._xml_table.generation,
-            lsn=database.mvcc.lsn,
-        )
+        #: Cross-query pool of lifts and catalog entries; cache-enabled
+        #: query engines read through it (:mod:`repro.store.liftcache`).
+        self.lift_cache = LiftCache()
         #: Set by :meth:`open` when the store came back from a crash.
         self.last_recovery = None
 
@@ -169,13 +166,7 @@ class XmlStore:
         self, document: Document, file_date: _dt.datetime | None = None
     ) -> DecomposeResult:
         """Store an already-parsed DOM document."""
-        result = self._decomposer.load(document, file_date=file_date)
-        # Announce the commit to the shared lift pool: only this doc's
-        # entries drop (it is brand new, so none exist) and the pool's
-        # write position catches up with the table generation — the one
-        # counter the per-query accessor memos are guarded by too.
-        self._note_write(result.doc_id)
-        return result
+        return self._decomposer.load(document, file_date=file_date)
 
     def store_text(
         self,
@@ -219,14 +210,7 @@ class XmlStore:
             for node_row in node_rows:
                 self.database.delete(XML_TABLE, node_row[ROWID_PSEUDO])
             self.database.delete(DOC_TABLE, doc_rows[0][ROWID_PSEUDO])
-        self._note_write(doc_id)
         return len(node_rows)
-
-    def _note_write(self, doc_id: int) -> None:
-        """Advance the shared lift pool past a committed document write."""
-        self.lift_cache.note_write(
-            self._xml_table.generation, self.database.mvcc.lsn, doc_id
-        )
 
     # -- snapshots (MVCC) -----------------------------------------------------
 
@@ -311,7 +295,7 @@ class XmlStore:
 
     @property
     def accessor(self) -> NodeAccessor:
-        """The store's long-lived accessor (generation-guarded caches)."""
+        """The store's long-lived accessor (commit-LSN-guarded caches)."""
         return self._accessor
 
     def new_accessor(
@@ -321,8 +305,8 @@ class XmlStore:
     ) -> NodeAccessor:
         """A fresh per-query accessor (optionally pinned to a snapshot).
 
-        Pass ``lifts=store.lift_cache`` to let the accessor share
-        structural walks across queries; cache-enabled query engines do.
+        Pass ``lifts=store.lift_cache`` to let the accessor share lifts
+        and catalog entries across queries; cache-enabled engines do.
         """
         return NodeAccessor(self.database, snapshot=snapshot, lifts=lifts)
 

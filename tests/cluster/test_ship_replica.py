@@ -3,9 +3,13 @@
 import pytest
 
 from repro.cluster import FollowerReplica, LogShipper, NetmarkCluster
-from repro.errors import ClusterError
+from repro.errors import ClusterError, TypeMismatchError
 from repro.ordbms.wal import MemoryLogDevice, parse_log
+from repro.query.cache import QueryCache
+from repro.query.engine import QueryEngine
 from repro.sgml.config import DEFAULT_CONFIG
+from repro.sgml.dom import Document, Element, Text
+from repro.sgml.serializer import serialize
 from repro.store.xmlstore import XmlStore
 
 
@@ -101,6 +105,60 @@ class TestFollowerReplica:
         assert not shipper.can_ship_from(follower.acked_lsn)
         follower.install_bundle(shipper.bundle())
         assert follower.dump() == store.dump()
+
+    def test_cached_engine_equals_bare_after_shipped_writes(self):
+        """Replay moves the commit LSN, so a result cached over a
+        follower's store is stamped like one over the coordinator's: a
+        cache-enabled engine equals a bare one after every kind of
+        shipped write."""
+        store, shipper, follower = self.build_pair()
+        cached = QueryEngine(follower.store, cache=QueryCache())
+        bare = QueryEngine(follower.store)
+        queries = ("Content=alpha", "Context=A", "Context=A&Content=alpha")
+
+        def ship_and_compare():
+            before = follower.database.mvcc.lsn
+            follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+            assert follower.database.mvcc.lsn > before
+            answers = []
+            for query in queries * 2:  # the second pass replays
+                got = serialize(cached.execute(query).to_xml(), indent=2)
+                assert got == serialize(bare.execute(query).to_xml(), indent=2)
+                answers.append(got)
+            return answers
+
+        store.store_text("# A\n\nalpha one\n", "a.md")
+        one = ship_and_compare()
+        store.store_text("# A\n\nalpha two\n", "b.md")
+        two = ship_and_compare()
+        store.replace_text("# A\n\nalpha three, amended\n", "a.md")
+        three = ship_and_compare()
+        store.delete_document(store.lookup_by_name("b.md").doc_id)
+        four = ship_and_compare()
+        assert len({tuple(one), tuple(two), tuple(three), tuple(four)}) == 4
+        assert cached.cache.snapshot_counters()["hits"] >= 4 * len(queries)
+
+    def test_rollback_and_loser_discard_move_the_lsn_too(self):
+        store, shipper, follower = self.build_pair()
+        with pytest.raises(TypeMismatchError):
+            root = Element("doc")
+            root.append(Text(0))  # no CLOB column takes it: rollback
+            store.store_document(Document(root, name="lost.xml"))
+        before = follower.database.mvcc.lsn
+        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+        assert follower.replayer.transactions_rolled_back == 1
+        assert follower.database.mvcc.lsn == before + 1
+        # A shipped transaction still open at promotion is a loser.
+        transaction = store.database.begin()
+        store.database.insert(
+            "DOC", {"DOC_ID": 99, "FILE_NAME": "open.md", "FORMAT": "md"}
+        )
+        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+        assert follower.database.mvcc.lsn == before + 1  # not yet resolved
+        assert follower.replayer.discard_in_flight() == (transaction.txid,)
+        assert follower.database.mvcc.lsn == before + 2
+        assert follower.replayer.discard_in_flight() == ()  # nothing undone:
+        assert follower.database.mvcc.lsn == before + 2  # nothing published
 
 
 class TestClusterReplication:

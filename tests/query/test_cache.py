@@ -1,4 +1,4 @@
-"""The generation-keyed result cache: hits, invalidation, and races.
+"""The commit-LSN-keyed result cache: hits, invalidation, and races.
 
 The cache's one contract is *byte identity*: a cached answer must render
 exactly as the uncached run would, and no reader — live or pinned — may
@@ -93,7 +93,7 @@ class TestInvalidation:
         before = engine.execute(QUERY)
         loaded_store.store_text(NEW_BUDGET_DOC, "late.md")
         after = engine.execute(QUERY)
-        assert not after.cached  # generation moved, the key with it
+        assert not after.cached  # the LSN moved, the key with it
         assert len(after) == len(before) + 1
         assert "late.md" in after.documents()
 
@@ -135,6 +135,33 @@ class TestInvalidation:
             fresh = engine.execute(QUERY, snapshot=new_snap)
         assert not fresh.cached  # new LSN, new key — never the old entry
         assert "late.md" in fresh.documents()
+
+    def test_live_and_pinned_reads_share_one_stamp(self, engine, loaded_store):
+        """The stamp is the commit LSN whether the read was live or
+        pinned, so the two replay each other while nothing commits."""
+        live = engine.execute(QUERY)
+        with loaded_store.snapshot() as snap:
+            pinned = engine.execute(QUERY, snapshot=snap)
+        assert pinned.cached and _xml(pinned) == _xml(live)
+
+    def test_a_store_purges_every_entry_stamped_below_it(
+        self, engine, loaded_store
+    ):
+        """Pinned entries are swept like live ones, not stranded to LRU."""
+        with loaded_store.snapshot() as old_snap:
+            engine.execute(QUERY, snapshot=old_snap)
+            engine.execute("Content=shuttle")
+            assert engine.cache.snapshot_counters()["entries"] == 2
+            loaded_store.store_text(NEW_BUDGET_DOC, "late.md")
+            with loaded_store.snapshot() as new_snap:
+                engine.execute(QUERY, snapshot=new_snap)
+            counters = engine.cache.snapshot_counters()
+            assert counters["entries"] == 1 and counters["evictions"] == 0
+            # The older reader recomputes, correctly, and sweeps nothing
+            # stamped above its own LSN.
+            again = engine.execute(QUERY, snapshot=old_snap)
+            assert not again.cached and "late.md" not in again.documents()
+            assert engine.cache.snapshot_counters()["entries"] == 2
 
 
 class TestBounds:

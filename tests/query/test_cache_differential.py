@@ -5,8 +5,9 @@ lift pool) and a bare baseline engine.  A seeded pseudo-random schedule
 interleaves queries with ingests, replacements and deletions; after
 every query both engines' rendered XML must be **byte-identical**.  Any
 divergence means the cache served across a write, replayed the wrong
-presentation, or leaked a stale lift — exactly the failure classes the
-gate exists to catch.
+presentation, or pooled a fact about a stored row that was not
+immutable after all — exactly the failure classes the gate exists to
+catch.
 
 ``benchmarks/bench_cache_differential.py`` runs the same discipline at
 artifact scale; this module is the fast tier-1 version.
@@ -34,6 +35,18 @@ QUERIES = [
     "Context=Budget&Doc=doc-00",
     "Context=Budget&Format=md",
     "Context=Budget&Cache=0",
+]
+
+#: Queries whose filters and resolvers ask for catalog entries (the
+#: pool's kind ``"entry"``) beyond the one per match ``Materialize`` asks.
+CATALOG_QUERIES = [
+    "Content=relay&Format=markdown",
+    "Content=orbit&Format=pdf",
+    "Context=Technology Gap&Doc=doc-00",
+    "Content=relay&Doc=doc-000",
+    "Nodename=context&Content=technology",
+    "Nodename=content&Content=relay&limit=5",
+    "Nodename=document&limit=4",
 ]
 
 STEPS = 70
@@ -69,15 +82,7 @@ class Harness:
             self.loaded.append(file)
             return f"ingest {file.name}"
         if choice < 0.8 and self.loaded:
-            file = self.rng.choice(self.loaded)
-            # Markdown can be amended textually; other formats are
-            # re-stored verbatim — still a full node rewrite + revision
-            # bump, which is what the invalidation path cares about.
-            text = file.text
-            if file.name.endswith(".md"):
-                text += "\nAmended relay budget paragraph.\n"
-            self.store.replace_text(text, file.name)
-            return f"replace {file.name}"
+            return self.replace()
         if len(self.loaded) > 2:
             file = self.loaded.pop(self.rng.randrange(len(self.loaded)))
             entry = self.store.lookup_by_name(file.name)
@@ -85,14 +90,28 @@ class Harness:
             return f"delete {file.name}"
         return "noop"
 
+    def replace(self) -> str:
+        file = self.rng.choice(self.loaded)
+        # Markdown can be amended textually; other formats are
+        # re-stored verbatim — still a full node rewrite under a new
+        # doc id + revision bump, which is what the caches care about.
+        text = file.text
+        if file.name.endswith(".md"):
+            text += "\nAmended relay budget paragraph.\n"
+        self.store.replace_text(text, file.name)
+        return f"replace {file.name}"
+
+    def compare(self, query: str, snapshot=None) -> str:
+        got = _xml(self.cached.execute(query, snapshot=snapshot))
+        want = _xml(self.baseline.execute(query, snapshot=snapshot))
+        assert got == want, f"cache diverged on {query!r}"
+        return got
+
     def step(self) -> None:
         if self.rng.random() < WRITE_EVERY:
             self.mutate()
             return
-        query = self.rng.choice(QUERIES)
-        got = _xml(self.cached.execute(query))
-        want = _xml(self.baseline.execute(query))
-        assert got == want, f"cache diverged on {query!r}"
+        self.compare(self.rng.choice(QUERIES))
 
 
 class TestCacheDifferential:
@@ -124,13 +143,43 @@ class TestCacheDifferential:
                 assert _xml(replay) == expected
                 assert _xml(recompute) == expected
 
+    def test_replace_heavy_schedule_over_catalog_queries(self):
+        """One replace per two queries: the pool keeps serving lifts and
+        catalog entries of documents that were just superseded."""
+        harness = Harness(31)
+        for _ in range(20):
+            for _ in range(2):
+                harness.compare(harness.rng.choice(QUERIES + CATALOG_QUERIES))
+            harness.replace()
+        assert harness.cached.cache.snapshot_counters()["hits"] > 0
+        assert harness.store.lift_cache.snapshot_counters()["hits"] > 0
+
+    def test_a_pin_held_across_writes_is_requeried_through_both_engines(self):
+        """Readers on newer pins put into the pool the held pin reads
+        (and purge its result entries): recomputed, then replayed, the
+        held pin's answers are the ones from before the writes."""
+        harness = Harness(57)
+        queries = QUERIES + CATALOG_QUERIES
+        with harness.store.snapshot() as pin:
+            before = [harness.compare(query, pin) for query in queries]
+            for _ in range(4):
+                assert harness.mutate() != "noop"
+                with harness.store.snapshot() as newer:
+                    for query in queries:
+                        harness.compare(query, newer)
+            hits = harness.cached.cache.snapshot_counters()["hits"]
+            for _ in range(2):
+                after = [harness.compare(query, pin) for query in queries]
+                assert after == before
+            assert harness.cached.cache.snapshot_counters()["hits"] > hits
+
     def test_shared_lifts_never_change_answers(self):
         """Even with the result cache defeated (Cache=0 per request) the
         shared lift pool alone must be invisible in the output."""
         harness = Harness(123)
         for _ in range(20):
             harness.mutate()
-        for query in QUERIES:
+        for query in QUERIES + CATALOG_QUERIES:
             opted_out = (
                 query if "Cache=0" in query else f"{query}&Cache=0"
             )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FsckError
 from repro.ordbms import Database, ROWID_PSEUDO
+from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, repair_store
 from repro.store.fsck import REPAIRABLE, main
 from repro.store.schema import XML_TABLE
@@ -247,6 +248,44 @@ class TestCorruptionClasses:
         self.seed(loaded, "orphan-node")
         report = repair_store(loaded.database)
         assert "orphan-node" in report.codes()
+
+
+class TestRepairUnderAWarmPool:
+    """Repair is the one writer that edits stored rows in place, so the
+    one event that can falsify a pooled lift: the facade clears the pool
+    after it (the result cache needs nothing, the updates move the LSN)."""
+
+    QUERIES = ("Content=engine", "Content=shuttle", "Context=Budget")
+
+    @staticmethod
+    def answers(engine, queries):
+        return [
+            serialize(engine.execute(query).to_xml(), indent=2)
+            for query in queries
+        ]
+
+    def test_cached_equals_bare_after_a_repair(self, loaded_netmark):
+        node = loaded_netmark
+        cached, bare = node.api.engine, node.engine
+        clean = self.answers(bare, self.QUERIES)
+        # A heading its parent no longer lists among its children (so
+        # the text after it lifts past it), and a sibling chain
+        # pointing at itself.
+        report1 = node.store.lookup_by_name("report1.ndoc").doc_id
+        heading = node_where(
+            node.store, DOC_ID=report1, NODEDATA="Budget"
+        )["PARENTROWID"]
+        node.database.update(XML_TABLE, heading, {"PARENTNODEID": 424242})
+        node.database.update(XML_TABLE, heading, {"SIBLINGID": heading})
+        assert {"parent-id-mismatch", "sibling-chain"} <= node.fsck().codes()
+        damaged = self.answers(cached, self.QUERIES)  # warms the pool, wrongly
+        assert damaged == self.answers(bare, self.QUERIES) != clean
+        assert len(node.store.lift_cache) > 0
+        report = node.fsck(repair=True)
+        assert report.ok and report.repaired >= 2
+        assert len(node.store.lift_cache) == 0
+        assert self.answers(cached, self.QUERIES) == clean
+        assert self.answers(bare, self.QUERIES) == clean
 
 
 class TestCommandLine:
