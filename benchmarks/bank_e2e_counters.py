@@ -1,4 +1,5 @@
-"""Bank the write and read paths' work counters from traced end-to-end runs.
+"""Bank the write, read and compose paths' work counters from traced
+end-to-end runs.
 
 Each entry of :data:`RUNS` runs ``benchmarks/e2e/run.py --workload W
 --trace 1`` at a fixed seed and a short ``--seconds`` (a run executes
@@ -8,12 +9,15 @@ for bit) and writes its artifact in the repo root for the perf gate::
     python benchmarks/bank_e2e_counters.py
     python benchmarks/check_regression.py BENCH_e2e_ingest.json --tolerance 0
     python benchmarks/check_regression.py BENCH_e2e_read.json --tolerance 0
+    python benchmarks/check_regression.py BENCH_e2e_compose.json --tolerance 0
 
 Under ``--tolerance 0`` every key in ``counters`` must equal the
 committed baseline exactly — a sibling back-patch, a second fsync or a
 fatter WAL record cannot come back unnoticed on the write side, nor an
 ancestor prefetch, a per-element child probe or a posting-row fetch on
-the read side.  Where the time went is printed for the CI log and kept
+the read side, nor — on the compose side, where the engine is bypassed
+and the counters say so — a composed byte more or less, a cache miss or
+an index probe.  Where the time went is printed for the CI log and kept
 out of the artifacts: timings belong to the machine, and would churn
 the committed baselines.
 """
@@ -87,7 +91,26 @@ READ = BankedRun(
         "sgml.serializer.self_ms_per_read",
     ),
 )
-RUNS = (INGEST, READ)
+COMPOSE = BankedRun(
+    "BENCH_e2e_compose.json", "search_compose", 1, 1,  # one 250-request round
+    counters=(
+        # The whole workload's composed bytes: the cheap byte-size check
+        # on anything that rewrites the XSLT processor or the serializer.
+        "server.http.response_bytes_per_read",
+        "query.cache.hit_ratio",
+        "query.cache.evictions_per_read",
+        "ordbms.btree.probes_per_read",
+        "ordbms.mvcc.snapshots_per_read",
+    ),
+    timings=(
+        "server.http.request_ms_per_read",
+        "xslt.compile_ms_per_read",
+        "xslt.transform_ms_per_read",
+        "query.results.self_ms_per_read",
+        "sgml.serializer.self_ms_per_read",
+    ),
+)
+RUNS = (INGEST, READ, COMPOSE)
 
 
 def metrics_from(output: str) -> dict[str, float]:

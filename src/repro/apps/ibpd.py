@@ -22,7 +22,6 @@ from repro.netmark import Netmark
 from repro.sgml.dom import Document
 from repro.workloads.corpus import GeneratedFile
 from repro.xslt.processor import transform
-from repro.xslt.stylesheet import compile_stylesheet
 
 _CENTER_RE = re.compile(r"executed at NASA ([A-Za-z ]+?)\.")
 _FY_AMOUNT_RE = re.compile(r"(FY\d{2}) funding of \$([\d,]+)")
@@ -122,9 +121,7 @@ class IbpdAssembler:
                     amounts=amounts,
                 )
             )
-        composed = transform(
-            compile_stylesheet(IBPD_STYLESHEET), budget_results.to_xml()
-        )
+        composed = transform(IBPD_STYLESHEET, budget_results.to_xml())
         return IbpdResult(document=composed, lines=lines)
 
 

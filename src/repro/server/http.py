@@ -418,16 +418,13 @@ class NetmarkHttpApi:
             # byte-identical to an uncached answer.
             document.root.attributes["cached"] = "true"
         if query.stylesheet:
-            stylesheet_path = f"{STYLESHEET_FOLDER}/{query.stylesheet}"
-            response = self.dav.get(stylesheet_path)
+            # name -> text is resolved per request, text -> compiled sheet
+            # is memoized by the text: a PUT shows on the very next request.
+            response = self.dav.get(f"{STYLESHEET_FOLDER}/{query.stylesheet}")
             if not response.ok:
-                return HttpResponse(
-                    404, f"stylesheet not found: {query.stylesheet}"
-                )
+                return HttpResponse(404, f"stylesheet not found: {query.stylesheet}")
             with tracer.span("xslt", stylesheet=query.stylesheet):
-                document = transform(
-                    compile_stylesheet(response.body), document
-                )
+                document = transform(compile_stylesheet(response.body), document)
         return document
 
     def _document(self, raw_id: str) -> HttpResponse:

@@ -1,6 +1,6 @@
 """XSLT-lite: the result-composition processor (paper Fig 7's Xalan)."""
 
-from repro.xslt.processor import normalized_text, transform, transform_text
+from repro.xslt.processor import transform, transform_text
 from repro.xslt.stylesheet import (
     MatchPattern,
     Stylesheet,
@@ -28,7 +28,6 @@ __all__ = [
     "compile_stylesheet",
     "evaluate",
     "node_string_value",
-    "normalized_text",
     "parse_pattern",
     "parse_xpath",
     "select",

@@ -1,8 +1,8 @@
 """The XSLT-lite processor (the Xalan stand-in of paper Fig 7).
 
-:func:`transform` applies a compiled stylesheet to a source document and
-returns the result document.  Semantics follow XSLT 1.0 on the supported
-subset:
+:func:`transform` runs a compiled stylesheet over a source document —
+what to do was decided by :func:`~repro.xslt.stylesheet.compile_stylesheet`;
+running it parses nothing.  Semantics follow XSLT 1.0 on the subset:
 
 * processing starts by applying templates to the document root;
 * built-in rules: document/element → apply templates to children,
@@ -14,275 +14,29 @@ subset:
 
 from __future__ import annotations
 
-import re
-from typing import Any
-
-from repro.errors import XsltError
-from repro.sgml.dom import Document, Element, Node, Text
-from repro.xslt.stylesheet import (
-    XSL_PREFIX,
-    Stylesheet,
-    compile_avt,
-    compile_stylesheet,
-)
-from repro.xslt.xpath import (
-    XPathContext,
-    evaluate,
-    node_string_value,
-    parse_xpath,
-    select,
-    to_boolean,
-    to_string,
-)
+from repro.sgml.dom import Document, Element, Text
+from repro.sgml.parser import parse_xml
+from repro.sgml.serializer import serialize
+from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
 
 
 def transform(stylesheet: Stylesheet | str, source: Document) -> Document:
     """Apply ``stylesheet`` to ``source``; returns the result document."""
     if isinstance(stylesheet, str):
         stylesheet = compile_stylesheet(stylesheet)
-    processor = _Processor(stylesheet, source)
-    fragments = processor.apply_templates_to(source, position=1, size=1)
-    elements = [node for node in fragments if isinstance(node, Element)]
+    root = Element("output", synthetic=True)
+    stylesheet.apply(source, 1, 1, source.root, root, 0)
+    elements = [node for node in root.children if isinstance(node, Element)]
     if len(elements) == 1 and all(
-        not isinstance(node, Text) or not node.data.strip() for node in fragments
+        not isinstance(node, Text) or not node.data.strip()
+        for node in root.children
     ):
+        # One element and nothing else worth keeping: it is the document.
         root = elements[0]
-    else:
-        root = Element("output", synthetic=True)
-        for node in fragments:
-            root.append(node)
+        root.parent = None
     return Document(root, name="transformed.xml")
-
-
-class _Processor:
-    def __init__(self, stylesheet: Stylesheet, source: Document) -> None:
-        self._stylesheet = stylesheet
-        self._source = source
-
-    # -- template application ----------------------------------------------
-
-    def apply_templates_to(
-        self, node: Node | Document, position: int, size: int
-    ) -> list[Node]:
-        template = self._stylesheet.best_template(node)
-        if template is not None:
-            context = self._context_for(node, position, size)
-            return self._run_body(template.body, context)
-        # Built-in rules.
-        if isinstance(node, Document):
-            return self.apply_templates_to(node.root, 1, 1)
-        if isinstance(node, Text):
-            return [Text(node.data)]
-        assert isinstance(node, Element)
-        output: list[Node] = []
-        children = node.children
-        for position_, child in enumerate(children, start=1):
-            output.extend(self.apply_templates_to(child, position_, len(children)))
-        return output
-
-    def _context_for(
-        self, node: Node | Document, position: int, size: int
-    ) -> XPathContext:
-        # A Document context node is kept as-is so that at match="/" the
-        # relative path `results/...` selects the root element (XPath's
-        # document-node semantics).
-        return XPathContext(node, position, size, root=self._source.root)
-
-    # -- instruction execution -----------------------------------------------
-
-    def _run_body(self, body: tuple[Node, ...] | list[Node], context: XPathContext) -> list[Node]:
-        output: list[Node] = []
-        for node in body:
-            output.extend(self._run_node(node, context))
-        return output
-
-    def _run_node(self, node: Node, context: XPathContext) -> list[Node]:
-        if isinstance(node, Text):
-            # Strip indentation-only whitespace from the stylesheet itself.
-            if node.data.strip():
-                return [Text(node.data)]
-            return []
-        assert isinstance(node, Element)
-        if node.tag.startswith(XSL_PREFIX):
-            return self._run_instruction(node, context)
-        # Literal result element.
-        element = Element(node.tag)
-        for name, value in node.attributes.items():
-            element.attributes[name] = self._eval_avt(value, context)
-        self._fill_element(element, node.children, context)
-        return [element]
-
-    def _fill_element(
-        self, element: Element, body: list[Node], context: XPathContext
-    ) -> None:
-        """Populate a constructed element, honouring <xsl:attribute>."""
-        for child in body:
-            if (
-                isinstance(child, Element)
-                and child.tag == f"{XSL_PREFIX}attribute"
-            ):
-                name = self._eval_avt(child.attributes["name"], context)
-                value_nodes = self._run_body(child.children, context)
-                element.attributes[name] = "".join(
-                    node_string_value(value_node) for value_node in value_nodes
-                )
-                continue
-            for child_output in self._run_node(child, context):
-                element.append(child_output)
-
-    def _run_instruction(self, node: Element, context: XPathContext) -> list[Node]:
-        name = node.tag[len(XSL_PREFIX):]
-        if name == "value-of":
-            value = evaluate(parse_xpath(node.attributes["select"]), context)
-            text = to_string(value)
-            return [Text(text)] if text else []
-        if name == "text":
-            return [Text(node.text_content())]
-        if name == "apply-templates":
-            return self._apply_templates_instruction(node, context)
-        if name == "for-each":
-            return self._for_each(node, context)
-        if name == "if":
-            test = evaluate(parse_xpath(node.attributes["test"]), context)
-            if to_boolean(test):
-                return self._run_body(node.children, context)
-            return []
-        if name == "choose":
-            return self._choose(node, context)
-        if name == "copy-of":
-            items = select(node.attributes["select"], context)
-            return [
-                item.clone() if isinstance(item, (Element, Text)) else Text(str(item))
-                for item in items
-            ]
-        if name == "element":
-            element = Element(self._eval_avt(node.attributes["name"], context))
-            self._fill_element(element, node.children, context)
-            return [element]
-        if name == "attribute":
-            raise XsltError(
-                "<xsl:attribute> must appear inside a constructed element"
-            )
-        if name == "sort":
-            return []  # handled by the enclosing for-each/apply-templates
-        raise XsltError(f"unsupported instruction <xsl:{name}>")
-
-    def _apply_templates_instruction(
-        self, node: Element, context: XPathContext
-    ) -> list[Node]:
-        select_attr = node.get("select")
-        if select_attr:
-            items = select(select_attr, context)
-        else:
-            current = context.node
-            if isinstance(current, Document):
-                items = [current.root]
-            elif isinstance(current, Element):
-                items = list(current.children)
-            else:
-                items = []
-        items = self._sorted(node, items, context)
-        output: list[Node] = []
-        for position, item in enumerate(items, start=1):
-            if isinstance(item, str):
-                output.append(Text(item))
-                continue
-            output.extend(self.apply_templates_to(item, position, len(items)))
-        return output
-
-    def _for_each(self, node: Element, context: XPathContext) -> list[Node]:
-        items = select(node.attributes["select"], context)
-        items = self._sorted(node, items, context)
-        body = [
-            child
-            for child in node.children
-            if not (isinstance(child, Element) and child.tag == f"{XSL_PREFIX}sort")
-        ]
-        output: list[Node] = []
-        for position, item in enumerate(items, start=1):
-            if isinstance(item, str):
-                output.append(Text(item))
-                continue
-            inner = context.with_node(item, position, len(items))
-            output.extend(self._run_body(body, inner))
-        return output
-
-    def _sorted(
-        self, node: Element, items: list[Any], context: XPathContext
-    ) -> list[Any]:
-        sort_spec = next(
-            (
-                child
-                for child in node.children
-                if isinstance(child, Element) and child.tag == f"{XSL_PREFIX}sort"
-            ),
-            None,
-        )
-        if sort_spec is None:
-            return items
-        key_expr = parse_xpath(sort_spec.get("select", "."))
-        descending = sort_spec.get("order", "ascending") == "descending"
-        numeric = sort_spec.get("data-type", "text") == "number"
-        size = len(items)
-
-        def sort_key(indexed: tuple[int, Any]) -> Any:
-            position, item = indexed
-            if isinstance(item, str):
-                raw = item
-            else:
-                raw = to_string(
-                    evaluate(key_expr, context.with_node(item, position + 1, size))
-                )
-            if numeric:
-                try:
-                    return float(raw)
-                except ValueError:
-                    return float("inf")
-            return raw
-
-        ranked = sorted(enumerate(items), key=sort_key, reverse=descending)
-        return [item for _, item in ranked]
-
-    def _choose(self, node: Element, context: XPathContext) -> list[Node]:
-        otherwise: Element | None = None
-        for child in node.child_elements():
-            if child.tag == f"{XSL_PREFIX}when":
-                test = child.get("test")
-                if not test:
-                    raise XsltError("<xsl:when> requires a test attribute")
-                if to_boolean(evaluate(parse_xpath(test), context)):
-                    return self._run_body(child.children, context)
-            elif child.tag == f"{XSL_PREFIX}otherwise":
-                otherwise = child
-            else:
-                raise XsltError(f"unexpected <{child.tag}> inside <xsl:choose>")
-        if otherwise is not None:
-            return self._run_body(otherwise.children, context)
-        return []
-
-    def _eval_avt(self, template_text: str, context: XPathContext) -> str:
-        parts = compile_avt(template_text)
-        rendered: list[str] = []
-        for part in parts:
-            if isinstance(part, str):
-                rendered.append(part)
-            else:
-                rendered.append(to_string(evaluate(part, context)))
-        return "".join(rendered)
 
 
 def transform_text(stylesheet_xml: str, source_xml: str) -> str:
     """Convenience: parse, transform, serialise — all in one call."""
-    from repro.sgml.parser import parse_xml
-    from repro.sgml.serializer import serialize
-
-    result = transform(compile_stylesheet(stylesheet_xml), parse_xml(source_xml))
-    return serialize(result)
-
-
-_WHITESPACE_RE = re.compile(r"\s+")
-
-
-def normalized_text(document: Document) -> str:
-    """Whitespace-normalised text of a result document (test helper)."""
-    return _WHITESPACE_RE.sub(" ", document.text_content()).strip()
+    return serialize(transform(stylesheet_xml, parse_xml(source_xml)))

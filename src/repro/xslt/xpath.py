@@ -20,9 +20,10 @@ value of its first node.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import XPathError
 from repro.sgml.dom import Document, Element, Node, Text
@@ -45,19 +46,11 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(expression: str) -> list[str]:
-    tokens: list[str] = []
-    position = 0
-    while position < len(expression):
-        match = _TOKEN_RE.match(expression, position)
-        if match is None:
-            if expression[position:].strip():
-                raise XPathError(
-                    f"cannot tokenize {expression!r} at offset {position}"
-                )
-            break
-        tokens.append(match.group(1))
-        position = match.end()
-    return tokens
+    # Whatever is left once every token is taken out is not a token.
+    leftover = _TOKEN_RE.sub("", expression).strip()
+    if leftover:
+        raise XPathError(f"cannot tokenize {expression!r} at {leftover[:10]!r}")
+    return _TOKEN_RE.findall(expression)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +107,14 @@ XPathExpr = (
     PathExpr | LiteralExpr | NumberExpr | CompareExpr | BoolExpr | FunctionExpr
 )
 
-_FUNCTIONS = {
-    "count", "concat", "name", "position", "last", "string",
-    "normalize-space", "contains", "not", "true", "false",
-}
+_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+_NAME_RE = re.compile(r"[A-Za-z_][-A-Za-z0-9_.]*")
+
+#: How deep an expression may nest (parentheses, predicates, arguments,
+#: and/or chains).  Parser, lowering and compiled closures all recurse per
+#: level, so this is what answers a hostile ``((((…`` with an
+#: :class:`XPathError`, not a ``RecursionError`` somewhere down the stack.
+MAX_NESTING = 64
 
 
 class _Parser:
@@ -127,13 +124,13 @@ class _Parser:
         self._expression = expression
         self._tokens = _tokenize(expression)
         self._pos = 0
+        self._depth = 0
 
     def parse(self) -> XPathExpr:
         expr = self._parse_or()
         if self._pos != len(self._tokens):
             raise XPathError(
-                f"trailing tokens in {self._expression!r}: "
-                f"{self._tokens[self._pos:]}"
+                f"trailing tokens in {self._expression!r}: {self._tokens[self._pos:]}"
             )
         return expr
 
@@ -152,31 +149,37 @@ class _Parser:
     def _expect(self, token: str) -> None:
         got = self._next()
         if got != token:
-            raise XPathError(
-                f"expected {token!r}, got {got!r} in {self._expression!r}"
-            )
+            raise XPathError(f"expected {token!r}, got {got!r} in {self._expression!r}")
 
     def _parse_or(self) -> XPathExpr:
-        left = self._parse_and()
-        while self._peek() == "or":
-            self._next()
-            left = BoolExpr("or", left, self._parse_and())
-        return left
+        return self._parse_chain("or", self._parse_and)
 
     def _parse_and(self) -> XPathExpr:
-        left = self._parse_compare()
-        while self._peek() == "and":
+        return self._parse_chain("and", self._parse_compare)
+
+    def _parse_chain(self, operator: str, operand: Any) -> XPathExpr:
+        """``a op b op c`` as a left-deep tree; each link is one level."""
+        entered = self._depth
+        self._descend()
+        left = operand()
+        while self._peek() == operator:
             self._next()
-            left = BoolExpr("and", left, self._parse_compare())
+            self._descend()
+            left = BoolExpr(operator, left, operand())
+        self._depth = entered
         return left
+
+    def _descend(self) -> None:
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise XPathError(
+                f"{self._expression[:40]!r}… nests deeper than {MAX_NESTING} levels"
+            )
 
     def _parse_compare(self) -> XPathExpr:
         left = self._parse_primary()
-        token = self._peek()
-        if token in {"=", "!="}:
-            self._next()
-            right = self._parse_primary()
-            return CompareExpr(left, token, right)
+        if self._peek() in {"=", "!="}:
+            return CompareExpr(left, self._next(), self._parse_primary())
         return left
 
     def _parse_primary(self) -> XPathExpr:
@@ -184,23 +187,15 @@ class _Parser:
         if token is None:
             raise XPathError(f"empty expression {self._expression!r}")
         if token.startswith(("'", '"')):
-            self._next()
-            return LiteralExpr(token[1:-1])
-        if re.fullmatch(r"\d+(?:\.\d+)?", token):
-            self._next()
-            return NumberExpr(float(token))
+            return LiteralExpr(self._next()[1:-1])
+        if _NUMBER_RE.fullmatch(token):
+            return NumberExpr(float(self._next()))
         if token == "(":
             self._next()
             inner = self._parse_or()
             self._expect(")")
             return inner
-        # Function call?
-        if (
-            re.fullmatch(r"[A-Za-z_][-A-Za-z0-9_.]*", token)
-            and self._pos + 1 < len(self._tokens)
-            and self._tokens[self._pos + 1] == "("
-            and token in _FUNCTIONS
-        ):
+        if token in _FUNCTIONS and self._tokens[self._pos + 1:self._pos + 2] == ["("]:
             return self._parse_function()
         return self._parse_path()
 
@@ -208,53 +203,43 @@ class _Parser:
         name = self._next()
         self._expect("(")
         args: list[XPathExpr] = []
-        if self._peek() != ")":
+        while self._peek() != ")":
+            if args:
+                self._expect(",")
             args.append(self._parse_or())
-            while self._peek() == ",":
-                self._next()
-                args.append(self._parse_or())
-        self._expect(")")
+        self._next()
         return FunctionExpr(name, tuple(args))
 
     def _parse_path(self) -> PathExpr:
-        absolute = False
+        absolute = self._peek() in {"/", "//"}
         steps: list[Step] = []
-        token = self._peek()
-        if token in {"/", "//"}:
-            absolute = True
-            self._next()  # consume the leading slash token
-            if token == "//":
-                steps.append(self._parse_step(descendant=True, consumed_slash=True))
-                self._next_steps(steps)
-                return PathExpr(True, tuple(steps))
+        if self._peek() == "/":
+            self._next()
             if self._peek() is None:
-                return PathExpr(True, ())
-        steps.append(self._parse_step(descendant=False))
-        self._next_steps(steps)
+                return PathExpr(True, ())  # the document itself
+            steps.append(self._parse_step("child"))
+        elif not absolute:  # a leading ``//`` is read by the loop
+            steps.append(self._parse_step("child"))
+        while self._peek() in {"/", "//"}:
+            steps.append(
+                self._parse_step("descendant" if self._next() == "//" else "child")
+            )
         return PathExpr(absolute, tuple(steps))
 
-    def _next_steps(self, steps: list[Step]) -> None:
-        while self._peek() in {"/", "//"}:
-            descendant = self._next() == "//"
-            steps.append(
-                self._parse_step(descendant=descendant, consumed_slash=True)
-            )
-
-    def _parse_step(self, descendant: bool, consumed_slash: bool = False) -> Step:
-        if descendant and not consumed_slash:
-            self._expect("//")
+    def _parse_step(self, axis: str) -> Step:
         token = self._next()
-        axis = "descendant" if descendant else "child"
         if token == ".":
             return Step("self", "*")
         if token == "..":
             return Step("parent", "*")
         if token == "@":
             name = self._next()
+            if name != "*" and not _NAME_RE.fullmatch(name):
+                raise XPathError(f"no name after '@' in {self._expression!r}: {name!r}")
             return Step("attribute", name.lower(), self._parse_predicates())
         if token == "*":
             return Step(axis, "*", self._parse_predicates())
-        if re.fullmatch(r"[A-Za-z_][-A-Za-z0-9_.]*", token):
+        if _NAME_RE.fullmatch(token):
             if self._peek() == "(":
                 # Only text() is a node-test function.
                 self._next()
@@ -263,9 +248,7 @@ class _Parser:
                     raise XPathError(f"unsupported node test {token}()")
                 return Step(axis, "text()", self._parse_predicates())
             return Step(axis, token.lower(), self._parse_predicates())
-        raise XPathError(
-            f"unexpected token {token!r} in {self._expression!r}"
-        )
+        raise XPathError(f"unexpected token {token!r} in {self._expression!r}")
 
     def _parse_predicates(self) -> tuple[XPathExpr, ...]:
         predicates: list[XPathExpr] = []
@@ -277,16 +260,16 @@ class _Parser:
 
 
 def parse_xpath(expression: str) -> XPathExpr:
-    """Parse an XPath expression into its AST (cached by the processor)."""
+    """Parse an XPath expression into its (immutable, shareable) AST."""
     return _Parser(expression).parse()
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: an AST is lowered once to a closure over the context
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class XPathContext:
     """Evaluation context: the node, its position/size in the current list.
 
@@ -303,44 +286,67 @@ class XPathContext:
         return XPathContext(node, position, size, self.root)
 
 
+#: A lowered expression: context in, node-set / string / float / bool out.
+Evaluator = Callable[[XPathContext], Any]
+_StepFunction = Callable[[list[Any], XPathContext], list[Any]]
+
+
 def node_string_value(item: Any) -> str:
     """XPath string-value of a node-set item (node or attribute string)."""
     if isinstance(item, str):
         return item
-    if isinstance(item, (Element, Text)):
-        return item.text_content()
-    if isinstance(item, Document):
+    if isinstance(item, (Element, Text, Document)):
         return item.text_content()
     return str(item)
 
 
-def evaluate(expr: XPathExpr, context: XPathContext) -> Any:
-    """Evaluate to a node-set (list), string, float or bool."""
-    if isinstance(expr, LiteralExpr):
-        return expr.value
-    if isinstance(expr, NumberExpr):
-        return expr.value
+def compile_xpath(expr: XPathExpr) -> Evaluator:
+    """Lower an AST to a closure — the one evaluator.
+
+    What the expression alone decides (axis, node test, whether a step
+    can repeat a node, which function, its arity, whether an argument is
+    a node-set) is decided here, once; the closure does only what depends
+    on the context, and holds no state: one lowering serves every thread.
+    """
+    if isinstance(expr, (LiteralExpr, NumberExpr)):
+        value = expr.value
+        return lambda context: value
     if isinstance(expr, PathExpr):
-        return _eval_path(expr, context)
+        return _compile_path(expr)
     if isinstance(expr, CompareExpr):
-        return _eval_compare(expr, context)
+        left, right = compile_xpath(expr.left), compile_xpath(expr.right)
+        if expr.op == "=":
+            return lambda context: _sets_equal(left(context), right(context))
+        return lambda context: not _sets_equal(left(context), right(context))
     if isinstance(expr, BoolExpr):
-        left = to_boolean(evaluate(expr.left, context))
+        left, right = compile_xpath(expr.left), compile_xpath(expr.right)
         if expr.op == "and":
-            return left and to_boolean(evaluate(expr.right, context))
-        return left or to_boolean(evaluate(expr.right, context))
+            return lambda context: bool(left(context)) and bool(right(context))
+        return lambda context: bool(left(context)) or bool(right(context))
     if isinstance(expr, FunctionExpr):
-        return _eval_function(expr, context)
+        return _compile_function(expr)
     raise XPathError(f"cannot evaluate {expr!r}")
+
+
+def evaluate(expr: XPathExpr, context: XPathContext) -> Any:
+    """Evaluate to a node-set (list), string, float or bool.  Lowers
+    ``expr`` on every call: to evaluate one expression often, keep the
+    :func:`compile_xpath` closure, as a compiled stylesheet does."""
+    return compile_xpath(expr)(context)
 
 
 def select(expression: str | XPathExpr, context: XPathContext) -> list[Any]:
     """Evaluate and coerce to a node-set (raises if not a path result)."""
     expr = parse_xpath(expression) if isinstance(expression, str) else expression
-    result = evaluate(expr, context)
-    if isinstance(result, list):
-        return result
-    raise XPathError(f"expression {expression!r} is not a node-set")
+    return compile_xpath(require_node_set(expr, expression))(context)
+
+
+def require_node_set(expr: XPathExpr, source: Any) -> XPathExpr:
+    """``expr``, if it evaluates to a node-set — in this subset exactly
+    the location paths, so the check needs no context."""
+    if isinstance(expr, PathExpr):
+        return expr
+    raise XPathError(f"expression {source!r} is not a node-set")
 
 
 def to_string(value: Any) -> str:
@@ -354,20 +360,8 @@ def to_string(value: Any) -> str:
 
 
 def to_boolean(value: Any) -> bool:
-    if isinstance(value, list):
-        return bool(value)
-    if isinstance(value, str):
-        return bool(value)
-    if isinstance(value, float):
-        return value != 0.0
+    """Non-empty node-set or string, non-zero number, or the boolean."""
     return bool(value)
-
-
-def _eval_compare(expr: CompareExpr, context: XPathContext) -> bool:
-    left = evaluate(expr.left, context)
-    right = evaluate(expr.right, context)
-    equal = _sets_equal(left, right)
-    return equal if expr.op == "=" else not equal
 
 
 def _sets_equal(left: Any, right: Any) -> bool:
@@ -391,166 +385,155 @@ def _atom_equal(left: Any, right: Any) -> bool:
     return to_string(left) == to_string(right)
 
 
-def _eval_function(expr: FunctionExpr, context: XPathContext) -> Any:
-    name = expr.name
-    args = expr.args
-    if name == "count":
-        _require_args(expr, 1)
-        return float(len(select(args[0], context)))
-    if name == "concat":
-        if len(args) < 2:
-            raise XPathError("concat() needs at least two arguments")
-        return "".join(to_string(evaluate(arg, context)) for arg in args)
-    if name == "name":
-        _require_args(expr, 0)
-        node = context.node
-        return node.tag if isinstance(node, Element) else ""
-    if name == "position":
-        _require_args(expr, 0)
-        return float(context.position)
-    if name == "last":
-        _require_args(expr, 0)
-        return float(context.size)
-    if name == "string":
-        if not args:
-            return node_string_value(context.node)
-        _require_args(expr, 1)
-        return to_string(evaluate(args[0], context))
-    if name == "normalize-space":
-        if args:
-            value = to_string(evaluate(args[0], context))
-        else:
-            value = node_string_value(context.node)
-        return re.sub(r"\s+", " ", value).strip()
-    if name == "contains":
-        _require_args(expr, 2)
-        haystack = to_string(evaluate(args[0], context))
-        needle = to_string(evaluate(args[1], context))
-        return needle in haystack
-    if name == "not":
-        _require_args(expr, 1)
-        return not to_boolean(evaluate(args[0], context))
-    if name == "true":
-        return True
-    if name == "false":
-        return False
-    raise XPathError(f"unsupported function {name}()")
+#: The supported functions: fewest and most arguments, and the function
+#: itself — of the context when it takes none, else of its arguments'
+#: values (``string`` and ``normalize-space`` default to the context node).
+_FUNCTIONS: dict[str, tuple[int, float, Callable[..., Any]]] = {
+    "name": (0, 0, lambda context: getattr(context.node, "tag", "")),
+    "position": (0, 0, lambda context: float(context.position)),
+    "last": (0, 0, lambda context: float(context.size)),
+    "true": (0, 0, lambda context: True),
+    "false": (0, 0, lambda context: False),
+    "count": (1, 1, lambda nodes: float(len(nodes))),
+    "not": (1, 1, lambda value: not value),
+    "string": (0, 1, to_string),
+    # ``str.split`` and ``\s`` agree on what whitespace is: this is
+    # ``re.sub(r"\s+", " ", value).strip()`` without the regex.
+    "normalize-space": (0, 1, lambda value: " ".join(to_string(value).split())),
+    "contains": (2, 2, lambda hay, needle: to_string(needle) in to_string(hay)),
+    "concat": (2, math.inf, lambda *parts: "".join(map(to_string, parts))),
+}
 
 
-def _require_args(expr: FunctionExpr, count: int) -> None:
-    if len(expr.args) != count:
-        raise XPathError(
-            f"{expr.name}() takes {count} argument(s), got {len(expr.args)}"
-        )
+def _compile_function(expr: FunctionExpr) -> Evaluator:
+    if expr.name not in _FUNCTIONS:
+        raise XPathError(f"unsupported function {expr.name}()")
+    fewest, most, function = _FUNCTIONS[expr.name]
+    if not fewest <= len(expr.args) <= most:
+        raise XPathError(f"{expr.name}() does not take {len(expr.args)} argument(s)")
+    if expr.name == "count":
+        require_node_set(expr.args[0], "the argument of count()")
+    args = [compile_xpath(arg) for arg in expr.args] or [lambda context: [context.node]]
+    if not most:
+        return function
+    if len(args) == 1:
+        first = args[0]
+        return lambda context: function(first(context))
+    return lambda context: function(*[arg(context) for arg in args])
 
 
-def _eval_path(expr: PathExpr, context: XPathContext) -> list[Any]:
-    if expr.absolute:
-        root = context.root
-        if root is None:
-            node: Node | None = context.node
-            while isinstance(node, Element) and node.parent is not None:
-                node = node.parent
-            root = node if isinstance(node, Element) else None
-        if root is None:
-            return []
-        # The absolute start is the *document* (parent of root), so the
-        # first step's child axis sees the root element itself.
-        current: list[Any] = [_DocumentAnchor(root)]
-    else:
-        current = [context.node]
-    for step in expr.steps:
-        current = _apply_step(step, current, context)
-    return current
+class _DocumentAnchor(Document):
+    """The document node an absolute path starts from, when the context
+    only knows the root element: its one child is that element."""
 
 
-class _DocumentAnchor:
-    """Virtual document node whose only child is the root element."""
-
-    def __init__(self, root: Element) -> None:
-        self.root = root
-
-
-def _children_of(item: Any) -> list[Node]:
-    if isinstance(item, _DocumentAnchor):
-        return [item.root]
-    if isinstance(item, Document):
-        return [item.root]
+def children_of(item: Any) -> list[Node]:
+    """The child nodes of an element or a document; nothing else has any."""
     if isinstance(item, Element):
-        return list(item.children)
-    return []
+        return item.children
+    return [item.root] if isinstance(item, Document) else []
 
 
 def _descendants_of(item: Any) -> list[Node]:
-    result: list[Node] = []
-    for child in _children_of(item):
-        result.append(child)
-        if isinstance(child, Element):
-            result.extend(list(child.walk())[1:])
-    return result
+    return [node for child in children_of(item) for node in child.walk()]
 
 
-def _apply_step(step: Step, items: list[Any], context: XPathContext) -> list[Any]:
-    candidates: list[Any] = []
-    for item in items:
-        if step.axis == "self":
-            candidates.append(item)
-        elif step.axis == "parent":
-            if isinstance(item, (Element, Text)) and item.parent is not None:
-                candidates.append(item.parent)
-        elif step.axis == "attribute":
-            if isinstance(item, Element) and step.test in item.attributes:
-                candidates.append(item.attributes[step.test])
-        elif step.axis == "child":
-            candidates.extend(
-                child for child in _children_of(item) if _matches(step.test, child)
-            )
-        elif step.axis == "descendant":
-            candidates.extend(
-                node for node in _descendants_of(item) if _matches(step.test, node)
-            )
-    # De-duplicate nodes while preserving order (strings pass through).
+def _unique(nodes: list[Any]) -> list[Any]:
+    """``nodes`` without repeats, first occurrence kept (document order)."""
     seen: set[int] = set()
-    unique: list[Any] = []
-    for candidate in candidates:
-        if isinstance(candidate, str):
-            unique.append(candidate)
-            continue
-        if id(candidate) not in seen:
-            seen.add(id(candidate))
-            unique.append(candidate)
-    return _filter_predicates(step.predicates, unique, context)
+    return [node for node in nodes if id(node) not in seen and not seen.add(id(node))]
 
 
-def _matches(test: str, node: Node) -> bool:
-    if test == "text()":
-        return isinstance(node, Text)
-    if not isinstance(node, Element):
-        return False
-    return test == "*" or node.tag == test
+def _compile_path(expr: PathExpr) -> Evaluator:
+    steps = tuple(_compile_step(step) for step in expr.steps)
+    absolute = expr.absolute
+
+    def evaluate_path(context: XPathContext) -> list[Any]:
+        if absolute:
+            root = context.root
+            if root is None:
+                node: Any = context.node
+                while isinstance(node, Element) and node.parent is not None:
+                    node = node.parent
+                if not isinstance(node, Element):
+                    return []
+                root = node
+            # Start at the *document*, so the first step's child axis
+            # sees the root element itself.
+            items: list[Any] = [_DocumentAnchor(root)]
+        else:
+            items = [context.node]
+        for step in steps:
+            items = step(items, context)
+        return items
+
+    return evaluate_path
 
 
-def _filter_predicates(
-    predicates: tuple[XPathExpr, ...], items: list[Any], context: XPathContext
-) -> list[Any]:
-    for predicate in predicates:
+def _compile_step(step: Step) -> _StepFunction:
+    """One location step as ``(items, context) -> items``.  Children and
+    attributes of distinct nodes are distinct: only ``parent`` and
+    ``descendant`` pay for the duplicate pass, and only over several —
+    possibly nested — inputs."""
+    axis, test = step.axis, step.test
+    if axis == "self":
+        return lambda items, context: items
+    if axis == "attribute":
+        if not all(isinstance(expr, NumberExpr) for expr in step.predicates):
+            raise XPathError("predicates on attributes must be positional")
+
+        def expand(item: Any) -> list[Any]:
+            found = isinstance(item, Element) and test in item.attributes
+            return [item.attributes[test]] if found else []
+    elif axis == "parent":
+        def expand(item: Any) -> list[Any]:
+            found = isinstance(item, (Element, Text)) and item.parent is not None
+            return [item.parent] if found else []
+    else:
+        below = children_of if axis == "child" else _descendants_of
+        kind = Text if test == "text()" else Element
+        tag = None if test in {"*", "text()"} else test
+
+        def expand(item: Any) -> list[Any]:
+            return [
+                node
+                for node in below(item)
+                if isinstance(node, kind) and (tag is None or node.tag == tag)
+            ]
+
+    may_repeat = axis in {"parent", "descendant"}
+    predicates = tuple(_compile_predicate(expr) for expr in step.predicates)
+
+    def take_step(items: list[Any], context: XPathContext) -> list[Any]:
+        if len(items) == 1:
+            found = expand(items[0])
+        else:
+            found = [node for item in items for node in expand(item)]
+            if may_repeat:
+                found = _unique(found)
+        for predicate in predicates:
+            found = predicate(found, context)
+        return found
+
+    return take_step
+
+
+def _compile_predicate(expr: XPathExpr) -> _StepFunction:
+    if isinstance(expr, NumberExpr):
+        index = int(expr.value)
+        return lambda items, context: items[index - 1:index]
+    test = compile_xpath(expr)
+
+    def keep(items: list[Any], context: XPathContext) -> list[Any]:
         size = len(items)
+        root = context.root
         kept: list[Any] = []
         for position, item in enumerate(items, start=1):
-            if isinstance(predicate, NumberExpr):
-                if position == int(predicate.value):
-                    kept.append(item)
-                continue
-            if isinstance(item, str):
-                # Attribute values only support positional predicates.
-                raise XPathError("predicates on attributes must be positional")
-            value = evaluate(
-                predicate, context.with_node(item, position, size)
-            )
-            if isinstance(value, float):
-                if position == int(value):
-                    kept.append(item)
-            elif to_boolean(value):
+            value = test(XPathContext(item, position, size, root))
+            if isinstance(value, float):  # a number is a position test
+                value = position == int(value)
+            if value:
                 kept.append(item)
-        items = kept
-    return items
+        return kept
+
+    return keep

@@ -319,3 +319,16 @@ class TestReadPathCounterGate(TestWritePathCounterGate):
     """The same gate over the traced ``search_cold`` run's counters."""
 
     RUN = bank.READ
+
+
+class TestComposePathCounterGate(TestWritePathCounterGate):
+    """The same gate over the traced ``search_compose`` run's counters:
+    a composed byte more or less, or a cache miss, fails exactly."""
+
+    RUN = bank.COMPOSE
+
+    def test_the_engine_is_bypassed_and_every_read_is_a_hit(self):
+        committed = json.loads((gate.BASELINE_DIR / self.RUN.artifact).read_text())
+        assert committed["counters"]["query.cache.hit_ratio"] == 1.0
+        assert committed["counters"]["ordbms.btree.probes_per_read"] == 0.0
+        assert committed["counters"]["server.http.response_bytes_per_read"] > 0.0

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("package", ["repro.ordbms", "repro.store"])
+@pytest.mark.parametrize("package", ["repro.ordbms", "repro.store", "repro.xslt"])
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
