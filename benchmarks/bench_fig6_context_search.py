@@ -118,35 +118,32 @@ class _TableCalls:
         return self.point + self.batch
 
     def __enter__(self):
-        self._originals = Table.fetch, Table.fetch_many, Table.rows_after
-        fetch_one, fetch_list, read_run = self._originals
+        self._originals = Table.visible_many, Table.rows_after
+        read_list, read_run = self._originals
         counter = self
 
-        def fetch(table, rowid):
-            counter.point += 1
-            counter.rows += 1
-            return fetch_one(table, rowid)
-
-        def fetch_many(table, rowids):
+        def visible_many(table, rowids, pin):
+            # A one-row batch is the read path's point fetch.
             rowids = list(rowids)
-            counter.batch += 1
+            if len(rowids) == 1:
+                counter.point += 1
+            else:
+                counter.batch += 1
             counter.rows += len(rowids)
-            return fetch_list(table, rowids)
+            return read_list(table, rowids, pin)
 
-        def rows_after(table, rowid, pin=None):
+        def rows_after(table, rowid, pin):
             # A forward read is one call; every row it decodes is fetched.
             counter.batch += 1
             for row in read_run(table, rowid, pin):
                 counter.rows += 1
                 yield row
 
-        Table.fetch, Table.fetch_many, Table.rows_after = (
-            fetch, fetch_many, rows_after,
-        )
+        Table.visible_many, Table.rows_after = visible_many, rows_after
         return self
 
     def __exit__(self, *exc_info):
-        Table.fetch, Table.fetch_many, Table.rows_after = self._originals
+        Table.visible_many, Table.rows_after = self._originals
         return False
 
 

@@ -6,16 +6,15 @@ obtained from :meth:`Database.begin`; when no transaction is open,
 mutations auto-commit (each statement is atomic on its own, which matches
 how the table layer already behaves).
 
-The facade also exposes ``stats`` counters (rows read/written, index
-lookups, rowid fetches) that the ablation benchmarks use to show *why* the
-rowid-based traversal wins — operation counts are a machine-independent
-proxy for the I/O the paper's Oracle deployment saved.
+The facade also exposes ``stats`` counters (rows written, rowid fetches,
+transactions closed) — operation counts are a machine-independent proxy
+for the I/O the paper's Oracle deployment saved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro import obs
 from repro.errors import TransactionError, WalError
@@ -36,10 +35,6 @@ class DatabaseStats:
     rows_updated: int = 0
     rows_deleted: int = 0
     rowid_fetches: int = 0
-    #: Batched fetch *calls* (each covers many rowids; the rows still
-    #: count into :attr:`rowid_fetches`).  The fig6 bench reports the
-    #: call ratio — batch calls are the read path's unit of round trips.
-    batch_fetches: int = 0
     transactions_committed: int = 0
     transactions_rolled_back: int = 0
     #: Transactions whose *rollback itself* raised: an undo callback
@@ -270,18 +265,3 @@ class Database:
         """O(1) fetch by physical ROWID (counted in stats)."""
         self.stats.rowid_fetches += 1
         return self.table(table_name).fetch(rowid)
-
-    def fetch_many(self, table_name: str, rowids: list[RowId]) -> list[dict[str, Any]]:
-        """Batch fetch by ROWID list — one call, ``len(rowids)`` rows."""
-        self.stats.rowid_fetches += len(rowids)
-        self.stats.batch_fetches += 1
-        return self.table(table_name).fetch_many(rowids)
-
-    def rows_after(
-        self, table_name: str, rowid: RowId
-    ) -> Iterator[dict[str, Any]]:
-        """Live :meth:`Table.rows_after`: one batch, a fetch per row pulled."""
-        self.stats.batch_fetches += 1
-        for row in self.table(table_name).rows_after(rowid):
-            self.stats.rowid_fetches += 1
-            yield row

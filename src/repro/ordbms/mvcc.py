@@ -2,10 +2,10 @@
 
 One :class:`MvccState` per database holds the **commit LSN** — a
 monotonic counter bumped by every mutation statement, and the one
-version counter in the system: the live accessor's guard and the result
-cache's stamp read it too — and the set of *pinned* LSNs held by open
-:class:`Snapshot` handles.  The concurrency model is deliberately
-asymmetric:
+version counter in the system: every read resolves at one value of it
+(:meth:`MvccState.read_lsn`) and the result cache stamps its entries
+with it — and the set of *pinned* LSNs held by open :class:`Snapshot`
+handles.  The concurrency model is deliberately asymmetric:
 
 * **Single writer.**  Exactly one thread (the daemon's ingest path)
   mutates the database.  :meth:`MvccState.begin_statement` enforces this
@@ -68,8 +68,15 @@ class Snapshot:
 
     Obtained from :meth:`repro.ordbms.database.Database.open_snapshot`
     (or :meth:`repro.store.xmlstore.XmlStore.snapshot`); usable as a
-    context manager.  Releasing moves the GC horizon forward; reads
-    through a released snapshot raise.
+    context manager.  Only ``lsn`` travels down the read path; what the
+    handle owns is the GC horizon.  While it is held, no pre-image a
+    read at ``lsn`` needs is reclaimed, so such reads answer the same
+    whatever commits meanwhile.  Once released (or for an LSN that was
+    never held, :meth:`MvccState.read_lsn`) reads at ``lsn`` are exact
+    until the next commit reclaims history; from then on a row written
+    since shows as it is now and a row deleted since is gone — missing
+    from index probes, the typed :class:`~repro.errors.RowIdError` to a
+    fetch or a forward read.
     """
 
     __slots__ = ("lsn", "token", "_state", "_released")
@@ -79,10 +86,6 @@ class Snapshot:
         self.token = token
         self.lsn = lsn
         self._released = False
-
-    @property
-    def released(self) -> bool:
-        return self._released
 
     def release(self) -> None:
         """Drop the pin (idempotent)."""
@@ -146,12 +149,22 @@ class MvccState:
 
     # -- reader protocol ----------------------------------------------------
 
+    def read_lsn(self, snapshot: Snapshot | None = None) -> int:
+        """The commit LSN a read resolves at: ``snapshot``'s pin, else
+        what a snapshot opened now would pin — the transaction-begin LSN
+        while the writer has a transaction open, else the last commit."""
+        if snapshot is not None:
+            return snapshot.lsn
+        # Commit LSN first: a transaction that opens between the two
+        # reads then hands back its own begin LSN, never a statement's.
+        lsn, txn_pin = self.lsn, self._txn_pin
+        return lsn if txn_pin is None else txn_pin
+
     def open(self) -> Snapshot:
-        """Pin the current visibility LSN and hand back the handle."""
+        """Pin :meth:`read_lsn` and hand back the handle."""
         with self._pin_lock:
             token = next(self._tokens)
-            txn_pin = self._txn_pin
-            lsn = txn_pin if txn_pin is not None else self.lsn
+            lsn = self.read_lsn()
             self._pins[token] = lsn
             self._publish_gauges_locked()
         obs.inc("repro_mvcc_snapshots_opened_total")

@@ -4,7 +4,7 @@ ARIES-lite, sized to the single-writer engine: one forward pass over the
 log replays every mutation *physically* — inserts must land at exactly
 the ROWID the log recorded, which is what lets ``PARENTROWID`` /
 ``SIBLINGID`` values stored inside rows survive a crash — and resolves
-transactions as their COMMIT / ROLLBACK / TRUNCATE records stream past.
+transactions as their COMMIT / ROLLBACK records stream past.
 Whatever is still unresolved at the end of the log died with the process
 and is undone from its logged before-images (the *losers*).
 
@@ -46,7 +46,6 @@ from repro.ordbms.wal import (
     DELETE,
     INSERT,
     ROLLBACK,
-    TRUNCATE,
     UPDATE,
     LogDevice,
     WalRecord,
@@ -120,17 +119,6 @@ class StreamReplayer:
                 _undo(self.database, mutation)
             self._publish()
             self.transactions_rolled_back += 1
-        elif record.kind == TRUNCATE:
-            mutations = _close(self._open, record)
-            self._open[record.txid] = mutations  # stays open
-            if not 0 <= record.keep <= len(mutations):
-                raise RecoveryError(
-                    f"LSN {record.lsn}: TRUNCATE keeps {record.keep} of "
-                    f"{len(mutations)} logged mutations"
-                )
-            for mutation in reversed(mutations[record.keep:]):
-                _undo(self.database, mutation)
-            del mutations[record.keep:]
         # CHECKPOINT markers carry no state; they only advance the LSN.
         self.applied_lsn = record.lsn
         return True

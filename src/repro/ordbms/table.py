@@ -141,9 +141,10 @@ class Table:
         Optimistic seqlock: retry while the writer is mid-statement or
         moved the counter during the read.  ``read`` must be pure (no
         side effects beyond its return value) since it may run several
-        times; a ``RuntimeError`` from a dict resized mid-iteration
-        counts as a torn read and retries too.  Readers only ever
-        *yield* the GIL — they never block on a lock.
+        times; an exception out of a torn window (a dict resized
+        mid-iteration, a posting gone between two lookups) is the tear
+        and retries too.  Readers only ever *yield* the GIL — they never
+        block on a lock.
         """
         while True:
             start = self._seq
@@ -153,7 +154,9 @@ class Table:
                 continue
             try:
                 result = read()
-            except RuntimeError:  # dict/list mutated during iteration
+            except Exception as error:  # lint: allow-broad-except(a torn window can fail any way; a stable one's error is re-raised)
+                if self._seq == start and not isinstance(error, RuntimeError):
+                    raise
                 self.read_retries += 1
                 time.sleep(0)
                 continue
@@ -305,25 +308,6 @@ class Table:
         """O(1) fetch by physical ROWID, as a column->value dict."""
         return self._with_rowid(rowid, self._heap.fetch(rowid))
 
-    def fetch_many(self, rowids: Iterable[RowId]) -> list[dict[str, Any]]:
-        """Batch fetch by physical ROWID list, in the given order.
-
-        One call replaces N point :meth:`fetch` calls — the entry point
-        the read path's :class:`~repro.store.accessor.NodeAccessor` uses
-        to turn per-hop traffic into set-at-a-time traffic.  Each rowid
-        must be live (same contract as :meth:`fetch`).
-        """
-        rows = [
-            self._with_rowid(rowid, self._heap.fetch(rowid))
-            for rowid in rowids
-        ]
-        if rows:
-            obs.inc(
-                "repro_ordbms_rows_read_total", len(rows),
-                table=self.schema.name, path="fetch",
-            )
-        return rows
-
     def raw_row(self, rowid: RowId) -> tuple[Any, ...]:
         """The stored tuple at ``rowid``, in schema column order.
 
@@ -450,42 +434,55 @@ class Table:
         return rows
 
     def _slots_after(
-        self, rowid: RowId | None, pin: int | None
+        self, rowid: RowId | None, pin: int
     ) -> Iterator[tuple[RowId, Any]]:
         """``(rowid, image)`` for every slot stored after ``rowid`` (every
-        slot when None), as of ``pin`` (live when None); a slot with no
-        row in that view carries :data:`ABSENT`.  Slots are taken a
-        chunk at a time, each chunk inside one seqlock window."""
-        chunk = RUN_CHUNK
+        slot when None), as of ``pin``; a slot with no row in that view
+        carries :data:`ABSENT`.  Slots are taken a chunk at a time, each
+        chunk inside one seqlock window.
 
-        def window() -> list[tuple[RowId, Any]]:
+        A run has a head: ``rowid`` must itself hold a row as of ``pin``.
+        When it does not — its document was deleted and the history
+        reclaimed since the caller read it — the typed
+        :class:`~repro.errors.RowIdError` says so, where an empty run
+        would pass for a section with nothing in it.
+        """
+        chunk, head = RUN_CHUNK, rowid
+
+        def window() -> list[tuple[RowId, Any]] | None:
             slots = [
                 (slot, ABSENT if row is None else row)
                 for slot, row in islice(self._heap.scan_all(rowid), chunk)
             ]
-            if pin is not None and self._history:
+            if self._history:
                 slots = [
                     (slot, self._as_of(slot, row, pin)) for slot, row in slots
                 ]
+            # Judged after the slots: while the head is visible no sweep
+            # has taken the history those slots were resolved with.
+            if head is not None and self._visible_image(head, pin) is ABSENT:
+                return None
             return slots
 
         while True:
             slots = self.stable_read(window)
+            if slots is None:
+                raise RowIdError(
+                    f"ROWID {head} is not visible at LSN {pin} in table "
+                    f"{self.schema.name}"
+                )
             yield from slots
             if len(slots) < chunk:
                 return
             rowid, chunk = slots[-1][0], min(chunk * 2, RUN_CHUNK_MAX)
 
-    def rows_after(
-        self, rowid: RowId, pin: int | None = None
-    ) -> Iterator[dict[str, Any]]:
+    def rows_after(self, rowid: RowId, pin: int) -> Iterator[dict[str, Any]]:
         """Lazily yield the rows stored right after ``rowid``, in order.
 
         The forward read: one pass over the slots that physically follow
-        ``rowid``, as of ``pin`` (live when None), ending at the first
-        slot that holds no row in that view or at the heap tail.  A row
-        is decoded only when the consumer pulls it, so stopping early
-        costs nothing.
+        ``rowid``, as of ``pin``, ending at the first slot that holds no
+        row in that view or at the heap tail.  A row is decoded only
+        when the consumer pulls it, so stopping early costs nothing.
         """
         decoded = 0
         try:
@@ -498,8 +495,7 @@ class Table:
             if decoded:
                 obs.inc(
                     "repro_ordbms_rows_read_total", decoded,
-                    table=self.schema.name,
-                    path="fetch" if pin is None else "snapshot",
+                    table=self.schema.name, path="snapshot",
                 )
 
     def changed_rowids_since(self, pin: int) -> set[RowId]:

@@ -5,9 +5,8 @@ rows per document; the store wraps each document load in a transaction so a
 mid-load failure never leaves a half-decomposed document behind.
 
 The model is single-writer with logical undo: every mutation appends an
-undo record; rollback replays them in reverse.  Savepoints nest by
-remembering a position in the undo log.  This is all the paper's workload
-needs — NETMARK has no concurrent-writer story and neither do we.
+undo record; rollback replays them in reverse.  This is all the paper's
+workload needs — NETMARK has no concurrent-writer story and neither do we.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class Transaction:
     #: Log-visible transaction id (0 is reserved for autocommit records).
     txid: int = 0
     _undo_log: list[_UndoRecord] = field(default_factory=list)
-    _savepoints: dict[str, int] = field(default_factory=dict)
     _state: str = "active"  # active | committed | rolled_back | failed
 
     @property
@@ -54,29 +52,6 @@ class Transaction:
         self._require_active()
         self._undo_log.append(_UndoRecord(description, undo))
 
-    def savepoint(self, name: str) -> None:
-        """Mark a point the transaction can partially roll back to."""
-        self._require_active()
-        self._savepoints[name] = len(self._undo_log)
-
-    def rollback_to(self, name: str) -> None:
-        """Undo everything since ``savepoint(name)``; transaction stays open."""
-        self._require_active()
-        try:
-            mark = self._savepoints[name]
-        except KeyError:
-            raise TransactionError(f"no savepoint named {name!r}") from None
-        self._unwind(mark)
-        # Savepoints created after the mark are no longer meaningful.
-        self._savepoints = {
-            sp_name: position
-            for sp_name, position in self._savepoints.items()
-            if position <= mark
-        }
-        wal = self.database.wal
-        if wal is not None:
-            wal.log_truncate(self.txid, keep=mark)
-
     def commit(self) -> None:
         """Make all mutations permanent and close the transaction.
 
@@ -89,7 +64,6 @@ class Transaction:
         if wal is not None:
             wal.log_commit(self.txid)
         self._undo_log.clear()
-        self._savepoints.clear()
         self._state = "committed"
         self.database._transaction_closed(self)
 
@@ -103,22 +77,20 @@ class Transaction:
         write-ahead log still discards it cleanly on recovery.
         """
         self._require_active()
-        self._unwind(0)
-        self._savepoints.clear()
+        self._unwind()
         self._state = "rolled_back"
         wal = self.database.wal
         if wal is not None:
             wal.log_rollback(self.txid)
         self.database._transaction_closed(self)
 
-    def _unwind(self, mark: int) -> None:
-        """Pop and run undo records down to ``mark``; fail terminally."""
-        while len(self._undo_log) > mark:
+    def _unwind(self) -> None:
+        """Pop and run every undo record; fail terminally."""
+        while self._undo_log:
             record = self._undo_log.pop()
             try:
                 record.undo()
             except Exception as error:  # lint: allow-broad-except(any undo failure must fail the transaction, not escape it)
-                self._savepoints.clear()
                 self._state = "failed"
                 self.database._transaction_closed(self)
                 raise TransactionError(

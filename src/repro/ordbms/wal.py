@@ -4,9 +4,8 @@
 crash.  This module gives the in-memory substrate its durability story:
 
 * a record grammar — ``BEGIN`` / ``INSERT`` / ``UPDATE`` / ``DELETE`` /
-  ``COMMIT`` / ``ROLLBACK`` / ``TRUNCATE`` (savepoint release) /
-  ``CHECKPOINT`` — with monotonically increasing LSNs and a per-record
-  CRC32 over the body;
+  ``COMMIT`` / ``ROLLBACK`` / ``CHECKPOINT`` — with monotonically
+  increasing LSNs and a per-record CRC32 over the body;
 * torn-tail detection: a damaged record *at the end* of the log is a
   torn write (the crash interrupted the append) and is silently
   truncated, while a damaged record *followed by* well-formed records is
@@ -45,12 +44,7 @@ UPDATE = "UPDATE"
 DELETE = "DELETE"
 COMMIT = "COMMIT"
 ROLLBACK = "ROLLBACK"
-TRUNCATE = "TRUNCATE"
 CHECKPOINT = "CHECKPOINT"
-
-KINDS = frozenset(
-    {BEGIN, INSERT, UPDATE, DELETE, COMMIT, ROLLBACK, TRUNCATE, CHECKPOINT}
-)
 
 #: Header of the checkpoint slot: ``%NETMARK-CKPT <lsn> <crc>``.
 CHECKPOINT_MAGIC = "%NETMARK-CKPT"
@@ -81,15 +75,12 @@ class WalRecord:
     rowid: RowId | None = None
     before: tuple[Any, ...] | None = None
     after: tuple[Any, ...] | None = None
-    keep: int = 0  # TRUNCATE: mutation records of the txn to keep
 
     def encode(self) -> str:
         """Serialise to one log line (body, ``|``, CRC, newline)."""
         fields = [str(self.lsn), self.kind]
         if self.kind in (BEGIN, COMMIT, ROLLBACK):
             fields.append(str(self.txid))
-        elif self.kind == TRUNCATE:
-            fields += [str(self.txid), str(self.keep)]
         elif self.kind in (INSERT, UPDATE, DELETE):
             assert self.rowid is not None
             fields += [str(self.txid), self.table, self.rowid.encode()]
@@ -118,9 +109,6 @@ def _parse_body(body: str) -> WalRecord:
         if kind in (BEGIN, COMMIT, ROLLBACK):
             _expect(len(fields) == 3, body)
             return WalRecord(lsn, kind, txid)
-        if kind == TRUNCATE:
-            _expect(len(fields) == 4, body)
-            return WalRecord(lsn, kind, txid, keep=int(fields[3]))
         if kind == INSERT:
             _expect(len(fields) == 6, body)
             return WalRecord(
@@ -438,11 +426,6 @@ class WriteAheadLog:
 
     def log_rollback(self, txid: int) -> int:
         return self._append(WalRecord(self._take_lsn(), ROLLBACK, txid))
-
-    def log_truncate(self, txid: int, keep: int) -> int:
-        return self._append(
-            WalRecord(self._take_lsn(), TRUNCATE, txid, keep=keep)
-        )
 
     # -- checkpointing -------------------------------------------------------
 

@@ -5,14 +5,13 @@ A :class:`QueryCache` memoizes complete engine answers.  The key is the
 every field that changes what the engine returns (context phrases,
 content terms + mode, nodename, doc/format filters, limit, index mode)
 — plus one **version stamp**, the commit LSN of the store state the
-answer was computed against: the pin's LSN for a snapshot execution,
-``database.mvcc.lsn`` for a live one, captured **before** the plan
-runs.  MVCC makes a result at LSN *S* eternally valid for readers at
-*S*; a new request presents the same stamp only when nothing has
-committed since, so an entry is never served across a commit.  If a
-write raced a live plan, the entry was keyed at the pre-write LSN and
-is simply unreachable.  Entries below the storing reader's LSN are
-purged on the next store.
+answer was computed against (the pin's LSN, or what a snapshot opened
+now would pin), captured **before** the plan runs.  MVCC makes a result
+at LSN *S* eternally valid for readers at *S*; a new request presents
+the same stamp only when nothing has committed since, so an entry is
+never served across a commit.  If a write raced the stamp, the entry
+was keyed at the pre-write LSN and is simply unreachable.  Entries
+below the storing reader's LSN are purged on the next store.
 
 Presentation fields (stylesheet, databank, trace, explain, deadline,
 extras) are *excluded* from the key: they do not change the match list,
@@ -38,7 +37,6 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.errors import QueryError
-from repro.ordbms import Snapshot
 from repro.query.ast import XdbQuery
 from repro.query.results import SectionMatch
 
@@ -91,18 +89,6 @@ class QueryCache:
             return len(self._entries)
 
     # -- keying -------------------------------------------------------------
-
-    @staticmethod
-    def version_for(store, snapshot: Snapshot | None) -> int:
-        """The commit LSN a run executed (or will execute) at.
-
-        Must be captured *before* plan execution: if a write commits
-        mid-plan the entry stays keyed at the pre-write LSN, which no
-        later lookup can present — unreachable beats stale.
-        """
-        if snapshot is not None:
-            return snapshot.lsn
-        return store.database.mvcc.lsn
 
     @staticmethod
     def key_for(query: XdbQuery, use_index: bool, version: int) -> Key:

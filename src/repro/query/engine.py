@@ -32,8 +32,8 @@ matter how large the corpus.  ``explain`` runs the same plan and returns
 the operator tree with observed row counts instead of results.
 
 All row access goes through one per-query
-:class:`~repro.store.accessor.NodeAccessor` (batched, memoized, pinned
-or commit-LSN guarded), shared with the lazy
+:class:`~repro.store.accessor.NodeAccessor` (batched, memoized, a view
+at one commit LSN), shared with the lazy
 :class:`~repro.query.results.SectionMatch` loaders the plan emits.
 """
 
@@ -131,10 +131,12 @@ class QueryEngine:
     ) -> ResultSet:
         """Run a parsed query or a raw XDB query string.
 
-        With ``snapshot`` (see :meth:`XmlStore.snapshot`) the whole plan
-        — probes, lifts, walks, and the lazy match loaders the result
-        carries — executes against that one pinned commit LSN, immune to
-        (and never blocked by) concurrent ingest.
+        The whole plan — probes, lifts, walks, and the lazy match
+        loaders the result carries — executes at one commit LSN, never
+        blocked by concurrent ingest: ``snapshot``'s (see
+        :meth:`XmlStore.snapshot`), immune to later commits while the
+        pin is held, else the LSN a snapshot opened now would pin,
+        unheld — resolve the lazy fields before the next commit.
 
         With ``budget`` (a :class:`~repro.resilience.deadline.Budget`,
         or a bare :class:`~repro.resilience.deadline.Deadline` as
@@ -168,10 +170,11 @@ class QueryEngine:
             and not bounded
         )
         if cacheable:
-            # The version stamp is captured BEFORE the plan runs: a
-            # write racing the plan leaves the entry keyed at the
-            # pre-write stamp, which no later lookup presents.
-            version = QueryCache.version_for(self.store, snapshot)
+            # The version stamp — the LSN the plan will read at — is
+            # captured BEFORE the plan runs: a write racing the plan
+            # leaves the entry keyed at the pre-write stamp, which no
+            # later lookup presents.
+            version = self.store.database.mvcc.read_lsn(snapshot)
             key = QueryCache.key_for(query, self.use_index, version)
             hit = self.cache.lookup(key)
             if hit is not None:
@@ -320,7 +323,7 @@ class QueryEngine:
             self.store,
             self.store.new_accessor(snapshot, lifts=self._lifts),
             self.use_index,
-            profiler=profiler, snapshot=snapshot, budget=budget,
+            profiler=profiler, budget=budget,
         )
         kind = query.kind
         if kind == "context":

@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import DocumentNotFoundError, QueryError
 from repro.obs import PlanProfiler
-from repro.ordbms.mvcc import Snapshot
 from repro.ordbms.table import ROWID_PSEUDO
 from repro.ordbms.textindex import TextIndex, tokenize
 from repro.query.ast import ContentSpec
@@ -112,7 +111,8 @@ class PlanContext:
     """Shared execution state for one query's plan.
 
     Owns the per-query :class:`NodeAccessor` (memoized, batch-fetching
-    row access), through whose memo catalog entries go too: repeated
+    row access at one commit LSN, which every operator reads at),
+    through whose memo catalog entries go too: repeated
     ``describe`` lookups during filtering and materialization cost at
     most one B+tree probe per document, none when the store's pool
     already holds the entry.
@@ -124,16 +124,12 @@ class PlanContext:
         accessor: NodeAccessor,
         use_index: bool,
         profiler: PlanProfiler | None = None,
-        snapshot: Snapshot | None = None,
         budget: "Budget | None" = None,
     ) -> None:
         self.store = store
         self.accessor = accessor
         self.use_index = use_index
         self.profiler = profiler
-        #: Pinned MVCC snapshot the whole plan executes against (None =
-        #: live reads, the single-threaded default).
-        self.snapshot = snapshot
         #: The request's time-and-cancellation budget
         #: (:class:`repro.resilience.deadline.Budget`); every operator
         #: checks it at its pull boundary, so one expired deadline stops
@@ -144,7 +140,7 @@ class PlanContext:
         """Catalog entry for ``doc_id`` — a DOC row is as write-once as
         an XML row, so the entry is memoized like a lift."""
         return self.accessor.memoized(
-            "entry", doc_id, self.store.describe, doc_id, self.snapshot
+            "entry", doc_id, self.store.entry_at, doc_id, self.accessor.lsn
         )
 
     def file_name(self, doc_id: int) -> str:
@@ -340,8 +336,7 @@ class Scan(TextSource):
     name = "scan"
 
     def _rows(self) -> Iterable[Row]:
-        table, pin = self.ctx.store.xml_table, self.ctx.snapshot
-        rows = table.scan() if pin is None else table.snapshot_scan(pin.lsn)
+        rows = self.ctx.store.xml_table.snapshot_scan(self.ctx.accessor.lsn)
         return (row for row in rows if self._matches(row["NODEDATA"]))
 
 
@@ -611,9 +606,7 @@ class ContentFilter(ContentTest):
 
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
-            node = compose_node(
-                self.ctx.store.database, candidate.row, self.ctx.accessor
-            )
+            node = compose_node(candidate.row, self.ctx.accessor)
             text = re.sub(r"\s+", " ", node.text_content()).strip()
             if not text_satisfies(text, self.spec):
                 continue
@@ -694,9 +687,7 @@ class SectionResolver:
         return self.ctx.accessor.section_text(self.row)
 
     def section(self) -> Element | None:
-        return compose_section(
-            self.ctx.store.database, self.row, self.ctx.accessor
-        )
+        return compose_section(self.row, self.ctx.accessor)
 
 
 @dataclass
@@ -711,9 +702,7 @@ class NodeResolver:
 
     def _resolve_node(self) -> Element | Text:
         if self.node is None:
-            self.node = compose_node(
-                self.ctx.store.database, self.row, self.ctx.accessor
-            )
+            self.node = compose_node(self.row, self.ctx.accessor)
         return self.node
 
     def context(self) -> str:

@@ -21,8 +21,8 @@ fragment are resolved on first attribute access (then cached on the
 match).  Sorting, limiting and federated routing therefore never pay for
 section reconstruction of matches that get cut; only the matches that
 actually render resolve.  Loader-backed resolution goes through the
-per-query :class:`~repro.store.accessor.NodeAccessor`, whose pin (or,
-live, commit-LSN guard) keeps late resolution consistent with the store.
+per-query :class:`~repro.store.accessor.NodeAccessor`, so late resolution
+reads at the same commit LSN the plan did.
 """
 
 from __future__ import annotations

@@ -74,11 +74,6 @@ class NetmarkDaemon:
     store: XmlStore
     vfs: VirtualFileSystem
     drop_folder: str = "/incoming"
-    keep_originals: bool = True
-    #: When True (default), re-dropping a file whose name is already in
-    #: the store supersedes the stored document (new revision) instead of
-    #: adding a duplicate — the WebDAV collaborative-editing behaviour.
-    replace_existing: bool = True
     # repro: guarded-by(gil) appended only by the ingest thread (the MVCC
     # single writer); other threads read via IngestThread.records() and
     # may observe a slightly stale prefix, never a torn record.
@@ -211,13 +206,7 @@ class NetmarkDaemon:
         name = base_name(path)
         if self._journal_evidence(name) >= marker:
             if self.vfs.is_file(path):
-                if self.keep_originals:
-                    self._move(path, self.processed_folder)
-                else:
-                    try:
-                        self.vfs.delete(path)
-                    except ReproError:
-                        self._remember_skip(path)
+                self._move(path, self.processed_folder)
             entry = self.store.lookup_by_name(name)
             doc_id = entry.doc_id if entry is not None else None
             node_count = (
@@ -250,17 +239,13 @@ class NetmarkDaemon:
             pass  # a stale journal is settled (idempotently) on next startup
 
     def _journal_evidence(self, name: str) -> int:
-        """What ingests of ``name`` have left in the store so far.
-
-        Replace mode: the stored revision number (0 when none).  Append
-        mode: the number of stored documents with that file name.  An
-        ingest that commits raises it by one — checkable after recovery
-        without trusting any in-memory state.
+        """What ingests of ``name`` have left in the store so far: the
+        stored revision number (0 when none).  An ingest that commits
+        raises it by one — checkable after recovery without trusting
+        any in-memory state.
         """
-        if self.replace_existing:
-            existing = self.store.lookup_by_name(name)
-            return 0 if existing is None else existing.revision
-        return self.store.count_by_name(name)
+        existing = self.store.lookup_by_name(name)
+        return 0 if existing is None else existing.revision
 
     # -- internals ------------------------------------------------------------------
 
@@ -284,11 +269,9 @@ class NetmarkDaemon:
                 self._journal_begin(path, content)
 
             def store_once():
-                if self.replace_existing:
-                    return self.store.replace_text(
-                        text=content, name=name, file_date=modified
-                    )
-                return self.store.store_text(
+                # A re-dropped name supersedes the stored document (new
+                # revision) — the WebDAV collaborative-editing behaviour.
+                return self.store.replace_text(
                     text=content, name=name, file_date=modified
                 )
 
@@ -315,13 +298,7 @@ class NetmarkDaemon:
                 attempts=max(stats.attempts, 1),
             )
         with self.tracer.span("daemon.finalize"):
-            if self.keep_originals:
-                self._move(path, self.processed_folder)
-            else:
-                try:
-                    self.vfs.delete(path)
-                except ReproError:
-                    self._remember_skip(path)
+            self._move(path, self.processed_folder)
             self._journal_clear()
         return IngestRecord(
             path=path,

@@ -5,7 +5,7 @@ sibling / child step an O(1) physical fetch.  A :class:`NodeAccessor`
 keeps the hops and asks for rows last:
 
 * **batching** — rowid lists (index postings, ancestor frontiers, memo
-  answers) come through one ``fetch_many`` / ``visible_many`` call;
+  answers) come through one ``visible_many`` call;
 * **forward reads** — a document's rows are one contiguous ROWID run in
   document order (DESIGN.md §17), so a subtree or a whole section is the
   rows stored right after its first (:meth:`NodeAccessor.subtree`), read
@@ -14,24 +14,20 @@ keeps the hops and asks for rows last:
   (context ancestor, governing context, section scope, text, title) are
   computed once per accessor and reused by every operator of a plan and
   by the lazy :class:`~repro.query.results.SectionMatch` loaders;
-* **invalidation** — a live accessor's private caches are guarded by
-  the database's commit LSN: any statement moves it and the next read
-  drops all cached state first, so laziness never outlives a write;
-* **snapshot pinning** — constructed with a
-  :class:`~repro.ordbms.mvcc.Snapshot`, the accessor reads *through* the
-  pin: rows resolve to their version as of its commit LSN, index probes
-  are patched with the rows that changed since, and the caches never
-  invalidate — the pinned view cannot go stale because it never moves;
+* **one commit LSN** — an accessor is a view at :attr:`NodeAccessor.lsn`,
+  fixed at construction: rows resolve to their version as of it, index
+  probes are patched with the rows that changed since, and the caches
+  never invalidate, because the view never moves.  A later write is
+  seen by a new accessor, not this one;
 * **shared facts** — constructed with a
   :class:`~repro.store.liftcache.LiftCache`, the memo reads through the
   cross-query pool.  Stored rows never change, so a lift is a fact about
   its ROWID for every reader that can see the row, and the pool needs no
-  version: an accessor only refrains from *publishing* while a
-  transaction is open around its live reads.
+  version.
 
-Accessors are cheap to construct; the query engine makes one per query,
-and an :class:`~repro.store.xmlstore.XmlStore` keeps a long-lived one for
-reconstruction.  This class is the only traversal implementation.
+Accessors are cheap to construct: the query engine makes one per query
+and an :class:`~repro.store.xmlstore.XmlStore` one per reconstruction.
+This class is the only traversal implementation.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ class AccessorStats:
     parent_hops: int = 0
     sibling_hops: int = 0
     child_lookups: int = 0
-    invalidations: int = 0
     #: Cross-query :class:`~repro.store.liftcache.LiftCache` traffic
     #: (zero unless the accessor was built with a shared pool).
     shared_hits: int = 0
@@ -73,7 +68,17 @@ class AccessorStats:
 
 
 class NodeAccessor:
-    """Memoizing, batch-fetching view over one store's XML table."""
+    """Memoizing, batch-fetching view over one store's XML table at one
+    commit LSN.
+
+    With ``snapshot`` the view is the pin's and stays exact for as long
+    as the caller holds it.  Without one it is what a snapshot opened
+    now would pin, unheld: no table call shows part of a transaction,
+    and the view is exact until the next commit reclaims history.  The
+    calls made after that see the commit too — an index probe finds what
+    it wrote and misses what it deleted, a fetch or a forward read of a
+    deleted row raises the typed :class:`~repro.errors.RowIdError`.
+    """
 
     def __init__(
         self,
@@ -81,41 +86,17 @@ class NodeAccessor:
         snapshot: Snapshot | None = None,
         lifts: LiftCache | None = None,
     ) -> None:
-        self.database = database
         self.table = database.table(XML_TABLE)
         self.stats = AccessorStats()
-        #: Pinned MVCC snapshot; None means "live" (commit-LSN-guarded).
-        self.snapshot = snapshot
+        #: The commit LSN every read of this accessor resolves at.
+        self.lsn = database.mvcc.read_lsn(snapshot)
         #: Cross-query memo pool; None means "private memos only".
         self._lifts = lifts
-        self._generation = (
-            snapshot.lsn if snapshot is not None else database.mvcc.lsn
-        )
         self._rows: dict[RowId, Row] = {}
         self._children: dict[int, tuple[RowId, ...]] = {}
         #: The one memo: the five structural lifts keyed ``(kind,
         #: rowid)`` and catalog entries keyed ``("entry", doc_id)``.
         self._memo: dict[tuple[str, Hashable], Any] = {}
-
-    # -- the live guard -------------------------------------------------------
-
-    def _sync(self) -> None:
-        """Drop every private cache if anything committed since."""
-        if self.snapshot is not None:
-            return  # the pinned view never moves, so caches never stale
-        lsn = self.database.mvcc.lsn
-        if lsn != self._generation:
-            self._generation = lsn
-            self.stats.invalidations += 1
-            self._rows.clear()
-            self._children.clear()
-            self._memo.clear()
-
-    @property
-    def generation(self) -> int:
-        """The commit LSN this accessor's caches reflect: the pin, or
-        the LSN the live guard last saw."""
-        return self._generation
 
     # -- the memo: private first, then the shared pool -----------------------
 
@@ -126,7 +107,6 @@ class NodeAccessor:
         pool, whose answer the private memo adopts — so however often a
         fact is asked for, the pool is asked once.
         """
-        self._sync()
         value = self._memo.get((kind, key), _MISS)
         if value is not _MISS:
             self.stats.cache_hits += 1
@@ -140,13 +120,9 @@ class NodeAccessor:
         return value
 
     def _remember(self, kind: str, key: Hashable, value: Any) -> Any:
-        """Memoize a computed fact privately and, from a
-        transaction-consistent view, in the shared pool: a live read
-        inside an open transaction may have seen half a document."""
+        """Memoize a computed fact privately and in the shared pool."""
         self._memo[kind, key] = value
-        if self._lifts is not None and (
-            self.snapshot is not None or not self.database.in_transaction
-        ):
+        if self._lifts is not None:
             self._lifts.put(kind, key, value)
         return value
 
@@ -164,30 +140,21 @@ class NodeAccessor:
 
     def node(self, rowid: RowId) -> Row:
         """One node row by physical ROWID, memoized."""
-        self._sync()
         row = self._rows.get(rowid)
         if row is not None:
             self.stats.cache_hits += 1
             return row
-        if self.snapshot is not None:
-            [row] = self.table.visible_many([rowid], self.snapshot.lsn)
-        else:
-            row = self.database.fetch(XML_TABLE, rowid)
+        [row] = self.table.visible_many([rowid], self.lsn)
         self.stats.point_fetches += 1
         self.stats.rows_fetched += 1
         self._rows[rowid] = row
         return row
 
     def nodes(self, rowids: Sequence[RowId]) -> list[Row]:
-        """Rows for ``rowids`` in order; missing ones come in ONE batch
-        (through the pin when one is set)."""
-        self._sync()
+        """Rows for ``rowids`` in order; missing ones come in ONE batch."""
         missing = [rowid for rowid in rowids if rowid not in self._rows]
         if missing:
-            if self.snapshot is not None:
-                fetched = self.table.visible_many(missing, self.snapshot.lsn)
-            else:
-                fetched = self.database.fetch_many(XML_TABLE, missing)
+            fetched = self.table.visible_many(missing, self.lsn)
             self.stats.batch_fetches += 1
             self.stats.rows_fetched += len(fetched)
             for row in fetched:
@@ -226,7 +193,6 @@ class NodeAccessor:
 
     def children(self, row: Row) -> list[Row]:
         """Direct children in document order — one batched fetch."""
-        self._sync()
         node_id = row["NODEID"]
         cached = self._children.get(node_id)
         if cached is not None:
@@ -240,37 +206,32 @@ class NodeAccessor:
         )
         return child_rows
 
-    # -- pin-aware probes (MVCC) ------------------------------------------------
+    # -- probes as of the LSN ----------------------------------------------------
 
     def probe_text(
         self,
         lookup: Callable[[TextIndex], Iterable[RowId]],
         predicate: Callable[[str], bool],
     ) -> list[RowId]:
-        """A text-index probe whose result is correct *as of the pin*.
+        """A text-index probe whose result is correct as of :attr:`lsn`.
 
-        ``lookup`` runs the raw probe against the live NODEDATA index;
+        ``lookup`` runs the raw probe against the NODEDATA index;
         ``predicate`` re-evaluates the probe's semantics against a row's
-        visible NODEDATA.  Live mode: exactly the raw probe.  Snapshot
-        mode: :meth:`~repro.ordbms.table.Table.snapshot_text_rowids` —
-        rows unchanged since the pin keep the index's verdict, every row
-        that changed after it is re-judged on its pinned text.
+        visible NODEDATA
+        (:meth:`~repro.ordbms.table.Table.snapshot_text_rowids`): rows
+        unchanged since the LSN keep the index's verdict, every row that
+        changed after it is re-judged on its text as of then.
         """
-        index = self.table.text_index_on("NODEDATA")
-        if index is None:
+        if self.table.text_index_on("NODEDATA") is None:
             return []
-        if self.snapshot is None:
-            return list(lookup(index))
         return self.table.snapshot_text_rowids(
-            "NODEDATA", lookup, predicate, self.snapshot.lsn
+            "NODEDATA", lookup, predicate, self.lsn
         )
 
     def lookup_rowids(self, column: str, value: Any) -> list[RowId]:
         """Addresses of the rows whose (indexed) ``column`` equals
-        ``value``, in physical order — through the pin, no row fetched."""
-        if self.snapshot is not None:
-            return self.table.snapshot_rowids(column, value, self.snapshot.lsn)
-        return self.table.index_on(column).search(value)
+        ``value``, in physical order — no row fetched."""
+        return self.table.snapshot_rowids(column, value, self.lsn)
 
     def lookup_rows(self, column: str, value: Any) -> list[Row]:
         """The rows at :meth:`lookup_rowids`, in one batch."""
@@ -360,16 +321,10 @@ class NodeAccessor:
         row, or a slot with no row in this view, ends the run: a
         document is visible whole or not at all.
         """
-        self._sync()
         doc_id, beside = row["DOC_ID"], row["PARENTROWID"]
         inside = {row[ROWID_PSEUDO]}
         run: list[Row] = []
-        if self.snapshot is not None:
-            following = self.table.rows_after(
-                row[ROWID_PSEUDO], self.snapshot.lsn
-            )
-        else:
-            following = self.database.rows_after(XML_TABLE, row[ROWID_PSEUDO])
+        following = self.table.rows_after(row[ROWID_PSEUDO], self.lsn)
         self.stats.batch_fetches += 1
         for candidate in following:
             self.stats.rows_fetched += 1
@@ -395,8 +350,7 @@ class NodeAccessor:
         Every following sibling (plus its subtree) up to, but not
         including, the next CONTEXT sibling.  The memo (and the shared
         pool) carries rowids only — immutable, thread-safe; the rows
-        come through this accessor's own fetch path, so snapshot
-        pinning still applies.
+        come through this accessor's own fetch path, as of its LSN.
         """
         return self.nodes(self.memoized(
             "scope", context_row[ROWID_PSEUDO], self._walk_scope, context_row

@@ -8,8 +8,7 @@ before XSLT formatting.
 All row access funnels through a :class:`~repro.store.accessor.NodeAccessor`:
 a node, a section or a whole document is one forward read of the rows
 stored after its first (:meth:`NodeAccessor.subtree`), hung together by
-parent link.  Callers may pass their own accessor (a pinned one reads
-through its snapshot); otherwise an ephemeral one is made per call.
+parent link, as of the accessor's commit LSN.
 
 The decompose→compose round trip preserves structure, attributes, text
 and node order exactly; the property-based tests drive random trees
@@ -21,7 +20,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import StoreError
-from repro.ordbms import ROWID_PSEUDO, Database, RowId
+from repro.ordbms import ROWID_PSEUDO, RowId
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import NodeAccessor
@@ -51,20 +50,14 @@ def _build(rows: list[Row], beside: Element) -> Element:
     return beside
 
 
-def compose_node(
-    database: Database, row: Row, accessor: NodeAccessor | None = None
-) -> Element | Text:
+def compose_node(row: Row, accessor: NodeAccessor) -> Element | Text:
     """Rebuild the DOM subtree rooted at ``row``."""
-    accessor = accessor or NodeAccessor(database)
     [node] = _build([row] + accessor.subtree(row), Element("parent")).children
     return node.detach()
 
 
 def compose_document(
-    database: Database,
-    doc_id: int,
-    name: str = "",
-    accessor: NodeAccessor | None = None,
+    doc_id: int, accessor: NodeAccessor, name: str = ""
 ) -> Document:
     """Rebuild the full DOM of document ``doc_id``.
 
@@ -72,7 +65,6 @@ def compose_document(
     address is its root and the rest is exactly the root's subtree —
     ``XML.DOC_ID``'s postings say how many rows that must be.
     """
-    accessor = accessor or NodeAccessor(database)
     rowids = accessor.lookup_rowids("DOC_ID", doc_id)
     rows = accessor.nodes(rowids[:1])
     if rows:
@@ -90,16 +82,13 @@ def compose_document(
     )
 
 
-def compose_section(
-    database: Database, context_row: Row, accessor: NodeAccessor | None = None
-) -> Element:
+def compose_section(context_row: Row, accessor: NodeAccessor) -> Element:
     """Rebuild one section as ``<section><context>…</context>…</section>``.
 
     The section element is synthetic — it represents the *query result*
     shape, not necessarily a stored element.  Content is every sibling
     subtree up to the next context, reconstructed in full.
     """
-    accessor = accessor or NodeAccessor(database)
     return _build(
         [context_row] + accessor.subtree(context_row, siblings=True),
         Element("section", synthetic=True),

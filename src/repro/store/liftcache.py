@@ -19,12 +19,11 @@ reclaims them.  The one writer that does change rows in place is
 ``fsck --repair``; :meth:`~repro.netmark.Netmark.fsck` calls
 :meth:`LiftCache.clear` after it.
 
-Accessors publish only from a transaction-consistent view (a pinned
-snapshot, or a live read outside any open transaction), so a half-loaded
-document's partial section can never enter the pool.  Values are rowids,
-rowid tuples, strings and frozen catalog entries — shared across
-threads, mutated by no one; the lock guards the LRU order and the
-counters.
+Every accessor reads at a commit LSN that shows a transaction whole or
+not at all, so a half-loaded document's partial section can never enter
+the pool.  Values are rowids, rowid tuples, strings and frozen catalog
+entries — shared across threads, mutated by no one; the lock guards the
+LRU order and the counters.
 """
 
 from __future__ import annotations

@@ -80,7 +80,6 @@ class XmlStore:
             self._doc_table.create_index("FILE_NAME")
         self._xml_table = database.table(XML_TABLE)
         self._decomposer = Decomposer(database, config)
-        self._accessor = NodeAccessor(database)
         #: Cross-query pool of lifts and catalog entries; cache-enabled
         #: query engines read through it (:mod:`repro.store.liftcache`).
         self.lift_cache = LiftCache()
@@ -219,11 +218,18 @@ class XmlStore:
 
         Every read taken through the handle — catalog lookups, query
         execution via ``engine.execute(query, snapshot=snap)``, lazy
-        match resolution — sees the store exactly as of the pin, no
-        matter what the daemon ingests meanwhile, and never blocks::
+        match resolution — sees the store exactly as of the pin for as
+        long as the pin is held, no matter what the daemon ingests
+        meanwhile, and never blocks::
 
             with store.snapshot() as snap:
                 results = engine.execute(query, snapshot=snap)
+
+        A read given no snapshot resolves at the same LSN without
+        holding it: whole transactions only, exact until the next
+        commit, after which it sees that commit too and a lazy read of
+        a since-deleted document raises the typed
+        :class:`~repro.errors.RowIdError`.
         """
         return self.database.open_snapshot()
 
@@ -233,10 +239,9 @@ class XmlStore:
         self, snapshot: Snapshot | None = None
     ) -> list[StoredDocument]:
         """All stored documents, in DOC_ID order."""
-        if snapshot is not None:
-            rows = self._doc_table.snapshot_scan(snapshot.lsn)
-        else:
-            rows = self._doc_table.scan()
+        rows = self._doc_table.snapshot_scan(
+            self.database.mvcc.read_lsn(snapshot)
+        )
         entries = [self._to_stored(row) for row in rows]
         entries.sort(key=lambda entry: entry.doc_id)
         return entries
@@ -244,12 +249,11 @@ class XmlStore:
     def describe(
         self, doc_id: int, snapshot: Snapshot | None = None
     ) -> StoredDocument:
-        if snapshot is not None:
-            rows = self._doc_table.snapshot_search(
-                "DOC_ID", doc_id, snapshot.lsn
-            )
-        else:
-            rows = self._doc_table.lookup("DOC_ID", doc_id)
+        return self.entry_at(doc_id, self.database.mvcc.read_lsn(snapshot))
+
+    def entry_at(self, doc_id: int, lsn: int) -> StoredDocument:
+        """The catalog entry of ``doc_id`` as of commit LSN ``lsn``."""
+        rows = self._doc_table.snapshot_search("DOC_ID", doc_id, lsn)
         if not rows:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
         return self._to_stored(rows[0])
@@ -259,10 +263,6 @@ class XmlStore:
         index postings are in ROWID order, as a scan would meet them)."""
         rows = self._doc_table.lookup("FILE_NAME", file_name)
         return self._to_stored(rows[0]) if rows else None
-
-    def count_by_name(self, file_name: str) -> int:
-        """How many stored documents are named ``file_name`` (append mode)."""
-        return len(self._doc_table.lookup("FILE_NAME", file_name))
 
     def __len__(self) -> int:
         return len(self._doc_table)
@@ -282,28 +282,16 @@ class XmlStore:
         self, doc_id: int, snapshot: Snapshot | None = None
     ) -> Document:
         """Reconstruct the full DOM of a stored document."""
-        entry = self.describe(doc_id, snapshot=snapshot)
-        accessor = (
-            self.new_accessor(snapshot)
-            if snapshot is not None
-            else self._accessor
-        )
-        return compose_document(
-            self.database, doc_id, name=entry.file_name,
-            accessor=accessor,
-        )
-
-    @property
-    def accessor(self) -> NodeAccessor:
-        """The store's long-lived accessor (commit-LSN-guarded caches)."""
-        return self._accessor
+        accessor = self.new_accessor(snapshot)
+        entry = self.entry_at(doc_id, accessor.lsn)
+        return compose_document(doc_id, accessor, name=entry.file_name)
 
     def new_accessor(
         self,
         snapshot: Snapshot | None = None,
         lifts: LiftCache | None = None,
     ) -> NodeAccessor:
-        """A fresh per-query accessor (optionally pinned to a snapshot).
+        """A fresh accessor: a view as of ``snapshot``, else as of now.
 
         Pass ``lifts=store.lift_cache`` to let the accessor share lifts
         and catalog entries across queries; cache-enabled engines do.
@@ -312,8 +300,9 @@ class XmlStore:
 
     def contexts(self, doc_id: int) -> Iterator[Row]:
         """CONTEXT element rows of one document."""
-        self.describe(doc_id)  # raises if unknown
-        rows = self._xml_table.lookup("DOC_ID", doc_id)
+        accessor = self.new_accessor()
+        self.entry_at(doc_id, accessor.lsn)  # raises if unknown
+        rows = accessor.lookup_rows("DOC_ID", doc_id)
         contexts = filter(NodeAccessor.is_context, rows)
         return iter(sorted(contexts, key=lambda row: row["NODEID"]))
 

@@ -188,7 +188,8 @@ class TestSnapshotVisibility:
             database.insert("T", {"ID": n, "V": f"v{n}"})
             for n in range(3 * RUN_CHUNK)
         ]
-        assert [row["ROWID_"] for row in table.rows_after(first)] == rest
+        now = database.mvcc.read_lsn
+        assert [row["ROWID_"] for row in table.rows_after(first, now())] == rest
         with database.open_snapshot() as snap:
             late = database.insert("T", {"ID": 999})
             database.update("T", rest[0], {"V": "changed"})
@@ -196,23 +197,27 @@ class TestSnapshotVisibility:
             pinned = list(table.rows_after(first, snap.lsn))
             assert [row["ROWID_"] for row in pinned] == rest  # not ``late``
             assert pinned[0]["V"] == "v1" and pinned[4]["V"] == "v5"
-            # Live, the deleted slot ends the run; pinned, the late row does.
-            assert [r["ROWID_"] for r in table.rows_after(first)] == rest[:4]
+            # As of now, the deleted slot ends the run; pinned, the late row does.
+            assert [
+                r["ROWID_"] for r in table.rows_after(first, now())
+            ] == rest[:4]
             assert list(table.rows_after(rest[-1], snap.lsn)) == []
-            assert [r["ROWID_"] for r in table.rows_after(rest[-1])] == [late]
+            assert [
+                r["ROWID_"] for r in table.rows_after(rest[-1], now())
+            ] == [late]
 
     def test_rows_after_decodes_only_what_is_pulled(self, database, table):
         previous = obs.push_registry()
         try:
             rowids = [database.insert("T", {"ID": n}) for n in range(40)]
-            run = table.rows_after(rowids[0])
+            run = table.rows_after(rowids[0], database.mvcc.read_lsn())
             assert [next(run)["ID"], next(run)["ID"]] == [1, 2]
             run.close()
             [(series, decoded)] = [
                 item for item in obs.snapshot().items()
                 if item[0].startswith("repro_ordbms_rows_read_total")
             ]
-            assert decoded == 2 and 'path="fetch"' in series
+            assert decoded == 2 and 'path="snapshot"' in series
         finally:
             obs.set_registry(previous)
 
@@ -426,3 +431,21 @@ class TestSeqlockReaders:
         assert not errors
         # The pin predates every update: the reader saw gen0, only gen0.
         assert seen == {"gen0"}
+
+    def test_an_error_out_of_a_torn_window_is_the_tear(self, table):
+        """A posting gone between two lookups of one probe raises KeyError;
+        if a statement moved the counter under the read it is retried, if
+        the window was stable the error is the read's own."""
+        attempts = []
+
+        def read():
+            attempts.append(len(attempts))
+            if len(attempts) == 1:
+                table._seq += 2  # a whole statement went by under the read
+                raise KeyError("posting gone")
+            return "stable"
+
+        assert table.stable_read(read) == "stable"
+        assert attempts == [0, 1] and table.read_retries == 1
+        with pytest.raises(KeyError):
+            table.stable_read(lambda: {}["never there"])

@@ -105,19 +105,6 @@ class TestRowIdStability:
         recovered = crash_and_recover(database)
         assert recovered.fetch("T", survivor)["ID"] == 2
 
-    def test_savepoint_truncate_replay(self):
-        database = durable_database()
-        with database.begin() as transaction:
-            database.insert("T", {"ID": 1})
-            transaction.savepoint("mark")
-            database.insert("T", {"ID": 2})
-            transaction.rollback_to("mark")
-            database.insert("T", {"ID": 3})
-        recovered = crash_and_recover(database)
-        ids = sorted(row["ID"] for row in recovered.table("T").scan())
-        assert ids == [1, 3]
-        assert dump_database(recovered) == dump_database(database)
-
     def test_new_writes_after_recovery_do_not_collide(self):
         database = durable_database()
         first = database.insert("T", {"ID": 1})

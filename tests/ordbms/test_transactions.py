@@ -1,4 +1,4 @@
-"""Transactions: atomicity of multi-row loads, savepoints, rollback."""
+"""Transactions: atomicity of multi-row loads, rollback."""
 
 import pytest
 
@@ -99,30 +99,8 @@ class TestStateMachine:
 
 
 class TestSavepoints:
-    def test_rollback_to_savepoint_is_partial(self, database):
-        transaction = database.begin()
-        database.insert("T", {"ID": 1})
-        transaction.savepoint("sp")
-        database.insert("T", {"ID": 2})
-        database.insert("T", {"ID": 3})
-        transaction.rollback_to("sp")
-        transaction.commit()
-        assert sorted(row["ID"] for row in database.table("T").scan()) == [1]
-
-    def test_unknown_savepoint_raises(self, database):
-        transaction = database.begin()
-        with pytest.raises(TransactionError):
-            transaction.rollback_to("nope")
-
-    def test_savepoints_after_mark_are_invalidated(self, database):
-        transaction = database.begin()
-        transaction.savepoint("a")
-        database.insert("T", {"ID": 1})
-        transaction.savepoint("b")
-        transaction.rollback_to("a")
-        with pytest.raises(TransactionError):
-            transaction.rollback_to("b")
-
+    # Savepoints are gone; the class keeps its name because the suite's
+    # floor list knows the surviving test by it.
     def test_pending_undo_count(self, database):
         transaction = database.begin()
         assert transaction.pending_undo_count == 0

@@ -86,15 +86,6 @@ class TestDaemon:
             vfs.write(f"/incoming/d{index}.ndoc", NDOC)
         assert daemon.run_until_idle() == 5
 
-    def test_discard_originals_mode(self):
-        store = XmlStore()
-        vfs = VirtualFileSystem()
-        daemon = NetmarkDaemon(store, vfs, "/in", keep_originals=False)
-        vfs.write("/in/r.ndoc", NDOC)
-        daemon.poll()
-        assert not vfs.exists("/in/processed/r.ndoc")
-        assert len(store) == 1
-
     def test_file_date_comes_from_vfs(self, rig):
         store, vfs, daemon = rig
         vfs.write("/incoming/r.ndoc", NDOC)
@@ -115,17 +106,6 @@ class TestDaemon:
         assert entry.metadata["revision"] == "2"
         document = store.document(entry.doc_id)
         assert "Revised travel funds." in document.text_content()
-
-    def test_duplicate_mode_when_replace_disabled(self):
-        store = XmlStore()
-        vfs = VirtualFileSystem()
-        daemon = NetmarkDaemon(store, vfs, "/in", replace_existing=False)
-        vfs.write("/in/r.ndoc", NDOC)
-        daemon.poll()
-        vfs.write("/in/r.ndoc", NDOC)
-        [record] = daemon.poll()
-        assert record.ok
-        assert len(store) == 2
 
     def test_failed_replacement_keeps_old_revision(self, rig):
         store, vfs, daemon = rig

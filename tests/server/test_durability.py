@@ -105,8 +105,7 @@ class TestCrashRestart:
         vfs.write("/incoming/r.ndoc", NDOC)
         content = vfs.read("/incoming/r.ndoc")
         daemon._journal_begin("/incoming/r.ndoc", content)  # noqa: SLF001
-        if daemon.replace_existing:
-            store.replace_text(content, "r.ndoc")
+        store.replace_text(content, "r.ndoc")
         # Process "dies" after commit, before the move and journal clear.
         restarted_store, restarted, settled = self.restart(device, vfs)
         assert len(restarted_store) == 1

@@ -1,7 +1,8 @@
-"""NodeAccessor: batching, memoization, generation invalidation."""
+"""NodeAccessor: batching, memoization, one commit LSN per accessor."""
 
 import pytest
 
+from repro.errors import RowIdError
 from repro.ordbms.table import ROWID_PSEUDO
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
@@ -112,34 +113,66 @@ class TestMemoization:
 
 
 class TestInvalidation:
-    def test_write_invalidates_caches(self, store_with_doc):
+    """There is none: an accessor is a view at one commit LSN.  A later
+    write is seen by a new accessor, not this one."""
+
+    def test_a_write_is_seen_by_a_new_accessor_not_this_one(
+        self, store_with_doc
+    ):
+        store, result = store_with_doc
+        with store.snapshot() as snapshot:
+            accessor = store.new_accessor(snapshot)
+            accessor.node(result.root_rowid)
+            extra = store.store_text("# New\n\nfresh text\n", "extra.md")
+            # Same LSN, same cached row, and a probe that misses the
+            # new document: nothing was dropped, nothing re-fetched.
+            accessor.node(result.root_rowid)
+            assert accessor.lsn == snapshot.lsn
+            assert accessor.stats.point_fetches == 1
+            assert accessor.stats.cache_hits == 1
+            assert accessor.lookup_rowids("DOC_ID", extra.doc_id) == []
+        later = store.new_accessor()
+        assert later.lsn > accessor.lsn
+        assert later.node(extra.root_rowid)["DOC_ID"] == extra.doc_id
+        assert later.lookup_rowids("DOC_ID", extra.doc_id) != []
+
+    def test_a_delete_is_seen_by_a_new_accessor_not_this_one(
+        self, store_with_doc
+    ):
+        store, result = store_with_doc
+        with store.snapshot() as snapshot:
+            accessor = store.new_accessor(snapshot)
+            alpha = next(
+                row
+                for row in context_rows(store)
+                if accessor.context_title(row) == "Alpha"
+            )
+            store.delete_document(result.doc_id)
+            # Rows this accessor never fetched still resolve at its LSN.
+            assert "alpha text one" in accessor.section_text(alpha)
+            assert accessor.lookup_rowids("DOC_ID", result.doc_id) != []
+        later = store.new_accessor()
+        assert later.lookup_rowids("DOC_ID", result.doc_id) == []
+        with pytest.raises(RowIdError):
+            later.node(result.root_rowid)
+
+    def test_without_a_held_pin_the_view_is_exact_until_the_next_commit(
+        self, store_with_doc
+    ):
         store, result = store_with_doc
         accessor = store.new_accessor()
-        accessor.node(result.root_rowid)
-        generation_before = accessor.generation
-        store.store_text("# New\n\nfresh text\n", "extra.md")
-        # The next read notices the generation bump and drops the caches.
-        accessor.node(result.root_rowid)
-        assert accessor.stats.invalidations == 1
-        assert accessor.generation != generation_before
-        # The row had to be re-fetched, not served stale.
-        assert accessor.stats.point_fetches == 2
-
-    def test_delete_then_read_sees_fresh_state(self, store_with_doc):
-        store, _ = store_with_doc
-        accessor = store.new_accessor()
-        alpha = next(
-            row
-            for row in context_rows(store)
-            if accessor.context_title(row) == "Alpha"
-        )
-        assert "alpha text one" in accessor.section_text(alpha)
-        extra = store.store_text("# Extra\n\nmore words\n", "extra.md")
-        store.delete_document(extra.doc_id)
-        # Two writes happened but the accessor syncs at most once per
-        # read boundary: a single invalidation covers both.
-        assert "alpha text one" in accessor.section_text(alpha)
-        assert accessor.stats.invalidations == 1
+        root = accessor.node(result.root_rowid)
+        *_, last = accessor.lookup_rowids("DOC_ID", result.doc_id)
+        assert accessor.lsn == store.database.mvcc.lsn
+        store.delete_document(result.doc_id)
+        # Nothing held the history, so the commit reclaimed it: what was
+        # fetched stays, the rest of the deleted document is gone — no
+        # rows to a probe, the typed error to a fetch or a forward read.
+        assert accessor.node(result.root_rowid) is root
+        assert accessor.lookup_rowids("DOC_ID", result.doc_id) == []
+        for read in (lambda: accessor.node(last), lambda: accessor.subtree(root)):
+            with pytest.raises(RowIdError):
+                read()
 
     def test_stats_reset_zeroes_every_counter(self, store_with_doc):
         store, result = store_with_doc

@@ -54,23 +54,23 @@ class TestDecomposition:
 
     def test_root_has_no_parent(self, store_with_doc):
         store, result = store_with_doc
-        root = store.accessor.node(result.root_rowid)
+        root = store.new_accessor().node(result.root_rowid)
         assert root["PARENTROWID"] is None
         assert root["NODENAME"] == "document"
 
     def test_parent_rowids_consistent(self, store_with_doc):
         store, result = store_with_doc
         for row in store.xml_table.scan():
-            parent = store.accessor.parent(row)
+            parent = store.new_accessor().parent(row)
             if parent is not None:
                 assert parent["NODEID"] == row["PARENTNODEID"]
 
     def test_sibling_chain_terminates_and_orders(self, store_with_doc):
         store, result = store_with_doc
-        root = store.accessor.node(result.root_rowid)
-        first, second = store.accessor.children(root)
-        assert store.accessor.next_sibling(first)["NODEID"] == second["NODEID"]
-        assert store.accessor.next_sibling(second) is None
+        root = store.new_accessor().node(result.root_rowid)
+        first, second = store.new_accessor().children(root)
+        assert store.new_accessor().next_sibling(first)["NODEID"] == second["NODEID"]
+        assert store.new_accessor().next_sibling(second) is None
 
     def test_node_types_recorded(self, store_with_doc):
         store, result = store_with_doc
@@ -81,10 +81,10 @@ class TestDecomposition:
 
     def test_children_sorted_by_ordinal(self, store_with_doc):
         store, result = store_with_doc
-        root = store.accessor.node(result.root_rowid)
-        sections = store.accessor.children(root)
+        root = store.new_accessor().node(result.root_rowid)
+        sections = store.new_accessor().children(root)
         titles = [
-            store.accessor.context_title(store.accessor.children(s)[0])
+            store.new_accessor().context_title(store.new_accessor().children(s)[0])
             for s in sections
         ]
         assert titles == ["Alpha", "Beta"]
@@ -94,35 +94,35 @@ class TestTraversal:
     def test_governing_context_of_content_text(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "beta text")
-        context = store.accessor.governing_context(row)
-        assert store.accessor.context_title(context) == "Beta"
+        context = store.new_accessor().governing_context(row)
+        assert store.new_accessor().context_title(context) == "Beta"
 
     def test_governing_context_stops_at_own_section(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "alpha text one")
-        context = store.accessor.governing_context(row)
-        assert store.accessor.context_title(context) == "Alpha"
+        context = store.new_accessor().governing_context(row)
+        assert store.new_accessor().context_title(context) == "Alpha"
 
     def test_heading_text_has_context_ancestor(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "Alpha")
-        parent = store.accessor.parent(row)
+        parent = store.new_accessor().parent(row)
         assert parent["NODETYPE"] == int(NodeType.CONTEXT)
 
     def test_section_scope_excludes_next_section(self, store_with_doc):
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
-        context = store.accessor.parent(alpha_heading)
-        text = store.accessor.section_text(context)
+        context = store.new_accessor().parent(alpha_heading)
+        text = store.new_accessor().section_text(context)
         assert "alpha text one" in text and "alpha text two" in text
         assert "beta" not in text
 
     def test_scope_rowids_are_section_rows(self, store_with_doc):
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
-        context = store.accessor.parent(alpha_heading)
+        context = store.new_accessor().parent(alpha_heading)
         rowids = {
-            row[ROWID_PSEUDO] for row in store.accessor.section_scope(context)
+            row[ROWID_PSEUDO] for row in store.new_accessor().section_scope(context)
         }
         [content_row] = text_rows(store, "alpha text one")
         assert content_row[ROWID_PSEUDO] in rowids
@@ -136,11 +136,11 @@ class TestTraversal:
         )
         store.store_document(document)
         [row] = text_rows(store, "two")
-        context = store.accessor.governing_context(row)
-        assert store.accessor.context_title(context) == "First"
+        context = store.new_accessor().governing_context(row)
+        assert store.new_accessor().context_title(context) == "First"
         [row3] = text_rows(store, "three")
-        context3 = store.accessor.governing_context(row3)
-        assert store.accessor.context_title(context3) == "Second"
+        context3 = store.new_accessor().governing_context(row3)
+        assert store.new_accessor().context_title(context3) == "Second"
 
     def test_flat_html_scope_stops_at_next_heading(self):
         store = XmlStore()
@@ -150,15 +150,15 @@ class TestTraversal:
         )
         store.store_document(document)
         [heading] = text_rows(store, "First")
-        context = store.accessor.parent(heading)
-        assert store.accessor.section_text(context) == "one"
+        context = store.new_accessor().parent(heading)
+        assert store.new_accessor().section_text(context) == "one"
 
     def test_front_matter_has_no_context(self):
         store = XmlStore()
         document = parse_xml("<body><p>preamble</p><h2>H</h2></body>")
         store.store_document(document)
         [row] = text_rows(store, "preamble")
-        assert store.accessor.governing_context(row) is None
+        assert store.new_accessor().governing_context(row) is None
 
     def test_scope_of_multiple_documents_isolated(self, store_with_doc):
         store, _ = store_with_doc
@@ -168,6 +168,6 @@ class TestTraversal:
         )
         store.store_document(second)
         rows = text_rows(store, "alpha text one")
-        context = store.accessor.governing_context(rows[0])
-        text = store.accessor.section_text(context)
+        context = store.new_accessor().governing_context(rows[0])
+        text = store.new_accessor().section_text(context)
         assert "other document" not in text

@@ -6,8 +6,8 @@ fact about its ROWID, a catalog entry a fact about its doc id, for every
 reader that can see the row at all.  So the tests here are about that
 invariant — generated ingest / replace / delete / failed-load sequences
 under which no fact about a surviving row moves and no address is handed
-out twice — and about the one rule the accessor adds (publish only from
-a transaction-consistent view), besides the pool's own LRU mechanics.
+out twice — and about why every accessor may publish (its view shows a
+transaction whole or not at all), besides the pool's own LRU mechanics.
 """
 
 import ast
@@ -213,29 +213,26 @@ class TestStoreIntegration:
                 assert late.stats.shared_misses == 0
                 assert late.lookup_rows("DOC_ID", doomed_doc) == []
 
-    def test_live_accessor_inside_a_transaction_reads_but_does_not_publish(
+    def test_an_accessor_in_a_transaction_publishes(
         self, loaded_store
     ):
-        first_doc, second_doc = [
-            entry.doc_id for entry in loaded_store.documents()[:2]
-        ]
-        published = _context_rows(loaded_store, first_doc)
-        unpublished = _context_rows(loaded_store, second_doc)
-        warm = _pooled(loaded_store)
-        for row in published:
-            warm.context_title(row)
-        resident = len(loaded_store.lift_cache)
-        with loaded_store.database.begin():
-            inside = _pooled(loaded_store)
-            for row in published + unpublished:
-                inside.context_title(row)
-            assert inside.stats.shared_hits == len(published)
-            assert inside.stats.shared_misses == len(unpublished)
-            assert len(loaded_store.lift_cache) == resident
+        doomed_doc = loaded_store.documents()[1].doc_id
+        contexts = _context_rows(loaded_store, doomed_doc)
+        bare = loaded_store.new_accessor()
+        expected = [bare.section_text(row) for row in contexts]
+        database, resident = loaded_store.database, len(loaded_store.lift_cache)
+        with pytest.raises(KeyError):
+            with database.begin():
+                # Half a delete: every other row of the document is gone.
+                for row in loaded_store.xml_table.lookup("DOC_ID", doomed_doc)[::2]:
+                    database.delete("XML", row[ROWID_PSEUDO])
+                inside = _pooled(loaded_store)
+                assert [inside.section_text(row) for row in contexts] == expected
+                assert len(loaded_store.lift_cache) > resident
+                raise KeyError("abort")
         outside = _pooled(loaded_store)
-        for row in unpublished:
-            outside.context_title(row)
-        assert len(loaded_store.lift_cache) == resident + len(unpublished)
+        assert [outside.section_text(row) for row in contexts] == expected
+        assert outside.stats.shared_hits == len(contexts)
 
 
 # -- the invariant, under generated write sequences ---------------------------
@@ -274,8 +271,7 @@ def _facts(store, accessor):
         lifts[row[ROWID_PSEUDO]] = fact
     entries = {
         entry.doc_id: accessor.memoized(
-            "entry", entry.doc_id, store.describe, entry.doc_id,
-            accessor.snapshot,
+            "entry", entry.doc_id, store.entry_at, entry.doc_id, accessor.lsn
         )
         for entry in store.documents()
     }

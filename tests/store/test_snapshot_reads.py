@@ -1,12 +1,20 @@
-"""Store-level MVCC: pinned reads stay byte-identical under ingest."""
+"""Store-level MVCC: every read resolves at one commit LSN — pinned
+reads stay byte-identical under ingest, reads given no pin see whole
+transactions only."""
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import Netmark
+from repro.errors import ReproError, RowIdError
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
+from repro.server.workers import IngestThread
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
 from repro.workloads import CorpusSpec, generate_corpus
@@ -250,3 +258,181 @@ class TestPinnedReadersUnderARealWriter:
         assert matched[0] not in engine.execute(self.QUERY).documents()
         with store.snapshot() as later:
             assert self.pinned_view(store, engine, later) != before
+
+
+class TestReadsWithoutAPin:
+    """A read given no snapshot resolves at the LSN one opened now would
+    pin: the open transaction's work is not there yet."""
+
+    def test_a_read_in_the_middle_of_a_load_sees_none_of_it(
+        self, store, monkeypatch
+    ):
+        engine = QueryEngine(store)
+        query = "Content=zebra"
+        before = (
+            serialize(engine.execute(query).to_xml()), store.documents(),
+        )
+        assert len(engine.execute(query)) == 0
+        seen = []
+        insert = store.database.insert
+
+        def insert_then_read(table, values):
+            rowid = insert(table, values)
+            if "zebra one" in (values.get("NODEDATA") or "") and not seen:
+                assert store.database.in_transaction
+                # Half the document is in: its DOC row, its first
+                # section, and the index postings of both.
+                assert len(store.doc_table) == len(before[1]) + 1
+                seen.append((
+                    serialize(engine.execute(query).to_xml()),
+                    store.documents(),
+                ))
+            return rowid
+
+        monkeypatch.setattr(store.database, "insert", insert_then_read)
+        loaded = store.store_text(
+            "# Alpha\n\nzebra one\n\n# Beta\n\nzebra two\n", "zebra.md"
+        )
+        assert seen == [before]
+        assert len(engine.execute(query)) == 2
+        assert store.documents()[-1].doc_id == loaded.doc_id
+
+    def test_a_lazy_field_of_a_since_deleted_document_is_a_typed_error(
+        self, store
+    ):
+        first, *_ = QueryEngine(store).execute("Context=Budget")
+        store.delete_document(first.doc_id)
+        with pytest.raises(RowIdError):  # not a section read as empty
+            first.content
+
+
+class TestWhoMayReadWithoutAnLsn:
+    """``Table.fetch`` / ``lookup`` / ``scan`` read the heap as it is this
+    instant — no LSN, no seqlock, half a transaction included.  Outside
+    ``repro.ordbms`` they are for the writer's own pre-reads and for
+    whole-store maintenance; a reader goes through a
+    :class:`~repro.store.accessor.NodeAccessor` or the ``snapshot_*``
+    doors.  Every call of one of the three names is listed here, so a new
+    pin-less reader has to say why it may, then join the list."""
+
+    CALLERS = {
+        "store/xmlstore.py": 5,  # delete_document x2, lookup_by_name, adopt x2
+        "store/fsck.py": 5,  # the checker reads the heap it is checking
+        "server/daemon.py": 1,  # settling a journalled ingest at startup
+        "baselines/shredded.py": 8,  # the baseline's own tables, not XML/DOC
+        # Same method names, not the table's:
+        "query/engine.py": 1,  # QueryCache.lookup
+        "query/plan.py": 1,  # TextIndex.lookup, inside probe_text's lookup
+    }
+
+    def test_pinless_callers_are_the_listed_ones(self):
+        root = Path(repro.__file__).parent
+        found = {}
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root).as_posix()
+            calls = [
+                node
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"fetch", "lookup", "scan"}
+            ]
+            if calls and not name.startswith("ordbms/"):
+                found[name] = len(calls)
+        assert found == self.CALLERS
+
+
+class TestBareReadersUnderARealWriter:
+    """Reads given no pin, while the ingest thread replaces every
+    document they answer from.  Nothing holds the history such a read
+    resolves with, so a commit that lands in the middle of it shows to
+    the table calls made afterwards: an answer may list a document some
+    of whose sections it probed too early to see.  What it never holds
+    is a torn unit — every match is a whole section of one committed
+    revision, every document body is one committed revision's — and a
+    document that went away between the plan and a lazy field is a typed
+    error, not a section read as empty."""
+
+    DOCS = 24
+    HEADINGS = (
+        "Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta",
+        "Eta", "Theta", "Iota", "Kappa", "Lambda", "Mu",
+    )
+
+    @classmethod
+    def text(cls, doc, revision):
+        return "".join(
+            f"# {heading} d{doc}\n\nmarker d{doc}r{revision} {heading.lower()}\n\n"
+            for heading in cls.HEADINGS
+        )
+
+    @classmethod
+    def sections(cls, doc, revision):
+        return {
+            (f"{heading} d{doc}", f"marker d{doc}r{revision} {heading.lower()}")
+            for heading in cls.HEADINGS
+        }
+
+    def test_a_committed_state_or_a_typed_error(self):
+        node = Netmark()
+        whole = set()
+        for revision in (1, 2):
+            for doc in range(self.DOCS):
+                alone = XmlStore()
+                result = alone.store_text(self.text(doc, revision), f"d{doc}.md")
+                whole.add(serialize(alone.document(result.doc_id)))
+        for doc in range(self.DOCS):
+            node.drop(f"d{doc}.md", self.text(doc, 1))
+        node.poll()
+        for doc in range(self.DOCS):
+            node.drop(f"d{doc}.md", self.text(doc, 2))
+        engine = QueryEngine(node.store)
+
+        def read_sections(query):
+            return {
+                (match.context, match.content)
+                for match in engine.execute(query)
+            }
+
+        def read_document(doc):
+            for entry in node.store.documents():
+                if entry.file_name == f"d{doc}.md":
+                    return serialize(node.store.document(entry.doc_id))
+            return None  # between the two commits of its replace
+
+        def attempt(read, argument):
+            try:
+                return read(argument)
+            except ReproError:
+                return None
+
+        for doc in range(self.DOCS):
+            assert read_sections(f"Content=d{doc}r1") == self.sections(doc, 1)
+        ingest = IngestThread(node.daemon)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ingest.start()
+            # The daemon replaces the files in path order; keep reading
+            # the one it replaces next until its new revision shows, so
+            # every delete and every load is straddled by reads of the
+            # rows it touches.  The reads are small, many to a replace;
+            # ``Context=`` leaves the content lazy, so the plan and the
+            # field read apart.
+            for doc in sorted(range(self.DOCS), key=lambda doc: f"d{doc}.md"):
+                found = polled = None
+                while not (polled or found and found <= self.sections(doc, 2)):
+                    polled = ingest.heartbeats > 1  # its one poll is over
+                    found = attempt(read_sections, f"Context=Beta d{doc}")
+                    assert not found or (
+                        found <= self.sections(doc, 1)
+                        or found <= self.sections(doc, 2)
+                    )
+                    body = attempt(read_document, doc)
+                    assert body is None or body in whole
+        finally:
+            sys.setswitchinterval(interval)
+            assert ingest.stop(timeout=60) == self.DOCS
+        for doc in range(self.DOCS):
+            assert read_sections(f"Content=d{doc}r2") == self.sections(doc, 2)
+            assert read_sections(f"Content=d{doc}r1") == set()

@@ -82,14 +82,13 @@ class TestReconstruction:
             store.document(5)
 
     def test_section_reconstruction(self, loaded_store):
+        accessor = loaded_store.new_accessor()
         [budget_context] = [
             row
             for row in loaded_store.contexts(1)
-            if "Budget" in (
-                compose_section(loaded_store.database, row).text_content()
-            )
+            if "Budget" in compose_section(row, accessor).text_content()
         ]
-        section = compose_section(loaded_store.database, budget_context)
+        section = compose_section(budget_context, accessor)
         assert section.tag == "section"
         assert section.find("context") is not None
 
@@ -173,7 +172,6 @@ class TestLookupByNameIndex:
         again = store.store_text("# A\nthree\n", "a.md")  # append mode: same name twice
         self.assert_agrees(store)
         assert store.lookup_by_name("a.md").doc_id == first.doc_id  # the oldest
-        assert [store.count_by_name(name) for name in self.NAMES] == [2, 1, 0, 0]
         database = store.database
         with pytest.raises(KeyError):
             with database.begin():
@@ -183,12 +181,11 @@ class TestLookupByNameIndex:
                 database.delete("DOC", row[ROWID_PSEUDO])
                 database.insert("DOC", {"DOC_ID": 99, "FILE_NAME": "c.md"})
                 assert store.lookup_by_name("a.md").doc_id == again.doc_id
-                assert store.count_by_name("c.md") == 1
+                assert store.lookup_by_name("c.md").doc_id == 99
                 raise KeyError("abort")
         # Rolled back: the restored row is the oldest again, c.md never was.
         self.assert_agrees(store)
         assert store.lookup_by_name("a.md").doc_id == first.doc_id
-        assert [store.count_by_name(name) for name in self.NAMES] == [2, 1, 0, 0]
         store.delete_document(first.doc_id)
         self.assert_agrees(store)
         assert store.lookup_by_name("a.md").doc_id == again.doc_id
