@@ -21,7 +21,6 @@ import time
 import pytest
 from conftest import print_table
 
-from repro.ordbms.table import ROWID_PSEUDO
 from repro.sgml.nodetypes import NodeType
 from repro.store import XmlStore
 from repro.workloads import CorpusSpec, generate_corpus
@@ -38,7 +37,7 @@ def store():
 def _content_hits(store, term="shuttle"):
     index = store.xml_table.text_index_on("NODEDATA")
     rows = [store.xml_table.fetch(rowid) for rowid in index.lookup(term)]
-    return [row for row in rows if row["NODETYPE"] == int(NodeType.TEXT)]
+    return [row for row in rows if row.NODETYPE == int(NodeType.TEXT)]
 
 
 # -- the rowid-less traversal (what the design avoids) ----------------------
@@ -59,15 +58,15 @@ class KeyJoinTraversal:
         return rows
 
     def parent_of(self, row):
-        parent_id = row["PARENTNODEID"]
+        parent_id = row.PARENTNODEID
         if parent_id is None:
             return None
         [parent] = self._lookup("NODEID", parent_id)
         return parent
 
     def children_of(self, row):
-        children = self._lookup("PARENTNODEID", row["NODEID"])
-        children.sort(key=lambda child: child["ORDINAL"])
+        children = self._lookup("PARENTNODEID", row.NODEID)
+        children.sort(key=lambda child: child.ORDINAL)
         return children
 
     def governing_context(self, row):
@@ -76,13 +75,13 @@ class KeyJoinTraversal:
             parent = self.parent_of(current)
             if parent is None:
                 return None
-            if parent["NODETYPE"] == int(NodeType.CONTEXT):
+            if parent.NODETYPE == int(NodeType.CONTEXT):
                 return parent
             best = None
             for sibling in self.children_of(parent):
-                if sibling["ORDINAL"] >= current["ORDINAL"]:
+                if sibling.ORDINAL >= current.ORDINAL:
                     break
-                if sibling["NODETYPE"] == int(NodeType.CONTEXT):
+                if sibling.NODETYPE == int(NodeType.CONTEXT):
                     best = sibling
             if best is not None:
                 return best
@@ -93,20 +92,20 @@ class KeyJoinTraversal:
         pieces = []
         started = False
         for sibling in siblings:
-            if sibling["NODEID"] == context_row["NODEID"]:
+            if sibling.NODEID == context_row.NODEID:
                 started = True
                 continue
             if not started:
                 continue
-            if sibling["NODETYPE"] == int(NodeType.CONTEXT):
+            if sibling.NODETYPE == int(NodeType.CONTEXT):
                 break
             pieces.extend(self._texts(sibling))
         return " ".join(pieces)
 
     def _texts(self, row):
         out = []
-        if row["NODETYPE"] == int(NodeType.TEXT) and row["NODEDATA"]:
-            out.append(row["NODEDATA"].strip())
+        if row.NODETYPE == int(NodeType.TEXT) and row.NODEDATA:
+            out.append(row.NODEDATA.strip())
         for child in self.children_of(row):
             out.extend(self._texts(child))
         return out
@@ -121,7 +120,7 @@ def _resolve_physical(store, hits):
         context = accessor.governing_context(hit)
         if context is not None:
             answers.append(
-                (context["NODEID"], accessor.section_text(context))
+                (context.NODEID, accessor.section_text(context))
             )
         # What is left of the key joins: the governing lift's
         # preceding-sibling test probes ``PARENTNODEID``.
@@ -137,7 +136,7 @@ def _resolve_keyjoin(store, hits):
         context = traversal.governing_context(hit)
         if context is not None:
             answers.append(
-                (context["NODEID"], traversal.section_text(context))
+                (context.NODEID, traversal.section_text(context))
             )
     return answers, traversal.probes, traversal.rows
 

@@ -191,16 +191,16 @@ class ShreddedXmlStore:
             raise DocumentNotFoundError(f"no shredded document {doc_id}")
         doc_row = doc_rows[0]
         root = self._rebuild_element(
-            doc_row["ROOT_TAG"], doc_row["ROOT_ID"], doc_id
+            doc_row.ROOT_TAG, doc_row.ROOT_ID, doc_id
         )
-        return Document(root, name=doc_row["FILE_NAME"])
+        return Document(root, name=doc_row.FILE_NAME)
 
     def _rebuild_element(self, tag: str, node_id: int, doc_id: int) -> Element:
         from repro.store.schema import decode_attributes
 
         table = self.database.table(table_name_for(tag))
         rows = [row for row in table.lookup("NODE_ID", node_id)]
-        attrs = decode_attributes(rows[0]["ATTRS"]) if rows else {}
+        attrs = decode_attributes(rows[0].ATTRS) if rows else {}
         element = Element(tag, attrs)
         children: list[tuple[int, Node]] = []
         # Element children may live in *any* element table: scan them all.
@@ -209,18 +209,18 @@ class ShreddedXmlStore:
                 continue
             child_table = self.database.table(child_table_name)
             for row in child_table.lookup("PARENT_ID", node_id):
-                if row["DOC_ID"] != doc_id:
+                if row.DOC_ID != doc_id:
                     continue
                 child_tag = child_table_name[len("ELEM_"):].lower()
                 children.append(
                     (
-                        row["ORDINAL"],
-                        self._rebuild_element(child_tag, row["NODE_ID"], doc_id),
+                        row.ORDINAL,
+                        self._rebuild_element(child_tag, row.NODE_ID, doc_id),
                     )
                 )
         for row in self.database.table(TEXT_TABLE).lookup("PARENT_ID", node_id):
-            if row["DOC_ID"] == doc_id:
-                children.append((row["ORDINAL"], Text(row["DATA"] or "")))
+            if row.DOC_ID == doc_id:
+                children.append((row.ORDINAL, Text(row.DATA or "")))
         for _, child in sorted(children, key=lambda pair: pair[0]):
             element.append(child)
         return element
@@ -239,27 +239,27 @@ class ShreddedXmlStore:
         context_table = self.database.table(table_name_for("context"))
         text_table = self.database.table(TEXT_TABLE)
         for context_row in context_table.scan():
-            texts = text_table.lookup("PARENT_ID", context_row["NODE_ID"])
+            texts = text_table.lookup("PARENT_ID", context_row.NODE_ID)
             title = " ".join(
-                (row["DATA"] or "").strip() for row in sorted(
-                    texts, key=lambda row: row["ORDINAL"]
+                (row.DATA or "").strip() for row in sorted(
+                    texts, key=lambda row: row.ORDINAL
                 )
             ).strip()
             if title.lower() != heading:
                 continue
             # Content: sibling <content> elements under the same parent.
-            doc_id = context_row["DOC_ID"]
-            parent_id = context_row["PARENT_ID"]
+            doc_id = context_row.DOC_ID
+            parent_id = context_row.PARENT_ID
             content_parts: list[str] = []
             if self.database.catalog.has_table(table_name_for("content")):
                 content_table = self.database.table(table_name_for("content"))
                 for content_row in content_table.lookup("PARENT_ID", parent_id):
-                    if content_row["DOC_ID"] != doc_id:
+                    if content_row.DOC_ID != doc_id:
                         continue
                     for text_row in text_table.lookup(
-                        "PARENT_ID", content_row["NODE_ID"]
+                        "PARENT_ID", content_row.NODE_ID
                     ):
-                        data = (text_row["DATA"] or "").strip()
+                        data = (text_row.DATA or "").strip()
                         if data:
                             content_parts.append(data)
             results.append((doc_id, " ".join(content_parts)))

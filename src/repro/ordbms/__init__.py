@@ -20,7 +20,7 @@ from repro.ordbms.recovery import RecoveryResult, recover
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import Column, ForeignKey, TableSchema
 from repro.ordbms.snapshot import dump_database, load_database
-from repro.ordbms.table import ROWID_PSEUDO, Table
+from repro.ordbms.table import Table
 from repro.ordbms.textindex import STOPWORDS, TextIndex, tokenize
 from repro.ordbms.transaction import Transaction
 from repro.ordbms.types import (
@@ -60,7 +60,6 @@ __all__ = [
     "MemoryLogDevice",
     "MvccState",
     "ROWID",
-    "ROWID_PSEUDO",
     "RecoveryResult",
     "RowId",
     "STOPWORDS",

@@ -205,7 +205,7 @@ class Database:
         if self.wal is not None:
             self.wal.log_insert(
                 self._wal_txid(), table.schema.name, rowid,
-                table.raw_row(rowid),
+                table.fetch(rowid)[:-1],  # the log carries the columns
             )
             self._sync_autocommit()
         if self.in_transaction:
@@ -221,38 +221,35 @@ class Database:
     ) -> None:
         table = self.table(table_name)
         old = table.fetch(rowid)
-        old.pop("ROWID_", None)
-        before = table.raw_row(rowid) if self.wal is not None else ()
         table.update(rowid, changes)
         self.stats.rows_updated += 1
         if self.wal is not None:
             self.wal.log_update(
-                self._wal_txid(), table.schema.name, rowid, before,
-                table.raw_row(rowid),
+                self._wal_txid(), table.schema.name, rowid, old[:-1],
+                table.fetch(rowid)[:-1],
             )
             self._sync_autocommit()
         if self.in_transaction:
             assert self._current is not None
             self._current.record_undo(
                 f"update {table.schema.name} {rowid}",
-                lambda: table.update(rowid, old),
+                lambda: table.overwrite(old),
             )
 
     def delete(self, table_name: str, rowid: RowId) -> None:
         table = self.table(table_name)
-        before = table.raw_row(rowid) if self.wal is not None else ()
         old = table.delete(rowid)
         self.stats.rows_deleted += 1
         if self.wal is not None:
             self.wal.log_delete(
-                self._wal_txid(), table.schema.name, rowid, before
+                self._wal_txid(), table.schema.name, rowid, old[:-1]
             )
             self._sync_autocommit()
         if self.in_transaction:
             assert self._current is not None
             self._current.record_undo(
                 f"delete {table.schema.name} {rowid}",
-                lambda: table.restore(rowid, old),
+                lambda: table.restore(old),
             )
 
     def _sync_autocommit(self) -> None:
@@ -261,7 +258,7 @@ class Database:
             self.wal.device.sync()
             obs.inc("repro_ordbms_wal_syncs_total", reason="autocommit")
 
-    def fetch(self, table_name: str, rowid: RowId) -> dict[str, Any]:
-        """O(1) fetch by physical ROWID (counted in stats)."""
+    def fetch(self, table_name: str, rowid: RowId) -> Any:
+        """O(1) fetch by physical ROWID (counted in stats): the stored row."""
         self.stats.rowid_fetches += 1
         return self.table(table_name).fetch(rowid)

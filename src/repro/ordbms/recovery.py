@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.errors import CatalogError, RecoveryError, RowIdError
+from repro.errors import CatalogError, RecoveryError, RowIdError, SchemaError
 from repro.ordbms.database import Database
 from repro.ordbms.snapshot import load_database
 from repro.ordbms.table import Table
@@ -342,35 +342,47 @@ def _table(database: Database, record: WalRecord) -> Table:
         ) from None
 
 
+def _stored(table: Table, record: WalRecord, image: tuple | None):
+    """The stored row a logged image stands for, at the record's address."""
+    assert record.rowid is not None and image is not None
+    try:
+        return table.schema.row_of_image(image, record.rowid)
+    except SchemaError as error:
+        raise RecoveryError(
+            f"LSN {record.lsn}: {record.kind} image for {record.table} "
+            f"is not a row of that table: {error}"
+        ) from error
+
+
 def _apply(database: Database, record: WalRecord) -> None:
     """Redo one mutation physically, verifying addresses and pre-images."""
     table = _table(database, record)
     heap = table._heap  # noqa: SLF001 - physical replay, like snapshot.py
     assert record.rowid is not None
     if record.kind == INSERT:
-        assert record.after is not None
-        landed = heap.insert(record.after)
+        after = _stored(table, record, record.after)
+        landed = heap.insert(after)
         if landed != record.rowid:
             raise RecoveryError(
                 f"LSN {record.lsn}: replayed insert landed at {landed}, "
                 f"log recorded {record.rowid} — slot allocation diverged"
             )
-        table._index_row(landed, record.after)  # noqa: SLF001
+        table._index_row(after)  # noqa: SLF001
         return
     current = _fetch(heap, table, record)
-    if current != record.before:
+    if current[:-1] != record.before:
         raise RecoveryError(
             f"LSN {record.lsn}: {record.kind} pre-image disagrees with "
             f"recovered row at {record.rowid} in {record.table}"
         )
     if record.kind == UPDATE:
-        assert record.after is not None
-        table._unindex_row(record.rowid, current)  # noqa: SLF001
-        heap.update(record.rowid, record.after)
-        table._index_row(record.rowid, record.after)  # noqa: SLF001
+        after = _stored(table, record, record.after)
+        table._unindex_row(current)  # noqa: SLF001
+        heap.update(record.rowid, after)
+        table._index_row(after)  # noqa: SLF001
     else:  # DELETE
         heap.delete(record.rowid)
-        table._unindex_row(record.rowid, current)  # noqa: SLF001
+        table._unindex_row(current)  # noqa: SLF001
 
 
 def _undo(database: Database, record: WalRecord) -> None:
@@ -380,18 +392,16 @@ def _undo(database: Database, record: WalRecord) -> None:
     assert record.rowid is not None
     try:
         if record.kind == INSERT:
-            assert record.after is not None
-            heap.delete(record.rowid)
-            table._unindex_row(record.rowid, record.after)  # noqa: SLF001
+            table._unindex_row(heap.delete(record.rowid))  # noqa: SLF001
         elif record.kind == UPDATE:
-            assert record.before is not None and record.after is not None
-            table._unindex_row(record.rowid, record.after)  # noqa: SLF001
-            heap.update(record.rowid, record.before)
-            table._index_row(record.rowid, record.before)  # noqa: SLF001
+            before = _stored(table, record, record.before)
+            table._unindex_row(heap.fetch(record.rowid))  # noqa: SLF001
+            heap.update(record.rowid, before)
+            table._index_row(before)  # noqa: SLF001
         else:  # DELETE
-            assert record.before is not None
-            heap.restore(record.rowid, record.before)
-            table._index_row(record.rowid, record.before)  # noqa: SLF001
+            before = _stored(table, record, record.before)
+            heap.restore(record.rowid, before)
+            table._index_row(before)  # noqa: SLF001
     except RowIdError as error:
         raise RecoveryError(
             f"LSN {record.lsn}: cannot undo {record.kind} at "

@@ -10,15 +10,35 @@ scalar columns, NOT NULL, a single-column primary key, unique constraints,
 and defaults.  Foreign keys are declared (so the catalog can describe the
 ``DOC_ID`` relationship in Fig 5) but enforcement is optional per table,
 because NETMARK bulk-loads parent and child rows in one transaction.
+
+A schema also fixes the one shape a row of its table ever has
+(:attr:`TableSchema.row_type`): an immutable named tuple of the columns,
+in order, plus a trailing ``rowid`` — the row's own physical address.
+The heap stores that object, MVCC history keeps it and every read door
+hands it back; nothing is decoded or copied on the way.  Column names
+are upper-case and may not start with ``_``, so neither ``rowid`` nor a
+tuple method can collide with one.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from functools import cache
+from typing import Any, Mapping, Sequence
 
 from repro.errors import SchemaError, TypeMismatchError
+from repro.ordbms.rowid import RowId
 from repro.ordbms.types import DataType
+
+
+@cache
+def _row_type(table: str, fields: tuple[str, ...]) -> type:
+    """The row class of ``table``: interned, so a schema built again (a
+    reload, a per-query scratch store) pays class creation once and its
+    rows are of the class the first one's are.  One class per table,
+    though the name it prints under is the same."""
+    return namedtuple("Row", fields)
 
 
 @dataclass(frozen=True)
@@ -28,8 +48,9 @@ class Column:
     Parameters
     ----------
     name:
-        Column name; matched case-insensitively but stored upper-case to
-        mirror the Oracle convention used throughout the paper's Fig 5.
+        Column name; stored upper-case to mirror the Oracle convention
+        used throughout the paper's Fig 5, which is also how the keys of
+        an insert or update must spell it.
     dtype:
         One of the singleton :mod:`repro.ordbms.types` instances.
     nullable:
@@ -44,9 +65,12 @@ class Column:
     default: Any = None
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name.replace("_", "").isalnum():
+        name = self.name.upper()
+        # A column is a field of the row type: an identifier, and not one
+        # the tuple machinery (``_make``, ``_replace``...) could own.
+        if not name.isidentifier() or name.startswith("_"):
             raise SchemaError(f"invalid column name: {self.name!r}")
-        object.__setattr__(self, "name", self.name.upper())
+        object.__setattr__(self, "name", name)
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,8 @@ class TableSchema:
     unique: tuple[str, ...] = ()
     foreign_keys: tuple[ForeignKey, ...] = ()
     _index: Mapping[str, int] = field(default_factory=dict, repr=False, compare=False)
+    #: The class of every stored row: the columns, then ``rowid``.
+    row_type: type = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -88,6 +114,9 @@ class TableSchema:
                 )
             index[column.name] = position
         object.__setattr__(self, "_index", index)
+        object.__setattr__(
+            self, "row_type", _row_type(self.name, (*index, "rowid"))
+        )
         if self.primary_key is not None:
             object.__setattr__(self, "primary_key", self.primary_key.upper())
             if self.primary_key not in index:
@@ -109,20 +138,11 @@ class TableSchema:
 
     # -- lookups ---------------------------------------------------------
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self._index)
-
     def has_column(self, name: str) -> bool:
         return name.upper() in self._index
 
     def column(self, name: str) -> Column:
-        try:
-            return self.columns[self._index[name.upper()]]
-        except KeyError:
-            raise SchemaError(
-                f"table {self.name} has no column {name.upper()!r}"
-            ) from None
+        return self.columns[self.position(name)]
 
     def position(self, name: str) -> int:
         """Return the ordinal position of a column (0-based)."""
@@ -133,41 +153,46 @@ class TableSchema:
                 f"table {self.name} has no column {name.upper()!r}"
             ) from None
 
-    def __iter__(self) -> Iterator[Column]:
-        return iter(self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
     # -- row shaping -----------------------------------------------------
 
-    def make_row(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
-        """Validate a column->value mapping into a positional row tuple.
+    def row(
+        self,
+        values: Mapping[str, Any],
+        rowid: RowId,
+        base: Sequence[Any] | None = None,
+    ) -> Any:
+        """The stored row at ``rowid`` for a column->value mapping.
 
-        Unknown columns raise; missing columns take their default; NOT NULL
-        is enforced after defaulting; every value is validated against the
-        column type.
+        One pass over the columns: a column ``values`` does not name
+        takes its default — or, editing ``base`` (the row an update
+        replaces), what ``base`` holds — every value goes through its
+        column's type rule, and NOT NULL is enforced after defaulting.
+        Keys are matched as stored (upper-case); an unknown one raises.
         """
-        provided = {key.upper(): value for key, value in values.items()}
-        for key in provided:
-            if key not in self._index:
-                raise SchemaError(f"table {self.name} has no column {key!r}")
-        row: list[Any] = []
-        for column in self.columns:
-            value = provided.get(column.name, column.default)
-            value = column.dtype.validate(value, column.name)
+        if not values.keys() <= self._index.keys():
+            unknown = next(key for key in values if key not in self._index)
+            raise SchemaError(f"table {self.name} has no column {unknown!r}")
+        fields: list[Any] = []
+        for position, column in enumerate(self.columns):
+            fallback = column.default if base is None else base[position]
+            value = column.dtype.validate(
+                values.get(column.name, fallback), column.name
+            )
             if value is None and not column.nullable:
                 raise TypeMismatchError(
                     f"column {self.name}.{column.name} is NOT NULL"
                 )
-            row.append(value)
-        return tuple(row)
+            fields.append(value)
+        fields.append(rowid)
+        return self.row_type._make(fields)
 
-    def row_to_dict(self, row: Sequence[Any]) -> dict[str, Any]:
-        """Convert a positional row tuple back to a column->value dict."""
-        if len(row) != len(self.columns):
+    def row_of_image(self, image: Sequence[Any], rowid: RowId) -> Any:
+        """The stored row at ``rowid`` for a logged or dumped image — the
+        columns' values in order, written by :meth:`row` once and taken
+        back as they are, width-checked."""
+        if len(image) != len(self.columns):
             raise SchemaError(
-                f"row width {len(row)} does not match table {self.name} "
+                f"row width {len(image)} does not match table {self.name} "
                 f"width {len(self.columns)}"
             )
-        return dict(zip(self._index, row))  # keys are in column order
+        return self.row_type._make((*image, rowid))

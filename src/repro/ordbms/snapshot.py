@@ -120,7 +120,9 @@ def dump_database(database: Database) -> str:
                     if row is _TOMBSTONE:
                         lines.append(f"TOMB {address}")
                     else:
-                        encoded = "\t".join(encode_value(v) for v in row)
+                        encoded = "\t".join(
+                            encode_value(value) for value in row[:-1]
+                        )
                         lines.append(f"ROW {address} {encoded}")
     return "\n".join(lines) + "\n"
 
@@ -178,24 +180,13 @@ def _restore_slot(
 ) -> None:
     """Append a slot at exactly ``rowid`` (snapshots are in heap order)."""
     heap = table._heap  # noqa: SLF001
-    if row is None:
-        # Insert a placeholder then tombstone it, preserving the address.
-        placeholder = tuple([None] * len(table.schema))
-        got = heap.insert(placeholder)
-        if got != rowid:
-            raise DatabaseError(
-                f"snapshot slot order broken: expected {rowid}, got {got}"
-            )
-        heap.delete(got)
-        return
-    if len(row) != len(table.schema):
-        raise DatabaseError(
-            f"snapshot row width {len(row)} != schema width "
-            f"{len(table.schema)} for {table.schema.name}"
-        )
-    got = heap.insert(row)
+    stored = None if row is None else table.schema.row_of_image(row, rowid)
+    got = heap.insert(stored)
     if got != rowid:
         raise DatabaseError(
             f"snapshot slot order broken: expected {rowid}, got {got}"
         )
-    table._index_row(got, row)  # noqa: SLF001
+    if stored is None:
+        heap.delete(got)  # a tombstone keeps its address and nothing else
+    else:
+        table._index_row(stored)  # noqa: SLF001

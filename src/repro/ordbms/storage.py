@@ -9,6 +9,11 @@ Deletions tombstone the slot rather than compacting, so ROWIDs of the
 surviving rows never move (Oracle's heap tables behave the same way).
 Updates are in place when the row stays in its slot; the engine never
 migrates rows, so ROWIDs are stable for the lifetime of a row.
+
+A slot holds whatever object the table layer put there — the schema's
+row (:attr:`repro.ordbms.schema.TableSchema.row_type`), which carries
+its own address as its last field — and a fetch or a scan hands that
+object back: the heap never copies, decodes or looks inside a row.
 """
 
 from __future__ import annotations

@@ -6,6 +6,13 @@ A :class:`Table` binds a :class:`~repro.ordbms.schema.TableSchema` to a
 :class:`~repro.ordbms.textindex.TextIndex` consistent across inserts,
 updates and deletes.  Primary-key and unique constraints are enforced via
 automatically created B+tree indexes, so enforcement is O(log n).
+
+A row has one shape (:attr:`TableSchema.row_type
+<repro.ordbms.schema.TableSchema.row_type>`): :meth:`Table.insert` builds
+it, the heap stores it, history keeps it, and every read door — by
+address, by scan, by index, as of an LSN — hands back that very object.
+Rows are immutable and shared by every reader: a change is a new row
+through :meth:`Table.update`, never an edit of one in hand.
 """
 
 from __future__ import annotations
@@ -22,10 +29,6 @@ from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import TableSchema
 from repro.ordbms.storage import HeapFile
 from repro.ordbms.textindex import TextIndex
-
-#: Pseudo-column name under which a row's own physical address is exposed,
-#: mirroring Oracle's ``ROWID`` pseudo-column.
-ROWID_PSEUDO = "ROWID_"
 
 #: Mutation statements between automatic version-GC sweeps.  Small enough
 #: to bound history growth during sustained ingest, large enough that the
@@ -238,15 +241,15 @@ class Table:
     # -- mutation -----------------------------------------------------------
 
     def insert(self, values: Mapping[str, Any]) -> RowId:
-        """Validate, constraint-check and store a row; returns its ROWID."""
-        row = self.schema.make_row(values)
+        """Type-check, constraint-check and store a row; returns its ROWID."""
+        row = self.schema.row(values, self._heap.next_rowids(1)[0])
         self._check_unique(row, exclude=None)
         lsn = self._begin_statement()
         self._seq += 1
         try:
-            rowid = self._heap.insert(row)
+            rowid = self._heap.insert(row)  # the address the row was built on
             self._record(lsn, rowid, ABSENT)
-            self._index_row(rowid, row)
+            self._index_row(row)
         finally:
             self._seq += 1
             self._commit_statement(lsn)
@@ -258,78 +261,76 @@ class Table:
 
     def update(self, rowid: RowId, changes: Mapping[str, Any]) -> None:
         """Apply ``changes`` (column->value) to the row at ``rowid``."""
+        self.overwrite(
+            self.schema.row(changes, rowid, base=self._heap.fetch(rowid))
+        )
+
+    def overwrite(self, row: Any) -> None:
+        """Put ``row``, a stored row of this table, in its slot in place
+        of the one standing there: an update's second half, and — handed
+        the row the update replaced — its undo, unique check only."""
+        rowid = row.rowid
         old_row = self._heap.fetch(rowid)
-        merged = self.schema.row_to_dict(old_row)
-        merged.update({key.upper(): value for key, value in changes.items()})
-        new_row = self.schema.make_row(merged)
-        self._check_unique(new_row, exclude=rowid)
+        self._check_unique(row, exclude=rowid)
         lsn = self._begin_statement()
         self._seq += 1
         try:
             self._record(lsn, rowid, old_row)
-            self._unindex_row(rowid, old_row)
-            self._heap.update(rowid, new_row)
-            self._index_row(rowid, new_row)
+            self._unindex_row(old_row)
+            self._heap.update(rowid, row)
+            self._index_row(row)
         finally:
             self._seq += 1
             self._commit_statement(lsn)
 
-    def delete(self, rowid: RowId) -> dict[str, Any]:
-        """Delete the row at ``rowid``; returns its former values."""
+    def delete(self, rowid: RowId) -> Any:
+        """Delete the row at ``rowid``; returns it, for :meth:`restore`."""
         old_row = self._heap.fetch(rowid)
         lsn = self._begin_statement()
         self._seq += 1
         try:
             self._record(lsn, rowid, old_row)
             self._heap.delete(rowid)
-            self._unindex_row(rowid, old_row)
+            self._unindex_row(old_row)
         finally:
             self._seq += 1
             self._commit_statement(lsn)
-        return self.schema.row_to_dict(old_row)
+        return old_row
 
-    def restore(self, rowid: RowId, values: Mapping[str, Any]) -> None:
-        """Undo a delete: put ``values`` back at the original ``rowid``."""
-        row = self.schema.make_row(values)
+    def restore(self, row: Any) -> None:
+        """Undo a delete: put ``row``, as :meth:`delete` returned it, back
+        at its own address — unique check only."""
+        rowid = row.rowid
         self._check_unique(row, exclude=rowid)
         lsn = self._begin_statement()
         self._seq += 1
         try:
             self._record(lsn, rowid, ABSENT)
             self._heap.restore(rowid, row)
-            self._index_row(rowid, row)
+            self._index_row(row)
         finally:
             self._seq += 1
             self._commit_statement(lsn)
 
     # -- access ---------------------------------------------------------------
 
-    def fetch(self, rowid: RowId) -> dict[str, Any]:
-        """O(1) fetch by physical ROWID, as a column->value dict."""
-        return self._with_rowid(rowid, self._heap.fetch(rowid))
-
-    def raw_row(self, rowid: RowId) -> tuple[Any, ...]:
-        """The stored tuple at ``rowid``, in schema column order.
-
-        The write-ahead log records row images in this physical form so
-        that replay can bypass validation and land bit-identical rows.
-        """
+    def fetch(self, rowid: RowId) -> Any:
+        """O(1) fetch by physical ROWID: the stored row itself."""
         return self._heap.fetch(rowid)
 
     def exists(self, rowid: RowId) -> bool:
         return self._heap.exists(rowid)
 
     def scan(
-        self, predicate: Callable[[Mapping[str, Any]], bool] | None = None
-    ) -> Iterator[dict[str, Any]]:
-        """Yield rows (as dicts, including the ROWID pseudo-column)."""
+        self, predicate: Callable[[Any], bool] | None = None
+    ) -> Iterator[Any]:
+        """Yield the live rows in physical order."""
         examined = 0
         try:
-            for rowid, row in self._heap.scan():
+            for _, row in self._heap.scan():
                 examined += 1
-                record = self._with_rowid(rowid, row)
-                if predicate is None or predicate(record):
-                    yield record
+                if predicate is None or predicate(row):
+                    yield row
         finally:
             # One bump per scan (early close included), not one per row:
             # the counter must not be the scan's hot-path cost.
@@ -339,7 +340,7 @@ class Table:
                     table=self.schema.name, path="scan",
                 )
 
-    def lookup(self, column: str, value: Any) -> list[dict[str, Any]]:
+    def lookup(self, column: str, value: Any) -> list[Any]:
         """Equality lookup, via index when one exists, else a scan."""
         column = column.upper()
         index = self._indexes.get(column)
@@ -353,9 +354,7 @@ class Table:
             return rows
         position = self.schema.position(column)
         rows = [
-            self._with_rowid(rowid, row)
-            for rowid, row in self._heap.scan()
-            if row[position] == value
+            row for _, row in self._heap.scan() if row[position] == value
         ]
         obs.inc(
             "repro_ordbms_lookups_total",
@@ -366,7 +365,7 @@ class Table:
     # -- snapshot access (MVCC) ----------------------------------------------
 
     def _visible_image(self, rowid: RowId, pin: int) -> Any:
-        """The row tuple visible at ``pin``, or :data:`ABSENT`.
+        """The row visible at ``pin``, or :data:`ABSENT`.
 
         Reader order matters and is the inverse of the writer's: read
         the live heap value *first*, then consult history.  The writer
@@ -393,14 +392,12 @@ class Table:
                     return image
         return current
 
-    def visible_row(self, rowid: RowId, pin: int) -> dict[str, Any] | None:
+    def visible_row(self, rowid: RowId, pin: int) -> Any | None:
         """The row at ``rowid`` as of commit LSN ``pin`` (None if absent)."""
         image = self.stable_read(lambda: self._visible_image(rowid, pin))
-        return None if image is ABSENT else self._with_rowid(rowid, image)
+        return None if image is ABSENT else image
 
-    def visible_many(
-        self, rowids: Iterable[RowId], pin: int
-    ) -> list[dict[str, Any]]:
+    def visible_many(self, rowids: Iterable[RowId], pin: int) -> list[Any]:
         """Batch :meth:`visible_row`; every rowid must be visible.
 
         The whole list resolves inside one seqlock window.  With no
@@ -418,14 +415,13 @@ class Table:
                     pass  # a dead slot: the per-row path says which
             return [self._visible_image(rowid, pin) for rowid in rowids]
 
-        rows = []
-        for rowid, image in zip(rowids, self.stable_read(read)):
+        rows = self.stable_read(read)
+        for rowid, image in zip(rowids, rows):
             if image is ABSENT:
                 raise RowIdError(
                     f"ROWID {rowid} is not visible at LSN {pin} in table "
                     f"{self.schema.name}"
                 )
-            rows.append(self._with_rowid(rowid, image))
         if rows:
             obs.inc(
                 "repro_ordbms_rows_read_total", len(rows),
@@ -476,25 +472,25 @@ class Table:
                 return
             rowid, chunk = slots[-1][0], min(chunk * 2, RUN_CHUNK_MAX)
 
-    def rows_after(self, rowid: RowId, pin: int) -> Iterator[dict[str, Any]]:
+    def rows_after(self, rowid: RowId, pin: int) -> Iterator[Any]:
         """Lazily yield the rows stored right after ``rowid``, in order.
 
         The forward read: one pass over the slots that physically follow
         ``rowid``, as of ``pin``, ending at the first slot that holds no
-        row in that view or at the heap tail.  A row is decoded only
-        when the consumer pulls it, so stopping early costs nothing.
+        row in that view or at the heap tail.  A row counts as read only
+        when the consumer pulls it.
         """
-        decoded = 0
+        pulled = 0
         try:
-            for slot, image in self._slots_after(rowid, pin):
+            for _, image in self._slots_after(rowid, pin):
                 if image is ABSENT:
                     return
-                decoded += 1
-                yield self._with_rowid(slot, image)
+                pulled += 1
+                yield image
         finally:
-            if decoded:
+            if pulled:
                 obs.inc(
-                    "repro_ordbms_rows_read_total", decoded,
+                    "repro_ordbms_rows_read_total", pulled,
                     table=self.schema.name, path="snapshot",
                 )
 
@@ -512,7 +508,7 @@ class Table:
             }
         )
 
-    def snapshot_scan(self, pin: int) -> Iterator[dict[str, Any]]:
+    def snapshot_scan(self, pin: int) -> Iterator[Any]:
         """Yield every row visible at ``pin``, in physical order.
 
         Rows inserted while the scan runs carry LSNs above the pin and
@@ -521,10 +517,10 @@ class Table:
         """
         examined = 0
         try:
-            for slot, image in self._slots_after(None, pin):
+            for _, image in self._slots_after(None, pin):
                 examined += 1
                 if image is not ABSENT:
-                    yield self._with_rowid(slot, image)
+                    yield image
         finally:
             if examined:
                 obs.inc(
@@ -535,7 +531,7 @@ class Table:
     def _rowids_as_of(
         self,
         probe: Callable[[], Iterable[RowId]],
-        judge: Callable[[tuple[Any, ...]], bool],
+        judge: Callable[[Any], bool],
         pin: int,
     ) -> list[RowId]:
         """Pin-aware probing: an index answer corrected to ``pin``.
@@ -591,17 +587,15 @@ class Table:
             pin,
         )
 
-    def snapshot_search(
-        self, column: str, value: Any, pin: int
-    ) -> list[dict[str, Any]]:
+    def snapshot_search(self, column: str, value: Any, pin: int) -> list[Any]:
         """Equality lookup as of ``pin``: the rows of
         :meth:`snapshot_rowids`, or a filtered :meth:`snapshot_scan`
         when ``column`` has no index."""
         column = column.upper()
         if column not in self._indexes:
-            self.schema.column(column)  # validates existence
+            position = self.schema.position(column)
             return [
-                row for row in self.snapshot_scan(pin) if row[column] == value
+                row for row in self.snapshot_scan(pin) if row[position] == value
             ]
         return self.visible_many(
             self.snapshot_rowids(column, value, pin), pin
@@ -616,12 +610,7 @@ class Table:
 
     # -- internals ----------------------------------------------------------
 
-    def _with_rowid(self, rowid: RowId, row: tuple[Any, ...]) -> dict[str, Any]:
-        record = self.schema.row_to_dict(row)
-        record[ROWID_PSEUDO] = rowid
-        return record
-
-    def _check_unique(self, row: tuple[Any, ...], exclude: RowId | None) -> None:
+    def _check_unique(self, row: Any, exclude: RowId | None) -> None:
         for column in self._unique_columns:
             position = self.schema.position(column)
             value = row[position]
@@ -634,7 +623,8 @@ class Table:
                     f"{self.schema.name}.{column}"
                 )
 
-    def _index_row(self, rowid: RowId, row: tuple[Any, ...]) -> None:
+    def _index_row(self, row: Any) -> None:
+        rowid = row.rowid
         for column, index in self._indexes.items():
             value = row[self.schema.position(column)]
             if value is not None:
@@ -644,7 +634,8 @@ class Table:
             if isinstance(value, str) and value:
                 text_index.add(rowid, value)
 
-    def _unindex_row(self, rowid: RowId, row: tuple[Any, ...]) -> None:
+    def _unindex_row(self, row: Any) -> None:
+        rowid = row.rowid
         for column, index in self._indexes.items():
             value = row[self.schema.position(column)]
             if value is not None:

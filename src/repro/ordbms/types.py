@@ -6,9 +6,10 @@ floats, strings (``VARCHAR``/``CLOB``), timestamps, and ``ROWID`` values
 used for the parent/sibling physical links that make tree traversal fast.
 
 Types are represented as singleton :class:`DataType` instances; columns
-reference them by object identity.  Each type knows how to validate and
-coerce Python values, which keeps the table layer free of per-type
-branching.
+reference them by object identity.  Each type answers one question per
+value — :meth:`DataType.validate`: the value as it is stored, or a
+:class:`~repro.errors.TypeMismatchError` — which keeps the table layer
+free of per-type branching.
 """
 
 from __future__ import annotations
@@ -27,95 +28,60 @@ class DataType:
     ----------
     name:
         SQL-ish display name, e.g. ``"INTEGER"``.
-    pytypes:
-        Python types accepted for values of this column type.
+    pytype:
+        The Python type values of this column type are stored as.
     """
 
-    def __init__(self, name: str, pytypes: tuple[type, ...]) -> None:
+    def __init__(self, name: str, pytype: type) -> None:
         self.name = name
-        self._pytypes = pytypes
+        self._pytype = pytype
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataType({self.name})"
 
     def validate(self, value: Any, column: str = "?") -> Any:
-        """Return ``value`` coerced for storage, or raise.
+        """Return ``value`` as it is stored, or raise.
 
         ``None`` is always accepted here; NOT NULL enforcement is the
         table layer's job because it depends on the column definition,
-        not the type.
+        not the type.  bool is an int subclass but almost always a
+        caller bug, so no type stores one.
         """
-        if value is None:
-            return None
-        coerced = self.coerce(value)
-        if coerced is None:
-            raise TypeMismatchError(
-                f"column {column!r} expects {self.name}, got "
-                f"{type(value).__name__} ({value!r})"
-            )
-        return coerced
-
-    def coerce(self, value: Any) -> Any:
-        """Return the storage representation of ``value`` or ``None``."""
-        if isinstance(value, self._pytypes):
+        if value is None or (
+            isinstance(value, self._pytype) and not isinstance(value, bool)
+        ):
             return value
-        return None
-
-
-class _IntegerType(DataType):
-    def __init__(self) -> None:
-        super().__init__("INTEGER", (int,))
-
-    def coerce(self, value: Any) -> Any:
-        # bool is an int subclass but almost always a caller bug here.
-        if isinstance(value, bool):
-            return None
-        return super().coerce(value)
+        raise TypeMismatchError(
+            f"column {column!r} expects {self.name}, got "
+            f"{type(value).__name__} ({value!r})"
+        )
 
 
 class _FloatType(DataType):
-    def __init__(self) -> None:
-        super().__init__("FLOAT", (float, int))
-
-    def coerce(self, value: Any) -> Any:
-        if isinstance(value, bool):
-            return None
-        if isinstance(value, int):
+    def validate(self, value: Any, column: str = "?") -> Any:
+        if isinstance(value, int) and not isinstance(value, bool):
             return float(value)
-        return super().coerce(value)
-
-
-class _VarcharType(DataType):
-    def __init__(self, name: str = "VARCHAR") -> None:
-        super().__init__(name, (str,))
+        return super().validate(value, column)
 
 
 class _TimestampType(DataType):
-    def __init__(self) -> None:
-        super().__init__("TIMESTAMP", (_dt.datetime,))
-
-    def coerce(self, value: Any) -> Any:
+    def validate(self, value: Any, column: str = "?") -> Any:
         if isinstance(value, str):
             try:
                 return _dt.datetime.fromisoformat(value)
             except ValueError:
-                return None
-        return super().coerce(value)
-
-
-class _RowIdType(DataType):
-    def __init__(self) -> None:
-        super().__init__("ROWID", (RowId,))
+                pass  # not ISO text: the mismatch below says so
+        return super().validate(value, column)
 
 
 #: Singleton type instances, referenced by :class:`~repro.ordbms.schema.Column`.
-INTEGER = _IntegerType()
-FLOAT = _FloatType()
-VARCHAR = _VarcharType("VARCHAR")
+INTEGER = DataType("INTEGER", int)
+FLOAT = _FloatType("FLOAT", float)
+VARCHAR = DataType("VARCHAR", str)
 #: Large text values (node data); identical semantics to VARCHAR here but
 #: kept distinct so the catalog mirrors the paper's Oracle schema.
-CLOB = _VarcharType("CLOB")
-TIMESTAMP = _TimestampType()
-ROWID = _RowIdType()
+CLOB = DataType("CLOB", str)
+TIMESTAMP = _TimestampType("TIMESTAMP", _dt.datetime)
+ROWID = DataType("ROWID", RowId)
 
 ALL_TYPES: tuple[DataType, ...] = (INTEGER, FLOAT, VARCHAR, CLOB, TIMESTAMP, ROWID)

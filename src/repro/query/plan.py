@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.errors import DocumentNotFoundError, QueryError
 from repro.obs import PlanProfiler
-from repro.ordbms.table import ROWID_PSEUDO
 from repro.ordbms.textindex import TextIndex, tokenize
 from repro.query.ast import ContentSpec
 from repro.query.results import SectionMatch
@@ -58,12 +57,11 @@ from repro.sgml.dom import Element, Text
 from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import NodeAccessor
 from repro.store.compose import compose_node, compose_section
+from repro.store.schema import XmlRow
 from repro.store.xmlstore import StoredDocument, XmlStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.deadline import Budget
-
-Row = dict[str, Any]
 
 
 def phrase_in(phrase: str | list[str], text: str) -> bool:
@@ -156,7 +154,7 @@ class PlanContext:
             )
         return index
 
-    def section_satisfies(self, context_row: Row, spec: ContentSpec) -> bool:
+    def section_satisfies(self, context_row: XmlRow, spec: ContentSpec) -> bool:
         """Does the section under ``context_row`` satisfy the content spec?
 
         The heading participates: ``Content=Shuttle`` returns sections
@@ -166,16 +164,16 @@ class PlanContext:
         text = heading + " " + self.accessor.section_text(context_row)
         return text_satisfies(text, spec)
 
-    def is_emphasized(self, row: Row) -> bool:
+    def is_emphasized(self, row: XmlRow) -> bool:
         """True when a text row sits inside INTENSE (emphasis) markup."""
         current = row
         while True:
             parent = self.accessor.parent(current)
             if parent is None:
                 return False
-            if parent["NODETYPE"] == int(NodeType.INTENSE):
+            if parent.NODETYPE == int(NodeType.INTENSE):
                 return True
-            if parent["NODETYPE"] == int(NodeType.CONTEXT):
+            if parent.NODETYPE == int(NodeType.CONTEXT):
                 return False
             current = parent
 
@@ -193,7 +191,7 @@ class Candidate:
 
     kind: str
     doc_id: int
-    row: Row
+    row: XmlRow
     score: float = 1.0
     order: int = -1
     node: Element | Text | None = None
@@ -306,8 +304,8 @@ class TextSource(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         for row in self._rows():
-            if row["NODETYPE"] == int(NodeType.TEXT):
-                yield Candidate("text", row["DOC_ID"], row)
+            if row.NODETYPE == int(NodeType.TEXT):
+                yield Candidate("text", row.DOC_ID, row)
 
 
 class IndexProbe(TextSource):
@@ -324,7 +322,7 @@ class IndexProbe(TextSource):
             return index.lookup_phrase(self.key)
         return index.lookup_all(tokenize(self.key))
 
-    def _rows(self) -> Iterable[Row]:
+    def _rows(self) -> Iterable[XmlRow]:
         self.ctx.text_index()  # missing index is a fault even under MVCC
         accessor = self.ctx.accessor
         return accessor.nodes(accessor.probe_text(self._lookup, self._matches))
@@ -335,9 +333,9 @@ class Scan(TextSource):
 
     name = "scan"
 
-    def _rows(self) -> Iterable[Row]:
+    def _rows(self) -> Iterable[XmlRow]:
         rows = self.ctx.store.xml_table.snapshot_scan(self.ctx.accessor.lsn)
-        return (row for row in rows if self._matches(row["NODEDATA"]))
+        return (row for row in rows if self._matches(row.NODEDATA))
 
 
 class Union(PlanNode):
@@ -349,7 +347,7 @@ class Union(PlanNode):
         seen: set[Any] = set()
         for child in self.children:
             for candidate in child.rows():
-                rowid = candidate.row[ROWID_PSEUDO]
+                rowid = candidate.row.rowid
                 if rowid in seen:
                     continue
                 seen.add(rowid)
@@ -385,14 +383,14 @@ class ContextLift(PlanNode):
             for context in accessor.lift_all(hits, governing=False):
                 if context is None:
                     continue
-                rowid = context[ROWID_PSEUDO]
+                rowid = context.rowid
                 if rowid in confirmed:
                     continue
                 # The index matched one TEXT node; confirm the phrase
                 # holds across the whole heading.
                 if phrase_in(needle, accessor.context_title(context)):
                     confirmed.add(rowid)
-                    yield Candidate("section", context["DOC_ID"], context)
+                    yield Candidate("section", context.DOC_ID, context)
 
 
 class GoverningLift(PlanNode):
@@ -409,9 +407,9 @@ class GoverningLift(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         accessor = self.ctx.accessor
-        contexts: dict[Any, Row] = {}
+        contexts: dict[Any, XmlRow] = {}
         boosts: dict[Any, float] = {}
-        doc_level: dict[int, Row] = {}
+        doc_level: dict[int, XmlRow] = {}
         hits = [hit.row for hit in self.children[0].rows()]
         # The emphasis test walks every hit's ancestors whatever the memos
         # say of its governing context: fetch them by level, not by hop.
@@ -419,18 +417,18 @@ class GoverningLift(PlanNode):
         lifted = accessor.lift_all(hits, governing=True)
         for row, context in zip(hits, lifted):
             if context is None:
-                doc_level.setdefault(row["DOC_ID"], row)
+                doc_level.setdefault(row.DOC_ID, row)
                 continue
-            key = context[ROWID_PSEUDO]
+            key = context.rowid
             contexts.setdefault(key, context)
             if self.ctx.is_emphasized(row):
                 boosts[key] = boosts.get(key, 0.0) + 0.5
         ordered = sorted(
-            contexts.values(), key=lambda row: (row["DOC_ID"], row["NODEID"])
+            contexts.values(), key=lambda row: (row.DOC_ID, row.NODEID)
         )
         for row in ordered:
-            score = 1.0 + boosts.get(row[ROWID_PSEUDO], 0.0)
-            yield Candidate("section", row["DOC_ID"], row, score=score)
+            score = 1.0 + boosts.get(row.rowid, 0.0)
+            yield Candidate("section", row.DOC_ID, row, score=score)
         for doc_id in sorted(doc_level):
             yield Candidate("document", doc_id, doc_level[doc_id])
 
@@ -446,7 +444,7 @@ class NodenameProbe(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         for row in self.ctx.accessor.lookup_rows("NODENAME", self.nodename):
-            yield Candidate("node", row["DOC_ID"], row)
+            yield Candidate("node", row.DOC_ID, row)
 
 
 class Sort(PlanNode):
@@ -457,7 +455,7 @@ class Sort(PlanNode):
     def _produce(self) -> Iterator[Candidate]:
         yield from sorted(
             self.children[0].rows(),
-            key=lambda c: (c.row["DOC_ID"], c.row["NODEID"]),
+            key=lambda c: (c.row.DOC_ID, c.row.NODEID),
         )
 
 
@@ -678,7 +676,7 @@ class SectionResolver:
     """Lazy-field loader for a section match (accessor-backed)."""
 
     ctx: PlanContext
-    row: Row
+    row: XmlRow
 
     def context(self) -> str:
         return self.ctx.accessor.context_title(self.row)
@@ -695,7 +693,7 @@ class NodeResolver:
     """Lazy-field loader for a nodename match."""
 
     ctx: PlanContext
-    row: Row
+    row: XmlRow
     node: Element | Text | None = None
     text: str | None = None
     _heading: str | None = field(default=None, repr=False)
@@ -715,7 +713,7 @@ class NodeResolver:
                 self._heading = (
                     accessor.context_title(governing)
                     if governing is not None
-                    else self.ctx.file_name(self.row["DOC_ID"])
+                    else self.ctx.file_name(self.row.DOC_ID)
                 )
         return self._heading
 
@@ -751,10 +749,10 @@ class Materialize(PlanNode):
                     file_name=entry.file_name,
                     score=candidate.score,
                     loader=SectionResolver(ctx, candidate.row),
-                    rowid=candidate.row[ROWID_PSEUDO],
+                    rowid=candidate.row.rowid,
                 )
             elif candidate.kind == "document":
-                snippet = (candidate.row["NODEDATA"] or "").strip()
+                snippet = (candidate.row.NODEDATA or "").strip()
                 snippet = re.sub(r"\s+", " ", snippet)
                 yield SectionMatch(
                     doc_id=entry.doc_id,

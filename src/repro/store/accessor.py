@@ -10,6 +10,10 @@ keeps the hops and asks for rows last:
   document order (DESIGN.md §17), so a subtree or a whole section is the
   rows stored right after its first (:meth:`NodeAccessor.subtree`), read
   in one pass instead of a child probe per element and a hop per sibling;
+* **rows as stored** — a node row is the table's own object
+  (:data:`~repro.store.schema.XmlRow`: ``row.NODETYPE``, ``row.rowid``),
+  immutable and shared with every other reader; nothing is decoded or
+  copied between the heap and a plan operator;
 * **memoization** — node rows, child sets and the five structural lifts
   (context ancestor, governing context, section scope, text, title) are
   computed once per accessor and reused by every operator of a plan and
@@ -36,14 +40,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.ordbms import Database, RowId, Snapshot
-from repro.ordbms.table import ROWID_PSEUDO
 from repro.ordbms.textindex import TextIndex
 from repro.sgml.nodetypes import NodeType
 from repro.store.liftcache import MISS as _MISS  # None is a legal memo value
 from repro.store.liftcache import LiftCache
-from repro.store.schema import XML_TABLE
-
-Row = dict[str, Any]
+from repro.store.schema import XML_TABLE, XmlRow
 
 
 @dataclass
@@ -92,7 +93,7 @@ class NodeAccessor:
         self.lsn = database.mvcc.read_lsn(snapshot)
         #: Cross-query memo pool; None means "private memos only".
         self._lifts = lifts
-        self._rows: dict[RowId, Row] = {}
+        self._rows: dict[RowId, XmlRow] = {}
         self._children: dict[int, tuple[RowId, ...]] = {}
         #: The one memo: the five structural lifts keyed ``(kind,
         #: rowid)`` and catalog entries keyed ``("entry", doc_id)``.
@@ -138,7 +139,7 @@ class NodeAccessor:
 
     # -- row access ---------------------------------------------------------
 
-    def node(self, rowid: RowId) -> Row:
+    def node(self, rowid: RowId) -> XmlRow:
         """One node row by physical ROWID, memoized."""
         row = self._rows.get(rowid)
         if row is not None:
@@ -150,7 +151,7 @@ class NodeAccessor:
         self._rows[rowid] = row
         return row
 
-    def nodes(self, rowids: Sequence[RowId]) -> list[Row]:
+    def nodes(self, rowids: Sequence[RowId]) -> list[XmlRow]:
         """Rows for ``rowids`` in order; missing ones come in ONE batch."""
         missing = [rowid for rowid in rowids if rowid not in self._rows]
         if missing:
@@ -158,11 +159,11 @@ class NodeAccessor:
             self.stats.batch_fetches += 1
             self.stats.rows_fetched += len(fetched)
             for row in fetched:
-                self._rows[row[ROWID_PSEUDO]] = row
+                self._rows[row.rowid] = row
         self.stats.cache_hits += len(rowids) - len(missing)
         return [self._rows[rowid] for rowid in rowids]
 
-    def prefetch_ancestors(self, rows: Sequence[Row]) -> None:
+    def prefetch_ancestors(self, rows: Sequence[XmlRow]) -> None:
         """Warm the cache with every proper ancestor of ``rows``.
 
         One batched fetch per tree *level* instead of one point fetch per
@@ -170,39 +171,39 @@ class NodeAccessor:
         against cached rows.  Purely a cache warmer.
         """
         while rows:
-            frontier = {row["PARENTROWID"] for row in rows} - {None}
+            frontier = {row.PARENTROWID for row in rows} - {None}
             rows = self.nodes(list(frontier))
 
     # -- single hops ---------------------------------------------------------
 
-    def parent(self, row: Row) -> Row | None:
+    def parent(self, row: XmlRow) -> XmlRow | None:
         """Follow ``PARENTROWID`` up one level (None at the root)."""
-        parent_rowid = row["PARENTROWID"]
+        parent_rowid = row.PARENTROWID
         if parent_rowid is None:
             return None
         self.stats.parent_hops += 1
         return self.node(parent_rowid)
 
-    def next_sibling(self, row: Row) -> Row | None:
+    def next_sibling(self, row: XmlRow) -> XmlRow | None:
         """Follow ``SIBLINGID`` across one hop (None for the last child)."""
-        sibling_rowid = row["SIBLINGID"]
+        sibling_rowid = row.SIBLINGID
         if sibling_rowid is None:
             return None
         self.stats.sibling_hops += 1
         return self.node(sibling_rowid)
 
-    def children(self, row: Row) -> list[Row]:
+    def children(self, row: XmlRow) -> list[XmlRow]:
         """Direct children in document order — one batched fetch."""
-        node_id = row["NODEID"]
+        node_id = row.NODEID
         cached = self._children.get(node_id)
         if cached is not None:
             self.stats.cache_hits += 1
             return [self._rows[rowid] for rowid in cached]
         self.stats.child_lookups += 1
         child_rows = self.lookup_rows("PARENTNODEID", node_id)
-        child_rows.sort(key=lambda child: child["ORDINAL"])
+        child_rows.sort(key=lambda child: child.ORDINAL)
         self._children[node_id] = tuple(
-            child[ROWID_PSEUDO] for child in child_rows
+            child.rowid for child in child_rows
         )
         return child_rows
 
@@ -233,38 +234,38 @@ class NodeAccessor:
         ``value``, in physical order — no row fetched."""
         return self.table.snapshot_rowids(column, value, self.lsn)
 
-    def lookup_rows(self, column: str, value: Any) -> list[Row]:
+    def lookup_rows(self, column: str, value: Any) -> list[XmlRow]:
         """The rows at :meth:`lookup_rowids`, in one batch."""
         return self.nodes(self.lookup_rowids(column, value))
 
     # -- node predicates -------------------------------------------------------
 
     @staticmethod
-    def is_context(row: Row) -> bool:
-        return row["NODETYPE"] == int(NodeType.CONTEXT)
+    def is_context(row: XmlRow) -> bool:
+        return row.NODETYPE == int(NodeType.CONTEXT)
 
     @staticmethod
-    def is_text(row: Row) -> bool:
-        return row["NODETYPE"] == int(NodeType.TEXT)
+    def is_text(row: XmlRow) -> bool:
+        return row.NODETYPE == int(NodeType.TEXT)
 
     # -- traversal (paper §2.1.4), memoized ------------------------------------
 
-    def context_ancestor(self, row: Row) -> Row | None:
+    def context_ancestor(self, row: XmlRow) -> XmlRow | None:
         """Nearest *proper ancestor* CONTEXT element (else None)."""
         memo = self.memoized(
-            "ancestor", row[ROWID_PSEUDO], self._walk_up, row
+            "ancestor", row.rowid, self._walk_up, row
         )
         return None if memo is None else self.node(memo)
 
-    def governing_context(self, row: Row) -> Row | None:
+    def governing_context(self, row: XmlRow) -> XmlRow | None:
         """Nearest enclosing/preceding CONTEXT for any node row (None for
         front matter preceding every context)."""
         memo = self.memoized(
-            "governing", row[ROWID_PSEUDO], self._walk_up, row, True
+            "governing", row.rowid, self._walk_up, row, True
         )
         return None if memo is None else self.node(memo)
 
-    def lift_all(self, rows: Sequence[Row], governing: bool) -> list[Row | None]:
+    def lift_all(self, rows: Sequence[XmlRow], governing: bool) -> list[XmlRow | None]:
         """:meth:`governing_context` (else :meth:`context_ancestor`) of
         every row, asking the memos before fetching anything.
 
@@ -274,20 +275,20 @@ class NodeAccessor:
         rows arrive in one batch.
         """
         kind = "governing" if governing else "ancestor"
-        memos = [self._recall(kind, row[ROWID_PSEUDO]) for row in rows]
+        memos = [self._recall(kind, row.rowid) for row in rows]
         self.prefetch_ancestors(
             [row for row, memo in zip(rows, memos) if memo is _MISS]
         )
         for position, row in enumerate(rows):
             if memos[position] is _MISS:
                 memos[position] = self._remember(
-                    kind, row[ROWID_PSEUDO],
+                    kind, row.rowid,
                     self._walk_up(row, preceding=governing),
                 )
         self.nodes(list(dict.fromkeys(m for m in memos if m is not None)))
         return [None if m is None else self._rows[m] for m in memos]
 
-    def _walk_up(self, row: Row, preceding: bool = False) -> RowId | None:
+    def _walk_up(self, row: XmlRow, preceding: bool = False) -> RowId | None:
         """Walk up parent links to the first CONTEXT: at each level an
         enclosing CONTEXT wins, else — with ``preceding``, the governing
         lift — the latest *preceding* CONTEXT sibling does."""
@@ -297,18 +298,18 @@ class NodeAccessor:
             if parent is None:
                 return None
             if self.is_context(parent):
-                return parent[ROWID_PSEUDO]
-            best: Row | None = None
+                return parent.rowid
+            best: XmlRow | None = None
             for sibling in self.children(parent) if preceding else ():
-                if sibling["ORDINAL"] >= current["ORDINAL"]:
+                if sibling.ORDINAL >= current.ORDINAL:
                     break
                 if self.is_context(sibling):
                     best = sibling
             if best is not None:
-                return best[ROWID_PSEUDO]
+                return best.rowid
             current = parent
 
-    def subtree(self, row: Row, siblings: bool = False) -> list[Row]:
+    def subtree(self, row: XmlRow, siblings: bool = False) -> list[XmlRow]:
         """All descendant rows in document order — one forward read.
 
         A document's rows sit in one contiguous ROWID run in document
@@ -321,15 +322,15 @@ class NodeAccessor:
         row, or a slot with no row in this view, ends the run: a
         document is visible whole or not at all.
         """
-        doc_id, beside = row["DOC_ID"], row["PARENTROWID"]
-        inside = {row[ROWID_PSEUDO]}
-        run: list[Row] = []
-        following = self.table.rows_after(row[ROWID_PSEUDO], self.lsn)
+        doc_id, beside = row.DOC_ID, row.PARENTROWID
+        inside = {row.rowid}
+        run: list[XmlRow] = []
+        following = self.table.rows_after(row.rowid, self.lsn)
         self.stats.batch_fetches += 1
         for candidate in following:
             self.stats.rows_fetched += 1
-            above = candidate["PARENTROWID"]
-            if candidate["DOC_ID"] != doc_id or not (
+            above = candidate.PARENTROWID
+            if candidate.DOC_ID != doc_id or not (
                 above in inside
                 or (
                     siblings and above == beside
@@ -337,14 +338,14 @@ class NodeAccessor:
                 )
             ):
                 break
-            rowid = candidate[ROWID_PSEUDO]
+            rowid = candidate.rowid
             inside.add(rowid)
             self._rows[rowid] = candidate
             run.append(candidate)
         following.close()  # publishes the read's row count now
         return run
 
-    def section_scope(self, context_row: Row) -> list[Row]:
+    def section_scope(self, context_row: XmlRow) -> list[XmlRow]:
         """Rows of the section governed by ``context_row``.
 
         Every following sibling (plus its subtree) up to, but not
@@ -353,35 +354,35 @@ class NodeAccessor:
         come through this accessor's own fetch path, as of its LSN.
         """
         return self.nodes(self.memoized(
-            "scope", context_row[ROWID_PSEUDO], self._walk_scope, context_row
+            "scope", context_row.rowid, self._walk_scope, context_row
         ))
 
-    def _walk_scope(self, context_row: Row) -> tuple[RowId, ...]:
-        beside = context_row["PARENTROWID"]
+    def _walk_scope(self, context_row: XmlRow) -> tuple[RowId, ...]:
+        beside = context_row.PARENTROWID
         run = self.subtree(context_row, siblings=True)
         for first, row in enumerate(run):
-            if row["PARENTROWID"] == beside:  # before it: the heading's own
-                return tuple(row[ROWID_PSEUDO] for row in run[first:])
+            if row.PARENTROWID == beside:  # before it: the heading's own
+                return tuple(row.rowid for row in run[first:])
         return ()
 
-    def section_text(self, context_row: Row) -> str:
+    def section_text(self, context_row: XmlRow) -> str:
         """Concatenated TEXT data of the scope — the "content portion"."""
         return self.memoized(
-            "text", context_row[ROWID_PSEUDO],
+            "text", context_row.rowid,
             lambda: self._joined_text(self.section_scope(context_row)),
         )
 
-    def context_title(self, context_row: Row) -> str:
+    def context_title(self, context_row: XmlRow) -> str:
         """Heading text of a CONTEXT element (its TEXT descendants)."""
         return self.memoized(
-            "title", context_row[ROWID_PSEUDO],
+            "title", context_row.rowid,
             lambda: self._joined_text(self.subtree(context_row)),
         )
 
-    def _joined_text(self, rows: Iterable[Row]) -> str:
+    def _joined_text(self, rows: Iterable[XmlRow]) -> str:
         pieces = [
-            (row["NODEDATA"] or "").strip()
+            (row.NODEDATA or "").strip()
             for row in rows
-            if self.is_text(row) and row["NODEDATA"]
+            if self.is_text(row) and row.NODEDATA
         ]
         return " ".join(piece for piece in pieces if piece)

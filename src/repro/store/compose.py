@@ -17,19 +17,15 @@ through it.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.errors import StoreError
-from repro.ordbms import ROWID_PSEUDO, RowId
+from repro.ordbms import RowId
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import NodeAccessor
-from repro.store.schema import decode_attributes
-
-Row = dict[str, Any]
+from repro.store.schema import XmlRow, decode_attributes
 
 
-def _build(rows: list[Row], beside: Element) -> Element:
+def _build(rows: list[XmlRow], beside: Element) -> Element:
     """Hang the DOM node of each row under its parent's; returns ``beside``.
 
     The rows are a forward-read run, head first: document order, so a
@@ -39,18 +35,18 @@ def _build(rows: list[Row], beside: Element) -> Element:
     """
     built: dict[RowId, Element] = {}
     for row in rows:
-        if row["NODETYPE"] == int(NodeType.TEXT):
-            node: Element | Text = Text(row["NODEDATA"] or "")
+        if row.NODETYPE == int(NodeType.TEXT):
+            node: Element | Text = Text(row.NODEDATA or "")
         else:
-            node = built[row[ROWID_PSEUDO]] = Element(
-                row["NODENAME"] or "node", decode_attributes(row["ATTRS"])
+            node = built[row.rowid] = Element(
+                row.NODENAME or "node", decode_attributes(row.ATTRS)
             )
-            node.synthetic = row["NODETYPE"] == int(NodeType.SIMULATION)
-        built.get(row["PARENTROWID"], beside).append(node)
+            node.synthetic = row.NODETYPE == int(NodeType.SIMULATION)
+        built.get(row.PARENTROWID, beside).append(node)
     return beside
 
 
-def compose_node(row: Row, accessor: NodeAccessor) -> Element | Text:
+def compose_node(row: XmlRow, accessor: NodeAccessor) -> Element | Text:
     """Rebuild the DOM subtree rooted at ``row``."""
     [node] = _build([row] + accessor.subtree(row), Element("parent")).children
     return node.detach()
@@ -69,7 +65,7 @@ def compose_document(
     rows = accessor.nodes(rowids[:1])
     if rows:
         rows += accessor.subtree(rows[0])
-    if len(rows) != len(rowids) or not rows or rows[0]["PARENTROWID"] is not None:
+    if len(rows) != len(rowids) or not rows or rows[0].PARENTROWID is not None:
         raise StoreError(
             f"document {doc_id}'s {len(rowids)} rows are not one root node "
             f"followed by its subtree"
@@ -82,7 +78,7 @@ def compose_document(
     )
 
 
-def compose_section(context_row: Row, accessor: NodeAccessor) -> Element:
+def compose_section(context_row: XmlRow, accessor: NodeAccessor) -> Element:
     """Rebuild one section as ``<section><context>…</context>…</section>``.
 
     The section element is synthetic — it represents the *query result*

@@ -41,11 +41,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import FsckError
-from repro.ordbms import ROWID_PSEUDO, Database, RowId, Table, TextIndex
+from repro.ordbms import Database, RowId, Table, TextIndex
 from repro.sgml.nodetypes import NodeType
-from repro.store.schema import DOC_TABLE, XML_TABLE
-
-Row = dict[str, Any]
+from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow
 
 #: Violation codes, in check order.  Codes marked repairable concern
 #: derived state that :func:`repair_store` can rebuild from the rows.
@@ -150,11 +148,11 @@ def check_store(database: Database) -> FsckReport:
     """Run every invariant check; never mutates the database."""
     doc_table, xml_table = _netmark_tables(database)
     report = FsckReport()
-    doc_ids = {row["DOC_ID"] for row in doc_table.scan()}
+    doc_ids = {row.DOC_ID for row in doc_table.scan()}
     report.documents_checked = len(doc_ids)
     nodes = list(xml_table.scan())
     report.nodes_checked = len(nodes)
-    by_rowid: dict[RowId, Row] = {row[ROWID_PSEUDO]: row for row in nodes}
+    by_rowid: dict[RowId, XmlRow] = {row.rowid: row for row in nodes}
     _check_node_fields(report, nodes, by_rowid, doc_ids)
     _check_roots(report, nodes, doc_ids)
     _check_parent_chains(report, nodes, by_rowid)
@@ -177,21 +175,21 @@ def repair_store(database: Database) -> FsckReport:
     doc_table, xml_table = _netmark_tables(database)
     actions = 0
     nodes = list(xml_table.scan())
-    by_rowid: dict[RowId, Row] = {row[ROWID_PSEUDO]: row for row in nodes}
+    by_rowid: dict[RowId, XmlRow] = {row.rowid: row for row in nodes}
     for row in nodes:
-        parent_rowid = row["PARENTROWID"]
+        parent_rowid = row.PARENTROWID
         parent = by_rowid.get(parent_rowid) if parent_rowid is not None else None
-        if parent is not None and row["PARENTNODEID"] != parent["NODEID"]:
+        if parent is not None and row.PARENTNODEID != parent.NODEID:
             database.update(
-                XML_TABLE, row[ROWID_PSEUDO],
-                {"PARENTNODEID": parent["NODEID"]},
+                XML_TABLE, row.rowid,
+                {"PARENTNODEID": parent.NODEID},
             )
             actions += 1
     for _, _, chain in _family_chains(nodes):
         for row, expected_next in chain:
-            if row["SIBLINGID"] != expected_next:
+            if row.SIBLINGID != expected_next:
                 database.update(
-                    XML_TABLE, row[ROWID_PSEUDO], {"SIBLINGID": expected_next}
+                    XML_TABLE, row.rowid, {"SIBLINGID": expected_next}
                 )
                 actions += 1
     doc_table.rebuild_indexes()
@@ -219,70 +217,70 @@ def _netmark_tables(database: Database) -> tuple[Table, Table]:
 
 def _check_node_fields(
     report: FsckReport,
-    nodes: list[Row],
-    by_rowid: dict[RowId, Row],
+    nodes: list[XmlRow],
+    by_rowid: dict[RowId, XmlRow],
     doc_ids: set[int],
 ) -> None:
     valid_types = {int(node_type) for node_type in NodeType}
     for row in nodes:
-        rowid = row[ROWID_PSEUDO]
-        if row["NODETYPE"] not in valid_types:
+        rowid = row.rowid
+        if row.NODETYPE not in valid_types:
             report.violations.append(Violation(
-                "bad-node-type", XML_TABLE, str(rowid), row["DOC_ID"],
-                f"NODETYPE {row['NODETYPE']!r} is not one of "
+                "bad-node-type", XML_TABLE, str(rowid), row.DOC_ID,
+                f"NODETYPE {row.NODETYPE!r} is not one of "
                 f"{sorted(valid_types)}",
             ))
-        if row["DOC_ID"] not in doc_ids:
+        if row.DOC_ID not in doc_ids:
             report.violations.append(Violation(
-                "orphan-node", XML_TABLE, str(rowid), row["DOC_ID"],
-                f"DOC_ID {row['DOC_ID']} has no DOC row",
+                "orphan-node", XML_TABLE, str(rowid), row.DOC_ID,
+                f"DOC_ID {row.DOC_ID} has no DOC row",
             ))
-        parent_rowid = row["PARENTROWID"]
+        parent_rowid = row.PARENTROWID
         if parent_rowid is not None:
             parent = by_rowid.get(parent_rowid)
             if parent is None:
                 report.violations.append(Violation(
-                    "dangling-parent", XML_TABLE, str(rowid), row["DOC_ID"],
+                    "dangling-parent", XML_TABLE, str(rowid), row.DOC_ID,
                     f"PARENTROWID {parent_rowid} is not a live XML row",
                 ))
-            elif parent["DOC_ID"] != row["DOC_ID"]:
+            elif parent.DOC_ID != row.DOC_ID:
                 report.violations.append(Violation(
-                    "foreign-parent", XML_TABLE, str(rowid), row["DOC_ID"],
+                    "foreign-parent", XML_TABLE, str(rowid), row.DOC_ID,
                     f"parent at {parent_rowid} belongs to document "
-                    f"{parent['DOC_ID']}",
+                    f"{parent.DOC_ID}",
                 ))
-            elif parent["NODEID"] != row["PARENTNODEID"]:
+            elif parent.NODEID != row.PARENTNODEID:
                 report.violations.append(Violation(
                     "parent-id-mismatch", XML_TABLE, str(rowid),
-                    row["DOC_ID"],
-                    f"PARENTNODEID {row['PARENTNODEID']} but parent row "
-                    f"at {parent_rowid} has NODEID {parent['NODEID']}",
+                    row.DOC_ID,
+                    f"PARENTNODEID {row.PARENTNODEID} but parent row "
+                    f"at {parent_rowid} has NODEID {parent.NODEID}",
                 ))
-        sibling_rowid = row["SIBLINGID"]
+        sibling_rowid = row.SIBLINGID
         if sibling_rowid is not None:
             sibling = by_rowid.get(sibling_rowid)
             if sibling is None:
                 report.violations.append(Violation(
-                    "dangling-sibling", XML_TABLE, str(rowid), row["DOC_ID"],
+                    "dangling-sibling", XML_TABLE, str(rowid), row.DOC_ID,
                     f"SIBLINGID {sibling_rowid} is not a live XML row",
                 ))
-            elif sibling["DOC_ID"] != row["DOC_ID"]:
+            elif sibling.DOC_ID != row.DOC_ID:
                 report.violations.append(Violation(
-                    "foreign-sibling", XML_TABLE, str(rowid), row["DOC_ID"],
+                    "foreign-sibling", XML_TABLE, str(rowid), row.DOC_ID,
                     f"sibling at {sibling_rowid} belongs to document "
-                    f"{sibling['DOC_ID']}",
+                    f"{sibling.DOC_ID}",
                 ))
 
 
 def _check_roots(
-    report: FsckReport, nodes: list[Row], doc_ids: set[int]
+    report: FsckReport, nodes: list[XmlRow], doc_ids: set[int]
 ) -> None:
-    roots: dict[int, list[Row]] = {}
+    roots: dict[int, list[XmlRow]] = {}
     populated: set[int] = set()
     for row in nodes:
-        populated.add(row["DOC_ID"])
-        if row["PARENTROWID"] is None:
-            roots.setdefault(row["DOC_ID"], []).append(row)
+        populated.add(row.DOC_ID)
+        if row.PARENTROWID is None:
+            roots.setdefault(row.DOC_ID, []).append(row)
     for doc_id in sorted(doc_ids):
         if doc_id not in populated:
             report.violations.append(Violation(
@@ -299,37 +297,37 @@ def _check_roots(
             report.violations.append(Violation(
                 "multiple-roots", XML_TABLE, "", doc_id,
                 f"{len(roots[doc_id])} root nodes "
-                f"(NODEIDs {sorted(r['NODEID'] for r in roots[doc_id])})",
+                f"(NODEIDs {sorted(r.NODEID for r in roots[doc_id])})",
             ))
 
 
 def _check_parent_chains(
-    report: FsckReport, nodes: list[Row], by_rowid: dict[RowId, Row]
+    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
 ) -> None:
     #: rowids proven to reach a root (or known-broken, already reported).
     resolved: set[RowId] = set()
     for row in nodes:
-        rowid = row[ROWID_PSEUDO]
+        rowid = row.rowid
         if rowid in resolved:
             continue
         path: list[RowId] = []
         seen: set[RowId] = set()
-        current: Row | None = row
+        current: XmlRow | None = row
         while current is not None:
-            current_rowid = current[ROWID_PSEUDO]
+            current_rowid = current.rowid
             if current_rowid in resolved:
                 break
             if current_rowid in seen:
                 report.violations.append(Violation(
                     "parent-cycle", XML_TABLE, str(current_rowid),
-                    current["DOC_ID"],
+                    current.DOC_ID,
                     "PARENTROWID chain revisits this node without "
                     "reaching a root",
                 ))
                 break
             seen.add(current_rowid)
             path.append(current_rowid)
-            parent_rowid = current["PARENTROWID"]
+            parent_rowid = current.PARENTROWID
             if parent_rowid is None:
                 break
             current = by_rowid.get(parent_rowid)  # None = dangling (reported)
@@ -337,26 +335,26 @@ def _check_parent_chains(
 
 
 def _family_chains(
-    nodes: list[Row],
-) -> list[tuple[int, RowId | None, list[tuple[Row, RowId | None]]]]:
+    nodes: list[XmlRow],
+) -> list[tuple[int, RowId | None, list[tuple[XmlRow, RowId | None]]]]:
     """Children grouped by parent, each paired with its expected SIBLINGID.
 
     The canonical chain orders a parent's children by ``(ORDINAL,
     NODEID)`` — NODEID breaks ordinal ties deterministically — and links
     each child to the next, ending with NULL.
     """
-    families: dict[tuple[int, RowId | None], list[Row]] = {}
+    families: dict[tuple[int, RowId | None], list[XmlRow]] = {}
     for row in nodes:
         families.setdefault(
-            (row["DOC_ID"], row["PARENTROWID"]), []
+            (row.DOC_ID, row.PARENTROWID), []
         ).append(row)
     chains = []
     for (doc_id, parent_rowid), children in sorted(
         families.items(), key=lambda item: (item[0][0], str(item[0][1]))
     ):
-        children.sort(key=lambda row: (row["ORDINAL"], row["NODEID"]))
+        children.sort(key=lambda row: (row.ORDINAL, row.NODEID))
         chain = [
-            (row, children[position + 1][ROWID_PSEUDO]
+            (row, children[position + 1].rowid
              if position + 1 < len(children) else None)
             for position, row in enumerate(children)
         ]
@@ -365,36 +363,36 @@ def _family_chains(
 
 
 def _check_sibling_chains(
-    report: FsckReport, nodes: list[Row], by_rowid: dict[RowId, Row]
+    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
 ) -> None:
     for doc_id, _, chain in _family_chains(nodes):
         ordinals_seen: dict[int, int] = {}
         for row, expected_next in chain:
-            ordinal = row["ORDINAL"]
+            ordinal = row.ORDINAL
             if ordinal in ordinals_seen:
                 report.violations.append(Violation(
-                    "duplicate-ordinal", XML_TABLE, str(row[ROWID_PSEUDO]),
+                    "duplicate-ordinal", XML_TABLE, str(row.rowid),
                     doc_id,
                     f"ORDINAL {ordinal} already used by NODEID "
                     f"{ordinals_seen[ordinal]} under the same parent",
                 ))
             else:
-                ordinals_seen[ordinal] = row["NODEID"]
-            actual = row["SIBLINGID"]
+                ordinals_seen[ordinal] = row.NODEID
+            actual = row.SIBLINGID
             if actual != expected_next and (
                 actual is None or actual in by_rowid
             ):
                 # Dangling/foreign SIBLINGIDs were already reported with
                 # their own codes; this one is live but mis-linked.
                 report.violations.append(Violation(
-                    "sibling-chain", XML_TABLE, str(row[ROWID_PSEUDO]),
+                    "sibling-chain", XML_TABLE, str(row.rowid),
                     doc_id,
                     f"SIBLINGID is {actual}, expected {expected_next} "
                     f"(next child by ORDINAL order)",
                 ))
 
 
-def _check_doc_order(report: FsckReport, nodes: list[Row]) -> None:
+def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
     """Each document is one ROWID run, laid out as a pre-order walk.
 
     Walking the heap in physical order, every row's parent must be on
@@ -408,9 +406,9 @@ def _check_doc_order(report: FsckReport, nodes: list[Row]) -> None:
     doc_id = None
     path: list[list[Any]] = []  # open ancestors: [rowid, last child's ORDINAL]
     for row in nodes:
-        parent, problem = row["PARENTROWID"], ""
-        if row["DOC_ID"] != doc_id:
-            doc_id = row["DOC_ID"]
+        parent, problem = row.PARENTROWID, ""
+        if row.DOC_ID != doc_id:
+            doc_id = row.DOC_ID
             if doc_id in seen:
                 problem = "the run resumes after another document's rows"
             elif parent is not None:
@@ -422,18 +420,18 @@ def _check_doc_order(report: FsckReport, nodes: list[Row]) -> None:
             path.pop()
             if not path:
                 problem = f"parent {parent} is not an open ancestor"
-        if not problem and row["ORDINAL"] <= path[-1][1]:
+        if not problem and row.ORDINAL <= path[-1][1]:
             problem = "stored after a sibling it should precede"
         if problem:
             seen[doc_id] = True
             report.violations.append(Violation(
-                "doc-order", XML_TABLE, str(row[ROWID_PSEUDO]), doc_id,
+                "doc-order", XML_TABLE, str(row.rowid), doc_id,
                 f"rows are not a pre-order walk of the tree: {problem}",
             ))
             continue
         # One root only: nothing else may hang from the slot above it.
-        path[-1][1] = row["ORDINAL"] if parent is not None else len(nodes)
-        path.append([row[ROWID_PSEUDO], -1])
+        path[-1][1] = row.ORDINAL if parent is not None else len(nodes)
+        path.append([row.rowid, -1])
 
 
 def _check_indexes(report: FsckReport, tables: tuple[Table, ...]) -> int:

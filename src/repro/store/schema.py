@@ -22,9 +22,8 @@ Two tables store *every* document of *any* type — the schema-less claim:
 
 Indexes created with the schema: B+trees on ``DOC.FILE_NAME`` (the
 write path's "is this name already stored" probe), ``XML.DOC_ID``,
-``XML.PARENTNODEID``, ``XML.NODENAME`` and ``XML.NODETYPE`` plus the
-text index on ``XML.NODEDATA`` (the Oracle Text stand-in the query path
-hits first).
+``XML.PARENTNODEID`` and ``XML.NODENAME`` plus the text index on
+``XML.NODEDATA`` (the Oracle Text stand-in the query path hits first).
 """
 
 from __future__ import annotations
@@ -83,6 +82,13 @@ def xml_schema() -> TableSchema:
     )
 
 
+#: The classes of the two tables' rows (``TableSchema.row_type``, one per
+#: schema however often it is built): what every read of a store hands
+#: out — ``row.NODETYPE``, ``row.rowid`` — named here for annotations.
+DocRow = doc_schema().row_type
+XmlRow = xml_schema().row_type
+
+
 def create_netmark_schema(database: Database) -> tuple[Table, Table]:
     """Create DOC and XML with their indexes; returns ``(doc, xml)``.
 
@@ -95,7 +101,6 @@ def create_netmark_schema(database: Database) -> tuple[Table, Table]:
     xml_table.create_index("DOC_ID")
     xml_table.create_index("PARENTNODEID")
     xml_table.create_index("NODENAME")
-    xml_table.create_index("NODETYPE")
     xml_table.create_text_index("NODEDATA")
     return doc_table, xml_table
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.converters import convert
 from repro.errors import DocumentNotFoundError
-from repro.ordbms import ROWID_PSEUDO, Database, Snapshot, Table
+from repro.ordbms import Database, Snapshot, Table
 from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
 from repro.sgml.dom import Document
 from repro.store.accessor import NodeAccessor
@@ -31,11 +31,11 @@ from repro.store.decompose import DecomposeResult, Decomposer
 from repro.store.schema import (
     DOC_TABLE,
     XML_TABLE,
+    DocRow,
+    XmlRow,
     create_netmark_schema,
     decode_metadata,
 )
-
-Row = dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,10 @@ class XmlStore:
         store = cls.__new__(cls)
         store._wire(database, config)
         max_doc = max(
-            (row["DOC_ID"] for row in store._doc_table.scan()), default=0
+            (row.DOC_ID for row in store._doc_table.scan()), default=0
         )
         max_node = max(
-            (row["NODEID"] for row in store._xml_table.scan()), default=0
+            (row.NODEID for row in store._xml_table.scan()), default=0
         )
         store._decomposer.resume(max_doc + 1, max_node + 1)
         return store
@@ -207,8 +207,8 @@ class XmlStore:
         node_rows = self._xml_table.lookup("DOC_ID", doc_id)
         with self.database.begin():
             for node_row in node_rows:
-                self.database.delete(XML_TABLE, node_row[ROWID_PSEUDO])
-            self.database.delete(DOC_TABLE, doc_rows[0][ROWID_PSEUDO])
+                self.database.delete(XML_TABLE, node_row.rowid)
+            self.database.delete(DOC_TABLE, doc_rows[0].rowid)
         return len(node_rows)
 
     # -- snapshots (MVCC) -----------------------------------------------------
@@ -298,13 +298,13 @@ class XmlStore:
         """
         return NodeAccessor(self.database, snapshot=snapshot, lifts=lifts)
 
-    def contexts(self, doc_id: int) -> Iterator[Row]:
+    def contexts(self, doc_id: int) -> Iterator[XmlRow]:
         """CONTEXT element rows of one document."""
         accessor = self.new_accessor()
         self.entry_at(doc_id, accessor.lsn)  # raises if unknown
         rows = accessor.lookup_rows("DOC_ID", doc_id)
         contexts = filter(NodeAccessor.is_context, rows)
-        return iter(sorted(contexts, key=lambda row: row["NODEID"]))
+        return iter(sorted(contexts, key=lambda row: row.NODEID))
 
     # -- table access for the query layer -------------------------------------
 
@@ -319,12 +319,12 @@ class XmlStore:
     # -- internals --------------------------------------------------------------
 
     @staticmethod
-    def _to_stored(row: Row) -> StoredDocument:
+    def _to_stored(row: DocRow) -> StoredDocument:
         return StoredDocument(
-            doc_id=row["DOC_ID"],
-            file_name=row["FILE_NAME"],
-            file_date=row["FILE_DATE"],
-            file_size=row["FILE_SIZE"],
-            format=row["FORMAT"] or "unknown",
-            metadata=decode_metadata(row["METADATA"]),
+            doc_id=row.DOC_ID,
+            file_name=row.FILE_NAME,
+            file_date=row.FILE_DATE,
+            file_size=row.FILE_SIZE,
+            format=row.FORMAT or "unknown",
+            metadata=decode_metadata(row.METADATA),
         )

@@ -143,7 +143,7 @@ class TestModuleLayering:
     def test_accessor_granted_imports_are_clean(self):
         source = (
             "from repro.ordbms import Database, RowId\n"
-            "from repro.ordbms.table import ROWID_PSEUDO\n"
+            "from repro.ordbms.textindex import TextIndex\n"
             "from repro.sgml.nodetypes import NodeType\n"
             "from repro.store.schema import XML_TABLE\n"
             "from repro.errors import StoreError\n"

@@ -44,24 +44,24 @@ class TestSnapshotVisibility:
         rid1 = database.insert("T", {"ID": 1, "V": "one"})
         with database.open_snapshot() as snap:
             rid2 = database.insert("T", {"ID": 2, "V": "two"})
-            assert table.visible_row(rid1, snap.lsn)["V"] == "one"
+            assert table.visible_row(rid1, snap.lsn).V == "one"
             assert table.visible_row(rid2, snap.lsn) is None
         # A fresh snapshot sees both.
         with database.open_snapshot() as fresh:
-            assert table.visible_row(rid2, fresh.lsn)["V"] == "two"
+            assert table.visible_row(rid2, fresh.lsn).V == "two"
 
     def test_snapshot_sees_pre_update_value(self, database, table):
         rid = database.insert("T", {"ID": 1, "V": "old"})
         with database.open_snapshot() as snap:
             database.update("T", rid, {"V": "new"})
-            assert table.visible_row(rid, snap.lsn)["V"] == "old"
-            assert table.fetch(rid)["V"] == "new"  # live read unaffected
+            assert table.visible_row(rid, snap.lsn).V == "old"
+            assert table.fetch(rid).V == "new"  # live read unaffected
 
     def test_snapshot_sees_deleted_row(self, database, table):
         rid = database.insert("T", {"ID": 1, "V": "doomed"})
         with database.open_snapshot() as snap:
             database.delete("T", rid)
-            assert table.visible_row(rid, snap.lsn)["V"] == "doomed"
+            assert table.visible_row(rid, snap.lsn).V == "doomed"
             with pytest.raises(RowIdError):
                 table.fetch(rid)
         with database.open_snapshot() as fresh:
@@ -77,7 +77,7 @@ class TestSnapshotVisibility:
             snapshots.append(database.open_snapshot())
         # Each pin sees exactly the value committed when it was opened.
         for revision, snap in enumerate(snapshots):
-            assert table.visible_row(rid, snap.lsn)["V"] == f"v{revision}"
+            assert table.visible_row(rid, snap.lsn).V == f"v{revision}"
         for snap in snapshots:
             snap.release()
 
@@ -110,8 +110,8 @@ class TestSnapshotVisibility:
                 with pytest.raises(RowIdError, match=str(late)):
                     table.visible_many(batch, snap.lsn)
             rows = table.visible_many(reversed(seen), snap.lsn)
-            assert [row["V"] for row in rows] == ["old"] * 3
-            assert [row["ROWID_"] for row in rows] == seen[::-1]
+            assert [row.V for row in rows] == ["old"] * 3
+            assert [row.rowid for row in rows] == seen[::-1]
             assert table.visible_row(late, snap.lsn) is None
 
     def test_snapshot_scan_is_as_of_pin(self, database, table):
@@ -120,7 +120,7 @@ class TestSnapshotVisibility:
         with database.open_snapshot() as snap:
             database.insert("T", {"ID": 3, "V": "c"})
             database.delete("T", rid2)
-            ids = sorted(row["ID"] for row in table.snapshot_scan(snap.lsn))
+            ids = sorted(row.ID for row in table.snapshot_scan(snap.lsn))
             assert ids == [1, 2]
 
     def test_snapshot_search_indexed_column(self, database, table):
@@ -129,7 +129,7 @@ class TestSnapshotVisibility:
         with database.open_snapshot() as snap:
             database.insert("T", {"ID": 2, "V": "b"})
             assert [
-                row["ID"] for row in table.snapshot_search("ID", 1, snap.lsn)
+                row.ID for row in table.snapshot_search("ID", 1, snap.lsn)
             ] == [1]
             assert table.snapshot_search("ID", 2, snap.lsn) == []
 
@@ -141,7 +141,7 @@ class TestSnapshotVisibility:
             database.update("T", rid, {"ID": 9})
             # The live index says ID=9, but at the pin the row had ID=1.
             assert [
-                row["ID"] for row in table.snapshot_search("ID", 1, snap.lsn)
+                row.ID for row in table.snapshot_search("ID", 1, snap.lsn)
             ] == [1]
             assert table.snapshot_search("ID", 9, snap.lsn) == []
 
@@ -152,7 +152,7 @@ class TestSnapshotVisibility:
         with database.open_snapshot() as snap:
             database.insert("T", {"ID": 2, "V": "x"})
             rows = table.snapshot_search("V", "x", snap.lsn)
-            assert [row["ID"] for row in rows] == [1]
+            assert [row.ID for row in rows] == [1]
 
     def test_snapshot_rowids_is_snapshot_search_without_the_rows(
         self, database, table
@@ -170,7 +170,7 @@ class TestSnapshotVisibility:
             database.insert("T", {"ID": 4, "V": "a"})
             for value in ("a", "b", "c"):
                 assert table.snapshot_rowids("V", value, snap.lsn) == [
-                    row["ROWID_"]
+                    row.rowid
                     for row in table.snapshot_search("V", value, snap.lsn)
                 ]
             assert table.snapshot_rowids("v", "a", snap.lsn) == [
@@ -189,21 +189,21 @@ class TestSnapshotVisibility:
             for n in range(3 * RUN_CHUNK)
         ]
         now = database.mvcc.read_lsn
-        assert [row["ROWID_"] for row in table.rows_after(first, now())] == rest
+        assert [row.rowid for row in table.rows_after(first, now())] == rest
         with database.open_snapshot() as snap:
             late = database.insert("T", {"ID": 999})
             database.update("T", rest[0], {"V": "changed"})
             database.delete("T", rest[4])
             pinned = list(table.rows_after(first, snap.lsn))
-            assert [row["ROWID_"] for row in pinned] == rest  # not ``late``
-            assert pinned[0]["V"] == "v1" and pinned[4]["V"] == "v5"
+            assert [row.rowid for row in pinned] == rest  # not ``late``
+            assert pinned[0].V == "v1" and pinned[4].V == "v5"
             # As of now, the deleted slot ends the run; pinned, the late row does.
             assert [
-                r["ROWID_"] for r in table.rows_after(first, now())
+                r.rowid for r in table.rows_after(first, now())
             ] == rest[:4]
             assert list(table.rows_after(rest[-1], snap.lsn)) == []
             assert [
-                r["ROWID_"] for r in table.rows_after(rest[-1], now())
+                r.rowid for r in table.rows_after(rest[-1], now())
             ] == [late]
 
     def test_rows_after_decodes_only_what_is_pulled(self, database, table):
@@ -211,7 +211,7 @@ class TestSnapshotVisibility:
         try:
             rowids = [database.insert("T", {"ID": n}) for n in range(40)]
             run = table.rows_after(rowids[0], database.mvcc.read_lsn())
-            assert [next(run)["ID"], next(run)["ID"]] == [1, 2]
+            assert [next(run).ID, next(run).ID] == [1, 2]
             run.close()
             [(series, decoded)] = [
                 item for item in obs.snapshot().items()
@@ -239,9 +239,9 @@ class TestTransactionPin:
             database.update("T", rid, {"V": "in-flight"})
             with database.open_snapshot() as snap:
                 # The snapshot must not see any of the open transaction.
-                assert table.visible_row(rid, snap.lsn)["V"] == "committed"
+                assert table.visible_row(rid, snap.lsn).V == "committed"
         with database.open_snapshot() as fresh:
-            assert table.visible_row(rid, fresh.lsn)["V"] == "in-flight"
+            assert table.visible_row(rid, fresh.lsn).V == "in-flight"
 
     def test_pin_correct_under_rollback(self, database, table):
         rid = database.insert("T", {"ID": 1, "V": "committed"})
@@ -251,8 +251,8 @@ class TestTransactionPin:
         transaction.rollback()
         # The compensating statements got LSNs above the pin, so the
         # snapshot still reads the pre-transaction value.
-        assert table.visible_row(rid, snap.lsn)["V"] == "committed"
-        assert table.fetch(rid)["V"] == "committed"
+        assert table.visible_row(rid, snap.lsn).V == "committed"
+        assert table.fetch(rid).V == "committed"
         snap.release()
 
     def test_gc_during_transaction_respects_txn_pin(self, database, table):
@@ -265,7 +265,7 @@ class TestTransactionPin:
             # mid-transaction snapshot still reads the committed value.
             assert table.version_count >= 1
             with database.open_snapshot() as snap:
-                assert table.visible_row(rid, snap.lsn)["V"] == "base"
+                assert table.visible_row(rid, snap.lsn).V == "base"
 
 
 class TestVersionGc:
@@ -278,7 +278,7 @@ class TestVersionGc:
         reclaimed_while_pinned = database.vacuum_versions()
         # Entries above the pin must survive: the snapshot still needs
         # them to reconstruct v0.
-        assert table.visible_row(rid, snap.lsn)["V"] == "v0"
+        assert table.visible_row(rid, snap.lsn).V == "v0"
         snap.release()
         reclaimed_after = database.vacuum_versions()
         assert reclaimed_after > 0
@@ -320,13 +320,13 @@ class TestVersionGc:
         with database.begin():
             database.update("T", rid, {"V": "v2"})
         assert table.version_count == 2
-        assert table.visible_row(rid, old.lsn)["V"] == "v0"
+        assert table.visible_row(rid, old.lsn).V == "v0"
         old.release()
         with database.begin():
             database.insert("T", {"ID": 2})
         # The horizon moved to the young pin: v0 is gone, v1 is kept.
         assert [image[1] for _, image in table._history[rid]] == ["v1"]
-        assert table.visible_row(rid, young.lsn)["V"] == "v1"
+        assert table.visible_row(rid, young.lsn).V == "v1"
         young.release()
 
     def test_commit_under_a_held_pin_does_not_sweep_again(
@@ -416,7 +416,7 @@ class TestSeqlockReaders:
             try:
                 while not stop.is_set():
                     row = table.visible_row(rid, pin)
-                    seen.add(row["V"])
+                    seen.add(row.V)
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 

@@ -39,9 +39,7 @@ class TestBasicRecovery:
         database = durable_database()
         rowid = database.insert("T", {"ID": 1, "V": "tab\there"})
         recovered = crash_and_recover(database)
-        assert recovered.fetch("T", rowid) == {
-            "ID": 1, "V": "tab\there", "ROWID_": rowid,
-        }
+        assert recovered.fetch("T", rowid) == (1, "tab\there", rowid)
         assert dump_database(recovered) == dump_database(database)
 
     def test_committed_transaction_survives(self):
@@ -90,7 +88,7 @@ class TestBasicRecovery:
         database.update("T", rowid, {"V": "new"})
         database.delete("T", victim)
         recovered = crash_and_recover(database)
-        assert recovered.fetch("T", rowid)["V"] == "new"
+        assert recovered.fetch("T", rowid).V == "new"
         assert not recovered.table("T").exists(victim)
 
 
@@ -103,7 +101,7 @@ class TestRowIdStability:
         transaction.rollback()
         survivor = database.insert("T", {"ID": 2})
         recovered = crash_and_recover(database)
-        assert recovered.fetch("T", survivor)["ID"] == 2
+        assert recovered.fetch("T", survivor).ID == 2
 
     def test_new_writes_after_recovery_do_not_collide(self):
         database = durable_database()
@@ -112,7 +110,7 @@ class TestRowIdStability:
         second = recovered.insert("T", {"ID": 2})
         assert second != first
         twice = crash_and_recover(recovered)
-        assert sorted(row["ID"] for row in twice.table("T").scan()) == [1, 2]
+        assert sorted(row.ID for row in twice.table("T").scan()) == [1, 2]
 
 
 class TestCheckpoints:
@@ -123,7 +121,7 @@ class TestCheckpoints:
         database.insert("T", {"ID": 2})
         result = recover(database.wal.device)
         assert result.checkpoint_lsn > 0
-        ids = sorted(row["ID"] for row in result.database.table("T").scan())
+        ids = sorted(row.ID for row in result.database.table("T").scan())
         assert ids == [1, 2]
 
     def test_crash_between_save_and_truncate_is_idempotent(self):
@@ -169,7 +167,7 @@ class TestTornTail:
         result.database.insert("T", {"ID": 2})
         second = recover(device)
         assert second.torn_tail is None
-        ids = sorted(row["ID"] for row in second.database.table("T").scan())
+        ids = sorted(row.ID for row in second.database.table("T").scan())
         assert ids == [1, 2]
 
     def test_preimage_divergence_refused(self):
@@ -203,7 +201,7 @@ def live_rows(database: Database) -> list[tuple]:
     query can see, ROWIDs included.
     """
     return sorted(
-        (row["ROWID_"], row["ID"], row["V"])
+        (row.rowid, row.ID, row.V)
         for row in database.table("T").scan()
     )
 

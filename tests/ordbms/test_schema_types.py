@@ -109,37 +109,5 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             Column("bad name!", INTEGER)
 
-
-class TestMakeRow:
-    def test_full_row(self):
-        schema = make_schema()
-        assert schema.make_row({"id": 1, "name": "a", "note": "n"}) == (1, "a", "n")
-
-    def test_defaults_applied(self):
-        schema = make_schema()
-        assert schema.make_row({"id": 1}) == (1, None, "")
-
-    def test_not_null_enforced(self):
-        schema = make_schema()
-        with pytest.raises(TypeMismatchError):
-            schema.make_row({"name": "a"})
-
-    def test_unknown_column_rejected(self):
-        schema = make_schema()
-        with pytest.raises(SchemaError):
-            schema.make_row({"id": 1, "bogus": 2})
-
-    def test_type_checked(self):
-        schema = make_schema()
-        with pytest.raises(TypeMismatchError):
-            schema.make_row({"id": "one"})
-
-    def test_row_to_dict_round_trip(self):
-        schema = make_schema()
-        row = schema.make_row({"id": 7, "name": "x"})
-        assert schema.row_to_dict(row) == {"ID": 7, "NAME": "x", "NOTE": ""}
-
-    def test_row_to_dict_width_check(self):
-        schema = make_schema()
-        with pytest.raises(SchemaError):
-            schema.row_to_dict((1,))
+    def test_row_type_is_the_columns_then_the_address(self):
+        assert make_schema().row_type._fields == ("ID", "NAME", "NOTE", "rowid")

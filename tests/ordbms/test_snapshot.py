@@ -113,7 +113,7 @@ class TestRoundTrip:
         table = restored.table("T")
         assert table.index_on("NOTE") is not None
         assert table.text_index_on("NOTE") is not None
-        assert [row["ID"] for row in table.lookup("NAME", "name1")] == [1]
+        assert [row.ID for row in table.lookup("NAME", "name1")] == [1]
         from repro.errors import ConstraintError
 
         with pytest.raises(ConstraintError):
@@ -159,10 +159,10 @@ class TestRoundTrip:
             database.insert("P", {"K": key, "V": value})
         restored = load_database(dump_database(database))
         original_rows = sorted(
-            (row["K"], row["V"]) for row in database.table("P").scan()
+            (row.K, row.V) for row in database.table("P").scan()
         )
         restored_rows = sorted(
-            (row["K"], row["V"]) for row in restored.table("P").scan()
+            (row.K, row.V) for row in restored.table("P").scan()
         )
         assert original_rows == restored_rows
 
@@ -198,7 +198,7 @@ class TestXmlStoreRestore:
         restored = XmlStore.restore(store.dump())
         result = restored.store_text("# B\ny\n", "b.md")
         assert result.doc_id == 2
-        node_ids = [row["NODEID"] for row in restored.xml_table.scan()]
+        node_ids = [row.NODEID for row in restored.xml_table.scan()]
         assert len(node_ids) == len(set(node_ids))  # no collisions
 
 
@@ -286,5 +286,5 @@ class TestTombstoneStability:
             if index in dead:
                 assert not table.exists(rowid)
             else:
-                assert table.fetch(rowid)["K"] == index
+                assert table.fetch(rowid).K == index
         assert dump_database(restored) == dump_database(database)

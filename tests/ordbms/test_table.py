@@ -11,7 +11,6 @@ from repro.ordbms import (
     Table,
     TableSchema,
 )
-from repro.ordbms.table import ROWID_PSEUDO
 
 
 @pytest.fixture
@@ -59,7 +58,7 @@ class TestConstraints:
     def test_update_to_same_value_allowed(self, table):
         rowid = table.insert({"ID": 1, "NAME": "a"})
         table.update(rowid, {"ID": 1, "NAME": "b"})
-        assert table.fetch(rowid)["NAME"] == "b"
+        assert table.fetch(rowid).NAME == "b"
 
     def test_delete_frees_unique_value(self, table):
         rowid = table.insert({"ID": 1})
@@ -72,7 +71,7 @@ class TestIndexMaintenance:
         table.insert({"ID": 1, "NAME": "alice"})
         table.insert({"ID": 2, "NAME": "bob"})
         table.create_index("NAME")
-        assert [row["ID"] for row in table.lookup("NAME", "bob")] == [2]
+        assert [row.ID for row in table.lookup("NAME", "bob")] == [2]
 
     def test_duplicate_index_rejected(self, table):
         table.create_index("NAME")
@@ -84,7 +83,7 @@ class TestIndexMaintenance:
         rowid = table.insert({"ID": 1, "NAME": "old"})
         table.update(rowid, {"NAME": "new"})
         assert table.lookup("NAME", "old") == []
-        assert [row["ID"] for row in table.lookup("NAME", "new")] == [1]
+        assert [row.ID for row in table.lookup("NAME", "new")] == [1]
 
     def test_index_follows_deletes(self, table):
         table.create_index("NAME")
@@ -103,15 +102,14 @@ class TestIndexMaintenance:
     def test_restore_reindexes(self, table):
         table.create_index("NAME")
         rowid = table.insert({"ID": 1, "NAME": "alice"})
-        values = table.delete(rowid)
-        table.restore(rowid, values)
-        assert [row["ID"] for row in table.lookup("NAME", "alice")] == [1]
+        table.restore(table.delete(rowid))
+        assert [row.ID for row in table.lookup("NAME", "alice")] == [1]
 
 
 class TestAccess:
     def test_fetch_includes_rowid_pseudo_column(self, table):
         rowid = table.insert({"ID": 1})
-        assert table.fetch(rowid)[ROWID_PSEUDO] == rowid
+        assert table.fetch(rowid).rowid == rowid
 
     def test_fetch_raises_for_dead(self, table):
         rowid = table.insert({"ID": 1})
@@ -122,18 +120,18 @@ class TestAccess:
     def test_scan_with_expr_predicate(self, table):
         for i in range(5):
             table.insert({"ID": i})
-        rows = list(table.scan(lambda row: row["ID"] >= 3))
-        assert sorted(row["ID"] for row in rows) == [3, 4]
+        rows = list(table.scan(lambda row: row.ID >= 3))
+        assert sorted(row.ID for row in rows) == [3, 4]
 
     def test_scan_with_callable_predicate(self, table):
         for i in range(5):
             table.insert({"ID": i})
-        rows = list(table.scan(lambda row: row["ID"] % 2 == 0))
-        assert sorted(row["ID"] for row in rows) == [0, 2, 4]
+        rows = list(table.scan(lambda row: row.ID % 2 == 0))
+        assert sorted(row.ID for row in rows) == [0, 2, 4]
 
     def test_lookup_without_index_scans(self, table):
         table.insert({"ID": 1, "NAME": "x"})
-        assert [row["ID"] for row in table.lookup("NAME", "x")] == [1]
+        assert [row.ID for row in table.lookup("NAME", "x")] == [1]
 
     def test_len(self, table):
         for i in range(3):

@@ -39,14 +39,14 @@ class TestCommitRollback:
         transaction = database.begin()
         database.delete("T", rowid)
         transaction.rollback()
-        assert database.fetch("T", rowid)["V"] == "keep"
+        assert database.fetch("T", rowid).V == "keep"
 
     def test_rollback_restores_updates(self, database):
         rowid = database.insert("T", {"ID": 1, "V": "old"})
         transaction = database.begin()
         database.update("T", rowid, {"V": "new"})
         transaction.rollback()
-        assert database.fetch("T", rowid)["V"] == "old"
+        assert database.fetch("T", rowid).V == "old"
 
     def test_rollback_insert_then_delete(self, database):
         # The regression that motivated HeapFile.restore: undo order is

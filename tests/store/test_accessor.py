@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import RowIdError
-from repro.ordbms.table import ROWID_PSEUDO
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
 from repro.store import XmlStore
@@ -29,24 +28,24 @@ def context_rows(store):
     return [
         row
         for row in store.xml_table.scan()
-        if row["NODETYPE"] == int(NodeType.CONTEXT)
+        if row.NODETYPE == int(NodeType.CONTEXT)
     ]
 
 
 class TestBatching:
     def test_nodes_fetches_missing_rows_in_one_batch(self, store_with_doc):
         store, _ = store_with_doc
-        rowids = [row[ROWID_PSEUDO] for row in store.xml_table.scan()]
+        rowids = [row.rowid for row in store.xml_table.scan()]
         accessor = store.new_accessor()
         rows = accessor.nodes(rowids)
-        assert [row[ROWID_PSEUDO] for row in rows] == rowids
+        assert [row.rowid for row in rows] == rowids
         assert accessor.stats.batch_fetches == 1
         assert accessor.stats.point_fetches == 0
         assert accessor.stats.rows_fetched == len(rowids)
 
     def test_nodes_second_call_is_all_cache_hits(self, store_with_doc):
         store, _ = store_with_doc
-        rowids = [row[ROWID_PSEUDO] for row in store.xml_table.scan()]
+        rowids = [row.rowid for row in store.xml_table.scan()]
         accessor = store.new_accessor()
         accessor.nodes(rowids)
         accessor.stats.reset()
@@ -62,8 +61,8 @@ class TestBatching:
         first = accessor.children(root)
         accessor.stats.reset()
         second = accessor.children(root)
-        assert [r[ROWID_PSEUDO] for r in first] == [
-            r[ROWID_PSEUDO] for r in second
+        assert [r.rowid for r in first] == [
+            r.rowid for r in second
         ]
         assert accessor.stats.child_lookups == 0
         assert accessor.stats.cache_hits >= 1
@@ -100,7 +99,7 @@ class TestMemoization:
         text_row = next(
             row
             for row in store.xml_table.scan()
-            if row["NODEDATA"] == "beta text"
+            if row.NODEDATA == "beta text"
         )
         governing = accessor.governing_context(text_row)
         assert accessor.context_title(governing) == "Beta"
@@ -108,7 +107,7 @@ class TestMemoization:
         assert hops_first > 0
         accessor.stats.reset()
         again = accessor.governing_context(text_row)
-        assert again[ROWID_PSEUDO] == governing[ROWID_PSEUDO]
+        assert again.rowid == governing.rowid
         assert accessor.stats.parent_hops == 0
 
 
@@ -133,7 +132,7 @@ class TestInvalidation:
             assert accessor.lookup_rowids("DOC_ID", extra.doc_id) == []
         later = store.new_accessor()
         assert later.lsn > accessor.lsn
-        assert later.node(extra.root_rowid)["DOC_ID"] == extra.doc_id
+        assert later.node(extra.root_rowid).DOC_ID == extra.doc_id
         assert later.lookup_rowids("DOC_ID", extra.doc_id) != []
 
     def test_a_delete_is_seen_by_a_new_accessor_not_this_one(

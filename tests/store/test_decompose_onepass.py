@@ -144,7 +144,7 @@ class TestAgainstTheOracle:
         monkeypatch.setattr(storage, "FILE_CAPACITY", 2)
         one_pass, oracle = load_both([WIDE, SMALL, WIDE])
         assert_same_heap(one_pass, oracle)
-        addresses = [row["ROWID_"] for row in one_pass.xml_table.scan()]
+        addresses = [row.rowid for row in one_pass.xml_table.scan()]
         assert {rowid.file_no for rowid in addresses} >= {0, 1, 2}
         assert max(rowid.slot_no for rowid in addresses) == 3
         # A document's links cross both kinds of boundary and still resolve.

@@ -5,7 +5,6 @@ Every walk goes through the store's one :class:`NodeAccessor`.
 
 import pytest
 
-from repro.ordbms.table import ROWID_PSEUDO
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
 from repro.store import XML_TABLE, XmlStore
@@ -31,7 +30,7 @@ def classify_counts(database, doc_id):
     """Histogram of node types for one document."""
     counts = {}
     for row in database.table(XML_TABLE).lookup("DOC_ID", doc_id):
-        node_type = NodeType(row["NODETYPE"])
+        node_type = NodeType(row.NODETYPE)
         counts[node_type] = counts.get(node_type, 0) + 1
     return counts
 
@@ -40,8 +39,8 @@ def text_rows(store, needle):
     return [
         row
         for row in store.xml_table.scan()
-        if row["NODETYPE"] == int(NodeType.TEXT)
-        and row["NODEDATA"] and needle in row["NODEDATA"]
+        if row.NODETYPE == int(NodeType.TEXT)
+        and row.NODEDATA and needle in row.NODEDATA
     ]
 
 
@@ -55,21 +54,21 @@ class TestDecomposition:
     def test_root_has_no_parent(self, store_with_doc):
         store, result = store_with_doc
         root = store.new_accessor().node(result.root_rowid)
-        assert root["PARENTROWID"] is None
-        assert root["NODENAME"] == "document"
+        assert root.PARENTROWID is None
+        assert root.NODENAME == "document"
 
     def test_parent_rowids_consistent(self, store_with_doc):
         store, result = store_with_doc
         for row in store.xml_table.scan():
             parent = store.new_accessor().parent(row)
             if parent is not None:
-                assert parent["NODEID"] == row["PARENTNODEID"]
+                assert parent.NODEID == row.PARENTNODEID
 
     def test_sibling_chain_terminates_and_orders(self, store_with_doc):
         store, result = store_with_doc
         root = store.new_accessor().node(result.root_rowid)
         first, second = store.new_accessor().children(root)
-        assert store.new_accessor().next_sibling(first)["NODEID"] == second["NODEID"]
+        assert store.new_accessor().next_sibling(first).NODEID == second.NODEID
         assert store.new_accessor().next_sibling(second) is None
 
     def test_node_types_recorded(self, store_with_doc):
@@ -107,7 +106,7 @@ class TestTraversal:
         store, _ = store_with_doc
         [row] = text_rows(store, "Alpha")
         parent = store.new_accessor().parent(row)
-        assert parent["NODETYPE"] == int(NodeType.CONTEXT)
+        assert parent.NODETYPE == int(NodeType.CONTEXT)
 
     def test_section_scope_excludes_next_section(self, store_with_doc):
         store, _ = store_with_doc
@@ -122,10 +121,10 @@ class TestTraversal:
         [alpha_heading] = text_rows(store, "Alpha")
         context = store.new_accessor().parent(alpha_heading)
         rowids = {
-            row[ROWID_PSEUDO] for row in store.new_accessor().section_scope(context)
+            row.rowid for row in store.new_accessor().section_scope(context)
         }
         [content_row] = text_rows(store, "alpha text one")
-        assert content_row[ROWID_PSEUDO] in rowids
+        assert content_row.rowid in rowids
 
     def test_flat_html_sibling_contexts(self):
         # h2 headings as siblings of paragraphs (no section wrappers).

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FsckError
-from repro.ordbms import Database, ROWID_PSEUDO
+from repro.ordbms import Database
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, repair_store
 from repro.store.fsck import REPAIRABLE, main
@@ -15,13 +15,13 @@ def loaded(loaded_store: XmlStore) -> XmlStore:
     return loaded_store
 
 
-def xml_rows(store: XmlStore) -> list[dict]:
+def xml_rows(store: XmlStore) -> list:
     return list(store.xml_table.scan())
 
 
-def node_where(store: XmlStore, **conditions) -> dict:
+def node_where(store: XmlStore, **conditions):
     for row in xml_rows(store):
-        if all(row[key] == value for key, value in conditions.items()):
+        if all(getattr(row, key) == value for key, value in conditions.items()):
             return row
     raise AssertionError(f"no node matching {conditions}")
 
@@ -32,7 +32,7 @@ class TestCleanStore:
         assert report.ok
         assert report.documents_checked == len(loaded)
         assert report.nodes_checked == loaded.node_count
-        assert report.indexes_checked == 8  # 2 DOC + 5 XML btrees + 1 text
+        assert report.indexes_checked == 7  # 2 DOC + 4 XML btrees + 1 text
 
     def test_empty_store_is_clean(self, store):
         assert check_store(store.database).ok
@@ -55,100 +55,100 @@ class TestCorruptionClasses:
         database = store.database
         rows = xml_rows(store)
         root = node_where(store, PARENTROWID=None, DOC_ID=1)
-        child = node_where(store, PARENTNODEID=root["NODEID"])
+        child = node_where(store, PARENTNODEID=root.NODEID)
         if code == "bad-node-type":
-            database.update(XML_TABLE, child[ROWID_PSEUDO], {"NODETYPE": 99})
+            database.update(XML_TABLE, child.rowid, {"NODETYPE": 99})
         elif code == "orphan-node":
             doc_row = store.doc_table.lookup("DOC_ID", 1)[0]
-            database.delete("DOC", doc_row[ROWID_PSEUDO])
+            database.delete("DOC", doc_row.rowid)
         elif code == "empty-document":
             for row in rows:
-                if row["DOC_ID"] == 1:
-                    database.delete(XML_TABLE, row[ROWID_PSEUDO])
+                if row.DOC_ID == 1:
+                    database.delete(XML_TABLE, row.rowid)
         elif code == "missing-root":
             database.update(
-                XML_TABLE, root[ROWID_PSEUDO],
-                {"PARENTROWID": child[ROWID_PSEUDO],
-                 "PARENTNODEID": child["NODEID"]},
+                XML_TABLE, root.rowid,
+                {"PARENTROWID": child.rowid,
+                 "PARENTNODEID": child.NODEID},
             )
         elif code == "multiple-roots":
             database.update(
-                XML_TABLE, child[ROWID_PSEUDO],
+                XML_TABLE, child.rowid,
                 {"PARENTROWID": None, "PARENTNODEID": None},
             )
         elif code == "dangling-parent":
-            victim = node_where(store, PARENTNODEID=child["NODEID"])
-            database.delete(XML_TABLE, victim[ROWID_PSEUDO])
-            orphaned = node_where(store, PARENTROWID=victim[ROWID_PSEUDO])
+            victim = node_where(store, PARENTNODEID=child.NODEID)
+            database.delete(XML_TABLE, victim.rowid)
+            orphaned = node_where(store, PARENTROWID=victim.rowid)
             assert orphaned is not None  # its children now dangle
         elif code == "foreign-parent":
             other = node_where(store, PARENTROWID=None, DOC_ID=2)
             database.update(
-                XML_TABLE, child[ROWID_PSEUDO],
-                {"PARENTROWID": other[ROWID_PSEUDO],
-                 "PARENTNODEID": other["NODEID"]},
+                XML_TABLE, child.rowid,
+                {"PARENTROWID": other.rowid,
+                 "PARENTNODEID": other.NODEID},
             )
         elif code == "parent-id-mismatch":
             database.update(
-                XML_TABLE, child[ROWID_PSEUDO], {"PARENTNODEID": 9999}
+                XML_TABLE, child.rowid, {"PARENTNODEID": 9999}
             )
         elif code == "parent-cycle":
-            grandchild = node_where(store, PARENTNODEID=child["NODEID"])
+            grandchild = node_where(store, PARENTNODEID=child.NODEID)
             database.update(
-                XML_TABLE, child[ROWID_PSEUDO],
-                {"PARENTROWID": grandchild[ROWID_PSEUDO],
-                 "PARENTNODEID": grandchild["NODEID"]},
+                XML_TABLE, child.rowid,
+                {"PARENTROWID": grandchild.rowid,
+                 "PARENTNODEID": grandchild.NODEID},
             )
         elif code == "dangling-sibling":
             from repro.ordbms import RowId
 
             database.update(
-                XML_TABLE, child[ROWID_PSEUDO],
+                XML_TABLE, child.rowid,
                 {"SIBLINGID": RowId(9, 9, 9)},
             )
         elif code == "foreign-sibling":
             other = node_where(store, PARENTROWID=None, DOC_ID=2)
             database.update(
-                XML_TABLE, child[ROWID_PSEUDO],
-                {"SIBLINGID": other[ROWID_PSEUDO]},
+                XML_TABLE, child.rowid,
+                {"SIBLINGID": other.rowid},
             )
         elif code == "duplicate-ordinal":
             first = next(
                 row for row in rows
-                if row["PARENTNODEID"] == root["NODEID"]
-                and row["SIBLINGID"] is not None
+                if row.PARENTNODEID == root.NODEID
+                and row.SIBLINGID is not None
             )
-            follower = node_where(store, ROWID_=first["SIBLINGID"])
+            follower = node_where(store, rowid=first.SIBLINGID)
             database.update(
-                XML_TABLE, follower[ROWID_PSEUDO],
-                {"ORDINAL": first["ORDINAL"]},
+                XML_TABLE, follower.rowid,
+                {"ORDINAL": first.ORDINAL},
             )
         elif code == "sibling-chain":
             # A live but mis-linked chain: point a child at itself.
             database.update(
-                XML_TABLE, child[ROWID_PSEUDO],
-                {"SIBLINGID": child[ROWID_PSEUDO]},
+                XML_TABLE, child.rowid,
+                {"SIBLINGID": child.rowid},
             )
         elif code == "doc-order":
             # A well-linked node of document 1, stored behind document
             # 2's rows: no link is wrong, only where the row sits.
             last = max(
-                (row for row in rows if row["PARENTROWID"] == child[ROWID_PSEUDO]),
-                key=lambda row: row["ORDINAL"],
+                (row for row in rows if row.PARENTROWID == child.rowid),
+                key=lambda row: row.ORDINAL,
             )
             late = database.insert(XML_TABLE, {
                 "NODEID": 9999, "DOC_ID": 1, "NODETYPE": 2,
-                "NODENAME": "late", "ORDINAL": last["ORDINAL"] + 1,
-                "PARENTROWID": child[ROWID_PSEUDO],
-                "PARENTNODEID": child["NODEID"],
+                "NODENAME": "late", "ORDINAL": last.ORDINAL + 1,
+                "PARENTROWID": child.rowid,
+                "PARENTNODEID": child.NODEID,
             })
-            database.update(XML_TABLE, last[ROWID_PSEUDO], {"SIBLINGID": late})
+            database.update(XML_TABLE, last.rowid, {"SIBLINGID": late})
         elif code == "btree-drift":
             index = store.xml_table.index_on("NODENAME")
-            index.insert("ghost-entry", child[ROWID_PSEUDO])
+            index.insert("ghost-entry", child.rowid)
         elif code == "text-index-drift":
             text_index = store.xml_table.text_index_on("NODEDATA")
-            text_index.add(child[ROWID_PSEUDO], "ghostterm never stored")
+            text_index.add(child.rowid, "ghostterm never stored")
         else:
             raise AssertionError(f"unknown corruption class {code}")
 
@@ -193,7 +193,7 @@ class TestCorruptionClasses:
     def test_postings_out_of_rowid_order_are_drift(self, loaded):
         """``BTreeIndex.delete`` bisects a posting list, so one out of
         ROWID order (same contents) would make it miss: fsck says so."""
-        index = loaded.xml_table.index_on("NODETYPE")
+        index = loaded.xml_table.index_on("DOC_ID")
         key, first = next(index.items())
         postings = index._find_leaf(key).values[0]
         assert postings[0] == first and len(postings) > 1
@@ -201,7 +201,7 @@ class TestCorruptionClasses:
         assert not index.delete(key, first)  # the miss fsck is guarding
         assert "btree-drift" in check_store(loaded.database).codes()
         assert repair_store(loaded.database).ok
-        assert loaded.xml_table.index_on("NODETYPE").search(key)[0] == first
+        assert loaded.xml_table.index_on("DOC_ID").search(key)[0] == first
 
     def test_misplaced_row_is_the_only_finding_and_repair_leaves_it(self, loaded):
         """``doc-order`` is about where a row sits, nothing else: every
@@ -274,7 +274,7 @@ class TestRepairUnderAWarmPool:
         report1 = node.store.lookup_by_name("report1.ndoc").doc_id
         heading = node_where(
             node.store, DOC_ID=report1, NODEDATA="Budget"
-        )["PARENTROWID"]
+        ).PARENTROWID
         node.database.update(XML_TABLE, heading, {"PARENTNODEID": 424242})
         node.database.update(XML_TABLE, heading, {"SIBLINGID": heading})
         assert {"parent-id-mismatch", "sibling-chain"} <= node.fsck().codes()

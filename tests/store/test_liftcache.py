@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import StoreError
-from repro.ordbms import ROWID_PSEUDO, storage
+from repro.ordbms import storage
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
 from repro.store.accessor import NodeAccessor
@@ -147,12 +147,12 @@ class TestStoreIntegration:
         contexts = _context_rows(loaded_store, doc_id)
         first = loaded_store.new_accessor(lifts=loaded_store.lift_cache)
         expected = [
-            [row[ROWID_PSEUDO] for row in first.section_scope(ctx)]
+            [row.rowid for row in first.section_scope(ctx)]
             for ctx in contexts
         ]
         second = loaded_store.new_accessor(lifts=loaded_store.lift_cache)
         replayed = [
-            [row[ROWID_PSEUDO] for row in second.section_scope(ctx)]
+            [row.rowid for row in second.section_scope(ctx)]
             for ctx in contexts
         ]
         assert replayed == expected
@@ -225,7 +225,7 @@ class TestStoreIntegration:
             with database.begin():
                 # Half a delete: every other row of the document is gone.
                 for row in loaded_store.xml_table.lookup("DOC_ID", doomed_doc)[::2]:
-                    database.delete("XML", row[ROWID_PSEUDO])
+                    database.delete("XML", row.rowid)
                 inside = _pooled(loaded_store)
                 assert [inside.section_text(row) for row in contexts] == expected
                 assert len(loaded_store.lift_cache) > resident
@@ -254,7 +254,7 @@ def _facts(store, accessor):
     catalog entry, by doc id — computed through ``accessor``."""
 
     def address(row):
-        return None if row is None else row[ROWID_PSEUDO]
+        return None if row is None else row.rowid
 
     lifts = {}
     for row in store.xml_table.scan():
@@ -268,7 +268,7 @@ def _facts(store, accessor):
                 accessor.section_text(row),
                 accessor.context_title(row),
             ]
-        lifts[row[ROWID_PSEUDO]] = fact
+        lifts[row.rowid] = fact
     entries = {
         entry.doc_id: accessor.memoized(
             "entry", entry.doc_id, store.entry_at, entry.doc_id, accessor.lsn
@@ -368,18 +368,21 @@ class TestFactsNeverChange:
 
 
 class TestWhoMayEditARowInPlace:
-    """The invariant's owner: a stored row changes in place only through
-    ``Table.update`` / ``Database.update`` (``dict.update`` takes at most
-    one positional argument, these take two and three), and the only
-    callers are the database's own transaction machinery and
+    """The invariant's owner: a stored row is replaced in its slot only
+    through ``Table.update`` / ``Database.update`` (``dict.update`` takes
+    at most one positional argument, these take two and three) and
+    ``Table.overwrite``, the slot swap under ``Table.update`` that the
+    ``Database.update`` undo calls directly with the row it took out —
+    re-counted when the undo stopped going back through ``Table.update``.
+    The only callers are the database's own transaction machinery and
     ``fsck --repair`` — after which the facade clears the pool.  A second
     caller must say how pooled lifts stay true, then join this list."""
 
     CALLERS = {
-        "ordbms/database.py": 2,  # Database.update and its undo
+        "ordbms/database.py": 2,  # Database.update; its undo (overwrite)
         "store/fsck.py": 2,  # PARENTNODEID and SIBLINGID repair
         # HeapFile.update, the physical layer under the two above:
-        "ordbms/table.py": 1,  # Table.update itself
+        "ordbms/table.py": 2,  # Table.update -> overwrite -> the heap
         "ordbms/recovery.py": 2,  # redo / undo of a logged UPDATE
     }
 
@@ -392,8 +395,11 @@ class TestWhoMayEditARowInPlace:
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "update"
-                and len(node.args) + len(node.keywords) >= 2
+                and (
+                    node.func.attr == "overwrite"
+                    or node.func.attr == "update"
+                    and len(node.args) + len(node.keywords) >= 2
+                )
             ]
             if calls:
                 found[path.relative_to(root).as_posix()] = len(calls)

@@ -34,8 +34,9 @@ class TestGeneratedSchema:
     def test_indexes_created(self):
         database = Database()
         _, xml_table = create_netmark_schema(database)
-        for column in ("DOC_ID", "PARENTNODEID", "NODENAME", "NODETYPE"):
+        for column in ("DOC_ID", "PARENTNODEID", "NODENAME"):
             assert xml_table.index_on(column) is not None
+        assert xml_table.index_on("NODETYPE") is None  # nobody probes it
         assert xml_table.text_index_on("NODEDATA") is not None
 
     def test_doc_id_foreign_key_declared(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RowIdError
-from repro.ordbms import ROWID_PSEUDO, MemoryLogDevice, storage
+from repro.ordbms import MemoryLogDevice, storage
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Element, Text
 from repro.sgml.nodetypes import NodeType
@@ -62,19 +62,19 @@ class HopOracle:
     @staticmethod
     def text_of(rows):
         pieces = [
-            (row["NODEDATA"] or "").strip()
+            (row.NODEDATA or "").strip()
             for row in rows
-            if row["NODETYPE"] == int(NodeType.TEXT) and row["NODEDATA"]
+            if row.NODETYPE == int(NodeType.TEXT) and row.NODEDATA
         ]
         return " ".join(piece for piece in pieces if piece)
 
     def compose_node(self, row):
-        if row["NODETYPE"] == int(NodeType.TEXT):
-            return Text(row["NODEDATA"] or "")
+        if row.NODETYPE == int(NodeType.TEXT):
+            return Text(row.NODEDATA or "")
         element = Element(
-            row["NODENAME"] or "node", decode_attributes(row["ATTRS"])
+            row.NODENAME or "node", decode_attributes(row.ATTRS)
         )
-        element.synthetic = row["NODETYPE"] == int(NodeType.SIMULATION)
+        element.synthetic = row.NODETYPE == int(NodeType.SIMULATION)
         for child_row in self.accessor.children(row):
             element.append(self.compose_node(child_row))
         return element
@@ -92,7 +92,7 @@ class HopOracle:
         [root] = [
             row
             for row in self.accessor.lookup_rows("DOC_ID", doc_id)
-            if row["PARENTROWID"] is None
+            if row.PARENTROWID is None
         ]
         return self.compose_node(root)
 
@@ -141,7 +141,7 @@ def now(store):
 def context_rows(store):
     return [
         row for row in store.xml_table.scan()
-        if row["NODETYPE"] == int(NodeType.CONTEXT)
+        if row.NODETYPE == int(NodeType.CONTEXT)
     ]
 
 
@@ -171,9 +171,9 @@ class TestAgainstTheHopWalk:
         assert assert_reads_agree(store) > 3 * 4 * 2  # runs cross files
         [longest] = [
             store.new_accessor().subtree(row) for row in store.xml_table.scan()
-            if row["NODEID"] == 1
+            if row.NODEID == 1
         ]
-        assert {row[ROWID_PSEUDO].file_no for row in longest} >= {0, 1}
+        assert {row.rowid.file_no for row in longest} >= {0, 1}
 
     def test_after_a_replace(self):
         """The old run is a row of tombstones, the new one is at the tail."""
@@ -201,8 +201,8 @@ class TestAgainstTheHopWalk:
         store.store_document(document(FLAT, "only.xml"))
         last = context_rows(store)[-1]
         run = store.new_accessor().subtree(last, siblings=True)
-        assert run and store.xml_table.next_rowids(1)[0] > run[-1][ROWID_PSEUDO]
-        assert list(store.xml_table.rows_after(run[-1][ROWID_PSEUDO], now(store))) == []
+        assert run and store.xml_table.next_rowids(1)[0] > run[-1].rowid
+        assert list(store.xml_table.rows_after(run[-1].rowid, now(store))) == []
         assert_reads_agree(store)
 
     def test_context_root_with_no_siblings(self):
@@ -210,7 +210,7 @@ class TestAgainstTheHopWalk:
         store.store_document(document(("h1", {}, ["alpha", ("b", {}, ["x"])])))
         store.store_document(document(("title", {}, [])))
         [first, second] = context_rows(store)
-        assert first["PARENTROWID"] is None
+        assert first.PARENTROWID is None
         assert store.new_accessor().section_scope(first) == []
         assert store.new_accessor().context_title(first) == "alpha x"
         assert store.new_accessor().subtree(second, siblings=True) == []
@@ -251,10 +251,10 @@ class TestPinnedRun:
             store.store_document(document(FLAT, "unseen.xml"))
             assert store.new_accessor(snapshot).subtree(last, siblings=True) == before
             assert list(
-                store.xml_table.rows_after(before[-1][ROWID_PSEUDO], snapshot.lsn)
+                store.xml_table.rows_after(before[-1].rowid, snapshot.lsn)
             ) == []
         assert len(list(
-            store.xml_table.rows_after(before[-1][ROWID_PSEUDO], now(store))
+            store.xml_table.rows_after(before[-1].rowid, now(store))
         )) > 0
 
     def test_a_deleted_document_is_still_whole_under_an_older_pin(self):

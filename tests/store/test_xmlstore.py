@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DocumentNotFoundError
-from repro.ordbms import ROWID_PSEUDO, MemoryLogDevice
+from repro.ordbms import MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
@@ -151,7 +151,7 @@ class TestDeletion:
 def scan_by_name(store, name):
     """The reference ``lookup_by_name``: first match of a full DOC scan."""
     for row in store.doc_table.scan():
-        if row["FILE_NAME"] == name:
+        if row.FILE_NAME == name:
             return store._to_stored(row)
     return None
 
@@ -176,9 +176,9 @@ class TestLookupByNameIndex:
         with pytest.raises(KeyError):
             with database.begin():
                 for row in store.xml_table.lookup("DOC_ID", first.doc_id):
-                    database.delete("XML", row[ROWID_PSEUDO])
+                    database.delete("XML", row.rowid)
                 [row] = store.doc_table.lookup("DOC_ID", first.doc_id)
-                database.delete("DOC", row[ROWID_PSEUDO])
+                database.delete("DOC", row.rowid)
                 database.insert("DOC", {"DOC_ID": 99, "FILE_NAME": "c.md"})
                 assert store.lookup_by_name("a.md").doc_id == again.doc_id
                 assert store.lookup_by_name("c.md").doc_id == 99
@@ -227,7 +227,7 @@ class TestPreIndexSnapshot:
         assert check_store(store.database).ok
         # It writes like any other store, past the old tombstones.
         result = store.replace_text("# Plan\n\nRecover.\n", "plan.md")
-        assert store.xml_table.fetch(result.root_rowid)["ROWID_"].slot_no == 18
+        assert store.xml_table.fetch(result.root_rowid).rowid.slot_no == 18
         assert store.lookup_by_name("plan.md").doc_id == 3
         assert "FILE_NAME" in store.dump().split("\n")[2]
 
