@@ -7,12 +7,11 @@ the same operations whatever the box's speed, so its counts repeat bit
 for bit) and writes its artifact in the repo root for the perf gate::
 
     python benchmarks/bank_e2e_counters.py
-    python benchmarks/check_regression.py BENCH_e2e_ingest.json --tolerance 0
-    python benchmarks/check_regression.py BENCH_e2e_read.json --tolerance 0
-    python benchmarks/check_regression.py BENCH_e2e_compose.json --tolerance 0
+    python benchmarks/check_regression.py
 
-Under ``--tolerance 0`` every key in ``counters`` must equal the
-committed baseline exactly — a sibling back-patch, a second fsync or a
+``check_regression.GATED_ARTIFACTS`` lists the three artifacts at
+tolerance 0: every key in ``counters`` must equal the committed
+baseline exactly — a sibling back-patch, a second fsync or a
 fatter WAL record cannot come back unnoticed on the write side, nor an
 ancestor prefetch, a per-element child probe or a posting-row fetch on
 the read side, nor — on the compose side, where the engine is bypassed

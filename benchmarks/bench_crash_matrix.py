@@ -9,11 +9,11 @@ fsck report of the last recovered store lands in the JSON artifact so CI
 can archive it.
 
 The cluster half (DESIGN.md §12) lifts the same idea to whole nodes:
-kill the coordinator or a follower at every append of its device, drive
-a network partition through an election, and crash the 2PC coordinator
-at every protocol gate — reporting failover ticks, replication lag at
-the kill, and the committed-ingest loss count (which must be zero,
-everywhere, always) into ``BENCH_cluster_failover.json``.
+kill the coordinator or a follower at every append of its device and
+drive a network partition through an election — reporting failover
+ticks, replication lag at the kill, and the committed-ingest loss count
+(which must be zero, everywhere, always) into
+``BENCH_cluster_failover.json``.
 """
 
 from conftest import print_table, write_artifact
@@ -22,7 +22,6 @@ from repro.cluster.harness import (
     coordinator_kill_matrix,
     follower_kill_matrix,
     partition_drill,
-    twopc_crash_matrix,
 )
 from repro.ordbms import MemoryLogDevice
 from repro.resilience import crash_matrix
@@ -207,12 +206,11 @@ def test_report_cluster_failover_matrix(benchmark):
     benchmark.pedantic(report, rounds=1, iterations=1)
 
 
-def test_report_cluster_partition_and_twopc(benchmark):
-    """Minority-coordinator partition + 2PC coordinator crash gates."""
+def test_report_cluster_partition(benchmark):
+    """Minority-coordinator partition: demote, elect, refuse, reconverge."""
 
     def report():
         drill = partition_drill()
-        twopc = twopc_crash_matrix()
         print_table(
             "Partition drill: coordinator isolated in the minority",
             [
@@ -229,19 +227,6 @@ def test_report_cluster_partition_and_twopc(benchmark):
                 drill.failover_ticks,
             ]],
         )
-        print_table(
-            "2PC crash matrix: coordinator killed at every gate",
-            ["gate", "occurrence", "atomic", "committed everywhere"],
-            [
-                [
-                    point.operation,
-                    point.occurrence,
-                    "yes" if point.atomic else "NO",
-                    "yes" if point.committed_everywhere else "no",
-                ]
-                for point in twopc.points
-            ],
-        )
         write_artifact(
             "BENCH_cluster_failover.json",
             "partition",
@@ -256,19 +241,7 @@ def test_report_cluster_partition_and_twopc(benchmark):
                 "failover_ticks": drill.failover_ticks,
             },
         )
-        write_artifact(
-            "BENCH_cluster_failover.json",
-            "two_phase_commit",
-            {
-                "crash_points": len(twopc.points),
-                "all_atomic": twopc.all_atomic,
-                "committed_everywhere": sum(
-                    1 for p in twopc.points if p.committed_everywhere
-                ),
-            },
-        )
         assert drill.lost == 0 and drill.converged and drill.fsck_clean
-        assert twopc.all_atomic
 
     benchmark.pedantic(report, rounds=1, iterations=1)
 

@@ -19,6 +19,11 @@ later change can only keep it or raise it — lowering the floor fails CI
 until the regression is owned via ``--update-baselines`` *and* the
 separate ``scripts/check_baseline_ratchet.py`` bench lock is re-locked.
 
+The end-to-end counter artifacts (``BENCH_e2e_*.json``, written by
+``bank_e2e_counters.py``) hold floats that are pure functions of the
+inputs, so :data:`GATED_ARTIFACTS` gives them a tolerance of 0: one list
+names every gated artifact and how exactly its floats must match.
+
 Usage::
 
     python benchmarks/check_regression.py            # gate (CI mode)
@@ -38,16 +43,25 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
-#: The artifacts the gate watches (repo-root file names).
-GATED_ARTIFACTS = (
-    "BENCH_fig6.json",
-    "BENCH_fig8.json",
-    "BENCH_crash_matrix.json",
-    "BENCH_cluster_failover.json",
-    "BENCH_concurrent.json",
-    "BENCH_overload.json",
-    "BENCH_cache_differential.json",
-)
+#: Relative tolerance for floats (timings under --gate-timings, ratios
+#: always).  25% absorbs interpreter and allocator jitter while still
+#: catching a real 2x regression.
+DEFAULT_TOLERANCE = 0.25
+
+#: Every artifact the gate watches (repo-root file name) with the
+#: relative tolerance its floats get.  The end-to-end counters are exact.
+GATED_ARTIFACTS = {
+    "BENCH_fig6.json": DEFAULT_TOLERANCE,
+    "BENCH_fig8.json": DEFAULT_TOLERANCE,
+    "BENCH_crash_matrix.json": DEFAULT_TOLERANCE,
+    "BENCH_cluster_failover.json": DEFAULT_TOLERANCE,
+    "BENCH_concurrent.json": DEFAULT_TOLERANCE,
+    "BENCH_overload.json": DEFAULT_TOLERANCE,
+    "BENCH_cache_differential.json": DEFAULT_TOLERANCE,
+    "BENCH_e2e_ingest.json": 0.0,
+    "BENCH_e2e_read.json": 0.0,
+    "BENCH_e2e_compose.json": 0.0,
+}
 
 #: Leaf-name prefix marking a key as a monotone floor: fresh >= baseline
 #: or the gate fails, regardless of type or timing pattern.
@@ -60,11 +74,6 @@ TIMING_PATTERNS = (
     "per_second", "_seconds", "_ms", "latency", "elapsed", "speedup",
     "overhead",
 )
-
-#: Relative tolerance for floats (timings under --gate-timings, ratios
-#: always).  25% absorbs interpreter and allocator jitter while still
-#: catching a real 2x regression.
-DEFAULT_TOLERANCE = 0.25
 
 
 def is_timing_key(path: str) -> bool:
@@ -223,11 +232,15 @@ def render_table(deltas: list[Delta], verbose: bool) -> str:
 def check(
     fresh_dir: Path,
     baseline_dir: Path,
-    artifacts: tuple[str, ...] = GATED_ARTIFACTS,
-    tolerance: float = DEFAULT_TOLERANCE,
+    artifacts: tuple[str, ...] = tuple(GATED_ARTIFACTS),
+    tolerance: float | None = None,
     gate_timings: bool = False,
 ) -> tuple[list[Delta], list[str]]:
-    """Compare every artifact; returns (deltas, hard errors)."""
+    """Compare every artifact; returns (deltas, hard errors).
+
+    Each artifact's floats get its :data:`GATED_ARTIFACTS` tolerance
+    unless ``tolerance`` overrides it for the whole run.
+    """
     deltas: list[Delta] = []
     errors: list[str] = []
     for name in artifacts:
@@ -242,15 +255,20 @@ def check(
         if not fresh_path.exists():
             errors.append(
                 f"fresh artifact {name} missing from {fresh_dir}: run "
-                "the figure benchmarks first (pytest benchmarks/ -q)"
+                "the figure benchmarks (pytest benchmarks/ -q) and "
+                "benchmarks/bank_e2e_counters.py first"
             )
             continue
+        if tolerance is None:
+            allowed = GATED_ARTIFACTS.get(name, DEFAULT_TOLERANCE)
+        else:
+            allowed = tolerance
         deltas.extend(
             compare_artifact(
                 name,
                 json.loads(baseline_path.read_text()),
                 json.loads(fresh_path.read_text()),
-                tolerance,
+                allowed,
                 gate_timings,
             )
         )
@@ -260,7 +278,7 @@ def check(
 def update_baselines(
     fresh_dir: Path,
     baseline_dir: Path,
-    artifacts: tuple[str, ...] = GATED_ARTIFACTS,
+    artifacts: tuple[str, ...] = tuple(GATED_ARTIFACTS),
 ) -> list[str]:
     """Copy fresh artifacts over the committed baselines."""
     baseline_dir.mkdir(parents=True, exist_ok=True)
@@ -279,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         "artifacts",
         nargs="*",
         default=list(GATED_ARTIFACTS),
-        help="artifact file names to gate (default: the figure set)",
+        help="artifact file names to gate (default: every gated one)",
     )
     parser.add_argument(
         "--fresh-dir",
@@ -296,8 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative tolerance for float keys (default 0.25)",
+        default=None,
+        help=(
+            "relative tolerance for float keys, overriding each "
+            "artifact's own (0.25 for figures, 0 for end-to-end counters)"
+        ),
     )
     parser.add_argument(
         "--gate-timings",

@@ -1,22 +1,7 @@
 #!/usr/bin/env python3
-"""Baseline ratchets: debt and source size may only shrink, banked perf may
-only rise.
+"""Ratchets: source size may only shrink, banked perf may only rise.
 
-Three locks, one guard:
-
-**Analysis debt** (``analysis-baseline.json`` vs ``analysis-baseline.lock``).
-The baseline exists for *transitional* debt — entries are supposed to
-disappear as their exit plans execute, never to accumulate.  The
-analyzer itself cannot tell a long-standing entry from one added five
-minutes ago, so this guard compares the baseline against a committed
-lock file holding the entry set the team has reviewed:
-
-* an entry in the baseline but not in the lock is **new debt** — the
-  build fails; fix the finding or get the addition reviewed and run
-  ``--update``;
-* an entry in the lock but not in the baseline means debt was paid
-  down — the run passes and suggests ``--update`` to tighten the lock
-  so the entry cannot quietly come back.
+Two locks, one guard:
 
 **Bench ratchets** (``benchmarks/baselines/BENCH_*.json`` vs
 ``benchmarks/baselines/ratchets.lock``).  Benchmark keys whose leaf name
@@ -33,25 +18,21 @@ argument is leanness, so the physical line count of the source tree is a
 tracked metric that may only fall: a tree larger than the lock fails, a
 smaller one passes and suggests ``--update`` to bank the reduction.
 
-The analysis and bench locks are one line per entry, tab-separated —
-line-diffable in review, no JSON nesting to mis-merge — and the source
-lock is a single number:
+The bench lock is one line per entry, tab-separated — line-diffable in
+review, no JSON nesting to mis-merge — and the source lock is a single
+number:
 
-* analysis: ``rule<TAB>path<TAB>content``
-* bench:    ``artifact<TAB>dotted.key<TAB>value``
-* source:   ``lines``
+* bench:  ``artifact<TAB>dotted.key<TAB>value``
+* source: ``lines``
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_BASELINE = REPO_ROOT / "analysis-baseline.json"
-DEFAULT_LOCK = REPO_ROOT / "analysis-baseline.lock"
 DEFAULT_BENCH_BASELINES = REPO_ROOT / "benchmarks" / "baselines"
 DEFAULT_BENCH_LOCK = DEFAULT_BENCH_BASELINES / "ratchets.lock"
 DEFAULT_SRC = REPO_ROOT / "src"
@@ -60,21 +41,6 @@ DEFAULT_SRC_LOCK = REPO_ROOT / "src-lines.lock"
 #: Leaf-name prefix marking a benchmark key as a banked floor (kept in
 #: sync with ``benchmarks/check_regression.py``).
 RATCHET_PREFIX = "ratchet_"
-
-
-def baseline_keys(path: Path) -> list[str]:
-    """The baseline's entries as canonical, sorted lock lines."""
-    payload = json.loads(path.read_text())
-    return sorted(
-        "\t".join((entry["rule"], entry["path"], entry["content"]))
-        for entry in payload.get("entries", [])
-    )
-
-
-def lock_keys(path: Path) -> list[str]:
-    return sorted(
-        line for line in path.read_text().splitlines() if line.strip()
-    )
 
 
 def _flatten(value: object, prefix: str = "") -> dict[str, object]:
@@ -209,15 +175,9 @@ def check_src_lines(src_dir: Path, lock_path: Path) -> tuple[int, list[str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Fail when analysis-baseline.json grows, a committed bench "
-            "ratchet drops or src/ gains lines."
+            "Fail when a committed bench ratchet drops or src/ gains "
+            "lines."
         ),
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE, metavar="FILE",
-    )
-    parser.add_argument(
-        "--lock", type=Path, default=DEFAULT_LOCK, metavar="FILE",
     )
     parser.add_argument(
         "--bench-baselines", type=Path, default=DEFAULT_BENCH_BASELINES,
@@ -239,10 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    keys = baseline_keys(args.baseline)
     if args.update:
-        args.lock.write_text("".join(key + "\n" for key in keys))
-        print(f"locked {len(keys)} baseline entry(ies) in {args.lock.name}")
         ratchets = bench_ratchets(args.bench_baselines)
         write_bench_lock(args.bench_lock, ratchets)
         print(
@@ -253,31 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         args.src_lock.write_text(f"{lines}\n")
         print(f"locked {lines} source line(s) in {args.src_lock.name}")
         return 0
-    if not args.lock.is_file():
-        print(
-            f"error: {args.lock} is missing; run "
-            f"{Path(sys.argv[0]).name} --update to create it"
-        )
-        return 1
-    locked = lock_keys(args.lock)
-    added = sorted(set(keys) - set(locked))
-    if added:
-        print("baseline ratchet: new debt entries are not allowed —")
-        for key in added:
-            rule, path, content = key.split("\t")
-            print(f"  + [{rule}] {path}: {content!r}")
-        print(
-            "fix the finding (or annotate/pragma it with a rationale); "
-            "if the entry was reviewed, re-lock with --update"
-        )
-        return 1
-    removed = sorted(set(locked) - set(keys))
-    if removed:
-        print(
-            f"baseline shrank by {len(removed)} entry(ies); run "
-            "--update to tighten the lock"
-        )
-    print(f"ok: {len(keys)} baseline entry(ies), all within the locked set")
     bench_status, bench_messages = check_bench_ratchets(
         args.bench_baselines, args.bench_lock
     )

@@ -11,8 +11,9 @@ Rule families
 -------------
 
 * **layering** — the import DAG between the ``repro.*`` subpackages
-  (``ordbms`` at the bottom imports nothing above it; only ``server``
-  and ``apps`` may import ``federation``).
+  (``ordbms`` at the bottom imports nothing above it; only ``server``,
+  ``cluster``, ``apps`` and the experiment-support leaves may import
+  ``federation``).
 * **exception policy** — only ``repro.errors`` subclasses cross module
   boundaries; ``except Exception`` / bare ``except`` is banned unless
   annotated ``# lint: allow-broad-except(<reason>)``.
@@ -36,9 +37,9 @@ Rule families
   symbol table and call graph).
 
 Escape hatches, in order of preference: fix the code; annotate a
-deliberate, permanent exception with ``# lint: allow-<rule>(<reason>)``
-on the offending line; record transitional debt in the checked-in
-``analysis-baseline.json``.
+deliberate exception with ``# lint: allow-<rule>(<reason>)`` on the
+offending line.  There is no third: a finding is fixed, or it carries
+its reason where it stands.
 
 Run it::
 
@@ -48,7 +49,6 @@ The package deliberately imports nothing from the runtime stack except
 :mod:`repro.errors` — it is itself subject to its own layering rule.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry, load_baseline
 from repro.analysis.config import AnalysisConfig, DEFAULT_CONFIG
 from repro.analysis.core import (
     AnalysisReport,
@@ -60,15 +60,13 @@ from repro.analysis.core import (
     analyze_project_sources,
     analyze_source,
 )
-from repro.analysis.rules import ALL_PROJECT_RULES, ALL_RULES, rule_ids
+from repro.analysis.rules import ALL_PROJECT_RULES, ALL_RULES
 
 __all__ = [
     "ALL_PROJECT_RULES",
     "ALL_RULES",
     "AnalysisConfig",
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "DEFAULT_CONFIG",
     "FileContext",
     "ProjectRule",
@@ -77,6 +75,4 @@ __all__ = [
     "analyze_paths",
     "analyze_project_sources",
     "analyze_source",
-    "load_baseline",
-    "rule_ids",
 ]

@@ -1,9 +1,7 @@
 """Command line front end: ``python -m repro.analysis [paths]``.
 
 Exit status: 0 when no unsuppressed violations, 1 when there are any,
-2 on usage errors.  Stale baseline entries are reported but do not fail
-the run (the meta-test under ``tests/analysis/`` does fail on them, so
-rot cannot reach HEAD unnoticed).
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -14,16 +12,12 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
-from repro.analysis.baseline import Baseline, dump_baseline, load_baseline
 from repro.analysis.core import AnalysisReport, analyze_paths
 from repro.analysis.rules import (
     ALL_PROJECT_RULES,
     ALL_RULES,
     DATAFLOW_RULE_IDS,
 )
-from repro.errors import AnalysisError
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,48 +41,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current violations to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule ids and summaries, then exit",
     )
     return parser
 
 
-def _resolve_baseline(args: argparse.Namespace) -> Baseline | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return load_baseline(args.baseline)
-    default = Path(DEFAULT_BASELINE)
-    if default.is_file():
-        return load_baseline(default)
-    return None
-
-
 def _render_human(report: AnalysisReport, out: TextIO) -> None:
     for violation in report.violations:
         out.write(violation.render() + "\n")
-    for entry in report.stale_baseline:
-        out.write(
-            f"stale baseline entry: [{entry.rule}] {entry.path}: "
-            f"{entry.content!r} no longer matches anything\n"
-        )
     out.write(
         f"{len(report.violations)} violation(s) across "
         f"{report.files_checked} file(s) "
-        f"({len(report.baselined)} baselined, "
-        f"{len(report.pragma_suppressed)} pragma-suppressed)\n"
+        f"({len(report.pragma_suppressed)} pragma-suppressed)\n"
     )
 
 
@@ -106,12 +71,7 @@ def _render_json(report: AnalysisReport, out: TextIO) -> None:
             }
             for violation in report.violations
         ],
-        "baselined": len(report.baselined),
         "pragma_suppressed": len(report.pragma_suppressed),
-        "stale_baseline": [
-            {"rule": entry.rule, "path": entry.path, "content": entry.content}
-            for entry in report.stale_baseline
-        ],
         # The audited shared-state inventory: every guarded-by
         # annotation in the analyzed tree, with its lock and rationale.
         "guarded_state": [
@@ -134,14 +94,6 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
         for rule in sorted(ALL_RULES, key=lambda rule: rule.id):
             out.write(f"{rule.id:24} {rule.summary}\n")
         return 0
-    if args.write_baseline:
-        baseline = None  # regenerate from the raw violation set
-    else:
-        try:
-            baseline = _resolve_baseline(args)
-        except AnalysisError as error:
-            out.write(f"error: {error}\n")
-            return 2
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         out.write(f"error: no such path: {', '.join(missing)}\n")
@@ -154,22 +106,8 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
     else:
         rules, project_rules = ALL_RULES, ALL_PROJECT_RULES
     report = analyze_paths(
-        args.paths, rules=rules, baseline=baseline,
-        project_rules=project_rules,
+        args.paths, rules=rules, project_rules=project_rules
     )
-    if args.report == "dataflow":
-        # Entries for rules that did not run are not stale, just idle.
-        report.stale_baseline = [
-            entry for entry in report.stale_baseline
-            if entry.rule in DATAFLOW_RULE_IDS
-        ]
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        dump_baseline(report.violations, report.line_contents, target)
-        out.write(
-            f"wrote {len(report.violations)} entries to {target}\n"
-        )
-        return 0
     if args.format == "json":
         _render_json(report, out)
     else:

@@ -28,9 +28,9 @@ def _builtin_exception_names() -> frozenset[str]:
 #: pseudo-unit ``__root__``.  Each unit may import itself, everything in
 #: :attr:`AnalysisConfig.universal_units`, and the units listed here.
 #: Note what is *absent*: ``federation`` appears only under ``server``,
-#: ``cluster`` and ``apps`` — the lower tiers stay ignorant of the
-#: federated tier (netmark's facade carries per-line pragmas for its
-#: wiring role).
+#: ``cluster`` and the experiment-support leaves — the runtime tiers
+#: below stay ignorant of the federated tier (netmark's facade carries
+#: per-line pragmas for its wiring role).
 DEFAULT_LAYERS: dict[str, frozenset[str]] = {
     "errors": frozenset(),
     # Observability is a base layer like the error vocabulary: every
@@ -61,11 +61,10 @@ DEFAULT_LAYERS: dict[str, frozenset[str]] = {
     # The cluster is a composition tier like ``server``: it replicates
     # the durable store (ordbms/store), elects over the resilience
     # primitives, and load-balances reads through federation sources.
+    # It never converts: a store is written by its own node and reaches
+    # the others as shipped WAL records.
     "cluster": frozenset(
-        {
-            "ordbms", "sgml", "store", "query", "converters",
-            "resilience", "federation",
-        }
+        {"ordbms", "sgml", "store", "query", "resilience", "federation"}
     ),
     "server": frozenset(
         {"sgml", "store", "query", "xslt", "federation", "resilience"}
@@ -74,9 +73,19 @@ DEFAULT_LAYERS: dict[str, frozenset[str]] = {
         {"ordbms", "sgml", "store", "query", "server", "resilience"}
     ),
     "baselines": frozenset({"ordbms", "sgml", "store"}),
-    "workloads": frozenset({"sgml", "converters", "store", "query"}),
+    # ``workloads`` and ``costmodel`` are experiment support, leaves of
+    # the DAG: no runtime unit imports them (``apps`` and the pragma'd
+    # chaos harness do; tests/analysis/test_layering.py holds that), so
+    # like ``apps`` they may see ``federation`` — cost accounting
+    # instruments a databank, the anomaly generator emits its ``Record``.
+    "workloads": frozenset(
+        {"sgml", "converters", "store", "query", "federation"}
+    ),
     "costmodel": frozenset(
-        {"ordbms", "store", "query", "workloads", "baselines"}
+        {
+            "ordbms", "store", "query", "workloads", "baselines",
+            "federation",
+        }
     ),
 }
 

@@ -3,8 +3,8 @@
 A :class:`Rule` is a stateless object with an ``id`` and a ``check``
 method that walks one file's AST and yields :class:`Violation`\\ s.  The
 driver parses each file once into a :class:`FileContext` (source, AST,
-pragmas, layer unit) and funnels every rule's findings through the two
-suppression layers — inline pragmas, then the checked-in baseline.
+pragmas, layer unit) and funnels every rule's findings through the one
+suppression layer: inline pragmas, each carrying its reason.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path, PurePosixPath
 from typing import Iterable, Iterator, Protocol
 
 from repro.analysis.annotations import GuardedBy, extract_guarded
-from repro.analysis.baseline import Baseline
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.pragmas import Pragma, extract_pragmas
 
@@ -52,9 +51,8 @@ class ProjectRule(Protocol):
     """A whole-program rule: sees the full project index, not one file.
 
     Project rules run after every file has been parsed; their findings
-    flow through the same pragma and baseline suppression as per-file
-    findings (a pragma on the reported line suppresses, the baseline
-    matches on path + rule + line content).
+    flow through the same pragma suppression as per-file findings (a
+    pragma on the reported line suppresses).
     """
 
     id: str
@@ -92,11 +90,6 @@ class FileContext:
             path=self.path, line=line, column=column,
             rule=rule_id, message=message,
         )
-
-    def line_content(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
     def path_endswith(self, suffix: str) -> bool:
         return self.path == suffix or self.path.endswith("/" + suffix)
@@ -146,15 +139,11 @@ def unit_of(path: str) -> str | None:
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one run: what fired, what was suppressed, what rotted."""
+    """Outcome of one run: what fired and what a pragma suppressed."""
 
     violations: list[Violation] = field(default_factory=list)
-    baselined: list[Violation] = field(default_factory=list)
     pragma_suppressed: list[Violation] = field(default_factory=list)
-    stale_baseline: list = field(default_factory=list)
     files_checked: int = 0
-    #: (path, line) -> raw source line, for --write-baseline.
-    line_contents: dict[tuple[str, int], str] = field(default_factory=dict)
     #: The audited shared-state inventory: every well-formed guarded-by
     #: annotation seen, as (path, annotation) pairs.
     guarded_inventory: list[tuple[str, GuardedBy]] = field(
@@ -253,7 +242,7 @@ def analyze_context(
     rules: Iterable[Rule],
     config: AnalysisConfig = DEFAULT_CONFIG,
 ) -> list[Violation]:
-    """All raw findings for one file (pragma/baseline not yet applied)."""
+    """All raw findings for one file (pragmas not yet applied)."""
     found: list[Violation] = []
     for rule in (*rules, PRAGMA_RULE):
         found.extend(rule.check(ctx, config))
@@ -268,9 +257,8 @@ def analyze_source(
 ) -> list[Violation]:
     """Analyze in-memory source as if it lived at ``path``.
 
-    Pragmas apply; no baseline.  This is the fixture-test entry point:
-    the claimed ``path`` decides layer identity and path-scoped
-    exemptions.
+    Pragmas apply.  This is the fixture-test entry point: the claimed
+    ``path`` decides layer identity and path-scoped exemptions.
     """
     if rules is None:
         from repro.analysis.rules import ALL_RULES
@@ -290,18 +278,11 @@ def _funnel(
     report: AnalysisReport,
     ctx: FileContext,
     violations: Iterable[Violation],
-    baseline: Baseline | None,
 ) -> None:
-    """Route raw findings through pragma and baseline suppression."""
+    """Route raw findings through pragma suppression."""
     for violation in violations:
-        content = ctx.line_content(violation.line)
-        report.line_contents[(violation.path, violation.line)] = content
         if _pragma_suppresses(ctx, violation):
             report.pragma_suppressed.append(violation)
-        elif baseline is not None and baseline.suppresses(
-            violation, content
-        ):
-            report.baselined.append(violation)
         else:
             report.violations.append(violation)
 
@@ -311,7 +292,6 @@ def _run_project_rules(
     contexts: list[FileContext],
     project_rules: Iterable[ProjectRule],
     config: AnalysisConfig,
-    baseline: Baseline | None,
 ) -> None:
     from repro.analysis.callgraph import build_index
 
@@ -326,14 +306,13 @@ def _run_project_rules(
             if ctx is None:
                 report.violations.append(violation)
                 continue
-            _funnel(report, ctx, [violation], baseline)
+            _funnel(report, ctx, [violation])
 
 
 def analyze_paths(
     paths: Iterable[str | Path],
     rules: Iterable[Rule] | None = None,
     config: AnalysisConfig = DEFAULT_CONFIG,
-    baseline: Baseline | None = None,
     project_rules: Iterable[ProjectRule] | None = None,
 ) -> AnalysisReport:
     """Run the full rule suite over files and directories."""
@@ -363,10 +342,8 @@ def analyze_paths(
             for annotation in ctx.guarded
             if annotation.ok
         )
-        _funnel(report, ctx, analyze_context(ctx, rules, config), baseline)
-    _run_project_rules(report, contexts, project_rules, config, baseline)
-    if baseline is not None:
-        report.stale_baseline = baseline.stale_entries()
+        _funnel(report, ctx, analyze_context(ctx, rules, config))
+    _run_project_rules(report, contexts, project_rules, config)
     report.violations.sort()
     return report
 
@@ -379,9 +356,9 @@ def analyze_project_sources(
 ) -> list[Violation]:
     """Analyze a virtual multi-file project held in memory.
 
-    ``sources`` maps claimed paths to source text.  Pragmas apply; no
-    baseline.  This is the fixture-test entry point for project rules —
-    the per-file counterpart is :func:`analyze_source`.
+    ``sources`` maps claimed paths to source text.  Pragmas apply.  This
+    is the fixture-test entry point for project rules — the per-file
+    counterpart is :func:`analyze_source`.
     """
     report = AnalysisReport()
     contexts: list[FileContext] = []
@@ -390,7 +367,7 @@ def analyze_project_sources(
         if ctx is None:
             continue
         contexts.append(ctx)
-        _funnel(report, ctx, analyze_context(ctx, list(rules), config), None)
-    _run_project_rules(report, contexts, project_rules, config, None)
+        _funnel(report, ctx, analyze_context(ctx, list(rules), config))
+    _run_project_rules(report, contexts, project_rules, config)
     report.violations.sort()
     return report.violations

@@ -70,10 +70,3 @@ DATAFLOW_RULE_IDS = frozenset(
         "shared-state",
     }
 )
-
-
-def rule_ids() -> list[str]:
-    """All registered rule ids (plus the framework's pragma check)."""
-    ids = [rule.id for rule in ALL_RULES]
-    ids.extend(rule.id for rule in ALL_PROJECT_RULES)
-    return sorted(ids) + ["bad-pragma"]

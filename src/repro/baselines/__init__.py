@@ -8,7 +8,6 @@ from repro.baselines.gav import (
     RelationSchema,
     SourceQuery,
     SourceSchema,
-    helper_source_query,
 )
 from repro.baselines.shredded import ShredResult, ShreddedXmlStore, table_name_for
 
@@ -22,6 +21,5 @@ __all__ = [
     "ShreddedXmlStore",
     "SourceQuery",
     "SourceSchema",
-    "helper_source_query",
     "table_name_for",
 ]

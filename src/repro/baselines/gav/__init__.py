@@ -4,7 +4,6 @@ from repro.baselines.gav.mappings import FilterPredicate, GavMapping, SourceQuer
 from repro.baselines.gav.mediator import (
     Mediator,
     RegisteredSource,
-    helper_source_query,
 )
 from repro.baselines.gav.schema import GlobalSchema, RelationSchema, SourceSchema
 
@@ -17,5 +16,4 @@ __all__ = [
     "RelationSchema",
     "SourceQuery",
     "SourceSchema",
-    "helper_source_query",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.baselines.gav.mappings import FilterPredicate, GavMapping, SourceQuery
+from repro.baselines.gav.mappings import FilterPredicate, GavMapping
 from repro.baselines.gav.schema import GlobalSchema, RelationSchema, SourceSchema
 from repro.errors import MappingError, MediatorError
 
@@ -165,18 +165,3 @@ class Mediator:
             return self._sources[source_name]
         except KeyError:
             raise MediatorError(f"unknown source {source_name!r}") from None
-
-
-def helper_source_query(
-    source: str,
-    relation: str,
-    projection: dict[str, str],
-    filters: tuple[FilterPredicate, ...] = (),
-) -> SourceQuery:
-    """Ergonomic constructor used by examples and benchmarks."""
-    return SourceQuery(
-        source_name=source,
-        relation_name=relation,
-        projection=tuple(projection.items()),
-        filters=filters,
-    )

@@ -11,16 +11,18 @@ ingest.  Everything is built from machinery the repo already has:
 * failover is a **bully election** on heartbeats over the simulated
   network, preferring the most caught-up in-sync replica and gated by a
   majority quorum (:mod:`repro.cluster.election`);
-* federated writes run **two-phase commit** with a journaled, payload-
-  carrying coordinator (:mod:`repro.cluster.twophase`);
+* a store is written by its own node — the coordinator's
+  :meth:`~repro.cluster.cluster.NetmarkCluster.ingest` — and reaches
+  every other node as shipped WAL records, never by a second write:
+  there is no distributed commit because no request writes two stores;
 * :class:`~repro.cluster.cluster.NetmarkCluster` ties it together and is
   the OS stand-in for its nodes — the one place an injected
   :class:`~repro.errors.CrashError` is allowed to stop meaning "the test
   is over" and start meaning "that node is gone".
 
 Everything runs on the logical clock with seeded randomness: a failover
-trace — heartbeats, elections, 2PC decisions, kills — replays
-bit-for-bit from its fault-plan seed.
+trace — heartbeats, elections, kills — replays bit-for-bit from its
+fault-plan seed.
 """
 
 from repro.cluster.cluster import (
@@ -35,12 +37,6 @@ from repro.cluster.cluster import (
 from repro.cluster.election import ElectionRecord, elect
 from repro.cluster.replica import FollowerReplica
 from repro.cluster.ship import CheckpointBundle, LogShipper, ShipBatch
-from repro.cluster.twophase import (
-    DecisionLog,
-    StoreParticipant,
-    TwoPhaseCoordinator,
-    TwoPhaseOutcome,
-)
 
 __all__ = [
     "COORDINATOR",
@@ -48,7 +44,6 @@ __all__ = [
     "CheckpointBundle",
     "ClusterNode",
     "ClusterStats",
-    "DecisionLog",
     "ElectionRecord",
     "FollowerReplica",
     "IngestReceipt",
@@ -56,8 +51,5 @@ __all__ = [
     "NetmarkCluster",
     "NodeView",
     "ShipBatch",
-    "StoreParticipant",
-    "TwoPhaseCoordinator",
-    "TwoPhaseOutcome",
     "elect",
 ]

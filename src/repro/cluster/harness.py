@@ -1,7 +1,7 @@
 """Failover scenario drivers shared by the cluster tests and benchmarks.
 
-Three drills, all deterministic (logical clock, seeded fault plans, no
-wall time), all assessed the same way:
+Two drills, both deterministic (logical clock, seeded fault plans, no
+wall time), both assessed the same way:
 
 * :func:`coordinator_kill_matrix` / :func:`follower_kill_matrix` —
   crash-point enumeration in the spirit of
@@ -13,9 +13,6 @@ wall time), all assessed the same way:
 * :func:`partition_drill` — split a five-node cluster so the coordinator
   lands in the minority: it must self-demote, the majority must elect,
   the minority must refuse writes, and healing must reconverge everyone.
-* :func:`twopc_crash_matrix` — kill the 2PC coordinator at every
-  protocol gate and verify atomicity across participants after journal
-  recovery.
 """
 
 from __future__ import annotations
@@ -31,16 +28,8 @@ from repro.errors import (
 from repro.ordbms.wal import MemoryLogDevice, parse_log
 from repro.resilience.faults import FaultPlan
 from repro.store.fsck import check_store
-from repro.store.xmlstore import XmlStore
 
 from repro.cluster.cluster import NetmarkCluster
-from repro.cluster.twophase import (
-    ABORT,
-    COMMIT,
-    DecisionLog,
-    StoreParticipant,
-    TwoPhaseCoordinator,
-)
 
 #: Default workload: enough documents that replication, catch-up and
 #: re-election all happen mid-stream, small enough to enumerate fully.
@@ -427,105 +416,14 @@ def _other(names: Sequence[str], taken: str) -> str:
     return next(name for name in names if name != taken)
 
 
-# ---------------------------------------------------------------------------
-# 2PC crash matrix
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoPhasePoint:
-    """One scripted coordinator death inside the 2PC state machine."""
-
-    operation: str  # which protocol gate fired
-    occurrence: int  # 1-based occurrence of that gate
-    crashed: bool
-    #: Post-recovery: the document is on every participant or on none.
-    atomic: bool
-    committed_everywhere: bool
-
-
-@dataclass(frozen=True)
-class TwoPhaseMatrix:
-    points: tuple[TwoPhasePoint, ...]
-
-    @property
-    def all_atomic(self) -> bool:
-        return all(point.atomic for point in self.points)
-
-
-def twopc_crash_matrix(
-    participants: int = 2,
-    document: tuple[str, str] = DOCS[0],
-) -> TwoPhaseMatrix:
-    """Kill the 2PC coordinator at every gate; recovery must keep the
-    all-or-nothing promise.
-
-    Participants survive each crash (only the coordinator process dies);
-    the journal is the sole recovery input — exactly the asymmetry the
-    payload-carrying PREPARE records exist for.
-    """
-    file_name, content = document
-    gates = [("prepare", participants), ("decide", 1),
-             ("commit", participants)]
-    points: list[TwoPhasePoint] = []
-    for operation, occurrences in gates:
-        for occurrence in range(1, occurrences + 1):
-            journal_device = MemoryLogDevice()
-            stores = {
-                f"s{i}": XmlStore() for i in range(1, participants + 1)
-            }
-            members = {
-                name: StoreParticipant(name, store)
-                for name, store in stores.items()
-            }
-            plan = FaultPlan()
-            plan.fail(
-                "2pc", operation, kind="crash",
-                after=occurrence - 1, times=1,
-            )
-            coordinator = TwoPhaseCoordinator(
-                DecisionLog(journal_device), members, faults=plan
-            )
-            crashed = False
-            try:
-                coordinator.ingest("txn-1", file_name, content)
-            except CrashError:
-                crashed = True
-            # Restart: a fresh coordinator over the same journal and the
-            # surviving participants finishes whatever was unresolved.
-            TwoPhaseCoordinator(
-                DecisionLog(journal_device), members
-            ).recover()
-            present = [
-                store.lookup_by_name(file_name) is not None
-                for store in stores.values()
-            ]
-            points.append(
-                TwoPhasePoint(
-                    operation=operation,
-                    occurrence=occurrence,
-                    crashed=crashed,
-                    atomic=all(present) or not any(present),
-                    committed_everywhere=all(present),
-                )
-            )
-    return TwoPhaseMatrix(points=tuple(points))
-
-
-# Re-exported for callers that assert on decisions.
 __all__ = [
-    "ABORT",
-    "COMMIT",
     "DOCS",
     "DriveReport",
     "FailoverMatrix",
     "FailoverPoint",
     "PartitionDrill",
-    "TwoPhaseMatrix",
-    "TwoPhasePoint",
     "coordinator_kill_matrix",
     "drive_ingest",
     "follower_kill_matrix",
     "partition_drill",
-    "twopc_crash_matrix",
 ]

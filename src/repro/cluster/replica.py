@@ -59,7 +59,11 @@ class FollowerReplica:
         self.name = name
         self.device = device
         self.config = config
-        recovered = recover_follower(device, name)
+        self._reopen()
+
+    def _reopen(self) -> None:
+        """(Re)build the in-memory state from what the device holds."""
+        recovered = recover_follower(self.device, self.name)
         self.database = recovered.database
         self.replayer = recovered.replayer
         self.torn_tail = recovered.torn_tail
@@ -160,11 +164,7 @@ class FollowerReplica:
         it).
         """
         _install(self.device, bundle)
-        recovered = recover_follower(self.device, self.name)
-        self.database = recovered.database
-        self.replayer = recovered.replayer
-        self.torn_tail = recovered.torn_tail
-        self._store = None
+        self._reopen()
         obs.inc("repro_cluster_resyncs_total", replica=self.name)
         return self.acked_lsn
 

@@ -14,7 +14,6 @@ from repro.converters.base import (
     build_document,
     convert,
     registry,
-    split_paragraphs,
 )
 
 # Importing the format modules registers them with the default registry.
@@ -43,5 +42,4 @@ __all__ = [
     "convert",
     "parse_delimited",
     "registry",
-    "split_paragraphs",
 ]

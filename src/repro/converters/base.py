@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ConverterError, UnsupportedFormatError
 from repro.sgml.dom import Document, Element
@@ -203,9 +203,6 @@ class ConverterRegistry:
     def formats(self) -> tuple[str, ...]:
         return tuple(converter.format_name for converter in self._converters)
 
-    def extensions_supported(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_extension))
-
 
 #: The default registry; populated by the format modules at import time.
 # repro: guarded-by(import-time) format modules register themselves on import; read-only afterwards
@@ -215,16 +212,3 @@ registry = ConverterRegistry()
 def convert(text: str, name: str) -> Document:
     """Convert ``text`` (file content) named ``name`` via the registry."""
     return registry.resolve(name, text).convert(text, name)
-
-
-def split_paragraphs(text: str) -> Iterable[str]:
-    """Split plain text into paragraphs on blank lines."""
-    paragraph: list[str] = []
-    for line in text.splitlines():
-        if line.strip():
-            paragraph.append(line.strip())
-        elif paragraph:
-            yield " ".join(paragraph)
-            paragraph = []
-    if paragraph:
-        yield " ".join(paragraph)

@@ -265,24 +265,11 @@ class CrashError(BaseException):
 class ClusterError(ReproError):
     """Base class for the replicated-cluster layer.
 
-    Covers membership, WAL shipping, election and distributed commit.
+    Covers membership, WAL shipping and election.
     Operational unavailability (a partitioned peer) is modelled with the
     resilience vocabulary (:class:`SourceUnavailableError`); this branch
     is for cluster-protocol failures proper.
     """
-
-
-class NotCoordinatorError(ClusterError):
-    """A write reached a node that is not the current write coordinator.
-
-    Carries the coordinator's name (when one is known) so clients — and
-    the HTTP layer's ``<error code="not-coordinator">`` envelope — can
-    redirect instead of blindly retrying the same replica.
-    """
-
-    def __init__(self, message: str, coordinator: str | None = None) -> None:
-        self.coordinator = coordinator
-        super().__init__(message)
 
 
 class NoQuorumError(ClusterError):
@@ -305,16 +292,6 @@ class ReplicaQuarantinedError(ClusterError):
     """
 
 
-class TwoPhaseError(ClusterError):
-    """A distributed commit could not follow the 2PC state machine.
-
-    Participant votes deciding an abort are *not* errors (the
-    transaction aborts cleanly); this is for protocol violations — a
-    decision record for an unknown transaction, a commit against a
-    participant that never prepared and has no journaled payload.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Workloads / experiment support
 # ---------------------------------------------------------------------------
@@ -334,7 +311,7 @@ class CorpusFormatError(WorkloadError):
 
 
 class AnalysisError(ReproError):
-    """The invariant analyzer was misconfigured (bad baseline, config)."""
+    """The invariant analyzer was misconfigured (a non-monotone transfer)."""
 
 
 # ---------------------------------------------------------------------------

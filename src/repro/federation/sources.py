@@ -129,9 +129,6 @@ class ContentOnlySource(InformationSource):
         super().__init__(name, CONTENT_ONLY)
         self._documents: dict[str, str] = dict(documents or {})
 
-    def add_document(self, file_name: str, content: str) -> None:
-        self._documents[file_name] = content
-
     def native_search(
         self, query: XdbQuery, budget: Budget | None = None
     ) -> list[SectionMatch]:

@@ -98,10 +98,6 @@ def set_enabled(enabled: bool) -> bool:
     return previous
 
 
-def is_enabled() -> bool:
-    return _ENABLED
-
-
 # -- hot-path recording helpers (one flag check + registry dispatch) --------
 
 

@@ -197,11 +197,6 @@ class MvccState:
         with self._pin_lock:
             return len(self._pins)
 
-    def oldest_pin(self) -> int | None:
-        """The oldest pinned LSN, or None when no snapshot is open."""
-        with self._pin_lock:
-            return min(self._pins.values()) if self._pins else None
-
     def _publish_gauges_locked(self) -> None:
         """Refresh the obs gauges (caller holds ``_pin_lock``)."""
         obs.set_gauge("repro_mvcc_active_snapshots", len(self._pins))

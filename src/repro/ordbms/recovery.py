@@ -168,6 +168,44 @@ class RecoveryResult:
     torn_tail: str | None
 
 
+def _open_device(
+    device: LogDevice, name: str
+) -> tuple[Database, int | None, list[WalRecord], str | None]:
+    """What a device durably holds, as both recoveries start from it.
+
+    Returns ``(database, checkpoint_lsn, records, torn_tail)``: the
+    checkpoint's image (an empty database and ``None`` when the slot is
+    empty) and the log's well-formed records, still to be replayed.  A
+    torn tail is physically dropped — appends after damaged bytes would
+    read as mid-log corruption on the next open, and a follower must
+    ack from its last *durable* record, never past it.
+    """
+    checkpoint_text = device.load_checkpoint()
+    if checkpoint_text is None:
+        database, checkpoint_lsn = Database(name), None
+    else:
+        checkpoint_lsn, snapshot_text = decode_checkpoint(checkpoint_text)
+        database = load_database(snapshot_text, name)
+    records, torn_tail = parse_log(device.read_log())
+    if torn_tail is not None:
+        device.truncate_log()
+        for record in records:
+            device.append(record.encode())
+        device.sync()
+    return database, checkpoint_lsn, records, torn_tail
+
+
+def _count_run(replayer: StreamReplayer, torn_tail: str | None) -> None:
+    """One finished recovery pass, writer's or follower's."""
+    obs.inc("repro_ordbms_recovery_runs_total")
+    obs.inc(
+        "repro_ordbms_recovery_records_replayed_total",
+        replayer.records_applied,
+    )
+    if torn_tail is not None:
+        obs.inc("repro_ordbms_recovery_torn_tails_total")
+
+
 def recover(device: LogDevice, name: str = "recovered") -> RecoveryResult:
     """Rebuild the database held by ``device`` and resume its WAL.
 
@@ -180,62 +218,30 @@ def recover(device: LogDevice, name: str = "recovered") -> RecoveryResult:
     (never silently skipped) and :class:`~repro.errors.RecoveryError`
     when the log disagrees with the checkpoint it claims to extend.
     """
-    checkpoint_text = device.load_checkpoint()
-    if checkpoint_text is None:
-        database = Database(name)
-        checkpoint_lsn = 0
-    else:
-        checkpoint_lsn, snapshot_text = decode_checkpoint(checkpoint_text)
-        database = load_database(snapshot_text, name)
-    records, torn_tail = parse_log(device.read_log())
-    if torn_tail is not None:
-        # Physically drop the torn bytes: appends after a damaged tail
-        # would otherwise read as mid-log corruption on the next boot.
-        device.truncate_log()
-        for record in records:
-            device.append(record.encode())
-        device.sync()
-    result = _replay(database, records, checkpoint_lsn, torn_tail)
-    last_lsn = max(checkpoint_lsn, records[-1].lsn if records else 0)
-    wal = WriteAheadLog(device, start_lsn=last_lsn + 1)
-    database.attach_wal(wal, next_txid=highest_txid(records) + 1)
-    obs.inc("repro_ordbms_recovery_runs_total")
-    obs.inc("repro_ordbms_recovery_records_replayed_total", result[0])
-    obs.inc("repro_ordbms_recovery_losers_discarded_total", len(result[3]))
-    if torn_tail is not None:
-        obs.inc("repro_ordbms_recovery_torn_tails_total")
-    if checkpoint_text is not None:
-        obs.inc("repro_ordbms_recovery_checkpoint_loads_total")
-    return RecoveryResult(
-        database=database,
-        checkpoint_lsn=checkpoint_lsn,
-        last_lsn=last_lsn,
-        records_replayed=result[0],
-        transactions_committed=result[1],
-        transactions_rolled_back=result[2],
-        losers_discarded=result[3],
-        torn_tail=torn_tail,
-    )
-
-
-def _replay(
-    database: Database,
-    records: list[WalRecord],
-    checkpoint_lsn: int,
-    torn_tail: str | None,
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """Forward pass; returns (replayed, committed, rolled_back, losers)."""
-    replayer = StreamReplayer(database, applied_lsn=checkpoint_lsn)
+    database, checkpoint_lsn, records, torn_tail = _open_device(device, name)
+    covered = checkpoint_lsn or 0
+    replayer = StreamReplayer(database, applied_lsn=covered)
     for record in records:
         replayer.apply(record)
     # Whatever is still open died with the process: undo newest-first
     # across all losers (single-writer means at most one in practice).
     losers = replayer.discard_in_flight()
-    return (
-        replayer.records_applied,
-        replayer.transactions_committed,
-        replayer.transactions_rolled_back,
-        losers,
+    last_lsn = max(covered, records[-1].lsn if records else 0)
+    wal = WriteAheadLog(device, start_lsn=last_lsn + 1)
+    database.attach_wal(wal, next_txid=highest_txid(records) + 1)
+    _count_run(replayer, torn_tail)
+    obs.inc("repro_ordbms_recovery_losers_discarded_total", len(losers))
+    if checkpoint_lsn is not None:
+        obs.inc("repro_ordbms_recovery_checkpoint_loads_total")
+    return RecoveryResult(
+        database=database,
+        checkpoint_lsn=covered,
+        last_lsn=last_lsn,
+        records_replayed=replayer.records_applied,
+        transactions_committed=replayer.transactions_committed,
+        transactions_rolled_back=replayer.transactions_rolled_back,
+        losers_discarded=losers,
+        torn_tail=torn_tail,
     )
 
 
@@ -274,33 +280,16 @@ def recover_follower(
     the caller (the cluster membership layer) quarantines the replica
     rather than replaying past corruption.
     """
-    checkpoint_text = device.load_checkpoint()
-    if checkpoint_text is None:
-        database = Database(name)
-        checkpoint_lsn = 0
-    else:
-        checkpoint_lsn, snapshot_text = decode_checkpoint(checkpoint_text)
-        database = load_database(snapshot_text, name)
-    records, torn_tail = parse_log(device.read_log())
-    if torn_tail is not None:
-        device.truncate_log()
-        for record in records:
-            device.append(record.encode())
-        device.sync()
-    replayer = StreamReplayer(database, applied_lsn=checkpoint_lsn)
+    database, checkpoint_lsn, records, torn_tail = _open_device(device, name)
+    covered = checkpoint_lsn or 0
+    replayer = StreamReplayer(database, applied_lsn=covered)
     for record in records:
         replayer.apply(record)
-    obs.inc("repro_ordbms_recovery_runs_total")
-    obs.inc(
-        "repro_ordbms_recovery_records_replayed_total",
-        replayer.records_applied,
-    )
-    if torn_tail is not None:
-        obs.inc("repro_ordbms_recovery_torn_tails_total")
+    _count_run(replayer, torn_tail)
     return FollowerRecovery(
         database=database,
         replayer=replayer,
-        checkpoint_lsn=checkpoint_lsn,
+        checkpoint_lsn=covered,
         torn_tail=torn_tail,
     )
 

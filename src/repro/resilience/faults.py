@@ -21,7 +21,9 @@ The last three are write-path faults for durable devices: they fire
 through :meth:`FaultPlan.wrap_log_device`, which proxies a WAL
 :class:`~repro.ordbms.wal.LogDevice` (duck-typed — this package never
 imports the ORDBMS) and applies the data-mangling kinds to the bytes
-themselves.
+themselves.  The four proxies are the whole vocabulary: nothing else
+consults a plan, and no gate models a step of a multi-store protocol —
+no write spans two stores.
 
 Rules are scripted (``fail twice on native_search, then recover``) or
 seeded-probabilistic (:meth:`FaultPlan.sometimes`); both are fully
@@ -61,11 +63,6 @@ STORE_OPERATIONS = (
     "delete_document",
 )
 VFS_OPERATIONS = ("read", "write", "move", "copy", "delete")
-LOG_OPERATIONS = ("append", "sync", "truncate_log", "save_checkpoint")
-#: 2PC crash points: the coordinator consults ``apply("2pc", op)`` right
-#: before journaling a prepare, writing a decision, and delivering each
-#: commit/abort — the classic windows a distributed commit must survive.
-TWO_PHASE_OPERATIONS = ("prepare", "decide", "commit", "abort")
 
 
 @dataclass(frozen=True)

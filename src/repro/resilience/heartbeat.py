@@ -47,10 +47,6 @@ class HeartbeatMonitor:
         )
         return tick
 
-    def last_seen(self, peer: str) -> int | None:
-        """Tick of ``peer``'s latest beat, or None if never heard from."""
-        return self._last_seen.get(peer)
-
     def alive(self, peer: str) -> bool:
         """Has ``peer`` beaten within the timeout window?
 
@@ -69,10 +65,6 @@ class HeartbeatMonitor:
         return sorted(
             peer for peer in self._last_seen if not self.alive(peer)
         )
-
-    def forget(self, peer: str) -> None:
-        """Drop ``peer`` from the table (it left the membership)."""
-        self._last_seen.pop(peer, None)
 
     def peers(self) -> list[str]:
         """Every peer ever heard from, sorted."""

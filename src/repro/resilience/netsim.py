@@ -1,8 +1,8 @@
 """Simulated cluster network: node kills and partitions, deterministically.
 
 The cluster layer runs N logical Netmark nodes inside one process, so
-"the network" between them is this object: every heartbeat, log-ship
-batch and 2PC message asks :meth:`Network.check` before crossing.  The
+"the network" between them is this object: every heartbeat and
+log-ship batch asks :meth:`Network.check` before crossing.  The
 harness scripts trouble directly — :meth:`kill` models a node death
 (SIGKILL: the node stops answering *and* sending), :meth:`partition`
 splits the membership into groups that cannot reach each other — and

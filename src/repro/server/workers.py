@@ -53,7 +53,6 @@ clock replays tick-for-tick.
 
 from __future__ import annotations
 
-import inspect
 import queue
 import threading
 from typing import TYPE_CHECKING
@@ -216,27 +215,6 @@ class WorkerPool:
         # controlling thread (start/stop are not concurrent with each other).
         self._threads: list[threading.Thread] = []
         self._started = False
-        self._forward_budget = self._api_accepts_budget(api)
-
-    @staticmethod
-    def _api_accepts_budget(api: "NetmarkHttpApi") -> bool:
-        """Does ``api.request`` take a ``budget=`` keyword?
-
-        The API boundary is duck-typed (benchmarks wrap it); a wrapper
-        written before deadlines existed keeps working — its requests
-        simply run without in-flight budget checks, while queue-level
-        shedding and dequeue-time expiry still apply.
-        """
-        try:
-            parameters = inspect.signature(api.request).parameters
-        except (TypeError, ValueError):  # builtins / odd callables
-            return False
-        if "budget" in parameters:
-            return True
-        return any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -423,7 +401,9 @@ class WorkerPool:
             ))
         else:
             try:
-                response = self._call_api(job)
+                response = self.api.request(
+                    job.method, job.target, job.body, budget=job.budget
+                )
             except BaseException as error:  # lint: allow-broad-except(workers survive any request failure; the exception is republished to the submitter via the future)
                 job.future._fail(error)
             else:
@@ -436,13 +416,6 @@ class WorkerPool:
                         budget.deadline.remaining(),
                     )
         obs.inc("repro_server_worker_requests_total", worker=label)
-
-    def _call_api(self, job: _Job) -> HttpResponse:
-        if self._forward_budget:
-            return self.api.request(
-                job.method, job.target, job.body, budget=job.budget
-            )
-        return self.api.request(job.method, job.target, job.body)
 
     # -- manual (deterministic) drive --------------------------------------
 

@@ -32,11 +32,6 @@ VOID_ELEMENTS = frozenset(
      "embed", "source", "track", "wbr"}
 )
 
-#: HTML elements whose content is raw text: markup inside them is data,
-#: not structure (``if (a < b) { ... }`` must not open tags).  The
-#: behaviour lives in the tokenizer; this re-export documents it here.
-RAWTEXT_ELEMENTS = Tokenizer.RAWTEXT
-
 #: When a start tag in the key set is seen while an element in the value
 #: set is open, the open element is implicitly closed first (HTML optional
 #: end tags).

@@ -137,5 +137,3 @@ class WordStream:
         """A budget figure in thousands of dollars."""
         return self.integer(low, high) * 1000
 
-    def fiscal_year(self) -> str:
-        return f"FY{self.integer(2003, 2006) % 100:02d}"

@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -19,23 +21,21 @@ class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path):
         module = tmp_path / "ok.py"
         module.write_text("x = 1\n")
-        code, output = run_cli(str(module), "--no-baseline")
+        code, output = run_cli(str(module))
         assert code == 0
         assert "0 violation(s)" in output
 
     def test_violations_exit_one_with_location(self, tmp_path):
         module = tmp_path / "bad.py"
         module.write_text("print('x')\n")
-        code, output = run_cli(str(module), "--no-baseline")
+        code, output = run_cli(str(module))
         assert code == 1
         assert "bad.py:1:0 [print-call]" in output
 
     def test_json_format(self, tmp_path):
         module = tmp_path / "bad.py"
         module.write_text("print('x')\n")
-        code, output = run_cli(
-            str(module), "--no-baseline", "--format", "json"
-        )
+        code, output = run_cli(str(module), "--format", "json")
         payload = json.loads(output)
         assert code == 1 and payload["ok"] is False
         [violation] = payload["violations"]
@@ -56,40 +56,29 @@ class TestCli:
         ):
             assert rule_id in output
 
-    def test_write_baseline_roundtrip(self, tmp_path):
-        module = tmp_path / "bad.py"
-        module.write_text("print('x')\n")
-        baseline = tmp_path / "baseline.json"
-        code, _ = run_cli(
-            str(module), "--baseline", str(baseline), "--write-baseline"
-        )
-        assert code == 0 and baseline.is_file()
-        # The generated baseline must suppress what it recorded.
-        code, output = run_cli(str(module), "--baseline", str(baseline))
-        assert code == 0
-        assert "1 baselined" in output
-
     def test_nonexistent_path_is_usage_error(self, tmp_path):
-        code, output = run_cli(str(tmp_path / "no-such-dir"), "--no-baseline")
+        code, output = run_cli(str(tmp_path / "no-such-dir"))
         assert code == 2
         assert "no such path" in output
 
-    def test_unreadable_baseline_is_usage_error(self, tmp_path):
+    def test_baseline_options_are_usage_errors(self, tmp_path, capsys):
+        # The pragma is the one escape hatch: the three options that
+        # parked findings in a file are gone, not ignored.
         module = tmp_path / "ok.py"
         module.write_text("x = 1\n")
-        code, output = run_cli(
-            str(module), "--baseline", str(tmp_path / "missing.json")
-        )
-        assert code == 2
-        assert "error:" in output
+        for option in (
+            ["--baseline", str(tmp_path / "parked.json")],
+            ["--no-baseline"],
+            ["--write-baseline"],
+        ):
+            with pytest.raises(SystemExit) as usage:
+                run_cli(str(module), *option)
+            assert usage.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_repo_invocation_matches_ci(self):
         """The exact invocation CI runs, from wherever pytest started."""
-        code, output = run_cli(
-            str(REPO_ROOT / "src"),
-            "--baseline",
-            str(REPO_ROOT / "analysis-baseline.json"),
-        )
+        code, output = run_cli(str(REPO_ROOT / "src"))
         assert code == 0, output
 
     def test_dataflow_report_runs_only_that_family(self, tmp_path):
@@ -103,21 +92,15 @@ class TestCli:
             "class Table:\n"
             "    rows = {}\n"
         )
-        code, output = run_cli(
-            str(module), "--no-baseline", "--report", "dataflow"
-        )
+        code, output = run_cli(str(module), "--report", "dataflow")
         assert code == 1
         assert "shared-class-state" in output
         assert "print-call" not in output
 
     def test_dataflow_report_matches_ci(self):
-        """The dataflow gate CI runs: zero unbaselined findings in src."""
+        """The dataflow gate CI runs: zero findings in src."""
         code, output = run_cli(
-            str(REPO_ROOT / "src"),
-            "--baseline",
-            str(REPO_ROOT / "analysis-baseline.json"),
-            "--report",
-            "dataflow",
+            str(REPO_ROOT / "src"), "--report", "dataflow"
         )
         assert code == 0, output
 
@@ -127,9 +110,7 @@ class TestCli:
             "# repro: guarded-by(gil) swapped whole before traffic\n"
             "REGISTRY = {}\n"
         )
-        code, output = run_cli(
-            str(module), "--no-baseline", "--format", "json"
-        )
+        code, output = run_cli(str(module), "--format", "json")
         payload = json.loads(output)
         assert code == 0
         [entry] = payload["guarded_state"]

@@ -1,6 +1,12 @@
 """The layering rule: the repro.* import DAG."""
 
-from repro.analysis import analyze_source
+from pathlib import Path
+
+from repro.analysis import analyze_paths, analyze_source
+from repro.analysis.config import DEFAULT_LAYERS
+from repro.analysis.rules.layering import LayeringRule
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestLayering:
@@ -23,18 +29,27 @@ class TestLayering:
         )
 
     def test_federation_restricted_to_server_and_apps(self):
-        source = "from repro.federation.router import Router\n"
-        for unit, expected in (
-            ("server", 0),
-            ("apps", 0),
-            ("query", 1),
-            ("store", 1),
+        federation = "from repro.federation.router import Router\n"
+        converters = "from repro.converters import convert\n"
+        for source, unit, expected in (
+            (federation, "server", 0),
+            (federation, "apps", 0),
+            (federation, "query", 1),
+            (federation, "store", 1),
+            # Experiment support sits beside ``apps`` (see the leaf
+            # property below).
+            (federation, "costmodel", 0),
+            (federation, "workloads", 0),
+            # A store is written by its own node and reaches the others
+            # as shipped WAL records: the cluster never converts.
+            (converters, "store", 0),
+            (converters, "cluster", 1),
         ):
             violations = analyze_source(
                 source, f"src/repro/{unit}/mod.py"
             )
             layering = [v for v in violations if v.rule == "layering"]
-            assert len(layering) == expected, unit
+            assert len(layering) == expected, (unit, source)
 
     def test_root_facade_import_restricted(self):
         source = "from repro import Netmark\n"
@@ -61,6 +76,31 @@ class TestLayering:
     def test_files_outside_repro_are_exempt(self):
         source = "from repro.federation.router import Router\n"
         assert analyze_source(source, "tests/helpers/mod.py") == []
+
+
+class TestExperimentSupportLeaves:
+    """``workloads`` and ``costmodel`` may see ``federation`` because no
+    runtime unit sees *them*: a leaf cannot close a cycle."""
+
+    LEAVES = frozenset({"workloads", "costmodel"})
+
+    def test_no_other_unit_is_granted_a_leaf(self):
+        for unit, grants in DEFAULT_LAYERS.items():
+            if unit not in self.LEAVES:
+                assert not grants & self.LEAVES, unit
+
+    def test_only_the_chaos_harness_reaches_one_by_pragma(self):
+        report = analyze_paths(
+            [REPO_ROOT / "src"], rules=[LayeringRule()], project_rules=[]
+        )
+        assert report.violations == []
+        reaching = {
+            violation.path.rsplit("/repro/", 1)[1]
+            for violation in report.pragma_suppressed
+            for leaf in self.LEAVES
+            if f"may not import repro.{leaf} " in violation.message
+        }
+        assert reaching == {"resilience/harness.py"}
 
 
 class TestObsLayering:

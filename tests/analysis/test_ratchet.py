@@ -1,5 +1,4 @@
-"""The baseline ratchet guards: debt and source size may shrink, banked
-perf may rise."""
+"""The ratchet guards: source size may shrink, banked perf may rise."""
 
 import importlib.util
 import json
@@ -12,14 +11,6 @@ spec = importlib.util.spec_from_file_location("check_baseline_ratchet",
                                               SCRIPT)
 ratchet = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ratchet)
-
-
-def write_baseline(path, entries):
-    path.write_text(json.dumps({"version": 1, "entries": entries}))
-
-
-def entry(content, rule="layering", path="src/repro/x.py"):
-    return {"rule": rule, "path": path, "content": content, "reason": "r"}
 
 
 def src_args(tmp_path):
@@ -40,61 +31,10 @@ def bench_args(tmp_path):
     ]
 
 
-class TestRatchet:
-    def test_update_then_check_roundtrips(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        lock = tmp_path / "baseline.lock"
-        write_baseline(baseline, [entry("import a"), entry("import b")])
-        args = ["--baseline", str(baseline), "--lock", str(lock),
-                *bench_args(tmp_path)]
-        assert ratchet.main([*args, "--update"]) == 0
-        assert ratchet.main(args) == 0
-        assert "within the locked set" in capsys.readouterr().out
-
-    def test_new_entry_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        lock = tmp_path / "baseline.lock"
-        write_baseline(baseline, [entry("import a")])
-        args = ["--baseline", str(baseline), "--lock", str(lock),
-                *bench_args(tmp_path)]
-        assert ratchet.main([*args, "--update"]) == 0
-        write_baseline(baseline, [entry("import a"), entry("import NEW")])
-        assert ratchet.main(args) == 1
-        assert "import NEW" in capsys.readouterr().out
-
-    def test_shrinking_passes_and_suggests_tightening(self, tmp_path,
-                                                      capsys):
-        baseline = tmp_path / "baseline.json"
-        lock = tmp_path / "baseline.lock"
-        write_baseline(baseline, [entry("import a"), entry("import b")])
-        args = ["--baseline", str(baseline), "--lock", str(lock),
-                *bench_args(tmp_path)]
-        assert ratchet.main([*args, "--update"]) == 0
-        write_baseline(baseline, [entry("import a")])
-        assert ratchet.main(args) == 0
-        assert "shrank" in capsys.readouterr().out
-
-    def test_missing_lock_is_an_error(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, [])
-        code = ratchet.main(
-            ["--baseline", str(baseline),
-             "--lock", str(tmp_path / "missing.lock")]
-        )
-        assert code == 1
-        assert "--update" in capsys.readouterr().out
-
-    def test_repo_lock_matches_the_committed_baseline(self):
-        # The committed pair must be in sync: CI runs exactly this check.
-        assert ratchet.main([]) == 0
-
-
 class TestBenchRatchet:
     """Committed ``ratchet_*`` bench keys may never drop below the lock."""
 
     def _setup(self, tmp_path, floor=5.0):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, [])
         bench_dir = tmp_path / "bench-baselines"
         bench_dir.mkdir()
         (bench_dir / "BENCH_fig6.json").write_text(json.dumps(
@@ -102,8 +42,6 @@ class TestBenchRatchet:
                               "hot_hit_table_calls": 0}}
         ))
         args = [
-            "--baseline", str(baseline),
-            "--lock", str(tmp_path / "baseline.lock"),
             "--bench-baselines", str(bench_dir),
             "--bench-lock", str(bench_dir / "ratchets.lock"),
             *src_args(tmp_path),
@@ -149,9 +87,6 @@ class TestBenchRatchet:
 
     def test_missing_bench_lock_with_ratchets_fails(self, tmp_path, capsys):
         args, _ = self._setup(tmp_path)
-        # Analysis lock exists, bench lock never written.
-        baseline_lock = Path(args[3])
-        baseline_lock.write_text("")
         assert ratchet.main(args) == 1
         assert "--update" in capsys.readouterr().out
 
@@ -166,11 +101,7 @@ class TestSrcLinesRatchet:
     """The physical line count of ``src/**/*.py`` may only fall."""
 
     def _setup(self, tmp_path, lines=3):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, [])
-        args = ["--baseline", str(baseline),
-                "--lock", str(tmp_path / "baseline.lock"),
-                *bench_args(tmp_path)]
+        args = bench_args(tmp_path)
         package = tmp_path / "src" / "pkg"
         package.mkdir(parents=True)
         (package / "mod.py").write_text("x = 1\n" * lines)
@@ -201,7 +132,6 @@ class TestSrcLinesRatchet:
 
     def test_missing_src_lock_fails(self, tmp_path, capsys):
         args, _ = self._setup(tmp_path)
-        (tmp_path / "baseline.lock").write_text("")
         assert ratchet.main(args) == 1
         assert "src.lock is missing" in capsys.readouterr().out
 

@@ -3,21 +3,18 @@
 This is the enforcement point — CI runs the CLI, but even a bare
 ``pytest`` run refuses to go green if someone introduces an upward
 import, a naked ``raise ValueError``, a minted ROWID, a wall-clock
-read, unguarded shared state, a leaked resource, or lets the baseline
-rot.
+read, unguarded shared state or a leaked resource.  Nothing is parked:
+a finding is fixed or carries a pragma with its reason.
 """
 
 from pathlib import Path
 
-from repro.analysis import analyze_paths, load_baseline
+from repro.analysis import analyze_paths
 from repro.analysis.callgraph import build_index
 from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.core import build_context
-from repro.analysis.rules import DATAFLOW_RULE_IDS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-MAX_BASELINED = 10
 
 #: The shared-state audit must stay inventoried: at least the metrics
 #: registry, the enable flag, the converter registry and the SQL keyword
@@ -27,40 +24,18 @@ MIN_GUARDED_ANNOTATIONS = 4
 
 class TestRepositoryInvariants:
     def _report(self):
-        baseline = load_baseline(REPO_ROOT / "analysis-baseline.json")
-        return analyze_paths([REPO_ROOT / "src"], baseline=baseline)
+        return analyze_paths([REPO_ROOT / "src"])
 
     def test_source_tree_is_clean(self):
         report = self._report()
         rendered = "\n".join(v.render() for v in report.violations)
         assert report.violations == [], f"new violations:\n{rendered}"
 
-    def test_baseline_has_no_stale_entries(self):
-        report = self._report()
-        stale = [
-            f"[{entry.rule}] {entry.path}: {entry.content!r}"
-            for entry in report.stale_baseline
-        ]
-        assert stale == [], f"stale baseline entries: {stale}"
-
-    def test_baseline_stays_small(self):
-        report = self._report()
-        assert len(report.baselined) <= MAX_BASELINED
-
     def test_every_pragma_carries_a_reason(self):
         # analyze_paths already reports reason-less pragmas through the
         # bad-pragma rule; this asserts the whole tree was scanned.
         report = self._report()
         assert report.files_checked > 90
-
-    def test_dataflow_family_is_clean_without_baseline_debt(self):
-        # The whole-program rules must hold with *zero* baseline entries:
-        # shared state is annotated or fixed, never parked as debt.
-        report = self._report()
-        dataflow_debt = [
-            v for v in report.baselined if v.rule in DATAFLOW_RULE_IDS
-        ]
-        assert dataflow_debt == []
 
     def test_shared_state_inventory_is_annotated(self):
         report = self._report()

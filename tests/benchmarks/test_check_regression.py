@@ -133,6 +133,33 @@ class TestGateVerdicts:
             for d in deltas
         )
 
+    def test_each_artifact_carries_its_own_tolerance(self, dirs):
+        """One list names every gate: the same 10 % float drift passes a
+        figure artifact and fails an end-to-end counter artifact, with
+        no ``--tolerance`` on the command line."""
+        fresh, baselines = dirs
+        perturbed = json.loads(json.dumps(BASELINE))
+        perturbed["limit_pushdown"]["call_reduction"] = 7.81 * 1.1
+        exact = "BENCH_e2e_read.json"
+        assert gate.GATED_ARTIFACTS["BENCH_fig6.json"] == gate.DEFAULT_TOLERANCE
+        assert gate.GATED_ARTIFACTS[exact] == 0.0
+        for name in ("BENCH_fig6.json", exact):
+            _write(baselines, name, BASELINE)
+            _write(fresh, name, perturbed)
+        deltas, errors = gate.check(
+            fresh, baselines, artifacts=("BENCH_fig6.json", exact)
+        )
+        assert not errors
+        assert [(d.artifact, d.path) for d in deltas if d.failed] == [
+            (exact, "limit_pushdown.call_reduction")
+        ]
+        # An explicit tolerance still overrides the table for a whole run.
+        deltas, _ = gate.check(
+            fresh, baselines, artifacts=("BENCH_fig6.json", exact),
+            tolerance=0.25,
+        )
+        assert not [d for d in deltas if d.failed]
+
     def test_missing_key_is_a_regression_new_key_is_not(self, dirs):
         fresh, baselines = dirs
         perturbed = json.loads(json.dumps(BASELINE))
@@ -261,7 +288,8 @@ _bank_spec.loader.exec_module(bank)
 
 
 class TestWritePathCounterGate:
-    """``bank_e2e_counters.py`` + ``check_regression.py --tolerance 0``."""
+    """``bank_e2e_counters.py`` + ``check_regression.py``: the artifact
+    is gated at the tolerance ``GATED_ARTIFACTS`` gives it, which is 0."""
 
     RUN = bank.INGEST
 
@@ -283,8 +311,9 @@ class TestWritePathCounterGate:
                 directory, self.RUN.artifact,
                 self.RUN.artifact_from(bank.metrics_from(output)),
             )
+        assert gate.GATED_ARTIFACTS[self.RUN.artifact] == 0.0
         deltas, errors = gate.check(
-            fresh, baselines, artifacts=(self.RUN.artifact,), tolerance=0.0
+            fresh, baselines, artifacts=(self.RUN.artifact,)
         )
         assert not errors
         return deltas

@@ -12,6 +12,7 @@ from repro.ordbms import (
     VARCHAR,
     recover,
 )
+from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
 from repro.ordbms.wal import WalRecord, WriteAheadLog
 
@@ -169,6 +170,34 @@ class TestTornTail:
         assert second.torn_tail is None
         ids = sorted(row.ID for row in second.database.table("T").scan())
         assert ids == [1, 2]
+
+    def test_writer_and_follower_open_a_torn_device_alike(self):
+        database = durable_database()
+        database.insert("T", {"ID": 1})
+        database.begin()
+        in_flight = database.insert("T", {"ID": 2})  # never committed
+        database.wal.device.append("9 COMMIT 99|deadbeef")  # torn
+        devices = []
+        for _ in range(2):
+            device = MemoryLogDevice()
+            device.save_checkpoint(database.wal.device.load_checkpoint())
+            device.append(database.wal.device.read_log())
+            devices.append(device)
+        writer = recover(devices[0])
+        follower = recover_follower(devices[1])
+        # One way to open a device: same trim, same records replayed.
+        assert writer.torn_tail == follower.torn_tail is not None
+        assert devices[0].read_log() == devices[1].read_log()
+        assert devices[0].read_log().endswith("\n")
+        assert (
+            writer.records_replayed == follower.replayer.records_applied == 2
+        )
+        assert writer.checkpoint_lsn == follower.checkpoint_lsn
+        # The one difference: the writer discards the loser, the
+        # follower keeps it open (its COMMIT may still be shipped).
+        assert writer.losers_discarded == follower.replayer.in_flight != ()
+        assert follower.database.fetch("T", in_flight).ID == 2
+        assert [row.ID for row in writer.database.table("T").scan()] == [1]
 
     def test_preimage_divergence_refused(self):
         database = durable_database()

@@ -27,16 +27,20 @@ class SteppingClock:
 
 
 class CountingApi:
-    """API wrapper that counts executed requests (budget-aware)."""
+    """API wrapper that records what each executed request was handed."""
 
     def __init__(self, api) -> None:
         self.api = api
         self.clock = api.clock
-        self.calls = 0
+        self.keywords: list[dict] = []
 
-    def request(self, method, target, body="", budget=None):
-        self.calls += 1
-        return self.api.request(method, target, body, budget=budget)
+    @property
+    def calls(self) -> int:
+        return len(self.keywords)
+
+    def request(self, method, target, body="", **keywords):
+        self.keywords.append(keywords)
+        return self.api.request(method, target, body, **keywords)
 
 
 @pytest.fixture
@@ -138,10 +142,16 @@ class TestQueueDeadlines:
     def test_fresh_requests_execute_normally(self, node):
         api = CountingApi(node.api)
         pool = WorkerPool(api, deadline_ticks=10, manual=True)
-        future = pool.submit("GET", "/docs")
+        futures = [pool.submit("GET", "/docs") for _ in range(2)]
         pool.serve_pending()
-        assert future.result().ok
-        assert api.calls == 1
+        assert all(future.result().ok for future in futures)
+        assert api.calls == 2
+        # Every job is handed its own budget, started at admission.
+        assert [set(keywords) for keywords in api.keywords] == [{"budget"}] * 2
+        first, second = (keywords["budget"] for keywords in api.keywords)
+        assert isinstance(first, Budget) and isinstance(second, Budget)
+        assert first is not second
+        assert first.deadline is not None and second.deadline is not None
 
 
 class TestAbandonedRequests:
