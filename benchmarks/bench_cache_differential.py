@@ -25,11 +25,15 @@ deterministic counters — schedule composition, cache hit/miss traffic,
 ``mismatches`` (always 0) — so the perf-regression gate compares it
 exactly: a changed hit count means the keying or invalidation behaviour
 changed, and ``mismatches`` anything but 0 means the cache lied.
+``dom_nodes_built_per_hit`` is what ``to_xml`` constructs when it renders
+a replayed answer, counted from outside: 1, the ``<results>`` root — a
+cached match holds the ``<result>`` it renders and a replay lists it.
+Anything more means a per-request copy came back.
 """
 
 import random
 
-from conftest import print_table, write_artifact
+from conftest import dom_nodes_built, print_table, write_artifact
 
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
@@ -91,6 +95,7 @@ class Drill:
             self.store.store_text(file.text, file.name)
             self.loaded.append(file)
         self.queries = self.writes = 0
+        self.replays = self.replay_nodes = 0
 
     def write(self) -> None:
         self.writes += 1
@@ -115,7 +120,13 @@ class Drill:
 
     def compare(self, query: str, snapshot=None) -> str:
         self.queries += 1
-        got = _xml(self.cached.execute(query, snapshot=snapshot))
+        result = self.cached.execute(query, snapshot=snapshot)
+        with dom_nodes_built() as built:
+            document = result.to_xml()
+        if result.cached:
+            self.replays += 1
+            self.replay_nodes += built[0]
+        got = serialize(document, indent=2)
         if got != _xml(self.baseline.execute(query, snapshot=snapshot)):
             raise AssertionError(f"cache diverged on {query!r}")
         return got
@@ -123,7 +134,8 @@ class Drill:
     def counters(self) -> dict[str, object]:
         result = self.cached.cache.snapshot_counters()
         lift = self.store.lift_cache.snapshot_counters()
-        assert result["hits"] > 0  # the schedule replayed
+        assert result["hits"] == self.replays > 0  # the schedule replayed
+        per_hit = self.replay_nodes / self.replays
         return {
             "seed": SEED,
             "queries": self.queries,
@@ -133,6 +145,10 @@ class Drill:
             "result_cache_evictions": result["evictions"],
             "lift_cache_hits": lift["hits"],
             "lift_cache_misses": lift["misses"],
+            # An int (gated exactly) while every replay builds the same.
+            "dom_nodes_built_per_hit": (
+                int(per_hit) if per_hit.is_integer() else round(per_hit, 2)
+            ),
             # compare() raises on the first divergence, so reaching
             # here means every answer matched.
             "mismatches": 0,
@@ -189,11 +205,13 @@ def test_report_cache_differential(benchmark):
         print_table(
             f"Cache differential: seed {SEED}",
             ["schedule", "queries", "writes", "result hits",
-             "result misses", "lift hits", "lift misses", "mismatches"],
+             "result misses", "lift hits", "lift misses",
+             "DOM nodes built per hit", "mismatches"],
             [
                 [name, c["queries"], c["writes"], c["result_cache_hits"],
                  c["result_cache_misses"], c["lift_cache_hits"],
-                 c["lift_cache_misses"], c["mismatches"]]
+                 c["lift_cache_misses"], c["dom_nodes_built_per_hit"],
+                 c["mismatches"]]
                 for name, c in sections.items()
             ],
         )

@@ -14,7 +14,10 @@ DESIGN.md §4).  Conventions:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+
+from repro.sgml.dom import Element, Text
 
 # Capture manager handle, filled in by pytest_configure, so experiment
 # tables stay visible even though pytest captures test stdout.
@@ -37,6 +40,34 @@ def write_artifact(name: str, section: str, payload: object) -> None:
         data = json.loads(path.read_text())
     data[section] = payload
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+@contextmanager
+def dom_nodes_built():
+    """Count the DOM nodes constructed inside the block, from outside.
+
+    ``Element.__init__`` and ``Text.__init__`` are wrapped for the length
+    of the block (as ``benchmarks/e2e/tracing.py`` wraps entry points:
+    nothing under ``src/`` knows) and the running count is ``built[0]``.
+    Around ``ResultSet.to_xml`` it is what a render constructs rather than
+    lists: one node, the ``<results>`` root, when every match already
+    holds its element.
+    """
+    built = [0]
+    originals = (Element.__init__, Text.__init__)
+
+    def counting(original):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            original(self, *args, **kwargs)
+
+        return __init__
+
+    Element.__init__, Text.__init__ = map(counting, originals)
+    try:
+        yield built
+    finally:
+        Element.__init__, Text.__init__ = originals
 
 
 def pytest_configure(config):

@@ -22,12 +22,12 @@ the cache's contract, enforced by ``tests/query/test_cache_differential``
 and the CI differential gate.
 
 Only *complete* answers are stored (never partial or deadline-truncated
-ones), with every lazy match resolved eagerly at store time — the plan's
-accessor and snapshot die with the request, so nothing in a cached entry
-may load lazily.  Entries are immutable and shared across threads; the
-single lock makes the hit path one dict probe under the PR 8 worker
-pool.  ``Explain`` runs always bypass the cache: a plan tree is
-diagnostics, not an answer.
+ones), each match resolved and its ``<result>`` built before admission
+(:meth:`SectionMatch.resolve`): the plan's accessor dies with the request.
+An entry holds the elements it renders — immutable, shared across threads,
+listed and never copied by a replay; the single lock makes the hit path
+one dict probe under the PR 8 worker pool.  ``Explain`` runs always bypass
+the cache: a plan tree is diagnostics, not an answer.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class QueryCache:
     def store(
         self, key: Key, matches: list[SectionMatch], version: int
     ) -> None:
-        """Admit a complete, eagerly-resolved answer under ``key``.
+        """Admit a complete answer of resolved matches under ``key``.
 
         ``version`` is the stamp inside ``key``; entries stamped below
         it are purged (the invalidation-on-commit sweep — cheap, because

@@ -67,33 +67,12 @@ from repro.query.plan import (
     phrase_in,
 )
 from repro.ordbms import Snapshot
-from repro.query.results import ResultSet, SectionMatch
+from repro.query.results import ResultSet
 from repro.resilience.deadline import Budget, Deadline
 from repro.sgml.dom import Document, Element
 from repro.store.xmlstore import XmlStore
 
 __all__ = ["QueryEngine", "phrase_in"]
-
-
-def _eager_match(match: SectionMatch) -> SectionMatch:
-    """A fully-resolved, loader-free copy of ``match`` for the cache.
-
-    Touching the lazy properties resolves them through the (still live)
-    per-query accessor; the copy then carries plain values only.  The
-    section Element may be shared across replays because
-    ``ResultSet.to_xml`` clones section children before mutating
-    anything.
-    """
-    return SectionMatch(
-        doc_id=match.doc_id,
-        file_name=match.file_name,
-        context=match.context,
-        content=match.content,
-        section=match.section,
-        source=match.source,
-        score=match.score,
-        rowid=match.rowid,
-    )
 
 
 class QueryEngine:
@@ -198,11 +177,10 @@ class QueryEngine:
             obs.inc("repro_query_deadline_partials_total")
         result = result.limited(query.limit)
         if key is not None and not result.partial:
-            # Only complete answers are cacheable, resolved eagerly —
-            # the plan's accessor (and any snapshot pin) dies with this
-            # request, so a cached match may not load anything lazily.
+            # Only complete answers are cacheable, with nothing left to
+            # load or build (``SectionMatch.resolve`` says why).
             self.cache.store(
-                key, [_eager_match(match) for match in result.matches],
+                key, [match.resolve() for match in result.matches],
                 version,
             )
         return result

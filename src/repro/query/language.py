@@ -33,10 +33,13 @@ precise query syntax" even in the paper):
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import QuerySyntaxError
 from repro.query.ast import ContentSpec, ContextSpec, XdbQuery
 
 _HEX = "0123456789abcdefABCDEF"
+_UNSAFE = re.compile(r"[^A-Za-z0-9\-_.~|]")  # what percent_encode escapes
 
 
 def percent_decode(value: str) -> str:
@@ -75,13 +78,10 @@ def percent_decode(value: str) -> str:
 
 def percent_encode(value: str) -> str:
     """Encode a value for inclusion in an XDB query URL."""
-    safe = set(
-        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_.~|"
-    )
-    return "".join(
-        char if char in safe else
-        ("+" if char == " " else "".join(f"%{byte:02X}" for byte in char.encode("utf-8")))
-        for char in value
+    return _UNSAFE.sub(
+        lambda unsafe: "+" if unsafe[0] == " "
+        else "".join(f"%{byte:02X}" for byte in unsafe[0].encode("utf-8")),
+        value,
     )
 
 

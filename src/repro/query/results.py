@@ -23,6 +23,11 @@ section reconstruction of matches that get cut; only the matches that
 actually render resolve.  Loader-backed resolution goes through the
 per-query :class:`~repro.store.accessor.NodeAccessor`, so late resolution
 reads at the same commit LSN the plan did.
+
+A match owns its finished ``<result>`` (:attr:`SectionMatch.element`),
+built once and never edited; :meth:`ResultSet.to_xml` *lists* those
+elements under a per-request root without adopting them, and the root is
+their parent for XPath only (:func:`repro.xslt.xpath.parent_of`).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+from repro.errors import QueryError
 from repro.ordbms import RowId
 from repro.sgml.dom import Document, Element
 
@@ -64,7 +70,7 @@ class SectionMatch:
 
     __slots__ = (
         "doc_id", "file_name", "source", "score", "rowid",
-        "_context", "_content", "_section", "_loader",
+        "_context", "_content", "_section", "_loader", "_element",
     )
 
     def __init__(
@@ -90,6 +96,7 @@ class SectionMatch:
         if section is _UNSET and loader is None:
             section = None
         self._section = section
+        self._element: Element | None = None
 
     # -- lazy fields --------------------------------------------------------
 
@@ -116,28 +123,54 @@ class SectionMatch:
 
     def _require_loader(self) -> SectionLoader:
         if self._loader is None:
-            from repro.errors import QueryError
-
             raise QueryError(
                 "SectionMatch has neither a value nor a loader for a "
                 "lazy field"
             )
         return self._loader
 
+    @property
+    def element(self) -> Element:
+        """The finished ``<result doc= source=>``, built once, never edited.
+        The section's content children hang under it — ``..`` and
+        ``result/content`` patterns see a plain tree — and stay listed in
+        ``section.children``: one tree per match, not two."""
+        if self._element is None:
+            result = Element(
+                "result", {"doc": self.file_name, "source": self.source}
+            )
+            result.make_child("context").append_text(self.context)
+            section = self.section
+            if section is None:
+                result.make_child("content").append_text(self.content)
+            else:
+                if any(node.parent is not section for node in section.children):
+                    # A ``with_source`` twin hung them under its own
+                    # ``<result>`` already, and that one may be published.
+                    section = Element.clone(section)
+                for child in section.children:
+                    if not (isinstance(child, Element) and child.tag == "context"):
+                        child.parent = result
+                        result.children.append(child)
+            self._element = result
+        return self._element
+
+    def resolve(self) -> "SectionMatch":
+        """Load and build everything now and let go of the loader; returns
+        ``self``.  What the result cache stores: the plan's accessor dies
+        with its request and an entry is read by every worker thread, so
+        nothing may be left to load or to build once it is published."""
+        _ = self.content, self.element  # each caches what it loads or builds
+        self._loader = None
+        return self
+
     def with_source(self, source: str) -> "SectionMatch":
-        """A copy attributed to ``source``, preserving laziness."""
-        clone = SectionMatch(
-            doc_id=self.doc_id,
-            file_name=self.file_name,
-            context=self._context,
-            content=self._content,
-            section=self._section,
-            source=source,
-            score=self.score,
-            loader=self._loader,
-            rowid=self.rowid,
+        """A copy attributed to ``source``, preserving laziness; it builds
+        its own ``<result>``, which carries the source."""
+        return SectionMatch(
+            self.doc_id, self.file_name, self._context, self._content,
+            self._section, source, self.score, self._loader, self.rowid,
         )
-        return clone
 
     # -- value semantics ------------------------------------------------------
 
@@ -280,23 +313,7 @@ class ResultSet:
             for name in sorted(self.source_errors):
                 unreachable = envelope.make_child("unreachable", source=name)
                 unreachable.append_text(self.source_errors[name])
-        for match in self.matches:
-            result = root.make_child(
-                "result",
-                doc=match.file_name,
-                source=match.source,
-            )
-            context = result.make_child("context")
-            context.append_text(match.context)
-            if match.section is not None:
-                # Clone the reconstructed content elements so downstream
-                # XSLT can see structure (e.g. INTENSE spans), not just
-                # text, and so rendering twice is safe.
-                for child in match.section.children:
-                    if isinstance(child, Element) and child.tag == "context":
-                        continue
-                    result.append(child.clone())
-            else:
-                content = result.make_child("content")
-                content.append_text(match.content)
+        # Listed, not adopted: a match's element is shared by every answer
+        # that replays the match, so no root may become its parent.
+        root.children.extend([match.element for match in self.matches])
         return Document(root, name="results.xml")

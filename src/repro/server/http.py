@@ -52,6 +52,7 @@ from repro.errors import (
     QueryTimeoutError,
     RecoveryError,
     ReproError,
+    UnknownDatabankError,
     XsltError,
 )
 from repro import obs
@@ -296,6 +297,9 @@ class NetmarkHttpApi:
             )
         except (QueryError, XsltError) as error:
             return HttpResponse(422, str(error))
+        except UnknownDatabankError as error:
+            # Names a resource that does not exist, as a missing sheet does.
+            return HttpResponse(404, str(error))
         except AllSourcesFailedError as error:
             # A federated query with *every* source down is a temporary
             # outage, not a server bug: 503, never 500.  Partial losses
@@ -376,22 +380,27 @@ class NetmarkHttpApi:
         self, query: XdbQuery, tracer: Tracer, budget: Budget | None = None
     ) -> HttpResponse | Document:
         """Answer one search; a Document result still needs the envelope."""
+        if query.databank and self.router is None:
+            return HttpResponse(422, "no databanks configured")
         if query.explain:
             # Explain=1: run the plan and return the annotated operator
             # tree instead of results (stylesheets do not apply to plans).
             if query.databank:
-                if self.router is None:
-                    return HttpResponse(422, "no databanks configured")
                 with tracer.span("explain", tier="federated"):
                     return self.router.explain(query)
             with self.store.snapshot() as snapshot:
                 with tracer.span("explain", tier="local"):
                     return self.engine.explain(query, snapshot=snapshot)
+        if query.stylesheet:
+            # name -> text is resolved per request, before any query work
+            # (a missing sheet costs no row read); text -> compiled sheet
+            # is memoized by the text: a PUT shows on the very next request.
+            sheet = self.dav.get(f"{STYLESHEET_FOLDER}/{query.stylesheet}")
+            if not sheet.ok:
+                return HttpResponse(404, f"stylesheet not found: {query.stylesheet}")
         if query.databank:
             # Federated queries aggregate *remote* answers; the local
             # MVCC snapshot has no authority over other sources.
-            if self.router is None:
-                return HttpResponse(422, "no databanks configured")
             with tracer.span(
                 "execute", tier="federated", databank=query.databank
             ) as span:
@@ -418,13 +427,8 @@ class NetmarkHttpApi:
             # byte-identical to an uncached answer.
             document.root.attributes["cached"] = "true"
         if query.stylesheet:
-            # name -> text is resolved per request, text -> compiled sheet
-            # is memoized by the text: a PUT shows on the very next request.
-            response = self.dav.get(f"{STYLESHEET_FOLDER}/{query.stylesheet}")
-            if not response.ok:
-                return HttpResponse(404, f"stylesheet not found: {query.stylesheet}")
             with tracer.span("xslt", stylesheet=query.stylesheet):
-                document = transform(compile_stylesheet(response.body), document)
+                document = transform(compile_stylesheet(sheet.body), document)
         return document
 
     def _document(self, raw_id: str) -> HttpResponse:
@@ -445,8 +449,6 @@ class NetmarkHttpApi:
         return HttpResponse(200, serialize(document, indent=2))
 
     def _catalog(self) -> HttpResponse:
-        from repro.sgml.dom import Document, Element
-
         root = Element("documents")
         with self.store.snapshot() as snapshot:
             entries = self.store.documents(snapshot=snapshot)
@@ -462,8 +464,6 @@ class NetmarkHttpApi:
         return HttpResponse(200, serialize(Document(root), indent=2))
 
     def _databanks(self) -> HttpResponse:
-        from repro.sgml.dom import Document, Element
-
         root = Element("databanks")
         if self.router is not None:
             for name in self.router.registry.names():
@@ -503,8 +503,6 @@ class NetmarkHttpApi:
         )
 
     def _cluster_view(self) -> HttpResponse:
-        from repro.sgml.dom import Document, Element
-
         root = Element("cluster")
         view = self.cluster
         if view is None:

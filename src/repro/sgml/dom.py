@@ -144,28 +144,6 @@ class Element(Node):
             copy.append(child.clone())
         return copy
 
-    # -- navigation ------------------------------------------------------------
-
-    def next_sibling(self) -> Node | None:
-        if self.parent is None:
-            return None
-        siblings = self.parent.children
-        index = siblings.index(self)
-        return siblings[index + 1] if index + 1 < len(siblings) else None
-
-    def previous_sibling(self) -> Node | None:
-        if self.parent is None:
-            return None
-        siblings = self.parent.children
-        index = siblings.index(self)
-        return siblings[index - 1] if index > 0 else None
-
-    def ancestors(self) -> Iterator["Element"]:
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
 
 class Document:
     """The root of a parsed document tree.

@@ -9,12 +9,16 @@ parser — a round-trip property the test suite checks.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.sgml.dom import Document, Element, Node, Text
 
 
 def escape_text(data: str) -> str:
     """Escape character data for XML output."""
-    return data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if "&" in data or "<" in data or ">" in data:  # most text has none
+        return data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return data
 
 
 def escape_attribute(data: str) -> str:
@@ -28,45 +32,56 @@ def serialize(node: Node | Document, indent: int | None = None) -> str:
     ``indent=None`` produces compact output that preserves text exactly;
     an integer produces pretty-printed output with that many spaces per
     level (whitespace-only text nodes are dropped, so pretty mode is for
-    human display, not round-tripping).
+    human display, not round-tripping).  Either mode visits a node once.
     """
     if isinstance(node, Document):
         node = node.root
     parts: list[str] = []
-    _serialize_node(node, parts, indent, 0)
+    if indent is None:
+        _compact(node, parts.append)
+    else:
+        _pretty(node, parts.append, "", " " * indent)
     return "".join(parts)
 
 
-def _serialize_node(
-    node: Node, parts: list[str], indent: int | None, depth: int
-) -> None:
-    pad = "" if indent is None else " " * (indent * depth)
-    newline = "" if indent is None else "\n"
-    if isinstance(node, Text):
-        if indent is not None:
-            stripped = node.data.strip()
-            if not stripped:
-                return
-            parts.append(f"{pad}{escape_text(stripped)}{newline}")
-        else:
-            parts.append(escape_text(node.data))
-        return
-    assert isinstance(node, Element)
-    attributes = "".join(
-        f' {name}="{escape_attribute(value)}"'
-        for name, value in node.attributes.items()
+def _open_tag(node: Element) -> str:
+    """``<tag name="value"…`` — up to, not including, the closing bracket."""
+    if not node.attributes:
+        return "<" + node.tag
+    return f"<{node.tag}" + "".join(
+        [f' {name}="{escape_attribute(value)}"' for name, value in node.attributes.items()]
     )
-    if not node.children:
-        parts.append(f"{pad}<{node.tag}{attributes}/>{newline}")
+
+
+def _compact(node: Node, emit: Callable[[str], None]) -> None:
+    if isinstance(node, Text):
+        emit(escape_text(node.data))
+    elif not node.children:
+        emit(_open_tag(node) + "/>")
+    else:
+        emit(_open_tag(node) + ">")
+        for child in node.children:
+            _compact(child, emit)
+        emit(f"</{node.tag}>")
+
+
+def _pretty(node: Node, emit: Callable[[str], None], pad: str, step: str) -> None:
+    """``pad`` is this node's indentation, ``step`` one more level of it."""
+    if isinstance(node, Text):
+        stripped = node.data.strip()
+        if stripped:
+            emit(f"{pad}{escape_text(stripped)}\n")
         return
-    # Compact form for elements holding a single text child keeps
-    # pretty-printed context/content output readable.
-    only_text = all(isinstance(child, Text) for child in node.children)
-    if indent is not None and only_text:
-        text = escape_text(node.text_content().strip())
-        parts.append(f"{pad}<{node.tag}{attributes}>{text}</{node.tag}>{newline}")
-        return
-    parts.append(f"{pad}<{node.tag}{attributes}>{newline}")
-    for child in node.children:
-        _serialize_node(child, parts, indent, depth + 1)
-    parts.append(f"{pad}</{node.tag}>{newline}")
+    head, children = pad + _open_tag(node), node.children
+    text = [child.data for child in children if isinstance(child, Text)]
+    if not children:
+        emit(head + "/>\n")
+    elif len(text) == len(children):
+        # Text only: one line keeps pretty-printed context/content readable.
+        emit(f"{head}>{escape_text(''.join(text).strip())}</{node.tag}>\n")
+    else:
+        emit(head + ">\n")
+        inner = pad + step
+        for child in children:
+            _pretty(child, emit, inner, step)
+        emit(f"{pad}</{node.tag}>\n")

@@ -46,6 +46,7 @@ from repro.xslt.xpath import (
     XPathContext,
     children_of,
     compile_xpath,
+    parent_of,
     parse_xpath,
     require_node_set,
     to_string,
@@ -88,13 +89,13 @@ class MatchPattern:
         specificity = {"/": 3, "text()": 1, "*": 0}.get(self.target, 2)
         return (specificity, max(1, len(self.segments)))
 
-    def matches(self, node: Node | Document) -> bool:
-        return self._test_matches(self.target, node) and self.ancestors_match(node)
+    def matches(self, node: Node | Document, root: Element | None = None) -> bool:
+        return self._test_matches(self.target, node) and self.ancestors_match(node, root)
 
-    def ancestors_match(self, node: Node | Document) -> bool:
+    def ancestors_match(self, node: Node | Document, root: Element | None = None) -> bool:
         """Whether the segments before the last match successive ancestors."""
         for segment in self.segments[-2::-1]:
-            node = node.parent
+            node = parent_of(node, root)
             if node is None or not self._test_matches(segment, node):
                 return False
         return True
@@ -135,7 +136,9 @@ class Stylesheet:
     #: templates already merged in), ``"*"``, ``"text()"`` or ``"/"``.
     ranked: Mapping[str, tuple[Template, ...]]
 
-    def best_template(self, node: Node | Document) -> Template | None:
+    def best_template(
+        self, node: Node | Document, root: Element | None = None
+    ) -> Template | None:
         """Highest-priority template matching ``node`` (None = built-ins)."""
         ranked = self.ranked
         if isinstance(node, Element):
@@ -143,7 +146,7 @@ class Stylesheet:
         else:
             candidates = ranked["text()" if isinstance(node, Text) else "/"]
         for template in candidates:
-            if template.pattern.ancestors_match(node):
+            if template.pattern.ancestors_match(node, root):
                 return template
         return None
 
@@ -156,7 +159,7 @@ class Stylesheet:
         appending the output under ``parent``."""
         if depth > MAX_DEPTH:  # most likely a template that applies itself
             raise XsltError(f"templates nest deeper than {MAX_DEPTH} levels")
-        template = self.best_template(node)
+        template = self.best_template(node, root)
         if template is not None:
             _run(template.body, node, position, size, root, parent, depth + 1)
         elif isinstance(node, Text):

@@ -427,6 +427,15 @@ class _DocumentAnchor(Document):
     only knows the root element: its one child is that element."""
 
 
+def parent_of(node: Node, root: Element | None) -> Element | None:
+    """``node``'s parent in the source tree under ``root``.  A results
+    tree lists its matches' ``<result>`` elements without adopting them
+    (``ResultSet.to_xml``), so a parent-less node that is not the root is
+    a child of the root.  Every upward step of the evaluator asks here."""
+    parent = node.parent
+    return root if parent is None and node is not root else parent
+
+
 def children_of(item: Any) -> list[Node]:
     """The child nodes of an element or a document; nothing else has any."""
     if isinstance(item, Element):
@@ -453,8 +462,8 @@ def _compile_path(expr: PathExpr) -> Evaluator:
             root = context.root
             if root is None:
                 node: Any = context.node
-                while isinstance(node, Element) and node.parent is not None:
-                    node = node.parent
+                while isinstance(node, Element) and (up := parent_of(node, None)) is not None:
+                    node = up
                 if not isinstance(node, Element):
                     return []
                 root = node
@@ -482,19 +491,21 @@ def _compile_step(step: Step) -> _StepFunction:
         if not all(isinstance(expr, NumberExpr) for expr in step.predicates):
             raise XPathError("predicates on attributes must be positional")
 
-        def expand(item: Any) -> list[Any]:
+        def expand(item: Any, context: XPathContext) -> list[Any]:
             found = isinstance(item, Element) and test in item.attributes
             return [item.attributes[test]] if found else []
     elif axis == "parent":
-        def expand(item: Any) -> list[Any]:
-            found = isinstance(item, (Element, Text)) and item.parent is not None
-            return [item.parent] if found else []
+        def expand(item: Any, context: XPathContext) -> list[Any]:
+            if not isinstance(item, (Element, Text)):
+                return []
+            parent = parent_of(item, context.root)
+            return [] if parent is None else [parent]
     else:
         below = children_of if axis == "child" else _descendants_of
         kind = Text if test == "text()" else Element
         tag = None if test in {"*", "text()"} else test
 
-        def expand(item: Any) -> list[Any]:
+        def expand(item: Any, context: XPathContext) -> list[Any]:
             return [
                 node
                 for node in below(item)
@@ -506,9 +517,9 @@ def _compile_step(step: Step) -> _StepFunction:
 
     def take_step(items: list[Any], context: XPathContext) -> list[Any]:
         if len(items) == 1:
-            found = expand(items[0])
+            found = expand(items[0], context)
         else:
-            found = [node for item in items for node in expand(item)]
+            found = [node for item in items for node in expand(item, context)]
             if may_repeat:
                 found = _unique(found)
         for predicate in predicates:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.errors import XsltError
 from repro.netmark import Netmark
 from repro.xslt import stylesheet as stylesheet_module
@@ -100,6 +101,59 @@ class TestCompiledOncePerText:
         assert node.http_get("/search?Context=Budget&xslt=each.xsl").ok
         assert len(runs) == 4
         assert len({id(args[1]) for args in runs}) == 4  # a fresh results document each time
+
+
+def counted(prefix: str) -> float:
+    """A counter summed over its label sets, from the registry's snapshot."""
+    return sum(value for series, value in obs.snapshot().items() if series.startswith(prefix))
+
+
+class TestAnUnknownSheetAnswersBeforeAnyQueryWork:
+    @pytest.fixture
+    def registry(self):
+        previous = obs.get_registry()
+        obs.push_registry()
+        yield
+        obs.set_registry(previous)
+
+    @pytest.mark.parametrize("extra", ["", "&databank=all"])
+    def test_the_404_runs_no_query_and_reads_no_row(self, node, registry, extra):
+        for number in range(19):
+            node.ingest(f"more{number}.ndoc", NDOC.replace("Travel", f"Item {number}"))
+        node.create_databank("all")
+        node.add_source("all", node.as_source())
+        assert node.http_get("/search?Context=Budget" + extra).ok  # what a query costs
+        queries = counted("repro_query_queries_total")
+        rows = counted("repro_ordbms_rows_read_total")
+        assert queries >= 1 and rows >= 20
+        response = node.http_get("/search?Context=Budget&xslt=nope.xsl" + extra)
+        assert response.status == 404 and response.body == "stylesheet not found: nope.xsl"
+        assert counted("repro_query_queries_total") == queries
+        assert counted("repro_ordbms_rows_read_total") == rows
+
+    def test_a_good_request_still_resolves_compiles_and_transforms_in_place(
+        self, node, monkeypatch
+    ):
+        import repro.server.http as http_module
+
+        order = []
+        for name in ("compile_stylesheet", "transform"):
+            real = getattr(http_module, name)
+            monkeypatch.setattr(
+                http_module, name,
+                lambda *args, _name=name, _real=real: order.append(_name) or _real(*args),
+            )
+        execute = node.api.engine.execute
+        monkeypatch.setattr(
+            node.api.engine, "execute",
+            lambda *args, **kwargs: order.append("execute") or execute(*args, **kwargs),
+        )
+        response = node.http_get("/search?Context=Budget&xslt=warm-up.xsl&Trace=1")
+        assert response.ok and response.body.startswith("<warm-up>")
+        assert order == ["execute", "compile_stylesheet", "transform"]
+        spans = [line.split('name="')[1].split('"')[0] for line in response.body.splitlines()
+                 if "<span " in line]
+        assert spans == ["request", "execute", "compose", "xslt"]
 
 
 HOSTILE = {

@@ -179,8 +179,11 @@ class TestHttpApi:
         assert node.api.request("PATCH", "/dav/x").status == 405
 
     def test_databank_without_router_sources(self, node):
+        # A URL naming a databank that does not exist is the client's
+        # error, as a missing stylesheet is: 404 with a plain body.
         response = node.http_get("/search?Context=X&databank=nope")
-        assert response.status == 500  # unknown databank surfaces as error
+        assert response.status == 404
+        assert response.body == "no databank named 'nope'"
 
     def test_invalid_stylesheet_rejected_at_install(self, node):
         import pytest as _pytest
@@ -227,5 +230,5 @@ class TestExplainHttp:
 
     def test_explain_unknown_databank_errors(self, node):
         response = node.http_get("/search?Context=X&databank=any&Explain=1")
-        assert response.status == 500
-        assert "no databank" in response.body
+        assert response.status == 404
+        assert response.body == "no databank named 'any'"

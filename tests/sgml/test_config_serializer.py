@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from repro.errors import SgmlError
 from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
-from repro.sgml.dom import Element, Text
+from repro.sgml.dom import Document, Element, Text
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import escape_attribute, escape_text, serialize
+
+from tests.sgml import oracle
 
 
 class TestClassification:
@@ -106,18 +108,21 @@ class TestSerialize:
     texts = st.text(
         alphabet=st.sampled_from("ab &<>\"'\n"), min_size=1, max_size=12
     )
+    #: What pretty mode special-cases: text it drops, text it strips.
+    blanks = st.sampled_from([" ", "\n", "\n    ", "  \n  "])
 
     @st.composite
     @staticmethod
     def trees(draw, depth=0):
         element = Element(draw(TestSerialize.names))
-        if draw(st.booleans()):
-            element.attributes["k"] = draw(TestSerialize.texts)
-        for _ in range(draw(st.integers(0, 3 if depth < 2 else 0))):
-            if draw(st.booleans()):
-                element.append(Text(draw(TestSerialize.texts)))
-            else:
+        for key in draw(st.lists(st.sampled_from(["k", "k2", "data-x"]), max_size=3, unique=True)):
+            element.attributes[key] = draw(st.one_of(st.just(""), TestSerialize.texts))
+        for _ in range(draw(st.integers(0, 4 if depth < 2 else 0))):
+            kind = draw(st.sampled_from(["text", "text", "blank", "element", "element"]))
+            if kind == "element":
                 element.append(draw(TestSerialize.trees(depth=depth + 1)))  # type: ignore[call-arg]
+            else:  # several in a row stay several Text children
+                element.append(Text(draw(TestSerialize.texts if kind == "text" else TestSerialize.blanks)))
         return element
 
     @given(trees())
@@ -126,6 +131,16 @@ class TestSerialize:
         serialized = serialize(tree)
         reparsed = parse_xml(serialized).root
         assert _equivalent(tree, reparsed)
+
+    @given(st.one_of(trees(), texts.map(Text), blanks.map(Text)), st.sampled_from([None, 2, 0, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_the_serializer_it_replaced(self, tree, indent):
+        """Byte for byte, both modes: text-only and mixed elements,
+        whitespace between elements, empty attributes, a bare Text root."""
+        expected = oracle.serialize(tree, indent=indent)
+        assert serialize(tree, indent=indent) == expected
+        if isinstance(tree, Element):  # a Document serializes as its root
+            assert serialize(Document(tree), indent=indent) == expected
 
 
 def _merged_children(element: Element) -> list:

@@ -109,19 +109,6 @@ class TestDom:
         b = document.find("b")
         assert b.parent is document.root
 
-    def test_siblings(self):
-        document = parse_xml("<a><b/><c/><d/></a>")
-        b, c, d = document.root.child_elements()
-        assert b.next_sibling() is c
-        assert c.previous_sibling() is b
-        assert d.next_sibling() is None
-        assert b.previous_sibling() is None
-
-    def test_ancestors(self):
-        document = parse_xml("<a><b><c/></b></a>")
-        c = document.find("c")
-        assert [el.tag for el in c.ancestors()] == ["b", "a"]
-
     def test_walk_document_order(self):
         document = parse_xml("<a><b>x</b><c/></a>")
         tags = [

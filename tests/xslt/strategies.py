@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.query.results import ResultSet, SectionMatch
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.serializer import serialize
 
@@ -64,6 +65,37 @@ def source_documents(draw) -> Document:
     for child in draw(st.lists(st.one_of(_results(), _results(), _nodes), min_size=1, max_size=5)):
         root.append(child)
     return Document(root, name="source.xml")
+
+
+@st.composite
+def _section_matches(draw) -> SectionMatch:
+    """A match as the engine or a federated source hands one over: a
+    section with nested markup, or a section-less document-level hit."""
+    named = {
+        "file_name": draw(st.sampled_from(["a.ndoc", "b.npdf", "x y"])),
+        "source": draw(st.sampled_from(["local", "llis"])),
+        "context": draw(values),
+        "content": draw(values),
+    }
+    if draw(st.booleans()):
+        return SectionMatch(1, section=None, **named)
+    section = Element("section", synthetic=True)
+    section.make_child("context").append(draw(_texts))
+    for child in draw(st.lists(st.one_of(_elements(_nodes), _nodes), max_size=3)):
+        section.append(child)
+    return SectionMatch(1, section=section, **named)
+
+
+@st.composite
+def result_sets(draw) -> ResultSet:
+    """What ``to_xml`` renders as a listing tree: generated matches from
+    two sources, sometimes under a ``<partial>`` envelope."""
+    results = ResultSet(draw(st.sampled_from(["Context=Budget", "q", ""])))
+    results.extend(draw(st.lists(_section_matches(), max_size=5)))
+    if draw(st.sampled_from([False, False, True])):
+        results.partial = True
+        results.source_errors = {"llis": "timed out"}
+    return results
 
 
 # -- XPath, as text --------------------------------------------------------------

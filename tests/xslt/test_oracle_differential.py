@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from repro.apps import IbpdAssembler
 from repro.errors import XsltError
 from repro.netmark import Netmark
+from repro.query.results import ResultSet, SectionMatch
+from repro.sgml.dom import Document, Element
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
 from repro.workloads import CorpusSpec, generate_corpus, generate_task_plans
@@ -35,6 +37,7 @@ from tests.xslt.strategies import (
     LIKELY_PATHS,
     expressions,
     node_sets,
+    result_sets,
     source_documents,
     stylesheets,
 )
@@ -87,6 +90,123 @@ class TestGeneratedSheets:
     def test_expressions_equal_the_interpreter(self, several, source):
         for expression in several:
             assert_same_values(expression, source)
+
+
+# ---------------------------------------------------------------------------
+# The listing tree: ``to_xml`` lists each match's ``<result>``, adopting none
+# ---------------------------------------------------------------------------
+
+
+def owned(listing: Document) -> Document:
+    """A deep copy of ``listing`` in which every node has a real parent."""
+    return Document(listing.root.clone(), name=listing.name)
+
+
+def listed_sections(*titles: str) -> ResultSet:
+    results = ResultSet("Context=Budget")
+    for number, title in enumerate(titles, start=1):
+        section = Element("section")
+        section.make_child("context").append_text(title)
+        content = section.make_child("content")
+        content.append_text(f"body {number} ")
+        content.make_child("b").append_text("bold")
+        results.add(SectionMatch(number, f"d{number}.ndoc", title, f"body {number} bold", section))
+    results.add(SectionMatch(9, "whole.txt", "whole.txt", "a document-level hit", None, "llis"))
+    return results
+
+
+def sheet(*templates: str) -> str:
+    return "<xsl:stylesheet>" + "".join(templates) + "</xsl:stylesheet>"
+
+
+#: One more rule for a generated sheet, sure to look upward from where
+#: the listing starts: a path pattern over it and a walk through ``..``.
+_upward_rules = st.builds(
+    lambda pattern, path, sort: (
+        f'<xsl:template match="{pattern}"><xsl:for-each select="{path}">{sort}'
+        '<up n="{name()}" q="{@query}" p="{position()}/{last()}"/></xsl:for-each>'
+        "<xsl:apply-templates/></xsl:template></xsl:stylesheet>"
+    ),
+    st.sampled_from(["*/result", "results/result", "result/*", "result", "*/*", "results/*/*"]),
+    st.sampled_from(["..", "../*", "../result", "*/..", "../..", "../../*", "//result/..", "/*"]),
+    st.sampled_from(["", '<xsl:sort select="@doc" order="descending"/>']),
+)
+
+
+class TestTheListingTree:
+    """A stylesheet cannot tell the shared tree from an owned one."""
+
+    @given(stylesheets(), st.one_of(st.just("</xsl:stylesheet>"), _upward_rules), result_sets())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_listed_results_transform_like_an_owned_copy(self, stylesheet_xml, rule, results):
+        stylesheet_xml = stylesheet_xml.replace("</xsl:stylesheet>", rule)
+        compiled = compile_stylesheet(stylesheet_xml)
+        first, second = results.to_xml(), results.to_xml()
+        rendered = serialize(first)
+        expected = outcome(oracle.transform, stylesheet_xml, owned(first))
+        assert outcome(transform, compiled, first) == expected
+        assert outcome(transform, compiled, second) == expected  # rendered twice
+        assert serialize(second) == rendered  # a transform edits nothing it reads
+        assert all(match.element.parent is None for match in results)
+
+    def test_the_parent_of_a_result_is_the_root_that_lists_it(self):
+        stylesheet_xml = sheet(
+            '<xsl:template match="/"><o><xsl:apply-templates select="results/result"/></o>'
+            "</xsl:template>",
+            '<xsl:template match="result"><xsl:for-each select="..">'
+            '<up n="{name()}" q="{@query}" of="{count(result)}"/></xsl:for-each>'
+            '<xsl:for-each select="content/../.."><top n="{name()}"/></xsl:for-each>'
+            "</xsl:template>",
+        )
+        results = listed_sections("Budget", "Cost")
+        composed = serialize(transform(stylesheet_xml, results.to_xml()))
+        assert composed == serialize(oracle.transform(stylesheet_xml, owned(results.to_xml())))
+        assert composed.count('<up n="results" q="Context=Budget" of="3"/>') == 3
+        assert composed.count('<top n="results"/>') == 3
+
+    def test_a_path_pattern_sees_the_listing_root(self):
+        stylesheet_xml = sheet(
+            '<xsl:template match="results/result"><hit doc="{@doc}"/></xsl:template>',
+            '<xsl:template match="result/content"><never/></xsl:template>',
+            '<xsl:template match="section/result"><never/></xsl:template>',
+        )
+        results = listed_sections("Budget")
+        composed = serialize(transform(stylesheet_xml, results.to_xml()))
+        assert composed == serialize(oracle.transform(stylesheet_xml, owned(results.to_xml())))
+        assert composed == '<output><hit doc="d1.ndoc"/><hit doc="whole.txt"/></output>'
+
+    def test_absolute_paths_count_the_listed_results(self):
+        stylesheet_xml = sheet(
+            '<xsl:template match="/"><o><xsl:apply-templates select="//context"/></o>'
+            "</xsl:template>",
+            '<xsl:template match="context"><n all="{count(/results/result)}" '
+            'beside="{count(../../result)}" local="{count(/results/result[@source=\'local\'])}"/>'
+            "</xsl:template>",
+        )
+        results = listed_sections("Budget", "Cost", "Travel")
+        composed = serialize(transform(stylesheet_xml, results.to_xml()))
+        assert composed == serialize(oracle.transform(stylesheet_xml, owned(results.to_xml())))
+        assert composed.count('<n all="4" beside="4" local="3"/>') == 4
+
+    def test_copy_of_makes_an_owned_copy_and_leaves_the_original_listed(self):
+        stylesheet_xml = sheet(
+            '<xsl:template match="/"><o><xsl:copy-of select="results/result"/></o></xsl:template>'
+        )
+        results = listed_sections("Budget", "Cost")
+        listing = results.to_xml()
+        before = serialize(listing)
+        output = transform(stylesheet_xml, listing).root
+        assert serialize(output) == serialize(oracle.transform(stylesheet_xml, owned(listing)))
+        copies = output.find_all("result")
+        assert [copy.get("doc") for copy in copies] == ["d1.ndoc", "d2.ndoc", "whole.txt"]
+        for copy, match in zip(copies, results):
+            assert copy is not match.element and copy.parent is output
+            assert copy.find("content").parent is copy
+            assert serialize(copy) == serialize(match.element)
+            assert match.element.parent is None
+            assert match.element.find("content").parent is match.element
+        assert serialize(listing) == before
+        assert listing.root.children == [match.element for match in results]
 
 
 #: Trees with repeated names, nesting, attributes, mixed content and ties.
