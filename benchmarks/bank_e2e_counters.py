@@ -1,5 +1,5 @@
-"""Bank the write, read and compose paths' work counters from traced
-end-to-end runs.
+"""Bank the write, read, compose and mixed paths' work counters from
+traced end-to-end runs.
 
 Each entry of :data:`RUNS` runs ``benchmarks/e2e/run.py --workload W
 --trace 1`` at a fixed seed and a short ``--seconds`` (a run executes
@@ -9,14 +9,16 @@ for bit) and writes its artifact in the repo root for the perf gate::
     python benchmarks/bank_e2e_counters.py
     python benchmarks/check_regression.py
 
-``check_regression.GATED_ARTIFACTS`` lists the three artifacts at
+``check_regression.GATED_ARTIFACTS`` lists the four artifacts at
 tolerance 0: every key in ``counters`` must equal the committed
 baseline exactly — a sibling back-patch, a second fsync or a
 fatter WAL record cannot come back unnoticed on the write side, nor an
 ancestor prefetch, a per-element child probe or a posting-row fetch on
 the read side, nor — on the compose side, where the engine is bypassed
 and the counters say so — a composed byte more or less, a cache miss or
-an index probe.  Where the time went is printed for the CI log and kept
+an index probe — nor, under one replace per four reads, a read that
+probes or fetches per posting again, or a replace that writes a row or
+a WAL byte more.  Where the time went is printed for the CI log and kept
 out of the artifacts: timings belong to the machine, and would churn
 the committed baselines.
 """
@@ -109,7 +111,25 @@ COMPOSE = BankedRun(
         "sgml.serializer.self_ms_per_read",
     ),
 )
-RUNS = (INGEST, READ, COMPOSE)
+MIXED = BankedRun(
+    "BENCH_e2e_mixed.json", "mixed_rw", 1, 2,  # one round: 100 reads, 25 replaces
+    counters=(
+        "ordbms.btree.probes_per_read",
+        "query.engine.rows_read_per_match",
+        "ordbms.textindex.lookups_per_read",
+        "ordbms.table.inserts_per_write",
+        "ordbms.table.deletes_per_write",
+        "ordbms.wal.bytes_per_write",
+    ),
+    timings=(
+        "server.http.request_ms_per_read",
+        "query.engine.self_ms_per_read",
+        "server.daemon.write_ms_per_write",
+        "ordbms.table.insert_ms_per_write",
+        "ordbms.table.delete_ms_per_write",
+    ),
+)
+RUNS = (INGEST, READ, COMPOSE, MIXED)
 
 
 def metrics_from(output: str) -> dict[str, float]:

@@ -61,6 +61,7 @@ GATED_ARTIFACTS = {
     "BENCH_e2e_ingest.json": 0.0,
     "BENCH_e2e_read.json": 0.0,
     "BENCH_e2e_compose.json": 0.0,
+    "BENCH_e2e_mixed.json": 0.0,
 }
 
 #: Leaf-name prefix marking a key as a monotone floor: fresh >= baseline

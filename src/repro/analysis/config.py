@@ -144,8 +144,12 @@ DEFAULT_MODULE_LAYERS: dict[str, frozenset[str]] = {
     # fsck reads the NETMARK schema through the ORDBMS and the node-type
     # vocabulary; it must not touch composition, the store facade or the
     # query tier — a checker that imported what it checks derived state
-    # *through* would be checking itself.
-    "store.fsck": frozenset({"ordbms", "sgml", "store.schema"}),
+    # *through* would be checking itself.  The accessor is the one grant:
+    # its hop walk is the reference the index's carried section facts
+    # are held against (the index is what is checked, not the walk).
+    "store.fsck": frozenset(
+        {"ordbms", "sgml", "store.schema", "store.accessor"}
+    ),
     # The analyzer's own dataflow stack is layered the same way the
     # durability stack is: the CFG builder is pure AST lowering, the
     # fixpoint engine sees only graphs, and the call-graph indexer sees

@@ -94,13 +94,16 @@ class NetmarkSource(InformationSource):
         check_supports(self.capabilities, query, self.name)
         self._count_query()
         attributed: list[SectionMatch] = []
-        for match in self._engine.execute(query, budget=budget).matches:
-            clone = match.with_source(self.name)
-            # Federated answers rank uniformly: local INTENSE boosts are
-            # not comparable across repositories, and the router's
-            # limit pushdown relies on uniform scores.
-            clone.score = 1.0
-            attributed.append(clone)
+        # One snapshot for the call, nothing left to load after it.
+        with self.store.snapshot() as snapshot:
+            result = self._engine.execute(query, snapshot, budget)
+            for match in result.matches:
+                clone = match.with_source(self.name).resolve()
+                # Federated answers rank uniformly: local INTENSE boosts
+                # are not comparable across repositories, and the router's
+                # limit pushdown relies on uniform scores.
+                clone.score = 1.0
+                attributed.append(clone)
         return attributed
 
     def fetch_document(self, file_name: str) -> str:

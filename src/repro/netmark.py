@@ -135,11 +135,18 @@ class Netmark:
 
         Context aliases defined on this node are expanded first, so a
         query for ``Context=Budget`` transparently covers whatever the
-        alias maps it to (e.g. ``Cost Details``).
+        alias maps it to (e.g. ``Cost Details``).  One snapshot is held
+        for the call, as HTTP holds one per request, and the matches come
+        back with nothing left to load: one committed state.
         """
         from repro.query.language import parse_query
 
-        return self.engine.execute(self.router.aliases.rewrite(parse_query(query)))
+        parsed = self.router.aliases.rewrite(parse_query(query))
+        with self.store.snapshot() as snapshot:
+            result = self.engine.execute(parsed, snapshot=snapshot)
+            for match in result.matches:
+                match.resolve()
+        return result
 
     def define_context_alias(self, name: str, *phrases: str) -> None:
         """One-line vocabulary bridging: alias -> context alternatives.

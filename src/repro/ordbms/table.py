@@ -66,6 +66,9 @@ class Table:
         self.read_retries = 0  # repro: guarded-by(gil) int bump; diagnostic counter, exactness not required
         self._indexes: dict[str, BTreeIndex] = {}
         self._text_indexes: dict[str, TextIndex] = {}
+        #: The text indexes' per-row facts: the streaming pass, and what
+        #: makes a fresh one (:meth:`derive_facts`; None: none kept).
+        self._pass = self._new_pass = None
         # Unique enforcement piggybacks on B+tree indexes over these columns.
         self._unique_columns: list[str] = []
         if schema.primary_key:
@@ -208,6 +211,27 @@ class Table:
                 index.add(rowid, value)
         return index
 
+    def derive_facts(self, new_pass: Callable[[dict], Any] | None = None) -> None:
+        """Have the text indexes carry, per row, what a streaming pass
+        says of it (:attr:`TextIndex.facts`).
+
+        ``new_pass(facts)`` answers a callable fed every row in physical
+        order — by every site that indexes a row, and here, once, the
+        rows a table opened without facts holds — that stores
+        ``facts[rowid]``; what a fact says is the caller's business.
+        Derived state like the postings: never logged, gone with its
+        row, rebuilt (no argument: by the pass last given) with them.
+        """
+        self._new_pass = new_pass or self._new_pass
+        if self._new_pass is None:
+            return
+        facts: dict[RowId, Any] = {}
+        self._pass = self._new_pass(facts)
+        for _, row in self._heap.scan():
+            self._pass(row)
+        for text_index in self._text_indexes.values():
+            text_index.facts = facts
+
     def rebuild_indexes(self) -> None:
         """Rebuild every B+tree and text index from the heap.
 
@@ -224,6 +248,7 @@ class Table:
                 self._indexes[column] = self._build_index(column)
             for column in self._text_indexes:
                 self._text_indexes[column] = self._build_text_index(column)
+            self.derive_facts()
         finally:
             self._seq += 1
             self._commit_statement(lsn)
@@ -543,7 +568,7 @@ class Table:
         The probe runs before the changed-set read: any statement racing
         us either finishes before the probe (its rowid is in the postings
         or gone from them) or lands a history entry the changed-set read
-        sees.  Physical order, whatever the races.
+        sees.  Unordered: the B+tree door sorts, text consumers take sets.
         """
         rowids = self.stable_read(probe)
         changed = self.changed_rowids_since(pin)
@@ -553,11 +578,11 @@ class Table:
                 image = self.stable_read(lambda: self._visible_image(rowid, pin))
                 if image is not ABSENT and judge(image):
                     rowids.append(rowid)
-        return sorted(rowids)
+        return list(rowids)
 
     def snapshot_rowids(self, column: str, value: Any, pin: int) -> list[RowId]:
         """ROWIDs of the rows whose indexed ``column`` equals ``value`` as
-        of ``pin`` — membership without the rows."""
+        of ``pin``, in physical order — membership without the rows."""
         index = self._indexes.get(column.upper())
         if index is None:
             raise CatalogError(
@@ -565,10 +590,10 @@ class Table:
             )
         position = self.schema.position(column)
         obs.inc("repro_ordbms_btree_probes_total", index=index.name)
-        return self._rowids_as_of(
+        return sorted(self._rowids_as_of(
             lambda: index.search(value),
             lambda image: image[position] == value, pin,
-        )
+        ))
 
     def snapshot_text_rowids(
         self,
@@ -577,8 +602,8 @@ class Table:
         predicate: Callable[[str], bool],
         pin: int,
     ) -> list[RowId]:
-        """The text-index twin of :meth:`snapshot_rowids`: ``lookup`` is
-        the raw probe, ``predicate`` its meaning on one row's text."""
+        """The text-index twin of :meth:`snapshot_rowids`, unordered:
+        ``lookup`` is the raw probe, ``predicate`` its meaning on a row's text."""
         index = self._text_indexes[column.upper()]
         position = self.schema.position(column)
         return self._rowids_as_of(
@@ -633,6 +658,8 @@ class Table:
             value = row[self.schema.position(column)]
             if isinstance(value, str) and value:
                 text_index.add(rowid, value)
+        if self._pass is not None:
+            self._pass(row)
 
     def _unindex_row(self, row: Any) -> None:
         rowid = row.rowid

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro import obs
 from repro.ordbms.rowid import RowId
@@ -54,6 +54,10 @@ class TextIndex:
         # term -> {rowid -> [positions]}
         self._postings: dict[str, dict[RowId, list[int]]] = defaultdict(dict)
         self._doc_count = 0
+        #: rowid -> one value per indexed *row*, shared by all its terms:
+        #: what the table's streaming pass said of it when it was written
+        #: (:meth:`~repro.ordbms.table.Table.derive_facts`; None: no pass).
+        self.facts: dict[RowId, Any] | None = None
 
     def __len__(self) -> int:
         """Number of indexed rows."""
@@ -88,6 +92,8 @@ class TextIndex:
     def remove(self, rowid: RowId, text: str) -> None:
         """Remove a previously indexed ``(rowid, text)`` pair."""
         tokens = set(tokenize(text, keep_stopwords=True))
+        if self.facts:
+            self.facts.pop(rowid, None)
         removed = False
         for term in tokens:
             by_row = self._postings.get(term)

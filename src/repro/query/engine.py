@@ -4,26 +4,26 @@ The engine implements the paper's strategy literally, compiled into an
 explicit operator tree (:mod:`repro.query.plan`) and pulled lazily:
 
 1. **Index probe.**  The search key goes to the text index over
-   ``XML.NODEDATA`` — every hit is a TEXT node row (``IndexProbe``; the
-   ABL-IDX ablation swaps in ``Scan``).
-2. **Upward traversal.**  Each hit is resolved "based on its designated
+   ``XML.NODEDATA`` — every hit is a TEXT node row (``TextSource``; the
+   ABL-IDX ablation scans instead).
+2. **Upward traversal.**  Each hit resolves "based on its designated
    unique ROWID ... traversing up the tree structure via its parent or
-   sibling node until the first context is found":
-
-   * For a *context* search the hit must be heading text, i.e. have a
-     CONTEXT element among its proper ancestors (``ContextLift``).
-   * For a *content* search the hit resolves to its governing context —
-     nearest enclosing or preceding CONTEXT (``GoverningLift``).
-
+   sibling node until the first context is found" — a walk whose answer
+   is a fact about the ROWID, so the loader takes it once, as it writes
+   the row, and the index carries it beside the posting
+   (:class:`~repro.store.accessor.SectionPass`; the scan path still
+   walks).  A *context* search takes the hit's CONTEXT ancestor
+   (``ContextLift``), a *content* search its governing context — nearest
+   enclosing or preceding CONTEXT (``GoverningLift``).
 3. **Downward walk.**  The matched context's section — its following
    siblings up to the next context — is read in one forward pass over
    the rows stored after it (``SectionWalk``) and reconstructed lazily
    at materialization.
 
 A combined ``Context=X&Content=Y`` query intersects: sections whose
-heading matches X *and* whose scope contains Y.  On the indexed path a
-document-level semijoin (``Intersect``) prunes candidates whose document
-cannot contain Y before any section is walked.
+heading matches X *and* whose text contains Y.  On the indexed path a
+section-level semijoin (``Intersect``) keeps only the sections the
+postings of Y name, before any row is read.
 
 ``limit`` pushes all the way down: ``Rank`` orders candidates by score
 (stable within ties), ``Limit`` stops the pull, and the expensive
@@ -42,7 +42,7 @@ from __future__ import annotations
 from repro import obs
 from repro.errors import QueryError
 from repro.obs import PlanProfiler
-from repro.query.ast import ContentSpec, ContextSpec, XdbQuery
+from repro.query.ast import ContentSpec, XdbQuery
 from repro.query.cache import QueryCache
 from repro.query.language import format_query, parse_query
 from repro.query.plan import (
@@ -51,7 +51,6 @@ from repro.query.plan import (
     DocFilter,
     FormatFilter,
     GoverningLift,
-    IndexProbe,
     Intersect,
     Limit,
     Materialize,
@@ -60,10 +59,8 @@ from repro.query.plan import (
     PlanNode,
     Present,
     Rank,
-    Scan,
     SectionWalk,
-    Sort,
-    Union,
+    TextSource,
     phrase_in,
 )
 from repro.ordbms import Snapshot
@@ -285,10 +282,10 @@ class QueryEngine:
 
         The shape by query kind (leaf → root), shared tail elided::
 
-            context:   probe*       > context-lift   > sort > ...
-            content:   probe* union > governing-lift        > ...
-            combined:  probe*       > context-lift   > sort > intersect > ...
-            nodename:  nodename-probe                > sort > ...
+            context:   probe* > context-lift   > ...
+            content:   probe* > governing-lift > ...
+            combined:  probe* > context-lift   > intersect > ...
+            nodename:  nodename-probe          > ...
 
         Tail: doc/format filters, ``rank``, the expensive per-candidate
         test (``section-walk`` / ``content-filter``) when the kind has
@@ -304,17 +301,16 @@ class QueryEngine:
             profiler=profiler, budget=budget,
         )
         kind = query.kind
-        if kind == "context":
-            node = self._context_pipeline(ctx, self._spec(query.context))
+        if kind in {"context", "combined"}:
+            phrases = self._spec(query.context).phrases
+            node = ContextLift(ctx, *[TextSource(ctx, p, True) for p in phrases])
+            if kind == "combined" and self.use_index:
+                node = Intersect(ctx, node, self._spec(query.content))
         elif kind == "content":
             spec = self._spec(query.content)
-            node = GoverningLift(ctx, self._content_source(ctx, spec))
-        elif kind == "combined":
-            node = self._context_pipeline(ctx, self._spec(query.context))
-            if self.use_index:
-                node = Intersect(ctx, node, self._spec(query.content))
+            node = GoverningLift(ctx, *self._content_probes(ctx, spec))
         else:  # nodename
-            node = Sort(ctx, NodenameProbe(ctx, self._spec(query.nodename)))
+            node = NodenameProbe(ctx, self._spec(query.nodename))
         if query.doc:
             node = DocFilter(ctx, node, query.doc)
         if query.format:
@@ -330,31 +326,13 @@ class QueryEngine:
         node = Present(ctx, node)
         return ctx, Materialize(ctx, node)
 
-    def _context_pipeline(self, ctx: PlanContext, spec: ContextSpec) -> PlanNode:
-        pairs = [
-            (self._probe(ctx, phrase, phrase_mode=True), phrase)
-            for phrase in spec.phrases
-        ]
-        return Sort(ctx, ContextLift(ctx, pairs))
-
-    def _content_source(self, ctx: PlanContext, spec: ContentSpec) -> PlanNode:
+    def _content_probes(self, ctx: PlanContext, spec: ContentSpec) -> list[PlanNode]:
         if spec.mode == "phrase":
-            return self._probe(ctx, spec.text, phrase_mode=True)
+            return [TextSource(ctx, spec.text, phrase_mode=True)]
         # "any"/"all" alike read every term's postings; the conjunction
         # (for "all") happens at the section level, since terms may be
         # satisfied by *different* text nodes of one section.
-        return Union(
-            ctx,
-            *[
-                self._probe(ctx, term, phrase_mode=False)
-                for term in spec.terms
-            ],
-        )
-
-    def _probe(self, ctx: PlanContext, key: str, phrase_mode: bool) -> PlanNode:
-        if self.use_index:
-            return IndexProbe(ctx, key, phrase_mode)
-        return Scan(ctx, key, phrase_mode)
+        return [TextSource(ctx, term, phrase_mode=False) for term in spec.terms]
 
     @staticmethod
     def _spec(value):

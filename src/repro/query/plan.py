@@ -9,27 +9,26 @@ materialized beyond what the limit requires.
 
 Operator inventory (leaf → root; each class says the rest):
 
-``IndexProbe`` / ``Scan``
-    TEXT-row sources: the inverted-index probe of paper §2.1.4, or the
-    full-table fallback used by the ABL-IDX ablation.
-``Union``
-    Order-preserving, ROWID-deduplicating merge of several probes.
+``TextSource`` (``index-probe`` / ``scan``)
+    The inverted-index probe of paper §2.1.4, or the full-table fallback
+    used by the ABL-IDX ablation.  Yields ROWIDs — postings — not rows.
 ``ContextLift`` / ``GoverningLift``
-    The upward traversal: heading hits lift to their CONTEXT *ancestor*
-    (context search), content hits to their *governing* context (content
-    search, which also accumulates INTENSE score boosts and collects
-    document-level hits that precede every context).
-``NodenameProbe``, ``Sort``, ``DocFilter`` / ``FormatFilter``
-    The nodename source, the stable (document, node) presentation order,
-    and the ``Doc=`` / ``Format=`` narrowing filters.
+    The upward traversal, read off the facts the index carries for each
+    posting (the scan path walks for them): heading hits lift to their
+    CONTEXT *ancestor* (context search), content hits to their
+    *governing* context (content search, which also accumulates INTENSE
+    score boosts and collects document-level hits that precede every
+    context).  From here on a candidate is a section ROWID and a score.
+``NodenameProbe``, ``DocFilter`` / ``FormatFilter``
+    The nodename source and the ``Doc=`` / ``Format=`` narrowing filters.
+    Every source emits in ROWID order, which is (document, node) order:
+    the presentation order.
 ``Intersect``
-    Document-level semijoin: content terms must occur *somewhere* in a
-    candidate's document, decided on index postings and row addresses
-    alone, before any section is read.
+    Section-level semijoin: the sections whose text holds the content
+    terms, from postings and their facts alone, before any row is read.
 ``Rank`` … ``Limit`` … ``Present``
-    ``Rank`` (blocking) tags presentation positions and re-orders by
-    descending score, so ``Limit`` is *rank-aware*; ``Present`` restores
-    presentation order afterwards.
+    ``Rank`` (blocking) re-orders by descending score, so ``Limit`` is
+    *rank-aware*; ``Present`` restores presentation order afterwards.
 ``SectionWalk`` / ``ContentFilter``
     The expensive per-candidate content test, directly under ``Limit``:
     one forward read of the candidate's section (heading included), or,
@@ -46,10 +45,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import DocumentNotFoundError, QueryError
 from repro.obs import PlanProfiler
+from repro.ordbms import RowId
 from repro.ordbms.textindex import TextIndex, tokenize
 from repro.query.ast import ContentSpec
 from repro.query.results import SectionMatch
@@ -64,45 +64,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.deadline import Budget
 
 
-def phrase_in(phrase: str | list[str], text: str) -> bool:
-    """Token-level phrase containment, case-insensitive.
-
-    ``Budget`` is contained in ``FY04 Budget Summary`` but not in
-    ``Budgetary`` — token boundaries matter, substring match does not.
-    A caller testing one phrase against many texts passes its tokens
-    (``tokenize(phrase, keep_stopwords=True)``), tokenized once.
-    """
-    needle = (
-        tokenize(phrase, keep_stopwords=True)
-        if isinstance(phrase, str) else phrase
-    )
-    haystack = tokenize(text, keep_stopwords=True)
-    if not needle:
-        return False
+def _run_in(needle: list[str], haystack: list[str]) -> bool:
+    """Do the tokens of ``needle`` occur consecutively in ``haystack``?"""
     span = len(needle)
-    return any(
+    if span == 1:
+        return needle[0] in haystack
+    return span > 0 and any(
         haystack[start:start + span] == needle
         for start in range(len(haystack) - span + 1)
     )
 
 
+def phrase_in(phrase: str, text: str) -> bool:
+    """Token-level phrase containment, case-insensitive.
+
+    ``Budget`` is contained in ``FY04 Budget Summary`` but not in
+    ``Budgetary`` — token boundaries matter, substring match does not.
+    """
+    return _run_in(
+        tokenize(phrase, keep_stopwords=True),
+        tokenize(text, keep_stopwords=True),
+    )
+
+
 def text_satisfies(text: str, spec: ContentSpec) -> bool:
-    """Does free text satisfy a content spec (phrase / any / all)?"""
-    if spec.mode == "phrase":
-        return phrase_in(spec.text, text)
-    tokens = set(tokenize(text, keep_stopwords=True))
-    wanted = [term.lower() for term in spec.terms]
-    if spec.mode == "any":
-        return any(term in tokens for term in wanted)
-    return all(term in tokens for term in wanted)
+    """Does free text satisfy a content spec (phrase / any / all)?
 
-
-def scan_match(key: str, data: str, phrase_mode: bool) -> bool:
-    """The scan-path predicate mirroring one index probe."""
-    if phrase_mode:
-        return phrase_in(key, data)
-    tokens = set(tokenize(data, keep_stopwords=True))
-    return all(term.lower() in tokens for term in tokenize(key))
+    A term holds when its tokens occur consecutively — ``cost-benefit``,
+    ``U.S.`` and ``FY04/05`` are two tokens each to the tokenizer, and
+    match the text they were typed from.
+    """
+    haystack = tokenize(text, keep_stopwords=True)
+    terms = [spec.text] if spec.mode == "phrase" else spec.terms
+    holds = (
+        _run_in(tokenize(term, keep_stopwords=True), haystack) for term in terms
+    )
+    return any(holds) if spec.mode == "any" else all(holds)
 
 
 class PlanContext:
@@ -141,61 +138,31 @@ class PlanContext:
             "entry", doc_id, self.store.entry_at, doc_id, self.accessor.lsn
         )
 
-    def file_name(self, doc_id: int) -> str:
-        return self.entry(doc_id).file_name
-
-    def text_index(self) -> TextIndex:
-        """The NODEDATA inverted index (schema-created; absence is a fault)."""
-        index = self.store.xml_table.text_index_on("NODEDATA")
-        if index is None:
-            raise QueryError(
-                "indexed search requires the text index on XML.NODEDATA, "
-                "which the schema normally creates"
-            )
-        return index
-
-    def section_satisfies(self, context_row: XmlRow, spec: ContentSpec) -> bool:
-        """Does the section under ``context_row`` satisfy the content spec?
-
-        The heading participates: ``Content=Shuttle`` returns sections
-        containing the term *anywhere*, headings included.
-        """
-        heading = self.accessor.context_title(context_row)
-        text = heading + " " + self.accessor.section_text(context_row)
-        return text_satisfies(text, spec)
-
-    def is_emphasized(self, row: XmlRow) -> bool:
-        """True when a text row sits inside INTENSE (emphasis) markup."""
-        current = row
-        while True:
-            parent = self.accessor.parent(current)
-            if parent is None:
-                return False
-            if parent.NODETYPE == int(NodeType.INTENSE):
-                return True
-            if parent.NODETYPE == int(NodeType.CONTEXT):
-                return False
-            current = parent
-
 
 @dataclass
 class Candidate:
     """One item flowing through a plan: a potential match, pre-materialization.
 
-    ``kind`` is "section" (``row`` is a CONTEXT row), "document" (``row``
-    is the first context-less content hit of the document) or "node"
-    (``row`` is an element row from a nodename search).  ``order`` is the
-    presentation position tagged by :class:`Rank` so :class:`Present`
-    can restore it after rank-aware limiting.
+    ``kind`` is "section" (``rowid`` addresses a CONTEXT row), "document"
+    (the document's first context-less content hit) or "node" (an element
+    row from a nodename search).  The row is read when something first
+    asks for it — under ``Limit``, for a section.
     """
 
     kind: str
-    doc_id: int
-    row: XmlRow
+    rowid: RowId
+    accessor: NodeAccessor = field(repr=False)
     score: float = 1.0
-    order: int = -1
     node: Element | Text | None = None
     text: str | None = None
+
+    @property
+    def row(self) -> XmlRow:
+        return self.accessor.node(self.rowid)
+
+    @property
+    def doc_id(self) -> int:
+        return self.row.DOC_ID
 
 
 class PlanNode:
@@ -291,150 +258,106 @@ class PlanNode:
 
 
 class TextSource(PlanNode):
-    """A leaf yielding the TEXT rows whose NODEDATA matches one search key."""
+    """A leaf yielding the ROWIDs — postings, not rows — of the TEXT rows
+    whose NODEDATA matches one search key: the inverted-index probe of
+    paper §2.1.4, correct as of the plan's LSN, or (``use_index=False``,
+    the ABL-IDX ablation) a full scan judging every row's text."""
 
     def __init__(self, ctx: PlanContext, key: str, phrase_mode: bool) -> None:
         kind = "phrase" if phrase_mode else "terms"
         super().__init__(ctx, detail=f'{kind} "{key}"')
-        self.key = key
-        self.phrase_mode = phrase_mode
+        self.name = "index-probe" if ctx.use_index else "scan"
+        self.key, self.phrase_mode = key, phrase_mode
 
     def _matches(self, data: str | None) -> bool:
-        return data is not None and scan_match(self.key, data, self.phrase_mode)
-
-    def _produce(self) -> Iterator[Candidate]:
-        for row in self._rows():
-            if row.NODETYPE == int(NodeType.TEXT):
-                yield Candidate("text", row.DOC_ID, row)
-
-
-class IndexProbe(TextSource):
-    """Inverted-index probe over XML.NODEDATA.
-
-    The posting list comes back as rowids; the rows arrive in ONE batched
-    fetch through the accessor (and stay cached for later lifts/walks).
-    """
-
-    name = "index-probe"
+        """The probe's meaning on one row's text: the scan path's test,
+        and the index path's for rows changed since its LSN."""
+        if data is None:
+            return False
+        if self.phrase_mode:
+            return phrase_in(self.key, data)
+        wanted = tokenize(self.key)  # all stop words: no posting to find
+        return bool(wanted) and set(wanted) <= set(tokenize(data, keep_stopwords=True))
 
     def _lookup(self, index: TextIndex) -> set[Any]:
         if self.phrase_mode:
             return index.lookup_phrase(self.key)
         return index.lookup_all(tokenize(self.key))
 
-    def _rows(self) -> Iterable[XmlRow]:
-        self.ctx.text_index()  # missing index is a fault even under MVCC
+    def _produce(self) -> Iterator[RowId]:
         accessor = self.ctx.accessor
-        return accessor.nodes(accessor.probe_text(self._lookup, self._matches))
-
-
-class Scan(TextSource):
-    """Full-table scan source (the ABL-IDX ablation's ``use_index=False``)."""
-
-    name = "scan"
-
-    def _rows(self) -> Iterable[XmlRow]:
-        rows = self.ctx.store.xml_table.snapshot_scan(self.ctx.accessor.lsn)
-        return (row for row in rows if self._matches(row.NODEDATA))
-
-
-class Union(PlanNode):
-    """Order-preserving union of several sources, deduplicated by ROWID."""
-
-    name = "union"
-
-    def _produce(self) -> Iterator[Candidate]:
-        seen: set[Any] = set()
-        for child in self.children:
-            for candidate in child.rows():
-                rowid = candidate.row.rowid
-                if rowid in seen:
-                    continue
-                seen.add(rowid)
-                yield candidate
+        if self.ctx.use_index:
+            yield from accessor.probe_text(self._lookup, self._matches)
+            return
+        for row in self.ctx.store.xml_table.snapshot_scan(accessor.lsn):
+            if row.NODETYPE == int(NodeType.TEXT) and self._matches(row.NODEDATA):
+                yield row.rowid
 
 
 # -- upward traversal ---------------------------------------------------------
 
 
-class ContextLift(PlanNode):
+class Lift(PlanNode):
+    """Postings of every child source, once each, to section candidates —
+    by the facts the index carries per posting; the scan path walks for
+    the same facts (:meth:`NodeAccessor.text_facts`)."""
+
+    def _hits(self) -> tuple[list[RowId], list[Any]]:
+        hits = list(dict.fromkeys(
+            rowid for child in self.children for rowid in child.rows()
+        ))
+        return hits, self.ctx.accessor.text_facts(hits, self.ctx.use_index)
+
+
+class ContextLift(Lift):
     """Lift heading hits to their CONTEXT ancestors (context search).
 
-    Each child probe is paired with the phrase it searched for; a lifted
-    context only survives if the *whole* phrase holds across its full
-    (possibly multi-node) heading.  Confirmed contexts are deduplicated
-    across phrases.
+    A hit holds the whole phrase in one heading node, so its heading
+    holds it; hits outside any heading have no ancestor and drop out.
+    Emitted in ROWID order, which is (document, node) order — the
+    presentation order (fsck ``doc-order``).
     """
 
     name = "context-lift"
 
-    def __init__(
-        self, ctx: PlanContext, pairs: list[tuple[PlanNode, str]]
-    ) -> None:
-        super().__init__(ctx, *[node for node, _ in pairs])
-        self.pairs = pairs
-
     def _produce(self) -> Iterator[Candidate]:
-        accessor = self.ctx.accessor
-        confirmed: set[Any] = set()
-        for source, phrase in self.pairs:
-            needle = tokenize(phrase, keep_stopwords=True)
-            hits = [hit.row for hit in source.rows()]
-            for context in accessor.lift_all(hits, governing=False):
-                if context is None:
-                    continue
-                rowid = context.rowid
-                if rowid in confirmed:
-                    continue
-                # The index matched one TEXT node; confirm the phrase
-                # holds across the whole heading.
-                if phrase_in(needle, accessor.context_title(context)):
-                    confirmed.add(rowid)
-                    yield Candidate("section", context.DOC_ID, context)
+        ancestors = {ancestor for _, ancestor, _ in self._hits()[1]} - {None}
+        for rowid in sorted(ancestors):
+            yield Candidate("section", rowid, self.ctx.accessor)
 
 
-class GoverningLift(PlanNode):
+class GoverningLift(Lift):
     """Lift content hits to their governing contexts (content search).
 
     Blocking: scores (INTENSE boosts) accumulate across *all* hits of a
-    context, so nothing can flow until every hit is seen.  Emits the
-    distinct contexts in stable (document, node) order with their final
-    scores, then one document-level candidate per context-less document
-    (carrying its first hit row, whose data becomes the snippet).
+    context.  Emits the distinct contexts in ROWID order with their
+    final scores, then one document-level candidate per context-less
+    document (its first hit row, whose data becomes the snippet).
     """
 
     name = "governing-lift"
 
     def _produce(self) -> Iterator[Candidate]:
-        accessor = self.ctx.accessor
-        contexts: dict[Any, XmlRow] = {}
-        boosts: dict[Any, float] = {}
-        doc_level: dict[int, XmlRow] = {}
-        hits = [hit.row for hit in self.children[0].rows()]
-        # The emphasis test walks every hit's ancestors whatever the memos
-        # say of its governing context: fetch them by level, not by hop.
-        accessor.prefetch_ancestors(hits)
-        lifted = accessor.lift_all(hits, governing=True)
-        for row, context in zip(hits, lifted):
-            if context is None:
-                doc_level.setdefault(row.DOC_ID, row)
-                continue
-            key = context.rowid
-            contexts.setdefault(key, context)
-            if self.ctx.is_emphasized(row):
-                boosts[key] = boosts.get(key, 0.0) + 0.5
-        ordered = sorted(
-            contexts.values(), key=lambda row: (row.DOC_ID, row.NODEID)
-        )
-        for row in ordered:
-            score = 1.0 + boosts.get(row.rowid, 0.0)
-            yield Candidate("section", row.DOC_ID, row, score=score)
+        scores: dict[RowId, float] = {}
+        unowned: list[RowId] = []
+        for rowid, (sections, _, emphasised) in zip(*self._hits()):
+            if sections:
+                boost = 0.5 if emphasised else 0.0
+                scores[sections[0]] = scores.get(sections[0], 1.0) + boost
+            else:
+                unowned.append(rowid)
+        for rowid in sorted(scores):
+            yield Candidate("section", rowid, self.ctx.accessor, scores[rowid])
+        doc_level: dict[int, RowId] = {}
+        for row in self.ctx.accessor.nodes(sorted(unowned)):
+            doc_level.setdefault(row.DOC_ID, row.rowid)
         for doc_id in sorted(doc_level):
-            yield Candidate("document", doc_id, doc_level[doc_id])
+            yield Candidate("document", doc_level[doc_id], self.ctx.accessor)
 
 
 class NodenameProbe(PlanNode):
-    """B+tree probe on NODENAME: one candidate per element instance."""
+    """B+tree probe on NODENAME: one candidate per element instance, in
+    ROWID order."""
 
     name = "nodename-probe"
 
@@ -444,19 +367,7 @@ class NodenameProbe(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         for row in self.ctx.accessor.lookup_rows("NODENAME", self.nodename):
-            yield Candidate("node", row.DOC_ID, row)
-
-
-class Sort(PlanNode):
-    """Stable (document, node) ordering — the presentation order."""
-
-    name = "sort"
-
-    def _produce(self) -> Iterator[Candidate]:
-        yield from sorted(
-            self.children[0].rows(),
-            key=lambda c: (c.row.DOC_ID, c.row.NODEID),
-        )
+            yield Candidate("node", row.rowid, self.ctx.accessor)
 
 
 # -- filters ------------------------------------------------------------------
@@ -473,7 +384,7 @@ class DocFilter(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
-            if self.needle in self.ctx.file_name(candidate.doc_id).lower():
+            if self.needle in self.ctx.entry(candidate.doc_id).file_name.lower():
                 yield candidate
 
 
@@ -508,68 +419,41 @@ class ContentTest(PlanNode):
 
 
 class Intersect(ContentTest):
-    """Document-level semijoin against content-term postings.
+    """Section-level semijoin against content-term postings.
 
-    A section's text (heading included) is drawn entirely from TEXT rows
-    of its own document, and the joined text is space-separated, so every
-    token of a matching section occurs as a token of *some* row the
-    index has seen.  Hence: a candidate whose document lacks a required
-    term can never satisfy the content spec — drop it before walking its
-    section.  Only terms the tokenizer maps to themselves participate
-    (``all`` intersects per-term document sets, ``any`` unions them,
-    ``phrase`` intersects per-token sets); when a term falls outside
-    that shape the semijoin abstains rather than guess.
-
-    Membership, not rows: each token's postings stay a set of ROWIDs
-    (:meth:`NodeAccessor.probe_text`, correct as of the pin) and a
-    candidate's document is the set of its rows' addresses
-    (:meth:`NodeAccessor.lookup_rowids`, one ``XML.DOC_ID`` probe per
-    document) — the document has the token when the two intersect, and
-    no posting row is fetched to learn its ``DOC_ID``.
+    A section's text — heading and scope — is the text of the TEXT rows
+    whose ``sections`` fact names it, so the sections holding a token
+    are the union of its postings' facts.  A term needs all its tokens
+    there (``cost-benefit`` is two), ``all`` every term, ``any`` one, a
+    phrase every token: a superset of what satisfies the spec, or equal
+    to it — :class:`SectionWalk`, under the limit, has the last word on
+    adjacency.  No row is fetched, no document probed.
     """
 
     name = "intersect"
 
-    def _postings(self, token: str) -> set[Any]:
-        self.ctx.text_index()  # missing index is a fault even under MVCC
-        return set(self.ctx.accessor.probe_text(
+    def _holding(self, token: str) -> set[RowId]:
+        """The sections whose text has ``token``."""
+        accessor = self.ctx.accessor
+        postings = accessor.probe_text(
             lambda index: index.lookup(token),
-            lambda data: token.lower() in tokenize(data, keep_stopwords=True),
-        ))
-
-    def _required(self) -> tuple[list[set[Any]], bool] | None:
-        """Per-token posting sets and whether every one must be met —
-        None means "cannot prune"."""
-        spec = self.spec
-        if spec.mode == "phrase":
-            tokens = tokenize(spec.text, keep_stopwords=True)
-        else:
-            tokens = [
-                term.lower() for term in spec.terms
-                if tokenize(term, keep_stopwords=True) == [term.lower()]
-            ]
-            if spec.mode == "any" and len(tokens) < len(spec.terms):
-                return None  # an odd term: abstain ("all" just skips it)
-        if not tokens:
-            return None
-        return [self._postings(token) for token in tokens], spec.mode != "any"
+            lambda data: token in tokenize(data, keep_stopwords=True),
+        )
+        return {
+            section for fact in accessor.text_facts(postings) for section in fact[0]
+        }
 
     def _produce(self) -> Iterator[Candidate]:
-        required = self._required()
-        if required is None:
-            yield from self.children[0].rows()
-            return
-        postings, every = required
-        quantifier = all if every else any
-        admitted: dict[int, bool] = {}
+        spec = self.spec
+        terms = [spec.text] if spec.mode == "phrase" else spec.terms
+        per_term = [
+            set.intersection(*map(self._holding, tokens)) if tokens else set()
+            for tokens in (tokenize(term, keep_stopwords=True) for term in terms)
+        ]
+        combine = set.union if spec.mode == "any" else set.intersection
+        admitted = combine(*per_term)
         for candidate in self.children[0].rows():
-            doc_id = candidate.doc_id
-            if doc_id not in admitted:
-                rowids = self.ctx.accessor.lookup_rowids("DOC_ID", doc_id)
-                admitted[doc_id] = quantifier(
-                    not found.isdisjoint(rowids) for found in postings
-                )
-            if admitted[doc_id]:
+            if candidate.rowid in admitted:
                 yield candidate
 
 
@@ -580,17 +464,22 @@ class SectionWalk(ContentTest):
     reading every row of the section — so it sits directly under
     ``Limit``: candidates beyond what the limit needs are never walked.
     Document-level candidates pass through untested (they matched on a
-    context-less hit; there is no section to test).
+    context-less hit; there is no section to test).  The heading
+    participates: ``Content=Shuttle`` returns sections containing the
+    term *anywhere*, headings included.
     """
 
     name = "section-walk"
 
     def _produce(self) -> Iterator[Candidate]:
+        accessor = self.ctx.accessor
         for candidate in self.children[0].rows():
-            if candidate.kind != "section" or self.ctx.section_satisfies(
-                candidate.row, self.spec
-            ):
-                yield candidate
+            if candidate.kind == "section":
+                row = candidate.row
+                text = accessor.context_title(row) + " " + accessor.section_text(row)
+                if not text_satisfies(text, self.spec):
+                    continue
+            yield candidate
 
 
 class ContentFilter(ContentTest):
@@ -617,21 +506,17 @@ class ContentFilter(ContentTest):
 
 
 class Rank(PlanNode):
-    """Tag presentation positions, then emit by descending score (stable).
+    """Emit by descending score (stable: ties keep presentation order).
 
-    Blocking by necessity — ranking needs every score — but candidates
-    at this point are cheap (already-fetched rows); the expensive
-    section resolution happens downstream, bounded by ``Limit``.
+    Blocking by necessity — ranking needs every score — but a candidate
+    at this point is an address and a float; the expensive section
+    resolution happens downstream, bounded by ``Limit``.
     """
 
     name = "rank"
 
     def _produce(self) -> Iterator[Candidate]:
-        candidates = list(self.children[0].rows())
-        for position, candidate in enumerate(candidates):
-            candidate.order = position
-        candidates.sort(key=lambda c: -c.score)  # stable: ties keep order
-        yield from candidates
+        yield from sorted(self.children[0].rows(), key=lambda c: -c.score)
 
 
 class Limit(PlanNode):
@@ -660,12 +545,15 @@ class Limit(PlanNode):
 
 
 class Present(PlanNode):
-    """Restore presentation order after rank-aware limiting."""
+    """Restore presentation order after rank-aware limiting: sections
+    (or nodes) by ROWID, then the document-level hits by ROWID."""
 
     name = "present"
 
     def _produce(self) -> Iterator[Candidate]:
-        yield from sorted(self.children[0].rows(), key=lambda c: c.order)
+        yield from sorted(
+            self.children[0].rows(), key=lambda c: (c.kind == "document", c.rowid)
+        )
 
 
 # -- materialization ----------------------------------------------------------
@@ -713,7 +601,7 @@ class NodeResolver:
                 self._heading = (
                     accessor.context_title(governing)
                     if governing is not None
-                    else self.ctx.file_name(self.row.DOC_ID)
+                    else self.ctx.entry(self.row.DOC_ID).file_name
                 )
         return self._heading
 
@@ -749,7 +637,7 @@ class Materialize(PlanNode):
                     file_name=entry.file_name,
                     score=candidate.score,
                     loader=SectionResolver(ctx, candidate.row),
-                    rowid=candidate.row.rowid,
+                    rowid=candidate.rowid,
                 )
             elif candidate.kind == "document":
                 snippet = (candidate.row.NODEDATA or "").strip()

@@ -4,8 +4,8 @@ The paper's traversal story (§2.1.4) is ROWID hops — each parent /
 sibling / child step an O(1) physical fetch.  A :class:`NodeAccessor`
 keeps the hops and asks for rows last:
 
-* **batching** — rowid lists (index postings, ancestor frontiers, memo
-  answers) come through one ``visible_many`` call;
+* **batching** — rowid lists (memo answers, postings to walk) come
+  through one ``visible_many`` call;
 * **forward reads** — a document's rows are one contiguous ROWID run in
   document order (DESIGN.md §17), so a subtree or a whole section is the
   rows stored right after its first (:meth:`NodeAccessor.subtree`), read
@@ -14,10 +14,14 @@ keeps the hops and asks for rows last:
   (:data:`~repro.store.schema.XmlRow`: ``row.NODETYPE``, ``row.rowid``),
   immutable and shared with every other reader; nothing is decoded or
   copied between the heap and a plan operator;
-* **memoization** — node rows, child sets and the five structural lifts
-  (context ancestor, governing context, section scope, text, title) are
-  computed once per accessor and reused by every operator of a plan and
-  by the lazy :class:`~repro.query.results.SectionMatch` loaders;
+* **facts written once** — which sections a TEXT row's text belongs to
+  is decided as the row is written (:class:`SectionPass`) and read off
+  the text index (:meth:`NodeAccessor.text_facts`); the hop walk that
+  says the same is kept as the reference (:meth:`NodeAccessor.walk_facts`);
+* **memoization** — node rows, child sets and the four structural lifts
+  (governing context, section scope, text, title) are computed once per
+  accessor and reused by every operator of a plan and by the lazy
+  :class:`~repro.query.results.SectionMatch` loaders;
 * **one commit LSN** — an accessor is a view at :attr:`NodeAccessor.lsn`,
   fixed at construction: rows resolve to their version as of it, index
   probes are patched with the rows that changed since, and the caches
@@ -37,8 +41,9 @@ This class is the only traversal implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
+from repro.errors import StoreError
 from repro.ordbms import Database, RowId, Snapshot
 from repro.ordbms.textindex import TextIndex
 from repro.sgml.nodetypes import NodeType
@@ -68,6 +73,61 @@ class AccessorStats:
             setattr(self, field_name, 0)
 
 
+Fact = tuple[tuple[RowId, ...], RowId | None, bool]
+_TEXT, _CONTEXT, _INTENSE = map(
+    int, (NodeType.TEXT, NodeType.CONTEXT, NodeType.INTENSE)
+)
+
+
+class SectionPass:
+    """One streaming pass over XML rows in document order: what every
+    TEXT row's text belongs to, decided as the row is written.
+
+    ``facts[rowid]`` is ``(sections, ancestor, emphasised)``: the ROWIDs
+    of every CONTEXT whose title or scope holds the row
+    (:meth:`NodeAccessor.context_title` / ``section_scope``), governing
+    context first; its nearest CONTEXT ancestor (heading text only);
+    whether it sits under INTENSE — equal to
+    :meth:`NodeAccessor.walk_facts`.  State is per open element, dropped
+    at the next document's root; rows of one section share one fact.
+    """
+
+    def __init__(self, facts: dict[RowId, Any]) -> None:
+        self._facts = facts  # the index's own dict: TEXT ROWID -> fact
+        #: element ROWID -> [the fact of what hangs below it come what
+        #: may, the fact of a TEXT child arriving now: the same, plus the
+        #: latest CONTEXT child, whose scope the later children are]
+        self._open: dict[RowId | None, list[Any]] = {}
+        #: parent ROWID -> rows that came before it (an undone delete
+        #: restores a document newest row first)
+        self._early: dict[RowId, list[XmlRow]] = {}
+
+    def __call__(self, row: XmlRow) -> None:
+        above, kind, rowid = row.PARENTROWID, row.NODETYPE, row.rowid
+        if above is None:
+            self._open = {None: [((), None, False)] * 2}
+        state = self._open.get(above)
+        if state is None:
+            self._early.setdefault(above, []).append(row)
+        elif kind == _TEXT:
+            self._facts[rowid] = state[1]
+        else:
+            below, ancestor, intense = state[0]
+            if kind == _CONTEXT:
+                own = ((rowid,) + below, rowid, False)
+                # Under a CONTEXT parent that parent still governs.
+                lead = 1 if ancestor == above else 0
+                now = below[:lead] + (rowid,) + below[lead:]
+                state[1] = (now, ancestor, intense)
+            else:
+                own = (state[1][0], ancestor, intense or kind == _INTENSE)
+            self._open[rowid] = [own, own]
+            if self._early:
+                early = self._early.pop(rowid, ())
+                for child in sorted(early, key=lambda row: row.rowid):
+                    self(child)
+
+
 class NodeAccessor:
     """Memoizing, batch-fetching view over one store's XML table at one
     commit LSN.
@@ -95,7 +155,7 @@ class NodeAccessor:
         self._lifts = lifts
         self._rows: dict[RowId, XmlRow] = {}
         self._children: dict[int, tuple[RowId, ...]] = {}
-        #: The one memo: the five structural lifts keyed ``(kind,
+        #: The one memo: the four structural lifts keyed ``(kind,
         #: rowid)`` and catalog entries keyed ``("entry", doc_id)``.
         self._memo: dict[tuple[str, Hashable], Any] = {}
 
@@ -163,17 +223,6 @@ class NodeAccessor:
         self.stats.cache_hits += len(rowids) - len(missing)
         return [self._rows[rowid] for rowid in rowids]
 
-    def prefetch_ancestors(self, rows: Sequence[XmlRow]) -> None:
-        """Warm the cache with every proper ancestor of ``rows``.
-
-        One batched fetch per tree *level* instead of one point fetch per
-        parent hop, so the per-row walks upward that follow run entirely
-        against cached rows.  Purely a cache warmer.
-        """
-        while rows:
-            frontier = {row.PARENTROWID for row in rows} - {None}
-            rows = self.nodes(list(frontier))
-
     # -- single hops ---------------------------------------------------------
 
     def parent(self, row: XmlRow) -> XmlRow | None:
@@ -224,7 +273,7 @@ class NodeAccessor:
         changed after it is re-judged on its text as of then.
         """
         if self.table.text_index_on("NODEDATA") is None:
-            return []
+            raise StoreError("an indexed search needs the XML.NODEDATA text index")
         return self.table.snapshot_text_rowids(
             "NODEDATA", lookup, predicate, self.lsn
         )
@@ -250,63 +299,64 @@ class NodeAccessor:
 
     # -- traversal (paper §2.1.4), memoized ------------------------------------
 
-    def context_ancestor(self, row: XmlRow) -> XmlRow | None:
-        """Nearest *proper ancestor* CONTEXT element (else None)."""
-        memo = self.memoized(
-            "ancestor", row.rowid, self._walk_up, row
-        )
-        return None if memo is None else self.node(memo)
-
     def governing_context(self, row: XmlRow) -> XmlRow | None:
         """Nearest enclosing/preceding CONTEXT for any node row (None for
         front matter preceding every context)."""
-        memo = self.memoized(
-            "governing", row.rowid, self._walk_up, row, True
-        )
+        memo = self.memoized("governing", row.rowid, self._walk_up, row)
         return None if memo is None else self.node(memo)
 
-    def lift_all(self, rows: Sequence[XmlRow], governing: bool) -> list[XmlRow | None]:
-        """:meth:`governing_context` (else :meth:`context_ancestor`) of
-        every row, asking the memos before fetching anything.
+    def text_facts(self, rowids: Sequence[RowId], indexed: bool = True) -> list[Fact]:
+        """``(sections, ancestor, emphasised)`` of the TEXT rows at
+        ``rowids`` (:class:`SectionPass` says what each means), read off
+        the text index — no row is fetched.  A row with no fact there
+        (it changed after :attr:`lsn`: its live fact went with it), and
+        every row when ``indexed`` is false (the scan path), is fetched
+        and walked: :meth:`walk_facts`, the reference."""
+        index = self.table.text_index_on("NODEDATA")
+        carried = (indexed and index is not None and index.facts) or {}
+        facts = [carried.get(rowid) for rowid in rowids]
+        if None in facts:
+            absent = [r for r, fact in zip(rowids, facts) if fact is None]
+            walked = dict(zip(absent, map(self.walk_facts, self.nodes(absent))))
+            facts = [fact or walked[r] for r, fact in zip(rowids, facts)]
+        return facts
 
-        Each hit is resolved against the private memo and the shared
-        pool exactly once; ancestors are prefetched, level by level,
-        only for the hits neither could answer, and the answers' CONTEXT
-        rows arrive in one batch.
-        """
-        kind = "governing" if governing else "ancestor"
-        memos = [self._recall(kind, row.rowid) for row in rows]
-        self.prefetch_ancestors(
-            [row for row, memo in zip(rows, memos) if memo is _MISS]
-        )
-        for position, row in enumerate(rows):
-            if memos[position] is _MISS:
-                memos[position] = self._remember(
-                    kind, row.rowid,
-                    self._walk_up(row, preceding=governing),
-                )
-        self.nodes(list(dict.fromkeys(m for m in memos if m is not None)))
-        return [None if m is None else self._rows[m] for m in memos]
+    def walk_facts(self, row: XmlRow) -> Fact:
+        """:meth:`text_facts` of one row by parent and sibling hops, all
+        the way to the root (:meth:`_climb`)."""
+        sections: list[RowId] = []
+        ancestor = emphasised = None
+        for found, above in self._climb(row):
+            if self.is_context(found):
+                sections.append(found.rowid)
+                if above:
+                    ancestor, emphasised = ancestor or found.rowid, emphasised or False
+            elif emphasised is None and found.NODETYPE == _INTENSE:
+                emphasised = True
+        return tuple(sections), ancestor, bool(emphasised)
 
-    def _walk_up(self, row: XmlRow, preceding: bool = False) -> RowId | None:
-        """Walk up parent links to the first CONTEXT: at each level an
-        enclosing CONTEXT wins, else — with ``preceding``, the governing
-        lift — the latest *preceding* CONTEXT sibling does."""
+    def _walk_up(self, row: XmlRow) -> RowId | None:
+        """The governing lift: the first CONTEXT on the climb."""
+        for found, _ in self._climb(row):
+            if self.is_context(found):
+                return found.rowid
+        return None
+
+    def _climb(self, row: XmlRow) -> Iterator[tuple[XmlRow, bool]]:
+        """Bottom-up, one level per hop: the parent (flagged True), then —
+        unless the node on the path is itself a CONTEXT, which ends the
+        scope before it — the latest CONTEXT sibling preceding it."""
         current = row
-        while True:
-            parent = self.parent(current)
-            if parent is None:
-                return None
-            if self.is_context(parent):
-                return parent.rowid
-            best: XmlRow | None = None
-            for sibling in self.children(parent) if preceding else ():
+        while (parent := self.parent(current)) is not None:
+            yield parent, True
+            best = None
+            for sibling in () if self.is_context(current) else self.children(parent):
                 if sibling.ORDINAL >= current.ORDINAL:
                     break
                 if self.is_context(sibling):
                     best = sibling
             if best is not None:
-                return best.rowid
+                yield best, False
             current = parent
 
     def subtree(self, row: XmlRow, siblings: bool = False) -> list[XmlRow]:

@@ -15,11 +15,13 @@ enforce those, so this module does, after the fact:
 * every ``NODETYPE`` is one of the five NETMARK types;
 * each document's rows, taken in ROWID order, are a pre-order walk of its
   tree — the layout the read path's forward reads
-  (:meth:`repro.store.accessor.NodeAccessor.subtree`) stand on;
+  (:meth:`repro.store.accessor.NodeAccessor.subtree`) stand on — and
+  ROWID order is ``(DOC_ID, NODEID)`` order, which a plan sorts by;
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
-  DOC/XML matches a fresh rebuild from the heap.
+  DOC/XML matches a fresh rebuild from the heap, and what the NODEDATA
+  index says of each TEXT row's sections matches a walk to its root.
 
 Violations found in the data are *reported*, never raised — fsck's job
 is to describe damage (:class:`FsckReport`), and crashes are reserved
@@ -43,6 +45,7 @@ from typing import Any
 from repro.errors import FsckError
 from repro.ordbms import Database, RowId, Table, TextIndex
 from repro.sgml.nodetypes import NodeType
+from repro.store.accessor import NodeAccessor, SectionPass
 from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow
 
 #: Violation codes, in check order.  Codes marked repairable concern
@@ -64,11 +67,13 @@ CODES = (
     "doc-order",
     "btree-drift",  # repairable
     "text-index-drift",  # repairable
+    "section-facts",  # repairable
 )
 
 REPAIRABLE = frozenset(
     {"parent-id-mismatch", "sibling-chain", "btree-drift",
-     "text-index-drift", "dangling-sibling", "foreign-sibling"}
+     "text-index-drift", "dangling-sibling", "foreign-sibling",
+     "section-facts"}
 )
 
 
@@ -158,6 +163,8 @@ def check_store(database: Database) -> FsckReport:
     _check_parent_chains(report, nodes, by_rowid)
     _check_sibling_chains(report, nodes, by_rowid)
     _check_doc_order(report, nodes)
+    if report.ok:  # a walk needs sound links to walk
+        _check_section_facts(report, database, nodes)
     report.indexes_checked = _check_indexes(report, (doc_table, xml_table))
     return report
 
@@ -398,12 +405,14 @@ def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
     Walking the heap in physical order, every row's parent must be on
     the path of still-open ancestors (so every subtree is contiguous and
     every parent precedes its children), siblings must arrive in ORDINAL
-    order, and no other document's live row may sit inside the run.  One
+    order, no other document's live row may sit inside the run, and
+    ``(DOC_ID, NODEID)`` must rise with the ROWID (the presentation
+    order is read off the address).  One
     report per document, at the first row that breaks the walk; nothing
     here is derivable, so ``--repair`` leaves it.
     """
     seen: dict[int, bool] = {}  # document -> already reported
-    doc_id = None
+    doc_id, latest = None, (0, 0)
     path: list[list[Any]] = []  # open ancestors: [rowid, last child's ORDINAL]
     for row in nodes:
         parent, problem = row.PARENTROWID, ""
@@ -422,6 +431,9 @@ def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
                 problem = f"parent {parent} is not an open ancestor"
         if not problem and row.ORDINAL <= path[-1][1]:
             problem = "stored after a sibling it should precede"
+        if not problem and (doc_id, row.NODEID) <= latest:
+            problem = "ROWID order is not (DOC_ID, NODEID) order"
+        latest = max(latest, (doc_id, row.NODEID))
         if problem:
             seen[doc_id] = True
             report.violations.append(Violation(
@@ -432,6 +444,28 @@ def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
         # One root only: nothing else may hang from the slot above it.
         path[-1][1] = row.ORDINAL if parent is not None else len(nodes)
         path.append([row.rowid, -1])
+
+
+def _check_section_facts(
+    report: FsckReport, database: Database, nodes: list[XmlRow]
+) -> None:
+    """What the NODEDATA index carries for each TEXT row
+    (:class:`~repro.store.accessor.SectionPass`) equals the hop walk, and
+    it carries nothing else.  A table no store has wired keeps no facts."""
+    index = database.table(XML_TABLE).text_index_on("NODEDATA")
+    if index is None or index.facts is None:
+        return
+    facts, accessor = index.facts, NodeAccessor(database)
+    texts = {row.rowid: row for row in nodes if accessor.is_text(row)}
+    for rowid in sorted(texts.keys() | facts.keys()):
+        row = texts.get(rowid)
+        walked = row and accessor.walk_facts(row)
+        if facts.get(rowid) != walked:
+            report.violations.append(Violation(
+                "section-facts", XML_TABLE, str(rowid), row and row.DOC_ID,
+                f"the text index says {facts.get(rowid)}, a walk {walked} "
+                f"(sections, CONTEXT ancestor, under INTENSE)",
+            ))
 
 
 def _check_indexes(report: FsckReport, tables: tuple[Table, ...]) -> int:
@@ -511,8 +545,8 @@ def main(argv: list[str] | None = None) -> int:
 
     device = FileLogDevice(args.base)
     try:
-        result = recover(device)
-        database = result.database
+        database = recover(device).database
+        database.table(XML_TABLE).derive_facts(SectionPass)  # as a store would
         report = (
             repair_store(database) if args.repair else check_store(database)
         )

@@ -1,7 +1,7 @@
 """The shared memo pool: immutable facts about stored rows.
 
 A :class:`~repro.store.accessor.NodeAccessor` memoizes its structural
-walks — governing contexts, context ancestors, section scopes, titles,
+walks — governing contexts, section scopes, titles,
 texts — and the catalog entries its plan asks for, but only for its own
 lifetime, which is one query.  A :class:`LiftCache` is the cross-query
 tier: one instance lives on the :class:`~repro.store.xmlstore.XmlStore`

@@ -24,7 +24,7 @@ from repro.errors import DocumentNotFoundError
 from repro.ordbms import Database, Snapshot, Table
 from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
 from repro.sgml.dom import Document
-from repro.store.accessor import NodeAccessor
+from repro.store.accessor import NodeAccessor, SectionPass
 from repro.store.compose import compose_document
 from repro.store.liftcache import LiftCache
 from repro.store.decompose import DecomposeResult, Decomposer
@@ -79,6 +79,9 @@ class XmlStore:
             # A checkpoint or snapshot written before the index existed.
             self._doc_table.create_index("FILE_NAME")
         self._xml_table = database.table(XML_TABLE)
+        # Every row indexed from here on (loaded, replayed, shipped) says
+        # which sections its text is in; those already there, in one pass.
+        self._xml_table.derive_facts(SectionPass)
         self._decomposer = Decomposer(database, config)
         #: Cross-query pool of lifts and catalog entries; cache-enabled
         #: query engines read through it (:mod:`repro.store.liftcache`).

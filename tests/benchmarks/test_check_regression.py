@@ -361,3 +361,15 @@ class TestComposePathCounterGate(TestWritePathCounterGate):
         assert committed["counters"]["query.cache.hit_ratio"] == 1.0
         assert committed["counters"]["ordbms.btree.probes_per_read"] == 0.0
         assert committed["counters"]["server.http.response_bytes_per_read"] > 0.0
+
+
+class TestMixedPathCounterGate(TestWritePathCounterGate):
+    """The same gate over the traced ``mixed_rw`` run's counters: what a
+    read probes and reads, what a replace inserts, deletes and logs."""
+
+    RUN = bank.MIXED
+
+    def test_a_read_no_longer_pays_per_posting(self):
+        committed = json.loads((gate.BASELINE_DIR / self.RUN.artifact).read_text())
+        assert committed["counters"]["ordbms.btree.probes_per_read"] <= 20.0
+        assert committed["counters"]["query.engine.rows_read_per_match"] < 27.45

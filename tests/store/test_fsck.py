@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import FsckError
 from repro.ordbms import Database
+from repro.query import QueryCache, QueryEngine
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, repair_store
 from repro.store.fsck import REPAIRABLE, main
@@ -149,6 +150,10 @@ class TestCorruptionClasses:
         elif code == "text-index-drift":
             text_index = store.xml_table.text_index_on("NODEDATA")
             text_index.add(child.rowid, "ghostterm never stored")
+        elif code == "section-facts":
+            facts = store.xml_table.text_index_on("NODEDATA").facts
+            victim = next(iter(facts))
+            facts[victim] = ((), None, not facts[victim][2])
         else:
             raise AssertionError(f"unknown corruption class {code}")
 
@@ -171,6 +176,7 @@ class TestCorruptionClasses:
             "doc-order",
             "btree-drift",
             "text-index-drift",
+            "section-facts",
         ],
     )
     def test_detected(self, loaded, code):
@@ -243,6 +249,22 @@ class TestCorruptionClasses:
         ]
         assert problem in found.detail
 
+    def test_rowid_order_is_document_node_order(self, store):
+        """A plan reads the presentation order off the ROWID: a row whose
+        NODEID does not rise with its address is out of order too."""
+        database = store.database
+        database.insert("DOC", {"DOC_ID": 1, "FILE_NAME": "planted.xml"})
+        root, child = store.xml_table.next_rowids(2)
+        for node_id, parent in ((7, None), (3, root)):
+            database.insert(XML_TABLE, {
+                "NODEID": node_id, "DOC_ID": 1, "NODETYPE": 1, "NODENAME": "n",
+                "ORDINAL": 0, "PARENTROWID": parent,
+                "PARENTNODEID": 7 if parent else None,
+            })
+        [found] = check_store(database).violations
+        assert found.code == "doc-order" and found.rowid == str(child)
+        assert "ROWID order is not (DOC_ID, NODEID) order" in found.detail
+
     def test_structural_loss_survives_repair(self, loaded):
         """Genuinely lost data is still reported after a repair pass."""
         self.seed(loaded, "orphan-node")
@@ -266,8 +288,12 @@ class TestRepairUnderAWarmPool:
 
     def test_cached_equals_bare_after_a_repair(self, loaded_netmark):
         node = loaded_netmark
-        cached, bare = node.api.engine, node.engine
+        # The walked path: the index path reads what the loader said of
+        # each row when it wrote it, which this damage does not reach.
+        cached = QueryEngine(node.store, use_index=False, cache=QueryCache())
+        bare = QueryEngine(node.store, use_index=False)
         clean = self.answers(bare, self.QUERIES)
+        assert clean == self.answers(node.engine, self.QUERIES)
         # A heading its parent no longer lists among its children (so
         # the text after it lifts past it), and a sibling chain
         # pointing at itself.
@@ -280,6 +306,7 @@ class TestRepairUnderAWarmPool:
         assert {"parent-id-mismatch", "sibling-chain"} <= node.fsck().codes()
         damaged = self.answers(cached, self.QUERIES)  # warms the pool, wrongly
         assert damaged == self.answers(bare, self.QUERIES) != clean
+        assert self.answers(node.engine, self.QUERIES) == clean
         assert len(node.store.lift_cache) > 0
         report = node.fsck(repair=True)
         assert report.ok and report.repaired >= 2

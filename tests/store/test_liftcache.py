@@ -259,7 +259,7 @@ def _facts(store, accessor):
     lifts = {}
     for row in store.xml_table.scan():
         fact = [
-            address(accessor.context_ancestor(row)),
+            accessor.walk_facts(row),
             address(accessor.governing_context(row)),
         ]
         if accessor.is_context(row):

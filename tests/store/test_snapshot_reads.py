@@ -3,6 +3,7 @@ reads stay byte-identical under ingest, reads given no pin see whole
 transactions only."""
 
 import ast
+import re
 import sys
 import threading
 from pathlib import Path
@@ -351,7 +352,9 @@ class TestBareReadersUnderARealWriter:
     is a torn unit — every match is a whole section of one committed
     revision, every document body is one committed revision's — and a
     document that went away between the plan and a lazy field is a typed
-    error, not a section read as empty."""
+    error, not a section read as empty.  The facade's ``Netmark.search``
+    holds one snapshot for the call, as HTTP does: its whole *answer* is
+    one committed state, every document at one revision."""
 
     DOCS = 24
     HEADINGS = (
@@ -394,6 +397,30 @@ class TestBareReadersUnderARealWriter:
                 for match in engine.execute(query)
             }
 
+        order = sorted(range(self.DOCS), key=lambda doc: f"d{doc}.md")
+
+        def one_committed_state(answer):
+            """Replaced documents at revision 2, at most one between the
+            two commits of its replace, the rest at revision 1 — in the
+            daemon's path order, every document whole."""
+            found = {}
+            for match in answer:
+                found.setdefault(match.file_name, set()).add(
+                    (match.context, match.content)
+                )
+            state = ""
+            for doc in order:
+                sections = found.get(f"d{doc}.md")
+                [revision] = ["x"] if sections is None else [
+                    str(revision) for revision in (1, 2)
+                    if sections == {
+                        pair for pair in self.sections(doc, revision)
+                        if pair[0].startswith(("Alpha", "Beta"))
+                    }
+                ]
+                state += revision
+            assert re.fullmatch("2*x?1*", state), state
+
         def read_document(doc):
             for entry in node.store.documents():
                 if entry.file_name == f"d{doc}.md":
@@ -419,7 +446,7 @@ class TestBareReadersUnderARealWriter:
             # rows it touches.  The reads are small, many to a replace;
             # ``Context=`` leaves the content lazy, so the plan and the
             # field read apart.
-            for doc in sorted(range(self.DOCS), key=lambda doc: f"d{doc}.md"):
+            for doc in order:
                 found = polled = None
                 while not (polled or found and found <= self.sections(doc, 2)):
                     polled = ingest.heartbeats > 1  # its one poll is over
@@ -430,6 +457,7 @@ class TestBareReadersUnderARealWriter:
                     )
                     body = attempt(read_document, doc)
                     assert body is None or body in whole
+                    one_committed_state(node.search("Content=any:alpha beta"))
         finally:
             sys.setswitchinterval(interval)
             assert ingest.stop(timeout=60) == self.DOCS
