@@ -59,6 +59,10 @@ QUERIES = [
     "Context=Budget&Doc=doc-00",
     "Context=Budget&Format=md",
     "Context=Budget&Cache=0",
+    # Full and ROWID-ordered: replayed across writes that leave the
+    # sections they list visible, refilled from their spares otherwise.
+    "Context=Budget&Content=relay&limit=2",
+    "Context=Technology Gap&limit=2",
 ]
 
 #: Queries whose filters and resolvers ask for catalog entries (the
@@ -187,9 +191,10 @@ def run_held_pin() -> dict[str, object]:
             with drill.store.snapshot() as newer:
                 for query in queries:
                     drill.compare(query, newer)
-        # The newer readers' stores purged the held pin's entries (they
-        # sit below the newer stamps): the first pass recomputes through
-        # the pin and the warm pool, the second replays.
+        # The newer readers' stores replaced the held pin's entries, and
+        # an entry stamped above a reader's LSN never answers it: the
+        # first pass recomputes through the pin and the warm pool, the
+        # second replays.
         for _ in range(2):
             assert [drill.compare(query, pin) for query in queries] == before
     return {"held_across_writes": HELD_WRITES, **drill.counters()}

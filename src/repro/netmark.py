@@ -231,10 +231,10 @@ class Netmark:
         """Run the store consistency checker (optionally repairing)."""
         if repair:
             report = repair_store(self.store.database)
-            # Repair is the one writer that edits stored rows in place,
-            # so the one event that can falsify a pooled lift.  (The
-            # result cache needs nothing: its updates move the LSN.)
+            # Repair edits stored rows in place: the one event that can falsify
+            # a pooled lift, or a cached answer whose sections stay visible.
             self.store.lift_cache.clear()
+            self.api.engine.cache.clear()
             return report
         return check_store(self.store.database)
 

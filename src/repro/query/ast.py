@@ -91,7 +91,7 @@ class XdbQuery:
     ``<partial>`` envelope — instead of a 504.
 
     ``cache`` (``Cache=0`` to opt out) lets a request bypass the
-    commit-LSN-keyed result cache: the answer is always recomputed and
+    result cache: the answer is always recomputed and
     never stored.  Purely a freshness/benchmarking knob — a cached
     answer is byte-identical by construction, so the default is on.
     """

@@ -60,6 +60,7 @@ from repro.query.plan import (
     Present,
     Rank,
     SectionWalk,
+    Spares,
     TextSource,
     phrase_in,
 )
@@ -76,7 +77,7 @@ class QueryEngine:
     """Evaluates XDB queries against one :class:`XmlStore`.
 
     With ``cache`` (a :class:`~repro.query.cache.QueryCache`) the engine
-    serves repeated queries from the commit-LSN-keyed result cache and
+    serves repeated queries from the result cache and
     its plans read lifts and catalog entries through the store's shared
     :class:`~repro.store.liftcache.LiftCache`.  Both are byte-identical
     by construction; ``Cache=0`` on a query opts that request out.
@@ -100,9 +101,7 @@ class QueryEngine:
     # -- public entry points ------------------------------------------------
 
     def execute(
-        self,
-        query: XdbQuery | str,
-        snapshot: Snapshot | None = None,
+        self, query: XdbQuery | str, snapshot: Snapshot | None = None,
         budget: Budget | Deadline | None = None,
     ) -> ResultSet:
         """Run a parsed query or a raw XDB query string.
@@ -128,37 +127,29 @@ class QueryEngine:
             query = parse_query(query)
         budget = self._coerce_budget(query, budget)
         key = None
-        version = None
         # Deadline-bounded (or already-cancelled) runs bypass the cache
         # both ways: their contract is "bound the work of THIS run", so
         # a replayed complete answer would defeat truncation/cancellation
         # semantics, and their own answers may be partial.  A plain
         # worker-pool budget (no deadline, token not tripped) cannot
         # truncate, so it stays cacheable — the pool is the hot path.
-        bounded = budget is not None and (
-            budget.deadline is not None or budget.cancelled
-        )
-        cacheable = (
-            self.cache is not None
-            and query.cache
-            and not query.explain
-            and query.deadline_ticks is None
-            and not bounded
-        )
-        if cacheable:
-            # The version stamp — the LSN the plan will read at — is
-            # captured BEFORE the plan runs: a write racing the plan
-            # leaves the entry keyed at the pre-write stamp, which no
-            # later lookup presents.
-            version = self.store.database.mvcc.read_lsn(snapshot)
-            key = QueryCache.key_for(query, self.use_index, version)
-            hit = self.cache.lookup(key)
+        bounded = budget is not None and (budget.deadline is not None or budget.cancelled)
+        if (
+            self.cache is not None and query.cache and not query.explain
+            and query.deadline_ticks is None and not bounded
+        ):
+            # An entry is judged against the LSN this read resolves at; a
+            # miss stores under the LSN its plan did read at.
+            key = QueryCache.key_for(query, self.use_index)
+            lsn = self.store.database.mvcc.read_lsn(snapshot)
+            hit = self.cache.lookup(
+                key, lsn, self.store.xml_table,
+                lambda listed, spares: self._refill(query, snapshot, lsn, listed, spares),
+            )
             if hit is not None:
                 obs.inc("repro_query_queries_total", kind=query.kind)
                 obs.inc("repro_query_rows_returned_total", len(hit))
-                result = ResultSet(format_query(query), cached=True)
-                result.extend(list(hit))
-                return result.limited(query.limit)
+                return ResultSet(format_query(query), list(hit), cached=True)
         ctx, root = self.compile(query, snapshot=snapshot, budget=budget)
         if budget is None or budget.admits("execute"):
             matches = list(root.rows())
@@ -166,8 +157,7 @@ class QueryEngine:
             matches = []  # expired before the first pull, Partial=1
         obs.inc("repro_query_rows_returned_total", len(matches))
         self._publish_plan_stats(ctx)
-        result = ResultSet(format_query(query))
-        result.extend(matches)
+        result = ResultSet(format_query(query), matches)
         if budget is not None and budget.timed_out:
             result.partial = True
             result.deadline_expired = True
@@ -177,15 +167,25 @@ class QueryEngine:
             # Only complete answers are cacheable, with nothing left to
             # load or build (``SectionMatch.resolve`` says why).
             self.cache.store(
-                key, [match.resolve() for match in result.matches],
-                version,
+                key, query, [match.resolve() for match in result.matches],
+                ctx.accessor.lsn, (candidate.rowid for candidate in ctx.ranked),
             )
         return result
 
+    def _refill(self, query, snapshot, lsn, listed, spares):
+        """``listed``, then the ``spares`` that pass the content test, in
+        order and resolved, up to the limit; None unless that fills it."""
+        accessor = self.store.new_accessor(snapshot, lifts=self._lifts)
+        ctx = PlanContext(self.store, accessor, self.use_index)
+        node = Spares(ctx, spares if accessor.lsn == lsn else ())
+        if query.content is not None:
+            node = SectionWalk(ctx, node, query.content)
+        node = Materialize(ctx, Limit(ctx, node, query.limit - len(listed)))
+        answer = listed + tuple(match.resolve() for match in node.rows())
+        return answer if len(answer) == query.limit else None
+
     @staticmethod
-    def _coerce_budget(
-        query: XdbQuery, budget: Budget | Deadline | None
-    ) -> Budget | None:
+    def _coerce_budget(query: XdbQuery, budget: Budget | Deadline | None) -> Budget | None:
         """Normalize the budget argument and fold in ``Partial=1``."""
         if isinstance(budget, Deadline):
             budget = Budget(deadline=budget)
@@ -194,10 +194,7 @@ class QueryEngine:
         return budget
 
     def explain(
-        self,
-        query: XdbQuery | str,
-        wall_clock=None,
-        snapshot: Snapshot | None = None,
+        self, query: XdbQuery | str, wall_clock=None, snapshot: Snapshot | None = None
     ) -> Document:
         """Execute the query's plan and render it with observed row counts.
 
@@ -220,9 +217,7 @@ class QueryEngine:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        ctx, root = self.compile(
-            query, wall_clock=wall_clock, snapshot=snapshot
-        )
+        ctx, root = self.compile(query, wall_clock=wall_clock, snapshot=snapshot)
         for _ in root.rows():
             pass
         self._publish_plan_stats(ctx)
@@ -234,12 +229,8 @@ class QueryEngine:
             # was answered by the shared lift pool.  Explain runs always
             # bypass the result cache (a plan tree is diagnostics), so
             # its contribution is reported as a mode, not a count.
-            attributes["result-cache"] = (
-                "bypassed" if self.cache is not None else "off"
-            )
-            attributes["lift-cache"] = (
-                "shared" if self._lifts is not None else "private"
-            )
+            attributes["result-cache"] = "bypassed" if self.cache is not None else "off"
+            attributes["lift-cache"] = "shared" if self._lifts is not None else "private"
             stats = ctx.accessor.stats
             attributes["lift-cache-hits"] = str(stats.shared_hits)
             attributes["lift-cache-misses"] = str(stats.shared_misses)
@@ -272,10 +263,7 @@ class QueryEngine:
     # -- plan construction ------------------------------------------------------
 
     def compile(
-        self,
-        query: XdbQuery,
-        wall_clock=None,
-        snapshot: Snapshot | None = None,
+        self, query: XdbQuery, wall_clock=None, snapshot: Snapshot | None = None,
         budget: Budget | None = None,
     ) -> tuple[PlanContext, PlanNode]:
         """Build the operator tree for ``query`` (root is a Materialize).
@@ -295,10 +283,8 @@ class QueryEngine:
         obs.inc("repro_query_queries_total", kind=query.kind)
         profiler = PlanProfiler(wall_clock) if query.profile else None
         ctx = PlanContext(
-            self.store,
-            self.store.new_accessor(snapshot, lifts=self._lifts),
-            self.use_index,
-            profiler=profiler, budget=budget,
+            self.store, self.store.new_accessor(snapshot, lifts=self._lifts),
+            self.use_index, profiler=profiler, budget=budget,
         )
         kind = query.kind
         if kind in {"context", "combined"}:
@@ -338,7 +324,5 @@ class QueryEngine:
     def _spec(value):
         """Narrow an optional query field the kind dispatch guarantees."""
         if value is None:
-            raise QueryError(
-                "query kind dispatch produced an incomplete specification"
-            )
+            raise QueryError("query kind dispatch produced an incomplete specification")
         return value

@@ -19,8 +19,9 @@ Operator inventory (leaf → root; each class says the rest):
     *governing* context (content search, which also accumulates INTENSE
     score boosts and collects document-level hits that precede every
     context).  From here on a candidate is a section ROWID and a score.
-``NodenameProbe``, ``DocFilter`` / ``FormatFilter``
-    The nodename source and the ``Doc=`` / ``Format=`` narrowing filters.
+``NodenameProbe``, ``Spares``, ``DocFilter`` / ``FormatFilter``
+    The nodename source, a cached answer's spares (the result cache's
+    refill) and the ``Doc=`` / ``Format=`` narrowing filters.
     Every source emits in ROWID order, which is (document, node) order:
     the presentation order.
 ``Intersect``
@@ -81,10 +82,7 @@ def phrase_in(phrase: str, text: str) -> bool:
     ``Budget`` is contained in ``FY04 Budget Summary`` but not in
     ``Budgetary`` — token boundaries matter, substring match does not.
     """
-    return _run_in(
-        tokenize(phrase, keep_stopwords=True),
-        tokenize(text, keep_stopwords=True),
-    )
+    return _run_in(tokenize(phrase, keep_stopwords=True), tokenize(text, keep_stopwords=True))
 
 
 def text_satisfies(text: str, spec: ContentSpec) -> bool:
@@ -96,9 +94,7 @@ def text_satisfies(text: str, spec: ContentSpec) -> bool:
     """
     haystack = tokenize(text, keep_stopwords=True)
     terms = [spec.text] if spec.mode == "phrase" else spec.terms
-    holds = (
-        _run_in(tokenize(term, keep_stopwords=True), haystack) for term in terms
-    )
+    holds = (_run_in(tokenize(term, keep_stopwords=True), haystack) for term in terms)
     return any(holds) if spec.mode == "any" else all(holds)
 
 
@@ -114,12 +110,8 @@ class PlanContext:
     """
 
     def __init__(
-        self,
-        store: XmlStore,
-        accessor: NodeAccessor,
-        use_index: bool,
-        profiler: PlanProfiler | None = None,
-        budget: "Budget | None" = None,
+        self, store: XmlStore, accessor: NodeAccessor, use_index: bool,
+        profiler: PlanProfiler | None = None, budget: "Budget | None" = None,
     ) -> None:
         self.store = store
         self.accessor = accessor
@@ -130,6 +122,8 @@ class PlanContext:
         #: checks it at its pull boundary, so one expired deadline stops
         #: the whole tree cooperatively.  None = unbounded.
         self.budget = budget
+        #: What ``Rank`` ordered; a full answer's cache entry keeps some.
+        self.ranked: list[Candidate] = []
 
     def entry(self, doc_id: int) -> StoredDocument:
         """Catalog entry for ``doc_id`` — a DOC row is as write-once as
@@ -303,9 +297,7 @@ class Lift(PlanNode):
     the same facts (:meth:`NodeAccessor.text_facts`)."""
 
     def _hits(self) -> tuple[list[RowId], list[Any]]:
-        hits = list(dict.fromkeys(
-            rowid for child in self.children for rowid in child.rows()
-        ))
+        hits = list(dict.fromkeys(r for child in self.children for r in child.rows()))
         return hits, self.ctx.accessor.text_facts(hits, self.ctx.use_index)
 
 
@@ -370,6 +362,19 @@ class NodenameProbe(PlanNode):
             yield Candidate("node", row.rowid, self.ctx.accessor)
 
 
+class Spares(PlanNode):
+    """Section candidates by ROWID: a cached answer's spares (:mod:`repro.query.cache`)."""
+
+    name = "spares"
+
+    def __init__(self, ctx: PlanContext, rowids: tuple[RowId, ...]) -> None:
+        super().__init__(ctx)
+        self.rowids = rowids
+
+    def _produce(self) -> Iterator[Candidate]:
+        return (Candidate("section", rowid, self.ctx.accessor) for rowid in self.rowids)
+
+
 # -- filters ------------------------------------------------------------------
 
 
@@ -411,9 +416,7 @@ class FormatFilter(PlanNode):
 class ContentTest(PlanNode):
     """An operator that holds candidates against the query's content spec."""
 
-    def __init__(
-        self, ctx: PlanContext, child: PlanNode, spec: ContentSpec
-    ) -> None:
+    def __init__(self, ctx: PlanContext, child: PlanNode, spec: ContentSpec) -> None:
         super().__init__(ctx, child, detail=f"{spec.mode}: {spec.text}")
         self.spec = spec
 
@@ -439,9 +442,7 @@ class Intersect(ContentTest):
             lambda index: index.lookup(token),
             lambda data: token in tokenize(data, keep_stopwords=True),
         )
-        return {
-            section for fact in accessor.text_facts(postings) for section in fact[0]
-        }
+        return {section for fact in accessor.text_facts(postings) for section in fact[0]}
 
     def _produce(self) -> Iterator[Candidate]:
         spec = self.spec
@@ -516,7 +517,8 @@ class Rank(PlanNode):
     name = "rank"
 
     def _produce(self) -> Iterator[Candidate]:
-        yield from sorted(self.children[0].rows(), key=lambda c: -c.score)
+        self.ctx.ranked = sorted(self.children[0].rows(), key=lambda c: -c.score)
+        yield from self.ctx.ranked
 
 
 class Limit(PlanNode):
@@ -524,12 +526,8 @@ class Limit(PlanNode):
 
     name = "limit"
 
-    def __init__(
-        self, ctx: PlanContext, child: PlanNode, limit: int | None
-    ) -> None:
-        super().__init__(
-            ctx, child, detail="" if limit is None else str(limit)
-        )
+    def __init__(self, ctx: PlanContext, child: PlanNode, limit: int | None) -> None:
+        super().__init__(ctx, child, detail="" if limit is None else str(limit))
         self.limit = limit
 
     def _produce(self) -> Iterator[Any]:
@@ -551,9 +549,7 @@ class Present(PlanNode):
     name = "present"
 
     def _produce(self) -> Iterator[Candidate]:
-        yield from sorted(
-            self.children[0].rows(), key=lambda c: (c.kind == "document", c.rowid)
-        )
+        yield from sorted(self.children[0].rows(), key=lambda c: (c.kind == "document", c.rowid))
 
 
 # -- materialization ----------------------------------------------------------

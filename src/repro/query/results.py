@@ -214,10 +214,9 @@ class ResultSet:
     complete answer has ``partial=False`` and renders byte-identically
     to the pre-resilience format.
 
-    ``cached`` marks an answer replayed from the commit-LSN-keyed result
-    cache.  It is *transport metadata*, deliberately not rendered by
-    :meth:`to_xml` — a cached answer must stay byte-identical to a fresh
-    one; the HTTP layer stamps its envelope (``cached="true"``) instead.
+    ``cached`` marks a replay from the result cache: *transport metadata*
+    :meth:`to_xml` never renders, so a replay stays byte-identical to a
+    fresh answer; the HTTP layer stamps its envelope (``cached="true"``).
     """
 
     query_string: str
@@ -281,18 +280,11 @@ class ResultSet:
         """
         if limit is None or len(self.matches) <= limit:
             return self
-        by_rank = sorted(
-            range(len(self.matches)),
-            key=lambda index: -self.matches[index].score,
-        )
+        by_rank = sorted(range(len(self.matches)), key=lambda index: -self.matches[index].score)
         keep = set(by_rank[:limit])
         return ResultSet(
             self.query_string,
-            [
-                match
-                for index, match in enumerate(self.matches)
-                if index in keep
-            ],
+            [match for index, match in enumerate(self.matches) if index in keep],
             partial=self.partial,
             source_errors=dict(self.source_errors),
             deadline_expired=self.deadline_expired,

@@ -181,7 +181,7 @@ class NetmarkHttpApi:
         self.dav = dav
         self.router = router
         #: With ``cache`` set, local searches are served through the
-        #: commit-LSN-keyed result cache (byte-identical, ``Cache=0``
+        #: result cache (byte-identical, ``Cache=0``
         #: opts a request out, hits are stamped ``cached="true"`` on the
         #: envelope).  The cache object is shared by every worker-pool
         #: thread; it locks internally.

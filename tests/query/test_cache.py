@@ -1,10 +1,11 @@
-"""The commit-LSN-keyed result cache: hits, invalidation, and races.
+"""The result cache: hits, entries that outlive writes, interning, races.
 
 The cache's one contract is *byte identity*: a cached answer must render
 exactly as the uncached run would, and no reader — live or pinned — may
 ever be served an answer from a store state it cannot see.
 """
 
+import sys
 import threading
 
 import pytest
@@ -93,7 +94,7 @@ class TestInvalidation:
         before = engine.execute(QUERY)
         loaded_store.store_text(NEW_BUDGET_DOC, "late.md")
         after = engine.execute(QUERY)
-        assert not after.cached  # the LSN moved, the key with it
+        assert not after.cached  # no limit: expires on any commit
         assert len(after) == len(before) + 1
         assert "late.md" in after.documents()
 
@@ -121,7 +122,7 @@ class TestInvalidation:
             first = engine.execute(QUERY, snapshot=snap)
             loaded_store.store_text(NEW_BUDGET_DOC, "late.md")
             replay = engine.execute(QUERY, snapshot=snap)
-            # Same pin, same LSN key: a hit, and byte-identical to the
+            # Same pin, the entry's own LSN: a hit, byte-identical to the
             # pinned view — the write is invisible either way.
             assert replay.cached
             assert _xml(replay) == _xml(first)
@@ -133,7 +134,7 @@ class TestInvalidation:
         loaded_store.store_text(NEW_BUDGET_DOC, "late.md")
         with loaded_store.snapshot() as new_snap:
             fresh = engine.execute(QUERY, snapshot=new_snap)
-        assert not fresh.cached  # new LSN, new key — never the old entry
+        assert not fresh.cached  # new LSN, unlimited: never the old entry
         assert "late.md" in fresh.documents()
 
     def test_live_and_pinned_reads_share_one_stamp(self, engine, loaded_store):
@@ -144,24 +145,159 @@ class TestInvalidation:
             pinned = engine.execute(QUERY, snapshot=snap)
         assert pinned.cached and _xml(pinned) == _xml(live)
 
-    def test_a_store_purges_every_entry_stamped_below_it(
+
+#: Full and ROWID-ordered: combined, limit 2, three Budget sections to
+#: choose from (report1.ndoc and notes.md are listed, page.html is not).
+FULL = "Context=Budget&Content=budget&limit=2"
+
+
+def _bare(store, query, snapshot=None) -> str:
+    return _xml(QueryEngine(store).execute(query, snapshot=snapshot))
+
+
+class TestEntriesOutliveUnrelatedWrites:
+    """A full, ROWID-ordered answer is served across commits while the
+    sections it lists, or the spares after them, still fill its limit;
+    everything else misses after a write."""
+
+    def test_a_full_entry_survives_an_ingest_it_does_not_list(
         self, engine, loaded_store
     ):
-        """Pinned entries are swept like live ones, not stranded to LRU."""
+        first = engine.execute(FULL)
+        loaded_store.store_text(NEW_BUDGET_DOC, "late.md")
+        again = engine.execute(FULL)
+        assert again.cached and _xml(again) == _xml(first)
+        assert _xml(again) == _bare(loaded_store, FULL)
+
+    def test_a_full_entry_survives_replacing_a_document_it_does_not_list(
+        self, engine, loaded_store
+    ):
+        engine.execute(FULL)
+        loaded_store.replace_text(
+            "<html><body><h2>Budget</h2><p>New budget.</p></body></html>",
+            "page.html",
+        )
+        again = engine.execute(FULL)
+        assert again.cached and _xml(again) == _bare(loaded_store, FULL)
+        assert again.documents() == ["report1.ndoc", "notes.md"]
+
+    def test_replacing_a_listed_document_refills_from_the_spares(
+        self, engine, loaded_store
+    ):
+        engine.execute(FULL)  # lists report1.ndoc, notes.md; page.html is spare
+        loaded_store.replace_text(
+            "# Overview\n\n## Budget\n\nRewritten budget.\n", "notes.md"
+        )
+        refilled = engine.execute(FULL)
+        assert refilled.cached and _xml(refilled) == _bare(loaded_store, FULL)
+        assert refilled.documents() == ["report1.ndoc", "page.html"]
+        again = engine.execute(FULL)  # the refill replaced the entry
+        assert again.cached and _xml(again) == _xml(refilled)
+
+    def test_deleting_a_listed_document_refills_from_the_spares(
+        self, engine, loaded_store
+    ):
+        engine.execute(FULL)
+        loaded_store.delete_document(loaded_store.lookup_by_name("report1.ndoc").doc_id)
+        refilled = engine.execute(FULL)
+        assert refilled.cached and _xml(refilled) == _bare(loaded_store, FULL)
+        assert refilled.documents() == ["notes.md", "page.html"]
+
+    def test_a_refill_keeps_only_the_spares_after_its_last_match(
+        self, engine, loaded_store
+    ):
+        engine.execute(FULL)
+        loaded_store.replace_text(
+            "# Overview\n\n## Budget\n\nRewritten budget.\n", "notes.md"
+        )
+        assert engine.execute(FULL).cached  # page.html promoted: no spare left
+        loaded_store.delete_document(loaded_store.lookup_by_name("report1.ndoc").doc_id)
+        fresh = engine.execute(FULL)
+        assert not fresh.cached and _xml(fresh) == _bare(loaded_store, FULL)
+        assert fresh.documents() == ["page.html", "notes.md"]
+
+    def test_a_shortfall_the_spares_cannot_fill_misses(self, engine, loaded_store):
+        engine.execute(FULL)
+        loaded_store.delete_document(loaded_store.lookup_by_name("page.html").doc_id)
+        loaded_store.replace_text(
+            "# Overview\n\n## Budget\n\nRewritten budget.\n", "notes.md"
+        )
+        fresh = engine.execute(FULL)
+        assert not fresh.cached and _xml(fresh) == _bare(loaded_store, FULL)
+        assert fresh.documents() == ["report1.ndoc", "notes.md"]
+
+    def test_a_spare_must_pass_the_content_test(self, store):
+        """A spare is a candidate, not a match: ``b.md`` has both words of
+        the phrase but not side by side, so it cannot refill the entry."""
+        for name, body in (("a", "Shuttle engine work."), ("b", "Work on the engine."),
+                           ("c", "More engine work.")):
+            store.store_text(f"# {name}\n\n## Budget\n\n{body}\n", f"{name}.md")
+        engine = QueryEngine(store, cache=QueryCache())
+        query = 'Context=Budget&Content="engine work"&limit=1'
+        assert engine.execute(query).documents() == ["a.md"]
+        store.delete_document(store.lookup_by_name("a.md").doc_id)
+        fresh = engine.execute(query)
+        assert not fresh.cached and fresh.documents() == ["c.md"]
+        assert _xml(fresh) == _bare(store, query)
+
+    @pytest.mark.parametrize("query", [
+        "Context=Budget&limit=5",  # unsaturated: three of five
+        "Context=Budget",  # no limit
+        "Content=travel&limit=2",  # score-ranked
+    ])
+    def test_other_entries_miss_after_any_commit(
+        self, engine, loaded_store, query
+    ):
+        engine.execute(query)
+        loaded_store.store_text("# Elsewhere\n\nNothing here.\n", "other.md")
+        fresh = engine.execute(query)
+        assert not fresh.cached and _xml(fresh) == _bare(loaded_store, query)
+
+    def test_a_reader_pinned_below_the_stamp_misses(self, engine, loaded_store):
         with loaded_store.snapshot() as old_snap:
-            engine.execute(QUERY, snapshot=old_snap)
-            engine.execute("Content=shuttle")
-            assert engine.cache.snapshot_counters()["entries"] == 2
-            loaded_store.store_text(NEW_BUDGET_DOC, "late.md")
-            with loaded_store.snapshot() as new_snap:
-                engine.execute(QUERY, snapshot=new_snap)
-            counters = engine.cache.snapshot_counters()
-            assert counters["entries"] == 1 and counters["evictions"] == 0
-            # The older reader recomputes, correctly, and sweeps nothing
-            # stamped above its own LSN.
-            again = engine.execute(QUERY, snapshot=old_snap)
-            assert not again.cached and "late.md" not in again.documents()
-            assert engine.cache.snapshot_counters()["entries"] == 2
+            loaded_store.replace_text(
+                "# Overview\n\n## Budget\n\nRewritten budget.\n", "notes.md"
+            )
+            engine.execute(FULL)  # stamped after the replace
+            again = engine.execute(FULL, snapshot=old_snap)
+            assert not again.cached
+            assert _xml(again) == _bare(loaded_store, FULL, old_snap)
+            # The older store replaced the entry: notes.md is gone at the
+            # live LSN, and the spare page.html takes its place.
+            live = engine.execute(FULL)
+            assert live.cached and _xml(live) == _bare(loaded_store, FULL)
+
+
+class TestInterning:
+    """Entries that list one section at one score hold one match."""
+
+    @staticmethod
+    def held(engine, query):
+        """The matches ``query``'s entry holds (a hit hands them out)."""
+        engine.execute(query)
+        replay = engine.execute(query)
+        assert replay.cached
+        return replay.matches
+
+    def test_two_entries_share_a_listed_section(self, engine):
+        one = self.held(engine, "Context=Budget&limit=1")
+        two = self.held(engine, "Context=Budget&limit=2")
+        dollars = self.held(engine, "Content=dollars")  # notes.md at 1.0
+        assert one[0] is two[0]
+        assert dollars[0] is two[1]
+
+    def test_an_eviction_releases_the_shared_match(self, loaded_store):
+        engine = QueryEngine(loaded_store, cache=QueryCache(capacity=1))
+        first = self.held(engine, "Context=Budget&limit=1")[0]
+        self.held(engine, "Context=Travel")  # evicts the only holder
+        assert self.held(engine, "Context=Budget&limit=2")[0] is not first
+        assert engine.cache.snapshot_counters()["evictions"] == 2
+
+    def test_one_section_at_two_scores_is_not_shared(self, engine):
+        emphasised = self.held(engine, "Content=equipment")[0]  # 1.5
+        plain = self.held(engine, "Content=dollars")[0]  # 1.0
+        assert emphasised.rowid == plain.rowid
+        assert emphasised.score != plain.score and emphasised is not plain
 
 
 class TestBounds:
@@ -260,3 +396,54 @@ class TestConcurrency:
         uncached = QueryEngine(loaded_store).execute(QUERY)
         assert _xml(settled) == _xml(uncached)
         assert "late.md" in settled.documents()
+
+    def test_cached_readers_under_a_replacing_writer_see_their_pin(
+        self, engine, loaded_store
+    ):
+        """Eight cached readers, each on its own pin, and one writer
+        replacing a listed and an unlisted document in turn: every answer
+        equals a bare engine's at the reader's pin."""
+        queries = [FULL, "Context=Budget&limit=1", "Context=Travel&limit=1", QUERY]
+        bare = QueryEngine(loaded_store)
+        wrong: list[str] = []
+        errors: list[BaseException] = []
+        start = threading.Barrier(9)
+
+        def reader(offset: int) -> None:
+            try:
+                start.wait(timeout=60)
+                for number in range(40):
+                    query = queries[(offset + number) % len(queries)]
+                    with loaded_store.snapshot() as snap:
+                        got = _xml(engine.execute(query, snapshot=snap))
+                        if got != _xml(bare.execute(query, snapshot=snap)):
+                            wrong.append(query)
+            except BaseException as exc:  # pragma: no cover - fail fast
+                errors.append(exc)
+
+        def writer() -> None:
+            try:
+                start.wait(timeout=60)
+                for number in range(12):
+                    if number % 2:
+                        text = f"Item,FY04\nRound {number},1\n"
+                        loaded_store.replace_text(text, "budget.csv")
+                    else:
+                        text = f"# Overview\n\n## Budget\n\nRound {number} budget.\n"
+                        loaded_store.replace_text(text, "notes.md")
+            except BaseException as exc:  # pragma: no cover - fail fast
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and wrong == []
+        assert engine.cache.snapshot_counters()["hits"] >= 1

@@ -35,6 +35,10 @@ QUERIES = [
     "Context=Budget&Doc=doc-00",
     "Context=Budget&Format=md",
     "Context=Budget&Cache=0",
+    # Full and ROWID-ordered: replayed across writes that leave the
+    # sections they list visible.
+    "Context=Budget&Content=relay&limit=2",
+    "Context=Technology Gap&limit=2",
 ]
 
 #: Queries whose filters and resolvers ask for catalog entries (the
@@ -156,7 +160,7 @@ class TestCacheDifferential:
 
     def test_a_pin_held_across_writes_is_requeried_through_both_engines(self):
         """Readers on newer pins put into the pool the held pin reads
-        (and purge its result entries): recomputed, then replayed, the
+        (and replace its result entries): recomputed, then replayed, the
         held pin's answers are the ones from before the writes."""
         harness = Harness(57)
         queries = QUERIES + CATALOG_QUERIES

@@ -55,7 +55,7 @@ def comparable(body: str) -> str:
 
 def cached_elements(node: Netmark) -> list:
     entries = node.api.engine.cache._entries.values()
-    return [match.element for matches, _ in entries for match in matches]
+    return [match.element for matches, *_ in entries for match in matches]
 
 
 def test_eight_threads_replay_three_entries(loaded_netmark):

@@ -274,8 +274,9 @@ class TestCorruptionClasses:
 
 class TestRepairUnderAWarmPool:
     """Repair is the one writer that edits stored rows in place, so the
-    one event that can falsify a pooled lift: the facade clears the pool
-    after it (the result cache needs nothing, the updates move the LSN)."""
+    one event that can falsify a pooled lift or a cached answer that
+    outlives its stamp: the facade clears the pool and the result cache
+    after it."""
 
     QUERIES = ("Content=engine", "Content=shuttle", "Context=Budget")
 
@@ -313,6 +314,29 @@ class TestRepairUnderAWarmPool:
         assert len(node.store.lift_cache) == 0
         assert self.answers(cached, self.QUERIES) == clean
         assert self.answers(bare, self.QUERIES) == clean
+
+    def test_a_full_cached_answer_is_not_replayed_after_a_repair(
+        self, loaded_netmark
+    ):
+        """A full, ROWID-ordered answer outlives commits while its sections
+        stay visible, and repair keeps every ROWID visible: the facade
+        clears the result cache beside the pool."""
+        node, query = loaded_netmark, ["Context=Budget&limit=2"]
+        clean = self.answers(node.engine, query)
+        # Say notes.md's "Budget" heading text sits under its "Overview"
+        # heading: the index path then lists the Overview section.
+        facts = node.store.xml_table.text_index_on("NODEDATA").facts
+        overview = facts[node_where(node.store, NODEDATA="Overview").rowid][1]
+        heading = node_where(node.store, NODEDATA="Budget")  # notes.md's
+        sections, _, emphasised = facts[heading.rowid]
+        facts[heading.rowid] = (sections, overview, emphasised)
+        damaged = self.answers(node.api.engine, query)  # admits the entry
+        assert "<context>Overview</context>" in damaged[0]
+        assert node.api.engine.execute(query[0]).cached
+        report = node.fsck(repair=True)  # rebuilds the facts, moves the LSN
+        assert report.ok and report.repaired >= 1
+        assert not node.api.engine.execute(query[0]).cached
+        assert self.answers(node.api.engine, query) == clean
 
 
 class TestCommandLine:
