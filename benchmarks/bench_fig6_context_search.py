@@ -166,7 +166,7 @@ def test_report_limit_pushdown_fetches(benchmark, stores):
         engine = QueryEngine(store)
 
         with _TableCalls() as eager:
-            eager_ctx, root = engine.compile(
+            _, root = engine.compile(
                 dataclasses.replace(query, limit=None)
             )
             matches = list(root.rows())
@@ -178,7 +178,7 @@ def test_report_limit_pushdown_fetches(benchmark, stores):
 
         with _TableCalls() as lazy:
             start = time.perf_counter()
-            lazy_ctx, root = engine.compile(query)
+            _, root = engine.compile(query)
             lazy_set = ResultSet(format_query(query))
             lazy_set.extend(list(root.rows()))
             for match in lazy_set.matches:
@@ -211,10 +211,6 @@ def test_report_limit_pushdown_fetches(benchmark, stores):
                 "lazy_table_calls": lazy.calls,
                 "eager_rows_fetched": eager.rows,
                 "lazy_rows_fetched": lazy.rows,
-                "eager_hops": eager_ctx.accessor.stats.parent_hops
-                + eager_ctx.accessor.stats.sibling_hops,
-                "lazy_hops": lazy_ctx.accessor.stats.parent_hops
-                + lazy_ctx.accessor.stats.sibling_hops,
                 "call_reduction": round(eager.calls / lazy.calls, 2),
                 "queries_per_second": round(1 / elapsed, 1),
                 "byte_identical": identical,

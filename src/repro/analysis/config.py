@@ -145,8 +145,9 @@ DEFAULT_MODULE_LAYERS: dict[str, frozenset[str]] = {
     # vocabulary; it must not touch composition, the store facade or the
     # query tier — a checker that imported what it checks derived state
     # *through* would be checking itself.  The accessor is the one grant:
-    # its hop walk is the reference the index's carried section facts
-    # are held against (the index is what is checked, not the walk).
+    # a fresh ``SectionPass`` over the heap is the reference the index's
+    # carried section facts are held against (what is checked is the
+    # incremental upkeep of those facts, not the pass).
     "store.fsck": frozenset(
         {"ordbms", "sgml", "store.schema", "store.accessor"}
     ),

@@ -191,6 +191,10 @@ class Table:
                 index.insert(row[position], rowid)
         return index
 
+    def drop_index(self, column: str) -> None:
+        """Stop keeping the B+tree over ``column``."""
+        del self._indexes[column.upper()]
+
     def create_text_index(self, column: str) -> TextIndex:
         """Create (and backfill) an inverted text index over ``column``."""
         column = column.upper()

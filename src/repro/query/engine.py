@@ -11,10 +11,11 @@ explicit operator tree (:mod:`repro.query.plan`) and pulled lazily:
    sibling node until the first context is found" — a walk whose answer
    is a fact about the ROWID, so the loader takes it once, as it writes
    the row, and the index carries it beside the posting
-   (:class:`~repro.store.accessor.SectionPass`; the scan path still
-   walks).  A *context* search takes the hit's CONTEXT ancestor
-   (``ContextLift``), a *content* search its governing context — nearest
-   enclosing or preceding CONTEXT (``GoverningLift``).
+   (:class:`~repro.store.accessor.SectionPass`; the scan path runs the
+   same pass over each hit's document).  A *context* search takes the
+   hit's CONTEXT ancestor (``ContextLift``), a *content* search its
+   governing context — nearest enclosing or preceding CONTEXT
+   (``GoverningLift``).
 3. **Downward walk.**  The matched context's section — its following
    siblings up to the next context — is read in one forward pass over
    the rows stored after it (``SectionWalk``) and reconstructed lazily
@@ -242,8 +243,8 @@ class QueryEngine:
     def _publish_plan_stats(ctx: PlanContext) -> None:
         """Fold the query's accessor traffic into the metric registry.
 
-        The accessor's own counters are plain ints on the hot path (tree
-        hops run thousands of times per query); one aggregate publish per
+        The accessor's own counters are plain ints on the hot path (row
+        reads run thousands of times per query); one aggregate publish per
         executed plan keeps the metrics layer off that path.  Traffic
         from *lazy* match materialization after the drain is not
         included — these series describe plan execution.
@@ -252,7 +253,6 @@ class QueryEngine:
         for count, series, labels in (
             (stats.rows_fetched, "repro_store_accessor_rows_fetched_total", {}),
             (stats.batch_fetches, "repro_store_accessor_batch_fetches_total", {}),
-            (stats.child_lookups, "repro_store_accessor_index_probes_total", {}),
             (stats.cache_hits, "repro_store_accessor_cache_hits_total", {}),
             (stats.shared_hits, "repro_cache_hits_total", {"cache": "lift"}),
             (stats.shared_misses, "repro_cache_misses_total", {"cache": "lift"}),

@@ -14,8 +14,8 @@ Operator inventory (leaf → root; each class says the rest):
     used by the ABL-IDX ablation.  Yields ROWIDs — postings — not rows.
 ``ContextLift`` / ``GoverningLift``
     The upward traversal, read off the facts the index carries for each
-    posting (the scan path walks for them): heading hits lift to their
-    CONTEXT *ancestor* (context search), content hits to their
+    posting (the scan path runs its documents' pass): heading hits lift
+    to their CONTEXT *ancestor* (context search), content hits to their
     *governing* context (content search, which also accumulates INTENSE
     score boosts and collects document-level hits that precede every
     context).  From here on a candidate is a section ROWID and a score.
@@ -293,8 +293,9 @@ class TextSource(PlanNode):
 
 class Lift(PlanNode):
     """Postings of every child source, once each, to section candidates —
-    by the facts the index carries per posting; the scan path walks for
-    the same facts (:meth:`NodeAccessor.text_facts`)."""
+    by the facts the index carries per posting; the scan path takes the
+    same facts from a pass over each hit's document
+    (:meth:`NodeAccessor.text_facts`)."""
 
     def _hits(self) -> tuple[list[RowId], list[Any]]:
         hits = list(dict.fromkeys(r for child in self.children for r in child.rows()))
@@ -589,16 +590,12 @@ class NodeResolver:
 
     def context(self) -> str:
         if self._heading is None:
-            accessor = self.ctx.accessor
-            if accessor.is_context(self.row):
-                self._heading = accessor.context_title(self.row)
-            else:
-                governing = accessor.governing_context(self.row)
-                self._heading = (
-                    accessor.context_title(governing)
-                    if governing is not None
-                    else self.ctx.entry(self.row.DOC_ID).file_name
-                )
+            governing = self.ctx.accessor.governing(self.row)
+            self._heading = (
+                self.ctx.accessor.context_title(governing)
+                if governing is not None
+                else self.ctx.entry(self.row.DOC_ID).file_name
+            )
         return self._heading
 
     def content(self) -> str:

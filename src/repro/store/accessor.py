@@ -1,10 +1,11 @@
 """Batched, memoized node access for the read path.
 
-The paper's traversal story (§2.1.4) is ROWID hops — each parent /
-sibling / child step an O(1) physical fetch.  A :class:`NodeAccessor`
-keeps the hops and asks for rows last:
+The paper's traversal story (§2.1.4) is ROWID hops — up from a text hit
+to its CONTEXT, back down through the siblings.  A :class:`NodeAccessor`
+reads what those hops would find in document order, and asks for rows
+last:
 
-* **batching** — rowid lists (memo answers, postings to walk) come
+* **batching** — rowid lists (memo answers, postings to resolve) come
   through one ``visible_many`` call;
 * **forward reads** — a document's rows are one contiguous ROWID run in
   document order (DESIGN.md §17), so a subtree or a whole section is the
@@ -14,13 +15,15 @@ keeps the hops and asks for rows last:
   (:data:`~repro.store.schema.XmlRow`: ``row.NODETYPE``, ``row.rowid``),
   immutable and shared with every other reader; nothing is decoded or
   copied between the heap and a plan operator;
-* **facts written once** — which sections a TEXT row's text belongs to
-  is decided as the row is written (:class:`SectionPass`) and read off
-  the text index (:meth:`NodeAccessor.text_facts`); the hop walk that
-  says the same is kept as the reference (:meth:`NodeAccessor.walk_facts`);
-* **memoization** — node rows, child sets and the four structural lifts
-  (governing context, section scope, text, title) are computed once per
-  accessor and reused by every operator of a plan and by the lazy
+* **one section derivation** — which sections a row belongs to is what
+  one streaming pass in document order says (:class:`SectionPass`): the
+  index's pass as each TEXT row is written, read off the text index
+  (:meth:`NodeAccessor.text_facts`), else a fresh pass over the row's
+  document as of the LSN (the scan path, rows changed since the LSN,
+  an element's governing CONTEXT);
+* **memoization** — node rows and the three structural lifts (section
+  scope, text, title) are computed once per accessor and reused by
+  every operator of a plan and by the lazy
   :class:`~repro.query.results.SectionMatch` loaders;
 * **one commit LSN** — an accessor is a view at :attr:`NodeAccessor.lsn`,
   fixed at construction: rows resolve to their version as of it, index
@@ -41,9 +44,9 @@ This class is the only traversal implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from repro.errors import StoreError
+from repro.errors import RowIdError, StoreError
 from repro.ordbms import Database, RowId, Snapshot
 from repro.ordbms.textindex import TextIndex
 from repro.sgml.nodetypes import NodeType
@@ -54,15 +57,12 @@ from repro.store.schema import XML_TABLE, XmlRow
 
 @dataclass
 class AccessorStats:
-    """Work counters for one accessor — the bench's hop/fetch evidence."""
+    """Work counters for one accessor — the bench's fetch evidence."""
 
     point_fetches: int = 0
     batch_fetches: int = 0
     rows_fetched: int = 0
     cache_hits: int = 0
-    parent_hops: int = 0
-    sibling_hops: int = 0
-    child_lookups: int = 0
     #: Cross-query :class:`~repro.store.liftcache.LiftCache` traffic
     #: (zero unless the accessor was built with a shared pool).
     shared_hits: int = 0
@@ -87,13 +87,12 @@ class SectionPass:
     of every CONTEXT whose title or scope holds the row
     (:meth:`NodeAccessor.context_title` / ``section_scope``), governing
     context first; its nearest CONTEXT ancestor (heading text only);
-    whether it sits under INTENSE — equal to
-    :meth:`NodeAccessor.walk_facts`.  State is per open element, dropped
+    whether it sits under INTENSE.  State is per open element, dropped
     at the next document's root; rows of one section share one fact.
     """
 
     def __init__(self, facts: dict[RowId, Any]) -> None:
-        self._facts = facts  # the index's own dict: TEXT ROWID -> fact
+        self.facts = facts  # e.g. the index's own dict: TEXT ROWID -> fact
         #: element ROWID -> [the fact of what hangs below it come what
         #: may, the fact of a TEXT child arriving now: the same, plus the
         #: latest CONTEXT child, whose scope the later children are]
@@ -110,7 +109,7 @@ class SectionPass:
         if state is None:
             self._early.setdefault(above, []).append(row)
         elif kind == _TEXT:
-            self._facts[rowid] = state[1]
+            self.facts[rowid] = state[1]
         else:
             below, ancestor, intense = state[0]
             if kind == _CONTEXT:
@@ -126,6 +125,13 @@ class SectionPass:
                 early = self._early.pop(rowid, ())
                 for child in sorted(early, key=lambda row: row.rowid):
                     self(child)
+
+    def governing(self, rowid: RowId) -> RowId | None:
+        """The governing CONTEXT of the element at ``rowid``, of the
+        document this pass took last: the head of the sections its state
+        opened with — the element itself when it is a CONTEXT."""
+        sections = self._open[rowid][0][0]
+        return sections[0] if sections else None
 
 
 class NodeAccessor:
@@ -154,8 +160,9 @@ class NodeAccessor:
         #: Cross-query memo pool; None means "private memos only".
         self._lifts = lifts
         self._rows: dict[RowId, XmlRow] = {}
-        self._children: dict[int, tuple[RowId, ...]] = {}
-        #: The one memo: the four structural lifts keyed ``(kind,
+        #: doc id -> the pass over its rows, never pooled (:meth:`_pass`).
+        self._passes: dict[int, SectionPass] = {}
+        #: The one memo: the three structural lifts keyed ``(kind,
         #: rowid)`` and catalog entries keyed ``("entry", doc_id)``.
         self._memo: dict[tuple[str, Hashable], Any] = {}
 
@@ -223,39 +230,6 @@ class NodeAccessor:
         self.stats.cache_hits += len(rowids) - len(missing)
         return [self._rows[rowid] for rowid in rowids]
 
-    # -- single hops ---------------------------------------------------------
-
-    def parent(self, row: XmlRow) -> XmlRow | None:
-        """Follow ``PARENTROWID`` up one level (None at the root)."""
-        parent_rowid = row.PARENTROWID
-        if parent_rowid is None:
-            return None
-        self.stats.parent_hops += 1
-        return self.node(parent_rowid)
-
-    def next_sibling(self, row: XmlRow) -> XmlRow | None:
-        """Follow ``SIBLINGID`` across one hop (None for the last child)."""
-        sibling_rowid = row.SIBLINGID
-        if sibling_rowid is None:
-            return None
-        self.stats.sibling_hops += 1
-        return self.node(sibling_rowid)
-
-    def children(self, row: XmlRow) -> list[XmlRow]:
-        """Direct children in document order — one batched fetch."""
-        node_id = row.NODEID
-        cached = self._children.get(node_id)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return [self._rows[rowid] for rowid in cached]
-        self.stats.child_lookups += 1
-        child_rows = self.lookup_rows("PARENTNODEID", node_id)
-        child_rows.sort(key=lambda child: child.ORDINAL)
-        self._children[node_id] = tuple(
-            child.rowid for child in child_rows
-        )
-        return child_rows
-
     # -- probes as of the LSN ----------------------------------------------------
 
     def probe_text(
@@ -299,65 +273,44 @@ class NodeAccessor:
 
     # -- traversal (paper §2.1.4), memoized ------------------------------------
 
-    def governing_context(self, row: XmlRow) -> XmlRow | None:
-        """Nearest enclosing/preceding CONTEXT for any node row (None for
-        front matter preceding every context)."""
-        memo = self.memoized("governing", row.rowid, self._walk_up, row)
-        return None if memo is None else self.node(memo)
-
     def text_facts(self, rowids: Sequence[RowId], indexed: bool = True) -> list[Fact]:
         """``(sections, ancestor, emphasised)`` of the TEXT rows at
         ``rowids`` (:class:`SectionPass` says what each means), read off
         the text index — no row is fetched.  A row with no fact there
         (it changed after :attr:`lsn`: its live fact went with it), and
         every row when ``indexed`` is false (the scan path), is fetched
-        and walked: :meth:`walk_facts`, the reference."""
+        and answered by its document's pass (:meth:`_pass`)."""
         index = self.table.text_index_on("NODEDATA")
         carried = (indexed and index is not None and index.facts) or {}
         facts = [carried.get(rowid) for rowid in rowids]
         if None in facts:
             absent = [r for r, fact in zip(rowids, facts) if fact is None]
-            walked = dict(zip(absent, map(self.walk_facts, self.nodes(absent))))
-            facts = [fact or walked[r] for r, fact in zip(rowids, facts)]
+            passed = {row.rowid: self._pass(row.DOC_ID).facts[row.rowid]
+                      for row in self.nodes(absent)}
+            facts = [fact or passed[r] for r, fact in zip(rowids, facts)]
         return facts
 
-    def walk_facts(self, row: XmlRow) -> Fact:
-        """:meth:`text_facts` of one row by parent and sibling hops, all
-        the way to the root (:meth:`_climb`)."""
-        sections: list[RowId] = []
-        ancestor = emphasised = None
-        for found, above in self._climb(row):
-            if self.is_context(found):
-                sections.append(found.rowid)
-                if above:
-                    ancestor, emphasised = ancestor or found.rowid, emphasised or False
-            elif emphasised is None and found.NODETYPE == _INTENSE:
-                emphasised = True
-        return tuple(sections), ancestor, bool(emphasised)
+    def governing(self, row: XmlRow) -> XmlRow | None:
+        """The CONTEXT governing element ``row`` — itself, if it is one —
+        by its document's pass; None for front matter."""
+        head = self._pass(row.DOC_ID).governing(row.rowid)
+        return None if head is None else self.node(head)
 
-    def _walk_up(self, row: XmlRow) -> RowId | None:
-        """The governing lift: the first CONTEXT on the climb."""
-        for found, _ in self._climb(row):
-            if self.is_context(found):
-                return found.rowid
-        return None
-
-    def _climb(self, row: XmlRow) -> Iterator[tuple[XmlRow, bool]]:
-        """Bottom-up, one level per hop: the parent (flagged True), then —
-        unless the node on the path is itself a CONTEXT, which ends the
-        scope before it — the latest CONTEXT sibling preceding it."""
-        current = row
-        while (parent := self.parent(current)) is not None:
-            yield parent, True
-            best = None
-            for sibling in () if self.is_context(current) else self.children(parent):
-                if sibling.ORDINAL >= current.ORDINAL:
-                    break
-                if self.is_context(sibling):
-                    best = sibling
-            if best is not None:
-                yield best, False
-            current = parent
+    def _pass(self, doc_id: int) -> SectionPass:
+        """A fresh :class:`SectionPass` over document ``doc_id``'s rows as
+        of :attr:`lsn` — ROWID order is document order (fsck
+        ``doc-order``) — once per accessor.  Facts describe immutable
+        ROWIDs, so it says what the index said of each row when it was
+        written, the document deleted since or not."""
+        done = self._passes.get(doc_id)
+        if done is None:
+            rows = self.lookup_rows("DOC_ID", doc_id)
+            if not rows:
+                raise RowIdError(f"document {doc_id} is not visible at LSN {self.lsn}")
+            done = self._passes[doc_id] = SectionPass({})
+            for row in rows:
+                done(row)
+        return done
 
     def subtree(self, row: XmlRow, siblings: bool = False) -> list[XmlRow]:
         """All descendant rows in document order — one forward read.

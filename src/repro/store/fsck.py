@@ -21,7 +21,7 @@ enforce those, so this module does, after the fact:
   documents);
 * derived state agrees with the rows: every B+tree and text index on
   DOC/XML matches a fresh rebuild from the heap, and what the NODEDATA
-  index says of each TEXT row's sections matches a walk to its root.
+  index says of each TEXT row's sections matches a fresh pass.
 
 Violations found in the data are *reported*, never raised — fsck's job
 is to describe damage (:class:`FsckReport`), and crashes are reserved
@@ -45,7 +45,7 @@ from typing import Any
 from repro.errors import FsckError
 from repro.ordbms import Database, RowId, Table, TextIndex
 from repro.sgml.nodetypes import NodeType
-from repro.store.accessor import NodeAccessor, SectionPass
+from repro.store.accessor import SectionPass
 from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow
 
 #: Violation codes, in check order.  Codes marked repairable concern
@@ -163,8 +163,8 @@ def check_store(database: Database) -> FsckReport:
     _check_parent_chains(report, nodes, by_rowid)
     _check_sibling_chains(report, nodes, by_rowid)
     _check_doc_order(report, nodes)
-    if report.ok:  # a walk needs sound links to walk
-        _check_section_facts(report, database, nodes)
+    if report.ok:  # a pass needs sound links, in document order
+        _check_section_facts(report, database, by_rowid)
     report.indexes_checked = _check_indexes(report, (doc_table, xml_table))
     return report
 
@@ -447,24 +447,27 @@ def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
 
 
 def _check_section_facts(
-    report: FsckReport, database: Database, nodes: list[XmlRow]
+    report: FsckReport, database: Database, by_rowid: dict[RowId, XmlRow]
 ) -> None:
-    """What the NODEDATA index carries for each TEXT row
-    (:class:`~repro.store.accessor.SectionPass`) equals the hop walk, and
-    it carries nothing else.  A table no store has wired keeps no facts."""
+    """What the NODEDATA index carries for each TEXT row equals what a
+    fresh :class:`~repro.store.accessor.SectionPass` over the heap in
+    physical order says, and it carries nothing else.  The index's facts
+    were kept one row at a time — insert, redo, undo, rows that arrived
+    before their parent — so a pass from scratch is still an independent
+    check.  A table no store has wired keeps no facts."""
     index = database.table(XML_TABLE).text_index_on("NODEDATA")
     if index is None or index.facts is None:
         return
-    facts, accessor = index.facts, NodeAccessor(database)
-    texts = {row.rowid: row for row in nodes if accessor.is_text(row)}
-    for rowid in sorted(texts.keys() | facts.keys()):
-        row = texts.get(rowid)
-        walked = row and accessor.walk_facts(row)
-        if facts.get(rowid) != walked:
+    facts, fresh = index.facts, SectionPass({})
+    for row in by_rowid.values():  # physical order
+        fresh(row)
+    for rowid in sorted(facts.keys() | fresh.facts.keys()):
+        row, passed = by_rowid.get(rowid), fresh.facts.get(rowid)
+        if facts.get(rowid) != passed:
             report.violations.append(Violation(
                 "section-facts", XML_TABLE, str(rowid), row and row.DOC_ID,
-                f"the text index says {facts.get(rowid)}, a walk {walked} "
-                f"(sections, CONTEXT ancestor, under INTENSE)",
+                f"the text index says {facts.get(rowid)}, a fresh pass "
+                f"{passed} (sections, CONTEXT ancestor, under INTENSE)",
             ))
 
 

@@ -20,10 +20,14 @@ Two tables store *every* document of *any* type — the schema-less claim:
     deterministic; implicit in Oracle's physical order, explicit here),
     ``ATTRS`` — serialised element attributes.
 
-Indexes created with the schema: B+trees on ``DOC.FILE_NAME`` (the
-write path's "is this name already stored" probe), ``XML.DOC_ID``,
-``XML.PARENTNODEID`` and ``XML.NODENAME`` plus the text index on
+Indexes created with the schema (:data:`INDEXES`), beside each primary
+key's: B+trees on ``DOC.FILE_NAME`` (the write path's "is this name
+already stored" probe), ``XML.DOC_ID`` (a document's rows) and
+``XML.NODENAME`` (the nodename search), plus the text index on
 ``XML.NODEDATA`` (the Oracle Text stand-in the query path hits first).
+Nothing probes by parent: which section a row belongs to is what one
+pass over its document in ROWID order says, so ``PARENTNODEID`` is
+stored, and carried by an export, but not indexed.
 """
 
 from __future__ import annotations
@@ -89,6 +93,10 @@ DocRow = doc_schema().row_type
 XmlRow = xml_schema().row_type
 
 
+#: The B+trees each table carries beside its primary key's.
+INDEXES = {DOC_TABLE: ("FILE_NAME",), XML_TABLE: ("DOC_ID", "NODENAME")}
+
+
 def create_netmark_schema(database: Database) -> tuple[Table, Table]:
     """Create DOC and XML with their indexes; returns ``(doc, xml)``.
 
@@ -96,13 +104,25 @@ def create_netmark_schema(database: Database) -> tuple[Table, Table]:
     type never adds to it (the property FIG5's ablation measures).
     """
     doc_table = database.create_table(doc_schema())
-    doc_table.create_index("FILE_NAME")
     xml_table = database.create_table(xml_schema())
-    xml_table.create_index("DOC_ID")
-    xml_table.create_index("PARENTNODEID")
-    xml_table.create_index("NODENAME")
+    align_indexes(database)
     xml_table.create_text_index("NODEDATA")
     return doc_table, xml_table
+
+
+def align_indexes(database: Database) -> None:
+    """Give DOC and XML exactly the B+trees :data:`INDEXES` declares: a
+    checkpoint or dump written by an older schema declares the ones it
+    had, and the loader builds what it is told."""
+    for name, columns in INDEXES.items():
+        table = database.table(name)
+        wanted = (table.schema.primary_key, *columns)
+        for column in table.index_columns:
+            if column not in wanted:
+                table.drop_index(column)
+        for column in wanted:
+            if table.index_on(column) is None:
+                table.create_index(column)
 
 
 def encode_metadata(metadata: dict[str, object]) -> str:

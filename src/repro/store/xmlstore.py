@@ -33,6 +33,7 @@ from repro.store.schema import (
     XML_TABLE,
     DocRow,
     XmlRow,
+    align_indexes,
     create_netmark_schema,
     decode_metadata,
 )
@@ -74,10 +75,8 @@ class XmlStore:
         """Bind every field to a database that already has the schema."""
         self.database = database
         self.config = config
+        align_indexes(database)
         self._doc_table = database.table(DOC_TABLE)
-        if self._doc_table.index_on("FILE_NAME") is None:
-            # A checkpoint or snapshot written before the index existed.
-            self._doc_table.create_index("FILE_NAME")
         self._xml_table = database.table(XML_TABLE)
         # Every row indexed from here on (loaded, replayed, shipped) says
         # which sections its text is in; those already there, in one pass.

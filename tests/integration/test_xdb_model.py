@@ -1,7 +1,8 @@
 """Every configuration against the one specification (``tests/xdb_model.py``).
 
 A hypothesis state machine ingests, replaces and deletes generated
-documents, opens and releases pins, and queries; after every step the
+documents, opens and releases pins, and queries — context, content,
+combined and nodename searches; after every step the
 index path, the ``Scan`` path, the cached engine (twice: the second a
 hit) and ``Cache=0`` must equal the naive model, a held pin the model
 *as of its LSN*, and fsck must be clean — ``section-facts`` and ``doc-order``
@@ -68,11 +69,13 @@ contents = st.one_of(
 @st.composite
 def queries(draw):
     parts = []
-    kind = draw(st.sampled_from(("context", "content", "combined")))
-    if kind != "content":
+    kind = draw(st.sampled_from(("context", "content", "combined", "nodename")))
+    if kind == "nodename":
+        parts.append("Nodename=" + draw(st.sampled_from(TAGS + ("doc",))))
+    elif kind != "content":
         alternatives = draw(st.lists(phrases, min_size=1, max_size=2))
         parts.append("Context=" + quote("|".join(alternatives)))
-    if kind != "context":
+    if kind in ("content", "combined") or kind == "nodename" and draw(st.booleans()):
         parts.append("Content=" + quote(draw(contents)))
     if draw(st.booleans()):
         parts.append(f"limit={draw(st.integers(1, 3))}")
@@ -96,6 +99,8 @@ class XdbMachine(RuleBasedStateMachine):
         # Saturated and often listing a section whose document also holds
         # the spare after it: one write takes both away.
         "Context=alpha|beta|budget&limit=1",
+        # Paragraphs whose governing CONTEXT is rarely their parent.
+        "Nodename=p",
     )
 
     def __init__(self):
@@ -212,6 +217,12 @@ class TestTheModelOnAFixedDocument:
         ("Context=Nested|Alpha&Content=beta", [ALPHA, "Nested beta"]),
         ("Content=beta", [ALPHA, "Nested beta", "Beta"]),
         ("Content=beta&limit=1", ["Nested beta"]),  # two emphasised hits
+        # An element's heading: its own title, what governs it, the file.
+        ("Nodename=p", ["nested.xml", ALPHA, "Nested beta", ALPHA, "Beta"]),
+        ("Nodename=b", [ALPHA, ALPHA, "Nested beta"]),
+        ("Nodename=h2", ["inner FY04/05", "Nested beta"]),
+        ("Nodename=em", ["Nested beta"]),
+        ("Nodename=b&Content=beta&limit=1", [ALPHA]),
     ])
     def test_index_scan_and_model_agree(self, pair, query, contexts):
         store, model = pair

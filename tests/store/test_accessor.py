@@ -54,19 +54,6 @@ class TestBatching:
         assert accessor.stats.rows_fetched == 0
         assert accessor.stats.cache_hits == len(rowids)
 
-    def test_children_batch_and_memoize(self, store_with_doc):
-        store, result = store_with_doc
-        accessor = store.new_accessor()
-        root = accessor.node(result.root_rowid)
-        first = accessor.children(root)
-        accessor.stats.reset()
-        second = accessor.children(root)
-        assert [r.rowid for r in first] == [
-            r.rowid for r in second
-        ]
-        assert accessor.stats.child_lookups == 0
-        assert accessor.stats.cache_hits >= 1
-
 
 class TestMemoization:
     def test_point_fetch_memoized(self, store_with_doc):
@@ -93,22 +80,18 @@ class TestMemoization:
         assert accessor.stats.rows_fetched == 0
         assert accessor.stats.cache_hits == 1
 
-    def test_governing_context_memoized_per_row(self, store_with_doc):
+    def test_a_documents_pass_runs_once_per_accessor(self, store_with_doc):
         store, _ = store_with_doc
         accessor = store.new_accessor()
-        text_row = next(
-            row
-            for row in store.xml_table.scan()
-            if row.NODEDATA == "beta text"
-        )
-        governing = accessor.governing_context(text_row)
-        assert accessor.context_title(governing) == "Beta"
-        hops_first = accessor.stats.parent_hops
-        assert hops_first > 0
+        texts = [row for row in store.xml_table.scan() if accessor.is_text(row)]
+        first = accessor.text_facts([row.rowid for row in texts], indexed=False)
+        titles = [accessor.context_title(accessor.node(f[0][0])) for f in first]
+        assert titles == ["Alpha", "Alpha", "Alpha", "Beta", "Beta"]
         accessor.stats.reset()
-        again = accessor.governing_context(text_row)
-        assert again.rowid == governing.rowid
-        assert accessor.stats.parent_hops == 0
+        assert accessor.text_facts([texts[-1].rowid], indexed=False) == first[-1:]
+        content = accessor.node(texts[-1].PARENTROWID)
+        assert accessor.context_title(accessor.governing(content)) == "Beta"
+        assert accessor.stats.batch_fetches == accessor.stats.rows_fetched == 0
 
 
 class TestInvalidation:
@@ -169,7 +152,10 @@ class TestInvalidation:
         # rows to a probe, the typed error to a fetch or a forward read.
         assert accessor.node(result.root_rowid) is root
         assert accessor.lookup_rowids("DOC_ID", result.doc_id) == []
-        for read in (lambda: accessor.node(last), lambda: accessor.subtree(root)):
+        for read in (
+            lambda: accessor.node(last), lambda: accessor.subtree(root),
+            lambda: accessor.governing(root),  # its document's pass has no rows
+        ):
             with pytest.raises(RowIdError):
                 read()
 

@@ -1,6 +1,7 @@
 """Decomposition rows and ROWID traversal semantics (§2.1.4).
 
-Every walk goes through the store's one :class:`NodeAccessor`.
+Every read goes through the store's one :class:`NodeAccessor`; the links
+themselves are followed by the test-side hop walk (``HopOracle``).
 """
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
 from repro.store import XML_TABLE, XmlStore
+from tests.store.test_section_run import HopOracle
 
 
 @pytest.fixture
@@ -24,6 +26,17 @@ def store_with_doc():
     )
     result = store.store_document(document)
     return store, result
+
+
+def hops(store):
+    return HopOracle(store.new_accessor())
+
+
+def governing(store, row):
+    """The governing CONTEXT of a TEXT row, by the facts it carries."""
+    accessor = store.new_accessor()
+    [(sections, _, _)] = accessor.text_facts([row.rowid])
+    return accessor.node(sections[0]) if sections else None
 
 
 def classify_counts(database, doc_id):
@@ -60,16 +73,16 @@ class TestDecomposition:
     def test_parent_rowids_consistent(self, store_with_doc):
         store, result = store_with_doc
         for row in store.xml_table.scan():
-            parent = store.new_accessor().parent(row)
+            parent = hops(store).parent(row)
             if parent is not None:
                 assert parent.NODEID == row.PARENTNODEID
 
     def test_sibling_chain_terminates_and_orders(self, store_with_doc):
         store, result = store_with_doc
         root = store.new_accessor().node(result.root_rowid)
-        first, second = store.new_accessor().children(root)
-        assert store.new_accessor().next_sibling(first).NODEID == second.NODEID
-        assert store.new_accessor().next_sibling(second) is None
+        first, second = hops(store).children(root)
+        assert hops(store).next_sibling(first).NODEID == second.NODEID
+        assert hops(store).next_sibling(second) is None
 
     def test_node_types_recorded(self, store_with_doc):
         store, result = store_with_doc
@@ -81,9 +94,9 @@ class TestDecomposition:
     def test_children_sorted_by_ordinal(self, store_with_doc):
         store, result = store_with_doc
         root = store.new_accessor().node(result.root_rowid)
-        sections = store.new_accessor().children(root)
+        sections = hops(store).children(root)
         titles = [
-            store.new_accessor().context_title(store.new_accessor().children(s)[0])
+            store.new_accessor().context_title(hops(store).children(s)[0])
             for s in sections
         ]
         assert titles == ["Alpha", "Beta"]
@@ -93,25 +106,25 @@ class TestTraversal:
     def test_governing_context_of_content_text(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "beta text")
-        context = store.new_accessor().governing_context(row)
+        context = governing(store, row)
         assert store.new_accessor().context_title(context) == "Beta"
 
     def test_governing_context_stops_at_own_section(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "alpha text one")
-        context = store.new_accessor().governing_context(row)
+        context = governing(store, row)
         assert store.new_accessor().context_title(context) == "Alpha"
 
     def test_heading_text_has_context_ancestor(self, store_with_doc):
         store, _ = store_with_doc
         [row] = text_rows(store, "Alpha")
-        parent = store.new_accessor().parent(row)
+        parent = hops(store).parent(row)
         assert parent.NODETYPE == int(NodeType.CONTEXT)
 
     def test_section_scope_excludes_next_section(self, store_with_doc):
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
-        context = store.new_accessor().parent(alpha_heading)
+        context = hops(store).parent(alpha_heading)
         text = store.new_accessor().section_text(context)
         assert "alpha text one" in text and "alpha text two" in text
         assert "beta" not in text
@@ -119,7 +132,7 @@ class TestTraversal:
     def test_scope_rowids_are_section_rows(self, store_with_doc):
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
-        context = store.new_accessor().parent(alpha_heading)
+        context = hops(store).parent(alpha_heading)
         rowids = {
             row.rowid for row in store.new_accessor().section_scope(context)
         }
@@ -135,10 +148,10 @@ class TestTraversal:
         )
         store.store_document(document)
         [row] = text_rows(store, "two")
-        context = store.new_accessor().governing_context(row)
+        context = governing(store, row)
         assert store.new_accessor().context_title(context) == "First"
         [row3] = text_rows(store, "three")
-        context3 = store.new_accessor().governing_context(row3)
+        context3 = governing(store, row3)
         assert store.new_accessor().context_title(context3) == "Second"
 
     def test_flat_html_scope_stops_at_next_heading(self):
@@ -149,7 +162,7 @@ class TestTraversal:
         )
         store.store_document(document)
         [heading] = text_rows(store, "First")
-        context = store.new_accessor().parent(heading)
+        context = hops(store).parent(heading)
         assert store.new_accessor().section_text(context) == "one"
 
     def test_front_matter_has_no_context(self):
@@ -157,7 +170,7 @@ class TestTraversal:
         document = parse_xml("<body><p>preamble</p><h2>H</h2></body>")
         store.store_document(document)
         [row] = text_rows(store, "preamble")
-        assert store.new_accessor().governing_context(row) is None
+        assert governing(store, row) is None
 
     def test_scope_of_multiple_documents_isolated(self, store_with_doc):
         store, _ = store_with_doc
@@ -167,6 +180,6 @@ class TestTraversal:
         )
         store.store_document(second)
         rows = text_rows(store, "alpha text one")
-        context = store.new_accessor().governing_context(rows[0])
+        context = governing(store, rows[0])
         text = store.new_accessor().section_text(context)
         assert "other document" not in text

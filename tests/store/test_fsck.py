@@ -33,7 +33,7 @@ class TestCleanStore:
         assert report.ok
         assert report.documents_checked == len(loaded)
         assert report.nodes_checked == loaded.node_count
-        assert report.indexes_checked == 7  # 2 DOC + 4 XML btrees + 1 text
+        assert report.indexes_checked == 6  # 2 DOC + 3 XML btrees + 1 text
 
     def test_empty_store_is_clean(self, store):
         assert check_store(store.database).ok
@@ -289,15 +289,15 @@ class TestRepairUnderAWarmPool:
 
     def test_cached_equals_bare_after_a_repair(self, loaded_netmark):
         node = loaded_netmark
-        # The walked path: the index path reads what the loader said of
-        # each row when it wrote it, which this damage does not reach.
+        # The scan path: it runs each hit's document's pass as it reads,
+        # where the index path reads what the loader's pass said.
         cached = QueryEngine(node.store, use_index=False, cache=QueryCache())
         bare = QueryEngine(node.store, use_index=False)
         clean = self.answers(bare, self.QUERIES)
         assert clean == self.answers(node.engine, self.QUERIES)
-        # A heading its parent no longer lists among its children (so
-        # the text after it lifts past it), and a sibling chain
-        # pointing at itself.
+        # A heading with a wrong parent id and a sibling chain pointing
+        # at itself: the links repair fixes, which no read follows — a
+        # section is the pass over PARENTROWID in ROWID order.
         report1 = node.store.lookup_by_name("report1.ndoc").doc_id
         heading = node_where(
             node.store, DOC_ID=report1, NODEDATA="Budget"
@@ -305,8 +305,8 @@ class TestRepairUnderAWarmPool:
         node.database.update(XML_TABLE, heading, {"PARENTNODEID": 424242})
         node.database.update(XML_TABLE, heading, {"SIBLINGID": heading})
         assert {"parent-id-mismatch", "sibling-chain"} <= node.fsck().codes()
-        damaged = self.answers(cached, self.QUERIES)  # warms the pool, wrongly
-        assert damaged == self.answers(bare, self.QUERIES) != clean
+        damaged = self.answers(cached, self.QUERIES)  # warms the pool
+        assert damaged == self.answers(bare, self.QUERIES) == clean
         assert self.answers(node.engine, self.QUERIES) == clean
         assert len(node.store.lift_cache) > 0
         report = node.fsck(repair=True)

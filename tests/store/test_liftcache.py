@@ -47,9 +47,9 @@ class TestLiftCacheUnit:
 
     def test_none_is_a_cacheable_value(self):
         cache = LiftCache()
-        cache.put("governing", 5, None)
-        assert cache.get("governing", 5) is None
-        assert cache.get("governing", 6) is MISS
+        cache.put("scope", 5, None)
+        assert cache.get("scope", 5) is None
+        assert cache.get("scope", 6) is MISS
 
     def test_eviction_is_lru_and_counted(self):
         cache = LiftCache(capacity=2)
@@ -250,18 +250,20 @@ steps_strategy = st.lists(
 
 
 def _facts(store, accessor):
-    """Every poolable fact about every visible row, by ROWID, and every
-    catalog entry, by doc id — computed through ``accessor``."""
+    """Every fact about every visible row, by ROWID — a TEXT row's as
+    carried and as its document's pass says, an element's governing
+    CONTEXT, a section's lifts — and every catalog entry, by doc id,
+    computed through ``accessor``."""
 
     def address(row):
         return None if row is None else row.rowid
 
     lifts = {}
     for row in store.xml_table.scan():
-        fact = [
-            accessor.walk_facts(row),
-            address(accessor.governing_context(row)),
-        ]
+        if accessor.is_text(row):
+            fact = accessor.text_facts([row.rowid]) + accessor.text_facts([row.rowid], False)
+        else:
+            fact = [address(accessor.governing(row))]
         if accessor.is_context(row):
             fact += [
                 tuple(map(address, accessor.section_scope(row))),

@@ -33,10 +33,10 @@ class TestGeneratedSchema:
 
     def test_indexes_created(self):
         database = Database()
-        _, xml_table = create_netmark_schema(database)
-        for column in ("DOC_ID", "PARENTNODEID", "NODENAME"):
-            assert xml_table.index_on(column) is not None
-        assert xml_table.index_on("NODETYPE") is None  # nobody probes it
+        doc_table, xml_table = create_netmark_schema(database)
+        assert doc_table.index_columns == ("DOC_ID", "FILE_NAME")
+        # Three XML B+trees: nobody probes NODETYPE or PARENTNODEID.
+        assert xml_table.index_columns == ("NODEID", "DOC_ID", "NODENAME")
         assert xml_table.text_index_on("NODEDATA") is not None
 
     def test_doc_id_foreign_key_declared(self):

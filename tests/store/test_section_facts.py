@@ -19,6 +19,7 @@ from repro.store import XmlStore, check_store, repair_store
 from repro.store.accessor import NodeAccessor, SectionPass
 from repro.store.schema import XML_TABLE
 from repro.workloads import CorpusSpec, generate_corpus
+from tests.store.test_section_run import HopOracle
 
 NESTED = (
     "<doc><p>front matter</p><h1>Alpha <b>bold</b><h2>inner</h2>tail</h1>"
@@ -44,11 +45,11 @@ def bodies(store):
 class TestThePassEqualsTheWalk:
     def test_on_nested_contexts_row_by_row(self, store):
         store.store_text(NESTED, "nested.xml")
-        accessor, facts = store.new_accessor(), facts_of(store)
+        oracle, facts = HopOracle(store.new_accessor()), facts_of(store)
         texts = [row for row in store.xml_table.scan() if row.NODEDATA]
         assert len(facts) == len(texts) == 13
         for row in texts:
-            assert facts[row.rowid] == accessor.walk_facts(row), row.NODEDATA
+            assert facts[row.rowid] == oracle.facts(row), row.NODEDATA
         by_text = {row.NODEDATA: facts[row.rowid] for row in texts}
         name = {row.rowid: row.NODENAME for row in store.xml_table.scan()}
         # title ∪ scope, governing first; a heading in a heading; INTENSE.
@@ -71,8 +72,8 @@ class TestThePassEqualsTheWalk:
         assert database.table(XML_TABLE).text_index_on("NODEDATA").facts is None
         assert check_store(database).ok  # nothing derived, nothing to drift
         row = next(r for r in database.table(XML_TABLE).scan() if r.NODEDATA)
-        accessor = NodeAccessor(database)  # reads walk, as the scan path does
-        assert accessor.text_facts([row.rowid]) == [accessor.walk_facts(row)]
+        accessor = NodeAccessor(database)  # reads run a pass, as the scan path does
+        assert accessor.text_facts([row.rowid]) == [HopOracle(accessor).facts(row)]
 
     def test_a_pass_takes_a_document_newest_row_first(self, store):
         """An undone delete restores rows in reverse: they wait for their
@@ -98,6 +99,9 @@ class TestFsckOwnsTheFacts:
         report = check_store(store.database)
         assert report.codes() == {"section-facts"} and report.count("section-facts") == 1
         assert report.violations[0].rowid == str(victim.rowid)
+        # The reference fsck holds the index to is the walk's answer.
+        walked = HopOracle(store.new_accessor()).facts(victim)
+        assert f"a fresh pass {walked} " in report.violations[0].detail
         repaired = repair_store(store.database)
         assert repaired.ok and repaired.repaired > 0
         assert facts_of(store)[victim.rowid] == true
@@ -116,6 +120,87 @@ class TestFsckOwnsTheFacts:
         facts[victim] = kept
         assert check_store(store.database).codes() == {"section-facts"}
         assert repair_store(store.database).ok and facts_of(store) == {}
+
+
+def nodename_contexts(store, name, snapshot=None):
+    """What a ``Nodename=`` heading must be, element by element: the
+    element's own title if it is a CONTEXT, else its governing CONTEXT's
+    by the hop walk, else the file name."""
+    accessor = store.new_accessor(snapshot)
+    oracle = HopOracle(accessor)
+    expected = []
+    for row in accessor.lookup_rows("NODENAME", name):
+        heading = row if accessor.is_context(row) else oracle.governing(row)
+        expected.append(
+            accessor.context_title(heading) if heading is not None
+            else store.entry_at(row.DOC_ID, accessor.lsn).file_name
+        )
+    return expected
+
+
+class TestEveryFallbackIsTheDocumentsPass:
+    """A row whose fact the index does not carry is answered by a fresh
+    pass over its document as of the reader's LSN — one helper, four
+    callers — and each equals the hop walk."""
+
+    def test_a_pin_held_across_a_delete_reads_facts_the_index_dropped(self, store):
+        result = store.store_text(NESTED, "nested.xml")
+        store.store_text("<doc><h1>Other</h1><p>beta</p></doc>", "other.xml")
+        with store.snapshot() as pin:
+            texts = [
+                row for row in store.xml_table.lookup("DOC_ID", result.doc_id)
+                if NodeAccessor.is_text(row)
+            ]
+            walked = [HopOracle(store.new_accessor(pin)).facts(row) for row in texts]
+            query = "Content=any:two+below+last"
+            before = [m.context for m in QueryEngine(store).execute(query, pin)]
+            store.delete_document(result.doc_id)
+            assert not facts_of(store).keys() & {row.rowid for row in texts}
+            pinned = store.new_accessor(pin)
+            assert pinned.text_facts([row.rowid for row in texts]) == walked
+            after = QueryEngine(store).execute(query, pin)
+            assert [m.context for m in after] == before
+            assert len(before) == 3
+
+    def test_the_scan_path_on_nested_contexts(self, store):
+        store.store_text(NESTED, "nested.xml")
+        accessor = store.new_accessor()
+        texts = [row for row in store.xml_table.scan() if accessor.is_text(row)]
+        oracle = HopOracle(store.new_accessor())
+        assert accessor.text_facts([r.rowid for r in texts], indexed=False) == [
+            oracle.facts(row) for row in texts
+        ]
+        for query in ("Content=any:bold+below+after", "Context=inner|Nested", "Content=tail"):
+            scanned = QueryEngine(store, use_index=False).execute(query)
+            indexed = QueryEngine(store).execute(query)
+            assert [(m.context, m.content, m.score) for m in scanned] == [
+                (m.context, m.content, m.score) for m in indexed
+            ]
+
+    def test_fscks_fresh_pass_is_the_walk(self, store):
+        store.store_text(NESTED, "nested.xml")
+        store.store_text("<doc><p>x</p><h2>y <em>z</em></h2><p>w</p></doc>", "flat.xml")
+        fresh = SectionPass({})
+        for row in store.xml_table.scan():
+            fresh(row)
+        oracle = HopOracle(store.new_accessor())
+        assert fresh.facts == {
+            row.rowid: oracle.facts(row)
+            for row in store.xml_table.scan() if NodeAccessor.is_text(row)
+        }
+
+    @pytest.mark.parametrize("name", ["p", "b", "em", "h2", "div"])
+    def test_nodename_headings_of_nested_contexts(self, store, name):
+        result = store.store_text(NESTED, "nested.xml")
+        expected = nodename_contexts(store, name)
+        assert expected
+        query = f"Nodename={name}"
+        assert [m.context for m in QueryEngine(store).execute(query)] == expected
+        with store.snapshot() as pin:
+            store.delete_document(result.doc_id)
+            pinned = QueryEngine(store).execute(query, pin)
+            assert [m.context for m in pinned] == expected
+            assert nodename_contexts(store, name, pin) == expected
 
 
 class TestEveryWayAStoreComesBack:

@@ -1,12 +1,13 @@
 """The forward read against the hop walk it replaced.
 
 ``HopOracle`` is the read path as the paper tells it and as it ran
-before: children by a ``PARENTNODEID`` probe in ORDINAL order, a section
-by ``SIBLINGID`` hops, a DOM by recursion over both.  It trusts only the
-links.  ``NodeAccessor.subtree`` and the ``compose_*`` functions trust
-the layout instead — a document's rows are one ROWID run in document
-order — and must hand back the same rows and the same serialized XML,
-as of now and pinned, from every heap the store can be in.
+before: children by their ``PARENTROWID`` in ORDINAL order, a section by
+``SIBLINGID`` hops, a DOM by recursion over both, and a row's sections by
+a climb to the root.  It trusts only the links.  ``NodeAccessor.subtree``
+and the ``compose_*`` functions trust the layout instead — a document's
+rows are one ROWID run in document order — and must hand back the same
+rows and the same serialized XML, as of now and pinned, from every heap
+the store can be in; ``SectionPass`` must say what the climb says.
 """
 
 import pytest
@@ -38,25 +39,83 @@ from tests.store.test_xmlstore import PRE_INDEX_SNAPSHOT
 
 
 class HopOracle:
-    """The hop-based walk, on the accessor's surviving hop primitives."""
+    """The hop-based walk, on the links alone: ``PARENTROWID`` up,
+    children by ``PARENTROWID`` in ORDINAL order, ``SIBLINGID`` across.
+    Rows come through ``accessor``, so the oracle reads as of its LSN."""
 
     def __init__(self, accessor):
         self.accessor = accessor
+        self._documents = {}  # doc id -> its rows as of the LSN
+
+    def parent(self, row):
+        above = row.PARENTROWID
+        return None if above is None else self.accessor.node(above)
+
+    def next_sibling(self, row):
+        beside = row.SIBLINGID
+        return None if beside is None else self.accessor.node(beside)
+
+    def children(self, row):
+        rows = self._documents.get(row.DOC_ID)
+        if rows is None:
+            rows = self._documents[row.DOC_ID] = (
+                self.accessor.lookup_rows("DOC_ID", row.DOC_ID)
+            )
+        below = [child for child in rows if child.PARENTROWID == row.rowid]
+        return sorted(below, key=lambda child: child.ORDINAL)
+
+    def facts(self, row):
+        """``(sections, ancestor, emphasised)`` of a TEXT row, all the way
+        to the root (:meth:`climb`)."""
+        sections = []
+        ancestor = emphasised = None
+        for found, above in self.climb(row):
+            if self.accessor.is_context(found):
+                sections.append(found.rowid)
+                if above:
+                    ancestor, emphasised = ancestor or found.rowid, emphasised or False
+            elif emphasised is None and found.NODETYPE == int(NodeType.INTENSE):
+                emphasised = True
+        return tuple(sections), ancestor, bool(emphasised)
+
+    def governing(self, row):
+        """The first CONTEXT on the climb (None: front matter)."""
+        for found, _ in self.climb(row):
+            if self.accessor.is_context(found):
+                return found
+        return None
+
+    def climb(self, row):
+        """Bottom-up, one level per hop: the parent (flagged True), then —
+        unless the node on the path is itself a CONTEXT, which ends the
+        scope before it — the latest CONTEXT sibling preceding it."""
+        current = row
+        while (parent := self.parent(current)) is not None:
+            yield parent, True
+            best = None
+            for sibling in () if self.accessor.is_context(current) else self.children(parent):
+                if sibling.ORDINAL >= current.ORDINAL:
+                    break
+                if self.accessor.is_context(sibling):
+                    best = sibling
+            if best is not None:
+                yield best, False
+            current = parent
 
     def subtree(self, row):
         result = []
-        for child in self.accessor.children(row):
+        for child in self.children(row):
             result.append(child)
             result.extend(self.subtree(child))
         return result
 
     def section_scope(self, context_row):
         scope = []
-        sibling = self.accessor.next_sibling(context_row)
+        sibling = self.next_sibling(context_row)
         while sibling is not None and not self.accessor.is_context(sibling):
             scope.append(sibling)
             scope.extend(self.subtree(sibling))
-            sibling = self.accessor.next_sibling(sibling)
+            sibling = self.next_sibling(sibling)
         return scope
 
     @staticmethod
@@ -75,17 +134,17 @@ class HopOracle:
             row.NODENAME or "node", decode_attributes(row.ATTRS)
         )
         element.synthetic = row.NODETYPE == int(NodeType.SIMULATION)
-        for child_row in self.accessor.children(row):
+        for child_row in self.children(row):
             element.append(self.compose_node(child_row))
         return element
 
     def compose_section(self, context_row):
         section = Element("section", synthetic=True)
         section.append(self.compose_node(context_row))
-        sibling = self.accessor.next_sibling(context_row)
+        sibling = self.next_sibling(context_row)
         while sibling is not None and not self.accessor.is_context(sibling):
             section.append(self.compose_node(sibling))
-            sibling = self.accessor.next_sibling(sibling)
+            sibling = self.next_sibling(sibling)
         return section
 
     def compose_document(self, doc_id):
@@ -98,8 +157,9 @@ class HopOracle:
 
 
 def assert_reads_agree(store):
-    """Every row's subtree, every section, every document: forward read
-    == hop walk, through an unheld accessor and through a pinned one."""
+    """Every row's facts and subtree, every section, every document:
+    forward read and pass == hop walk, through an unheld accessor and
+    through a pinned one."""
     assert check_store(store.database).ok
     rows = list(store.xml_table.scan())
     with store.snapshot() as snapshot:
@@ -107,6 +167,15 @@ def assert_reads_agree(store):
             oracle = HopOracle(store.new_accessor(pin))
             accessor = store.new_accessor(pin)
             for row in rows:
+                if accessor.is_text(row):
+                    for indexed in (True, False):
+                        assert accessor.text_facts([row.rowid], indexed) == [
+                            oracle.facts(row)
+                        ]
+                else:
+                    assert accessor.governing(row) == (
+                        row if accessor.is_context(row) else oracle.governing(row)
+                    )
                 assert accessor.subtree(row) == oracle.subtree(row)
                 assert serialize(compose_node(row, accessor)) == (
                     serialize(oracle.compose_node(row))

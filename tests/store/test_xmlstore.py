@@ -11,6 +11,7 @@ from repro.ordbms import MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
+from repro.query import QueryEngine
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, compose_section
 
@@ -240,3 +241,36 @@ class TestPreIndexSnapshot:
         store = XmlStore.open(device)
         self.check_opened(store)
         assert XmlStore.open(device).lookup_by_name("plan.md").doc_id == 3
+
+    def test_checkpointed_it_declares_only_the_schemas_btrees(self):
+        """The old SCHEMA line names XML B+trees the schema no longer
+        makes (NODETYPE, PARENTNODEID): opening drops them, so no write
+        pays for them and the next checkpoint does not name them."""
+        device = MemoryLogDevice()
+        device.save_checkpoint(encode_checkpoint(0, PRE_INDEX_SNAPSHOT))
+        queries = ("Context=Budget", "Content=pad", "Nodename=content")
+
+        def answers(store):
+            engine = QueryEngine(store)
+            return [
+                [(m.file_name, m.context, m.content) for m in engine.execute(q)]
+                for q in queries
+            ]
+
+        store = XmlStore.open(device)
+        assert store.xml_table.index_columns == ("NODEID", "DOC_ID", "NODENAME")
+        before = answers(store)
+        store.checkpoint()
+        declared = [
+            line.split("\t")[4] for line in device.load_checkpoint().split("\n")
+            if line.startswith("SCHEMA ")
+        ]
+        assert declared == ["FILE_NAME", "DOC_ID|NODENAME"]
+        reopened = XmlStore.open(device)
+        assert check_store(reopened.database).ok
+        assert answers(reopened) == before == [
+            [("memo.md", "Budget", "Travel funds.")],
+            [("memo.md", "Ops", "Launch pad work.")],
+            [("memo.md", "Budget", "Travel funds."),
+             ("memo.md", "Ops", "Launch pad work.")],
+        ]

@@ -20,7 +20,11 @@ What the model fixes, in the paper's words where it has them:
   nothing governs answers for its document, once;
 * emphasised hits (INTENSE below the heading) add 0.5 to a section's
   score; ``limit`` keeps the best by score, ties and the answer itself
-  in document order.
+  in document order;
+* a *nodename* search finds the elements with that tag whose text (all
+  of it, whitespace runs made one space) satisfies the content spec, if
+  any; its context is the element's own title when it is a CONTEXT,
+  else the title of what governs it, else the file name.
 """
 
 from __future__ import annotations
@@ -128,7 +132,9 @@ class XdbModel:
 
     def _document(self, name, root, parsed):
         """``(0 section | 1 document-level, entry)`` pairs of one document."""
-        sections = [node for node in root.walk() if is_a(node, NodeType.CONTEXT)]
+        if parsed.nodename is not None:
+            return self._elements(name, root, parsed)
+        sections =[node for node in root.walk() if is_a(node, NodeType.CONTEXT)]
         wanted = set(map(id, sections))
         if parsed.context is not None:
             wanted = {
@@ -163,6 +169,20 @@ class XdbModel:
             first = next(text for text in hits if governing(text) is None)
             snippet = re.sub(r"\s+", " ", first.data.strip())
             entries.append((1, (name, name, snippet, 1.0)))
+        return entries
+
+    def _elements(self, name, root, parsed):
+        """The elements named ``Nodename``, in document order, whose
+        normalised text satisfies the content spec."""
+        entries = []
+        for node in root.walk():
+            if not isinstance(node, Element) or node.tag != parsed.nodename:
+                continue
+            content = re.sub(r"\s+", " ", node.text_content()).strip()
+            if self._satisfied(content, parsed.content):
+                heading = node if is_a(node, NodeType.CONTEXT) else governing(node)
+                title = name if heading is None else joined(texts(heading))
+                entries.append((0, (name, title, content, 1.0)))
         return entries
 
     @staticmethod
