@@ -31,7 +31,7 @@ Quick start::
     nm.ingest("report.ndoc", open("report.ndoc").read())
     briefs = [match.brief() for match in nm.search("Context=Budget&Content=travel")]
 
-Library code never writes to stdout (the ``print-call`` rule in
+Library code never writes to stdout (the ``banned-name`` rule in
 :mod:`repro.analysis` enforces it) — results are returned, as above.
 """
 

@@ -13,7 +13,8 @@ Rule families
 * **layering** — the import DAG between the ``repro.*`` subpackages
   (``ordbms`` at the bottom imports nothing above it; only ``server``,
   ``cluster``, ``apps`` and the experiment-support leaves may import
-  ``federation``).
+  ``federation``), narrowed to a module contract for the read-path hot
+  spots.
 * **exception policy** — only ``repro.errors`` subclasses cross module
   boundaries; ``except Exception`` / bare ``except`` is banned unless
   annotated ``# lint: allow-broad-except(<reason>)``.
@@ -21,20 +22,17 @@ Rule families
   private state outside ``ordbms/transaction.py``;
   no :class:`~repro.ordbms.rowid.RowId` minted from raw ints outside
   ``ordbms/rowid.py``.
-* **determinism** — no wall-clock reads or unseeded randomness in
-  library code (benchmarks exempt).
-* **hygiene** — no ``print`` in library code.
-* **whole-program dataflow** (``--report dataflow``) — the
-  concurrency-readiness audit for the concurrent front end: mutated
-  module/class state must declare its guard
-  (``# repro: guarded-by(<lock>) <why>``), state written on both the
-  ingest and query paths is escalated, nested locks must follow one
-  global order, opened resources must be released on every CFG path,
-  and public entry points may only let their module's declared
-  exception policy escape.  Built on :mod:`repro.analysis.cfg`
-  (intraprocedural CFGs), :mod:`repro.analysis.dataflow` (forward
-  fixpoint engine) and :mod:`repro.analysis.callgraph` (project-wide
-  symbol table and call graph).
+* **banned names** — no ``print``, wall-clock read or global
+  ``random.*`` in library code, called or passed by reference.
+* **whole-program dataflow** — the concurrency-readiness audit for the
+  concurrent front end: mutated module/class state must declare its
+  guard (``# repro: guarded-by(<lock>) <why>``), opened resources must
+  be released on every CFG path, and public entry points may only let
+  their module's declared exception policy escape.  Built on
+  :mod:`repro.analysis.cfg` (intraprocedural CFGs),
+  :mod:`repro.analysis.dataflow` (forward fixpoint engine) and
+  :mod:`repro.analysis.callgraph` (project-wide symbol table and call
+  graph).
 
 Escape hatches, in order of preference: fix the code; annotate a
 deliberate exception with ``# lint: allow-<rule>(<reason>)`` on the

@@ -2,10 +2,10 @@
 
 :func:`build_index` turns the full set of parsed :class:`FileContext`\\ s
 into a :class:`ProjectIndex`: per-module symbol tables (functions,
-classes, module-level variables, import aliases), a call graph keyed by
-dotted qualnames (``server.daemon.NetmarkDaemon.poll``), the inventory
-of module-state mutation sites, and per-call-site resolution results for
-the exception-flow rule.
+classes, module-level variables, import aliases) keyed by dotted
+qualnames (``server.daemon.NetmarkDaemon.poll``), the inventory of
+module-state mutation sites, and the call graph as per-call-site
+resolution results for the exception-flow rule.
 
 Resolution is deliberately static and conservative:
 
@@ -28,9 +28,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.analysis.core import FileContext, module_id_of
-
-#: A qualname segment marking a module's import-time (top-level) code.
-MODULE_BODY = "<module>"
 
 #: Constructors whose result is a plain mutable container.
 CONTAINER_CALLS = frozenset(
@@ -134,9 +131,6 @@ class ProjectIndex:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     variables: dict[str, VariableInfo] = field(default_factory=dict)
-    #: caller qualname -> callee qualnames (module bodies appear as
-    #: ``<module-id>.<module>``).
-    calls: dict[str, set[str]] = field(default_factory=dict)
     #: resolved target per call site, for the exception-flow walk.
     call_targets: dict[ast.Call, str] = field(default_factory=dict)
     mutations: list[MutationSite] = field(default_factory=list)
@@ -214,18 +208,6 @@ class ProjectIndex:
                 return info.attr_types[attr]
             stack.extend(info.bases)
         return None
-
-    def reachable(self, roots: Iterable[str]) -> set[str]:
-        """Every function transitively callable from ``roots``."""
-        seen: set[str] = set()
-        stack = [root for root in roots if root in self.functions]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.calls.get(current, ()))
-        return seen
 
     def context_of(self, module: str) -> FileContext | None:
         info = self.modules.get(module)
@@ -488,7 +470,7 @@ def _collect_attr_types(index: ProjectIndex, class_info: ClassInfo) -> None:
                 class_info.attr_types[target.attr] = resolved
 
 
-# -- pass 3: call edges and mutation sites ----------------------------------
+# -- pass 3: call targets and mutation sites --------------------------------
 
 
 def _local_types(index: ProjectIndex, function: FunctionInfo) -> dict:
@@ -619,21 +601,18 @@ def _mutation_receiver(index: ProjectIndex, module: str, cls: str | None,
     return index.variables.get(resolved[1])
 
 
-def _scan_body(index: ProjectIndex, info: ModuleInfo, owner: str,
+def _scan_body(index: ProjectIndex, info: ModuleInfo, function: str | None,
                cls: str | None, env: dict, nodes: Iterator[ast.AST],
-               mutators: frozenset[str],
-               global_names: set[str] | None = None) -> None:
-    """One scope's call edges and mutation sites."""
-    edges = index.calls.setdefault(owner, set())
-    function = owner if owner in index.functions else None
-    declared_global = global_names if global_names is not None else set()
+               mutators: frozenset[str]) -> None:
+    """One scope's call targets and mutation sites (``function`` is
+    None for a module's import-time code)."""
+    declared_global: set[str] = set()
     for node in nodes:
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
         elif isinstance(node, ast.Call):
             target = _call_target(index, info.id, cls, env, node)
             if target is not None:
-                edges.add(target)
                 index.call_targets[node] = target
             if isinstance(node.func, ast.Attribute) and (
                 node.func.attr in mutators
@@ -728,10 +707,8 @@ def build_index(contexts: Iterable[FileContext],
             ast.walk(function.node), mutator_methods,
         )
     for module_id, ctx in ordered:
-        info = index.modules[module_id]
-        env = {}
         _scan_body(
-            index, info, f"{module_id}.{MODULE_BODY}", None, env,
+            index, index.modules[module_id], None, None, {},
             _module_level_nodes(ctx.tree), mutator_methods,
         )
     return index

@@ -12,12 +12,8 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
-from repro.analysis.core import AnalysisReport, analyze_paths
-from repro.analysis.rules import (
-    ALL_PROJECT_RULES,
-    ALL_RULES,
-    DATAFLOW_RULE_IDS,
-)
+from repro.analysis.core import PRAGMA_RULE, AnalysisReport, analyze_paths
+from repro.analysis.rules import ALL_PROJECT_RULES, ALL_RULES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,13 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("human", "json"), default="human",
         help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--report", choices=("all", "dataflow"), default="all",
-        help=(
-            "rule selection: 'dataflow' runs only the whole-program "
-            "concurrency/resource/exception-flow family (default: all)"
-        ),
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -91,23 +80,15 @@ def main(argv: list[str] | None = None, out: TextIO = sys.stdout) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:
-        for rule in sorted(ALL_RULES, key=lambda rule: rule.id):
+        every = (*ALL_RULES, *ALL_PROJECT_RULES, PRAGMA_RULE)
+        for rule in sorted(every, key=lambda rule: rule.id):
             out.write(f"{rule.id:24} {rule.summary}\n")
         return 0
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         out.write(f"error: no such path: {', '.join(missing)}\n")
         return 2
-    if args.report == "dataflow":
-        rules = [
-            rule for rule in ALL_RULES if rule.id in DATAFLOW_RULE_IDS
-        ]
-        project_rules = ALL_PROJECT_RULES
-    else:
-        rules, project_rules = ALL_RULES, ALL_PROJECT_RULES
-    report = analyze_paths(
-        args.paths, rules=rules, project_rules=project_rules
-    )
+    report = analyze_paths(args.paths)
     if args.format == "json":
         _render_json(report, out)
     else:

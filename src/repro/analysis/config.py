@@ -9,6 +9,7 @@ walkers.
 from __future__ import annotations
 
 import builtins
+import random
 from dataclasses import dataclass, field
 
 
@@ -232,25 +233,36 @@ DEFAULT_UBIQUITOUS_EXCEPTIONS: frozenset[str] = frozenset(
 )
 
 
-#: Call-graph roots of the daemon ingest path (writers).
-DEFAULT_INGEST_ROOTS: frozenset[str] = frozenset(
-    {
-        "server.daemon.NetmarkDaemon.poll",
-        "server.daemon.NetmarkDaemon.run_until_idle",
-        "server.daemon.NetmarkDaemon.startup_recovery",
-        "netmark.Netmark.ingest",
-    }
-)
+_CLOCK = "reads the wall clock; take timestamps as parameters"
+_RANDOM = "is the global unseeded generator; use a seeded random.Random"
 
-#: Call-graph roots of the query read path (readers).
-DEFAULT_READ_ROOTS: frozenset[str] = frozenset(
-    {
-        "server.http.NetmarkHttpApi.request",
-        "netmark.Netmark.search",
-        "netmark.Netmark.federated_search",
-        "federation.router.Router.execute",
-    }
-)
+#: Names library code may not load, by qualified name -> why.  A name is
+#: qualified through the file's imports (``import datetime as dt`` makes
+#: ``dt.datetime.now`` the banned ``datetime.datetime.now``), and banned
+#: wherever it is loaded, called or not: a clock passed by reference
+#: reads the clock later.  ``print`` corrupts whatever stream the
+#: embedding process owns (the WebDAV server speaks HTTP on it).  The
+#: clocks and the global RNG break "stable across runs for identical
+#: insert sequences": timestamps enter as data (the VFS logical clock,
+#: ``file_date=``), randomness through a seeded ``random.Random``.
+DEFAULT_BANNED_NAMES: dict[str, str] = {
+    "print": "writes to stdout; return the value or raise",
+    **{
+        f"time.{name}": _CLOCK
+        for name in (
+            "time", "time_ns", "monotonic", "monotonic_ns",
+            "perf_counter", "perf_counter_ns",
+        )
+    },
+    "datetime.datetime.now": _CLOCK,
+    "datetime.datetime.utcnow": _CLOCK,
+    "datetime.date.today": _CLOCK,
+    **{
+        f"random.{name}": _RANDOM
+        for name in dir(random)
+        if not name.startswith("_") and name != "Random"
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -291,23 +303,10 @@ class AnalysisConfig:
     #: by design).
     mutation_exempt: frozenset[str] = frozenset({"ordbms/transaction.py"})
 
-    #: A path containing any of these parts is exempt from the
-    #: determinism rules (benchmarks time things; that is their job).
-    determinism_exempt_parts: frozenset[str] = frozenset({"benchmarks"})
-    #: ``time`` module functions that read the wall clock.
-    wallclock_time_functions: frozenset[str] = frozenset(
-        {
-            "time",
-            "time_ns",
-            "monotonic",
-            "monotonic_ns",
-            "perf_counter",
-            "perf_counter_ns",
-        }
+    #: Qualified name -> why it is banned (see :data:`DEFAULT_BANNED_NAMES`).
+    banned_names: dict[str, str] = field(
+        default_factory=lambda: dict(DEFAULT_BANNED_NAMES)
     )
-    #: ``random`` module names that do NOT go through an explicit seed.
-    #: Only the seedable class constructor is allowed.
-    seeded_random_names: frozenset[str] = frozenset({"Random"})
 
     # -- whole-program dataflow policy --------------------------------------
 
@@ -327,10 +326,6 @@ class AnalysisConfig:
     )
     #: Exceptions every entry point may let escape.
     ubiquitous_exceptions: frozenset[str] = DEFAULT_UBIQUITOUS_EXCEPTIONS
-    #: Function qualnames rooting the ingest (writer) call paths.
-    ingest_roots: frozenset[str] = DEFAULT_INGEST_ROOTS
-    #: Function qualnames rooting the query (reader) call paths.
-    read_roots: frozenset[str] = DEFAULT_READ_ROOTS
 
 
 #: The configuration CI and the meta-test run with.

@@ -3,8 +3,9 @@
 A :class:`Rule` is a stateless object with an ``id`` and a ``check``
 method that walks one file's AST and yields :class:`Violation`\\ s.  The
 driver parses each file once into a :class:`FileContext` (source, AST,
-pragmas, layer unit) and funnels every rule's findings through the one
-suppression layer: inline pragmas, each carrying its reason.
+structured comments, layer unit) and funnels every rule's findings
+through the one suppression layer: inline pragmas, each carrying its
+reason.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Iterable, Iterator, Protocol
 
-from repro.analysis.annotations import GuardedBy, extract_guarded
+from repro.analysis.comments import Comments, GuardedBy, scan_comments
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
-from repro.analysis.pragmas import Pragma, extract_pragmas
 
 
 @dataclass(frozen=True, order=True)
@@ -71,11 +71,8 @@ class FileContext:
     source: str
     tree: ast.Module
     lines: list[str]
-    pragmas: list[Pragma]
-    malformed_pragma_lines: list[int]
+    comments: Comments
     unit: str | None  # repro layer unit, None outside the repro package
-    guarded: list[GuardedBy] = field(default_factory=list)
-    malformed_guard_lines: list[int] = field(default_factory=list)
 
     def violation(
         self, rule_id: str, node: ast.AST | int, message: str
@@ -169,18 +166,13 @@ def build_context(source: str, path: str | Path) -> FileContext | None:
         tree = ast.parse(source, filename=norm)
     except SyntaxError:
         return None
-    pragmas, malformed = extract_pragmas(source)
-    guarded, malformed_guards = extract_guarded(source)
     return FileContext(
         path=norm,
         source=source,
         tree=tree,
         lines=source.splitlines(),
-        pragmas=pragmas,
-        malformed_pragma_lines=malformed,
+        comments=scan_comments(source),
         unit=unit_of(norm),
-        guarded=guarded,
-        malformed_guard_lines=malformed_guards,
     )
 
 
@@ -199,13 +191,13 @@ class _PragmaRule:
     def check(
         self, ctx: FileContext, config: AnalysisConfig
     ) -> Iterator[Violation]:
-        for line in ctx.malformed_pragma_lines:
+        for line in ctx.comments.malformed_pragma_lines:
             yield ctx.violation(
                 self.id, line,
                 "malformed pragma; expected "
                 "'# lint: allow-<rule>(<reason>)'",
             )
-        for pragma in ctx.pragmas:
+        for pragma in ctx.comments.pragmas:
             if not pragma.ok:
                 yield ctx.violation(
                     self.id, pragma.line,
@@ -221,7 +213,7 @@ def _pragma_suppresses(ctx: FileContext, violation: Violation) -> bool:
         pragma.ok
         and pragma.rule == violation.rule
         and pragma.line == violation.line
-        for pragma in ctx.pragmas
+        for pragma in ctx.comments.pragmas
     )
 
 
@@ -339,7 +331,7 @@ def analyze_paths(
         report.files_checked += 1
         report.guarded_inventory.extend(
             (ctx.path, annotation)
-            for annotation in ctx.guarded
+            for annotation in ctx.comments.guarded
             if annotation.ok
         )
         _funnel(report, ctx, analyze_context(ctx, rules, config))

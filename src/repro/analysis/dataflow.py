@@ -43,7 +43,7 @@ class ForwardAnalysis(Protocol):
 
 @dataclass
 class DataflowResult:
-    """Fixpoint states per node index (``None`` = node unreachable)."""
+    """Fixpoint states per node index (``None`` = no path reaches the node)."""
 
     before: list[Any]
     after: list[Any]
@@ -91,7 +91,7 @@ def run_forward(cfg: Cfg, analysis: ForwardAnalysis) -> DataflowResult:
                 else analysis.join(merged, after[pred])
             )
         if merged is None:
-            continue  # unreachable so far
+            continue  # no path reaches it yet
         node = cfg.nodes[index]
         new_after = (
             merged if node.stmt is None else analysis.transfer(node, merged)

@@ -1,12 +1,20 @@
-"""Layering: the import DAG between ``repro.*`` units.
+"""Layering: the import DAG between ``repro.*`` units and inside them.
 
 The paper's middleware stays lean because each tier only ever talks
 downward — converters and the SGML parser feed the store, the store sits
 on the ORDBMS substrate, and nothing below the application tier knows
-the federation layer exists.  This rule pins that DAG: every
-``import repro.X`` in unit ``U`` must satisfy ``X in layers[U]`` (self-
-and ``errors``-imports are always allowed; ``apps`` and the package
-facade are unrestricted).
+the federation layer exists.  This rule pins that DAG.
+
+A file's grants are its module contract in
+:data:`~repro.analysis.config.DEFAULT_MODULE_LAYERS` when it has one
+(the read-path hot spots the unit DAG is too coarse for: the batched
+accessor must not reach into composition, the plan algebra must not
+import the engine that compiles into it), else its unit's grants in
+:data:`~repro.analysis.config.DEFAULT_LAYERS`.  Every contract lies
+inside its unit's grants (``tests/analysis/test_layering.py`` holds
+that), so one rule checks both.  A file may import itself (its unit, or
+its module under a contract) and the universal units; ``apps`` and the
+package facade are unrestricted.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from repro.analysis.core import FileContext, Violation, module_id_of
 
 class LayeringRule:
     id = "layering"
-    summary = "imports must follow the repro.* layer DAG"
+    summary = "imports must follow the repro.* layer DAG and module contracts"
 
     def check(
         self, ctx: FileContext, config: AnalysisConfig
@@ -40,133 +48,49 @@ class LayeringRule:
                 "repro.analysis.config.DEFAULT_LAYERS",
             )
             return
-        allowed = (
-            config.layers.get(unit, frozenset())
-            | config.universal_units
-            | {unit}
-        )
-        for node, target in self._repro_imports(ctx.tree, known):
-            if target not in allowed:
-                yield ctx.violation(
-                    self.id, node,
-                    f"{unit} may not import repro.{target} "
-                    f"(allowed: {', '.join(sorted(allowed))})",
-                )
-
-    def _repro_imports(
-        self, tree: ast.Module, known_units: set[str]
-    ) -> Iterator[tuple[ast.stmt, str]]:
-        """Yield ``(node, unit)`` for every import of a ``repro`` unit.
-
-        ``from repro import X`` resolves to the unit ``X`` when X is a
-        known unit, else to the facade pseudo-unit ``__root__`` (which
-        only unrestricted units may import).
-        """
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    target = _unit_from_module(alias.name)
-                    if target is not None:
-                        yield node, target
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    continue  # relative: stays inside the current unit
-                target = _unit_from_module(node.module or "")
-                if target == "__root__":
-                    for alias in node.names:
-                        yield node, (
-                            alias.name
-                            if alias.name in known_units
-                            else "__root__"
-                        )
-                elif target is not None:
-                    yield node, target
-
-
-class ModuleLayeringRule:
-    """Module-granular contracts inside units (``store.accessor`` etc.).
-
-    The unit DAG says *store may import ordbms*; for the read-path hot
-    spots that is too coarse — the batched accessor must not reach into
-    composition, and the plan algebra must not import the engine that
-    compiles into it.  :data:`~repro.analysis.config.DEFAULT_MODULE_LAYERS`
-    names those modules and their exact grants; this rule enforces them.
-    """
-
-    id = "module-layering"
-    summary = "hot-path modules must follow their module-granular contract"
-
-    def check(
-        self, ctx: FileContext, config: AnalysisConfig
-    ) -> Iterator[Violation]:
-        module_id = module_id_of(ctx.path)
-        if module_id is None:
-            return
-        grants = config.module_layers.get(module_id)
+        owner = module_id_of(ctx.path)
+        grants = config.module_layers.get(owner)
         if grants is None:
-            return
-        allowed = set(grants) | config.universal_units | {module_id}
-        for node, target in self._repro_modules(ctx.tree, allowed):
-            if target in allowed:
-                continue
-            if target.split(".")[0] in allowed:
-                continue  # whole-unit grant covers every module in it
+            owner, grants = unit, config.layers.get(unit, frozenset())
+        allowed = grants | config.universal_units | {owner}
+        for node, target in _repro_imports(ctx.tree, known, allowed):
+            if target in allowed or target.split(".")[0] in allowed:
+                continue  # a whole-unit grant covers every module in it
             yield ctx.violation(
                 self.id, node,
-                f"{module_id} may not import repro.{target} "
-                f"(granted: {', '.join(sorted(allowed))})",
+                f"{owner} may not import repro.{target} "
+                f"(allowed: {', '.join(sorted(allowed))})",
             )
 
-    @staticmethod
-    def _repro_modules(
-        tree: ast.Module, allowed: set[str]
-    ) -> Iterator[tuple[ast.stmt, str]]:
-        """Yield ``(node, dotted-target)`` for every ``repro`` import.
 
-        ``from repro.store import schema`` is credited as the submodule
-        ``store.schema`` when that exact grant exists, else as the unit
-        ``store`` — an ungranted facade import stays a violation even
-        when individual submodules are granted.  ``from repro import X``
-        resolves to the unit ``X`` when that unit is granted (mirroring
-        the unit-level rule, so ``from repro import obs`` works in
-        module-contracted files too), else to ``__root__``.
-        """
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    target = _dotted_target(alias.name)
-                    if target is not None:
-                        yield node, target
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    continue  # relative: stays inside the current unit
-                base = _dotted_target(node.module or "")
-                if base is None:
-                    continue
-                if base == "__root__":
-                    for alias in node.names:
-                        yield node, (
-                            alias.name if alias.name in allowed else base
-                        )
-                    continue
-                for alias in node.names:
-                    refined = f"{base}.{alias.name}"
-                    yield node, (refined if refined in allowed else base)
+def _repro_imports(
+    tree: ast.Module, units: set[str], allowed: set[str]
+) -> Iterator[tuple[ast.stmt, str]]:
+    """``(node, target)`` for each ``repro`` module an import names.
 
-
-def _unit_from_module(module: str) -> str | None:
-    """Map a dotted module path to a repro unit name (None if foreign)."""
-    if module == "repro":
-        return "__root__"
-    if not module.startswith("repro."):
-        return None
-    return module.split(".")[1]
-
-
-def _dotted_target(module: str) -> str | None:
-    """``repro.store.schema`` -> ``store.schema`` (None if foreign)."""
-    if module == "repro":
-        return "__root__"
-    if not module.startswith("repro."):
-        return None
-    return module[len("repro."):]
+    Targets are dotted and ``repro``-relative (``store.schema``).
+    ``from repro import X`` names the unit ``X`` when X is one, else the
+    facade pseudo-unit ``__root__`` (which only unrestricted units may
+    import).  ``from repro.store import schema`` names ``store.schema``
+    when that module is granted by name, else ``store`` — an ungranted
+    facade import stays a violation even when some of its submodules
+    are granted.  Relative imports stay inside the current unit.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            pairs = [(node.module or "", alias.name) for alias in node.names]
+        else:
+            continue
+        targets: list[str] = []
+        for module, name in pairs:
+            if module == "repro":
+                targets.append(name if name in units else "__root__")
+            elif module.startswith("repro."):
+                target = module[len("repro."):]
+                if name and f"{target}.{name}" in allowed:
+                    target = f"{target}.{name}"
+                targets.append(target)
+        for target in dict.fromkeys(targets):
+            yield node, target

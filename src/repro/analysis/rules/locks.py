@@ -1,24 +1,16 @@
-"""Lock annotations and lock discipline.
+"""Lock annotations: ``guarded-by`` polices the declarations themselves.
 
-* ``guarded-by`` (per-file) — a ``# repro: guarded-by(...)`` annotation
-  is a structured claim; a malformed one, or one without a lock name or
-  rationale, silently protects nothing.  Mirroring ``bad-pragma``, this
-  rule makes the broken annotation itself the finding.
-* ``lock-order`` (whole-program) — two functions that nest the same two
-  locks in opposite orders are a deadlock the moment they run on
-  different threads.  Acquisitions are ``with <lock>:`` statements whose
-  context expression names a lock (a ``threading.Lock``-kind module
-  variable, or any name whose last component contains ``lock``); the
-  rule demands one global acquisition order across the project.
+A ``# repro: guarded-by(...)`` annotation is a structured claim; a
+malformed one, or one without a lock name or rationale, silently
+protects nothing.  Mirroring ``bad-pragma``, this rule makes the broken
+annotation itself the finding.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 from typing import Iterator
 
-from repro.analysis.callgraph import LOCK, ProjectIndex
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import FileContext, Violation
 
@@ -38,20 +30,20 @@ class GuardedByRule:
     def check(
         self, ctx: FileContext, config: AnalysisConfig
     ) -> Iterator[Violation]:
-        for line in ctx.malformed_guard_lines:
+        for line in ctx.comments.malformed_guard_lines:
             yield ctx.violation(
                 self.id, line,
                 "malformed annotation; expected "
                 "'# repro: guarded-by(<lock>) <rationale>'",
             )
-        for annotation in ctx.guarded:
-            if not annotation.lock.strip():
+        for annotation in ctx.comments.guarded:
+            if not annotation.lock:
                 yield ctx.violation(
                     self.id, annotation.line,
                     "guarded-by needs a lock name: a lock attribute, "
                     "'gil', or 'import-time'",
                 )
-            elif not annotation.rationale.strip():
+            elif not annotation.rationale:
                 yield ctx.violation(
                     self.id, annotation.line,
                     f"guarded-by({annotation.lock}) needs a non-empty "
@@ -66,106 +58,3 @@ class GuardedByRule:
                     f"guarded-by lock {annotation.lock!r} is not a lock "
                     "name, 'gil', or 'import-time'",
                 )
-
-
-def _lock_name(project: ProjectIndex, module: str,
-               expr: ast.expr) -> str | None:
-    """The lock a ``with`` item acquires, if it looks like one."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    dotted = ".".join(reversed(parts))
-    tail = parts[0]
-    if "lock" in tail.lower():
-        return dotted
-    if len(parts) == 1:
-        resolved = project.resolve(module, tail)
-        if resolved is not None and resolved[0] == "def":
-            variable = project.variables.get(resolved[1])
-            if variable is not None and variable.kind == LOCK:
-                return resolved[1]
-    return None
-
-
-class LockOrderRule:
-    id = "lock-order"
-    summary = "nested lock acquisitions must follow one global order"
-
-    def check_project(
-        self, project: ProjectIndex, config: AnalysisConfig
-    ) -> Iterator[Violation]:
-        #: (outer, inner) -> first acquisition site seen.
-        orders: dict[tuple[str, str], tuple[str, int, str]] = {}
-        for qualname, function in sorted(project.functions.items()):
-            info = project.modules[function.module]
-            self._walk(
-                project, info.id, info.ctx.path, qualname,
-                function.node.body, [], orders,
-            )
-        reported: set[frozenset] = set()
-        for (outer, inner), (path, line, func) in sorted(orders.items()):
-            if (inner, outer) not in orders:
-                continue
-            pair = frozenset((outer, inner))
-            if pair in reported:
-                continue
-            reported.add(pair)
-            other_path, other_line, other_func = orders[(inner, outer)]
-            yield Violation(
-                path=path, line=line, column=0, rule=self.id,
-                message=(
-                    f"{func} acquires {inner!r} while holding {outer!r}, "
-                    f"but {other_func} ({other_path}:{other_line}) nests "
-                    "them in the opposite order; pick one global "
-                    "acquisition order"
-                ),
-            )
-
-    def _walk(
-        self, project: ProjectIndex, module: str, path: str, func: str,
-        stmts: list[ast.stmt], held: list[str],
-        orders: dict[tuple[str, str], tuple[str, int, str]],
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                acquired: list[str] = []
-                for item in stmt.items:
-                    name = _lock_name(project, module, item.context_expr)
-                    if name is None:
-                        continue
-                    for outer in held + acquired:
-                        if outer != name:
-                            orders.setdefault(
-                                (outer, name), (path, stmt.lineno, func)
-                            )
-                    acquired.append(name)
-                self._walk(
-                    project, module, path, func, stmt.body,
-                    held + acquired, orders,
-                )
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # nested defs run later, with their own stack
-            else:
-                for body in (
-                    getattr(stmt, "body", None),
-                    getattr(stmt, "orelse", None),
-                    getattr(stmt, "finalbody", None),
-                ):
-                    if isinstance(body, list):
-                        self._walk(
-                            project, module, path, func, body, held, orders
-                        )
-                for handler in getattr(stmt, "handlers", []):
-                    self._walk(
-                        project, module, path, func, handler.body, held,
-                        orders,
-                    )
-                for case in getattr(stmt, "cases", []):
-                    self._walk(
-                        project, module, path, func, case.body, held, orders
-                    )

@@ -22,13 +22,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.annotations import guard_for_line
 from repro.analysis.callgraph import (
     CONTAINER_CALLS,
     LOCK,
     MutationSite,
     ProjectIndex,
 )
+from repro.analysis.comments import guard_for_line
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import FileContext, Violation
 
@@ -61,7 +61,7 @@ class SharedModuleStateRule:
             ctx = project.context_of(variable.module)
             if ctx is None:
                 continue
-            if guard_for_line(ctx.guarded, variable.line) is not None:
+            if guard_for_line(ctx.comments.guarded, variable.line) is not None:
                 continue
             sites.sort(key=lambda site: (site.path, site.line))
             yield Violation(
@@ -94,7 +94,7 @@ class SharedClassStateRule:
                     continue
                 if not self._mutable_value(stmt.value):
                     continue
-                if guard_for_line(ctx.guarded, stmt.lineno) is not None:
+                if guard_for_line(ctx.comments.guarded, stmt.lineno) is not None:
                     continue
                 names = ", ".join(
                     target.id

@@ -1,6 +1,6 @@
 """A logical clock: deterministic time for the resilience layer.
 
-The determinism rules (``repro.analysis``) ban wall-clock reads in
+The ``banned-name`` rule (``repro.analysis``) bans wall-clock reads in
 library code — timestamps enter the system as data.  Retry backoff,
 breaker cooldowns, and injected latency therefore run on *ticks*: a
 monotonically increasing integer that only moves when someone calls

@@ -16,8 +16,9 @@ def run_fixture():
     """Analyze a fixture file as if it lived at a claimed source path.
 
     The claimed path decides layer identity (for ``layering``) and
-    path-scoped exemptions (rowid minters, benchmarks), so each fixture
-    can impersonate whichever unit makes its scenario real.
+    path-scoped exemptions (rowid minters, the transaction machinery),
+    so each fixture can impersonate whichever unit makes its scenario
+    real.
     """
 
     def runner(name: str, virtual_path: str, rule: str | None = None):

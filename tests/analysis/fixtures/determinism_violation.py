@@ -21,3 +21,8 @@ def label_qualified() -> str:
 
 def jitter() -> float:
     return random.random()  # line 23
+
+
+def reference() -> float:
+    clock = time.perf_counter  # line 27: a clock passed by reference
+    return clock()

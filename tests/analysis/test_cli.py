@@ -30,7 +30,7 @@ class TestCli:
         module.write_text("print('x')\n")
         code, output = run_cli(str(module))
         assert code == 1
-        assert "bad.py:1:0 [print-call]" in output
+        assert "bad.py:1:0 [banned-name]" in output
 
     def test_json_format(self, tmp_path):
         module = tmp_path / "bad.py"
@@ -39,10 +39,12 @@ class TestCli:
         payload = json.loads(output)
         assert code == 1 and payload["ok"] is False
         [violation] = payload["violations"]
-        assert violation["rule"] == "print-call"
+        assert violation["rule"] == "banned-name"
         assert violation["line"] == 1
 
     def test_list_rules(self):
+        # Every id a run can report: per-file, whole-program and the
+        # pragma check itself.
         code, output = run_cli("--list-rules")
         assert code == 0
         for rule_id in (
@@ -50,9 +52,10 @@ class TestCli:
             "broad-except",
             "rowid-mint",
             "private-mutation",
-            "wallclock",
-            "unseeded-random",
-            "print-call",
+            "banned-name",
+            "bad-pragma",
+            "exception-flow",
+            "shared-state",
         ):
             assert rule_id in output
 
@@ -78,31 +81,10 @@ class TestCli:
 
     def test_repo_invocation_matches_ci(self):
         """The exact invocation CI runs, from wherever pytest started."""
-        code, output = run_cli(str(REPO_ROOT / "src"))
-        assert code == 0, output
-
-    def test_dataflow_report_runs_only_that_family(self, tmp_path):
-        # print() is outside the dataflow family, so the focused report
-        # must not flag it; the unguarded class dict must still fire.
-        module = tmp_path / "mixed.py"
-        module.write_text(
-            "print('x')\n"
-            "\n"
-            "\n"
-            "class Table:\n"
-            "    rows = {}\n"
-        )
-        code, output = run_cli(str(module), "--report", "dataflow")
-        assert code == 1
-        assert "shared-class-state" in output
-        assert "print-call" not in output
-
-    def test_dataflow_report_matches_ci(self):
-        """The dataflow gate CI runs: zero findings in src."""
-        code, output = run_cli(
-            str(REPO_ROOT / "src"), "--report", "dataflow"
-        )
-        assert code == 0, output
+        code, output = run_cli(str(REPO_ROOT / "src"), "--format", "json")
+        payload = json.loads(output)
+        assert code == 0 and payload["ok"], payload["violations"]
+        assert payload["guarded_state"]
 
     def test_json_output_carries_the_guarded_inventory(self, tmp_path):
         module = tmp_path / "state.py"

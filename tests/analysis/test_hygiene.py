@@ -1,4 +1,4 @@
-"""The hygiene rule: no print() in library code."""
+"""The banned-name rule on print(): library code never writes to stdout."""
 
 
 class TestPrintCall:
@@ -6,9 +6,9 @@ class TestPrintCall:
         [violation] = run_fixture(
             "print_call_violation.py",
             "src/repro/apps/report.py",
-            "print-call",
+            "banned-name",
         )
-        assert violation.rule == "print-call"
+        assert violation.rule == "banned-name"
         assert violation.path == "src/repro/apps/report.py"
         assert violation.line == 5
 
@@ -17,7 +17,7 @@ class TestPrintCall:
             run_fixture(
                 "print_call_clean.py",
                 "src/repro/apps/report.py",
-                "print-call",
+                "banned-name",
             )
             == []
         )

@@ -1,9 +1,10 @@
-"""The layering rule: the repro.* import DAG."""
+"""The layering rule: the repro.* import DAG and the module contracts."""
 
+import re
 from pathlib import Path
 
 from repro.analysis import analyze_paths, analyze_source
-from repro.analysis.config import DEFAULT_LAYERS
+from repro.analysis.config import DEFAULT_LAYERS, DEFAULT_MODULE_LAYERS
 from repro.analysis.rules.layering import LayeringRule
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -98,7 +99,7 @@ class TestExperimentSupportLeaves:
             violation.path.rsplit("/repro/", 1)[1]
             for violation in report.pragma_suppressed
             for leaf in self.LEAVES
-            if f"may not import repro.{leaf} " in violation.message
+            if re.search(rf"may not import repro\.{leaf}\b", violation.message)
         }
         assert reaching == {"resilience/harness.py"}
 
@@ -116,7 +117,7 @@ class TestObsLayering:
         return [
             violation
             for violation in analyze_source(source, virtual_path)
-            if violation.rule in {"layering", "module-layering"}
+            if violation.rule == "layering"
         ]
 
     def test_every_unit_may_import_obs(self):
@@ -162,8 +163,20 @@ class TestModuleLayering:
         return [
             violation
             for violation in analyze_source(source, virtual_path)
-            if violation.rule == "module-layering"
+            if violation.rule == "layering"
         ]
+
+    def test_contracts_narrow_their_unit(self):
+        # What makes one rule enough: a contracted module's grants lie
+        # inside its unit's, so an import the unit DAG forbids is also
+        # outside the contract, and checking the contract alone misses
+        # nothing the unit check would catch.
+        for module, grants in DEFAULT_MODULE_LAYERS.items():
+            unit = module.split(".")[0]
+            for grant in grants:
+                assert grant.split(".")[0] in DEFAULT_LAYERS[unit] | {unit}, (
+                    module, grant,
+                )
 
     def test_accessor_may_not_import_composition(self):
         source = "from repro.store.compose import compose_node\n"

@@ -1,15 +1,4 @@
-"""Lock annotations and lock-order discipline."""
-
-from repro.analysis import analyze_project_sources
-from repro.analysis.rules.locks import LockOrderRule
-
-WORK = "src/repro/pkga/work.py"
-
-
-def run_lock_order(sources):
-    return analyze_project_sources(
-        sources, project_rules=[LockOrderRule()]
-    )
+"""Lock annotations: the guarded-by rule."""
 
 
 class TestGuardedByRule:
@@ -33,92 +22,3 @@ class TestGuardedByRule:
             )
             == []
         )
-
-
-class TestLockOrder:
-    def test_opposite_nesting_orders_are_one_finding(self):
-        [violation] = run_lock_order(
-            {
-                WORK: (
-                    "import threading\n"
-                    "\n"
-                    "a_lock = threading.Lock()\n"
-                    "b_lock = threading.Lock()\n"
-                    "\n"
-                    "\n"
-                    "def forward():\n"
-                    "    with a_lock:\n"
-                    "        with b_lock:\n"
-                    "            return 1\n"
-                    "\n"
-                    "\n"
-                    "def backward():\n"
-                    "    with b_lock:\n"
-                    "        with a_lock:\n"
-                    "            return 2\n"
-                ),
-            }
-        )
-        assert violation.rule == "lock-order"
-        assert violation.path == WORK
-        assert "opposite order" in violation.message
-        assert "a_lock" in violation.message
-        assert "b_lock" in violation.message
-
-    def test_one_global_order_passes(self):
-        assert (
-            run_lock_order(
-                {
-                    WORK: (
-                        "import threading\n"
-                        "\n"
-                        "a_lock = threading.Lock()\n"
-                        "b_lock = threading.Lock()\n"
-                        "\n"
-                        "\n"
-                        "def forward():\n"
-                        "    with a_lock:\n"
-                        "        with b_lock:\n"
-                        "            return 1\n"
-                        "\n"
-                        "\n"
-                        "def also_forward():\n"
-                        "    with a_lock:\n"
-                        "        with b_lock:\n"
-                        "            return 2\n"
-                    ),
-                }
-            )
-            == []
-        )
-
-    def test_cross_function_orders_are_compared(self):
-        # The two acquisitions live in different modules; the rule still
-        # demands one global order across the project.
-        other = "src/repro/pkgb/other.py"
-        [violation] = run_lock_order(
-            {
-                WORK: (
-                    "import threading\n"
-                    "\n"
-                    "a_lock = threading.Lock()\n"
-                    "b_lock = threading.Lock()\n"
-                    "\n"
-                    "\n"
-                    "def forward():\n"
-                    "    with a_lock:\n"
-                    "        with b_lock:\n"
-                    "            return 1\n"
-                ),
-                other: (
-                    "from repro.pkga.work import a_lock, b_lock\n"
-                    "\n"
-                    "\n"
-                    "def backward():\n"
-                    "    with b_lock:\n"
-                    "        with a_lock:\n"
-                    "            return 2\n"
-                ),
-            }
-        )
-        assert violation.rule == "lock-order"

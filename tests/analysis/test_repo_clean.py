@@ -10,9 +10,6 @@ a finding is fixed or carries a pragma with its reason.
 from pathlib import Path
 
 from repro.analysis import analyze_paths
-from repro.analysis.callgraph import build_index
-from repro.analysis.config import DEFAULT_CONFIG
-from repro.analysis.core import build_context
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -43,18 +40,3 @@ class TestRepositoryInvariants:
         for path, annotation in report.guarded_inventory:
             assert annotation.lock.strip(), path
             assert annotation.rationale.strip(), path
-
-    def test_cross_path_roots_name_real_functions(self):
-        # The ingest/read roots in the config are dotted qualnames; a
-        # rename that orphans one silently blinds cross-path-state.
-        contexts = []
-        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-            ctx = build_context(path.read_text(), path)
-            if ctx is not None:
-                contexts.append(ctx)
-        index = build_index(contexts, DEFAULT_CONFIG.mutator_methods)
-        roots = DEFAULT_CONFIG.ingest_roots | DEFAULT_CONFIG.read_roots
-        missing = sorted(
-            root for root in roots if root not in index.functions
-        )
-        assert missing == [], f"config roots not in the index: {missing}"

@@ -1,10 +1,6 @@
-"""Concurrency-readiness: shared-state, shared-class-state, cross-path."""
-
-from dataclasses import replace
+"""Concurrency-readiness: shared-state and shared-class-state."""
 
 from repro.analysis import analyze_project_sources
-from repro.analysis.config import DEFAULT_CONFIG
-from repro.analysis.rules.crosspath import CrossPathStateRule
 from repro.analysis.rules.sharedstate import SharedModuleStateRule
 
 STATE = "src/repro/pkga/state.py"
@@ -116,102 +112,6 @@ class TestSharedModuleState:
                         "\n"
                         "def arm():\n"
                         "    state._READY.set()\n"
-                    ),
-                }
-            )
-            == []
-        )
-
-
-class TestCrossPathState:
-    CONFIG = replace(
-        DEFAULT_CONFIG,
-        ingest_roots=frozenset({"pkga.ingest.pump"}),
-        read_roots=frozenset({"pkga.query.serve"}),
-    )
-    INGEST = "src/repro/pkga/ingest.py"
-    QUERY = "src/repro/pkga/query.py"
-
-    def run(self, sources):
-        return analyze_project_sources(
-            sources,
-            project_rules=[CrossPathStateRule()],
-            config=self.CONFIG,
-        )
-
-    def test_writers_on_both_paths_escalate(self):
-        [violation] = self.run(
-            {
-                STATE: "CACHE = {}\n",
-                self.INGEST: (
-                    "from repro.pkga import state\n"
-                    "\n"
-                    "\n"
-                    "def pump(doc):\n"
-                    "    state.CACHE[doc] = 1\n"
-                ),
-                self.QUERY: (
-                    "from repro.pkga import state\n"
-                    "\n"
-                    "\n"
-                    "def serve(term):\n"
-                    "    state.CACHE.pop(term, None)\n"
-                    "    return term\n"
-                ),
-            }
-        )
-        assert violation.rule == "cross-path-state"
-        assert violation.path == STATE and violation.line == 1
-        assert "pkga.ingest.pump" in violation.message
-        assert "pkga.query.serve" in violation.message
-
-    def test_single_path_writers_do_not_escalate(self):
-        assert (
-            self.run(
-                {
-                    STATE: "CACHE = {}\n",
-                    self.INGEST: (
-                        "from repro.pkga import state\n"
-                        "\n"
-                        "\n"
-                        "def pump(doc):\n"
-                        "    state.CACHE[doc] = 1\n"
-                    ),
-                    self.QUERY: (
-                        "from repro.pkga import state\n"
-                        "\n"
-                        "\n"
-                        "def serve(term):\n"
-                        "    return state.CACHE.get(term)\n"
-                    ),
-                }
-            )
-            == []
-        )
-
-    def test_guarded_by_annotation_acknowledges_the_hazard(self):
-        assert (
-            self.run(
-                {
-                    STATE: (
-                        "# repro: guarded-by(store._lock) both paths "
-                        "take the store lock around writes\n"
-                        "CACHE = {}\n"
-                    ),
-                    self.INGEST: (
-                        "from repro.pkga import state\n"
-                        "\n"
-                        "\n"
-                        "def pump(doc):\n"
-                        "    state.CACHE[doc] = 1\n"
-                    ),
-                    self.QUERY: (
-                        "from repro.pkga import state\n"
-                        "\n"
-                        "\n"
-                        "def serve(term):\n"
-                        "    state.CACHE.pop(term, None)\n"
-                        "    return term\n"
                     ),
                 }
             )
