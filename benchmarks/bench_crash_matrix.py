@@ -13,19 +13,17 @@ kill the coordinator or a follower at every append of its device and
 drive a network partition through an election — reporting failover
 ticks, replication lag at the kill, and the committed-ingest loss count
 (which must be zero, everywhere, always) into
-``BENCH_cluster_failover.json``.
+``BENCH_cluster_failover.json``.  Those drills live beside the cluster
+tests (``tests/cluster/drills.py``).
 """
 
-from conftest import print_table, write_artifact
+from conftest import load_driver, print_table, write_artifact
 
-from repro.cluster.harness import (
-    coordinator_kill_matrix,
-    follower_kill_matrix,
-    partition_drill,
-)
 from repro.ordbms import MemoryLogDevice
 from repro.resilience import crash_matrix
 from repro.store import XmlStore, check_store
+
+drills = load_driver("tests/cluster/drills.py")
 
 DOCS = (
     ("memo.md", "# Memo\n\nShip the crash matrix.\n"),
@@ -141,12 +139,11 @@ def test_report_no_fault_baseline(benchmark):
 
 def _failover_section(matrix) -> dict:
     """The gated summary of one node-kill matrix (all work counters)."""
-    survived = [p for p in matrix.points if not p.died_at_boot]
-    lags = [p.lag_at_kill for p in survived if p.lag_at_kill is not None]
+    lags = [p.lag_at_kill for p in matrix.points if p.lag_at_kill is not None]
     return {
         "device_appends": matrix.total_appends,
-        "kill_points": len(matrix.points),
-        "boot_kills": len(matrix.points) - len(survived),
+        "kill_points": len(matrix.points) + matrix.boot_deaths,
+        "boot_kills": matrix.boot_deaths,
         "acked_per_run": matrix.baseline_acked,
         "lost_total": matrix.total_lost,
         "all_converged": matrix.all_converged,
@@ -160,8 +157,8 @@ def test_report_cluster_failover_matrix(benchmark):
     """Kill a whole node at every WAL append; nothing acked may vanish."""
 
     def report():
-        coordinator = coordinator_kill_matrix()
-        follower = follower_kill_matrix()
+        coordinator = drills.kill_matrix("n1")
+        follower = drills.kill_matrix("n2")
         rows = []
         for label, matrix in (
             ("coordinator", coordinator),
@@ -210,7 +207,7 @@ def test_report_cluster_partition(benchmark):
     """Minority-coordinator partition: demote, elect, refuse, reconverge."""
 
     def report():
-        drill = partition_drill()
+        drill = drills.partition_drill()
         print_table(
             "Partition drill: coordinator isolated in the minority",
             [
@@ -222,8 +219,8 @@ def test_report_cluster_partition(benchmark):
                 drill.winner,
                 drill.refused_in_minority,
                 drill.acked_total,
-                drill.lost,
-                "yes" if drill.converged else "NO",
+                drill.survey.lost,
+                "yes" if drill.survey.converged else "NO",
                 drill.failover_ticks,
             ]],
         )
@@ -235,13 +232,14 @@ def test_report_cluster_partition(benchmark):
                 "winner": drill.winner,
                 "refused_in_minority": drill.refused_in_minority,
                 "acked_total": drill.acked_total,
-                "lost": drill.lost,
-                "converged": drill.converged,
-                "fsck_clean": drill.fsck_clean,
+                "lost": drill.survey.lost,
+                "converged": drill.survey.converged,
+                "fsck_clean": drill.survey.fsck_clean,
                 "failover_ticks": drill.failover_ticks,
             },
         )
-        assert drill.lost == 0 and drill.converged and drill.fsck_clean
+        survey = drill.survey
+        assert survey.lost == 0 and survey.converged and survey.fsck_clean
 
     benchmark.pedantic(report, rounds=1, iterations=1)
 

@@ -3,7 +3,7 @@
 The paper's integration claim (applications ↔ thin routers ↔ data
 sources) is only useful if a dead or flaky source degrades the answer
 instead of destroying it.  This bench drives the FIG8 workload through
-the chaos harness and reports:
+the chaos rig (``tests/resilience/chaos.py``) and reports:
 
 * a killed source: every query still answers, flagged partial, with all
   matches the healthy sources hold — and the circuit breaker sheds the
@@ -19,9 +19,8 @@ rows replay exactly; ``tests/resilience/test_replay.py`` asserts that.
 """
 
 import pytest
-from conftest import print_table, write_artifact
+from conftest import load_driver, print_table, write_artifact
 
-from repro.federation import Router
 from repro.resilience import (
     BreakerConfig,
     FaultPlan,
@@ -29,18 +28,15 @@ from repro.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from repro.resilience.harness import (
-    DEFAULT_QUERIES,
-    build_sources,
-    healthy_baseline,
-    run_chaos,
-)
 from repro.sgml.serializer import serialize
+
+rig = load_driver("tests/resilience/chaos.py")
+healthy_baseline, run_chaos = rig.healthy_baseline, rig.run_chaos
 
 
 @pytest.fixture(scope="module")
 def sources():
-    return build_sources(source_count=3, docs_per_source=6, seed=1400)
+    return rig.build_sources(source_count=3, docs_per_source=6, seed=1400)
 
 
 def test_report_killed_source_degrades(benchmark, sources):
@@ -75,8 +71,8 @@ def test_report_killed_source_degrades(benchmark, sources):
             {
                 "rounds": 3,
                 "queries": len(chaos.outcomes),
-                "failed": chaos.failed,
-                "partial": chaos.partial,
+                "failed": chaos.count("failed"),
+                "partial": chaos.count("partial"),
                 "breaker_trips": chaos.trips,
                 "outcomes": [
                     {
@@ -90,8 +86,8 @@ def test_report_killed_source_degrades(benchmark, sources):
             },
         )
         # Never a hard failure: every query answers, flagged partial.
-        assert chaos.failed == 0
-        assert chaos.partial == len(chaos.outcomes)
+        assert chaos.count("failed") == 0
+        assert chaos.count("partial") == len(chaos.outcomes)
         # Completeness bound: partial answers hold every healthy match.
         for outcome in chaos.outcomes:
             assert outcome.matches == degraded[outcome.query]
@@ -126,15 +122,15 @@ def test_report_flaky_source_recovers(benchmark, sources):
             {
                 "rounds": 2,
                 "queries": len(chaos.outcomes),
-                "failed": chaos.failed,
-                "partial": chaos.partial,
+                "failed": chaos.count("failed"),
+                "partial": chaos.count("partial"),
                 "retries": chaos.retries,
                 "faults_injected": chaos.injected,
                 "breaker_trips": chaos.trips,
             },
         )
         # Retries absorbed the window: every answer stayed complete.
-        assert chaos.partial == chaos.failed == 0
+        assert chaos.count("partial") == chaos.count("failed") == 0
         assert chaos.retries == 2 and chaos.injected == 2
         assert chaos.trips == 0
         for outcome in chaos.outcomes:
@@ -174,7 +170,7 @@ def test_report_no_faults_no_overhead(benchmark, sources):
         for g, p in zip(guarded.outcomes, plain.outcomes):
             assert g.status == "complete" and g.matches == p.matches
         # Byte-identical answers, proven on the serialized XML.
-        for query in DEFAULT_QUERIES:
+        for query in rig.DEFAULT_QUERIES:
             assert _answer(sources, query, ResiliencePolicy()) == _answer(
                 sources, query, None
             )
@@ -182,20 +178,13 @@ def test_report_no_faults_no_overhead(benchmark, sources):
 
 
 def _answer(sources, query, policy):
-    router = Router(resilience=policy)
-    bank = router.create_databank("app")
-    for source in sources:
-        bank.add_source(source)
-    results = router.execute(f"{query}&databank=app")
+    results = rig.federate(sources, policy).execute(f"{query}&databank=app")
     return serialize(results.to_xml(), indent=2)
 
 
 def test_bench_guarded_fanout(benchmark, sources):
     """Latency cost of the resilience layer on the happy path."""
-    router = Router(resilience=ResiliencePolicy())
-    bank = router.create_databank("app")
-    for source in sources:
-        bank.add_source(source)
+    router = rig.federate(sources, ResiliencePolicy())
     benchmark(router.execute, "Content=chaos&databank=app")
 
 
@@ -209,10 +198,7 @@ def test_bench_degraded_fanout(benchmark, sources):
         breaker=BreakerConfig(failure_threshold=1, cooldown=1_000_000),
         clock=clock,
     )
-    router = Router(resilience=policy)
-    bank = router.create_databank("app")
-    for source in sources:
-        bank.add_source(plan.wrap_source(source))
+    router = rig.federate(sources, policy, plan)
     router.execute("Content=chaos&databank=app")  # trips the breaker
     assert policy.breakers.open_names() == ["src00"]
     benchmark(router.execute, "Content=chaos&databank=app")

@@ -13,9 +13,12 @@ DESIGN.md §4).  Conventions:
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import ModuleType
 
 from repro.sgml.dom import Element, Text
 
@@ -26,6 +29,22 @@ _CAPTURE = [None]
 #: Where figure artifacts (``BENCH_fig6.json`` etc.) land: the repo root,
 #: so CI can upload them with a plain glob.
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent
+
+
+def load_driver(relative_path: str) -> ModuleType:
+    """Load a scenario driver that lives beside its tests.
+
+    A bench cannot import ``tests`` (this directory is not a package), so
+    the driver is loaded by file path, as
+    ``tests/benchmarks/test_check_regression.py`` loads
+    ``check_regression.py``.
+    """
+    path = Path(__file__).resolve().parent.parent / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_artifact(name: str, section: str, payload: object) -> None:

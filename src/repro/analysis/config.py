@@ -44,10 +44,7 @@ DEFAULT_LAYERS: dict[str, frozenset[str]] = {
     "sgml": frozenset(),
     # Resilience primitives (clock, retry, breaker, faults) sit below the
     # tiers they protect — the fault proxies are duck-typed, so the
-    # package needs nothing from federation/server.  The chaos *harness*
-    # module is the exception: a composition root that drives the
-    # federated stack, annotated with per-line layering pragmas like the
-    # netmark facade.
+    # package needs nothing from federation/server.
     "resilience": frozenset(),
     "converters": frozenset({"sgml"}),
     "store": frozenset({"ordbms", "sgml", "converters"}),
@@ -75,8 +72,9 @@ DEFAULT_LAYERS: dict[str, frozenset[str]] = {
     ),
     "baselines": frozenset({"ordbms", "sgml", "store"}),
     # ``workloads`` and ``costmodel`` are experiment support, leaves of
-    # the DAG: no runtime unit imports them (``apps`` and the pragma'd
-    # chaos harness do; tests/analysis/test_layering.py holds that), so
+    # the DAG: no runtime unit imports them, not even by pragma (``apps``
+    # does, and ``costmodel`` reads ``workloads``;
+    # tests/analysis/test_layering.py holds that), so
     # like ``apps`` they may see ``federation`` — cost accounting
     # instruments a databank, the anomaly generator emits its ``Record``.
     "workloads": frozenset(

@@ -119,7 +119,7 @@ class ClusterNode:
 
 @dataclass
 class ClusterStats:
-    """Counters the failover harness asserts on."""
+    """Counters of what the membership has been through."""
 
     ingests_acked: int = 0
     ingests_refused: int = 0
@@ -240,7 +240,7 @@ class NetmarkCluster:
         """Snapshot text per live, un-quarantined node.
 
         Converged replicas dump byte-identically (snapshots embed no
-        node name) — the harness's convergence assertion.
+        node name), which is how convergence is checked.
         """
         out: dict[str, str] = {}
         for name, node in self.nodes.items():

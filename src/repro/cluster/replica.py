@@ -122,7 +122,7 @@ class FollowerReplica:
 
     def dump(self) -> str:
         """Canonical snapshot text — byte-identical across converged
-        replicas (the convergence assertion the harness makes)."""
+        replicas."""
         return dump_database(self.database)
 
     # -- the apply path -----------------------------------------------------

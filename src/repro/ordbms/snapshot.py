@@ -78,7 +78,10 @@ def _encode_schema(table: Table) -> str:
 
 
 def _decode_schema(name: str, line: str) -> tuple[TableSchema, list[str], list[str]]:
-    header, pk, unique, fks, indexes, text_indexes = line.split("\t")
+    fields = line.split("\t")
+    if len(fields) != 6:
+        raise DatabaseError(f"table {name}: SCHEMA has {len(fields)} fields, not 6")
+    header, pk, unique, fks, indexes, text_indexes = fields
     columns: list[Column] = []
     for part in header.split(","):
         column_name, _, type_part = part.partition(":")
@@ -180,7 +183,13 @@ def _restore_slot(
 ) -> None:
     """Append a slot at exactly ``rowid`` (snapshots are in heap order)."""
     heap = table._heap  # noqa: SLF001
-    stored = None if row is None else table.schema.row_of_image(row, rowid)
+    stored = None
+    if row is not None:
+        # A dumped value is typed by its tag, not by its column: hold it
+        # to the column as an insert would, so no index compares two types.
+        schema = table.schema
+        image = schema.row_of_image(row, rowid)  # width-checked only
+        stored = schema.row(dict(zip(image._fields[:-1], image)), rowid)
     got = heap.insert(stored)
     if got != rowid:
         raise DatabaseError(

@@ -74,14 +74,17 @@ def decode_value(text: str) -> Any:
     if text == "~":
         return None
     tag, _, body = text.partition(":")
-    if tag == "i":
-        return int(body)
-    if tag == "f":
-        return float(body)
+    try:
+        if tag == "i":
+            return int(body)
+        if tag == "f":
+            return float(body)
+        if tag == "t":
+            return _dt.datetime.fromisoformat(body)
+    except ValueError:
+        raise DatabaseError(f"bad encoded value {text!r}") from None
     if tag == "s":
         return unescape(body)
-    if tag == "t":
-        return _dt.datetime.fromisoformat(body)
     if tag == "r":
         return RowId.decode(body)
     raise DatabaseError(f"bad encoded value {text!r}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro import obs
-from repro.errors import CorruptLogError, WalError
+from repro.errors import CorruptLogError, DatabaseError, WalError
 from repro.ordbms.rowid import RowId
 from repro.ordbms.valuecodec import pack_row, unpack_row
 
@@ -128,7 +128,7 @@ def _parse_body(body: str) -> WalRecord:
                 rowid=RowId.decode(fields[4]),
                 before=unpack_row(fields[5]), after=unpack_row(fields[6]),
             )
-    except (ValueError, IndexError) as error:
+    except (ValueError, IndexError, DatabaseError) as error:  # a bad field or value
         raise WalError(f"malformed WAL record body {body!r}") from error
     raise WalError(f"unknown WAL record kind in {body!r}")
 

@@ -8,9 +8,8 @@ absorbs transient ones, a :class:`BreakerBoard` stops paying for a
 source that keeps failing, and everything runs on a :class:`LogicalClock`
 with seeded randomness so every run replays exactly.
 
-The chaos harness (:mod:`repro.resilience.harness`) sits on top of the
-federation tier and is imported explicitly, not re-exported here — the
-core primitives below must stay importable from the layers they protect.
+Nothing here imports the tiers it protects: the proxies are duck-typed,
+so every layer above may import this one.
 """
 
 from repro.resilience.breaker import (

@@ -32,6 +32,7 @@ stored, and carried by an export, but not indexed.
 
 from __future__ import annotations
 
+from repro.errors import StoreError
 from repro.ordbms import (
     CLOB,
     INTEGER,
@@ -108,6 +109,26 @@ def create_netmark_schema(database: Database) -> tuple[Table, Table]:
     align_indexes(database)
     xml_table.create_text_index("NODEDATA")
     return doc_table, xml_table
+
+
+def require_netmark_schema(database: Database) -> None:
+    """Refuse a database whose DOC or XML is not NETMARK's: a dump or a
+    checkpoint declares its own tables, and the loader builds what it is
+    told."""
+    for wanted in (doc_schema(), xml_schema()):
+        schema = database.table(wanted.name).schema
+        if _shape(schema) != _shape(wanted):
+            raise StoreError(
+                f"table {wanted.name} does not have the NETMARK columns: "
+                f"{_shape(schema)} is not {_shape(wanted)}"
+            )
+    if database.table(XML_TABLE).text_index_on("NODEDATA") is None:
+        raise StoreError("table XML has no text index on NODEDATA")
+
+
+def _shape(schema: TableSchema) -> tuple:
+    columns = tuple((c.name, c.dtype.name, c.nullable) for c in schema.columns)
+    return columns, schema.primary_key
 
 
 def align_indexes(database: Database) -> None:

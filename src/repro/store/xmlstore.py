@@ -36,6 +36,7 @@ from repro.store.schema import (
     align_indexes,
     create_netmark_schema,
     decode_metadata,
+    require_netmark_schema,
 )
 
 
@@ -73,6 +74,7 @@ class XmlStore:
 
     def _wire(self, database: Database, config: NodeTypeConfig) -> None:
         """Bind every field to a database that already has the schema."""
+        require_netmark_schema(database)
         self.database = database
         self.config = config
         align_indexes(database)

@@ -18,6 +18,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: table carry guarded-by declarations today.
 MIN_GUARDED_ANNOTATIONS = 4
 
+#: Findings silenced by a pragma.  Pinned exactly, so a suppression
+#: cannot quietly come back: a new one raises it on purpose, a fix lowers
+#: it.
+PRAGMA_SUPPRESSED = 11
+
 
 class TestRepositoryInvariants:
     def _report(self):
@@ -33,6 +38,11 @@ class TestRepositoryInvariants:
         # bad-pragma rule; this asserts the whole tree was scanned.
         report = self._report()
         assert report.files_checked > 90
+
+    def test_pragma_suppressed_count_is_pinned(self):
+        suppressed = self._report().pragma_suppressed
+        rendered = "\n".join(v.render() for v in suppressed)
+        assert len(suppressed) == PRAGMA_SUPPRESSED, rendered
 
     def test_shared_state_inventory_is_annotated(self):
         report = self._report()

@@ -1,30 +1,26 @@
 """The headline guarantee: no acknowledged ingest survives unreplicated.
 
-These tests drive the same scenario harness the failover benchmark
-publishes numbers from (:mod:`repro.cluster.harness`): whole-node kill
-matrices over every WAL append, a minority-coordinator partition, and
-read availability through the balancer.
+These tests drive the same drills the failover benchmark publishes
+numbers from (``tests/cluster/drills.py``): whole-node kill matrices over
+every WAL append, a minority-coordinator partition, and read
+availability through the balancer.
 """
 
 import pytest
 
 from repro.cluster import NetmarkCluster
-from repro.cluster.harness import (
-    coordinator_kill_matrix,
-    follower_kill_matrix,
-    partition_drill,
-)
 from repro.errors import AllSourcesFailedError, NoQuorumError
+from tests.cluster.drills import kill_matrix, partition_drill
 
 
 class TestCoordinatorKillMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
-        return coordinator_kill_matrix()
+        return kill_matrix("n1")
 
     def test_matrix_covers_every_append_twice(self, matrix):
         assert matrix.total_appends > 0
-        assert len(matrix.points) == 2 * matrix.total_appends
+        assert len(matrix.points) + matrix.boot_deaths == 2 * matrix.total_appends
 
     def test_zero_committed_ingest_loss(self, matrix):
         assert matrix.total_lost == 0
@@ -34,15 +30,12 @@ class TestCoordinatorKillMatrix:
         assert matrix.all_fsck_clean
 
     def test_failover_happens_within_the_detection_window(self, matrix):
-        survived = [p for p in matrix.points if not p.died_at_boot]
-        assert survived, "matrix must include post-boot kill points"
+        assert matrix.points, "matrix must include post-boot kill points"
         # Detection + election never exceeds timeout + supervision slack.
         assert matrix.max_failover_ticks <= 3 + 2
 
     def test_workload_completes_after_every_kill(self, matrix):
         for point in matrix.points:
-            if point.died_at_boot:
-                continue
             assert point.acked == matrix.baseline_acked
             assert point.winner is not None
 
@@ -50,7 +43,7 @@ class TestCoordinatorKillMatrix:
 class TestFollowerKillMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
-        return follower_kill_matrix()
+        return kill_matrix("n2")
 
     def test_follower_death_never_costs_an_ack(self, matrix):
         assert matrix.total_lost == 0
@@ -67,9 +60,9 @@ class TestPartitionDrill:
         assert drill.demoted == "n1"
         assert drill.winner not in (None, drill.demoted)
         assert drill.refused_in_minority >= 1
-        assert drill.lost == 0
-        assert drill.converged
-        assert drill.fsck_clean
+        assert drill.survey.lost == 0
+        assert drill.survey.converged
+        assert drill.survey.fsck_clean
 
 
 class TestReadAvailability:

@@ -1,11 +1,25 @@
 """Every configuration against the one specification (``tests/xdb_model.py``).
 
-A hypothesis state machine ingests, replaces and deletes generated
-documents, opens and releases pins, and queries — context, content,
-combined and nodename searches; after every step the
-index path, the ``Scan`` path, the cached engine (twice: the second a
-hit) and ``Cache=0`` must equal the naive model, a held pin the model
-*as of its LSN*, and fsck must be clean — ``section-facts`` and ``doc-order``
+A hypothesis state machine runs a durable store (``XmlStore.open`` on a
+fault-wrapped ``MemoryLogDevice``) with a follower fed by WAL shipping.
+Its rules:
+
+* ``ingest_or_replace`` / ``delete`` generated documents; after each
+  write the follower is shipped the new records (a bundle instead when a
+  checkpoint has passed it) and must dump like the store;
+* ``open_pin`` / ``release_pin``;
+* ``query`` — context, content, combined and nodename searches;
+* ``checkpoint`` the store;
+* ``crash`` — the next generated write dies at its k-th WAL append
+  (``crash`` or ``torn``) and the store reopens from the surviving bytes:
+  it must answer like the model before the write or after it;
+* ``fail_over`` — the writer dies between writes and its follower's
+  device is recovered as the new writer, which seeds a new follower.
+
+A writer's death drops its pins.  After every step the index path, the
+``Scan`` path, the cached engine (twice: the second a hit) and
+``Cache=0`` must equal the naive model, a held pin the model *as of its
+LSN*, and fsck must be clean — ``section-facts`` and ``doc-order``
 included.  The documents are what the e2e corpus is not: contexts nest
 (a heading below a sibling of a heading, a heading inside a heading),
 headings span nodes and carry emphasis, hits sit under INTENSE, text
@@ -28,7 +42,11 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cluster import FollowerReplica, LogShipper
+from repro.errors import CrashError
+from repro.ordbms import MemoryLogDevice
 from repro.query import QueryCache, QueryEngine, parse_query
+from repro.resilience import FaultPlan
 from repro.store import XmlStore, check_store
 from tests.xdb_model import XdbModel
 
@@ -91,6 +109,13 @@ def answer(engine, query, snapshot=None):
     ]
 
 
+#: A replace commits the old revision's delete, then the new revision's
+#: store: two transactions.  A crash between them leaves the name with no
+#: document, which the model's before/after cannot say.  Goes when a
+#: replace becomes one transaction.
+REPLACE_MAY_LOSE_THE_DOCUMENT = True
+
+
 class XdbMachine(RuleBasedStateMachine):
     #: Asked after every step, whatever the step was.
     STANDING = (
@@ -105,13 +130,41 @@ class XdbMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store = XmlStore()
         self.model = XdbModel()
+        self.plan = FaultPlan()  # its "wal" rules kill the writer
+        self.saturated = {}  # full, ROWID-ordered queries asked, in order
+        self.serve(MemoryLogDevice())
+        self.follow()
+
+    def serve(self, device):
+        """Open the writer on ``device``: first start, restart or promotion.
+        The writer that was serving is gone, and its pins with it."""
+        self.device = device
+        self.store = XmlStore.open(self.plan.wrap_log_device(device))
         self.indexed = QueryEngine(self.store)
         self.scanned = QueryEngine(self.store, use_index=False)
         self.cached = QueryEngine(self.store, cache=QueryCache())
         self.pins = []  # (snapshot, the model as of it)
-        self.saturated = {}  # full, ROWID-ordered queries asked, in order
+
+    def follow(self):
+        """Seed a new follower from the writer's bundle."""
+        bundle = LogShipper(self.device).bundle()
+        self.follower = FollowerReplica.bootstrap("follower", MemoryLogDevice(), bundle)
+
+    def ship(self):
+        shipper = LogShipper(self.device)
+        if shipper.can_ship_from(self.follower.acked_lsn):
+            self.follower.apply_batch(shipper.batch_after(self.follower.acked_lsn))
+        else:  # a checkpoint has passed the follower
+            self.follower.install_bundle(shipper.bundle())
+        assert self.follower.dump() == self.store.dump()
+
+    def write(self, name, text):
+        """Replace (or first store) ``name`` with ``text``; delete it if None."""
+        if text is None:
+            self.store.delete_document(self.store.lookup_by_name(name).doc_id)
+        else:
+            self.store.replace_text(text, name)
 
     def agree(self, query):
         expected = self.model.answer(query)
@@ -127,17 +180,84 @@ class XdbMachine(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(NAMES), text=documents)
     def ingest_or_replace(self, name, text):
-        self.store.replace_text(text, name)
-        self.model.store(name, text)
-        self.ask_again()
+        self.commit(name, text)
 
     @precondition(lambda self: self.model.documents)
     @rule(data=st.data())
     def delete(self, data):
-        name = data.draw(st.sampled_from(sorted(self.model.documents)))
-        self.store.delete_document(self.store.lookup_by_name(name).doc_id)
-        self.model.delete(name)
+        self.commit(data.draw(st.sampled_from(sorted(self.model.documents))), None)
+
+    def commit(self, name, text):
+        self.write(name, text)
+        self.land(name, text)
+        self.ship()
         self.ask_again()
+
+    def land(self, name, text):
+        """The model after the write."""
+        if text is None:
+            self.model.delete(name)
+        else:
+            self.model.store(name, text)
+
+    @rule()
+    def checkpoint(self):
+        self.store.checkpoint()
+
+    @rule(
+        data=st.data(), k=st.integers(1, 40), kind=st.sampled_from(("crash", "torn"))
+    )
+    def crash(self, data, k, kind):
+        names = sorted(self.model.documents)
+        if names and data.draw(st.booleans()):
+            self.die_during(data.draw(st.sampled_from(names)), None, k, kind)
+        else:
+            self.die_during(data.draw(st.sampled_from(NAMES)), data.draw(documents), k, kind)
+
+    def die_during(self, name, text, k, kind):
+        """Write with the writer dying at the write's k-th WAL append, then
+        restart it on what its device holds."""
+        faults = (
+            # Dead after the k-th append: not even a ROLLBACK lands.  First,
+            # so it counts the k-th too (a crash stops the rules after it).
+            self.plan.fail("wal", "append", kind="crash", after=k, times=None),
+            self.plan.fail("wal", "append", kind=kind, after=k - 1),
+        )
+        prior = self.store.lookup_by_name(name)
+        try:
+            self.write(name, text)
+        except CrashError:
+            pass
+        for fault in faults:  # fired or not: none may touch a later write
+            self.plan.rules.remove(fault)
+        self.serve(self.device)
+        was, now = (
+            None if entry is None else entry.doc_id
+            for entry in (prior, self.store.lookup_by_name(name))
+        )
+        if now != was and now is None and text is not None:
+            # Died between the replace's delete and its store.
+            assert REPLACE_MAY_LOSE_THE_DOCUMENT, name
+            self.model.delete(name)
+        elif now != was:
+            self.land(name, text)
+        documents = [document.file_name for document in self.store.documents()]
+        assert documents == list(self.model.documents)
+        if self.store.last_recovery.losers_discarded:
+            # A restart leaves its losers' records in the log with no
+            # ROLLBACK (only NetmarkCluster's promotion journals them): a
+            # follower replaying them would hold them open, so it is sent
+            # a checkpoint cut past them instead.
+            self.store.checkpoint()
+        self.ship()
+        self.ask_again()
+
+    @rule()
+    def fail_over(self):
+        """The writer dies between writes; its follower takes over."""
+        self.serve(self.follower.device)
+        assert not self.store.last_recovery.losers_discarded
+        self.follow()
 
     def ask_again(self):
         """The saturated answers cached before this write, asked again."""
@@ -179,6 +299,43 @@ XdbMachine.TestCase.settings = settings(
     suppress_health_check=list(HealthCheck),
 )
 TestXdbMachine = XdbMachine.TestCase
+
+
+class TestDeathsTheGeneratorMustReach:
+    """Three deaths pinned, each followed by the machine's own checks."""
+
+    @pytest.fixture
+    def machine(self):
+        machine = XdbMachine()
+        machine.ingest_or_replace("d1.xml", NESTED)
+        yield machine
+        machine.every_configuration_equals_the_model()
+        machine.teardown()
+
+    def test_a_crash_inside_a_replaces_second_transaction(self, machine):
+        store = machine.store
+        rows = store.xml_table.lookup("DOC_ID", store.lookup_by_name("d1.xml").doc_id)
+        # BEGIN, a delete per row and one for the catalog entry, COMMIT;
+        # then BEGIN, and the store's first insert dies.
+        machine.die_during("d1.xml", "<doc><h1>Beta</h1></doc>", len(rows) + 5, "crash")
+        assert machine.store.last_recovery.losers_discarded
+        assert machine.model.documents == {}
+
+    def test_a_torn_append(self, machine):
+        machine.die_during("d2.xml", "<doc><h1>Beta</h1><p>alpha</p></doc>", 3, "torn")
+        assert machine.store.last_recovery.torn_tail
+        assert list(machine.model.documents) == ["d1.xml"]
+        machine.ingest_or_replace("d2.xml", "<doc><h1>Gamma</h1></doc>")  # past the tear
+        machine.fail_over()
+
+    def test_a_promotion_after_a_checkpoint(self, machine):
+        machine.checkpoint()
+        machine.checkpoint()  # past the first one's marker, never shipped
+        machine.ingest_or_replace("d2.xml", "<doc><h1>Beta</h1></doc>")
+        assert "d1.xml" in machine.follower.device.load_checkpoint()  # a bundle
+        machine.fail_over()
+        assert machine.store.last_recovery.checkpoint_lsn > 0
+        assert list(machine.model.documents) == ["d1.xml", "d2.xml"]
 
 
 ALPHA = "Alpha of the U.S. inner FY04/05 tail"

@@ -1,12 +1,13 @@
 """Database snapshots: exact restoration including physical ROWIDs."""
 
 import datetime as dt
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, ReproError
 from repro.ordbms import (
     CLOB,
     Column,
@@ -23,6 +24,7 @@ from repro.ordbms.snapshot import (
     encode_value,
     load_database,
 )
+from repro.store import XmlStore
 
 
 def build_sample() -> tuple[Database, list[RowId]]:
@@ -200,6 +202,76 @@ class TestXmlStoreRestore:
         assert result.doc_id == 2
         node_ids = [row.NODEID for row in restored.xml_table.scan()]
         assert len(node_ids) == len(set(node_ids))  # no collisions
+
+
+def _small_store_dump() -> str:
+    store = XmlStore()
+    store.store_text("# Budget\n\ntravel *dollars* 12\n\n## Cost\n\nshuttle\n", "a.md")
+    store.store_text("<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>", "b.xml")
+    store.delete_document(store.lookup_by_name("a.md").doc_id)  # tombstones
+    store.store_text("# Plan\n\nnext\n", "c.md")
+    return store.dump()
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One edit: a character deleted, replaced or inserted, a line dropped
+    or doubled, or one tab-separated field emptied."""
+    alphabet = "\t\n :~!|-.,>0123456789ifstrXF" + text
+    at, lines = rng.randrange(len(text)), text.split("\n")
+    line = rng.randrange(len(lines))
+    edit = rng.randrange(6)
+    if edit == 0:
+        return text[:at] + text[at + 1:]
+    if edit == 1:
+        return text[:at] + rng.choice(alphabet) + text[at + 1:]
+    if edit == 2:
+        return text[:at] + rng.choice(alphabet) + text[at:]
+    if edit == 3:
+        del lines[line]
+    elif edit == 4:
+        lines.insert(line, lines[line])
+    else:
+        fields = lines[line].split("\t")
+        fields[rng.randrange(len(fields))] = ""
+        lines[line] = "\t".join(fields)
+    return "\n".join(lines)
+
+
+class TestHostileSnapshots:
+    """The snapshot loader answers a damaged dump with a store or a
+    :mod:`repro.errors` type, never a stray builtin exception."""
+
+    def test_seeded_mutations_raise_only_typed_errors(self):
+        dump, rng = _small_store_dump(), random.Random(20)
+        for _ in range(3000):
+            mutant = _mutate(rng, dump)
+            for load in (load_database, XmlStore.restore):
+                try:
+                    load(mutant)
+                except ReproError:
+                    pass
+
+    @pytest.mark.parametrize("edit", [
+        # A SCHEMA line one tab field short.
+        lambda dump: dump.replace("\tNODEDATA\n", "\n", 1),
+        # A value tag with no body.
+        lambda dump: dump.replace("\ti:2\t", "\ti:\t", 1),
+        # A value of the wrong type for its (indexed) column.
+        lambda dump: dump.replace("ROW F0.B0.S1 i:", "ROW F0.B0.S1 s:", 1),
+        # A renamed column: the table is no longer NETMARK's.
+        lambda dump: dump.replace("PARENTROWID:", "PARENTROWIX:", 1),
+    ])
+    def test_one_edit_is_refused_with_a_typed_error(self, edit):
+        dump = _small_store_dump()
+        mutant = edit(dump)
+        assert mutant != dump
+        with pytest.raises(ReproError):
+            XmlStore.restore(mutant)
+
+    @pytest.mark.parametrize("text", ["i:", "f:", "t:", "i:x", "f:1.2.3", "t:noon"])
+    def test_an_empty_or_bad_body_is_a_database_error(self, text):
+        with pytest.raises(DatabaseError):
+            decode_value(text)
 
 
 class TestValueCodecProperties:

@@ -105,6 +105,18 @@ class TestParseLog:
         with pytest.raises(CorruptLogError):
             parse_log(first + middle + last)
 
+    @pytest.mark.parametrize("value", ["i:", "f:", "t:", "t:noon", "i:1.5"])
+    def test_a_bad_value_is_a_malformed_record(self, value):
+        # Torn at the tail, corruption in the middle, as any bad body.
+        body = f"2 INSERT 1 T F0.B0.S0 {value}"
+        bad = f"{body}|{zlib.crc32(body.encode()):08x}\n"
+        first, last = WalRecord(1, BEGIN, 1).encode(), WalRecord(3, BEGIN, 2).encode()
+        records, reason = parse_log(first + bad)
+        assert [record.lsn for record in records] == [1]
+        assert "malformed WAL record" in reason
+        with pytest.raises(CorruptLogError):
+            parse_log(first + bad + last)
+
     def test_lsn_must_advance(self):
         lines = WalRecord(5, BEGIN, 1).encode() + WalRecord(5, COMMIT, 1).encode()
         records, reason = parse_log(lines)

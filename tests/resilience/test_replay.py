@@ -7,7 +7,7 @@ from repro.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from repro.resilience.harness import (
+from tests.resilience.chaos import (
     ChaosReport,
     build_sources,
     healthy_baseline,
@@ -46,7 +46,7 @@ class TestReplay:
         sources = build_sources()
         policy = ResiliencePolicy()
         report = run_chaos(sources, policy=policy, rounds=2)
-        assert report.partial == report.failed == 0
+        assert report.count("partial") == report.count("failed") == 0
         assert report.retries == report.trips == report.injected == 0
         assert report.transitions == ()
         baseline = healthy_baseline(sources)
@@ -65,7 +65,7 @@ class TestReplay:
         sources = build_sources()
         degraded = healthy_baseline(sources, exclude=("src00",))
         report = run_chaos(sources, plan=plan, policy=policy, rounds=2)
-        assert report.complete == 0
+        assert report.count("complete") == 0
         for outcome in report.outcomes:
             assert outcome.status == "partial"
             assert outcome.matches == degraded[outcome.query]
