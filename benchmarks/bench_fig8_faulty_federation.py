@@ -36,7 +36,7 @@ healthy_baseline, run_chaos = rig.healthy_baseline, rig.run_chaos
 
 @pytest.fixture(scope="module")
 def sources():
-    return rig.build_sources(source_count=3, docs_per_source=6, seed=1400)
+    return rig.build_sources()
 
 
 def test_report_killed_source_degrades(benchmark, sources):
@@ -170,7 +170,7 @@ def test_report_no_faults_no_overhead(benchmark, sources):
         for g, p in zip(guarded.outcomes, plain.outcomes):
             assert g.status == "complete" and g.matches == p.matches
         # Byte-identical answers, proven on the serialized XML.
-        for query in rig.DEFAULT_QUERIES:
+        for query in rig.QUERIES:
             assert _answer(sources, query, ResiliencePolicy()) == _answer(
                 sources, query, None
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster import NetmarkCluster
-from repro.errors import NoQuorumError, SourceUnavailableError
+from repro.errors import CrashError, NoQuorumError, SourceUnavailableError
 from repro.ordbms.wal import MemoryLogDevice, parse_log
 from repro.resilience import crash_matrix
 from repro.store.fsck import check_store
@@ -122,13 +122,21 @@ class FailoverMatrix:
 
 
 def kill_matrix(victim: str) -> FailoverMatrix:
-    """Kill ``victim`` (``n1`` coordinates) at every append of its device."""
+    """Kill ``victim`` (``n1`` coordinates) at every append of its device.
+    Only a death in the constructor is a boot death: a built cluster must
+    absorb every death, so a CrashError escaping the workload fails."""
     runs: list[tuple[NetmarkCluster, int | None] | None] = []
 
     def run(device) -> None:
-        runs.append(None)  # stays None when the node dies at boot
-        cluster = NetmarkCluster(list(NODES), heartbeat_timeout=3, devices={victim: device})
-        runs[-1] = (cluster, drive_ingest(cluster, victim))
+        try:
+            cluster = NetmarkCluster(list(NODES), heartbeat_timeout=3, devices={victim: device})
+        except CrashError:
+            runs.append(None)  # the node died at boot: no cluster, nothing to lose
+            return
+        try:
+            runs.append((cluster, drive_ingest(cluster, victim)))
+        except CrashError as error:
+            raise AssertionError(f"a CrashError escaped the cluster ({victim} killed)") from error
 
     matrix = crash_matrix(MemoryLogDevice, run, component=f"wal-{victim}")
     (baseline, _), *killed = runs

@@ -21,6 +21,9 @@ class TestCoordinatorKillMatrix:
     def test_matrix_covers_every_append_twice(self, matrix):
         assert matrix.total_appends > 0
         assert len(matrix.points) + matrix.boot_deaths == 2 * matrix.total_appends
+        # Only the first append (crash and torn) dies inside the
+        # constructor; every later death must leave a cluster behind.
+        assert matrix.boot_deaths == 2
 
     def test_zero_committed_ingest_loss(self, matrix):
         assert matrix.total_lost == 0
@@ -44,6 +47,11 @@ class TestFollowerKillMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
         return kill_matrix("n2")
+
+    def test_matrix_covers_every_append_twice(self, matrix):
+        assert matrix.total_appends > 0
+        assert len(matrix.points) + matrix.boot_deaths == 2 * matrix.total_appends
+        assert matrix.boot_deaths == 2
 
     def test_follower_death_never_costs_an_ack(self, matrix):
         assert matrix.total_lost == 0

@@ -22,20 +22,20 @@ from repro.workloads.corpus import CorpusSpec, generate_corpus
 
 #: A pure context search, a planted-term content search, and a combined
 #: query.
-DEFAULT_QUERIES = (
+QUERIES = (
     "Context=Budget",
     "Content=chaos",
     "Context=Schedule&Content=chaos",
 )
 
 
-def build_sources(source_count: int = 3, docs_per_source: int = 6, seed: int = 1400):
-    """Deterministic NETMARK sources over the standard workload corpus."""
+def build_sources():
+    """Three deterministic NETMARK sources of six standard-corpus documents."""
     sources = []
-    for index in range(source_count):
+    for index in range(3):
         store = XmlStore()
         spec = CorpusSpec(
-            documents=docs_per_source, seed=seed + index, formats=("md",),
+            documents=6, seed=1400 + index, formats=("md",),
             planted_term="chaos", plant_every=3,
         )
         for file in generate_corpus(spec):
@@ -90,17 +90,16 @@ def federate(sources: Sequence[NetmarkSource], policy=None, plan=None) -> Router
 
 def run_chaos(
     sources: Sequence[NetmarkSource],
-    queries: Sequence[str] = DEFAULT_QUERIES,
     *,
     plan: FaultPlan | None = None,
     policy: ResiliencePolicy | None = None,
     rounds: int = 1,
 ) -> ChaosReport:
-    """Fan ``queries`` out ``rounds`` times under ``plan`` and ``policy``."""
+    """Fan :data:`QUERIES` out ``rounds`` times under ``plan`` and ``policy``."""
     router = federate(sources, policy, plan)
     outcomes = []
     for _ in range(rounds):
-        for query in queries:
+        for query in QUERIES:
             try:
                 results = router.execute(f"{query}&databank=app")
                 status = "partial" if results.partial else "complete"
@@ -124,11 +123,9 @@ def run_chaos(
 
 
 def healthy_baseline(
-    sources: Sequence[NetmarkSource],
-    queries: Sequence[str] = DEFAULT_QUERIES,
-    exclude: Sequence[str] = (),
+    sources: Sequence[NetmarkSource], exclude: Sequence[str] = ()
 ) -> dict[str, int]:
     """Match counts per query from the sources not in ``exclude``: what a
     fan-out that lost exactly those sources must still return."""
     router = federate([source for source in sources if source.name not in exclude])
-    return {query: len(router.execute(f"{query}&databank=app")) for query in queries}
+    return {query: len(router.execute(f"{query}&databank=app")) for query in QUERIES}

@@ -27,7 +27,7 @@ def chaos_run(seed: int) -> ChaosReport:
         clock=clock,
         seed=seed,
     )
-    sources = build_sources(source_count=3, docs_per_source=6, seed=1400)
+    sources = build_sources()
     return run_chaos(sources, plan=plan, policy=policy, rounds=3)
 
 
