@@ -26,13 +26,14 @@ Rule families
   ``random.*`` in library code, called or passed by reference.
 * **whole-program dataflow** — the concurrency-readiness audit for the
   concurrent front end: mutated module/class state must declare its
-  guard (``# repro: guarded-by(<lock>) <why>``), opened resources must
-  be released on every CFG path, and public entry points may only let
-  their module's declared exception policy escape.  Built on
-  :mod:`repro.analysis.cfg` (intraprocedural CFGs),
-  :mod:`repro.analysis.dataflow` (forward fixpoint engine) and
-  :mod:`repro.analysis.callgraph` (project-wide symbol table and call
-  graph).
+  guard (``# repro: guarded-by(<lock>) <why>``), and public entry
+  points may only let their module's declared exception policy escape.
+  Built on :mod:`repro.analysis.callgraph` (project-wide symbol table
+  and call graph).
+* **resource ownership** — every opened resource has an owner where it
+  is opened: a ``with``, a ``return``, an object attribute, or the
+  next statement (a ``try`` whose ``finally`` releases it, or a call
+  it is handed to).
 
 Escape hatches, in order of preference: fix the code; annotate a
 deliberate exception with ``# lint: allow-<rule>(<reason>)`` on the

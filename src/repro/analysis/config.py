@@ -150,13 +150,8 @@ DEFAULT_MODULE_LAYERS: dict[str, frozenset[str]] = {
     "store.fsck": frozenset(
         {"ordbms", "sgml", "store.schema", "store.accessor"}
     ),
-    # The analyzer's own dataflow stack is layered the same way the
-    # durability stack is: the CFG builder is pure AST lowering, the
-    # fixpoint engine sees only graphs, and the call-graph indexer sees
-    # only parsed file contexts — none of them may reach the rules or
-    # the driver that orchestrates them.
-    "analysis.cfg": frozenset(),
-    "analysis.dataflow": frozenset({"analysis.cfg"}),
+    # The call-graph indexer sees only parsed file contexts: it may not
+    # reach the rules or the driver that orchestrates them.
     "analysis.callgraph": frozenset({"analysis.core"}),
     # The shipping codec is log-records-in, log-records-out: it reads
     # the coordinator's device through the WAL codec and nothing else —
@@ -187,16 +182,16 @@ DEFAULT_MUTATOR_METHODS: frozenset[str] = frozenset(
 
 
 #: Resource constructors called by bare name: name -> release methods.
-#: ``x = open(...)`` must reach every function exit closed, escaped
-#: (returned/stored/passed on), or inside a ``with``.
+#: ``open(...)`` must be a ``with`` item, returned, stored on an object,
+#: or bound to a name the next statement takes (see ``rules/lifecycle``).
 DEFAULT_RESOURCE_CALLS: dict[str, frozenset[str]] = {
     "open": frozenset({"close"}),
     "FileLogDevice": frozenset({"close"}),
 }
 
 #: Resource-producing *methods* (attribute calls): the transaction and
-#: cursor factories.  ``db.begin()`` without commit/rollback/close on
-#: some path is a leaked transaction.
+#: cursor factories.  ``tx = db.begin()`` not followed by a ``try``
+#: whose ``finally`` commits, rolls back or closes it is a leak.
 DEFAULT_RESOURCE_METHODS: dict[str, frozenset[str]] = {
     "begin": frozenset({"commit", "rollback", "close"}),
     "cursor": frozenset({"close"}),

@@ -1,27 +1,27 @@
-"""Resource lifecycle: everything opened must be closed on every path.
+"""Resource lifecycle: a resource is owned where it is opened.
 
-``resource-lifecycle`` runs a forward may-analysis over each function's
-CFG (:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`).  The
-state is the set of local names that may hold an unreleased resource:
+``resource-lifecycle`` looks at each call that opens a resource — a
+bare-name constructor in ``config.resource_calls`` (``open``,
+``FileLogDevice``) or an attribute factory in ``config.resource_methods``
+(``db.begin()``, ``conn.cursor()``) — and accepts it only in a form
+whose owner is plain at the call site:
 
-* **gen** — ``x = open(...)`` / ``x = FileLogDevice(...)`` (the
-  bare-name constructors in ``config.resource_calls``) and
-  ``x = db.begin()`` / ``conn.cursor()`` (the attribute factories in
-  ``config.resource_methods``).
-* **kill by release** — ``x.close()`` / ``x.commit()`` /
-  ``x.rollback()``, per the constructor's release set.
-* **kill by transfer** — the name escaping the function takes ownership
-  with it: ``return x``, ``yield x``, ``f(x)``, ``self.h = x``,
-  ``y = x``, use as a ``with`` context.  Receiver position
-  (``x.read()``) is *not* a transfer.
+* a ``with`` item;
+* the value of a ``return`` (a factory: the caller owns it);
+* assigned to an attribute or subscript (``self.h = open(...)``: the
+  object owns it);
+* bound to a local name that the next statement in the same block
+  *takes*: a ``try`` whose ``finally`` calls one of the name's release
+  methods, or a bare load of the name outside receiver position
+  (``return fh``, ``sink.adopt(fh)``, ``with fh``).
 
-A name still live at the synthetic exit node — on *any* path, including
-the exception edges the CFG adds inside ``try`` bodies — is a leak,
-reported at the line that opened it.  A resource constructed inline in
-argument position (``recover(FileLogDevice(base))``) has no name to
-close and is reported immediately.  Generator functions are skipped:
-they hold resources across suspension points by design and their
-cleanup runs in ``close()``/GC, outside this CFG.
+Anything else is reported at its line, including a construction in
+argument position (``recover(FileLogDevice(base))``), which has no name
+to close.  Because nothing may run between the open and its owner there
+is no path to reason about: a read before the ``try``, a name rebound
+before its ``finally`` and a reopen in a loop body are all reported.
+A name bound in a generator is exempt: a generator holds resources
+across suspension points by design and its cleanup runs in ``close()``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.cfg import CfgNode, build_cfg
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import FileContext, Violation
-from repro.analysis.dataflow import run_forward
 
 
 def _resource_ctor(
@@ -52,127 +50,65 @@ def _resource_ctor(
     return None
 
 
-def _walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested function defs."""
+def _walk_scope(scope: ast.AST) -> Iterator[tuple[ast.AST, ast.AST | None]]:
+    """``(node, parent)`` from ``scope`` down, not entering nested defs."""
+    yield scope, None
     stack: list[ast.AST] = [scope]
     while stack:
         node = stack.pop()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            yield child
+            yield child, node
             stack.append(child)
 
 
-def _header_parts(stmt: ast.AST) -> list[ast.AST]:
-    """The expression subtrees a CFG node *itself* evaluates.
-
-    Compound statements get their own header node in the CFG while their
-    bodies become separate nodes, so the transfer function must only
-    look at the header (the ``if``/``while`` test, the ``for`` iterable,
-    the ``with`` items) — walking the whole subtree would apply body
-    effects at the header too.
-    """
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.target, stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        parts: list[ast.AST] = []
-        for item in stmt.items:
-            parts.append(item.context_expr)
-            if item.optional_vars is not None:
-                parts.append(item.optional_vars)
-        return parts
-    if isinstance(stmt, ast.Match):
-        return [stmt.subject]
-    if isinstance(stmt, ast.ExceptHandler):
-        return [stmt.type] if stmt.type is not None else []
-    if isinstance(stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef)):
-        return []
-    return [stmt]
+def _released(stmts: list[ast.stmt], name: str,
+              releases: frozenset[str]) -> bool:
+    """Whether ``stmts`` call ``name.<release>()``."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == name
+        and node.func.attr in releases
+        for stmt in stmts
+        for node in ast.walk(stmt)
+    )
 
 
-def _header_walk(stmt: ast.AST) -> Iterator[ast.AST]:
-    for part in _header_parts(stmt):
-        yield part
-        yield from _walk_scope(part)
-
-
-def _bare_loads(stmt: ast.AST) -> set[str]:
-    """Names loaded outside receiver position (``x`` but not ``x.m()``)."""
-    receiver_only: set[int] = set()
-    for node in _header_walk(stmt):
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.value, ast.Name
-        ):
-            receiver_only.add(id(node.value))
-    return {
-        node.id
-        for node in _header_walk(stmt)
-        if isinstance(node, ast.Name)
-        and isinstance(node.ctx, ast.Load)
-        and id(node) not in receiver_only
+def _bare_load(parts: list[ast.AST], name: str) -> bool:
+    """Whether ``parts`` load ``name`` other than as ``name.attr``."""
+    nodes = [node for part in parts for node in ast.walk(part)]
+    receivers = {
+        id(node.value) for node in nodes if isinstance(node, ast.Attribute)
     }
+    return any(
+        isinstance(node, ast.Name) and node.id == name
+        and isinstance(node.ctx, ast.Load) and id(node) not in receivers
+        for node in nodes
+    )
 
 
-class _LiveResources:
-    """The forward analysis: state = frozenset of may-open names."""
-
-    def __init__(self, config: AnalysisConfig,
-                 opens: dict[str, tuple[int, str, frozenset[str]]]):
-        self.config = config
-        #: name -> (line, ctor, release methods), latest open wins.
-        self.opens = opens
-
-    def initial(self) -> frozenset[str]:
-        return frozenset()
-
-    def join(self, left: frozenset[str],
-             right: frozenset[str]) -> frozenset[str]:
-        return left | right
-
-    def transfer(self, node: CfgNode,
-                 state: frozenset[str]) -> frozenset[str]:
-        stmt = node.stmt
-        out = set(state)
-        # Release calls: x.close() and friends.
-        for call in _header_walk(stmt):
-            if not (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and isinstance(call.func.value, ast.Name)):
-                continue
-            name = call.func.value.id
-            if name in out and call.func.attr in self.opens[name][2]:
-                out.discard(name)
-        # Ownership transfers: any bare (non-receiver) load.
-        out -= _bare_loads(stmt)
-        # With-statement receivers: the context manager protocol closes.
-        for item in getattr(stmt, "items", []):
-            expr = item.context_expr
-            if isinstance(expr, ast.Name):
-                out.discard(expr.id)
-        # Opens: x = <resource-ctor>(...).
-        if isinstance(stmt, ast.Assign) and isinstance(
-            stmt.value, ast.Call
-        ):
-            ctor = _resource_ctor(stmt.value, self.config)
-            if ctor is not None:
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        self.opens[target.id] = (
-                            stmt.lineno, ctor[0], ctor[1]
-                        )
-                        out.add(target.id)
-        return frozenset(out)
+def _takes(stmt: ast.stmt | None, name: str,
+           releases: frozenset[str]) -> bool:
+    """Whether ``stmt``, the statement after the binding, owns ``name``."""
+    if stmt is None:
+        return False
+    if hasattr(stmt, "finalbody"):  # try / try*
+        return _released(stmt.finalbody, name, releases)
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return _bare_load([item.context_expr for item in stmt.items], name)
+    if hasattr(stmt, "body") or hasattr(stmt, "cases"):
+        return False  # a branch, loop, match or def owns nothing
+    return _bare_load([stmt], name)
 
 
 class ResourceLifecycleRule:
     id = "resource-lifecycle"
     summary = (
-        "an opened resource must be released, transferred, or managed "
-        "by 'with' on every path to function exit"
+        "an opened resource must be a 'with' item, returned, stored on "
+        "an object, or taken by the next statement"
     )
 
     def check(
@@ -186,66 +122,55 @@ class ResourceLifecycleRule:
     def _check_scope(
         self, ctx: FileContext, scope: ast.AST, config: AnalysisConfig
     ) -> Iterator[Violation]:
-        yield from self._check_inline(ctx, scope, config)
-        if any(
-            isinstance(node, (ast.Yield, ast.YieldFrom))
-            for node in _walk_scope(scope)
-        ):
-            return
-        cfg = build_cfg(scope)
-        opens: dict[str, tuple[int, str, frozenset[str]]] = {}
-        result = run_forward(cfg, _LiveResources(config, opens))
-        live = result.at_exit(cfg)
-        if not live:
-            return
-        for name in sorted(live):
-            line, ctor, releases = opens[name]
-            release_list = "/".join(sorted(releases))
-            yield ctx.violation(
-                self.id, line,
-                f"{name!r} opened here by {ctor}(...) may reach "
-                f"function exit without {release_list}; release it in "
-                "a finally, use 'with', or transfer ownership",
+        owners: dict[int, ast.AST | None] = {}
+        following: dict[int, ast.stmt | None] = {}
+        opens: list[tuple[ast.Call, str, frozenset[str]]] = []
+        generator = False
+        for node, parent in _walk_scope(scope):
+            owners[id(node)] = parent
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                generator = True
+            elif isinstance(node, ast.Call):
+                ctor = _resource_ctor(node, config)
+                if ctor is not None:
+                    opens.append((node, *ctor))
+            for block in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, block, None)
+                if isinstance(stmts, list):
+                    for stmt, after in zip(stmts, stmts[1:] + [None]):
+                        following[id(stmt)] = after
+        for call, ctor, releases in opens:
+            owner = owners[id(call)]
+            if isinstance(owner, ast.Return) or (
+                isinstance(owner, ast.withitem) and owner.context_expr is call
+            ):
+                continue
+            targets = (
+                (getattr(owner, "targets", None) or [owner.target])
+                if isinstance(owner, (ast.Assign, ast.AnnAssign)) else []
             )
-
-    def _check_inline(
-        self, ctx: FileContext, scope: ast.AST, config: AnalysisConfig
-    ) -> Iterator[Violation]:
-        """Inline constructions with no binding: nothing can close them."""
-        parents: dict[int, ast.AST] = {id(scope): scope}
-        stack: list[ast.AST] = [scope]
-        while stack:
-            node = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
+            if targets and all(
+                isinstance(target, (ast.Attribute, ast.Subscript))
+                for target in targets
+            ):
+                continue  # the object owns it
+            if len(targets) == 1 and isinstance(targets[0], ast.Name):
+                name = targets[0].id
+                if generator or _takes(
+                    following.get(id(owner)), name, releases
                 ):
-                    continue  # separate scope, checked on its own
-                parents[id(child)] = node
-                stack.append(child)
-        for node in _walk_scope(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            ctor = _resource_ctor(node, config)
-            if ctor is None:
-                continue
-            if self._owned(node, parents.get(id(node))):
+                    continue
+                yield ctx.violation(
+                    self.id, owner.lineno,
+                    f"{name!r} opened here by {ctor}(...) is not taken "
+                    "by the next statement; follow it with a try whose "
+                    f"finally calls {'/'.join(sorted(releases))}, use "
+                    "'with', or hand it on",
+                )
                 continue
             yield ctx.violation(
-                self.id, node,
-                f"{ctor[0]}(...) is constructed inline here with no "
+                self.id, call,
+                f"{ctor}(...) is constructed inline here with no "
                 "binding to release it; assign it to a name and close "
                 "it in a finally",
             )
-
-    @staticmethod
-    def _owned(call: ast.Call, parent: ast.AST | None) -> bool:
-        if parent is None:
-            return True  # conservatively silent without context
-        if isinstance(parent, (ast.Assign, ast.AnnAssign)):
-            return parent.value is call
-        if isinstance(parent, ast.withitem):
-            return parent.context_expr is call
-        if isinstance(parent, ast.Return):
-            return True  # a factory: the caller takes ownership
-        return False

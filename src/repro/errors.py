@@ -306,15 +306,6 @@ class CorpusFormatError(WorkloadError):
 
 
 # ---------------------------------------------------------------------------
-# Static analysis
-# ---------------------------------------------------------------------------
-
-
-class AnalysisError(ReproError):
-    """The invariant analyzer was misconfigured (a non-monotone transfer)."""
-
-
-# ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
 

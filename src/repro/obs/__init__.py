@@ -1,18 +1,19 @@
-"""repro.obs — the observability layer: metrics, tracing, profiling.
+"""repro.obs — the observability layer: metrics and tracing.
 
 A base layer, importable from anywhere (like :mod:`repro.errors`) and
 allowed to import nothing above the error vocabulary — so every tier can
 report what it does without bending the import DAG.
 
-Three parts:
+Two parts:
 
 * :mod:`repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram`` families
   with labelled series, a deterministic ``snapshot()`` and the
   ``/metrics`` text exposition;
 * :mod:`repro.obs.trace` — hierarchical spans on logical ticks with JSONL
-  export (``NULL_TRACER`` keeps the un-traced hot path free);
-* :mod:`repro.obs.profile` — the work-unit profiler behind
-  ``Explain=profile``.
+  export (``NULL_TRACER`` keeps the un-traced hot path free).
+
+``Explain=profile`` needs nothing here: an operator's work-unit cost is
+the rows its plan subtree surfaced (``repro.query.plan.PlanNode.ticks``).
 
 Instrumented call sites use the **default registry** through the module
 functions below (``obs.inc(...)``, ``obs.set_gauge(...)``,
@@ -32,7 +33,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     validate_metric_name,
 )
-from repro.obs.profile import PlanProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "Metric",
     "MetricsRegistry",
     "NullTracer",
-    "PlanProfiler",
     "Span",
     "Tracer",
     "get_registry",

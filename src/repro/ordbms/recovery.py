@@ -35,7 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.errors import CatalogError, RecoveryError, RowIdError, SchemaError
+from repro.errors import (
+    CatalogError,
+    RecoveryError,
+    RowIdError,
+    SchemaError,
+    TypeMismatchError,
+)
 from repro.ordbms.database import Database
 from repro.ordbms.snapshot import load_database
 from repro.ordbms.table import Table
@@ -336,7 +342,7 @@ def _stored(table: Table, record: WalRecord, image: tuple | None):
     assert record.rowid is not None and image is not None
     try:
         return table.schema.row_of_image(image, record.rowid)
-    except SchemaError as error:
+    except (SchemaError, TypeMismatchError) as error:
         raise RecoveryError(
             f"LSN {record.lsn}: {record.kind} image for {record.table} "
             f"is not a row of that table: {error}"

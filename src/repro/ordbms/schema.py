@@ -175,24 +175,26 @@ class TableSchema:
         fields: list[Any] = []
         for position, column in enumerate(self.columns):
             fallback = column.default if base is None else base[position]
-            value = column.dtype.validate(
-                values.get(column.name, fallback), column.name
-            )
-            if value is None and not column.nullable:
-                raise TypeMismatchError(
-                    f"column {self.name}.{column.name} is NOT NULL"
-                )
-            fields.append(value)
+            fields.append(self._hold(column, values.get(column.name, fallback)))
         fields.append(rowid)
         return self.row_type._make(fields)
 
     def row_of_image(self, image: Sequence[Any], rowid: RowId) -> Any:
-        """The stored row at ``rowid`` for a logged or dumped image — the
-        columns' values in order, written by :meth:`row` once and taken
-        back as they are, width-checked."""
+        """The stored row at ``rowid`` for a logged or dumped image, the
+        columns' values in order, held to the rules :meth:`row` holds an
+        insert to: an image's values are typed by their tags, not by
+        their columns, and a wrong one must not reach an index that
+        would compare two types."""
         if len(image) != len(self.columns):
             raise SchemaError(
                 f"row width {len(image)} does not match table {self.name} "
                 f"width {len(self.columns)}"
             )
-        return self.row_type._make((*image, rowid))
+        return self.row_type._make((*map(self._hold, self.columns, image), rowid))
+
+    def _hold(self, column: Column, value: Any) -> Any:
+        """``value`` through ``column``'s type rule and NOT NULL."""
+        value = column.dtype.validate(value, column.name)
+        if value is None and not column.nullable:
+            raise TypeMismatchError(f"column {self.name}.{column.name} is NOT NULL")
+        return value

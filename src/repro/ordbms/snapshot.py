@@ -183,13 +183,7 @@ def _restore_slot(
 ) -> None:
     """Append a slot at exactly ``rowid`` (snapshots are in heap order)."""
     heap = table._heap  # noqa: SLF001
-    stored = None
-    if row is not None:
-        # A dumped value is typed by its tag, not by its column: hold it
-        # to the column as an insert would, so no index compares two types.
-        schema = table.schema
-        image = schema.row_of_image(row, rowid)  # width-checked only
-        stored = schema.row(dict(zip(image._fields[:-1], image)), rowid)
+    stored = None if row is None else table.schema.row_of_image(row, rowid)
     got = heap.insert(stored)
     if got != rowid:
         raise DatabaseError(

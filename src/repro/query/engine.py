@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from repro import obs
 from repro.errors import QueryError
-from repro.obs import PlanProfiler
 from repro.query.ast import ContentSpec, XdbQuery
 from repro.query.cache import QueryCache
 from repro.query.language import format_query, parse_query
@@ -195,7 +194,7 @@ class QueryEngine:
         return budget
 
     def explain(
-        self, query: XdbQuery | str, wall_clock=None, snapshot: Snapshot | None = None
+        self, query: XdbQuery | str, snapshot: Snapshot | None = None
     ) -> Document:
         """Execute the query's plan and render it with observed row counts.
 
@@ -210,22 +209,20 @@ class QueryEngine:
 
         With ``query.profile`` set (``Explain=profile``) the plan element
         additionally carries ``profile="work-units"`` and
-        ``total-ticks``, and every operator its inclusive ``ticks`` — the
-        deterministic cost model of :class:`repro.obs.PlanProfiler`.
-        ``wall_clock`` (e.g. ``time.perf_counter``, injected only from a
-        composition root or benchmark) adds real ``wall_ms`` per
-        operator on top.
+        ``total-ticks``, and every operator its inclusive ``ticks``
+        (:meth:`PlanNode.ticks`): rows surfaced in its subtree, a
+        deterministic, machine-independent analogue of inclusive time.
         """
         if isinstance(query, str):
             query = parse_query(query)
-        ctx, root = self.compile(query, wall_clock=wall_clock, snapshot=snapshot)
+        ctx, root = self.compile(query, snapshot=snapshot)
         for _ in root.rows():
             pass
         self._publish_plan_stats(ctx)
         attributes = {"query": format_query(query), "kind": query.kind}
-        if ctx.profiler is not None:
+        if query.profile:
             attributes["profile"] = "work-units"
-            attributes["total-ticks"] = str(ctx.profiler.total_ticks)
+            attributes["total-ticks"] = str(root.ticks())
             # Cache annotations: how much of the plan's structural work
             # was answered by the shared lift pool.  Explain runs always
             # bypass the result cache (a plan tree is diagnostics), so
@@ -236,7 +233,7 @@ class QueryEngine:
             attributes["lift-cache-hits"] = str(stats.shared_hits)
             attributes["lift-cache-misses"] = str(stats.shared_misses)
         plan_element = Element("plan", attributes)
-        plan_element.append(root.explain_element())
+        plan_element.append(root.explain_element(query.profile))
         return Document(plan_element, name="plan.xml")
 
     @staticmethod
@@ -263,7 +260,7 @@ class QueryEngine:
     # -- plan construction ------------------------------------------------------
 
     def compile(
-        self, query: XdbQuery, wall_clock=None, snapshot: Snapshot | None = None,
+        self, query: XdbQuery, snapshot: Snapshot | None = None,
         budget: Budget | None = None,
     ) -> tuple[PlanContext, PlanNode]:
         """Build the operator tree for ``query`` (root is a Materialize).
@@ -281,10 +278,9 @@ class QueryEngine:
         sits *under* the limit on purpose: that is the pushdown.
         """
         obs.inc("repro_query_queries_total", kind=query.kind)
-        profiler = PlanProfiler(wall_clock) if query.profile else None
         ctx = PlanContext(
             self.store, self.store.new_accessor(snapshot, lifts=self._lifts),
-            self.use_index, profiler=profiler, budget=budget,
+            self.use_index, budget=budget,
         )
         kind = query.kind
         if kind in {"context", "combined"}:

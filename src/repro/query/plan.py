@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import DocumentNotFoundError, QueryError
-from repro.obs import PlanProfiler
 from repro.ordbms import RowId
 from repro.ordbms.textindex import TextIndex, tokenize
 from repro.query.ast import ContentSpec
@@ -111,12 +110,11 @@ class PlanContext:
 
     def __init__(
         self, store: XmlStore, accessor: NodeAccessor, use_index: bool,
-        profiler: PlanProfiler | None = None, budget: "Budget | None" = None,
+        budget: "Budget | None" = None,
     ) -> None:
         self.store = store
         self.accessor = accessor
         self.use_index = use_index
-        self.profiler = profiler
         #: The request's time-and-cancellation budget
         #: (:class:`repro.resilience.deadline.Budget`); every operator
         #: checks it at its pull boundary, so one expired deadline stops
@@ -173,13 +171,8 @@ class PlanNode:
         self.children = list(children)
         self.detail = detail
         self.rows_out = 0
-        self.ticks = 0
-        self.wall_seconds = 0.0
 
     def rows(self) -> Iterator[Any]:
-        if self.ctx.profiler is not None:
-            yield from self._profiled_rows()
-            return
         budget = self.ctx.budget
         for item in self._produce():
             # Cooperative cancellation: the budget check is this
@@ -192,59 +185,30 @@ class PlanNode:
             self.rows_out += 1
             yield item
 
-    def _profiled_rows(self) -> Iterator[Any]:
-        """The instrumented pull loop behind ``Explain=profile``.
-
-        Inclusive cost per operator: the profiler's tick delta around
-        each ``next()`` (every row surfaced anywhere in the subtree
-        advances the clock) plus one tick for the row this operator
-        itself surfaces.  Wall time, when a clock was injected, brackets
-        the same ``next()`` calls — producer time only, consumer time
-        (whatever the caller does between pulls) is excluded.
-        """
-        profiler = self.ctx.profiler
-        budget = self.ctx.budget
-        wall = profiler.wall_clock
-        produce = self._produce()
-        while True:
-            start = profiler.now()
-            wall_start = wall() if wall is not None else 0.0
-            try:
-                item = next(produce)
-            except StopIteration:
-                self.ticks += profiler.now() - start
-                if wall is not None:
-                    self.wall_seconds += wall() - wall_start
-                return
-            profiler.advance()
-            self.ticks += profiler.now() - start
-            if wall is not None:
-                self.wall_seconds += wall() - wall_start
-            if budget is not None and not budget.admits(self.name):
-                return
-            self.rows_out += 1
-            yield item
-
     def _produce(self) -> Iterator[Any]:
         raise QueryError(f"plan node {type(self).__name__} has no cursor")
 
-    def explain_element(self) -> Element:
-        """``<operator name=… rows=…>`` with child operators nested.
+    def ticks(self) -> int:
+        """Inclusive cost in ``Explain=profile`` work units: the rows
+        surfaced anywhere in this operator's subtree while it ran.
 
-        Under ``Explain=profile`` each operator also carries ``ticks``
-        (inclusive work units — deterministic) and, when a wall clock was
-        injected at the composition root, ``wall_ms``.
+        Every row a child surfaces is pulled inside one of this
+        operator's own pulls, so the count is the subtree's ``rows_out``
+        sum: deterministic, and the same on every machine.
         """
+        return self.rows_out + sum(child.ticks() for child in self.children)
+
+    def explain_element(self, profile: bool = False) -> Element:
+        """``<operator name=… rows=…>`` with child operators nested;
+        with ``profile`` each operator also carries its :meth:`ticks`."""
         attributes = {"name": self.name, "rows": str(self.rows_out)}
-        if self.ctx.profiler is not None:
-            attributes["ticks"] = str(self.ticks)
-            if self.ctx.profiler.wall_clock is not None:
-                attributes["wall_ms"] = f"{self.wall_seconds * 1000.0:.3f}"
+        if profile:
+            attributes["ticks"] = str(self.ticks())
         if self.detail:
             attributes["detail"] = self.detail
         element = Element("operator", attributes)
         for child in self.children:
-            element.append(child.explain_element())
+            element.append(child.explain_element(profile))
         return element
 
 

@@ -16,3 +16,27 @@ def inline_argument(recover, base):
 def leaked_transaction(db, rows):
     tx = db.begin()
     tx.stage(rows)
+
+
+def rebound_before_finally(first, second):
+    fh = open(first)
+    fh = open(second)
+    try:
+        return fh.read()
+    finally:
+        fh.close()
+
+
+def closed_after_a_raising_call(path):
+    fh = open(path)
+    data = fh.read()
+    fh.close()
+    return data
+
+
+def reopened_in_a_loop(paths):
+    for path in paths:
+        fh = open(path)
+        header = fh.readline()
+    fh.close()
+    return header

@@ -1,13 +1,16 @@
-"""repro.obs.profile + the plan integration behind ``Explain=profile``."""
+"""``Explain=profile``: per-operator work units from the one pull loop."""
+
+import hashlib
 
 import pytest
 
 from repro import obs
-from repro.obs import PlanProfiler
+from repro.netmark import Netmark
 from repro.query.engine import QueryEngine
 from repro.query.language import parse_query
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
+from repro.workloads.corpus import CorpusSpec, generate_corpus
 
 DOCUMENT = """
 <ndoc>
@@ -37,16 +40,6 @@ def store():
     for index in range(4):
         loaded.store_text(DOCUMENT, f"plan-{index}.xml")
     return loaded
-
-
-class TestPlanProfiler:
-    def test_clock_counts_advances(self):
-        profiler = PlanProfiler()
-        assert profiler.now() == 0
-        profiler.advance()
-        profiler.advance(3)
-        assert profiler.now() == 4
-        assert profiler.total_ticks == 4
 
 
 class TestExplainProfile:
@@ -118,22 +111,47 @@ class TestExplainProfile:
         )
         assert first == second
 
-    def test_wall_clock_is_injected_only(self, store):
-        ticks = iter(range(10000))
-        document = QueryEngine(store).explain(
-            "Context=Budget&Explain=profile",
-            wall_clock=lambda: float(next(ticks)),
-        )
-        xml = serialize(document, indent=2)
-        assert "wall_ms" in xml
-        plain = serialize(
-            QueryEngine(store).explain("Context=Budget&Explain=profile"),
-            indent=2,
-        )
-        assert "wall_ms" not in plain
-
     def test_unprofiled_execution_is_unchanged(self, store):
         engine = QueryEngine(store)
         profiled = engine.execute("Context=Budget&Explain=profile")
         plain = engine.execute("Context=Budget")
         assert len(profiled) == len(plain)
+
+
+#: Index and scan paths, ``Nodename=`` with and without ``Content=``,
+#: with and without ``limit``, run in this order on one node (the lift
+#: pool's hit counts in each body depend on what ran before).
+PINNED_QUERIES = [
+    "Context=Budget", "Context=Budget&limit=2", "Content=resource",
+    "Content=zephyr&limit=3", "Context=Schedule&Content=zephyr",
+    "Context=Technology Gap&Content=mission", "Nodename=section",
+    "Nodename=document&limit=4", "Nodename=section&Content=zephyr&limit=2",
+    "Content=budget schedule&limit=5",
+]
+
+
+class TestProfileBodiesArePinned:
+    def test_bodies_are_byte_identical_to_the_pins(self):
+        """sha256 over every ``Explain=profile`` body, over HTTP (index
+        path, shared lift pool) and from a bare scan engine.  The pins
+        were taken when each operator timed its own pulls on a tick
+        clock; ticks read from ``rows_out`` must render the same bytes."""
+        node = Netmark()
+        spec = CorpusSpec(documents=12, planted_term="zephyr")
+        for generated in generate_corpus(spec):
+            assert node.ingest(generated.name, generated.text).ok
+        http, scan = hashlib.sha256(), hashlib.sha256()
+        for query in PINNED_QUERIES:
+            http.update(
+                node.http_get(f"/search?{query}&Explain=profile").body.encode()
+            )
+            plan = QueryEngine(node.store, use_index=False).explain(
+                f"{query}&Explain=profile"
+            )
+            scan.update(serialize(plan, indent=2).encode())
+        assert http.hexdigest() == (
+            "837d1b9c57591a1c36ab8b1df7d16b6a897f5b34b00403ee3c644925d5efefd3"
+        )
+        assert scan.hexdigest() == (
+            "6f429e94a390ffc5234e69cbecb2bc369db2ec95c6c9f7f19bd8210b894a8ffa"
+        )

@@ -1,8 +1,11 @@
 """Crash recovery: replay, losers, checkpoints, and the crash matrix."""
 
+import random
+import zlib
+
 import pytest
 
-from repro.errors import RecoveryError, TransactionError, WalError
+from repro.errors import ReproError, RecoveryError, TransactionError, WalError
 from repro.ordbms import (
     Column,
     Database,
@@ -15,6 +18,7 @@ from repro.ordbms import (
 from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
 from repro.ordbms.wal import WalRecord, WriteAheadLog
+from repro.store import XmlStore
 
 
 def durable_database(device=None) -> Database:
@@ -341,3 +345,92 @@ class TestCrashMatrixProperty:
         assert dump_database(durable) == dump_database(in_memory)
         recovered = recover(durable.wal.device).database
         assert dump_database(recovered) == dump_database(in_memory)
+
+
+def _small_store_device() -> MemoryLogDevice:
+    """A durable NETMARK store's device: inserts, a delete, a replace."""
+    device = MemoryLogDevice()
+    store = XmlStore.open(device)
+    store.store_text("# Budget\n\ntravel *dollars* 12\n\n## Cost\n\nshuttle\n", "a.md")
+    store.store_text("<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>", "b.xml")
+    store.delete_document(store.lookup_by_name("a.md").doc_id)
+    store.store_text("# Plan\n\nnext\n", "c.md")
+    store.replace_text("<doc><h1>Alpha</h1><p>delta</p></doc>", "b.xml")
+    return device
+
+
+def _with_log(device: MemoryLogDevice, log: str) -> MemoryLogDevice:
+    """A copy of ``device`` (its checkpoint) holding ``log``."""
+    copy = MemoryLogDevice()
+    copy.save_checkpoint(device.load_checkpoint())
+    copy.append(log)
+    return copy
+
+
+#: The field separator of a packed row image (its tabs are escaped).
+_TAB = "\\t"
+
+
+def _re_crc(body: str) -> str:
+    return f"{body}|{zlib.crc32(body.encode('utf-8')):08x}"
+
+
+def _mutate_record(rng: random.Random, log: str) -> str:
+    """One edit to one record's body, CRC recomputed so the record
+    parses: a character deleted, replaced or inserted, one row-image
+    field emptied, or one value's type tag swapped."""
+    lines = log.split("\n")
+    at = rng.randrange(len(lines) - 1)  # the last "line" is the final newline
+    body = lines[at].rpartition("|")[0]
+    where = rng.randrange(len(body))
+    edit = rng.randrange(5)
+    if edit == 0:
+        body = body[:where] + body[where + 1:]
+    elif edit == 1:
+        body = body[:where] + rng.choice(" :~|.0123456789isftr") + body[where + 1:]
+    elif edit == 2:
+        body = body[:where] + rng.choice(" :~|.0123456789isftr") + body[where:]
+    else:
+        head, _, image = body.rpartition(" ")
+        fields = image.split(_TAB)
+        field = rng.randrange(len(fields))
+        if edit == 3:
+            fields[field] = ""
+        elif fields[field][1:2] == ":":
+            fields[field] = rng.choice("isftr") + fields[field][1:]
+        body = head + " " + _TAB.join(fields)
+    lines[at] = _re_crc(body)
+    return "\n".join(lines)
+
+
+class TestHostileLogs:
+    """Recovery and follower replay answer a CRC-valid but damaged log
+    with a database or a :mod:`repro.errors` type, never a stray builtin
+    exception — the twin of the snapshot loader's ``TestHostileSnapshots``."""
+
+    def test_seeded_mutations_raise_only_typed_errors(self):
+        device, rng = _small_store_device(), random.Random(29)
+        log = device.read_log()
+        for _ in range(600):
+            mutant = _mutate_record(rng, log)
+            for reopen in (recover, recover_follower):
+                try:
+                    reopen(_with_log(device, mutant))
+                except ReproError:
+                    pass
+
+    def test_a_wrong_typed_logged_value_is_a_recovery_error(self):
+        """``s:4`` in the INTEGER (primary-key) NODEID column: the value
+        would reach the B+tree and compare a str with an int."""
+        device = _small_store_device()
+        lines = device.read_log().split("\n")
+        (at,) = [
+            index for index, line in enumerate(lines)
+            if line.startswith("7 INSERT 1 XML F0.B0.S3 i:4" + _TAB)
+        ]
+        lines[at] = _re_crc(
+            lines[at].rpartition("|")[0].replace(" i:4", " s:4", 1)
+        )
+        for reopen in (recover, recover_follower):
+            with pytest.raises(RecoveryError, match="NODEID"):
+                reopen(_with_log(device, "\n".join(lines)))
