@@ -291,10 +291,6 @@ class AnalysisConfig:
 
     #: Path suffixes of modules allowed to construct RowId from raw ints.
     rowid_minters: frozenset[str] = frozenset({"ordbms/rowid.py"})
-    #: Path suffixes of modules allowed to mutate other objects' private
-    #: state (the transaction/recovery machinery rewrites heap internals
-    #: by design).
-    mutation_exempt: frozenset[str] = frozenset({"ordbms/transaction.py"})
 
     #: Qualified name -> why it is banned (see :data:`DEFAULT_BANNED_NAMES`).
     banned_names: dict[str, str] = field(

@@ -7,11 +7,11 @@ inside the physical layer (``ordbms/rowid.py``; the heap file carries
 per-line pragmas for the two places it mints addresses).
 
 ``private-mutation`` guards the transactional counterpart: nobody pokes
-another object's ``_private`` state from outside, except the transaction
-machinery whose whole job is rewriting heap internals during commit and
-rollback.  Constructor-style factories (``store =
-cls.__new__(cls); store._x = ...``) are recognised and allowed — an
-object wiring up *itself* is not a boundary violation.
+another object's ``_private`` state from outside — rollback and recovery
+change rows through the table's own statement like every other writer.
+Constructor-style factories (``store = cls.__new__(cls); store._x =
+...``) are recognised and allowed — an object wiring up *itself* is not
+a boundary violation.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ class PrivateMutationRule:
     def check(
         self, ctx: FileContext, config: AnalysisConfig
     ) -> Iterator[Violation]:
-        if any(ctx.path_endswith(path) for path in config.mutation_exempt):
-            return
         class_names = {
             node.name
             for node in ctx.tree.body
@@ -176,6 +174,5 @@ class PrivateMutationRule:
             self.id, target,
             f"mutation of private attribute "
             f"{ast.unparse(receiver)}.{target.attr} from outside the "
-            "owning object; add a method to the owner or route through "
-            "ordbms/transaction.py",
+            "owning object; add a method to the owner",
         )

@@ -37,9 +37,9 @@ class DatabaseStats:
     rowid_fetches: int = 0
     transactions_committed: int = 0
     transactions_rolled_back: int = 0
-    #: Transactions whose *rollback itself* raised: an undo callback
-    #: failed, so the in-memory state may be partially reverted.  The
-    #: write-ahead log (when attached) still discards them cleanly.
+    #: Transactions whose *rollback itself* raised: a change could not
+    #: be taken back, so the in-memory state may be partially reverted.
+    #: The write-ahead log (when attached) still discards them cleanly.
     transactions_failed: int = 0
 
     def reset(self) -> None:
@@ -89,25 +89,32 @@ class Database:
             raise TransactionError("a transaction is already active")
         txid = self._next_txid
         self._next_txid += 1
+        if self.wal is not None:
+            self.wal.log_begin(txid)  # a refused BEGIN opens nothing
         self._current = Transaction(self, txid=txid)
         # Snapshots opened while this transaction is in flight pin the
         # pre-transaction LSN: no reader ever sees a partial transaction
         # (each document ingest is one transaction).
         self.mvcc.transaction_opened()
-        if self.wal is not None:
-            self.wal.log_begin(txid)
         return self._current
 
-    def _transaction_closed(self, transaction: Transaction) -> None:
+    def release_transaction_pin(self) -> None:
+        """Let reads see past the transaction that just resolved, and
+        reclaim the MVCC history it superseded: what every commit and
+        rollback runs, and follower replay once no shipped transaction
+        is open."""
         self.mvcc.transaction_closed()
-        # Reclaim MVCC history now: what this transaction superseded is
-        # at or below every future pin.  An unmoved horizon (a long-held
-        # snapshot) frees nothing new, so commits stay O(own statements).
+        # What the transaction superseded is at or below every future
+        # pin.  An unmoved horizon (a long-held snapshot) frees nothing
+        # new, so commits stay O(own statements).
         horizon = self.mvcc.gc_horizon()
         if horizon != self._swept_horizon:
             self._swept_horizon = horizon
             for table in self.catalog:
                 table.vacuum_versions(horizon)
+
+    def _transaction_closed(self, transaction: Transaction) -> None:
+        self.release_transaction_pin()
         if transaction is self._current:
             self._current = None
         if transaction._state == "committed":
@@ -190,67 +197,36 @@ class Database:
 
         return self.wal.write_checkpoint(dump_database(self))
 
-    def _wal_txid(self) -> int:
-        if self.in_transaction:
-            assert self._current is not None
-            return self._current.txid
-        return AUTOCOMMIT_TXID
-
     # -- DML (transaction-aware) ------------------------------------------------
 
     def insert(self, table_name: str, values: Mapping[str, Any]) -> RowId:
-        table = self.table(table_name)
-        rowid = table.insert(values)
+        rowid = self.table(table_name).insert(values, self._journal)
         self.stats.rows_inserted += 1
-        if self.wal is not None:
-            self.wal.log_insert(
-                self._wal_txid(), table.schema.name, rowid,
-                table.fetch(rowid)[:-1],  # the log carries the columns
-            )
-            self._sync_autocommit()
-        if self.in_transaction:
-            assert self._current is not None
-            self._current.record_undo(
-                f"insert {table.schema.name} {rowid}",
-                lambda: table.delete(rowid),
-            )
+        self._sync_autocommit()
         return rowid
 
     def update(
         self, table_name: str, rowid: RowId, changes: Mapping[str, Any]
     ) -> None:
-        table = self.table(table_name)
-        old = table.fetch(rowid)
-        table.update(rowid, changes)
+        self.table(table_name).update(rowid, changes, self._journal)
         self.stats.rows_updated += 1
-        if self.wal is not None:
-            self.wal.log_update(
-                self._wal_txid(), table.schema.name, rowid, old[:-1],
-                table.fetch(rowid)[:-1],
-            )
-            self._sync_autocommit()
-        if self.in_transaction:
-            assert self._current is not None
-            self._current.record_undo(
-                f"update {table.schema.name} {rowid}",
-                lambda: table.overwrite(old),
-            )
+        self._sync_autocommit()
 
     def delete(self, table_name: str, rowid: RowId) -> None:
-        table = self.table(table_name)
-        old = table.delete(rowid)
+        self.table(table_name).delete(rowid, self._journal)
         self.stats.rows_deleted += 1
+        self._sync_autocommit()
+
+    def _journal(self, table: Table, before: Any, after: Any) -> None:
+        """A checked change, about to move its slot: log it, then keep it
+        for rollback.  A log that refuses the record raises here, before
+        the slot moves, so nothing is left to undo."""
+        current = self._current if self.in_transaction else None
         if self.wal is not None:
-            self.wal.log_delete(
-                self._wal_txid(), table.schema.name, rowid, old[:-1]
-            )
-            self._sync_autocommit()
-        if self.in_transaction:
-            assert self._current is not None
-            self._current.record_undo(
-                f"delete {table.schema.name} {rowid}",
-                lambda: table.restore(old),
-            )
+            txid = AUTOCOMMIT_TXID if current is None else current.txid
+            self.wal.log_change(txid, table.schema.name, before, after)
+        if current is not None:
+            current.changes.append((table, before, after))
 
     def _sync_autocommit(self) -> None:
         """Outside a transaction every statement commits — and syncs."""

@@ -1,22 +1,26 @@
 """Crash recovery: rebuild a :class:`Database` from its log device.
 
 ARIES-lite, sized to the single-writer engine: one forward pass over the
-log replays every mutation *physically* — inserts must land at exactly
-the ROWID the log recorded, which is what lets ``PARENTROWID`` /
+log redoes every change *positionally* — an insert must take exactly the
+ROWID the log recorded, which is what lets ``PARENTROWID`` /
 ``SIBLINGID`` values stored inside rows survive a crash — and resolves
 transactions as their COMMIT / ROLLBACK records stream past.
 Whatever is still unresolved at the end of the log died with the process
 and is undone from its logged before-images (the *losers*).
 
-Two properties fall out of the design and are what the crash harness
-asserts:
+Redo and undo go through the one statement every writer uses,
+:meth:`~repro.ordbms.table.Table.change`: it checks that the slot holds
+the change's before-image, moves the heap slot and the indexes together
+inside the seqlock, keeps the pre-image for pinned readers and moves the
+commit LSN.  Two properties fall out of the design and are what the
+crash harness asserts:
 
 * **Atomicity** — recovered state equals the pre- or post-transaction
-  state, never anything in between, because a transaction's mutations
+  state, never anything in between, because a transaction's changes
   are kept only once its COMMIT record is durable.
-* **Physical identity** — every replayed insert is verified to land at
-  the logged address, and every update/delete pre-image is compared
-  against the recovered heap; any disagreement means the log and the
+* **Physical identity** — every replayed insert takes the logged
+  address, and every update/delete before-image must be what the
+  recovered slot holds; any disagreement means the log and the
   checkpoint diverged, and recovery refuses with
   :class:`~repro.errors.RecoveryError` rather than guess.
 
@@ -24,19 +28,17 @@ Rolled-back transactions are replayed *then* undone at their ROLLBACK
 record's position in the LSN stream — not skipped — so that slot
 allocation during replay matches slot allocation during the original
 run exactly (a skipped insert would shift every later row's address).
-
-Derived state (B+tree and text indexes) is rebuilt incrementally as
-rows are applied; checkpoints load through :mod:`repro.ordbms.snapshot`,
-which rebuilds indexes the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro import obs
 from repro.errors import (
     CatalogError,
+    ConstraintError,
     RecoveryError,
     RowIdError,
     SchemaError,
@@ -62,30 +64,33 @@ from repro.ordbms.wal import (
 )
 
 
+#: One replayed change: ``(lsn, table, before, after)``.
+Change = tuple[int, Table, Any, Any]
+
+
 class StreamReplayer:
     """Incremental ARIES-lite replay: one record at a time.
 
     The follower half of WAL shipping (``repro.cluster``) and the inner
     loop of :func:`recover` share this machinery.  Records at or below
     ``applied_lsn`` are skipped — the property that makes catch-up after
-    a checkpoint install idempotent — and every applied mutation goes
-    through the same physical verification as crash recovery.
+    a checkpoint install idempotent.  Every logged change is redone, and
+    undone, through the table's own statement
+    (:meth:`~repro.ordbms.table.Table.change`), which verifies the slot
+    and moves the commit LSN like a live write does.
 
     Transactions stay *open* across :meth:`apply` calls until their
     COMMIT / ROLLBACK record streams past; :meth:`discard_in_flight`
     undoes whatever is still open (the loser-discard step, used at
-    end-of-log and at failover promotion).
-
-    Physical replay bypasses the table statements, so the replayer moves
-    the database's commit LSN itself — once per resolved transaction,
-    loser discard and autocommit mutation — and a result cached over a
-    follower's store is stamped like one over the coordinator's.
+    end-of-log and at failover promotion).  While any is open the
+    database's transaction pin holds reads at the LSN before the first
+    BEGIN, so a follower's reader never sees half a shipped transaction.
     """
 
     def __init__(self, database: Database, applied_lsn: int = 0) -> None:
         self.database = database
         self.applied_lsn = applied_lsn
-        self._open: dict[int, list[WalRecord]] = {}
+        self._open: dict[int, list[Change]] = {}
         self.records_applied = 0
         self.transactions_committed = 0
         self.transactions_rolled_back = 0
@@ -107,53 +112,54 @@ class StreamReplayer:
                     f"LSN {record.lsn}: BEGIN for transaction "
                     f"{record.txid} which is already open"
                 )
+            if not self._open:
+                self.database.mvcc.transaction_opened()
             self._open[record.txid] = []
         elif record.kind in (INSERT, UPDATE, DELETE):
-            mutations = _mutations_of(self._open, record)
-            _apply(self.database, record)
-            if mutations is not None:
-                mutations.append(record)
-            else:
-                self._publish()
+            autocommit = record.txid == AUTOCOMMIT_TXID
+            changes = [] if autocommit else self._changes(record)
+            changes.append(_redo(self.database, record))
             self.records_applied += 1
-        elif record.kind == COMMIT:
-            _close(self._open, record)
-            self._publish()
-            self.transactions_committed += 1
-        elif record.kind == ROLLBACK:
-            for mutation in reversed(_close(self._open, record)):
-                _undo(self.database, mutation)
-            self._publish()
-            self.transactions_rolled_back += 1
+        elif record.kind in (COMMIT, ROLLBACK):
+            changes = self._changes(record)
+            del self._open[record.txid]
+            if record.kind == COMMIT:
+                self.transactions_committed += 1
+            else:
+                _take_back(changes)
+                self.transactions_rolled_back += 1
+            if not self._open:
+                self.database.release_transaction_pin()
         # CHECKPOINT markers carry no state; they only advance the LSN.
         self.applied_lsn = record.lsn
         return True
 
     def discard_in_flight(self) -> tuple[int, ...]:
-        """Undo every open transaction (newest mutation first).
+        """Undo every open transaction (newest change first).
 
         Returns the discarded transaction ids — the *losers* at a crash
-        or failover: their mutations were durable but their commit never
+        or failover: their changes were durable but their commit never
         was, so recovered state must not contain them.
         """
         losers = tuple(sorted(self._open))
-        leftovers = [
-            record
-            for mutations in self._open.values()
-            for record in mutations
-        ]
-        leftovers.sort(key=lambda record: record.lsn)
-        for record in reversed(leftovers):
-            _undo(self.database, record)
+        _take_back(sorted(
+            (change for changes in self._open.values() for change in changes),
+            key=lambda change: change[0],
+        ))
         self._open.clear()
         if losers:
-            self._publish()
+            self.database.release_transaction_pin()
         return losers
 
-    def _publish(self) -> None:
-        """Rows changed for every reader: move the commit LSN."""
-        mvcc = self.database.mvcc
-        mvcc.commit_statement(mvcc.lsn + 1)
+    def _changes(self, record: WalRecord) -> list[Change]:
+        """The changes so far of ``record``'s open transaction."""
+        try:
+            return self._open[record.txid]
+        except KeyError:
+            raise RecoveryError(
+                f"LSN {record.lsn}: {record.kind} for transaction "
+                f"{record.txid} which has no BEGIN record"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -300,33 +306,6 @@ def recover_follower(
     )
 
 
-def _mutations_of(
-    open_transactions: dict[int, list[WalRecord]], record: WalRecord
-) -> list[WalRecord] | None:
-    """The open mutation list ``record`` belongs to (None = autocommit)."""
-    if record.txid == AUTOCOMMIT_TXID:
-        return None
-    try:
-        return open_transactions[record.txid]
-    except KeyError:
-        raise RecoveryError(
-            f"LSN {record.lsn}: {record.kind} for transaction "
-            f"{record.txid} which has no BEGIN record"
-        ) from None
-
-
-def _close(
-    open_transactions: dict[int, list[WalRecord]], record: WalRecord
-) -> list[WalRecord]:
-    try:
-        return open_transactions.pop(record.txid)
-    except KeyError:
-        raise RecoveryError(
-            f"LSN {record.lsn}: {record.kind} for transaction "
-            f"{record.txid} which has no BEGIN record"
-        ) from None
-
-
 def _table(database: Database, record: WalRecord) -> Table:
     try:
         return database.catalog.table(record.table)
@@ -337,9 +316,12 @@ def _table(database: Database, record: WalRecord) -> Table:
         ) from None
 
 
-def _stored(table: Table, record: WalRecord, image: tuple | None):
-    """The stored row a logged image stands for, at the record's address."""
-    assert record.rowid is not None and image is not None
+def _row(table: Table, record: WalRecord, image: tuple | None) -> Any:
+    """The stored row a logged image stands for, at the record's address
+    (None for no image)."""
+    if image is None:
+        return None
+    assert record.rowid is not None
     try:
         return table.schema.row_of_image(image, record.rowid)
     except (SchemaError, TypeMismatchError) as error:
@@ -349,66 +331,37 @@ def _stored(table: Table, record: WalRecord, image: tuple | None):
         ) from error
 
 
-def _apply(database: Database, record: WalRecord) -> None:
-    """Redo one mutation physically, verifying addresses and pre-images."""
+def _redo(database: Database, record: WalRecord) -> Change:
+    """Apply one logged change; an INSERT must take the next slot."""
     table = _table(database, record)
-    heap = table._heap  # noqa: SLF001 - physical replay, like snapshot.py
-    assert record.rowid is not None
-    if record.kind == INSERT:
-        after = _stored(table, record, record.after)
-        landed = heap.insert(after)
-        if landed != record.rowid:
-            raise RecoveryError(
-                f"LSN {record.lsn}: replayed insert landed at {landed}, "
-                f"log recorded {record.rowid} — slot allocation diverged"
-            )
-        table._index_row(after)  # noqa: SLF001
-        return
-    current = _fetch(heap, table, record)
-    if current[:-1] != record.before:
+    if record.kind == INSERT and record.rowid != table.next_rowids(1)[0]:
         raise RecoveryError(
-            f"LSN {record.lsn}: {record.kind} pre-image disagrees with "
-            f"recovered row at {record.rowid} in {record.table}"
+            f"LSN {record.lsn}: INSERT at {record.rowid}, but the next slot "
+            f"of {record.table} is {table.next_rowids(1)[0]} — slot "
+            f"allocation diverged"
         )
-    if record.kind == UPDATE:
-        after = _stored(table, record, record.after)
-        table._unindex_row(current)  # noqa: SLF001
-        heap.update(record.rowid, after)
-        table._index_row(after)  # noqa: SLF001
-    else:  # DELETE
-        heap.delete(record.rowid)
-        table._unindex_row(current)  # noqa: SLF001
+    change = (
+        record.lsn, table,
+        _row(table, record, record.before), _row(table, record, record.after),
+    )
+    _apply(change, "redo")
+    return change
 
 
-def _undo(database: Database, record: WalRecord) -> None:
-    """Reverse one already-applied mutation from its logged images."""
-    table = _table(database, record)
-    heap = table._heap  # noqa: SLF001
-    assert record.rowid is not None
+def _take_back(changes: list[Change]) -> None:
+    """Take replayed changes back, newest first."""
+    for lsn, table, before, after in reversed(changes):
+        _apply((lsn, table, after, before), "undo")
+
+
+def _apply(change: Change, verb: str) -> None:
+    """Run one change through its table's statement; a refusal means the
+    log and the recovered heap disagree."""
+    lsn, table, before, after = change
     try:
-        if record.kind == INSERT:
-            table._unindex_row(heap.delete(record.rowid))  # noqa: SLF001
-        elif record.kind == UPDATE:
-            before = _stored(table, record, record.before)
-            table._unindex_row(heap.fetch(record.rowid))  # noqa: SLF001
-            heap.update(record.rowid, before)
-            table._index_row(before)  # noqa: SLF001
-        else:  # DELETE
-            before = _stored(table, record, record.before)
-            heap.restore(record.rowid, before)
-            table._index_row(before)  # noqa: SLF001
-    except RowIdError as error:
+        table.change(before, after)
+    except (RowIdError, ConstraintError) as error:
         raise RecoveryError(
-            f"LSN {record.lsn}: cannot undo {record.kind} at "
-            f"{record.rowid} in {record.table}: {error}"
-        ) from error
-
-
-def _fetch(heap, table: Table, record: WalRecord):
-    try:
-        return heap.fetch(record.rowid)
-    except RowIdError as error:
-        raise RecoveryError(
-            f"LSN {record.lsn}: {record.kind} addresses {record.rowid} "
-            f"in {record.table} but the recovered heap has no such row"
+            f"LSN {lsn}: cannot {verb} the logged change to "
+            f"{table.schema.name}: {error}"
         ) from error

@@ -175,6 +175,7 @@ def load_database(text: str, name: str = "restored") -> Database:
             _restore_slot(table, RowId.decode(address_text), row_values)
         else:
             raise DatabaseError(f"snapshot line {line_no}: unknown verb {verb!r}")
+    database.vacuum_versions()  # no reader predates the load
     return database
 
 
@@ -182,14 +183,13 @@ def _restore_slot(
     table: Table, rowid: RowId, row: tuple[Any, ...] | None
 ) -> None:
     """Append a slot at exactly ``rowid`` (snapshots are in heap order)."""
-    heap = table._heap  # noqa: SLF001
-    stored = None if row is None else table.schema.row_of_image(row, rowid)
-    got = heap.insert(stored)
-    if got != rowid:
+    expected = table.next_rowids(1)[0]
+    if rowid != expected:
         raise DatabaseError(
-            f"snapshot slot order broken: expected {rowid}, got {got}"
+            f"snapshot slot order broken: expected {expected}, got {rowid}"
         )
-    if stored is None:
-        heap.delete(got)  # a tombstone keeps its address and nothing else
+    if row is None:
+        heap = table._heap  # noqa: SLF001 - a tombstone keeps its address and nothing else
+        heap.delete(heap.insert(None))
     else:
-        table._index_row(stored)  # noqa: SLF001
+        table.change(None, table.schema.row_of_image(row, rowid))

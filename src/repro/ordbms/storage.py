@@ -112,7 +112,7 @@ class HeapFile:
         return old
 
     def restore(self, rowid: RowId, row: tuple[Any, ...]) -> None:
-        """Un-tombstone ``rowid`` with ``row`` (transaction rollback only).
+        """Un-tombstone ``rowid`` with ``row`` (an undone delete).
 
         Restoring into the original slot keeps the ROWID stable, which is
         what lets undo records later in the log keep referring to it.
@@ -136,6 +136,20 @@ class HeapFile:
         block = self._block(rowid)
         self._check_live(block, rowid)
         return block[rowid.slot_no]
+
+    def holds(self, rowid: RowId) -> tuple[Any, ...] | None:
+        """The row at ``rowid``, or None when its slot is free: a
+        tombstone, or the slot the next insert lands in.  Any other
+        address raises :class:`~repro.errors.RowIdError`."""
+        if rowid == self.next_rowids(1)[0]:
+            return None
+        block = self._block(rowid)
+        if rowid.slot_no >= len(block):
+            raise RowIdError(
+                f"ROWID {rowid} is out of range for table {self.name}"
+            )
+        row = block[rowid.slot_no]
+        return None if row is _TOMBSTONE else row
 
     def exists(self, rowid: RowId) -> bool:
         """True when ``rowid`` addresses a live (non-deleted) row."""

@@ -12,7 +12,11 @@ A row has one shape (:attr:`TableSchema.row_type
 it, the heap stores it, history keeps it, and every read door — by
 address, by scan, by index, as of an LSN — hands back that very object.
 Rows are immutable and shared by every reader: a change is a new row
-through :meth:`Table.update`, never an edit of one in hand.
+through :meth:`Table.change`, never an edit of one in hand.  Every
+writer goes through that one statement — live inserts, updates and
+deletes, rollback, crash recovery, follower replay and the snapshot
+loader — so each change takes the seqlock, leaves its pre-image and
+moves the commit LSN.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ AUTO_VACUUM_INTERVAL = 256
 RUN_CHUNK, RUN_CHUNK_MAX = 8, 512
 
 _T = TypeVar("_T")
+
+#: What a change's caller does with it once it is checked, before it
+#: moves the slot: ``journal(table, before, after)`` (see :meth:`Table.change`).
+Journal = Callable[["Table", Any, Any], None]
 
 
 class Table:
@@ -269,77 +277,83 @@ class Table:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, values: Mapping[str, Any]) -> RowId:
-        """Type-check, constraint-check and store a row; returns its ROWID."""
-        row = self.schema.row(values, self._heap.next_rowids(1)[0])
-        self._check_unique(row, exclude=None)
+    def change(self, before: Any, after: Any, journal: Journal | None = None) -> None:
+        """Move one slot from ``before`` to ``after``: the one statement
+        that changes a stored row, and the only code that moves a heap
+        slot and its index entries.
+
+        ``before`` is the row the slot holds, None for a free slot (an
+        insert, or a delete undone); ``after`` is the row it will hold,
+        None for a delete.  Both carry the slot's address, and
+        ``change(after, before)`` takes the change back (rollback,
+        recovery's undo).  In order: the slot must hold ``before`` and
+        ``after`` must keep unique columns unique, else
+        :class:`~repro.errors.RowIdError` /
+        :class:`~repro.errors.ConstraintError` and nothing happened;
+        ``journal(table, before, after)`` runs, when given — the
+        write-ahead record, so an append the log refuses leaves the slot
+        as the log describes it; inside the seqlock the pre-image is
+        recorded and the heap slot and the indexes move together; last,
+        the commit LSN is published.
+        """
+        rowid = (before if after is None else after).rowid
+        held = self._heap.holds(rowid)
+        if held is not before and held != before:
+            raise RowIdError(
+                f"ROWID {rowid} in table {self.schema.name} does not hold "
+                f"the row the change replaces"
+            )
+        if after is not None:
+            self._check_unique(after, exclude=rowid)
+        if journal is not None:
+            journal(self, before, after)
         lsn = self._begin_statement()
         self._seq += 1
         try:
-            rowid = self._heap.insert(row)  # the address the row was built on
-            self._record(lsn, rowid, ABSENT)
-            self._index_row(row)
+            self._record(lsn, rowid, ABSENT if held is None else held)
+            if held is not None:
+                self._unindex_row(held)
+            if after is None:
+                self._heap.delete(rowid)
+            elif held is not None:
+                self._heap.update(rowid, after)
+            elif rowid == self._heap.next_rowids(1)[0]:
+                self._heap.insert(after)
+            else:
+                self._heap.restore(rowid, after)
+            if after is not None:
+                self._index_row(after)
         finally:
             self._seq += 1
             self._commit_statement(lsn)
-        return rowid
+
+    def insert(
+        self, values: Mapping[str, Any], journal: Journal | None = None
+    ) -> RowId:
+        """Type-check, constraint-check and store a row; returns its ROWID."""
+        row = self.schema.row(values, self._heap.next_rowids(1)[0])
+        self.change(None, row, journal)
+        return row.rowid
 
     def next_rowids(self, count: int) -> list[RowId]:
         """Where the next ``count`` inserts will land (heap look-ahead)."""
         return self._heap.next_rowids(count)
 
-    def update(self, rowid: RowId, changes: Mapping[str, Any]) -> None:
+    def update(
+        self,
+        rowid: RowId,
+        changes: Mapping[str, Any],
+        journal: Journal | None = None,
+    ) -> None:
         """Apply ``changes`` (column->value) to the row at ``rowid``."""
-        self.overwrite(
-            self.schema.row(changes, rowid, base=self._heap.fetch(rowid))
-        )
+        before = self._heap.fetch(rowid)
+        self.change(before, self.schema.row(changes, rowid, base=before), journal)
 
-    def overwrite(self, row: Any) -> None:
-        """Put ``row``, a stored row of this table, in its slot in place
-        of the one standing there: an update's second half, and — handed
-        the row the update replaced — its undo, unique check only."""
-        rowid = row.rowid
-        old_row = self._heap.fetch(rowid)
-        self._check_unique(row, exclude=rowid)
-        lsn = self._begin_statement()
-        self._seq += 1
-        try:
-            self._record(lsn, rowid, old_row)
-            self._unindex_row(old_row)
-            self._heap.update(rowid, row)
-            self._index_row(row)
-        finally:
-            self._seq += 1
-            self._commit_statement(lsn)
-
-    def delete(self, rowid: RowId) -> Any:
-        """Delete the row at ``rowid``; returns it, for :meth:`restore`."""
-        old_row = self._heap.fetch(rowid)
-        lsn = self._begin_statement()
-        self._seq += 1
-        try:
-            self._record(lsn, rowid, old_row)
-            self._heap.delete(rowid)
-            self._unindex_row(old_row)
-        finally:
-            self._seq += 1
-            self._commit_statement(lsn)
-        return old_row
-
-    def restore(self, row: Any) -> None:
-        """Undo a delete: put ``row``, as :meth:`delete` returned it, back
-        at its own address — unique check only."""
-        rowid = row.rowid
-        self._check_unique(row, exclude=rowid)
-        lsn = self._begin_statement()
-        self._seq += 1
-        try:
-            self._record(lsn, rowid, ABSENT)
-            self._heap.restore(rowid, row)
-            self._index_row(row)
-        finally:
-            self._seq += 1
-            self._commit_statement(lsn)
+    def delete(self, rowid: RowId, journal: Journal | None = None) -> Any:
+        """Delete the row at ``rowid``; returns it."""
+        before = self._heap.fetch(rowid)
+        self.change(before, None, journal)
+        return before
 
     # -- access ---------------------------------------------------------------
 

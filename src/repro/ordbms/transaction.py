@@ -1,31 +1,26 @@
-"""Transactions with an undo log.
+"""Transactions that roll back by taking their changes back.
 
 The NETMARK load path inserts a ``DOC`` row plus hundreds of ``XML`` node
 rows per document; the store wraps each document load in a transaction so a
 mid-load failure never leaves a half-decomposed document behind.
 
-The model is single-writer with logical undo: every mutation appends an
-undo record; rollback replays them in reverse.  This is all the paper's
-workload needs — NETMARK has no concurrent-writer story and neither do we.
+The model is single-writer with logical undo: every change a transaction
+makes is kept as ``(table, before, after)``, and rollback applies each one
+reversed — ``table.change(after, before)``, newest first — through the
+same statement that applied it.  This is all the paper's workload needs —
+NETMARK has no concurrent-writer story and neither do we.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.errors import TransactionError
+from repro.errors import ReproError, TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ordbms.database import Database
-
-
-@dataclass
-class _UndoRecord:
-    """One reversible action; ``undo`` restores the pre-action state."""
-
-    description: str
-    undo: Callable[[], None]
+    from repro.ordbms.table import Table
 
 
 @dataclass
@@ -35,7 +30,8 @@ class Transaction:
     database: "Database"
     #: Log-visible transaction id (0 is reserved for autocommit records).
     txid: int = 0
-    _undo_log: list[_UndoRecord] = field(default_factory=list)
+    #: The changes made so far, oldest first: ``(table, before, after)``.
+    changes: list[tuple["Table", Any, Any]] = field(default_factory=list)
     _state: str = "active"  # active | committed | rolled_back | failed
 
     @property
@@ -47,57 +43,70 @@ class Transaction:
         """True when rollback itself raised; see :meth:`rollback`."""
         return self._state == "failed"
 
-    def record_undo(self, description: str, undo: Callable[[], None]) -> None:
-        """Register a compensating action for a completed mutation."""
-        self._require_active()
-        self._undo_log.append(_UndoRecord(description, undo))
-
     def commit(self) -> None:
-        """Make all mutations permanent and close the transaction.
+        """Make all changes permanent and close the transaction.
 
         With a write-ahead log attached, the COMMIT record is appended
         and synced *before* the state flips — once this method returns,
-        the transaction survives any crash.
+        the transaction survives any crash.  A COMMIT record the log
+        refuses (its append raises an error; a death is no refusal) is a
+        rollback: the changes are taken back, a ROLLBACK is appended if
+        the log takes it, and the error surfaces.  A COMMIT that landed
+        but failed to sync is committed as far as the log can tell.
         """
         self._require_active()
         wal = self.database.wal
         if wal is not None:
-            wal.log_commit(self.txid)
-        self._undo_log.clear()
-        self._state = "committed"
-        self.database._transaction_closed(self)
+            landing = wal.next_lsn
+            try:
+                wal.log_commit(self.txid)
+            except (ReproError, OSError):
+                if wal.next_lsn == landing:
+                    self.rollback()
+                else:
+                    self._close("committed")
+                raise
+        self._close("committed")
 
     def rollback(self) -> None:
-        """Undo every mutation and close the transaction.
+        """Take every change back, newest first, and close the transaction.
 
-        If an undo callback itself raises, the transaction moves to the
+        If a change cannot be taken back, the transaction moves to the
         terminal ``failed`` state (never stranded ``active``) and the
-        original error surfaces wrapped in :class:`TransactionError`.
-        A failed transaction writes no ROLLBACK record, so an attached
-        write-ahead log still discards it cleanly on recovery.
+        error surfaces wrapped in :class:`TransactionError`.  A failed
+        transaction writes no ROLLBACK record, so an attached write-ahead
+        log still discards it cleanly on recovery.  The transaction
+        closes even when the log refuses its ROLLBACK record.
         """
         self._require_active()
-        self._unwind()
-        self._state = "rolled_back"
-        wal = self.database.wal
-        if wal is not None:
-            wal.log_rollback(self.txid)
-        self.database._transaction_closed(self)
+        try:
+            self._unwind()
+            self._state = "rolled_back"
+            wal = self.database.wal
+            if wal is not None:
+                wal.log_rollback(self.txid)
+        finally:
+            self.database._transaction_closed(self)
 
     def _unwind(self) -> None:
-        """Pop and run every undo record; fail terminally."""
-        while self._undo_log:
-            record = self._undo_log.pop()
+        """Apply every change reversed, newest first; fail terminally."""
+        while self.changes:
+            table, before, after = self.changes.pop()
             try:
-                record.undo()
+                table.change(after, before)
             except Exception as error:  # lint: allow-broad-except(any undo failure must fail the transaction, not escape it)
                 self._state = "failed"
-                self.database._transaction_closed(self)
+                row = before if after is None else after
                 raise TransactionError(
-                    f"rollback failed while undoing "
-                    f"{record.description!r}; transaction is now failed "
-                    f"and its in-memory effects may be partially applied"
+                    f"rollback failed while taking back a change to "
+                    f"{table.schema.name} at {row.rowid}; transaction is now "
+                    f"failed and its in-memory effects may be partially applied"
                 ) from error
+
+    def _close(self, state: str) -> None:
+        self.changes.clear()
+        self._state = state
+        self.database._transaction_closed(self)
 
     # -- context manager: commit on success, roll back on exception -------
 
@@ -116,8 +125,3 @@ class Transaction:
     def _require_active(self) -> None:
         if self._state != "active":
             raise TransactionError(f"transaction is {self._state}, not active")
-
-    @property
-    def pending_undo_count(self) -> int:
-        """Mutations that would be reverted by :meth:`rollback`."""
-        return len(self._undo_log)

@@ -383,38 +383,17 @@ class WriteAheadLog:
     def log_begin(self, txid: int) -> int:
         return self._append(WalRecord(self._take_lsn(), BEGIN, txid))
 
-    def log_insert(
-        self, txid: int, table: str, rowid: RowId, after: tuple[Any, ...]
-    ) -> int:
+    def log_change(self, txid: int, table: str, before: Any, after: Any) -> int:
+        """Log one row change (see :meth:`repro.ordbms.table.Table.change`):
+        INSERT when ``before`` is None, DELETE when ``after`` is, else
+        UPDATE.  The record carries the rows' columns as its images."""
+        kind = INSERT if before is None else DELETE if after is None else UPDATE
         return self._append(
             WalRecord(
-                self._take_lsn(), INSERT, txid, table=table, rowid=rowid,
-                after=after,
-            )
-        )
-
-    def log_update(
-        self,
-        txid: int,
-        table: str,
-        rowid: RowId,
-        before: tuple[Any, ...],
-        after: tuple[Any, ...],
-    ) -> int:
-        return self._append(
-            WalRecord(
-                self._take_lsn(), UPDATE, txid, table=table, rowid=rowid,
-                before=before, after=after,
-            )
-        )
-
-    def log_delete(
-        self, txid: int, table: str, rowid: RowId, before: tuple[Any, ...]
-    ) -> int:
-        return self._append(
-            WalRecord(
-                self._take_lsn(), DELETE, txid, table=table, rowid=rowid,
-                before=before,
+                self._take_lsn(), kind, txid, table=table,
+                rowid=(before if after is None else after).rowid,
+                before=None if before is None else before[:-1],
+                after=None if after is None else after[:-1],
             )
         )
 

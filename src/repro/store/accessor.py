@@ -100,9 +100,15 @@ class SectionPass:
         #: parent ROWID -> rows that came before it (an undone delete
         #: restores a document newest row first)
         self._early: dict[RowId, list[XmlRow]] = {}
+        self._last: RowId | None = None  # the ROWID fed last
 
     def __call__(self, row: XmlRow) -> None:
         above, kind, rowid = row.PARENTROWID, row.NODETYPE, row.rowid
+        if self._last is not None and rowid <= self._last:
+            # Behind the last row: an undone delete, so what is open
+            # describes later rows and its parent must arrive afresh.
+            self._open = {}
+        self._last = rowid
         if above is None:
             self._open = {None: [((), None, False)] * 2}
         state = self._open.get(above)

@@ -49,16 +49,6 @@ class TestPrivateMutation:
             == []
         )
 
-    def test_transaction_machinery_is_exempt(self, run_fixture):
-        assert (
-            run_fixture(
-                "private_mutation_violation.py",
-                "src/repro/ordbms/transaction.py",
-                "private-mutation",
-            )
-            == []
-        )
-
     def test_augmented_and_del_mutations_fire(self):
         source = "def f(table):\n    table._count += 1\n    del table._rows\n"
         violations = analyze_source(source, "src/repro/store/x.py")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import FollowerReplica, LogShipper, NetmarkCluster
+from repro.cluster.ship import ShipBatch
 from repro.errors import ClusterError, TypeMismatchError
 from repro.ordbms.wal import MemoryLogDevice, parse_log
 from repro.query.cache import QueryCache
@@ -139,26 +140,52 @@ class TestFollowerReplica:
         assert cached.cache.snapshot_counters()["hits"] >= 4 * len(queries)
 
     def test_rollback_and_loser_discard_move_the_lsn_too(self):
+        """A follower's read LSN holds while a shipped transaction is
+        open and moves once it resolves: by COMMIT, by ROLLBACK, or as a
+        loser discarded at promotion."""
         store, shipper, follower = self.build_pair()
+        mvcc = follower.database.mvcc
         with pytest.raises(TypeMismatchError):
             root = Element("doc")
             root.append(Text(0))  # no CLOB column takes it: rollback
             store.store_document(Document(root, name="lost.xml"))
-        before = follower.database.mvcc.lsn
+        before = mvcc.read_lsn()
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
         assert follower.replayer.transactions_rolled_back == 1
-        assert follower.database.mvcc.lsn == before + 1
+        assert mvcc.read_lsn() > before
         # A shipped transaction still open at promotion is a loser.
+        before = mvcc.read_lsn()
         transaction = store.database.begin()
         store.database.insert(
             "DOC", {"DOC_ID": 99, "FILE_NAME": "open.md", "FORMAT": "md"}
         )
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
-        assert follower.database.mvcc.lsn == before + 1  # not yet resolved
+        assert mvcc.read_lsn() == before  # not yet resolved
         assert follower.replayer.discard_in_flight() == (transaction.txid,)
-        assert follower.database.mvcc.lsn == before + 2
+        resolved = mvcc.read_lsn()
+        assert resolved > before
         assert follower.replayer.discard_in_flight() == ()  # nothing undone:
-        assert follower.database.mvcc.lsn == before + 2  # nothing published
+        assert mvcc.read_lsn() == resolved  # nothing moved
+
+    def test_a_reader_never_sees_half_a_shipped_transaction(self):
+        store, shipper, follower = self.build_pair()
+        store.store_text("# A\n\nalpha\n", "a.md")
+        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+        before = follower.store.documents()
+        stored = store.store_text("# B\n\nbeta\n\n## C\n\ngamma\n", "b.md")
+        records = shipper.batch_after(follower.acked_lsn).records
+        half = len(records) // 2
+        follower.apply_batch(ShipBatch(records[:half]))
+        assert follower.in_flight
+        assert follower.store.documents() == before
+        xml = follower.store.xml_table
+        lsn = follower.database.mvcc.read_lsn()
+        assert xml.snapshot_search("DOC_ID", stored.doc_id, lsn) == []
+        follower.apply_batch(ShipBatch(records[half:]))
+        assert [entry.file_name for entry in follower.store.documents()] == [
+            "a.md", "b.md",
+        ]
+        assert follower.dump() == store.dump()
 
 
 class TestClusterReplication:

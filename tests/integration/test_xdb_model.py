@@ -13,6 +13,11 @@ Its rules:
 * ``crash`` — the next generated write dies at its k-th WAL append
   (``crash`` or ``torn``) and the store reopens from the surviving bytes:
   it must answer like the model before the write or after it;
+* ``refuse`` — the log refuses the next generated write's k-th append
+  and the writer lives on: with no restart the store must answer like
+  the model before the write (a replace whose delete committed: after
+  it), ship to its follower, reopen from its device as it stands, and
+  take the write when it is retried;
 * ``fail_over`` — the writer dies between writes and its follower's
   device is recovered as the new writer, which seeds a new follower.
 
@@ -43,7 +48,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import FollowerReplica, LogShipper
-from repro.errors import CrashError
+from repro.errors import CrashError, SourceUnavailableError
 from repro.ordbms import MemoryLogDevice
 from repro.query import QueryCache, QueryEngine, parse_query
 from repro.resilience import FaultPlan
@@ -252,6 +257,34 @@ class XdbMachine(RuleBasedStateMachine):
         self.ship()
         self.ask_again()
 
+    @rule(data=st.data(), k=st.integers(1, 40))
+    def refuse(self, data, k):
+        names = sorted(self.model.documents)
+        if names and data.draw(st.booleans()):
+            self.refused(data.draw(st.sampled_from(names)), None, k)
+        else:
+            self.refused(data.draw(st.sampled_from(NAMES)), data.draw(documents), k)
+
+    def refused(self, name, text, k):
+        """Write with the log refusing the write's k-th WAL append; the
+        writer lives on.  Then retry the write."""
+        fault = self.plan.fail("wal", "append", kind="unavailable", after=k - 1)
+        prior = self.store.lookup_by_name(name)
+        try:
+            self.write(name, text)
+        except SourceUnavailableError:
+            pass
+        self.plan.rules.remove(fault)
+        if not fault.fired:
+            self.land(name, text)
+        elif prior is not None and self.store.lookup_by_name(name) is None:
+            self.model.delete(name)  # a replace whose delete committed
+        self.every_configuration_equals_the_model()
+        self.ship()
+        assert XmlStore.open(self.device).dump() == self.store.dump()
+        if fault.fired and (text is not None or name in self.model.documents):
+            self.commit(name, text)
+
     @rule()
     def fail_over(self):
         """The writer dies between writes; its follower takes over."""
@@ -301,16 +334,18 @@ XdbMachine.TestCase.settings = settings(
 TestXdbMachine = XdbMachine.TestCase
 
 
+@pytest.fixture
+def machine():
+    """A machine holding one document, checked again after the test."""
+    machine = XdbMachine()
+    machine.ingest_or_replace("d1.xml", NESTED)
+    yield machine
+    machine.every_configuration_equals_the_model()
+    machine.teardown()
+
+
 class TestDeathsTheGeneratorMustReach:
     """Three deaths pinned, each followed by the machine's own checks."""
-
-    @pytest.fixture
-    def machine(self):
-        machine = XdbMachine()
-        machine.ingest_or_replace("d1.xml", NESTED)
-        yield machine
-        machine.every_configuration_equals_the_model()
-        machine.teardown()
 
     def test_a_crash_inside_a_replaces_second_transaction(self, machine):
         store = machine.store
@@ -336,6 +371,30 @@ class TestDeathsTheGeneratorMustReach:
         machine.fail_over()
         assert machine.store.last_recovery.checkpoint_lsn > 0
         assert list(machine.model.documents) == ["d1.xml", "d2.xml"]
+
+
+class TestRefusalsTheGeneratorMustReach:
+    """A refused append at each kind of record a store writes, and one
+    inside a replace's second transaction, each followed by the
+    machine's own checks: no half-stored document, no wedged writer."""
+
+    SEVEN = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"  # 7 nodes
+
+    @pytest.mark.parametrize(
+        "k", [1, 2, 3, 5, 10], ids=["begin", "doc-row", "root", "child", "commit"]
+    )
+    def test_a_refused_store(self, machine, k):
+        machine.refused("d2.xml", self.SEVEN, k)
+        assert list(machine.model.documents) == ["d1.xml", "d2.xml"]  # the retry
+        assert not machine.store.database.in_transaction
+
+    def test_a_refusal_inside_a_replaces_second_transaction(self, machine):
+        store = machine.store
+        rows = store.xml_table.lookup("DOC_ID", store.lookup_by_name("d1.xml").doc_id)
+        # BEGIN, a delete per row and one for the catalog entry, COMMIT;
+        # then BEGIN, and the store's DOC insert is refused.
+        machine.refused("d1.xml", self.SEVEN, len(rows) + 5)
+        assert list(machine.model.documents) == ["d1.xml"]  # the retry
 
 
 ALPHA = "Alpha of the U.S. inner FY04/05 tail"

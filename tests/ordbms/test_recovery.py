@@ -17,7 +17,7 @@ from repro.ordbms import (
 )
 from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
-from repro.ordbms.wal import WalRecord, WriteAheadLog
+from repro.ordbms.wal import INSERT, UPDATE, WalRecord
 from repro.store import XmlStore
 
 
@@ -207,20 +207,22 @@ class TestTornTail:
         database = durable_database()
         rowid = database.insert("T", {"ID": 1, "V": "real"})
         device = database.wal.device
-        wal = WriteAheadLog(device, start_lsn=database.wal.next_lsn)
-        wal.log_update(
-            0, "T", rowid, before=(1, "imposter"), after=(1, "other")
-        )
+        device.append(WalRecord(
+            database.wal.next_lsn, UPDATE, table="T", rowid=rowid,
+            before=(1, "imposter"), after=(1, "other"),
+        ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
 
     def test_unknown_table_refused(self):
         device = MemoryLogDevice()
         database = durable_database(device)
-        wal = WriteAheadLog(device, start_lsn=database.wal.next_lsn)
         from repro.ordbms import RowId
 
-        wal.log_insert(0, "GHOST", RowId(0, 0, 0), (1,))
+        device.append(WalRecord(
+            database.wal.next_lsn, INSERT, table="GHOST", rowid=RowId(0, 0, 0),
+            after=(1,),
+        ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
 

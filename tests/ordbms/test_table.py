@@ -102,7 +102,7 @@ class TestIndexMaintenance:
     def test_restore_reindexes(self, table):
         table.create_index("NAME")
         rowid = table.insert({"ID": 1, "NAME": "alice"})
-        table.restore(table.delete(rowid))
+        table.change(None, table.delete(rowid))
         assert [row.ID for row in table.lookup("NAME", "alice")] == [1]
 
 
@@ -137,3 +137,33 @@ class TestAccess:
         for i in range(3):
             table.insert({"ID": i})
         assert len(table) == 3
+
+
+class TestTheOneDoor:
+    """``Table.change(before, after)``: the slot must hold ``before``, or
+    nothing moves; a change and its reverse leave the table as it was."""
+
+    def test_a_slot_not_holding_before_refuses_and_nothing_moves(self, table):
+        rowid = table.insert({"ID": 1, "NAME": "a"})
+        row, journal = table.fetch(rowid), []
+
+        def refused(before, after):
+            with pytest.raises(RowIdError):
+                table.change(before, after, lambda *change: journal.append(change))
+
+        refused(table.schema.row({"ID": 1, "NAME": "b"}, rowid), None)  # stale
+        refused(None, row)  # the slot is not free
+        table.delete(rowid)
+        refused(row, None)  # the slot is free now
+        refused(None, table.schema.row({"ID": 2}, table.next_rowids(2)[1]))  # no slot
+        assert journal == [] and len(table) == 0 and table.lookup("ID", 1) == []
+
+    def test_a_change_and_its_reverse(self, table):
+        table.create_index("NAME")
+        rowid = table.insert({"ID": 1, "NAME": "a"})
+        before = table.fetch(rowid)
+        after = table.schema.row({"ID": 1, "NAME": "b"}, rowid)
+        table.change(before, after)
+        assert table.lookup("NAME", "b") == [after]
+        table.change(after, before)
+        assert table.lookup("NAME", "a") == [before] and table.lookup("NAME", "b") == []

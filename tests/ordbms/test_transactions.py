@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.errors import TransactionError
-from repro.ordbms import Column, Database, INTEGER, TableSchema, VARCHAR
+from repro.errors import RowIdError, SourceUnavailableError, TransactionError
+from repro.ordbms import (
+    Column,
+    Database,
+    INTEGER,
+    MemoryLogDevice,
+    TableSchema,
+    VARCHAR,
+)
+from repro.resilience import FaultPlan
+from repro.store import XmlStore, check_store
 
 
 @pytest.fixture
@@ -103,31 +112,33 @@ class TestSavepoints:
     # floor list knows the surviving test by it.
     def test_pending_undo_count(self, database):
         transaction = database.begin()
-        assert transaction.pending_undo_count == 0
-        database.insert("T", {"ID": 1})
-        assert transaction.pending_undo_count == 1
+        assert transaction.changes == []
+        rowid = database.insert("T", {"ID": 1})
+        [(table, before, after)] = transaction.changes
+        assert table is database.table("T") and before is None
+        assert after is database.fetch("T", rowid)
 
 
 class TestFailedRollback:
-    """An undo callback that raises must fail the transaction terminally."""
+    """A change that cannot be taken back must fail the transaction
+    terminally: the row it put in a slot was deleted behind the
+    transaction's back, so the slot no longer holds it."""
 
-    def poison(self, transaction):
-        def explode():
-            raise RuntimeError("disk fell out")
-
-        transaction.record_undo("poisoned step", explode)
+    def poison(self, database, rowid):
+        database.table("T").delete(rowid)  # outside the transaction
 
     def test_failure_surfaces_wrapped_and_chained(self, database):
         transaction = database.begin()
-        self.poison(transaction)
+        rowid = database.insert("T", {"ID": 1})
+        self.poison(database, rowid)
         with pytest.raises(TransactionError) as info:
             transaction.rollback()
-        assert "poisoned step" in str(info.value)
-        assert isinstance(info.value.__cause__, RuntimeError)
+        assert f"change to T at {rowid}" in str(info.value)
+        assert isinstance(info.value.__cause__, RowIdError)
 
     def test_failed_state_is_terminal(self, database):
         transaction = database.begin()
-        self.poison(transaction)
+        self.poison(database, database.insert("T", {"ID": 1}))
         with pytest.raises(TransactionError):
             transaction.rollback()
         assert transaction.is_failed
@@ -138,7 +149,7 @@ class TestFailedRollback:
 
     def test_failure_counted_and_database_reusable(self, database):
         transaction = database.begin()
-        self.poison(transaction)
+        self.poison(database, database.insert("T", {"ID": 1}))
         with pytest.raises(TransactionError):
             transaction.rollback()
         assert database.stats.transactions_failed == 1
@@ -150,11 +161,32 @@ class TestFailedRollback:
 
     def test_undo_records_before_the_poison_still_ran(self, database):
         transaction = database.begin()
-        database.insert("T", {"ID": 1})  # will be undone (popped last)
-        self.poison(transaction)
-        undone = []
-        transaction.record_undo("tracer", lambda: undone.append(True))
+        database.insert("T", {"ID": 1})  # would be taken back last
+        poisoned = database.insert("T", {"ID": 2})
+        database.insert("T", {"ID": 3})  # taken back first
+        self.poison(database, poisoned)
         with pytest.raises(TransactionError):
             transaction.rollback()
-        assert undone == [True]  # newest-first: tracer ran, then the poison
-        assert len(database.table("T")) == 1  # insert's undo never reached
+        # Newest first: 3 went, then 2 failed, and 1 was never reached.
+        assert [row.ID for row in database.table("T").scan()] == [1]
+
+
+class TestARefusedCommit:
+    """A COMMIT the log refuses, the process living on, is a rollback."""
+
+    def test_the_writer_is_not_wedged(self):
+        plan, device = FaultPlan(), MemoryLogDevice()
+        store = XmlStore.open(plan.wrap_log_device(device))
+        plan.fail("wal", "append", kind="unavailable", after=9)
+        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"  # 7 nodes
+        with pytest.raises(SourceUnavailableError):
+            store.store_text(text, "a.xml")  # its 10th append is the COMMIT
+        database = store.database
+        assert not database.in_transaction
+        assert database.mvcc.read_lsn() == database.mvcc.lsn  # no pin left
+        assert database.stats.transactions_rolled_back == 1
+        assert store.documents() == []
+        assert check_store(database).ok
+        store.store_text("<doc><p>next</p></doc>", "b.xml")
+        assert [entry.file_name for entry in store.documents()] == ["b.xml"]
+        assert XmlStore.open(device).dump() == store.dump()

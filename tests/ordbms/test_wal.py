@@ -1,6 +1,7 @@
 """WAL record grammar, CRCs, torn-tail semantics and log devices."""
 
 import zlib
+from collections import namedtuple
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.ordbms.wal import (
 )
 
 ROWID = RowId(0, 0, 0)
+Row = namedtuple("Row", "ID V rowid")  # a stored row: columns, then its address
 
 
 def sample_records() -> list[WalRecord]:
@@ -154,13 +156,25 @@ class TestWriteAheadLog:
         device = MemoryLogDevice()
         wal = WriteAheadLog(device)
         wal.log_begin(1)
-        wal.log_insert(1, "T", ROWID, (1, "v"))
+        wal.log_change(1, "T", None, Row(1, "v", ROWID))
         wal.log_commit(1)
         records, torn = wal.records()
         assert torn is None
         assert [record.lsn for record in records] == [1, 2, 3]
         assert wal.next_lsn == 4
         assert wal.records_written == 3
+
+    def test_a_changes_kind_follows_its_missing_row(self):
+        wal = WriteAheadLog(MemoryLogDevice())
+        old, new = Row(1, "v", ROWID), Row(1, "w", ROWID)
+        for before, after in ((None, new), (old, new), (old, None)):
+            wal.log_change(0, "T", before, after)
+        records, _ = wal.records()
+        assert [(r.kind, r.rowid, r.before, r.after) for r in records] == [
+            (INSERT, ROWID, None, (1, "w")),
+            (UPDATE, ROWID, (1, "v"), (1, "w")),
+            (DELETE, ROWID, (1, "v"), None),
+        ]
 
     def test_start_lsn_below_one_rejected(self):
         with pytest.raises(WalError):

@@ -13,6 +13,7 @@ transaction whole or not at all), besides the pool's own LRU mechanics.
 import ast
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -370,39 +371,39 @@ class TestFactsNeverChange:
 
 
 class TestWhoMayEditARowInPlace:
-    """The invariant's owner: a stored row is replaced in its slot only
-    through ``Table.update`` / ``Database.update`` (``dict.update`` takes
-    at most one positional argument, these take two and three) and
-    ``Table.overwrite``, the slot swap under ``Table.update`` that the
-    ``Database.update`` undo calls directly with the row it took out —
-    re-counted when the undo stopped going back through ``Table.update``.
-    The only callers are the database's own transaction machinery and
-    ``fsck --repair`` — after which the facade clears the pool.  A second
-    caller must say how pooled lifts stay true, then join this list."""
+    """The invariant's owner: a slot changes only through ``Table.change``,
+    the one door every writer takes, and a stored row is replaced in
+    place only when its caller hands it both rows.  Those calls are
+    counted here: ``change`` (two or three arguments) and ``update``
+    (``Table.update`` / ``Database.update``; ``dict.update`` takes at most
+    one positional argument, these take two and three).  Every ``change``
+    outside ``Table`` takes a change back (rollback) or repeats a logged
+    one (redo and undo, the snapshot loader); the only in-place edit
+    asked for outside ``repro.ordbms`` is ``fsck --repair`` — after which
+    the facade clears the pool.  A new caller must say how pooled lifts
+    stay true, then join this list."""
 
     CALLERS = {
-        "ordbms/database.py": 2,  # Database.update; its undo (overwrite)
-        "store/fsck.py": 2,  # PARENTNODEID and SIBLINGID repair
-        # HeapFile.update, the physical layer under the two above:
-        "ordbms/table.py": 2,  # Table.update -> overwrite -> the heap
-        "ordbms/recovery.py": 2,  # redo / undo of a logged UPDATE
+        "ordbms/table.py": {"change": 3, "update": 1},  # its doors; the heap
+        "ordbms/database.py": {"update": 1},  # Database.update
+        "ordbms/transaction.py": {"change": 1},  # rollback: reversed
+        "ordbms/recovery.py": {"change": 1},  # redo and undo
+        "ordbms/snapshot.py": {"change": 1},  # a dumped row, loaded
+        "store/fsck.py": {"update": 2},  # PARENTNODEID and SIBLINGID repair
     }
 
     def test_update_callers_are_the_listed_ones(self):
         root = Path(repro.__file__).parent
         found = {}
         for path in sorted(root.rglob("*.py")):
-            calls = [
-                node
+            calls = Counter(
+                node.func.attr
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and (
-                    node.func.attr == "overwrite"
-                    or node.func.attr == "update"
-                    and len(node.args) + len(node.keywords) >= 2
-                )
-            ]
+                and node.func.attr in ("change", "update")
+                and len(node.args) + len(node.keywords) >= 2
+            )
             if calls:
-                found[path.relative_to(root).as_posix()] = len(calls)
+                found[path.relative_to(root).as_posix()] = dict(calls)
         assert found == self.CALLERS

@@ -33,11 +33,12 @@ from repro.ordbms import (
     RowId,
     Table,
     TableSchema,
-    WriteAheadLog,
+    WalRecord,
     dump_database,
     load_database,
     recover,
 )
+from repro.ordbms.wal import INSERT
 from repro.store import XmlStore
 from repro.store.fsck import check_store
 from repro.store.schema import XML_TABLE, XmlRow
@@ -162,7 +163,7 @@ class TestTheStoredObjectIsTheRow:
         table = database.table("EMP")
         stored = next(table.scan())
         assert table.delete(stored.rowid) is stored
-        table.restore(stored)
+        table.change(None, stored)
         assert table.fetch(stored.rowid) is stored
         assert table.lookup("NAME", "ride")[0] is stored
 
@@ -320,8 +321,10 @@ class TestWhatARowCannotCarry:
     def test_a_wal_image_of_the_wrong_width_is_refused_at_replay(self, image):
         database = _durable()
         device = database.wal.device
-        wal = WriteAheadLog(device, start_lsn=database.wal.next_lsn)
-        wal.log_insert(0, "EMP", RowId(0, 0, 2), image)
+        device.append(WalRecord(
+            database.wal.next_lsn, INSERT, table="EMP", rowid=RowId(0, 0, 2),
+            after=image,
+        ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
 

@@ -86,6 +86,19 @@ class TestThePassEqualsTheWalk:
             backwards(row)
         assert derived == facts_of(store)
 
+    def test_a_delete_undone_while_the_pass_holds_its_document_open(self, store):
+        """The pass's open state describes the document it took last: a
+        delete of that document undone, whole or in part, must not
+        inherit it."""
+        store.store_text(NESTED, "nested.xml")
+        rows = store.xml_table.lookup("DOC_ID", store.lookup_by_name("nested.xml").doc_id)
+        for undone in (rows, rows[:4]):
+            with pytest.raises(ZeroDivisionError), store.database.begin():
+                for row in undone:
+                    store.database.delete(XML_TABLE, row.rowid)
+                1 / 0  # the deletes are taken back, newest row first
+            assert check_store(store.database).ok
+
 
 class TestFsckOwnsTheFacts:
     @pytest.mark.parametrize("field", [0, 1, 2], ids=["section", "ancestor", "emphasis"])
