@@ -79,12 +79,14 @@ class StreamReplayer:
     (:meth:`~repro.ordbms.table.Table.change`), which verifies the slot
     and moves the commit LSN like a live write does.
 
-    Transactions stay *open* across :meth:`apply` calls until their
-    COMMIT / ROLLBACK record streams past; :meth:`discard_in_flight`
-    undoes whatever is still open (the loser-discard step, used at
-    end-of-log and at failover promotion).  While any is open the
-    database's transaction pin holds reads at the LSN before the first
-    BEGIN, so a follower's reader never sees half a shipped transaction.
+    A transaction stays *open* across :meth:`apply` calls until its
+    COMMIT / ROLLBACK streams past or a record outside it (a BEGIN, an
+    autocommit change, a CHECKPOINT) shows the single writer took it
+    back; :meth:`discard_in_flight` undoes whatever is still open (the
+    loser-discard step, used at end-of-log and at failover promotion).
+    While one is open the database's transaction pin holds reads at the
+    LSN before its BEGIN, so a follower's reader never sees half a
+    shipped transaction.
     """
 
     def __init__(self, database: Database, applied_lsn: int = 0) -> None:
@@ -106,14 +108,20 @@ class StreamReplayer:
             # Already folded into the checkpoint (or already shipped):
             # skipping is what makes replay and catch-up idempotent.
             return False
+        if record.txid not in self._open and (
+            record.kind == BEGIN or record.txid == AUTOCOMMIT_TXID
+        ):
+            # One writer, one transaction at a time: a record outside the
+            # open one means the writer took it back with no terminal
+            # record landing (both refused, or a restart).  So does replay.
+            self.transactions_rolled_back += len(self.discard_in_flight())
         if record.kind == BEGIN:
-            if record.txid in self._open:
+            if self._open:  # this very txid: any other was just discarded
                 raise RecoveryError(
                     f"LSN {record.lsn}: BEGIN for transaction "
                     f"{record.txid} which is already open"
                 )
-            if not self._open:
-                self.database.mvcc.transaction_opened()
+            self.database.mvcc.transaction_opened()
             self._open[record.txid] = []
         elif record.kind in (INSERT, UPDATE, DELETE):
             autocommit = record.txid == AUTOCOMMIT_TXID
@@ -128,8 +136,7 @@ class StreamReplayer:
             else:
                 _take_back(changes)
                 self.transactions_rolled_back += 1
-            if not self._open:
-                self.database.release_transaction_pin()
+            self.database.release_transaction_pin()
         # CHECKPOINT markers carry no state; they only advance the LSN.
         self.applied_lsn = record.lsn
         return True
@@ -141,13 +148,9 @@ class StreamReplayer:
         or failover: their changes were durable but their commit never
         was, so recovered state must not contain them.
         """
-        losers = tuple(sorted(self._open))
-        _take_back(sorted(
-            (change for changes in self._open.values() for change in changes),
-            key=lambda change: change[0],
-        ))
-        self._open.clear()
-        if losers:
+        losers = tuple(self._open)
+        if losers:  # one at most: a BEGIN discards the one before it
+            _take_back(self._open.popitem()[1])
             self.database.release_transaction_pin()
         return losers
 
@@ -180,17 +183,17 @@ class RecoveryResult:
     torn_tail: str | None
 
 
-def _open_device(
+def _replay_device(
     device: LogDevice, name: str
-) -> tuple[Database, int | None, list[WalRecord], str | None]:
-    """What a device durably holds, as both recoveries start from it.
+) -> tuple[StreamReplayer, int | None, list[WalRecord], str | None]:
+    """Replay what a device durably holds: both recoveries start so.
 
-    Returns ``(database, checkpoint_lsn, records, torn_tail)``: the
-    checkpoint's image (an empty database and ``None`` when the slot is
-    empty) and the log's well-formed records, still to be replayed.  A
-    torn tail is physically dropped — appends after damaged bytes would
-    read as mid-log corruption on the next open, and a follower must
-    ack from its last *durable* record, never past it.
+    Returns ``(replayer, checkpoint_lsn, records, torn_tail)``: the
+    log's well-formed records replayed over the checkpoint's image (an
+    empty database and ``None`` when the slot is empty).  A torn tail is
+    physically dropped — appends after damaged bytes would read as
+    mid-log corruption on the next open, and a follower must ack from
+    its last *durable* record, never past it.
     """
     checkpoint_text = device.load_checkpoint()
     if checkpoint_text is None:
@@ -204,11 +207,9 @@ def _open_device(
         for record in records:
             device.append(record.encode())
         device.sync()
-    return database, checkpoint_lsn, records, torn_tail
-
-
-def _count_run(replayer: StreamReplayer, torn_tail: str | None) -> None:
-    """One finished recovery pass, writer's or follower's."""
+    replayer = StreamReplayer(database, applied_lsn=checkpoint_lsn or 0)
+    for record in records:
+        replayer.apply(record)
     obs.inc("repro_ordbms_recovery_runs_total")
     obs.inc(
         "repro_ordbms_recovery_records_replayed_total",
@@ -216,6 +217,7 @@ def _count_run(replayer: StreamReplayer, torn_tail: str | None) -> None:
     )
     if torn_tail is not None:
         obs.inc("repro_ordbms_recovery_torn_tails_total")
+    return replayer, checkpoint_lsn, records, torn_tail
 
 
 def recover(device: LogDevice, name: str = "recovered") -> RecoveryResult:
@@ -230,18 +232,13 @@ def recover(device: LogDevice, name: str = "recovered") -> RecoveryResult:
     (never silently skipped) and :class:`~repro.errors.RecoveryError`
     when the log disagrees with the checkpoint it claims to extend.
     """
-    database, checkpoint_lsn, records, torn_tail = _open_device(device, name)
-    covered = checkpoint_lsn or 0
-    replayer = StreamReplayer(database, applied_lsn=covered)
-    for record in records:
-        replayer.apply(record)
-    # Whatever is still open died with the process: undo newest-first
-    # across all losers (single-writer means at most one in practice).
+    replayer, checkpoint_lsn, records, torn_tail = _replay_device(device, name)
+    database, covered = replayer.database, checkpoint_lsn or 0
+    # Whatever is still open died with the process: undo it newest-first.
     losers = replayer.discard_in_flight()
     last_lsn = max(covered, records[-1].lsn if records else 0)
     wal = WriteAheadLog(device, start_lsn=last_lsn + 1)
     database.attach_wal(wal, next_txid=highest_txid(records) + 1)
-    _count_run(replayer, torn_tail)
     obs.inc("repro_ordbms_recovery_losers_discarded_total", len(losers))
     if checkpoint_lsn is not None:
         obs.inc("repro_ordbms_recovery_checkpoint_loads_total")
@@ -292,16 +289,11 @@ def recover_follower(
     the caller (the cluster membership layer) quarantines the replica
     rather than replaying past corruption.
     """
-    database, checkpoint_lsn, records, torn_tail = _open_device(device, name)
-    covered = checkpoint_lsn or 0
-    replayer = StreamReplayer(database, applied_lsn=covered)
-    for record in records:
-        replayer.apply(record)
-    _count_run(replayer, torn_tail)
+    replayer, checkpoint_lsn, _, torn_tail = _replay_device(device, name)
     return FollowerRecovery(
-        database=database,
+        database=replayer.database,
         replayer=replayer,
-        checkpoint_lsn=covered,
+        checkpoint_lsn=checkpoint_lsn or 0,
         torn_tail=torn_tail,
     )
 

@@ -4,10 +4,11 @@ import pytest
 
 from repro.cluster import FollowerReplica, LogShipper, NetmarkCluster
 from repro.cluster.ship import ShipBatch
-from repro.errors import ClusterError, TypeMismatchError
+from repro.errors import ClusterError, SourceUnavailableError, TypeMismatchError
 from repro.ordbms.wal import MemoryLogDevice, parse_log
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
+from repro.resilience import FaultPlan
 from repro.sgml.config import DEFAULT_CONFIG
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.serializer import serialize
@@ -186,6 +187,36 @@ class TestFollowerReplica:
             "a.md", "b.md",
         ]
         assert follower.dump() == store.dump()
+
+    def test_a_transaction_the_log_never_resolves_is_taken_back(self):
+        """The log refuses a COMMIT and then its ROLLBACK: the writer has
+        taken the transaction back in memory, but the log holds its BEGIN
+        and changes with no terminal record.  The writer's next record
+        shows it abandoned; the follower takes it back there, and its
+        reads move on."""
+        plan, device = FaultPlan(), MemoryLogDevice()
+        store = XmlStore.open(plan.wrap_log_device(device), DEFAULT_CONFIG)
+        shipper = LogShipper(device)
+        follower = FollowerReplica.bootstrap(
+            "f1", MemoryLogDevice(), shipper.bundle()
+        )
+        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"  # 7 nodes
+        plan.fail("wal", "append", kind="unavailable", after=9, times=2)
+        with pytest.raises(SourceUnavailableError):
+            store.store_text(text, "a.xml")  # its 10th append is the COMMIT
+        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+        assert follower.in_flight  # what the log says, until the next record
+        assert follower.store.documents() == store.documents() == []
+        store.store_text("<doc><p>next</p></doc>", "b.xml")
+        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+        assert [entry.file_name for entry in follower.store.documents()] == [
+            "b.xml",
+        ]
+        assert follower.store.documents() == store.documents()
+        assert not follower.in_flight
+        assert all(table.version_count == 0 for table in follower.database.catalog)
+        assert follower.dump() == store.dump()
+        assert XmlStore.open(device).dump() == store.dump()
 
 
 class TestClusterReplication:

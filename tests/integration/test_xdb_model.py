@@ -14,7 +14,9 @@ Its rules:
   (``crash`` or ``torn``) and the store reopens from the surviving bytes:
   it must answer like the model before the write or after it;
 * ``refuse`` — the log refuses the next generated write's k-th append
-  and the writer lives on: with no restart the store must answer like
+  (sometimes the ROLLBACK after it too, leaving the transaction with no
+  terminal record) and the writer lives on: with no restart the store
+  must answer like
   the model before the write (a replace whose delete committed: after
   it), ship to its follower, reopen from its device as it stands, and
   take the write when it is retried;
@@ -162,7 +164,14 @@ class XdbMachine(RuleBasedStateMachine):
             self.follower.apply_batch(shipper.batch_after(self.follower.acked_lsn))
         else:  # a checkpoint has passed the follower
             self.follower.install_bundle(shipper.bundle())
-        assert self.follower.dump() == self.store.dump()
+        if self.follower.in_flight:
+            # A transaction the log holds with no COMMIT or ROLLBACK (both
+            # refused, or a restart's loser): the writer took it back, the
+            # follower holds it open, its reads pinned before it, until
+            # the writer's next record.
+            assert self.follower.store.documents() == self.store.documents()
+        else:
+            assert self.follower.dump() == self.store.dump()
 
     def write(self, name, text):
         """Replace (or first store) ``name`` with ``text``; delete it if None."""
@@ -248,27 +257,26 @@ class XdbMachine(RuleBasedStateMachine):
             self.land(name, text)
         documents = [document.file_name for document in self.store.documents()]
         assert documents == list(self.model.documents)
-        if self.store.last_recovery.losers_discarded:
-            # A restart leaves its losers' records in the log with no
-            # ROLLBACK (only NetmarkCluster's promotion journals them): a
-            # follower replaying them would hold them open, so it is sent
-            # a checkpoint cut past them instead.
-            self.store.checkpoint()
         self.ship()
         self.ask_again()
 
-    @rule(data=st.data(), k=st.integers(1, 40))
-    def refuse(self, data, k):
+    @rule(data=st.data(), k=st.integers(1, 40), times=st.integers(1, 2))
+    def refuse(self, data, k, times):
         names = sorted(self.model.documents)
         if names and data.draw(st.booleans()):
-            self.refused(data.draw(st.sampled_from(names)), None, k)
+            self.refused(data.draw(st.sampled_from(names)), None, k, times)
         else:
-            self.refused(data.draw(st.sampled_from(NAMES)), data.draw(documents), k)
+            self.refused(
+                data.draw(st.sampled_from(NAMES)), data.draw(documents), k, times
+            )
 
-    def refused(self, name, text, k):
-        """Write with the log refusing the write's k-th WAL append; the
-        writer lives on.  Then retry the write."""
-        fault = self.plan.fail("wal", "append", kind="unavailable", after=k - 1)
+    def refused(self, name, text, k, times=1):
+        """Write with the log refusing the write's k-th WAL append (and,
+        with ``times=2``, the next one: the ROLLBACK the refusal causes);
+        the writer lives on.  Then retry the write."""
+        fault = self.plan.fail(
+            "wal", "append", kind="unavailable", after=k - 1, times=times
+        )
         prior = self.store.lookup_by_name(name)
         try:
             self.write(name, text)
@@ -288,8 +296,9 @@ class XdbMachine(RuleBasedStateMachine):
     @rule()
     def fail_over(self):
         """The writer dies between writes; its follower takes over."""
+        abandoned = self.follower.in_flight  # see ship()
         self.serve(self.follower.device)
-        assert not self.store.last_recovery.losers_discarded
+        assert self.store.last_recovery.losers_discarded == abandoned
         self.follow()
 
     def ask_again(self):
@@ -355,6 +364,9 @@ class TestDeathsTheGeneratorMustReach:
         machine.die_during("d1.xml", "<doc><h1>Beta</h1></doc>", len(rows) + 5, "crash")
         assert machine.store.last_recovery.losers_discarded
         assert machine.model.documents == {}
+        assert machine.follower.in_flight  # the loser, until the next record
+        machine.ingest_or_replace("d2.xml", "<doc><h1>Gamma</h1></doc>")
+        assert not machine.follower.in_flight
 
     def test_a_torn_append(self, machine):
         machine.die_during("d2.xml", "<doc><h1>Beta</h1><p>alpha</p></doc>", 3, "torn")
@@ -395,6 +407,15 @@ class TestRefusalsTheGeneratorMustReach:
         # then BEGIN, and the store's DOC insert is refused.
         machine.refused("d1.xml", self.SEVEN, len(rows) + 5)
         assert list(machine.model.documents) == ["d1.xml"]  # the retry
+
+    @pytest.mark.parametrize("k", [5, 10], ids=["child", "commit"])
+    def test_a_refused_rollback_too(self, machine, k):
+        """No ROLLBACK lands either: the follower holds the transaction
+        open until the retry's BEGIN, then takes it back."""
+        machine.refused("d2.xml", self.SEVEN, k, times=2)
+        assert list(machine.model.documents) == ["d1.xml", "d2.xml"]  # the retry
+        assert not machine.follower.in_flight
+        machine.fail_over()
 
 
 ALPHA = "Alpha of the U.S. inner FY04/05 tail"

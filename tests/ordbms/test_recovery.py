@@ -5,7 +5,13 @@ import zlib
 
 import pytest
 
-from repro.errors import ReproError, RecoveryError, TransactionError, WalError
+from repro.errors import (
+    ReproError,
+    RecoveryError,
+    SourceUnavailableError,
+    TransactionError,
+    WalError,
+)
 from repro.ordbms import (
     Column,
     Database,
@@ -18,6 +24,7 @@ from repro.ordbms import (
 from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
 from repro.ordbms.wal import INSERT, UPDATE, WalRecord
+from repro.resilience import FaultPlan
 from repro.store import XmlStore
 
 
@@ -85,6 +92,27 @@ class TestBasicRecovery:
         transaction.rollback()
         recovered = crash_and_recover(database)
         assert len(recovered.table("T")) == 0
+
+    def test_a_transaction_left_open_mid_log_is_taken_back(self):
+        """The log refuses a COMMIT and its ROLLBACK; the writer took the
+        update back in memory and writes the row again.  Replay takes the
+        open transaction back at the writer's next record, so that
+        record's before-image matches."""
+        plan, device = FaultPlan(), MemoryLogDevice()
+        database = durable_database(plan.wrap_log_device(device))
+        rowid = database.insert("T", {"ID": 1, "V": "old"})
+        transaction = database.begin()
+        database.update("T", rowid, {"V": "lost"})
+        plan.fail("wal", "append", kind="unavailable", times=2)
+        with pytest.raises(SourceUnavailableError):
+            transaction.commit()
+        assert database.fetch("T", rowid).V == "old"
+        database.update("T", rowid, {"V": "new"})
+        result = recover(device)
+        assert result.database.fetch("T", rowid).V == "new"
+        assert result.transactions_rolled_back == 1
+        assert result.losers_discarded == ()
+        assert dump_database(result.database) == dump_database(database)
 
     def test_update_delete_replay(self):
         database = durable_database()
