@@ -14,15 +14,15 @@ for the I/O the paper's Oracle deployment saved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro import obs
-from repro.errors import TransactionError, WalError
+from repro.errors import ReproError, TransactionError, WalError
 from repro.ordbms.catalog import Catalog
 from repro.ordbms.mvcc import MvccState, Snapshot
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import TableSchema
-from repro.ordbms.table import Table
+from repro.ordbms.table import Pair, Table
 from repro.ordbms.transaction import Transaction
 from repro.ordbms.wal import AUTOCOMMIT_TXID, LogDevice, WriteAheadLog
 
@@ -200,39 +200,50 @@ class Database:
     # -- DML (transaction-aware) ------------------------------------------------
 
     def insert(self, table_name: str, values: Mapping[str, Any]) -> RowId:
-        rowid = self.table(table_name).insert(values, self._journal)
-        self.stats.rows_inserted += 1
-        self._sync_autocommit()
-        return rowid
+        return self.table(table_name).insert(values, self._journal)
 
     def update(
         self, table_name: str, rowid: RowId, changes: Mapping[str, Any]
     ) -> None:
         self.table(table_name).update(rowid, changes, self._journal)
-        self.stats.rows_updated += 1
-        self._sync_autocommit()
 
     def delete(self, table_name: str, rowid: RowId) -> None:
         self.table(table_name).delete(rowid, self._journal)
-        self.stats.rows_deleted += 1
-        self._sync_autocommit()
 
-    def _journal(self, table: Table, before: Any, after: Any) -> None:
-        """A checked change, about to move its slot: log it, then keep it
-        for rollback.  A log that refuses the record raises here, before
-        the slot moves, so nothing is left to undo."""
+    def change(self, table_name: str, pairs: Sequence[Pair]) -> None:
+        """Apply ``pairs`` (see :meth:`Table.change`) as one statement: a
+        document's rows, loaded or deleted, in one go."""
+        self.table(table_name).change(pairs, self._journal)
+
+    def _journal(
+        self, table: Table, pairs: Sequence[Pair]
+    ) -> tuple[int, BaseException | None]:
+        """Checked changes, about to move their slots: log them (outside
+        a transaction a statement commits, so it syncs too), keep them for
+        rollback and count them.  A log that refuses a record stops the
+        statement there: the prefix it took is what moves (and is kept),
+        and its error is the statement's."""
         current = self._current if self.in_transaction else None
+        taken, refusal = len(pairs), None
         if self.wal is not None:
             txid = AUTOCOMMIT_TXID if current is None else current.txid
-            self.wal.log_change(txid, table.schema.name, before, after)
+            landing = self.wal.next_lsn
+            try:
+                self.wal.log_changes(txid, table.schema.name, pairs)
+                if current is None:
+                    self.wal.device.sync()
+                    obs.inc("repro_ordbms_wal_syncs_total", reason="autocommit")
+            except (ReproError, OSError) as error:
+                taken, refusal = self.wal.next_lsn - landing, error
+        done, stats = pairs[:taken], self.stats
         if current is not None:
-            current.changes.append((table, before, after))
-
-    def _sync_autocommit(self) -> None:
-        """Outside a transaction every statement commits — and syncs."""
-        if self.wal is not None and not self.in_transaction:
-            self.wal.device.sync()
-            obs.inc("repro_ordbms_wal_syncs_total", reason="autocommit")
+            current.changes += [(table, before, after) for before, after in done]
+        inserted = sum(before is None for before, _ in done)
+        deleted = sum(after is None for _, after in done)
+        stats.rows_inserted += inserted
+        stats.rows_deleted += deleted
+        stats.rows_updated += len(done) - inserted - deleted
+        return taken, refusal
 
     def fetch(self, table_name: str, rowid: RowId) -> Any:
         """O(1) fetch by physical ROWID (counted in stats): the stored row."""

@@ -351,7 +351,7 @@ def _apply(change: Change, verb: str) -> None:
     log and the recovered heap disagree."""
     lsn, table, before, after = change
     try:
-        table.change(before, after)
+        table.change([(before, after)])
     except (RowIdError, ConstraintError) as error:
         raise RecoveryError(
             f"LSN {lsn}: cannot {verb} the logged change to "

@@ -26,6 +26,7 @@ with the write-ahead log so checkpoint and log records always agree.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Any
 
 from repro.errors import DatabaseError
@@ -33,7 +34,6 @@ from repro.ordbms import types as _types
 from repro.ordbms.database import Database
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import Column, ForeignKey, TableSchema
-from repro.ordbms.storage import _TOMBSTONE  # noqa: SLF001 - same package
 from repro.ordbms.table import Table
 from repro.ordbms.valuecodec import decode_value, encode_value
 
@@ -116,17 +116,12 @@ def dump_database(database: Database) -> str:
         lines.append(f"TABLE {table.schema.name}")
         lines.append("SCHEMA " + _encode_schema(table))
         heap = table._heap  # noqa: SLF001 - deliberate: physical layout
-        for file_no, blocks in enumerate(heap._files):
-            for block_no, block in enumerate(blocks):
-                for slot_no, row in enumerate(block):
-                    address = f"F{file_no}.B{block_no}.S{slot_no}"
-                    if row is _TOMBSTONE:
-                        lines.append(f"TOMB {address}")
-                    else:
-                        encoded = "\t".join(
-                            encode_value(value) for value in row[:-1]
-                        )
-                        lines.append(f"ROW {address} {encoded}")
+        for rowid, row in heap.scan_all():
+            if row is None:
+                lines.append(f"TOMB {rowid}")
+            else:
+                encoded = "\t".join(encode_value(value) for value in row[:-1])
+                lines.append(f"ROW {rowid} {encoded}")
     return "\n".join(lines) + "\n"
 
 
@@ -141,10 +136,13 @@ def load_database(text: str, name: str = "restored") -> Database:
     database = Database(name)
     table: Table | None = None
     pending_name: str | None = None
+    slots: list[tuple[RowId, tuple[Any, ...] | None]] = []  # not yet in
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         verb, _, rest = line.partition(" ")
+        if verb not in {"ROW", "TOMB"} and slots:
+            _load_slots(table, slots)
         if verb == "TABLE":
             pending_name = rest.strip()
             table = None
@@ -165,31 +163,38 @@ def load_database(text: str, name: str = "restored") -> Database:
             if table is None:
                 raise DatabaseError(f"snapshot line {line_no}: row before schema")
             if verb == "TOMB":
-                address_text = rest.strip()
-                row_values = None
+                slots.append((RowId.decode(rest.strip()), None))
             else:
                 address_text, _, payload = rest.partition(" ")
-                row_values = tuple(
+                slots.append((RowId.decode(address_text), tuple(
                     decode_value(part) for part in payload.split("\t")
-                ) if payload else ()
-            _restore_slot(table, RowId.decode(address_text), row_values)
+                ) if payload else ()))
         else:
             raise DatabaseError(f"snapshot line {line_no}: unknown verb {verb!r}")
+    if slots:
+        _load_slots(table, slots)
     database.vacuum_versions()  # no reader predates the load
     return database
 
 
-def _restore_slot(
-    table: Table, rowid: RowId, row: tuple[Any, ...] | None
+def _load_slots(
+    table: Table, slots: list[tuple[RowId, tuple[Any, ...] | None]]
 ) -> None:
-    """Append a slot at exactly ``rowid`` (snapshots are in heap order)."""
-    expected = table.next_rowids(1)[0]
-    if rowid != expected:
-        raise DatabaseError(
-            f"snapshot slot order broken: expected {expected}, got {rowid}"
-        )
-    if row is None:
-        heap = table._heap  # noqa: SLF001 - a tombstone keeps its address and nothing else
-        heap.delete(heap.insert(None))
-    else:
-        table.change(None, table.schema.row_of_image(row, rowid))
+    """Put a table's dumped slots at exactly their addresses, emptying
+    the list: each run of live rows as one statement, each tombstone
+    straight on the heap (it keeps its address and nothing else)."""
+    for (rowid, _), expected in zip(slots, table.next_rowids(len(slots))):
+        if rowid != expected:
+            raise DatabaseError(
+                f"snapshot slot order broken: expected {expected}, got {rowid}"
+            )
+    heap = table._heap  # noqa: SLF001 - tombstones go straight to the heap
+    for live, run in groupby(slots, key=lambda slot: slot[1] is not None):
+        if live:
+            table.change([
+                (None, table.schema.row_of_image(image, rowid)) for rowid, image in run
+            ])
+        else:
+            for _ in run:
+                heap.delete(heap.insert(None))
+    slots.clear()

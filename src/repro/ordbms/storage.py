@@ -98,30 +98,26 @@ class HeapFile:
 
     def update(self, rowid: RowId, row: tuple[Any, ...]) -> None:
         """Replace the row at ``rowid`` in place."""
-        block = self._block(rowid)
-        self._check_live(block, rowid)
-        block[rowid.slot_no] = row
+        self._live(rowid)[rowid.slot_no] = row
 
     def delete(self, rowid: RowId) -> tuple[Any, ...]:
         """Tombstone the row at ``rowid`` and return its former value."""
-        block = self._block(rowid)
-        self._check_live(block, rowid)
-        old = block[rowid.slot_no]
-        block[rowid.slot_no] = _TOMBSTONE
+        block = self._live(rowid)
+        old, block[rowid.slot_no] = block[rowid.slot_no], _TOMBSTONE
         self._live_rows -= 1
         return old
 
     def restore(self, rowid: RowId, row: tuple[Any, ...]) -> None:
-        """Un-tombstone ``rowid`` with ``row`` (an undone delete).
+        """Put ``row`` in the free slot at ``rowid``: the next insert's
+        (:meth:`insert`), or a tombstone (an undone delete).
 
         Restoring into the original slot keeps the ROWID stable, which is
         what lets undo records later in the log keep referring to it.
         """
+        if rowid == (self._ahead or self.next_rowids(1))[0]:
+            self.insert(row)
+            return
         block = self._block(rowid)
-        if rowid.slot_no >= len(block):
-            raise RowIdError(
-                f"ROWID {rowid} is out of range for table {self.name}"
-            )
         if block[rowid.slot_no] is not _TOMBSTONE:
             raise RowIdError(
                 f"ROWID {rowid} is not a deleted slot in table {self.name}"
@@ -133,33 +129,20 @@ class HeapFile:
 
     def fetch(self, rowid: RowId) -> tuple[Any, ...]:
         """Return the row at ``rowid``; O(1)."""
-        block = self._block(rowid)
-        self._check_live(block, rowid)
-        return block[rowid.slot_no]
+        return self._live(rowid)[rowid.slot_no]
 
     def holds(self, rowid: RowId) -> tuple[Any, ...] | None:
-        """The row at ``rowid``, or None when its slot is free: a
-        tombstone, or the slot the next insert lands in.  Any other
-        address raises :class:`~repro.errors.RowIdError`."""
-        if rowid == self.next_rowids(1)[0]:
-            return None
-        block = self._block(rowid)
-        if rowid.slot_no >= len(block):
-            raise RowIdError(
-                f"ROWID {rowid} is out of range for table {self.name}"
-            )
-        row = block[rowid.slot_no]
+        """The row at ``rowid``, or None for a tombstone; an address
+        with no slot raises :class:`~repro.errors.RowIdError`."""
+        row = self._block(rowid)[rowid.slot_no]
         return None if row is _TOMBSTONE else row
 
     def exists(self, rowid: RowId) -> bool:
         """True when ``rowid`` addresses a live (non-deleted) row."""
         try:
-            block = self._block(rowid)
+            return self.holds(rowid) is not None
         except RowIdError:
             return False
-        if rowid.slot_no >= len(block):
-            return False
-        return block[rowid.slot_no] is not _TOMBSTONE
 
     def scan(self) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
         """Yield ``(rowid, row)`` for every live row in physical order."""
@@ -212,21 +195,22 @@ class HeapFile:
     # -- internals ---------------------------------------------------------
 
     def _block(self, rowid: RowId) -> list[Any]:
+        """The block of ``rowid``'s slot; an address with no slot raises."""
         if not rowid.is_valid:
             raise RowIdError(f"invalid ROWID {rowid} for table {self.name}")
         try:
-            return self._files[rowid.file_no][rowid.block_no]
+            block = self._files[rowid.file_no][rowid.block_no]
         except IndexError:
-            raise RowIdError(
-                f"ROWID {rowid} is out of range for table {self.name}"
-            ) from None
-
-    def _check_live(self, block: list[Any], rowid: RowId) -> None:
+            block = []
         if rowid.slot_no >= len(block):
-            raise RowIdError(
-                f"ROWID {rowid} is out of range for table {self.name}"
-            )
+            raise RowIdError(f"ROWID {rowid} is out of range for table {self.name}")
+        return block
+
+    def _live(self, rowid: RowId) -> list[Any]:
+        """The block of ``rowid``'s slot, which must hold a row."""
+        block = self._block(rowid)
         if block[rowid.slot_no] is _TOMBSTONE:
             raise RowIdError(
                 f"ROWID {rowid} addresses a deleted row in table {self.name}"
             )
+        return block

@@ -14,16 +14,16 @@ address, by scan, by index, as of an LSN — hands back that very object.
 Rows are immutable and shared by every reader: a change is a new row
 through :meth:`Table.change`, never an edit of one in hand.  Every
 writer goes through that one statement — live inserts, updates and
-deletes, rollback, crash recovery, follower replay and the snapshot
-loader — so each change takes the seqlock, leaves its pre-image and
-moves the commit LSN.
+deletes, a document's rows as one batch, rollback, crash recovery,
+follower replay and the snapshot loader — so each batch takes the
+seqlock once, leaves a pre-image per row and moves the commit LSN once.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro import obs
 from repro.errors import CatalogError, ConstraintError, RowIdError
@@ -46,9 +46,12 @@ RUN_CHUNK, RUN_CHUNK_MAX = 8, 512
 
 _T = TypeVar("_T")
 
-#: What a change's caller does with it once it is checked, before it
-#: moves the slot: ``journal(table, before, after)`` (see :meth:`Table.change`).
-Journal = Callable[["Table", Any, Any], None]
+#: One slot's change: ``(before, after)``, the rows it holds and will hold.
+Pair = tuple[Any, Any]
+
+#: What a statement's caller does with its checked pairs before a slot
+#: moves: ``journal(table, pairs) -> (taken, refusal)`` (see :meth:`Table.change`).
+Journal = Callable[["Table", Sequence[Pair]], tuple[int, BaseException | None]]
 
 
 class Table:
@@ -78,17 +81,11 @@ class Table:
         #: makes a fresh one (:meth:`derive_facts`; None: none kept).
         self._pass = self._new_pass = None
         # Unique enforcement piggybacks on B+tree indexes over these columns.
-        self._unique_columns: list[str] = []
-        if schema.primary_key:
-            self._ensure_unique_index(schema.primary_key)
-        for column in schema.unique:
-            self._ensure_unique_index(column)
-
-    def _ensure_unique_index(self, column: str) -> None:
-        if column not in self._indexes:
+        self._unique_columns = list(
+            dict.fromkeys(filter(None, (schema.primary_key, *schema.unique)))
+        )
+        for column in self._unique_columns:
             self.create_index(column)
-        if column not in self._unique_columns:
-            self._unique_columns.append(column)
 
     # -- MVCC ----------------------------------------------------------------
 
@@ -101,21 +98,14 @@ class Table:
         self._mvcc = state
 
     def _begin_statement(self) -> int | None:
+        return None if self._mvcc is None else self._mvcc.begin_statement()
+
+    def _commit_statement(self, lsn: int | None, rows: int = 1) -> None:
+        """Publish ``lsn``; the vacuum cadence counts the rows it moved."""
         if self._mvcc is None:
-            return None
-        return self._mvcc.begin_statement()
-
-    def _record(self, lsn: int | None, rowid: RowId, image: Any) -> None:
-        """Record ``image`` as the pre-image superseded at ``lsn``."""
-        if lsn is None:
-            return
-        self._history.setdefault(rowid, []).append((lsn, image))
-
-    def _commit_statement(self, lsn: int | None) -> None:
-        if lsn is None or self._mvcc is None:
             return
         self._mvcc.commit_statement(lsn)
-        self._mutations_since_vacuum += 1
+        self._mutations_since_vacuum += rows
         if self._mutations_since_vacuum >= AUTO_VACUUM_INTERVAL:
             self.vacuum_versions()
 
@@ -182,14 +172,15 @@ class Table:
 
     def create_index(self, column: str) -> BTreeIndex:
         """Create (and backfill) a B+tree index over ``column``."""
+        return self._create(self._indexes, column, self._build_index, "index")
+
+    def _create(self, indexes: dict, column: str, build: Callable, what: str) -> Any:
         column = column.upper()
         self.schema.column(column)  # validates existence
-        if column in self._indexes:
-            raise CatalogError(
-                f"index on {self.schema.name}.{column} already exists"
-            )
-        self._indexes[column] = self._build_index(column)
-        return self._indexes[column]
+        if column in indexes:
+            raise CatalogError(f"{what} on {self.schema.name}.{column} already exists")
+        indexes[column] = build(column)
+        return indexes[column]
 
     def _build_index(self, column: str) -> BTreeIndex:
         index = BTreeIndex(f"{self.schema.name}_{column}_IDX")
@@ -205,14 +196,9 @@ class Table:
 
     def create_text_index(self, column: str) -> TextIndex:
         """Create (and backfill) an inverted text index over ``column``."""
-        column = column.upper()
-        self.schema.column(column)
-        if column in self._text_indexes:
-            raise CatalogError(
-                f"text index on {self.schema.name}.{column} already exists"
-            )
-        self._text_indexes[column] = self._build_text_index(column)
-        return self._text_indexes[column]
+        return self._create(
+            self._text_indexes, column, self._build_text_index, "text index"
+        )
 
     def _build_text_index(self, column: str) -> TextIndex:
         index = TextIndex(f"{self.schema.name}_{column}_TXT")
@@ -277,62 +263,101 @@ class Table:
 
     # -- mutation -----------------------------------------------------------
 
-    def change(self, before: Any, after: Any, journal: Journal | None = None) -> None:
-        """Move one slot from ``before`` to ``after``: the one statement
-        that changes a stored row, and the only code that moves a heap
-        slot and its index entries.
+    def change(self, pairs: Sequence[Pair], journal: Journal | None = None) -> None:
+        """Move each pair's slot from ``before`` (None: a free slot) to
+        ``after`` (None: a delete), in order, as one statement — the only
+        code that moves a heap slot and its index entries.
 
-        ``before`` is the row the slot holds, None for a free slot (an
-        insert, or a delete undone); ``after`` is the row it will hold,
-        None for a delete.  Both carry the slot's address, and
-        ``change(after, before)`` takes the change back (rollback,
-        recovery's undo).  In order: the slot must hold ``before`` and
-        ``after`` must keep unique columns unique, else
-        :class:`~repro.errors.RowIdError` /
-        :class:`~repro.errors.ConstraintError` and nothing happened;
-        ``journal(table, before, after)`` runs, when given — the
-        write-ahead record, so an append the log refuses leaves the slot
-        as the log describes it; inside the seqlock the pre-image is
-        recorded and the heap slot and the indexes move together; last,
-        the commit LSN is published.
+        Every slot must hold its ``before``, none may be named twice and
+        unique columns must stay unique, else :class:`~repro.errors.RowIdError`
+        / :class:`~repro.errors.ConstraintError` and nothing moved; then
+        ``journal(table, pairs)`` answers ``(taken, refusal)``, the prefix
+        the log took and the error that stopped it; under one seqlock
+        bracket and one LSN each slot taken leaves its pre-image and moves
+        with its indexes; the LSN is published, then a refusal raised.
         """
-        rowid = (before if after is None else after).rowid
-        held = self._heap.holds(rowid)
-        if held is not before and held != before:
-            raise RowIdError(
-                f"ROWID {rowid} in table {self.schema.name} does not hold "
-                f"the row the change replaces"
-            )
-        if after is not None:
-            self._check_unique(after, exclude=rowid)
+        held = self._check(pairs)
+        taken, refusal = len(pairs), None
         if journal is not None:
-            journal(self, before, after)
-        lsn = self._begin_statement()
-        self._seq += 1
-        try:
-            self._record(lsn, rowid, ABSENT if held is None else held)
-            if held is not None:
-                self._unindex_row(held)
-            if after is None:
-                self._heap.delete(rowid)
-            elif held is not None:
-                self._heap.update(rowid, after)
-            elif rowid == self._heap.next_rowids(1)[0]:
-                self._heap.insert(after)
-            else:
-                self._heap.restore(rowid, after)
-            if after is not None:
-                self._index_row(after)
-        finally:
+            taken, refusal = journal(self, pairs)
+        if taken:
+            heap, lsn = self._heap, self._begin_statement()
+            history = None if lsn is None else self._history
             self._seq += 1
-            self._commit_statement(lsn)
+            try:
+                for (before, after), row in islice(zip(pairs, held), taken):
+                    rowid = (before if after is None else after).rowid
+                    if history is not None:
+                        history.setdefault(rowid, []).append(
+                            (lsn, ABSENT if row is None else row)
+                        )
+                    if row is not None:
+                        self._post(row, add=False)
+                    if after is None:
+                        heap.delete(rowid)
+                        continue
+                    if row is None:
+                        heap.restore(rowid, after)
+                    else:
+                        heap.update(rowid, after)
+                    self._post(after, add=True)
+            finally:
+                self._seq += 1
+                self._commit_statement(lsn, taken)
+        if refusal is not None:
+            raise refusal
+
+    def _check(self, pairs: Sequence[Pair]) -> list[Any]:
+        """What each pair's slot holds, once the whole batch is checked
+        (see :meth:`change`); a pair naming the next free slot is an
+        insert, and the inserts of one batch take the tail in order."""
+        heap, name = self._heap, self.schema.name
+        slots = {(before if after is None else after).rowid for before, after in pairs}
+        if len(slots) < len(pairs):
+            raise RowIdError(f"a statement on table {name} names a slot twice")
+        tail = iter(heap.next_rowids(sum(before is None for before, _ in pairs)))
+        free, held = next(tail, None), []
+        for before, after in pairs:
+            rowid = (before if after is None else after).rowid
+            if before is None and rowid == free:
+                row, free = None, next(tail, None)
+            else:
+                try:
+                    row = heap.holds(rowid)
+                except RowIdError:  # no slot at all
+                    row = ABSENT
+                if row is not before and row != before:
+                    raise RowIdError(
+                        f"ROWID {rowid} in table {name} does not hold the row "
+                        f"the change replaces (free: a deleted slot, or the "
+                        f"reserved address {free} of the next insert)"
+                    )
+            held.append(row)
+        # A unique value an ``after`` brings is held by no other ``after``
+        # and by no row outside the batch's slots (theirs move away).
+        for column in self._unique_columns:
+            position, index = self.schema.position(column), self._indexes[column]
+            values: set[Any] = set()
+            for _, after in pairs:
+                value = None if after is None else after[position]
+                if value is None:
+                    continue
+                if value in values or any(
+                    rowid not in slots for rowid in index.search(value)
+                ):
+                    raise ConstraintError(
+                        f"duplicate value {value!r} for unique column "
+                        f"{name}.{column}"
+                    )
+                values.add(value)
+        return held
 
     def insert(
         self, values: Mapping[str, Any], journal: Journal | None = None
     ) -> RowId:
         """Type-check, constraint-check and store a row; returns its ROWID."""
         row = self.schema.row(values, self._heap.next_rowids(1)[0])
-        self.change(None, row, journal)
+        self.change([(None, row)], journal)
         return row.rowid
 
     def next_rowids(self, count: int) -> list[RowId]:
@@ -347,12 +372,12 @@ class Table:
     ) -> None:
         """Apply ``changes`` (column->value) to the row at ``rowid``."""
         before = self._heap.fetch(rowid)
-        self.change(before, self.schema.row(changes, rowid, base=before), journal)
+        self.change([(before, self.schema.row(changes, rowid, base=before))], journal)
 
     def delete(self, rowid: RowId, journal: Journal | None = None) -> Any:
         """Delete the row at ``rowid``; returns it."""
         before = self._heap.fetch(rowid)
-        self.change(before, None, journal)
+        self.change([(before, None)], journal)
         return before
 
     # -- access ---------------------------------------------------------------
@@ -647,45 +672,19 @@ class Table:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def block_count(self) -> int:
-        return self._heap.block_count
-
     # -- internals ----------------------------------------------------------
 
-    def _check_unique(self, row: Any, exclude: RowId | None) -> None:
-        for column in self._unique_columns:
-            position = self.schema.position(column)
-            value = row[position]
-            if value is None:
-                continue
-            existing = self._indexes[column].search(value)
-            if any(rowid != exclude for rowid in existing):
-                raise ConstraintError(
-                    f"duplicate value {value!r} for unique column "
-                    f"{self.schema.name}.{column}"
-                )
-
-    def _index_row(self, row: Any) -> None:
+    def _post(self, row: Any, add: bool) -> None:
+        """Add ``row``'s index entries and feed it to the streaming pass,
+        or (``add`` false) take the entries away."""
         rowid = row.rowid
         for column, index in self._indexes.items():
             value = row[self.schema.position(column)]
             if value is not None:
-                index.insert(value, rowid)
+                (index.insert if add else index.delete)(value, rowid)
         for column, text_index in self._text_indexes.items():
             value = row[self.schema.position(column)]
             if isinstance(value, str) and value:
-                text_index.add(rowid, value)
-        if self._pass is not None:
+                (text_index.add if add else text_index.remove)(rowid, value)
+        if add and self._pass is not None:
             self._pass(row)
-
-    def _unindex_row(self, row: Any) -> None:
-        rowid = row.rowid
-        for column, index in self._indexes.items():
-            value = row[self.schema.position(column)]
-            if value is not None:
-                index.delete(value, rowid)
-        for column, text_index in self._text_indexes.items():
-            value = row[self.schema.position(column)]
-            if isinstance(value, str) and value:
-                text_index.remove(rowid, value)

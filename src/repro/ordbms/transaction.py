@@ -6,9 +6,10 @@ mid-load failure never leaves a half-decomposed document behind.
 
 The model is single-writer with logical undo: every change a transaction
 makes is kept as ``(table, before, after)``, and rollback applies each one
-reversed — ``table.change(after, before)``, newest first — through the
-same statement that applied it.  This is all the paper's workload needs —
-NETMARK has no concurrent-writer story and neither do we.
+reversed — ``(after, before)``, newest first, a run of one table's
+changes as one batch — through the same statement that applied it.
+This is all the paper's workload needs — NETMARK has no
+concurrent-writer story and neither do we.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ReproError, TransactionError
+from repro.errors import ConstraintError, ReproError, RowIdError, TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ordbms.database import Database
@@ -89,14 +90,26 @@ class Transaction:
             self.database._transaction_closed(self)
 
     def _unwind(self) -> None:
-        """Apply every change reversed, newest first; fail terminally."""
+        """Apply every change reversed, newest first, a run of one table's
+        changes as one batch; fail terminally.  A batch the table refuses
+        (a slot it names twice, a change that cannot be taken back) moved
+        nothing: it is taken back a change at a time instead."""
         while self.changes:
-            table, before, after = self.changes.pop()
+            table, run = self.changes[-1][0], []
+            while self.changes and self.changes[-1][0] is table:
+                _, before, after = self.changes.pop()
+                run.append((after, before))
+            batch = run
             try:
-                table.change(after, before)
+                try:
+                    table.change(batch)
+                except (RowIdError, ConstraintError):  # it moved nothing
+                    for pair in run:
+                        batch = [pair]
+                        table.change(batch)
             except Exception as error:  # lint: allow-broad-except(any undo failure must fail the transaction, not escape it)
                 self._state = "failed"
-                row = before if after is None else after
+                row = next(row for row in batch[0] if row is not None)
                 raise TransactionError(
                     f"rollback failed while taking back a change to "
                     f"{table.schema.name} at {row.rowid}; transaction is now "

@@ -31,18 +31,20 @@ def escape(text: str) -> str:
     )
 
 
-def unescape(text: str) -> str:
-    """Invert :func:`escape` (unknown escapes pass the char through)."""
+#: What an escaped character stands for: in a value's text, in a packed row.
+_TEXT_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ROW_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "s": " "}
+
+
+def unescape(text: str, escapes: dict[str, str] = _TEXT_ESCAPES) -> str:
+    """Invert :func:`escape` — or, given ``escapes``, another layer's
+    escaping (unknown escapes pass the char through)."""
     out: list[str] = []
     index = 0
     while index < len(text):
         char = text[index]
         if char == "\\" and index + 1 < len(text):
-            out.append(
-                {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(
-                    text[index + 1], text[index + 1]
-                )
-            )
+            out.append(escapes.get(text[index + 1], text[index + 1]))
             index += 2
         else:
             out.append(char)
@@ -110,19 +112,5 @@ def unpack_row(token: str) -> tuple[Any, ...]:
     """Invert :func:`pack_row`."""
     if token == _EMPTY_ROW:
         return ()
-    out: list[str] = []
-    index = 0
-    while index < len(token):
-        char = token[index]
-        if char == "\\" and index + 1 < len(token):
-            out.append(
-                {"\\": "\\", "t": "\t", "n": "\n", "s": " "}.get(
-                    token[index + 1], token[index + 1]
-                )
-            )
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    joined = "".join(out)
+    joined = unescape(token, _ROW_ESCAPES)
     return tuple(decode_value(part) for part in joined.split("\t"))

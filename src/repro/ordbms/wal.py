@@ -78,22 +78,34 @@ class WalRecord:
 
     def encode(self) -> str:
         """Serialise to one log line (body, ``|``, CRC, newline)."""
-        fields = [str(self.lsn), self.kind]
-        if self.kind in (BEGIN, COMMIT, ROLLBACK):
-            fields.append(str(self.txid))
-        elif self.kind in (INSERT, UPDATE, DELETE):
+        if self.kind in (INSERT, UPDATE, DELETE):
             assert self.rowid is not None
-            fields += [str(self.txid), self.table, self.rowid.encode()]
-            if self.kind in (UPDATE, DELETE):
-                assert self.before is not None
-                fields.append(pack_row(self.before))
-            if self.kind in (INSERT, UPDATE):
-                assert self.after is not None
-                fields.append(pack_row(self.after))
-        elif self.kind != CHECKPOINT:
+            return _encode_change(
+                self.lsn, self.kind, self.txid, self.table, self.rowid,
+                self.before, self.after,
+            )
+        if self.kind not in (BEGIN, COMMIT, ROLLBACK, CHECKPOINT):
             raise WalError(f"unknown WAL record kind {self.kind!r}")
-        body = " ".join(fields)
-        return f"{body}|{_crc(body)}\n"
+        body = f"{self.lsn} {self.kind}"
+        return _line(body if self.kind == CHECKPOINT else f"{body} {self.txid}")
+
+
+def _encode_change(
+    lsn: int, kind: str, txid: int, table: str, rowid: RowId,
+    before: tuple[Any, ...] | None, after: tuple[Any, ...] | None,
+) -> str:
+    """The one encoder of a change record, its images the rows' columns:
+    a pre-image unless an INSERT, a post-image unless a DELETE."""
+    body = f"{lsn} {kind} {txid} {table} {rowid.encode()}"
+    if before is not None:
+        body += " " + pack_row(before)
+    if after is not None:
+        body += " " + pack_row(after)
+    return _line(body)
+
+
+def _line(body: str) -> str:
+    return f"{body}|{_crc(body)}\n"
 
 
 def _parse_body(body: str) -> WalRecord:
@@ -109,24 +121,13 @@ def _parse_body(body: str) -> WalRecord:
         if kind in (BEGIN, COMMIT, ROLLBACK):
             _expect(len(fields) == 3, body)
             return WalRecord(lsn, kind, txid)
-        if kind == INSERT:
-            _expect(len(fields) == 6, body)
+        if kind in (INSERT, UPDATE, DELETE):
+            _expect(len(fields) == (7 if kind == UPDATE else 6), body)
+            images = [unpack_row(field) for field in fields[5:]]
             return WalRecord(
-                lsn, kind, txid, table=fields[3],
-                rowid=RowId.decode(fields[4]), after=unpack_row(fields[5]),
-            )
-        if kind == DELETE:
-            _expect(len(fields) == 6, body)
-            return WalRecord(
-                lsn, kind, txid, table=fields[3],
-                rowid=RowId.decode(fields[4]), before=unpack_row(fields[5]),
-            )
-        if kind == UPDATE:
-            _expect(len(fields) == 7, body)
-            return WalRecord(
-                lsn, kind, txid, table=fields[3],
-                rowid=RowId.decode(fields[4]),
-                before=unpack_row(fields[5]), after=unpack_row(fields[6]),
+                lsn, kind, txid, table=fields[3], rowid=RowId.decode(fields[4]),
+                before=None if kind == INSERT else images[0],
+                after=None if kind == DELETE else images[-1],
             )
     except (ValueError, IndexError, DatabaseError) as error:  # a bad field or value
         raise WalError(f"malformed WAL record body {body!r}") from error
@@ -157,51 +158,40 @@ def parse_log(text: str) -> tuple[list[WalRecord], str | None]:
     records: list[WalRecord] = []
     previous_lsn = 0
     for index, line in enumerate(lines):
-        reason = None
-        record = None
         if not complete and index == len(lines) - 1:
-            reason = "record has no trailing newline (interrupted append)"
+            record = "record has no trailing newline (interrupted append)"
         else:
-            body, sep, crc = line.rpartition("|")
-            if not sep:
-                reason = "record has no CRC field"
-            elif _crc(body) != crc:
-                reason = "record failed its CRC check"
-            else:
-                try:
-                    record = _parse_body(body)
-                except WalError as error:
-                    reason = str(error)
-        if record is not None and record.lsn <= previous_lsn:
-            reason = (
-                f"LSN {record.lsn} does not advance past {previous_lsn}"
-            )
-            record = None
-        if record is None:
-            if _any_valid_after(lines, index + 1, previous_lsn):
+            record = _read_line(line)
+        if isinstance(record, WalRecord) and record.lsn <= previous_lsn:
+            record = f"LSN {record.lsn} does not advance past {previous_lsn}"
+        if isinstance(record, str):
+            # Any well-formed record after a bad line proves mid-log damage.
+            if any(
+                isinstance(later := _read_line(after), WalRecord)
+                and later.lsn > previous_lsn
+                for after in lines[index + 1:]
+            ):
                 raise CorruptLogError(
                     f"WAL record {index + 1} is damaged mid-log "
-                    f"({reason}); refusing to replay past corruption"
+                    f"({record}); refusing to replay past corruption"
                 )
-            return records, f"record {index + 1}: {reason}"
+            return records, f"record {index + 1}: {record}"
         records.append(record)
         previous_lsn = record.lsn
     return records, None
 
 
-def _any_valid_after(lines: list[str], start: int, min_lsn: int) -> bool:
-    """Is any later line a well-formed record (proving mid-log damage)?"""
-    for line in lines[start:]:
-        body, sep, crc = line.rpartition("|")
-        if not sep or _crc(body) != crc:
-            continue
-        try:
-            record = _parse_body(body)
-        except WalError:
-            continue
-        if record.lsn > min_lsn:
-            return True
-    return False
+def _read_line(line: str) -> WalRecord | str:
+    """The record on one log line, or why the line holds none."""
+    body, sep, crc = line.rpartition("|")
+    if not sep:
+        return "record has no CRC field"
+    if _crc(body) != crc:
+        return "record failed its CRC check"
+    try:
+        return _parse_body(body)
+    except WalError as error:
+        return str(error)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +333,10 @@ class FileLogDevice(LogDevice):
 class WriteAheadLog:
     """Append-side facade the :class:`~repro.ordbms.database.Database` calls.
 
-    Owns the LSN allocator.  Each ``log_*`` method appends exactly one
-    record; :meth:`log_commit` also syncs the device, so a transaction
-    is durable the instant ``commit()`` returns.
+    Owns the LSN allocator.  Each ``log_*`` method appends one record
+    (:meth:`log_changes` one per change); :meth:`log_commit` also syncs
+    the device, so a transaction is durable the instant ``commit()``
+    returns.
     """
 
     def __init__(self, device: LogDevice, start_lsn: int = 1) -> None:
@@ -368,43 +359,55 @@ class WriteAheadLog:
         """
         return self._next_lsn - 1
 
-    def _append(self, record: WalRecord) -> int:
-        self.device.append(record.encode())
+    def _append(self, kind: str, txid: int = AUTOCOMMIT_TXID) -> int:
+        lsn = self._next_lsn
+        self.device.append(WalRecord(lsn, kind, txid).encode())
         self.records_written += 1
-        self._next_lsn = record.lsn + 1
-        obs.inc("repro_ordbms_wal_appends_total", kind=record.kind.lower())
-        return record.lsn
-
-    def _take_lsn(self) -> int:
-        return self._next_lsn
+        self._next_lsn = lsn + 1
+        obs.inc("repro_ordbms_wal_appends_total", kind=kind.lower())
+        return lsn
 
     # -- record writers ------------------------------------------------------
 
     def log_begin(self, txid: int) -> int:
-        return self._append(WalRecord(self._take_lsn(), BEGIN, txid))
+        return self._append(BEGIN, txid)
 
-    def log_change(self, txid: int, table: str, before: Any, after: Any) -> int:
-        """Log one row change (see :meth:`repro.ordbms.table.Table.change`):
+    def log_change(self, txid: int, table: str, before: Any, after: Any) -> None:
+        """Log one row change; see :meth:`log_changes`."""
+        self.log_changes(txid, table, [(before, after)])
+
+    def log_changes(
+        self, txid: int, table: str, pairs: Iterable[tuple[Any, Any]]
+    ) -> None:
+        """Log a statement's row changes, one record and one append each:
         INSERT when ``before`` is None, DELETE when ``after`` is, else
-        UPDATE.  The record carries the rows' columns as its images."""
-        kind = INSERT if before is None else DELETE if after is None else UPDATE
-        return self._append(
-            WalRecord(
-                self._take_lsn(), kind, txid, table=table,
-                rowid=(before if after is None else after).rowid,
-                before=None if before is None else before[:-1],
-                after=None if after is None else after[:-1],
-            )
-        )
+        UPDATE.  An append that raises stops there (``next_lsn`` says how
+        far it got)."""
+        kinds: dict[str, int] = {}
+        try:
+            for before, after in pairs:
+                kind = INSERT if before is None else DELETE if after is None else UPDATE
+                self.device.append(_encode_change(
+                    self._next_lsn, kind, txid, table,
+                    (before if after is None else after).rowid,
+                    None if before is None else before[:-1],
+                    None if after is None else after[:-1],
+                ))
+                self._next_lsn += 1
+                kinds[kind] = kinds.get(kind, 0) + 1
+        finally:
+            for kind, count in kinds.items():
+                self.records_written += count
+                obs.inc("repro_ordbms_wal_appends_total", count, kind=kind.lower())
 
     def log_commit(self, txid: int) -> int:
-        lsn = self._append(WalRecord(self._take_lsn(), COMMIT, txid))
+        lsn = self._append(COMMIT, txid)
         self.device.sync()
         obs.inc("repro_ordbms_wal_syncs_total", reason="commit")
         return lsn
 
     def log_rollback(self, txid: int) -> int:
-        return self._append(WalRecord(self._take_lsn(), ROLLBACK, txid))
+        return self._append(ROLLBACK, txid)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -417,12 +420,10 @@ class WriteAheadLog:
         record.  A crash between the save and the truncation is safe:
         recovery skips log records at or below the checkpoint LSN.
         """
-        covered_lsn = self._next_lsn - 1
-        self.device.save_checkpoint(
-            encode_checkpoint(covered_lsn, snapshot_text)
-        )
+        covered_lsn = self.last_lsn
+        self.device.save_checkpoint(encode_checkpoint(covered_lsn, snapshot_text))
         self.device.truncate_log()
-        self._append(WalRecord(self._take_lsn(), CHECKPOINT))
+        self._append(CHECKPOINT)
         self.device.sync()
         obs.inc("repro_ordbms_wal_syncs_total", reason="checkpoint")
         obs.inc("repro_ordbms_wal_checkpoints_total")

@@ -4,16 +4,17 @@
 into its constituent nodes and dynamically inserts them into two primary
 database tables — namely, XML and DOC."
 
-The decomposer flattens the DOM in document order and emits one finished
+The decomposer flattens the DOM in document order and builds one finished
 row per node.  The whole tree is in memory before the first insert and
 the heap is append-only, so the addresses the rows will land at are
 known up front (:meth:`repro.ordbms.table.Table.next_rowids`): every row
 is written once, already carrying its parent's ROWID (``PARENTROWID``)
 **and** its next sibling's (``SIBLINGID``), and is never touched again.
-The heap still mints each address; an insert that lands anywhere but
-its reserved address fails the load, which rolls the document back.
-The result is the traversal structure the paper exploits: O(1) hops up
-and across.
+The rows go in as one statement (:meth:`repro.ordbms.Database.change`),
+which refuses a row whose address is not the next one the heap hands
+out — nothing moves, and the document's transaction rolls back.  The
+result is the traversal structure the paper exploits: O(1) hops up and
+across.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import datetime as _dt
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import RowIdError
 from repro.ordbms import Database, RowId
 from repro.sgml.config import NodeTypeConfig
 from repro.sgml.dom import Document, Element, Node
@@ -76,13 +76,14 @@ class Decomposer:
                     "METADATA": encode_metadata(document.metadata),
                 },
             )
-            rowids = database.table(XML_TABLE).next_rowids(len(flat))
+            xml = database.table(XML_TABLE)
+            rowids = xml.next_rowids(len(flat))
             first_id = self._next_node_id
             self._next_node_id += len(flat)
+            pairs = []
             for position, (node, parent, ordinal, sibling) in enumerate(flat):
                 is_element = isinstance(node, Element)
-                landed = database.insert(
-                    XML_TABLE,
+                pairs.append((None, xml.schema.row(
                     {
                         "NODEID": first_id + position,
                         "DOC_ID": doc_id,
@@ -95,12 +96,9 @@ class Decomposer:
                         "ORDINAL": ordinal,
                         "ATTRS": encode_attributes(node.attributes) if is_element else None,
                     },
-                )
-                if landed != rowids[position]:
-                    raise RowIdError(
-                        f"node {first_id + position} landed at {landed}, not "
-                        f"at its reserved address {rowids[position]}"
-                    )
+                    rowids[position],
+                )))
+            database.change(XML_TABLE, pairs)
         return DecomposeResult(doc_id=doc_id, root_rowid=rowids[0], node_count=len(flat))
 
 

@@ -210,8 +210,7 @@ class XmlStore:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
         node_rows = self._xml_table.lookup("DOC_ID", doc_id)
         with self.database.begin():
-            for node_row in node_rows:
-                self.database.delete(XML_TABLE, node_row.rowid)
+            self.database.change(XML_TABLE, [(row, None) for row in node_rows])
             self.database.delete(DOC_TABLE, doc_rows[0].rowid)
         return len(node_rows)
 

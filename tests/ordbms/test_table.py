@@ -2,15 +2,25 @@
 
 import pytest
 
-from repro.errors import CatalogError, ConstraintError, RowIdError
+from repro.errors import (
+    CatalogError,
+    ConstraintError,
+    RowIdError,
+    SourceUnavailableError,
+)
 from repro.ordbms import (
     CLOB,
     INTEGER,
     VARCHAR,
     Column,
+    Database,
+    MemoryLogDevice,
     Table,
     TableSchema,
 )
+from repro.resilience import FaultPlan
+from repro.store import XML_TABLE, XmlStore, check_store
+from repro.workloads import CorpusSpec, generate_corpus
 
 
 @pytest.fixture
@@ -102,7 +112,7 @@ class TestIndexMaintenance:
     def test_restore_reindexes(self, table):
         table.create_index("NAME")
         rowid = table.insert({"ID": 1, "NAME": "alice"})
-        table.change(None, table.delete(rowid))
+        table.change([(None, table.delete(rowid))])
         assert [row.ID for row in table.lookup("NAME", "alice")] == [1]
 
 
@@ -139,9 +149,28 @@ class TestAccess:
         assert len(table) == 3
 
 
+def xml_rows(store, node_ids):
+    """Node rows for the next free XML slots, one per NODEID, each a copy
+    of a stored row's columns (tests only build rows; nothing edits one)."""
+    xml = store.xml_table
+    template = dict(zip((c.name for c in xml.schema.columns), next(xml.scan())))
+    return [
+        xml.schema.row({**template, "NODEID": node_id}, rowid)
+        for node_id, rowid in zip(node_ids, xml.next_rowids(len(node_ids)))
+    ]
+
+
+def load(store, corpus):
+    for file in corpus:
+        store.store_text(file.text, file.name)
+    store.replace_text(corpus[0].text.replace("the", "a"), corpus[0].name)
+    store.delete_document(store.lookup_by_name(corpus[1].name).doc_id)
+
+
 class TestTheOneDoor:
-    """``Table.change(before, after)``: the slot must hold ``before``, or
-    nothing moves; a change and its reverse leave the table as it was."""
+    """``Table.change(pairs)``: every slot must hold its ``before``, or
+    nothing moves; a change and its reverse leave the table as it was;
+    a batch is one statement."""
 
     def test_a_slot_not_holding_before_refuses_and_nothing_moves(self, table):
         rowid = table.insert({"ID": 1, "NAME": "a"})
@@ -149,7 +178,7 @@ class TestTheOneDoor:
 
         def refused(before, after):
             with pytest.raises(RowIdError):
-                table.change(before, after, lambda *change: journal.append(change))
+                table.change([(before, after)], lambda *change: journal.append(change))
 
         refused(table.schema.row({"ID": 1, "NAME": "b"}, rowid), None)  # stale
         refused(None, row)  # the slot is not free
@@ -163,7 +192,96 @@ class TestTheOneDoor:
         rowid = table.insert({"ID": 1, "NAME": "a"})
         before = table.fetch(rowid)
         after = table.schema.row({"ID": 1, "NAME": "b"}, rowid)
-        table.change(before, after)
+        table.change([(before, after)])
         assert table.lookup("NAME", "b") == [after]
-        table.change(after, before)
+        table.change([(after, before)])
         assert table.lookup("NAME", "a") == [before] and table.lookup("NAME", "b") == []
+
+    def test_a_wrong_slot_at_pair_k_moves_nothing(self, table):
+        table.create_index("NAME")
+        kept = table.fetch(table.insert({"ID": 1, "NAME": "kept"}))
+        free = table.next_rowids(3)
+        fresh = [table.schema.row({"ID": 10 + i}, rowid) for i, rowid in enumerate(free)]
+        stale = table.schema.row({"ID": 1, "NAME": "stale"}, kept.rowid)
+        journal = []
+        for batch in (
+            [(None, fresh[0]), (None, fresh[1]), (stale, None)],  # a stale before
+            [(None, fresh[0]), (None, fresh[2])],  # a slot skipped
+            [(None, fresh[0]), (None, kept)],  # a live slot taken for free
+        ):
+            with pytest.raises(RowIdError):
+                table.change(batch, lambda *step: journal.append(step))
+        assert journal == [] and list(table.scan()) == [kept]
+        assert table.lookup("NAME", "kept") == [kept] and table.next_rowids(3) == free
+
+    def test_two_rows_with_one_nodeid_move_nothing(self):
+        store = XmlStore()
+        store.store_text("<doc><h1>Kept</h1><p>text</p></doc>", "kept.xml")
+        dumped, taken = store.dump(), max(row.NODEID for row in store.xml_table.scan())
+        for node_ids in ((98, 98), (97, taken)):  # within the batch; with a stored row
+            with pytest.raises(ConstraintError):
+                store.database.change(
+                    XML_TABLE, [(None, row) for row in xml_rows(store, node_ids)]
+                )
+        assert store.dump() == dumped and check_store(store.database).ok
+
+    def test_two_pairs_on_one_slot_are_refused(self, table):
+        row = table.fetch(table.insert({"ID": 1, "NAME": "a"}))
+        edited = table.schema.row({"ID": 1, "NAME": "b"}, row.rowid)
+        for batch in ([(row, edited), (edited, None)], [(row, None), (None, row)]):
+            with pytest.raises(RowIdError):
+                table.change(batch)
+        assert list(table.scan()) == [row]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_a_refused_append_at_record_k_moves_the_records_before_it(self, k):
+        plan, device = FaultPlan(), MemoryLogDevice()
+        store = XmlStore.open(plan.wrap_log_device(device))
+        store.store_text("<doc><h1>Kept</h1><p>text</p></doc>", "kept.xml")
+        dumped, database = store.dump(), store.database
+        rows = xml_rows(store, range(100, 105))
+        plan.fail("wal", "append", kind="unavailable", after=k)  # BEGIN, k - 1 rows
+        transaction = database.begin()
+        with pytest.raises(SourceUnavailableError):
+            database.change(XML_TABLE, [(None, row) for row in rows])
+        assert [(before, after) for _, before, after in transaction.changes] == [
+            (None, row) for row in rows[: k - 1]
+        ]
+        landed = [store.xml_table.exists(row.rowid) for row in rows]
+        assert landed == [True] * (k - 1) + [False] * (6 - k)
+        transaction.rollback()
+        tombs = "".join(f"TOMB {row.rowid.encode()}\n" for row in rows[: k - 1])
+        assert store.dump() == dumped + tombs
+        assert XmlStore.open(device).dump() == store.dump()
+        assert check_store(database).ok
+
+    def test_a_batch_publishes_one_lsn_and_one_history_entry_per_row(self):
+        store = XmlStore()
+        store.store_text("<doc><p>first</p></doc>", "first.xml")
+        mvcc = store.database.mvcc
+        with store.snapshot():  # holds the history the load leaves
+            lsn = mvcc.lsn
+            result = store.store_text("<doc><h1>A</h1><p>b <b>c</b></p></doc>", "a.xml")
+            assert mvcc.lsn == lsn + 2  # the DOC row, then every node row
+            history = store.xml_table._history  # noqa: SLF001 - the pre-images
+            assert store.xml_table.version_count == result.node_count
+            stamps = {stamp for entries in history.values() for stamp, _ in entries}
+            assert stamps == {lsn + 2}
+
+    def test_batches_and_one_pair_calls_write_the_same_bytes(self, monkeypatch):
+        corpus = generate_corpus(CorpusSpec(documents=6, seed=5))
+        batched_log, single_log = MemoryLogDevice(), MemoryLogDevice()
+        batched = XmlStore.open(batched_log)
+        load(batched, corpus)
+        real = Database.change
+
+        def one_pair_at_a_time(self, table_name, pairs):
+            for pair in pairs:
+                real(self, table_name, [pair])
+
+        monkeypatch.setattr(Database, "change", one_pair_at_a_time)
+        single = XmlStore.open(single_log)
+        load(single, corpus)
+        assert single.dump() == batched.dump()
+        assert single_log.read_log() == batched_log.read_log()
+        assert batched.database.mvcc.lsn < single.database.mvcc.lsn

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RowIdError, TypeMismatchError
+from repro.errors import RowIdError, SourceUnavailableError, TypeMismatchError
 from repro.ordbms import MemoryLogDevice, storage
 from repro.ordbms.table import Table
 from repro.sgml.dom import Document, Element, Text
@@ -103,12 +103,24 @@ SMALL = ("doc", {}, [("h1", {}, ["orbit"]), ("p", {}, ["alpha", ("b", {}, ["x"])
 
 
 def load_rolled_back(store, spec):
-    """Fail ``spec``'s load at its last row (a text node no CLOB column
-    takes): the rollback leaves a tombstone in every slot it had filled."""
-    doomed = document(spec, "lost.xml")
-    doomed.root.append(Text(0))
-    with pytest.raises(TypeMismatchError):
-        store.store_document(doomed)
+    """Fail ``spec``'s load at its last node row, as a log refusing that
+    row's record does: the rows before it land, and the rollback leaves
+    a tombstone in every slot they had filled."""
+    database = store.database
+    journal = database._journal
+
+    def refuse_the_last_row(table, pairs):
+        if table is not store.xml_table:
+            return journal(table, pairs)
+        taken, _ = journal(table, pairs[:-1])
+        return taken, SourceUnavailableError("injected: the last row's record")
+
+    database._journal = refuse_the_last_row
+    try:
+        with pytest.raises(SourceUnavailableError):
+            store.store_document(document(spec, "lost.xml"))
+    finally:
+        del database._journal
 
 
 def assert_same_heap(one_pass, oracle):
@@ -198,3 +210,20 @@ class TestAddressMismatch:
         store.store_document(document(WIDE, "next.xml"))
         assert check_store(store.database).ok
         assert len(store.document(store.lookup_by_name("next.xml").doc_id).root.children) == 5
+
+
+class TestEveryRowIsBuiltFirst:
+    def test_a_bad_last_row_moves_no_node_slot(self):
+        """A text node no CLOB column takes fails while the rows are
+        built, before the document's one statement: no node slot moves,
+        so the rollback leaves no node tombstone behind."""
+        store = XmlStore()
+        store.store_document(document(SMALL, "kept.xml"))
+        tail = store.xml_table.next_rowids(1)[0]
+        doomed = document(WIDE, "lost.xml")
+        doomed.root.append(Text(0))
+        with pytest.raises(TypeMismatchError):
+            store.store_document(doomed)
+        assert store.xml_table.next_rowids(1)[0] == tail
+        assert "TOMB" not in store.dump().partition(f"TABLE {XML_TABLE}")[2]
+        assert check_store(store.database).ok

@@ -163,7 +163,7 @@ class TestTheStoredObjectIsTheRow:
         table = database.table("EMP")
         stored = next(table.scan())
         assert table.delete(stored.rowid) is stored
-        table.change(None, stored)
+        table.change([(None, stored)])
         assert table.fetch(stored.rowid) is stored
         assert table.lookup("NAME", "ride")[0] is stored
 

@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro import Netmark
 from repro.errors import ReproError, RowIdError
+from repro.ordbms import MemoryLogDevice
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.server.workers import IngestThread
@@ -275,22 +276,26 @@ class TestReadsWithoutAPin:
         )
         assert len(engine.execute(query)) == 0
         seen = []
-        insert = store.database.insert
+        device = MemoryLogDevice()
+        store.database.enable_wal(device)
+        journal = store.database._journal
 
-        def insert_then_read(table, values):
-            rowid = insert(table, values)
-            if "zebra one" in (values.get("NODEDATA") or "") and not seen:
+        def journal_then_read(table, pairs):
+            taken = journal(table, pairs)
+            if table is store.xml_table and not seen:
                 assert store.database.in_transaction
-                # Half the document is in: its DOC row, its first
-                # section, and the index postings of both.
+                # Half the document is in: its DOC row and that row's
+                # postings.  Its node rows are logged, not yet in.
                 assert len(store.doc_table) == len(before[1]) + 1
+                assert "zebra\\sone" in device.read_log()
+                assert store.xml_table.lookup("NODEID", pairs[0][1].NODEID) == []
                 seen.append((
                     serialize(engine.execute(query).to_xml()),
                     store.documents(),
                 ))
-            return rowid
+            return taken
 
-        monkeypatch.setattr(store.database, "insert", insert_then_read)
+        monkeypatch.setattr(store.database, "_journal", journal_then_read)
         loaded = store.store_text(
             "# Alpha\n\nzebra one\n\n# Beta\n\nzebra two\n", "zebra.md"
         )
