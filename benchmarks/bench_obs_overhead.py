@@ -3,15 +3,17 @@
 The instrumentation contract (DESIGN.md §10) is "counters per call, not
 per row; spans only at stage boundaries" — cheap enough to leave on in
 production.  This bench holds the layer to that promise on the Fig 6
-context-search workload:
+context-search workload with exact counts of one warm round: the metric
+series it touches and the counter increments (``obs.inc`` calls) it
+makes.  A change that bumps a counter per row, or mints a series per
+value, moves them; ``check_regression.py`` holds both to the banked
+baseline exactly.
 
-* **metrics on** (the default) must cost < 5% over the fully disabled
-  layer;
-* the **no-op tracer** (``NULL_TRACER``, what every component uses until
-  a composition root swaps in a real one) must cost ~0%.
-
-Timings are best-of-``REPEATS`` over ``QUERIES_PER_ROUND`` queries, so a
-single noisy round cannot manufacture (or hide) an overhead.
+Two timings are reported beside them, never gated (a shared machine
+swings them by more than the budget): **metrics on** against the fully
+disabled layer, and the **no-op tracer** (``NULL_TRACER``, what every
+component uses until a composition root swaps in a real one).  Each is
+best-of-``REPEATS`` over ``QUERIES_PER_ROUND`` queries.
 """
 
 import time
@@ -60,6 +62,25 @@ def _overhead_pct(base: float, measured: float) -> float:
     return round((measured - base) / base * 100.0, 2)
 
 
+def _one_round_counts(run_round) -> tuple[int, int]:
+    """``(series, increments)``: the metric series one round touches in
+    a fresh registry and the ``obs.inc`` calls it makes."""
+    calls = [0]
+    inc = obs.inc
+
+    def counting(*args, **labels):
+        calls[0] += 1
+        inc(*args, **labels)
+
+    obs.push_registry()
+    obs.inc = counting
+    try:
+        run_round()
+    finally:
+        obs.inc = inc
+    return len(obs.snapshot()), calls[0]
+
+
 def test_report_obs_overhead(benchmark, store):
     def report():
         engine = QueryEngine(store)
@@ -86,6 +107,7 @@ def test_report_obs_overhead(benchmark, store):
             obs.push_registry()
             on_seconds = _best_round_seconds(plain_round)
             series_recorded = len(obs.snapshot())
+            series_per_round, increments_per_round = _one_round_counts(plain_round)
         finally:
             obs.set_enabled(previous_enabled)
             obs.set_registry(previous_registry)
@@ -105,6 +127,11 @@ def test_report_obs_overhead(benchmark, store):
                  f"{tracer_pct:+.2f}%"],
             ],
         )
+        print_table(
+            "OBS work per warm round (exact, gated)",
+            ["metric series touched", "counter increments"],
+            [[series_per_round, increments_per_round]],
+        )
         write_artifact(
             "BENCH_obs_overhead.json",
             "fig6_overhead",
@@ -121,11 +148,12 @@ def test_report_obs_overhead(benchmark, store):
                 "metrics_on_overhead_pct": metrics_pct,
                 "noop_tracer_overhead_pct": tracer_pct,
                 "metric_series_recorded": series_recorded,
+                "metric_series_per_round": series_per_round,
+                "counter_increments_per_round": increments_per_round,
             },
         )
-        # Shape claims: the layer recorded real series, yet stayed under
-        # its budget — <5% with metrics on, ~0% with the no-op tracer.
-        assert series_recorded > 0
-        assert metrics_pct < 5.0
-        assert tracer_pct < 2.0
+        # Shape claims: the layer recorded real series, and a warm round
+        # touches the ones a 15-round run touched — no series per value.
+        assert 0 < series_per_round == series_recorded
+        assert increments_per_round > 0
     benchmark.pedantic(report, rounds=1, iterations=1)

@@ -58,6 +58,7 @@ GATED_ARTIFACTS = {
     "BENCH_concurrent.json": DEFAULT_TOLERANCE,
     "BENCH_overload.json": DEFAULT_TOLERANCE,
     "BENCH_cache_differential.json": DEFAULT_TOLERANCE,
+    "BENCH_obs_overhead.json": DEFAULT_TOLERANCE,
     "BENCH_e2e_ingest.json": 0.0,
     "BENCH_e2e_read.json": 0.0,
     "BENCH_e2e_compose.json": 0.0,

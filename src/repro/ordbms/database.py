@@ -85,7 +85,7 @@ class Database:
 
     def begin(self) -> Transaction:
         """Open a transaction; only one may be active at a time."""
-        if self._current is not None and self._current.is_active:
+        if self.in_transaction:
             raise TransactionError("a transaction is already active")
         txid = self._next_txid
         self._next_txid += 1
@@ -98,11 +98,9 @@ class Database:
         self.mvcc.transaction_opened()
         return self._current
 
-    def release_transaction_pin(self) -> None:
-        """Let reads see past the transaction that just resolved, and
-        reclaim the MVCC history it superseded: what every commit and
-        rollback runs, and follower replay once no shipped transaction
-        is open."""
+    def _transaction_closed(self, transaction: Transaction) -> None:
+        """Let reads see past the transaction that just resolved, reclaim
+        the MVCC history it superseded and count it."""
         self.mvcc.transaction_closed()
         # What the transaction superseded is at or below every future
         # pin.  An unmoved horizon (a long-held snapshot) frees nothing
@@ -112,9 +110,6 @@ class Database:
             self._swept_horizon = horizon
             for table in self.catalog:
                 table.vacuum_versions(horizon)
-
-    def _transaction_closed(self, transaction: Transaction) -> None:
-        self.release_transaction_pin()
         if transaction is self._current:
             self._current = None
         if transaction._state == "committed":
@@ -126,7 +121,7 @@ class Database:
 
     @property
     def in_transaction(self) -> bool:
-        return self._current is not None and self._current.is_active
+        return self._current is not None  # cleared as it closes
 
     # -- snapshots (MVCC) -----------------------------------------------------
 
@@ -223,8 +218,7 @@ class Database:
         rollback and count them.  A log that refuses a record stops the
         statement there: the prefix it took is what moves (and is kept),
         and its error is the statement's."""
-        current = self._current if self.in_transaction else None
-        taken, refusal = len(pairs), None
+        current, taken, refusal = self._current, len(pairs), None
         if self.wal is not None:
             txid = AUTOCOMMIT_TXID if current is None else current.txid
             landing = self.wal.next_lsn
@@ -233,16 +227,18 @@ class Database:
                 if current is None:
                     self.wal.device.sync()
                     obs.inc("repro_ordbms_wal_syncs_total", reason="autocommit")
-            except (ReproError, OSError) as error:
+            except ReproError as error:
                 taken, refusal = self.wal.next_lsn - landing, error
         done, stats = pairs[:taken], self.stats
         if current is not None:
             current.changes += [(table, before, after) for before, after in done]
-        inserted = sum(before is None for before, _ in done)
-        deleted = sum(after is None for _, after in done)
-        stats.rows_inserted += inserted
-        stats.rows_deleted += deleted
-        stats.rows_updated += len(done) - inserted - deleted
+        for before, after in done:  # a loop: replay calls this once a row
+            if before is None:
+                stats.rows_inserted += 1
+            elif after is None:
+                stats.rows_deleted += 1
+            else:
+                stats.rows_updated += 1
         return taken, refusal
 
     def fetch(self, table_name: str, rowid: RowId) -> Any:

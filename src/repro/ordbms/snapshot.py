@@ -152,7 +152,7 @@ def load_database(text: str, name: str = "restored") -> Database:
             schema, extra_indexes, text_index_columns = _decode_schema(
                 pending_name, rest
             )
-            table = database.create_table(schema)
+            table = database.catalog.create_table(schema)  # bound below
             for column in extra_indexes:
                 if table.index_on(column) is None:
                     table.create_index(column)
@@ -173,7 +173,10 @@ def load_database(text: str, name: str = "restored") -> Database:
             raise DatabaseError(f"snapshot line {line_no}: unknown verb {verb!r}")
     if slots:
         _load_slots(table, slots)
-    database.vacuum_versions()  # no reader predates the load
+    # No reader predates the load, so it leaves no history and no LSN:
+    # the tables join the database's MVCC state only once they are full.
+    for table in database.catalog:
+        table.bind_mvcc(database.mvcc)
     return database
 
 

@@ -16,7 +16,8 @@ through :meth:`Table.change`, never an edit of one in hand.  Every
 writer goes through that one statement — live inserts, updates and
 deletes, a document's rows as one batch, rollback, crash recovery,
 follower replay and the snapshot loader — so each batch takes the
-seqlock once, leaves a pre-image per row and moves the commit LSN once.
+seqlock once, leaves a pre-image per row and moves the commit LSN once
+(the loader's tables are bound to MVCC only once full: none of that).
 """
 
 from __future__ import annotations

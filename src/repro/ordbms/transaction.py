@@ -61,7 +61,7 @@ class Transaction:
             landing = wal.next_lsn
             try:
                 wal.log_commit(self.txid)
-            except (ReproError, OSError):
+            except ReproError:
                 if wal.next_lsn == landing:
                     self.rollback()
                 else:

@@ -27,10 +27,11 @@ space-separated line — trivially CRC-able and human-debuggable.
 
 from __future__ import annotations
 
+import functools
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.errors import CorruptLogError, DatabaseError, WalError
@@ -259,13 +260,30 @@ class MemoryLogDevice(LogDevice):
         return self._checkpoint
 
 
+def _typed_io(method: Callable[..., Any]) -> Callable[..., Any]:
+    """A file device's call whose :class:`OSError` (a full disk, a failed
+    fsync or rename) surfaces as :class:`~repro.errors.WalError`, the
+    refusal every writer already handles."""
+
+    @functools.wraps(method)
+    def typed(self: "FileLogDevice", *args: Any) -> Any:
+        try:
+            return method(self, *args)
+        except OSError as error:
+            raise WalError(f"log device {self.log_path}: {error}") from error
+
+    return typed
+
+
 class FileLogDevice(LogDevice):
     """File-backed device: ``<base>.wal`` + ``<base>.ckpt``.
 
     Appends go through one buffered handle with an explicit flush per
     record; :meth:`sync` adds an fsync (commit durability).  Checkpoints
     write to a temp file and ``os.replace`` into place, so a crash
-    during checkpointing leaves the previous checkpoint intact.
+    during checkpointing leaves the previous checkpoint intact.  Every
+    call answers an operating-system failure with
+    :class:`~repro.errors.WalError`.
     """
 
     def __init__(self, base_path: str) -> None:
@@ -280,16 +298,19 @@ class FileLogDevice(LogDevice):
             )
         return self._handle
 
+    @_typed_io
     def append(self, data: str) -> None:
         handle = self._log_handle()
         handle.write(data)
         handle.flush()
 
+    @_typed_io
     def sync(self) -> None:
         handle = self._log_handle()
         handle.flush()
         os.fsync(handle.fileno())
 
+    @_typed_io
     def read_log(self) -> str:
         if self._handle is not None:
             self._handle.flush()
@@ -298,11 +319,13 @@ class FileLogDevice(LogDevice):
         with open(self.log_path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
 
+    @_typed_io
     def truncate_log(self) -> None:
         self.close()
         with open(self.log_path, "w", encoding="utf-8"):
             pass
 
+    @_typed_io
     def save_checkpoint(self, text: str) -> None:
         temp_path = self.checkpoint_path + ".tmp"
         with open(temp_path, "w", encoding="utf-8", newline="") as fh:
@@ -311,6 +334,7 @@ class FileLogDevice(LogDevice):
             os.fsync(fh.fileno())
         os.replace(temp_path, self.checkpoint_path)
 
+    @_typed_io
     def load_checkpoint(self) -> str | None:
         if not os.path.exists(self.checkpoint_path):
             return None
@@ -319,6 +343,7 @@ class FileLogDevice(LogDevice):
         ) as fh:
             return fh.read()
 
+    @_typed_io
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()

@@ -4,8 +4,15 @@ import pytest
 
 from repro.cluster import FollowerReplica, LogShipper, NetmarkCluster
 from repro.cluster.ship import ShipBatch
-from repro.errors import ClusterError, SourceUnavailableError, TypeMismatchError
-from repro.ordbms.wal import MemoryLogDevice, parse_log
+from repro.errors import (
+    ClusterError,
+    CrashError,
+    SourceUnavailableError,
+    TypeMismatchError,
+)
+from repro.ordbms.recovery import recover
+from repro.ordbms.transaction import Transaction
+from repro.ordbms.wal import ROLLBACK, MemoryLogDevice, parse_log
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.resilience import FaultPlan
@@ -152,7 +159,7 @@ class TestFollowerReplica:
             store.store_document(Document(root, name="lost.xml"))
         before = mvcc.read_lsn()
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
-        assert follower.replayer.transactions_rolled_back == 1
+        assert follower.database.stats.transactions_rolled_back == 1
         assert mvcc.read_lsn() > before
         # A shipped transaction still open at promotion is a loser.
         before = mvcc.read_lsn()
@@ -167,6 +174,60 @@ class TestFollowerReplica:
         assert resolved > before
         assert follower.replayer.discard_in_flight() == ()  # nothing undone:
         assert mvcc.read_lsn() == resolved  # nothing moved
+
+    def test_a_follower_takes_a_transaction_back_as_the_writer_does(
+        self, monkeypatch
+    ):
+        """Replay resolves a shipped transaction through the database's
+        own ``Transaction``: a ROLLBACK takes each run of one table's
+        rows back as one statement, so it moves the follower's commit LSN
+        by exactly what the writer's rollback moved the writer's, and so
+        does a loser discarded at promotion."""
+        moved = []  # what each rollback moved its database's LSN by
+
+        def measured(transaction, rollback=Transaction.rollback):
+            before = transaction.database.mvcc.lsn
+            rollback(transaction)
+            moved.append(transaction.database.mvcc.lsn - before)
+
+        monkeypatch.setattr(Transaction, "rollback", measured)
+        plan, device = FaultPlan(), MemoryLogDevice()
+        store = XmlStore.open(plan.wrap_log_device(device), DEFAULT_CONFIG)
+        shipper = LogShipper(device)
+        follower = FollowerReplica.bootstrap(
+            "f1", MemoryLogDevice(), shipper.bundle()
+        )
+        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"  # 7 nodes
+        plan.fail("wal", "append", kind="unavailable", after=9)  # the COMMIT
+        with pytest.raises(SourceUnavailableError):
+            store.store_text(text, "a.xml")
+        assert moved == [2]  # the XML rows, then the DOC row
+        records = shipper.batch_after(follower.acked_lsn).records
+        assert records[-1].kind == ROLLBACK
+        follower.apply_batch(ShipBatch(records[:-1]))
+        assert follower.database.in_transaction
+        before = follower.database.mvcc.lsn
+        follower.apply_batch(ShipBatch(records[-1:]))
+        assert follower.database.mvcc.lsn - before == 2
+        assert moved == [2, 2]
+        # The same load, left open by a death at its COMMIT: a loser.
+        plan.fail("wal", "append", kind="crash", after=9, times=None)
+        with pytest.raises(CrashError):
+            store.store_text(text, "a.xml")
+        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+        (loser,) = follower.in_flight
+        assert follower.database.in_transaction
+        moved.clear()
+        promoted = recover(follower.device)
+        assert moved == [2, 2]  # the shipped ROLLBACK replayed, then the loser
+        assert promoted.losers_discarded == (loser,)
+        assert promoted.transactions_rolled_back == 1
+        assert promoted.database.stats.transactions_rolled_back == 2
+        assert follower.replayer.discard_in_flight() == (loser,)  # alike live
+        assert not follower.database.in_transaction
+        assert moved == [2, 2, 2]
+        stats = follower.database.stats
+        assert (stats.rows_inserted, stats.transactions_rolled_back) == (16, 2)
 
     def test_a_reader_never_sees_half_a_shipped_transaction(self):
         store, shipper, follower = self.build_pair()

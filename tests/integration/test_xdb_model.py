@@ -164,6 +164,8 @@ class XdbMachine(RuleBasedStateMachine):
             self.follower.apply_batch(shipper.batch_after(self.follower.acked_lsn))
         else:  # a checkpoint has passed the follower
             self.follower.install_bundle(shipper.bundle())
+        # Replay holds a shipped transaction open as the database's own.
+        assert self.follower.database.in_transaction == bool(self.follower.in_flight)
         if self.follower.in_flight:
             # A transaction the log holds with no COMMIT or ROLLBACK (both
             # refused, or a restart's loser): the writer took it back, the

@@ -23,6 +23,7 @@ from repro.ordbms import (
 )
 from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
+from repro.ordbms.transaction import Transaction
 from repro.ordbms.wal import INSERT, UPDATE, WalRecord
 from repro.resilience import FaultPlan
 from repro.store import XmlStore
@@ -221,9 +222,7 @@ class TestTornTail:
         assert writer.torn_tail == follower.torn_tail is not None
         assert devices[0].read_log() == devices[1].read_log()
         assert devices[0].read_log().endswith("\n")
-        assert (
-            writer.records_replayed == follower.replayer.records_applied == 2
-        )
+        assert writer.records_replayed == follower.records_replayed == 2
         assert writer.checkpoint_lsn == follower.checkpoint_lsn
         # The one difference: the writer discards the loser, the
         # follower keeps it open (its COMMIT may still be shipped).
@@ -253,6 +252,22 @@ class TestTornTail:
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
+
+    def test_a_rollback_replay_cannot_finish_is_refused(self, monkeypatch):
+        """A logged ROLLBACK replays through the writer's own rollback; a
+        change it cannot take back is a RecoveryError naming the LSN."""
+        database = durable_database()
+        transaction = database.begin()
+        database.insert("T", {"ID": 1})
+        transaction.rollback()
+        rollback_lsn = database.wal.last_lsn
+
+        def cannot(transaction):
+            raise TransactionError("the slot moved")
+
+        monkeypatch.setattr(Transaction, "_unwind", cannot)
+        with pytest.raises(RecoveryError, match=f"LSN {rollback_lsn}: cannot roll back"):
+            recover(database.wal.device)
 
 
 def live_rows(database: Database) -> list[tuple]:

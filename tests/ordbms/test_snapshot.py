@@ -213,6 +213,24 @@ def _small_store_dump() -> str:
     return store.dump()
 
 
+class TestLoadWritesNoHistory:
+    def test_a_load_moves_no_lsn_and_leaves_nothing_to_reclaim(self):
+        """No reader predates a load, so it keeps no pre-image and takes
+        no LSN; the loaded tables still share the database's MVCC state
+        for every write after it."""
+        restored = load_database(_small_store_dump())  # 3 documents, 1 deleted
+        mvcc = restored.mvcc
+        assert (mvcc.lsn, mvcc.reclaimed_total) == (0, 0)
+        assert all(table.version_count == 0 for table in restored.catalog)
+        doc = restored.table("DOC")
+        rowid = next(doc.scan()).rowid
+        with restored.open_snapshot() as snapshot:
+            restored.delete("DOC", rowid)
+            assert doc.visible_row(rowid, snapshot.lsn) is not None
+        assert doc.visible_row(rowid, mvcc.lsn) is None
+        assert mvcc.lsn == 1
+
+
 def _mutate(rng: random.Random, text: str) -> str:
     """One edit: a character deleted, replaced or inserted, a line dropped
     or doubled, or one tab-separated field emptied."""

@@ -1,10 +1,13 @@
 """Server-side durability: daemon journal, crash restarts, HTTP errors."""
 
+import errno
+import os
+
 import pytest
 
 from repro.errors import CorruptLogError, CrashError, FsckError, RecoveryError
 from repro.netmark import Netmark
-from repro.ordbms import MemoryLogDevice
+from repro.ordbms import FileLogDevice, MemoryLogDevice
 from repro.resilience import FaultPlan
 from repro.server.daemon import NetmarkDaemon
 from repro.server.vfs import VirtualFileSystem
@@ -151,6 +154,39 @@ class TestNetmarkDurableFacade:
         assert device.read_log().count("\n") == 1  # just the marker
         reborn = Netmark(device=device, vfs=node.vfs)
         assert reborn.document_count == 1
+
+    def test_a_full_disk_quarantines_the_file_and_the_node_lives_on(self, tmp_path):
+        """The file device answers a full disk with ``WalError``, so the
+        daemon quarantines the file like any failed ingest."""
+
+        class NoSpace:
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FillingDevice(FileLogDevice):
+            full = False
+
+            def _log_handle(self):
+                return NoSpace() if self.full else super()._log_handle()
+
+        device = FillingDevice(str(tmp_path / "node"))
+        node = Netmark(device=device)
+        node.ingest("r.ndoc", NDOC)
+        device.full = True
+        node.drop("ops.ndoc", NDOC2)
+        [record] = node.poll()
+        assert record.status == "failed"
+        assert os.strerror(errno.ENOSPC) in record.error
+        assert node.vfs.exists("/incoming/errors/ops.ndoc")
+        assert node.document_count == 1
+        assert len(node.search("Context=Budget")) == 1
+        device.full = False
+        assert node.ingest("retry.ndoc", NDOC2).ok
+        device.close()
+        reborn = Netmark(device=FileLogDevice(str(tmp_path / "node")), vfs=node.vfs)
+        assert reborn.document_count == 2
+        assert reborn.fsck().ok
+        reborn.store.database.wal.device.close()
 
     def test_fsck_repair_entry_point(self):
         node = Netmark(device=MemoryLogDevice())
