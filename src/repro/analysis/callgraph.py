@@ -510,40 +510,34 @@ def _receiver(index: ProjectIndex, module: str, cls: str | None,
             return ("class", cls)
         if expr.id in env:
             return ("class", env[expr.id])
-        resolved = index.resolve(module, expr.id)
-        if resolved is None:
-            return None
-        kind, target = resolved
-        if kind == "module":
-            return ("module", target)
-        if target in index.classes:
-            return ("class", target)
-        variable = index.variables.get(target)
-        if variable is not None and variable.type is not None:
-            return ("class", variable.type)
-        return None
+        return _named(index, index.resolve(module, expr.id))
     if isinstance(expr, ast.Attribute):
         inner = _receiver(index, module, cls, env, expr.value)
         if inner is None:
             return None
         inner_kind, inner_target = inner
         if inner_kind == "module":
-            resolved = index.resolve(inner_target, expr.attr)
-            if resolved is None:
-                return None
-            kind, target = resolved
-            if kind == "module":
-                return ("module", target)
-            if target in index.classes:
-                return ("class", target)
-            variable = index.variables.get(target)
-            if variable is not None and variable.type is not None:
-                return ("class", variable.type)
-            return None
+            return _named(index, index.resolve(inner_target, expr.attr))
         attr_type = index.attr_type(inner_target, expr.attr)
         if attr_type is not None:
             return ("class", attr_type)
         return None
+    return None
+
+
+def _named(index: ProjectIndex, resolved: tuple[str, str] | None) -> tuple[str, str] | None:
+    """The receiver a resolved name denotes: a module, a class, or a
+    module variable of a known class."""
+    if resolved is None:
+        return None
+    kind, target = resolved
+    if kind == "module":
+        return ("module", target)
+    if target in index.classes:
+        return ("class", target)
+    variable = index.variables.get(target)
+    if variable is not None and variable.type is not None:
+        return ("class", variable.type)
     return None
 
 

@@ -155,10 +155,7 @@ class Router:
         if isinstance(query, str):
             query = parse_query(query)
         query = self.aliases.rewrite(query)
-        if isinstance(budget, Deadline):
-            budget = Budget(deadline=budget)
-        if budget is not None and query.partial_ok:
-            budget.partial_ok = True
+        budget = Budget.of(budget, query.partial_ok)
         target = databank or query.databank
         if target is None:
             self.last_report = RoutingReport()
@@ -250,18 +247,13 @@ class Router:
             failed = Element("source", {"name": name, "status": "failed"})
             failed.append_text(report.failed_sources[name])
             plan_element.append(failed)
-        for name in report.skipped_sources:
-            plan_element.append(
-                Element("source", {"name": name, "status": "skipped"})
-            )
-        for name in report.deadline_skipped_sources:
-            plan_element.append(
-                Element("source", {"name": name, "status": "deadline-skipped"})
-            )
-        for name in report.limit_skipped_sources:
-            plan_element.append(
-                Element("source", {"name": name, "status": "not-contacted"})
-            )
+        for status, names in (
+            ("skipped", report.skipped_sources),
+            ("deadline-skipped", report.deadline_skipped_sources),
+            ("not-contacted", report.limit_skipped_sources),
+        ):
+            for name in names:
+                plan_element.append(Element("source", {"name": name, "status": status}))
         limit_element = Element(
             "operator", {"name": "limit", "rows": str(len(result))}
         )

@@ -103,16 +103,19 @@ class Metric:
         with self._lock:
             return self._series.get(_label_key(labels), 0)
 
-    def snapshot_into(self, out: dict[str, float]) -> None:
+    def samples(self) -> Iterator[tuple[str, float]]:
+        """``(exposed series name, value)`` pairs, as the text shows them."""
         for rendered, value in self.series():
-            out[f"{self.name}{rendered}"] = value
+            yield f"{self.name}{rendered}", value
+
+    def snapshot_into(self, out: dict[str, float]) -> None:
+        out.update(self.samples())
 
     def render_into(self, lines: list[str]) -> None:
         if self.help_text:
             lines.append(f"# HELP {self.name} {self.help_text}")
         lines.append(f"# TYPE {self.name} {self.kind}")
-        for rendered, value in self.series():
-            lines.append(f"{self.name}{rendered} {_format_value(value)}")
+        lines.extend(f"{name} {_format_value(value)}" for name, value in self.samples())
 
 
 class Counter(Metric):
@@ -205,44 +208,17 @@ class Histogram(Metric):
         with self._lock:
             return [(key, list(self._dist[key])) for key in sorted(self._dist)]
 
-    def snapshot_into(self, out: dict[str, float]) -> None:
+    def samples(self) -> Iterator[tuple[str, float]]:
+        """Per series: a ``_bucket`` per bound and ``+Inf``, ``_sum`` and
+        ``_count``."""
+        bounds = [_format_value(bound) for bound in self.buckets] + ["+Inf"]
         for key, slot in self._dist_items():
-            base = dict(key)
-            for index, bound in enumerate(self.buckets):
-                labels = _label_key({**base, "le": _format_value(bound)})
-                out[f"{self.name}_bucket{_render_labels(labels)}"] = slot[index]
-            inf_labels = _label_key({**base, "le": "+Inf"})
-            out[f"{self.name}_bucket{_render_labels(inf_labels)}"] = slot[
-                len(self.buckets)
-            ]
+            for bound, value in zip(bounds, slot):
+                labels = _render_labels(_label_key({**dict(key), "le": bound}))
+                yield f"{self.name}_bucket{labels}", value
             rendered = _render_labels(key)
-            out[f"{self.name}_sum{rendered}"] = slot[-2]
-            out[f"{self.name}_count{rendered}"] = slot[-1]
-
-    def render_into(self, lines: list[str]) -> None:
-        if self.help_text:
-            lines.append(f"# HELP {self.name} {self.help_text}")
-        lines.append(f"# TYPE {self.name} {self.kind}")
-        for key, slot in self._dist_items():
-            base = dict(key)
-            for index, bound in enumerate(self.buckets):
-                labels = _label_key({**base, "le": _format_value(bound)})
-                lines.append(
-                    f"{self.name}_bucket{_render_labels(labels)} "
-                    f"{_format_value(slot[index])}"
-                )
-            inf_labels = _label_key({**base, "le": "+Inf"})
-            lines.append(
-                f"{self.name}_bucket{_render_labels(inf_labels)} "
-                f"{_format_value(slot[len(self.buckets)])}"
-            )
-            rendered = _render_labels(key)
-            lines.append(
-                f"{self.name}_sum{rendered} {_format_value(slot[-2])}"
-            )
-            lines.append(
-                f"{self.name}_count{rendered} {_format_value(slot[-1])}"
-            )
+            yield f"{self.name}_sum{rendered}", slot[-2]
+            yield f"{self.name}_count{rendered}", slot[-1]
 
 
 def _format_value(value: float) -> str:

@@ -17,6 +17,7 @@ nesting, so inner escapes and separator escapes can never collide.
 from __future__ import annotations
 
 import datetime as _dt
+import re
 from typing import Any
 
 from repro.errors import DatabaseError
@@ -36,20 +37,17 @@ _TEXT_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 _ROW_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "s": " "}
 
 
+#: An escape: a backslash and the one character after it, whatever it is.
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def unescape(text: str, escapes: dict[str, str] = _TEXT_ESCAPES) -> str:
     """Invert :func:`escape` — or, given ``escapes``, another layer's
-    escaping (unknown escapes pass the char through)."""
-    out: list[str] = []
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if char == "\\" and index + 1 < len(text):
-            out.append(escapes.get(text[index + 1], text[index + 1]))
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    return "".join(out)
+    escaping (unknown escapes pass the char through, a trailing lone
+    backslash stays).  Text with no backslash comes back as it is."""
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(lambda match: escapes.get(match[1], match[1]), text)
 
 
 def encode_value(value: Any) -> str:

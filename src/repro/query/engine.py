@@ -125,7 +125,7 @@ class QueryEngine:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        budget = self._coerce_budget(query, budget)
+        budget = Budget.of(budget, query.partial_ok)
         key = None
         # Deadline-bounded (or already-cancelled) runs bypass the cache
         # both ways: their contract is "bound the work of THIS run", so
@@ -183,15 +183,6 @@ class QueryEngine:
         node = Materialize(ctx, Limit(ctx, node, query.limit - len(listed)))
         answer = listed + tuple(match.resolve() for match in node.rows())
         return answer if len(answer) == query.limit else None
-
-    @staticmethod
-    def _coerce_budget(query: XdbQuery, budget: Budget | Deadline | None) -> Budget | None:
-        """Normalize the budget argument and fold in ``Partial=1``."""
-        if isinstance(budget, Deadline):
-            budget = Budget(deadline=budget)
-        if budget is not None and query.partial_ok:
-            budget.partial_ok = True
-        return budget
 
     def explain(
         self, query: XdbQuery | str, snapshot: Snapshot | None = None

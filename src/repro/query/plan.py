@@ -55,8 +55,9 @@ from repro.query.ast import ContentSpec
 from repro.query.results import SectionMatch
 from repro.sgml.dom import Element, Text
 from repro.sgml.nodetypes import NodeType
+from repro.sgml.serializer import XmlWriter
 from repro.store.accessor import NodeAccessor
-from repro.store.compose import compose_node, compose_section
+from repro.store.compose import compose_node, compose_section, write_rows
 from repro.store.schema import XmlRow
 from repro.store.xmlstore import StoredDocument, XmlStore
 
@@ -535,6 +536,12 @@ class SectionResolver:
 
     def section(self) -> Element | None:
         return compose_section(self.row, self.ctx.accessor)
+
+    def write_section(self, writer: XmlWriter) -> None:
+        """What :attr:`SectionMatch.element` keeps of :meth:`section` (all
+        but a stored ``context``), written from the same forward read."""
+        rows = self.ctx.accessor.subtree(self.row, siblings=True)
+        write_rows([self.row] + rows, writer, skip="context")
 
 
 @dataclass

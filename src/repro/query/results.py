@@ -4,8 +4,7 @@ A query returns :class:`SectionMatch` objects — one per matched section
 (the paper: "the context and content search returns a subsection of the
 document where the keyword being searched for occurs").  A
 :class:`ResultSet` groups them, remembers the originating query, and
-renders the canonical result XML that the XSLT composition step (Fig 7)
-consumes::
+renders the canonical result XML::
 
     <results query="Context=Budget">
       <result doc="p42.ndoc" source="local">
@@ -27,7 +26,10 @@ reads at the same commit LSN the plan did.
 A match owns its finished ``<result>`` (:attr:`SectionMatch.element`),
 built once and never edited; :meth:`ResultSet.to_xml` *lists* those
 elements under a per-request root without adopting them, and the root is
-their parent for XPath only (:func:`repro.xslt.xpath.parent_of`).
+their parent for XPath only (:func:`repro.xslt.xpath.parent_of`).  Without
+a stylesheet, :meth:`ResultSet.write` streams the same XML to an
+:class:`~repro.sgml.serializer.XmlWriter`, and a *fresh* section match
+(its loader alive, nothing built) writes straight from the section's rows.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Protocol
 from repro.errors import QueryError
 from repro.ordbms import RowId
 from repro.sgml.dom import Document, Element
+from repro.sgml.serializer import XmlWriter
 
 
 class SectionLoader(Protocol):
@@ -154,6 +157,20 @@ class SectionMatch:
                         result.children.append(child)
             self._element = result
         return self._element
+
+    def write(self, writer: XmlWriter) -> None:
+        """Write the ``<result>`` :attr:`element` would serialize to: a
+        fresh match whose loader has ``write_section`` from its rows, any
+        other by a walk of the element."""
+        stream = getattr(self._loader, "write_section", None)
+        if stream is None or self._section is not _UNSET:
+            return writer.node(self.element)
+        writer.start("result", {"doc": self.file_name, "source": self.source})
+        writer.start("context")
+        writer.text(self.context)
+        writer.end()
+        stream(writer)
+        writer.end()
 
     def resolve(self) -> "SectionMatch":
         """Load and build everything now and let go of the loader; returns
@@ -294,18 +311,35 @@ class ResultSet:
     def to_xml(self) -> Document:
         """Render the canonical ``<results>`` tree for XSLT composition."""
         root = Element("results", {"query": self.query_string})
-        if self.partial or self.deadline_expired:
+        if (envelope := self._partial()) is not None:
             root.attributes["partial"] = "true"
-            envelope = root.make_child("partial")
-            if self.deadline_expired:
-                truncated = envelope.make_child("deadline-expired")
-                truncated.append_text(
-                    "deadline expired; results are a truncated prefix"
-                )
-            for name in sorted(self.source_errors):
-                unreachable = envelope.make_child("unreachable", source=name)
-                unreachable.append_text(self.source_errors[name])
+            root.append(envelope)
         # Listed, not adopted: a match's element is shared by every answer
         # that replays the match, so no root may become its parent.
         root.children.extend([match.element for match in self.matches])
         return Document(root, name="results.xml")
+
+    def write(self, writer: XmlWriter, stamps: dict[str, str]) -> None:
+        """Stream :meth:`to_xml`'s XML, transport ``stamps`` after the
+        root's attributes; the caller writes its footer and ends the root."""
+        envelope = self._partial()
+        partial = {} if envelope is None else {"partial": "true"}
+        writer.start("results", {"query": self.query_string} | partial | stamps)
+        if envelope is not None:
+            writer.node(envelope)
+        for match in self.matches:
+            match.write(writer)
+
+    def _partial(self) -> Element | None:
+        """An incomplete answer's ``<partial>``: what is missing, and why."""
+        if not (self.partial or self.deadline_expired):
+            return None
+        envelope = Element("partial")
+        if self.deadline_expired:
+            envelope.make_child("deadline-expired").append_text(
+                "deadline expired; results are a truncated prefix"
+            )
+        for name in sorted(self.source_errors):
+            unreachable = envelope.make_child("unreachable", source=name)
+            unreachable.append_text(self.source_errors[name])
+        return envelope

@@ -29,13 +29,7 @@ from repro.resilience.deadline import (
     Deadline,
     wall_tick_source,
 )
-from repro.resilience.faults import (
-    FaultEvent,
-    FaultPlan,
-    FaultProxy,
-    FaultRule,
-    LogDeviceFaultProxy,
-)
+from repro.resilience.faults import FaultEvent, FaultPlan, FaultProxy, FaultRule
 from repro.resilience.heartbeat import HeartbeatMonitor
 from repro.resilience.netsim import Network, NetworkEvent
 from repro.resilience.policy import ResiliencePolicy
@@ -65,7 +59,6 @@ __all__ = [
     "FaultProxy",
     "FaultRule",
     "HeartbeatMonitor",
-    "LogDeviceFaultProxy",
     "LogicalClock",
     "Network",
     "NetworkEvent",

@@ -197,6 +197,16 @@ class Budget:
         # executing the request; the submitter never reads it.
         self.timed_out = False
 
+    @classmethod
+    def of(cls, budget: "Budget | Deadline | None", partial_ok: bool) -> "Budget | None":
+        """``budget`` as a budget (a bare deadline wrapped; None stays
+        None), with ``partial_ok`` — the query's ``Partial=1`` — folded in."""
+        if isinstance(budget, Deadline):
+            budget = cls(deadline=budget)
+        if budget is not None and partial_ok:
+            budget.partial_ok = True
+        return budget
+
     # -- state queries ------------------------------------------------------
 
     @property

@@ -21,9 +21,9 @@ The last three are write-path faults for durable devices: they fire
 through :meth:`FaultPlan.wrap_log_device`, which proxies a WAL
 :class:`~repro.ordbms.wal.LogDevice` (duck-typed — this package never
 imports the ORDBMS) and applies the data-mangling kinds to the bytes
-themselves.  The four proxies are the whole vocabulary: nothing else
-consults a plan, and no gate models a step of a multi-store protocol —
-no write spans two stores.
+themselves.  The four wrappers, one :class:`FaultProxy` each, are the
+whole vocabulary: nothing else consults a plan, and no gate models a
+step of a multi-store protocol — no write spans two stores.
 
 Rules are scripted (``fail twice on native_search, then recover``) or
 seeded-probabilistic (:meth:`FaultPlan.sometimes`); both are fully
@@ -63,6 +63,7 @@ STORE_OPERATIONS = (
     "delete_document",
 )
 VFS_OPERATIONS = ("read", "write", "move", "copy", "delete")
+LOG_DEVICE_OPERATIONS = ("append", "sync", "truncate_log", "save_checkpoint")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ class FaultPlan:
     # -- the injection gate -------------------------------------------------
 
     def apply(self, component: str, operation: str) -> None:
-        """Called by proxies before delegating; raises when a fault fires."""
+        """Gate one call as :meth:`poll` does; raises when a fault fires."""
         self.poll(component, operation)
 
     def poll(self, component: str, operation: str) -> str | None:
@@ -247,7 +248,7 @@ class FaultPlan:
 
     def wrap_log_device(self, device: Any, component: str = "wal") -> Any:
         """Proxy a WAL ``LogDevice``; enables torn/corrupt/crash faults."""
-        return LogDeviceFaultProxy(self, component, device)
+        return FaultProxy(self, component, device, LOG_DEVICE_OPERATIONS)
 
     # -- internals ----------------------------------------------------------
 
@@ -279,8 +280,12 @@ class FaultProxy:
 
     Wrapping instead of subclassing keeps the resilience layer below the
     components it wraps — the proxy needs nothing from the wrapped type
-    but the operation names, so any source/store/filesystem (including
-    test doubles) can be made faulty.
+    but the operation names, so any source/store/filesystem/log device
+    (including test doubles) can be made faulty.  A data-mangling fault
+    damages a gated call's payload, its first argument: ``torn`` writes
+    half of it and then dies (a genuinely torn append or checkpoint),
+    ``corrupt`` mangles one character and lets the call "succeed" (silent
+    bit rot — the seed for mid-log corruption tests).
     """
 
     def __init__(
@@ -301,7 +306,14 @@ class FaultProxy:
             plan, component = self._plan, self._component
 
             def gated(*args: Any, **kwargs: Any) -> Any:
-                plan.apply(component, name)
+                kind = plan.poll(component, name)
+                if kind is not None and args:
+                    if kind == "torn":
+                        attr(args[0][: len(args[0]) // 2])
+                        raise CrashError(
+                            f"injected: process died mid-{name} on {component}"
+                        )
+                    args = (_mangle(args[0]), *args[1:])
                 return attr(*args, **kwargs)
 
             gated.__name__ = name
@@ -324,56 +336,3 @@ def _mangle(data: str) -> str:
         return data
     flipped = "0" if text[-1] == "X" else "X"
     return text[:-1] + flipped + tail
-
-
-class LogDeviceFaultProxy:
-    """Fault gate for a WAL ``LogDevice``: can damage the bytes themselves.
-
-    Write operations consult the plan first.  ``crash`` dies before the
-    write, ``torn`` writes half the payload and then dies (a genuinely
-    torn append), ``corrupt`` mangles one character and lets the call
-    "succeed" (silent bit rot — the seed for mid-log corruption tests).
-    Reads always pass through: recovery must be able to see whatever
-    the injected trouble left behind.
-    """
-
-    def __init__(self, plan: FaultPlan, component: str, target: Any) -> None:
-        self._plan = plan
-        self._component = component
-        self._target = target
-
-    def append(self, data: str) -> None:
-        kind = self._plan.poll(self._component, "append")
-        if kind == "torn":
-            self._target.append(data[: len(data) // 2])
-            raise CrashError(
-                f"injected: process died mid-append on {self._component}"
-            )
-        if kind == "corrupt":
-            data = _mangle(data)
-        self._target.append(data)
-
-    def sync(self) -> None:
-        self._plan.poll(self._component, "sync")
-        self._target.sync()
-
-    def truncate_log(self) -> None:
-        self._plan.poll(self._component, "truncate_log")
-        self._target.truncate_log()
-
-    def save_checkpoint(self, text: str) -> None:
-        kind = self._plan.poll(self._component, "save_checkpoint")
-        if kind == "torn":
-            self._target.save_checkpoint(text[: len(text) // 2])
-            raise CrashError(
-                f"injected: process died mid-checkpoint on {self._component}"
-            )
-        if kind == "corrupt":
-            text = _mangle(text)
-        self._target.save_checkpoint(text)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._target, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LogDeviceFaultProxy({self._component!r}, {self._target!r})"

@@ -12,7 +12,7 @@ to access NETMARK."
   out through the federation router instead of the local store; with
   ``Explain=1`` the response is the executed query plan annotated with
   per-operator row counts instead of the results.
-* ``GET /doc/<id>`` — the reconstructed stored document.
+* ``GET /doc/<id>`` — the stored document, written from its rows.
 * ``GET /docs`` — the document catalog as XML.
 * ``GET /metrics`` — the process metrics in text exposition format
   (served even while startup recovery is running: observability must
@@ -20,9 +20,13 @@ to access NETMARK."
 * ``PUT /dav/<path>`` / ``GET /dav/<path>`` / ``DELETE /dav/<path>`` /
   ``MKCOL /dav/<path>`` — pass-through to the WebDAV layer.
 
-``Trace=1`` on ``/search`` traces the request through a per-request
-:class:`~repro.obs.Tracer` and appends the span tree as a ``<trace>``
-element to the response envelope (results and plans alike).
+A search answer is written once, inside the request's snapshot, by one
+:class:`~repro.sgml.serializer.XmlWriter`: a plain answer streamed by
+:meth:`~repro.query.results.ResultSet.write`, a plan or a transformed one
+walked from its DOM.  The envelope is the writer's header (``cached``,
+``degraded``) and footer (``Trace=1``: the per-request
+:class:`~repro.obs.Tracer`'s span tree, once the request span is shut).
+A message that is not XML (400, 404, 405, 422, a bare 500) is ``text/plain``.
 
 ``Deadline=N`` bounds a search to ``N`` ticks of the API's clock; past
 the deadline the request answers 504 ``<error code="deadline-exceeded">``
@@ -39,6 +43,7 @@ routing.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -66,7 +71,7 @@ from repro.resilience.deadline import Budget, TickSource
 from repro.server.overload import AdmissionController, degrade_query
 from repro.server.webdav import WebDavServer
 from repro.sgml.dom import Document, Element
-from repro.sgml.serializer import serialize
+from repro.sgml.serializer import XmlWriter, serialize
 from repro.store.xmlstore import XmlStore
 from repro.xslt.processor import transform
 from repro.xslt.stylesheet import compile_stylesheet
@@ -84,6 +89,34 @@ RETRY_AFTER_SECONDS = 3
 #: Fixed route vocabulary for the request counter — labels must stay
 #: low-cardinality, so unknown paths collapse into ``other``.
 _ROUTES = ("search", "docs", "doc", "dav", "databanks", "metrics", "cluster")
+
+
+#: How a typed failure answers, first match first (a subclass before its
+#: base): the status, and the ``code`` of a structured ``<error>`` body a
+#: client or an operator script can dispatch on — None answers the message
+#: as plain text.  A 503 or 504 also advises ``Retry-After``.
+_FAILURES: tuple[tuple[type | tuple[type, ...], int, str | None], ...] = (
+    (QuerySyntaxError, 400, None),
+    # The submitter walked away (or cancelled): 499 in the nginx tradition.
+    (QueryCancelledError, 499, "cancelled"),
+    # A hard deadline (no Partial=1) expired mid-execution.
+    (QueryTimeoutError, 504, "deadline-exceeded"),
+    ((QueryError, XsltError), 422, None),
+    # Names a resource that does not exist, as a missing sheet does.
+    (UnknownDatabankError, 404, None),
+    # Every source of a federated query down is a temporary outage, not a
+    # server bug; a partial loss answers 200 with a ``<partial>`` envelope.
+    (AllSourcesFailedError, 503, "all-sources-failed"),
+    (CorruptLogError, 500, "corrupt-log"),
+    (RecoveryError, 500, "recovery-failed"),
+    (FsckError, 500, "store-inconsistent"),
+    (ReproError, 500, None),
+)
+#: The counters of the failures that stop a request mid-execution.
+_STOPPED = {
+    499: "repro_server_requests_cancelled_total",
+    504: "repro_server_requests_timed_out_total",
+}
 
 
 def _route_label(path: str) -> str:
@@ -109,37 +142,34 @@ def error_response(
     attrs = {"code": code, "status": str(status)}
     if retry_after is not None:
         attrs["retry-after"] = str(retry_after)
-    if attributes:
-        attrs.update(attributes)
-    root = Element("error", attrs)
-    root.append_text(message)
-    headers: tuple[tuple[str, str], ...] = ()
-    if retry_after is not None:
-        headers = (("Retry-After", str(retry_after)),)
-    return HttpResponse(
-        status, serialize(Document(root), indent=2), headers=headers
-    )
+    writer = XmlWriter(indent=2)
+    writer.start("error", attrs | (attributes or {}))
+    writer.text(message)
+    writer.end()
+    headers = () if retry_after is None else (("Retry-After", str(retry_after)),)
+    return HttpResponse(status, writer.getvalue(), headers=headers)
 
 
-def _trace_element(span: Span) -> Element:
-    """Render one span tree as the ``<trace>`` envelope element."""
-    element = Element("trace")
-    element.append(_span_element(span))
-    return element
-
-
-def _span_element(span: Span) -> Element:
-    attributes = {
-        "name": span.name,
-        "start": str(span.start_tick),
-        "ticks": str(span.ticks),
-    }
-    for key in sorted(span.attrs):
-        attributes[key] = str(span.attrs[key])
-    element = Element("span", attributes)
+def _write_span(writer: XmlWriter, span: Span) -> None:
+    """One span tree as ``<span name= start= ticks= …>`` events."""
+    attributes = {"name": span.name, "start": str(span.start_tick), "ticks": str(span.ticks)}
+    writer.start("span", attributes | {key: str(span.attrs[key]) for key in sorted(span.attrs)})
     for child in span.children:
-        element.append(_span_element(child))
-    return element
+        _write_span(writer, child)
+    writer.end()
+
+
+def _open_root(writer: XmlWriter, document: Document, stamps: dict[str, str]) -> None:
+    """Write ``document`` with ``stamps`` after its root's attributes,
+    leaving the root open for the footer."""
+    writer.start(document.root.tag, document.root.attributes | stamps)
+    for child in document.root.children:
+        writer.node(child)
+
+
+def _plain(status: int, message: str) -> HttpResponse:
+    """A plain-text answer: a message, not an XML body."""
+    return HttpResponse(status, message, "text/plain")
 
 
 @dataclass(frozen=True)
@@ -248,7 +278,7 @@ class NetmarkHttpApi:
         if path == "/metrics" and method == "GET":
             # Served even while recovering: the one endpoint an operator
             # needs most during a rough startup.
-            return HttpResponse(200, obs.render_text(), "text/plain")
+            return _plain(200, obs.render_text())
         if self.recovering:
             return self._error(
                 503, "recovering",
@@ -265,7 +295,7 @@ class NetmarkHttpApi:
                         return gate
                 return self._dav(method, path[len("/dav"):] or "/", body)
             if method != "GET":
-                return HttpResponse(405, f"method {method} not allowed on {path}")
+                return _plain(405, f"method {method} not allowed on {path}")
             if path == "/search":
                 return self._search(query_string, budget)
             if path == "/docs":
@@ -274,52 +304,19 @@ class NetmarkHttpApi:
                 return self._databanks()
             if path.startswith("/doc/"):
                 return self._document(path[len("/doc/"):])
-            return HttpResponse(404, f"no route for {path}")
-        except QuerySyntaxError as error:
-            return HttpResponse(400, str(error))
-        except QueryCancelledError as error:
-            # The submitter walked away (or cancelled explicitly): 499 in
-            # the nginx tradition.  Nobody reads the body, but a
-            # structured one keeps logs greppable.  Must precede the
-            # QueryError clause — it is a QueryError subclass.
-            obs.inc(
-                "repro_server_requests_cancelled_total", stage="executing"
-            )
-            return self._error(499, "cancelled", str(error))
-        except QueryTimeoutError as error:
-            # A hard deadline (no Partial=1) expired mid-execution.
-            obs.inc(
-                "repro_server_requests_timed_out_total", stage="executing"
-            )
-            return self._error(
-                504, "deadline-exceeded", str(error),
-                retry_after=RETRY_AFTER_SECONDS,
-            )
-        except (QueryError, XsltError) as error:
-            return HttpResponse(422, str(error))
-        except UnknownDatabankError as error:
-            # Names a resource that does not exist, as a missing sheet does.
-            return HttpResponse(404, str(error))
-        except AllSourcesFailedError as error:
-            # A federated query with *every* source down is a temporary
-            # outage, not a server bug: 503, never 500.  Partial losses
-            # never reach here — they return 200 with a <partial>
-            # envelope (see ResultSet.to_xml).
-            return self._error(
-                503, "all-sources-failed", str(error),
-                retry_after=RETRY_AFTER_SECONDS,
-            )
-        except CorruptLogError as error:
-            # Durability-layer failures get structured bodies: a client
-            # (or operator script) can dispatch on the machine-readable
-            # code instead of parsing a free-text 500.
-            return self._error(500, "corrupt-log", str(error))
-        except RecoveryError as error:
-            return self._error(500, "recovery-failed", str(error))
-        except FsckError as error:
-            return self._error(500, "store-inconsistent", str(error))
+            return _plain(404, f"no route for {path}")
         except ReproError as error:
-            return HttpResponse(500, str(error))
+            return self._failure(error)
+
+    def _failure(self, error: ReproError) -> HttpResponse:
+        """Answer a typed failure as :data:`_FAILURES` says."""
+        status, code = next((s, c) for kinds, s, c in _FAILURES if isinstance(error, kinds))
+        if code is None:
+            return _plain(status, str(error))
+        if status in _STOPPED:
+            obs.inc(_STOPPED[status], stage="executing")
+        retry_after = RETRY_AFTER_SECONDS if status in (503, 504) else None
+        return self._error(status, code, str(error), retry_after=retry_after)
 
     def get(self, target: str) -> HttpResponse:
         """Convenience for the common ``GET`` case."""
@@ -346,17 +343,22 @@ class NetmarkHttpApi:
         # A per-request tracer: Trace=1 is self-service, so one slow
         # request can be dissected without flipping any server state.
         tracer = Tracer() if query.trace else NULL_TRACER
+        # The envelope: these stamps follow the root's own attributes, and
+        # the trace is its footer, written once the request span is shut.
+        writer = XmlWriter(indent=2)
+        stamps = {"degraded": "brownout"} if degraded else {}
         with tracer.span(
             "request", route="/search", query=format_query(query)
         ):
-            outcome = self._run_search(query, tracer, budget)
-        if isinstance(outcome, HttpResponse):
-            return outcome
-        if degraded:
-            outcome.root.attributes["degraded"] = "brownout"
+            refused = self._run_search(query, tracer, budget, writer, stamps)
+        if refused is not None:
+            return refused
         for root_span in tracer.take_roots():
-            outcome.root.append(_trace_element(root_span))
-        return HttpResponse(200, serialize(outcome, indent=2))
+            writer.start("trace")
+            _write_span(writer, root_span)
+            writer.end()
+        writer.end()
+        return HttpResponse(200, writer.getvalue())
 
     def _request_budget(
         self, query: XdbQuery, budget: Budget | None
@@ -372,81 +374,78 @@ class NetmarkHttpApi:
             if budget is None:
                 budget = Budget()
             budget.tighten(self.clock, query.deadline_ticks)
-        if budget is not None and query.partial_ok:
-            budget.partial_ok = True
-        return budget
+        return Budget.of(budget, query.partial_ok)
 
     def _run_search(
-        self, query: XdbQuery, tracer: Tracer, budget: Budget | None = None
-    ) -> HttpResponse | Document:
-        """Answer one search; a Document result still needs the envelope."""
+        self, query: XdbQuery, tracer: Tracer, budget: Budget | None,
+        writer: XmlWriter, stamps: dict[str, str],
+    ) -> HttpResponse | None:
+        """Answer one search into ``writer``, its root left open for the
+        footer; an error answers instead."""
         if query.databank and self.router is None:
-            return HttpResponse(422, "no databanks configured")
+            return _plain(422, "no databanks configured")
         if query.explain:
             # Explain=1: run the plan and return the annotated operator
             # tree instead of results (stylesheets do not apply to plans).
             if query.databank:
                 with tracer.span("explain", tier="federated"):
-                    return self.router.explain(query)
-            with self.store.snapshot() as snapshot:
-                with tracer.span("explain", tier="local"):
-                    return self.engine.explain(query, snapshot=snapshot)
+                    plan = self.router.explain(query)
+            else:
+                with self.store.snapshot() as snapshot:
+                    with tracer.span("explain", tier="local"):
+                        plan = self.engine.explain(query, snapshot=snapshot)
+            return _open_root(writer, plan, stamps)
         if query.stylesheet:
             # name -> text is resolved per request, before any query work
             # (a missing sheet costs no row read); text -> compiled sheet
             # is memoized by the text: a PUT shows on the very next request.
             sheet = self.dav.get(f"{STYLESHEET_FOLDER}/{query.stylesheet}")
             if not sheet.ok:
-                return HttpResponse(404, f"stylesheet not found: {query.stylesheet}")
-        if query.databank:
-            # Federated queries aggregate *remote* answers; the local
-            # MVCC snapshot has no authority over other sources.
-            with tracer.span(
-                "execute", tier="federated", databank=query.databank
-            ) as span:
-                results = self.router.execute(query, budget=budget)
+                return _plain(404, f"stylesheet not found: {query.stylesheet}")
+        # A federated query aggregates *remote* answers: the local MVCC
+        # snapshot has no authority over other sources.  A local one pins
+        # one snapshot: plan execution AND the lazy section reads of the
+        # compose step resolve at the same commit LSN, so a response is
+        # internally consistent even while the daemon ingests concurrently.
+        tier = {"tier": "local"} if not query.databank else {
+            "tier": "federated", "databank": query.databank
+        }
+        with nullcontext() if query.databank else self.store.snapshot() as snapshot:
+            with tracer.span("execute", **tier) as span:
+                if query.databank:
+                    results = self.router.execute(query, budget=budget)
+                else:
+                    results = self.engine.execute(query, snapshot=snapshot, budget=budget)
                 span.annotate(matches=len(results))
+            # A transport stamp the results never render: a replay carries
+            # a fresh answer's bytes below it.
+            cached = {"cached": "true"} if results.cached else {}
             with tracer.span("compose"):
-                document = results.to_xml()
-        else:
-            # Pin one MVCC snapshot per request: plan execution AND the
-            # lazy match materialization inside ``to_xml`` read the same
-            # commit LSN, so a response is internally consistent even
-            # while the daemon ingests concurrently.
-            with self.store.snapshot() as snapshot:
-                with tracer.span("execute", tier="local") as span:
-                    results = self.engine.execute(
-                        query, snapshot=snapshot, budget=budget
-                    )
-                    span.annotate(matches=len(results))
-                with tracer.span("compose"):
-                    document = results.to_xml()
-        if results.cached:
-            # Transport-level stamp only: ResultSet.to_xml never renders
-            # the flag, so the body below this attribute stays
-            # byte-identical to an uncached answer.
-            document.root.attributes["cached"] = "true"
-        if query.stylesheet:
-            with tracer.span("xslt", stylesheet=query.stylesheet):
-                document = transform(compile_stylesheet(sheet.body), document)
-        return document
+                if not query.stylesheet:
+                    return results.write(writer, cached | stamps)
+                listing = results.to_xml()
+        listing.root.attributes.update(cached)
+        with tracer.span("xslt", stylesheet=query.stylesheet):
+            document = transform(compile_stylesheet(sheet.body), listing)
+        return _open_root(writer, document, stamps)
 
     def _document(self, raw_id: str) -> HttpResponse:
         try:
             doc_id = int(raw_id)
         except ValueError:
-            return HttpResponse(400, f"bad document id {raw_id!r}")
+            return _plain(400, f"bad document id {raw_id!r}")
         from repro.errors import DocumentNotFoundError
 
+        writer = XmlWriter(indent=2)
         try:
             # Snapshot-pinned so a reconstruction racing the daemon never
             # interleaves nodes of two revisions (and shares no caches
             # with other worker threads).
             with self.store.snapshot() as snapshot:
-                document = self.store.document(doc_id, snapshot=snapshot)
+                self.store.write_document(doc_id, writer, snapshot=snapshot)
         except DocumentNotFoundError as error:
-            return HttpResponse(404, str(error))
-        return HttpResponse(200, serialize(document, indent=2))
+            return _plain(404, str(error))
+        return HttpResponse(200, writer.getvalue())
 
     def _catalog(self) -> HttpResponse:
         root = Element("documents")
@@ -526,8 +525,8 @@ class NetmarkHttpApi:
         elif method == "MKCOL":
             response = self.dav.mkcol(dav_path)
         else:
-            return HttpResponse(405, f"method {method} not allowed on /dav")
-        return HttpResponse(response.status, response.body, "text/plain")
+            return _plain(405, f"method {method} not allowed on /dav")
+        return _plain(response.status, response.body)
 
     # -- structured errors ---------------------------------------------------------
 

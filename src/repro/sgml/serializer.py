@@ -1,17 +1,18 @@
-"""DOM-to-XML serialization.
+"""XML output: one writer fed by ``start`` / ``text`` / ``end`` events.
 
-The store reconstructs documents and query results by serialising DOM
-subtrees back to XML text; the XSLT processor serialises result trees the
-same way.  Output is always well-formed XML (even when the input was
+Two producers feed :class:`XmlWriter`: :meth:`XmlWriter.node` walks a DOM
+subtree (:func:`serialize`, for XSLT result trees and cached answers),
+and :func:`repro.store.compose.write_rows` writes stored rows with no DOM
+in between.  Output is always well-formed XML (even when the input was
 sloppy HTML), so anything NETMARK emits can be fed back through the strict
 parser — a round-trip property the test suite checks.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Mapping
 
-from repro.sgml.dom import Document, Element, Node, Text
+from repro.sgml.dom import Document, Node, Text
 
 
 def escape_text(data: str) -> str:
@@ -26,62 +27,80 @@ def escape_attribute(data: str) -> str:
     return escape_text(data).replace('"', "&quot;")
 
 
-def serialize(node: Node | Document, indent: int | None = None) -> str:
-    """Serialise a node or document to XML text.
+class XmlWriter:
+    """Events to XML text.  ``indent=None`` is compact and preserves text
+    exactly; an integer pretty-prints with that many spaces per level and
+    drops whitespace-only text (for display, not round-tripping).  An
+    element's open tag — pretty, its text too — waits for its first child
+    element or its end: an empty element closes as ``<tag/>``, a
+    text-only one goes on one line."""
 
-    ``indent=None`` produces compact output that preserves text exactly;
-    an integer produces pretty-printed output with that many spaces per
-    level (whitespace-only text nodes are dropped, so pretty mode is for
-    human display, not round-tripping).  Either mode visits a node once.
-    """
-    if isinstance(node, Document):
-        node = node.root
-    parts: list[str] = []
-    if indent is None:
-        _compact(node, parts.append)
-    else:
-        _pretty(node, parts.append, "", " " * indent)
-    return "".join(parts)
+    def __init__(self, indent: int | None = None) -> None:
+        self.parts: list[str] = []
+        self._step = None if indent is None else " " * indent
+        self._open: list[str] = []  # tags of the started, unended elements
+        self._head: str | None = None  # the newest one's unwritten open tag
+        self._texts: list[str] = []  # its text so far (pretty)
 
+    def start(self, tag: str, attributes: Mapping[str, str] | None = None) -> None:
+        if self._head is not None:
+            self._flush()
+        self._head = "<" + tag + "".join(
+            [f' {name}="{escape_attribute(value)}"' for name, value in attributes.items()]
+        ) if attributes else "<" + tag
+        self._open.append(tag)
 
-def _open_tag(node: Element) -> str:
-    """``<tag name="value"…`` — up to, not including, the closing bracket."""
-    if not node.attributes:
-        return "<" + node.tag
-    return f"<{node.tag}" + "".join(
-        [f' {name}="{escape_attribute(value)}"' for name, value in node.attributes.items()]
-    )
+    def text(self, data: str) -> None:
+        if self._step is None:
+            if self._head is not None:
+                self._flush()
+            self.parts.append(escape_text(data))
+        elif self._head is not None:
+            self._texts.append(data)
+        elif stripped := data.strip():
+            self.parts.append(f"{self._step * len(self._open)}{escape_text(stripped)}\n")
 
+    def end(self) -> None:
+        tag, head, step = self._open.pop(), self._head, self._step
+        if step is None:
+            self.parts.append(f"</{tag}>" if head is None else head + "/>")
+        elif head is None:
+            self.parts.append(f"{step * len(self._open)}</{tag}>\n")
+        elif self._texts:
+            text, self._texts = escape_text("".join(self._texts).strip()), []
+            self.parts.append(f"{step * len(self._open)}{head}>{text}</{tag}>\n")
+        else:
+            self.parts.append(f"{step * len(self._open)}{head}/>\n")
+        self._head = None
 
-def _compact(node: Node, emit: Callable[[str], None]) -> None:
-    if isinstance(node, Text):
-        emit(escape_text(node.data))
-    elif not node.children:
-        emit(_open_tag(node) + "/>")
-    else:
-        emit(_open_tag(node) + ">")
+    def _flush(self) -> None:
+        """Write the waiting open tag: its element has a child after all."""
+        head, step, self._head = self._head, self._step, None
+        if step is None:
+            self.parts.append(head + ">")
+            return
+        pad = step * (len(self._open) - 1)
+        self.parts.append(f"{pad}{head}>\n")
+        for data in self._texts:
+            if stripped := data.strip():
+                self.parts.append(f"{pad}{step}{escape_text(stripped)}\n")
+        self._texts.clear()
+
+    def node(self, node: Node) -> None:
+        """Feed a DOM subtree as events, in document order."""
+        if isinstance(node, Text):
+            return self.text(node.data)
+        self.start(node.tag, node.attributes)
         for child in node.children:
-            _compact(child, emit)
-        emit(f"</{node.tag}>")
+            self.node(child)
+        self.end()
+
+    def getvalue(self) -> str:
+        return "".join(self.parts)
 
 
-def _pretty(node: Node, emit: Callable[[str], None], pad: str, step: str) -> None:
-    """``pad`` is this node's indentation, ``step`` one more level of it."""
-    if isinstance(node, Text):
-        stripped = node.data.strip()
-        if stripped:
-            emit(f"{pad}{escape_text(stripped)}\n")
-        return
-    head, children = pad + _open_tag(node), node.children
-    text = [child.data for child in children if isinstance(child, Text)]
-    if not children:
-        emit(head + "/>\n")
-    elif len(text) == len(children):
-        # Text only: one line keeps pretty-printed context/content readable.
-        emit(f"{head}>{escape_text(''.join(text).strip())}</{node.tag}>\n")
-    else:
-        emit(head + ">\n")
-        inner = pad + step
-        for child in children:
-            _pretty(child, emit, inner, step)
-        emit(f"{pad}</{node.tag}>\n")
+def serialize(node: Node | Document, indent: int | None = None) -> str:
+    """Serialise a node or document to XML text (:class:`XmlWriter`)."""
+    writer = XmlWriter(indent)
+    writer.node(node.root if isinstance(node, Document) else node)
+    return writer.getvalue()

@@ -1,9 +1,9 @@
-"""Document reconstruction: XML-table rows -> DOM tree.
+"""Document reconstruction: XML-table rows -> DOM tree, or -> XML text.
 
-The inverse of :mod:`repro.store.decompose`.  Reconstruction is used by
-document retrieval (HTTP GET of a stored document) and by result
-composition, which lifts individual *sections* back into DOM fragments
-before XSLT formatting.
+The inverse of :mod:`repro.store.decompose`.  :func:`write_rows` writes a
+run of rows as :class:`~repro.sgml.serializer.XmlWriter` events (HTTP's
+stored documents and fresh section matches); the ``compose_*`` functions
+build DOM for the facade and for XSLT composition.
 
 All row access funnels through a :class:`~repro.store.accessor.NodeAccessor`:
 a node, a section or a whole document is one forward read of the rows
@@ -21,8 +21,12 @@ from repro.errors import StoreError
 from repro.ordbms import RowId
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.nodetypes import NodeType
+from repro.sgml.serializer import XmlWriter
 from repro.store.accessor import NodeAccessor
 from repro.store.schema import XmlRow, decode_attributes
+
+
+_TEXT = int(NodeType.TEXT)
 
 
 def _build(rows: list[XmlRow], beside: Element) -> Element:
@@ -35,7 +39,7 @@ def _build(rows: list[XmlRow], beside: Element) -> Element:
     """
     built: dict[RowId, Element] = {}
     for row in rows:
-        if row.NODETYPE == int(NodeType.TEXT):
+        if row.NODETYPE == _TEXT:
             node: Element | Text = Text(row.NODEDATA or "")
         else:
             node = built[row.rowid] = Element(
@@ -46,36 +50,59 @@ def _build(rows: list[XmlRow], beside: Element) -> Element:
     return beside
 
 
+def write_rows(rows: list[XmlRow], writer: XmlWriter, skip: str = "") -> None:
+    """Write a forward-read run, head first, as events: the bytes of
+    :func:`_build`'s tree, with no node built.  A top element (its parent
+    is not in the run) tagged ``skip`` is left out with its subtree."""
+    started: list[RowId] = []  # the elements written and not yet ended
+    skipped: set[RowId] = set()
+    for row in rows:
+        if row.PARENTROWID in skipped:
+            skipped.add(row.rowid)
+            continue
+        while started and started[-1] != row.PARENTROWID:
+            started.pop()
+            writer.end()
+        if row.NODETYPE == _TEXT:
+            writer.text(row.NODEDATA or "")
+        elif (tag := (row.NODENAME or "node").lower()) == skip and not started:
+            skipped.add(row.rowid)
+        else:
+            writer.start(tag, decode_attributes(row.ATTRS))
+            started.append(row.rowid)
+    for _ in started:
+        writer.end()
+
+
 def compose_node(row: XmlRow, accessor: NodeAccessor) -> Element | Text:
     """Rebuild the DOM subtree rooted at ``row``."""
     [node] = _build([row] + accessor.subtree(row), Element("parent")).children
     return node.detach()
 
 
-def compose_document(
-    doc_id: int, accessor: NodeAccessor, name: str = ""
-) -> Document:
-    """Rebuild the full DOM of document ``doc_id``.
-
-    A document's rows are one ROWID run in document order: its lowest
-    address is its root and the rest is exactly the root's subtree —
-    ``XML.DOC_ID``'s postings say how many rows that must be.
-    """
+def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
+    """Document ``doc_id``'s rows: one ROWID run in document order, its
+    lowest address its root element and the rest exactly the root's
+    subtree — ``XML.DOC_ID``'s postings say how many rows that must be."""
     rowids = accessor.lookup_rowids("DOC_ID", doc_id)
     rows = accessor.nodes(rowids[:1])
     if rows:
         rows += accessor.subtree(rows[0])
-    if len(rows) != len(rowids) or not rows or rows[0].PARENTROWID is not None:
+    if (
+        len(rows) != len(rowids) or not rows or rows[0].PARENTROWID is not None
+        or accessor.is_text(rows[0])
+    ):
         raise StoreError(
-            f"document {doc_id}'s {len(rowids)} rows are not one root node "
+            f"document {doc_id}'s {len(rowids)} rows are not one root element "
             f"followed by its subtree"
         )
-    # A bare text root cannot occur via decompose; it would stay wrapped.
-    wrapper = _build(rows, Element("document", synthetic=True))
-    [root] = wrapper.children
-    return Document(
-        wrapper if isinstance(root, Text) else root.detach(), name=name
-    )
+    return rows
+
+
+def compose_document(doc_id: int, accessor: NodeAccessor, name: str = "") -> Document:
+    """Rebuild the full DOM of document ``doc_id``."""
+    [root] = _build(document_rows(doc_id, accessor), Element("document")).children
+    return Document(root.detach(), name=name)
 
 
 def compose_section(context_row: XmlRow, accessor: NodeAccessor) -> Element:

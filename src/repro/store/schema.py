@@ -45,6 +45,7 @@ from repro.ordbms import (
     Table,
     TableSchema,
 )
+from repro.ordbms.valuecodec import unescape
 
 DOC_TABLE = "DOC"
 XML_TABLE = "XML"
@@ -181,25 +182,17 @@ def encode_attributes(attributes: dict[str, str]) -> str | None:
     return "\n".join(parts)
 
 
+#: The ATTRS column's escapes (:func:`encode_attributes`).
+_ATTR_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+
+
 def decode_attributes(text: str | None) -> dict[str, str]:
     """Parse the ATTRS column back into an attribute dict."""
     if not text:
         return {}
     result: dict[str, str] = {}
     for line in text.split("\n"):
-        if "\t" not in line:
-            continue
-        key, _, escaped = line.partition("\t")
-        value = []
-        index = 0
-        while index < len(escaped):
-            char = escaped[index]
-            if char == "\\" and index + 1 < len(escaped):
-                nxt = escaped[index + 1]
-                value.append({"\\": "\\", "t": "\t", "n": "\n"}.get(nxt, nxt))
-                index += 2
-            else:
-                value.append(char)
-                index += 1
-        result[key] = "".join(value)
+        if "\t" in line:
+            key, _, escaped = line.partition("\t")
+            result[key] = unescape(escaped, _ATTR_ESCAPES)
     return result

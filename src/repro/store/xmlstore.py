@@ -24,8 +24,9 @@ from repro.errors import DocumentNotFoundError
 from repro.ordbms import Database, Snapshot, Table
 from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
 from repro.sgml.dom import Document
+from repro.sgml.serializer import XmlWriter
 from repro.store.accessor import NodeAccessor, SectionPass
-from repro.store.compose import compose_document
+from repro.store.compose import compose_document, document_rows, write_rows
 from repro.store.liftcache import LiftCache
 from repro.store.decompose import DecomposeResult, Decomposer
 from repro.store.schema import (
@@ -288,6 +289,12 @@ class XmlStore:
         accessor = self.new_accessor(snapshot)
         entry = self.entry_at(doc_id, accessor.lsn)
         return compose_document(doc_id, accessor, name=entry.file_name)
+
+    def write_document(self, doc_id: int, writer: XmlWriter, snapshot: Snapshot | None = None) -> None:
+        """Write what :meth:`document` rebuilds to ``writer``, from the rows."""
+        accessor = self.new_accessor(snapshot)
+        self.entry_at(doc_id, accessor.lsn)
+        write_rows(document_rows(doc_id, accessor), writer)
 
     def new_accessor(
         self,

@@ -357,8 +357,11 @@ def test_ties_and_priorities_rank_like_the_scan():
 # ---------------------------------------------------------------------------
 
 #: sha256 over the bodies (each followed by a NUL) as the parent commit —
-#: the interpreter — answered them.
+#: the interpreter — answered them.  The two plain-search entries come from
+#: the DOM-built ``<results>`` tree the streamed render replaced.
 PARENT_SHA256 = {
+    "search_cold": "7ca30466ed0c49e97c331687c168415e496a46e2d7ad3824f6dfc2777cf449b7",
+    "search_cached": "191af11fdce91c17287ccdd72909620ab25c75aeeab10c2f524560d5543e25fb",
     "search_compose": "0b3ffe12546aaa52fddcb53be592e39bc1776c47612b8d288105e7e4db1383ab",
     "fig7": "7a84336d66c5b857446d10238c1c0964a8e78a49575cfd32d06408808c171126",
     "ibpd": "1e5e5384ddd4abca5c2ae248ee16c13eb464ab1b4a15cf4b65d961d46f525cd0",
@@ -382,6 +385,23 @@ def _load(path: Path):
 
 
 class TestFixedCorpus:
+    def test_the_plain_search_bodies(self):
+        """``search_cold``'s 61 targets, then each without ``Cache=0``
+        twice in a row: a miss, then a hit stamped ``cached="true"``."""
+        plans = _load(REPO_ROOT / "benchmarks" / "e2e" / "plans.py")
+        node = Netmark("search_cold")
+        node.ingest_many([(g.name, g.text) for g in plans.build_plan("search_cold", 1).corpus])
+        targets = plans.cold_queries()
+        cold = [node.http_get(target) for target in targets]
+        cached = [
+            node.http_get(target.replace("&Cache=0", ""))
+            for target in targets for _ in range(2)
+        ]
+        assert all(response.ok for response in cold + cached)
+        assert len(cold) == 61
+        assert _sha256([r.body for r in cold]) == PARENT_SHA256["search_cold"]
+        assert _sha256([r.body for r in cached]) == PARENT_SHA256["search_cached"]
+
     def test_the_60_search_compose_bodies(self):
         plans = _load(REPO_ROOT / "benchmarks" / "e2e" / "plans.py")
         node = Netmark("search_compose")
