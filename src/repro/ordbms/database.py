@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro import obs
-from repro.errors import ReproError, TransactionError, WalError
+from repro.errors import TransactionError, WalError
 from repro.ordbms.catalog import Catalog
 from repro.ordbms.mvcc import MvccState, Snapshot
 from repro.ordbms.rowid import RowId
@@ -195,51 +195,48 @@ class Database:
     # -- DML (transaction-aware) ------------------------------------------------
 
     def insert(self, table_name: str, values: Mapping[str, Any]) -> RowId:
-        return self.table(table_name).insert(values, self._journal)
+        return self._settle(self.table(table_name).insert(values, self._journal))
 
     def update(
         self, table_name: str, rowid: RowId, changes: Mapping[str, Any]
     ) -> None:
-        self.table(table_name).update(rowid, changes, self._journal)
+        self._settle(self.table(table_name).update(rowid, changes, self._journal))
 
     def delete(self, table_name: str, rowid: RowId) -> None:
-        self.table(table_name).delete(rowid, self._journal)
+        self._settle(self.table(table_name).delete(rowid, self._journal))
 
     def change(self, table_name: str, pairs: Sequence[Pair]) -> None:
         """Apply ``pairs`` (see :meth:`Table.change`) as one statement: a
         document's rows, loaded or deleted, in one go."""
-        self.table(table_name).change(pairs, self._journal)
+        self._settle(self.table(table_name).change(pairs, self._journal))
 
-    def _journal(
-        self, table: Table, pairs: Sequence[Pair]
-    ) -> tuple[int, BaseException | None]:
-        """Checked changes, about to move their slots: log them (outside
-        a transaction a statement commits, so it syncs too), keep them for
-        rollback and count them.  A log that refuses a record stops the
-        statement there: the prefix it took is what moves (and is kept),
-        and its error is the statement's."""
-        current, taken, refusal = self._current, len(pairs), None
+    def _journal(self, table: Table, pairs: Sequence[Pair]) -> None:
+        """Checked changes, about to move their slots: log them as one
+        record (a log that refuses it raises, and nothing moves), keep
+        them for rollback and count them."""
+        current = self._current
         if self.wal is not None:
             txid = AUTOCOMMIT_TXID if current is None else current.txid
-            landing = self.wal.next_lsn
-            try:
-                self.wal.log_changes(txid, table.schema.name, pairs)
-                if current is None:
-                    self.wal.device.sync()
-                    obs.inc("repro_ordbms_wal_syncs_total", reason="autocommit")
-            except ReproError as error:
-                taken, refusal = self.wal.next_lsn - landing, error
-        done, stats = pairs[:taken], self.stats
+            self.wal.log_changes(txid, table.schema.name, pairs)
         if current is not None:
-            current.changes += [(table, before, after) for before, after in done]
-        for before, after in done:  # a loop: replay calls this once a row
+            current.changes += [(table, before, after) for before, after in pairs]
+        stats = self.stats
+        for before, after in pairs:
             if before is None:
                 stats.rows_inserted += 1
             elif after is None:
                 stats.rows_deleted += 1
             else:
                 stats.rows_updated += 1
-        return taken, refusal
+
+    def _settle(self, result: Any) -> Any:
+        """After a statement has moved: outside a transaction it commits,
+        so its record is synced (a sync that fails leaves it moved, as a
+        logged COMMIT that fails to sync counts as committed)."""
+        if self._current is None and self.wal is not None:
+            self.wal.device.sync()
+            obs.inc("repro_ordbms_wal_syncs_total", reason="autocommit")
+        return result
 
     def fetch(self, table_name: str, rowid: RowId) -> Any:
         """O(1) fetch by physical ROWID (counted in stats): the stored row."""

@@ -1,8 +1,8 @@
 """Crash recovery: rebuild a :class:`Database` from its log device.
 
 ARIES-lite, sized to the single-writer engine: one forward pass over the
-log redoes every change *positionally* — an insert must take exactly the
-ROWID the log recorded, which is what lets ``PARENTROWID`` /
+log redoes every statement *positionally* — an insert must take exactly
+the ROWID the log recorded, which is what lets ``PARENTROWID`` /
 ``SIBLINGID`` values stored inside rows survive a crash — and resolves
 transactions as their COMMIT / ROLLBACK records stream past.
 Whatever is still unresolved at the end of the log died with the process
@@ -21,9 +21,9 @@ design and are what the crash harness asserts:
   state, never anything in between, because a transaction's changes
   are kept only once its COMMIT record is durable.
 * **Physical identity** — every replayed insert takes the logged
-  address, and every update/delete before-image must be what the
-  recovered slot holds; any disagreement means the log and the
-  checkpoint diverged, and recovery refuses with
+  address, which must be the table's tail, and every update/delete
+  before-image must be what the recovered slot holds; any disagreement
+  means the log and the checkpoint diverged, and recovery refuses with
   :class:`~repro.errors.RecoveryError` rather than guess.
 
 Rolled-back transactions are replayed *then* rolled back at their
@@ -36,7 +36,6 @@ address).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
 
 from repro import obs
 from repro.errors import (
@@ -55,11 +54,9 @@ from repro.ordbms.transaction import Transaction
 from repro.ordbms.wal import (
     AUTOCOMMIT_TXID,
     BEGIN,
+    CHANGE,
     COMMIT,
-    DELETE,
-    INSERT,
     ROLLBACK,
-    UPDATE,
     LogDevice,
     WalRecord,
     WriteAheadLog,
@@ -121,7 +118,7 @@ class StreamReplayer:
                 )
             self._open = self.database.begin()
             self._open.txid = record.txid  # the log's, not a fresh one
-        elif record.kind in (INSERT, UPDATE, DELETE):
+        elif record.kind == CHANGE:
             if record.txid != AUTOCOMMIT_TXID:
                 self._require_open(record)
             _redo(self.database, record)
@@ -278,35 +275,26 @@ def _table(database: Database, record: WalRecord) -> Table:
         ) from None
 
 
-def _row(table: Table, record: WalRecord, image: tuple | None) -> Any:
-    """The stored row a logged image stands for, at the record's address
-    (None for no image)."""
-    if image is None:
-        return None
-    assert record.rowid is not None
-    try:
-        return table.schema.row_of_image(image, record.rowid)
-    except (SchemaError, TypeMismatchError) as error:
-        raise RecoveryError(
-            f"LSN {record.lsn}: {record.kind} image for {record.table} "
-            f"is not a row of that table: {error}"
-        ) from error
-
-
 def _redo(database: Database, record: WalRecord) -> None:
-    """Apply one logged change through the database's statement; an
-    INSERT must take the next slot."""
+    """Apply one logged statement through the database's own: its images
+    must be rows of the table, and its inserts must take the table's
+    tail (a free slot behind it is a tombstone, which only a rollback
+    fills)."""
     table = _table(database, record)
-    if record.kind == INSERT and record.rowid != table.next_rowids(1)[0]:
-        raise RecoveryError(
-            f"LSN {record.lsn}: INSERT at {record.rowid}, but the next slot "
-            f"of {record.table} is {table.next_rowids(1)[0]} — slot "
-            f"allocation diverged"
-        )
-    pair = _row(table, record, record.before), _row(table, record, record.after)
+    row = table.schema.row_of_image
+    inserts = [rowid for rowid, before, _ in record.changes if before is None]
     try:
-        database.change(record.table, [pair])
-    except (RowIdError, ConstraintError) as error:
+        pairs = [
+            (
+                None if before is None else row(before, rowid),
+                None if after is None else row(after, rowid),
+            )
+            for rowid, before, after in record.changes
+        ]
+        if inserts != table.next_rowids(len(inserts)):
+            raise RowIdError(f"its inserts do not take the tail of {record.table}")
+        database.change(record.table, pairs)
+    except (RowIdError, ConstraintError, SchemaError, TypeMismatchError) as error:
         raise RecoveryError(
             f"LSN {record.lsn}: cannot redo the logged change to "
             f"{record.table}: {error}"

@@ -16,7 +16,8 @@ through :meth:`Table.change`, never an edit of one in hand.  Every
 writer goes through that one statement — live inserts, updates and
 deletes, a document's rows as one batch, rollback, crash recovery,
 follower replay and the snapshot loader — so each batch takes the
-seqlock once, leaves a pre-image per row and moves the commit LSN once
+seqlock once, leaves a pre-image per row, moves the commit LSN once and,
+on a durable database, is one WAL record that moves whole or not at all
 (the loader's tables are bound to MVCC only once full: none of that).
 """
 
@@ -51,8 +52,8 @@ _T = TypeVar("_T")
 Pair = tuple[Any, Any]
 
 #: What a statement's caller does with its checked pairs before a slot
-#: moves: ``journal(table, pairs) -> (taken, refusal)`` (see :meth:`Table.change`).
-Journal = Callable[["Table", Sequence[Pair]], tuple[int, BaseException | None]]
+#: moves (see :meth:`Table.change`): log them, keep them, count them.
+Journal = Callable[["Table", Sequence[Pair]], None]
 
 
 class Table:
@@ -272,41 +273,39 @@ class Table:
         Every slot must hold its ``before``, none may be named twice and
         unique columns must stay unique, else :class:`~repro.errors.RowIdError`
         / :class:`~repro.errors.ConstraintError` and nothing moved; then
-        ``journal(table, pairs)`` answers ``(taken, refusal)``, the prefix
-        the log took and the error that stopped it; under one seqlock
-        bracket and one LSN each slot taken leaves its pre-image and moves
-        with its indexes; the LSN is published, then a refusal raised.
+        ``journal(table, pairs)`` runs, and a journal that raises (a log
+        refusing the statement's record) moves nothing either; then, under
+        one seqlock bracket and one LSN, each slot leaves its pre-image
+        and moves with its indexes.
         """
+        if not pairs:
+            return
         held = self._check(pairs)
-        taken, refusal = len(pairs), None
         if journal is not None:
-            taken, refusal = journal(self, pairs)
-        if taken:
-            heap, lsn = self._heap, self._begin_statement()
-            history = None if lsn is None else self._history
+            journal(self, pairs)
+        heap, lsn = self._heap, self._begin_statement()
+        history = None if lsn is None else self._history
+        self._seq += 1
+        try:
+            for (before, after), row in zip(pairs, held):
+                rowid = (before if after is None else after).rowid
+                if history is not None:
+                    history.setdefault(rowid, []).append(
+                        (lsn, ABSENT if row is None else row)
+                    )
+                if row is not None:
+                    self._post(row, add=False)
+                if after is None:
+                    heap.delete(rowid)
+                    continue
+                if row is None:
+                    heap.restore(rowid, after)
+                else:
+                    heap.update(rowid, after)
+                self._post(after, add=True)
+        finally:
             self._seq += 1
-            try:
-                for (before, after), row in islice(zip(pairs, held), taken):
-                    rowid = (before if after is None else after).rowid
-                    if history is not None:
-                        history.setdefault(rowid, []).append(
-                            (lsn, ABSENT if row is None else row)
-                        )
-                    if row is not None:
-                        self._post(row, add=False)
-                    if after is None:
-                        heap.delete(rowid)
-                        continue
-                    if row is None:
-                        heap.restore(rowid, after)
-                    else:
-                        heap.update(rowid, after)
-                    self._post(after, add=True)
-            finally:
-                self._seq += 1
-                self._commit_statement(lsn, taken)
-        if refusal is not None:
-            raise refusal
+            self._commit_statement(lsn, len(pairs))
 
     def _check(self, pairs: Sequence[Pair]) -> list[Any]:
         """What each pair's slot holds, once the whole batch is checked

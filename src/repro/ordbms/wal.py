@@ -3,9 +3,10 @@
 "Nothing more than an intelligent storage component" must survive a
 crash.  This module gives the in-memory substrate its durability story:
 
-* a record grammar — ``BEGIN`` / ``INSERT`` / ``UPDATE`` / ``DELETE`` /
-  ``COMMIT`` / ``ROLLBACK`` / ``CHECKPOINT`` — with monotonically
-  increasing LSNs and a per-record CRC32 over the body;
+* a record grammar — ``BEGIN`` / ``CHANGE`` / ``COMMIT`` / ``ROLLBACK``
+  / ``CHECKPOINT`` — with monotonically increasing LSNs and a per-record
+  CRC32 over the body.  A ``CHANGE`` record is one statement, whole: a
+  refused or torn one moves nothing;
 * torn-tail detection: a damaged record *at the end* of the log is a
   torn write (the crash interrupted the append) and is silently
   truncated, while a damaged record *followed by* well-formed records is
@@ -40,9 +41,7 @@ from repro.ordbms.valuecodec import pack_row, unpack_row
 
 #: Record kinds, in the vocabulary recovery understands.
 BEGIN = "BEGIN"
-INSERT = "INSERT"
-UPDATE = "UPDATE"
-DELETE = "DELETE"
+CHANGE = "CHANGE"
 COMMIT = "COMMIT"
 ROLLBACK = "ROLLBACK"
 CHECKPOINT = "CHECKPOINT"
@@ -54,6 +53,15 @@ CHECKPOINT_MAGIC = "%NETMARK-CKPT"
 #: recovery treats them as committed the moment they are durable.
 AUTOCOMMIT_TXID = 0
 
+#: The token of a change's missing image (an insert's pre-image, a
+#: delete's post-image).  :func:`pack_row` never emits it: a packed row
+#: is ``-`` or starts with a value's tag.
+ABSENT_IMAGE = "."
+
+#: One row of a ``CHANGE`` record: ``(rowid, before, after)``, the images
+#: column-ordered tuples and None where the slot is free or freed.
+Change = tuple[RowId, "tuple[Any, ...] | None", "tuple[Any, ...] | None"]
+
 
 def _crc(body: str) -> str:
     return f"{zlib.crc32(body.encode('utf-8')):08x}"
@@ -63,46 +71,35 @@ def _crc(body: str) -> str:
 class WalRecord:
     """One parsed log record.
 
-    ``before``/``after`` are full row images (column-ordered tuples).
-    Redo uses ``after``; undo of an unresolved transaction uses
-    ``before`` — the reason UPDATE and DELETE carry their pre-image even
-    though replay is redo-first.
+    A ``CHANGE`` record carries one statement on ``table``: its
+    ``changes`` in order, each with full row images.  Redo uses the
+    post-images; undo of an unresolved transaction uses the pre-images —
+    the reason an update or delete carries its pre-image even though
+    replay is redo-first.
     """
 
     lsn: int
     kind: str
     txid: int = AUTOCOMMIT_TXID
     table: str = ""
-    rowid: RowId | None = None
-    before: tuple[Any, ...] | None = None
-    after: tuple[Any, ...] | None = None
+    changes: tuple[Change, ...] = ()
 
     def encode(self) -> str:
-        """Serialise to one log line (body, ``|``, CRC, newline)."""
-        if self.kind in (INSERT, UPDATE, DELETE):
-            assert self.rowid is not None
-            return _encode_change(
-                self.lsn, self.kind, self.txid, self.table, self.rowid,
-                self.before, self.after,
-            )
+        """Serialise to one log line (body, ``|``, CRC, newline).  A
+        change is its rowid, pre-image and post-image, in that order."""
+        if self.kind == CHANGE:
+            fields = [f"{self.lsn} {CHANGE} {self.txid} {self.table} {len(self.changes)}"]
+            for rowid, before, after in self.changes:
+                fields += (
+                    rowid.encode(),
+                    ABSENT_IMAGE if before is None else pack_row(before),
+                    ABSENT_IMAGE if after is None else pack_row(after),
+                )
+            return _line(" ".join(fields))
         if self.kind not in (BEGIN, COMMIT, ROLLBACK, CHECKPOINT):
             raise WalError(f"unknown WAL record kind {self.kind!r}")
         body = f"{self.lsn} {self.kind}"
         return _line(body if self.kind == CHECKPOINT else f"{body} {self.txid}")
-
-
-def _encode_change(
-    lsn: int, kind: str, txid: int, table: str, rowid: RowId,
-    before: tuple[Any, ...] | None, after: tuple[Any, ...] | None,
-) -> str:
-    """The one encoder of a change record, its images the rows' columns:
-    a pre-image unless an INSERT, a post-image unless a DELETE."""
-    body = f"{lsn} {kind} {txid} {table} {rowid.encode()}"
-    if before is not None:
-        body += " " + pack_row(before)
-    if after is not None:
-        body += " " + pack_row(after)
-    return _line(body)
 
 
 def _line(body: str) -> str:
@@ -122,17 +119,23 @@ def _parse_body(body: str) -> WalRecord:
         if kind in (BEGIN, COMMIT, ROLLBACK):
             _expect(len(fields) == 3, body)
             return WalRecord(lsn, kind, txid)
-        if kind in (INSERT, UPDATE, DELETE):
-            _expect(len(fields) == (7 if kind == UPDATE else 6), body)
-            images = [unpack_row(field) for field in fields[5:]]
-            return WalRecord(
-                lsn, kind, txid, table=fields[3], rowid=RowId.decode(fields[4]),
-                before=None if kind == INSERT else images[0],
-                after=None if kind == DELETE else images[-1],
+        if kind == CHANGE:
+            _expect(len(fields) == 5 + 3 * int(fields[4]), body)
+            changes = tuple(
+                (RowId.decode(fields[at]), _image(fields[at + 1]), _image(fields[at + 2]))
+                for at in range(5, len(fields), 3)
             )
+            _expect(all(
+                before is not None or after is not None for _, before, after in changes
+            ), body)
+            return WalRecord(lsn, kind, txid, fields[3], changes)
     except (ValueError, IndexError, DatabaseError) as error:  # a bad field or value
         raise WalError(f"malformed WAL record body {body!r}") from error
     raise WalError(f"unknown WAL record kind in {body!r}")
+
+
+def _image(token: str) -> tuple[Any, ...] | None:
+    return None if token == ABSENT_IMAGE else unpack_row(token)
 
 
 def _expect(condition: bool, body: str) -> None:
@@ -359,9 +362,9 @@ class WriteAheadLog:
     """Append-side facade the :class:`~repro.ordbms.database.Database` calls.
 
     Owns the LSN allocator.  Each ``log_*`` method appends one record
-    (:meth:`log_changes` one per change); :meth:`log_commit` also syncs
-    the device, so a transaction is durable the instant ``commit()``
-    returns.
+    and returns its LSN; an append that raises takes no LSN.
+    :meth:`log_commit` also syncs the device, so a transaction is
+    durable the instant ``commit()`` returns.
     """
 
     def __init__(self, device: LogDevice, start_lsn: int = 1) -> None:
@@ -384,9 +387,12 @@ class WriteAheadLog:
         """
         return self._next_lsn - 1
 
-    def _append(self, kind: str, txid: int = AUTOCOMMIT_TXID) -> int:
+    def _append(
+        self, kind: str, txid: int = AUTOCOMMIT_TXID, table: str = "",
+        changes: tuple[Change, ...] = (),
+    ) -> int:
         lsn = self._next_lsn
-        self.device.append(WalRecord(lsn, kind, txid).encode())
+        self.device.append(WalRecord(lsn, kind, txid, table, changes).encode())
         self.records_written += 1
         self._next_lsn = lsn + 1
         obs.inc("repro_ordbms_wal_appends_total", kind=kind.lower())
@@ -397,33 +403,19 @@ class WriteAheadLog:
     def log_begin(self, txid: int) -> int:
         return self._append(BEGIN, txid)
 
-    def log_change(self, txid: int, table: str, before: Any, after: Any) -> None:
-        """Log one row change; see :meth:`log_changes`."""
-        self.log_changes(txid, table, [(before, after)])
-
     def log_changes(
         self, txid: int, table: str, pairs: Iterable[tuple[Any, Any]]
-    ) -> None:
-        """Log a statement's row changes, one record and one append each:
-        INSERT when ``before`` is None, DELETE when ``after`` is, else
-        UPDATE.  An append that raises stops there (``next_lsn`` says how
-        far it got)."""
-        kinds: dict[str, int] = {}
-        try:
-            for before, after in pairs:
-                kind = INSERT if before is None else DELETE if after is None else UPDATE
-                self.device.append(_encode_change(
-                    self._next_lsn, kind, txid, table,
-                    (before if after is None else after).rowid,
-                    None if before is None else before[:-1],
-                    None if after is None else after[:-1],
-                ))
-                self._next_lsn += 1
-                kinds[kind] = kinds.get(kind, 0) + 1
-        finally:
-            for kind, count in kinds.items():
-                self.records_written += count
-                obs.inc("repro_ordbms_wal_appends_total", count, kind=kind.lower())
+    ) -> int:
+        """Log a statement's ``(before, after)`` row pairs as one
+        ``CHANGE`` record: one append, the images the rows' columns."""
+        return self._append(CHANGE, txid, table, tuple(
+            (
+                (before if after is None else after).rowid,
+                None if before is None else before[:-1],
+                None if after is None else after[:-1],
+            )
+            for before, after in pairs
+        ))
 
     def log_commit(self, txid: int) -> int:
         lsn = self._append(COMMIT, txid)

@@ -197,8 +197,9 @@ class TestFollowerReplica:
         follower = FollowerReplica.bootstrap(
             "f1", MemoryLogDevice(), shipper.bundle()
         )
-        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"  # 7 nodes
-        plan.fail("wal", "append", kind="unavailable", after=9)  # the COMMIT
+        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"
+        # BEGIN, the DOC row, the node rows, and the COMMIT is refused.
+        plan.fail("wal", "append", kind="unavailable", after=3)
         with pytest.raises(SourceUnavailableError):
             store.store_text(text, "a.xml")
         assert moved == [2]  # the XML rows, then the DOC row
@@ -211,7 +212,7 @@ class TestFollowerReplica:
         assert follower.database.mvcc.lsn - before == 2
         assert moved == [2, 2]
         # The same load, left open by a death at its COMMIT: a loser.
-        plan.fail("wal", "append", kind="crash", after=9, times=None)
+        plan.fail("wal", "append", kind="crash", after=3, times=None)
         with pytest.raises(CrashError):
             store.store_text(text, "a.xml")
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
@@ -261,10 +262,10 @@ class TestFollowerReplica:
         follower = FollowerReplica.bootstrap(
             "f1", MemoryLogDevice(), shipper.bundle()
         )
-        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"  # 7 nodes
-        plan.fail("wal", "append", kind="unavailable", after=9, times=2)
+        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"
+        plan.fail("wal", "append", kind="unavailable", after=3, times=2)
         with pytest.raises(SourceUnavailableError):
-            store.store_text(text, "a.xml")  # its 10th append is the COMMIT
+            store.store_text(text, "a.xml")  # its 4th append is the COMMIT
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
         assert follower.in_flight  # what the log says, until the next record
         assert follower.store.documents() == store.documents() == []

@@ -24,9 +24,9 @@ from repro.ordbms import (
 from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
 from repro.ordbms.transaction import Transaction
-from repro.ordbms.wal import INSERT, UPDATE, WalRecord
+from repro.ordbms.wal import ABSENT_IMAGE, CHANGE, WalRecord
 from repro.resilience import FaultPlan
-from repro.store import XmlStore
+from repro.store import XmlStore, check_store
 
 
 def durable_database(device=None) -> Database:
@@ -230,13 +230,49 @@ class TestTornTail:
         assert follower.database.fetch("T", in_flight).ID == 2
         assert [row.ID for row in writer.database.table("T").scan()] == [1]
 
+    @pytest.mark.parametrize(
+        "cut", ["first-byte", "middle", "before-crc", "before-newline"]
+    )
+    def test_a_torn_statement_moves_nothing(self, cut):
+        """A document's node rows are one record: torn anywhere, recovery
+        drops it whole and lands where the log stood before it."""
+        device = MemoryLogDevice()
+        store = XmlStore.open(device)
+        store.store_text("# Budget\n\ntravel *dollars* 12\n", "a.md")
+        landed = len(device._chunks)  # noqa: SLF001 - the appends so far
+        store.store_text("<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>", "b.xml")
+        begin, doc_row, batch, commit = device._chunks[landed:]  # noqa: SLF001
+        assert batch.split(" ")[1:5] == [CHANGE, "2", "XML", "7"]
+        end = {
+            "first-byte": 1, "middle": len(batch) // 2,
+            "before-crc": batch.rindex("|") + 1, "before-newline": len(batch) - 1,
+        }[cut]
+        prefix = device._chunks[:landed] + [begin, doc_row]  # noqa: SLF001
+        expected = XmlStore.open(_with_log(device, "".join(prefix)))
+        torn = recover(_with_log(device, "".join(prefix) + batch[:end]))
+        assert torn.torn_tail is not None and torn.losers_discarded == (2,)
+        assert dump_database(torn.database) == expected.dump()
+        assert [entry.file_name for entry in expected.documents()] == ["a.md"]
+        assert check_store(torn.database).ok
+
+    def test_an_autocommit_whose_sync_fails_stays_moved(self):
+        """Its record landed before the sync failed: the statement moves,
+        as recovery will replay it, and the sync's error surfaces."""
+        plan, device = FaultPlan(), MemoryLogDevice()
+        database = durable_database(plan.wrap_log_device(device))
+        plan.fail("wal", "sync", kind="unavailable")
+        with pytest.raises(SourceUnavailableError):
+            database.insert("T", {"ID": 1})
+        assert [row.ID for row in database.table("T").scan()] == [1]
+        assert dump_database(recover(device).database) == dump_database(database)
+
     def test_preimage_divergence_refused(self):
         database = durable_database()
         rowid = database.insert("T", {"ID": 1, "V": "real"})
         device = database.wal.device
         device.append(WalRecord(
-            database.wal.next_lsn, UPDATE, table="T", rowid=rowid,
-            before=(1, "imposter"), after=(1, "other"),
+            database.wal.next_lsn, CHANGE, table="T",
+            changes=((rowid, (1, "imposter"), (1, "other")),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
@@ -247,8 +283,8 @@ class TestTornTail:
         from repro.ordbms import RowId
 
         device.append(WalRecord(
-            database.wal.next_lsn, INSERT, table="GHOST", rowid=RowId(0, 0, 0),
-            after=(1,),
+            database.wal.next_lsn, CHANGE, table="GHOST",
+            changes=((RowId(0, 0, 0), None, (1,)),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
@@ -423,19 +459,24 @@ def _re_crc(body: str) -> str:
 def _mutate_record(rng: random.Random, log: str) -> str:
     """One edit to one record's body, CRC recomputed so the record
     parses: a character deleted, replaced or inserted, one row-image
-    field emptied, or one value's type tag swapped."""
+    field emptied, or one value's type tag swapped; or, in a CHANGE
+    record, its pair count moved, an image swapped for the absent token
+    (or the token for an image), or a pair's rowid moved."""
     lines = log.split("\n")
-    at = rng.randrange(len(lines) - 1)  # the last "line" is the final newline
+    edit = rng.randrange(8)
+    at = rng.choice(  # the last "line" is the final newline
+        range(len(lines) - 1) if edit < 5
+        else [index for index, line in enumerate(lines) if " CHANGE " in line]
+    )
     body = lines[at].rpartition("|")[0]
     where = rng.randrange(len(body))
-    edit = rng.randrange(5)
     if edit == 0:
         body = body[:where] + body[where + 1:]
     elif edit == 1:
         body = body[:where] + rng.choice(" :~|.0123456789isftr") + body[where + 1:]
     elif edit == 2:
         body = body[:where] + rng.choice(" :~|.0123456789isftr") + body[where:]
-    else:
+    elif edit < 5:
         head, _, image = body.rpartition(" ")
         fields = image.split(_TAB)
         field = rng.randrange(len(fields))
@@ -444,6 +485,21 @@ def _mutate_record(rng: random.Random, log: str) -> str:
         elif fields[field][1:2] == ":":
             fields[field] = rng.choice("isftr") + fields[field][1:]
         body = head + " " + _TAB.join(fields)
+    else:
+        fields = body.split(" ")
+        count = int(fields[4])
+        pair = 5 + 3 * rng.randrange(count)
+        if edit == 5:
+            fields[4] = str(rng.choice((count - 1, count + 1, 0, -1)))
+        elif edit == 6:
+            image = pair + rng.randrange(1, 3)
+            images = [field for field in fields[5:] if ":" in field or field == "~"]
+            fields[image] = rng.choice(images) if fields[image] == ABSENT_IMAGE else ABSENT_IMAGE
+        else:
+            fields[pair] = rng.choice(
+                (fields[rng.randrange(5, len(fields), 3)], f"F0.B0.S{rng.randrange(40)}")
+            )
+        body = " ".join(fields)
     lines[at] = _re_crc(body)
     return "\n".join(lines)
 
@@ -471,11 +527,34 @@ class TestHostileLogs:
         lines = device.read_log().split("\n")
         (at,) = [
             index for index, line in enumerate(lines)
-            if line.startswith("7 INSERT 1 XML F0.B0.S3 i:4" + _TAB)
+            if line.startswith("4 CHANGE 1 XML ")
         ]
+        insert = " F0.B0.S3 . i:4" + _TAB
+        assert lines[at].count(insert) == 1
         lines[at] = _re_crc(
-            lines[at].rpartition("|")[0].replace(" i:4", " s:4", 1)
+            lines[at].rpartition("|")[0].replace(insert, " F0.B0.S3 . s:4" + _TAB)
         )
         for reopen in (recover, recover_follower):
             with pytest.raises(RecoveryError, match="NODEID"):
                 reopen(_with_log(device, "\n".join(lines)))
+
+    @pytest.mark.parametrize("slot", ["live", "tombstone", "past-the-tail"])
+    def test_a_logged_insert_off_the_tail_is_a_recovery_error(self, slot):
+        """An insert the log places anywhere but the table's next slot
+        says the log and the checkpoint diverged: a live slot, a
+        tombstone (only a rollback fills one) or an address past the tail."""
+        database = durable_database()
+        kept = database.insert("T", {"ID": 1})
+        gone = database.insert("T", {"ID": 2})
+        database.delete("T", gone)
+        rowid = {
+            "live": kept, "tombstone": gone,
+            "past-the-tail": database.table("T").next_rowids(2)[1],
+        }[slot]
+        device = database.wal.device
+        device.append(WalRecord(
+            database.wal.next_lsn, CHANGE, table="T", changes=((rowid, None, (3, "x")),),
+        ).encode())
+        for reopen in (recover, recover_follower):
+            with pytest.raises(RecoveryError, match="cannot redo"):
+                reopen(_with_log(device, device.read_log()))

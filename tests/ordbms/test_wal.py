@@ -7,17 +7,17 @@ import pytest
 
 from repro.errors import CorruptLogError, WalError
 from repro.ordbms import RowId
+from repro.ordbms.valuecodec import pack_row
 from repro.ordbms.wal import (
+    ABSENT_IMAGE,
     AUTOCOMMIT_TXID,
     BEGIN,
+    CHANGE,
     CHECKPOINT,
     COMMIT,
-    DELETE,
     FileLogDevice,
-    INSERT,
     MemoryLogDevice,
     ROLLBACK,
-    UPDATE,
     WalRecord,
     WriteAheadLog,
     decode_checkpoint,
@@ -26,20 +26,19 @@ from repro.ordbms.wal import (
     parse_log,
 )
 
-ROWID = RowId(0, 0, 0)
+ROWID, NEXT = RowId(0, 0, 0), RowId(0, 0, 1)
 Row = namedtuple("Row", "ID V rowid")  # a stored row: columns, then its address
 
 
 def sample_records() -> list[WalRecord]:
     return [
         WalRecord(1, BEGIN, 7),
-        WalRecord(2, INSERT, 7, table="T", rowid=ROWID, after=(1, "a b\tc")),
-        WalRecord(
-            3, UPDATE, 7, table="T", rowid=ROWID,
-            before=(1, "a b\tc"), after=(1, "x\ny"),
-        ),
+        WalRecord(2, CHANGE, 7, "T", ((ROWID, None, (1, "a b\tc")),)),
+        WalRecord(3, CHANGE, 7, "T", (
+            (ROWID, (1, "a b\tc"), (1, "x\ny")), (NEXT, None, (2, ".")),
+        )),
         WalRecord(4, BEGIN, 8),
-        WalRecord(5, DELETE, 7, table="T", rowid=ROWID, before=(1, "x\ny")),
+        WalRecord(5, CHANGE, 7, "T", ((ROWID, (1, "x\ny"), None),)),
         WalRecord(6, COMMIT, 7),
         WalRecord(7, ROLLBACK, 8),
         WalRecord(8, CHECKPOINT),
@@ -65,19 +64,25 @@ class TestRecordCodec:
         with pytest.raises(WalError):
             WalRecord(1, "MERGE").encode()
         # Reading refuses what writing refuses — the savepoint record
-        # kind this grammar once had included.
-        for body in ("1 MERGE 7", "4 TRUNCATE 7 1"):
+        # kind and the per-row change kinds this grammar once had included.
+        for body in ("1 MERGE 7", "4 TRUNCATE 7 1", "2 INSERT 1 T F0.B0.S0 i:1"):
             line = f"{body}|{zlib.crc32(body.encode()):08x}\n"
             records, torn = parse_log(line)
             assert records == [] and "unknown WAL record kind" in torn
 
     def test_special_characters_survive(self):
         nasty = "tab\there\nnewline \\slash space"
-        record = WalRecord(
-            1, INSERT, table="T", rowid=ROWID, after=(nasty, None)
-        )
+        record = WalRecord(1, CHANGE, table="T", changes=((ROWID, None, (nasty, None)),))
         parsed, _ = parse_log(record.encode())
-        assert parsed[0].after == (nasty, None)
+        assert parsed[0].changes[0][2] == (nasty, None)
+
+    def test_the_absent_token_is_no_packed_row(self):
+        rows = [(), (None,), (".",), (ABSENT_IMAGE, 1)]
+        assert ABSENT_IMAGE not in [pack_row(row) for row in rows]
+        record = WalRecord(1, CHANGE, table="T", changes=tuple(
+            (RowId(0, 0, slot), row, None) for slot, row in enumerate(rows)
+        ))
+        assert parse_log(record.encode()) == ([record], None)
 
 
 class TestParseLog:
@@ -110,7 +115,7 @@ class TestParseLog:
     @pytest.mark.parametrize("value", ["i:", "f:", "t:", "t:noon", "i:1.5"])
     def test_a_bad_value_is_a_malformed_record(self, value):
         # Torn at the tail, corruption in the middle, as any bad body.
-        body = f"2 INSERT 1 T F0.B0.S0 {value}"
+        body = f"2 CHANGE 1 T 1 F0.B0.S0 . {value}"
         bad = f"{body}|{zlib.crc32(body.encode()):08x}\n"
         first, last = WalRecord(1, BEGIN, 1).encode(), WalRecord(3, BEGIN, 2).encode()
         records, reason = parse_log(first + bad)
@@ -118,6 +123,20 @@ class TestParseLog:
         assert "malformed WAL record" in reason
         with pytest.raises(CorruptLogError):
             parse_log(first + bad + last)
+
+    @pytest.mark.parametrize("body", [
+        "2 CHANGE 1 T 2 F0.B0.S0 . i:1",  # a count the pairs do not fill
+        "2 CHANGE 1 T 0 F0.B0.S0 . i:1",  # pairs past the count
+        "2 CHANGE 1 T F0.B0.S0 . i:1",  # no count
+        "2 CHANGE 1 T 1 F0.B0.S0 . .",  # neither image
+        "2 CHANGE 1 T 1 nowhere . i:1",  # no rowid
+        "2 CHANGE 1 T 1 F0.B0.S0 i:1",  # one image
+    ])
+    def test_a_change_of_the_wrong_shape_is_a_malformed_record(self, body):
+        bad = f"{body}|{zlib.crc32(body.encode()):08x}\n"
+        records, reason = parse_log(WalRecord(1, BEGIN, 1).encode() + bad)
+        assert [record.lsn for record in records] == [1]
+        assert "malformed WAL record" in reason
 
     def test_lsn_must_advance(self):
         lines = WalRecord(5, BEGIN, 1).encode() + WalRecord(5, COMMIT, 1).encode()
@@ -156,7 +175,7 @@ class TestWriteAheadLog:
         device = MemoryLogDevice()
         wal = WriteAheadLog(device)
         wal.log_begin(1)
-        wal.log_change(1, "T", None, Row(1, "v", ROWID))
+        wal.log_changes(1, "T", [(None, Row(1, "v", ROWID))])
         wal.log_commit(1)
         records, torn = wal.records()
         assert torn is None
@@ -164,17 +183,18 @@ class TestWriteAheadLog:
         assert wal.next_lsn == 4
         assert wal.records_written == 3
 
-    def test_a_changes_kind_follows_its_missing_row(self):
-        wal = WriteAheadLog(MemoryLogDevice())
+    def test_a_statement_is_one_record_and_one_append(self):
+        device, third = MemoryLogDevice(), RowId(0, 0, 2)
+        wal = WriteAheadLog(device)
         old, new = Row(1, "v", ROWID), Row(1, "w", ROWID)
-        for before, after in ((None, new), (old, new), (old, None)):
-            wal.log_change(0, "T", before, after)
-        records, _ = wal.records()
-        assert [(r.kind, r.rowid, r.before, r.after) for r in records] == [
-            (INSERT, ROWID, None, (1, "w")),
-            (UPDATE, ROWID, (1, "v"), (1, "w")),
-            (DELETE, ROWID, (1, "v"), None),
-        ]
+        pairs = [(None, Row(2, "x", third)), (old, new), (Row(3, "y", NEXT), None)]
+        assert wal.log_changes(0, "T", pairs) == 1
+        assert len(device._chunks) == 1  # noqa: SLF001 - one append
+        assert wal.records() == ([WalRecord(1, CHANGE, 0, "T", (
+            (third, None, (2, "x")),
+            (ROWID, (1, "v"), (1, "w")),
+            (NEXT, (3, "y"), None),
+        ))], None)
 
     def test_start_lsn_below_one_rejected(self):
         with pytest.raises(WalError):

@@ -103,24 +103,22 @@ SMALL = ("doc", {}, [("h1", {}, ["orbit"]), ("p", {}, ["alpha", ("b", {}, ["x"])
 
 
 def load_rolled_back(store, spec):
-    """Fail ``spec``'s load at its last node row, as a log refusing that
-    row's record does: the rows before it land, and the rollback leaves
-    a tombstone in every slot they had filled."""
+    """Fail ``spec``'s load once its node rows are in, as a log refusing
+    its COMMIT does: the rollback leaves a tombstone in every slot the
+    load had filled."""
     database = store.database
-    journal = database._journal
+    change = database.change
 
-    def refuse_the_last_row(table, pairs):
-        if table is not store.xml_table:
-            return journal(table, pairs)
-        taken, _ = journal(table, pairs[:-1])
-        return taken, SourceUnavailableError("injected: the last row's record")
+    def then_refuse(table_name, pairs):
+        change(table_name, pairs)
+        raise SourceUnavailableError("injected: after the node rows")
 
-    database._journal = refuse_the_last_row
+    database.change = then_refuse
     try:
         with pytest.raises(SourceUnavailableError):
             store.store_document(document(spec, "lost.xml"))
     finally:
-        del database._journal
+        del database.change
 
 
 def assert_same_heap(one_pass, oracle):

@@ -38,7 +38,7 @@ from repro.ordbms import (
     load_database,
     recover,
 )
-from repro.ordbms.wal import INSERT
+from repro.ordbms.wal import CHANGE
 from repro.store import XmlStore
 from repro.store.fsck import check_store
 from repro.store.schema import XML_TABLE, XmlRow
@@ -51,10 +51,12 @@ def _sha(text: str) -> str:
 
 class TestNoByteMoved:
     """Twelve generated documents through the daemon onto a WAL, one
-    replaced, one deleted.  The digests are the parent commit's."""
+    replaced, one deleted.  The digests are the parent commit's, but the
+    WAL's: since a statement is one CHANGE record, the log's own."""
 
     GOLDEN = {
-        "wal": "ff73d6dfccfb5e8c7b24b0ccf792c4088db0726e797e996fff480ae759789573",
+        # One CHANGE record per statement: the log's bytes moved on purpose.
+        "wal": "8bb54212e3bc82a0d0498989db098408df0bd3244b3c8648bf7c67db20f21060",
         "dump_rows": "3e99360ed2152910ed6f6648c3553485ccfac280ee08de44b3d300d6432c12d0",
         "fsck_violations": "1294497e53bcca2038faead66d0d0d4ef4c70a1122e6b540ad15e4b3773c5ad1",
         "search_bodies": [
@@ -322,8 +324,8 @@ class TestWhatARowCannotCarry:
         database = _durable()
         device = database.wal.device
         device.append(WalRecord(
-            database.wal.next_lsn, INSERT, table="EMP", rowid=RowId(0, 0, 2),
-            after=image,
+            database.wal.next_lsn, CHANGE, table="EMP",
+            changes=((RowId(0, 0, 2), None, image),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
