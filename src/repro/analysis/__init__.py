@@ -19,9 +19,8 @@ Rule families
   boundaries; ``except Exception`` / bare ``except`` is banned unless
   annotated ``# lint: allow-broad-except(<reason>)``.
 * **transaction & rowid discipline** — no cross-object mutation of
-  private state outside ``ordbms/transaction.py``;
-  no :class:`~repro.ordbms.rowid.RowId` minted from raw ints outside
-  ``ordbms/rowid.py``.
+  private state anywhere; no :class:`~repro.ordbms.rowid.RowId` minted
+  from raw ints outside ``ordbms/rowid.py``.
 * **banned names** — no ``print``, wall-clock read or global
   ``random.*`` in library code, called or passed by reference.
 * **whole-program dataflow** — the concurrency-readiness audit for the

@@ -2,10 +2,10 @@
 
 :func:`build_index` turns the full set of parsed :class:`FileContext`\\ s
 into a :class:`ProjectIndex`: per-module symbol tables (functions,
-classes, module-level variables, import aliases) keyed by dotted
-qualnames (``server.daemon.NetmarkDaemon.poll``), the inventory of
-module-state mutation sites, and the call graph as per-call-site
-resolution results for the exception-flow rule.
+classes, module-level variables; imports are the context's own table)
+keyed by dotted qualnames (``server.daemon.NetmarkDaemon.poll``), the
+inventory of module-state mutation sites, and the call graph as
+per-call-site resolution results for the exception-flow rule.
 
 Resolution is deliberately static and conservative:
 
@@ -27,7 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.analysis.core import FileContext, module_id_of
+from repro.analysis.core import FileContext, dotted_name, walk_scope
 
 #: Constructors whose result is a plain mutable container.
 CONTAINER_CALLS = frozenset(
@@ -51,14 +51,6 @@ CONSTANT = "constant"
 OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ImportedName:
-    """One imported binding: a module alias, or a symbol from a module."""
-
-    module: str  # repro-relative dotted module id ("obs.metrics")
-    symbol: str | None = None  # None: the binding is the module itself
-
-
 @dataclass
 class VariableInfo:
     """One module-level binding."""
@@ -68,7 +60,7 @@ class VariableInfo:
     module: str
     line: int
     kind: str  # CONTAINER | INSTANCE | LOCK | CONSTANT | OTHER
-    ctor: str | None = None  # dotted constructor text, for INSTANCE
+    ctor: ast.expr | None = None  # the constructor called, for INSTANCE
     type: str | None = None  # resolved class qualname, for INSTANCE
 
 
@@ -115,9 +107,7 @@ class ModuleInfo:
     """One module's local symbol table."""
 
     id: str
-    package: str  # enclosing package id ("" at the repro root)
     ctx: FileContext
-    imports: dict[str, ImportedName] = field(default_factory=dict)
     functions: dict[str, str] = field(default_factory=dict)
     classes: dict[str, str] = field(default_factory=dict)
     variables: dict[str, VariableInfo] = field(default_factory=dict)
@@ -156,149 +146,94 @@ class ProjectIndex:
             return ("def", info.classes[name])
         if name in info.variables:
             return ("def", info.variables[name].qualname)
-        imported = info.imports.get(name)
-        if imported is None:
+        bound = info.ctx.names.get(name)
+        if bound is None or not bound.qualified.startswith("repro."):
             return None
-        if imported.symbol is None:
-            return ("module", imported.module)
+        if bound.symbol is None or bound.module == "repro":
+            # A module binding; the package root is not indexed, so
+            # ``from repro import obs`` names module ``obs`` too.
+            return ("module", bound.qualified[len("repro."):])
+        source = bound.module[len("repro."):]
         seen = _seen if _seen is not None else set()
-        key = (imported.module, imported.symbol)
+        key = (source, bound.symbol)
         if key in seen:
             return None
         seen.add(key)
-        resolved = self.resolve(imported.module, imported.symbol, seen)
+        resolved = self.resolve(source, bound.symbol, seen)
         if resolved is not None:
             return resolved
         # ``from repro.pkg import sub`` where sub is itself a module.
-        submodule = f"{imported.module}.{imported.symbol}"
+        submodule = f"{source}.{bound.symbol}"
         if submodule in self.modules:
             return ("module", submodule)
         return None
 
-    def method(self, class_qualname: str, name: str) -> str | None:
-        """Look ``name`` up through the class and its resolved bases."""
+    def _mro(self, class_qualname: str) -> Iterator[ClassInfo]:
+        """The class, then its resolved bases, breadth first."""
         seen: set[str] = set()
         stack = [class_qualname]
         while stack:
             current = stack.pop(0)
-            if current in seen:
+            info = self.classes.get(current)
+            if current in seen or info is None:
                 continue
             seen.add(current)
-            info = self.classes.get(current)
-            if info is None:
-                continue
-            if name in info.methods:
-                return info.methods[name]
+            yield info
             stack.extend(info.bases)
-        return None
+
+    def method(self, class_qualname: str, name: str) -> str | None:
+        """Look ``name`` up through the class and its resolved bases."""
+        return next((info.methods[name] for info in self._mro(class_qualname)
+                     if name in info.methods), None)
 
     def attr_type(self, class_qualname: str, attr: str) -> str | None:
         """The declared/inferred type of ``self.<attr>`` through the MRO."""
-        seen: set[str] = set()
-        stack = [class_qualname]
-        while stack:
-            current = stack.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.classes.get(current)
-            if info is None:
-                continue
-            if attr in info.attr_types:
-                return info.attr_types[attr]
-            stack.extend(info.bases)
+        return next((info.attr_types[attr]
+                     for info in self._mro(class_qualname)
+                     if attr in info.attr_types), None)
+
+    def definition_of(self, module: str, expr: ast.expr) -> str | None:
+        """The definition a Name/Attribute chain in ``module`` names,
+        one module hop at a time (None for a module or a foreign name)."""
+        target, rest = module, dotted_name(expr)
+        while rest:
+            head, _, rest = rest.partition(".")
+            resolved = self.resolve(target, head)
+            if resolved is None:
+                return None
+            kind, target = resolved
+            if kind == "def":
+                return None if rest else target
         return None
 
-    def context_of(self, module: str) -> FileContext | None:
-        info = self.modules.get(module)
-        return info.ctx if info is not None else None
+    def class_of(self, module: str, expr: ast.expr) -> str | None:
+        """The class qualname a Name/Attribute chain in ``module`` names."""
+        target = self.definition_of(module, expr)
+        return target if target in self.classes else None
 
 
 # -- pass 1: per-module symbol tables ---------------------------------------
 
 
-def _package_of(module_id: str, path: str) -> str:
-    if path.endswith("/__init__.py") or path == "__init__.py":
-        return module_id
-    return module_id.rsplit(".", 1)[0] if "." in module_id else ""
-
-
-def _record_imports(info: ModuleInfo) -> None:
-    for node in ast.walk(info.ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if not alias.name.startswith("repro."):
-                    continue
-                target = alias.name[len("repro."):]
-                if alias.asname:
-                    info.imports[alias.asname] = ImportedName(target)
-                # A plain ``import repro.x`` binds only ``repro``; the
-                # attribute chain is too rare here to model.
-        elif isinstance(node, ast.ImportFrom):
-            base = _import_base(info, node)
-            if base is None:
-                continue
-            for alias in node.names:
-                bound = alias.asname or alias.name
-                if base == "":
-                    info.imports[bound] = ImportedName(alias.name)
-                else:
-                    info.imports[bound] = ImportedName(base, alias.name)
-
-
-def _import_base(info: ModuleInfo, node: ast.ImportFrom) -> str | None:
-    """The repro-relative module a ``from X import ...`` reads from.
-
-    Returns ``""`` for the package root (``from repro import obs``) and
-    ``None`` for foreign modules.
-    """
-    if node.level:
-        base = info.package
-        for _ in range(node.level - 1):
-            base = base.rsplit(".", 1)[0] if "." in base else ""
-        if node.module:
-            base = f"{base}.{node.module}" if base else node.module
-        return base
-    module = node.module or ""
-    if module == "repro":
-        return ""
-    if module.startswith("repro."):
-        return module[len("repro."):]
-    return None
-
-
-def _classify_value(value: ast.expr | None) -> tuple[str, str | None]:
-    """``(kind, ctor-text)`` for a module-level assignment's RHS."""
+def _classify_value(value: ast.expr | None) -> tuple[str, ast.expr | None]:
+    """``(kind, constructor)`` for a module-level assignment's RHS."""
     if value is None:
         return OTHER, None
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
                           ast.DictComp, ast.SetComp)):
         return CONTAINER, None
     if isinstance(value, ast.Call):
-        ctor = _dotted(value.func)
-        tail = ctor.rsplit(".", 1)[-1] if ctor else ""
+        tail = (dotted_name(value.func) or "").rpartition(".")[2]
         if tail in CONTAINER_CALLS:
-            return CONTAINER, ctor
+            return CONTAINER, value.func
         if tail in _LOCK_CALLS:
-            return LOCK, ctor
+            return LOCK, value.func
         if tail in _IMMUTABLE_CALLS:
-            return OTHER, ctor
-        return INSTANCE, ctor
+            return OTHER, value.func
+        return INSTANCE, value.func
     if isinstance(value, ast.Constant):
         return CONSTANT, None
     return OTHER, None
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` as text for Name/Attribute chains, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _assigned_names(stmt: ast.stmt) -> list[tuple[str, ast.expr | None]]:
@@ -315,20 +250,12 @@ def _assigned_names(stmt: ast.stmt) -> list[tuple[str, ast.expr | None]]:
 
 def _collect_module(index: ProjectIndex, ctx: FileContext,
                     module_id: str) -> None:
-    info = ModuleInfo(
-        id=module_id,
-        package=_package_of(module_id, ctx.path),
-        ctx=ctx,
-    )
+    info = ModuleInfo(id=module_id, ctx=ctx)
     index.modules[module_id] = info
-    _record_imports(info)
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = f"{module_id}.{stmt.name}"
-            info.functions[stmt.name] = qualname
-            index.functions[qualname] = FunctionInfo(
-                qualname=qualname, name=stmt.name, module=module_id,
-                cls=None, node=stmt,
+            info.functions[stmt.name] = _add_function(
+                index, module_id, None, stmt
             )
         elif isinstance(stmt, ast.ClassDef):
             _collect_class(index, info, stmt)
@@ -356,40 +283,21 @@ def _collect_class(index: ProjectIndex, info: ModuleInfo,
     index.classes[qualname] = class_info
     for item in stmt.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            method_qual = f"{qualname}.{item.name}"
-            class_info.methods[item.name] = method_qual
-            index.functions[method_qual] = FunctionInfo(
-                qualname=method_qual, name=item.name, module=info.id,
-                cls=qualname, node=item,
+            class_info.methods[item.name] = _add_function(
+                index, info.id, qualname, item
             )
 
 
+def _add_function(index: ProjectIndex, module: str, cls: str | None,
+                  node: ast.FunctionDef | ast.AsyncFunctionDef) -> str:
+    qualname = f"{cls or module}.{node.name}"
+    index.functions[qualname] = FunctionInfo(
+        qualname=qualname, name=node.name, module=module, cls=cls, node=node,
+    )
+    return qualname
+
+
 # -- pass 2: cross-module resolution ----------------------------------------
-
-
-def _resolve_class_ref(index: ProjectIndex, module: str,
-                       expr: ast.expr) -> str | None:
-    """Resolve a Name/Attribute expression to a class qualname."""
-    dotted = _dotted(expr)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    resolved = index.resolve(module, head)
-    if resolved is None:
-        return None
-    kind, target = resolved
-    if kind == "def":
-        return target if not rest and target in index.classes else None
-    # Module alias: resolve the remainder inside it, one hop at a time.
-    while rest:
-        head, _, rest = rest.partition(".")
-        resolved = index.resolve(target, head)
-        if resolved is None:
-            return None
-        kind, target = resolved
-        if kind == "def":
-            return target if not rest and target in index.classes else None
-    return None
 
 
 def _resolve_annotation(index: ProjectIndex, module: str,
@@ -416,58 +324,55 @@ def _resolve_annotation(index: ProjectIndex, module: str,
                 return _resolve_annotation(index, module, side)
         return None
     if isinstance(annotation, ast.Subscript):
-        base = _dotted(annotation.value)
+        base = dotted_name(annotation.value)
         if base and base.rsplit(".", 1)[-1] == "Optional":
             return _resolve_annotation(index, module, annotation.slice)
         return None
-    return _resolve_class_ref(index, module, annotation)
+    return index.class_of(module, annotation)
 
 
 def _resolve_bases(index: ProjectIndex, class_info: ClassInfo) -> None:
     for base in class_info.node.bases:
-        resolved = _resolve_class_ref(index, class_info.module, base)
+        resolved = index.class_of(class_info.module, base)
         if resolved is not None:
             class_info.bases.append(resolved)
         else:
-            dotted = _dotted(base)
+            dotted = dotted_name(base)
             if dotted is not None:
                 class_info.bases.append(dotted.rsplit(".", 1)[-1])
+
+
+def _typed_targets(index: ProjectIndex, module: str,
+                   node: ast.AST) -> Iterator[tuple[ast.expr, str]]:
+    """``(target, class qualname)`` for an assignment that declares its
+    targets' class: by annotation, or by a constructor call as value."""
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+        resolved = _resolve_annotation(index, module, node.annotation)
+    elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+        targets = node.targets
+        resolved = index.class_of(module, node.value.func)
+    else:
+        return
+    if resolved is not None:
+        for target in targets:
+            yield target, resolved
 
 
 def _collect_attr_types(index: ProjectIndex, class_info: ClassInfo) -> None:
     module = class_info.module
     for item in class_info.node.body:
-        if isinstance(item, ast.AnnAssign) and isinstance(
-            item.target, ast.Name
-        ):
-            resolved = _resolve_annotation(index, module, item.annotation)
-            if resolved is not None:
-                class_info.attr_types[item.target.id] = resolved
+        for target, resolved in _typed_targets(index, module, item):
+            if isinstance(item, ast.AnnAssign) and isinstance(target, ast.Name):
+                class_info.attr_types[target.id] = resolved
     for node in ast.walk(class_info.node):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        for target in targets:
-            if not (
+        for target, resolved in _typed_targets(index, module, node):
+            if (
                 isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"
             ):
-                continue
-            if target.attr in class_info.attr_types:
-                continue
-            if isinstance(node, ast.AnnAssign):
-                resolved = _resolve_annotation(
-                    index, module, node.annotation
-                )
-            elif isinstance(node.value, ast.Call):
-                resolved = _resolve_class_ref(index, module, node.value.func)
-            else:
-                resolved = None
-            if resolved is not None:
-                class_info.attr_types[target.attr] = resolved
+                class_info.attr_types.setdefault(target.attr, resolved)
 
 
 # -- pass 3: call targets and mutation sites --------------------------------
@@ -484,21 +389,9 @@ def _local_types(index: ProjectIndex, function: FunctionInfo) -> dict:
         if resolved is not None:
             env[arg.arg] = resolved
     for stmt in ast.walk(node):
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            resolved = _resolve_annotation(index, module, stmt.annotation)
-            if resolved is not None:
-                env.setdefault(stmt.target.id, resolved)
-        elif isinstance(stmt, ast.Assign) and isinstance(
-            stmt.value, ast.Call
-        ):
-            resolved = _resolve_class_ref(index, module, stmt.value.func)
-            if resolved is None:
-                continue
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    env.setdefault(target.id, resolved)
+        for target, resolved in _typed_targets(index, module, stmt):
+            if isinstance(target, ast.Name):
+                env.setdefault(target.id, resolved)
     return env
 
 
@@ -519,9 +412,7 @@ def _receiver(index: ProjectIndex, module: str, cls: str | None,
         if inner_kind == "module":
             return _named(index, index.resolve(inner_target, expr.attr))
         attr_type = index.attr_type(inner_target, expr.attr)
-        if attr_type is not None:
-            return ("class", attr_type)
-        return None
+        return None if attr_type is None else ("class", attr_type)
     return None
 
 
@@ -541,7 +432,7 @@ def _named(index: ProjectIndex, resolved: tuple[str, str] | None) -> tuple[str, 
     return None
 
 
-def _as_callable(index: ProjectIndex, qualname: str) -> str | None:
+def _as_callable(index: ProjectIndex, qualname: str | None) -> str | None:
     if qualname in index.functions:
         return qualname
     if qualname in index.classes:
@@ -554,45 +445,29 @@ def _call_target(index: ProjectIndex, module: str, cls: str | None,
                  env: dict, call: ast.Call) -> str | None:
     func = call.func
     if isinstance(func, ast.Name):
-        resolved = index.resolve(module, func.id)
-        if resolved is None or resolved[0] != "def":
-            return None
-        return _as_callable(index, resolved[1])
-    if isinstance(func, ast.Attribute):
-        receiver = _receiver(index, module, cls, env, func.value)
-        if receiver is None:
-            return None
-        kind, target = receiver
-        if kind == "module":
-            resolved = index.resolve(target, func.attr)
-            if resolved is None or resolved[0] != "def":
-                return None
-            return _as_callable(index, resolved[1])
-        method = index.method(target, func.attr)
-        if method is not None:
-            return method
+        return _as_callable(index, index.definition_of(module, func))
+    if not isinstance(func, ast.Attribute):
         return None
-    return None
+    receiver = _receiver(index, module, cls, env, func.value)
+    if receiver is None:
+        return None
+    kind, target = receiver
+    if kind == "class":
+        return index.method(target, func.attr)
+    resolved = index.resolve(target, func.attr)
+    if resolved is None or resolved[0] != "def":
+        return None
+    return _as_callable(index, resolved[1])
 
 
 def _mutation_receiver(index: ProjectIndex, module: str, cls: str | None,
                        expr: ast.expr) -> VariableInfo | None:
     """The module-level variable a mutation's receiver names, if any."""
-    if isinstance(expr, ast.Name):
-        if cls is not None and expr.id in ("self", "cls"):
-            return None
-        resolved = index.resolve(module, expr.id)
-    elif (isinstance(expr, ast.Attribute)
-          and isinstance(expr.value, ast.Name)):
-        base = index.resolve(module, expr.value.id)
-        if base is None or base[0] != "module":
-            return None
-        resolved = index.resolve(base[1], expr.attr)
-    else:
+    if isinstance(expr, ast.Name) and cls is not None and (
+        expr.id in ("self", "cls")
+    ):
         return None
-    if resolved is None or resolved[0] != "def":
-        return None
-    return index.variables.get(resolved[1])
+    return index.variables.get(index.definition_of(module, expr))
 
 
 def _scan_body(index: ProjectIndex, info: ModuleInfo, function: str | None,
@@ -657,42 +532,26 @@ def _scan_store(index: ProjectIndex, info: ModuleInfo,
                 ))
 
 
-def _module_level_nodes(tree: ast.Module) -> Iterator[ast.AST]:
-    """Every node not inside a function def (class bodies included)."""
-    stack: list[ast.AST] = [tree]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield child
-            stack.append(child)
-
-
 def build_index(contexts: Iterable[FileContext],
                 mutator_methods: frozenset[str]) -> ProjectIndex:
     """Index the project: symbols, call graph, mutation inventory."""
     index = ProjectIndex()
     ordered: list[tuple[str, FileContext]] = []
     for ctx in contexts:
-        module_id = module_id_of(ctx.path)
-        if module_id is None or module_id in index.modules:
+        # The package root (module "") is a facade of re-exports: not
+        # indexed, so ``from repro import X`` names module X.
+        if not ctx.module or ctx.module in index.modules:
             continue
-        ordered.append((module_id, ctx))
-        _collect_module(index, ctx, module_id)
+        ordered.append((ctx.module, ctx))
+        _collect_module(index, ctx, ctx.module)
     for class_info in index.classes.values():
         _resolve_bases(index, class_info)
     for class_info in index.classes.values():
         _collect_attr_types(index, class_info)
     # Resolve module-variable instance types now that classes exist.
     for variable in index.variables.values():
-        if variable.kind == INSTANCE and variable.ctor is not None:
-            head, _, rest = variable.ctor.partition(".")
-            expr: ast.expr = ast.Name(id=head)
-            for part in rest.split("."):
-                if part:
-                    expr = ast.Attribute(value=expr, attr=part)
-            variable.type = _resolve_class_ref(index, variable.module, expr)
+        if variable.kind == INSTANCE:
+            variable.type = index.class_of(variable.module, variable.ctor)
     for function in index.functions.values():
         env = _local_types(index, function)
         info = index.modules[function.module]
@@ -703,6 +562,6 @@ def build_index(contexts: Iterable[FileContext],
     for module_id, ctx in ordered:
         _scan_body(
             index, index.modules[module_id], None, None, {},
-            _module_level_nodes(ctx.tree), mutator_methods,
+            (node for node, _ in walk_scope(ctx.tree)), mutator_methods,
         )
     return index

@@ -1,12 +1,12 @@
 """Banned names: no ``print``, wall-clock read or global RNG in library code.
 
 The table is :data:`~repro.analysis.config.DEFAULT_BANNED_NAMES`: each
-banned qualified name with its reason.  One pass over the file's imports
-maps every local alias to the qualified name it binds; every loaded name
-or attribute chain is then qualified through that map and looked up.
+banned qualified name with its reason.  Every loaded name or attribute
+chain is qualified through the file's import table
+(:meth:`FileContext.qualify`) and looked up.
 
 * ``from time import time`` binds a banned name: the import itself is
-  the finding, and the local alias is not recorded (one finding per
+  the finding, and a use of the bound name is not (one finding per
   binding, however often it is used).
 * ``time.perf_counter`` / ``dt.datetime.now`` / ``print`` are findings
   wherever they are loaded — a clock passed by reference
@@ -24,22 +24,6 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import FileContext, Violation
 
 
-def _qualified(node: ast.expr, aliases: dict[str, str]) -> str | None:
-    """``a.b.c`` with ``a`` resolved through ``aliases`` (None: local)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    head = aliases.get(node.id)
-    if head is None:
-        if parts:
-            return None  # an attribute of a local, not of a module
-        head = node.id  # a bare builtin
-    return ".".join([head, *reversed(parts)])
-
-
 class BannedNameRule:
     id = "banned-name"
     summary = "no print(), wall-clock read or global random.* in library code"
@@ -48,32 +32,21 @@ class BannedNameRule:
         self, ctx: FileContext, config: AnalysisConfig
     ) -> Iterator[Violation]:
         banned = config.banned_names
-        aliases: dict[str, str] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        aliases[alias.asname] = alias.name
-                    else:
-                        head = alias.name.partition(".")[0]
-                        aliases[head] = head
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                for alias in node.names:
-                    name = f"{node.module}.{alias.name}"
-                    if name in banned:
-                        yield ctx.violation(
-                            self.id, node,
-                            f"from {node.module} import {alias.name}: "
-                            f"{name} {banned[name]}",
-                        )
-                    else:
-                        aliases[alias.asname or alias.name] = name
+        imported: set[str] = set()  # names bound to a banned name
+        for imp in ctx.imports:
+            if imp.qualified in banned:
+                imported.add(imp.name)
+                yield ctx.violation(
+                    self.id, imp.node,
+                    f"from {imp.module} import {imp.symbol}: "
+                    f"{imp.qualified} {banned[imp.qualified]}",
+                )
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                 node.ctx, ast.Load
             ):
-                name = _qualified(node, aliases)
-                if name in banned:
+                name = ctx.qualify(node)
+                if name in banned and getattr(node, "id", None) not in imported:
                     yield ctx.violation(
                         self.id, node, f"{name} {banned[name]}"
                     )

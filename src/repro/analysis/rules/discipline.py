@@ -20,7 +20,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.core import FileContext, Violation
+from repro.analysis.core import FileContext, Violation, callee_name
 
 
 class RowIdMintRule:
@@ -33,15 +33,7 @@ class RowIdMintRule:
         if any(ctx.path_endswith(path) for path in config.rowid_minters):
             return
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name == "RowId":
+            if isinstance(node, ast.Call) and callee_name(node) == "RowId":
                 yield ctx.violation(
                     self.id, node,
                     "RowId minted outside ordbms/rowid.py; take rowids "
@@ -141,13 +133,12 @@ class PrivateMutationRule:
     def _check_statement(
         self, ctx: FileContext, stmt: ast.stmt, selflike: set[str]
     ) -> Iterator[Violation]:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
+        if isinstance(stmt, (ast.Assign, ast.Delete)):
+            targets = stmt.targets
         elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
             targets = [stmt.target]
-        elif isinstance(stmt, ast.Delete):
-            targets = list(stmt.targets)
+        else:
+            return
         for target in targets:
             yield from self._check_target(ctx, target, selflike)
 

@@ -97,30 +97,13 @@ def _exception_name(project: ProjectIndex, module: str,
     """The simple class name an expression denotes, if resolvable."""
     if isinstance(expr, ast.Call):
         expr = expr.func
-    if isinstance(expr, ast.Attribute):
-        node: ast.expr = expr
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = project.resolve(module, node.id)
-        if base is not None and base[0] == "module" and len(parts) == 1:
-            resolved = project.resolve(base[1], parts[0])
-            if resolved is not None and resolved[1] in project.classes:
-                return parts[0]
-        return None
-    if not isinstance(expr, ast.Name):
-        return None
-    resolved = project.resolve(module, expr.id)
-    if resolved is not None:
-        if resolved[0] == "def" and resolved[1] in project.classes:
-            return project.classes[resolved[1]].name
-        return None
-    builtin = getattr(builtins, expr.id, None)
-    if isinstance(builtin, type) and issubclass(builtin, BaseException):
-        return expr.id
+    qualname = project.class_of(module, expr)
+    if qualname is not None:
+        return project.classes[qualname].name
+    if isinstance(expr, ast.Name) and project.resolve(module, expr.id) is None:
+        builtin = getattr(builtins, expr.id, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return expr.id
     return None
 
 
@@ -229,12 +212,9 @@ class ExceptionEscapeRule:
             for exc in sorted(escapes.get(qualname, frozenset())):
                 if hierarchy.ancestors(exc) & permitted:
                     continue
-                ctx = project.context_of(function.module)
-                if ctx is None:
-                    continue
                 yield Violation(
-                    path=ctx.path, line=function.node.lineno, column=0,
-                    rule=self.id,
+                    path=project.modules[function.module].ctx.path,
+                    line=function.node.lineno, column=0, rule=self.id,
                     message=(
                         f"entry point {qualname!r} may let {exc} escape; "
                         f"the policy for {function.module!r} allows only "

@@ -23,7 +23,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.core import FileContext, Violation, module_id_of
+from repro.analysis.core import FileContext, Violation
 
 
 class LayeringRule:
@@ -48,12 +48,12 @@ class LayeringRule:
                 "repro.analysis.config.DEFAULT_LAYERS",
             )
             return
-        owner = module_id_of(ctx.path)
+        owner = ctx.module
         grants = config.module_layers.get(owner)
         if grants is None:
             owner, grants = unit, config.layers.get(unit, frozenset())
         allowed = grants | config.universal_units | {owner}
-        for node, target in _repro_imports(ctx.tree, known, allowed):
+        for node, target in _targets(ctx, known, allowed):
             if target in allowed or target.split(".")[0] in allowed:
                 continue  # a whole-unit grant covers every module in it
             yield ctx.violation(
@@ -63,34 +63,29 @@ class LayeringRule:
             )
 
 
-def _repro_imports(
-    tree: ast.Module, units: set[str], allowed: set[str]
-) -> Iterator[tuple[ast.stmt, str]]:
-    """``(node, target)`` for each ``repro`` module an import names.
+def _targets(
+    ctx: FileContext, units: set[str], allowed: set[str]
+) -> dict[tuple[ast.stmt, str], None]:
+    """``(statement, target)`` for each ``repro`` module an import names.
 
     Targets are dotted and ``repro``-relative (``store.schema``).
     ``from repro import X`` names the unit ``X`` when X is one, else the
     facade pseudo-unit ``__root__`` (which only unrestricted units may
-    import).  ``from repro.store import schema`` names ``store.schema``
-    when that module is granted by name, else ``store`` — an ungranted
-    facade import stays a violation even when some of its submodules
-    are granted.  Relative imports stay inside the current unit.
+    import) — as does ``import repro.x``, which binds the facade.
+    ``from repro.store import schema`` names ``store.schema`` when that
+    module is granted by name, else ``store``: an ungranted facade
+    import stays a violation even when some of its submodules are
+    granted.  A relative import names the module it resolves to.
     """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            pairs = [(alias.name, None) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            pairs = [(node.module or "", alias.name) for alias in node.names]
+    targets: dict[tuple[ast.stmt, str], None] = {}
+    for imp in ctx.imports:
+        if imp.module == "repro":
+            target = imp.symbol if imp.symbol in units else "__root__"
+        elif imp.module.startswith("repro."):
+            target = imp.module[len("repro."):]
+            if imp.symbol and f"{target}.{imp.symbol}" in allowed:
+                target = f"{target}.{imp.symbol}"
         else:
             continue
-        targets: list[str] = []
-        for module, name in pairs:
-            if module == "repro":
-                targets.append(name if name in units else "__root__")
-            elif module.startswith("repro."):
-                target = module[len("repro."):]
-                if name and f"{target}.{name}" in allowed:
-                    target = f"{target}.{name}"
-                targets.append(target)
-        for target in dict.fromkeys(targets):
-            yield node, target
+        targets[imp.node, target] = None
+    return targets

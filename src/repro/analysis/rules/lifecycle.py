@@ -30,7 +30,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.core import FileContext, Violation
+from repro.analysis.core import FileContext, Violation, walk_scope
 
 
 def _resource_ctor(
@@ -48,19 +48,6 @@ def _resource_ctor(
         if releases is not None:
             return func.attr, releases
     return None
-
-
-def _walk_scope(scope: ast.AST) -> Iterator[tuple[ast.AST, ast.AST | None]]:
-    """``(node, parent)`` from ``scope`` down, not entering nested defs."""
-    yield scope, None
-    stack: list[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield child, node
-            stack.append(child)
 
 
 def _released(stmts: list[ast.stmt], name: str,
@@ -126,7 +113,7 @@ class ResourceLifecycleRule:
         following: dict[int, ast.stmt | None] = {}
         opens: list[tuple[ast.Call, str, frozenset[str]]] = []
         generator = False
-        for node, parent in _walk_scope(scope):
+        for node, parent in walk_scope(scope):
             owners[id(node)] = parent
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 generator = True

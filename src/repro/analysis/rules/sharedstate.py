@@ -30,7 +30,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.comments import guard_for_line
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.core import FileContext, Violation
+from repro.analysis.core import FileContext, Violation, callee_name
 
 
 def _describe_sites(sites: list[MutationSite], limit: int = 3) -> str:
@@ -58,9 +58,7 @@ class SharedModuleStateRule:
             variable = project.variables[qualname]
             if variable.kind == LOCK:
                 continue  # the guard itself, not guarded state
-            ctx = project.context_of(variable.module)
-            if ctx is None:
-                continue
+            ctx = project.modules[variable.module].ctx
             if guard_for_line(ctx.comments.guarded, variable.line) is not None:
                 continue
             sites.sort(key=lambda site: (site.path, site.line))
@@ -117,9 +115,5 @@ class SharedClassStateRule:
         if isinstance(value, (ast.Dict, ast.List, ast.Set)):
             return True
         if isinstance(value, ast.Call):
-            func = value.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else ""
-            )
-            return name in CONTAINER_CALLS
+            return callee_name(value) in CONTAINER_CALLS
         return False

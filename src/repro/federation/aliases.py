@@ -19,6 +19,8 @@ terminates.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import FederationError
 from repro.query.ast import ContextSpec, XdbQuery
 
@@ -74,17 +76,7 @@ class ContextAliasRegistry:
         expanded = self.expand(query.context)
         if expanded == query.context:
             return query
-        return XdbQuery(
-            context=expanded,
-            content=query.content,
-            nodename=query.nodename,
-            doc=query.doc,
-            format=query.format,
-            stylesheet=query.stylesheet,
-            databank=query.databank,
-            limit=query.limit,
-            extras=query.extras,
-        )
+        return replace(query, context=expanded)
 
     def _expand_phrase(self, phrase: str, seen: set[str]) -> list[str]:
         key = phrase.strip().lower()

@@ -141,7 +141,7 @@ class Netmark:
         """
         from repro.query.language import parse_query
 
-        parsed = self.router.aliases.rewrite(parse_query(query))
+        parsed = self.api.with_aliases(parse_query(query))
         with self.store.snapshot() as snapshot:
             result = self.engine.execute(parsed, snapshot=snapshot)
             for match in result.matches:

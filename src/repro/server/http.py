@@ -324,10 +324,22 @@ class NetmarkHttpApi:
 
     # -- handlers --------------------------------------------------------------
 
+    def with_aliases(self, query: XdbQuery) -> XdbQuery:
+        """``query`` with the router's context aliases expanded when it
+        is local (the router expands a federated one itself).
+
+        The one place a local search meets the aliases, HTTP or facade:
+        before the result cache keys the query, so an answer cached
+        before an alias was defined is not replayed after it.
+        """
+        if self.router is None or query.databank:
+            return query
+        return self.router.aliases.rewrite(query)
+
     def _search(
         self, query_string: str, budget: Budget | None = None
     ) -> HttpResponse:
-        query = parse_query(query_string)
+        query = self.with_aliases(parse_query(query_string))
         budget = self._request_budget(query, budget)
         degraded = False
         if (

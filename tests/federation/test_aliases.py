@@ -1,11 +1,14 @@
 """Context aliases — the lean virtual-view substitute (§4)."""
 
+import re
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import FederationError
 from repro.federation import ContextAliasRegistry, Record, StructuredSource
 from repro.netmark import Netmark
-from repro.query.ast import ContextSpec
+from repro.query.ast import ContentSpec, ContextSpec, XdbQuery
 from repro.query.language import parse_query
 
 
@@ -80,6 +83,41 @@ class TestExpansion:
         assert rewritten.content == query.content
         assert rewritten.limit == 3
 
+    def test_rewrite_changes_nothing_but_the_context(self, aliases):
+        query = XdbQuery(
+            context=ContextSpec(("Budget",)),
+            content=ContentSpec(("travel",)),
+            nodename="chapter",
+            doc="review",
+            format="pdf",
+            stylesheet="report.xsl",
+            databank="bank",
+            limit=3,
+            explain=True,
+            profile=True,
+            trace=True,
+            deadline_ticks=5,
+            partial_ok=True,
+            cache=False,
+            extras=(("x", "1"),),
+        )
+        defaults = XdbQuery(context=ContextSpec(("Budget",)))
+        unset = [
+            field.name for field in fields(XdbQuery)
+            if field.name != "context"
+            and getattr(query, field.name) == getattr(defaults, field.name)
+        ]
+        assert unset == []  # the query sets every field
+        rewritten = aliases.rewrite(query)
+        assert rewritten.context.phrases == (
+            "Budget", "Cost Details", "Funding",
+        )
+        assert replace(rewritten, context=query.context) == query
+
+    def test_rewrite_with_no_alias_returns_its_argument(self):
+        query = parse_query("Context=Budget")
+        assert ContextAliasRegistry().rewrite(query) is query
+
     def test_rewrite_without_context_is_identity(self, aliases):
         query = parse_query("Content=travel")
         assert aliases.rewrite(query) is query
@@ -108,3 +146,43 @@ class TestEndToEnd:
         node.define_context_alias("Description", "Description", "Summary")
         results = node.federated_search("Context=Description&databank=bank")
         assert {match.file_name for match in results} == {"A-1", "B-1"}
+
+
+def _docs(body: str) -> list[str]:
+    return re.findall(r'<result doc="([^"]+)"', body)
+
+
+class TestHttpSearch:
+    """``GET /search`` expands the node's aliases as ``Netmark.search``
+    does: both go through ``NetmarkHttpApi.with_aliases``."""
+
+    @pytest.fixture
+    def node(self):
+        node = Netmark("n")
+        node.ingest("a.md", "# Budget\nten dollars\n")
+        node.ingest("b.md", "# Cost Details\ntwenty dollars\n")
+        return node
+
+    def test_facade_and_http_agree_on_an_aliased_query(self, node):
+        node.define_context_alias("Budget", "Budget", "Cost Details")
+        expected = sorted(match.file_name for match in node.search("Context=Budget"))
+        assert expected == ["a.md", "b.md"]
+        for target in ("/search?Context=Budget", "/search?Context=Budget&Cache=0"):
+            response = node.http_get(target)
+            assert response.ok
+            assert sorted(_docs(response.body)) == expected, target
+
+    def test_an_answer_cached_before_an_alias_is_not_replayed_after(self, node):
+        assert _docs(node.http_get("/search?Context=Budget").body) == ["a.md"]
+        assert 'cached="true"' in node.http_get("/search?Context=Budget").body
+        node.define_context_alias("Budget", "Budget", "Cost Details")
+        body = node.http_get("/search?Context=Budget").body
+        assert 'cached="true"' not in body
+        assert sorted(_docs(body)) == ["a.md", "b.md"]
+
+    def test_a_federated_query_is_expanded_once_by_the_router(self, node):
+        node.define_context_alias("Budget", "Budget", "Cost Details")
+        node.create_databank("bank")
+        node.add_source("bank", node.as_source())
+        body = node.http_get("/search?Context=Budget&databank=bank").body
+        assert sorted(_docs(body)) == ["a.md", "b.md"]
