@@ -34,11 +34,11 @@ precise query syntax" even in the paper):
 from __future__ import annotations
 
 import re
+from urllib.parse import unquote_plus
 
 from repro.errors import QuerySyntaxError
 from repro.query.ast import ContentSpec, ContextSpec, XdbQuery
 
-_HEX = "0123456789abcdefABCDEF"
 _UNSAFE = re.compile(r"[^A-Za-z0-9\-_.~|]")  # what percent_encode escapes
 
 
@@ -48,32 +48,7 @@ def percent_decode(value: str) -> str:
     Consecutive escapes decode as one UTF-8 byte sequence, so non-ASCII
     text round-trips through :func:`percent_encode`.
     """
-    out: list[str] = []
-    pending = bytearray()
-
-    def flush() -> None:
-        if pending:
-            out.append(pending.decode("utf-8", errors="replace"))
-            pending.clear()
-
-    index = 0
-    length = len(value)
-    while index < length:
-        char = value[index]
-        if (
-            char == "%"
-            and index + 2 < length
-            and value[index + 1] in _HEX
-            and value[index + 2] in _HEX
-        ):
-            pending.append(int(value[index + 1:index + 3], 16))
-            index += 3
-            continue
-        flush()
-        out.append(" " if char == "+" else char)
-        index += 1
-    flush()
-    return "".join(out)
+    return unquote_plus(value, errors="replace")
 
 
 def percent_encode(value: str) -> str:
@@ -216,7 +191,10 @@ def parse_query(query_string: str) -> XdbQuery:
 
 
 def format_query(query: XdbQuery) -> str:
-    """Render an :class:`XdbQuery` back into URL query-string form."""
+    """Render an :class:`XdbQuery` back into URL query-string form, once per
+    query object (it is immutable; a request renders it twice)."""
+    if (text := query.__dict__.get("_text")) is not None:
+        return text
     parts: list[str] = []
     if query.context is not None:
         parts.append("Context=" + percent_encode("|".join(query.context.phrases)))
@@ -254,4 +232,5 @@ def format_query(query: XdbQuery) -> str:
         parts.append("Cache=0")
     for key, value in query.extras:
         parts.append(percent_encode(key) + "=" + percent_encode(value))
-    return "&".join(parts)
+    text = query.__dict__["_text"] = "&".join(parts)
+    return text

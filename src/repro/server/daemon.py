@@ -130,14 +130,12 @@ class NetmarkDaemon:
     # -- the daemon loop body ---------------------------------------------------
 
     def pending_files(self) -> list[str]:
-        """Files sitting directly in the drop folder, oldest-name first."""
-        prefix = self.drop_folder + "/"
-        return [
-            path
-            for path in self.vfs.walk_files(self.drop_folder)
-            if "/" not in path[len(prefix):]  # not in processed/ or errors/
-            and not self._is_skipped(path)
-        ]
+        """Files sitting directly in the drop folder, in name order (the
+        order DOC_IDs, the WAL and replay follow); folders are not read."""
+        folder = self.drop_folder
+        names = self.vfs.listdir(folder) if self.vfs.is_dir(folder) else []
+        paths = [f"{folder}/{name}" for name in names if not name.endswith("/")]
+        return [path for path in paths if not self._is_skipped(path)]
 
     def poll(self) -> list[IngestRecord]:
         """One wake-up: ingest everything pending; returns the records."""

@@ -22,10 +22,11 @@ to access NETMARK."
 
 A search answer is written once, inside the request's snapshot, by one
 :class:`~repro.sgml.serializer.XmlWriter`: a plain answer streamed by
-:meth:`~repro.query.results.ResultSet.write`, a plan or a transformed one
-walked from its DOM.  The envelope is the writer's header (``cached``,
-``degraded``) and footer (``Trace=1``: the per-request
-:class:`~repro.obs.Tracer`'s span tree, once the request span is shut).
+:meth:`~repro.query.results.ResultSet.write`, a transformed one replayed
+from the stylesheet run's events, a plan walked from its DOM.  The
+envelope is the writer's header (``cached``, ``degraded``) and footer
+(``Trace=1``: the per-request :class:`~repro.obs.Tracer`'s span tree,
+once the request span is shut).
 A message that is not XML (400, 404, 405, 422, a bare 500) is ``text/plain``.
 
 ``Deadline=N`` bounds a search to ``N`` ticks of the API's clock; past
@@ -157,14 +158,6 @@ def _write_span(writer: XmlWriter, span: Span) -> None:
     for child in span.children:
         _write_span(writer, child)
     writer.end()
-
-
-def _open_root(writer: XmlWriter, document: Document, stamps: dict[str, str]) -> None:
-    """Write ``document`` with ``stamps`` after its root's attributes,
-    leaving the root open for the footer."""
-    writer.start(document.root.tag, document.root.attributes | stamps)
-    for child in document.root.children:
-        writer.node(child)
 
 
 def _plain(status: int, message: str) -> HttpResponse:
@@ -406,7 +399,10 @@ class NetmarkHttpApi:
                 with self.store.snapshot() as snapshot:
                     with tracer.span("explain", tier="local"):
                         plan = self.engine.explain(query, snapshot=snapshot)
-            return _open_root(writer, plan, stamps)
+            writer.start(plan.root.tag, plan.root.attributes | stamps)
+            for child in plan.root.children:
+                writer.node(child)
+            return None
         if query.stylesheet:
             # name -> text is resolved per request, before any query work
             # (a missing sheet costs no row read); text -> compiled sheet
@@ -438,8 +434,7 @@ class NetmarkHttpApi:
                 listing = results.to_xml()
         listing.root.attributes.update(cached)
         with tracer.span("xslt", stylesheet=query.stylesheet):
-            document = transform(compile_stylesheet(sheet.body), listing)
-        return _open_root(writer, document, stamps)
+            return transform(compile_stylesheet(sheet.body), listing, writer, stamps)
 
     def _document(self, raw_id: str) -> HttpResponse:
         try:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import datetime as _dt
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import WebDavError
 
@@ -115,10 +114,14 @@ class VirtualFileSystem:
         return entry
 
     def read(self, path: str) -> str:
-        return self._entry(path).content
+        return self.entry(path).content
 
     def entry(self, path: str) -> FileEntry:
-        return self._entry(path)
+        path = normalize_path(path)
+        try:
+            return self._files[path]
+        except KeyError:
+            raise WebDavError(404, f"not found: {path}") from None
 
     def delete(self, path: str) -> None:
         """Delete a file or (recursively) a directory."""
@@ -194,7 +197,8 @@ class VirtualFileSystem:
     # -- listing ------------------------------------------------------------------
 
     def listdir(self, path: str) -> list[str]:
-        """Immediate children (names, directories suffixed '/')."""
+        """Immediate children (names, directories suffixed '/'), sorted
+        whatever the history: the daemon ingests in this order."""
         path = normalize_path(path)
         if path not in self._directories:
             raise WebDavError(404, f"not a directory: {path}")
@@ -211,30 +215,3 @@ class VirtualFileSystem:
                 if "/" not in rest:
                     names.append(rest)
         return sorted(names)
-
-    def walk_files(self, path: str = "/") -> Iterator[str]:
-        """Every file path under ``path``, recursively.
-
-        Ordering is part of the contract: paths come back in sorted
-        (lexicographic) order regardless of creation, move or overwrite
-        history.  The daemon's ingest order — and therefore DOC_ID
-        assignment, WAL contents and crash-recovery replay — all derive
-        from this ordering, so it must be deterministic.
-        """
-        path = normalize_path(path)
-        prefix = path if path.endswith("/") else path + "/"
-        for file_path in sorted(self._files):
-            if path == "/" or file_path.startswith(prefix):
-                yield file_path
-
-    def file_count(self) -> int:
-        return len(self._files)
-
-    # -- internals --------------------------------------------------------------------
-
-    def _entry(self, path: str) -> FileEntry:
-        path = normalize_path(path)
-        try:
-            return self._files[path]
-        except KeyError:
-            raise WebDavError(404, f"not found: {path}") from None

@@ -112,10 +112,8 @@ def _parse(markup: str, name: str, strict: bool) -> Document:
         raise SgmlSyntaxError(
             f"expected exactly one root element, found {len(children)}"
         )
-    if len(children) == 1 and all(
-        not isinstance(child, Text) or not child.data.strip()
-        for child in virtual_root.children
-    ):
+    # Only text that is not whitespace was kept beside a top element.
+    if len(children) == len(virtual_root.children) == 1:
         root = children[0]
         root.detach()
     else:

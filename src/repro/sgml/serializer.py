@@ -1,9 +1,9 @@
 """XML output: one writer fed by ``start`` / ``text`` / ``end`` events.
 
-Two producers feed :class:`XmlWriter`: :meth:`XmlWriter.node` walks a DOM
-subtree (:func:`serialize`, for XSLT result trees and cached answers),
-and :func:`repro.store.compose.write_rows` writes stored rows with no DOM
-in between.  Output is always well-formed XML (even when the input was
+:meth:`XmlWriter.node` walks a DOM subtree (:func:`serialize`, cached
+answers), :func:`repro.store.compose.write_rows` writes stored rows and
+:func:`repro.xslt.processor.transform` a stylesheet run's events, with no
+DOM in between.  Output is always well-formed XML (even when the input was
 sloppy HTML), so anything NETMARK emits can be fed back through the strict
 parser — a round-trip property the test suite checks.
 """

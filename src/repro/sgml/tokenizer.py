@@ -43,14 +43,10 @@ def decode_entities(text: str) -> str:
 
     def _replace(match: re.Match[str]) -> str:
         body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            try:
-                return chr(int(body[2:], 16))
-            except (ValueError, OverflowError):
-                return match.group(0)
         if body.startswith("#"):
+            digits, base = (body[2:], 16) if body[1:2] in ("x", "X") else (body[1:], 10)
             try:
-                return chr(int(body[1:]))
+                return chr(int(digits, base))
             except (ValueError, OverflowError):
                 return match.group(0)
         return _ENTITIES.get(body.lower(), match.group(0))

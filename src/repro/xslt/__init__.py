@@ -1,6 +1,6 @@
 """XSLT-lite: the result-composition processor (paper Fig 7's Xalan)."""
 
-from repro.xslt.processor import transform, transform_text
+from repro.xslt.processor import transform
 from repro.xslt.stylesheet import (
     MatchPattern,
     Stylesheet,
@@ -34,5 +34,4 @@ __all__ = [
     "to_boolean",
     "to_string",
     "transform",
-    "transform_text",
 ]

@@ -10,33 +10,74 @@ running it parses nothing.  Semantics follow XSLT 1.0 on the subset:
 * within a template, literal elements are copied (with attribute value
   templates evaluated), ``xsl:*`` instructions execute, and everything
   else recurses.
+
+The run builds no result tree: its ops record events, the root is picked
+from the top level, and the events are replayed once, into a request's
+:class:`~repro.sgml.serializer.XmlWriter` or into a tree.
 """
 
 from __future__ import annotations
 
 from repro.sgml.dom import Document, Element, Text
-from repro.sgml.parser import parse_xml
-from repro.sgml.serializer import serialize
-from repro.xslt.stylesheet import Stylesheet, compile_stylesheet
+from repro.sgml.serializer import XmlWriter
+from repro.xslt.stylesheet import Events, Stylesheet, compile_stylesheet
+
+_OUTPUT = ("output", {})  # the synthetic root around any other output
 
 
-def transform(stylesheet: Stylesheet | str, source: Document) -> Document:
-    """Apply ``stylesheet`` to ``source``; returns the result document."""
+def transform(
+    stylesheet: Stylesheet | str, source: Document,
+    writer: XmlWriter | None = None, stamps: dict[str, str] | None = None,
+) -> Document | None:
+    """Apply ``stylesheet`` to ``source``: into ``writer`` — the root's
+    attributes followed by ``stamps``, the root left open for the
+    writer's footer — or, with none, into the document returned."""
     if isinstance(stylesheet, str):
         stylesheet = compile_stylesheet(stylesheet)
-    root = Element("output", synthetic=True)
-    stylesheet.apply(source, 1, 1, source.root, root, 0)
-    elements = [node for node in root.children if isinstance(node, Element)]
-    if len(elements) == 1 and all(
-        not isinstance(node, Text) or not node.data.strip()
-        for node in root.children
-    ):
-        # One element and nothing else worth keeping: it is the document.
-        root = elements[0]
-        root.parent = None
-    return Document(root, name="transformed.xml")
+    events: Events = []
+    stylesheet.apply(source, 1, 1, source.root, events, 0)
+    (tag, attributes), inside = _root(events)
+    sink = _Tree() if writer is None else writer
+    sink.start(tag, attributes | stamps if stamps else attributes)
+    for event in inside:
+        if event is None:
+            sink.end()
+        elif event.__class__ is str:
+            sink.text(event)
+        else:
+            sink.start(*event)
+    if writer is not None:
+        return None
+    sink[0].synthetic = inside is events  # the whole run, inside <output>
+    return Document(sink[0], name="transformed.xml")
 
 
-def transform_text(stylesheet_xml: str, source_xml: str) -> str:
-    """Convenience: parse, transform, serialise — all in one call."""
-    return serialize(transform(stylesheet_xml, parse_xml(source_xml)))
+def _root(events: Events) -> tuple[tuple[str, dict[str, str]], Events]:
+    """The root's start event and the events inside it: the one top-level
+    element if only whitespace text stands beside it, else ``<output>``."""
+    depth, tops, end = 0, [], 0
+    for at, event in enumerate(events):
+        if event is None:
+            depth, end = depth - 1, at
+        elif event.__class__ is not str:
+            if not depth:
+                tops.append(at)
+            depth += 1
+        elif not depth and event.strip():
+            return _OUTPUT, events
+    if len(tops) != 1:
+        return _OUTPUT, events
+    return events[tops[0]], events[tops[0] + 1 : end]
+
+
+class _Tree(list):
+    """Events to a DOM tree; holds the open elements, the root first."""
+
+    def start(self, tag: str, attributes: dict[str, str]) -> None:
+        element = Element(tag, attributes)
+        self.append(self[-1].append(element) if self else element)
+
+    def text(self, data: str) -> None:
+        self[-1].append(Text(data))
+
+    end = list.pop

@@ -64,9 +64,12 @@ MAX_DEPTH = 200
 _NAME_RE = re.compile(r"[A-Za-z_][-A-Za-z0-9_.:]*")  # the SGML tokenizer's rule
 _AVT_RE = re.compile(r"\{([^}]*)\}")
 
-#: A lowered instruction ``op(context, parent, depth)``: appends its output
-#: under ``parent``; ``depth`` counts the ops and templates open above it.
-Op = Callable[[XPathContext, Element, int], None]
+#: A lowered instruction ``op(context, out, depth)``: appends its output to
+#: ``out`` as events — a ``str`` is text, a ``(tag, attributes)`` tuple
+#: starts an element, ``None`` ends the newest; ``depth`` counts the ops
+#: and templates open above it.
+Events = list[Any]
+Op = Callable[[XPathContext, Events, int], None]
 _Body = tuple[Op, ...]
 
 
@@ -152,33 +155,33 @@ class Stylesheet:
 
     def apply(
         self, node: Node | Document, position: int, size: int,
-        root: Element, parent: Element, depth: int,
+        root: Element, out: Events, depth: int,
     ) -> None:
         """Run the best template for ``node`` — or the built-in rule
         (text is copied, anything else recurses into its children) —
-        appending the output under ``parent``."""
+        appending the output's events to ``out``."""
         if depth > MAX_DEPTH:  # most likely a template that applies itself
             raise XsltError(f"templates nest deeper than {MAX_DEPTH} levels")
         template = self.best_template(node, root)
         if template is not None:
-            _run(template.body, node, position, size, root, parent, depth + 1)
+            _run(template.body, node, position, size, root, out, depth + 1)
         elif isinstance(node, Text):
-            parent.append(Text(node.data))
+            out.append(node.data)
         else:
             children = children_of(node)
             size = len(children)
             for position, child in enumerate(children, start=1):
-                self.apply(child, position, size, root, parent, depth + 1)
+                self.apply(child, position, size, root, out, depth + 1)
 
 
 def _run(
     body: _Body, node: Any, position: int, size: int,
-    root: Element | None, parent: Element, depth: int,
+    root: Element | None, out: Events, depth: int,
 ) -> None:
     """Run a template's or a ``for-each``'s body with ``node`` as context."""
     context = XPathContext(node, position, size, root)
     for op in body:
-        op(context, parent, depth + 1)
+        op(context, out, depth + 1)
 
 
 def compile_stylesheet(markup: str | Document) -> Stylesheet:
@@ -279,9 +282,10 @@ def _compile_name(node: Element) -> str | Evaluator:
 
 
 def _checked_name(tag: str, name: str) -> str:
+    """``name``, if it is one; an element's lower-cased, as a parsed tag is."""
     if not _NAME_RE.fullmatch(name):
         raise XsltError(f"<{tag}> name {name!r} is not a name")
-    return name
+    return name.lower() if tag == f"{XSL_PREFIX}element" else name
 
 
 class _Lowering:
@@ -321,10 +325,10 @@ class _Lowering:
     def _lower_value_of(self, node: Element, depth: int) -> Op:
         value = _expression(_required(node, "select"))
 
-        def value_of(context: XPathContext, parent: Element, depth: int) -> None:
+        def value_of(context: XPathContext, out: Events, depth: int) -> None:
             text = to_string(value(context))
             if text:
-                parent.append(Text(text))
+                out.append(text)
 
         return value_of
 
@@ -336,11 +340,12 @@ class _Lowering:
     def _lower_copy_of(self, node: Element, depth: int) -> Op:
         select = _node_set(_required(node, "select"))
 
-        def copy_of(context: XPathContext, parent: Element, depth: int) -> None:
+        def copy_of(context: XPathContext, out: Events, depth: int) -> None:
             for item in select(context):
-                if isinstance(item, Document):
-                    item = item.root
-                parent.append(Text(item) if isinstance(item, str) else item.clone())
+                if isinstance(item, str):
+                    out.append(item)
+                else:
+                    _copy(item.root if isinstance(item, Document) else item, out)
 
         return copy_of
 
@@ -397,43 +402,55 @@ class _Lowering:
                 content_nodes.append(child)
         content = self.body(content_nodes, depth + 1)
 
-        def construct(context: XPathContext, parent: Element, depth: int) -> None:
-            element = Element(name if isinstance(name, str) else name(context))
-            attributes = element.attributes
-            for key, value in literal:
-                attributes[key] = value if isinstance(value, str) else value(context)
+        def construct(context: XPathContext, out: Events, depth: int) -> None:
+            tag = name if isinstance(name, str) else name(context)
+            attributes = {
+                key: value if isinstance(value, str) else value(context)
+                for key, value in literal
+            }
             for key, body in attribute_children:
-                holder = Element("attribute")
+                held: Events = []  # the value is the text in it, at any depth
                 for op in body:
-                    op(context, holder, depth + 1)
-                attributes[key if isinstance(key, str) else key(context)] = (
-                    holder.text_content()
+                    op(context, held, depth + 1)
+                attributes[key if isinstance(key, str) else key(context)] = "".join(
+                    [event for event in held if isinstance(event, str)]
                 )
-            parent.append(element)
+            out.append((tag, attributes))
             for op in content:
-                op(context, element, depth + 1)
+                op(context, out, depth + 1)
+            out.append(None)
 
         return construct
 
 
 def _emit_text(data: str) -> Op:
-    def emit_text(context: XPathContext, parent: Element, depth: int) -> None:
-        parent.append(Text(data))
+    def emit_text(context: XPathContext, out: Events, depth: int) -> None:
+        out.append(data)
 
     return emit_text
+
+
+def _copy(node: Node, out: Events) -> None:
+    """``copy-of``: a source subtree replayed as events, not cloned."""
+    if isinstance(node, Text):
+        return out.append(node.data)
+    out.append((node.tag, node.attributes))
+    for child in node.children:
+        _copy(child, out)
+    out.append(None)
 
 
 def _choose(branches: tuple[tuple[Evaluator, _Body], ...], otherwise: _Body) -> Op:
     """Run the body of the first branch whose test holds, or ``otherwise``."""
 
-    def choose(context: XPathContext, parent: Element, depth: int) -> None:
+    def choose(context: XPathContext, out: Events, depth: int) -> None:
         for test, body in branches:
             if test(context):
                 break
         else:
             body = otherwise
         for op in body:
-            op(context, parent, depth + 1)
+            op(context, out, depth + 1)
 
     return choose
 
@@ -442,15 +459,15 @@ def _for_each_selected(select: Evaluator, visit: Callable[..., None]) -> Op:
     """``for-each`` and ``apply-templates``: ``visit`` each selected node
     with its position; an attribute value is copied as text."""
 
-    def for_each(context: XPathContext, parent: Element, depth: int) -> None:
+    def for_each(context: XPathContext, out: Events, depth: int) -> None:
         items = select(context)
         size = len(items)
         root = context.root
         for position, item in enumerate(items, start=1):
             if isinstance(item, str):
-                parent.append(Text(item))
+                out.append(item)
             else:
-                visit(item, position, size, root, parent, depth + 1)
+                visit(item, position, size, root, out, depth + 1)
 
     return for_each
 

@@ -25,19 +25,44 @@ def durable_rig(device=None, vfs=None):
     return device, store, vfs, daemon
 
 
-class TestWalkFilesDeterminism:
+class TestPendingFiles:
+    """What a poll picks up: the files directly in the drop folder, in name
+    order (the order DOC_IDs, the WAL and replay follow), minus the
+    revisions the daemon quarantined."""
+
     def test_order_is_sorted_regardless_of_insertion_history(self):
-        vfs = VirtualFileSystem()
-        vfs.mkdir("/a")
-        vfs.write("/zebra.txt", "z")
-        vfs.write("/a/nested.txt", "n")
-        vfs.write("/apple.txt", "a")
-        vfs.delete("/apple.txt")
-        vfs.write("/apple.txt", "a2")  # re-created last, still sorts first
-        assert list(vfs.walk_files()) == [
-            "/a/nested.txt", "/apple.txt", "/zebra.txt"
+        _, _, vfs, daemon = durable_rig()
+        vfs.write("/incoming/zebra.ndoc", NDOC)
+        vfs.write("/incoming/apple.ndoc", NDOC)
+        vfs.delete("/incoming/apple.ndoc")
+        vfs.write("/incoming/apple.ndoc", NDOC2)  # re-created last, still first
+        vfs.write("/incoming/Mango.ndoc", NDOC)  # upper case sorts first
+        assert daemon.pending_files() == [
+            "/incoming/Mango.ndoc", "/incoming/apple.ndoc", "/incoming/zebra.ndoc"
         ]
-        assert list(vfs.walk_files("/a")) == ["/a/nested.txt"]
+
+    def test_processed_and_errors_are_not_pending_and_poison_is_skipped(self):
+        _, _, vfs, daemon = durable_rig()
+        vfs.write("/incoming/a.ndoc", NDOC)
+        vfs.write("/incoming/bad.xml", "<a><b></a>")
+        assert [record.ok for record in daemon.poll()] == [True, False]
+        assert vfs.exists("/incoming/processed/a.ndoc")
+        assert vfs.exists("/incoming/errors/bad.xml")
+        vfs.mkdir("/incoming/sub")
+        vfs.write("/incoming/sub/nested.ndoc", NDOC)  # a folder is not read
+        vfs.write("/incoming/bad.xml", "<a><b></a>")  # the quarantined revision
+        vfs.write("/incoming/c.ndoc", NDOC2)
+        vfs.write("/incoming/b.ndoc", NDOC)
+        assert daemon.pending_files() == ["/incoming/b.ndoc", "/incoming/c.ndoc"]
+        vfs.write("/incoming/bad.xml", "<a>fixed</a>")  # a new revision is
+        assert daemon.pending_files() == [
+            "/incoming/b.ndoc", "/incoming/bad.xml", "/incoming/c.ndoc"
+        ]
+
+    def test_a_drop_folder_that_is_gone_has_nothing_pending(self):
+        _, _, vfs, daemon = durable_rig()
+        vfs.delete("/incoming")
+        assert daemon.pending_files() == []
 
 
 class TestDaemonJournal:

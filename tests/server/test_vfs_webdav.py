@@ -113,12 +113,15 @@ class TestVfs:
         vfs.write("/d/f", "x")
         assert vfs.listdir("/d") == ["f", "sub/"]
 
-    def test_walk_files_sorted_recursive(self):
+    def test_listdir_sorted_whatever_the_history(self):
         vfs = VirtualFileSystem()
         vfs.mkdir("/a/b", parents=True)
         vfs.write("/a/z", "1")
         vfs.write("/a/b/y", "2")
-        assert list(vfs.walk_files("/a")) == ["/a/b/y", "/a/z"]
+        vfs.write("/a/c", "3")
+        vfs.delete("/a/c")
+        vfs.write("/a/c", "4")  # re-created last, still sorts before z
+        assert vfs.listdir("/a") == ["b/", "c", "z"]
 
 
 class TestWebDav:

@@ -119,6 +119,33 @@ def sheet(*templates: str) -> str:
     return "<xsl:stylesheet>" + "".join(templates) + "</xsl:stylesheet>"
 
 
+#: The fixed sheets :class:`TestTheListingTree` runs over listed results.
+LISTING_SHEETS = {
+    "parent-of-a-result": sheet(
+        '<xsl:template match="/"><o><xsl:apply-templates select="results/result"/></o>'
+        "</xsl:template>",
+        '<xsl:template match="result"><xsl:for-each select="..">'
+        '<up n="{name()}" q="{@query}" of="{count(result)}"/></xsl:for-each>'
+        '<xsl:for-each select="content/../.."><top n="{name()}"/></xsl:for-each>'
+        "</xsl:template>",
+    ),
+    "path-pattern": sheet(
+        '<xsl:template match="results/result"><hit doc="{@doc}"/></xsl:template>',
+        '<xsl:template match="result/content"><never/></xsl:template>',
+        '<xsl:template match="section/result"><never/></xsl:template>',
+    ),
+    "absolute-paths": sheet(
+        '<xsl:template match="/"><o><xsl:apply-templates select="//context"/></o>'
+        "</xsl:template>",
+        '<xsl:template match="context"><n all="{count(/results/result)}" '
+        'beside="{count(../../result)}" local="{count(/results/result[@source=\'local\'])}"/>'
+        "</xsl:template>",
+    ),
+    "copy-of": sheet(
+        '<xsl:template match="/"><o><xsl:copy-of select="results/result"/></o></xsl:template>'
+    ),
+}
+
 #: One more rule for a generated sheet, sure to look upward from where
 #: the listing starts: a path pattern over it and a walk through ``..``.
 _upward_rules = st.builds(
@@ -150,14 +177,7 @@ class TestTheListingTree:
         assert all(match.element.parent is None for match in results)
 
     def test_the_parent_of_a_result_is_the_root_that_lists_it(self):
-        stylesheet_xml = sheet(
-            '<xsl:template match="/"><o><xsl:apply-templates select="results/result"/></o>'
-            "</xsl:template>",
-            '<xsl:template match="result"><xsl:for-each select="..">'
-            '<up n="{name()}" q="{@query}" of="{count(result)}"/></xsl:for-each>'
-            '<xsl:for-each select="content/../.."><top n="{name()}"/></xsl:for-each>'
-            "</xsl:template>",
-        )
+        stylesheet_xml = LISTING_SHEETS["parent-of-a-result"]
         results = listed_sections("Budget", "Cost")
         composed = serialize(transform(stylesheet_xml, results.to_xml()))
         assert composed == serialize(oracle.transform(stylesheet_xml, owned(results.to_xml())))
@@ -165,33 +185,21 @@ class TestTheListingTree:
         assert composed.count('<top n="results"/>') == 3
 
     def test_a_path_pattern_sees_the_listing_root(self):
-        stylesheet_xml = sheet(
-            '<xsl:template match="results/result"><hit doc="{@doc}"/></xsl:template>',
-            '<xsl:template match="result/content"><never/></xsl:template>',
-            '<xsl:template match="section/result"><never/></xsl:template>',
-        )
+        stylesheet_xml = LISTING_SHEETS["path-pattern"]
         results = listed_sections("Budget")
         composed = serialize(transform(stylesheet_xml, results.to_xml()))
         assert composed == serialize(oracle.transform(stylesheet_xml, owned(results.to_xml())))
         assert composed == '<output><hit doc="d1.ndoc"/><hit doc="whole.txt"/></output>'
 
     def test_absolute_paths_count_the_listed_results(self):
-        stylesheet_xml = sheet(
-            '<xsl:template match="/"><o><xsl:apply-templates select="//context"/></o>'
-            "</xsl:template>",
-            '<xsl:template match="context"><n all="{count(/results/result)}" '
-            'beside="{count(../../result)}" local="{count(/results/result[@source=\'local\'])}"/>'
-            "</xsl:template>",
-        )
+        stylesheet_xml = LISTING_SHEETS["absolute-paths"]
         results = listed_sections("Budget", "Cost", "Travel")
         composed = serialize(transform(stylesheet_xml, results.to_xml()))
         assert composed == serialize(oracle.transform(stylesheet_xml, owned(results.to_xml())))
         assert composed.count('<n all="4" beside="4" local="3"/>') == 4
 
     def test_copy_of_makes_an_owned_copy_and_leaves_the_original_listed(self):
-        stylesheet_xml = sheet(
-            '<xsl:template match="/"><o><xsl:copy-of select="results/result"/></o></xsl:template>'
-        )
+        stylesheet_xml = LISTING_SHEETS["copy-of"]
         results = listed_sections("Budget", "Cost")
         listing = results.to_xml()
         before = serialize(listing)
@@ -275,6 +283,15 @@ EVERY_EXPRESSION_SHEET = """<xsl:stylesheet>
 </xsl:stylesheet>"""
 
 
+#: Built-in rules around two templates: what they visit, and in what order.
+BUILT_IN_RULES_SHEET = (
+    '<xsl:stylesheet><xsl:template match="context">'
+    '<c p="{position()}/{last()}"/></xsl:template>'
+    '<xsl:template match="section/text()">[<xsl:value-of select="position()"/>]'
+    "</xsl:template></xsl:stylesheet>"
+)
+
+
 class TestEveryFormOnFixedTrees:
     """Deterministic floor under the generated tests: every curated path
     and expression at every node of :data:`TREES`."""
@@ -299,12 +316,7 @@ class TestEveryFormOnFixedTrees:
 
     @pytest.mark.parametrize("markup", TREES, ids=TREE_IDS)
     def test_built_in_rules_number_what_they_visit(self, markup):
-        stylesheet_xml = (
-            '<xsl:stylesheet><xsl:template match="context">'
-            '<c p="{position()}/{last()}"/></xsl:template>'
-            '<xsl:template match="section/text()">[<xsl:value-of select="position()"/>]'
-            "</xsl:template></xsl:stylesheet>"
-        )
+        stylesheet_xml = BUILT_IN_RULES_SHEET
         source = parse_xml(markup)
         assert outcome(transform, stylesheet_xml, source) == outcome(
             oracle.transform, stylesheet_xml, source
@@ -320,24 +332,29 @@ class TestEveryFormOnFixedTrees:
             ), expression
 
 
+#: Ties, priorities and shadowed rules, and the tree that reaches them all.
+TIES_SHEET = (
+    "<xsl:stylesheet>"
+    '<xsl:template match="*"><any><xsl:apply-templates/></any></xsl:template>'
+    '<xsl:template match="b"><first/></xsl:template>'
+    '<xsl:template match="a/b"><nested><xsl:apply-templates/></nested></xsl:template>'
+    '<xsl:template match="b"><second><xsl:apply-templates/></second></xsl:template>'
+    '<xsl:template match="*/c"><under-any/></xsl:template>'
+    '<xsl:template match="text()"><t/></xsl:template>'
+    '<xsl:template match="b/text()"><bt/></xsl:template>'
+    '<xsl:template match="/"><top/></xsl:template>'
+    '<xsl:template match="/"><top2><xsl:apply-templates/></top2></xsl:template>'
+    '<xsl:template match="d/b/c"><grandchild/></xsl:template>'
+    '<xsl:template match="a/b/c"><never/></xsl:template>'
+    "</xsl:stylesheet>"
+)
+TIES_TREE = "<a><b>x</b><c/><d><b>y<c/></b></d>z</a>"
+
+
 def test_ties_and_priorities_rank_like_the_scan():
     """``best_template``'s index against the old scan over every template."""
-    stylesheet_xml = (
-        "<xsl:stylesheet>"
-        '<xsl:template match="*"><any><xsl:apply-templates/></any></xsl:template>'
-        '<xsl:template match="b"><first/></xsl:template>'
-        '<xsl:template match="a/b"><nested><xsl:apply-templates/></nested></xsl:template>'
-        '<xsl:template match="b"><second><xsl:apply-templates/></second></xsl:template>'
-        '<xsl:template match="*/c"><under-any/></xsl:template>'
-        '<xsl:template match="text()"><t/></xsl:template>'
-        '<xsl:template match="b/text()"><bt/></xsl:template>'
-        '<xsl:template match="/"><top/></xsl:template>'
-        '<xsl:template match="/"><top2><xsl:apply-templates/></top2></xsl:template>'
-        '<xsl:template match="d/b/c"><grandchild/></xsl:template>'
-        '<xsl:template match="a/b/c"><never/></xsl:template>'
-        "</xsl:stylesheet>"
-    )
-    source = parse_xml("<a><b>x</b><c/><d><b>y<c/></b></d>z</a>")
+    stylesheet_xml = TIES_SHEET
+    source = parse_xml(TIES_TREE)
     assert serialize(transform(stylesheet_xml, source)) == serialize(
         oracle.transform(stylesheet_xml, source)
     )

@@ -5,12 +5,12 @@ import pytest
 from repro.errors import XsltError
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
-from repro.xslt import compile_stylesheet, parse_pattern, transform, transform_text
+from repro.xslt import compile_stylesheet, parse_pattern, transform
 
 
 def run(xsl_body: str, source: str) -> str:
     stylesheet = f"<xsl:stylesheet>{xsl_body}</xsl:stylesheet>"
-    return transform_text(stylesheet, source)
+    return serialize(transform(stylesheet, parse_xml(source)))
 
 
 class TestTemplates:
