@@ -184,6 +184,29 @@ class HeapFile:
                 first_slot = 0
             first_block = 0
 
+    def slots_after(self, after: RowId | None, count: int, skip: int = 0) -> list[Any]:
+        """What the (up to) ``count`` slots ``skip`` slots behind ``after``
+        (the heap's start when None) hold — the row, None for a tombstone
+        — as list slices of the blocks: :meth:`scan_all` minting no address.
+        Every block but the last is full, so a slot's place is arithmetic."""
+        if after is not None and not after.is_valid:
+            raise RowIdError(f"invalid ROWID {after} for table {self.name}")
+        file_no, block_no, slot_no = after or (0, 0, -1)
+        place = (file_no * FILE_CAPACITY + block_no) * BLOCK_CAPACITY + slot_no + 1 + skip
+        taken: list[Any] = []
+        while len(taken) < count:
+            blocks, slot_no = divmod(place + len(taken), BLOCK_CAPACITY)
+            try:
+                block = self._files[blocks // FILE_CAPACITY][blocks % FILE_CAPACITY]
+            except IndexError:
+                break
+            if not (run := block[slot_no:slot_no + count - len(taken)]):
+                break
+            taken += run
+        if _TOMBSTONE in taken:
+            return [None if row is _TOMBSTONE else row for row in taken]
+        return taken
+
     def __len__(self) -> int:
         return self._live_rows
 

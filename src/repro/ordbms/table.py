@@ -24,7 +24,7 @@ on a durable database, is one WAL record that moves whole or not at all
 from __future__ import annotations
 
 import time
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro import obs
@@ -393,40 +393,37 @@ class Table:
         self, predicate: Callable[[Any], bool] | None = None
     ) -> Iterator[Any]:
         """Yield the live rows in physical order."""
+        rows = self._counted((row for _, row in self._heap.scan()), "scan")
+        return rows if predicate is None else filter(predicate, rows)
+
+    def _counted(self, rows: Iterable[Any], path: str) -> Iterator[Any]:
+        """``rows``, counted into ``repro_ordbms_rows_read_total`` in one
+        bump when the read ends (early close included), never per row:
+        the counter must not be a read's hot-path cost."""
         examined = 0
         try:
-            for _, row in self._heap.scan():
-                examined += 1
-                if predicate is None or predicate(row):
-                    yield row
+            for examined, row in enumerate(rows, 1):
+                yield row
         finally:
-            # One bump per scan (early close included), not one per row:
-            # the counter must not be the scan's hot-path cost.
             if examined:
                 obs.inc(
                     "repro_ordbms_rows_read_total", examined,
-                    table=self.schema.name, path="scan",
+                    table=self.schema.name, path=path,
                 )
 
     def lookup(self, column: str, value: Any) -> list[Any]:
         """Equality lookup, via index when one exists, else a scan."""
         column = column.upper()
         index = self._indexes.get(column)
-        if index is not None:
+        if index is None:
+            position = self.schema.position(column)
+            rows = [row for _, row in self._heap.scan() if row[position] == value]
+        else:
             rows = [self.fetch(rowid) for rowid in index.search(value)]
-            obs.inc(
-                "repro_ordbms_lookups_total",
-                table=self.schema.name, path="index",
-            )
             obs.inc("repro_ordbms_btree_probes_total", index=index.name)
-            return rows
-        position = self.schema.position(column)
-        rows = [
-            row for _, row in self._heap.scan() if row[position] == value
-        ]
         obs.inc(
-            "repro_ordbms_lookups_total",
-            table=self.schema.name, path="scan",
+            "repro_ordbms_lookups_total", table=self.schema.name,
+            path="scan" if index is None else "index",
         )
         return rows
 
@@ -486,24 +483,18 @@ class Table:
         rows = self.stable_read(read)
         for rowid, image in zip(rowids, rows):
             if image is ABSENT:
-                raise RowIdError(
-                    f"ROWID {rowid} is not visible at LSN {pin} in table "
-                    f"{self.schema.name}"
-                )
-        if rows:
-            obs.inc(
-                "repro_ordbms_rows_read_total", len(rows),
-                table=self.schema.name, path="snapshot",
-            )
+                raise self._invisible(rowid, pin)
         return rows
 
-    def _slots_after(
-        self, rowid: RowId | None, pin: int
-    ) -> Iterator[tuple[RowId, Any]]:
-        """``(rowid, image)`` for every slot stored after ``rowid`` (every
-        slot when None), as of ``pin``; a slot with no row in that view
-        carries :data:`ABSENT`.  Slots are taken a chunk at a time, each
-        chunk inside one seqlock window.
+    def _invisible(self, rowid: RowId, pin: int) -> RowIdError:
+        return RowIdError(f"ROWID {rowid} is not visible at LSN {pin} in table {self.schema.name}")
+
+    def _slots_after(self, rowid: RowId | None, pin: int) -> Iterator[list[Any]]:
+        """What every slot stored after ``rowid`` (every slot when None)
+        holds as of ``pin`` — None for no row in that view — a chunk per
+        seqlock window.  With no history on the table the heap *is* that
+        view and a chunk is a list slice of it (:meth:`HeapFile.slots_after`);
+        else each slot resolves by its address (:meth:`_as_of`).
 
         A run has a head: ``rowid`` must itself hold a row as of ``pin``.
         When it does not — its document was deleted and the history
@@ -511,56 +502,44 @@ class Table:
         :class:`~repro.errors.RowIdError` says so, where an empty run
         would pass for a section with nothing in it.
         """
-        chunk, head = RUN_CHUNK, rowid
+        chunk, head, cursor = RUN_CHUNK, rowid, (rowid, 0)
 
-        def window() -> list[tuple[RowId, Any]] | None:
-            slots = [
-                (slot, ABSENT if row is None else row)
-                for slot, row in islice(self._heap.scan_all(rowid), chunk)
-            ]
+        def window() -> tuple[list[Any], tuple[RowId | None, int]]:
+            after, skip = cursor  # the slots ``skip`` behind ``after`` come next
             if self._history:
-                slots = [
-                    (slot, self._as_of(slot, row, pin)) for slot, row in slots
-                ]
+                slots = list(islice(self._heap.scan_all(after), skip, skip + chunk))
+                run = [self._as_of(slot, row, pin) for slot, row in slots]
+                run = [None if row is ABSENT else row for row in run]
+                moved = (slots[-1][0], 0) if slots else cursor
+            else:
+                run = self._heap.slots_after(after, chunk, skip)
+                moved = (after, skip + len(run))
             # Judged after the slots: while the head is visible no sweep
             # has taken the history those slots were resolved with.
             if head is not None and self._visible_image(head, pin) is ABSENT:
-                return None
-            return slots
+                raise self._invisible(head, pin)
+            return run, moved
 
         while True:
-            slots = self.stable_read(window)
-            if slots is None:
-                raise RowIdError(
-                    f"ROWID {head} is not visible at LSN {pin} in table "
-                    f"{self.schema.name}"
-                )
-            yield from slots
-            if len(slots) < chunk:
+            run, cursor = self.stable_read(window)
+            yield run
+            if len(run) < chunk:
                 return
-            rowid, chunk = slots[-1][0], min(chunk * 2, RUN_CHUNK_MAX)
+            chunk = min(chunk * 2, RUN_CHUNK_MAX)
 
     def rows_after(self, rowid: RowId, pin: int) -> Iterator[Any]:
         """Lazily yield the rows stored right after ``rowid``, in order.
 
         The forward read: one pass over the slots that physically follow
         ``rowid``, as of ``pin``, ending at the first slot that holds no
-        row in that view or at the heap tail.  A row counts as read only
-        when the consumer pulls it.
+        row in that view or at the heap tail.  It counts nothing: the
+        reader that pulls the rows counts them (DESIGN.md §10).
         """
-        pulled = 0
-        try:
-            for _, image in self._slots_after(rowid, pin):
-                if image is ABSENT:
-                    return
-                pulled += 1
-                yield image
-        finally:
-            if pulled:
-                obs.inc(
-                    "repro_ordbms_rows_read_total", pulled,
-                    table=self.schema.name, path="snapshot",
-                )
+        for run in self._slots_after(rowid, pin):
+            if None in run:
+                yield from run[:run.index(None)]
+                return
+            yield from run
 
     def changed_rowids_since(self, pin: int) -> set[RowId]:
         """Rowids mutated by any statement after ``pin``.
@@ -583,18 +562,8 @@ class Table:
         are invisible anyway, and tombstoned slots resolve through their
         pre-images.
         """
-        examined = 0
-        try:
-            for _, image in self._slots_after(None, pin):
-                examined += 1
-                if image is not ABSENT:
-                    yield image
-        finally:
-            if examined:
-                obs.inc(
-                    "repro_ordbms_rows_read_total", examined,
-                    table=self.schema.name, path="snapshot_scan",
-                )
+        slots = chain.from_iterable(self._slots_after(None, pin))
+        return (row for row in self._counted(slots, "snapshot_scan") if row is not None)
 
     def _rowids_as_of(
         self,
@@ -662,12 +631,9 @@ class Table:
         column = column.upper()
         if column not in self._indexes:
             position = self.schema.position(column)
-            return [
-                row for row in self.snapshot_scan(pin) if row[position] == value
-            ]
-        return self.visible_many(
-            self.snapshot_rowids(column, value, pin), pin
-        )
+            return [row for row in self.snapshot_scan(pin) if row[position] == value]
+        rowids = self.snapshot_rowids(column, value, pin)
+        return list(self._counted(self.visible_many(rowids, pin), "snapshot"))
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -36,9 +36,8 @@ STOPWORDS = frozenset(
 def tokenize(text: str, keep_stopwords: bool = False) -> list[str]:
     """Split ``text`` into lower-case index terms.
 
-    Stopwords are *kept* with a ``None``-free placeholder semantics when
-    ``keep_stopwords`` is true — phrase matching needs the original
-    positions, so phrase tokenisation keeps everything.
+    Stopwords are dropped unless ``keep_stopwords`` is true: phrase
+    matching needs every word's original position, so it keeps them.
     """
     words = [match.group(0).lower() for match in _WORD_RE.finditer(text)]
     if keep_stopwords:

@@ -182,6 +182,7 @@ class QueryEngine:
             node = SectionWalk(ctx, node, query.content)
         node = Materialize(ctx, Limit(ctx, node, query.limit - len(listed)))
         answer = listed + tuple(match.resolve() for match in node.rows())
+        accessor.publish()
         return answer if len(answer) == query.limit else None
 
     def explain(
@@ -233,10 +234,12 @@ class QueryEngine:
 
         The accessor's own counters are plain ints on the hot path (row
         reads run thousands of times per query); one aggregate publish per
-        executed plan keeps the metrics layer off that path.  Traffic
-        from *lazy* match materialization after the drain is not
-        included — these series describe plan execution.
+        executed plan keeps the metrics layer off that path.  These
+        series describe plan execution, not the *lazy* loads after the
+        drain — except rows read, which :meth:`~repro.store.accessor.NodeAccessor.publish`
+        counts here and again wherever a later read ends.
         """
+        ctx.accessor.publish()
         stats = ctx.accessor.stats
         for count, series, labels in (
             (stats.rows_fetched, "repro_store_accessor_rows_fetched_total", {}),

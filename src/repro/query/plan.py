@@ -522,11 +522,18 @@ class Present(PlanNode):
 
 
 @dataclass
-class SectionResolver:
-    """Lazy-field loader for a section match (accessor-backed)."""
+class _Resolver:
+    """What a lazy match's loader reads through: the plan's accessor."""
 
     ctx: PlanContext
     row: XmlRow
+
+    def publish(self) -> None:
+        self.ctx.accessor.publish()
+
+
+class SectionResolver(_Resolver):
+    """Lazy-field loader for a section match (accessor-backed)."""
 
     def context(self) -> str:
         return self.ctx.accessor.context_title(self.row)
@@ -545,11 +552,9 @@ class SectionResolver:
 
 
 @dataclass
-class NodeResolver:
+class NodeResolver(_Resolver):
     """Lazy-field loader for a nodename match."""
 
-    ctx: PlanContext
-    row: XmlRow
     node: Element | Text | None = None
     text: str | None = None
     _heading: str | None = field(default=None, repr=False)
@@ -594,32 +599,12 @@ class Materialize(PlanNode):
     def _produce(self) -> Iterator[SectionMatch]:
         ctx = self.ctx
         for candidate in self.children[0].rows():
-            entry = ctx.entry(candidate.doc_id)
+            entry, row = ctx.entry(candidate.doc_id), candidate.row
             if candidate.kind == "section":
-                yield SectionMatch(
-                    doc_id=entry.doc_id,
-                    file_name=entry.file_name,
-                    score=candidate.score,
-                    loader=SectionResolver(ctx, candidate.row),
-                    rowid=candidate.rowid,
-                )
+                fields = {"loader": SectionResolver(ctx, row), "rowid": candidate.rowid}
             elif candidate.kind == "document":
-                snippet = (candidate.row.NODEDATA or "").strip()
-                snippet = re.sub(r"\s+", " ", snippet)
-                yield SectionMatch(
-                    doc_id=entry.doc_id,
-                    file_name=entry.file_name,
-                    context=entry.file_name,
-                    content=snippet,
-                    section=None,
-                    score=candidate.score,
-                )
+                snippet = re.sub(r"\s+", " ", (row.NODEDATA or "").strip())
+                fields = {"context": entry.file_name, "content": snippet, "section": None}
             else:  # nodename
-                yield SectionMatch(
-                    doc_id=entry.doc_id,
-                    file_name=entry.file_name,
-                    score=candidate.score,
-                    loader=NodeResolver(
-                        ctx, candidate.row, candidate.node, candidate.text
-                    ),
-                )
+                fields = {"loader": NodeResolver(ctx, row, candidate.node, candidate.text)}
+            yield SectionMatch(entry.doc_id, entry.file_name, score=candidate.score, **fields)

@@ -35,7 +35,7 @@ a stylesheet, :meth:`ResultSet.write` streams the same XML to an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Any, Protocol
 
 from repro.errors import QueryError
 from repro.ordbms import RowId
@@ -107,30 +107,40 @@ class SectionMatch:
     def context(self) -> str:
         """The matched section's heading (resolved once)."""
         if self._context is _UNSET:
-            self._context = self._require_loader().context()
+            self._context = self._load("context")
         return self._context  # type: ignore[return-value]
 
     @property
     def content(self) -> str:
         """The matched section's content text (resolved once)."""
         if self._content is _UNSET:
-            self._content = self._require_loader().content()
+            self._content = self._load("content")
         return self._content  # type: ignore[return-value]
 
     @property
     def section(self) -> Element | None:
         """The reconstructed ``<section>`` fragment (resolved once)."""
         if self._section is _UNSET:
-            self._section = self._require_loader().section()
+            self._section = self._load("section")
         return self._section  # type: ignore[return-value]
 
-    def _require_loader(self) -> SectionLoader:
+    def publish(self) -> None:
+        """Have a loader with ``publish`` count the rows it has read: a
+        lazy field does once it is loaded, :meth:`ResultSet.write` once
+        it wrote every match."""
+        publish = getattr(self._loader, "publish", None)
+        if publish is not None:
+            publish()
+
+    def _load(self, field: str, count: bool = True) -> Any:
+        """The loader's ``field``, its rows counted as read (:meth:`publish`)
+        unless the caller counts them later."""
         if self._loader is None:
-            raise QueryError(
-                "SectionMatch has neither a value nor a loader for a "
-                "lazy field"
-            )
-        return self._loader
+            raise QueryError("SectionMatch has neither a value nor a loader for a lazy field")
+        value = getattr(self._loader, field)()
+        if count:
+            self.publish()
+        return value
 
     @property
     def element(self) -> Element:
@@ -158,19 +168,24 @@ class SectionMatch:
             self._element = result
         return self._element
 
-    def write(self, writer: XmlWriter) -> None:
+    def write(self, writer: XmlWriter) -> bool:
         """Write the ``<result>`` :attr:`element` would serialize to: a
         fresh match whose loader has ``write_section`` from its rows, any
-        other by a walk of the element."""
+        other by a walk of the element.  True for the former: the caller
+        counts those rows (:meth:`publish`) once it wrote every match."""
         stream = getattr(self._loader, "write_section", None)
         if stream is None or self._section is not _UNSET:
-            return writer.node(self.element)
+            writer.node(self.element)
+            return False
         writer.start("result", {"doc": self.file_name, "source": self.source})
+        if self._context is _UNSET:
+            self._context = self._load("context", count=False)
         writer.start("context")
-        writer.text(self.context)
+        writer.text(self._context)
         writer.end()
         stream(writer)
         writer.end()
+        return True
 
     def resolve(self) -> "SectionMatch":
         """Load and build everything now and let go of the loader; returns
@@ -267,13 +282,7 @@ class ResultSet:
         Deduplication is O(1) per match; the first occurrence of a name
         pins its position, later hits of the same document are dropped.
         """
-        seen: set[str] = set()
-        ordered: list[str] = []
-        for match in self.matches:
-            if match.file_name not in seen:
-                seen.add(match.file_name)
-                ordered.append(match.file_name)
-        return ordered
+        return list(dict.fromkeys(match.file_name for match in self.matches))
 
     def ranked(self) -> list[SectionMatch]:
         """Matches by descending relevance score (stable within ties)."""
@@ -327,8 +336,9 @@ class ResultSet:
         writer.start("results", {"query": self.query_string} | partial | stamps)
         if envelope is not None:
             writer.node(envelope)
-        for match in self.matches:
-            match.write(writer)
+        fresh = [match for match in self.matches if match.write(writer)]
+        for match in fresh:
+            match.publish()  # a bump per accessor: the rest find nothing new
 
     def _partial(self) -> Element | None:
         """An incomplete answer's ``<partial>``: what is missing, and why."""

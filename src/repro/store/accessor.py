@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+from repro import obs
 from repro.errors import RowIdError, StoreError
 from repro.ordbms import Database, RowId, Snapshot
 from repro.ordbms.textindex import TextIndex
@@ -166,6 +167,8 @@ class NodeAccessor:
         #: Cross-query memo pool; None means "private memos only".
         self._lifts = lifts
         self._rows: dict[RowId, XmlRow] = {}
+        #: How many of ``stats.rows_fetched`` :meth:`publish` has counted.
+        self._published = 0
         #: doc id -> the pass over its rows, never pooled (:meth:`_pass`).
         self._passes: dict[int, SectionPass] = {}
         #: The one memo: the three structural lifts keyed ``(kind,
@@ -209,6 +212,16 @@ class NodeAccessor:
         if value is _MISS:
             value = self._remember(kind, key, compute(*args))
         return value
+
+    def publish(self) -> None:
+        """Count the rows read since the last call into
+        ``repro_ordbms_rows_read_total`` — the table doors count none.
+        One bump where a read ends: the plan's drain, a render, a facade
+        call (a ``stats.reset`` starts the count afresh)."""
+        fetched = self.stats.rows_fetched
+        rows, self._published = fetched - self._published, fetched
+        if rows > 0:
+            obs.inc("repro_ordbms_rows_read_total", rows, table=XML_TABLE, path="snapshot")
 
     # -- row access ---------------------------------------------------------
 
@@ -271,11 +284,11 @@ class NodeAccessor:
 
     @staticmethod
     def is_context(row: XmlRow) -> bool:
-        return row.NODETYPE == int(NodeType.CONTEXT)
+        return row.NODETYPE == _CONTEXT
 
     @staticmethod
     def is_text(row: XmlRow) -> bool:
-        return row.NODETYPE == int(NodeType.TEXT)
+        return row.NODETYPE == _TEXT
 
     # -- traversal (paper §2.1.4), memoized ------------------------------------
 
@@ -334,24 +347,17 @@ class NodeAccessor:
         doc_id, beside = row.DOC_ID, row.PARENTROWID
         inside = {row.rowid}
         run: list[XmlRow] = []
-        following = self.table.rows_after(row.rowid, self.lsn)
         self.stats.batch_fetches += 1
-        for candidate in following:
+        for candidate in self.table.rows_after(row.rowid, self.lsn):
             self.stats.rows_fetched += 1
             above = candidate.PARENTROWID
-            if candidate.DOC_ID != doc_id or not (
-                above in inside
-                or (
-                    siblings and above == beside
-                    and not self.is_context(candidate)
-                )
-            ):
+            sibling = siblings and above == beside and candidate.NODETYPE != _CONTEXT
+            if candidate.DOC_ID != doc_id or not (above in inside or sibling):
                 break
             rowid = candidate.rowid
             inside.add(rowid)
             self._rows[rowid] = candidate
             run.append(candidate)
-        following.close()  # publishes the read's row count now
         return run
 
     def section_scope(self, context_row: XmlRow) -> list[XmlRow]:

@@ -83,11 +83,13 @@ def compose_node(row: XmlRow, accessor: NodeAccessor) -> Element | Text:
 def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
     """Document ``doc_id``'s rows: one ROWID run in document order, its
     lowest address its root element and the rest exactly the root's
-    subtree — ``XML.DOC_ID``'s postings say how many rows that must be."""
+    subtree — ``XML.DOC_ID``'s postings say how many rows that must be.
+    A whole read: the accessor publishes what it read."""
     rowids = accessor.lookup_rowids("DOC_ID", doc_id)
     rows = accessor.nodes(rowids[:1])
     if rows:
         rows += accessor.subtree(rows[0])
+    accessor.publish()
     if (
         len(rows) != len(rowids) or not rows or rows[0].PARENTROWID is not None
         or accessor.is_text(rows[0])

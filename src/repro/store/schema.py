@@ -147,22 +147,28 @@ def align_indexes(database: Database) -> None:
                 table.create_index(column)
 
 
+#: The METADATA column's escapes (:func:`encode_metadata`), both ways.
+_META_ESCAPES = {"\\": "\\", "s": ";", "e": "="}
+_META_ESCAPE = str.maketrans({"\\": "\\\\", ";": "\\s", "=": "\\e"})
+
+
 def encode_metadata(metadata: dict[str, object]) -> str:
-    """Serialise converter metadata into the METADATA column text."""
+    """Serialise converter metadata into the METADATA column text:
+    ``key=value`` pairs joined on ``;``, where a key or value escapes
+    ``\\``, ``;`` and ``=`` (text without them is written as it is)."""
     return ";".join(
-        f"{key}={value}" for key, value in sorted(metadata.items())
+        f"{str(key).translate(_META_ESCAPE)}={str(value).translate(_META_ESCAPE)}"
+        for key, value in sorted(metadata.items())
     )
 
 
 def decode_metadata(text: str | None) -> dict[str, str]:
     """Parse the METADATA column text back into a dict (values as text)."""
-    if not text:
-        return {}
     result: dict[str, str] = {}
-    for pair in text.split(";"):
+    for pair in (text or "").split(";"):
         if "=" in pair:
             key, _, value = pair.partition("=")
-            result[key] = value
+            result[unescape(key, _META_ESCAPES)] = unescape(value, _META_ESCAPES)
     return result
 
 
@@ -170,9 +176,8 @@ def encode_attributes(attributes: dict[str, str]) -> str | None:
     """Serialise element attributes for the ATTRS column."""
     if not attributes:
         return None
-    # Tab/newline separators cannot collide with attribute text that the
-    # tokenizer produced (it normalises them away inside values? no — so
-    # escape them).
+    # Tab and newline separate the pairs and may occur inside a value,
+    # so a value escapes them (and the backslash).
     parts = []
     for key, value in attributes.items():
         escaped = (

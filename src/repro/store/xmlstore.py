@@ -313,6 +313,7 @@ class XmlStore:
         accessor = self.new_accessor()
         self.entry_at(doc_id, accessor.lsn)  # raises if unknown
         rows = accessor.lookup_rows("DOC_ID", doc_id)
+        accessor.publish()
         contexts = filter(NodeAccessor.is_context, rows)
         return iter(sorted(contexts, key=lambda row: row.NODEID))
 

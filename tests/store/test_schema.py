@@ -59,6 +59,23 @@ class TestMetadataEncoding:
     def test_sorted_deterministic(self):
         assert encode_metadata({"b": 1, "a": 2}) == "a=2;b=1"
 
+    def test_separators_in_a_value_stay_in_it(self):
+        metadata = {"title": "Cost; Schedule;revision=41", "revision": 2,
+                    "path": "C:\\a\\s;b=c\\"}
+        decoded = decode_metadata(encode_metadata(metadata))
+        assert decoded == {key: str(value) for key, value in metadata.items()}
+
+    @given(st.dictionaries(st.text(min_size=1), st.text()))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_round_trips(self, metadata):
+        assert decode_metadata(encode_metadata(metadata)) == metadata
+
+    def test_plain_text_is_written_as_it_is(self):
+        # What the WAL goldens and banked byte counts stand on.
+        assert encode_metadata({"title": "Cost Schedule", "revision": 1}) == (
+            "revision=1;title=Cost Schedule"
+        )
+
 
 class TestAttributeEncoding:
     def test_round_trip_simple(self):

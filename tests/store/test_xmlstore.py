@@ -37,6 +37,15 @@ class TestIngestion:
                          "d.ndoc")
         assert store.describe(1).metadata["author"] == "Bell"
 
+    def test_a_title_with_separators_keeps_its_revision(self, store):
+        html = "<html><head><title>Cost; Schedule;revision=41</title></head>" \
+            "<body><h1>Cost</h1><p>x</p></body></html>"
+        store.store_text(html, "cost.html")
+        replaced = store.replace_text(html, "cost.html")
+        entry = store.describe(replaced.doc_id)
+        assert entry.metadata["title"] == "Cost; Schedule;revision=41"
+        assert entry.revision == 2
+
     def test_failed_conversion_stores_nothing(self, store):
         from repro.errors import SgmlSyntaxError
 
