@@ -1,7 +1,7 @@
 """Crash matrix — kill the store at every WAL write and recover.
 
 The durability claim behind DESIGN.md §9: wherever the process dies, a
-reopen lands on a transaction boundary — the store either holds a
+reopen lands on a statement boundary — the store either holds a
 document completely or not at all, with physical ROWIDs preserved — and
 the recovered store passes a full fsck.  This bench runs a small ingest
 workload once per (fault kind × WAL append) and reports the matrix; the

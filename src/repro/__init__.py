@@ -5,8 +5,8 @@ Maluf, Bell & Ashish, *Lean Middleware*, ACM SIGMOD 2005.
 The package implements the paper's complete stack, bottom to top:
 
 * :mod:`repro.ordbms` — the object-relational substrate (heap tables with
-  physical ROWIDs, B+tree and inverted-text indexes, WAL-style
-  transactions);
+  physical ROWIDs, B+tree and inverted-text indexes, one WAL record per
+  statement);
 * :mod:`repro.sgml` — the tolerant SGML/HTML/XML parser, DOM and the five
   NETMARK node types;
 * :mod:`repro.converters` — format "upmark" parsers (Word/PDF/PowerPoint

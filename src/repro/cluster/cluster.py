@@ -24,10 +24,9 @@ a majority alive):
 Failover then cannot lose an acknowledged ingest: elections
 (:mod:`repro.cluster.election`) only admit in-sync candidates and prefer
 the highest acked LSN, and every acknowledged write is, by rule 3, on
-every in-sync replica.  A promoted coordinator finishes the story by
-recovering its own log and journaling explicit ROLLBACK records for any
-transaction the dead coordinator left unfinished — shipped onward, those
-converge every follower that had applied the orphan's mutations.
+every in-sync replica.  A promoted coordinator recovers its own log
+and writes on: every record is a whole write, so the dead coordinator
+left nothing unfinished to resolve or to journal.
 
 This class is the OS stand-in for its nodes: it is the one place allowed
 to catch :class:`~repro.errors.CrashError` (an injected SIGKILL on one
@@ -350,14 +349,8 @@ class NetmarkCluster:
         return record
 
     def _promote(self, winner: str) -> None:
-        """Turn an in-sync follower into the write coordinator.
-
-        Full crash recovery on its own device attaches a resumed WAL and
-        discards any transaction the dead coordinator left unfinished;
-        explicit ROLLBACK records are then journaled for those losers so
-        followers that already applied the orphan mutations converge
-        through ordinary shipping instead of diverging silently.
-        """
+        """Turn an in-sync follower into the write coordinator: full
+        crash recovery on its own device attaches a resumed WAL."""
         node = self.nodes[winner]
         try:
             result = recover(node.device, name=winner)
@@ -365,12 +358,7 @@ class NetmarkCluster:
             self._quarantine(winner, str(error))
             self._try_elect()
             return
-        database = result.database
-        if result.losers_discarded and database.wal is not None:
-            for txid in result.losers_discarded:
-                database.wal.log_rollback(txid)
-            database.wal.device.sync()
-        node.store = XmlStore.adopt(database, self.config)
+        node.store = XmlStore.adopt(result.database, self.config)
         node.replica = None
         node.role = COORDINATOR
         node.in_sync = True
@@ -407,8 +395,7 @@ class NetmarkCluster:
         """Restart a killed node as an out-of-sync follower.
 
         The node recovers what its device durably holds (torn tail
-        trimmed, in-flight transactions left open for the stream to
-        resolve) but stays off the replication fast path until
+        trimmed) but stays off the replication fast path until
         :meth:`catch_up` brings it back in sync.  A node that died
         holding the coordinator role is flagged for a full resync: its
         log may contain a durable-but-unshipped suffix nobody else has,

@@ -8,12 +8,11 @@ mid-batch reopens from its last durable record (any torn tail trimmed by
 :func:`~repro.ordbms.recovery.recover_follower`).
 
 A follower never allocates LSNs: it has no
-:class:`~repro.ordbms.wal.WriteAheadLog`, and its
-:class:`~repro.ordbms.recovery.StreamReplayer` deliberately leaves
-in-flight transactions *open* across reopens — the coordinator may still
-ship the COMMIT, or a promoted coordinator ships an explicit ROLLBACK.
-Reads go through the ordinary :class:`~repro.store.xmlstore.XmlStore`
-facade adopted over the replayed database.
+:class:`~repro.ordbms.wal.WriteAheadLog`.  Every shipped record is one
+whole write, so a follower's state between any two records is one the
+coordinator's readers could see too.  Reads go through the ordinary
+:class:`~repro.store.xmlstore.XmlStore` facade adopted over the
+replayed database.
 """
 
 from __future__ import annotations
@@ -104,11 +103,6 @@ class FollowerReplica:
         return self.replayer.applied_lsn
 
     @property
-    def in_flight(self) -> tuple[int, ...]:
-        """Transactions begun in the stream but not yet resolved."""
-        return self.replayer.in_flight
-
-    @property
     def store(self) -> XmlStore:
         """Read-only store view over the applied state.
 
@@ -169,17 +163,8 @@ class FollowerReplica:
         return self.acked_lsn
 
     def compact(self) -> int:
-        """Fold applied state into this replica's own checkpoint slot.
-
-        Cannot run while a shipped transaction is still open — the
-        snapshot would capture its un-committed mutations as if they
-        were permanent.  Returns the covered LSN.
-        """
-        if self.replayer.in_flight:
-            raise ClusterError(
-                f"replica {self.name} has open transactions "
-                f"{self.replayer.in_flight}; compact between batches"
-            )
+        """Fold applied state into this replica's own checkpoint slot;
+        returns the covered LSN."""
         covered = self.applied_lsn
         self.device.save_checkpoint(
             encode_checkpoint(covered, self.dump())

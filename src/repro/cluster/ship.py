@@ -11,8 +11,9 @@ checkpoint slot plus the live log — the full-resync payload.
 
 The shipper is read-only over the device: it never appends, never
 truncates, and can therefore run against a live coordinator between any
-two transactions (the single-writer engine guarantees the log ends on a
-transaction boundary whenever control is outside ``Database.begin()``).
+two statements.  Every record is one whole write, so any cut of the log
+at a record boundary is a state the coordinator's readers could see:
+there is no transaction boundary to wait for.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class LogShipper:
         """Every record currently in the live log.
 
         The coordinator's log is never torn while the process is alive
-        (shipping happens between transactions), so a parse failure here
+        (shipping happens between statements), so a parse failure here
         is real damage and propagates as
         :class:`~repro.errors.CorruptLogError`.
         """
@@ -99,7 +100,7 @@ class LogShipper:
         if torn_tail is not None:
             raise ClusterError(
                 f"coordinator log ends in a torn record ({torn_tail}); "
-                f"refusing to ship an unfinished transaction"
+                f"refusing to ship an unfinished record"
             )
         return tuple(records)
 

@@ -43,7 +43,7 @@ class RowIdError(DatabaseError):
 
 
 class TransactionError(DatabaseError):
-    """Illegal transaction state transition (e.g. commit with no begin)."""
+    """Illegal writer state (e.g. a second thread starting a statement)."""
 
 
 class WalError(DatabaseError):
@@ -65,7 +65,7 @@ class RecoveryError(WalError):
 
     Raised when the log disagrees with the checkpoint it claims to
     extend — a replayed insert lands at the wrong physical address, a
-    record names an unknown table or transaction, or the checkpoint
+    record names an unknown table, or the checkpoint
     itself fails its integrity check.
     """
 

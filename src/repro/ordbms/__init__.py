@@ -7,7 +7,8 @@ primitives NETMARK's design exploits:
 * heap tables with stable **physical ROWIDs** and O(1) fetch-by-rowid,
 * B+tree secondary indexes,
 * an inverted **text index** (the Oracle Text substitute),
-* single-writer transactions with logical undo.
+* single-writer statements, each one WAL record over every table it
+  touches.
 
 Entry point: :class:`Database`.
 """
@@ -22,7 +23,6 @@ from repro.ordbms.schema import Column, ForeignKey, TableSchema
 from repro.ordbms.snapshot import dump_database, load_database
 from repro.ordbms.table import Table
 from repro.ordbms.textindex import STOPWORDS, TextIndex, tokenize
-from repro.ordbms.transaction import Transaction
 from repro.ordbms.types import (
     ALL_TYPES,
     CLOB,
@@ -68,7 +68,6 @@ __all__ = [
     "Table",
     "TableSchema",
     "TextIndex",
-    "Transaction",
     "VARCHAR",
     "WalRecord",
     "WriteAheadLog",

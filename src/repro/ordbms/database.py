@@ -1,14 +1,15 @@
-"""The `Database` facade: catalog + transactional mutation entry points.
+"""The `Database` facade: catalog + statement entry points.
 
-This is the single object the rest of the library holds onto.  All
-mutations can run inside a :class:`~repro.ordbms.transaction.Transaction`
-obtained from :meth:`Database.begin`; when no transaction is open,
-mutations auto-commit (each statement is atomic on its own, which matches
-how the table layer already behaves).
+This is the single object the rest of the library holds onto.  Every
+mutation is one statement (:meth:`Database.change`): it may span
+several tables — a document's DOC row and node rows move together — and
+is atomic on its own, one WAL record that lands whole or not at all,
+one commit LSN, one sync.  There is nothing wider to commit or roll
+back.
 
-The facade also exposes ``stats`` counters (rows written, rowid fetches,
-transactions closed) — operation counts are a machine-independent proxy
-for the I/O the paper's Oracle deployment saved.
+The facade also exposes ``stats`` counters (rows written, rowid
+fetches) — operation counts are a machine-independent proxy for the
+I/O the paper's Oracle deployment saved.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro import obs
-from repro.errors import TransactionError, WalError
+from repro.errors import WalError
 from repro.ordbms.catalog import Catalog
 from repro.ordbms.mvcc import MvccState, Snapshot
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import TableSchema
-from repro.ordbms.table import Pair, Table
-from repro.ordbms.transaction import Transaction
-from repro.ordbms.wal import AUTOCOMMIT_TXID, LogDevice, WriteAheadLog
+from repro.ordbms.table import Group, Pair, Table, apply_statement
+from repro.ordbms.wal import LogDevice, WriteAheadLog
 
 
 @dataclass
@@ -35,12 +35,6 @@ class DatabaseStats:
     rows_updated: int = 0
     rows_deleted: int = 0
     rowid_fetches: int = 0
-    transactions_committed: int = 0
-    transactions_rolled_back: int = 0
-    #: Transactions whose *rollback itself* raised: a change could not
-    #: be taken back, so the in-memory state may be partially reverted.
-    #: The write-ahead log (when attached) still discards them cleanly.
-    transactions_failed: int = 0
 
     def reset(self) -> None:
         for field_name in self.__dataclass_fields__:
@@ -63,9 +57,7 @@ class Database:
     #: through :meth:`create_table` share it, so one snapshot covers the
     #: DOC and XML tables consistently.
     mvcc: MvccState = field(default_factory=MvccState)
-    _current: Transaction | None = None
-    _next_txid: int = 1
-    #: GC horizon of the last commit-time history sweep.
+    #: GC horizon of the last statement-end history sweep.
     _swept_horizon: int = -1
 
     # -- DDL ----------------------------------------------------------------
@@ -80,48 +72,6 @@ class Database:
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
-
-    # -- transactions ---------------------------------------------------------
-
-    def begin(self) -> Transaction:
-        """Open a transaction; only one may be active at a time."""
-        if self.in_transaction:
-            raise TransactionError("a transaction is already active")
-        txid = self._next_txid
-        self._next_txid += 1
-        if self.wal is not None:
-            self.wal.log_begin(txid)  # a refused BEGIN opens nothing
-        self._current = Transaction(self, txid=txid)
-        # Snapshots opened while this transaction is in flight pin the
-        # pre-transaction LSN: no reader ever sees a partial transaction
-        # (each document ingest is one transaction).
-        self.mvcc.transaction_opened()
-        return self._current
-
-    def _transaction_closed(self, transaction: Transaction) -> None:
-        """Let reads see past the transaction that just resolved, reclaim
-        the MVCC history it superseded and count it."""
-        self.mvcc.transaction_closed()
-        # What the transaction superseded is at or below every future
-        # pin.  An unmoved horizon (a long-held snapshot) frees nothing
-        # new, so commits stay O(own statements).
-        horizon = self.mvcc.gc_horizon()
-        if horizon != self._swept_horizon:
-            self._swept_horizon = horizon
-            for table in self.catalog:
-                table.vacuum_versions(horizon)
-        if transaction is self._current:
-            self._current = None
-        if transaction._state == "committed":
-            self.stats.transactions_committed += 1
-        elif transaction._state == "failed":
-            self.stats.transactions_failed += 1
-        else:
-            self.stats.transactions_rolled_back += 1
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._current is not None  # cleared as it closes
 
     # -- snapshots (MVCC) -----------------------------------------------------
 
@@ -153,46 +103,35 @@ class Database:
 
         Writes a baseline checkpoint immediately — the WAL carries no
         DDL records, so the checkpoint is what makes the current schema
-        (and any rows already present) recoverable.  Every later commit
-        is durable the moment it returns.
+        (and any rows already present) recoverable.  Every later
+        statement is durable the moment it returns.
         """
         wal = WriteAheadLog(device)
         self.attach_wal(wal)
         self.checkpoint()
         return wal
 
-    def attach_wal(self, wal: WriteAheadLog, next_txid: int | None = None) -> None:
+    def attach_wal(self, wal: WriteAheadLog) -> None:
         """Adopt an existing log (the recovery resume path)."""
         if self.wal is not None:
             raise WalError(
                 f"database {self.name!r} already has a write-ahead log"
             )
-        if self.in_transaction:
-            raise TransactionError(
-                "cannot attach a write-ahead log inside an open transaction"
-            )
         self.wal = wal
-        if next_txid is not None:
-            self._next_txid = max(self._next_txid, next_txid)
 
     def checkpoint(self) -> int:
         """Fold all durable state into a fresh checkpoint; truncate the log.
 
-        Returns the highest LSN the checkpoint covers.  Forbidden while
-        a transaction is open — a checkpoint must capture a transaction-
-        consistent image.
+        Returns the highest LSN the checkpoint covers.  Between two
+        statements the image is always whole.
         """
         if self.wal is None:
             raise WalError("checkpoint requires an attached write-ahead log")
-        if self.in_transaction:
-            raise TransactionError(
-                "cannot checkpoint while a transaction is active"
-            )
         from repro.ordbms.snapshot import dump_database
 
         return self.wal.write_checkpoint(dump_database(self))
 
-    # -- DML (transaction-aware) ------------------------------------------------
+    # -- DML ---------------------------------------------------------------------
 
     def insert(self, table_name: str, values: Mapping[str, Any]) -> RowId:
         return self._settle(self.table(table_name).insert(values, self._journal))
@@ -205,37 +144,47 @@ class Database:
     def delete(self, table_name: str, rowid: RowId) -> None:
         self._settle(self.table(table_name).delete(rowid, self._journal))
 
-    def change(self, table_name: str, pairs: Sequence[Pair]) -> None:
-        """Apply ``pairs`` (see :meth:`Table.change`) as one statement: a
-        document's rows, loaded or deleted, in one go."""
-        self._settle(self.table(table_name).change(pairs, self._journal))
+    def change(self, groups: Sequence[tuple[str, Sequence[Pair]]]) -> None:
+        """Apply ``groups`` — ``(table name, pairs)`` each, the pairs as
+        :meth:`Table.change` takes them — as one statement over their
+        tables (:func:`~repro.ordbms.table.apply_statement`): a
+        document's DOC row and node rows, loaded or deleted, in one go."""
+        apply_statement(
+            [(self.table(name), pairs) for name, pairs in groups], self._journal
+        )
+        self._settle()
 
-    def _journal(self, table: Table, pairs: Sequence[Pair]) -> None:
-        """Checked changes, about to move their slots: log them as one
-        record (a log that refuses it raises, and nothing moves), keep
-        them for rollback and count them."""
-        current = self._current
+    def _journal(self, groups: Sequence[Group]) -> None:
+        """Checked groups, about to move their slots: log them as one
+        record (a log that refuses it raises, and nothing moves) and
+        count them."""
         if self.wal is not None:
-            txid = AUTOCOMMIT_TXID if current is None else current.txid
-            self.wal.log_changes(txid, table.schema.name, pairs)
-        if current is not None:
-            current.changes += [(table, before, after) for before, after in pairs]
+            self.wal.log_changes(
+                (table.schema.name, pairs) for table, pairs in groups
+            )
         stats = self.stats
-        for before, after in pairs:
-            if before is None:
-                stats.rows_inserted += 1
-            elif after is None:
-                stats.rows_deleted += 1
-            else:
-                stats.rows_updated += 1
+        for _, pairs in groups:
+            for before, after in pairs:
+                if before is None:
+                    stats.rows_inserted += 1
+                elif after is None:
+                    stats.rows_deleted += 1
+                else:
+                    stats.rows_updated += 1
 
-    def _settle(self, result: Any) -> Any:
-        """After a statement has moved: outside a transaction it commits,
-        so its record is synced (a sync that fails leaves it moved, as a
-        logged COMMIT that fails to sync counts as committed)."""
-        if self._current is None and self.wal is not None:
+    def _settle(self, result: Any = None) -> Any:
+        """After a statement has moved: sync its record (a sync that
+        fails leaves it moved, as the log holds it), then reclaim the
+        history it superseded.  An unmoved GC horizon (a long-held
+        snapshot) frees nothing new, so a statement stays O(own rows)."""
+        if self.wal is not None:
             self.wal.device.sync()
-            obs.inc("repro_ordbms_wal_syncs_total", reason="autocommit")
+            obs.inc("repro_ordbms_wal_syncs_total", reason="statement")
+        horizon = self.mvcc.gc_horizon()
+        if horizon != self._swept_horizon:
+            self._swept_horizon = horizon
+            for table in self.catalog:
+                table.vacuum_versions(horizon)
         return result
 
     def fetch(self, table_name: str, rowid: RowId) -> Any:

@@ -19,24 +19,23 @@ handles.  The concurrency model is deliberately asymmetric:
   Structural races (B+tree splits, postings-dict resizes) are handled by
   a per-table seqlock with optimistic retry — readers spin-yield, they
   never block on ingest.
-* **Transaction-consistent pins.**  While the writer has a transaction
-  open, new snapshots pin the *transaction-begin* LSN, so a reader can
-  never observe half of a document ingest (each document loads inside
-  one transaction).  This is correct even if the transaction later rolls
-  back: the rollback's compensating statements get their own LSNs and
-  history entries, all above the pin.
+* **The statement is the unit of visibility.**  A write is one
+  statement, however many tables it touches — a document's DOC row and
+  node rows move under one LSN — so a reader pinned before it sees none
+  of it and a reader pinned after sees all of it.  There is no wider
+  unit, and so no transaction pin.
 * **Bounded GC.**  History is reclaimed by :meth:`Table.vacuum_versions`
-  down to the *GC horizon* — the oldest pinned LSN (transaction pins
-  included), or the current LSN when nothing is pinned.  A pinned
-  version is therefore never reclaimed; an idle system converges to
-  zero retained versions.
+  down to the *GC horizon* — the oldest pinned LSN, or the current LSN
+  when nothing is pinned.  A pinned version is therefore never
+  reclaimed; an idle system converges to zero retained versions.
 
-Writer statement protocol (see :class:`repro.ordbms.table.Table`): open
-the seqlock (odd), record pre-images, mutate heap + indexes, close the
-seqlock (even), *then* publish the statement's LSN.  Readers observing
-the seqlock mid-statement retry; readers racing the LSN publish see
-either the old LSN (pin excludes the statement; its pre-image is
-recorded) or the new one (statement visible; heap is consistent) —
+Writer statement protocol (see :func:`repro.ordbms.table.apply_statement`):
+take the LSN, then per table open the seqlock (odd), record pre-images,
+mutate heap + indexes and close the seqlock (even); *then*, once the
+last table has moved, publish the statement's LSN.  Readers observing a
+seqlock mid-statement retry; readers racing the LSN publish see either
+the old LSN (pin excludes the statement in every table; its pre-images
+are recorded) or the new one (statement visible; heaps consistent) —
 both are consistent snapshots.
 """
 
@@ -115,9 +114,6 @@ class MvccState:
         self._pins: dict[int, int] = {}  # repro: guarded-by(_pin_lock) mutated by every reader thread's open/release
         self._pin_lock = threading.Lock()
         self._tokens = itertools.count(1)  # repro: guarded-by(_pin_lock) advanced only under the pin lock
-        #: While the writer has a transaction open: the LSN snapshots
-        #: must pin so they see nothing of the in-flight transaction.
-        self._txn_pin: int | None = None  # repro: guarded-by(gil) set/cleared by the single writer; readers take either value
         #: Best-effort second-writer tripwire (see begin_statement).
         self._writer_active = False  # repro: guarded-by(gil) single-writer flag; check-then-set is a tripwire, not a mutex
         #: Total history entries reclaimed by version-GC (monotonic).
@@ -140,25 +136,13 @@ class MvccState:
         self.lsn = lsn
         self._writer_active = False
 
-    def transaction_opened(self) -> None:
-        """Pin-override: snapshots opened from now see the pre-txn LSN."""
-        self._txn_pin = self.lsn
-
-    def transaction_closed(self) -> None:
-        self._txn_pin = None
-
     # -- reader protocol ----------------------------------------------------
 
     def read_lsn(self, snapshot: Snapshot | None = None) -> int:
         """The commit LSN a read resolves at: ``snapshot``'s pin, else
-        what a snapshot opened now would pin — the transaction-begin LSN
-        while the writer has a transaction open, else the last commit."""
-        if snapshot is not None:
-            return snapshot.lsn
-        # Commit LSN first: a transaction that opens between the two
-        # reads then hands back its own begin LSN, never a statement's.
-        lsn, txn_pin = self.lsn, self._txn_pin
-        return lsn if txn_pin is None else txn_pin
+        what a snapshot opened now would pin — the last statement
+        published."""
+        return self.lsn if snapshot is None else snapshot.lsn
 
     def open(self) -> Snapshot:
         """Pin :meth:`read_lsn` and hand back the handle."""
@@ -180,10 +164,7 @@ class MvccState:
     def gc_horizon(self) -> int:
         """Highest LSN whose pre-images no live reader can still need."""
         with self._pin_lock:
-            pins = list(self._pins.values())
-        if self._txn_pin is not None:
-            pins.append(self._txn_pin)
-        return min(pins) if pins else self.lsn
+            return min(self._pins.values(), default=self.lsn)
 
     def note_reclaimed(self, count: int) -> None:
         if count:

@@ -9,7 +9,7 @@ Only the features the NETMARK generated schema needs are implemented:
 scalar columns, NOT NULL, a single-column primary key, unique constraints,
 and defaults.  Foreign keys are declared (so the catalog can describe the
 ``DOC_ID`` relationship in Fig 5) but enforcement is optional per table,
-because NETMARK bulk-loads parent and child rows in one transaction.
+because NETMARK bulk-loads parent and child rows in one statement.
 
 A schema also fixes the one shape a row of its table ever has
 (:attr:`TableSchema.row_type`): an immutable named tuple of the columns,

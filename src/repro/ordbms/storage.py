@@ -108,22 +108,13 @@ class HeapFile:
         return old
 
     def restore(self, rowid: RowId, row: tuple[Any, ...]) -> None:
-        """Put ``row`` in the free slot at ``rowid``: the next insert's
-        (:meth:`insert`), or a tombstone (an undone delete).
-
-        Restoring into the original slot keeps the ROWID stable, which is
-        what lets undo records later in the log keep referring to it.
-        """
-        if rowid == (self._ahead or self.next_rowids(1))[0]:
-            self.insert(row)
-            return
-        block = self._block(rowid)
-        if block[rowid.slot_no] is not _TOMBSTONE:
+        """Put ``row`` at ``rowid``, which must be the next insert's free
+        slot (:meth:`insert`): a tombstone is never filled again."""
+        if rowid != (self._ahead or self.next_rowids(1))[0]:
             raise RowIdError(
-                f"ROWID {rowid} is not a deleted slot in table {self.name}"
+                f"ROWID {rowid} is not the next free slot in table {self.name}"
             )
-        block[rowid.slot_no] = row
-        self._live_rows += 1
+        self.insert(row)
 
     # -- access -----------------------------------------------------------
 

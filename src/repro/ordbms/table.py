@@ -12,13 +12,13 @@ A row has one shape (:attr:`TableSchema.row_type
 it, the heap stores it, history keeps it, and every read door — by
 address, by scan, by index, as of an LSN — hands back that very object.
 Rows are immutable and shared by every reader: a change is a new row
-through :meth:`Table.change`, never an edit of one in hand.  Every
+through :func:`apply_statement`, never an edit of one in hand.  Every
 writer goes through that one statement — live inserts, updates and
-deletes, a document's rows as one batch, rollback, crash recovery,
-follower replay and the snapshot loader — so each batch takes the
-seqlock once, leaves a pre-image per row, moves the commit LSN once and,
-on a durable database, is one WAL record that moves whole or not at all
-(the loader's tables are bound to MVCC only once full: none of that).
+deletes, a document's DOC and XML rows together, crash recovery,
+follower replay and the snapshot loader — so each statement takes one
+LSN, each table it touches the seqlock once, leaves a pre-image per row
+and, on a durable database, is one WAL record that moves whole or not at
+all (the loader's tables are bound to MVCC only once full: none of that).
 """
 
 from __future__ import annotations
@@ -51,9 +51,43 @@ _T = TypeVar("_T")
 #: One slot's change: ``(before, after)``, the rows it holds and will hold.
 Pair = tuple[Any, Any]
 
-#: What a statement's caller does with its checked pairs before a slot
-#: moves (see :meth:`Table.change`): log them, keep them, count them.
-Journal = Callable[["Table", Sequence[Pair]], None]
+#: One table's part of a statement: the table and its pairs.
+Group = tuple["Table", Sequence[Pair]]
+
+#: What a statement's caller does with its checked groups before a slot
+#: moves (see :func:`apply_statement`): log them and count them.
+Journal = Callable[[Sequence[Group]], None]
+
+
+def apply_statement(groups: Sequence[Group], journal: Journal | None = None) -> None:
+    """Move every group's pairs (see :meth:`Table.change`) as one
+    statement over their tables: each group is checked
+    (:meth:`Table._check`), and a refusal in any one moves nothing in
+    any table; then ``journal(groups)`` runs once, and a journal that
+    raises (a log refusing the statement's one record) moves nothing
+    either; then one LSN is taken, every group moves under it inside
+    its own table's seqlock bracket (:meth:`Table._move`), and the LSN
+    is published once, after the last group.  A table named twice is
+    refused: its groups would claim the same tail.
+    """
+    groups = [(table, pairs) for table, pairs in groups if pairs]
+    if not groups:
+        return
+    if len({id(table) for table, _ in groups}) < len(groups):
+        raise RowIdError("a statement names a table in two groups")
+    held = [table._check(pairs) for table, pairs in groups]
+    if journal is not None:
+        journal(groups)
+    mvcc = groups[0][0]._mvcc
+    lsn = None if mvcc is None else mvcc.begin_statement()
+    try:
+        for (table, pairs), rows in zip(groups, held):
+            table._move(pairs, rows, lsn)
+    finally:
+        if mvcc is not None:
+            mvcc.commit_statement(lsn)
+            for table, pairs in groups:
+                table._note_moved(len(pairs))
 
 
 class Table:
@@ -99,14 +133,9 @@ class Table:
         """
         self._mvcc = state
 
-    def _begin_statement(self) -> int | None:
-        return None if self._mvcc is None else self._mvcc.begin_statement()
-
-    def _commit_statement(self, lsn: int | None, rows: int = 1) -> None:
-        """Publish ``lsn``; the vacuum cadence counts the rows it moved."""
-        if self._mvcc is None:
-            return
-        self._mvcc.commit_statement(lsn)
+    def _note_moved(self, rows: int) -> None:
+        """After a published statement: the vacuum cadence counts the
+        rows it moved here."""
         self._mutations_since_vacuum += rows
         if self._mutations_since_vacuum >= AUTO_VACUUM_INTERVAL:
             self.vacuum_versions()
@@ -241,7 +270,8 @@ class Table:
         statement like any other: probes may answer differently after
         it, so it moves the commit LSN.
         """
-        lsn = self._begin_statement()
+        mvcc = self._mvcc
+        lsn = None if mvcc is None else mvcc.begin_statement()
         self._seq += 1
         try:
             for column in self._indexes:
@@ -251,7 +281,8 @@ class Table:
             self.derive_facts()
         finally:
             self._seq += 1
-            self._commit_statement(lsn)
+            if mvcc is not None:
+                mvcc.commit_statement(lsn)
 
     def index_on(self, column: str) -> BTreeIndex | None:
         return self._indexes.get(column.upper())
@@ -266,24 +297,23 @@ class Table:
     # -- mutation -----------------------------------------------------------
 
     def change(self, pairs: Sequence[Pair], journal: Journal | None = None) -> None:
-        """Move each pair's slot from ``before`` (None: a free slot) to
-        ``after`` (None: a delete), in order, as one statement — the only
-        code that moves a heap slot and its index entries.
+        """Move each pair's slot from ``before`` (None: the next free
+        slot) to ``after`` (None: a delete), in order, as one statement
+        on this table (:func:`apply_statement`).
 
-        Every slot must hold its ``before``, none may be named twice and
-        unique columns must stay unique, else :class:`~repro.errors.RowIdError`
-        / :class:`~repro.errors.ConstraintError` and nothing moved; then
-        ``journal(table, pairs)`` runs, and a journal that raises (a log
-        refusing the statement's record) moves nothing either; then, under
-        one seqlock bracket and one LSN, each slot leaves its pre-image
-        and moves with its indexes.
+        Every slot must hold its ``before`` and an insert must take the
+        heap's tail, none may be named twice and unique columns must
+        stay unique, else :class:`~repro.errors.RowIdError` /
+        :class:`~repro.errors.ConstraintError` and nothing moved.
         """
-        if not pairs:
-            return
-        held = self._check(pairs)
-        if journal is not None:
-            journal(self, pairs)
-        heap, lsn = self._heap, self._begin_statement()
+        apply_statement([(self, pairs)], journal)
+
+    def _move(self, pairs: Sequence[Pair], held: list[Any], lsn: int | None) -> None:
+        """Move checked ``pairs`` (``held``: what their slots hold) under
+        ``lsn`` in one seqlock bracket — the only code that moves a heap
+        slot and its index entries: each slot leaves its pre-image, then
+        moves with its indexes."""
+        heap = self._heap
         history = None if lsn is None else self._history
         self._seq += 1
         try:
@@ -305,12 +335,12 @@ class Table:
                 self._post(after, add=True)
         finally:
             self._seq += 1
-            self._commit_statement(lsn, len(pairs))
 
     def _check(self, pairs: Sequence[Pair]) -> list[Any]:
         """What each pair's slot holds, once the whole batch is checked
-        (see :meth:`change`); a pair naming the next free slot is an
-        insert, and the inserts of one batch take the tail in order."""
+        (see :meth:`change`): an insert takes the next free slot, the
+        inserts of one batch the tail in order, and a tombstone is never
+        filled again."""
         heap, name = self._heap, self.schema.name
         slots = {(before if after is None else after).rowid for before, after in pairs}
         if len(slots) < len(pairs):
@@ -319,7 +349,12 @@ class Table:
         free, held = next(tail, None), []
         for before, after in pairs:
             rowid = (before if after is None else after).rowid
-            if before is None and rowid == free:
+            if before is None:
+                if rowid != free:
+                    raise RowIdError(
+                        f"an insert into table {name} names ROWID {rowid}, "
+                        f"not the heap's tail {free}"
+                    )
                 row, free = None, next(tail, None)
             else:
                 try:
@@ -329,8 +364,7 @@ class Table:
                 if row is not before and row != before:
                     raise RowIdError(
                         f"ROWID {rowid} in table {name} does not hold the row "
-                        f"the change replaces (free: a deleted slot, or the "
-                        f"reserved address {free} of the next insert)"
+                        f"the change replaces"
                     )
             held.append(row)
         # A unique value an ``after`` brings is held by no other ``after``

@@ -3,14 +3,17 @@
 "Nothing more than an intelligent storage component" must survive a
 crash.  This module gives the in-memory substrate its durability story:
 
-* a record grammar — ``BEGIN`` / ``CHANGE`` / ``COMMIT`` / ``ROLLBACK``
-  / ``CHECKPOINT`` — with monotonically increasing LSNs and a per-record
-  CRC32 over the body.  A ``CHANGE`` record is one statement, whole: a
-  refused or torn one moves nothing;
-* torn-tail detection: a damaged record *at the end* of the log is a
-  torn write (the crash interrupted the append) and is silently
-  truncated, while a damaged record *followed by* well-formed records is
-  in-place corruption and raises :class:`~repro.errors.CorruptLogError`;
+* a record grammar — ``CHANGE`` / ``CHECKPOINT`` — with monotonically
+  increasing LSNs and a per-record CRC32 over the body.  A ``CHANGE``
+  record is one statement, whole, over every table it names: a refused
+  or torn one moves nothing, so there is nothing to commit or roll back;
+* torn-tail detection: a record that stops mid-line or fails its CRC
+  *at the end* of the log is a torn write (the crash interrupted the
+  append) and is silently truncated, while one *followed by*
+  well-formed records is in-place corruption and raises
+  :class:`~repro.errors.CorruptLogError` — as does, wherever it sits, a
+  line whose CRC checks but whose body does not parse (a record this
+  grammar does not know was written, not torn);
 * a pluggable :class:`LogDevice` (in-memory and file-backed) that
   ``repro.resilience.FaultPlan.wrap_log_device`` can proxy to inject
   torn, partial and silently-corrupted writes deterministically;
@@ -40,18 +43,11 @@ from repro.ordbms.rowid import RowId
 from repro.ordbms.valuecodec import pack_row, unpack_row
 
 #: Record kinds, in the vocabulary recovery understands.
-BEGIN = "BEGIN"
 CHANGE = "CHANGE"
-COMMIT = "COMMIT"
-ROLLBACK = "ROLLBACK"
 CHECKPOINT = "CHECKPOINT"
 
 #: Header of the checkpoint slot: ``%NETMARK-CKPT <lsn> <crc>``.
 CHECKPOINT_MAGIC = "%NETMARK-CKPT"
-
-#: Transaction id carried by auto-committed (non-transactional) records;
-#: recovery treats them as committed the moment they are durable.
-AUTOCOMMIT_TXID = 0
 
 #: The token of a change's missing image (an insert's pre-image, a
 #: delete's post-image).  :func:`pack_row` never emits it: a packed row
@@ -62,6 +58,9 @@ ABSENT_IMAGE = "."
 #: column-ordered tuples and None where the slot is free or freed.
 Change = tuple[RowId, "tuple[Any, ...] | None", "tuple[Any, ...] | None"]
 
+#: One table's part of a ``CHANGE`` record: its name and its changes.
+Group = tuple[str, "tuple[Change, ...]"]
+
 
 def _crc(body: str) -> str:
     return f"{zlib.crc32(body.encode('utf-8')):08x}"
@@ -71,35 +70,33 @@ def _crc(body: str) -> str:
 class WalRecord:
     """One parsed log record.
 
-    A ``CHANGE`` record carries one statement on ``table``: its
-    ``changes`` in order, each with full row images.  Redo uses the
-    post-images; undo of an unresolved transaction uses the pre-images —
-    the reason an update or delete carries its pre-image even though
-    replay is redo-first.
+    A ``CHANGE`` record carries one statement: its ``groups``, per table
+    it names the changes in order, each with full row images.  Redo uses the
+    post-images and checks the pre-images against the slots it moves.
     """
 
     lsn: int
     kind: str
-    txid: int = AUTOCOMMIT_TXID
-    table: str = ""
-    changes: tuple[Change, ...] = ()
+    groups: tuple[Group, ...] = ()
 
     def encode(self) -> str:
         """Serialise to one log line (body, ``|``, CRC, newline).  A
-        change is its rowid, pre-image and post-image, in that order."""
-        if self.kind == CHANGE:
-            fields = [f"{self.lsn} {CHANGE} {self.txid} {self.table} {len(self.changes)}"]
-            for rowid, before, after in self.changes:
+        group is its table and change count, then each change's rowid,
+        pre-image and post-image, in that order."""
+        if self.kind == CHECKPOINT:
+            return _line(f"{self.lsn} {CHECKPOINT}")
+        if self.kind != CHANGE:
+            raise WalError(f"unknown WAL record kind {self.kind!r}")
+        fields = [f"{self.lsn} {CHANGE}"]
+        for table, changes in self.groups:
+            fields += (table, str(len(changes)))
+            for rowid, before, after in changes:
                 fields += (
                     rowid.encode(),
                     ABSENT_IMAGE if before is None else pack_row(before),
                     ABSENT_IMAGE if after is None else pack_row(after),
                 )
-            return _line(" ".join(fields))
-        if self.kind not in (BEGIN, COMMIT, ROLLBACK, CHECKPOINT):
-            raise WalError(f"unknown WAL record kind {self.kind!r}")
-        body = f"{self.lsn} {self.kind}"
-        return _line(body if self.kind == CHECKPOINT else f"{body} {self.txid}")
+        return _line(" ".join(fields))
 
 
 def _line(body: str) -> str:
@@ -115,20 +112,22 @@ def _parse_body(body: str) -> WalRecord:
         if kind == CHECKPOINT:
             _expect(len(fields) == 2, body)
             return WalRecord(lsn, kind)
-        txid = int(fields[2])
-        if kind in (BEGIN, COMMIT, ROLLBACK):
-            _expect(len(fields) == 3, body)
-            return WalRecord(lsn, kind, txid)
         if kind == CHANGE:
-            _expect(len(fields) == 5 + 3 * int(fields[4]), body)
-            changes = tuple(
-                (RowId.decode(fields[at]), _image(fields[at + 1]), _image(fields[at + 2]))
-                for at in range(5, len(fields), 3)
-            )
-            _expect(all(
-                before is not None or after is not None for _, before, after in changes
-            ), body)
-            return WalRecord(lsn, kind, txid, fields[3], changes)
+            groups, at = [], 2
+            while at < len(fields):
+                count, start = int(fields[at + 1]), at + 2
+                at = start + 3 * count
+                _expect(0 < count and at <= len(fields), body)
+                changes = tuple(
+                    (RowId.decode(fields[i]), _image(fields[i + 1]), _image(fields[i + 2]))
+                    for i in range(start, at, 3)
+                )
+                _expect(all(
+                    before is not None or after is not None for _, before, after in changes
+                ), body)
+                groups.append((fields[start - 2], changes))
+            _expect(bool(groups), body)
+            return WalRecord(lsn, kind, tuple(groups))
     except (ValueError, IndexError, DatabaseError) as error:  # a bad field or value
         raise WalError(f"malformed WAL record body {body!r}") from error
     raise WalError(f"unknown WAL record kind in {body!r}")
@@ -146,12 +145,14 @@ def _expect(condition: bool, body: str) -> None:
 def parse_log(text: str) -> tuple[list[WalRecord], str | None]:
     """Parse raw log text into ``(records, torn_tail_reason)``.
 
-    A bad line (failed CRC, bad structure, missing trailing newline) at
-    the *end* of the log is a torn write: parsing stops there and the
-    reason is returned.  A bad line with any well-formed record after it
-    is corruption, not a torn tail, and raises
+    A bad line (failed CRC, missing trailing newline, an LSN that does
+    not advance) at the *end* of the log is a torn write: parsing stops
+    there and the reason is returned.  A bad line with any well-formed
+    record after it is corruption, not a torn tail, and raises
     :class:`~repro.errors.CorruptLogError` — replaying past in-place
-    damage would apply garbage.
+    damage would apply garbage.  So does a line whose CRC checks but
+    whose body does not parse, wherever it sits: that record was
+    written whole, by a writer that speaks another grammar.
     """
     if not text:
         return [], None
@@ -186,7 +187,8 @@ def parse_log(text: str) -> tuple[list[WalRecord], str | None]:
 
 
 def _read_line(line: str) -> WalRecord | str:
-    """The record on one log line, or why the line holds none."""
+    """The record on one log line, or why the line holds none (a torn
+    write); a whole line that does not parse raises."""
     body, sep, crc = line.rpartition("|")
     if not sep:
         return "record has no CRC field"
@@ -195,7 +197,7 @@ def _read_line(line: str) -> WalRecord | str:
     try:
         return _parse_body(body)
     except WalError as error:
-        return str(error)
+        raise CorruptLogError(f"WAL record passes its CRC but does not parse: {error}") from error
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +363,9 @@ class FileLogDevice(LogDevice):
 class WriteAheadLog:
     """Append-side facade the :class:`~repro.ordbms.database.Database` calls.
 
-    Owns the LSN allocator.  Each ``log_*`` method appends one record
-    and returns its LSN; an append that raises takes no LSN.
-    :meth:`log_commit` also syncs the device, so a transaction is
-    durable the instant ``commit()`` returns.
+    Owns the LSN allocator.  Each ``log_*`` / ``write_*`` method appends
+    one record; an append that raises takes no LSN.  The database syncs
+    a statement's record once the statement has moved.
     """
 
     def __init__(self, device: LogDevice, start_lsn: int = 1) -> None:
@@ -387,12 +388,9 @@ class WriteAheadLog:
         """
         return self._next_lsn - 1
 
-    def _append(
-        self, kind: str, txid: int = AUTOCOMMIT_TXID, table: str = "",
-        changes: tuple[Change, ...] = (),
-    ) -> int:
+    def _append(self, kind: str, groups: tuple[Group, ...] = ()) -> int:
         lsn = self._next_lsn
-        self.device.append(WalRecord(lsn, kind, txid, table, changes).encode())
+        self.device.append(WalRecord(lsn, kind, groups).encode())
         self.records_written += 1
         self._next_lsn = lsn + 1
         obs.inc("repro_ordbms_wal_appends_total", kind=kind.lower())
@@ -400,31 +398,23 @@ class WriteAheadLog:
 
     # -- record writers ------------------------------------------------------
 
-    def log_begin(self, txid: int) -> int:
-        return self._append(BEGIN, txid)
-
     def log_changes(
-        self, txid: int, table: str, pairs: Iterable[tuple[Any, Any]]
+        self, groups: Iterable[tuple[str, Iterable[tuple[Any, Any]]]]
     ) -> int:
-        """Log a statement's ``(before, after)`` row pairs as one
-        ``CHANGE`` record: one append, the images the rows' columns."""
-        return self._append(CHANGE, txid, table, tuple(
-            (
-                (before if after is None else after).rowid,
-                None if before is None else before[:-1],
-                None if after is None else after[:-1],
-            )
-            for before, after in pairs
+        """Log a statement — per table, its ``(before, after)`` row
+        pairs — as one ``CHANGE`` record: one append, the images the
+        rows' columns."""
+        return self._append(CHANGE, tuple(
+            (table, tuple(
+                (
+                    (before if after is None else after).rowid,
+                    None if before is None else before[:-1],
+                    None if after is None else after[:-1],
+                )
+                for before, after in pairs
+            ))
+            for table, pairs in groups
         ))
-
-    def log_commit(self, txid: int) -> int:
-        lsn = self._append(COMMIT, txid)
-        self.device.sync()
-        obs.inc("repro_ordbms_wal_syncs_total", reason="commit")
-        return lsn
-
-    def log_rollback(self, txid: int) -> int:
-        return self._append(ROLLBACK, txid)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -474,7 +464,3 @@ def decode_checkpoint(text: str) -> tuple[int, str]:
         raise CorruptLogError("checkpoint snapshot failed its CRC check")
     return lsn, snapshot_text
 
-
-def highest_txid(records: Iterable[WalRecord]) -> int:
-    """The largest transaction id appearing in ``records`` (0 if none)."""
-    return max((record.txid for record in records), default=AUTOCOMMIT_TXID)

@@ -1,7 +1,7 @@
 """Deterministic crash-point enumeration for durable devices.
 
 The recovery property worth having is universally quantified: *at every
-point the process could die, recovery lands on a transaction boundary*.
+point the process could die, recovery lands on a statement boundary*.
 This module enumerates those points mechanically instead of hoping a
 few hand-picked ones generalise:
 

@@ -24,7 +24,7 @@ Durability: every ingest is journalled to ``<drop>/.journal/inflight``
 before the store is touched and cleared once the outcome (success *or*
 handled failure) has been recorded.  After a crash,
 :meth:`NetmarkDaemon.startup_recovery` reads the journal and settles the
-interrupted ingest: if its transaction committed before the crash the
+interrupted ingest: if its statement landed before the crash the
 file is moved on to ``processed/`` (the bookkeeping the crash cut off);
 if it did not, the file is quarantined to ``errors/`` rather than
 retried blindly — a document that was mid-ingest when the process died
@@ -171,11 +171,11 @@ class NetmarkDaemon:
 
         Call once after reopening the store (``XmlStore.open``) and before
         the first :meth:`poll`.  For each journalled entry: if the store
-        already holds the journalled revision, the ingest's transaction
-        committed before the crash and only the file bookkeeping is
+        already holds the journalled revision, the ingest's statement
+        landed before the crash and only the file bookkeeping is
         missing — the original is moved to ``processed/`` and a ``stored``
-        record is emitted.  Otherwise the transaction was discarded by
-        recovery; the file is quarantined to ``errors/`` (``failed``
+        record is emitted.  Otherwise its record never landed whole and
+        recovery dropped it; the file is quarantined to ``errors/`` (``failed``
         record) instead of being retried, since a document that took the
         process down once should not get a second unsupervised try.
         """

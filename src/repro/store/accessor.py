@@ -147,7 +147,7 @@ class NodeAccessor:
 
     With ``snapshot`` the view is the pin's and stays exact for as long
     as the caller holds it.  Without one it is what a snapshot opened
-    now would pin, unheld: no table call shows part of a transaction,
+    now would pin, unheld: no table call shows part of a statement,
     and the view is exact until the next commit reclaims history.  The
     calls made after that see the commit too — an index probe finds what
     it wrote and misses what it deleted, a fetch or a forward read of a

@@ -10,11 +10,11 @@ the heap is append-only, so the addresses the rows will land at are
 known up front (:meth:`repro.ordbms.table.Table.next_rowids`): every row
 is written once, already carrying its parent's ROWID (``PARENTROWID``)
 **and** its next sibling's (``SIBLINGID``), and is never touched again.
-The rows go in as one statement (:meth:`repro.ordbms.Database.change`),
-which refuses a row whose address is not the next one the heap hands
-out — nothing moves, and the document's transaction rolls back.  The
-result is the traversal structure the paper exploits: O(1) hops up and
-across.
+The DOC row and the node rows go in as one statement
+(:meth:`repro.ordbms.Database.change`), one WAL record, which refuses a
+row whose address is not the next one its heap hands out — and then
+nothing moves in either table.  The result is the traversal structure
+the paper exploits: O(1) hops up and across.
 """
 
 from __future__ import annotations
@@ -58,47 +58,46 @@ class Decomposer:
         self._next_node_id = next_node_id
 
     def load(self, document: Document, file_date: _dt.datetime | None = None) -> DecomposeResult:
-        """Insert ``document`` into DOC + XML inside one transaction."""
+        """Insert ``document`` into DOC + XML as one statement."""
         database = self._database
         doc_id = self._next_doc_id
         self._next_doc_id += 1
         size = document.metadata.get("char_size")
         flat = _flatten(document.root)
-        with database.begin():
-            database.insert(
-                DOC_TABLE,
+        doc, xml = database.table(DOC_TABLE), database.table(XML_TABLE)
+        doc_row = doc.schema.row(
+            {
+                "DOC_ID": doc_id,
+                "FILE_NAME": document.name or f"document-{doc_id}",
+                "FILE_DATE": file_date,
+                "FILE_SIZE": size if isinstance(size, int) else None,
+                "FORMAT": str(document.metadata.get("format", "unknown")),
+                "METADATA": encode_metadata(document.metadata),
+            },
+            doc.next_rowids(1)[0],
+        )
+        rowids = xml.next_rowids(len(flat))
+        first_id = self._next_node_id
+        self._next_node_id += len(flat)
+        pairs = []
+        for position, (node, parent, ordinal, sibling) in enumerate(flat):
+            is_element = isinstance(node, Element)
+            pairs.append((None, xml.schema.row(
                 {
+                    "NODEID": first_id + position,
                     "DOC_ID": doc_id,
-                    "FILE_NAME": document.name or f"document-{doc_id}",
-                    "FILE_DATE": file_date,
-                    "FILE_SIZE": size if isinstance(size, int) else None,
-                    "FORMAT": str(document.metadata.get("format", "unknown")),
-                    "METADATA": encode_metadata(document.metadata),
+                    "PARENTROWID": None if parent is None else rowids[parent],
+                    "PARENTNODEID": None if parent is None else first_id + parent,
+                    "SIBLINGID": None if sibling is None else rowids[sibling],
+                    "NODETYPE": int(self._config.classify(node)),
+                    "NODENAME": node.tag if is_element else None,
+                    "NODEDATA": None if is_element else node.data,
+                    "ORDINAL": ordinal,
+                    "ATTRS": encode_attributes(node.attributes) if is_element else None,
                 },
-            )
-            xml = database.table(XML_TABLE)
-            rowids = xml.next_rowids(len(flat))
-            first_id = self._next_node_id
-            self._next_node_id += len(flat)
-            pairs = []
-            for position, (node, parent, ordinal, sibling) in enumerate(flat):
-                is_element = isinstance(node, Element)
-                pairs.append((None, xml.schema.row(
-                    {
-                        "NODEID": first_id + position,
-                        "DOC_ID": doc_id,
-                        "PARENTROWID": None if parent is None else rowids[parent],
-                        "PARENTNODEID": None if parent is None else first_id + parent,
-                        "SIBLINGID": None if sibling is None else rowids[sibling],
-                        "NODETYPE": int(self._config.classify(node)),
-                        "NODENAME": node.tag if is_element else None,
-                        "NODEDATA": None if is_element else node.data,
-                        "ORDINAL": ordinal,
-                        "ATTRS": encode_attributes(node.attributes) if is_element else None,
-                    },
-                    rowids[position],
-                )))
-            database.change(XML_TABLE, pairs)
+                rowids[position],
+            )))
+        database.change([(DOC_TABLE, [(None, doc_row)]), (XML_TABLE, pairs)])
         return DecomposeResult(doc_id=doc_id, root_rowid=rowids[0], node_count=len(flat))
 
 

@@ -10,7 +10,7 @@ and every cache-enabled accessor reads through it.
 There is nothing to invalidate (DESIGN.md §16).  A node row is written
 once, complete, and never patched; the heap never reuses a tombstoned
 ROWID and doc ids only count up; a document is loaded, and deleted, in
-one transaction.  So for every reader that can see a row at all, the
+one statement.  So for every reader that can see a row at all, the
 lift of that row is a pure function of its ROWID, and a catalog entry a
 pure function of its doc id — whichever reader computed it, at whatever
 commit LSN.  A deleted document's entries are unreachable (no probe
@@ -19,7 +19,7 @@ reclaims them.  The one writer that does change rows in place is
 ``fsck --repair``; :meth:`~repro.netmark.Netmark.fsck` calls
 :meth:`LiftCache.clear` after it.
 
-Every accessor reads at a commit LSN that shows a transaction whole or
+Every accessor reads at a commit LSN that shows a statement whole or
 not at all, so a half-loaded document's partial section can never enter
 the pool.  Values are rowids, rowid tuples, strings and frozen catalog
 entries — shared across threads, mutated by no one; the lock guards the

@@ -122,8 +122,8 @@ class XmlStore:
         First open (empty device): creates the NETMARK schema and writes
         the baseline checkpoint — from then on every committed document
         is durable the moment ``store_*`` returns.  Reopen (device holds
-        a checkpoint/log): runs crash recovery, which replays committed
-        work, discards any in-flight transaction, and resumes the log;
+        a checkpoint/log): runs crash recovery, which replays every whole
+        record, drops a torn one, and resumes the log;
         the :class:`~repro.ordbms.recovery.RecoveryResult` is kept on
         :attr:`last_recovery`.
         """
@@ -205,14 +205,16 @@ class XmlStore:
         return self.store_document(document, file_date=file_date)
 
     def delete_document(self, doc_id: int) -> int:
-        """Remove a document and all its nodes; returns nodes removed."""
+        """Remove a document and all its nodes, as one statement; returns
+        nodes removed."""
         doc_rows = self._doc_table.lookup("DOC_ID", doc_id)
         if not doc_rows:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
         node_rows = self._xml_table.lookup("DOC_ID", doc_id)
-        with self.database.begin():
-            self.database.change(XML_TABLE, [(row, None) for row in node_rows])
-            self.database.delete(DOC_TABLE, doc_rows[0].rowid)
+        self.database.change([
+            (XML_TABLE, [(row, None) for row in node_rows]),
+            (DOC_TABLE, [(doc_rows[0], None)]),
+        ])
         return len(node_rows)
 
     # -- snapshots (MVCC) -----------------------------------------------------
@@ -230,8 +232,8 @@ class XmlStore:
                 results = engine.execute(query, snapshot=snap)
 
         A read given no snapshot resolves at the same LSN without
-        holding it: whole transactions only, exact until the next
-        commit, after which it sees that commit too and a lazy read of
+        holding it: whole statements only, exact until the next
+        statement, after which it sees that commit too and a lazy read of
         a since-deleted document raises the typed
         :class:`~repro.errors.RowIdError`.
         """

@@ -6,13 +6,12 @@ from repro.cluster import FollowerReplica, LogShipper, NetmarkCluster
 from repro.cluster.ship import ShipBatch
 from repro.errors import (
     ClusterError,
-    CrashError,
     SourceUnavailableError,
     TypeMismatchError,
 )
 from repro.ordbms.recovery import recover
-from repro.ordbms.transaction import Transaction
-from repro.ordbms.wal import ROLLBACK, MemoryLogDevice, parse_log
+from repro.ordbms.table import Table
+from repro.ordbms.wal import MemoryLogDevice, parse_log
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.resilience import FaultPlan
@@ -148,114 +147,82 @@ class TestFollowerReplica:
         assert cached.cache.snapshot_counters()["hits"] >= 4 * len(queries)
 
     def test_rollback_and_loser_discard_move_the_lsn_too(self):
-        """A follower's read LSN holds while a shipped transaction is
-        open and moves once it resolves: by COMMIT, by ROLLBACK, or as a
-        loser discarded at promotion."""
+        """A follower's read LSN moves with what ships, once per shipped
+        statement: a store the table refused wrote no record and moves
+        nothing, a stored one moves it by one."""
         store, shipper, follower = self.build_pair()
         mvcc = follower.database.mvcc
         with pytest.raises(TypeMismatchError):
             root = Element("doc")
-            root.append(Text(0))  # no CLOB column takes it: rollback
+            root.append(Text(0))  # no CLOB column takes it: refused
             store.store_document(Document(root, name="lost.xml"))
         before = mvcc.read_lsn()
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
-        assert follower.database.stats.transactions_rolled_back == 1
-        assert mvcc.read_lsn() > before
-        # A shipped transaction still open at promotion is a loser.
-        before = mvcc.read_lsn()
-        transaction = store.database.begin()
-        store.database.insert(
-            "DOC", {"DOC_ID": 99, "FILE_NAME": "open.md", "FORMAT": "md"}
-        )
+        assert mvcc.read_lsn() == before and follower.database.stats.rows_inserted == 0
+        store.store_text("# A\n\nalpha\n", "a.md")
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
-        assert mvcc.read_lsn() == before  # not yet resolved
-        assert follower.replayer.discard_in_flight() == (transaction.txid,)
-        resolved = mvcc.read_lsn()
-        assert resolved > before
-        assert follower.replayer.discard_in_flight() == ()  # nothing undone:
-        assert mvcc.read_lsn() == resolved  # nothing moved
+        assert mvcc.read_lsn() == before + 1
 
-    def test_a_follower_takes_a_transaction_back_as_the_writer_does(
-        self, monkeypatch
-    ):
-        """Replay resolves a shipped transaction through the database's
-        own ``Transaction``: a ROLLBACK takes each run of one table's
-        rows back as one statement, so it moves the follower's commit LSN
-        by exactly what the writer's rollback moved the writer's, and so
-        does a loser discarded at promotion."""
-        moved = []  # what each rollback moved its database's LSN by
-
-        def measured(transaction, rollback=Transaction.rollback):
-            before = transaction.database.mvcc.lsn
-            rollback(transaction)
-            moved.append(transaction.database.mvcc.lsn - before)
-
-        monkeypatch.setattr(Transaction, "rollback", measured)
-        plan, device = FaultPlan(), MemoryLogDevice()
-        store = XmlStore.open(plan.wrap_log_device(device), DEFAULT_CONFIG)
-        shipper = LogShipper(device)
-        follower = FollowerReplica.bootstrap(
-            "f1", MemoryLogDevice(), shipper.bundle()
-        )
-        text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"
-        # BEGIN, the DOC row, the node rows, and the COMMIT is refused.
-        plan.fail("wal", "append", kind="unavailable", after=3)
-        with pytest.raises(SourceUnavailableError):
-            store.store_text(text, "a.xml")
-        assert moved == [2]  # the XML rows, then the DOC row
-        records = shipper.batch_after(follower.acked_lsn).records
-        assert records[-1].kind == ROLLBACK
-        follower.apply_batch(ShipBatch(records[:-1]))
-        assert follower.database.in_transaction
-        before = follower.database.mvcc.lsn
-        follower.apply_batch(ShipBatch(records[-1:]))
-        assert follower.database.mvcc.lsn - before == 2
-        assert moved == [2, 2]
-        # The same load, left open by a death at its COMMIT: a loser.
-        plan.fail("wal", "append", kind="crash", after=3, times=None)
-        with pytest.raises(CrashError):
-            store.store_text(text, "a.xml")
-        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
-        (loser,) = follower.in_flight
-        assert follower.database.in_transaction
-        moved.clear()
+    def test_a_follower_takes_a_transaction_back_as_the_writer_does(self):
+        """Replay applies a shipped record through the database's own
+        statement, so it moves the follower's commit LSN by exactly what
+        the writer's statement moved the writer's — a store, a delete
+        and a replace alike — and a promoted follower recovers the same."""
+        store, shipper, follower = self.build_pair()
+        writer, reader = store.database.mvcc, follower.database.mvcc
+        for write in (
+            lambda: store.store_text("# A\n\nalpha\n", "a.md"),
+            lambda: store.store_text("<doc><h1>B</h1><p>beta</p></doc>", "b.xml"),
+            lambda: store.replace_text("# A\n\nalpha two\n", "a.md"),
+            lambda: store.delete_document(store.lookup_by_name("b.xml").doc_id),
+        ):
+            before = writer.lsn, reader.lsn
+            write()
+            follower.apply_batch(shipper.batch_after(follower.acked_lsn))
+            assert writer.lsn - before[0] == reader.lsn - before[1] >= 1
         promoted = recover(follower.device)
-        assert moved == [2, 2]  # the shipped ROLLBACK replayed, then the loser
-        assert promoted.losers_discarded == (loser,)
-        assert promoted.transactions_rolled_back == 1
-        assert promoted.database.stats.transactions_rolled_back == 2
-        assert follower.replayer.discard_in_flight() == (loser,)  # alike live
-        assert not follower.database.in_transaction
-        assert moved == [2, 2, 2]
-        stats = follower.database.stats
-        assert (stats.rows_inserted, stats.transactions_rolled_back) == (16, 2)
+        assert promoted.database.mvcc.lsn == reader.lsn
+        assert follower.dump() == store.dump()
 
-    def test_a_reader_never_sees_half_a_shipped_transaction(self):
+    def test_a_reader_never_sees_half_a_shipped_transaction(self, monkeypatch):
+        """A shipped store is one record: cut a batch anywhere and the
+        follower holds each store whole or not at all, and a reader of
+        the follower mid-record sees none of it."""
         store, shipper, follower = self.build_pair()
         store.store_text("# A\n\nalpha\n", "a.md")
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
         before = follower.store.documents()
         stored = store.store_text("# B\n\nbeta\n\n## C\n\ngamma\n", "b.md")
+        store.store_text("# D\n\ndelta\n", "d.md")
         records = shipper.batch_after(follower.acked_lsn).records
-        half = len(records) // 2
-        follower.apply_batch(ShipBatch(records[:half]))
-        assert follower.in_flight
-        assert follower.store.documents() == before
-        xml = follower.store.xml_table
+        assert len(records) == 2
+        xml, seen = follower.store.xml_table, []
+        real = Table._move
+
+        def move(self, pairs, held, lsn):
+            if self is xml:  # the DOC row moved, the node rows not yet
+                seen.append(follower.store.documents())
+            real(self, pairs, held, lsn)
+
+        monkeypatch.setattr(Table, "_move", move)
+        follower.apply_batch(ShipBatch(records[:1]))
+        monkeypatch.undo()
+        assert seen == [before]
         lsn = follower.database.mvcc.read_lsn()
-        assert xml.snapshot_search("DOC_ID", stored.doc_id, lsn) == []
-        follower.apply_batch(ShipBatch(records[half:]))
+        assert len(xml.snapshot_search("DOC_ID", stored.doc_id, lsn)) > 0
         assert [entry.file_name for entry in follower.store.documents()] == [
             "a.md", "b.md",
+        ]
+        follower.apply_batch(ShipBatch(records[1:]))
+        assert [entry.file_name for entry in follower.store.documents()] == [
+            "a.md", "b.md", "d.md",
         ]
         assert follower.dump() == store.dump()
 
     def test_a_transaction_the_log_never_resolves_is_taken_back(self):
-        """The log refuses a COMMIT and then its ROLLBACK: the writer has
-        taken the transaction back in memory, but the log holds its BEGIN
-        and changes with no terminal record.  The writer's next record
-        shows it abandoned; the follower takes it back there, and its
-        reads move on."""
+        """The log refuses a store's one record: the writer moved
+        nothing, and the log holds nothing for the follower to take
+        back.  The next store ships alone."""
         plan, device = FaultPlan(), MemoryLogDevice()
         store = XmlStore.open(plan.wrap_log_device(device), DEFAULT_CONFIG)
         shipper = LogShipper(device)
@@ -263,11 +230,10 @@ class TestFollowerReplica:
             "f1", MemoryLogDevice(), shipper.bundle()
         )
         text = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"
-        plan.fail("wal", "append", kind="unavailable", after=3, times=2)
+        plan.fail("wal", "append", kind="unavailable")
         with pytest.raises(SourceUnavailableError):
-            store.store_text(text, "a.xml")  # its 4th append is the COMMIT
-        follower.apply_batch(shipper.batch_after(follower.acked_lsn))
-        assert follower.in_flight  # what the log says, until the next record
+            store.store_text(text, "a.xml")
+        assert len(shipper.batch_after(follower.acked_lsn)) == 0
         assert follower.store.documents() == store.documents() == []
         store.store_text("<doc><p>next</p></doc>", "b.xml")
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
@@ -275,7 +241,6 @@ class TestFollowerReplica:
             "b.xml",
         ]
         assert follower.store.documents() == store.documents()
-        assert not follower.in_flight
         assert all(table.version_count == 0 for table in follower.database.catalog)
         assert follower.dump() == store.dump()
         assert XmlStore.open(device).dump() == store.dump()

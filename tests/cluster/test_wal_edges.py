@@ -62,10 +62,11 @@ class TestTornTailAtFollower:
 
 class TestQuarantine:
     def corrupt_mid_log(self, device):
-        """Damage an early record while leaving the tail intact."""
+        """Damage an early record while leaving the tail intact: the
+        checkpoint marker, with the ingest's one record after it."""
         lines = device.read_log().splitlines(keepends=True)
-        assert len(lines) >= 3
-        lines[1] = lines[1].replace("|", "!", 1)
+        assert len(lines) >= 2
+        lines[0] = lines[0].replace("|", "!", 1)
         device.truncate_log()
         for line in lines:
             device.append(line)
@@ -170,7 +171,7 @@ class TestCrashErrorStaysFatalOutsideTheCluster:
         cluster.ingest("a.md", "# A\n\nalpha\n")
         device = cluster.nodes["n2"].device
         lines = device.read_log().splitlines(keepends=True)
-        lines[1] = lines[1].replace("|", "!", 1)
+        lines[0] = lines[0].replace("|", "!", 1)
         device.truncate_log()
         for line in lines:
             device.append(line)

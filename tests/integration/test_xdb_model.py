@@ -14,12 +14,10 @@ Its rules:
   (``crash`` or ``torn``) and the store reopens from the surviving bytes:
   it must answer like the model before the write or after it;
 * ``refuse`` — the log refuses the next generated write's k-th append
-  (sometimes the ROLLBACK after it too, leaving the transaction with no
-  terminal record) and the writer lives on: with no restart the store
-  must answer like
-  the model before the write (a replace whose delete committed: after
-  it), ship to its follower, reopen from its device as it stands, and
-  take the write when it is retried;
+  and the writer lives on: with no restart the store must answer like
+  the model before the write (a replace whose delete landed: after it),
+  ship to its follower, reopen from its device as it stands, and take
+  the write when it is retried;
 * ``fail_over`` — the writer dies between writes and its follower's
   device is recovered as the new writer, which seeds a new follower.
 
@@ -116,17 +114,17 @@ def answer(engine, query, snapshot=None):
     ]
 
 
-#: A replace commits the old revision's delete, then the new revision's
-#: store: two transactions.  A crash between them leaves the name with no
-#: document, which the model's before/after cannot say.  Goes when a
-#: replace becomes one transaction.
+#: A replace lands the old revision's delete, then the new revision's
+#: store: two statements.  A crash between them leaves the name with no
+#: document, which the model's before/after cannot say.  Goes when the
+#: benchmark's fsync pin accepts a replace of one statement, and a
+#: replace becomes one.
 REPLACE_MAY_LOSE_THE_DOCUMENT = True
 
 #: WAL appends of the longest write one rule makes, where the ``crash``
-#: and ``refuse`` rules draw their k: a replace is two transactions, each
-#: a BEGIN, a catalog-entry record, one record for all the node rows and
-#: a COMMIT.
-LONGEST_WRITE = 8
+#: and ``refuse`` rules draw their k: a replace is two statements, each
+#: one record (a store: the catalog entry and every node row).
+LONGEST_WRITE = 2
 
 
 class XdbMachine(RuleBasedStateMachine):
@@ -170,16 +168,8 @@ class XdbMachine(RuleBasedStateMachine):
             self.follower.apply_batch(shipper.batch_after(self.follower.acked_lsn))
         else:  # a checkpoint has passed the follower
             self.follower.install_bundle(shipper.bundle())
-        # Replay holds a shipped transaction open as the database's own.
-        assert self.follower.database.in_transaction == bool(self.follower.in_flight)
-        if self.follower.in_flight:
-            # A transaction the log holds with no COMMIT or ROLLBACK (both
-            # refused, or a restart's loser): the writer took it back, the
-            # follower holds it open, its reads pinned before it, until
-            # the writer's next record.
-            assert self.follower.store.documents() == self.store.documents()
-        else:
-            assert self.follower.dump() == self.store.dump()
+        # Every shipped record is a whole write: nothing is ever half open.
+        assert self.follower.dump() == self.store.dump()
 
     def write(self, name, text):
         """Replace (or first store) ``name`` with ``text``; delete it if None."""
@@ -241,7 +231,7 @@ class XdbMachine(RuleBasedStateMachine):
         """Write with the writer dying at the write's k-th WAL append, then
         restart it on what its device holds."""
         faults = (
-            # Dead after the k-th append: not even a ROLLBACK lands.  First,
+            # Dead after the k-th append: nothing lands after it.  First,
             # so it counts the k-th too (a crash stops the rules after it).
             self.plan.fail("wal", "append", kind="crash", after=k, times=None),
             self.plan.fail("wal", "append", kind=kind, after=k - 1),
@@ -269,23 +259,18 @@ class XdbMachine(RuleBasedStateMachine):
         self.ship()
         self.ask_again()
 
-    @rule(data=st.data(), k=st.integers(1, LONGEST_WRITE), times=st.integers(1, 2))
-    def refuse(self, data, k, times):
+    @rule(data=st.data(), k=st.integers(1, LONGEST_WRITE))
+    def refuse(self, data, k):
         names = sorted(self.model.documents)
         if names and data.draw(st.booleans()):
-            self.refused(data.draw(st.sampled_from(names)), None, k, times)
+            self.refused(data.draw(st.sampled_from(names)), None, k)
         else:
-            self.refused(
-                data.draw(st.sampled_from(NAMES)), data.draw(documents), k, times
-            )
+            self.refused(data.draw(st.sampled_from(NAMES)), data.draw(documents), k)
 
-    def refused(self, name, text, k, times=1):
-        """Write with the log refusing the write's k-th WAL append (and,
-        with ``times=2``, the next one: the ROLLBACK the refusal causes);
-        the writer lives on.  Then retry the write."""
-        fault = self.plan.fail(
-            "wal", "append", kind="unavailable", after=k - 1, times=times
-        )
+    def refused(self, name, text, k):
+        """Write with the log refusing the write's k-th WAL append; the
+        writer lives on.  Then retry the write."""
+        fault = self.plan.fail("wal", "append", kind="unavailable", after=k - 1)
         prior = self.store.lookup_by_name(name)
         try:
             self.write(name, text)
@@ -295,7 +280,7 @@ class XdbMachine(RuleBasedStateMachine):
         if not fault.fired:
             self.land(name, text)
         elif prior is not None and self.store.lookup_by_name(name) is None:
-            self.model.delete(name)  # a replace whose delete committed
+            self.model.delete(name)  # a replace whose delete landed
         self.every_configuration_equals_the_model()
         self.ship()
         assert XmlStore.open(self.device).dump() == self.store.dump()
@@ -305,9 +290,8 @@ class XdbMachine(RuleBasedStateMachine):
     @rule()
     def fail_over(self):
         """The writer dies between writes; its follower takes over."""
-        abandoned = self.follower.in_flight  # see ship()
         self.serve(self.follower.device)
-        assert self.store.last_recovery.losers_discarded == abandoned
+        assert self.store.dump() == self.follower.dump()
         self.follow()
 
     def ask_again(self):
@@ -366,17 +350,15 @@ class TestDeathsTheGeneratorMustReach:
     """Three deaths pinned, each followed by the machine's own checks."""
 
     def test_a_crash_inside_a_replaces_second_transaction(self, machine):
-        # BEGIN, the rows' delete, the catalog entry's, COMMIT; then
-        # BEGIN, and the store's catalog entry dies.
-        machine.die_during("d1.xml", "<doc><h1>Beta</h1></doc>", 6, "crash")
-        assert machine.store.last_recovery.losers_discarded
+        # The delete's record lands; the store's record dies: the
+        # replace's second statement.
+        machine.die_during("d1.xml", "<doc><h1>Beta</h1></doc>", 2, "crash")
+        assert machine.store.last_recovery.torn_tail is None
         assert machine.model.documents == {}
-        assert machine.follower.in_flight  # the loser, until the next record
         machine.ingest_or_replace("d2.xml", "<doc><h1>Gamma</h1></doc>")
-        assert not machine.follower.in_flight
 
     def test_a_torn_append(self, machine):
-        machine.die_during("d2.xml", "<doc><h1>Beta</h1><p>alpha</p></doc>", 3, "torn")
+        machine.die_during("d2.xml", "<doc><h1>Beta</h1><p>alpha</p></doc>", 1, "torn")
         assert machine.store.last_recovery.torn_tail
         assert list(machine.model.documents) == ["d1.xml"]
         machine.ingest_or_replace("d2.xml", "<doc><h1>Gamma</h1></doc>")  # past the tear
@@ -393,38 +375,33 @@ class TestDeathsTheGeneratorMustReach:
 
 
 class TestRefusalsTheGeneratorMustReach:
-    """A refused append at each kind of record a store writes, and one
-    inside a replace's second transaction, each followed by the
-    machine's own checks: no half-stored document, no wedged writer."""
+    """A refused append of a store's one record, and of each of a
+    replace's two, each followed by the machine's own checks: no
+    half-stored document, no wedged writer."""
 
     SEVEN = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"  # 7 nodes
-    # A store appends BEGIN, the DOC row, one record for every node row
-    # and COMMIT.
 
-    @pytest.mark.parametrize("k, text", [
-        (1, SEVEN), (2, SEVEN),
-        (3, "<doc/>"),  # the node rows' record holds the root alone
-        (3, SEVEN),  # the root and its children: still one record
-        (4, SEVEN),
-    ], ids=["begin", "doc-row", "root", "child", "commit"])
-    def test_a_refused_store(self, machine, k, text):
-        machine.refused("d2.xml", text, k)
+    @pytest.mark.parametrize("text", [
+        "<doc/>",  # the record holds the catalog entry and the root alone
+        SEVEN,  # the root and its children: still one record
+    ], ids=["root", "child"])
+    def test_a_refused_store(self, machine, text):
+        lsn = machine.store.database.mvcc.lsn
+        machine.refused("d2.xml", text, 1)
         assert list(machine.model.documents) == ["d1.xml", "d2.xml"]  # the retry
-        assert not machine.store.database.in_transaction
+        assert machine.store.database.mvcc.lsn == lsn + 1  # the retry alone
 
     def test_a_refusal_inside_a_replaces_second_transaction(self, machine):
-        # BEGIN, the rows' delete, the catalog entry's, COMMIT; then
-        # BEGIN, and the store's catalog entry is refused.
-        machine.refused("d1.xml", self.SEVEN, 6)
+        # The delete's record lands; the store's is refused: the
+        # replace's second statement.
+        machine.refused("d1.xml", self.SEVEN, 2)
         assert list(machine.model.documents) == ["d1.xml"]  # the retry
 
-    @pytest.mark.parametrize("k", [3, 4], ids=["child", "commit"])
-    def test_a_refused_rollback_too(self, machine, k):
-        """No ROLLBACK lands either: the follower holds the transaction
-        open until the retry's BEGIN, then takes it back."""
-        machine.refused("d2.xml", self.SEVEN, k, times=2)
-        assert list(machine.model.documents) == ["d1.xml", "d2.xml"]  # the retry
-        assert not machine.follower.in_flight
+    def test_a_refusal_of_a_replaces_delete(self, machine):
+        # The first statement refused: the old revision stays, the
+        # store never runs.
+        machine.refused("d1.xml", self.SEVEN, 1)
+        assert list(machine.model.documents) == ["d1.xml"]  # the retry
         machine.fail_over()
 
 

@@ -98,7 +98,7 @@ class TestSliceIsTheSlotWalk:
                         table.schema.row({"ID": next_id + n, "V": f"v{n}"}, rowid)
                         for n, rowid in enumerate(table.next_rowids(number))
                     ]
-                    database.change("T", [(None, row) for row in rows])
+                    database.change([("T", [(None, row) for row in rows])])
                     slots += [row.rowid for row in rows]
                     next_id += number
                 elif kind == "delete" and live:

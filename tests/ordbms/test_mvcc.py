@@ -1,4 +1,4 @@
-"""MVCC: snapshot visibility, transaction pins, version-GC, the seqlock."""
+"""MVCC: snapshot visibility, statement atomicity, version-GC, the seqlock."""
 
 import threading
 
@@ -15,7 +15,7 @@ from repro.ordbms import (
     TableSchema,
     VARCHAR,
 )
-from repro.ordbms.table import AUTO_VACUUM_INTERVAL, RUN_CHUNK
+from repro.ordbms.table import AUTO_VACUUM_INTERVAL, RUN_CHUNK, Table
 
 
 @pytest.fixture
@@ -224,49 +224,88 @@ class TestSnapshotVisibility:
 
     def test_changed_rowids_since(self, database, table):
         rid1 = database.insert("T", {"ID": 1})
-        pin = database.mvcc.lsn
-        rid2 = database.insert("T", {"ID": 2})
-        database.update("T", rid1, {"V": "touched"})
-        assert table.changed_rowids_since(pin) == {rid1, rid2}
-        assert table.changed_rowids_since(database.mvcc.lsn) == set()
+        with database.open_snapshot() as snap:  # holds what changed since
+            rid2 = database.insert("T", {"ID": 2})
+            database.update("T", rid1, {"V": "touched"})
+            assert table.changed_rowids_since(snap.lsn) == {rid1, rid2}
+            assert table.changed_rowids_since(database.mvcc.lsn) == set()
+
+
+def two_table_database():
+    """T and U, to stop a statement between its two groups."""
+    db = Database("mvcctest")
+    for name in ("T", "U"):
+        db.create_table(TableSchema(name, (Column("ID", INTEGER), Column("V", VARCHAR))))
+    return db
+
+
+def between_groups(monkeypatch, database, hook):
+    """Run ``hook`` as U's group starts to move, T's group already moved."""
+    real, u = Table._move, database.table("U")
+
+    def move(self, pairs, held, lsn):
+        if self is u:
+            hook()
+        real(self, pairs, held, lsn)
+
+    monkeypatch.setattr(Table, "_move", move)
 
 
 class TestTransactionPin:
-    def test_snapshot_during_transaction_pins_txn_begin(
-        self, database, table
-    ):
+    """A statement is the unit of visibility: between its groups no
+    reader sees its first table's rows, and no sweep takes the pre-images
+    such a reader needs."""
+
+    def test_snapshot_during_transaction_pins_txn_begin(self, monkeypatch):
+        database = two_table_database()
         rid = database.insert("T", {"ID": 1, "V": "committed"})
-        with database.begin():
-            database.update("T", rid, {"V": "in-flight"})
+        t, u, seen = database.table("T"), database.table("U"), []
+
+        def read():
             with database.open_snapshot() as snap:
-                # The snapshot must not see any of the open transaction.
-                assert table.visible_row(rid, snap.lsn).V == "committed"
+                seen.append((t.visible_row(rid, snap.lsn).V, list(u.snapshot_scan(snap.lsn))))
+
+        between_groups(monkeypatch, database, read)
+        database.change([
+            ("T", [(t.fetch(rid), t.schema.row({"ID": 1, "V": "in-flight"}, rid))]),
+            ("U", [(None, u.schema.row({"ID": 2}, u.next_rowids(1)[0]))]),
+        ])
+        assert seen == [("committed", [])]
         with database.open_snapshot() as fresh:
-            assert table.visible_row(rid, fresh.lsn).V == "in-flight"
+            assert t.visible_row(rid, fresh.lsn).V == "in-flight"
 
     def test_pin_correct_under_rollback(self, database, table):
         rid = database.insert("T", {"ID": 1, "V": "committed"})
-        transaction = database.begin()
-        database.update("T", rid, {"V": "doomed"})
         snap = database.open_snapshot()
-        transaction.rollback()
-        # The compensating statements got LSNs above the pin, so the
-        # snapshot still reads the pre-transaction value.
+        with pytest.raises(RowIdError):  # the second pair names the slot again
+            database.change([("T", [
+                (table.fetch(rid), table.schema.row({"ID": 1, "V": "doomed"}, rid)),
+                (table.fetch(rid), None),
+            ])])
+        assert database.mvcc.lsn == snap.lsn
         assert table.visible_row(rid, snap.lsn).V == "committed"
         assert table.fetch(rid).V == "committed"
         snap.release()
 
-    def test_gc_during_transaction_respects_txn_pin(self, database, table):
+    def test_gc_during_transaction_respects_txn_pin(self, monkeypatch):
+        database = two_table_database()
         rid = database.insert("T", {"ID": 1, "V": "base"})
-        with database.begin():
-            database.update("T", rid, {"V": "wip"})
+        t, u, seen = database.table("T"), database.table("U"), []
+
+        def sweep_and_read():
+            # The LSN is not yet published, so the horizon is below the
+            # statement: T's pre-image survives the sweep.
             database.vacuum_versions()
-            # The txn pin holds the horizon at the pre-txn LSN: the
-            # in-flight update's pre-image must survive the sweep so a
-            # mid-transaction snapshot still reads the committed value.
-            assert table.version_count >= 1
+            seen.append(t.version_count)
             with database.open_snapshot() as snap:
-                assert table.visible_row(rid, snap.lsn).V == "base"
+                seen.append(t.visible_row(rid, snap.lsn).V)
+
+        between_groups(monkeypatch, database, sweep_and_read)
+        database.change([
+            ("T", [(t.fetch(rid), t.schema.row({"ID": 1, "V": "wip"}, rid))]),
+            ("U", [(None, u.schema.row({"ID": 2}, u.next_rowids(1)[0]))]),
+        ])
+        assert seen == [1, "base"]
 
 
 class TestVersionGc:
@@ -276,6 +315,7 @@ class TestVersionGc:
         database.update("T", rid, {"V": "v1"})
         database.update("T", rid, {"V": "v2"})
         assert table.version_count > 0
+        swept = database.mvcc.reclaimed_total  # what statements swept
         reclaimed_while_pinned = database.vacuum_versions()
         # Entries above the pin must survive: the snapshot still needs
         # them to reconstruct v0.
@@ -286,7 +326,7 @@ class TestVersionGc:
         assert table.version_count == 0
         assert (
             database.mvcc.reclaimed_total
-            == reclaimed_while_pinned + reclaimed_after
+            == swept + reclaimed_while_pinned + reclaimed_after
         )
 
     def test_auto_vacuum_bounds_history_without_pins(self, database, table):
@@ -301,30 +341,27 @@ class TestVersionGc:
 
     def test_commit_reclaims_history_when_nothing_is_pinned(self, database, table):
         rid = database.insert("T", {"ID": 1, "V": "base"})
-        with database.begin():
-            database.update("T", rid, {"V": "v1"})
-            database.insert("T", {"ID": 2})
-            assert len(table._history) == 2  # the txn pin holds them
         assert len(table._history) == 0
-        with pytest.raises(KeyError):
-            with database.begin():
-                database.delete("T", rid)
-                raise KeyError("abort")
-        assert len(table._history) == 0  # a rollback closes and sweeps too
+        before = table.fetch(rid)
+        database.change([("T", [
+            (before, table.schema.row({"ID": 1, "V": "v1"}, rid)),
+            (None, table.schema.row({"ID": 2}, table.next_rowids(1)[0])),
+        ])])
+        assert len(table._history) == 0  # the statement's end sweeps its own
+        with pytest.raises(RowIdError):
+            database.change([("T", [(before, None)])])  # stale: refused
+        assert len(table._history) == 0
 
     def test_commit_sweep_keeps_what_a_pin_needs(self, database, table):
         rid = database.insert("T", {"ID": 1, "V": "v0"})
         old = database.open_snapshot()
-        with database.begin():
-            database.update("T", rid, {"V": "v1"})
+        database.update("T", rid, {"V": "v1"})
         young = database.open_snapshot()
-        with database.begin():
-            database.update("T", rid, {"V": "v2"})
+        database.update("T", rid, {"V": "v2"})
         assert table.version_count == 2
         assert table.visible_row(rid, old.lsn).V == "v0"
         old.release()
-        with database.begin():
-            database.insert("T", {"ID": 2})
+        database.insert("T", {"ID": 2})
         # The horizon moved to the young pin: v0 is gone, v1 is kept.
         assert [image[1] for _, image in table._history[rid]] == ["v1"]
         assert table.visible_row(rid, young.lsn).V == "v1"
@@ -340,17 +377,16 @@ class TestVersionGc:
             type(table), "vacuum_versions",
             lambda self, horizon=None: sweeps.append(horizon) or real(self, horizon),
         )
-        with database.open_snapshot() as snap:
+        with database.open_snapshot():
             for index in range(1, 6):
-                with database.begin():
-                    database.insert("T", {"ID": index})
-            # One sweep when the pin became the horizon, none after: a
-            # long-held pin must not make every commit walk all history.
-            assert sweeps == [snap.lsn]
+                database.insert("T", {"ID": index})
+            # The pin took the horizon where the last sweep left it, so
+            # none runs: a long-held pin must not make every statement
+            # walk all history.
+            assert sweeps == []
             assert table.version_count == 5
-        with database.begin():
-            database.insert("T", {"ID": 6})
-        assert len(sweeps) == 2 and table.version_count == 0
+        database.insert("T", {"ID": 6})
+        assert sweeps == [database.mvcc.lsn] and table.version_count == 0
 
     def test_gc_horizon_tracks_oldest_pin(self, database):
         mvcc = database.mvcc
@@ -408,7 +444,8 @@ class TestSeqlockReaders:
         """A reader hammering visible_row during writes sees only committed
         values — the seqlock retries across mid-statement windows."""
         rid = database.insert("T", {"ID": 1, "V": "gen0"})
-        pin = database.mvcc.lsn
+        snapshot = database.open_snapshot()  # held: no sweep takes gen0
+        pin = snapshot.lsn
         stop = threading.Event()
         seen: set[str] = set()
         errors: list[BaseException] = []
@@ -429,6 +466,7 @@ class TestSeqlockReaders:
         finally:
             stop.set()
             reader.join()
+            snapshot.release()
         assert not errors
         # The pin predates every update: the reader saw gen0, only gen0.
         assert seen == {"gen0"}

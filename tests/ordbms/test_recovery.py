@@ -1,4 +1,4 @@
-"""Crash recovery: replay, losers, checkpoints, and the crash matrix."""
+"""Crash recovery: replay, checkpoints, torn tails and the crash matrix."""
 
 import random
 import zlib
@@ -6,10 +6,11 @@ import zlib
 import pytest
 
 from repro.errors import (
+    ConstraintError,
+    CorruptLogError,
     ReproError,
     RecoveryError,
     SourceUnavailableError,
-    TransactionError,
     WalError,
 )
 from repro.ordbms import (
@@ -17,13 +18,13 @@ from repro.ordbms import (
     Database,
     INTEGER,
     MemoryLogDevice,
+    RowId,
     TableSchema,
     VARCHAR,
     recover,
 )
 from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
-from repro.ordbms.transaction import Transaction
 from repro.ordbms.wal import ABSENT_IMAGE, CHANGE, WalRecord
 from repro.resilience import FaultPlan
 from repro.store import XmlStore, check_store
@@ -47,6 +48,19 @@ def crash_and_recover(database: Database) -> Database:
     return recover(database.wal.device).database
 
 
+def inserts(database: Database, *values: dict) -> list:
+    """The rows ``values`` would be as inserts into T, at the heap's tail."""
+    table = database.table("T")
+    return [
+        (None, table.schema.row(row, rowid))
+        for row, rowid in zip(values, table.next_rowids(len(values)))
+    ]
+
+
+def change_record(lsn: int, table: str, changes: tuple) -> WalRecord:
+    return WalRecord(lsn, CHANGE, ((table, changes),))
+
+
 class TestBasicRecovery:
     def test_autocommit_rows_survive(self):
         database = durable_database()
@@ -56,64 +70,64 @@ class TestBasicRecovery:
         assert dump_database(recovered) == dump_database(database)
 
     def test_committed_transaction_survives(self):
+        """A statement of several rows is one record, replayed whole."""
         database = durable_database()
-        with database.begin():
-            database.insert("T", {"ID": 1})
-            database.insert("T", {"ID": 2})
-        recovered = crash_and_recover(database)
-        assert len(recovered.table("T")) == 2
+        database.change([("T", inserts(database, {"ID": 1}, {"ID": 2}))])
+        result = recover(database.wal.device)
+        assert len(result.database.table("T")) == 2
+        assert result.records_replayed == 2
 
     def test_uncommitted_transaction_is_discarded(self):
-        database = durable_database()
-        database.begin()
+        """A statement whose record the log refused moved nothing live,
+        and recovery lands on exactly the same state."""
+        plan, device = FaultPlan(), MemoryLogDevice()
+        database = durable_database(plan.wrap_log_device(device))
         database.insert("T", {"ID": 1})
-        # No commit: the process "dies" here.  Recovery must land on
-        # exactly the state a live rollback would have produced (the
-        # undone insert leaves the same tombstone either way).
-        twin = durable_database()
-        twin_transaction = twin.begin()
-        twin.insert("T", {"ID": 1})
-        twin_transaction.rollback()
-        recovered = crash_and_recover(database)
-        assert len(recovered.table("T")) == 0
-        assert dump_database(recovered) == dump_database(twin)
+        plan.fail("wal", "append", kind="unavailable")
+        with pytest.raises(SourceUnavailableError):
+            database.change([("T", inserts(database, {"ID": 2}, {"ID": 3}))])
+        recovered = recover(device).database
+        assert [row.ID for row in recovered.table("T").scan()] == [1]
+        assert dump_database(recovered) == dump_database(database)
 
     def test_loser_reported_in_result(self):
+        """What a crash can leave unfinished is one torn last record: the
+        result reports it, and none of its rows is replayed."""
         database = durable_database()
-        database.begin()
         database.insert("T", {"ID": 1})
-        result = recover(database.wal.device)
-        assert result.losers_discarded == (1,)
-        assert result.transactions_committed == 0
-
-    def test_rolled_back_transaction_leaves_no_rows(self):
-        database = durable_database()
-        transaction = database.begin()
-        database.insert("T", {"ID": 1})
-        transaction.rollback()
-        recovered = crash_and_recover(database)
-        assert len(recovered.table("T")) == 0
+        landed = database.wal.device.read_log()
+        database.change([("T", inserts(database, {"ID": 2}, {"ID": 3}))])
+        torn = database.wal.device.read_log()[len(landed):-3]
+        result = recover(_with_log(database.wal.device, landed + torn))
+        assert result.torn_tail is not None and result.records_replayed == 1
+        assert [row.ID for row in result.database.table("T").scan()] == [1]
 
     def test_a_transaction_left_open_mid_log_is_taken_back(self):
-        """The log refuses a COMMIT and its ROLLBACK; the writer took the
-        update back in memory and writes the row again.  Replay takes the
-        open transaction back at the writer's next record, so that
-        record's before-image matches."""
+        """The log refuses an update's record; the writer moved nothing
+        and writes the row again.  Nothing is left for replay to take
+        back, so that record's before-image matches."""
         plan, device = FaultPlan(), MemoryLogDevice()
         database = durable_database(plan.wrap_log_device(device))
         rowid = database.insert("T", {"ID": 1, "V": "old"})
-        transaction = database.begin()
-        database.update("T", rowid, {"V": "lost"})
-        plan.fail("wal", "append", kind="unavailable", times=2)
+        plan.fail("wal", "append", kind="unavailable")
         with pytest.raises(SourceUnavailableError):
-            transaction.commit()
+            database.update("T", rowid, {"V": "lost"})
         assert database.fetch("T", rowid).V == "old"
         database.update("T", rowid, {"V": "new"})
         result = recover(device)
         assert result.database.fetch("T", rowid).V == "new"
-        assert result.transactions_rolled_back == 1
-        assert result.losers_discarded == ()
         assert dump_database(result.database) == dump_database(database)
+
+    def test_rolled_back_transaction_leaves_no_rows(self):
+        """A statement the table refuses writes no record: nothing to
+        replay, nothing to take back."""
+        database = durable_database()
+        lsn = database.wal.next_lsn
+        with pytest.raises(ConstraintError):
+            database.change([("T", inserts(database, {"ID": 1}, {"ID": 1}))])
+        assert database.wal.next_lsn == lsn
+        recovered = crash_and_recover(database)
+        assert len(recovered.table("T")) == 0
 
     def test_update_delete_replay(self):
         database = durable_database()
@@ -128,12 +142,14 @@ class TestBasicRecovery:
 
 class TestRowIdStability:
     def test_slots_match_after_interleaved_rollback(self):
-        """Rolled-back inserts still consume slots during replay."""
+        """A refused insert consumes no slot, live or during replay: the
+        next insert lands at the address it would have taken."""
         database = durable_database()
-        transaction = database.begin()
-        database.insert("T", {"ID": 1})
-        transaction.rollback()
+        first = database.insert("T", {"ID": 1})
+        with pytest.raises(ConstraintError):
+            database.insert("T", {"ID": 1})
         survivor = database.insert("T", {"ID": 2})
+        assert survivor.slot_no == first.slot_no + 1
         recovered = crash_and_recover(database)
         assert recovered.fetch("T", survivor).ID == 2
 
@@ -172,12 +188,6 @@ class TestCheckpoints:
         recovered = recover(device).database
         assert len(recovered.table("T")) == 1  # not doubled
 
-    def test_checkpoint_inside_transaction_rejected(self):
-        database = durable_database()
-        database.begin()
-        with pytest.raises(TransactionError):
-            database.checkpoint()
-
     def test_checkpoint_without_wal_rejected(self):
         with pytest.raises(WalError):
             Database("plain").checkpoint()
@@ -193,7 +203,7 @@ class TestTornTail:
         database = durable_database()
         database.insert("T", {"ID": 1})
         device = database.wal.device
-        device.append("2 COMMIT 99|deadbeef")  # torn: bad CRC, no newline
+        device.append("2 CHANGE T 1|deadbeef")  # torn: bad CRC, no newline
         result = recover(device)
         assert result.torn_tail is not None
         # The trim must be physical: appending new records after it and
@@ -207,9 +217,8 @@ class TestTornTail:
     def test_writer_and_follower_open_a_torn_device_alike(self):
         database = durable_database()
         database.insert("T", {"ID": 1})
-        database.begin()
-        in_flight = database.insert("T", {"ID": 2})  # never committed
-        database.wal.device.append("9 COMMIT 99|deadbeef")  # torn
+        database.insert("T", {"ID": 2})
+        database.wal.device.append("9 CHANGE T 1|deadbeef")  # torn
         devices = []
         for _ in range(2):
             device = MemoryLogDevice()
@@ -224,33 +233,33 @@ class TestTornTail:
         assert devices[0].read_log().endswith("\n")
         assert writer.records_replayed == follower.records_replayed == 2
         assert writer.checkpoint_lsn == follower.checkpoint_lsn
-        # The one difference: the writer discards the loser, the
-        # follower keeps it open (its COMMIT may still be shipped).
-        assert writer.losers_discarded == follower.replayer.in_flight != ()
-        assert follower.database.fetch("T", in_flight).ID == 2
-        assert [row.ID for row in writer.database.table("T").scan()] == [1]
+        assert dump_database(writer.database) == dump_database(follower.database)
+        # The one difference: the writer resumes the log.
+        assert writer.database.wal is not None and follower.database.wal is None
 
     @pytest.mark.parametrize(
         "cut", ["first-byte", "middle", "before-crc", "before-newline"]
     )
     def test_a_torn_statement_moves_nothing(self, cut):
-        """A document's node rows are one record: torn anywhere, recovery
-        drops it whole and lands where the log stood before it."""
+        """A document's DOC row and node rows are one record: torn
+        anywhere, recovery drops it whole and lands where the log stood
+        before it."""
         device = MemoryLogDevice()
         store = XmlStore.open(device)
         store.store_text("# Budget\n\ntravel *dollars* 12\n", "a.md")
         landed = len(device._chunks)  # noqa: SLF001 - the appends so far
         store.store_text("<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>", "b.xml")
-        begin, doc_row, batch, commit = device._chunks[landed:]  # noqa: SLF001
-        assert batch.split(" ")[1:5] == [CHANGE, "2", "XML", "7"]
+        (batch,) = device._chunks[landed:]  # noqa: SLF001
+        assert batch.split(" ")[1:4] == [CHANGE, "DOC", "1"]
+        assert " XML 7 " in batch
         end = {
             "first-byte": 1, "middle": len(batch) // 2,
             "before-crc": batch.rindex("|") + 1, "before-newline": len(batch) - 1,
         }[cut]
-        prefix = device._chunks[:landed] + [begin, doc_row]  # noqa: SLF001
+        prefix = device._chunks[:landed]  # noqa: SLF001
         expected = XmlStore.open(_with_log(device, "".join(prefix)))
         torn = recover(_with_log(device, "".join(prefix) + batch[:end]))
-        assert torn.torn_tail is not None and torn.losers_discarded == (2,)
+        assert torn.torn_tail is not None
         assert dump_database(torn.database) == expected.dump()
         assert [entry.file_name for entry in expected.documents()] == ["a.md"]
         assert check_store(torn.database).ok
@@ -270,9 +279,8 @@ class TestTornTail:
         database = durable_database()
         rowid = database.insert("T", {"ID": 1, "V": "real"})
         device = database.wal.device
-        device.append(WalRecord(
-            database.wal.next_lsn, CHANGE, table="T",
-            changes=((rowid, (1, "imposter"), (1, "other")),),
+        device.append(change_record(
+            database.wal.next_lsn, "T", ((rowid, (1, "imposter"), (1, "other")),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
@@ -280,39 +288,32 @@ class TestTornTail:
     def test_unknown_table_refused(self):
         device = MemoryLogDevice()
         database = durable_database(device)
-        from repro.ordbms import RowId
-
-        device.append(WalRecord(
-            database.wal.next_lsn, CHANGE, table="GHOST",
-            changes=((RowId(0, 0, 0), None, (1,)),),
+        device.append(change_record(
+            database.wal.next_lsn, "GHOST", ((RowId(0, 0, 0), None, (1,)),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
 
-    def test_a_rollback_replay_cannot_finish_is_refused(self, monkeypatch):
-        """A logged ROLLBACK replays through the writer's own rollback; a
-        change it cannot take back is a RecoveryError naming the LSN."""
+    def test_a_statement_replay_cannot_finish_is_refused(self):
+        """A record whose second group the heap refuses is a
+        RecoveryError naming the LSN: its first group moved nothing."""
         database = durable_database()
-        transaction = database.begin()
-        database.insert("T", {"ID": 1})
-        transaction.rollback()
-        rollback_lsn = database.wal.last_lsn
-
-        def cannot(transaction):
-            raise TransactionError("the slot moved")
-
-        monkeypatch.setattr(Transaction, "_unwind", cannot)
-        with pytest.raises(RecoveryError, match=f"LSN {rollback_lsn}: cannot roll back"):
-            recover(database.wal.device)
+        database.create_table(TableSchema("U", (Column("ID", INTEGER),)))
+        database.checkpoint()
+        kept = database.insert("T", {"ID": 1})
+        device, lsn = database.wal.device, database.wal.next_lsn
+        device.append(WalRecord(lsn, CHANGE, (
+            ("U", ((RowId(0, 0, 0), None, (5,)),)),
+            ("T", ((kept, (1, "imposter"), None),)),
+        )).encode())
+        with pytest.raises(RecoveryError, match=f"LSN {lsn}: cannot redo"):
+            recover(device)
 
 
 def live_rows(database: Database) -> list[tuple]:
     """Canonical live-row state: (rowid, columns) of every live row.
 
-    Tombstones are physical residue — a loser undone by recovery leaves
-    the same dead slots a live rollback would, but *which* slots depends
-    on where the crash fell — so atomicity is asserted on the rows a
-    query can see, ROWIDs included.
+    Atomicity is asserted on the rows a query can see, ROWIDs included.
     """
     return sorted(
         (row.rowid, row.ID, row.V)
@@ -323,7 +324,7 @@ def live_rows(database: Database) -> list[tuple]:
 class TestCrashMatrixProperty:
     def test_every_crash_point_recovers_to_a_boundary(self):
         """The tentpole property: at every append the process could die,
-        recovery lands on the pre- or post-transaction state, never
+        recovery lands on the state before or after a statement, never
         between, and ROWIDs are preserved exactly."""
         from repro.resilience import crash_matrix
 
@@ -343,9 +344,9 @@ class TestCrashMatrixProperty:
             )
             database.enable_wal(device)
             boundary_states.append(live_rows(database))
-            with database.begin():
-                database.insert("T", {"ID": 1, "V": "first"})
-                database.insert("T", {"ID": 2, "V": "second"})
+            database.change([("T", inserts(
+                database, {"ID": 1, "V": "first"}, {"ID": 2, "V": "second"}
+            ))])
             boundary_states.append(live_rows(database))
             rowid = database.insert("T", {"ID": 3, "V": "third"})
             boundary_states.append(live_rows(database))
@@ -360,7 +361,7 @@ class TestCrashMatrixProperty:
             state = live_rows(recovered)
             assert state in boundary_states, (
                 f"crash at append {point.index} ({point.kind}) recovered "
-                f"to a state between transaction boundaries"
+                f"to a state between statement boundaries"
             )
 
     def test_uncrashed_matrix_baseline_recovers_byte_identical(self):
@@ -382,8 +383,7 @@ class TestCrashMatrixProperty:
                 )
             )
             database.enable_wal(device)
-            with database.begin():
-                database.insert("T", {"ID": 1, "V": "first"})
+            database.change([("T", inserts(database, {"ID": 1, "V": "first"}))])
             database.insert("T", {"ID": 2, "V": "second"})
             dumps.append(dump_database(database))
 
@@ -396,13 +396,12 @@ class TestCrashMatrixProperty:
         to a WAL-free one."""
 
         def workload(database: Database) -> None:
-            with database.begin():
-                database.insert("T", {"ID": 1, "V": "a"})
+            database.change([("T", inserts(database, {"ID": 1, "V": "a"}))])
             rowid = database.insert("T", {"ID": 2, "V": "b"})
             database.update("T", rowid, {"V": "b2"})
-            transaction = database.begin()
-            database.insert("T", {"ID": 3})
-            transaction.rollback()
+            with pytest.raises(ConstraintError):
+                database.change([("T", inserts(database, {"ID": 3}, {"ID": 2}))])
+            database.delete("T", rowid)
 
         def plain() -> Database:
             database = Database("durable")
@@ -460,8 +459,8 @@ def _mutate_record(rng: random.Random, log: str) -> str:
     """One edit to one record's body, CRC recomputed so the record
     parses: a character deleted, replaced or inserted, one row-image
     field emptied, or one value's type tag swapped; or, in a CHANGE
-    record, its pair count moved, an image swapped for the absent token
-    (or the token for an image), or a pair's rowid moved."""
+    record's first group, its pair count moved, an image swapped for the
+    absent token (or the token for an image), or a pair's rowid moved."""
     lines = log.split("\n")
     edit = rng.randrange(8)
     at = rng.choice(  # the last "line" is the final newline
@@ -487,17 +486,17 @@ def _mutate_record(rng: random.Random, log: str) -> str:
         body = head + " " + _TAB.join(fields)
     else:
         fields = body.split(" ")
-        count = int(fields[4])
-        pair = 5 + 3 * rng.randrange(count)
+        count = int(fields[3])
+        pair = 4 + 3 * rng.randrange(count)
         if edit == 5:
-            fields[4] = str(rng.choice((count - 1, count + 1, 0, -1)))
+            fields[3] = str(rng.choice((count - 1, count + 1, 0, -1)))
         elif edit == 6:
             image = pair + rng.randrange(1, 3)
-            images = [field for field in fields[5:] if ":" in field or field == "~"]
+            images = [field for field in fields[4:] if ":" in field or field == "~"]
             fields[image] = rng.choice(images) if fields[image] == ABSENT_IMAGE else ABSENT_IMAGE
         else:
             fields[pair] = rng.choice(
-                (fields[rng.randrange(5, len(fields), 3)], f"F0.B0.S{rng.randrange(40)}")
+                (fields[4 + 3 * rng.randrange(count)], f"F0.B0.S{rng.randrange(40)}")
             )
         body = " ".join(fields)
     lines[at] = _re_crc(body)
@@ -527,7 +526,7 @@ class TestHostileLogs:
         lines = device.read_log().split("\n")
         (at,) = [
             index for index, line in enumerate(lines)
-            if line.startswith("4 CHANGE 1 XML ")
+            if line.startswith("2 CHANGE DOC 1 ")
         ]
         insert = " F0.B0.S3 . i:4" + _TAB
         assert lines[at].count(insert) == 1
@@ -552,9 +551,28 @@ class TestHostileLogs:
             "past-the-tail": database.table("T").next_rowids(2)[1],
         }[slot]
         device = database.wal.device
-        device.append(WalRecord(
-            database.wal.next_lsn, CHANGE, table="T", changes=((rowid, None, (3, "x")),),
+        device.append(change_record(
+            database.wal.next_lsn, "T", ((rowid, None, (3, "x")),),
         ).encode())
         for reopen in (recover, recover_follower):
             with pytest.raises(RecoveryError, match="cannot redo"):
                 reopen(_with_log(device, device.read_log()))
+
+    def test_a_log_the_transaction_era_wrote_is_refused_not_cut(self):
+        """Every line of this log passes its CRC; none parses in today's
+        grammar.  Cutting it as a torn tail would drop committed work
+        silently: recovery refuses it, typed, and leaves the device as
+        it found it."""
+        database = durable_database()
+        log = database.wal.device.read_log() + "".join(
+            _re_crc(body) + "\n" for body in (
+                "2 BEGIN 1",
+                "3 CHANGE 1 T 1 F0.B0.S0 . i:1\ts:x",
+                "4 COMMIT 1",
+            )
+        )
+        for reopen in (recover, recover_follower):
+            device = _with_log(database.wal.device, log)
+            with pytest.raises(CorruptLogError):
+                reopen(device)
+            assert device.read_log() == log

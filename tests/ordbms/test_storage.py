@@ -1,4 +1,4 @@
-"""Slotted-page heap storage: stability of ROWIDs, tombstones, restore."""
+"""Slotted-page heap storage: stability of ROWIDs, tombstones, restore at the tail."""
 
 import pytest
 
@@ -79,11 +79,15 @@ class TestDelete:
 
 
 class TestRestore:
-    def test_restore_revives_at_same_rowid(self, heap):
+    def test_restore_takes_the_tail_and_refuses_a_tombstone(self, heap):
         rowid = heap.insert(("original",))
         heap.delete(rowid)
-        heap.restore(rowid, ("original",))
-        assert heap.fetch(rowid) == ("original",)
+        with pytest.raises(RowIdError):
+            heap.restore(rowid, ("original",))
+        assert not heap.exists(rowid)
+        tail = heap.next_rowids(1)[0]
+        heap.restore(tail, ("again",))
+        assert heap.fetch(tail) == ("again",)
         assert len(heap) == 1
 
     def test_restore_live_slot_raises(self, heap):

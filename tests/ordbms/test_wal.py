@@ -10,19 +10,14 @@ from repro.ordbms import RowId
 from repro.ordbms.valuecodec import pack_row
 from repro.ordbms.wal import (
     ABSENT_IMAGE,
-    AUTOCOMMIT_TXID,
-    BEGIN,
     CHANGE,
     CHECKPOINT,
-    COMMIT,
     FileLogDevice,
     MemoryLogDevice,
-    ROLLBACK,
     WalRecord,
     WriteAheadLog,
     decode_checkpoint,
     encode_checkpoint,
-    highest_txid,
     parse_log,
 )
 
@@ -30,18 +25,24 @@ ROWID, NEXT = RowId(0, 0, 0), RowId(0, 0, 1)
 Row = namedtuple("Row", "ID V rowid")  # a stored row: columns, then its address
 
 
+def change(lsn: int, *groups) -> WalRecord:
+    return WalRecord(lsn, CHANGE, tuple(groups))
+
+
+def line(body: str) -> str:
+    return f"{body}|{zlib.crc32(body.encode()):08x}\n"
+
+
 def sample_records() -> list[WalRecord]:
     return [
-        WalRecord(1, BEGIN, 7),
-        WalRecord(2, CHANGE, 7, "T", ((ROWID, None, (1, "a b\tc")),)),
-        WalRecord(3, CHANGE, 7, "T", (
-            (ROWID, (1, "a b\tc"), (1, "x\ny")), (NEXT, None, (2, ".")),
-        )),
-        WalRecord(4, BEGIN, 8),
-        WalRecord(5, CHANGE, 7, "T", ((ROWID, (1, "x\ny"), None),)),
-        WalRecord(6, COMMIT, 7),
-        WalRecord(7, ROLLBACK, 8),
-        WalRecord(8, CHECKPOINT),
+        change(1, ("T", ((ROWID, None, (1, "a b\tc")),))),
+        change(2, ("T", ((ROWID, (1, "a b\tc"), (1, "x\ny")), (NEXT, None, (2, "."))))),
+        change(3, ("D", ((ROWID, None, (7,)),)), ("T", ((RowId(0, 0, 2), None, (3, None)),))),
+        change(4, ("T", ((ROWID, (1, "x\ny"), None),))),
+        change(5, ("T", ((NEXT, (2, "."), None),)), ("D", ((ROWID, (7,), None),))),
+        change(6, ("A", ((ROWID, None, ()),)), ("B", ((ROWID, None, (None,)),)), ("C", ((ROWID, None, (1.5,)),))),
+        WalRecord(7, CHECKPOINT),
+        change(8, ("T", ((RowId(0, 0, 2), (3, None), (3, "three")),))),
     ]
 
 
@@ -53,35 +54,36 @@ class TestRecordCodec:
         assert parsed == [record]
 
     def test_encoded_form_is_one_line_with_crc(self):
-        line = WalRecord(1, BEGIN, 3).encode()
-        assert line.endswith("\n")
-        assert line.count("\n") == 1
-        body, _, crc = line.rstrip("\n").rpartition("|")
-        assert body == "1 BEGIN 3"
+        encoded = change(1, ("D", ((ROWID, None, (7,)),)), ("T", ((NEXT, (1,), None),))).encode()
+        assert encoded.endswith("\n")
+        assert encoded.count("\n") == 1
+        body, _, crc = encoded.rstrip("\n").rpartition("|")
+        assert body == f"1 CHANGE D 1 F0.B0.S0 . {pack_row((7,))} T 1 F0.B0.S1 {pack_row((1,))} ."
         assert len(crc) == 8
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(WalError):
-            WalRecord(1, "MERGE").encode()
-        # Reading refuses what writing refuses — the savepoint record
-        # kind and the per-row change kinds this grammar once had included.
-        for body in ("1 MERGE 7", "4 TRUNCATE 7 1", "2 INSERT 1 T F0.B0.S0 i:1"):
-            line = f"{body}|{zlib.crc32(body.encode()):08x}\n"
-            records, torn = parse_log(line)
-            assert records == [] and "unknown WAL record kind" in torn
+        for kind in ("MERGE", "BEGIN", "COMMIT"):
+            with pytest.raises(WalError):
+                WalRecord(1, kind).encode()
+        # Reading refuses what writing refuses — the savepoint, per-row
+        # and transaction kinds this grammar once had included — and a
+        # whole record it cannot read is corruption, never a torn tail.
+        for body in ("1 MERGE 7", "4 TRUNCATE 7 1", "2 INSERT 1 T F0.B0.S0 i:1", "1 BEGIN 7"):
+            with pytest.raises(CorruptLogError, match="unknown WAL record kind"):
+                parse_log(line(body))
 
     def test_special_characters_survive(self):
         nasty = "tab\there\nnewline \\slash space"
-        record = WalRecord(1, CHANGE, table="T", changes=((ROWID, None, (nasty, None)),))
+        record = change(1, ("T", ((ROWID, None, (nasty, None)),)))
         parsed, _ = parse_log(record.encode())
-        assert parsed[0].changes[0][2] == (nasty, None)
+        assert parsed[0].groups[0][1][0][2] == (nasty, None)
 
     def test_the_absent_token_is_no_packed_row(self):
         rows = [(), (None,), (".",), (ABSENT_IMAGE, 1)]
         assert ABSENT_IMAGE not in [pack_row(row) for row in rows]
-        record = WalRecord(1, CHANGE, table="T", changes=tuple(
+        record = change(1, ("T", tuple(
             (RowId(0, 0, slot), row, None) for slot, row in enumerate(rows)
-        ))
+        )))
         assert parse_log(record.encode()) == ([record], None)
 
 
@@ -90,66 +92,66 @@ class TestParseLog:
         assert parse_log("") == ([], None)
 
     def test_torn_tail_is_truncated_not_fatal(self):
-        good = WalRecord(1, BEGIN, 1).encode()
-        torn = WalRecord(2, COMMIT, 1).encode()[:-5]  # cut mid-CRC
+        good = sample_records()[0].encode()
+        torn = WalRecord(2, CHECKPOINT).encode()[:-5]  # cut mid-CRC
         records, reason = parse_log(good + torn)
         assert [record.lsn for record in records] == [1]
         assert reason is not None and "record 2" in reason
 
     def test_flipped_crc_at_tail_is_torn(self):
-        good = WalRecord(1, BEGIN, 1).encode()
-        bad = WalRecord(2, COMMIT, 1).encode()
+        good = sample_records()[0].encode()
+        bad = sample_records()[1].encode()
         bad = bad[:-2] + ("0" if bad[-2] != "0" else "1") + "\n"
         records, reason = parse_log(good + bad)
         assert len(records) == 1
         assert "CRC" in reason
 
     def test_damage_followed_by_valid_record_is_corruption(self):
-        first = WalRecord(1, BEGIN, 1).encode()
-        middle = WalRecord(2, COMMIT, 1).encode()
+        first, middle, last = (record.encode() for record in sample_records()[:3])
         middle = middle[:-2] + ("0" if middle[-2] != "0" else "1") + "\n"
-        last = WalRecord(3, BEGIN, 2).encode()
         with pytest.raises(CorruptLogError):
             parse_log(first + middle + last)
 
     @pytest.mark.parametrize("value", ["i:", "f:", "t:", "t:noon", "i:1.5"])
     def test_a_bad_value_is_a_malformed_record(self, value):
-        # Torn at the tail, corruption in the middle, as any bad body.
-        body = f"2 CHANGE 1 T 1 F0.B0.S0 . {value}"
-        bad = f"{body}|{zlib.crc32(body.encode()):08x}\n"
-        first, last = WalRecord(1, BEGIN, 1).encode(), WalRecord(3, BEGIN, 2).encode()
-        records, reason = parse_log(first + bad)
-        assert [record.lsn for record in records] == [1]
-        assert "malformed WAL record" in reason
-        with pytest.raises(CorruptLogError):
-            parse_log(first + bad + last)
+        # Its CRC checks, so it was written whole: corruption wherever it sits.
+        bad = line(f"2 CHANGE T 1 F0.B0.S0 . {value}")
+        first, last = WalRecord(1, CHECKPOINT).encode(), WalRecord(3, CHECKPOINT).encode()
+        for text in (first + bad, first + bad + last):
+            with pytest.raises(CorruptLogError, match="malformed WAL record"):
+                parse_log(text)
 
     @pytest.mark.parametrize("body", [
-        "2 CHANGE 1 T 2 F0.B0.S0 . i:1",  # a count the pairs do not fill
-        "2 CHANGE 1 T 0 F0.B0.S0 . i:1",  # pairs past the count
-        "2 CHANGE 1 T F0.B0.S0 . i:1",  # no count
-        "2 CHANGE 1 T 1 F0.B0.S0 . .",  # neither image
-        "2 CHANGE 1 T 1 nowhere . i:1",  # no rowid
-        "2 CHANGE 1 T 1 F0.B0.S0 i:1",  # one image
+        "2 CHANGE T 2 F0.B0.S0 . i:1",  # a count the pairs do not fill
+        "2 CHANGE T 0 F0.B0.S0 . i:1",  # pairs past the count
+        "2 CHANGE T F0.B0.S0 . i:1",  # no count
+        "2 CHANGE T 1 F0.B0.S0 . .",  # neither image
+        "2 CHANGE T 1 nowhere . i:1",  # no rowid
+        "2 CHANGE T 1 F0.B0.S0 i:1",  # one image
+        "2 CHANGE",  # no group
+        "2 CHANGE T 1 F0.B0.S0 . i:1 U",  # a second group with no count
+        "2 CHANGE 1 T 1 F0.B0.S0 . i:1",  # the transaction-era layout
     ])
     def test_a_change_of_the_wrong_shape_is_a_malformed_record(self, body):
-        bad = f"{body}|{zlib.crc32(body.encode()):08x}\n"
-        records, reason = parse_log(WalRecord(1, BEGIN, 1).encode() + bad)
-        assert [record.lsn for record in records] == [1]
-        assert "malformed WAL record" in reason
+        with pytest.raises(CorruptLogError, match="malformed WAL record"):
+            parse_log(WalRecord(1, CHECKPOINT).encode() + line(body))
 
     def test_lsn_must_advance(self):
-        lines = WalRecord(5, BEGIN, 1).encode() + WalRecord(5, COMMIT, 1).encode()
+        lines = WalRecord(5, CHECKPOINT).encode() + WalRecord(5, CHECKPOINT).encode()
         records, reason = parse_log(lines)
         assert len(records) == 1
         assert "LSN" in reason
 
-    def test_highest_txid(self):
-        records, _ = parse_log(
-            WalRecord(1, BEGIN, 4).encode() + WalRecord(2, COMMIT, 4).encode()
-        )
-        assert highest_txid(records) == 4
-        assert highest_txid([]) == AUTOCOMMIT_TXID
+    def test_a_whole_record_that_does_not_parse_is_never_a_torn_tail(self):
+        # Cut as a torn tail, both records would be dropped at reopen.
+        text = line("1 CHECKPOINT") + line("2 NEWKIND 7") + line("3 NEWKIND 7")
+        with pytest.raises(CorruptLogError, match="record 2|NEWKIND"):
+            parse_log(text)
+        with pytest.raises(CorruptLogError):
+            parse_log(line("1 CHECKPOINT") + line("2 NEWKIND 7"))
+        # What a crash leaves — no newline, or a failed CRC — is still torn.
+        assert parse_log(line("1 CHECKPOINT") + line("2 NEWKIND 7")[:-1])[1] is not None
+        assert parse_log(line("1 CHECKPOINT") + "2 NEWKIND 7|00000000\n")[1] is not None
 
 
 class TestCheckpointCodec:
@@ -174,12 +176,12 @@ class TestWriteAheadLog:
     def test_lsns_are_sequential_and_synced_on_commit(self):
         device = MemoryLogDevice()
         wal = WriteAheadLog(device)
-        wal.log_begin(1)
-        wal.log_changes(1, "T", [(None, Row(1, "v", ROWID))])
-        wal.log_commit(1)
+        wal.log_changes([("T", [(None, Row(1, "v", ROWID))])])
+        wal.log_changes([("T", [(Row(1, "v", ROWID), None)])])
+        wal.write_checkpoint("SNAP")
         records, torn = wal.records()
         assert torn is None
-        assert [record.lsn for record in records] == [1, 2, 3]
+        assert [record.lsn for record in records] == [3]
         assert wal.next_lsn == 4
         assert wal.records_written == 3
 
@@ -188,13 +190,14 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(device)
         old, new = Row(1, "v", ROWID), Row(1, "w", ROWID)
         pairs = [(None, Row(2, "x", third)), (old, new), (Row(3, "y", NEXT), None)]
-        assert wal.log_changes(0, "T", pairs) == 1
+        doc = Row(9, "d", ROWID)
+        assert wal.log_changes([("T", pairs), ("D", [(None, doc)])]) == 1
         assert len(device._chunks) == 1  # noqa: SLF001 - one append
-        assert wal.records() == ([WalRecord(1, CHANGE, 0, "T", (
+        assert wal.records() == ([change(1, ("T", (
             (third, None, (2, "x")),
             (ROWID, (1, "v"), (1, "w")),
             (NEXT, (3, "y"), None),
-        ))], None)
+        )), ("D", ((ROWID, None, (9, "d")),)))], None)
 
     def test_start_lsn_below_one_rejected(self):
         with pytest.raises(WalError):
@@ -203,8 +206,8 @@ class TestWriteAheadLog:
     def test_checkpoint_truncates_and_stamps(self):
         device = MemoryLogDevice()
         wal = WriteAheadLog(device)
-        wal.log_begin(1)
-        wal.log_commit(1)
+        wal.log_changes([("T", [(None, Row(1, "v", ROWID))])])
+        wal.log_changes([("T", [(Row(1, "v", ROWID), None)])])
         covered = wal.write_checkpoint("SNAP")
         assert covered == 2
         assert decode_checkpoint(device.load_checkpoint()) == (2, "SNAP")

@@ -92,7 +92,9 @@ class TestDaemonJournal:
 
 class TestCrashRestart:
     def crash_mid_ingest(self, sync_index: int):
-        """Drive an ingest into a scripted crash at the Nth WAL sync."""
+        """Drive an ingest into a scripted crash after the Nth WAL append
+        (the first is the baseline checkpoint's marker; an ingest's one
+        record comes next)."""
         device = MemoryLogDevice()
         vfs = VirtualFileSystem()
         plan = FaultPlan()
@@ -112,9 +114,9 @@ class TestCrashRestart:
         return store, daemon, settled
 
     def test_crash_before_commit_quarantines(self):
-        device, vfs = self.crash_mid_ingest(sync_index=2)
+        device, vfs = self.crash_mid_ingest(sync_index=1)
         store, daemon, settled = self.restart(device, vfs)
-        assert len(store) == 0  # the loser was discarded by recovery
+        assert len(store) == 0  # the ingest's record never landed
         [record] = settled
         assert not record.ok and "crash" in record.error
         assert vfs.exists("/incoming/errors/r.ndoc")
@@ -143,7 +145,7 @@ class TestCrashRestart:
         assert restarted.poll() == []
 
     def test_other_pending_files_still_ingest_after_restart(self):
-        device, vfs = self.crash_mid_ingest(sync_index=2)
+        device, vfs = self.crash_mid_ingest(sync_index=1)
         vfs.write("/incoming/second.ndoc", NDOC2)
         store, daemon, _ = self.restart(device, vfs)
         [record] = daemon.poll()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RowIdError, SourceUnavailableError, TypeMismatchError
+from repro.errors import RowIdError, TypeMismatchError
 from repro.ordbms import MemoryLogDevice, storage
 from repro.ordbms.table import Table
 from repro.sgml.dom import Document, Element, Text
@@ -52,19 +52,18 @@ def oracle_load(store, document):
             previous = child_rowid
         return rowid
 
-    with database.begin():
-        database.insert(
-            DOC_TABLE,
-            {
-                "DOC_ID": doc_id,
-                "FILE_NAME": document.name or f"document-{doc_id}",
-                "FILE_DATE": None,
-                "FILE_SIZE": None,
-                "FORMAT": str(document.metadata.get("format", "unknown")),
-                "METADATA": encode_metadata(document.metadata),
-            },
-        )
-        insert_subtree(document.root, None, None, 0)
+    database.insert(
+        DOC_TABLE,
+        {
+            "DOC_ID": doc_id,
+            "FILE_NAME": document.name or f"document-{doc_id}",
+            "FILE_DATE": None,
+            "FILE_SIZE": None,
+            "FORMAT": str(document.metadata.get("format", "unknown")),
+            "METADATA": encode_metadata(document.metadata),
+        },
+    )
+    insert_subtree(document.root, None, None, 0)
 
 
 _TAGS = ("doc", "h1", "p", "b", "section", "title")
@@ -103,22 +102,10 @@ SMALL = ("doc", {}, [("h1", {}, ["orbit"]), ("p", {}, ["alpha", ("b", {}, ["x"])
 
 
 def load_rolled_back(store, spec):
-    """Fail ``spec``'s load once its node rows are in, as a log refusing
-    its COMMIT does: the rollback leaves a tombstone in every slot the
-    load had filled."""
-    database = store.database
-    change = database.change
-
-    def then_refuse(table_name, pairs):
-        change(table_name, pairs)
-        raise SourceUnavailableError("injected: after the node rows")
-
-    database.change = then_refuse
-    try:
-        with pytest.raises(SourceUnavailableError):
-            store.store_document(document(spec, "lost.xml"))
-    finally:
-        del database.change
+    """Load ``spec`` and delete it again: a tombstone in every slot the
+    load filled, at the heap's tail.  (A load that fails moves nothing,
+    so a delete is the one way a tail of tombstones comes about.)"""
+    store.delete_document(store.store_document(document(spec, "lost.xml")).doc_id)
 
 
 def assert_same_heap(one_pass, oracle):
@@ -190,21 +177,24 @@ class TestAgainstTheOracle:
 
 class TestAddressMismatch:
     def test_wrong_reservation_fails_the_load_and_rolls_back(self, monkeypatch):
+        """Node rows built for the wrong addresses: the load's one
+        statement is refused, nothing moves in either table, and the
+        heap tails stay where they were."""
         store = XmlStore()
         store.store_document(document(SMALL, "kept.xml"))
-        before = (store.documents(), store.node_count)
+        before = (store.dump(), store.database.mvcc.lsn, store.database.stats.rows_inserted)
+        tails = [table.next_rowids(1) for table in (store.doc_table, store.xml_table)]
         real = Table.next_rowids
         monkeypatch.setattr(
             Table, "next_rowids", lambda self, count: real(self, count)[::-1]
         )
-        with pytest.raises(RowIdError, match="reserved address"):
+        with pytest.raises(RowIdError, match="heap's tail"):
             store.store_document(document(WIDE, "lost.xml"))
         monkeypatch.undo()
-        assert (store.documents(), store.node_count) == before
+        assert (store.dump(), store.database.mvcc.lsn, store.database.stats.rows_inserted) == before
+        assert [table.next_rowids(1) for table in (store.doc_table, store.xml_table)] == tails
         assert store.lookup_by_name("lost.xml") is None
         assert check_store(store.database).ok
-        assert store.database.stats.transactions_rolled_back == 1
-        # The heap tail moved past the undone rows; the next load is sound.
         store.store_document(document(WIDE, "next.xml"))
         assert check_store(store.database).ok
         assert len(store.document(store.lookup_by_name("next.xml").doc_id).root.children) == 5
@@ -213,8 +203,8 @@ class TestAddressMismatch:
 class TestEveryRowIsBuiltFirst:
     def test_a_bad_last_row_moves_no_node_slot(self):
         """A text node no CLOB column takes fails while the rows are
-        built, before the document's one statement: no node slot moves,
-        so the rollback leaves no node tombstone behind."""
+        built, before the document's one statement: no slot moves and no
+        tombstone is left behind."""
         store = XmlStore()
         store.store_document(document(SMALL, "kept.xml"))
         tail = store.xml_table.next_rowids(1)[0]

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import repro
 from repro.errors import StoreError
 from repro.ordbms import storage
+from repro.ordbms.table import Table
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
 from repro.store.accessor import NodeAccessor
@@ -215,25 +216,34 @@ class TestStoreIntegration:
                 assert late.lookup_rows("DOC_ID", doomed_doc) == []
 
     def test_an_accessor_in_a_transaction_publishes(
-        self, loaded_store
+        self, loaded_store, monkeypatch
     ):
+        """An accessor opened while a delete is half-way — its node rows
+        gone, its catalog entry not yet — reads the document whole and
+        publishes what it lifted; a reader pinned before the delete is
+        served from the pool."""
         doomed_doc = loaded_store.documents()[1].doc_id
         contexts = _context_rows(loaded_store, doomed_doc)
         bare = loaded_store.new_accessor()
         expected = [bare.section_text(row) for row in contexts]
-        database, resident = loaded_store.database, len(loaded_store.lift_cache)
-        with pytest.raises(KeyError):
-            with database.begin():
-                # Half a delete: every other row of the document is gone.
-                for row in loaded_store.xml_table.lookup("DOC_ID", doomed_doc)[::2]:
-                    database.delete("XML", row.rowid)
-                inside = _pooled(loaded_store)
-                assert [inside.section_text(row) for row in contexts] == expected
-                assert len(loaded_store.lift_cache) > resident
-                raise KeyError("abort")
-        outside = _pooled(loaded_store)
-        assert [outside.section_text(row) for row in contexts] == expected
-        assert outside.stats.shared_hits == len(contexts)
+        resident, inside = len(loaded_store.lift_cache), []
+        real, doc = Table._move, loaded_store.doc_table
+
+        def move(self, pairs, held, lsn):
+            if self is doc:  # the node rows moved, the DOC row not yet
+                accessor = _pooled(loaded_store)
+                inside.append([accessor.section_text(row) for row in contexts])
+            real(self, pairs, held, lsn)
+
+        with loaded_store.snapshot() as before:
+            monkeypatch.setattr(Table, "_move", move)
+            loaded_store.delete_document(doomed_doc)
+            monkeypatch.undo()
+            assert inside == [expected]
+            assert len(loaded_store.lift_cache) > resident
+            outside = _pooled(loaded_store, before)
+            assert [outside.section_text(row) for row in contexts] == expected
+            assert outside.stats.shared_hits == len(contexts)
 
 
 # -- the invariant, under generated write sequences ---------------------------
@@ -371,25 +381,26 @@ class TestFactsNeverChange:
 
 
 class TestWhoMayEditARowInPlace:
-    """The invariant's owner: a slot changes only through ``Table.change``,
-    the one door every writer takes, and a stored row is replaced in
-    place only when its caller hands it both rows.  Those calls are
-    counted here: ``change`` (``Table.change(pairs)`` and
-    ``Database.change(table, pairs)``, any arguments) and ``update``
-    (``Table.update`` / ``Database.update``; ``dict.update`` takes at most
-    one positional argument, these take two and three).  Every ``change``
-    outside ``Table`` and ``Database`` takes a change back (rollback),
-    repeats a logged one (redo and undo, the snapshot loader) or moves a
-    whole document's rows in or out, never one of them in place; the
-    only in-place edit asked for outside ``repro.ordbms`` is ``fsck
-    --repair`` — after which the facade clears the pool.  A new caller
-    must say how pooled lifts stay true, then join this list."""
+    """The invariant's owner: a slot changes only through one statement,
+    ``apply_statement`` (behind ``Table.change(pairs)`` and
+    ``Database.change(groups)``), the one door every writer takes, and a
+    stored row is replaced in place only when its caller hands it both
+    rows.  Those calls are counted here: ``apply_statement`` and
+    ``change`` (any arguments) and ``update`` (``Table.update`` /
+    ``Database.update``; ``dict.update`` takes at most one positional
+    argument, these take two and three).  Every ``change`` outside
+    ``Table`` and ``Database`` repeats a logged one (redo, the snapshot
+    loader) or moves a whole document's rows in or out, never one of
+    them in place; the only in-place edit asked for outside
+    ``repro.ordbms`` is ``fsck --repair`` — after which the facade clears
+    the pool.  A new caller must say how pooled lifts stay true, then
+    join this list."""
 
     CALLERS = {
-        "ordbms/table.py": {"change": 3, "update": 1},  # its doors; the heap
-        "ordbms/database.py": {"change": 1, "update": 1},  # its batch; update
-        "ordbms/transaction.py": {"change": 2},  # rollback: a run, or one
-        "ordbms/recovery.py": {"change": 1},  # redo and undo
+        # its doors (insert, update, delete; change); the heap
+        "ordbms/table.py": {"change": 3, "apply_statement": 1, "update": 1},
+        "ordbms/database.py": {"apply_statement": 1, "update": 1},  # its statement; update
+        "ordbms/recovery.py": {"change": 1},  # redo
         "ordbms/snapshot.py": {"change": 1},  # dumped rows, loaded
         "store/decompose.py": {"change": 1},  # a new document's rows
         "store/xmlstore.py": {"change": 1},  # a deleted document's rows
@@ -401,13 +412,13 @@ class TestWhoMayEditARowInPlace:
         found = {}
         for path in sorted(root.rglob("*.py")):
             calls = Counter(
-                node.func.attr
+                name
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("change", "update")
+                and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+                in ("apply_statement", "change", "update")
                 and len(node.args) + len(node.keywords)
-                >= (1 if node.func.attr == "change" else 2)
+                >= (2 if name == "update" else 1)
             )
             if calls:
                 found[path.relative_to(root).as_posix()] = dict(calls)

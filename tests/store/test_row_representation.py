@@ -18,6 +18,7 @@ from repro import Netmark
 from repro.errors import (
     DatabaseError,
     RecoveryError,
+    RowIdError,
     SchemaError,
     TypeMismatchError,
 )
@@ -52,11 +53,12 @@ def _sha(text: str) -> str:
 class TestNoByteMoved:
     """Twelve generated documents through the daemon onto a WAL, one
     replaced, one deleted.  The digests are the parent commit's, but the
-    WAL's: since a statement is one CHANGE record, the log's own."""
+    WAL's: since a write is one CHANGE record over both tables, with no
+    BEGIN, COMMIT or transaction id, the log's own."""
 
     GOLDEN = {
-        # One CHANGE record per statement: the log's bytes moved on purpose.
-        "wal": "8bb54212e3bc82a0d0498989db098408df0bd3244b3c8648bf7c67db20f21060",
+        # One CHANGE record per write: the log's bytes moved on purpose.
+        "wal": "c4e16bffcbbed61108af17af64401392d23d7161d9fe130c559ecb2d000bfb32",
         "dump_rows": "3e99360ed2152910ed6f6648c3553485ccfac280ee08de44b3d300d6432c12d0",
         "fsck_violations": "1294497e53bcca2038faead66d0d0d4ef4c70a1122e6b540ad15e4b3773c5ad1",
         "search_bodies": [
@@ -161,26 +163,31 @@ class TestTheStoredObjectIsTheRow:
         assert after is second
 
     def test_delete_returns_it_and_restore_puts_it_back(self, opened):
+        """A delete hands back the stored object; a tombstone never takes
+        it again, but a change's reverse puts that very object back."""
         database = DATABASES[opened]()
         table = database.table("EMP")
-        stored = next(table.scan())
-        assert table.delete(stored.rowid) is stored
-        table.change([(None, stored)])
+        stored, last = table.scan()
+        assert table.delete(last.rowid) is last
+        with pytest.raises(RowIdError):
+            table.change([(None, last)])
+        edited = table.schema.row({"NAME": "resnik"}, stored.rowid, base=stored)
+        table.change([(stored, edited)])
+        table.change([(edited, stored)])
         assert table.fetch(stored.rowid) is stored
-        assert table.lookup("NAME", "ride")[0] is stored
+        assert table.lookup("NAME", "ride") == [stored]
 
     def test_history_keeps_it_and_undo_puts_it_back(self, opened):
         database = DATABASES[opened]()
         table = database.table("EMP")
         stored = next(table.scan())
         with database.open_snapshot() as pinned:
+            database.update("EMP", stored.rowid, {"NAME": "resnik"})
+            assert table.fetch(stored.rowid).NAME == "resnik"
+            assert table.visible_row(stored.rowid, pinned.lsn) is stored
             with pytest.raises(TypeMismatchError):
-                with database.begin():
-                    database.update("EMP", stored.rowid, {"NAME": "resnik"})
-                    assert table.fetch(stored.rowid).NAME == "resnik"
-                    assert table.visible_row(stored.rowid, pinned.lsn) is stored
-                    database.delete("EMP", stored.rowid)
-                    database.insert("EMP", {"ID": "three"})  # rolls back
+                database.insert("EMP", {"ID": "three"})  # refused: moves nothing
+            database.change([("EMP", [(table.fetch(stored.rowid), stored)])])
             assert table.visible_row(stored.rowid, pinned.lsn) is stored
         assert table.fetch(stored.rowid) is stored
 
@@ -324,8 +331,7 @@ class TestWhatARowCannotCarry:
         database = _durable()
         device = database.wal.device
         device.append(WalRecord(
-            database.wal.next_lsn, CHANGE, table="EMP",
-            changes=((RowId(0, 0, 2), None, image),),
+            database.wal.next_lsn, CHANGE, (("EMP", ((RowId(0, 0, 2), None, image),)),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)

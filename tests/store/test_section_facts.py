@@ -12,6 +12,7 @@ five ``rows_read_by_request`` requests byte for byte as the writer does.
 import pytest
 
 from repro.cluster import FollowerReplica, LogShipper
+from repro.errors import RowIdError
 from repro.ordbms.wal import CHANGE, MemoryLogDevice, parse_log
 from repro.query import QueryEngine
 from repro.sgml.serializer import serialize
@@ -76,8 +77,8 @@ class TestThePassEqualsTheWalk:
         assert accessor.text_facts([row.rowid]) == [HopOracle(accessor).facts(row)]
 
     def test_a_pass_takes_a_document_newest_row_first(self, store):
-        """An undone delete restores rows in reverse: they wait for their
-        parents and come out as the forward pass would have them."""
+        """Rows fed in reverse wait for their parents and come out as the
+        forward pass would have them."""
         store.store_text(NESTED, "nested.xml")
         rows = list(store.xml_table.scan())
         derived = {}
@@ -87,16 +88,17 @@ class TestThePassEqualsTheWalk:
         assert derived == facts_of(store)
 
     def test_a_delete_undone_while_the_pass_holds_its_document_open(self, store):
-        """The pass's open state describes the document it took last: a
-        delete of that document undone, whole or in part, must not
-        inherit it."""
+        """The pass's open state describes the document it took last.  An
+        in-place change of that document's rows, newest row first, whole
+        or in part, feeds them again — and must not inherit that state."""
         store.store_text(NESTED, "nested.xml")
-        rows = store.xml_table.lookup("DOC_ID", store.lookup_by_name("nested.xml").doc_id)
-        for undone in (rows, rows[:4]):
-            with pytest.raises(ZeroDivisionError), store.database.begin():
-                for row in undone:
-                    store.database.delete(XML_TABLE, row.rowid)
-                1 / 0  # the deletes are taken back, newest row first
+        xml = store.xml_table
+        rows = xml.lookup("DOC_ID", store.lookup_by_name("nested.xml").doc_id)
+        for edited in (rows, rows[:4]):
+            store.database.change([(XML_TABLE, [
+                (xml.fetch(row.rowid), xml.schema.row_of_image(row[:-1], row.rowid))
+                for row in reversed(edited)
+            ])])
             assert check_store(store.database).ok
 
 
@@ -233,12 +235,9 @@ class TestEveryWayAStoreComesBack:
             store.store_text(file.text, file.name)
         store.replace_text(files[3].text + "\n\nshuttle program system\n", files[3].name)
         store.delete_document(store.lookup_by_name(files[5].name).doc_id)
-        with pytest.raises(ZeroDivisionError), store.database.begin():
-            for row in store.xml_table.lookup(
-                "DOC_ID", store.lookup_by_name("nested.xml").doc_id
-            ):
-                store.database.delete(XML_TABLE, row.rowid)
-            1 / 0  # the delete is undone, newest row first
+        rows = store.xml_table.lookup("DOC_ID", store.lookup_by_name("nested.xml").doc_id)
+        with pytest.raises(RowIdError):  # a slot named twice: the delete moves nothing
+            store.database.change([(XML_TABLE, [(row, None) for row in rows + rows[:1]])])
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))
         return device, store, follower, shipper
 
@@ -254,10 +253,11 @@ class TestEveryWayAStoreComesBack:
         # ... that died halfway through loading one more document.
         before = len(device._chunks)
         store.store_text(NESTED, "torn.xml")
-        copy._chunks += device._chunks[before:before + 3]  # BEGIN, DOC row, node rows
+        (record,) = device._chunks[before:]  # the DOC row and the node rows
+        copy._chunks.append(record[:len(record) // 2])
         store.delete_document(store.lookup_by_name("torn.xml").doc_id)
         recovered = XmlStore.open(copy)
-        assert recovered.last_recovery.losers_discarded
+        assert recovered.last_recovery.torn_tail
         assert check_store(recovered.database).ok
         assert facts_of(recovered) == facts_of(store)
         assert bodies(recovered) == bodies(store)

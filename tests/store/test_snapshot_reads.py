@@ -14,6 +14,7 @@ import repro
 from repro import Netmark
 from repro.errors import ReproError, RowIdError
 from repro.ordbms import MemoryLogDevice
+from repro.ordbms.table import Table
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.server.workers import IngestThread
@@ -278,12 +279,10 @@ class TestReadsWithoutAPin:
         seen = []
         device = MemoryLogDevice()
         store.database.enable_wal(device)
-        journal = store.database._journal
+        real = Table._move
 
-        def journal_then_read(table, pairs):
-            journal(table, pairs)
+        def move_then_read(table, pairs, held, lsn):
             if table is store.xml_table and not seen:
-                assert store.database.in_transaction
                 # Half the document is in: its DOC row and that row's
                 # postings.  Its node rows are logged, not yet in.
                 assert len(store.doc_table) == len(before[1]) + 1
@@ -293,8 +292,9 @@ class TestReadsWithoutAPin:
                     serialize(engine.execute(query).to_xml()),
                     store.documents(),
                 ))
+            real(table, pairs, held, lsn)
 
-        monkeypatch.setattr(store.database, "_journal", journal_then_read)
+        monkeypatch.setattr(Table, "_move", move_then_read)
         loaded = store.store_text(
             "# Alpha\n\nzebra one\n\n# Beta\n\nzebra two\n", "zebra.md"
         )

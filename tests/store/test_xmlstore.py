@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DocumentNotFoundError
+from repro.errors import ConstraintError, DocumentNotFoundError
 from repro.ordbms import MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
@@ -182,19 +182,20 @@ class TestLookupByNameIndex:
         again = store.store_text("# A\nthree\n", "a.md")  # append mode: same name twice
         self.assert_agrees(store)
         assert store.lookup_by_name("a.md").doc_id == first.doc_id  # the oldest
-        database = store.database
-        with pytest.raises(KeyError):
-            with database.begin():
-                for row in store.xml_table.lookup("DOC_ID", first.doc_id):
-                    database.delete("XML", row.rowid)
-                [row] = store.doc_table.lookup("DOC_ID", first.doc_id)
-                database.delete("DOC", row.rowid)
-                database.insert("DOC", {"DOC_ID": 99, "FILE_NAME": "c.md"})
-                assert store.lookup_by_name("a.md").doc_id == again.doc_id
-                assert store.lookup_by_name("c.md").doc_id == 99
-                raise KeyError("abort")
-        # Rolled back: the restored row is the oldest again, c.md never was.
+        doc = store.doc_table
+        [row] = doc.lookup("DOC_ID", first.doc_id)
+        c_md, twin = (
+            doc.schema.row({"DOC_ID": doc_id, "FILE_NAME": "c.md"}, rowid)
+            for doc_id, rowid in zip((99, 99), doc.next_rowids(2))
+        )
+        with pytest.raises(ConstraintError):  # DOC_ID 99 twice: nothing moves
+            store.database.change([
+                ("XML", [(node, None) for node in store.xml_table.lookup("DOC_ID", first.doc_id)]),
+                ("DOC", [(row, None), (None, c_md), (None, twin)]),
+            ])
+        # Refused: a.md's oldest row is still the oldest, c.md never was.
         self.assert_agrees(store)
+        assert store.lookup_by_name("c.md") is None
         assert store.lookup_by_name("a.md").doc_id == first.doc_id
         store.delete_document(first.doc_id)
         self.assert_agrees(store)
