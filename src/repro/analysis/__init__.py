@@ -18,7 +18,7 @@ Rule families
 * **exception policy** — only ``repro.errors`` subclasses cross module
   boundaries; ``except Exception`` / bare ``except`` is banned unless
   annotated ``# lint: allow-broad-except(<reason>)``.
-* **transaction & rowid discipline** — no cross-object mutation of
+* **private-state & rowid discipline** — no cross-object mutation of
   private state anywhere; no :class:`~repro.ordbms.rowid.RowId` minted
   from raw ints outside ``ordbms/rowid.py``.
 * **banned names** — no ``print``, wall-clock read or global

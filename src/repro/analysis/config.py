@@ -189,12 +189,11 @@ DEFAULT_RESOURCE_CALLS: dict[str, frozenset[str]] = {
     "FileLogDevice": frozenset({"close"}),
 }
 
-#: Resource-producing *methods* (attribute calls): the transaction and
-#: cursor factories.  ``tx = db.begin()`` not followed by a ``try``
-#: whose ``finally`` commits, rolls back or closes it is a leak.
+#: Resource-producing *methods* (attribute calls): the MVCC pin factory.
+#: ``snap = db.open_snapshot()`` not followed by a ``try`` whose
+#: ``finally`` releases it is a leak (a pinned LSN holds history back).
 DEFAULT_RESOURCE_METHODS: dict[str, frozenset[str]] = {
-    "begin": frozenset({"commit", "rollback", "close"}),
-    "cursor": frozenset({"close"}),
+    "open_snapshot": frozenset({"release"}),
 }
 
 

@@ -1,4 +1,4 @@
-"""Transaction & ROWID discipline.
+"""Private-state & ROWID discipline.
 
 The paper leans on Oracle-style *physical* ROWIDs for O(1) tree hops —
 which only works if a ROWID is always a real storage address.  Hence
@@ -6,8 +6,8 @@ which only works if a ROWID is always a real storage address.  Hence
 inside the physical layer (``ordbms/rowid.py``; the heap file carries
 per-line pragmas for the two places it mints addresses).
 
-``private-mutation`` guards the transactional counterpart: nobody pokes
-another object's ``_private`` state from outside — rollback and recovery
+``private-mutation`` guards the writer's counterpart: nobody pokes
+another object's ``_private`` state from outside — replay and repair
 change rows through the table's own statement like every other writer.
 Constructor-style factories (``store = cls.__new__(cls); store._x =
 ...``) are recognised and allowed — an object wiring up *itself* is not

@@ -3,7 +3,8 @@
 ``resource-lifecycle`` looks at each call that opens a resource — a
 bare-name constructor in ``config.resource_calls`` (``open``,
 ``FileLogDevice``) or an attribute factory in ``config.resource_methods``
-(``db.begin()``, ``conn.cursor()``) — and accepts it only in a form
+(the snapshot pin ``db.open_snapshot()``, released by ``release``) — and
+accepts it only in a form
 whose owner is plain at the call site:
 
 * a ``with`` item;

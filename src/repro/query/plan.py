@@ -33,7 +33,7 @@ Operator inventory (leaf → root; each class says the rest):
 ``SectionWalk`` / ``ContentFilter``
     The expensive per-candidate content test, directly under ``Limit``:
     one forward read of the candidate's section (heading included), or,
-    for a nodename search, of the composed element.
+    for a nodename search, of the element's rows.
 ``Materialize``
     Converts surviving candidates into lazy
     :class:`~repro.query.results.SectionMatch` objects.
@@ -53,11 +53,11 @@ from repro.ordbms import RowId
 from repro.ordbms.textindex import TextIndex, tokenize
 from repro.query.ast import ContentSpec
 from repro.query.results import SectionMatch
-from repro.sgml.dom import Element, Text
+from repro.sgml.dom import Element, TreeWriter
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.serializer import XmlWriter
 from repro.store.accessor import NodeAccessor
-from repro.store.compose import compose_node, compose_section, write_rows
+from repro.store.compose import tree_of, write_rows
 from repro.store.schema import XmlRow
 from repro.store.xmlstore import StoredDocument, XmlStore
 
@@ -146,8 +146,6 @@ class Candidate:
     rowid: RowId
     accessor: NodeAccessor = field(repr=False)
     score: float = 1.0
-    node: Element | Text | None = None
-    text: str | None = None
 
     @property
     def row(self) -> XmlRow:
@@ -449,24 +447,24 @@ class SectionWalk(ContentTest):
             yield candidate
 
 
-class ContentFilter(ContentTest):
-    """Nodename-search content test: compose the element, test its text.
+def node_text(rows: list[XmlRow]) -> str:
+    """An element's text from its run of rows (head first): its TEXT
+    rows' data joined in document order, whitespace collapsed."""
+    text = "".join([row.NODEDATA or "" for row in rows if NodeAccessor.is_text(row)])
+    return re.sub(r"\s+", " ", text).strip()
 
-    The composed node and normalized text are cached on the candidate so
-    materialization doesn't redo the work.
-    """
+
+class ContentFilter(ContentTest):
+    """Nodename-search content test: one forward read of the element's
+    rows, and the test on their text."""
 
     name = "content-filter"
 
     def _produce(self) -> Iterator[Candidate]:
+        accessor = self.ctx.accessor
         for candidate in self.children[0].rows():
-            node = compose_node(candidate.row, self.ctx.accessor)
-            text = re.sub(r"\s+", " ", node.text_content()).strip()
-            if not text_satisfies(text, self.spec):
-                continue
-            candidate.node = node
-            candidate.text = text
-            yield candidate
+            if text_satisfies(node_text(accessor.subtree(candidate.row)), self.spec):
+                yield candidate
 
 
 # -- rank / limit / present ----------------------------------------------------
@@ -523,17 +521,45 @@ class Present(PlanNode):
 
 @dataclass
 class _Resolver:
-    """What a lazy match's loader reads through: the plan's accessor."""
+    """What a lazy match's loader reads through: the plan's accessor, and
+    the match's rows (:meth:`_run`), which :meth:`kept` outlives it with."""
 
-    ctx: PlanContext
+    ctx: PlanContext | None
     row: XmlRow
+    _rows: list[XmlRow] | None = field(default=None, repr=False)
+
+    #: Does the run take the row's following siblings (a section)?
+    siblings = False
 
     def publish(self) -> None:
-        self.ctx.accessor.publish()
+        if self.ctx is not None:
+            self.ctx.accessor.publish()
+
+    def kept(self) -> "_Resolver":
+        """This loader without the accessor, for a resolved match: its
+        section and a twin's ``<result>`` need only the (immutable) rows."""
+        return type(self)(None, self.row, self._run())
+
+    def _run(self) -> list[XmlRow]:
+        """The row and what follows it in the match: one forward read."""
+        if self._rows is None:
+            self._rows = [self.row] + self.ctx.accessor.subtree(self.row, self.siblings)
+        return self._rows
+
+    def section(self) -> Element | None:
+        """A section under a synthetic ``<section>``; a node as itself."""
+        return tree_of(self._run(), "section" if self.siblings else "")
+
+    def write_section(self, writer: XmlWriter | TreeWriter) -> None:
+        """The ``<result>``'s content: :meth:`section`'s children but a
+        ``context`` one."""
+        write_rows(self._run()[0 if self.siblings else 1:], writer, skip="context")
 
 
 class SectionResolver(_Resolver):
     """Lazy-field loader for a section match (accessor-backed)."""
+
+    siblings = True
 
     def context(self) -> str:
         return self.ctx.accessor.context_title(self.row)
@@ -541,55 +567,26 @@ class SectionResolver(_Resolver):
     def content(self) -> str:
         return self.ctx.accessor.section_text(self.row)
 
-    def section(self) -> Element | None:
-        return compose_section(self.row, self.ctx.accessor)
 
-    def write_section(self, writer: XmlWriter) -> None:
-        """What :attr:`SectionMatch.element` keeps of :meth:`section` (all
-        but a stored ``context``), written from the same forward read."""
-        rows = self.ctx.accessor.subtree(self.row, siblings=True)
-        write_rows([self.row] + rows, writer, skip="context")
-
-
-@dataclass
 class NodeResolver(_Resolver):
-    """Lazy-field loader for a nodename match."""
-
-    node: Element | Text | None = None
-    text: str | None = None
-    _heading: str | None = field(default=None, repr=False)
-
-    def _resolve_node(self) -> Element | Text:
-        if self.node is None:
-            self.node = compose_node(self.row, self.ctx.accessor)
-        return self.node
+    """Lazy-field loader for a nodename match: the element's rows serve
+    its text, its ``<result>`` and its section."""
 
     def context(self) -> str:
-        if self._heading is None:
-            governing = self.ctx.accessor.governing(self.row)
-            self._heading = (
-                self.ctx.accessor.context_title(governing)
-                if governing is not None
-                else self.ctx.entry(self.row.DOC_ID).file_name
-            )
-        return self._heading
+        governing = self.ctx.accessor.governing(self.row)
+        if governing is None:
+            return self.ctx.entry(self.row.DOC_ID).file_name
+        return self.ctx.accessor.context_title(governing)
 
     def content(self) -> str:
-        if self.text is None:
-            node = self._resolve_node()
-            self.text = re.sub(r"\s+", " ", node.text_content()).strip()
-        return self.text
-
-    def section(self) -> Element | None:
-        node = self._resolve_node()
-        return node if isinstance(node, Element) else None
+        return node_text(self._run())
 
 
 class Materialize(PlanNode):
     """Candidates → lazy :class:`SectionMatch` objects.
 
     Section and nodename matches get loader-backed lazy fields (title,
-    content and DOM fragment resolve on first access through the shared
+    content and ``<result>`` resolve on first access through the shared
     accessor); document-level matches are materialized eagerly from the
     hit row already in hand.
     """
@@ -606,5 +603,5 @@ class Materialize(PlanNode):
                 snippet = re.sub(r"\s+", " ", (row.NODEDATA or "").strip())
                 fields = {"context": entry.file_name, "content": snippet, "section": None}
             else:  # nodename
-                fields = {"loader": NodeResolver(ctx, row, candidate.node, candidate.text)}
+                fields = {"loader": NodeResolver(ctx, row)}
             yield SectionMatch(entry.doc_id, entry.file_name, score=candidate.score, **fields)

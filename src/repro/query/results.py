@@ -15,42 +15,34 @@ renders the canonical result XML::
     </results>
 
 Matches are **lazy**: the engine constructs them with a loader instead of
-materialized strings, and the section title, content text and DOM
-fragment are resolved on first attribute access (then cached on the
-match).  Sorting, limiting and federated routing therefore never pay for
-section reconstruction of matches that get cut; only the matches that
-actually render resolve.  Loader-backed resolution goes through the
+materialized strings, and the section title and content text are
+resolved on first attribute access (then cached on the match).  Sorting,
+limiting and federated routing therefore never pay for section
+reconstruction of matches that get cut; only the matches that actually
+render resolve.  Loader-backed resolution goes through the
 per-query :class:`~repro.store.accessor.NodeAccessor`, so late resolution
 reads at the same commit LSN the plan did.
 
-A match owns its finished ``<result>`` (:attr:`SectionMatch.element`),
-built once and never edited; :meth:`ResultSet.to_xml` *lists* those
-elements under a per-request root without adopting them, and the root is
-their parent for XPath only (:func:`repro.xslt.xpath.parent_of`).  Without
-a stylesheet, :meth:`ResultSet.write` streams the same XML to an
-:class:`~repro.sgml.serializer.XmlWriter`, and a *fresh* section match
-(its loader alive, nothing built) writes straight from the section's rows.
+A match has one producer of its ``<result>``, :meth:`SectionMatch.write`:
+its events go to the request's :class:`~repro.sgml.serializer.XmlWriter`
+(:meth:`ResultSet.write`, no stylesheet; a *fresh* match writes straight
+from its rows) or, once, to a :class:`~repro.sgml.dom.TreeWriter`
+— the :attr:`SectionMatch.element` the match then owns, never edits and
+the result cache keeps.  :meth:`ResultSet.to_xml` *lists* those elements
+under a per-request root without adopting them, and the root is their
+parent for XPath only (:func:`repro.xslt.xpath.parent_of`).  No tree is
+built out of another's nodes: nothing re-parents a kept node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any
 
 from repro.errors import QueryError
 from repro.ordbms import RowId
-from repro.sgml.dom import Document, Element
+from repro.sgml.dom import Document, Element, TreeWriter
 from repro.sgml.serializer import XmlWriter
-
-
-class SectionLoader(Protocol):
-    """Deferred resolution hooks for one matched section."""
-
-    def context(self) -> str: ...
-
-    def content(self) -> str: ...
-
-    def section(self) -> Element | None: ...
 
 
 #: Unresolved-field sentinel (``None`` is a legal section value).
@@ -60,15 +52,19 @@ _UNSET: object = object()
 class SectionMatch:
     """One matched section of one document.
 
-    ``section`` is the reconstructed DOM fragment (a ``<section>``
-    element); ``source`` names the information source that produced the
-    match ("local" for the store the query ran against; federation fills
-    in databank source names).  ``rowid`` is the physical address of the
-    matched CONTEXT row when the match came straight off a local store
-    (None for document-level, nodename and remote matches).
+    ``section`` is the matched ``<section>`` as a DOM fragment, a facade
+    convenience built on first access; ``source`` names the information
+    source that produced the match ("local" for the store the query ran
+    against; federation fills in databank source names).  ``rowid`` is
+    the physical address of the matched CONTEXT row when the match came
+    straight off a local store (None for document-level, nodename and
+    remote matches).
 
-    Construct either eagerly (``context=``/``content=`` strings) or
-    lazily (``loader=``); lazy fields resolve once, on first access.
+    Construct either eagerly (``context=``/``content=`` strings, a
+    ``section=`` tree or None) or lazily (``loader=``, with ``context()``,
+    ``content()`` and ``section()``; optionally ``write_section(writer)``,
+    the content a ``<result>`` holds after its ``<context>``, and
+    ``publish()`` and ``kept()``); lazy fields resolve once, on first access.
     """
 
     __slots__ = (
@@ -85,7 +81,7 @@ class SectionMatch:
         section: Element | None | object = _UNSET,
         source: str = "local",
         score: float = 1.0,
-        loader: SectionLoader | None = None,
+        loader: Any = None,
         rowid: RowId | None = None,
     ) -> None:
         self.doc_id = doc_id
@@ -119,7 +115,8 @@ class SectionMatch:
 
     @property
     def section(self) -> Element | None:
-        """The reconstructed ``<section>`` fragment (resolved once)."""
+        """The ``<section>`` fragment (resolved once): given, or rebuilt
+        by the loader from the match's rows."""
         if self._section is _UNSET:
             self._section = self._load("section")
         return self._section  # type: ignore[return-value]
@@ -144,38 +141,24 @@ class SectionMatch:
 
     @property
     def element(self) -> Element:
-        """The finished ``<result doc= source=>``, built once, never edited.
-        The section's content children hang under it — ``..`` and
-        ``result/content`` patterns see a plain tree — and stay listed in
-        ``section.children``: one tree per match, not two."""
+        """The finished ``<result doc= source=>``: :meth:`write` into a
+        :class:`~repro.sgml.dom.TreeWriter`, once; the match's own tree,
+        never edited."""
         if self._element is None:
-            result = Element(
-                "result", {"doc": self.file_name, "source": self.source}
-            )
-            result.make_child("context").append_text(self.context)
-            section = self.section
-            if section is None:
-                result.make_child("content").append_text(self.content)
-            else:
-                if any(node.parent is not section for node in section.children):
-                    # A ``with_source`` twin hung them under its own
-                    # ``<result>`` already, and that one may be published.
-                    section = Element.clone(section)
-                for child in section.children:
-                    if not (isinstance(child, Element) and child.tag == "context"):
-                        child.parent = result
-                        result.children.append(child)
-            self._element = result
+            sink = TreeWriter()
+            if self.write(sink):
+                self.publish()
+            self._element = sink.roots[0]  # type: ignore[assignment]
         return self._element
 
-    def write(self, writer: XmlWriter) -> bool:
-        """Write the ``<result>`` :attr:`element` would serialize to: a
-        fresh match whose loader has ``write_section`` from its rows, any
-        other by a walk of the element.  True for the former: the caller
-        counts those rows (:meth:`publish`) once it wrote every match."""
-        stream = getattr(self._loader, "write_section", None)
-        if stream is None or self._section is not _UNSET:
-            writer.node(self.element)
+    def write(self, writer: XmlWriter | TreeWriter) -> bool:
+        """Write the ``<result>``: a built :attr:`element` by a walk, else
+        ``<context>`` and what the loader's ``write_section`` writes (from
+        the rows), the section's children but its ``<context>``, or the
+        content text.  True when the loader wrote: the caller counts its
+        rows (:meth:`publish`), :meth:`ResultSet.write` after every match."""
+        if self._element is not None:
+            writer.node(self._element)
             return False
         writer.start("result", {"doc": self.file_name, "source": self.source})
         if self._context is _UNSET:
@@ -183,22 +166,36 @@ class SectionMatch:
         writer.start("context")
         writer.text(self._context)
         writer.end()
-        stream(writer)
+        stream = getattr(self._loader, "write_section", None)
+        if stream is not None:
+            stream(writer)
+        elif (section := self.section) is None:
+            writer.start("content")
+            writer.text(self.content)
+            writer.end()
+        else:
+            for child in section.children:
+                if not (isinstance(child, Element) and child.tag == "context"):
+                    writer.node(child)
         writer.end()
-        return True
+        return stream is not None
 
     def resolve(self) -> "SectionMatch":
         """Load and build everything now and let go of the loader; returns
         ``self``.  What the result cache stores: the plan's accessor dies
         with its request and an entry is read by every worker thread, so
-        nothing may be left to load or to build once it is published."""
+        nothing may be left to load or to build once it is published.  A
+        loader with ``kept`` leaves what outlives the accessor — the rows a
+        section or a ``with_source`` twin is written from."""
         _ = self.content, self.element  # each caches what it loads or builds
-        self._loader = None
+        kept = getattr(self._loader, "kept", None)
+        self._loader = None if kept is None else kept()
         return self
 
     def with_source(self, source: str) -> "SectionMatch":
-        """A copy attributed to ``source``, preserving laziness; it builds
-        its own ``<result>``, which carries the source."""
+        """A copy attributed to ``source``, preserving laziness; it writes
+        its own ``<result>``, which carries the source, from the loader
+        they share."""
         return SectionMatch(
             self.doc_id, self.file_name, self._context, self._content,
             self._section, source, self.score, self._loader, self.rowid,

@@ -71,8 +71,7 @@ from repro.resilience.clock import LogicalClock
 from repro.resilience.deadline import Budget, TickSource
 from repro.server.overload import AdmissionController, degrade_query
 from repro.server.webdav import WebDavServer
-from repro.sgml.dom import Document, Element
-from repro.sgml.serializer import XmlWriter, serialize
+from repro.sgml.serializer import XmlWriter, serialize  # noqa: F401 - the e2e ledger wraps it
 from repro.store.xmlstore import XmlStore
 from repro.xslt.processor import transform
 from repro.xslt.stylesheet import compile_stylesheet
@@ -455,31 +454,33 @@ class NetmarkHttpApi:
         return HttpResponse(200, writer.getvalue())
 
     def _catalog(self) -> HttpResponse:
-        root = Element("documents")
         with self.store.snapshot() as snapshot:
             entries = self.store.documents(snapshot=snapshot)
+        writer = XmlWriter(indent=2)
+        writer.start("documents")
         for entry in entries:
-            item = root.make_child(
-                "document",
-                id=str(entry.doc_id),
-                name=entry.file_name,
-                format=entry.format,
-            )
-            if entry.file_size is not None:
-                item.attributes["size"] = str(entry.file_size)
-        return HttpResponse(200, serialize(Document(root), indent=2))
+            size = {} if entry.file_size is None else {"size": str(entry.file_size)}
+            writer.start("document", {
+                "id": str(entry.doc_id), "name": entry.file_name, "format": entry.format,
+            } | size)
+            writer.end()
+        writer.end()
+        return HttpResponse(200, writer.getvalue())
 
     def _databanks(self) -> HttpResponse:
-        root = Element("databanks")
+        writer = XmlWriter(indent=2)
+        writer.start("databanks")
         if self.router is not None:
             for name in self.router.registry.names():
                 databank = self.router.registry.get(name)
-                item = root.make_child("databank", name=name)
-                if databank.description:
-                    item.attributes["description"] = databank.description
+                described = {"description": databank.description} if databank.description else {}
+                writer.start("databank", {"name": name} | described)
                 for source_name in databank.source_names():
-                    item.make_child("source", name=source_name)
-        return HttpResponse(200, serialize(Document(root), indent=2))
+                    writer.start("source", {"name": source_name})
+                    writer.end()
+                writer.end()
+        writer.end()
+        return HttpResponse(200, writer.getvalue())
 
     def _cluster_write_gate(self) -> HttpResponse | None:
         """Refuse writes on a node that is not the cluster coordinator.
@@ -509,18 +510,20 @@ class NetmarkHttpApi:
         )
 
     def _cluster_view(self) -> HttpResponse:
-        root = Element("cluster")
+        writer = XmlWriter(indent=2)
         view = self.cluster
         if view is None:
-            root.attributes["enabled"] = "false"
-            return HttpResponse(200, serialize(Document(root), indent=2))
-        root.attributes["enabled"] = "true"
-        root.attributes["self"] = getattr(view, "name", "")
-        if view.coordinator is not None:
-            root.attributes["coordinator"] = view.coordinator
-        for row in view.describe():
-            root.append(Element("node", dict(row)))
-        return HttpResponse(200, serialize(Document(root), indent=2))
+            writer.start("cluster", {"enabled": "false"})
+        else:
+            coordinator = {} if view.coordinator is None else {"coordinator": view.coordinator}
+            writer.start("cluster", {
+                "enabled": "true", "self": getattr(view, "name", ""),
+            } | coordinator)
+            for row in view.describe():
+                writer.start("node", dict(row))
+                writer.end()
+        writer.end()
+        return HttpResponse(200, writer.getvalue())
 
     def _dav(self, method: str, dav_path: str, body: str) -> HttpResponse:
         if method == "PUT":

@@ -5,6 +5,8 @@ so this tree is the in-memory form every document passes through between a
 converter and the XML store.  It is intentionally lighter than W3C DOM:
 two node kinds (:class:`Element`, :class:`Text`) plus a :class:`Document`
 root wrapper, parent links, ordered children, and string attributes.
+Every tree the read side keeps is built by one sink, :class:`TreeWriter`,
+from ``start`` / ``text`` / ``end`` events.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ class Node:
 
     def clone(self) -> "Node":
         """Deep-copy this node (the copy has no parent)."""
-        raise NotImplementedError
+        sink = TreeWriter()
+        sink.node(self)
+        return sink.roots[0]
 
 
 class Text(Node):
@@ -55,9 +59,6 @@ class Text(Node):
 
     def text_content(self) -> str:
         return self.data
-
-    def clone(self) -> "Text":
-        return Text(self.data)
 
 
 class Element(Node):
@@ -138,11 +139,42 @@ class Element(Node):
     def get(self, attribute: str, default: Any = None) -> Any:
         return self.attributes.get(attribute, default)
 
-    def clone(self) -> "Element":
-        copy = Element(self.tag, dict(self.attributes), synthetic=self.synthetic)
-        for child in self.children:
-            copy.append(child.clone())
-        return copy
+
+class TreeWriter:
+    """Events to a DOM, :class:`~repro.sgml.serializer.XmlWriter`'s twin:
+    top-level nodes land in :attr:`roots`, ``synthetic`` travels with a
+    start event, and every node is new — a kept one fed through
+    :meth:`node` is copied, never moved."""
+
+    def __init__(self) -> None:
+        self.roots: list[Node] = []
+        self._open: list[Element] = []  # the started, unended elements
+
+    def start(self, tag: str, attributes: dict[str, str] | None = None, synthetic=False) -> None:
+        self._open.append(self._place(Element(tag, attributes, synthetic)))
+
+    def text(self, data: str) -> None:
+        self._place(Text(data))
+
+    def end(self) -> None:
+        self._open.pop()
+
+    def _place(self, node: Any) -> Any:
+        if self._open:
+            node.parent = self._open[-1]
+            self._open[-1].children.append(node)
+        else:
+            self.roots.append(node)
+        return node
+
+    def node(self, node: Node) -> None:
+        """Feed a DOM subtree as events, in document order."""
+        if isinstance(node, Text):
+            return self.text(node.data)
+        self.start(node.tag, node.attributes, node.synthetic)
+        for child in node.children:
+            self.node(child)
+        self.end()
 
 
 class Document:

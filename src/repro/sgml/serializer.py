@@ -1,18 +1,21 @@
 """XML output: one writer fed by ``start`` / ``text`` / ``end`` events.
 
-:meth:`XmlWriter.node` walks a DOM subtree (:func:`serialize`, cached
-answers), :func:`repro.store.compose.write_rows` writes stored rows and
-:func:`repro.xslt.processor.transform` a stylesheet run's events, with no
-DOM in between.  Output is always well-formed XML (even when the input was
-sloppy HTML), so anything NETMARK emits can be fed back through the strict
-parser — a round-trip property the test suite checks.
+:class:`XmlWriter` is the twin of :class:`~repro.sgml.dom.TreeWriter`,
+which builds a DOM from the same events.  :meth:`XmlWriter.node` walks a
+DOM subtree (:func:`serialize`, cached answers),
+:func:`repro.store.compose.write_rows` writes stored rows,
+:meth:`repro.query.results.SectionMatch.write` a match's ``<result>`` and
+:func:`repro.xslt.processor.transform` a stylesheet run's events.  Output
+is always well-formed XML (even when the input was sloppy HTML), so
+anything NETMARK emits can be fed back through the strict parser — a
+round-trip property the test suite checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.sgml.dom import Document, Node, Text
+from repro.sgml.dom import Document, Node, TreeWriter
 
 
 def escape_text(data: str) -> str:
@@ -33,7 +36,7 @@ class XmlWriter:
     drops whitespace-only text (for display, not round-tripping).  An
     element's open tag — pretty, its text too — waits for its first child
     element or its end: an empty element closes as ``<tag/>``, a
-    text-only one goes on one line."""
+    text-only one goes on one line.  ``start``'s ``synthetic`` is for the tree sink."""
 
     def __init__(self, indent: int | None = None) -> None:
         self.parts: list[str] = []
@@ -42,7 +45,7 @@ class XmlWriter:
         self._head: str | None = None  # the newest one's unwritten open tag
         self._texts: list[str] = []  # its text so far (pretty)
 
-    def start(self, tag: str, attributes: Mapping[str, str] | None = None) -> None:
+    def start(self, tag: str, attributes: Mapping[str, str] | None = None, synthetic=False) -> None:
         if self._head is not None:
             self._flush()
         self._head = "<" + tag + "".join(
@@ -86,14 +89,7 @@ class XmlWriter:
                 self.parts.append(f"{pad}{step}{escape_text(stripped)}\n")
         self._texts.clear()
 
-    def node(self, node: Node) -> None:
-        """Feed a DOM subtree as events, in document order."""
-        if isinstance(node, Text):
-            return self.text(node.data)
-        self.start(node.tag, node.attributes)
-        for child in node.children:
-            self.node(child)
-        self.end()
+    node = TreeWriter.node
 
     def getvalue(self) -> str:
         return "".join(self.parts)

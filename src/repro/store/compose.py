@@ -1,14 +1,15 @@
-"""Document reconstruction: XML-table rows -> DOM tree, or -> XML text.
+"""Document reconstruction: XML-table rows -> XML events.
 
 The inverse of :mod:`repro.store.decompose`.  :func:`write_rows` writes a
-run of rows as :class:`~repro.sgml.serializer.XmlWriter` events (HTTP's
-stored documents and fresh section matches); the ``compose_*`` functions
-build DOM for the facade and for XSLT composition.
+run of rows as events: into an :class:`~repro.sgml.serializer.XmlWriter`
+(HTTP's stored documents, fresh section matches) or a
+:class:`~repro.sgml.dom.TreeWriter` (:func:`tree_of`, the ``compose_*``
+DOM for the facade, where a SIMULATION row's element is ``synthetic``).
 
 All row access funnels through a :class:`~repro.store.accessor.NodeAccessor`:
 a node, a section or a whole document is one forward read of the rows
-stored after its first (:meth:`NodeAccessor.subtree`), hung together by
-parent link, as of the accessor's commit LSN.
+stored after its first (:meth:`NodeAccessor.subtree`), in document order,
+as of the accessor's commit LSN.
 
 The decompose→compose round trip preserves structure, attributes, text
 and node order exactly; the property-based tests drive random trees
@@ -19,41 +20,21 @@ from __future__ import annotations
 
 from repro.errors import StoreError
 from repro.ordbms import RowId
-from repro.sgml.dom import Document, Element, Text
+from repro.sgml.dom import Document, Element, Node, Text, TreeWriter
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.serializer import XmlWriter
 from repro.store.accessor import NodeAccessor
 from repro.store.schema import XmlRow, decode_attributes
 
 
-_TEXT = int(NodeType.TEXT)
+_TEXT, _SIMULATION = int(NodeType.TEXT), int(NodeType.SIMULATION)
 
 
-def _build(rows: list[XmlRow], beside: Element) -> Element:
-    """Hang the DOM node of each row under its parent's; returns ``beside``.
-
-    The rows are a forward-read run, head first: document order, so a
-    row's parent is built before the row arrives and children append in
-    order.  A row whose parent is not in the run — the head, and the
-    siblings a section run admits after it — goes under ``beside``.
-    """
-    built: dict[RowId, Element] = {}
-    for row in rows:
-        if row.NODETYPE == _TEXT:
-            node: Element | Text = Text(row.NODEDATA or "")
-        else:
-            node = built[row.rowid] = Element(
-                row.NODENAME or "node", decode_attributes(row.ATTRS)
-            )
-            node.synthetic = row.NODETYPE == int(NodeType.SIMULATION)
-        built.get(row.PARENTROWID, beside).append(node)
-    return beside
-
-
-def write_rows(rows: list[XmlRow], writer: XmlWriter, skip: str = "") -> None:
-    """Write a forward-read run, head first, as events: the bytes of
-    :func:`_build`'s tree, with no node built.  A top element (its parent
-    is not in the run) tagged ``skip`` is left out with its subtree."""
+def write_rows(rows: list[XmlRow], writer: XmlWriter | TreeWriter, skip: str = "") -> None:
+    """Write a forward-read run, head first, as events.  A row whose parent
+    is not in the run — the head, and the siblings a section run admits
+    after it — is a top node; a top element tagged ``skip`` is left out
+    with its subtree."""
     started: list[RowId] = []  # the elements written and not yet ended
     skipped: set[RowId] = set()
     for row in rows:
@@ -68,16 +49,25 @@ def write_rows(rows: list[XmlRow], writer: XmlWriter, skip: str = "") -> None:
         elif (tag := (row.NODENAME or "node").lower()) == skip and not started:
             skipped.add(row.rowid)
         else:
-            writer.start(tag, decode_attributes(row.ATTRS))
+            writer.start(tag, decode_attributes(row.ATTRS), row.NODETYPE == _SIMULATION)
             started.append(row.rowid)
     for _ in started:
         writer.end()
 
 
+def tree_of(rows: list[XmlRow], wrapper: str = "") -> Node:
+    """A forward-read run's first top node as DOM — the whole run, under a
+    synthetic ``wrapper`` element if one is named."""
+    sink = TreeWriter()
+    if wrapper:
+        sink.start(wrapper, None, True)
+    write_rows(rows, sink)
+    return sink.roots[0]
+
+
 def compose_node(row: XmlRow, accessor: NodeAccessor) -> Element | Text:
     """Rebuild the DOM subtree rooted at ``row``."""
-    [node] = _build([row] + accessor.subtree(row), Element("parent")).children
-    return node.detach()
+    return tree_of([row] + accessor.subtree(row))
 
 
 def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
@@ -103,8 +93,7 @@ def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
 
 def compose_document(doc_id: int, accessor: NodeAccessor, name: str = "") -> Document:
     """Rebuild the full DOM of document ``doc_id``."""
-    [root] = _build(document_rows(doc_id, accessor), Element("document")).children
-    return Document(root.detach(), name=name)
+    return Document(tree_of(document_rows(doc_id, accessor)), name=name)
 
 
 def compose_section(context_row: XmlRow, accessor: NodeAccessor) -> Element:
@@ -114,7 +103,4 @@ def compose_section(context_row: XmlRow, accessor: NodeAccessor) -> Element:
     shape, not necessarily a stored element.  Content is every sibling
     subtree up to the next context, reconstructed in full.
     """
-    return _build(
-        [context_row] + accessor.subtree(context_row, siblings=True),
-        Element("section", synthetic=True),
-    )
+    return tree_of([context_row] + accessor.subtree(context_row, siblings=True), "section")

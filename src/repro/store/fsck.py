@@ -452,8 +452,8 @@ def _check_section_facts(
     """What the NODEDATA index carries for each TEXT row equals what a
     fresh :class:`~repro.store.accessor.SectionPass` over the heap in
     physical order says, and it carries nothing else.  The index's facts
-    were kept one row at a time — insert, redo, undo, rows that arrived
-    before their parent — so a pass from scratch is still an independent
+    were kept one row at a time — insert, replay, an in-place repair, rows
+    that arrived before their parent — so a pass from scratch is still an independent
     check.  A table no store has wired keeps no facts."""
     index = database.table(XML_TABLE).text_index_on("NODEDATA")
     if index is None or index.facts is None:

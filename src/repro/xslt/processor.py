@@ -13,12 +13,13 @@ running it parses nothing.  Semantics follow XSLT 1.0 on the subset:
 
 The run builds no result tree: its ops record events, the root is picked
 from the top level, and the events are replayed once, into a request's
-:class:`~repro.sgml.serializer.XmlWriter` or into a tree.
+:class:`~repro.sgml.serializer.XmlWriter` or, for a caller that wants a
+document, into a :class:`~repro.sgml.dom.TreeWriter`.
 """
 
 from __future__ import annotations
 
-from repro.sgml.dom import Document, Element, Text
+from repro.sgml.dom import Document, TreeWriter
 from repro.sgml.serializer import XmlWriter
 from repro.xslt.stylesheet import Events, Stylesheet, compile_stylesheet
 
@@ -37,8 +38,9 @@ def transform(
     events: Events = []
     stylesheet.apply(source, 1, 1, source.root, events, 0)
     (tag, attributes), inside = _root(events)
-    sink = _Tree() if writer is None else writer
-    sink.start(tag, attributes | stamps if stamps else attributes)
+    synthetic = inside is events  # the <output> around the whole run
+    sink = TreeWriter() if writer is None else writer
+    sink.start(tag, attributes | stamps if stamps else attributes, synthetic)
     for event in inside:
         if event is None:
             sink.end()
@@ -48,8 +50,7 @@ def transform(
             sink.start(*event)
     if writer is not None:
         return None
-    sink[0].synthetic = inside is events  # the whole run, inside <output>
-    return Document(sink[0], name="transformed.xml")
+    return Document(sink.roots[0], name="transformed.xml")
 
 
 def _root(events: Events) -> tuple[tuple[str, dict[str, str]], Events]:
@@ -68,16 +69,3 @@ def _root(events: Events) -> tuple[tuple[str, dict[str, str]], Events]:
     if len(tops) != 1:
         return _OUTPUT, events
     return events[tops[0]], events[tops[0] + 1 : end]
-
-
-class _Tree(list):
-    """Events to a DOM tree; holds the open elements, the root first."""
-
-    def start(self, tag: str, attributes: dict[str, str]) -> None:
-        element = Element(tag, attributes)
-        self.append(self[-1].append(element) if self else element)
-
-    def text(self, data: str) -> None:
-        self[-1].append(Text(data))
-
-    end = list.pop

@@ -24,13 +24,12 @@ def handed_off(sink, path):
     sink.adopt(fh)
 
 
-def committed(db, rows):
-    tx = db.begin()
+def released_pin(db):
+    snap = db.open_snapshot()
     try:
-        tx.stage(rows)
-        tx.commit()
+        return snap.lsn
     finally:
-        tx.close()
+        snap.release()
 
 
 def streaming(path):

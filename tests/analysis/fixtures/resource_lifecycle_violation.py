@@ -13,9 +13,9 @@ def inline_argument(recover, base):
     return recover(open(base))
 
 
-def leaked_transaction(db, rows):
-    tx = db.begin()
-    tx.stage(rows)
+def leaked_pin(db):
+    snap = db.open_snapshot()
+    return snap.lsn
 
 
 def rebound_before_finally(first, second):

@@ -14,8 +14,8 @@ class TestResourceLifecycle:
         assert "open" in by_line[5] and "close" in by_line[5]
         # An inline construction has no name anything could release.
         assert "inline" in by_line[13]
-        # A transaction factory without commit/rollback/close.
-        assert "begin" in by_line[17]
+        # A snapshot pin that nothing releases.
+        assert "open_snapshot" in by_line[17] and "release" in by_line[17]
         # The three leaks a path analysis without implicit exception
         # edges misses: a name rebound before its finally, a close
         # after a call that can raise, and a reopen in a loop body.

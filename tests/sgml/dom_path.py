@@ -17,6 +17,7 @@ from typing import Callable
 
 from repro.obs import Span
 from repro.ordbms import RowId
+from repro.query.plan import SectionResolver
 from repro.query.results import ResultSet, SectionMatch
 from repro.sgml.dom import Document, Element, Node, Text
 from repro.sgml.nodetypes import NodeType
@@ -45,7 +46,7 @@ def result_element(match: SectionMatch) -> Element:
     rows by :func:`build`; a document-level one's from its strings; any
     other match's is the element it already owns."""
     loader = match._loader
-    fresh = match._element is None and hasattr(loader, "write_section")
+    fresh = match._element is None and isinstance(loader, SectionResolver)
     if match._section is not None and not fresh:
         return match.element
     result = Element("result", {"doc": match.file_name, "source": match.source})
@@ -53,7 +54,7 @@ def result_element(match: SectionMatch) -> Element:
     if match._section is None:
         result.make_child("content").append_text(match.content)
         return result
-    rows = [loader.row] + loader.ctx.accessor.subtree(loader.row, siblings=True)
+    rows = loader._run()  # the section's rows, read or kept by the loader
     section = build(rows, Element("section", synthetic=True))
     for child in list(section.children):
         if not (isinstance(child, Element) and child.tag == "context"):
