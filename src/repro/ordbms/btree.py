@@ -53,94 +53,92 @@ class BTreeIndex:
         self.name = name
         self._root: _Leaf | _Internal = _Leaf()
         self._size = 0  # number of (key, rowid) pairs
-        #: Plain probe tally.  ``search`` runs once per tree hop on the
-        #: read path (thousands per query), so it must not pay a metrics
-        #: dispatch — callers publish this at call/query granularity.
-        self.probes = 0
 
     def __len__(self) -> int:
         return self._size
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, key: Any, rowid: RowId) -> None:
-        """Add ``(key, rowid)``; duplicates of both are allowed."""
-        split = self._insert(self._root, key, rowid)
-        if split is not None:
+    def insert(self, key: Any, *rowids: RowId) -> None:
+        """Add ``(key, rowid)`` for each of ``rowids``, given in ascending
+        order, in one descent; duplicates of both are allowed.  A split
+        propagates up the descent's path, and a root that splits gets a
+        new root above it."""
+        node, path = self._root, []
+        while isinstance(node, _Internal):
+            position = bisect.bisect_right(node.keys, key)
+            path.append((node, position))
+            node = node.children[position]
+        self._size += len(rowids)
+        position = bisect.bisect_left(node.keys, key)
+        if position < len(node.keys) and node.keys[position] == key:
+            held = node.values[position]
+            if rowids[0] > held[-1]:
+                held.extend(rowids)
+            else:
+                for rowid in rowids:
+                    bisect.insort(held, rowid)
+            return
+        node.keys.insert(position, key)
+        node.values.insert(position, list(rowids))
+        split = self._split_leaf(node) if len(node.keys) > FANOUT else None
+        while split is not None:
             separator, right = split
-            new_root = _Internal()
-            new_root.keys = [separator]
-            new_root.children = [self._root, right]
-            self._root = new_root
-        self._size += 1
+            if not path:
+                self._root = _Internal()
+                self._root.keys, self._root.children = [separator], [node, right]
+                return
+            node, position = path.pop()
+            node.keys.insert(position, separator)
+            node.children.insert(position + 1, right)
+            split = self._split_internal(node) if len(node.children) > FANOUT else None
 
-    def delete(self, key: Any, rowid: RowId) -> bool:
-        """Remove one ``(key, rowid)`` pair; return False if absent."""
+    def delete(self, key: Any, *rowids: RowId) -> int:
+        """Remove ``(key, rowid)`` for each of ``rowids`` in one descent,
+        each found by bisection in the key's list (never a rebuild of
+        it); return how many were there."""
         leaf = self._find_leaf(key)
         position = bisect.bisect_left(leaf.keys, key)
-        while position < len(leaf.keys) and leaf.keys[position] == key:
-            rowids = leaf.values[position]
-            at = bisect.bisect_left(rowids, rowid)
-            if at < len(rowids) and rowids[at] == rowid:
-                del rowids[at]
-                if not rowids:
-                    del leaf.keys[position]
-                    del leaf.values[position]
-                self._size -= 1
-                return True
-            position += 1
-            if position >= len(leaf.keys) and leaf.next is not None:
-                leaf = leaf.next
-                position = 0
-        return False
+        if position == len(leaf.keys) or leaf.keys[position] != key:
+            return 0
+        held, removed = leaf.values[position], 0
+        for rowid in rowids:
+            at = bisect.bisect_left(held, rowid)
+            if at < len(held) and held[at] == rowid:
+                del held[at]
+                removed += 1
+        if not held:
+            del leaf.keys[position]
+            del leaf.values[position]
+        self._size -= removed
+        return removed
 
     # -- queries -----------------------------------------------------------
 
     def search(self, key: Any) -> list[RowId]:
-        """Return all ROWIDs with exactly ``key`` (possibly empty), in ROWID order."""
-        self.probes += 1
-        result: list[RowId] = []
-        leaf: _Leaf | None = self._find_leaf(key)
+        """Return all ROWIDs with exactly ``key`` (possibly empty), in
+        ROWID order: a key lives in one leaf entry, the one its descent
+        reaches."""
+        leaf = self._find_leaf(key)
         position = bisect.bisect_left(leaf.keys, key)
-        while leaf is not None:
-            while position < len(leaf.keys) and leaf.keys[position] == key:
-                result.extend(leaf.values[position])
-                position += 1
-            if position < len(leaf.keys):
-                return result
-            leaf = leaf.next
-            position = 0
-        return result
+        if position < len(leaf.keys) and leaf.keys[position] == key:
+            return list(leaf.values[position])
+        return []
 
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[tuple[Any, RowId]]:
-        """Yield ``(key, rowid)`` pairs with ``low <= key <= high``, sorted.
-
-        ``None`` bounds are open-ended; the ``include_*`` flags make each
-        bound strict when False.
-        """
+    def range(self, low: Any = None, high: Any = None) -> Iterator[tuple[Any, RowId]]:
+        """Yield ``(key, rowid)`` pairs with ``low <= key <= high``, sorted;
+        a ``None`` bound is open-ended."""
         if low is None:
             leaf: _Leaf | None = self._leftmost_leaf()
             position = 0
         else:
             leaf = self._find_leaf(low)
-            if include_low:
-                position = bisect.bisect_left(leaf.keys, low)
-            else:
-                position = bisect.bisect_right(leaf.keys, low)
+            position = bisect.bisect_left(leaf.keys, low)
         while leaf is not None:
             while position < len(leaf.keys):
                 key = leaf.keys[position]
-                if high is not None:
-                    if include_high and key > high:
-                        return
-                    if not include_high and key >= high:
-                        return
+                if high is not None and key > high:
+                    return
                 for rowid in leaf.values[position]:
                     yield key, rowid
                 position += 1
@@ -150,23 +148,6 @@ class BTreeIndex:
     def items(self) -> Iterator[tuple[Any, RowId]]:
         """Yield every ``(key, rowid)`` pair in key order."""
         return self.range()
-
-    def keys(self) -> Iterator[Any]:
-        """Yield distinct keys in order."""
-        leaf: _Leaf | None = self._leftmost_leaf()
-        while leaf is not None:
-            yield from leaf.keys
-            leaf = leaf.next
-
-    @property
-    def depth(self) -> int:
-        """Height of the tree (1 for a lone leaf)."""
-        node = self._root
-        height = 1
-        while isinstance(node, _Internal):
-            node = node.children[0]
-            height += 1
-        return height
 
     # -- internals -----------------------------------------------------------
 
@@ -182,36 +163,6 @@ class BTreeIndex:
         while isinstance(node, _Internal):
             node = node.children[0]
         return node
-
-    def _insert(
-        self, node: _Leaf | _Internal, key: Any, rowid: RowId
-    ) -> tuple[Any, _Leaf | _Internal] | None:
-        """Recursive insert; returns ``(separator, new_right)`` on split."""
-        if isinstance(node, _Leaf):
-            position = bisect.bisect_left(node.keys, key)
-            if position < len(node.keys) and node.keys[position] == key:
-                rowids = node.values[position]
-                if rowid > rowids[-1]:
-                    rowids.append(rowid)
-                else:
-                    bisect.insort(rowids, rowid)
-                return None
-            node.keys.insert(position, key)
-            node.values.insert(position, [rowid])
-            if len(node.keys) > FANOUT:
-                return self._split_leaf(node)
-            return None
-
-        position = bisect.bisect_right(node.keys, key)
-        split = self._insert(node.children[position], key, rowid)
-        if split is None:
-            return None
-        separator, right = split
-        node.keys.insert(position, separator)
-        node.children.insert(position + 1, right)
-        if len(node.children) > FANOUT:
-            return self._split_internal(node)
-        return None
 
     @staticmethod
     def _split_leaf(leaf: _Leaf) -> tuple[Any, _Leaf]:

@@ -31,11 +31,10 @@ class RowId(NamedTuple):
     slot_no: int
 
     def __str__(self) -> str:
-        return f"F{self.file_no}.B{self.block_no}.S{self.slot_no}"
+        """The canonical text encoding; ``encode`` is the same method."""
+        return "F%d.B%d.S%d" % self
 
-    def encode(self) -> str:
-        """Return the canonical text encoding (same as ``str``)."""
-        return str(self)
+    encode = __str__
 
     @classmethod
     def decode(cls, text: str) -> "RowId":

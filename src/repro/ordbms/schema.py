@@ -172,19 +172,17 @@ class TableSchema:
         if not values.keys() <= self._index.keys():
             unknown = next(key for key in values if key not in self._index)
             raise SchemaError(f"table {self.name} has no column {unknown!r}")
-        fields: list[Any] = []
-        for position, column in enumerate(self.columns):
-            fallback = column.default if base is None else base[position]
-            fields.append(self._hold(column, values.get(column.name, fallback)))
-        fields.append(rowid)
-        return self.row_type._make(fields)
+        return self.row_of_image([
+            values.get(column.name, column.default if base is None else base[position])
+            for position, column in enumerate(self.columns)
+        ], rowid)
 
     def row_of_image(self, image: Sequence[Any], rowid: RowId) -> Any:
-        """The stored row at ``rowid`` for a logged or dumped image, the
-        columns' values in order, held to the rules :meth:`row` holds an
-        insert to: an image's values are typed by their tags, not by
-        their columns, and a wrong one must not reach an index that
-        would compare two types."""
+        """The stored row at ``rowid`` for an image, the columns' values
+        in order — a decomposed node's, a logged or a dumped one — each
+        through its column's type rule and NOT NULL: a logged image's
+        values are typed by their tags, not by their columns, and a wrong
+        one must not reach an index that would compare two types."""
         if len(image) != len(self.columns):
             raise SchemaError(
                 f"row width {len(image)} does not match table {self.name} "

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from itertools import chain, islice
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro import obs
@@ -47,6 +48,8 @@ AUTO_VACUUM_INTERVAL = 256
 RUN_CHUNK, RUN_CHUNK_MAX = 8, 512
 
 _T = TypeVar("_T")
+
+_ROWID = attrgetter("rowid")
 
 #: One slot's change: ``(before, after)``, the rows it holds and will hold.
 Pair = tuple[Any, Any]
@@ -215,10 +218,7 @@ class Table:
 
     def _build_index(self, column: str) -> BTreeIndex:
         index = BTreeIndex(f"{self.schema.name}_{column}_IDX")
-        position = self.schema.position(column)
-        for rowid, row in self._heap.scan():
-            if row[position] is not None:
-                index.insert(row[position], rowid)
+        _post_keys(index, self.schema.position(column), self._live(), add=True)
         return index
 
     def drop_index(self, column: str) -> None:
@@ -233,12 +233,11 @@ class Table:
 
     def _build_text_index(self, column: str) -> TextIndex:
         index = TextIndex(f"{self.schema.name}_{column}_TXT")
-        position = self.schema.position(column)
-        for rowid, row in self._heap.scan():
-            value = row[position]
-            if isinstance(value, str) and value:
-                index.add(rowid, value)
+        _post_text(index, self.schema.position(column), self._live(), add=True)
         return index
+
+    def _live(self) -> list[Any]:
+        return [row for _, row in self._heap.scan()]
 
     def derive_facts(self, new_pass: Callable[[dict], Any] | None = None) -> None:
         """Have the text indexes carry, per row, what a streaming pass
@@ -311,8 +310,10 @@ class Table:
     def _move(self, pairs: Sequence[Pair], held: list[Any], lsn: int | None) -> None:
         """Move checked ``pairs`` (``held``: what their slots hold) under
         ``lsn`` in one seqlock bracket — the only code that moves a heap
-        slot and its index entries: each slot leaves its pre-image, then
-        moves with its indexes."""
+        slot and its index entries: each slot leaves its pre-image and
+        moves, then the index entries of the rows that left go and those
+        of the rows that came are posted (:meth:`_post`).  Removes before
+        adds is safe: no slot is named twice."""
         heap = self._heap
         history = None if lsn is None else self._history
         self._seq += 1
@@ -323,16 +324,14 @@ class Table:
                     history.setdefault(rowid, []).append(
                         (lsn, ABSENT if row is None else row)
                     )
-                if row is not None:
-                    self._post(row, add=False)
                 if after is None:
                     heap.delete(rowid)
-                    continue
-                if row is None:
+                elif row is None:
                     heap.restore(rowid, after)
                 else:
                     heap.update(rowid, after)
-                self._post(after, add=True)
+            self._post([row for row in held if row is not None], add=False)
+            self._post([after for _, after in pairs if after is not None], add=True)
         finally:
             self._seq += 1
 
@@ -368,23 +367,26 @@ class Table:
                     )
             held.append(row)
         # A unique value an ``after`` brings is held by no other ``after``
-        # and by no row outside the batch's slots (theirs move away).
+        # and by no row outside the batch's slots (theirs move away): one
+        # range read over the batch's values finds every stored holder.
         for column in self._unique_columns:
             position, index = self.schema.position(column), self._indexes[column]
             values: set[Any] = set()
             for _, after in pairs:
                 value = None if after is None else after[position]
-                if value is None:
-                    continue
-                if value in values or any(
-                    rowid not in slots for rowid in index.search(value)
-                ):
-                    raise ConstraintError(
-                        f"duplicate value {value!r} for unique column "
-                        f"{name}.{column}"
-                    )
-                values.add(value)
+                if value is not None:
+                    if value in values:
+                        raise self._duplicate(column, value)
+                    values.add(value)
+            for value, rowid in index.range(min(values), max(values)) if values else ():
+                if value in values and rowid not in slots:
+                    raise self._duplicate(column, value)
         return held
+
+    def _duplicate(self, column: str, value: Any) -> ConstraintError:
+        return ConstraintError(
+            f"duplicate value {value!r} for unique column {self.schema.name}.{column}"
+        )
 
     def insert(
         self, values: Mapping[str, Any], journal: Journal | None = None
@@ -674,17 +676,41 @@ class Table:
 
     # -- internals ----------------------------------------------------------
 
-    def _post(self, row: Any, add: bool) -> None:
-        """Add ``row``'s index entries and feed it to the streaming pass,
-        or (``add`` false) take the entries away."""
-        rowid = row.rowid
+    def _post(self, rows: list[Any], add: bool) -> None:
+        """Add the index entries of a statement's ``rows`` and feed them
+        to the streaming pass, or (``add`` false) take the entries away:
+        one descent per B+tree key, the rows in order everywhere else."""
+        position, ordered = self.schema.position, sorted(rows, key=_ROWID)
         for column, index in self._indexes.items():
-            value = row[self.schema.position(column)]
-            if value is not None:
-                (index.insert if add else index.delete)(value, rowid)
+            _post_keys(index, position(column), ordered, add)
         for column, text_index in self._text_indexes.items():
-            value = row[self.schema.position(column)]
-            if isinstance(value, str) and value:
-                (text_index.add if add else text_index.remove)(rowid, value)
+            _post_text(text_index, position(column), rows, add)
         if add and self._pass is not None:
-            self._pass(row)
+            for row in rows:
+                self._pass(row)
+
+
+def _post_keys(index: BTreeIndex, position: int, rows: list[Any], add: bool) -> None:
+    """Post (``add`` false: take away) the keys at ``position`` of
+    ``rows``, given in ROWID order, in ``index``: the rows grouped by
+    key, one descent per key with its ROWIDs."""
+    by_key: dict[Any, list[RowId]] = {}
+    for row in rows:
+        key = row[position]
+        if key in by_key:
+            by_key[key].append(row.rowid)
+        elif key is not None:
+            by_key[key] = [row.rowid]
+    post = index.insert if add else index.delete
+    for key, rowids in by_key.items():
+        post(key, *rowids)
+
+
+def _post_text(index: TextIndex, position: int, rows: list[Any], add: bool) -> None:
+    """Post (``add`` false: take away) the ``rows``' non-empty text at
+    ``position`` in ``index``, row by row in order."""
+    post = index.add if add else index.remove
+    for row in rows:
+        value = row[position]
+        if isinstance(value, str) and value:
+            post(row.rowid, value)

@@ -39,7 +39,7 @@ def tokenize(text: str, keep_stopwords: bool = False) -> list[str]:
     Stopwords are dropped unless ``keep_stopwords`` is true: phrase
     matching needs every word's original position, so it keeps them.
     """
-    words = [match.group(0).lower() for match in _WORD_RE.finditer(text)]
+    words = [word.lower() for word in _WORD_RE.findall(text)]
     if keep_stopwords:
         return words
     return [word for word in words if word not in STOPWORDS]
@@ -69,23 +69,23 @@ class TextIndex:
     # -- mutation -----------------------------------------------------------
 
     def add(self, rowid: RowId, text: str) -> None:
-        """Index ``text`` under ``rowid``.
+        """Index ``text`` under ``rowid`` (not indexed yet).
 
         All tokens (including stopwords) are recorded with their positions
         so phrase queries can match across stopwords; the plain term lookup
-        path simply never asks for a stopword.
+        path simply never asks for a stopword.  A term's positions are
+        gathered first, so each distinct term costs one postings lookup.
         """
-        tokens = tokenize(text, keep_stopwords=True)
-        if not tokens:
-            return
-        added = False
-        for position, term in enumerate(tokens):
-            by_row = self._postings[term]
-            if rowid not in by_row:
-                by_row[rowid] = []
-                added = True
-            by_row[rowid].append(position)
-        if added:
+        at: dict[str, list[int]] = {}
+        for position, term in enumerate(tokenize(text, keep_stopwords=True)):
+            if term in at:
+                at[term].append(position)
+            else:
+                at[term] = [position]
+        postings = self._postings
+        for term, positions in at.items():
+            postings[term][rowid] = positions
+        if at:
             self._doc_count += 1
 
     def remove(self, rowid: RowId, text: str) -> None:

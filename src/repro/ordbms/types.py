@@ -45,9 +45,10 @@ class DataType:
         ``None`` is always accepted here; NOT NULL enforcement is the
         table layer's job because it depends on the column definition,
         not the type.  bool is an int subclass but almost always a
-        caller bug, so no type stores one.
+        caller bug, so no type stores one.  A value of exactly the type
+        passes on one identity test.
         """
-        if value is None or (
+        if value is None or type(value) is self._pytype or (
             isinstance(value, self._pytype) and not isinstance(value, bool)
         ):
             return value

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import DatabaseError
 from repro.ordbms.rowid import RowId
@@ -50,23 +50,28 @@ def unescape(text: str, escapes: dict[str, str] = _TEXT_ESCAPES) -> str:
     return _ESCAPE.sub(lambda match: escapes.get(match[1], match[1]), text)
 
 
+#: Each storable type's encoder, in the order a subclass is tried.
+_ENCODERS: dict[type, Callable[[Any], str]] = {
+    type(None): lambda value: "~",
+    int: lambda value: f"i:{value}",
+    float: lambda value: f"f:{value!r}",
+    str: lambda value: f"s:{escape(value)}",
+    _dt.datetime: lambda value: f"t:{value.isoformat()}",
+    RowId: lambda value: f"r:{value.encode()}",
+}
+
+
 def encode_value(value: Any) -> str:
-    """Encode one storable value as tagged text."""
-    if value is None:
-        return "~"
-    if isinstance(value, bool):
-        raise DatabaseError("boolean values are not storable")
-    if isinstance(value, int):
-        return f"i:{value}"
-    if isinstance(value, float):
-        return f"f:{value!r}"
-    if isinstance(value, str):
-        return f"s:{escape(value)}"
-    if isinstance(value, _dt.datetime):
-        return f"t:{value.isoformat()}"
-    if isinstance(value, RowId):
-        return f"r:{value.encode()}"
-    raise DatabaseError(f"cannot encode value of type {type(value).__name__}")
+    """Encode one storable value as tagged text: by its exact type's
+    encoder, else (a subclass) the first type it is an instance of."""
+    encode = _ENCODERS.get(type(value))
+    if encode is None and not isinstance(value, bool):  # bool: never stored
+        encode = next(
+            (coder for kind, coder in _ENCODERS.items() if isinstance(value, kind)), None
+        )
+    if encode is None:
+        raise DatabaseError(f"cannot encode value of type {type(value).__name__}")
+    return encode(value)
 
 
 def decode_value(text: str) -> Any:
@@ -97,7 +102,7 @@ _EMPTY_ROW = "-"
 
 def pack_row(values: tuple[Any, ...]) -> str:
     """Pack a whole row image into one whitespace-free token."""
-    joined = "\t".join(encode_value(value) for value in values)
+    joined = "\t".join(map(encode_value, values))
     if not joined:
         return _EMPTY_ROW
     return (

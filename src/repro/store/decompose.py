@@ -79,24 +79,21 @@ class Decomposer:
         rowids = xml.next_rowids(len(flat))
         first_id = self._next_node_id
         self._next_node_id += len(flat)
-        pairs = []
+        row, classify, pairs = xml.schema.row_of_image, self._config.classify, []
         for position, (node, parent, ordinal, sibling) in enumerate(flat):
             is_element = isinstance(node, Element)
-            pairs.append((None, xml.schema.row(
-                {
-                    "NODEID": first_id + position,
-                    "DOC_ID": doc_id,
-                    "PARENTROWID": None if parent is None else rowids[parent],
-                    "PARENTNODEID": None if parent is None else first_id + parent,
-                    "SIBLINGID": None if sibling is None else rowids[sibling],
-                    "NODETYPE": int(self._config.classify(node)),
-                    "NODENAME": node.tag if is_element else None,
-                    "NODEDATA": None if is_element else node.data,
-                    "ORDINAL": ordinal,
-                    "ATTRS": encode_attributes(node.attributes) if is_element else None,
-                },
-                rowids[position],
-            )))
+            pairs.append((None, row((  # XML_TABLE's columns, in order
+                first_id + position,
+                doc_id,
+                None if parent is None else rowids[parent],
+                None if parent is None else first_id + parent,
+                None if sibling is None else rowids[sibling],
+                int(classify(node)),
+                node.tag if is_element else None,
+                None if is_element else node.data,
+                ordinal,
+                encode_attributes(node.attributes) if is_element else None,
+            ), rowids[position])))
         database.change([(DOC_TABLE, [(None, doc_row)]), (XML_TABLE, pairs)])
         return DecomposeResult(doc_id=doc_id, root_rowid=rowids[0], node_count=len(flat))
 

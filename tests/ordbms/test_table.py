@@ -76,6 +76,61 @@ class TestConstraints:
         table.insert({"ID": 1})  # no error
 
 
+class TestUniqueCheckIsOneRangeProbe:
+    """A batch's unique values are checked against each other, then
+    against the stored ones through one range read over the batch's
+    [min, max]: its edges count, what lies outside or between does not."""
+
+    STORED = (1, 20, 50)
+
+    @staticmethod
+    def inserts(table, ids, column="ID"):
+        rowids = table.next_rowids(len(ids))
+        return [(None, table.schema.row({"ID": 100 + len(table) + i, column: value}, rowid))
+                for i, (value, rowid) in enumerate(zip(ids, rowids))]
+
+    @staticmethod
+    def state(table):
+        return list(table.scan()), list(table.index_on("ID").items()), table.next_rowids(1)
+
+    @pytest.mark.parametrize("batch, clash", [
+        ((5, 7, 5), 5),  # twice in the batch
+        ((10, 20, 30), 20),  # a stored value strictly inside [min, max]
+        ((20, 25, 40), 20),  # equal to the min
+        ((5, 8, 20), 20),  # equal to the max
+    ])
+    def test_a_duplicate_is_refused_by_name_and_nothing_moves(self, table, batch, clash):
+        for value in self.STORED:
+            table.insert({"ID": value})
+        before = self.state(table)
+        with pytest.raises(ConstraintError, match=f"duplicate value {clash} for unique column"):
+            table.change(self.inserts(table, batch))
+        assert self.state(table) == before
+
+    @pytest.mark.parametrize("batch", [(21, 49), (2, 49), (51, 60), (0,)])
+    def test_stored_values_outside_the_batch_or_between_its_values_pass(self, table, batch):
+        for value in self.STORED:
+            table.insert({"ID": value})
+        table.change(self.inserts(table, batch))
+        assert sorted(row.ID for row in table.scan()) == sorted(self.STORED + batch)
+
+    def test_a_value_freed_by_a_slot_the_statement_deletes_or_moves_passes(self, table):
+        gone, moved = (table.fetch(table.insert({"ID": value})) for value in (20, 30))
+        table.change([(gone, None), (moved, moved._replace(ID=31))] + self.inserts(table, (20, 30)))
+        assert sorted(row.ID for row in table.scan()) == [20, 30, 31]
+
+    def test_null_unique_values_are_skipped(self):
+        table = Table(TableSchema(
+            "U", (Column("ID", INTEGER, nullable=False), Column("EMAIL", VARCHAR)),
+            primary_key="ID", unique=("EMAIL",),
+        ))
+        table.insert({"ID": 1})
+        table.change(self.inserts(table, (None, "x@y", None), column="EMAIL"))
+        with pytest.raises(ConstraintError, match="duplicate value 'x@y'"):
+            table.change(self.inserts(table, (None, "x@y"), column="EMAIL"))
+        assert sorted(row.EMAIL or "" for row in table.scan()) == ["", "", "", "x@y"]
+
+
 class TestIndexMaintenance:
     def test_create_index_backfills(self, table):
         table.insert({"ID": 1, "NAME": "alice"})

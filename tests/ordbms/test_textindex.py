@@ -109,6 +109,25 @@ class TestMutation:
         idx.add(rid(1), "alpha beta gamma")
         assert len(idx) == 1
 
+    def test_a_repeated_term_keeps_its_positions_ascending(self):
+        idx = TextIndex()
+        idx.add(rid(1), "Alpha beta, alpha the gamma ALPHA beta")
+        idx.add(rid(2), "beta")
+        assert idx.signature() == (
+            ("alpha", rid(1), (0, 2, 5)),
+            ("beta", rid(1), (1, 6)), ("beta", rid(2), (0,)),
+            ("gamma", rid(1), (4,)),
+            ("the", rid(1), (3,)),
+        )
+        assert idx.lookup_phrase("alpha beta") == {rid(1)}
+
+    def test_remove_empties_the_postings(self):
+        idx = TextIndex()
+        text = "alpha beta alpha alpha gamma"
+        idx.add(rid(1), text)
+        idx.remove(rid(1), text)
+        assert (idx.signature(), idx.term_count, len(idx)) == ((), 0, 0)
+
 
 class TestProperties:
     @given(
