@@ -33,7 +33,6 @@ from repro.ordbms.types import (
     VARCHAR,
     DataType,
 )
-from repro.ordbms.valuecodec import decode_value, encode_value
 from repro.ordbms.wal import (
     FileLogDevice,
     LogDevice,
@@ -71,9 +70,7 @@ __all__ = [
     "VARCHAR",
     "WalRecord",
     "WriteAheadLog",
-    "decode_value",
     "dump_database",
-    "encode_value",
     "load_database",
     "recover",
     "tokenize",

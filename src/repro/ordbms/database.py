@@ -159,9 +159,7 @@ class Database:
         record (a log that refuses it raises, and nothing moves) and
         count them."""
         if self.wal is not None:
-            self.wal.log_changes(
-                (table.schema.name, pairs) for table, pairs in groups
-            )
+            self.wal.log_changes((table.schema, pairs) for table, pairs in groups)
         stats = self.stats
         for _, pairs in groups:
             for before, after in pairs:

@@ -31,6 +31,8 @@ from repro import obs
 from repro.errors import (
     CatalogError,
     ConstraintError,
+    CorruptLogError,
+    DatabaseError,
     RecoveryError,
     RowIdError,
     SchemaError,
@@ -124,8 +126,9 @@ def recover_follower(
             device.append(record.encode())
         device.sync()
     replayer = StreamReplayer(database, applied_lsn=checkpoint_lsn)
-    for record in records:
-        replayer.apply(record)
+    records.reverse()
+    while records:  # a record's text goes as soon as its rows are in
+        replayer.apply(records.pop())
     stats = database.stats
     replayed = stats.rows_inserted + stats.rows_updated + stats.rows_deleted
     obs.inc("repro_ordbms_recovery_runs_total")
@@ -136,7 +139,7 @@ def recover_follower(
         database=database,
         replayer=replayer,
         checkpoint_lsn=checkpoint_lsn,
-        last_lsn=max(checkpoint_lsn, records[-1].lsn if records else 0),
+        last_lsn=replayer.applied_lsn,
         records_replayed=replayed,
         torn_tail=torn_tail,
     )
@@ -160,13 +163,15 @@ def recover(device: LogDevice, name: str = "recovered") -> RecoveryResult:
 
 def _redo(database: Database, record: WalRecord) -> None:
     """Apply one logged statement through the database's own: its images
-    must be rows of the tables it names, and the statement's checks
-    hold it to the heaps (an insert takes the tail, a pre-image is what
-    its slot holds)."""
+    are read by the columns of the tables it names, as the checkpoint
+    restored them — a field its column's type cannot read was never
+    written by this grammar (:class:`~repro.errors.CorruptLogError`) —
+    and the statement's checks hold it to the heaps (an insert takes the
+    tail, a pre-image is what its slot holds)."""
     try:
         groups = []
         for name, changes in record.groups:
-            row = database.catalog.table(name).schema.row_of_image
+            row = database.catalog.table(name).schema.unpack
             groups.append((name, [
                 (
                     None if before is None else row(before, rowid),
@@ -174,14 +179,23 @@ def _redo(database: Database, record: WalRecord) -> None:
                 )
                 for rowid, before, after in changes
             ]))
-        database.change(groups)
     except CatalogError:
         raise RecoveryError(
             f"LSN {record.lsn}: record names table {name!r} "
             f"which the checkpoint does not define"
         ) from None
+    except (SchemaError, TypeMismatchError) as error:  # an image its table refuses
+        raise _cannot_redo(record, error) from error
+    except DatabaseError as error:  # a value its column cannot read
+        raise CorruptLogError(f"LSN {record.lsn}: malformed WAL record: {error}") from error
+    try:
+        database.change(groups)
     except (RowIdError, ConstraintError, SchemaError, TypeMismatchError) as error:
-        raise RecoveryError(
-            f"LSN {record.lsn}: cannot redo the logged change to "
-            f"{', '.join(name for name, _ in record.groups)}: {error}"
-        ) from error
+        raise _cannot_redo(record, error) from error
+
+
+def _cannot_redo(record: WalRecord, error: Exception) -> RecoveryError:
+    return RecoveryError(
+        f"LSN {record.lsn}: cannot redo the logged change to "
+        f"{', '.join(name for name, _ in record.groups)}: {error}"
+    )

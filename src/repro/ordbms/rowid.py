@@ -48,8 +48,7 @@ class RowId(NamedTuple):
         match = _ROWID_RE.match(text)
         if match is None:
             raise RowIdError(f"malformed ROWID text: {text!r}")
-        file_no, block_no, slot_no = (int(g) for g in match.groups())
-        return cls(file_no, block_no, slot_no)
+        return cls._make(map(int, match.groups()))
 
     @property
     def is_valid(self) -> bool:

@@ -18,6 +18,10 @@ The heap stores that object, MVCC history keeps it and every read door
 hands it back; nothing is decoded or copied on the way.  Column names
 are upper-case and may not start with ``_``, so neither ``rowid`` nor a
 tuple method can collide with one.
+
+A schema also writes and reads its rows' text, the WAL's and the dump's
+(:meth:`TableSchema.pack` / :meth:`TableSchema.unpack`): by position,
+each value by its column's type, with no per-value tag.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Mapping, Sequence
 
-from repro.errors import SchemaError, TypeMismatchError
+from repro.errors import DatabaseError, SchemaError, TypeMismatchError
 from repro.ordbms.rowid import RowId
 from repro.ordbms.types import DataType
+from repro.ordbms.valuecodec import NULL
 
 
 @cache
@@ -99,6 +104,8 @@ class TableSchema:
     _index: Mapping[str, int] = field(default_factory=dict, repr=False, compare=False)
     #: The class of every stored row: the columns, then ``rowid``.
     row_type: type = field(init=False, repr=False, compare=False)
+    #: Per column, in order, its type's encoders; and its decoders.
+    _codecs: tuple[tuple[Any, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -117,6 +124,9 @@ class TableSchema:
         object.__setattr__(
             self, "row_type", _row_type(self.name, (*index, "rowid"))
         )
+        object.__setattr__(self, "_codecs", tuple(zip(*(
+            (column.dtype.encode, column.dtype.decode) for column in self.columns
+        ))))
         if self.primary_key is not None:
             object.__setattr__(self, "primary_key", self.primary_key.upper())
             if self.primary_key not in index:
@@ -179,16 +189,46 @@ class TableSchema:
 
     def row_of_image(self, image: Sequence[Any], rowid: RowId) -> Any:
         """The stored row at ``rowid`` for an image, the columns' values
-        in order — a decomposed node's, a logged or a dumped one — each
-        through its column's type rule and NOT NULL: a logged image's
-        values are typed by their tags, not by their columns, and a wrong
-        one must not reach an index that would compare two types."""
+        in order — a decomposed node's, or an update's — each through its
+        column's type rule and NOT NULL: a wrong one must not reach an
+        index that would compare two types."""
+        self._check_width(image)
+        return self.row_type._make((*map(self._hold, self.columns, image), rowid))
+
+    def pack(self, row: Sequence[Any]) -> list[str]:
+        """The text form of ``row``'s columns, in order (a trailing
+        ``rowid`` is not a column and is not written)."""
+        return [
+            NULL if value is None else encode(value)
+            for encode, value in zip(self._codecs[0], row)
+        ]
+
+    def unpack(self, fields: Sequence[str], rowid: RowId) -> Any:
+        """The stored row at ``rowid`` for a logged or dumped image: each
+        field decoded by its column's type, which answers a value of
+        exactly that type, so only NOT NULL is left to check.  A field
+        its type cannot read is a :class:`~repro.errors.DatabaseError`;
+        an image of the wrong width a :class:`~repro.errors.SchemaError`."""
+        self._check_width(fields)
+        try:
+            values = [
+                None if field == NULL else decode(field)
+                for decode, field in zip(self._codecs[1], fields)
+            ]
+        except (ValueError, DatabaseError) as error:
+            raise DatabaseError(f"table {self.name}: unreadable value: {error}") from None
+        if None in values:  # the one rule a decoded value may still break
+            for column, value in zip(self.columns, values):
+                self._hold(column, value)
+        values.append(rowid)
+        return self.row_type._make(values)
+
+    def _check_width(self, image: Sequence[Any]) -> None:
         if len(image) != len(self.columns):
             raise SchemaError(
                 f"row width {len(image)} does not match table {self.name} "
                 f"width {len(self.columns)}"
             )
-        return self.row_type._make((*map(self._hold, self.columns, image), rowid))
 
     def _hold(self, column: Column, value: Any) -> Any:
         """``value`` through ``column``'s type rule and NOT NULL."""

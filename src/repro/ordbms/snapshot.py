@@ -11,17 +11,19 @@ serialised; they are derived state.
 Format: a line-oriented text format (version-stamped), one section per
 table::
 
-    %NETMARK-SNAPSHOT 1
+    %NETMARK-SNAPSHOT 2
     TABLE <name>
     SCHEMA <json-ish schema line>
-    ROW <file>.<block>.<slot> <tab-separated typed values>
+    ROW <file>.<block>.<slot> <the row's image>
     TOMB <file>.<block>.<slot>
     ...
 
-Typed value encoding: ``~`` NULL, ``i:<n>``, ``f:<x>``, ``s:<escaped>``,
-``t:<iso>``, ``r:<rowid>``.  Strings escape backslash, tab and newline.
-The value codec itself lives in :mod:`repro.ordbms.valuecodec`, shared
-with the write-ahead log so checkpoint and log records always agree.
+A row's image is the one the write-ahead log carries
+(:meth:`~repro.ordbms.schema.TableSchema.pack`): its columns' text
+forms, tab-separated, each written by its column's type — no value tag,
+the ``SCHEMA`` line above says what each column is — with ``~`` for
+NULL and strings escaped once (:mod:`repro.ordbms.valuecodec`).  A dump
+in version 1's tagged dialect is refused by its magic line.
 """
 
 from __future__ import annotations
@@ -30,34 +32,24 @@ from itertools import groupby
 from typing import Any
 
 from repro.errors import DatabaseError
-from repro.ordbms import types as _types
 from repro.ordbms.database import Database
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import Column, ForeignKey, TableSchema
 from repro.ordbms.table import Table
-from repro.ordbms.valuecodec import decode_value, encode_value
+from repro.ordbms.types import ALL_TYPES
+from repro.ordbms.valuecodec import SEPARATOR
 
-MAGIC = "%NETMARK-SNAPSHOT 1"
+MAGIC = "%NETMARK-SNAPSHOT 2"
 
-_TYPE_NAMES = {
-    "INTEGER": _types.INTEGER,
-    "FLOAT": _types.FLOAT,
-    "VARCHAR": _types.VARCHAR,
-    "CLOB": _types.CLOB,
-    "TIMESTAMP": _types.TIMESTAMP,
-    "ROWID": _types.ROWID,
-}
+_TYPE_NAMES = {dtype.name: dtype for dtype in ALL_TYPES}
 
 
 def _encode_schema(table: Table) -> str:
     schema = table.schema
-    parts: list[str] = []
-    for column in schema.columns:
-        flags = []
-        if not column.nullable:
-            flags.append("!")
-        parts.append(f"{column.name}:{column.dtype.name}{''.join(flags)}")
-    header = ",".join(parts)
+    header = ",".join(
+        f"{column.name}:{column.dtype.name}{'' if column.nullable else '!'}"
+        for column in schema.columns
+    )
     pk = schema.primary_key or "-"
     unique = "|".join(schema.unique) or "-"
     fks = "|".join(
@@ -115,13 +107,12 @@ def dump_database(database: Database) -> str:
     for table in database.catalog:
         lines.append(f"TABLE {table.schema.name}")
         lines.append("SCHEMA " + _encode_schema(table))
-        heap = table._heap  # noqa: SLF001 - deliberate: physical layout
+        heap, pack = table._heap, table.schema.pack  # noqa: SLF001 - physical layout
         for rowid, row in heap.scan_all():
             if row is None:
                 lines.append(f"TOMB {rowid}")
             else:
-                encoded = "\t".join(encode_value(value) for value in row[:-1])
-                lines.append(f"ROW {rowid} {encoded}")
+                lines.append(f"ROW {rowid} " + SEPARATOR.join(pack(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +127,7 @@ def load_database(text: str, name: str = "restored") -> Database:
     database = Database(name)
     table: Table | None = None
     pending_name: str | None = None
-    slots: list[tuple[RowId, tuple[Any, ...] | None]] = []  # not yet in
+    slots: list[tuple[RowId, Any]] = []  # rows and tombstones not yet in
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -165,10 +156,9 @@ def load_database(text: str, name: str = "restored") -> Database:
             if verb == "TOMB":
                 slots.append((RowId.decode(rest.strip()), None))
             else:
-                address_text, _, payload = rest.partition(" ")
-                slots.append((RowId.decode(address_text), tuple(
-                    decode_value(part) for part in payload.split("\t")
-                ) if payload else ()))
+                address_text, _, image = rest.partition(" ")
+                rowid = RowId.decode(address_text)
+                slots.append((rowid, table.schema.unpack(image.split(SEPARATOR), rowid)))
         else:
             raise DatabaseError(f"snapshot line {line_no}: unknown verb {verb!r}")
     if slots:
@@ -180,9 +170,7 @@ def load_database(text: str, name: str = "restored") -> Database:
     return database
 
 
-def _load_slots(
-    table: Table, slots: list[tuple[RowId, tuple[Any, ...] | None]]
-) -> None:
+def _load_slots(table: Table, slots: list[tuple[RowId, Any]]) -> None:
     """Put a table's dumped slots at exactly their addresses, emptying
     the list: each run of live rows as one statement, each tombstone
     straight on the heap (it keeps its address and nothing else)."""
@@ -194,9 +182,7 @@ def _load_slots(
     heap = table._heap  # noqa: SLF001 - tombstones go straight to the heap
     for live, run in groupby(slots, key=lambda slot: slot[1] is not None):
         if live:
-            table.change([
-                (None, table.schema.row_of_image(image, rowid)) for rowid, image in run
-            ])
+            table.change([(None, row) for _, row in run])
         else:
             for _ in run:
                 heap.delete(heap.insert(None))

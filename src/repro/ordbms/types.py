@@ -9,16 +9,19 @@ Types are represented as singleton :class:`DataType` instances; columns
 reference them by object identity.  Each type answers one question per
 value — :meth:`DataType.validate`: the value as it is stored, or a
 :class:`~repro.errors.TypeMismatchError` — which keeps the table layer
-free of per-type branching.
+free of per-type branching.  Each also owns its text form, the one the
+WAL and the dump write (:attr:`DataType.encode` / :attr:`DataType.decode`):
+a logged value carries no tag, its column says what it is.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import TypeMismatchError
 from repro.ordbms.rowid import RowId
+from repro.ordbms.valuecodec import escape, unescape_value
 
 
 class DataType:
@@ -30,11 +33,16 @@ class DataType:
         SQL-ish display name, e.g. ``"INTEGER"``.
     pytype:
         The Python type values of this column type are stored as.
+    encode, decode:
+        A stored (non-NULL) value's text form and back: ``decode``
+        answers a value of exactly ``pytype``, or raises ``ValueError``
+        or a :class:`~repro.errors.DatabaseError`.
     """
 
-    def __init__(self, name: str, pytype: type) -> None:
-        self.name = name
-        self._pytype = pytype
+    def __init__(
+        self, name: str, pytype: type, encode: Callable[[Any], str], decode: Callable[[str], Any]
+    ) -> None:
+        self.name, self._pytype, self.encode, self.decode = name, pytype, encode, decode
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataType({self.name})"
@@ -76,13 +84,17 @@ class _TimestampType(DataType):
 
 
 #: Singleton type instances, referenced by :class:`~repro.ordbms.schema.Column`.
-INTEGER = DataType("INTEGER", int)
-FLOAT = _FloatType("FLOAT", float)
-VARCHAR = DataType("VARCHAR", str)
+#: An integer's text is ``int.__repr__``, never ``str()``: the ``str`` of
+#: an ``IntEnum`` is its member's name on Python 3.10.
+INTEGER = DataType("INTEGER", int, int.__repr__, int)
+FLOAT = _FloatType("FLOAT", float, float.__repr__, float)
+VARCHAR = DataType("VARCHAR", str, escape, unescape_value)
 #: Large text values (node data); identical semantics to VARCHAR here but
 #: kept distinct so the catalog mirrors the paper's Oracle schema.
-CLOB = DataType("CLOB", str)
-TIMESTAMP = _TimestampType("TIMESTAMP", _dt.datetime)
-ROWID = DataType("ROWID", RowId)
+CLOB = DataType("CLOB", str, escape, unescape_value)
+TIMESTAMP = _TimestampType(
+    "TIMESTAMP", _dt.datetime, _dt.datetime.isoformat, _dt.datetime.fromisoformat
+)
+ROWID = DataType("ROWID", RowId, RowId.encode, RowId.decode)
 
 ALL_TYPES: tuple[DataType, ...] = (INTEGER, FLOAT, VARCHAR, CLOB, TIMESTAMP, ROWID)

@@ -24,9 +24,11 @@ crash.  This module gives the in-memory substrate its durability story:
   with a higher LSN, so a crash *between* checkpoint save and log
   truncation replays idempotently.
 
-Row images travel as single whitespace-free tokens via
-:func:`repro.ordbms.valuecodec.pack_row`, so every record body is a flat
-space-separated line — trivially CRC-able and human-debuggable.
+A record body is one tab-separated line, an image its columns' text
+forms (:meth:`~repro.ordbms.schema.TableSchema.pack`) among the
+record's fields: no value tag, no second escape.  The log does not type
+what it carries; replay reads an image by the columns of the table the
+record names, as the checkpoint restored it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, Callable, Iterable
 from repro import obs
 from repro.errors import CorruptLogError, DatabaseError, WalError
 from repro.ordbms.rowid import RowId
-from repro.ordbms.valuecodec import pack_row, unpack_row
+from repro.ordbms.valuecodec import SEPARATOR
 
 #: Record kinds, in the vocabulary recovery understands.
 CHANGE = "CHANGE"
@@ -50,13 +52,13 @@ CHECKPOINT = "CHECKPOINT"
 CHECKPOINT_MAGIC = "%NETMARK-CKPT"
 
 #: The token of a change's missing image (an insert's pre-image, a
-#: delete's post-image).  :func:`pack_row` never emits it: a packed row
-#: is ``-`` or starts with a value's tag.
+#: delete's post-image).  No image starts with it: a value that would
+#: read as it is escaped (``\.``).
 ABSENT_IMAGE = "."
 
-#: One row of a ``CHANGE`` record: ``(rowid, before, after)``, the images
-#: column-ordered tuples and None where the slot is free or freed.
-Change = tuple[RowId, "tuple[Any, ...] | None", "tuple[Any, ...] | None"]
+#: One row of a ``CHANGE`` record: ``(rowid, before, after)``, each image
+#: its columns' text forms in order, None where the slot is free or freed.
+Change = tuple[RowId, "list[str] | None", "list[str] | None"]
 
 #: One table's part of a ``CHANGE`` record: its name and its changes.
 Group = tuple[str, "tuple[Change, ...]"]
@@ -71,8 +73,9 @@ class WalRecord:
     """One parsed log record.
 
     A ``CHANGE`` record carries one statement: its ``groups``, per table
-    it names the changes in order, each with full row images.  Redo uses the
-    post-images and checks the pre-images against the slots it moves.
+    it names the changes in order, each with full row images as text.
+    Redo decodes the post-images by the table's columns and checks the
+    pre-images against the slots it moves.
     """
 
     lsn: int
@@ -81,22 +84,21 @@ class WalRecord:
 
     def encode(self) -> str:
         """Serialise to one log line (body, ``|``, CRC, newline).  A
-        group is its table and change count, then each change's rowid,
-        pre-image and post-image, in that order."""
+        group is its table, change count and image width, then each
+        change's rowid, pre-image and post-image, in that order."""
         if self.kind == CHECKPOINT:
-            return _line(f"{self.lsn} {CHECKPOINT}")
+            return _line(f"{self.lsn}{SEPARATOR}{CHECKPOINT}")
         if self.kind != CHANGE:
             raise WalError(f"unknown WAL record kind {self.kind!r}")
-        fields = [f"{self.lsn} {CHANGE}"]
+        fields, absent = [str(self.lsn), CHANGE], [ABSENT_IMAGE]
         for table, changes in self.groups:
-            fields += (table, str(len(changes)))
+            _, before, after = changes[0]
+            fields += (table, str(len(changes)), str(len(before or after)))
             for rowid, before, after in changes:
-                fields += (
-                    rowid.encode(),
-                    ABSENT_IMAGE if before is None else pack_row(before),
-                    ABSENT_IMAGE if after is None else pack_row(after),
-                )
-        return _line(" ".join(fields))
+                fields.append(rowid.encode())
+                fields += before or absent
+                fields += after or absent
+        return _line(SEPARATOR.join(fields))
 
 
 def _line(body: str) -> str:
@@ -105,7 +107,7 @@ def _line(body: str) -> str:
 
 def _parse_body(body: str) -> WalRecord:
     """Parse a CRC-verified body; raises WalError on structure errors."""
-    fields = body.split(" ")
+    fields = body.split(SEPARATOR)
     try:
         lsn = int(fields[0])
         kind = fields[1]
@@ -113,28 +115,25 @@ def _parse_body(body: str) -> WalRecord:
             _expect(len(fields) == 2, body)
             return WalRecord(lsn, kind)
         if kind == CHANGE:
-            groups, at = [], 2
-            while at < len(fields):
-                count, start = int(fields[at + 1]), at + 2
-                at = start + 3 * count
-                _expect(0 < count and at <= len(fields), body)
-                changes = tuple(
-                    (RowId.decode(fields[i]), _image(fields[i + 1]), _image(fields[i + 2]))
-                    for i in range(start, at, 3)
-                )
-                _expect(all(
-                    before is not None or after is not None for _, before, after in changes
-                ), body)
-                groups.append((fields[start - 2], changes))
+            groups, at, end = [], 2, len(fields)
+            while at < end:
+                table, count, width = fields[at], int(fields[at + 1]), int(fields[at + 2])
+                _expect(0 < count and 0 < width, body)
+                changes, at = [], at + 3
+                for _ in range(count):
+                    rowid, images, at = RowId.decode(fields[at]), [], at + 1
+                    for _ in (0, 1):
+                        absent = fields[at] == ABSENT_IMAGE
+                        images.append(None if absent else fields[at:at + width])
+                        at += 1 if absent else width
+                    _expect(at <= end and images != [None, None], body)
+                    changes.append((rowid, *images))
+                groups.append((table, tuple(changes)))
             _expect(bool(groups), body)
             return WalRecord(lsn, kind, tuple(groups))
-    except (ValueError, IndexError, DatabaseError) as error:  # a bad field or value
+    except (ValueError, IndexError, DatabaseError) as error:  # a bad field
         raise WalError(f"malformed WAL record body {body!r}") from error
     raise WalError(f"unknown WAL record kind in {body!r}")
-
-
-def _image(token: str) -> tuple[Any, ...] | None:
-    return None if token == ABSENT_IMAGE else unpack_row(token)
 
 
 def _expect(condition: bool, body: str) -> None:
@@ -398,22 +397,20 @@ class WriteAheadLog:
 
     # -- record writers ------------------------------------------------------
 
-    def log_changes(
-        self, groups: Iterable[tuple[str, Iterable[tuple[Any, Any]]]]
-    ) -> int:
-        """Log a statement — per table, its ``(before, after)`` row
-        pairs — as one ``CHANGE`` record: one append, the images the
-        rows' columns."""
+    def log_changes(self, groups: Iterable[tuple[Any, Iterable[tuple[Any, Any]]]]) -> int:
+        """Log a statement — per table, its schema and its ``(before,
+        after)`` row pairs — as one ``CHANGE`` record: one append, each
+        image its row's columns packed by the schema."""
         return self._append(CHANGE, tuple(
-            (table, tuple(
+            (schema.name, tuple(
                 (
                     (before if after is None else after).rowid,
-                    None if before is None else before[:-1],
-                    None if after is None else after[:-1],
+                    None if before is None else schema.pack(before),
+                    None if after is None else schema.pack(after),
                 )
                 for before, after in pairs
             ))
-            for table, pairs in groups
+            for schema, pairs in groups
         ))
 
     # -- checkpointing -------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.ordbms import (
 )
 from repro.ordbms.recovery import recover_follower
 from repro.ordbms.snapshot import dump_database
-from repro.ordbms.wal import ABSENT_IMAGE, CHANGE, WalRecord
+from repro.ordbms.wal import CHANGE, WalRecord, parse_log
 from repro.resilience import FaultPlan
 from repro.store import XmlStore, check_store
 
@@ -57,8 +57,21 @@ def inserts(database: Database, *values: dict) -> list:
     ]
 
 
+def packed(values: tuple | None) -> list[str] | None:
+    """An image of integers, strings and NULLs as the log writes it."""
+    if values is None:
+        return None
+    return [
+        "~" if value is None else (INTEGER if isinstance(value, int) else VARCHAR).encode(value)
+        for value in values
+    ]
+
+
 def change_record(lsn: int, table: str, changes: tuple) -> WalRecord:
-    return WalRecord(lsn, CHANGE, ((table, changes),))
+    """A one-group CHANGE record; each image given as its values."""
+    return WalRecord(lsn, CHANGE, ((table, tuple(
+        (rowid, packed(before), packed(after)) for rowid, before, after in changes
+    )),))
 
 
 class TestBasicRecovery:
@@ -250,8 +263,8 @@ class TestTornTail:
         landed = len(device._chunks)  # noqa: SLF001 - the appends so far
         store.store_text("<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>", "b.xml")
         (batch,) = device._chunks[landed:]  # noqa: SLF001
-        assert batch.split(" ")[1:4] == [CHANGE, "DOC", "1"]
-        assert " XML 7 " in batch
+        assert batch.split("\t")[1:4] == [CHANGE, "DOC", "1"]
+        assert "\tXML\t7\t" in batch
         end = {
             "first-byte": 1, "middle": len(batch) // 2,
             "before-crc": batch.rindex("|") + 1, "before-newline": len(batch) - 1,
@@ -303,8 +316,8 @@ class TestTornTail:
         kept = database.insert("T", {"ID": 1})
         device, lsn = database.wal.device, database.wal.next_lsn
         device.append(WalRecord(lsn, CHANGE, (
-            ("U", ((RowId(0, 0, 0), None, (5,)),)),
-            ("T", ((kept, (1, "imposter"), None),)),
+            ("U", ((RowId(0, 0, 0), None, ["5"]),)),
+            ("T", ((kept, ["1", "imposter"], None),)),
         )).encode())
         with pytest.raises(RecoveryError, match=f"LSN {lsn}: cannot redo"):
             recover(device)
@@ -447,60 +460,78 @@ def _with_log(device: MemoryLogDevice, log: str) -> MemoryLogDevice:
     return copy
 
 
-#: The field separator of a packed row image (its tabs are escaped).
-_TAB = "\\t"
-
-
 def _re_crc(body: str) -> str:
     return f"{body}|{zlib.crc32(body.encode('utf-8')):08x}"
 
 
 def _mutate_record(rng: random.Random, log: str) -> str:
     """One edit to one record's body, CRC recomputed so the record
-    parses: a character deleted, replaced or inserted, one row-image
-    field emptied, or one value's type tag swapped; or, in a CHANGE
-    record's first group, its pair count moved, an image swapped for the
-    absent token (or the token for an image), or a pair's rowid moved."""
+    parses: a character deleted, replaced or inserted, one field emptied
+    or swapped for another of the record (a value in a column of another
+    type); or, in a CHANGE record's first group, its pair count or image
+    width moved, an image swapped for the absent token (or the token for
+    an image), or a pair's rowid moved."""
     lines = log.split("\n")
-    edit = rng.randrange(8)
+    edit = rng.randrange(9)
     at = rng.choice(  # the last "line" is the final newline
         range(len(lines) - 1) if edit < 5
-        else [index for index, line in enumerate(lines) if " CHANGE " in line]
+        else [index for index, line in enumerate(lines) if f"\t{CHANGE}\t" in line]
     )
     body = lines[at].rpartition("|")[0]
     where = rng.randrange(len(body))
+    fields = body.split("\t")
+    alphabet = " \t\\:~|.0123456789tnrq"
     if edit == 0:
         body = body[:where] + body[where + 1:]
     elif edit == 1:
-        body = body[:where] + rng.choice(" :~|.0123456789isftr") + body[where + 1:]
+        body = body[:where] + rng.choice(alphabet) + body[where + 1:]
     elif edit == 2:
-        body = body[:where] + rng.choice(" :~|.0123456789isftr") + body[where:]
+        body = body[:where] + rng.choice(alphabet) + body[where:]
     elif edit < 5:
-        head, _, image = body.rpartition(" ")
-        fields = image.split(_TAB)
-        field = rng.randrange(len(fields))
-        if edit == 3:
-            fields[field] = ""
-        elif fields[field][1:2] == ":":
-            fields[field] = rng.choice("isftr") + fields[field][1:]
-        body = head + " " + _TAB.join(fields)
+        fields[rng.randrange(len(fields))] = "" if edit == 3 else rng.choice(fields)
+        body = "\t".join(fields)
+    elif edit < 7:
+        field = 3 if edit == 5 else 4  # the first group's count, its width
+        moved = int(fields[field])
+        fields[field] = str(rng.choice((moved - 1, moved + 1, 0, -1)))
+        body = "\t".join(fields)
     else:
-        fields = body.split(" ")
-        count = int(fields[3])
-        pair = 4 + 3 * rng.randrange(count)
-        if edit == 5:
-            fields[3] = str(rng.choice((count - 1, count + 1, 0, -1)))
-        elif edit == 6:
-            image = pair + rng.randrange(1, 3)
-            images = [field for field in fields[4:] if ":" in field or field == "~"]
-            fields[image] = rng.choice(images) if fields[image] == ABSENT_IMAGE else ABSENT_IMAGE
+        ((record,), _) = parse_log(lines[at] + "\n")
+        (table, changes), *rest = record.groups
+        changes, pair = list(changes), rng.randrange(len(changes))
+        rowid, before, after = changes[pair]
+        if edit == 7:
+            images = [image for change in changes for image in change[1:] if image]
+            if rng.randrange(2):
+                before = rng.choice(images) if before is None else None
+            else:
+                after = rng.choice(images) if after is None else None
         else:
-            fields[pair] = rng.choice(
-                (fields[4 + 3 * rng.randrange(count)], f"F0.B0.S{rng.randrange(40)}")
-            )
-        body = " ".join(fields)
+            rowid = rng.choice((changes[rng.randrange(len(changes))][0], RowId(0, 0, rng.randrange(40))))
+        changes[pair] = (rowid, before, after)
+        if before is None and after is None:
+            return log
+        mutant = WalRecord(record.lsn, CHANGE, ((table, tuple(changes)), *rest))
+        body = mutant.encode().rpartition("|")[0]
     lines[at] = _re_crc(body)
     return "\n".join(lines)
+
+
+#: What the previous, tagged codec logged for one Markdown file through
+#: the daemon: a CHECKPOINT marker and one CHANGE record in the tagged
+#: grammar (``i:``, ``s:``, ``t:``, ``r:`` values, each image
+#: escaped again into one space-free token).  Every CRC checks.
+TAGGED_LOG = (
+    "1 CHECKPOINT|95d0b124\n2 CHANGE DOC 1 F0.B0.S0 . i:1\\ts:memo.md\\tt:2005-06-14T00:00:00"
+    "\\ti:29\\ts:markdown\\ts:char_size=29;format=markdown;line_count=4;revision=1 XML 6 "
+    "F0.B0.S0 . i:1\\ti:1\\t~\\t~\\t~\\ti:1\\ts:document\\t~\\ti:0\\t~ F0.B0.S1 . "
+    "i:2\\ti:1\\tr:F0.B0.S0\\ti:1\\t~\\ti:5\\ts:section\\t~\\ti:0\\t~ F0.B0.S2 . "
+    "i:3\\ti:1\\tr:F0.B0.S1\\ti:2\\tr:F0.B0.S4\\ti:3\\ts:context\\t~\\ti:0\\t~ F0.B0.S3 . "
+    "i:4\\ti:1\\tr:F0.B0.S2\\ti:3\\t~\\ti:2\\t~\\ts:Memo\\ti:0\\t~ F0.B0.S4 . "
+    "i:5\\ti:1\\tr:F0.B0.S1\\ti:2\\t~\\ti:1\\ts:content\\t~\\ti:1\\t~ F0.B0.S5 . "
+    "i:6\\ti:1\\tr:F0.B0.S4\\ti:5\\t~\\ti:2\\t~\\ts:Valve\\stelemetry\\stest\\ti:0\\t~"
+    "|602a66d4\n"
+)
 
 
 class TestHostileLogs:
@@ -519,23 +550,59 @@ class TestHostileLogs:
                 except ReproError:
                     pass
 
-    def test_a_wrong_typed_logged_value_is_a_recovery_error(self):
-        """``s:4`` in the INTEGER (primary-key) NODEID column: the value
-        would reach the B+tree and compare a str with an int."""
-        device = _small_store_device()
+    @staticmethod
+    def _with_first_insert(device: MemoryLogDevice, value: str) -> MemoryLogDevice:
+        """The device with the first document's node row at F0.B0.S3
+        logging ``value`` for its NODEID (4), CRC recomputed."""
         lines = device.read_log().split("\n")
         (at,) = [
             index for index, line in enumerate(lines)
-            if line.startswith("2 CHANGE DOC 1 ")
+            if line.startswith(f"2\t{CHANGE}\tDOC\t1\t")
         ]
-        insert = " F0.B0.S3 . i:4" + _TAB
+        insert = "\tF0.B0.S3\t.\t4\t"
         assert lines[at].count(insert) == 1
         lines[at] = _re_crc(
-            lines[at].rpartition("|")[0].replace(insert, " F0.B0.S3 . s:4" + _TAB)
+            lines[at].rpartition("|")[0].replace(insert, f"\tF0.B0.S3\t.\t{value}\t")
         )
+        return _with_log(device, "\n".join(lines))
+
+    def test_a_wrong_typed_logged_value_is_a_recovery_error(self):
+        """``~`` in the INTEGER (primary-key) NODEID column, the one value
+        of another type a column-typed image can carry: NULL would reach
+        the B+tree and compare with an int."""
+        device = self._with_first_insert(_small_store_device(), "~")
         for reopen in (recover, recover_follower):
             with pytest.raises(RecoveryError, match="NODEID"):
-                reopen(_with_log(device, "\n".join(lines)))
+                reopen(device)
+
+    @pytest.mark.parametrize("value", ["4x", "s:4"], ids=["unreadable", "tagged"])
+    def test_a_logged_value_its_column_cannot_read_is_corruption(self, value):
+        """A logged value is read by its column's type: text no INTEGER
+        has — a value tag of the old grammar included — was never written
+        by this one, and its CRC checks, so the record is corruption."""
+        device = self._with_first_insert(_small_store_device(), value)
+        for reopen in (recover, recover_follower):
+            with pytest.raises(CorruptLogError, match="LSN 2: malformed WAL record"):
+                reopen(device)
+
+    @pytest.mark.parametrize("escaped", ["Alpha\\q", "Alpha\\"], ids=["unknown", "lone"])
+    def test_a_malformed_escape_is_corruption(self, escaped):
+        """An escape the codec never writes — ``\\q``, or a backslash
+        that ends the value — loads no value nobody wrote: the record,
+        its CRC checking, is corruption, and the device is left alone."""
+        device = _small_store_device()
+        log = device.read_log()
+        assert "\tAlpha\t" in log
+        damaged = "\n".join(
+            _re_crc(line.rpartition("|")[0].replace("\tAlpha\t", f"\t{escaped}\t"))
+            if "\tAlpha\t" in line else line
+            for line in log.split("\n")
+        )
+        for reopen in (recover, recover_follower):
+            copy = _with_log(device, damaged)
+            with pytest.raises(CorruptLogError, match="escape|backslash"):
+                reopen(copy)
+            assert copy.read_log() == damaged
 
     @pytest.mark.parametrize("slot", ["live", "tombstone", "past-the-tail"])
     def test_a_logged_insert_off_the_tail_is_a_recovery_error(self, slot):
@@ -557,6 +624,16 @@ class TestHostileLogs:
         for reopen in (recover, recover_follower):
             with pytest.raises(RecoveryError, match="cannot redo"):
                 reopen(_with_log(device, device.read_log()))
+
+    def test_a_log_the_tagged_grammar_wrote_is_refused_not_cut(self):
+        """The previous, tagged codec wrote this log: every line passes
+        its CRC, none parses in today's grammar.  Recovery
+        refuses it, typed, and leaves the device as it found it."""
+        for reopen in (recover, recover_follower):
+            device = _with_log(_small_store_device(), TAGGED_LOG)
+            with pytest.raises(CorruptLogError, match="does not parse"):
+                reopen(device)
+            assert device.read_log() == TAGGED_LOG
 
     def test_a_log_the_transaction_era_wrote_is_refused_not_cut(self):
         """Every line of this log passes its CRC; none parses in today's

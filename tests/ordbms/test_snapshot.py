@@ -1,6 +1,8 @@
 """Database snapshots: exact restoration including physical ROWIDs."""
 
 import datetime as dt
+import enum
+import math
 import random
 
 import pytest
@@ -9,22 +11,34 @@ from hypothesis import strategies as st
 
 from repro.errors import DatabaseError, ReproError
 from repro.ordbms import (
+    ALL_TYPES,
     CLOB,
     Column,
     Database,
+    FLOAT,
     INTEGER,
+    MemoryLogDevice,
+    ROWID,
     RowId,
     TIMESTAMP,
     TableSchema,
     VARCHAR,
+    recover,
 )
-from repro.ordbms.snapshot import (
-    decode_value,
-    dump_database,
-    encode_value,
-    load_database,
-)
+from repro.ordbms.snapshot import dump_database, load_database
+from repro.ordbms.valuecodec import escape, unescape_value
+from repro.ordbms.wal import encode_checkpoint
 from repro.store import XmlStore
+
+#: The column type each kind of value is stored under.
+TYPE_OF = {int: INTEGER, float: FLOAT, str: VARCHAR, dt.datetime: TIMESTAMP, RowId: ROWID}
+
+
+def column_round_trip(dtype, value):
+    """``value`` packed and unpacked by a one-column schema of ``dtype``."""
+    schema = TableSchema("C", (Column("V", dtype),))
+    (packed,) = schema.pack((value,))
+    return schema.unpack([packed], RowId(0, 0, 0)).V
 
 
 def build_sample() -> tuple[Database, list[RowId]]:
@@ -68,17 +82,18 @@ class TestValueCoding:
          dt.datetime(2005, 6, 14, 12, 30), RowId(1, 2, 3)],
     )
     def test_round_trip(self, value):
-        assert decode_value(encode_value(value)) == value
+        assert column_round_trip(TYPE_OF.get(type(value), VARCHAR), value) == value
 
     def test_bad_value_rejected(self):
-        with pytest.raises(DatabaseError):
-            encode_value(object())
-        with pytest.raises(DatabaseError):
-            encode_value(True)
+        """No value reaches the codec but through its column's type rule."""
+        database, _ = build_sample()
+        for value in (object(), True):
+            with pytest.raises(DatabaseError):
+                database.insert("T", {"ID": value})
 
     def test_bad_text_rejected(self):
         with pytest.raises(DatabaseError):
-            decode_value("x:nope")
+            TableSchema("C", (Column("V", INTEGER),)).unpack(["x:nope"], RowId(0, 0, 0))
 
 
 class TestRoundTrip:
@@ -272,10 +287,10 @@ class TestHostileSnapshots:
     @pytest.mark.parametrize("edit", [
         # A SCHEMA line one tab field short.
         lambda dump: dump.replace("\tNODEDATA\n", "\n", 1),
-        # A value tag with no body.
-        lambda dump: dump.replace("\ti:2\t", "\ti:\t", 1),
-        # A value of the wrong type for its (indexed) column.
-        lambda dump: dump.replace("ROW F0.B0.S1 i:", "ROW F0.B0.S1 s:", 1),
+        # An INTEGER value with no text.
+        lambda dump: dump.replace("\t2\t", "\t\t", 1),
+        # A value its (primary-key) column's type cannot read.
+        lambda dump: dump.replace("ROW F0.B0.S1 ", "ROW F0.B0.S1 x", 1),
         # A renamed column: the table is no longer NETMARK's.
         lambda dump: dump.replace("PARENTROWID:", "PARENTROWIX:", 1),
     ])
@@ -288,61 +303,159 @@ class TestHostileSnapshots:
 
     @pytest.mark.parametrize("text", ["i:", "f:", "t:", "i:x", "f:1.2.3", "t:noon"])
     def test_an_empty_or_bad_body_is_a_database_error(self, text):
+        """``i:x`` is ``x`` dumped in an INTEGER column: the letter names
+        the column type the body is read by."""
+        letter, _, body = text.partition(":")
+        dtype = {"i": INTEGER, "f": FLOAT, "t": TIMESTAMP}[letter]
         with pytest.raises(DatabaseError):
-            decode_value(text)
+            TableSchema("C", (Column("V", dtype),)).unpack([body], RowId(0, 0, 0))
+
+    @pytest.mark.parametrize("escaped", ["Alpha\\q", "Alpha\\"], ids=["unknown", "lone"])
+    def test_a_malformed_escape_is_a_database_error(self, escaped):
+        """An escape the codec never writes loads no value nobody wrote."""
+        dump = _small_store_dump()
+        assert "\tAlpha\t" in dump
+        for load in (load_database, XmlStore.restore):
+            with pytest.raises(DatabaseError, match="escape|backslash"):
+                load(dump.replace("\tAlpha\t", f"\t{escaped}\t"))
+
+    def test_a_version_1_dump_is_refused_by_its_magic_line(self):
+        """The tagged dialect (``i:``, ``s:``...) is not read as this one:
+        a dump of it, and a checkpoint holding one, are refused whole."""
+        for load in (load_database, XmlStore.restore):
+            with pytest.raises(DatabaseError, match="magic"):
+                load(VERSION_1_DUMP)
+        device = MemoryLogDevice()
+        device.save_checkpoint(encode_checkpoint(0, VERSION_1_DUMP))
+        for reopen in (recover, XmlStore.open):
+            with pytest.raises(DatabaseError, match="magic"):
+                reopen(device)
+
+
+#: One Markdown file's store as the previous, tagged codec dumped it:
+#: the version 1 dialect.
+VERSION_1_DUMP = (
+    "%NETMARK-SNAPSHOT 1\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,"
+    "FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
+    "ROW F0.B0.S0 i:1\ts:memo.md\t~\ti:19\ts:markdown\ts:char_size=19;format=markdown;line_count=4\n"
+    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,"
+    "SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB"
+    "\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
+    "ROW F0.B0.S0 i:1\ti:1\t~\t~\t~\ti:1\ts:document\t~\ti:0\t~\n"
+    "ROW F0.B0.S1 i:2\ti:1\tr:F0.B0.S0\ti:1\t~\ti:5\ts:section\t~\ti:0\t~\n"
+    "ROW F0.B0.S2 i:3\ti:1\tr:F0.B0.S1\ti:2\tr:F0.B0.S4\ti:3\ts:context\t~\ti:0\t~\n"
+    "ROW F0.B0.S3 i:4\ti:1\tr:F0.B0.S2\ti:3\t~\ti:2\t~\ts:Memo\ti:0\t~\n"
+    "ROW F0.B0.S4 i:5\ti:1\tr:F0.B0.S1\ti:2\t~\ti:1\ts:content\t~\ti:1\t~\n"
+    "ROW F0.B0.S5 i:6\ti:1\tr:F0.B0.S4\ti:5\t~\ti:2\t~\ts:Valve test\ti:0\t~\n"
+)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+class Name(str):
+    pass
+
+
+class Moment(dt.datetime):
+    pass
+
+
+class Address(RowId):
+    pass
+
+
+#: Text the two layouts separate on, the two tokens, Unicode line
+#: breaks ``str.splitlines`` would split on, and escapes never written.
+NASTY_TEXT = [
+    "", "\t", "\n", "\r", "\\", "~", ".", "~~", "..", "\\t", "\\~", " lead",
+    "trail ", " ", "a\tb\nc\rd", "\u2028", "\u0085", "x\u2028y", "\\q", "a\\",
+]
+
+#: Per column type, values of it — exact, subclassed, widened — and NULL.
+VALUES = {
+    INTEGER: st.integers() | st.sampled_from(list(Level)),
+    FLOAT: st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]) | st.integers(-9, 9),
+    VARCHAR: st.text() | st.sampled_from(NASTY_TEXT) | st.builds(Name, st.sampled_from(NASTY_TEXT)),
+    CLOB: st.text() | st.sampled_from(NASTY_TEXT),
+    TIMESTAMP: st.datetimes() | st.builds(Moment, st.integers(1, 9999), st.integers(1, 12), st.integers(1, 28)),
+    ROWID: st.builds(RowId, st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16))
+    | st.builds(Address, st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+}
+#: The exact type each column type stores.
+STORED = {INTEGER: int, FLOAT: float, VARCHAR: str, CLOB: str, TIMESTAMP: dt.datetime, ROWID: RowId}
+
+
+def _same(dtype, stored, back) -> bool:
+    """``back`` is ``stored`` as its column keeps it: equal (a float to
+    the bit, NaN and -0.0 included) and of exactly the column's type."""
+    if stored is None or back is None:
+        return stored is back
+    if type(back) is not STORED[dtype]:
+        return False
+    return repr(float(stored)) == repr(back) if dtype is FLOAT else stored == back
 
 
 class TestValueCodecProperties:
-    """The snapshot/WAL value dialect round-trips every storable value.
+    """The WAL and the dump speak one column-typed codec, and every
+    storable value of every column type round-trips through both.
 
-    Recovery promises byte-identical restored state only because snapshots
-    and WAL row images speak exactly this dialect, so these properties are
-    load-bearing for the durability layer.
+    Recovery promises byte-identical restored state only because the
+    log and the checkpoint speak exactly this dialect, so these
+    properties are load-bearing for the durability layer.
     """
 
-    storable = st.one_of(
-        st.none(),
-        st.integers(),
-        st.floats(allow_nan=False),
-        st.text(),  # any codepoint: NULs, newlines, '|', unicode spaces
-        st.datetimes(
-            min_value=dt.datetime(1970, 1, 1),
-            max_value=dt.datetime(2100, 1, 1),
-        ),
-        st.builds(
-            RowId,
-            st.integers(0, 2**16),
-            st.integers(0, 2**16),
-            st.integers(0, 2**16),
-        ),
+    SCHEMA = TableSchema(
+        "ALL",
+        (Column("K", INTEGER, nullable=False),)
+        + tuple(Column(f"C{at}", dtype) for at, dtype in enumerate(ALL_TYPES)),
+        primary_key="K",
     )
 
-    @given(storable)
-    @settings(max_examples=200, deadline=None)
-    def test_value_round_trip(self, value):
-        from repro.ordbms.valuecodec import decode_value, encode_value
+    @given(st.tuples(*(st.none() | VALUES[dtype] for dtype in ALL_TYPES)))
+    @settings(max_examples=300, deadline=None)
+    def test_value_round_trip(self, values):
+        """Through WAL encode, parse and redo, and through dump and load,
+        a value comes back equal and of its column's exact type (an
+        ``IntEnum`` as an ``int``)."""
+        database, device = Database(), MemoryLogDevice()
+        database.create_table(self.SCHEMA)
+        database.enable_wal(device)
+        rowid = database.insert("ALL", {"K": 1, **{f"C{at}": value for at, value in enumerate(values)}})
+        stored = database.table("ALL").fetch(rowid)
+        for back in (
+            recover(device).database.table("ALL").fetch(rowid),
+            load_database(dump_database(database)).table("ALL").fetch(rowid),
+        ):
+            assert back.rowid == rowid and back.K == 1
+            assert all(
+                _same(dtype, value, got)
+                for dtype, value, got in zip(ALL_TYPES, stored[1:-1], back[1:-1])
+            ), (stored, back)
 
-        assert decode_value(encode_value(value)) == value
-
-    @given(st.lists(storable, max_size=8).map(tuple))
+    @given(st.tuples(*(st.none() | VALUES[dtype] for dtype in ALL_TYPES)))
     @settings(max_examples=200, deadline=None)
     def test_packed_row_round_trips_as_one_clean_token(self, values):
-        from repro.ordbms.valuecodec import pack_row, unpack_row
+        schema = TableSchema("P", tuple(Column(f"C{at}", dtype) for at, dtype in enumerate(ALL_TYPES)))
+        row = schema.row_of_image(values, RowId(0, 0, 0))
+        fields = schema.pack(row)
+        # A record is one line of tab-separated fields, an image as many
+        # of them as its table has columns: no field holds either.
+        assert len(fields) == len(ALL_TYPES)
+        assert not any(sep in field for field in fields for sep in "\t\n\r")
+        back = schema.unpack("\t".join(fields).split("\t"), row.rowid)
+        assert all(_same(dtype, *pair) for dtype, *pair in zip(ALL_TYPES, row, back))
 
-        token = pack_row(values)
-        # The WAL line format separates fields on single spaces and
-        # records on newlines; a row image must never contain either.
-        assert " " not in token and "\n" not in token
-        assert "\t" not in token and "\r" not in token
-        assert unpack_row(token) == values
-
-    @given(st.text())
+    @given(st.text() | st.sampled_from(NASTY_TEXT))
     @settings(max_examples=200, deadline=None)
     def test_escape_round_trip(self, text):
-        from repro.ordbms.valuecodec import escape, unescape
-
-        assert unescape(escape(text)) == text
-        assert "\t" not in escape(text) and "\n" not in escape(text)
+        escaped = escape(text)
+        assert unescape_value(escaped) == text
+        assert not any(sep in escaped for sep in "\t\n\r")
+        assert escaped not in ("~", ".")  # it reads as NULL, or as no image
+        assert escaped.count(" ") == text.count(" ")  # a space is one byte
 
 
 class TestTombstoneStability:

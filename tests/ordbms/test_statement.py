@@ -41,8 +41,8 @@ class TestOneRecordOneLsn:
         with store.snapshot():  # holds the pre-images the load leaves
             result = store.store_text(TEXT, "a.xml")
             (record,) = appended(device, landed)
-            assert record.split(" ")[1:4] == [CHANGE, DOC_TABLE, "1"]
-            assert f" {XML_TABLE} {result.node_count} " in record
+            assert record.split("\t")[1:4] == [CHANGE, DOC_TABLE, "1"]
+            assert f"\t{XML_TABLE}\t{result.node_count}\t" in record
             assert store.database.mvcc.lsn == lsn + 1
             stamps = {
                 stamp
@@ -58,8 +58,8 @@ class TestOneRecordOneLsn:
         landed = len(device._chunks)  # noqa: SLF001
         store.delete_document(doc_id)
         (record,) = appended(device, landed)
-        assert record.split(" ")[1:3] == [CHANGE, XML_TABLE]
-        assert f" {DOC_TABLE} 1 " in record
+        assert record.split("\t")[1:3] == [CHANGE, XML_TABLE]
+        assert f"\t{DOC_TABLE}\t1\t" in record
         assert XmlStore.open(device).documents() == []
 
 

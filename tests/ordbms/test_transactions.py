@@ -193,7 +193,7 @@ class TestFailedRollback:
         rowid = database.insert("T", {"ID": 1})
         lsn = database.wal.next_lsn
         device.append(WalRecord(lsn, CHANGE, (
-            ("T", ((rowid, (1, "imposter"), None),)),
+            ("T", ((rowid, ["1", "imposter"], None),)),
         )).encode())
         with pytest.raises(RecoveryError) as info:
             recover(device)

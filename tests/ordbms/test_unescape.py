@@ -1,18 +1,23 @@
 """``valuecodec.unescape`` against the character loop it replaced.
 
-The loop was the codec's own and, with the map ``{\\, t, n}``, a second
-copy inside ``store.schema.decode_attributes``.  Both now call the one
+The loop was a copy inside ``store.schema.decode_attributes`` (the map
+``{\\, t, n}``) and ``decode_metadata``; both now call the one lenient
 ``unescape`` (a fast path for text with no backslash, else one regex
-substitution), which must answer exactly what the loop did.
+substitution), which must answer exactly what the loop did — the stored
+``ATTRS`` and ``METADATA`` bytes, and what is served from them, stay as
+they were.  The log's and the dump's own escape is the strict
+``unescape_value``, which refuses what the loop let through.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ordbms.valuecodec import _ROW_ESCAPES, _TEXT_ESCAPES, unescape
-from repro.store.schema import _ATTR_ESCAPES, decode_attributes, encode_attributes
+from repro.errors import DatabaseError
+from repro.ordbms.valuecodec import unescape, unescape_value
+from repro.store.schema import _ATTR_ESCAPES, _META_ESCAPES, decode_attributes, encode_attributes
 
 
 def loop_unescape(text: str, escapes: dict[str, str]) -> str:
@@ -35,7 +40,7 @@ escaped_text = st.text(alphabet=st.sampled_from("\\\\\\tnrsxa \t\n\r"), max_size
 
 
 @given(st.one_of(escaped_text, st.text(max_size=20)),
-       st.sampled_from([_TEXT_ESCAPES, _ROW_ESCAPES, _ATTR_ESCAPES]))
+       st.sampled_from([_ATTR_ESCAPES, _META_ESCAPES]))
 @settings(max_examples=500, deadline=None)
 def test_unescape_answers_what_the_loop_did(text, escapes):
     assert unescape(text, escapes) == loop_unescape(text, escapes)
@@ -43,10 +48,13 @@ def test_unescape_answers_what_the_loop_did(text, escapes):
 
 def test_the_edges():
     for text in ["", "plain", "\\", "a\\", "\\\\", "\\\\\\", "\\q", "\\\n", "x\\tq\\"]:
-        for escapes in (_TEXT_ESCAPES, _ROW_ESCAPES, _ATTR_ESCAPES):
+        for escapes in (_ATTR_ESCAPES, _META_ESCAPES):
             assert unescape(text, escapes) == loop_unescape(text, escapes)
-    assert unescape("a\\", _TEXT_ESCAPES) == "a\\"  # a trailing lone backslash stays
+    assert unescape("a\\", _ATTR_ESCAPES) == "a\\"  # a trailing lone backslash stays
     assert unescape("\\q\\r", _ATTR_ESCAPES) == "qr"  # unknown escapes pass through
+    for text in ("a\\", "\\q\\r", "\\s"):  # the value escape refuses both
+        with pytest.raises(DatabaseError):
+            unescape_value(text)
 
 
 @given(st.text(alphabet=st.sampled_from("ab\\\t\n="), max_size=12))

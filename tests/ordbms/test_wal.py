@@ -1,13 +1,14 @@
 """WAL record grammar, CRCs, torn-tail semantics and log devices."""
 
+import datetime as dt
 import zlib
-from collections import namedtuple
 
 import pytest
 
 from repro.errors import CorruptLogError, WalError
-from repro.ordbms import RowId
-from repro.ordbms.valuecodec import pack_row
+from repro.ordbms import (
+    FLOAT, INTEGER, TIMESTAMP, VARCHAR, Column, Database, RowId, TableSchema, recover,
+)
 from repro.ordbms.wal import (
     ABSENT_IMAGE,
     CHANGE,
@@ -22,7 +23,8 @@ from repro.ordbms.wal import (
 )
 
 ROWID, NEXT = RowId(0, 0, 0), RowId(0, 0, 1)
-Row = namedtuple("Row", "ID V rowid")  # a stored row: columns, then its address
+T = TableSchema("T", (Column("ID", INTEGER), Column("V", VARCHAR)))
+D = TableSchema("D", (Column("ID", INTEGER),))
 
 
 def change(lsn: int, *groups) -> WalRecord:
@@ -30,19 +32,25 @@ def change(lsn: int, *groups) -> WalRecord:
 
 
 def line(body: str) -> str:
+    """A CRC-valid log line; a space in ``body`` stands for the field
+    separator, so a body reads as the record it is."""
+    body = body.replace(" ", "\t")
     return f"{body}|{zlib.crc32(body.encode()):08x}\n"
 
 
 def sample_records() -> list[WalRecord]:
     return [
-        change(1, ("T", ((ROWID, None, (1, "a b\tc")),))),
-        change(2, ("T", ((ROWID, (1, "a b\tc"), (1, "x\ny")), (NEXT, None, (2, "."))))),
-        change(3, ("D", ((ROWID, None, (7,)),)), ("T", ((RowId(0, 0, 2), None, (3, None)),))),
-        change(4, ("T", ((ROWID, (1, "x\ny"), None),))),
-        change(5, ("T", ((NEXT, (2, "."), None),)), ("D", ((ROWID, (7,), None),))),
-        change(6, ("A", ((ROWID, None, ()),)), ("B", ((ROWID, None, (None,)),)), ("C", ((ROWID, None, (1.5,)),))),
+        change(1, ("T", ((ROWID, None, T.pack((1, "a b\tc"))),))),
+        change(2, ("T", (
+            (ROWID, T.pack((1, "a b\tc")), T.pack((1, "x\ny"))),
+            (NEXT, None, T.pack((2, "."))),
+        ))),
+        change(3, ("D", ((ROWID, None, ["7"]),)), ("T", ((RowId(0, 0, 2), None, ["3", "~"]),))),
+        change(4, ("T", ((ROWID, T.pack((1, "x\ny")), None),))),
+        change(5, ("T", ((NEXT, T.pack((2, ".")), None),)), ("D", ((ROWID, ["7"], None),))),
+        change(6, ("A", ((ROWID, None, [""]),)), ("B", ((ROWID, None, ["~"]),)), ("C", ((ROWID, None, ["1.5"]),))),
         WalRecord(7, CHECKPOINT),
-        change(8, ("T", ((RowId(0, 0, 2), (3, None), (3, "three")),))),
+        change(8, ("T", ((RowId(0, 0, 2), ["3", "~"], T.pack((3, "three"))),))),
     ]
 
 
@@ -54,11 +62,12 @@ class TestRecordCodec:
         assert parsed == [record]
 
     def test_encoded_form_is_one_line_with_crc(self):
-        encoded = change(1, ("D", ((ROWID, None, (7,)),)), ("T", ((NEXT, (1,), None),))).encode()
+        encoded = change(1, ("D", ((ROWID, None, ["7"]),)), ("T", ((NEXT, ["1"], None),))).encode()
         assert encoded.endswith("\n")
         assert encoded.count("\n") == 1
         body, _, crc = encoded.rstrip("\n").rpartition("|")
-        assert body == f"1 CHANGE D 1 F0.B0.S0 . {pack_row((7,))} T 1 F0.B0.S1 {pack_row((1,))} ."
+        # Per group its table, change count and image width; no value tags.
+        assert body == "1 CHANGE D 1 1 F0.B0.S0 . 7 T 1 1 F0.B0.S1 1 .".replace(" ", "\t")
         assert len(crc) == 8
 
     def test_unknown_kind_rejected(self):
@@ -68,23 +77,30 @@ class TestRecordCodec:
         # Reading refuses what writing refuses — the savepoint, per-row
         # and transaction kinds this grammar once had included — and a
         # whole record it cannot read is corruption, never a torn tail.
-        for body in ("1 MERGE 7", "4 TRUNCATE 7 1", "2 INSERT 1 T F0.B0.S0 i:1", "1 BEGIN 7"):
+        for body in ("1 MERGE 7", "4 TRUNCATE 7 1", "2 INSERT 1 T F0.B0.S0 1", "1 BEGIN 7"):
             with pytest.raises(CorruptLogError, match="unknown WAL record kind"):
                 parse_log(line(body))
 
     def test_special_characters_survive(self):
-        nasty = "tab\there\nnewline \\slash space"
-        record = change(1, ("T", ((ROWID, None, (nasty, None)),)))
-        parsed, _ = parse_log(record.encode())
-        assert parsed[0].groups[0][1][0][2] == (nasty, None)
+        nasty = "tab\there\nnewline \\slash space\r"
+        schema = TableSchema("N", (Column("V", VARCHAR), Column("W", VARCHAR)))
+        record = change(1, ("N", ((ROWID, None, schema.pack((nasty, None))),)))
+        encoded = record.encode()
+        assert encoded.count("\n") == 1 and "\r" not in encoded
+        assert " space" in encoded  # a space is written as it is
+        parsed, _ = parse_log(encoded)
+        assert schema.unpack(parsed[0].groups[0][1][0][2], ROWID) == (nasty, None, ROWID)
 
     def test_the_absent_token_is_no_packed_row(self):
-        rows = [(), (None,), (".",), (ABSENT_IMAGE, 1)]
-        assert ABSENT_IMAGE not in [pack_row(row) for row in rows]
-        record = change(1, ("T", tuple(
-            (RowId(0, 0, slot), row, None) for slot, row in enumerate(rows)
+        schema = TableSchema("V", (Column("V", VARCHAR), Column("I", INTEGER)))
+        rows = [(None, None), (".", None), (ABSENT_IMAGE, 1), ("~", 2), ("", 3)]
+        assert ABSENT_IMAGE not in [schema.pack(row)[0] for row in rows]
+        record = change(1, ("V", tuple(
+            (RowId(0, 0, slot), schema.pack(row), None) for slot, row in enumerate(rows)
         )))
         assert parse_log(record.encode()) == ([record], None)
+        (parsed,), _ = parse_log(record.encode())
+        assert [schema.unpack(before, rowid)[:-1] for rowid, before, _ in parsed.groups[0][1]] == rows
 
 
 class TestParseLog:
@@ -114,23 +130,40 @@ class TestParseLog:
 
     @pytest.mark.parametrize("value", ["i:", "f:", "t:", "t:noon", "i:1.5"])
     def test_a_bad_value_is_a_malformed_record(self, value):
+        """``i:1.5`` is ``1.5`` logged in the INTEGER column: the letter
+        names the column a body is read by, as a record's table says."""
         # Its CRC checks, so it was written whole: corruption wherever it sits.
-        bad = line(f"2 CHANGE T 1 F0.B0.S0 . {value}")
-        first, last = WalRecord(1, CHECKPOINT).encode(), WalRecord(3, CHECKPOINT).encode()
+        database, device = Database(), MemoryLogDevice()
+        database.create_table(TableSchema("T", (
+            Column("I", INTEGER), Column("F", FLOAT), Column("W", TIMESTAMP),
+        )))
+        database.enable_wal(device)
+        letter, _, text = value.partition(":")
+        image = {"i": "1", "f": "1.5", "t": dt.datetime(2005, 6, 14).isoformat()}
+        image[letter] = text
+        bad = line(f"3 CHANGE T 1 3 F0.B0.S0 . {image['i']} {image['f']} {image['t']}")
+        first, last = WalRecord(2, CHECKPOINT).encode(), WalRecord(4, CHECKPOINT).encode()
+        assert parse_log(first + bad + last)[1] is None  # the log does not type it
         for text in (first + bad, first + bad + last):
+            device.truncate_log()
+            device.append(text)
             with pytest.raises(CorruptLogError, match="malformed WAL record"):
-                parse_log(text)
+                recover(device)
 
     @pytest.mark.parametrize("body", [
-        "2 CHANGE T 2 F0.B0.S0 . i:1",  # a count the pairs do not fill
-        "2 CHANGE T 0 F0.B0.S0 . i:1",  # pairs past the count
-        "2 CHANGE T F0.B0.S0 . i:1",  # no count
-        "2 CHANGE T 1 F0.B0.S0 . .",  # neither image
-        "2 CHANGE T 1 nowhere . i:1",  # no rowid
-        "2 CHANGE T 1 F0.B0.S0 i:1",  # one image
+        "2 CHANGE T 2 1 F0.B0.S0 . 1",  # a count the pairs do not fill
+        "2 CHANGE T 0 1 F0.B0.S0 . 1",  # pairs past the count
+        "2 CHANGE T 1 F0.B0.S0 . 1",  # no count
+        "2 CHANGE T 0 1",  # a group of no change
+        "2 CHANGE T 1 0 F0.B0.S0 .",  # an image of no column
+        "2 CHANGE T 1 2 F0.B0.S0 . 1",  # an image short of its width
+        "2 CHANGE T 1 1 F0.B0.S0 . .",  # neither image
+        "2 CHANGE T 1 1 nowhere . 1",  # no rowid
+        "2 CHANGE T 1 1 F0.B0.S0 1",  # one image
         "2 CHANGE",  # no group
-        "2 CHANGE T 1 F0.B0.S0 . i:1 U",  # a second group with no count
+        "2 CHANGE T 1 1 F0.B0.S0 . 1 U",  # a second group with no count
         "2 CHANGE 1 T 1 F0.B0.S0 . i:1",  # the transaction-era layout
+        "2 CHANGE T 1 F0.B0.S0 . i:1",  # the tagged layout: no width
     ])
     def test_a_change_of_the_wrong_shape_is_a_malformed_record(self, body):
         with pytest.raises(CorruptLogError, match="malformed WAL record"):
@@ -176,8 +209,8 @@ class TestWriteAheadLog:
     def test_lsns_are_sequential_and_synced_on_commit(self):
         device = MemoryLogDevice()
         wal = WriteAheadLog(device)
-        wal.log_changes([("T", [(None, Row(1, "v", ROWID))])])
-        wal.log_changes([("T", [(Row(1, "v", ROWID), None)])])
+        wal.log_changes([(T, [(None, T.row_type(1, "v", ROWID))])])
+        wal.log_changes([(T, [(T.row_type(1, "v", ROWID), None)])])
         wal.write_checkpoint("SNAP")
         records, torn = wal.records()
         assert torn is None
@@ -188,16 +221,17 @@ class TestWriteAheadLog:
     def test_a_statement_is_one_record_and_one_append(self):
         device, third = MemoryLogDevice(), RowId(0, 0, 2)
         wal = WriteAheadLog(device)
-        old, new = Row(1, "v", ROWID), Row(1, "w", ROWID)
-        pairs = [(None, Row(2, "x", third)), (old, new), (Row(3, "y", NEXT), None)]
-        doc = Row(9, "d", ROWID)
-        assert wal.log_changes([("T", pairs), ("D", [(None, doc)])]) == 1
+        row = T.row_type
+        old, new = row(1, "v", ROWID), row(1, "w", ROWID)
+        pairs = [(None, row(2, "x", third)), (old, new), (row(3, "y", NEXT), None)]
+        doc = D.row_type(9, ROWID)
+        assert wal.log_changes([(T, pairs), (D, [(None, doc)])]) == 1
         assert len(device._chunks) == 1  # noqa: SLF001 - one append
         assert wal.records() == ([change(1, ("T", (
-            (third, None, (2, "x")),
-            (ROWID, (1, "v"), (1, "w")),
-            (NEXT, (3, "y"), None),
-        )), ("D", ((ROWID, None, (9, "d")),)))], None)
+            (third, None, ["2", "x"]),
+            (ROWID, ["1", "v"], ["1", "w"]),
+            (NEXT, ["3", "y"], None),
+        )), ("D", ((ROWID, None, ["9"]),)))], None)
 
     def test_start_lsn_below_one_rejected(self):
         with pytest.raises(WalError):
@@ -206,8 +240,8 @@ class TestWriteAheadLog:
     def test_checkpoint_truncates_and_stamps(self):
         device = MemoryLogDevice()
         wal = WriteAheadLog(device)
-        wal.log_changes([("T", [(None, Row(1, "v", ROWID))])])
-        wal.log_changes([("T", [(Row(1, "v", ROWID), None)])])
+        wal.log_changes([(T, [(None, T.row_type(1, "v", ROWID))])])
+        wal.log_changes([(T, [(T.row_type(1, "v", ROWID), None)])])
         covered = wal.write_checkpoint("SNAP")
         assert covered == 2
         assert decode_checkpoint(device.load_checkpoint()) == (2, "SNAP")

@@ -207,25 +207,26 @@ class TestLookupByNameIndex:
 
 #: ``XmlStore.dump()`` of a store written before DOC had a FILE_NAME
 #: index (its DOC schema line declares no secondary index): memo.md
-#: stored twice, plan.md stored and deleted.
+#: stored twice, plan.md stored and deleted.  Its rows are in the
+#: column-typed codec (no value tags): what is old is the schema.
 PRE_INDEX_SNAPSHOT = (
-    "%NETMARK-SNAPSHOT 1\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\t-\t-\n"
-    "ROW F0.B0.S0 i:1\ts:memo.md\t~\ti:24\ts:markdown\ts:char_size=24;format=markdown;line_count=4\n"
-    "ROW F0.B0.S1 i:2\ts:memo.md\t~\ti:24\ts:markdown\ts:char_size=24;format=markdown;line_count=4\n"
+    "%NETMARK-SNAPSHOT 2\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\t-\t-\n"
+    "ROW F0.B0.S0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "ROW F0.B0.S1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
     "TOMB F0.B0.S2\n"
     "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|PARENTNODEID|NODENAME|NODETYPE\tNODEDATA\n"
-    "ROW F0.B0.S0 i:1\ti:1\t~\t~\t~\ti:1\ts:document\t~\ti:0\t~\n"
-    "ROW F0.B0.S1 i:2\ti:1\tr:F0.B0.S0\ti:1\t~\ti:5\ts:section\t~\ti:0\t~\n"
-    "ROW F0.B0.S2 i:3\ti:1\tr:F0.B0.S1\ti:2\tr:F0.B0.S4\ti:3\ts:context\t~\ti:0\t~\n"
-    "ROW F0.B0.S3 i:4\ti:1\tr:F0.B0.S2\ti:3\t~\ti:2\t~\ts:Budget\ti:0\t~\n"
-    "ROW F0.B0.S4 i:5\ti:1\tr:F0.B0.S1\ti:2\t~\ti:1\ts:content\t~\ti:1\t~\n"
-    "ROW F0.B0.S5 i:6\ti:1\tr:F0.B0.S4\ti:5\t~\ti:2\t~\ts:Travel funds.\ti:0\t~\n"
-    "ROW F0.B0.S6 i:7\ti:2\t~\t~\t~\ti:1\ts:document\t~\ti:0\t~\n"
-    "ROW F0.B0.S7 i:8\ti:2\tr:F0.B0.S6\ti:7\t~\ti:5\ts:section\t~\ti:0\t~\n"
-    "ROW F0.B0.S8 i:9\ti:2\tr:F0.B0.S7\ti:8\tr:F0.B0.S10\ti:3\ts:context\t~\ti:0\t~\n"
-    "ROW F0.B0.S9 i:10\ti:2\tr:F0.B0.S8\ti:9\t~\ti:2\t~\ts:Ops\ti:0\t~\n"
-    "ROW F0.B0.S10 i:11\ti:2\tr:F0.B0.S7\ti:8\t~\ti:1\ts:content\t~\ti:1\t~\n"
-    "ROW F0.B0.S11 i:12\ti:2\tr:F0.B0.S10\ti:11\t~\ti:2\t~\ts:Launch pad work.\ti:0\t~\n"
+    "ROW F0.B0.S0 1\t1\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
+    "ROW F0.B0.S1 2\t1\tF0.B0.S0\t1\t~\t5\tsection\t~\t0\t~\n"
+    "ROW F0.B0.S2 3\t1\tF0.B0.S1\t2\tF0.B0.S4\t3\tcontext\t~\t0\t~\n"
+    "ROW F0.B0.S3 4\t1\tF0.B0.S2\t3\t~\t2\t~\tBudget\t0\t~\n"
+    "ROW F0.B0.S4 5\t1\tF0.B0.S1\t2\t~\t1\tcontent\t~\t1\t~\n"
+    "ROW F0.B0.S5 6\t1\tF0.B0.S4\t5\t~\t2\t~\tTravel funds.\t0\t~\n"
+    "ROW F0.B0.S6 7\t2\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
+    "ROW F0.B0.S7 8\t2\tF0.B0.S6\t7\t~\t5\tsection\t~\t0\t~\n"
+    "ROW F0.B0.S8 9\t2\tF0.B0.S7\t8\tF0.B0.S10\t3\tcontext\t~\t0\t~\n"
+    "ROW F0.B0.S9 10\t2\tF0.B0.S8\t9\t~\t2\t~\tOps\t0\t~\n"
+    "ROW F0.B0.S10 11\t2\tF0.B0.S7\t8\t~\t1\tcontent\t~\t1\t~\n"
+    "ROW F0.B0.S11 12\t2\tF0.B0.S10\t11\t~\t2\t~\tLaunch pad work.\t0\t~\n"
     + "".join(f"TOMB F0.B0.S{slot}\n" for slot in range(12, 18))
 )
 
