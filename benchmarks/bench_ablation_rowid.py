@@ -10,8 +10,11 @@ traversal (resolve every content hit to its governing context, then
 collect the section).  The physical side reads the governing context off
 the fact the text index carries beside the posting and the section in
 one forward read from its ROWID; the key-join side walks parent and
-children by index lookups, on a copy of the store that carries the
-``PARENTNODEID`` B+tree only that design needs.  Both variants produce
+children by index lookups, on a copy of the nodes in the shape that
+design needs: each names its parent by key (``PARENTNODEID``, with a
+B+tree on it) and carries its place among its siblings (``ORDINAL``), a
+relation having no order of its own.  NETMARK stores neither; the copy
+derives both from ``PARENTROWID`` and ROWID order.  Both variants produce
 identical answers; the physical path must do it with no B+tree probe
 and no more rows fetched — like counted with like, the
 machine-independent proxy for the I/O Oracle's physical rowids saved.
@@ -26,6 +29,7 @@ import pytest
 from conftest import print_table
 
 from repro import obs
+from repro.ordbms import CLOB, INTEGER, Column, Table, TableSchema
 from repro.sgml.nodetypes import NodeType
 from repro.store import XmlStore
 from repro.workloads import CorpusSpec, generate_corpus
@@ -40,17 +44,36 @@ def store():
 
 
 @pytest.fixture(scope="module")
-def keyjoin_store(store):
-    """The same rows, plus the child index a rowid-less design needs:
-    NETMARK itself keeps no B+tree on ``PARENTNODEID``."""
-    copy = XmlStore.restore(store.dump())
-    copy.xml_table.create_index("PARENTNODEID")
-    return copy
+def keyjoin_table(store):
+    """The same nodes, in the same order, as a rowid-less design keeps
+    them: the parent by ``NODEID`` (B+tree-indexed, for the children
+    probe) and the position among siblings, both derived from the
+    store's ``PARENTROWID`` and ROWID order."""
+    table = Table(TableSchema("KEYJOIN", (
+        Column("NODEID", INTEGER, nullable=False),
+        Column("PARENTNODEID", INTEGER),
+        Column("NODETYPE", INTEGER, nullable=False),
+        Column("NODEDATA", CLOB),
+        Column("ORDINAL", INTEGER, nullable=False),
+    ), primary_key="NODEID"))
+    table.create_index("PARENTNODEID")
+    table.create_text_index("NODEDATA")
+    node_ids, children = {}, {}
+    for row in store.xml_table.scan():  # ROWID order: document order
+        parent = row.PARENTROWID
+        node_ids[row.rowid] = row.NODEID
+        children[parent] = children.get(parent, -1) + 1
+        table.insert({
+            "NODEID": row.NODEID, "PARENTNODEID": node_ids.get(parent),
+            "NODETYPE": row.NODETYPE, "NODEDATA": row.NODEDATA,
+            "ORDINAL": children[parent],
+        })
+    return table
 
 
-def _content_hits(store, term="shuttle"):
-    index = store.xml_table.text_index_on("NODEDATA")
-    rows = [store.xml_table.fetch(rowid) for rowid in sorted(index.lookup(term))]
+def _content_hits(table, term="shuttle"):
+    index = table.text_index_on("NODEDATA")
+    rows = [table.fetch(rowid) for rowid in sorted(index.lookup(term))]
     return [row for row in rows if row.NODETYPE == int(NodeType.TEXT)]
 
 
@@ -67,8 +90,8 @@ def _btree_probes():
 class KeyJoinTraversal:
     """Parent/sibling navigation through logical-key index lookups."""
 
-    def __init__(self, store: XmlStore) -> None:
-        self.table = store.xml_table
+    def __init__(self, table: Table) -> None:
+        self.table = table
         self.probes = 0
         self.rows = 0
 
@@ -150,8 +173,8 @@ def _resolve_physical(store, hits):
     return answers, _btree_probes() - before, rows
 
 
-def _resolve_keyjoin(store, hits):
-    traversal = KeyJoinTraversal(store)
+def _resolve_keyjoin(table, hits):
+    traversal = KeyJoinTraversal(table)
     answers = []
     for hit in hits:
         context = traversal.governing_context(hit)
@@ -162,9 +185,9 @@ def _resolve_keyjoin(store, hits):
     return answers, traversal.probes, traversal.rows
 
 
-def test_report_ablation_rowid(benchmark, store, keyjoin_store):
+def test_report_ablation_rowid(benchmark, store, keyjoin_table):
     def report():
-        hits = _content_hits(store)
+        hits = _content_hits(store.xml_table)
         assert hits
 
         start = time.perf_counter()
@@ -175,7 +198,7 @@ def test_report_ablation_rowid(benchmark, store, keyjoin_store):
 
         start = time.perf_counter()
         keyjoin, keyjoin_probes, keyjoin_rows = _resolve_keyjoin(
-            keyjoin_store, _content_hits(keyjoin_store)
+            keyjoin_table, _content_hits(keyjoin_table)
         )
         keyjoin_time = time.perf_counter() - start
 
@@ -204,10 +227,10 @@ def test_report_ablation_rowid(benchmark, store, keyjoin_store):
 
 
 def test_bench_physical_traversal(benchmark, store):
-    hits = _content_hits(store)
+    hits = _content_hits(store.xml_table)
     benchmark(_resolve_physical, store, hits)
 
 
-def test_bench_keyjoin_traversal(benchmark, keyjoin_store):
-    hits = _content_hits(keyjoin_store)
-    benchmark(lambda: _resolve_keyjoin(keyjoin_store, hits))
+def test_bench_keyjoin_traversal(benchmark, keyjoin_table):
+    hits = _content_hits(keyjoin_table)
+    benchmark(lambda: _resolve_keyjoin(keyjoin_table, hits))

@@ -118,7 +118,7 @@ class FsckError(StoreError):
     the structured :class:`repro.store.fsck.FsckReport`, never raised —
     fsck's job is to describe damage, not to crash on it.  This error
     covers the checker itself failing (unknown repair code, a database
-    without the NETMARK schema).
+    without the NETMARK tables or with tables of another shape).
     """
 
 

@@ -231,9 +231,8 @@ class Netmark:
         """Run the store consistency checker (optionally repairing)."""
         if repair:
             report = repair_store(self.store.database)
-            # Repair edits stored rows in place: the one event that can falsify
-            # a pooled lift, or a cached answer whose sections stay visible.
-            self.store.lift_cache.clear()
+            # Repair rebuilds the section facts a cached answer was computed
+            # from; pooled lifts are read off rows, which it never edits.
             self.api.engine.cache.clear()
             return report
         return check_store(self.store.database)

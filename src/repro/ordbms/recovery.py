@@ -3,10 +3,10 @@
 ARIES-lite, sized to an engine whose every write is one statement: one
 forward pass over the log redoes every ``CHANGE`` record *positionally*
 — an insert must take exactly the ROWID the log recorded, which is what
-lets ``PARENTROWID`` / ``SIBLINGID`` values stored inside rows survive a
-crash.  A record is the whole of a write (a document's DOC row and node
-rows together), so there is nothing to resolve: no transaction, no
-loser, nothing to take back.
+lets ``PARENTROWID`` values stored inside rows, and the order rows are
+laid down in, survive a crash.  A record is the whole of a write (a
+document's DOC row and node rows together), so there is nothing to
+resolve: no transaction, no loser, nothing to take back.
 
 Replay is a client of the database it rebuilds: each record is one
 :meth:`Database.change` statement, checked and counted in the

@@ -7,7 +7,8 @@ block, slot)* that addresses a row's storage location directly, giving O(1)
 row fetch with no index lookup.
 
 ROWIDs are immutable, hashable, and totally ordered by physical position —
-a property the XML store relies on for deterministic sibling ordering.
+a property the XML store relies on: ROWID order is document order, so
+it is the only record of sibling order.
 They render in an Oracle-flavoured base-32 text form (e.g.
 ``AAAAB3AAC``-style strings are abbreviated here to ``F0.B12.S3``) that is
 stable across runs for identical insert sequences.

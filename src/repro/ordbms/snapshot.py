@@ -4,9 +4,9 @@ NETMARK's database "is nothing more than an intelligent storage
 component"; intelligent storage survives restarts.  A snapshot captures
 everything — schemas, declared indexes, and every heap block *including
 tombstoned slots* — so that physical ROWIDs come back identical, which
-matters because ROWIDs are stored inside XML-table rows (``PARENTROWID``,
-``SIBLINGID``).  Indexes are rebuilt from the restored heaps rather than
-serialised; they are derived state.
+matters because ROWIDs are stored inside XML-table rows (``PARENTROWID``)
+and ROWID order is document order.  Indexes are rebuilt from the
+restored heaps rather than serialised; they are derived state.
 
 Format: a line-oriented text format (version-stamped), one section per
 table::

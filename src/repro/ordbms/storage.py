@@ -3,7 +3,7 @@
 Rows live in fixed-capacity *blocks* grouped into *data files*; a row's
 :class:`~repro.ordbms.rowid.RowId` is its ``(file, block, slot)`` address.
 A fetch by ROWID is two list lookups — the O(1) access path the paper's
-parent/sibling traversal depends on.
+parent hop depends on; a forward read in ROWID order walks down and across.
 
 Deletions tombstone the slot rather than compacting, so ROWIDs of the
 surviving rows never move (Oracle's heap tables behave the same way).

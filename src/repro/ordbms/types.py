@@ -3,7 +3,7 @@
 The engine supports a deliberately small set of scalar types — the ones the
 NETMARK generated schema (Fig 5 of the paper) actually needs: integers,
 floats, strings (``VARCHAR``/``CLOB``), timestamps, and ``ROWID`` values
-used for the parent/sibling physical links that make tree traversal fast.
+used for the physical parent link that makes the upward hop fast.
 
 Types are represented as singleton :class:`DataType` instances; columns
 reference them by object identity.  Each type answers one question per

@@ -163,7 +163,8 @@ class QueryCache:
         obs.set_gauge("repro_cache_bytes", total_bytes, cache="result")
 
     def clear(self) -> None:
-        """Drop every entry: a row was edited in place (``fsck --repair``)."""
+        """Drop every entry: derived state an answer was computed from was
+        rebuilt (``fsck --repair``)."""
         with self._lock:
             self._entries.clear()
             self._shared.clear()

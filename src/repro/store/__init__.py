@@ -1,8 +1,9 @@
 """The NETMARK XML Store: schema-less document storage (paper §2.1.1).
 
 Any document decomposes into the same two tables (``XML`` and ``DOC``);
-physical ROWID links give O(1) parent/sibling traversal; reconstruction
-rebuilds documents and sections for retrieval and result composition.
+a physical ROWID link gives an O(1) parent hop, and ROWID order
+(document order) the walk down and across; reconstruction rebuilds
+documents and sections for retrieval and result composition.
 """
 
 from repro.store.accessor import AccessorStats, NodeAccessor

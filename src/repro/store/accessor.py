@@ -98,15 +98,15 @@ class SectionPass:
         #: may, the fact of a TEXT child arriving now: the same, plus the
         #: latest CONTEXT child, whose scope the later children are]
         self._open: dict[RowId | None, list[Any]] = {}
-        #: parent ROWID -> rows that came before it (fsck's in-place
-        #: repair re-feeds one row behind the rows fed after it)
+        #: parent ROWID -> rows that came before it (an in-place update
+        #: re-feeds one row behind the rows fed after it)
         self._early: dict[RowId, list[XmlRow]] = {}
         self._last: RowId | None = None  # the ROWID fed last
 
     def __call__(self, row: XmlRow) -> None:
         above, kind, rowid = row.PARENTROWID, row.NODETYPE, row.rowid
         if self._last is not None and rowid <= self._last:
-            # Behind the last row: an in-place update (fsck --repair), so
+            # Behind the last row: an in-place update (``Database.update``), so
             # what is open describes later rows and its parent must arrive afresh.
             self._open = {}
         self._last = rowid

@@ -8,20 +8,20 @@ The decomposer flattens the DOM in document order and builds one finished
 row per node.  The whole tree is in memory before the first insert and
 the heap is append-only, so the addresses the rows will land at are
 known up front (:meth:`repro.ordbms.table.Table.next_rowids`): every row
-is written once, already carrying its parent's ROWID (``PARENTROWID``)
-**and** its next sibling's (``SIBLINGID``), and is never touched again.
+is written once, already carrying its parent's ROWID (``PARENTROWID``),
+and is never touched again.
 The DOC row and the node rows go in as one statement
 (:meth:`repro.ordbms.Database.change`), one WAL record, which refuses a
 row whose address is not the next one its heap hands out — and then
 nothing moves in either table.  The result is the traversal structure
-the paper exploits: O(1) hops up and across.
+the paper exploits: an O(1) hop up, and document order as ROWID order,
+so the walk down and across is a forward read.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Any
 
 from repro.ordbms import Database, RowId
 from repro.sgml.config import NodeTypeConfig
@@ -80,40 +80,30 @@ class Decomposer:
         first_id = self._next_node_id
         self._next_node_id += len(flat)
         row, classify, pairs = xml.schema.row_of_image, self._config.classify, []
-        for position, (node, parent, ordinal, sibling) in enumerate(flat):
+        for position, (node, parent) in enumerate(flat):
             is_element = isinstance(node, Element)
             pairs.append((None, row((  # XML_TABLE's columns, in order
                 first_id + position,
                 doc_id,
                 None if parent is None else rowids[parent],
-                None if parent is None else first_id + parent,
-                None if sibling is None else rowids[sibling],
                 int(classify(node)),
                 node.tag if is_element else None,
                 None if is_element else node.data,
-                ordinal,
                 encode_attributes(node.attributes) if is_element else None,
             ), rowids[position])))
         database.change([(DOC_TABLE, [(None, doc_row)]), (XML_TABLE, pairs)])
         return DecomposeResult(doc_id=doc_id, root_rowid=rowids[0], node_count=len(flat))
 
 
-def _flatten(root: Node) -> list[list[Any]]:
-    """``root``'s subtree in document order, as ``[node, parent, ordinal,
-    next sibling]`` entries; parent and sibling are positions or None."""
-    flat: list[list[Any]] = []
-    last_child: dict[int | None, int] = {}
-    stack: list[tuple[Node, int | None, int]] = [(root, None, 0)]
+def _flatten(root: Node) -> list[tuple[Node, int | None]]:
+    """``root``'s subtree in document order, as ``(node, parent)``
+    entries; the parent is a position or None."""
+    flat: list[tuple[Node, int | None]] = []
+    stack: list[tuple[Node, int | None]] = [(root, None)]
     while stack:
-        node, parent, ordinal = stack.pop()
+        node, parent = stack.pop()
         position = len(flat)
-        if ordinal:
-            flat[last_child[parent]][3] = position
-        last_child[parent] = position
-        flat.append([node, parent, ordinal, None])
+        flat.append((node, parent))
         if isinstance(node, Element):
-            stack.extend(
-                (child, position, index)
-                for index, child in reversed(list(enumerate(node.children)))
-            )
+            stack.extend((child, position) for child in reversed(node.children))
     return flat

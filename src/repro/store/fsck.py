@@ -1,22 +1,19 @@
 """fsck for the NETMARK two-table store: verify and repair invariants.
 
 The schema-less design buys its generality by pushing structure out of
-DDL and into row values — ``PARENTROWID``/``SIBLINGID`` links, ORDINAL
-ordering, the five-way NODETYPE vocabulary.  Nothing in the ORDBMS can
+DDL and into row values and their layout — ``PARENTROWID`` links, ROWID
+order, the five-way NODETYPE vocabulary.  Nothing in the ORDBMS can
 enforce those, so this module does, after the fact:
 
 * every ``PARENTROWID`` resolves to a live XML row of the same document,
-  whose ``NODEID`` matches the child's ``PARENTNODEID``, and the parent
-  chain is acyclic (reaches a root);
-* each document has exactly one root, and every parent's children form
-  one well-formed sibling chain: distinct ORDINALs, each ``SIBLINGID``
-  pointing at the next child in ``(ORDINAL, NODEID)`` order, the last
-  child ending the chain with NULL;
+  and the parent chain is acyclic (reaches a root);
+* each document has exactly one root;
 * every ``NODETYPE`` is one of the five NETMARK types;
 * each document's rows, taken in ROWID order, are a pre-order walk of its
   tree — the layout the read path's forward reads
-  (:meth:`repro.store.accessor.NodeAccessor.subtree`) stand on — and
-  ROWID order is ``(DOC_ID, NODEID)`` order, which a plan sorts by;
+  (:meth:`repro.store.accessor.NodeAccessor.subtree`) stand on, and the
+  only record of sibling order — and ROWID order is ``(DOC_ID, NODEID)``
+  order, which a plan sorts by;
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
@@ -27,8 +24,8 @@ Violations found in the data are *reported*, never raised — fsck's job
 is to describe damage (:class:`FsckReport`), and crashes are reserved
 for misuse (:class:`~repro.errors.FsckError`, e.g. a database without
 the NETMARK schema).  :func:`repair_store` rebuilds the derived subset
-of that state — indexes, sibling chains, ``PARENTNODEID`` — and leaves
-genuinely lost data (dangling parents, orphans) to be reported.
+of that state — the indexes and the section facts — and edits no row,
+so genuinely lost data (dangling parents, orphans) stays reported.
 
 Command line::
 
@@ -42,11 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import FsckError
+from repro.errors import CatalogError, FsckError, StoreError
 from repro.ordbms import Database, RowId, Table, TextIndex
 from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import SectionPass
-from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow
+from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow, require_netmark_schema
 
 #: Violation codes, in check order.  Codes marked repairable concern
 #: derived state that :func:`repair_store` can rebuild from the rows.
@@ -58,23 +55,14 @@ CODES = (
     "multiple-roots",
     "dangling-parent",
     "foreign-parent",
-    "parent-id-mismatch",  # repairable
     "parent-cycle",
-    "dangling-sibling",
-    "foreign-sibling",
-    "duplicate-ordinal",
-    "sibling-chain",  # repairable
     "doc-order",
     "btree-drift",  # repairable
     "text-index-drift",  # repairable
     "section-facts",  # repairable
 )
 
-REPAIRABLE = frozenset(
-    {"parent-id-mismatch", "sibling-chain", "btree-drift",
-     "text-index-drift", "dangling-sibling", "foreign-sibling",
-     "section-facts"}
-)
+REPAIRABLE = frozenset({"btree-drift", "text-index-drift", "section-facts"})
 
 
 @dataclass(frozen=True)
@@ -161,7 +149,6 @@ def check_store(database: Database) -> FsckReport:
     _check_node_fields(report, nodes, by_rowid, doc_ids)
     _check_roots(report, nodes, doc_ids)
     _check_parent_chains(report, nodes, by_rowid)
-    _check_sibling_chains(report, nodes, by_rowid)
     _check_doc_order(report, nodes)
     if report.ok:  # a pass needs sound links, in document order
         _check_section_facts(report, database, by_rowid)
@@ -172,38 +159,16 @@ def check_store(database: Database) -> FsckReport:
 def repair_store(database: Database) -> FsckReport:
     """Rebuild derived state, then re-check.
 
-    Repairs, in order: ``PARENTNODEID`` values that disagree with the
-    row their ``PARENTROWID`` addresses, sibling chains (re-derived from
-    ``(ORDINAL, NODEID)`` order per parent, which also clears dangling
-    or foreign ``SIBLINGID`` values), and every index (rebuilt from the
-    heap).  Structural losses — dangling parents, orphaned nodes,
-    missing roots — cannot be re-derived and remain in the report.
+    Every B+tree and text index is rebuilt from the heap, and the text
+    index's section facts with it; no row is edited.  Structural losses
+    — dangling parents, orphaned nodes, missing roots, rows out of
+    document order — are not derivable and remain in the report.
     """
     doc_table, xml_table = _netmark_tables(database)
-    actions = 0
-    nodes = list(xml_table.scan())
-    by_rowid: dict[RowId, XmlRow] = {row.rowid: row for row in nodes}
-    for row in nodes:
-        parent_rowid = row.PARENTROWID
-        parent = by_rowid.get(parent_rowid) if parent_rowid is not None else None
-        if parent is not None and row.PARENTNODEID != parent.NODEID:
-            database.update(
-                XML_TABLE, row.rowid,
-                {"PARENTNODEID": parent.NODEID},
-            )
-            actions += 1
-    for _, _, chain in _family_chains(nodes):
-        for row, expected_next in chain:
-            if row.SIBLINGID != expected_next:
-                database.update(
-                    XML_TABLE, row.rowid, {"SIBLINGID": expected_next}
-                )
-                actions += 1
     doc_table.rebuild_indexes()
     xml_table.rebuild_indexes()
-    actions += 2
     report = check_store(database)
-    report.repaired = actions
+    report.repaired = 2  # the two tables' rebuilds
     return report
 
 
@@ -214,12 +179,13 @@ def repair_store(database: Database) -> FsckReport:
 
 def _netmark_tables(database: Database) -> tuple[Table, Table]:
     try:
-        return database.table(DOC_TABLE), database.table(XML_TABLE)
-    except Exception as error:  # lint: allow-broad-except(any lookup failure means the schema is absent)
+        require_netmark_schema(database)
+    except (CatalogError, StoreError) as error:
         raise FsckError(
             f"database {database.name!r} does not carry the NETMARK "
             f"schema: {error}"
         ) from error
+    return database.table(DOC_TABLE), database.table(XML_TABLE)
 
 
 def _check_node_fields(
@@ -255,27 +221,6 @@ def _check_node_fields(
                     "foreign-parent", XML_TABLE, str(rowid), row.DOC_ID,
                     f"parent at {parent_rowid} belongs to document "
                     f"{parent.DOC_ID}",
-                ))
-            elif parent.NODEID != row.PARENTNODEID:
-                report.violations.append(Violation(
-                    "parent-id-mismatch", XML_TABLE, str(rowid),
-                    row.DOC_ID,
-                    f"PARENTNODEID {row.PARENTNODEID} but parent row "
-                    f"at {parent_rowid} has NODEID {parent.NODEID}",
-                ))
-        sibling_rowid = row.SIBLINGID
-        if sibling_rowid is not None:
-            sibling = by_rowid.get(sibling_rowid)
-            if sibling is None:
-                report.violations.append(Violation(
-                    "dangling-sibling", XML_TABLE, str(rowid), row.DOC_ID,
-                    f"SIBLINGID {sibling_rowid} is not a live XML row",
-                ))
-            elif sibling.DOC_ID != row.DOC_ID:
-                report.violations.append(Violation(
-                    "foreign-sibling", XML_TABLE, str(rowid), row.DOC_ID,
-                    f"sibling at {sibling_rowid} belongs to document "
-                    f"{sibling.DOC_ID}",
                 ))
 
 
@@ -341,79 +286,21 @@ def _check_parent_chains(
         resolved.update(path)
 
 
-def _family_chains(
-    nodes: list[XmlRow],
-) -> list[tuple[int, RowId | None, list[tuple[XmlRow, RowId | None]]]]:
-    """Children grouped by parent, each paired with its expected SIBLINGID.
-
-    The canonical chain orders a parent's children by ``(ORDINAL,
-    NODEID)`` — NODEID breaks ordinal ties deterministically — and links
-    each child to the next, ending with NULL.
-    """
-    families: dict[tuple[int, RowId | None], list[XmlRow]] = {}
-    for row in nodes:
-        families.setdefault(
-            (row.DOC_ID, row.PARENTROWID), []
-        ).append(row)
-    chains = []
-    for (doc_id, parent_rowid), children in sorted(
-        families.items(), key=lambda item: (item[0][0], str(item[0][1]))
-    ):
-        children.sort(key=lambda row: (row.ORDINAL, row.NODEID))
-        chain = [
-            (row, children[position + 1].rowid
-             if position + 1 < len(children) else None)
-            for position, row in enumerate(children)
-        ]
-        chains.append((doc_id, parent_rowid, chain))
-    return chains
-
-
-def _check_sibling_chains(
-    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
-) -> None:
-    for doc_id, _, chain in _family_chains(nodes):
-        ordinals_seen: dict[int, int] = {}
-        for row, expected_next in chain:
-            ordinal = row.ORDINAL
-            if ordinal in ordinals_seen:
-                report.violations.append(Violation(
-                    "duplicate-ordinal", XML_TABLE, str(row.rowid),
-                    doc_id,
-                    f"ORDINAL {ordinal} already used by NODEID "
-                    f"{ordinals_seen[ordinal]} under the same parent",
-                ))
-            else:
-                ordinals_seen[ordinal] = row.NODEID
-            actual = row.SIBLINGID
-            if actual != expected_next and (
-                actual is None or actual in by_rowid
-            ):
-                # Dangling/foreign SIBLINGIDs were already reported with
-                # their own codes; this one is live but mis-linked.
-                report.violations.append(Violation(
-                    "sibling-chain", XML_TABLE, str(row.rowid),
-                    doc_id,
-                    f"SIBLINGID is {actual}, expected {expected_next} "
-                    f"(next child by ORDINAL order)",
-                ))
-
-
 def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
     """Each document is one ROWID run, laid out as a pre-order walk.
 
     Walking the heap in physical order, every row's parent must be on
     the path of still-open ancestors (so every subtree is contiguous and
-    every parent precedes its children), siblings must arrive in ORDINAL
-    order, no other document's live row may sit inside the run, and
-    ``(DOC_ID, NODEID)`` must rise with the ROWID (the presentation
-    order is read off the address).  One
+    every parent precedes its children), no other document's live row
+    may sit inside the run, and ``(DOC_ID, NODEID)`` must rise with the
+    ROWID (the presentation order is read off the address).  Sibling
+    order is ROWID order, so nothing else says what it should be.  One
     report per document, at the first row that breaks the walk; nothing
     here is derivable, so ``--repair`` leaves it.
     """
     seen: dict[int, bool] = {}  # document -> already reported
     doc_id, latest = None, (0, 0)
-    path: list[list[Any]] = []  # open ancestors: [rowid, last child's ORDINAL]
+    path: list[RowId] = []  # open ancestors
     for row in nodes:
         parent, problem = row.PARENTROWID, ""
         if row.DOC_ID != doc_id:
@@ -422,15 +309,15 @@ def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
                 problem = "the run resumes after another document's rows"
             elif parent is not None:
                 problem = "the run does not start at the root"
-            path = [[None, -1]]  # the slot the root hangs from
+            path = []
         if seen.setdefault(doc_id, False):
             continue
-        while not problem and path[-1][0] != parent:
+        if not problem and parent is None and path:
+            problem = "a second root"
+        while not problem and path and path[-1] != parent:
             path.pop()
             if not path:
                 problem = f"parent {parent} is not an open ancestor"
-        if not problem and row.ORDINAL <= path[-1][1]:
-            problem = "stored after a sibling it should precede"
         if not problem and (doc_id, row.NODEID) <= latest:
             problem = "ROWID order is not (DOC_ID, NODEID) order"
         latest = max(latest, (doc_id, row.NODEID))
@@ -441,9 +328,7 @@ def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
                 f"rows are not a pre-order walk of the tree: {problem}",
             ))
             continue
-        # One root only: nothing else may hang from the slot above it.
-        path[-1][1] = row.ORDINAL if parent is not None else len(nodes)
-        path.append([row.rowid, -1])
+        path.append(row.rowid)
 
 
 def _check_section_facts(
@@ -452,7 +337,7 @@ def _check_section_facts(
     """What the NODEDATA index carries for each TEXT row equals what a
     fresh :class:`~repro.store.accessor.SectionPass` over the heap in
     physical order says, and it carries nothing else.  The index's facts
-    were kept one row at a time — insert, replay, an in-place repair, rows
+    were kept one row at a time — insert, replay, an in-place update, rows
     that arrived before their parent — so a pass from scratch is still an independent
     check.  A table no store has wired keeps no facts."""
     index = database.table(XML_TABLE).text_index_on("NODEDATA")
@@ -536,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--repair", action="store_true",
-        help="rebuild derived state (indexes, sibling chains, parent ids)",
+        help="rebuild derived state (indexes and section facts)",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text"
@@ -549,6 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     device = FileLogDevice(args.base)
     try:
         database = recover(device).database
+        _netmark_tables(database)  # refused before a pass reads its rows
         database.table(XML_TABLE).derive_facts(SectionPass)  # as a store would
         report = (
             repair_store(database) if args.repair else check_store(database)

@@ -15,9 +15,8 @@ lift of that row is a pure function of its ROWID, and a catalog entry a
 pure function of its doc id — whichever reader computed it, at whatever
 commit LSN.  A deleted document's entries are unreachable (no probe
 hands out its ROWIDs any more), not wrong, and the LRU bound is what
-reclaims them.  The one writer that does change rows in place is
-``fsck --repair``; :meth:`~repro.netmark.Netmark.fsck` calls
-:meth:`LiftCache.clear` after it.
+reclaims them.  Only ``repro.ordbms`` and its tests edit a row in
+place; ``fsck --repair`` rebuilds indexes and section facts, never rows.
 
 Every accessor reads at a commit LSN that shows a statement whole or
 not at all, so a half-loaded document's partial section can never enter
@@ -87,12 +86,6 @@ class LiftCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 obs.inc("repro_cache_evictions_total", cache="lift")
-
-    def clear(self) -> None:
-        """Forget everything — for the one writer that edits rows in
-        place (``fsck --repair``)."""
-        with self._lock:
-            self._entries.clear()
 
     def snapshot_counters(self) -> dict[str, int]:
         """A consistent copy of the work counters (tests, /metrics)."""

@@ -11,14 +11,17 @@ Two tables store *every* document of *any* type — the schema-less claim:
 ``XML`` — one row per decomposed node:
     ``NODEID`` (PK), ``DOC_ID`` (FK to DOC),
     ``PARENTROWID`` — *physical ROWID* of the parent node row,
-    ``PARENTNODEID`` — logical id of the parent (survives export),
-    ``SIBLINGID`` — physical ROWID of the **next** sibling node row,
     ``NODETYPE`` — the five-way NETMARK type (1..5),
     ``NODENAME`` — element tag (NULL for text nodes),
     ``NODEDATA`` — character data (NULL for element nodes),
-    ``ORDINAL`` — position among siblings (keeps reconstruction
-    deterministic; implicit in Oracle's physical order, explicit here),
     ``ATTRS`` — serialised element attributes.
+
+The row keeps only what a read follows.  The up-hop is ``PARENTROWID``;
+the down- and across-hops are the forward read, since a document's rows
+are one ROWID run in document order: a node's subtree is the rows that
+follow it, and its next sibling is the next ROWID past that subtree,
+if that row's ``PARENTROWID`` is the node's own.  Position among siblings is
+ROWID order, so no column stores it.
 
 Indexes created with the schema (:data:`INDEXES`), beside each primary
 key's: B+trees on ``DOC.FILE_NAME`` (the write path's "is this name
@@ -26,8 +29,7 @@ already stored" probe), ``XML.DOC_ID`` (a document's rows) and
 ``XML.NODENAME`` (the nodename search), plus the text index on
 ``XML.NODEDATA`` (the Oracle Text stand-in the query path hits first).
 Nothing probes by parent: which section a row belongs to is what one
-pass over its document in ROWID order says, so ``PARENTNODEID`` is
-stored, and carried by an export, but not indexed.
+pass over its document in ROWID order says.
 """
 
 from __future__ import annotations
@@ -75,12 +77,9 @@ def xml_schema() -> TableSchema:
             Column("NODEID", INTEGER, nullable=False),
             Column("DOC_ID", INTEGER, nullable=False),
             Column("PARENTROWID", ROWID),
-            Column("PARENTNODEID", INTEGER),
-            Column("SIBLINGID", ROWID),
             Column("NODETYPE", INTEGER, nullable=False),
             Column("NODENAME", VARCHAR),
             Column("NODEDATA", CLOB),
-            Column("ORDINAL", INTEGER, nullable=False, default=0),
             Column("ATTRS", CLOB),
         ),
         primary_key="NODEID",

@@ -46,10 +46,8 @@ class TestComposeMultiRoot:
                 "NODEID": 9999,
                 "DOC_ID": result.doc_id,
                 "PARENTROWID": None,
-                "PARENTNODEID": None,
                 "NODETYPE": 1,
                 "NODENAME": "rogue",
-                "ORDINAL": 0,
             },
         )
         with pytest.raises(StoreError):

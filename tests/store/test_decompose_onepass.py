@@ -1,10 +1,9 @@
 """The one-pass decomposer against the walk it replaced.
 
 ``oracle_load`` is the old recursive loader, kept here as the reference:
-it learns a node's next sibling only after that sibling's subtree is in,
-and patches ``SIBLINGID`` with an UPDATE.  The one-pass loader must leave
-exactly the heap the oracle leaves — same row images at the same ROWIDs —
-from any heap tail it can start at.
+it inserts one row per node, depth first, each as its own statement.
+The one-pass loader must leave exactly the heap the oracle leaves — same
+row images at the same ROWIDs — from any heap tail it can start at.
 """
 
 import pytest
@@ -20,13 +19,13 @@ from repro.store.schema import encode_attributes, encode_metadata
 
 
 def oracle_load(store, document):
-    """The recursive back-patching loader, on the store's own id counters."""
+    """The recursive row-at-a-time loader, on the store's own id counters."""
     database = store.database
     decomposer = store._decomposer  # noqa: SLF001 - shares the allocators
     doc_id = decomposer._next_doc_id
     decomposer._next_doc_id += 1
 
-    def insert_subtree(node, parent_rowid, parent_nodeid, ordinal):
+    def insert_subtree(node, parent_rowid):
         node_id = decomposer._next_node_id
         decomposer._next_node_id += 1
         is_element = isinstance(node, Element)
@@ -36,21 +35,14 @@ def oracle_load(store, document):
                 "NODEID": node_id,
                 "DOC_ID": doc_id,
                 "PARENTROWID": parent_rowid,
-                "PARENTNODEID": parent_nodeid,
                 "NODETYPE": int(store.config.classify(node)),
                 "NODENAME": node.tag if is_element else None,
                 "NODEDATA": None if is_element else node.data,
-                "ORDINAL": ordinal,
                 "ATTRS": encode_attributes(node.attributes) if is_element else None,
             },
         )
-        previous = None
-        for child_ordinal, child in enumerate(node.children if is_element else ()):
-            child_rowid = insert_subtree(child, rowid, node_id, child_ordinal)
-            if previous is not None:
-                database.update(XML_TABLE, previous, {"SIBLINGID": child_rowid})
-            previous = child_rowid
-        return rowid
+        for child in node.children if is_element else ():
+            insert_subtree(child, rowid)
 
     database.insert(
         DOC_TABLE,
@@ -63,7 +55,7 @@ def oracle_load(store, document):
             "METADATA": encode_metadata(document.metadata),
         },
     )
-    insert_subtree(document.root, None, None, 0)
+    insert_subtree(document.root, None)
 
 
 _TAGS = ("doc", "h1", "p", "b", "section", "title")

@@ -74,8 +74,9 @@ class TestDecomposition:
         store, result = store_with_doc
         for row in store.xml_table.scan():
             parent = hops(store).parent(row)
-            if parent is not None:
-                assert parent.NODEID == row.PARENTNODEID
+            if parent is not None:  # same document, stored before its child
+                assert parent.DOC_ID == row.DOC_ID
+                assert parent.rowid < row.rowid and parent.NODEID < row.NODEID
 
     def test_sibling_chain_terminates_and_orders(self, store_with_doc):
         store, result = store_with_doc
@@ -92,6 +93,7 @@ class TestDecomposition:
         assert counts[NodeType.SIMULATION] == 2  # the <section> wrappers
 
     def test_children_sorted_by_ordinal(self, store_with_doc):
+        """A child's ordinal is its place in ROWID order."""
         store, result = store_with_doc
         root = store.new_accessor().node(result.root_rowid)
         sections = hops(store).children(root)

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.errors import FsckError
-from repro.ordbms import Database
+from repro.ordbms import Database, FileLogDevice, TableSchema, load_database
+from repro.ordbms.wal import encode_checkpoint
 from repro.query import QueryCache, QueryEngine
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, repair_store
 from repro.store.fsck import REPAIRABLE, main
-from repro.store.schema import XML_TABLE
+from repro.store.schema import XML_TABLE, doc_schema, xml_schema
+from tests.store.test_xmlstore import TEN_COLUMN_SNAPSHOT
 
 
 @pytest.fixture
@@ -42,6 +44,21 @@ class TestCleanStore:
         with pytest.raises(FsckError):
             check_store(Database("plain"))
 
+    def test_an_xml_table_missing_a_column_is_misuse(self):
+        database = Database("short")
+        database.create_table(doc_schema())
+        columns = [c for c in xml_schema().columns if c.name != "NODETYPE"]
+        database.create_table(TableSchema(XML_TABLE, tuple(columns), "NODEID"))
+        database.insert(XML_TABLE, {"NODEID": 1, "DOC_ID": 1})
+        with pytest.raises(FsckError, match="NETMARK columns"):
+            check_store(database)
+
+    def test_the_old_ten_column_table_is_misuse(self):
+        with pytest.raises(FsckError, match="NETMARK columns"):
+            check_store(load_database(TEN_COLUMN_SNAPSHOT))
+        with pytest.raises(FsckError, match="NETMARK columns"):
+            repair_store(load_database(TEN_COLUMN_SNAPSHOT))
+
     def test_report_serialises(self, loaded):
         report = check_store(loaded.database)
         payload = report.as_dict()
@@ -56,7 +73,7 @@ class TestCorruptionClasses:
         database = store.database
         rows = xml_rows(store)
         root = node_where(store, PARENTROWID=None, DOC_ID=1)
-        child = node_where(store, PARENTNODEID=root.NODEID)
+        child = node_where(store, PARENTROWID=root.rowid)
         if code == "bad-node-type":
             database.update(XML_TABLE, child.rowid, {"NODETYPE": 99})
         elif code == "orphan-node":
@@ -68,82 +85,32 @@ class TestCorruptionClasses:
                     database.delete(XML_TABLE, row.rowid)
         elif code == "missing-root":
             database.update(
-                XML_TABLE, root.rowid,
-                {"PARENTROWID": child.rowid,
-                 "PARENTNODEID": child.NODEID},
+                XML_TABLE, root.rowid, {"PARENTROWID": child.rowid}
             )
         elif code == "multiple-roots":
-            database.update(
-                XML_TABLE, child.rowid,
-                {"PARENTROWID": None, "PARENTNODEID": None},
-            )
+            database.update(XML_TABLE, child.rowid, {"PARENTROWID": None})
         elif code == "dangling-parent":
-            victim = node_where(store, PARENTNODEID=child.NODEID)
+            victim = node_where(store, PARENTROWID=child.rowid)
             database.delete(XML_TABLE, victim.rowid)
             orphaned = node_where(store, PARENTROWID=victim.rowid)
             assert orphaned is not None  # its children now dangle
         elif code == "foreign-parent":
             other = node_where(store, PARENTROWID=None, DOC_ID=2)
             database.update(
-                XML_TABLE, child.rowid,
-                {"PARENTROWID": other.rowid,
-                 "PARENTNODEID": other.NODEID},
-            )
-        elif code == "parent-id-mismatch":
-            database.update(
-                XML_TABLE, child.rowid, {"PARENTNODEID": 9999}
+                XML_TABLE, child.rowid, {"PARENTROWID": other.rowid}
             )
         elif code == "parent-cycle":
-            grandchild = node_where(store, PARENTNODEID=child.NODEID)
+            grandchild = node_where(store, PARENTROWID=child.rowid)
             database.update(
-                XML_TABLE, child.rowid,
-                {"PARENTROWID": grandchild.rowid,
-                 "PARENTNODEID": grandchild.NODEID},
-            )
-        elif code == "dangling-sibling":
-            from repro.ordbms import RowId
-
-            database.update(
-                XML_TABLE, child.rowid,
-                {"SIBLINGID": RowId(9, 9, 9)},
-            )
-        elif code == "foreign-sibling":
-            other = node_where(store, PARENTROWID=None, DOC_ID=2)
-            database.update(
-                XML_TABLE, child.rowid,
-                {"SIBLINGID": other.rowid},
-            )
-        elif code == "duplicate-ordinal":
-            first = next(
-                row for row in rows
-                if row.PARENTNODEID == root.NODEID
-                and row.SIBLINGID is not None
-            )
-            follower = node_where(store, rowid=first.SIBLINGID)
-            database.update(
-                XML_TABLE, follower.rowid,
-                {"ORDINAL": first.ORDINAL},
-            )
-        elif code == "sibling-chain":
-            # A live but mis-linked chain: point a child at itself.
-            database.update(
-                XML_TABLE, child.rowid,
-                {"SIBLINGID": child.rowid},
+                XML_TABLE, child.rowid, {"PARENTROWID": grandchild.rowid}
             )
         elif code == "doc-order":
-            # A well-linked node of document 1, stored behind document
-            # 2's rows: no link is wrong, only where the row sits.
-            last = max(
-                (row for row in rows if row.PARENTROWID == child.rowid),
-                key=lambda row: row.ORDINAL,
-            )
-            late = database.insert(XML_TABLE, {
+            # A well-linked last child of document 1's, stored behind
+            # document 2's rows: no link is wrong, only where the row sits.
+            database.insert(XML_TABLE, {
                 "NODEID": 9999, "DOC_ID": 1, "NODETYPE": 2,
-                "NODENAME": "late", "ORDINAL": last.ORDINAL + 1,
-                "PARENTROWID": child.rowid,
-                "PARENTNODEID": child.NODEID,
+                "NODENAME": "late", "PARENTROWID": child.rowid,
             })
-            database.update(XML_TABLE, last.rowid, {"SIBLINGID": late})
         elif code == "btree-drift":
             index = store.xml_table.index_on("NODENAME")
             index.insert("ghost-entry", child.rowid)
@@ -167,12 +134,7 @@ class TestCorruptionClasses:
             "multiple-roots",
             "dangling-parent",
             "foreign-parent",
-            "parent-id-mismatch",
             "parent-cycle",
-            "dangling-sibling",
-            "foreign-sibling",
-            "duplicate-ordinal",
-            "sibling-chain",
             "doc-order",
             "btree-drift",
             "text-index-drift",
@@ -221,27 +183,23 @@ class TestCorruptionClasses:
     @pytest.mark.parametrize(
         "layout, problem",
         [
-            # (name, parent, ordinal) in the order the rows are stored
-            ([("a", "r", 0), ("r", None, 0)], "does not start at the root"),
-            ([("r", None, 0), ("a", "r", 0), ("b", "r", 1), ("c", "a", 0)],
+            # (name, parent) in the order the rows are stored; siblings
+            # are in the order they are stored, so none is out of it
+            ([("a", "r"), ("r", None)], "does not start at the root"),
+            ([("r", None), ("a", "r"), ("b", "r"), ("c", "a")],
              "not an open ancestor"),
-            ([("r", None, 0), ("b", "r", 1), ("a", "r", 0)],
-             "after a sibling it should precede"),
-            ([("r", None, 0), ("a", "r", 0), ("s", None, 1)],
-             "after a sibling it should precede"),  # a second root
+            ([("r", None), ("a", "r"), ("s", None)], "a second root"),
         ],
     )
     def test_every_way_of_leaving_document_order(self, store, layout, problem):
         database = store.database
         database.insert("DOC", {"DOC_ID": 1, "FILE_NAME": "planted.xml"})
-        names = [name for name, _, _ in layout]
+        names = [name for name, _ in layout]
         addresses = dict(zip(names, store.xml_table.next_rowids(len(layout))))
-        for name, parent, ordinal in layout:
+        for name, parent in layout:
             database.insert(XML_TABLE, {
                 "NODEID": names.index(name) + 1, "DOC_ID": 1, "NODETYPE": 2,
-                "NODENAME": name, "ORDINAL": ordinal,
-                "PARENTROWID": addresses.get(parent),
-                "PARENTNODEID": names.index(parent) + 1 if parent else None,
+                "NODENAME": name, "PARENTROWID": addresses.get(parent),
             })
         [found] = [
             violation for violation in check_store(database).violations
@@ -258,8 +216,7 @@ class TestCorruptionClasses:
         for node_id, parent in ((7, None), (3, root)):
             database.insert(XML_TABLE, {
                 "NODEID": node_id, "DOC_ID": 1, "NODETYPE": 1, "NODENAME": "n",
-                "ORDINAL": 0, "PARENTROWID": parent,
-                "PARENTNODEID": 7 if parent else None,
+                "PARENTROWID": parent,
             })
         [found] = check_store(database).violations
         assert found.code == "doc-order" and found.rowid == str(child)
@@ -273,10 +230,10 @@ class TestCorruptionClasses:
 
 
 class TestRepairUnderAWarmPool:
-    """Repair is the one writer that edits stored rows in place, so the
-    one event that can falsify a pooled lift or a cached answer that
-    outlives its stamp: the facade clears the pool and the result cache
-    after it."""
+    """Repair rebuilds derived state and edits no row: a pooled lift,
+    read off rows, stays true and stays pooled, while a cached answer
+    computed from the section facts it rebuilds is dropped — the facade
+    clears the result cache after it."""
 
     QUERIES = ("Content=engine", "Content=shuttle", "Context=Budget")
 
@@ -295,23 +252,22 @@ class TestRepairUnderAWarmPool:
         bare = QueryEngine(node.store, use_index=False)
         clean = self.answers(bare, self.QUERIES)
         assert clean == self.answers(node.engine, self.QUERIES)
-        # A heading with a wrong parent id and a sibling chain pointing
-        # at itself: the links repair fixes, which no read follows — a
-        # section is the pass over PARENTROWID in ROWID order.
+        # A ghost posting of a heading, under a name no query asks for:
+        # drift that repair fixes and no read follows.
         report1 = node.store.lookup_by_name("report1.ndoc").doc_id
         heading = node_where(
             node.store, DOC_ID=report1, NODEDATA="Budget"
         ).PARENTROWID
-        node.database.update(XML_TABLE, heading, {"PARENTNODEID": 424242})
-        node.database.update(XML_TABLE, heading, {"SIBLINGID": heading})
-        assert {"parent-id-mismatch", "sibling-chain"} <= node.fsck().codes()
+        node.store.xml_table.index_on("NODENAME").insert("ghost-entry", heading)
+        assert node.fsck().codes() == {"btree-drift"}
         damaged = self.answers(cached, self.QUERIES)  # warms the pool
         assert damaged == self.answers(bare, self.QUERIES) == clean
         assert self.answers(node.engine, self.QUERIES) == clean
-        assert len(node.store.lift_cache) > 0
+        pooled = len(node.store.lift_cache)
+        assert pooled > 0
         report = node.fsck(repair=True)
         assert report.ok and report.repaired >= 2
-        assert len(node.store.lift_cache) == 0
+        assert len(node.store.lift_cache) == pooled
         assert self.answers(cached, self.QUERIES) == clean
         assert self.answers(bare, self.QUERIES) == clean
 
@@ -342,8 +298,6 @@ class TestRepairUnderAWarmPool:
 class TestCommandLine:
     @pytest.fixture
     def durable_base(self, tmp_path) -> str:
-        from repro.ordbms import FileLogDevice
-
         base = str(tmp_path / "store")
         device = FileLogDevice(base)
         store = XmlStore.open(device)
@@ -366,3 +320,12 @@ class TestCommandLine:
     def test_repair_flag(self, durable_base, capsys):
         assert main([durable_base, "--repair"]) == 0
         assert "repair actions" in capsys.readouterr().out
+
+    def test_the_old_ten_column_table_is_refused(self, tmp_path):
+        base = str(tmp_path / "old")
+        device = FileLogDevice(base)
+        device.save_checkpoint(encode_checkpoint(0, TEN_COLUMN_SNAPSHOT))
+        device.close()
+        for argv in ([base], [base, "--repair"]):
+            with pytest.raises(FsckError, match="NETMARK columns"):
+                main(argv)

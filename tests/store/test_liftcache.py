@@ -67,14 +67,6 @@ class TestLiftCacheUnit:
         with pytest.raises(StoreError):
             LiftCache(capacity=0)
 
-    def test_clear_forgets_entries_and_keeps_counting(self):
-        cache = LiftCache()
-        cache.put("title", 10, "a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("title", 10) is MISS
-        assert cache.snapshot_counters()["misses"] == 1
-
     def test_sixteen_threads_keep_the_bound_and_the_counters(self):
         """get/put from 16 threads with a tiny switch interval: the pool
         never exceeds its capacity, every get is counted exactly once,
@@ -391,10 +383,9 @@ class TestWhoMayEditARowInPlace:
     argument, these take two and three).  Every ``change`` outside
     ``Table`` and ``Database`` repeats a logged one (redo, the snapshot
     loader) or moves a whole document's rows in or out, never one of
-    them in place; the only in-place edit asked for outside
-    ``repro.ordbms`` is ``fsck --repair`` — after which the facade clears
-    the pool.  A new caller must say how pooled lifts stay true, then
-    join this list."""
+    them in place: only ``repro.ordbms`` and its tests edit a row in
+    place, so nothing can falsify a pooled lift.  A new caller must say
+    how pooled lifts stay true, then join this list."""
 
     CALLERS = {
         # its doors (insert, update, delete; change); the heap
@@ -404,7 +395,6 @@ class TestWhoMayEditARowInPlace:
         "ordbms/snapshot.py": {"change": 1},  # dumped rows, loaded
         "store/decompose.py": {"change": 1},  # a new document's rows
         "store/xmlstore.py": {"change": 1},  # a deleted document's rows
-        "store/fsck.py": {"update": 2},  # PARENTNODEID and SIBLINGID repair
     }
 
     def test_update_callers_are_the_listed_ones(self):

@@ -52,15 +52,16 @@ def _sha(text: str) -> str:
 
 class TestNoByteMoved:
     """Twelve generated documents through the daemon onto a WAL, one
-    replaced, one deleted.  The fsck findings and the served bodies are
-    the parent commit's; the WAL and the dump rows are the column-typed
-    codec's own (no value tags, one escape layer)."""
+    replaced, one deleted.  The served bodies are the parent commit's;
+    the WAL, the dump rows and the fsck findings are the seven-column
+    XML row's own (no parent NODEID, sibling link or ordinal)."""
 
     GOLDEN = {
-        # Logged and dumped bytes moved on purpose: the column-typed codec.
-        "wal": "df542b79c8293d1e651f58d558be9a224cc108add501454a7d60cb9b1fd71912",
-        "dump_rows": "64bda422919e0b727e7f1f635461477ce0994366d3a01a0f88ab4277261ff792",
-        "fsck_violations": "1294497e53bcca2038faead66d0d0d4ef4c70a1122e6b540ad15e4b3773c5ad1",
+        # Logged and dumped bytes moved on purpose: the seven-column row.
+        "wal": "af0018aca9fd4aacda7b53453bd13f5feef7bdd1718e3bdc374569aa289a175f",
+        "dump_rows": "c8d4d64a2a35f8a3a81434962827ac265d152b2c5c03c877240d6b0e5dea26bd",
+        # The damage moved with the columns: see the test.
+        "fsck_violations": "b15ae98dd0fac074ee4910fec0d491f6be8f3d8e4826cdac8c804926e178ddfb",
         "search_bodies": [
             "911c534018a5964c6cf3ea20fe6f659a0a84aece7a1fb098cdbe34d59c621e3e",
             "aeca9c88057a41e45e39c35c5474a357c06fa87b6e2db7d3d28440c894473e91",
@@ -90,17 +91,19 @@ class TestNoByteMoved:
             line for line in node.store.dump().split("\n")
             if line.startswith(("ROW ", "TOMB "))
         )
-        # Damage two links through the in-place door so fsck has
-        # something to say: the root's first child gets a wrong parent
-        # id and a sibling link that points back at the root.
-        root, child = node.store.xml_table.index_on("DOC_ID").search(1)[:2]
-        node.database.update(XML_TABLE, child, {"PARENTNODEID": 0})
-        node.database.update(XML_TABLE, child, {"SIBLINGID": root})
+        # Damage two rows through the in-place door so fsck has
+        # something to say: the root's first child gets a NODETYPE of 99,
+        # and the next row a parent that is no live row.
+        child, next_row = node.store.xml_table.index_on("DOC_ID").search(1)[1:3]
+        node.database.update(XML_TABLE, child, {"NODETYPE": 99})
+        node.database.update(XML_TABLE, next_row, {"PARENTROWID": RowId(9, 9, 9)})
         violations = [
             [v.code, v.table, v.rowid, v.doc_id, v.detail]
             for v in check_store(node.database).violations
         ]
-        assert len(violations) == 2
+        assert [v[0] for v in violations] == [
+            "bad-node-type", "dangling-parent", "doc-order",
+        ]
         assert {
             "wal": _sha(wal),
             "dump_rows": _sha(dump),

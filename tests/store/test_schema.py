@@ -25,17 +25,18 @@ class TestGeneratedSchema:
         doc_table, xml_table = create_netmark_schema(database)
         for column in ("DOC_ID", "FILE_NAME", "FILE_DATE", "FILE_SIZE"):
             assert doc_table.schema.has_column(column)
-        for column in (
-            "NODEID", "DOC_ID", "PARENTROWID", "PARENTNODEID",
-            "SIBLINGID", "NODETYPE", "NODENAME", "NODEDATA",
-        ):
-            assert xml_table.schema.has_column(column)
+        # The row keeps only what a read follows: the parent's ROWID up,
+        # ROWID order down and across.
+        assert [column.name for column in xml_table.schema.columns] == [
+            "NODEID", "DOC_ID", "PARENTROWID", "NODETYPE", "NODENAME",
+            "NODEDATA", "ATTRS",
+        ]
 
     def test_indexes_created(self):
         database = Database()
         doc_table, xml_table = create_netmark_schema(database)
         assert doc_table.index_columns == ("DOC_ID", "FILE_NAME")
-        # Three XML B+trees: nobody probes NODETYPE or PARENTNODEID.
+        # Three XML B+trees: nobody probes NODETYPE or by parent.
         assert xml_table.index_columns == ("NODEID", "DOC_ID", "NODENAME")
         assert xml_table.text_index_on("NODEDATA") is not None
 

@@ -1,13 +1,14 @@
 """The forward read against the hop walk it replaced.
 
 ``HopOracle`` is the read path as the paper tells it and as it ran
-before: children by their ``PARENTROWID`` in ORDINAL order, a section by
-``SIBLINGID`` hops, a DOM by recursion over both, and a row's sections by
-a climb to the root.  It trusts only the links.  ``NodeAccessor.subtree``
-and the ``compose_*`` functions trust the layout instead — a document's
-rows are one ROWID run in document order — and must hand back the same
-rows and the same serialized XML, as of now and pinned, from every heap
-the store can be in; ``SectionPass`` must say what the climb says.
+before: children by their ``PARENTROWID`` in ROWID order, a section by
+next-sibling hops, a DOM by recursion over both, and a row's sections by
+a climb to the root.  It trusts only the parent links and the order of
+siblings.  ``NodeAccessor.subtree`` and the ``compose_*`` functions
+trust the whole layout instead — a document's rows are one ROWID run in
+document order — and must hand back the same rows and the same
+serialized XML, as of now and pinned, from every heap the store can be
+in; ``SectionPass`` must say what the climb says.
 """
 
 import pytest
@@ -39,9 +40,10 @@ from tests.store.test_xmlstore import PRE_INDEX_SNAPSHOT
 
 
 class HopOracle:
-    """The hop-based walk, on the links alone: ``PARENTROWID`` up,
-    children by ``PARENTROWID`` in ORDINAL order, ``SIBLINGID`` across.
-    Rows come through ``accessor``, so the oracle reads as of its LSN."""
+    """The hop-based walk, on the parent links alone: ``PARENTROWID`` up,
+    children by ``PARENTROWID`` in ROWID order, the next such child
+    across.  Rows come through ``accessor``, so the oracle reads as of
+    its LSN."""
 
     def __init__(self, accessor):
         self.accessor = accessor
@@ -52,8 +54,10 @@ class HopOracle:
         return None if above is None else self.accessor.node(above)
 
     def next_sibling(self, row):
-        beside = row.SIBLINGID
-        return None if beside is None else self.accessor.node(beside)
+        parent = self.parent(row)
+        family = [row] if parent is None else self.children(parent)
+        later = [sibling for sibling in family if sibling.rowid > row.rowid]
+        return later[0] if later else None
 
     def children(self, row):
         rows = self._documents.get(row.DOC_ID)
@@ -62,7 +66,7 @@ class HopOracle:
                 self.accessor.lookup_rows("DOC_ID", row.DOC_ID)
             )
         below = [child for child in rows if child.PARENTROWID == row.rowid]
-        return sorted(below, key=lambda child: child.ORDINAL)
+        return sorted(below, key=lambda child: child.rowid)
 
     def facts(self, row):
         """``(sections, ancestor, emphasised)`` of a TEXT row, all the way
@@ -94,7 +98,7 @@ class HopOracle:
             yield parent, True
             best = None
             for sibling in () if self.accessor.is_context(current) else self.children(parent):
-                if sibling.ORDINAL >= current.ORDINAL:
+                if sibling.rowid >= current.rowid:
                     break
                 if self.accessor.is_context(sibling):
                     best = sibling

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConstraintError, DocumentNotFoundError
-from repro.ordbms import MemoryLogDevice
+from repro.errors import ConstraintError, DocumentNotFoundError, StoreError
+from repro.ordbms import FileLogDevice, MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
@@ -214,19 +214,19 @@ PRE_INDEX_SNAPSHOT = (
     "ROW F0.B0.S0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
     "ROW F0.B0.S1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
     "TOMB F0.B0.S2\n"
-    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|PARENTNODEID|NODENAME|NODETYPE\tNODEDATA\n"
-    "ROW F0.B0.S0 1\t1\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
-    "ROW F0.B0.S1 2\t1\tF0.B0.S0\t1\t~\t5\tsection\t~\t0\t~\n"
-    "ROW F0.B0.S2 3\t1\tF0.B0.S1\t2\tF0.B0.S4\t3\tcontext\t~\t0\t~\n"
-    "ROW F0.B0.S3 4\t1\tF0.B0.S2\t3\t~\t2\t~\tBudget\t0\t~\n"
-    "ROW F0.B0.S4 5\t1\tF0.B0.S1\t2\t~\t1\tcontent\t~\t1\t~\n"
-    "ROW F0.B0.S5 6\t1\tF0.B0.S4\t5\t~\t2\t~\tTravel funds.\t0\t~\n"
-    "ROW F0.B0.S6 7\t2\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
-    "ROW F0.B0.S7 8\t2\tF0.B0.S6\t7\t~\t5\tsection\t~\t0\t~\n"
-    "ROW F0.B0.S8 9\t2\tF0.B0.S7\t8\tF0.B0.S10\t3\tcontext\t~\t0\t~\n"
-    "ROW F0.B0.S9 10\t2\tF0.B0.S8\t9\t~\t2\t~\tOps\t0\t~\n"
-    "ROW F0.B0.S10 11\t2\tF0.B0.S7\t8\t~\t1\tcontent\t~\t1\t~\n"
-    "ROW F0.B0.S11 12\t2\tF0.B0.S10\t11\t~\t2\t~\tLaunch pad work.\t0\t~\n"
+    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME|NODETYPE\tNODEDATA\n"
+    "ROW F0.B0.S0 1\t1\t~\t1\tdocument\t~\t~\n"
+    "ROW F0.B0.S1 2\t1\tF0.B0.S0\t5\tsection\t~\t~\n"
+    "ROW F0.B0.S2 3\t1\tF0.B0.S1\t3\tcontext\t~\t~\n"
+    "ROW F0.B0.S3 4\t1\tF0.B0.S2\t2\t~\tBudget\t~\n"
+    "ROW F0.B0.S4 5\t1\tF0.B0.S1\t1\tcontent\t~\t~\n"
+    "ROW F0.B0.S5 6\t1\tF0.B0.S4\t2\t~\tTravel funds.\t~\n"
+    "ROW F0.B0.S6 7\t2\t~\t1\tdocument\t~\t~\n"
+    "ROW F0.B0.S7 8\t2\tF0.B0.S6\t5\tsection\t~\t~\n"
+    "ROW F0.B0.S8 9\t2\tF0.B0.S7\t3\tcontext\t~\t~\n"
+    "ROW F0.B0.S9 10\t2\tF0.B0.S8\t2\t~\tOps\t~\n"
+    "ROW F0.B0.S10 11\t2\tF0.B0.S7\t1\tcontent\t~\t~\n"
+    "ROW F0.B0.S11 12\t2\tF0.B0.S10\t2\t~\tLaunch pad work.\t~\n"
     + "".join(f"TOMB F0.B0.S{slot}\n" for slot in range(12, 18))
 )
 
@@ -255,8 +255,8 @@ class TestPreIndexSnapshot:
 
     def test_checkpointed_it_declares_only_the_schemas_btrees(self):
         """The old SCHEMA line names XML B+trees the schema no longer
-        makes (NODETYPE, PARENTNODEID): opening drops them, so no write
-        pays for them and the next checkpoint does not name them."""
+        makes (NODETYPE): opening drops it, so no write pays for it and
+        the next checkpoint does not name it."""
         device = MemoryLogDevice()
         device.save_checkpoint(encode_checkpoint(0, PRE_INDEX_SNAPSHOT))
         queries = ("Context=Budget", "Content=pad", "Nodename=content")
@@ -285,3 +285,42 @@ class TestPreIndexSnapshot:
             [("memo.md", "Budget", "Travel funds."),
              ("memo.md", "Ops", "Launch pad work.")],
         ]
+
+
+#: memo.md as the previous, ten-column XML schema dumped it: beside
+#: today's seven columns, the parent's NODEID, the next sibling's ROWID
+#: and the position among siblings, which no read followed.
+TEN_COLUMN_SNAPSHOT = (
+    "%NETMARK-SNAPSHOT 2\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
+    "ROW F0.B0.S0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
+    "ROW F0.B0.S0 1\t1\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
+    "ROW F0.B0.S1 2\t1\tF0.B0.S0\t1\t~\t5\tsection\t~\t0\t~\n"
+    "ROW F0.B0.S2 3\t1\tF0.B0.S1\t2\tF0.B0.S4\t3\tcontext\t~\t0\t~\n"
+    "ROW F0.B0.S3 4\t1\tF0.B0.S2\t3\t~\t2\t~\tBudget\t0\t~\n"
+    "ROW F0.B0.S4 5\t1\tF0.B0.S1\t2\t~\t1\tcontent\t~\t1\t~\n"
+    "ROW F0.B0.S5 6\t1\tF0.B0.S4\t5\t~\t2\t~\tTravel funds.\t0\t~\n"
+)
+
+
+class TestTheOldSchemaIsRefused:
+    """A store that declares the ten-column XML table is refused whole,
+    with a typed error, and nothing is converted."""
+
+    def test_restore(self):
+        with pytest.raises(StoreError, match="NETMARK columns"):
+            XmlStore.restore(TEN_COLUMN_SNAPSHOT)
+
+    def test_recovery_from_a_checkpoint_file(self, tmp_path):
+        base = str(tmp_path / "old")
+        device = FileLogDevice(base)
+        device.save_checkpoint(encode_checkpoint(0, TEN_COLUMN_SNAPSHOT))
+        device.close()
+        device = FileLogDevice(base)
+        try:
+            with pytest.raises(StoreError, match="NETMARK columns"):
+                XmlStore.open(device)
+        finally:
+            device.close()
+        with open(base + ".ckpt", encoding="utf-8") as checkpoint:
+            assert "ORDINAL:INTEGER!" in checkpoint.read()  # left as it was
