@@ -133,12 +133,16 @@ class _TableCalls:
             counter.rows += len(rowids)
             return read_list(table, rowids, pin)
 
-        def rows_after(table, rowid, pin):
-            # A forward read is one call; every row it decodes is fetched.
+        def rows_after(table, rowid, pin, take=list):
+            # A forward read is one call; every row it pulls is fetched.
             counter.batch += 1
-            for row in read_run(table, rowid, pin):
-                counter.rows += 1
-                yield row
+
+            def counted(rows):
+                for row in rows:
+                    counter.rows += 1
+                    yield row
+
+            return read_run(table, rowid, pin, lambda rows: take(counted(rows)))
 
         Table.visible_many, Table.rows_after = visible_many, rows_after
         return self

@@ -42,9 +42,9 @@ from repro.ordbms.textindex import TextIndex
 #: sweep cost amortizes to noise.
 AUTO_VACUUM_INTERVAL = 256
 
-#: Slots a forward read (:meth:`Table.rows_after`) takes in its first
-#: seqlock window — about one section — and in its largest: each window
-#: doubles up to a size a busy writer still leaves time to finish.
+#: Slots a forward read (:meth:`Table.rows_after`) slices first — about
+#: one section — and a snapshot scan's largest seqlock window: each
+#: slice doubles up to a size a busy writer still leaves time to finish.
 RUN_CHUNK, RUN_CHUNK_MAX = 8, 512
 
 _T = TypeVar("_T")
@@ -116,9 +116,9 @@ class Table:
         self.read_retries = 0  # repro: guarded-by(gil) int bump; diagnostic counter, exactness not required
         self._indexes: dict[str, BTreeIndex] = {}
         self._text_indexes: dict[str, TextIndex] = {}
-        #: The text indexes' per-row facts: the streaming pass, and what
-        #: makes a fresh one (:meth:`derive_facts`; None: none kept).
-        self._pass = self._new_pass = None
+        #: The text indexes' per-row facts: the streaming pass, what makes
+        #: a fresh one, the heading test (:meth:`derive_facts`; None: none).
+        self._pass = self._new_pass = self._heading = None
         # Unique enforcement piggybacks on B+tree indexes over these columns.
         self._unique_columns = list(
             dict.fromkeys(filter(None, (schema.primary_key, *schema.unique)))
@@ -239,18 +239,24 @@ class Table:
     def _live(self) -> list[Any]:
         return [row for _, row in self._heap.scan()]
 
-    def derive_facts(self, new_pass: Callable[[dict], Any] | None = None) -> None:
+    def derive_facts(
+        self, new_pass: Callable | None = None, heading: Callable | None = None
+    ) -> None:
         """Have the text indexes carry, per row, what a streaming pass
-        says of it (:attr:`TextIndex.facts`).
+        says of it (:attr:`TextIndex.facts`), and post the rows whose
+        fact ``heading(fact)`` calls heading text in their heading
+        postings too.
 
         ``new_pass(facts)`` answers a callable fed every row in physical
-        order — by every site that indexes a row, and here, once, the
-        rows a table opened without facts holds — that stores
-        ``facts[rowid]``; what a fact says is the caller's business.
-        Derived state like the postings: never logged, gone with its
-        row, rebuilt (no argument: by the pass last given) with them.
+        order — by every site that indexes a row, before its text, and
+        here, once, the rows a table opened without facts holds — that
+        stores ``facts[rowid]``; what a fact says is the caller's
+        business.  Derived state like the postings: never logged, gone
+        with its row, rebuilt (no argument: by the pass and test last
+        given) with them.
         """
-        self._new_pass = new_pass or self._new_pass
+        if new_pass is not None:
+            self._new_pass, self._heading = new_pass, heading
         if self._new_pass is None:
             return
         facts: dict[RowId, Any] = {}
@@ -258,7 +264,7 @@ class Table:
         for _, row in self._heap.scan():
             self._pass(row)
         for text_index in self._text_indexes.values():
-            text_index.facts = facts
+            text_index.derive(facts, self._heading)
 
     def rebuild_indexes(self) -> None:
         """Rebuild every B+tree and text index from the heap.
@@ -525,12 +531,12 @@ class Table:
     def _invisible(self, rowid: RowId, pin: int) -> RowIdError:
         return RowIdError(f"ROWID {rowid} is not visible at LSN {pin} in table {self.schema.name}")
 
-    def _slots_after(self, rowid: RowId | None, pin: int) -> Iterator[list[Any]]:
-        """What every slot stored after ``rowid`` (every slot when None)
-        holds as of ``pin`` — None for no row in that view — a chunk per
-        seqlock window.  With no history on the table the heap *is* that
-        view and a chunk is a list slice of it (:meth:`HeapFile.slots_after`);
-        else each slot resolves by its address (:meth:`_as_of`).
+    def rows_after(self, rowid: RowId, pin: int, take: Callable[[Iterator], _T] = list) -> _T:
+        """The forward read: ``take(rows)``, ``rows`` the rows stored right
+        after ``rowid`` as of ``pin``, in order, up to the first slot with
+        no row in that view or the heap tail — all in one seqlock window
+        (:meth:`stable_read`: ``take`` must be pure).  It counts nothing:
+        the reader that pulls the rows counts them (DESIGN.md §10).
 
         A run has a head: ``rowid`` must itself hold a row as of ``pin``.
         When it does not — its document was deleted and the history
@@ -538,44 +544,39 @@ class Table:
         :class:`~repro.errors.RowIdError` says so, where an empty run
         would pass for a section with nothing in it.
         """
-        chunk, head, cursor = RUN_CHUNK, rowid, (rowid, 0)
+        def runs(history: bool, chunk: int, skip: int) -> Iterator[list[Any]]:
+            # Growing slices of the heap, or (history) slots resolved by address.
+            slots = self._heap.scan_all(rowid) if history else None
+            while True:
+                if slots is None:
+                    run = self._heap.slots_after(rowid, chunk, skip)
+                else:
+                    run = [self._as_of(slot, row, pin) for slot, row in islice(slots, chunk)]
+                    run = [None if row is ABSENT else row for row in run]
+                if None in run:
+                    yield run[:run.index(None)]
+                    return
+                yield run
+                if len(run) < chunk:
+                    return
+                chunk, skip = min(chunk * 2, RUN_CHUNK_MAX), skip + chunk
 
-        def window() -> tuple[list[Any], tuple[RowId | None, int]]:
-            after, skip = cursor  # the slots ``skip`` behind ``after`` come next
+        def window() -> _T:
             if self._history:
-                slots = list(islice(self._heap.scan_all(after), skip, skip + chunk))
-                run = [self._as_of(slot, row, pin) for slot, row in slots]
-                run = [None if row is ABSENT else row for row in run]
-                moved = (slots[-1][0], 0) if slots else cursor
-            else:
-                run = self._heap.slots_after(after, chunk, skip)
-                moved = (after, skip + len(run))
-            # Judged after the slots: while the head is visible no sweep
-            # has taken the history those slots were resolved with.
-            if head is not None and self._visible_image(head, pin) is ABSENT:
-                raise self._invisible(head, pin)
-            return run, moved
+                answer = take(chain.from_iterable(runs(True, RUN_CHUNK, 0)))
+                # After the slots: while the head is visible, their history is not swept.
+                if self._visible_image(rowid, pin) is ABSENT:
+                    raise self._invisible(rowid, pin)
+                return answer
+            first = self._heap.slots_after(rowid, RUN_CHUNK + 1, -1)  # the head's slot on
+            if not first or first[0] is None:
+                raise self._invisible(rowid, pin)
+            end = first.index(None) if None in first else len(first)
+            if end <= RUN_CHUNK:  # the run ends in the first slice: no more to read
+                return take(iter(first[1:end]))
+            return take(chain(first[1:], chain.from_iterable(runs(False, 2 * RUN_CHUNK, RUN_CHUNK))))
 
-        while True:
-            run, cursor = self.stable_read(window)
-            yield run
-            if len(run) < chunk:
-                return
-            chunk = min(chunk * 2, RUN_CHUNK_MAX)
-
-    def rows_after(self, rowid: RowId, pin: int) -> Iterator[Any]:
-        """Lazily yield the rows stored right after ``rowid``, in order.
-
-        The forward read: one pass over the slots that physically follow
-        ``rowid``, as of ``pin``, ending at the first slot that holds no
-        row in that view or at the heap tail.  It counts nothing: the
-        reader that pulls the rows counts them (DESIGN.md §10).
-        """
-        for run in self._slots_after(rowid, pin):
-            if None in run:
-                yield from run[:run.index(None)]
-                return
-            yield from run
+        return self.stable_read(window)
 
     def changed_rowids_since(self, pin: int) -> set[RowId]:
         """Rowids mutated by any statement after ``pin``.
@@ -592,13 +593,37 @@ class Table:
         )
 
     def snapshot_scan(self, pin: int) -> Iterator[Any]:
-        """Yield every row visible at ``pin``, in physical order.
+        """Yield every row visible at ``pin``, in physical order, a chunk
+        of slots per seqlock window: with no history on the table the
+        heap *is* that view and a chunk is a list slice of it
+        (:meth:`HeapFile.slots_after`); else each slot resolves by its
+        address (:meth:`_as_of`).
 
         Rows inserted while the scan runs carry LSNs above the pin and
         are invisible anyway, and tombstoned slots resolve through their
         pre-images.
         """
-        slots = chain.from_iterable(self._slots_after(None, pin))
+        def chunks() -> Iterator[list[Any]]:
+            chunk, cursor = RUN_CHUNK, (None, 0)
+
+            def window() -> tuple[list[Any], tuple[RowId | None, int]]:
+                after, skip = cursor  # the slots ``skip`` behind ``after`` come next
+                if self._history:
+                    slots = list(islice(self._heap.scan_all(after), skip, skip + chunk))
+                    run = [self._as_of(slot, row, pin) for slot, row in slots]
+                    run = [None if row is ABSENT else row for row in run]
+                    return run, ((slots[-1][0], 0) if slots else cursor)
+                run = self._heap.slots_after(after, chunk, skip)
+                return run, (after, skip + len(run))
+
+            while True:
+                run, cursor = self.stable_read(window)
+                yield run
+                if len(run) < chunk:
+                    return
+                chunk = min(chunk * 2, RUN_CHUNK_MAX)
+
+        slots = chain.from_iterable(chunks())
         return (row for row in self._counted(slots, "snapshot_scan") if row is not None)
 
     def _rowids_as_of(
@@ -677,17 +702,18 @@ class Table:
     # -- internals ----------------------------------------------------------
 
     def _post(self, rows: list[Any], add: bool) -> None:
-        """Add the index entries of a statement's ``rows`` and feed them
-        to the streaming pass, or (``add`` false) take the entries away:
-        one descent per B+tree key, the rows in order everywhere else."""
+        """Feed a statement's ``rows`` to the streaming pass and add their
+        index entries, or (``add`` false) take the entries away: one
+        descent per B+tree key, the rows in order everywhere else.  The
+        pass goes first, so a row's fact is there when its text is posted."""
+        if add and self._pass is not None:
+            for row in rows:
+                self._pass(row)
         position, ordered = self.schema.position, sorted(rows, key=_ROWID)
         for column, index in self._indexes.items():
             _post_keys(index, position(column), ordered, add)
         for column, text_index in self._text_indexes.items():
             _post_text(text_index, position(column), rows, add)
-        if add and self._pass is not None:
-            for row in rows:
-                self._pass(row)
 
 
 def _post_keys(index: BTreeIndex, position: int, rows: list[Any], add: bool) -> None:

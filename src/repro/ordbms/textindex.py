@@ -6,7 +6,11 @@ to postings of ``(rowid, positions)`` so the query layer can do:
 
 * single-term lookup (``Content=Shuttle``),
 * conjunctive multi-term lookup,
-* exact phrase lookup (``Context=Technology Gap``) using term positions.
+* exact phrase lookup (``Context=Technology Gap``) using term positions,
+  over every row or the *heading postings* alone: the rows whose fact
+  (:meth:`~repro.ordbms.table.Table.derive_facts`) the store's test calls
+  heading text, all a ``Context=`` probe can keep.  Derived like the
+  facts: never logged or dumped, gone with their row, rebuilt with it.
 
 Tokenisation is lower-cased word extraction with a small stopword list;
 both are deliberately simple and, critically, *identical* for indexing and
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.ordbms.rowid import RowId
@@ -50,13 +54,15 @@ class TextIndex:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        # term -> {rowid -> [positions]}
+        # term -> {rowid -> [positions]}: every row's, and the heading rows'
         self._postings: dict[str, dict[RowId, list[int]]] = defaultdict(dict)
+        self._headings: dict[str, dict[RowId, list[int]]] = defaultdict(dict)
         self._doc_count = 0
         #: rowid -> one value per indexed *row*, shared by all its terms:
         #: what the table's streaming pass said of it when it was written
         #: (:meth:`~repro.ordbms.table.Table.derive_facts`; None: no pass).
         self.facts: dict[RowId, Any] | None = None
+        self.heading: Callable[[Any], Any] | None = None  # does a fact make heading text?
 
     def __len__(self) -> int:
         """Number of indexed rows."""
@@ -69,7 +75,8 @@ class TextIndex:
     # -- mutation -----------------------------------------------------------
 
     def add(self, rowid: RowId, text: str) -> None:
-        """Index ``text`` under ``rowid`` (not indexed yet).
+        """Index ``text`` under ``rowid`` (not indexed yet) — in the
+        heading postings too when its fact, already there, says so.
 
         All tokens (including stopwords) are recorded with their positions
         so phrase queries can match across stopwords; the plain term lookup
@@ -87,6 +94,10 @@ class TextIndex:
             postings[term][rowid] = positions
         if at:
             self._doc_count += 1
+            fact = self.facts.get(rowid) if self.heading else None
+            if fact is not None and self.heading(fact):
+                for term, positions in at.items():
+                    self._headings[term][rowid] = positions
 
     def remove(self, rowid: RowId, text: str) -> None:
         """Remove a previously indexed ``(rowid, text)`` pair."""
@@ -94,15 +105,26 @@ class TextIndex:
         if self.facts:
             self.facts.pop(rowid, None)
         removed = False
-        for term in tokens:
-            by_row = self._postings.get(term)
-            if by_row and rowid in by_row:
-                del by_row[rowid]
-                removed = True
-                if not by_row:
-                    del self._postings[term]
+        for postings in (self._postings, self._headings):
+            for term in tokens:
+                by_row = postings.get(term)
+                if by_row and rowid in by_row:
+                    del by_row[rowid]
+                    removed = True
+                    if not by_row:
+                        del postings[term]
         if removed:
             self._doc_count -= 1
+
+    def derive(self, facts: dict[RowId, Any], heading: Callable[[Any], Any] | None) -> None:
+        """Carry ``facts`` and the ``heading`` test from now on, and take
+        the heading postings afresh out of the postings."""
+        self.facts, self.heading = facts, heading
+        heads = {rowid for rowid, fact in facts.items() if heading(fact)} if heading else set()
+        self._headings = defaultdict(dict)
+        for term, by_row in self._postings.items() if heads else ():
+            for rowid in heads.intersection(by_row):
+                self._headings[term][rowid] = by_row[rowid]
 
     # -- queries --------------------------------------------------------------
 
@@ -117,58 +139,41 @@ class TextIndex:
     def lookup_all(self, terms: Iterable[str]) -> set[RowId]:
         """ROWIDs containing *every* term (conjunctive)."""
         obs.inc("repro_ordbms_textindex_lookups_total", kind="all")
-        result: set[RowId] | None = None
-        for term in terms:
-            postings = self._rows(term)
-            result = postings if result is None else result & postings
-            if not result:
-                return set()
-        return result if result is not None else set()
+        rows = [self._rows(term) for term in terms]
+        return set.intersection(*rows) if rows else set()
 
-    def lookup_phrase(self, phrase: str) -> set[RowId]:
-        """ROWIDs whose text contains ``phrase`` as consecutive tokens."""
+    def lookup_phrase(self, phrase: str, headings: bool = False) -> set[RowId]:
+        """ROWIDs whose text contains ``phrase`` as consecutive tokens —
+        with ``headings``, of the heading rows (given a :attr:`heading`)."""
         obs.inc("repro_ordbms_textindex_lookups_total", kind="phrase")
-        tokens = tokenize(phrase, keep_stopwords=True)
-        if not tokens:
+        postings = self._headings if headings and self.heading else self._postings
+        maps = [postings.get(term, {}) for term in tokenize(phrase, keep_stopwords=True)]
+        if not maps or not all(maps):
             return set()
-        if len(tokens) == 1:
-            return self._rows(tokens[0])
-        candidate_rows: set[RowId] = set(self._postings.get(tokens[0], ()))
-        for term in tokens[1:]:
-            by_row = self._postings.get(term)
-            if not by_row:
-                return set()
-            candidate_rows &= set(by_row)
-        if not candidate_rows:
-            return set()
+        first, rest = maps[0], list(enumerate(maps[1:], 1))
+        # Positions lists are short: a membership test reads one directly.
         matches: set[RowId] = set()
-        first = self._postings[tokens[0]]
-        for rowid in candidate_rows:
-            starts = first[rowid]
-            for start in starts:
-                if all(
-                    start + offset in self._position_set(tokens[offset], rowid)
-                    for offset in range(1, len(tokens))
-                ):
+        for rowid in set(first).intersection(*maps[1:]):
+            for start in first[rowid]:
+                for offset, by_row in rest:
+                    if start + offset not in by_row[rowid]:
+                        break
+                else:
                     matches.add(rowid)
                     break
         return matches
 
-    def signature(self) -> tuple[tuple[str, RowId, tuple[int, ...]], ...]:
-        """Canonical content signature, for index-agreement checks.
+    def signature(self, headings: bool = False) -> tuple[tuple[str, RowId, tuple[int, ...]], ...]:
+        """Canonical content signature of the postings (with ``headings``,
+        of the heading postings), for index-agreement checks.
 
         Two indexes built over the same rows produce equal signatures
         regardless of insertion order; ``store.fsck`` compares a freshly
         rebuilt index against the live one to detect drift.
         """
+        postings = self._headings if headings else self._postings
         return tuple(
             (term, rowid, tuple(positions))
-            for term in sorted(self._postings)
-            for rowid, positions in sorted(self._postings[term].items())
+            for term in sorted(postings)
+            for rowid, positions in sorted(postings[term].items())
         )
-
-    # -- internals --------------------------------------------------------------
-
-    def _position_set(self, term: str, rowid: RowId) -> frozenset[int]:
-        positions = self._postings.get(term, {}).get(rowid)
-        return frozenset(positions) if positions else frozenset()

@@ -279,7 +279,7 @@ class QueryEngine:
         kind = query.kind
         if kind in {"context", "combined"}:
             phrases = self._spec(query.context).phrases
-            node = ContextLift(ctx, *[TextSource(ctx, p, True) for p in phrases])
+            node = ContextLift(ctx, *[TextSource(ctx, p, True, headings=True) for p in phrases])
             if kind == "combined" and self.use_index:
                 node = Intersect(ctx, node, self._spec(query.content))
         elif kind == "content":

@@ -218,13 +218,18 @@ class TextSource(PlanNode):
     """A leaf yielding the ROWIDs — postings, not rows — of the TEXT rows
     whose NODEDATA matches one search key: the inverted-index probe of
     paper §2.1.4, correct as of the plan's LSN, or (``use_index=False``,
-    the ABL-IDX ablation) a full scan judging every row's text."""
+    the ABL-IDX ablation) a full scan judging every row's text.  With
+    ``headings`` (a phrase under :class:`ContextLift`) the probe reads the
+    heading postings alone: all the lift can keep (a body row changed
+    since the LSN is still judged by its text, and the lift drops it)."""
 
-    def __init__(self, ctx: PlanContext, key: str, phrase_mode: bool) -> None:
+    def __init__(
+        self, ctx: PlanContext, key: str, phrase_mode: bool, headings: bool = False
+    ) -> None:
         kind = "phrase" if phrase_mode else "terms"
         super().__init__(ctx, detail=f'{kind} "{key}"')
         self.name = "index-probe" if ctx.use_index else "scan"
-        self.key, self.phrase_mode = key, phrase_mode
+        self.key, self.phrase_mode, self.headings = key, phrase_mode, headings
 
     def _matches(self, data: str | None) -> bool:
         """The probe's meaning on one row's text: the scan path's test,
@@ -238,7 +243,7 @@ class TextSource(PlanNode):
 
     def _lookup(self, index: TextIndex) -> set[Any]:
         if self.phrase_mode:
-            return index.lookup_phrase(self.key)
+            return index.lookup_phrase(self.key, self.headings)
         return index.lookup_all(tokenize(self.key))
 
     def _produce(self) -> Iterator[RowId]:
@@ -269,9 +274,10 @@ class ContextLift(Lift):
     """Lift heading hits to their CONTEXT ancestors (context search).
 
     A hit holds the whole phrase in one heading node, so its heading
-    holds it; hits outside any heading have no ancestor and drop out.
-    Emitted in ROWID order, which is (document, node) order — the
-    presentation order (fsck ``doc-order``).
+    holds it.  Indexed sources read only the heading postings; a hit
+    outside any heading (scanned, or changed since the LSN) has no
+    ancestor and drops out.  Emitted in ROWID order, which is (document,
+    node) order — the presentation order (fsck ``doc-order``).
     """
 
     name = "context-lift"

@@ -44,6 +44,7 @@ This class is the only traversal implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro import obs
@@ -132,6 +133,10 @@ class SectionPass:
                 early = self._early.pop(rowid, ())
                 for child in sorted(early, key=lambda row: row.rowid):
                     self(child)
+
+    #: The text index's heading test: a fact's CONTEXT ancestor, set for
+    #: heading text alone — the rows a ``Context=`` probe can keep.
+    is_heading = staticmethod(itemgetter(1))
 
     def governing(self, rowid: RowId) -> RowId | None:
         """The governing CONTEXT of the element at ``rowid``, of the
@@ -345,20 +350,25 @@ class NodeAccessor:
         document is visible whole or not at all.
         """
         doc_id, beside = row.DOC_ID, row.PARENTROWID
-        inside = {row.rowid}
-        run: list[XmlRow] = []
+
+        def take(rows: Iterable[XmlRow]) -> tuple[dict[RowId, XmlRow], int]:
+            """The run by ROWID after its head, and whether a row ended it."""
+            inside = {row.rowid: row}
+            for candidate in rows:
+                above = candidate.PARENTROWID
+                if candidate.DOC_ID != doc_id or not (above in inside or (
+                    siblings and above == beside and candidate.NODETYPE != _CONTEXT
+                )):
+                    return inside, 1
+                inside[candidate.rowid] = candidate
+            return inside, 0
+
         self.stats.batch_fetches += 1
-        for candidate in self.table.rows_after(row.rowid, self.lsn):
-            self.stats.rows_fetched += 1
-            above = candidate.PARENTROWID
-            sibling = siblings and above == beside and candidate.NODETYPE != _CONTEXT
-            if candidate.DOC_ID != doc_id or not (above in inside or sibling):
-                break
-            rowid = candidate.rowid
-            inside.add(rowid)
-            self._rows[rowid] = candidate
-            run.append(candidate)
-        return run
+        inside, stopped = self.table.rows_after(row.rowid, self.lsn, take)
+        del inside[row.rowid]
+        self._rows.update(inside)
+        self.stats.rows_fetched += len(inside) + stopped  # the rows pulled
+        return list(inside.values())
 
     def section_scope(self, context_row: XmlRow) -> list[XmlRow]:
         """Rows of the section governed by ``context_row``.
@@ -395,9 +405,5 @@ class NodeAccessor:
         )
 
     def _joined_text(self, rows: Iterable[XmlRow]) -> str:
-        pieces = [
-            (row.NODEDATA or "").strip()
-            for row in rows
-            if self.is_text(row) and row.NODEDATA
-        ]
+        pieces = ((row.NODEDATA or "").strip() for row in rows if self.is_text(row))
         return " ".join(piece for piece in pieces if piece)

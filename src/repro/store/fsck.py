@@ -17,8 +17,9 @@ enforce those, so this module does, after the fact:
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
-  DOC/XML matches a fresh rebuild from the heap, and what the NODEDATA
-  index says of each TEXT row's sections matches a fresh pass.
+  DOC/XML — the NODEDATA index's heading postings too — matches a fresh
+  rebuild from the heap, and what the NODEDATA index says of each TEXT
+  row's sections matches a fresh pass.
 
 Violations found in the data are *reported*, never raised — fsck's job
 is to describe damage (:class:`FsckReport`), and crashes are reserved
@@ -36,7 +37,7 @@ recovers the store from ``<wal-base-path>.wal``/``.ckpt`` and checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.errors import CatalogError, FsckError, StoreError
@@ -80,13 +81,13 @@ class Violation:
 class FsckReport:
     """Everything one check pass saw."""
 
-    violations: list[Violation] = field(default_factory=list)
     documents_checked: int = 0
     nodes_checked: int = 0
     indexes_checked: int = 0
     #: Repair actions performed before this report's check pass (only
     #: set on reports returned by :func:`repair_store`).
     repaired: int = 0
+    violations: list[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -98,25 +99,13 @@ class FsckReport:
     def codes(self) -> set[str]:
         return {violation.code for violation in self.violations}
 
+    def flag(self, code: str, table: str, rowid: Any, doc_id: int | None, detail: str) -> None:
+        """Record one violation; ``rowid`` None for a table-level one."""
+        self.violations.append(Violation(code, table, str(rowid or ""), doc_id, detail))
+
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready form (the CI artifact format)."""
-        return {
-            "ok": self.ok,
-            "documents_checked": self.documents_checked,
-            "nodes_checked": self.nodes_checked,
-            "indexes_checked": self.indexes_checked,
-            "repaired": self.repaired,
-            "violations": [
-                {
-                    "code": violation.code,
-                    "table": violation.table,
-                    "rowid": violation.rowid,
-                    "doc_id": violation.doc_id,
-                    "detail": violation.detail,
-                }
-                for violation in self.violations
-            ],
-        }
+        return {"ok": self.ok, **asdict(self)}
 
     def render_text(self) -> str:
         """Human-readable report."""
@@ -131,9 +120,7 @@ class FsckReport:
         for violation in self.violations:
             where = violation.rowid or violation.table
             doc = f" doc={violation.doc_id}" if violation.doc_id is not None else ""
-            lines.append(
-                f"{violation.code}: {where}{doc}: {violation.detail}"
-            )
+            lines.append(f"{violation.code}: {where}{doc}: {violation.detail}")
         return "\n".join(lines) + "\n"
 
 
@@ -150,9 +137,10 @@ def check_store(database: Database) -> FsckReport:
     _check_roots(report, nodes, doc_ids)
     _check_parent_chains(report, nodes, by_rowid)
     _check_doc_order(report, nodes)
+    facts = None
     if report.ok:  # a pass needs sound links, in document order
-        _check_section_facts(report, database, by_rowid)
-    report.indexes_checked = _check_indexes(report, (doc_table, xml_table))
+        facts = _check_section_facts(report, database, by_rowid)
+    report.indexes_checked = _check_indexes(report, (doc_table, xml_table), facts)
     return report
 
 
@@ -189,73 +177,47 @@ def _netmark_tables(database: Database) -> tuple[Table, Table]:
 
 
 def _check_node_fields(
-    report: FsckReport,
-    nodes: list[XmlRow],
-    by_rowid: dict[RowId, XmlRow],
-    doc_ids: set[int],
+    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow], doc_ids: set[int]
 ) -> None:
     valid_types = {int(node_type) for node_type in NodeType}
     for row in nodes:
         rowid = row.rowid
         if row.NODETYPE not in valid_types:
-            report.violations.append(Violation(
-                "bad-node-type", XML_TABLE, str(rowid), row.DOC_ID,
-                f"NODETYPE {row.NODETYPE!r} is not one of "
-                f"{sorted(valid_types)}",
-            ))
+            report.flag("bad-node-type", XML_TABLE, rowid, row.DOC_ID,
+                        f"NODETYPE {row.NODETYPE!r} is not one of {sorted(valid_types)}")
         if row.DOC_ID not in doc_ids:
-            report.violations.append(Violation(
-                "orphan-node", XML_TABLE, str(rowid), row.DOC_ID,
-                f"DOC_ID {row.DOC_ID} has no DOC row",
-            ))
+            report.flag("orphan-node", XML_TABLE, rowid, row.DOC_ID,
+                        f"DOC_ID {row.DOC_ID} has no DOC row")
         parent_rowid = row.PARENTROWID
         if parent_rowid is not None:
             parent = by_rowid.get(parent_rowid)
             if parent is None:
-                report.violations.append(Violation(
-                    "dangling-parent", XML_TABLE, str(rowid), row.DOC_ID,
-                    f"PARENTROWID {parent_rowid} is not a live XML row",
-                ))
+                report.flag("dangling-parent", XML_TABLE, rowid, row.DOC_ID,
+                            f"PARENTROWID {parent_rowid} is not a live XML row")
             elif parent.DOC_ID != row.DOC_ID:
-                report.violations.append(Violation(
-                    "foreign-parent", XML_TABLE, str(rowid), row.DOC_ID,
-                    f"parent at {parent_rowid} belongs to document "
-                    f"{parent.DOC_ID}",
-                ))
+                report.flag("foreign-parent", XML_TABLE, rowid, row.DOC_ID,
+                            f"parent at {parent_rowid} belongs to document {parent.DOC_ID}")
 
 
-def _check_roots(
-    report: FsckReport, nodes: list[XmlRow], doc_ids: set[int]
-) -> None:
+def _check_roots(report: FsckReport, nodes: list[XmlRow], doc_ids: set[int]) -> None:
     roots: dict[int, list[XmlRow]] = {}
-    populated: set[int] = set()
+    populated = {row.DOC_ID for row in nodes}
     for row in nodes:
-        populated.add(row.DOC_ID)
         if row.PARENTROWID is None:
             roots.setdefault(row.DOC_ID, []).append(row)
     for doc_id in sorted(doc_ids):
         if doc_id not in populated:
-            report.violations.append(Violation(
-                "empty-document", DOC_TABLE, "", doc_id,
-                "document has no XML nodes at all",
-            ))
+            report.flag("empty-document", DOC_TABLE, None, doc_id,
+                        "document has no XML nodes at all")
         elif doc_id not in roots:
-            report.violations.append(Violation(
-                "missing-root", XML_TABLE, "", doc_id,
-                "document has nodes but none is a root "
-                "(every PARENTROWID is set)",
-            ))
+            report.flag("missing-root", XML_TABLE, None, doc_id,
+                        "document has nodes but none is a root (every PARENTROWID is set)")
         elif len(roots[doc_id]) > 1:
-            report.violations.append(Violation(
-                "multiple-roots", XML_TABLE, "", doc_id,
-                f"{len(roots[doc_id])} root nodes "
-                f"(NODEIDs {sorted(r.NODEID for r in roots[doc_id])})",
-            ))
+            report.flag("multiple-roots", XML_TABLE, None, doc_id, f"{len(roots[doc_id])} root "
+                        f"nodes (NODEIDs {sorted(r.NODEID for r in roots[doc_id])})")
 
 
-def _check_parent_chains(
-    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
-) -> None:
+def _check_parent_chains(report: FsckReport, nodes: list[XmlRow], by_rowid: dict) -> None:
     #: rowids proven to reach a root (or known-broken, already reported).
     resolved: set[RowId] = set()
     for row in nodes:
@@ -270,12 +232,8 @@ def _check_parent_chains(
             if current_rowid in resolved:
                 break
             if current_rowid in seen:
-                report.violations.append(Violation(
-                    "parent-cycle", XML_TABLE, str(current_rowid),
-                    current.DOC_ID,
-                    "PARENTROWID chain revisits this node without "
-                    "reaching a root",
-                ))
+                report.flag("parent-cycle", XML_TABLE, current_rowid, current.DOC_ID,
+                            "PARENTROWID chain revisits this node without reaching a root")
                 break
             seen.add(current_rowid)
             path.append(current_rowid)
@@ -323,40 +281,42 @@ def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
         latest = max(latest, (doc_id, row.NODEID))
         if problem:
             seen[doc_id] = True
-            report.violations.append(Violation(
-                "doc-order", XML_TABLE, str(row.rowid), doc_id,
-                f"rows are not a pre-order walk of the tree: {problem}",
-            ))
+            report.flag("doc-order", XML_TABLE, row.rowid, doc_id,
+                        f"rows are not a pre-order walk of the tree: {problem}")
             continue
         path.append(row.rowid)
 
 
 def _check_section_facts(
     report: FsckReport, database: Database, by_rowid: dict[RowId, XmlRow]
-) -> None:
+) -> dict[RowId, Any] | None:
     """What the NODEDATA index carries for each TEXT row equals what a
     fresh :class:`~repro.store.accessor.SectionPass` over the heap in
     physical order says, and it carries nothing else.  The index's facts
     were kept one row at a time — insert, replay, an in-place update, rows
     that arrived before their parent — so a pass from scratch is still an independent
-    check.  A table no store has wired keeps no facts."""
+    check.  A table no store has wired keeps no facts.  Returns the
+    fresh pass's facts (None when there are none to check)."""
     index = database.table(XML_TABLE).text_index_on("NODEDATA")
     if index is None or index.facts is None:
-        return
+        return None
     facts, fresh = index.facts, SectionPass({})
     for row in by_rowid.values():  # physical order
         fresh(row)
     for rowid in sorted(facts.keys() | fresh.facts.keys()):
         row, passed = by_rowid.get(rowid), fresh.facts.get(rowid)
         if facts.get(rowid) != passed:
-            report.violations.append(Violation(
-                "section-facts", XML_TABLE, str(rowid), row and row.DOC_ID,
-                f"the text index says {facts.get(rowid)}, a fresh pass "
-                f"{passed} (sections, CONTEXT ancestor, under INTENSE)",
-            ))
+            report.flag("section-facts", XML_TABLE, rowid, row and row.DOC_ID,
+                        f"the text index says {facts.get(rowid)}, a fresh pass "
+                        f"{passed} (sections, CONTEXT ancestor, under INTENSE)")
+    return fresh.facts
 
 
-def _check_indexes(report: FsckReport, tables: tuple[Table, ...]) -> int:
+def _check_indexes(
+    report: FsckReport, tables: tuple[Table, ...], facts: dict[RowId, Any] | None
+) -> int:
+    """Every index against a fresh rebuild from the heap; with ``facts``
+    (a fresh pass's), the NODEDATA index's heading postings too."""
     checked = 0
     for table in tables:
         for column in table.index_columns:
@@ -374,30 +334,30 @@ def _check_indexes(report: FsckReport, tables: tuple[Table, ...]) -> int:
             # itself must come out sorted.
             actual = list(index.items())
             if actual != expected:
-                report.violations.append(Violation(
-                    "btree-drift", table.schema.name, "", None,
-                    f"index on {column} has {len(actual)} entries, heap "
-                    f"implies {len(expected)}; contents or order disagree",
-                ))
-        for column in (
-            col.name for col in table.schema.columns
-            if table.text_index_on(col.name) is not None
-        ):
+                report.flag("btree-drift", table.schema.name, None, None,
+                            f"index on {column} has {len(actual)} entries, heap "
+                            f"implies {len(expected)}; contents or order disagree")
+        for column in table.schema.columns:
+            text_index = table.text_index_on(column.name)
+            if text_index is None:
+                continue
             checked += 1
-            text_index = table.text_index_on(column)
-            assert text_index is not None
             fresh = TextIndex(text_index.name)
-            position = table.schema.position(column)
+            position = table.schema.position(column.name)
             for rowid, row in table._heap.scan():  # noqa: SLF001
                 value = row[position]
                 if isinstance(value, str) and value:
                     fresh.add(rowid, value)
             if fresh.signature() != text_index.signature():
-                report.violations.append(Violation(
-                    "text-index-drift", table.schema.name, "", None,
-                    f"text index on {column} disagrees with a fresh "
-                    f"rebuild from the heap",
-                ))
+                report.flag("text-index-drift", table.schema.name, None, None,
+                            f"text index on {column.name} disagrees with a fresh "
+                            f"rebuild from the heap")
+            elif facts is not None and text_index.heading is not None:
+                fresh.derive(facts, text_index.heading)
+                if fresh.signature(headings=True) != text_index.signature(headings=True):
+                    report.flag("text-index-drift", table.schema.name, None, None,
+                                f"the heading postings of the text index on "
+                                f"{column.name} disagree with a fresh pass over the heap")
     return checked
 
 
@@ -435,7 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         database = recover(device).database
         _netmark_tables(database)  # refused before a pass reads its rows
-        database.table(XML_TABLE).derive_facts(SectionPass)  # as a store would
+        # As a store would:
+        database.table(XML_TABLE).derive_facts(SectionPass, SectionPass.is_heading)
         report = (
             repair_store(database) if args.repair else check_store(database)
         )

@@ -82,8 +82,9 @@ class XmlStore:
         self._doc_table = database.table(DOC_TABLE)
         self._xml_table = database.table(XML_TABLE)
         # Every row indexed from here on (loaded, replayed, shipped) says
-        # which sections its text is in; those already there, in one pass.
-        self._xml_table.derive_facts(SectionPass)
+        # which sections its text is in, and heading text is posted twice
+        # (in the heading postings too); the rows already there, in one pass.
+        self._xml_table.derive_facts(SectionPass, SectionPass.is_heading)
         self._decomposer = Decomposer(database, config)
         #: Cross-query pool of lifts and catalog entries; cache-enabled
         #: query engines read through it (:mod:`repro.store.liftcache`).
@@ -241,9 +242,7 @@ class XmlStore:
 
     # -- catalog ------------------------------------------------------------
 
-    def documents(
-        self, snapshot: Snapshot | None = None
-    ) -> list[StoredDocument]:
+    def documents(self, snapshot: Snapshot | None = None) -> list[StoredDocument]:
         """All stored documents, in DOC_ID order."""
         rows = self._doc_table.snapshot_scan(
             self.database.mvcc.read_lsn(snapshot)
@@ -252,9 +251,7 @@ class XmlStore:
         entries.sort(key=lambda entry: entry.doc_id)
         return entries
 
-    def describe(
-        self, doc_id: int, snapshot: Snapshot | None = None
-    ) -> StoredDocument:
+    def describe(self, doc_id: int, snapshot: Snapshot | None = None) -> StoredDocument:
         return self.entry_at(doc_id, self.database.mvcc.read_lsn(snapshot))
 
     def entry_at(self, doc_id: int, lsn: int) -> StoredDocument:
@@ -284,9 +281,7 @@ class XmlStore:
 
     # -- retrieval -----------------------------------------------------------
 
-    def document(
-        self, doc_id: int, snapshot: Snapshot | None = None
-    ) -> Document:
+    def document(self, doc_id: int, snapshot: Snapshot | None = None) -> Document:
         """Reconstruct the full DOM of a stored document."""
         accessor = self.new_accessor(snapshot)
         entry = self.entry_at(doc_id, accessor.lsn)

@@ -53,10 +53,13 @@ def per_row_baseline(monkeypatch):
             bump(table)
         return rows
 
-    def counting_rows_after(table, rowid, pin):
-        for row in rows_after(table, rowid, pin):
-            bump(table)
-            yield row
+    def counting_rows_after(table, rowid, pin, take=list):
+        def counted(rows):
+            for row in rows:
+                bump(table)
+                yield row
+
+        return rows_after(table, rowid, pin, lambda rows: take(counted(rows)))
 
     def uncounted_snapshot(table, rows, path):
         return iter(rows) if path == "snapshot" else counted(table, rows, path)

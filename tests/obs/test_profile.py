@@ -15,11 +15,11 @@ from repro.workloads.corpus import CorpusSpec, generate_corpus
 DOCUMENT = """
 <ndoc>
 <title>Mission Plan</title>
-<section><heading>Budget</heading>
+<section><h1>Budget</h1>
 <p>The resource budget covers launch and recovery.</p>
 <p>Contingency resource lines are separate.</p>
 </section>
-<section><heading>Schedule</heading>
+<section><h1>Schedule</h1>
 <p>Milestones slip when the budget does.</p>
 </section>
 </ndoc>
@@ -135,7 +135,10 @@ class TestProfileBodiesArePinned:
         """sha256 over every ``Explain=profile`` body, over HTTP (index
         path, shared lift pool) and from a bare scan engine.  The pins
         were taken when each operator timed its own pulls on a tick
-        clock; ticks read from ``rows_out`` must render the same bytes."""
+        clock; ticks read from ``rows_out`` must render the same bytes.
+        The index-path pin moved once since, on purpose: a ``Context=``
+        probe reads the heading postings alone, so its ``index-probe``
+        rows (and the ticks above them) count heading hits only."""
         node = Netmark()
         spec = CorpusSpec(documents=12, planted_term="zephyr")
         for generated in generate_corpus(spec):
@@ -150,7 +153,7 @@ class TestProfileBodiesArePinned:
             )
             scan.update(serialize(plan, indent=2).encode())
         assert http.hexdigest() == (
-            "837d1b9c57591a1c36ab8b1df7d16b6a897f5b34b00403ee3c644925d5efefd3"
+            "bb64b0aa6f886e2bd7a39219b204d12a6a38ab8652ab311b8d5edbd171eff84d"
         )
         assert scan.hexdigest() == (
             "6f429e94a390ffc5234e69cbecb2bc369db2ec95c6c9f7f19bd8210b894a8ffa"

@@ -1,10 +1,11 @@
 """The forward read: a run of slots taken as list slices is the slot walk.
 
-``Table.rows_after`` takes each chunk as a slice of the heap's blocks when
-the table holds no MVCC history, and resolves every slot by its address
-(``Table._as_of``) when it does.  Either way it must be exactly what a
-walk of ``visible_row`` over the slots stored after the head gives, up to
-the first slot with no row at the pin.
+``Table.rows_after`` reads a run in one seqlock window: it takes the
+slots as slices of the heap's blocks when the table holds no MVCC
+history, and resolves every slot by its address (``Table._as_of``) when
+it does.  Either way it must be exactly what a walk of ``visible_row``
+over the slots stored after the head gives, up to the first slot with no
+row at the pin.
 """
 
 import pytest
@@ -43,9 +44,9 @@ def check_heads(table, slots, pin):
     for head in slots[::max(1, len(slots) // 16)] + slots[-2:]:
         if table.visible_row(head, pin) is None:
             with pytest.raises(RowIdError):
-                list(table.rows_after(head, pin))
+                table.rows_after(head, pin)
         else:
-            assert list(table.rows_after(head, pin)) == slot_walk(table, slots, head, pin)
+            assert table.rows_after(head, pin) == slot_walk(table, slots, head, pin)
 
 
 class TestHeapSlices:
@@ -64,6 +65,11 @@ class TestHeapSlices:
                 for count in (1, 2, 4, 5, 8, 30):
                     assert heap.slots_after(after, count, skip) == slots[skip:skip + count]
         assert heap.slots_after(heap.next_rowids(2)[1], 8) == []  # past the tail
+        for after in rowids:  # ``skip`` -1: from ``after``'s own slot, the head of a run
+            own = [row for slot, row in heap.scan_all() if slot == after]
+            slots = [row for _, row in heap.scan_all(after)]
+            for count in (1, 5, 9):
+                assert heap.slots_after(after, count, -1) == (own + slots)[:count]
 
     def test_a_slice_hands_out_the_stored_objects(self):
         heap = HeapFile("T")
@@ -134,12 +140,13 @@ class TestRunEdges:
         table._heap.slots_after = counted
         pin = database.mvcc.read_lsn()
         assert [row.rowid for row in table.rows_after(head, pin)] == rest
-        assert windows == [
-            min(RUN_CHUNK << n, RUN_CHUNK_MAX) for n in range(len(windows))
+        # The head's own slot and the RUN_CHUNK behind it, then doubling.
+        assert windows == [RUN_CHUNK + 1] + [
+            min(RUN_CHUNK << n, RUN_CHUNK_MAX) for n in range(1, len(windows))
         ] and len(windows) == 4
         with database.open_snapshot() as snapshot:  # history: the per-slot path
             database.update("T", rest[-1], {"V": "later"})
-            pinned = list(table.rows_after(head, snapshot.lsn))
+            pinned = table.rows_after(head, snapshot.lsn)
             assert [row.rowid for row in pinned] == rest and pinned[-1].V is None
         assert len(windows) == 4
 
@@ -148,14 +155,51 @@ class TestRunEdges:
         table = database.table("T")
         head, *rest = [database.insert("T", {"ID": n}) for n in range(3 * RUN_CHUNK)]
         pin = database.mvcc.read_lsn()  # read at, not held
-        run = table.rows_after(head, pin)
-        assert [next(run) for _ in range(RUN_CHUNK)] == [table.fetch(r) for r in rest[:RUN_CHUNK]]
+        assert table.rows_after(head, pin) == [table.fetch(r) for r in rest]
         database.delete("T", head)
         table.vacuum_versions()  # nothing pins ``pin``: the pre-image goes
         with pytest.raises(RowIdError, match="not visible"):
-            list(run)
+            table.rows_after(head, pin)
         with pytest.raises(RowIdError, match="not visible"):
-            list(table.rows_after(head, database.mvcc.read_lsn()))
+            table.rows_after(head, database.mvcc.read_lsn())
+
+    @pytest.mark.parametrize("history", [False, True])
+    def test_a_head_reclaimed_inside_the_window_is_a_typed_error(self, history):
+        """The writer deletes the head and a sweep takes its pre-image
+        while the window is open: the window retries, and the head check
+        of the retry says the head is gone — never an empty run."""
+        database = new_database()
+        table = database.table("T")
+        head, *rest = [database.insert("T", {"ID": n}) for n in range(3 * RUN_CHUNK)]
+        table.vacuum_versions()
+        if history:
+            with database.open_snapshot():
+                database.update("T", rest[-1], {"V": "later"})
+        pin, calls = database.mvcc.read_lsn(), []
+
+        def take(rows):
+            taken = [next(rows) for _ in range(RUN_CHUNK)]
+            if not calls:
+                database.delete("T", head)
+                table.vacuum_versions()
+            calls.append(len(taken))
+            return taken
+
+        with pytest.raises(RowIdError, match="not visible"):
+            table.rows_after(head, pin, take)
+        assert calls[0] == RUN_CHUNK and table.read_retries == 1
+
+    def test_take_pulls_only_what_it_needs(self):
+        database = new_database()
+        table = database.table("T")
+        head, *rest = [database.insert("T", {"ID": n}) for n in range(4 * RUN_CHUNK)]
+        table.vacuum_versions()
+        windows = []
+        real = table._heap.slots_after
+        table._heap.slots_after = lambda *args: windows.append(args[1]) or real(*args)
+        pin = database.mvcc.read_lsn()
+        assert table.rows_after(head, pin, lambda rows: next(rows).ID) == 1
+        assert windows == [RUN_CHUNK + 1]
 
     @pytest.mark.parametrize("history", [False, True])
     def test_a_writer_moving_the_seqlock_mid_window_is_retried(self, history):
@@ -180,7 +224,7 @@ class TestRunEdges:
         heap.slots_after = lambda *args: real(*tear(*args))
         heap.scan_all = lambda *args: real_scan(*tear(*args))
         try:
-            rows = list(table.rows_after(head, snapshot.lsn))
+            rows = table.rows_after(head, snapshot.lsn)
             assert torn and table.read_retries == 1
             assert rows == slot_walk(table, [head, *rest], head, snapshot.lsn)
             assert rows[0].V is None  # as of the pin, not the update

@@ -194,14 +194,14 @@ class TestSnapshotVisibility:
             late = database.insert("T", {"ID": 999})
             database.update("T", rest[0], {"V": "changed"})
             database.delete("T", rest[4])
-            pinned = list(table.rows_after(first, snap.lsn))
+            pinned = table.rows_after(first, snap.lsn)
             assert [row.rowid for row in pinned] == rest  # not ``late``
             assert pinned[0].V == "v1" and pinned[4].V == "v5"
             # As of now, the deleted slot ends the run; pinned, the late row does.
             assert [
                 r.rowid for r in table.rows_after(first, now())
             ] == rest[:4]
-            assert list(table.rows_after(rest[-1], snap.lsn)) == []
+            assert table.rows_after(rest[-1], snap.lsn) == []
             assert [
                 r.rowid for r in table.rows_after(rest[-1], now())
             ] == [late]
@@ -210,9 +210,10 @@ class TestSnapshotVisibility:
         previous = obs.push_registry()
         try:
             rowids = [database.insert("T", {"ID": n}) for n in range(40)]
-            run = table.rows_after(rowids[0], database.mvcc.read_lsn())
-            assert [next(run).ID, next(run).ID] == [1, 2]
-            run.close()
+            pulled = table.rows_after(
+                rowids[0], database.mvcc.read_lsn(), lambda run: [next(run).ID, next(run).ID]
+            )
+            assert pulled == [1, 2]
             # The door counts nothing: the reader that pulled the rows
             # counts them once its read ends (``NodeAccessor.publish``).
             assert not [

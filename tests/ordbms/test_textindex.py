@@ -85,6 +85,65 @@ class TestPhrase:
     def test_phrase_missing_word(self, index):
         assert index.lookup_phrase("shuttle nozzle") == set()
 
+    def test_a_repeated_token_needs_two_positions_in_a_row(self):
+        idx = TextIndex()
+        idx.add(rid(1), "budget budget review")
+        idx.add(rid(2), "budget review budget")
+        idx.add(rid(3), "budget")
+        assert idx.lookup_phrase("budget budget") == {rid(1)}
+        assert idx.lookup_phrase("budget budget budget") == set()
+        assert idx.lookup_phrase("review budget") == {rid(2)}
+
+    def test_a_stop_word_phrase_matches_at_its_positions(self):
+        idx = TextIndex()
+        idx.add(rid(1), "Statement of Work")
+        idx.add(rid(2), "statement on work of the year")
+        idx.add(rid(3), "work of the statement")
+        assert idx.lookup_phrase("statement of work") == {rid(1)}
+        assert idx.lookup_phrase("of the") == {rid(2), rid(3)}
+        assert idx.lookup_phrase("the") == {rid(2), rid(3)}
+        assert idx.lookup_phrase("of of") == set()
+
+
+class TestHeadingPostings:
+    """The rows whose fact the ``heading`` test accepts are posted twice;
+    ``lookup_phrase(..., headings=True)`` reads only those."""
+
+    @staticmethod
+    def headed(facts):
+        idx = TextIndex()
+        idx.derive(facts, bool)
+        return idx
+
+    def test_only_heading_rows_are_probed(self):
+        idx = self.headed({rid(1): True, rid(2): False})
+        idx.add(rid(1), "Budget Plan")
+        idx.add(rid(2), "the budget plan for the year")
+        assert idx.lookup_phrase("budget plan") == {rid(1), rid(2)}
+        assert idx.lookup_phrase("budget plan", headings=True) == {rid(1)}
+        assert idx.lookup_phrase("year", headings=True) == set()
+        assert [entry[1] for entry in idx.signature(headings=True)] == [rid(1), rid(1)]
+
+    def test_a_row_without_a_fact_is_no_heading(self):
+        idx = self.headed({})
+        idx.add(rid(1), "Budget")
+        assert idx.lookup_phrase("budget", headings=True) == set()
+
+    def test_remove_takes_the_heading_postings_too(self):
+        idx = self.headed({rid(1): True})
+        idx.add(rid(1), "Budget Plan")
+        idx.remove(rid(1), "Budget Plan")
+        assert idx.signature(headings=True) == () and len(idx) == 0
+
+    def test_derive_takes_them_out_of_the_postings(self):
+        idx = TextIndex()
+        idx.add(rid(1), "Budget Plan")
+        idx.add(rid(2), "budget plan")
+        assert idx.lookup_phrase("budget", headings=True) == {rid(1), rid(2)}  # no test
+        idx.derive({rid(1): False, rid(2): True}, bool)
+        assert idx.lookup_phrase("budget plan", headings=True) == {rid(2)}
+        assert idx.signature(headings=True) == (("budget", rid(2), (0,)), ("plan", rid(2), (1,)))
+
 
 class TestMutation:
     def test_remove_makes_row_unfindable(self, index):
@@ -146,6 +205,31 @@ class TestProperties:
         for position, text in enumerate(texts):
             for term in tokenize(text, keep_stopwords=True):
                 assert rid(position) in idx.lookup(term)
+
+    @given(
+        st.lists(
+            st.text(alphabet=st.sampled_from("ab c"), min_size=1, max_size=30),
+            min_size=1,
+            max_size=15,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_phrase_lookup_is_the_token_run(self, texts):
+        """Every phrase of the rows' own tokens, repeats and stop words
+        included, is found exactly where its tokens run consecutively."""
+        from repro.query.plan import phrase_in
+
+        idx = TextIndex()
+        for position, text in enumerate(texts):
+            idx.add(rid(position), text)
+        for text in texts:
+            tokens = tokenize(text, keep_stopwords=True)
+            for start in range(len(tokens)):
+                phrase = " ".join(tokens[start:start + 3])
+                assert idx.lookup_phrase(phrase) == {
+                    rid(position) for position, other in enumerate(texts)
+                    if phrase_in(phrase, other)
+                }
 
     @given(
         st.lists(

@@ -16,13 +16,13 @@ from repro.sgml.parser import parse_xml as parse
 
 PLAN = (
     "<ndoc><title>Plan</title>"
-    "<section><heading>Budget</heading><p>resource costs rise</p></section>"
-    "<section><heading>Schedule</heading><p>milestones and resource</p>"
+    "<section><h1>Budget</h1><p>resource costs rise</p></section>"
+    "<section><h1>Schedule</h1><p>milestones and resource</p>"
     "</section></ndoc>"
 )
 REPORT = (
     "<ndoc><title>Report</title>"
-    "<section><heading>Budget</heading><p>resource view</p></section>"
+    "<section><h1>Budget</h1><p>resource view</p></section>"
     "</ndoc>"
 )
 

@@ -222,6 +222,27 @@ class TestCorruptionClasses:
         assert found.code == "doc-order" and found.rowid == str(child)
         assert "ROWID order is not (DOC_ID, NODEID) order" in found.detail
 
+    @pytest.mark.parametrize("damage", ["ghost", "missing"])
+    def test_heading_postings_are_held_to_a_fresh_pass(self, loaded, damage):
+        """The heading postings are derived like the full ones: a body
+        row posted there (a ghost) or a heading row gone from them is
+        ``text-index-drift`` on its own, and a repair posts them afresh."""
+        index = loaded.xml_table.text_index_on("NODEDATA")
+        headings = index._headings
+        before = index.signature(headings=True)
+        assert before and check_store(loaded.database).ok
+        if damage == "ghost":
+            body = next(rowid for rowid, fact in index.facts.items() if fact[1] is None)
+            headings["budget"][body] = [0]
+        else:
+            term = next(iter(headings))
+            del headings[term][next(iter(headings[term]))]
+        report = check_store(loaded.database)
+        assert report.codes() == {"text-index-drift"}
+        assert "heading postings" in report.violations[0].detail
+        assert repair_store(loaded.database).ok
+        assert loaded.xml_table.text_index_on("NODEDATA").signature(headings=True) == before
+
     def test_structural_loss_survives_repair(self, loaded):
         """Genuinely lost data is still reported after a repair pass."""
         self.seed(loaded, "orphan-node")

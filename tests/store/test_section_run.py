@@ -348,3 +348,122 @@ class TestPinnedRun:
             store.new_accessor().node(result.root_rowid)
         with pytest.raises(RowIdError):  # a run has a head, or it is no run
             list(store.xml_table.rows_after(result.root_rowid, now(store)))
+
+
+class TestOneWindow:
+    """``subtree`` reads a run in one ``Table.rows_after`` window with
+    one head check, and counts the rows it pulled: the run, and the row
+    that ended it when a row did."""
+
+    @staticmethod
+    def fetched(accessor, row):
+        accessor.stats.reset()
+        run = accessor.subtree(row, siblings=True)
+        assert accessor.stats.batch_fetches == 1
+        return run, accessor.stats.rows_fetched
+
+    def test_rows_fetched_is_the_rows_pulled(self):
+        store = XmlStore()
+        store.store_document(document(FLAT, "first.xml"))
+        store.store_document(document(SMALL, "second.xml"))
+        accessor, endings = store.new_accessor(), []
+        for row in context_rows(store):
+            run, pulled = self.fetched(accessor, row)
+            assert run == accessor.subtree(row) + accessor.section_scope(row)
+            after = run[-1].rowid if run else row.rowid
+            stopper = store.xml_table.rows_after(after, now(store), lambda rows: next(rows, None))
+            assert pulled == len(run) + (stopper is not None)
+            endings.append(None if stopper is None else stopper.DOC_ID != row.DOC_ID)
+        # A sibling heading, the next document's root, the heap's tail.
+        assert endings.count(False) and endings.count(True) == 1 and endings[-1] is None
+
+    def test_a_run_into_tombstones_counts_no_empty_slot(self):
+        store = XmlStore()
+        store.store_document(document(FLAT, "kept.xml"))
+        load_rolled_back(store, WIDE)
+        last = context_rows(store)[-1]
+        run, pulled = self.fetched(store.new_accessor(), last)
+        assert run and pulled == len(run)
+
+    @pytest.mark.parametrize("history", [False, True])
+    def test_a_head_reclaimed_since_it_was_read_is_a_typed_error(self, history):
+        """The accessor read the heading; its document was deleted and the
+        history swept before the forward read.  With other history still
+        held the window resolves slots by address; without, it slices."""
+        store = XmlStore()
+        doomed = store.store_document(document(FLAT, "doomed.xml"))
+        store.store_document(document(SMALL, "other.xml"))
+        table = store.xml_table
+        table.vacuum_versions()
+        accessor = store.new_accessor()  # unheld: nothing keeps its history
+        head = context_rows(store)[0]
+        assert accessor.node(head.rowid) is head
+        store.delete_document(doomed.doc_id)
+        with store.snapshot():
+            if history:
+                store.delete_document(store.lookup_by_name("other.xml").doc_id)
+            table.vacuum_versions()
+            assert bool(table._history) is history
+            with pytest.raises(RowIdError, match="not visible"):
+                accessor.subtree(head, siblings=True)
+
+    def test_runs_read_under_a_real_writer_are_the_runs_at_their_lsn(self):
+        """Two reader threads pin, and read every section's run, while a
+        writer replaces documents under a one-microsecond switch interval.
+        Once it stops, a fresh accessor at each pin reads the same runs."""
+        import sys
+        import threading
+
+        def text(revision):
+            body = "".join(f"<p>line {n} <b>r{revision}</b></p>" for n in range(revision % 7))
+            return f"<doc><h1>Alpha</h1>{body}<h1>Beta r{revision}</h1><p>last</p></doc>"
+
+        store = XmlStore()
+        names = [f"d{n}.xml" for n in range(4)]
+        for revision, name in enumerate(names):
+            store.store_text(text(revision), name)
+        done, errors, taken = threading.Event(), [], []
+
+        def write():
+            try:
+                for revision in range(40):
+                    store.replace_text(text(revision), names[revision % len(names)])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                for _ in range(25):
+                    if done.is_set():
+                        return
+                    snapshot = store.snapshot()
+                    taken.append((snapshot, runs := {}))
+                    accessor = store.new_accessor(snapshot)
+                    for entry in store.documents(snapshot):
+                        for row in accessor.lookup_rows("DOC_ID", entry.doc_id):
+                            if accessor.is_context(row):
+                                runs[row.rowid] = accessor.subtree(row, siblings=True)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=target) for target in (write, read, read)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not errors and taken
+            for snapshot, runs in taken:
+                accessor = store.new_accessor(snapshot)
+                for rowid, run in runs.items():
+                    assert accessor.subtree(accessor.node(rowid), siblings=True) == run
+        finally:
+            for snapshot, _ in taken:
+                snapshot.release()
