@@ -73,7 +73,7 @@ def keyjoin_table(store):
 
 def _content_hits(table, term="shuttle"):
     index = table.text_index_on("NODEDATA")
-    rows = [table.fetch(rowid) for rowid in sorted(index.lookup(term))]
+    rows = [table.fetch(rowid) for rowid in sorted(index.lookup_all([term]))]
     return [row for row in rows if row.NODETYPE == int(NodeType.TEXT)]
 
 

@@ -111,19 +111,14 @@ def execute_augmented(
     """
     the_plan = plan(query, source)
     if the_plan.fully_native:
-        if the_plan.native_query is None:
-            raise CapabilityError(
-                "augmentation plan is marked fully native but carries "
-                "no native query"
-            )
-        return _native_search(source, the_plan.native_query, budget)
+        return _native_search(source, query, budget)
 
     report = report if report is not None else AugmentationReport()
     if the_plan.native_query is not None:
         native_matches = _native_search(
             source, the_plan.native_query, budget
         )
-        candidate_names = _distinct_names(native_matches)
+        candidate_names = list(dict.fromkeys(match.file_name for match in native_matches))
     else:
         candidate_names = source.document_names()
     report.native_candidates = len(candidate_names)
@@ -169,11 +164,3 @@ def _native_search(
     if budget is None:
         return source.native_search(query)
     return source.native_search(query, budget=budget)
-
-
-def _distinct_names(matches: list[SectionMatch]) -> list[str]:
-    names: list[str] = []
-    for match in matches:
-        if match.file_name not in names:
-            names.append(match.file_name)
-    return names

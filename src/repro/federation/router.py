@@ -334,24 +334,9 @@ class Router:
             # so the HTTP layer can answer 504 (or 499).
             raise
         except ReproError as error:
-            if stats.retries:
-                report.retries[source.name] = stats.retries
-                obs.inc(
-                    "repro_federation_retries_total", stats.retries,
-                    source=source.name,
-                )
-            report.failed_sources[source.name] = (
-                f"{type(error).__name__}: {error}"
-            )
-            obs.inc(
-                "repro_federation_source_requests_total",
-                source=source.name, status="failed",
-            )
-            if breaker is not None:
-                breaker.record_failure()
-                _note_breaker(source.name, breaker)
-            self._note_latency(source.name, started)
-            return []
+            failure: ReproError | None = error
+        else:
+            failure = None
         if stats.retries:
             report.retries[source.name] = stats.retries
             obs.inc(
@@ -359,14 +344,20 @@ class Router:
                 source=source.name,
             )
         if breaker is not None:
-            breaker.record_success()
+            if failure is None:
+                breaker.record_success()
+            else:
+                breaker.record_failure()
             _note_breaker(source.name, breaker)
         self._note_latency(source.name, started)
-        report.source_matches[source.name] = len(found)
         obs.inc(
             "repro_federation_source_requests_total",
-            source=source.name, status="answered",
+            source=source.name, status="answered" if failure is None else "failed",
         )
+        if failure is not None:
+            report.failed_sources[source.name] = f"{type(failure).__name__}: {failure}"
+            return []
+        report.source_matches[source.name] = len(found)
         if not native:
             report.augmented_sources.append(source.name)
             report.augmentation[source.name] = augmentation

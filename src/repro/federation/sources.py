@@ -33,7 +33,7 @@ from repro.federation.capabilities import (
     check_supports,
 )
 from repro.ordbms.textindex import tokenize
-from repro.query.ast import XdbQuery
+from repro.query.ast import ContentSpec, XdbQuery
 from repro.query.engine import QueryEngine
 from repro.query.results import SectionMatch
 from repro.resilience.deadline import Budget
@@ -147,26 +147,12 @@ class ContentOnlySource(InformationSource):
         ):
             if budget is not None and not budget.admits(self.name):
                 break
-            tokens = set(tokenize(content, keep_stopwords=True))
-            wanted = [term.lower() for term in query.content.terms]
-            if query.content.mode == "any":
-                hit = any(term in tokens for term in wanted)
-            else:
-                # Phrase narrowing is beyond this source; it over-returns
-                # conjunctive hits and lets the client refine (the paper's
-                # "whatever portions of the query it can process").
-                hit = all(term in tokens for term in wanted)
-            if hit:
-                matches.append(
-                    SectionMatch(
-                        doc_id=doc_index,
-                        file_name=file_name,
-                        context=file_name,
-                        content=self._snippet(content, wanted),
-                        section=None,
-                        source=self.name,
-                    )
-                )
+            if _keywords_hit(content, query.content):
+                snippet = self._snippet(content, [term.lower() for term in query.content.terms])
+                matches.append(SectionMatch(
+                    doc_index, file_name, context=file_name, content=snippet,
+                    section=None, source=self.name,
+                ))
         return matches
 
     def fetch_document(self, file_name: str) -> str:
@@ -237,48 +223,24 @@ class StructuredSource(InformationSource):
         for index, record in enumerate(self._records):
             if budget is not None and not budget.admits(self.name):
                 break
-            sections = self._matching_sections(record, query)
-            for context, content in sections:
-                matches.append(
-                    SectionMatch(
-                        doc_id=index,
-                        file_name=record.key,
-                        context=context,
-                        content=content,
-                        section=None,
-                        source=self.name,
-                    )
-                )
-        return matches
-
-    def _matching_sections(
-        self, record: Record, query: XdbQuery
-    ) -> list[tuple[str, str]]:
-        field_map = {name.lower(): (name, value) for name, value in record.fields}
-        candidates: list[tuple[str, str]]
-        if query.context is not None:
-            candidates = []
-            for phrase in query.context.phrases:
-                found = field_map.get(phrase.lower())
-                if found is not None:
-                    candidates.append(found)
-        else:
-            candidates = [(record.key, record.as_text())]
-        if query.content is None:
-            return candidates
-        wanted = [term.lower() for term in query.content.terms]
-        kept = []
-        for context, content in candidates:
             # Content scope: the record as a whole (a record is the
             # retrieval unit, like a document).
-            tokens = set(tokenize(record.as_text(), keep_stopwords=True))
-            if query.content.mode == "any":
-                ok = any(term in tokens for term in wanted)
-            else:
-                ok = all(term in tokens for term in wanted)
-            if ok:
-                kept.append((context, content))
-        return kept
+            if query.content is not None and not _keywords_hit(record.as_text(), query.content):
+                continue
+            for context, content in self._matching_sections(record, query):
+                matches.append(SectionMatch(
+                    index, record.key, context=context, content=content,
+                    section=None, source=self.name,
+                ))
+        return matches
+
+    @staticmethod
+    def _matching_sections(record: Record, query: XdbQuery) -> list[tuple[str, str]]:
+        if query.context is None:
+            return [(record.key, record.as_text())]
+        field_map = {name.lower(): (name, value) for name, value in record.fields}
+        found = (field_map.get(phrase.lower()) for phrase in query.context.phrases)
+        return [section for section in found if section is not None]
 
     def fetch_document(self, file_name: str) -> str:
         for record in self._records:
@@ -294,6 +256,16 @@ class StructuredSource(InformationSource):
 
     def document_names(self) -> list[str]:
         return [record.key for record in self._records]
+
+
+def _keywords_hit(text: str, content: ContentSpec) -> bool:
+    """Do ``text``'s tokens hold ``content``'s terms — any, else all?
+    Phrase narrowing is beyond a keyword source: it over-returns
+    conjunctive hits and lets the client refine (the paper's "whatever
+    portions of the query it can process")."""
+    tokens = set(tokenize(text, keep_stopwords=True))
+    hits = (term.lower() in tokens for term in content.terms)
+    return any(hits) if content.mode == "any" else all(hits)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from repro.ordbms.mvcc import ABSENT, MvccState
 from repro.ordbms.rowid import RowId
 from repro.ordbms.schema import TableSchema
 from repro.ordbms.storage import HeapFile
-from repro.ordbms.textindex import TextIndex
+from repro.ordbms.textindex import TextIndex, tokenize
 
 #: Mutation statements between automatic version-GC sweeps.  Small enough
 #: to bound history growth during sustained ingest, large enough that the
@@ -117,8 +117,8 @@ class Table:
         self._indexes: dict[str, BTreeIndex] = {}
         self._text_indexes: dict[str, TextIndex] = {}
         #: The text indexes' per-row facts: the streaming pass, what makes
-        #: a fresh one, the heading test (:meth:`derive_facts`; None: none).
-        self._pass = self._new_pass = self._heading = None
+        #: a fresh one, the heading and sections tests (:meth:`derive_facts`).
+        self._pass = self._new_pass = self._heading = self._sections = None
         # Unique enforcement piggybacks on B+tree indexes over these columns.
         self._unique_columns = list(
             dict.fromkeys(filter(None, (schema.primary_key, *schema.unique)))
@@ -240,12 +240,14 @@ class Table:
         return [row for _, row in self._heap.scan()]
 
     def derive_facts(
-        self, new_pass: Callable | None = None, heading: Callable | None = None
+        self, new_pass: Callable | None = None, heading: Callable | None = None,
+        sections: Callable | None = None,
     ) -> None:
         """Have the text indexes carry, per row, what a streaming pass
-        says of it (:attr:`TextIndex.facts`), and post the rows whose
-        fact ``heading(fact)`` calls heading text in their heading
-        postings too.
+        says of it (:attr:`TextIndex.facts`), post the rows whose fact
+        ``heading(fact)`` calls heading text in their heading postings
+        too, and list each row among the members of the ``sections(fact)``
+        it names.
 
         ``new_pass(facts)`` answers a callable fed every row in physical
         order — by every site that indexes a row, before its text, and
@@ -256,7 +258,7 @@ class Table:
         given) with them.
         """
         if new_pass is not None:
-            self._new_pass, self._heading = new_pass, heading
+            self._new_pass, self._heading, self._sections = new_pass, heading, sections
         if self._new_pass is None:
             return
         facts: dict[RowId, Any] = {}
@@ -264,7 +266,7 @@ class Table:
         for _, row in self._heap.scan():
             self._pass(row)
         for text_index in self._text_indexes.values():
-            text_index.derive(facts, self._heading)
+            text_index.derive(facts, self._heading, self._sections)
 
     def rebuild_indexes(self) -> None:
         """Rebuild every B+tree and text index from the heap.
@@ -584,13 +586,10 @@ class Table:
         History entries are appended in LSN order, so the last entry's
         LSN bounds the row's whole history; vacuum keeps only suffixes.
         """
-        return self.stable_read(
-            lambda: {
-                rowid
-                for rowid, entries in self._history.items()
-                if entries and entries[-1][0] > pin
-            }
-        )
+        return self.stable_read(lambda: self._changed_since(pin))
+
+    def _changed_since(self, pin: int) -> set[RowId]:
+        return {rowid for rowid, entries in self._history.items() if entries and entries[-1][0] > pin}
 
     def snapshot_scan(self, pin: int) -> Iterator[Any]:
         """Yield every row visible at ``pin``, in physical order, a chunk
@@ -626,32 +625,21 @@ class Table:
         slots = chain.from_iterable(chunks())
         return (row for row in self._counted(slots, "snapshot_scan") if row is not None)
 
-    def _rowids_as_of(
-        self,
-        probe: Callable[[], Iterable[RowId]],
-        judge: Callable[[Any], bool],
-        pin: int,
-    ) -> list[RowId]:
-        """Pin-aware probing: an index answer corrected to ``pin``.
+    def _patched(self, probe: Callable[[set[RowId]], _T], pin: int) -> tuple[_T, dict[RowId, Any]]:
+        """Pin-aware probing: ``probe(changed)`` reads the *live* indexes
+        with ``changed`` — the rows a statement changed after ``pin`` —
+        left out, in one window with the read of that set, so a racing
+        statement is in both or in neither.  Beside its answer come the
+        images visible at ``pin`` of the changed rows that had one (rows
+        updated away from, or deleted out of, the postings included), for
+        the caller to judge by what the probe means."""
+        def window() -> tuple[_T, set[RowId]]:
+            changed = self._changed_since(pin)
+            return probe(changed), changed
 
-        ``probe`` reads the *live* postings (a fresh collection); they
-        keep their verdict unless the row changed after the pin, and
-        every rowid that did (which covers rows updated away from, or
-        deleted out of, the postings) is re-judged on its visible image.
-        The probe runs before the changed-set read: any statement racing
-        us either finishes before the probe (its rowid is in the postings
-        or gone from them) or lands a history entry the changed-set read
-        sees.  Unordered: the B+tree door sorts, text consumers take sets.
-        """
-        rowids = self.stable_read(probe)
-        changed = self.changed_rowids_since(pin)
-        if changed:
-            rowids = [rowid for rowid in rowids if rowid not in changed]
-            for rowid in changed:
-                image = self.stable_read(lambda: self._visible_image(rowid, pin))
-                if image is not ABSENT and judge(image):
-                    rowids.append(rowid)
-        return list(rowids)
+        answer, changed = self.stable_read(window)
+        images = {rowid: self.stable_read(lambda: self._visible_image(rowid, pin)) for rowid in changed}
+        return answer, {rowid: image for rowid, image in images.items() if image is not ABSENT}
 
     def snapshot_rowids(self, column: str, value: Any, pin: int) -> list[RowId]:
         """ROWIDs of the rows whose indexed ``column`` equals ``value`` as
@@ -663,10 +651,8 @@ class Table:
             )
         position = self.schema.position(column)
         obs.inc("repro_ordbms_btree_probes_total", index=index.name)
-        return sorted(self._rowids_as_of(
-            lambda: index.search(value),
-            lambda image: image[position] == value, pin,
-        ))
+        rowids, images = self._patched(lambda changed: _without(index.search(value), changed), pin)
+        return sorted(rowids + [rowid for rowid, image in images.items() if image[position] == value])
 
     def snapshot_text_rowids(
         self,
@@ -677,13 +663,38 @@ class Table:
     ) -> list[RowId]:
         """The text-index twin of :meth:`snapshot_rowids`, unordered:
         ``lookup`` is the raw probe, ``predicate`` its meaning on a row's text."""
-        index = self._text_indexes[column.upper()]
-        position = self.schema.position(column)
-        return self._rowids_as_of(
-            lambda: lookup(index),
-            lambda image: bool(image[position]) and predicate(image[position]),
-            pin,
+        index, position = self._text_indexes[column.upper()], self.schema.position(column)
+        rowids, images = self._patched(lambda changed: _without(lookup(index), changed), pin)
+        return rowids + [
+            rowid for rowid, image in images.items()
+            if image[position] and predicate(image[position])
+        ]
+
+    def snapshot_text_sections(
+        self,
+        column: str,
+        tokens: Sequence[str],
+        candidates: set[Any],
+        facts_of: Callable[[list[RowId]], list[Any]],
+        pin: int,
+    ) -> dict[str, set[Any]]:
+        """Per token, the ``candidates`` — sections the text index's facts
+        name — whose text holds it as of ``pin``: the live index's answer
+        (:meth:`TextIndex.holding`), :meth:`_patched` with the rows changed
+        since whose text then held it, by the facts ``facts_of(rowids)``
+        gives.  One term lookup counted per token given."""
+        index, position = self._text_indexes[column.upper()], self.schema.position(column)
+        if tokens:
+            obs.inc("repro_ordbms_textindex_lookups_total", len(tokens), kind="term")
+        found, images = self._patched(
+            lambda changed: {token: index.holding(token, candidates, changed) for token in tokens}, pin
         )
+        words = {rowid: tokenize(image[position] or "", keep_stopwords=True) for rowid, image in images.items()}
+        for token, sections in found.items():
+            hits = [rowid for rowid, held in words.items() if token in held]
+            for fact in facts_of(hits) if hits else ():
+                sections.update(candidates.intersection(index.sections(fact)))
+        return found
 
     def snapshot_search(self, column: str, value: Any, pin: int) -> list[Any]:
         """Equality lookup as of ``pin``: the rows of
@@ -714,6 +725,10 @@ class Table:
             _post_keys(index, position(column), ordered, add)
         for column, text_index in self._text_indexes.items():
             _post_text(text_index, position(column), rows, add)
+
+
+def _without(rowids: Iterable[RowId], changed: set[RowId]) -> list[RowId]:
+    return [rowid for rowid in rowids if rowid not in changed] if changed else list(rowids)
 
 
 def _post_keys(index: BTreeIndex, position: int, rows: list[Any], add: bool) -> None:

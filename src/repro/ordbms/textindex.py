@@ -9,8 +9,14 @@ to postings of ``(rowid, positions)`` so the query layer can do:
 * exact phrase lookup (``Context=Technology Gap``) using term positions,
   over every row or the *heading postings* alone: the rows whose fact
   (:meth:`~repro.ordbms.table.Table.derive_facts`) the store's test calls
-  heading text, all a ``Context=`` probe can keep.  Derived like the
-  facts: never logged or dumped, gone with their row, rebuilt with it.
+  heading text, all a ``Context=`` probe can keep;
+* the sections holding a token (:meth:`TextIndex.holding`), from the
+  smaller side: the token's postings' facts, or the *section members* —
+  per section a fact names, the indexed rows whose fact names it — of
+  each candidate section.
+
+Heading postings and members are derived like the facts: never logged
+or dumped, gone with their row, rebuilt with it.
 
 Tokenisation is lower-cased word extraction with a small stopword list;
 both are deliberately simple and, critically, *identical* for indexing and
@@ -57,12 +63,16 @@ class TextIndex:
         # term -> {rowid -> [positions]}: every row's, and the heading rows'
         self._postings: dict[str, dict[RowId, list[int]]] = defaultdict(dict)
         self._headings: dict[str, dict[RowId, list[int]]] = defaultdict(dict)
+        #: section -> the indexed rows whose fact names it (:attr:`sections`),
+        #: in the order they came: a list, small, and taken away in order
+        self._members: dict[Any, list[RowId]] = defaultdict(list)
         self._doc_count = 0
         #: rowid -> one value per indexed *row*, shared by all its terms:
         #: what the table's streaming pass said of it when it was written
         #: (:meth:`~repro.ordbms.table.Table.derive_facts`; None: no pass).
         self.facts: dict[RowId, Any] | None = None
         self.heading: Callable[[Any], Any] | None = None  # does a fact make heading text?
+        self.sections: Callable[[Any], Iterable[Any]] | None = None  # which sections it names
 
     def __len__(self) -> int:
         """Number of indexed rows."""
@@ -76,7 +86,8 @@ class TextIndex:
 
     def add(self, rowid: RowId, text: str) -> None:
         """Index ``text`` under ``rowid`` (not indexed yet) — in the
-        heading postings too when its fact, already there, says so.
+        heading postings too, and among the members of the sections,
+        when its fact, already there, says so.
 
         All tokens (including stopwords) are recorded with their positions
         so phrase queries can match across stopwords; the plain term lookup
@@ -94,18 +105,24 @@ class TextIndex:
             postings[term][rowid] = positions
         if at:
             self._doc_count += 1
-            fact = self.facts.get(rowid) if self.heading else None
-            if fact is not None and self.heading(fact):
+            fact = None if self.facts is None else self.facts.get(rowid)
+            if fact is None:
+                return
+            if self.heading and self.heading(fact):
                 for term, positions in at.items():
                     self._headings[term][rowid] = positions
+            for section in self.sections(fact) if self.sections else ():
+                self._members[section].append(rowid)
 
     def remove(self, rowid: RowId, text: str) -> None:
-        """Remove a previously indexed ``(rowid, text)`` pair."""
+        """Remove a previously indexed ``(rowid, text)`` pair, and its
+        fact: the heading postings are probed only when it says heading
+        text (or is gone), the members of the sections it names."""
+        fact = self.facts.pop(rowid, None) if self.facts else None
         tokens = set(tokenize(text, keep_stopwords=True))
-        if self.facts:
-            self.facts.pop(rowid, None)
+        heading = fact is None or self.heading is not None and self.heading(fact)
         removed = False
-        for postings in (self._postings, self._headings):
+        for postings in (self._postings, self._headings) if heading else (self._postings,):
             for term in tokens:
                 by_row = postings.get(term)
                 if by_row and rowid in by_row:
@@ -115,32 +132,39 @@ class TextIndex:
                         del postings[term]
         if removed:
             self._doc_count -= 1
+        for section in self.sections(fact) if fact is not None and self.sections else ():
+            members = self._members.get(section)
+            if members is not None and rowid in members:
+                members.remove(rowid)
+                if not members:
+                    del self._members[section]
 
-    def derive(self, facts: dict[RowId, Any], heading: Callable[[Any], Any] | None) -> None:
-        """Carry ``facts`` and the ``heading`` test from now on, and take
-        the heading postings afresh out of the postings."""
-        self.facts, self.heading = facts, heading
+    def derive(
+        self, facts: dict[RowId, Any], heading: Callable[[Any], Any] | None,
+        sections: Callable[[Any], Iterable[Any]] | None = None,
+    ) -> None:
+        """Carry ``facts`` and the ``heading`` and ``sections`` tests from
+        now on, and take the heading postings and the section members
+        afresh out of the postings."""
+        self.facts, self.heading, self.sections = facts, heading, sections
         heads = {rowid for rowid, fact in facts.items() if heading(fact)} if heading else set()
         self._headings = defaultdict(dict)
         for term, by_row in self._postings.items() if heads else ():
             for rowid in heads.intersection(by_row):
                 self._headings[term][rowid] = by_row[rowid]
+        self._members = defaultdict(list)
+        if sections:
+            for rowid in sorted(set().union(*self._postings.values()).intersection(facts)):
+                for section in sections(facts[rowid]):
+                    self._members[section].append(rowid)
 
     # -- queries --------------------------------------------------------------
 
-    def _rows(self, term: str) -> set[RowId]:
-        return set(self._postings.get(term.lower(), ()))
-
-    def lookup(self, term: str) -> set[RowId]:
-        """ROWIDs whose text contains ``term`` (case-insensitive)."""
-        obs.inc("repro_ordbms_textindex_lookups_total", kind="term")
-        return self._rows(term)
-
     def lookup_all(self, terms: Iterable[str]) -> set[RowId]:
-        """ROWIDs containing *every* term (conjunctive)."""
+        """ROWIDs containing *every* term (conjunctive, case-insensitive)."""
         obs.inc("repro_ordbms_textindex_lookups_total", kind="all")
-        rows = [self._rows(term) for term in terms]
-        return set.intersection(*rows) if rows else set()
+        rows = [self._postings.get(term.lower(), {}) for term in terms]
+        return set(rows[0]).intersection(*rows[1:]) if rows else set()
 
     def lookup_phrase(self, phrase: str, headings: bool = False) -> set[RowId]:
         """ROWIDs whose text contains ``phrase`` as consecutive tokens —
@@ -163,6 +187,23 @@ class TextIndex:
                     break
         return matches
 
+    def holding(self, token: str, candidates: set[Any], skip: set[RowId]) -> set[Any]:
+        """The ``candidates`` — sections the facts name — holding ``token``
+        in an indexed row outside ``skip`` whose fact names them, from the
+        smaller side: a token with no more postings than candidates reads
+        its postings' facts, any other tests each candidate's members
+        against its postings.  Needs :attr:`sections`; counts nothing."""
+        by_row = self._postings.get(token, {})
+        rows = by_row.keys() - skip if skip else by_row.keys()
+        if len(by_row) > len(candidates):
+            disjoint, members = rows.isdisjoint, self._members.get
+            return {s for s in candidates if not disjoint(members(s, ()))}
+        facts, sections, found = self.facts, self.sections, set()
+        for rowid in rows:
+            if rowid in facts:
+                found.update(sections(facts[rowid]))
+        return found & candidates
+
     def signature(self, headings: bool = False) -> tuple[tuple[str, RowId, tuple[int, ...]], ...]:
         """Canonical content signature of the postings (with ``headings``,
         of the heading postings), for index-agreement checks.
@@ -177,3 +218,8 @@ class TextIndex:
             for term in sorted(postings)
             for rowid, positions in sorted(postings[term].items())
         )
+
+    def members(self) -> dict[Any, frozenset[RowId]]:
+        """The section members, section by section — a copy, for the
+        same checks."""
+        return {section: frozenset(rows) for section, rows in self._members.items()}

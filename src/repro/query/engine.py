@@ -23,8 +23,9 @@ explicit operator tree (:mod:`repro.query.plan`) and pulled lazily:
 
 A combined ``Context=X&Content=Y`` query intersects: sections whose
 heading matches X *and* whose text contains Y.  On the indexed path a
-section-level semijoin (``Intersect``) keeps only the sections the
-postings of Y name, before any row is read.
+section-level semijoin (``Intersect``) keeps only the sections holding
+Y's tokens, before any row is read: per token, from the smaller side —
+its postings' section facts, or the candidates' section members.
 
 ``limit`` pushes all the way down: ``Rank`` orders candidates by score
 (stable within ties), ``Limit`` stops the pull, and the expensive

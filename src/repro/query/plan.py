@@ -25,8 +25,9 @@ Operator inventory (leaf → root; each class says the rest):
     Every source emits in ROWID order, which is (document, node) order:
     the presentation order.
 ``Intersect``
-    Section-level semijoin: the sections whose text holds the content
-    terms, from postings and their facts alone, before any row is read.
+    Section-level semijoin: the candidate sections whose text holds the
+    content terms, from the index alone (postings, facts and section
+    members), before any row is read.
 ``Rank`` … ``Limit`` … ``Present``
     ``Rank`` (blocking) re-orders by descending score, so ``Limit`` is
     *rank-aware*; ``Present`` restores presentation order afterwards.
@@ -249,9 +250,11 @@ class TextSource(PlanNode):
     def _produce(self) -> Iterator[RowId]:
         accessor = self.ctx.accessor
         if self.ctx.use_index:
-            yield from accessor.probe_text(self._lookup, self._matches)
+            yield from accessor.table.snapshot_text_rowids(
+                "NODEDATA", self._lookup, self._matches, accessor.lsn
+            )
             return
-        for row in self.ctx.store.xml_table.snapshot_scan(accessor.lsn):
+        for row in accessor.table.snapshot_scan(accessor.lsn):
             if row.NODETYPE == int(NodeType.TEXT) and self._matches(row.NODEDATA):
                 yield row.rowid
 
@@ -395,35 +398,34 @@ class Intersect(ContentTest):
     """Section-level semijoin against content-term postings.
 
     A section's text — heading and scope — is the text of the TEXT rows
-    whose ``sections`` fact names it, so the sections holding a token
-    are the union of its postings' facts.  A term needs all its tokens
-    there (``cost-benefit`` is two), ``all`` every term, ``any`` one, a
-    phrase every token: a superset of what satisfies the spec, or equal
-    to it — :class:`SectionWalk`, under the limit, has the last word on
-    adjacency.  No row is fetched, no document probed.
+    whose ``sections`` fact names it, so a candidate holds a token when
+    one of those rows does: one door, ``snapshot_text_sections``, answers
+    that for every token at once from the smaller side (a row changed
+    since the LSN takes its facts from :meth:`NodeAccessor.text_facts`).
+    A term needs all its tokens there (``cost-benefit`` is two), ``all``
+    every term, ``any`` one, a phrase every token: a superset of what
+    satisfies the spec, or equal to it — :class:`SectionWalk`, under the
+    limit, has the last word on adjacency.  No row is fetched, no
+    document probed.
     """
 
     name = "intersect"
 
-    def _holding(self, token: str) -> set[RowId]:
-        """The sections whose text has ``token``."""
-        accessor = self.ctx.accessor
-        postings = accessor.probe_text(
-            lambda index: index.lookup(token),
-            lambda data: token in tokenize(data, keep_stopwords=True),
-        )
-        return {section for fact in accessor.text_facts(postings) for section in fact[0]}
-
     def _produce(self) -> Iterator[Candidate]:
         spec = self.spec
         terms = [spec.text] if spec.mode == "phrase" else spec.terms
-        per_term = [
-            set.intersection(*map(self._holding, tokens)) if tokens else set()
-            for tokens in (tokenize(term, keep_stopwords=True) for term in terms)
-        ]
+        per_term = [tokenize(term, keep_stopwords=True) for term in terms]
+        candidates, accessor = list(self.children[0].rows()), self.ctx.accessor
+        holding = accessor.table.snapshot_text_sections(
+            "NODEDATA", [token for tokens in per_term for token in tokens],
+            {candidate.rowid for candidate in candidates}, accessor.text_facts, accessor.lsn,
+        )
         combine = set.union if spec.mode == "any" else set.intersection
-        admitted = combine(*per_term)
-        for candidate in self.children[0].rows():
+        admitted = combine(*(
+            set.intersection(*(holding[token] for token in tokens)) if tokens else set()
+            for tokens in per_term
+        ))
+        for candidate in candidates:
             if candidate.rowid in admitted:
                 yield candidate
 

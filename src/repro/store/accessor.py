@@ -48,9 +48,8 @@ from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro import obs
-from repro.errors import RowIdError, StoreError
+from repro.errors import RowIdError
 from repro.ordbms import Database, RowId, Snapshot
-from repro.ordbms.textindex import TextIndex
 from repro.sgml.nodetypes import NodeType
 from repro.store.liftcache import MISS as _MISS  # None is a legal memo value
 from repro.store.liftcache import LiftCache
@@ -137,6 +136,8 @@ class SectionPass:
     #: The text index's heading test: a fact's CONTEXT ancestor, set for
     #: heading text alone — the rows a ``Context=`` probe can keep.
     is_heading = staticmethod(itemgetter(1))
+    #: The text index's sections test: every section a fact's row is in.
+    sections = staticmethod(itemgetter(0))
 
     def governing(self, rowid: RowId) -> RowId | None:
         """The governing CONTEXT of the element at ``rowid``, of the
@@ -255,26 +256,6 @@ class NodeAccessor:
         return [self._rows[rowid] for rowid in rowids]
 
     # -- probes as of the LSN ----------------------------------------------------
-
-    def probe_text(
-        self,
-        lookup: Callable[[TextIndex], Iterable[RowId]],
-        predicate: Callable[[str], bool],
-    ) -> list[RowId]:
-        """A text-index probe whose result is correct as of :attr:`lsn`.
-
-        ``lookup`` runs the raw probe against the NODEDATA index;
-        ``predicate`` re-evaluates the probe's semantics against a row's
-        visible NODEDATA
-        (:meth:`~repro.ordbms.table.Table.snapshot_text_rowids`): rows
-        unchanged since the LSN keep the index's verdict, every row that
-        changed after it is re-judged on its text as of then.
-        """
-        if self.table.text_index_on("NODEDATA") is None:
-            raise StoreError("an indexed search needs the XML.NODEDATA text index")
-        return self.table.snapshot_text_rowids(
-            "NODEDATA", lookup, predicate, self.lsn
-        )
 
     def lookup_rowids(self, column: str, value: Any) -> list[RowId]:
         """Addresses of the rows whose (indexed) ``column`` equals

@@ -17,9 +17,9 @@ enforce those, so this module does, after the fact:
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
-  DOC/XML — the NODEDATA index's heading postings too — matches a fresh
-  rebuild from the heap, and what the NODEDATA index says of each TEXT
-  row's sections matches a fresh pass.
+  DOC/XML — the NODEDATA index's heading postings and section members
+  too — matches a fresh rebuild from the heap, and what the NODEDATA
+  index says of each TEXT row's sections matches a fresh pass.
 
 Violations found in the data are *reported*, never raised — fsck's job
 is to describe damage (:class:`FsckReport`), and crashes are reserved
@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.errors import CatalogError, FsckError, StoreError
-from repro.ordbms import Database, RowId, Table, TextIndex
+from repro.ordbms import Database, RowId, Table
 from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import SectionPass
 from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow, require_netmark_schema
@@ -316,7 +316,8 @@ def _check_indexes(
     report: FsckReport, tables: tuple[Table, ...], facts: dict[RowId, Any] | None
 ) -> int:
     """Every index against a fresh rebuild from the heap; with ``facts``
-    (a fresh pass's), the NODEDATA index's heading postings too."""
+    (a fresh pass's), the NODEDATA index's heading postings and section
+    members too."""
     checked = 0
     for table in tables:
         for column in table.index_columns:
@@ -342,22 +343,21 @@ def _check_indexes(
             if text_index is None:
                 continue
             checked += 1
-            fresh = TextIndex(text_index.name)
-            position = table.schema.position(column.name)
-            for rowid, row in table._heap.scan():  # noqa: SLF001
-                value = row[position]
-                if isinstance(value, str) and value:
-                    fresh.add(rowid, value)
+            fresh = table._build_text_index(column.name)  # noqa: SLF001
             if fresh.signature() != text_index.signature():
                 report.flag("text-index-drift", table.schema.name, None, None,
                             f"text index on {column.name} disagrees with a fresh "
                             f"rebuild from the heap")
             elif facts is not None and text_index.heading is not None:
-                fresh.derive(facts, text_index.heading)
-                if fresh.signature(headings=True) != text_index.signature(headings=True):
-                    report.flag("text-index-drift", table.schema.name, None, None,
-                                f"the heading postings of the text index on "
-                                f"{column.name} disagree with a fresh pass over the heap")
+                fresh.derive(facts, text_index.heading, text_index.sections)
+                for part, drifted in (
+                    ("heading postings", fresh.signature(True) != text_index.signature(True)),
+                    ("section members", fresh.members() != text_index.members()),
+                ):
+                    if drifted:
+                        report.flag("text-index-drift", table.schema.name, None, None,
+                                    f"the {part} of the text index on {column.name} "
+                                    f"disagree with a fresh pass over the heap")
     return checked
 
 
@@ -396,7 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         database = recover(device).database
         _netmark_tables(database)  # refused before a pass reads its rows
         # As a store would:
-        database.table(XML_TABLE).derive_facts(SectionPass, SectionPass.is_heading)
+        database.table(XML_TABLE).derive_facts(
+            SectionPass, SectionPass.is_heading, SectionPass.sections
+        )
         report = (
             repair_store(database) if args.repair else check_store(database)
         )

@@ -82,9 +82,9 @@ class XmlStore:
         self._doc_table = database.table(DOC_TABLE)
         self._xml_table = database.table(XML_TABLE)
         # Every row indexed from here on (loaded, replayed, shipped) says
-        # which sections its text is in, and heading text is posted twice
-        # (in the heading postings too); the rows already there, in one pass.
-        self._xml_table.derive_facts(SectionPass, SectionPass.is_heading)
+        # which sections its text is in — heading text posted twice, every
+        # row listed among its sections' members; the rows there, in one pass.
+        self._xml_table.derive_facts(SectionPass, SectionPass.is_heading, SectionPass.sections)
         self._decomposer = Decomposer(database, config)
         #: Cross-query pool of lifts and catalog entries; cache-enabled
         #: query engines read through it (:mod:`repro.store.liftcache`).

@@ -140,7 +140,7 @@ class TestRoundTrip:
         database, _ = build_sample()
         restored = load_database(dump_database(database))
         index = restored.table("T").text_index_on("NOTE")
-        assert len(index.lookup("note")) == 4
+        assert len(index.lookup_all(["note"])) == 4
 
     def test_double_round_trip_stable(self):
         database, _ = build_sample()

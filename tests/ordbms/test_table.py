@@ -159,10 +159,10 @@ class TestIndexMaintenance:
     def test_text_index_backfills_and_follows(self, table):
         rowid = table.insert({"ID": 1, "NOTE": "engine anomaly report"})
         index = table.create_text_index("NOTE")
-        assert index.lookup("anomaly") == {rowid}
+        assert index.lookup_all(["anomaly"]) == {rowid}
         table.update(rowid, {"NOTE": "budget review"})
-        assert index.lookup("anomaly") == set()
-        assert index.lookup("budget") == {rowid}
+        assert index.lookup_all(["anomaly"]) == set()
+        assert index.lookup_all(["budget"]) == {rowid}
 
     def test_restore_reindexes(self, table):
         """A deleted row is never put back in its tombstone; inserted

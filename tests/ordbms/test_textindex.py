@@ -1,5 +1,8 @@
 """Inverted text index: tokenisation, term/phrase/prefix lookup, removal."""
 
+from collections import defaultdict
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,13 +52,13 @@ def index():
 
 class TestLookup:
     def test_single_term(self, index):
-        assert index.lookup("engine") == {rid(1), rid(2)}
+        assert index.lookup_all(["engine"]) == {rid(1), rid(2)}
 
     def test_case_insensitive(self, index):
-        assert index.lookup("ENGINE") == {rid(1), rid(2)}
+        assert index.lookup_all(["ENGINE"]) == {rid(1), rid(2)}
 
     def test_missing_term(self, index):
-        assert index.lookup("nozzle") == set()
+        assert index.lookup_all(["nozzle"]) == set()
 
     def test_lookup_all_conjunctive(self, index):
         assert index.lookup_all(["engine", "budget"]) == {rid(2)}
@@ -145,11 +148,152 @@ class TestHeadingPostings:
         assert idx.signature(headings=True) == (("budget", rid(2), (0,)), ("plan", rid(2), (1,)))
 
 
+def sectioned(facts):
+    """An index carrying ``facts`` of the form ``(sections, heading)``."""
+    idx = TextIndex()
+    idx.derive(facts, itemgetter(1), itemgetter(0))
+    return idx
+
+
+def inverse(idx):
+    """What the members must be: every indexed row under each section
+    its fact names — ``sections(fact)`` turned inside out."""
+    expected = defaultdict(set)
+    for _, rowid, _ in idx.signature():
+        fact = idx.facts.get(rowid)
+        for section in () if fact is None else fact[0]:
+            expected[section].add(rowid)
+    return {section: frozenset(rows) for section, rows in expected.items()}
+
+
+class TestSectionMembers:
+    """Per section a fact names, the indexed rows whose fact names it."""
+
+    def test_add_lists_a_row_under_every_section_it_names(self):
+        idx = sectioned({rid(1): (("s1", "top"), True), rid(2): (("top",), False)})
+        idx.add(rid(1), "Budget")
+        idx.add(rid(2), "the budget plan")
+        assert idx.members() == inverse(idx) == {
+            "s1": {rid(1)}, "top": {rid(1), rid(2)},
+        }
+
+    def test_a_row_with_no_text_is_no_member(self):
+        idx = sectioned({rid(1): (("s1",), False), rid(2): (("s1",), False)})
+        idx.add(rid(1), "")
+        idx.add(rid(2), " -- ")
+        assert idx.members() == {} and len(idx) == 0
+
+    def test_a_row_with_no_fact_is_no_member(self):
+        idx = sectioned({})
+        idx.add(rid(1), "budget")
+        assert idx.members() == {} and idx.lookup_all(["budget"]) == {rid(1)}
+
+    def test_remove_takes_a_row_out_of_every_section(self):
+        idx = sectioned({rid(1): (("s1", "top"), False), rid(2): (("top",), False)})
+        idx.add(rid(1), "budget")
+        idx.add(rid(2), "plan")
+        idx.remove(rid(1), "budget")
+        assert idx.members() == inverse(idx) == {"top": {rid(2)}}
+
+    def test_derive_takes_them_out_of_the_postings(self):
+        idx = TextIndex()
+        idx.add(rid(1), "budget")
+        idx.add(rid(2), "plan")
+        assert idx.members() == {}  # no facts, no members
+        # A fact for a row with no postings names no member.
+        idx.derive({rid(1): (("s1",), False), rid(3): (("s1",), False)},
+                   itemgetter(1), itemgetter(0))
+        assert idx.members() == inverse(idx) == {"s1": {rid(1)}}
+
+    def test_removing_a_heading_row_and_a_body_row_leaves_a_fresh_derive(self):
+        """``remove`` reads the heading postings only for heading text;
+        what it leaves is what a fresh index over the rest derives."""
+        texts = {rid(1): "Budget Plan", rid(2): "the budget for the plan",
+                 rid(3): "Risk", rid(4): "risk of the budget"}
+        facts = {rid(1): (("b",), True), rid(2): (("b",), False),
+                 rid(3): (("r", "b"), True), rid(4): (("r", "b"), False)}
+        idx = sectioned(dict(facts))
+        for rowid, text in texts.items():
+            idx.add(rowid, text)
+        for rowid in (rid(1), rid(4)):
+            idx.remove(rowid, texts.pop(rowid))
+            del facts[rowid]
+        fresh = TextIndex()
+        for rowid, text in texts.items():
+            fresh.add(rowid, text)
+        fresh.derive(facts, itemgetter(1), itemgetter(0))
+        assert idx.facts == facts
+        assert idx.signature() == fresh.signature()
+        assert idx.signature(headings=True) == fresh.signature(headings=True)
+        assert idx.members() == fresh.members() == {"b": {rid(2), rid(3)}, "r": {rid(3)}}
+
+    @pytest.fixture
+    def candidates_index(self):
+        """``common`` is in every row, ``rare`` in one; four sections."""
+        facts = {rid(n): ((f"s{n}", "top"), False) for n in range(1, 5)}
+        idx = sectioned(facts)
+        for n in range(1, 5):
+            idx.add(rid(n), f"common words {'rare' if n == 2 else ''}")
+        return idx
+
+    @pytest.mark.parametrize("token", ["common", "rare", "absent"])
+    def test_holding_is_the_same_from_either_side(self, candidates_index, token):
+        """Two candidates take the members' side for ``common`` (four
+        postings), the postings' side for ``rare`` (one)."""
+        walked = set()
+        for rowid in candidates_index.lookup_all([token]):
+            walked.update(candidates_index.facts[rowid][0])
+        for candidates in ({"s1", "s2"}, {"s2", "top", "s3", "s4", "s9"}, set()):
+            assert candidates_index.holding(token, candidates, set()) == walked & candidates
+
+    @pytest.mark.parametrize("candidates", [{"s1", "s2"}, {"s1", "s2", "s3", "s4", "s5"}])
+    def test_holding_leaves_out_the_skipped_rows(self, candidates_index, candidates):
+        assert candidates_index.holding("rare", candidates, {rid(2)}) == set()
+        found = candidates_index.holding("common", candidates, {rid(1)})
+        assert found == candidates & {"s2", "s3", "s4"}
+
+    @pytest.mark.parametrize("candidates", [{"s2"}, {"s1", "s2", "s3"}])
+    def test_a_posting_with_no_fact_names_no_section(self, candidates_index, candidates):
+        """From either side: it is no member, and its fact is not there."""
+        candidates_index.add(rid(9), "rare")
+        assert candidates_index.holding("rare", candidates, set()) == {"s2"}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abc"), max_size=3, unique=True),
+                st.booleans(),
+                st.sampled_from(["budget plan", "plan", "", "risk budget"]),
+                st.booleans(),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_add_remove_and_derive_keep_the_inverse(self, rows):
+        """Rows with generated sections, heading bits and texts, some
+        removed again: after each step the members, like the heading
+        postings, are what the facts of the indexed rows say."""
+        facts = {rid(n): (tuple(sections), heading) for n, (sections, heading, _, _) in enumerate(rows)}
+        idx = sectioned(facts)
+        for n, (_, _, text, _) in enumerate(rows):
+            idx.add(rid(n), text)
+            assert idx.members() == inverse(idx)
+        for n, (_, _, text, gone) in enumerate(rows):
+            if gone and text:
+                idx.remove(rid(n), text)
+                assert idx.members() == inverse(idx)
+        heads = idx.signature(headings=True)
+        members = idx.members()
+        idx.derive(idx.facts, itemgetter(1), itemgetter(0))
+        assert (idx.members(), idx.signature(headings=True)) == (members, heads)
+
+
 class TestMutation:
     def test_remove_makes_row_unfindable(self, index):
         index.remove(rid(1), "The shuttle engine failed during ascent")
-        assert index.lookup("shuttle") == set()
-        assert index.lookup("engine") == {rid(2)}
+        assert index.lookup_all(["shuttle"]) == set()
+        assert index.lookup_all(["engine"]) == {rid(2)}
         assert len(index) == 2
 
     def test_add_empty_text_is_noop(self):
@@ -204,7 +348,7 @@ class TestProperties:
             idx.add(rid(position), text)
         for position, text in enumerate(texts):
             for term in tokenize(text, keep_stopwords=True):
-                assert rid(position) in idx.lookup(term)
+                assert rid(position) in idx.lookup_all([term])
 
     @given(
         st.lists(

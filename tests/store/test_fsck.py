@@ -243,6 +243,30 @@ class TestCorruptionClasses:
         assert repair_store(loaded.database).ok
         assert loaded.xml_table.text_index_on("NODEDATA").signature(headings=True) == before
 
+    @pytest.mark.parametrize("damage", ["ghost", "missing"])
+    def test_section_members_are_held_to_a_fresh_pass(self, loaded, damage):
+        """The section members are derived like the heading postings: a
+        row listed under a section its fact does not name (a ghost) or
+        gone from one it does is ``text-index-drift`` on its own, and a
+        repair lists them afresh."""
+        index = loaded.xml_table.text_index_on("NODEDATA")
+        members, before = index._members, index.members()
+        assert before and check_store(loaded.database).ok
+        section, rows = next((section, rows) for section, rows in members.items() if rows)
+        if damage == "ghost":
+            stranger = next(rowid for rowid, fact in index.facts.items() if section not in fact[0])
+            rows.append(stranger)
+        else:
+            rows.pop()
+        report = check_store(loaded.database)
+        assert report.codes() == {"text-index-drift"}
+        assert [violation.detail for violation in report.violations] == [
+            "the section members of the text index on NODEDATA disagree "
+            "with a fresh pass over the heap"
+        ]
+        assert repair_store(loaded.database).ok
+        assert loaded.xml_table.text_index_on("NODEDATA").members() == before
+
     def test_structural_loss_survives_repair(self, loaded):
         """Genuinely lost data is still reported after a repair pass."""
         self.seed(loaded, "orphan-node")

@@ -1,14 +1,19 @@
-"""The NODEDATA index's heading postings, against their definition.
+"""The NODEDATA index's heading postings and section members, against
+their definitions.
 
 A ``Context=`` probe reads only the heading postings: the postings of
 the TEXT rows with a CONTEXT ancestor, which are all ``ContextLift``
-can keep.  They are derived like the section facts — never logged, gone
-with their row, rebuilt where the facts are — so after any run of
-stores, replaces and deletes, a rebuild, a checkpoint reopen, WAL
-replay and a follower's bundle and shipped batches, they must equal the
-full postings restricted to the rows the hop walk finds a CONTEXT above.
-Heading words also occur in body text and in phrases of several words.
+can keep.  ``Intersect`` reads the section members: per section, the
+indexed TEXT rows the hop walk finds in it.  Both are derived like the
+section facts — never logged, gone with their row, rebuilt where the
+facts are — so after any run of stores, replaces and deletes, a
+rebuild, a checkpoint reopen, WAL replay and a follower's bundle and
+shipped batches, they must match the hop walk, and indexed ``Context=``
+and combined answers the scan path's.  Heading words also occur in body
+text and in phrases of several words.
 """
+
+from collections import defaultdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,19 +56,25 @@ steps = st.lists(
 def assert_heading_postings(store):
     index = store.xml_table.text_index_on("NODEDATA")
     oracle = HopOracle(store.new_accessor())
-    heads = {
-        row.rowid for row in store.xml_table.scan()
-        if row.NODETYPE == int(NodeType.TEXT) and oracle.facts(row)[1] is not None
+    facts = {
+        row.rowid: oracle.facts(row) for row in store.xml_table.scan()
+        if row.NODETYPE == int(NodeType.TEXT)
     }
+    heads = {rowid for rowid, fact in facts.items() if fact[1] is not None}
     postings = index.signature()
     assert index.signature(headings=True) == tuple(p for p in postings if p[1] in heads)
+    members = defaultdict(set)
+    for _, rowid, _ in postings:
+        for section in facts[rowid][0]:
+            members[section].add(rowid)
+    assert index.members() == {section: frozenset(rows) for section, rows in members.items()}
+    indexed, scanned = QueryEngine(store), QueryEngine(store, use_index=False)
     for phrase in PROBES:
         assert index.lookup_phrase(phrase, headings=True) == index.lookup_phrase(phrase) & heads
-        query = f"Context={phrase}"
-        indexed, scanned = QueryEngine(store), QueryEngine(store, use_index=False)
-        assert [m.rowid for m in indexed.execute(query)] == [
-            m.rowid for m in scanned.execute(query)
-        ]
+        for query in (f"Context={phrase}", *(f"Context={phrase}&Content={w}" for w in WORDS[:3])):
+            assert [m.rowid for m in indexed.execute(query)] == [
+                m.rowid for m in scanned.execute(query)
+            ]
     assert check_store(store.database).ok
 
 
@@ -94,6 +105,8 @@ class TestHeadingPostingsAreTheHeadingRowsPostings:
         bundled = FollowerReplica.bootstrap("g", MemoryLogDevice(), shipper.bundle())
         bundled.install_bundle(shipper.bundle())
         assert_heading_postings(bundled.store)  # a follower's install_bundle
-        expected = store.xml_table.text_index_on("NODEDATA").signature(headings=True)
+        expected = store.xml_table.text_index_on("NODEDATA")
         for back in (follower.store, XmlStore.open(replayed), bundled.store):
-            assert back.xml_table.text_index_on("NODEDATA").signature(headings=True) == expected
+            index = back.xml_table.text_index_on("NODEDATA")
+            assert index.signature(headings=True) == expected.signature(headings=True)
+            assert index.members() == expected.members()

@@ -322,12 +322,11 @@ class TestWhoMayReadWithoutAnLsn:
 
     CALLERS = {
         "store/xmlstore.py": 5,  # delete_document x2, lookup_by_name, adopt x2
-        "store/fsck.py": 4,  # the checker reads the heap it is checking
+        "store/fsck.py": 3,  # the checker reads the heap it is checking
         "server/daemon.py": 1,  # settling a journalled ingest at startup
         "baselines/shredded.py": 8,  # the baseline's own tables, not XML/DOC
         # Same method names, not the table's:
         "query/engine.py": 1,  # QueryCache.lookup
-        "query/plan.py": 1,  # TextIndex.lookup, inside probe_text's lookup
     }
 
     def test_pinless_callers_are_the_listed_ones(self):

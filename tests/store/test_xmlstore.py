@@ -155,7 +155,7 @@ class TestDeletion:
         result = store.store_text("# Target\nuniquemarker here\n", "d.md")
         store.delete_document(result.doc_id)
         index = store.xml_table.text_index_on("NODEDATA")
-        assert index.lookup("uniquemarker") == set()
+        assert index.lookup_all(["uniquemarker"]) == set()
 
 
 def scan_by_name(store, name):
