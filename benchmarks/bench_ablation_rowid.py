@@ -13,8 +13,9 @@ one forward read from its ROWID; the key-join side walks parent and
 children by index lookups, on a copy of the nodes in the shape that
 design needs: each names its parent by key (``PARENTNODEID``, with a
 B+tree on it) and carries its place among its siblings (``ORDINAL``), a
-relation having no order of its own.  NETMARK stores neither; the copy
-derives both from ``PARENTROWID`` and ROWID order.  Both variants produce
+relation having no order of its own.  NETMARK stores none of these — a
+node is its ROWID — so the copy numbers the nodes in ROWID order and
+derives the rest from ``PARENTROWID``.  Both variants produce
 identical answers; the physical path must do it with no B+tree probe
 and no more rows fetched — like counted with like, the
 machine-independent proxy for the I/O Oracle's physical rowids saved.
@@ -46,9 +47,11 @@ def store():
 @pytest.fixture(scope="module")
 def keyjoin_table(store):
     """The same nodes, in the same order, as a rowid-less design keeps
-    them: the parent by ``NODEID`` (B+tree-indexed, for the children
-    probe) and the position among siblings, both derived from the
-    store's ``PARENTROWID`` and ROWID order."""
+    them: each node numbered (``NODEID``) in ROWID order, its parent by
+    that number (B+tree-indexed, for the children probe) and its
+    position among siblings, derived from the store's ``PARENTROWID``.
+    Each lands at the address it has in the store, so the two sides'
+    answers name a context by the same ROWID."""
     table = Table(TableSchema("KEYJOIN", (
         Column("NODEID", INTEGER, nullable=False),
         Column("PARENTNODEID", INTEGER),
@@ -59,15 +62,16 @@ def keyjoin_table(store):
     table.create_index("PARENTNODEID")
     table.create_text_index("NODEDATA")
     node_ids, children = {}, {}
-    for row in store.xml_table.scan():  # ROWID order: document order
+    for node_id, row in enumerate(store.xml_table.scan(), 1):  # document order
         parent = row.PARENTROWID
-        node_ids[row.rowid] = row.NODEID
+        node_ids[row.rowid] = node_id
         children[parent] = children.get(parent, -1) + 1
-        table.insert({
-            "NODEID": row.NODEID, "PARENTNODEID": node_ids.get(parent),
+        copied = table.insert({
+            "NODEID": node_id, "PARENTNODEID": node_ids.get(parent),
             "NODETYPE": row.NODETYPE, "NODEDATA": row.NODEDATA,
             "ORDINAL": children[parent],
         })
+        assert copied == row.rowid
     return table
 
 
@@ -166,9 +170,7 @@ def _resolve_physical(store, hits):
         [(sections, _, _)] = accessor.text_facts([hit.rowid])
         if sections:
             context = accessor.node(sections[0])
-            answers.append(
-                (context.NODEID, accessor.section_text(context))
-            )
+            answers.append((context.rowid, accessor.section_text(context)))
         rows += accessor.stats.rows_fetched
     return answers, _btree_probes() - before, rows
 
@@ -179,9 +181,7 @@ def _resolve_keyjoin(table, hits):
     for hit in hits:
         context = traversal.governing_context(hit)
         if context is not None:
-            answers.append(
-                (context.NODEID, traversal.section_text(context))
-            )
+            answers.append((context.rowid, traversal.section_text(context)))
     return answers, traversal.probes, traversal.rows
 
 

@@ -221,10 +221,6 @@ class Table:
         _post_keys(index, self.schema.position(column), self._live(), add=True)
         return index
 
-    def drop_index(self, column: str) -> None:
-        """Stop keeping the B+tree over ``column``."""
-        del self._indexes[column.upper()]
-
     def create_text_index(self, column: str) -> TextIndex:
         """Create (and backfill) an inverted text index over ``column``."""
         return self._create(

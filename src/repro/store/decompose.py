@@ -5,11 +5,12 @@ into its constituent nodes and dynamically inserts them into two primary
 database tables — namely, XML and DOC."
 
 The decomposer flattens the DOM in document order and builds one finished
-row per node.  The whole tree is in memory before the first insert and
-the heap is append-only, so the addresses the rows will land at are
-known up front (:meth:`repro.ordbms.table.Table.next_rowids`): every row
-is written once, already carrying its parent's ROWID (``PARENTROWID``),
-and is never touched again.
+row per node; a node has no id of its own, it is its ROWID.  The whole
+tree is in memory before the first insert and the heap is append-only,
+so the addresses the rows will land at are known up front
+(:meth:`repro.ordbms.table.Table.next_rowids`): every row is written
+once, already carrying its parent's ROWID (``PARENTROWID``), and is
+never touched again.
 The DOC row and the node rows go in as one statement
 (:meth:`repro.ordbms.Database.change`), one WAL record, which refuses a
 row whose address is not the next one its heap hands out — and then
@@ -44,18 +45,16 @@ class DecomposeResult:
 
 
 class Decomposer:
-    """Stateful node-id allocator + document loader for one database."""
+    """Stateful document-id allocator + document loader for one database."""
 
     def __init__(self, database: Database, config: NodeTypeConfig) -> None:
         self._database = database
         self._config = config
         self._next_doc_id = 1
-        self._next_node_id = 1
 
-    def resume(self, next_doc_id: int, next_node_id: int) -> None:
-        """Resume id allocation past a restored snapshot's highest ids."""
+    def resume(self, next_doc_id: int) -> None:
+        """Resume id allocation past a restored snapshot's highest id."""
         self._next_doc_id = next_doc_id
-        self._next_node_id = next_node_id
 
     def load(self, document: Document, file_date: _dt.datetime | None = None) -> DecomposeResult:
         """Insert ``document`` into DOC + XML as one statement."""
@@ -77,13 +76,10 @@ class Decomposer:
             doc.next_rowids(1)[0],
         )
         rowids = xml.next_rowids(len(flat))
-        first_id = self._next_node_id
-        self._next_node_id += len(flat)
         row, classify, pairs = xml.schema.row_of_image, self._config.classify, []
         for position, (node, parent) in enumerate(flat):
             is_element = isinstance(node, Element)
             pairs.append((None, row((  # XML_TABLE's columns, in order
-                first_id + position,
                 doc_id,
                 None if parent is None else rowids[parent],
                 int(classify(node)),

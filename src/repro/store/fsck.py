@@ -5,15 +5,14 @@ DDL and into row values and their layout — ``PARENTROWID`` links, ROWID
 order, the five-way NODETYPE vocabulary.  Nothing in the ORDBMS can
 enforce those, so this module does, after the fact:
 
-* every ``PARENTROWID`` resolves to a live XML row of the same document,
-  and the parent chain is acyclic (reaches a root);
-* each document has exactly one root;
 * every ``NODETYPE`` is one of the five NETMARK types;
-* each document's rows, taken in ROWID order, are a pre-order walk of its
-  tree — the layout the read path's forward reads
+* each document's rows, taken in ROWID order, are one run laid out as a
+  pre-order walk of one tree — the layout the read path's forward reads
   (:meth:`repro.store.accessor.NodeAccessor.subtree`) stand on, and the
-  only record of sibling order — and ROWID order is ``(DOC_ID, NODEID)``
-  order, which a plan sorts by;
+  only record of sibling order — and ``DOC_ID`` rises with the ROWID.
+  This one walk is the structural check: a parent that is no live row
+  of the document, a parent chain that loops, a document with no root
+  or two all break it, and its report says which;
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
@@ -52,11 +51,6 @@ CODES = (
     "bad-node-type",
     "orphan-node",
     "empty-document",
-    "missing-root",
-    "multiple-roots",
-    "dangling-parent",
-    "foreign-parent",
-    "parent-cycle",
     "doc-order",
     "btree-drift",  # repairable
     "text-index-drift",  # repairable
@@ -133,10 +127,8 @@ def check_store(database: Database) -> FsckReport:
     nodes = list(xml_table.scan())
     report.nodes_checked = len(nodes)
     by_rowid: dict[RowId, XmlRow] = {row.rowid: row for row in nodes}
-    _check_node_fields(report, nodes, by_rowid, doc_ids)
-    _check_roots(report, nodes, doc_ids)
-    _check_parent_chains(report, nodes, by_rowid)
-    _check_doc_order(report, nodes)
+    _check_node_fields(report, nodes, doc_ids)
+    _check_doc_order(report, nodes, by_rowid)
     facts = None
     if report.ok:  # a pass needs sound links, in document order
         facts = _check_section_facts(report, database, by_rowid)
@@ -176,9 +168,7 @@ def _netmark_tables(database: Database) -> tuple[Table, Table]:
     return database.table(DOC_TABLE), database.table(XML_TABLE)
 
 
-def _check_node_fields(
-    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow], doc_ids: set[int]
-) -> None:
+def _check_node_fields(report: FsckReport, nodes: list[XmlRow], doc_ids: set[int]) -> None:
     valid_types = {int(node_type) for node_type in NodeType}
     for row in nodes:
         rowid = row.rowid
@@ -188,103 +178,64 @@ def _check_node_fields(
         if row.DOC_ID not in doc_ids:
             report.flag("orphan-node", XML_TABLE, rowid, row.DOC_ID,
                         f"DOC_ID {row.DOC_ID} has no DOC row")
-        parent_rowid = row.PARENTROWID
-        if parent_rowid is not None:
-            parent = by_rowid.get(parent_rowid)
-            if parent is None:
-                report.flag("dangling-parent", XML_TABLE, rowid, row.DOC_ID,
-                            f"PARENTROWID {parent_rowid} is not a live XML row")
-            elif parent.DOC_ID != row.DOC_ID:
-                report.flag("foreign-parent", XML_TABLE, rowid, row.DOC_ID,
-                            f"parent at {parent_rowid} belongs to document {parent.DOC_ID}")
+    for doc_id in sorted(doc_ids - {row.DOC_ID for row in nodes}):
+        report.flag("empty-document", DOC_TABLE, None, doc_id,
+                    "document has no XML nodes at all")
 
 
-def _check_roots(report: FsckReport, nodes: list[XmlRow], doc_ids: set[int]) -> None:
-    roots: dict[int, list[XmlRow]] = {}
-    populated = {row.DOC_ID for row in nodes}
-    for row in nodes:
-        if row.PARENTROWID is None:
-            roots.setdefault(row.DOC_ID, []).append(row)
-    for doc_id in sorted(doc_ids):
-        if doc_id not in populated:
-            report.flag("empty-document", DOC_TABLE, None, doc_id,
-                        "document has no XML nodes at all")
-        elif doc_id not in roots:
-            report.flag("missing-root", XML_TABLE, None, doc_id,
-                        "document has nodes but none is a root (every PARENTROWID is set)")
-        elif len(roots[doc_id]) > 1:
-            report.flag("multiple-roots", XML_TABLE, None, doc_id, f"{len(roots[doc_id])} root "
-                        f"nodes (NODEIDs {sorted(r.NODEID for r in roots[doc_id])})")
-
-
-def _check_parent_chains(report: FsckReport, nodes: list[XmlRow], by_rowid: dict) -> None:
-    #: rowids proven to reach a root (or known-broken, already reported).
-    resolved: set[RowId] = set()
-    for row in nodes:
-        rowid = row.rowid
-        if rowid in resolved:
-            continue
-        path: list[RowId] = []
-        seen: set[RowId] = set()
-        current: XmlRow | None = row
-        while current is not None:
-            current_rowid = current.rowid
-            if current_rowid in resolved:
-                break
-            if current_rowid in seen:
-                report.flag("parent-cycle", XML_TABLE, current_rowid, current.DOC_ID,
-                            "PARENTROWID chain revisits this node without reaching a root")
-                break
-            seen.add(current_rowid)
-            path.append(current_rowid)
-            parent_rowid = current.PARENTROWID
-            if parent_rowid is None:
-                break
-            current = by_rowid.get(parent_rowid)  # None = dangling (reported)
-        resolved.update(path)
-
-
-def _check_doc_order(report: FsckReport, nodes: list[XmlRow]) -> None:
+def _check_doc_order(
+    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
+) -> None:
     """Each document is one ROWID run, laid out as a pre-order walk.
 
-    Walking the heap in physical order, every row's parent must be on
-    the path of still-open ancestors (so every subtree is contiguous and
-    every parent precedes its children), no other document's live row
-    may sit inside the run, and ``(DOC_ID, NODEID)`` must rise with the
-    ROWID (the presentation order is read off the address).  Sibling
-    order is ROWID order, so nothing else says what it should be.  One
-    report per document, at the first row that breaks the walk; nothing
-    here is derivable, so ``--repair`` leaves it.
+    Walking the heap in physical order, ``DOC_ID`` must rise with the
+    ROWID (so no other document's live row sits inside a run), a run
+    must start at its root and hold no second one, and every other row's
+    parent must be on the path of still-open ancestors — so every parent
+    is a live row of the same document stored before its children, no
+    parent chain loops and every subtree is contiguous.  Sibling order
+    is ROWID order, so nothing else says what it should be.  One report
+    per document, at the first row that breaks the walk, saying why;
+    nothing here is derivable, so ``--repair`` leaves it.
     """
-    seen: dict[int, bool] = {}  # document -> already reported
-    doc_id, latest = None, (0, 0)
+    broken: set[int] = set()
+    doc_id, latest = None, float("-inf")
     path: list[RowId] = []  # open ancestors
     for row in nodes:
         parent, problem = row.PARENTROWID, ""
         if row.DOC_ID != doc_id:
-            doc_id = row.DOC_ID
-            if doc_id in seen:
-                problem = "the run resumes after another document's rows"
+            doc_id, path = row.DOC_ID, []
+            if doc_id <= latest:
+                problem = f"DOC_ID does not rise: document {latest}'s rows come first"
             elif parent is not None:
-                problem = "the run does not start at the root"
-            path = []
-        if seen.setdefault(doc_id, False):
+                problem = f"the run does not start at the root: {_cause(row, by_rowid)}"
+            latest = max(latest, doc_id)
+        if doc_id in broken:
             continue
         if not problem and parent is None and path:
             problem = "a second root"
         while not problem and path and path[-1] != parent:
             path.pop()
             if not path:
-                problem = f"parent {parent} is not an open ancestor"
-        if not problem and (doc_id, row.NODEID) <= latest:
-            problem = "ROWID order is not (DOC_ID, NODEID) order"
-        latest = max(latest, (doc_id, row.NODEID))
+                problem = _cause(row, by_rowid)
         if problem:
-            seen[doc_id] = True
+            broken.add(doc_id)
             report.flag("doc-order", XML_TABLE, row.rowid, doc_id,
                         f"rows are not a pre-order walk of the tree: {problem}")
-            continue
-        path.append(row.rowid)
+        else:
+            path.append(row.rowid)
+
+
+def _cause(row: XmlRow, by_rowid: dict[RowId, XmlRow]) -> str:
+    """Why ``row``'s parent is not an open ancestor."""
+    parent = by_rowid.get(row.PARENTROWID)
+    if parent is None:
+        return f"PARENTROWID {row.PARENTROWID} is not a live XML row"
+    if parent.DOC_ID != row.DOC_ID:
+        return f"parent {parent.rowid} belongs to document {parent.DOC_ID}"
+    if parent.rowid >= row.rowid:  # every parent chain that loops has one
+        return f"parent {parent.rowid} does not precede it"
+    return f"parent {parent.rowid} is not an open ancestor"
 
 
 def _check_section_facts(

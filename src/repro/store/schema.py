@@ -8,8 +8,9 @@ Two tables store *every* document of *any* type — the schema-less claim:
     ``key=value;`` text) which the paper's figure omits but its
     applications clearly use.
 
-``XML`` — one row per decomposed node:
-    ``NODEID`` (PK), ``DOC_ID`` (FK to DOC),
+``XML`` — one row per decomposed node, with no key of its own: a node
+*is* its ROWID.
+    ``DOC_ID`` (FK to DOC),
     ``PARENTROWID`` — *physical ROWID* of the parent node row,
     ``NODETYPE`` — the five-way NETMARK type (1..5),
     ``NODENAME`` — element tag (NULL for text nodes),
@@ -23,13 +24,14 @@ follow it, and its next sibling is the next ROWID past that subtree,
 if that row's ``PARENTROWID`` is the node's own.  Position among siblings is
 ROWID order, so no column stores it.
 
-Indexes created with the schema (:data:`INDEXES`), beside each primary
-key's: B+trees on ``DOC.FILE_NAME`` (the write path's "is this name
+Indexes created with the schema (:data:`INDEXES`), beside ``DOC_ID``'s
+primary key: B+trees on ``DOC.FILE_NAME`` (the write path's "is this name
 already stored" probe), ``XML.DOC_ID`` (a document's rows) and
 ``XML.NODENAME`` (the nodename search), plus the text index on
 ``XML.NODEDATA`` (the Oracle Text stand-in the query path hits first).
 Nothing probes by parent: which section a row belongs to is what one
-pass over its document in ROWID order says.
+pass over its document in ROWID order says.  A store has exactly these
+B+trees; a dump or checkpoint declaring others is refused, not aligned.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ def xml_schema() -> TableSchema:
     return TableSchema(
         name=XML_TABLE,
         columns=(
-            Column("NODEID", INTEGER, nullable=False),
             Column("DOC_ID", INTEGER, nullable=False),
             Column("PARENTROWID", ROWID),
             Column("NODETYPE", INTEGER, nullable=False),
@@ -82,7 +83,6 @@ def xml_schema() -> TableSchema:
             Column("NODEDATA", CLOB),
             Column("ATTRS", CLOB),
         ),
-        primary_key="NODEID",
         foreign_keys=(ForeignKey("DOC_ID", DOC_TABLE, "DOC_ID"),),
     )
 
@@ -106,21 +106,29 @@ def create_netmark_schema(database: Database) -> tuple[Table, Table]:
     """
     doc_table = database.create_table(doc_schema())
     xml_table = database.create_table(xml_schema())
-    align_indexes(database)
+    for table in (doc_table, xml_table):
+        for column in INDEXES[table.schema.name]:
+            table.create_index(column)
     xml_table.create_text_index("NODEDATA")
     return doc_table, xml_table
 
 
 def require_netmark_schema(database: Database) -> None:
-    """Refuse a database whose DOC or XML is not NETMARK's: a dump or a
-    checkpoint declares its own tables, and the loader builds what it is
-    told."""
+    """Refuse a database whose DOC or XML is not NETMARK's — its columns
+    or its B+trees: a dump or a checkpoint declares its own tables, and
+    the loader builds what it is told."""
     for wanted in (doc_schema(), xml_schema()):
-        schema = database.table(wanted.name).schema
-        if _shape(schema) != _shape(wanted):
+        table = database.table(wanted.name)
+        if _shape(table.schema) != _shape(wanted):
             raise StoreError(
                 f"table {wanted.name} does not have the NETMARK columns: "
-                f"{_shape(schema)} is not {_shape(wanted)}"
+                f"{_shape(table.schema)} is not {_shape(wanted)}"
+            )
+        indexes = {wanted.primary_key, *INDEXES[wanted.name]} - {None}
+        if set(table.index_columns) != indexes:
+            raise StoreError(
+                f"table {wanted.name} does not have the NETMARK B+trees: "
+                f"{sorted(table.index_columns)} is not {sorted(indexes)}"
             )
     if database.table(XML_TABLE).text_index_on("NODEDATA") is None:
         raise StoreError("table XML has no text index on NODEDATA")
@@ -129,21 +137,6 @@ def require_netmark_schema(database: Database) -> None:
 def _shape(schema: TableSchema) -> tuple:
     columns = tuple((c.name, c.dtype.name, c.nullable) for c in schema.columns)
     return columns, schema.primary_key
-
-
-def align_indexes(database: Database) -> None:
-    """Give DOC and XML exactly the B+trees :data:`INDEXES` declares: a
-    checkpoint or dump written by an older schema declares the ones it
-    had, and the loader builds what it is told."""
-    for name, columns in INDEXES.items():
-        table = database.table(name)
-        wanted = (table.schema.primary_key, *columns)
-        for column in table.index_columns:
-            if column not in wanted:
-                table.drop_index(column)
-        for column in wanted:
-            if table.index_on(column) is None:
-                table.create_index(column)
 
 
 #: The METADATA column's escapes (:func:`encode_metadata`), both ways.

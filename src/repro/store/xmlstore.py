@@ -34,7 +34,6 @@ from repro.store.schema import (
     XML_TABLE,
     DocRow,
     XmlRow,
-    align_indexes,
     create_netmark_schema,
     decode_metadata,
     require_netmark_schema,
@@ -78,7 +77,6 @@ class XmlStore:
         require_netmark_schema(database)
         self.database = database
         self.config = config
-        align_indexes(database)
         self._doc_table = database.table(DOC_TABLE)
         self._xml_table = database.table(XML_TABLE)
         # Every row indexed from here on (loaded, replayed, shipped) says
@@ -107,8 +105,8 @@ class XmlStore:
         """Rebuild a store from :meth:`dump` output.
 
         Physical ROWIDs are restored exactly (they are stored inside node
-        rows), and the id allocators resume past the highest restored
-        ids, so new documents never collide with old ones.
+        rows), and the document id allocator resumes past the highest
+        restored id, so new documents never collide with old ones.
         """
         from repro.ordbms.snapshot import load_database
 
@@ -152,17 +150,14 @@ class XmlStore:
         The entry point for databases materialised elsewhere — crash
         recovery output, a replication follower's applied state — where
         the NETMARK tables exist but no :class:`XmlStore` does yet.  The
-        id allocators resume past the highest stored ids.
+        document id allocator resumes past the highest stored id.
         """
         store = cls.__new__(cls)
         store._wire(database, config)
         max_doc = max(
             (row.DOC_ID for row in store._doc_table.scan()), default=0
         )
-        max_node = max(
-            (row.NODEID for row in store._xml_table.scan()), default=0
-        )
-        store._decomposer.resume(max_doc + 1, max_node + 1)
+        store._decomposer.resume(max_doc + 1)
         return store
 
     # -- ingestion ------------------------------------------------------------
@@ -306,13 +301,12 @@ class XmlStore:
         return NodeAccessor(self.database, snapshot=snapshot, lifts=lifts)
 
     def contexts(self, doc_id: int) -> Iterator[XmlRow]:
-        """CONTEXT element rows of one document."""
+        """CONTEXT element rows of one document, in document order."""
         accessor = self.new_accessor()
         self.entry_at(doc_id, accessor.lsn)  # raises if unknown
         rows = accessor.lookup_rows("DOC_ID", doc_id)
         accessor.publish()
-        contexts = filter(NodeAccessor.is_context, rows)
-        return iter(sorted(contexts, key=lambda row: row.NODEID))
+        return filter(NodeAccessor.is_context, rows)
 
     # -- table access for the query layer -------------------------------------
 

@@ -43,7 +43,6 @@ class TestComposeMultiRoot:
         store.database.insert(
             "XML",
             {
-                "NODEID": 9999,
                 "DOC_ID": result.doc_id,
                 "PARENTROWID": None,
                 "NODETYPE": 1,

@@ -87,7 +87,7 @@ class TestNothingMoves:
         taken = next(doc.scan())
         stamp = heaps(store), len(device._chunks), database.mvcc.lsn  # noqa: SLF001
         template = dict(zip((c.name for c in xml.schema.columns), next(xml.scan())))
-        node = xml.schema.row({**template, "NODEID": 999, "DOC_ID": 2}, xml.next_rowids(1)[0])
+        node = xml.schema.row({**template, "DOC_ID": 2}, xml.next_rowids(1)[0])
         twin = doc.schema.row(
             {**dict(zip((c.name for c in doc.schema.columns), taken)), "FILE_NAME": "twin"},
             doc.next_rowids(1)[0],

@@ -19,7 +19,7 @@ from repro.ordbms import (
     TableSchema,
 )
 from repro.resilience import FaultPlan
-from repro.store import XML_TABLE, XmlStore, check_store
+from repro.store import DOC_TABLE, XML_TABLE, XmlStore, check_store
 from repro.workloads import CorpusSpec, generate_corpus
 
 
@@ -211,15 +211,12 @@ class TestAccess:
         assert len(table) == 3
 
 
-def xml_rows(store, node_ids):
-    """Node rows for the next free XML slots, one per NODEID, each a copy
-    of a stored row's columns (tests only build rows; nothing edits one)."""
+def xml_rows(store, count):
+    """Node rows for the next ``count`` free XML slots, each a copy of a
+    stored row's columns (tests only build rows; nothing edits one)."""
     xml = store.xml_table
-    template = dict(zip((c.name for c in xml.schema.columns), next(xml.scan())))
-    return [
-        xml.schema.row({**template, "NODEID": node_id}, rowid)
-        for node_id, rowid in zip(node_ids, xml.next_rowids(len(node_ids)))
-    ]
+    row = next(xml.scan())
+    return [xml.schema.row_of_image(row[:-1], rowid) for rowid in xml.next_rowids(count)]
 
 
 def load(store, corpus):
@@ -277,15 +274,18 @@ class TestTheOneDoor:
         assert journal == [] and list(table.scan()) == [kept]
         assert table.lookup("NAME", "kept") == [kept] and table.next_rowids(3) == free
 
-    def test_two_rows_with_one_nodeid_move_nothing(self):
+    def test_two_rows_with_one_doc_id_move_nothing(self):
         store = XmlStore()
         store.store_text("<doc><h1>Kept</h1><p>text</p></doc>", "kept.xml")
-        dumped, taken = store.dump(), max(row.NODEID for row in store.xml_table.scan())
-        for node_ids in ((98, 98), (97, taken)):  # within the batch; with a stored row
+        dumped, doc = store.dump(), store.doc_table
+        template = dict(zip((c.name for c in doc.schema.columns), next(doc.scan())))
+        for doc_ids in ((98, 98), (97, 1)):  # within the batch; with a stored row
+            rows = [
+                doc.schema.row({**template, "DOC_ID": doc_id, "FILE_NAME": f"{doc_id}.xml"}, rowid)
+                for doc_id, rowid in zip(doc_ids, doc.next_rowids(2))
+            ]
             with pytest.raises(ConstraintError):
-                store.database.change(
-                    [(XML_TABLE, [(None, row) for row in xml_rows(store, node_ids)])]
-                )
+                store.database.change([(DOC_TABLE, [(None, row) for row in rows])])
         assert store.dump() == dumped and check_store(store.database).ok
 
     def test_two_pairs_on_one_slot_are_refused(self, table):
@@ -301,7 +301,7 @@ class TestTheOneDoor:
         store = XmlStore.open(plan.wrap_log_device(device))
         store.store_text("<doc><h1>Kept</h1><p>text</p></doc>", "kept.xml")
         dumped, database = store.dump(), store.database
-        rows, inserted = xml_rows(store, range(100, 105)), database.stats.rows_inserted
+        rows, inserted = xml_rows(store, 5), database.stats.rows_inserted
         lsn = database.mvcc.lsn
         plan.fail("wal", "append", kind="unavailable")
         with pytest.raises(SourceUnavailableError):

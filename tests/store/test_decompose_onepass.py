@@ -19,20 +19,17 @@ from repro.store.schema import encode_attributes, encode_metadata
 
 
 def oracle_load(store, document):
-    """The recursive row-at-a-time loader, on the store's own id counters."""
+    """The recursive row-at-a-time loader, on the store's own id counter."""
     database = store.database
-    decomposer = store._decomposer  # noqa: SLF001 - shares the allocators
+    decomposer = store._decomposer  # noqa: SLF001 - shares the allocator
     doc_id = decomposer._next_doc_id
     decomposer._next_doc_id += 1
 
     def insert_subtree(node, parent_rowid):
-        node_id = decomposer._next_node_id
-        decomposer._next_node_id += 1
         is_element = isinstance(node, Element)
         rowid = database.insert(
             XML_TABLE,
             {
-                "NODEID": node_id,
                 "DOC_ID": doc_id,
                 "PARENTROWID": parent_rowid,
                 "NODETYPE": int(store.config.classify(node)),

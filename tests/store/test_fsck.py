@@ -10,7 +10,7 @@ from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, repair_store
 from repro.store.fsck import REPAIRABLE, main
 from repro.store.schema import XML_TABLE, doc_schema, xml_schema
-from tests.store.test_xmlstore import TEN_COLUMN_SNAPSHOT
+from tests.store.test_xmlstore import OTHER_BTREES, TEN_COLUMN_SNAPSHOT, with_btrees
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ class TestCleanStore:
         assert report.ok
         assert report.documents_checked == len(loaded)
         assert report.nodes_checked == loaded.node_count
-        assert report.indexes_checked == 6  # 2 DOC + 3 XML btrees + 1 text
+        assert report.indexes_checked == 5  # 2 DOC + 2 XML btrees + 1 text
 
     def test_empty_store_is_clean(self, store):
         assert check_store(store.database).ok
@@ -46,10 +46,10 @@ class TestCleanStore:
 
     def test_an_xml_table_missing_a_column_is_misuse(self):
         database = Database("short")
-        database.create_table(doc_schema())
+        database.create_table(doc_schema()).create_index("FILE_NAME")
         columns = [c for c in xml_schema().columns if c.name != "NODETYPE"]
-        database.create_table(TableSchema(XML_TABLE, tuple(columns), "NODEID"))
-        database.insert(XML_TABLE, {"NODEID": 1, "DOC_ID": 1})
+        database.create_table(TableSchema(XML_TABLE, tuple(columns)))
+        database.insert(XML_TABLE, {"DOC_ID": 1})
         with pytest.raises(FsckError, match="NETMARK columns"):
             check_store(database)
 
@@ -59,6 +59,12 @@ class TestCleanStore:
         with pytest.raises(FsckError, match="NETMARK columns"):
             repair_store(load_database(TEN_COLUMN_SNAPSHOT))
 
+    @pytest.mark.parametrize("declared", OTHER_BTREES)
+    def test_btrees_other_than_the_schemas_are_misuse(self, declared):
+        for check in (check_store, repair_store):
+            with pytest.raises(FsckError, match="NETMARK B\\+trees"):
+                check(load_database(with_btrees(*OTHER_BTREES[declared])))
+
     def test_report_serialises(self, loaded):
         report = check_store(loaded.database)
         payload = report.as_dict()
@@ -67,7 +73,18 @@ class TestCleanStore:
 
 
 class TestCorruptionClasses:
-    """Each seeded corruption class is detected under its own code."""
+    """Each seeded corruption class is detected: under its own code, or
+    as the break of its document's pre-order walk."""
+
+    #: Damages with no code of their own: each breaks its document's
+    #: pre-order walk, reported as ``doc-order`` with the cause.
+    WALK_BREAKS = {
+        "missing-root": "the run does not start at the root: parent",
+        "multiple-roots": "a second root",
+        "dangling-parent": "is not a live XML row",
+        "foreign-parent": "belongs to document 2",
+        "parent-cycle": "does not precede it",
+    }
 
     def seed(self, store: XmlStore, code: str) -> None:
         database = store.database
@@ -108,8 +125,7 @@ class TestCorruptionClasses:
             # A well-linked last child of document 1's, stored behind
             # document 2's rows: no link is wrong, only where the row sits.
             database.insert(XML_TABLE, {
-                "NODEID": 9999, "DOC_ID": 1, "NODETYPE": 2,
-                "NODENAME": "late", "PARENTROWID": child.rowid,
+                "DOC_ID": 1, "NODETYPE": 2, "NODENAME": "late", "PARENTROWID": child.rowid,
             })
         elif code == "btree-drift":
             index = store.xml_table.index_on("NODENAME")
@@ -145,9 +161,19 @@ class TestCorruptionClasses:
         assert check_store(loaded.database).ok  # pristine before seeding
         self.seed(loaded, code)
         report = check_store(loaded.database)
-        assert code in report.codes(), (
-            f"seeded {code}, fsck reported {sorted(report.codes())}"
-        )
+        if code in self.WALK_BREAKS:
+            [found] = [v for v in report.violations if v.code == "doc-order"]
+            assert found.doc_id == 1 and self.WALK_BREAKS[code] in found.detail
+        else:
+            assert code in report.codes(), (
+                f"seeded {code}, fsck reported {sorted(report.codes())}"
+            )
+
+    @pytest.mark.parametrize("damage", [*WALK_BREAKS, "doc-order"])
+    def test_a_broken_walk_survives_repair(self, loaded, damage):
+        self.seed(loaded, damage)
+        report = repair_store(loaded.database)
+        assert [v.doc_id for v in report.violations if v.code == "doc-order"] == [1]
 
     @pytest.mark.parametrize("code", sorted(REPAIRABLE))
     def test_repairable_classes_repair_clean(self, loaded, code):
@@ -198,8 +224,8 @@ class TestCorruptionClasses:
         addresses = dict(zip(names, store.xml_table.next_rowids(len(layout))))
         for name, parent in layout:
             database.insert(XML_TABLE, {
-                "NODEID": names.index(name) + 1, "DOC_ID": 1, "NODETYPE": 2,
-                "NODENAME": name, "PARENTROWID": addresses.get(parent),
+                "DOC_ID": 1, "NODETYPE": 2, "NODENAME": name,
+                "PARENTROWID": addresses.get(parent),
             })
         [found] = [
             violation for violation in check_store(database).violations
@@ -208,19 +234,19 @@ class TestCorruptionClasses:
         assert problem in found.detail
 
     def test_rowid_order_is_document_node_order(self, store):
-        """A plan reads the presentation order off the ROWID: a row whose
-        NODEID does not rise with its address is out of order too."""
+        """A plan reads the presentation order off the ROWID, so documents
+        follow one another in DOC_ID order along the heap: one stored
+        after a higher-numbered one is out of order, though each is one
+        well-formed run."""
         database = store.database
-        database.insert("DOC", {"DOC_ID": 1, "FILE_NAME": "planted.xml"})
-        root, child = store.xml_table.next_rowids(2)
-        for node_id, parent in ((7, None), (3, root)):
-            database.insert(XML_TABLE, {
-                "NODEID": node_id, "DOC_ID": 1, "NODETYPE": 1, "NODENAME": "n",
-                "PARENTROWID": parent,
-            })
+        for doc_id in (1, 2):
+            database.insert("DOC", {"DOC_ID": doc_id, "FILE_NAME": f"{doc_id}.xml"})
+        second = store.xml_table.next_rowids(2)[1]
+        for doc_id in (2, 1):
+            database.insert(XML_TABLE, {"DOC_ID": doc_id, "NODETYPE": 1, "NODENAME": "n"})
         [found] = check_store(database).violations
-        assert found.code == "doc-order" and found.rowid == str(child)
-        assert "ROWID order is not (DOC_ID, NODEID) order" in found.detail
+        assert found.code == "doc-order" and found.rowid == str(second)
+        assert "DOC_ID does not rise: document 2's rows come first" in found.detail
 
     @pytest.mark.parametrize("damage", ["ghost", "missing"])
     def test_heading_postings_are_held_to_a_fresh_pass(self, loaded, damage):

@@ -53,15 +53,15 @@ def _sha(text: str) -> str:
 class TestNoByteMoved:
     """Twelve generated documents through the daemon onto a WAL, one
     replaced, one deleted.  The served bodies are the parent commit's;
-    the WAL, the dump rows and the fsck findings are the seven-column
-    XML row's own (no parent NODEID, sibling link or ordinal)."""
+    the WAL, the dump rows and the fsck findings are the six-column
+    XML row's own (no NODEID, parent NODEID, sibling link or ordinal)."""
 
     GOLDEN = {
-        # Logged and dumped bytes moved on purpose: the seven-column row.
-        "wal": "af0018aca9fd4aacda7b53453bd13f5feef7bdd1718e3bdc374569aa289a175f",
-        "dump_rows": "c8d4d64a2a35f8a3a81434962827ac265d152b2c5c03c877240d6b0e5dea26bd",
-        # The damage moved with the columns: see the test.
-        "fsck_violations": "b15ae98dd0fac074ee4910fec0d491f6be8f3d8e4826cdac8c804926e178ddfb",
+        # Logged and dumped bytes moved on purpose: the six-column row.
+        "wal": "e78b262bc7a9d6ba54be50ad7c068d75d12338bfe17e9f0f25411e657c7ef52c",
+        "dump_rows": "1dd79572fe52c63312ecb3e5e4d4e36c07bf3c2040a6a030b3b6c48d5f46d313",
+        # The dangling parent is the walk's break: one finding, not two.
+        "fsck_violations": "a08057a2dfdf4496b31d0b24bd50a24ef6f574b2a241cb0db5b1535812db65ad",
         "search_bodies": [
             "911c534018a5964c6cf3ea20fe6f659a0a84aece7a1fb098cdbe34d59c621e3e",
             "aeca9c88057a41e45e39c35c5474a357c06fa87b6e2db7d3d28440c894473e91",
@@ -101,9 +101,7 @@ class TestNoByteMoved:
             [v.code, v.table, v.rowid, v.doc_id, v.detail]
             for v in check_store(node.database).violations
         ]
-        assert [v[0] for v in violations] == [
-            "bad-node-type", "dangling-parent", "doc-order",
-        ]
+        assert [v[0] for v in violations] == ["bad-node-type", "doc-order"]
         assert {
             "wal": _sha(wal),
             "dump_rows": _sha(dump),

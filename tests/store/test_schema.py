@@ -28,16 +28,17 @@ class TestGeneratedSchema:
         # The row keeps only what a read follows: the parent's ROWID up,
         # ROWID order down and across.
         assert [column.name for column in xml_table.schema.columns] == [
-            "NODEID", "DOC_ID", "PARENTROWID", "NODETYPE", "NODENAME",
-            "NODEDATA", "ATTRS",
+            "DOC_ID", "PARENTROWID", "NODETYPE", "NODENAME", "NODEDATA", "ATTRS",
         ]
+        # A node is its ROWID: no key of its own.
+        assert xml_table.schema.primary_key is None
 
     def test_indexes_created(self):
         database = Database()
         doc_table, xml_table = create_netmark_schema(database)
         assert doc_table.index_columns == ("DOC_ID", "FILE_NAME")
-        # Three XML B+trees: nobody probes NODETYPE or by parent.
-        assert xml_table.index_columns == ("NODEID", "DOC_ID", "NODENAME")
+        # Two XML B+trees: nobody probes NODETYPE, by parent or by node.
+        assert xml_table.index_columns == ("DOC_ID", "NODENAME")
         assert xml_table.text_index_on("NODEDATA") is not None
 
     def test_doc_id_foreign_key_declared(self):

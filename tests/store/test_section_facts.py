@@ -136,6 +136,27 @@ class TestFsckOwnsTheFacts:
         assert check_store(store.database).codes() == {"section-facts"}
         assert repair_store(store.database).ok and facts_of(store) == {}
 
+    def test_an_in_place_update_leaves_its_row_without_a_fact(self, store):
+        """Pins a known fault, not a contract: editing an XML row in place
+        (``Database.update``) re-posts its text with no fact, so the index
+        path loses the row's section until a repair; the scan path runs
+        the pass and still finds it (DESIGN.md §16)."""
+        store.store_text("# Budget\n\nalpha beta\n", "a.md")
+        store.store_text("# Budget\n\ndelta epsilon\n", "b.md")
+        body = next(row for row in store.xml_table.scan() if row.NODEDATA == "alpha beta")
+        assert facts_of(store)[body.rowid][0]
+        store.database.update(XML_TABLE, body.rowid, {"NODEDATA": "alpha gamma"})
+        assert body.rowid not in facts_of(store)
+        assert check_store(store.database).codes() == {"section-facts", "text-index-drift"}
+        query = "Context=Budget&Content=gamma"
+
+        def answers():
+            return [len(QueryEngine(store, use_index=flag).execute(query)) for flag in (True, False)]
+
+        assert answers() == [0, 1]
+        assert repair_store(store.database).ok
+        assert answers() == [1, 1] and check_store(store.database).ok
+
 
 def nodename_contexts(store, name, snapshot=None):
     """What a ``Nodename=`` heading must be, element by element: the

@@ -36,7 +36,29 @@ from tests.store.test_decompose_onepass import (
     load_rolled_back,
     tree_strategy,
 )
-from tests.store.test_xmlstore import PRE_INDEX_SNAPSHOT
+
+#: The rows the old recursive loader laid down (memo.md stored twice,
+#: plan.md stored and deleted), dumped by today's schema.
+OLD_LOADER_SNAPSHOT = (
+    "%NETMARK-SNAPSHOT 2\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
+    "ROW F0.B0.S0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "ROW F0.B0.S1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "TOMB F0.B0.S2\n"
+    "TABLE XML\nSCHEMA DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\t-\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
+    "ROW F0.B0.S0 1\t~\t1\tdocument\t~\t~\n"
+    "ROW F0.B0.S1 1\tF0.B0.S0\t5\tsection\t~\t~\n"
+    "ROW F0.B0.S2 1\tF0.B0.S1\t3\tcontext\t~\t~\n"
+    "ROW F0.B0.S3 1\tF0.B0.S2\t2\t~\tBudget\t~\n"
+    "ROW F0.B0.S4 1\tF0.B0.S1\t1\tcontent\t~\t~\n"
+    "ROW F0.B0.S5 1\tF0.B0.S4\t2\t~\tTravel funds.\t~\n"
+    "ROW F0.B0.S6 2\t~\t1\tdocument\t~\t~\n"
+    "ROW F0.B0.S7 2\tF0.B0.S6\t5\tsection\t~\t~\n"
+    "ROW F0.B0.S8 2\tF0.B0.S7\t3\tcontext\t~\t~\n"
+    "ROW F0.B0.S9 2\tF0.B0.S8\t2\t~\tOps\t~\n"
+    "ROW F0.B0.S10 2\tF0.B0.S7\t1\tcontent\t~\t~\n"
+    "ROW F0.B0.S11 2\tF0.B0.S10\t2\t~\tLaunch pad work.\t~\n"
+    + "".join(f"TOMB F0.B0.S{slot}\n" for slot in range(12, 18))
+)
 
 
 class HopOracle:
@@ -242,10 +264,7 @@ class TestAgainstTheHopWalk:
         for index, spec in enumerate([FLAT, WIDE, FLAT, SMALL]):
             store.store_document(document(spec, f"d{index}.xml"))
         assert assert_reads_agree(store) > 3 * 4 * 2  # runs cross files
-        [longest] = [
-            store.new_accessor().subtree(row) for row in store.xml_table.scan()
-            if row.NODEID == 1
-        ]
+        longest = store.new_accessor().subtree(next(store.xml_table.scan()))  # d0's root
         assert {row.rowid.file_no for row in longest} >= {0, 1}
 
     def test_after_a_replace(self):
@@ -303,10 +322,10 @@ class TestAgainstTheHopWalk:
 
     def test_snapshot_written_before_the_one_pass_loader(self):
         """Rows the old recursive loader laid down are in the same order."""
-        restored = XmlStore.restore(PRE_INDEX_SNAPSHOT)
+        restored = XmlStore.restore(OLD_LOADER_SNAPSHOT)
         assert assert_reads_agree(restored) == 12
         device = MemoryLogDevice()
-        device.save_checkpoint(encode_checkpoint(0, PRE_INDEX_SNAPSHOT))
+        device.save_checkpoint(encode_checkpoint(0, OLD_LOADER_SNAPSHOT))
         opened = XmlStore.open(device)
         opened.replace_text("# Budget\n\nMore.\n", "memo.md")
         assert_reads_agree(opened)

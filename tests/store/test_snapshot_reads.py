@@ -287,7 +287,7 @@ class TestReadsWithoutAPin:
                 # postings.  Its node rows are logged, not yet in.
                 assert len(store.doc_table) == len(before[1]) + 1
                 assert "zebra one" in device.read_log()
-                assert store.xml_table.lookup("NODEID", pairs[0][1].NODEID) == []
+                assert store.xml_table.lookup("DOC_ID", pairs[0][1].DOC_ID) == []
                 seen.append((
                     serialize(engine.execute(query).to_xml()),
                     store.documents(),
@@ -321,7 +321,7 @@ class TestWhoMayReadWithoutAnLsn:
     pin-less reader has to say why it may, then join the list."""
 
     CALLERS = {
-        "store/xmlstore.py": 5,  # delete_document x2, lookup_by_name, adopt x2
+        "store/xmlstore.py": 4,  # delete_document x2, lookup_by_name, adopt
         "store/fsck.py": 3,  # the checker reads the heap it is checking
         "server/daemon.py": 1,  # settling a journalled ingest at startup
         "baselines/shredded.py": 8,  # the baseline's own tables, not XML/DOC

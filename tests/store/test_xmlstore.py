@@ -11,7 +11,6 @@ from repro.ordbms import FileLogDevice, MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
-from repro.query import QueryEngine
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, compose_section
 
@@ -206,7 +205,8 @@ class TestLookupByNameIndex:
 
 
 #: ``XmlStore.dump()`` of a store written before DOC had a FILE_NAME
-#: index (its DOC schema line declares no secondary index): memo.md
+#: index (its DOC schema line declares no secondary index) and while XML
+#: rows carried a NODEID primary key and a NODETYPE B+tree: memo.md
 #: stored twice, plan.md stored and deleted.  Its rows are in the
 #: column-typed codec (no value tags): what is old is the schema.
 PRE_INDEX_SNAPSHOT = (
@@ -232,63 +232,75 @@ PRE_INDEX_SNAPSHOT = (
 
 
 class TestPreIndexSnapshot:
-    def check_opened(self, store):
-        assert store.doc_table.index_on("FILE_NAME") is not None
-        assert store.lookup_by_name("memo.md").doc_id == 1
-        assert store.lookup_by_name("plan.md") is None
-        assert check_store(store.database).ok
-        # It writes like any other store, past the old tombstones.
-        result = store.replace_text("# Plan\n\nRecover.\n", "plan.md")
-        assert store.xml_table.fetch(result.root_rowid).rowid.slot_no == 18
-        assert store.lookup_by_name("plan.md").doc_id == 3
-        assert "FILE_NAME" in store.dump().split("\n")[2]
+    """A dump declaring the seven-column XML table (and B+trees other
+    than the schema's) is refused whole, with a typed error, by every
+    door a store comes back through; nothing is converted."""
 
-    def test_restore_adds_the_index(self):
-        self.check_opened(XmlStore.restore(PRE_INDEX_SNAPSHOT))
+    def test_restore_refuses_it(self):
+        with pytest.raises(StoreError, match="does not have the NETMARK"):
+            XmlStore.restore(PRE_INDEX_SNAPSHOT)
 
-    def test_open_from_an_old_checkpoint_adds_the_index(self):
+    def test_open_from_an_old_checkpoint_refuses_it(self):
         device = MemoryLogDevice()
         device.save_checkpoint(encode_checkpoint(0, PRE_INDEX_SNAPSHOT))
-        store = XmlStore.open(device)
-        self.check_opened(store)
-        assert XmlStore.open(device).lookup_by_name("plan.md").doc_id == 3
+        with pytest.raises(StoreError, match="does not have the NETMARK"):
+            XmlStore.open(device)
+        assert "NODEID:INTEGER!" in device.load_checkpoint()  # left as it was
 
-    def test_checkpointed_it_declares_only_the_schemas_btrees(self):
-        """The old SCHEMA line names XML B+trees the schema no longer
-        makes (NODETYPE): opening drops it, so no write pays for it and
-        the next checkpoint does not name it."""
+    def test_with_the_schemas_btrees_its_columns_are_refused(self):
+        text = PRE_INDEX_SNAPSHOT.replace("\tDOC_ID\t-\t-\t-\t-\n", "\tDOC_ID\t-\t-\tFILE_NAME\t-\n")
+        text = text.replace("DOC_ID|NODENAME|NODETYPE", "DOC_ID|NODENAME")
         device = MemoryLogDevice()
-        device.save_checkpoint(encode_checkpoint(0, PRE_INDEX_SNAPSHOT))
-        queries = ("Context=Budget", "Content=pad", "Nodename=content")
-
-        def answers(store):
-            engine = QueryEngine(store)
-            return [
-                [(m.file_name, m.context, m.content) for m in engine.execute(q)]
-                for q in queries
-            ]
-
-        store = XmlStore.open(device)
-        assert store.xml_table.index_columns == ("NODEID", "DOC_ID", "NODENAME")
-        before = answers(store)
-        store.checkpoint()
-        declared = [
-            line.split("\t")[4] for line in device.load_checkpoint().split("\n")
-            if line.startswith("SCHEMA ")
-        ]
-        assert declared == ["FILE_NAME", "DOC_ID|NODENAME"]
-        reopened = XmlStore.open(device)
-        assert check_store(reopened.database).ok
-        assert answers(reopened) == before == [
-            [("memo.md", "Budget", "Travel funds.")],
-            [("memo.md", "Ops", "Launch pad work.")],
-            [("memo.md", "Budget", "Travel funds."),
-             ("memo.md", "Ops", "Launch pad work.")],
-        ]
+        device.save_checkpoint(encode_checkpoint(0, text))
+        for reopen in (lambda: XmlStore.restore(text), lambda: XmlStore.open(device)):
+            with pytest.raises(StoreError, match="NETMARK columns"):
+                reopen()
 
 
-#: memo.md as the previous, ten-column XML schema dumped it: beside
-#: today's seven columns, the parent's NODEID, the next sibling's ROWID
+def with_btrees(doc: str, xml: str) -> str:
+    """memo.md's dump by today's schema, but its DOC and XML SCHEMA lines
+    declaring ``doc`` and ``xml`` as their B+trees beside the primary key."""
+    store = XmlStore()
+    store.store_text("# Budget\n\nTravel funds.\n", "memo.md")
+    text = store.dump()
+    for declared, wanted in (("FILE_NAME\t-\n", f"{doc}\t-\n"),
+                             ("DOC_ID|NODENAME\tNODEDATA\n", f"{xml}\tNODEDATA\n")):
+        assert text.count(f"\t{declared}") == 1
+        text = text.replace(f"\t{declared}", f"\t{wanted}")
+    return text
+
+
+#: B+trees other than the schema's, as a dump or checkpoint may declare
+#: them: ``(DOC's, XML's)`` beside DOC's primary key.
+OTHER_BTREES = {
+    "doc-without-file-name": ("-", "DOC_ID|NODENAME"),
+    "xml-with-nodetype": ("FILE_NAME", "DOC_ID|NODENAME|NODETYPE"),
+    "xml-without-nodename": ("FILE_NAME", "DOC_ID"),
+}
+
+
+class TestOtherBtreesAreRefused:
+    """The schema's B+trees are exactly the ones a store keeps: a dump or
+    checkpoint declaring others is refused, not aligned."""
+
+    def test_the_schemas_own_load(self):
+        assert check_store(XmlStore.restore(with_btrees("FILE_NAME", "DOC_ID|NODENAME")).database).ok
+
+    @pytest.mark.parametrize("declared", OTHER_BTREES)
+    def test_restore(self, declared):
+        with pytest.raises(StoreError, match="NETMARK B\\+trees"):
+            XmlStore.restore(with_btrees(*OTHER_BTREES[declared]))
+
+    @pytest.mark.parametrize("declared", OTHER_BTREES)
+    def test_open_from_a_checkpoint(self, declared):
+        device = MemoryLogDevice()
+        device.save_checkpoint(encode_checkpoint(0, with_btrees(*OTHER_BTREES[declared])))
+        with pytest.raises(StoreError, match="NETMARK B\\+trees"):
+            XmlStore.open(device)
+
+
+#: memo.md as the ten-column XML schema dumped it: beside the
+#: seven-column row's, the parent's NODEID, the next sibling's ROWID
 #: and the position among siblings, which no read followed.
 TEN_COLUMN_SNAPSHOT = (
     "%NETMARK-SNAPSHOT 2\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
