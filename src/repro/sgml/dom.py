@@ -11,6 +11,7 @@ from ``start`` / ``text`` / ``end`` events.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterator
 
 
@@ -25,10 +26,6 @@ class Node:
     # Subtree iteration in document order.
     def walk(self) -> Iterator["Node"]:
         yield self
-
-    def text_content(self) -> str:
-        """All descendant text, concatenated in document order."""
-        return ""
 
     def detach(self) -> "Node":
         """Remove this node from its parent (no-op when already root)."""
@@ -108,33 +105,29 @@ class Element(Node):
         for child in self.children:
             yield from child.walk()
 
-    def elements(self) -> Iterator["Element"]:
-        """Descendant-or-self elements in document order."""
-        for node in self.walk():
-            if isinstance(node, Element):
-                yield node
-
     def find(self, tag: str) -> "Element | None":
         """First descendant element with ``tag`` (case-insensitive)."""
-        tag = tag.lower()
-        for element in self.elements():
-            if element is not self and element.tag == tag:
-                return element
-        return None
+        return next(_named(islice(self.walk(), 1, None), tag), None)
 
     def find_all(self, tag: str) -> list["Element"]:
-        tag = tag.lower()
-        return [
-            element
-            for element in self.elements()
-            if element is not self and element.tag == tag
-        ]
+        return list(_named(islice(self.walk(), 1, None), tag))
 
     def child_elements(self) -> list["Element"]:
         return [child for child in self.children if isinstance(child, Element)]
 
     def text_content(self) -> str:
-        return "".join(child.text_content() for child in self.children)
+        """All descendant text, concatenated in document order."""
+        parts: list[str] = []
+        self._gather_text(parts)
+        return "".join(parts)
+
+    def _gather_text(self, parts: list[str]) -> None:
+        # One list for the whole walk: no generator, no join per element.
+        for child in self.children:
+            if isinstance(child, Element):
+                child._gather_text(parts)
+            else:
+                parts.append(child.data)
 
     def get(self, attribute: str, default: Any = None) -> Any:
         return self.attributes.get(attribute, default)
@@ -202,15 +195,10 @@ class Document:
         return self.root.walk()
 
     def find(self, tag: str) -> Element | None:
-        if self.root.tag == tag.lower():
-            return self.root
-        return self.root.find(tag)
+        return next(_named(self.walk(), tag), None)
 
     def find_all(self, tag: str) -> list[Element]:
-        result = self.root.find_all(tag)
-        if self.root.tag == tag.lower():
-            result.insert(0, self.root)
-        return result
+        return list(_named(self.walk(), tag))
 
     def text_content(self) -> str:
         return self.root.text_content()
@@ -220,3 +208,9 @@ class Document:
         if predicate is None:
             return sum(1 for _ in self.walk())
         return sum(1 for node in self.walk() if predicate(node))
+
+
+def _named(nodes: Iterator[Node], tag: str) -> Iterator[Element]:
+    """The elements among ``nodes`` tagged ``tag`` (case-insensitive)."""
+    tag = tag.lower()
+    return (node for node in nodes if isinstance(node, Element) and node.tag == tag)

@@ -81,9 +81,6 @@ class WordStream:
     def integer(self, low: int, high: int) -> int:
         return self._rng.randint(low, high)
 
-    def chance(self, probability: float) -> bool:
-        return self._rng.random() < probability
-
     def sample(self, options: Sequence[str], count: int) -> list[str]:
         count = min(count, len(options))
         return self._rng.sample(list(options), count)

@@ -9,15 +9,7 @@ from repro.xslt.stylesheet import (
     compile_stylesheet,
     parse_pattern,
 )
-from repro.xslt.xpath import (
-    XPathContext,
-    evaluate,
-    node_string_value,
-    parse_xpath,
-    select,
-    to_boolean,
-    to_string,
-)
+from repro.xslt.xpath import XPathContext, parse_xpath
 
 __all__ = [
     "MatchPattern",
@@ -26,12 +18,7 @@ __all__ = [
     "XPathContext",
     "compile_avt",
     "compile_stylesheet",
-    "evaluate",
-    "node_string_value",
     "parse_pattern",
     "parse_xpath",
-    "select",
-    "to_boolean",
-    "to_string",
     "transform",
 ]

@@ -7,9 +7,12 @@ closures.  What depends only on the sheet is decided here, once: every
 ``select``, ``test``, sort key and attribute value template is compiled,
 instruction names resolved, ``xsl:sort``/``xsl:attribute`` children set
 apart, indentation-only text dropped, templates ranked and indexed by
-the name they match.  So whatever a sheet can get wrong statically is
-refused here, before it is installed, and a transform pays only for
-what depends on its source document.
+the name they match.  Every string context — ``value-of``, each
+``{…}`` of an attribute value template, a sort key — is lowered by
+:func:`~repro.xslt.xpath.compile_string`, so a run that keeps only a
+string builds no node-set where it need not.  So whatever a sheet can
+get wrong statically is refused here, before it is installed, and a
+transform pays only for what depends on its source document.
 
 Supported instruction vocabulary (what Fig 7 composition needs):
 
@@ -45,11 +48,11 @@ from repro.xslt.xpath import (
     PathExpr,
     XPathContext,
     children_of,
+    compile_string,
     compile_xpath,
     parent_of,
     parse_xpath,
     require_node_set,
-    to_string,
 )
 
 XSL_PREFIX = "xsl:"
@@ -92,22 +95,14 @@ class MatchPattern:
         specificity = {"/": 3, "text()": 1, "*": 0}.get(self.target, 2)
         return (specificity, max(1, len(self.segments)))
 
-    def matches(self, node: Node | Document, root: Element | None = None) -> bool:
-        return self._test_matches(self.target, node) and self.ancestors_match(node, root)
-
     def ancestors_match(self, node: Node | Document, root: Element | None = None) -> bool:
-        """Whether the segments before the last match successive ancestors."""
+        """Whether the segments before the last match successive ancestors
+        (elements all: a ``text()`` segment there matches none)."""
         for segment in self.segments[-2::-1]:
             node = parent_of(node, root)
-            if node is None or not self._test_matches(segment, node):
+            if node is None or segment not in {"*", node.tag}:
                 return False
         return True
-
-    @staticmethod
-    def _test_matches(test: str, node: Node | Document) -> bool:
-        if test in {"text()", "/"}:
-            return isinstance(node, Text if test == "text()" else Document)
-        return isinstance(node, Element) and (test == "*" or node.tag == test)
 
 
 def parse_pattern(source: str) -> MatchPattern:
@@ -240,6 +235,10 @@ def _expression(source: str) -> Evaluator:
     return compile_xpath(parse_xpath(source))
 
 
+def _string(source: str) -> Callable[[XPathContext], str]:
+    return compile_string(parse_xpath(source))
+
+
 def _node_set(source: str) -> Evaluator:
     return compile_xpath(require_node_set(parse_xpath(source), source))
 
@@ -258,7 +257,8 @@ def _is_instruction(node: Node, name: str) -> bool:
 def compile_avt(template_text: str) -> str | Evaluator:
     """Compile an attribute value template: literal text + {expr} parts.
 
-    A template without ``{expr}`` folds to its own text; any other
+    A template without ``{expr}`` folds to its own text, one that is a
+    single ``{expr}`` to that expression's string closure; any other
     becomes a closure from the context to the rendered string.
     """
     pieces = _AVT_RE.split(template_text)  # literal, expr, literal, … literal
@@ -266,9 +266,11 @@ def compile_avt(template_text: str) -> str | Evaluator:
         raise XsltError(f"unterminated {{ in attribute template {template_text!r}")
     if len(pieces) == 1:
         return template_text
-    parts = [_expression(piece) if at % 2 else piece for at, piece in enumerate(pieces)]
+    parts = [_string(piece) if at % 2 else piece for at, piece in enumerate(pieces)]
+    if pieces[::2] == ["", ""]:
+        return parts[1]
     return lambda context: "".join(
-        [part if isinstance(part, str) else to_string(part(context)) for part in parts]
+        [part if isinstance(part, str) else part(context) for part in parts]
     )
 
 
@@ -323,10 +325,10 @@ class _Lowering:
         return tuple(ops)
 
     def _lower_value_of(self, node: Element, depth: int) -> Op:
-        value = _expression(_required(node, "select"))
+        value = _string(_required(node, "select"))
 
         def value_of(context: XPathContext, out: Events, depth: int) -> None:
-            text = to_string(value(context))
+            text = value(context)
             if text:
                 out.append(text)
 
@@ -479,7 +481,7 @@ def _sorted_selection(node: Element, select: Evaluator) -> Evaluator:
     )
     if spec is None:
         return select
-    key = _expression(spec.get("select", "."))
+    key = _string(spec.get("select", "."))
     descending = spec.get("order", "ascending") == "descending"
     numeric = spec.get("data-type", "text") == "number"
 
@@ -489,7 +491,7 @@ def _sorted_selection(node: Element, select: Evaluator) -> Evaluator:
         keys: list[Any] = [
             item
             if isinstance(item, str)
-            else to_string(key(XPathContext(item, position, size, context.root)))
+            else key(XPathContext(item, position, size, context.root))
             for position, item in enumerate(items, start=1)
         ]
         if numeric:

@@ -15,7 +15,10 @@ Supports the fragment result-composition stylesheets actually use:
 Evaluation follows XPath semantics on node-sets: a path evaluates to a
 list of nodes (or attribute strings); comparisons against node-sets are
 existentially quantified; the string value of a node-set is the string
-value of its first node.
+value of its first node.  Two lowerings serve the two kinds of context:
+:func:`compile_xpath` for a node-set, a test or a number, and
+:func:`compile_string` where only a string is kept, which reads ``name``
+and ``@name`` without building the node-set.
 """
 
 from __future__ import annotations
@@ -282,9 +285,6 @@ class XPathContext:
     size: int = 1
     root: Element | None = None  # document root for absolute paths
 
-    def with_node(self, node: Node, position: int, size: int) -> "XPathContext":
-        return XPathContext(node, position, size, self.root)
-
 
 #: A lowered expression: context in, node-set / string / float / bool out.
 Evaluator = Callable[[XPathContext], Any]
@@ -293,11 +293,7 @@ _StepFunction = Callable[[list[Any], XPathContext], list[Any]]
 
 def node_string_value(item: Any) -> str:
     """XPath string-value of a node-set item (node or attribute string)."""
-    if isinstance(item, str):
-        return item
-    if isinstance(item, (Element, Text, Document)):
-        return item.text_content()
-    return str(item)
+    return item if isinstance(item, str) else item.text_content()
 
 
 def compile_xpath(expr: XPathExpr) -> Evaluator:
@@ -328,17 +324,33 @@ def compile_xpath(expr: XPathExpr) -> Evaluator:
     raise XPathError(f"cannot evaluate {expr!r}")
 
 
-def evaluate(expr: XPathExpr, context: XPathContext) -> Any:
-    """Evaluate to a node-set (list), string, float or bool.  Lowers
-    ``expr`` on every call: to evaluate one expression often, keep the
-    :func:`compile_xpath` closure, as a compiled stylesheet does."""
-    return compile_xpath(expr)(context)
+def compile_string(expr: XPathExpr) -> Callable[[XPathContext], str]:
+    """Lower an AST for a string context — ``value-of``, an attribute
+    value template, a sort key, a string function's argument — where a
+    node-set counts only for its first node's string value.  A one-step
+    relative ``name`` or ``@name`` stops at that node and builds no list;
+    anything else is :func:`compile_xpath`'s value, converted: the one
+    place a node-set becomes a string."""
+    step = expr.steps[0] if isinstance(expr, PathExpr) and len(expr.steps) == 1 else None
+    if step and not expr.absolute and not step.predicates and step.test not in {"*", "text()"}:
+        test = step.test
+        if step.axis == "attribute":
+            return lambda context: _attribute_value(context.node, test)
+        if step.axis == "child":
+            return lambda context: _first_child_value(context.node, test)
+    evaluate = compile_xpath(expr)
+    return lambda context: to_string(evaluate(context))
 
 
-def select(expression: str | XPathExpr, context: XPathContext) -> list[Any]:
-    """Evaluate and coerce to a node-set (raises if not a path result)."""
-    expr = parse_xpath(expression) if isinstance(expression, str) else expression
-    return compile_xpath(require_node_set(expr, expression))(context)
+def _attribute_value(item: Any, name: str) -> str:
+    return item.attributes.get(name, "") if isinstance(item, Element) else ""
+
+
+def _first_child_value(item: Any, tag: str) -> str:
+    for node in children_of(item):
+        if isinstance(node, Element) and node.tag == tag:
+            return node.text_content()
+    return ""
 
 
 def require_node_set(expr: XPathExpr, source: Any) -> XPathExpr:
@@ -357,11 +369,6 @@ def to_string(value: Any) -> str:
     if isinstance(value, float):
         return str(int(value)) if value.is_integer() else str(value)
     return str(value)
-
-
-def to_boolean(value: Any) -> bool:
-    """Non-empty node-set or string, non-zero number, or the boolean."""
-    return bool(value)
 
 
 def _sets_equal(left: Any, right: Any) -> bool:
@@ -387,7 +394,9 @@ def _atom_equal(left: Any, right: Any) -> bool:
 
 #: The supported functions: fewest and most arguments, and the function
 #: itself — of the context when it takes none, else of its arguments'
-#: values (``string`` and ``normalize-space`` default to the context node).
+#: values.  A function of :data:`_STRING_ARGUMENTS` takes each argument's
+#: string value (``string`` and ``normalize-space`` the context node's
+#: when given none).
 _FUNCTIONS: dict[str, tuple[int, float, Callable[..., Any]]] = {
     "name": (0, 0, lambda context: getattr(context.node, "tag", "")),
     "position": (0, 0, lambda context: float(context.position)),
@@ -396,13 +405,14 @@ _FUNCTIONS: dict[str, tuple[int, float, Callable[..., Any]]] = {
     "false": (0, 0, lambda context: False),
     "count": (1, 1, lambda nodes: float(len(nodes))),
     "not": (1, 1, lambda value: not value),
-    "string": (0, 1, to_string),
+    "string": (0, 1, str),
     # ``str.split`` and ``\s`` agree on what whitespace is: this is
     # ``re.sub(r"\s+", " ", value).strip()`` without the regex.
-    "normalize-space": (0, 1, lambda value: " ".join(to_string(value).split())),
-    "contains": (2, 2, lambda hay, needle: to_string(needle) in to_string(hay)),
-    "concat": (2, math.inf, lambda *parts: "".join(map(to_string, parts))),
+    "normalize-space": (0, 1, lambda value: " ".join(value.split())),
+    "contains": (2, 2, lambda hay, needle: needle in hay),
+    "concat": (2, math.inf, lambda *parts: "".join(parts)),
 }
+_STRING_ARGUMENTS = {"string", "normalize-space", "contains", "concat"}
 
 
 def _compile_function(expr: FunctionExpr) -> Evaluator:
@@ -413,9 +423,10 @@ def _compile_function(expr: FunctionExpr) -> Evaluator:
         raise XPathError(f"{expr.name}() does not take {len(expr.args)} argument(s)")
     if expr.name == "count":
         require_node_set(expr.args[0], "the argument of count()")
-    args = [compile_xpath(arg) for arg in expr.args] or [lambda context: [context.node]]
     if not most:
         return function
+    lower = compile_string if expr.name in _STRING_ARGUMENTS else compile_xpath
+    args = [lower(arg) for arg in expr.args] or [lambda context: node_string_value(context.node)]
     if len(args) == 1:
         first = args[0]
         return lambda context: function(first(context))
@@ -490,10 +501,14 @@ def _compile_step(step: Step) -> _StepFunction:
     if axis == "attribute":
         if not all(isinstance(expr, NumberExpr) for expr in step.predicates):
             raise XPathError("predicates on attributes must be positional")
+        every = test == "*"
 
         def expand(item: Any, context: XPathContext) -> list[Any]:
-            found = isinstance(item, Element) and test in item.attributes
-            return [item.attributes[test]] if found else []
+            if not isinstance(item, Element):
+                return []
+            if every:  # ``@*``: every value, in source order
+                return list(item.attributes.values())
+            return [item.attributes[test]] if test in item.attributes else []
     elif axis == "parent":
         def expand(item: Any, context: XPathContext) -> list[Any]:
             if not isinstance(item, (Element, Text)):
@@ -530,8 +545,8 @@ def _compile_step(step: Step) -> _StepFunction:
 
 
 def _compile_predicate(expr: XPathExpr) -> _StepFunction:
-    if isinstance(expr, NumberExpr):
-        index = int(expr.value)
+    if isinstance(expr, NumberExpr):  # ``[n]`` is ``[position() = n]``: ``[1.5]`` is empty
+        index = int(expr.value) if expr.value.is_integer() else 0
         return lambda items, context: items[index - 1:index]
     test = compile_xpath(expr)
 
@@ -542,7 +557,7 @@ def _compile_predicate(expr: XPathExpr) -> _StepFunction:
         for position, item in enumerate(items, start=1):
             value = test(XPathContext(item, position, size, root))
             if isinstance(value, float):  # a number is a position test
-                value = position == int(value)
+                value = position == value
             if value:
                 kept.append(item)
         return kept

@@ -17,7 +17,7 @@ from repro.server.webdav import WebDavServer
 from repro.sgml.dom import Document, Element
 from repro.store import XmlStore
 from repro.workloads.corpus import _render
-from repro.xslt.xpath import XPathContext, node_string_value, to_boolean
+from repro.xslt.xpath import node_string_value
 
 
 class TestErrorTypes:
@@ -93,20 +93,6 @@ class TestSmallHelpers:
         root = Element("a")
         root.append_text("hello")
         assert node_string_value(Document(root)) == "hello"
-
-    def test_to_boolean_varieties(self):
-        assert to_boolean([Element("a")]) is True
-        assert to_boolean([]) is False
-        assert to_boolean("") is False
-        assert to_boolean(0.0) is False
-        assert to_boolean(2.0) is True
-
-    def test_xpath_context_with_node(self):
-        root = Element("a")
-        context = XPathContext(root)
-        child = Element("b")
-        inner = context.with_node(child, 2, 5)
-        assert inner.position == 2 and inner.size == 5
 
 
 class TestStoreDefensiveness:

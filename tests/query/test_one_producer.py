@@ -160,7 +160,7 @@ def test_stored_simulation_elements_come_back_synthetic(node):
         row for row in store.xml_table.lookup("DOC_ID", entry.doc_id)
         if row.NODETYPE != int(NodeType.TEXT)
     ]
-    elements = list(document.root.elements())
+    elements = [node for node in document.root.walk() if isinstance(node, Element)]
     assert [element.tag for element in elements] == [row.NODENAME for row in rows]
     flags = [element.synthetic for element in elements]
     assert flags == [row.NODETYPE == int(NodeType.SIMULATION) for row in rows]

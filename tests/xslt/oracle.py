@@ -37,7 +37,6 @@ from repro.xslt.xpath import (
     _DocumentAnchor,
     node_string_value,
     parse_xpath,
-    to_boolean,
     to_string,
 )
 
@@ -60,10 +59,10 @@ def evaluate(expr: XPathExpr, context: XPathContext) -> Any:
     if isinstance(expr, CompareExpr):
         return _eval_compare(expr, context)
     if isinstance(expr, BoolExpr):
-        left = to_boolean(evaluate(expr.left, context))
+        left = bool(evaluate(expr.left, context))
         if expr.op == "and":
-            return left and to_boolean(evaluate(expr.right, context))
-        return left or to_boolean(evaluate(expr.right, context))
+            return left and bool(evaluate(expr.right, context))
+        return left or bool(evaluate(expr.right, context))
     if isinstance(expr, FunctionExpr):
         return _eval_function(expr, context)
     raise XPathError(f"cannot evaluate {expr!r}")
@@ -143,7 +142,7 @@ def _eval_function(expr: FunctionExpr, context: XPathContext) -> Any:
         return needle in haystack
     if name == "not":
         _require_args(expr, 1)
-        return not to_boolean(evaluate(args[0], context))
+        return not evaluate(args[0], context)
     if name == "true":
         return True
     if name == "false":
@@ -204,7 +203,9 @@ def _apply_step(step: Step, items: list[Any], context: XPathContext) -> list[Any
             if isinstance(item, (Element, Text)) and item.parent is not None:
                 candidates.append(item.parent)
         elif step.axis == "attribute":
-            if isinstance(item, Element) and step.test in item.attributes:
+            if isinstance(item, Element) and step.test == "*":
+                candidates.extend(item.attributes.values())
+            elif isinstance(item, Element) and step.test in item.attributes:
                 candidates.append(item.attributes[step.test])
         elif step.axis == "child":
             candidates.extend(
@@ -227,6 +228,18 @@ def _apply_step(step: Step, items: list[Any], context: XPathContext) -> list[Any
     return _filter_predicates(step.predicates, unique, context)
 
 
+def _pattern_matches(pattern: MatchPattern, node: Node | Document) -> bool:
+    """The pattern's last test on ``node``, each test before it on the
+    next ancestor up."""
+    if pattern.is_root:
+        return isinstance(node, Document)
+    for test in reversed(pattern.segments):
+        if not isinstance(node, Node) or not _matches(test, node):
+            return False
+        node = node.parent
+    return True
+
+
 def _matches(test: str, node: Node) -> bool:
     if test == "text()":
         return isinstance(node, Text)
@@ -243,19 +256,19 @@ def _filter_predicates(
         kept: list[Any] = []
         for position, item in enumerate(items, start=1):
             if isinstance(predicate, NumberExpr):
-                if position == int(predicate.value):
+                if position == predicate.value:
                     kept.append(item)
                 continue
             if isinstance(item, str):
                 # Attribute values only support positional predicates.
                 raise XPathError("predicates on attributes must be positional")
             value = evaluate(
-                predicate, context.with_node(item, position, size)
+                predicate, XPathContext(item, position, size, context.root)
             )
             if isinstance(value, float):
                 if position == int(value):
                     kept.append(item)
-            elif to_boolean(value):
+            elif value:
                 kept.append(item)
         items = kept
     return items
@@ -306,7 +319,7 @@ class _Processor:
         best = None
         for template in self._templates:
             pattern, _, order = template
-            if not pattern.matches(node):
+            if not _pattern_matches(pattern, node):
                 continue
             if best is None or (pattern.priority, order) > (best[0].priority, best[2]):
                 best = template
@@ -387,7 +400,7 @@ class _Processor:
             return self._for_each(node, context)
         if name == "if":
             test = evaluate(parse_xpath(node.attributes["test"]), context)
-            if to_boolean(test):
+            if test:
                 return self._run_body(node.children, context)
             return []
         if name == "choose":
@@ -446,7 +459,7 @@ class _Processor:
             if isinstance(item, str):
                 output.append(Text(item))
                 continue
-            inner = context.with_node(item, position, len(items))
+            inner = XPathContext(item, position, len(items), context.root)
             output.extend(self._run_body(body, inner))
         return output
 
@@ -474,7 +487,7 @@ class _Processor:
                 raw = item
             else:
                 raw = to_string(
-                    evaluate(key_expr, context.with_node(item, position + 1, size))
+                    evaluate(key_expr, XPathContext(item, position + 1, size, context.root))
                 )
             if numeric:
                 try:
@@ -493,7 +506,7 @@ class _Processor:
                 test = child.get("test")
                 if not test:
                     raise XsltError("<xsl:when> requires a test attribute")
-                if to_boolean(evaluate(parse_xpath(test), context)):
+                if evaluate(parse_xpath(test), context):
                     return self._run_body(child.children, context)
             elif child.tag == f"{XSL_PREFIX}otherwise":
                 otherwise = child

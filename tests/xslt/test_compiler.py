@@ -8,9 +8,11 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import XPathError, XsltError
-from repro.sgml.dom import Document
+from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
 from repro.xslt import compile_avt, compile_stylesheet, parse_xpath, transform
@@ -18,7 +20,16 @@ from repro.xslt import processor as processor_module
 from repro.xslt import stylesheet as stylesheet_module
 from repro.xslt import xpath as xpath_module
 from repro.xslt.stylesheet import MAX_DEPTH
-from repro.xslt.xpath import MAX_NESTING, XPathContext, compile_xpath
+from repro.xslt.xpath import (
+    MAX_NESTING,
+    XPathContext,
+    compile_string,
+    compile_xpath,
+    parent_of,
+    to_string,
+)
+
+from tests.xslt.strategies import LIKELY_PATHS, expressions, result_sets, source_documents
 
 REPORT_XSL = """<xsl:stylesheet>
   <xsl:template match="/">
@@ -370,3 +381,90 @@ def test_transform_returns_a_parentless_root():
     assert isinstance(result, Document)
     assert result.root.tag == "only" and result.root.parent is None
     assert result.root.children[0].parent is result.root
+
+
+def _contexts(source: Document, listing: Document) -> list[XPathContext]:
+    """Every node of ``source`` and of ``listing``, document nodes
+    included: a ``<result>`` the listing lists is parent-less, a child of
+    the root only through :func:`parent_of`."""
+    for result in listing.root.find_all("result"):
+        assert parent_of(result, listing.root) is (result.parent or listing.root)
+    return [
+        XPathContext(node, position, position + 1, root=document.root)
+        for document in (source, listing)
+        for position, node in enumerate([document, *document.walk()], start=1)
+    ]
+
+
+class TestTheStringLowering:
+    """``compile_string`` is the node-set lowering's value, converted —
+    read from the first node where it can, never different."""
+
+    @given(
+        st.lists(st.one_of(expressions, st.sampled_from(LIKELY_PATHS)), min_size=4, max_size=8),
+        source_documents(),
+        result_sets(),
+    )
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_a_string_is_the_node_set_lowerings_value(self, several, source, results):
+        contexts = _contexts(source, results.to_xml())
+        for expression in several:
+            expr = parse_xpath(expression)
+            as_string, as_value = compile_string(expr), compile_xpath(expr)
+            for context in contexts:
+                assert as_string(context) == to_string(as_value(context)), expression
+
+    def test_each_kind_of_context(self):
+        source = parse_xml('<results n="1"><result doc="d"><context>a<b>b</b></context>'
+                           "<context>z</context>tail</result></results>")
+        result = source.root.children[0]
+        text = result.children[-1]
+        cases = {  # expression: (document, element, text)
+            "result": ("", "a" + "b" + "z" + "tail", ""),
+            "context": ("", "", ""),
+            "@n": ("", "1", ""),
+            "@doc": ("", "", ""),
+            "results": ("abztail", "", ""),
+        }
+        for expression, expected in cases.items():
+            lowered = compile_string(parse_xpath(expression))
+            found = tuple(
+                lowered(XPathContext(node, root=source.root))
+                for node in (source, source.root, text)
+            )
+            assert found == expected, expression
+        assert compile_string(parse_xpath("context"))(XPathContext(result)) == "ab"
+
+    def test_every_string_context_of_a_sheet_goes_through_it(self, monkeypatch):
+        lowered = []
+        real = stylesheet_module.compile_string
+        monkeypatch.setattr(
+            stylesheet_module, "compile_string",
+            lambda expr: lowered.append(expr) or real(expr),
+        )
+        stylesheet_module._compile_text.cache_clear()
+        compile_stylesheet(REPORT_XSL)
+        # {results/@query}, the sort key, the count, {@doc}, context, normalize-space(…)
+        assert len(lowered) == 6
+        stylesheet_module._compile_text.cache_clear()
+
+
+def _joined(node) -> str:
+    """The text join ``Element.text_content`` replaced: a generator per element."""
+    if isinstance(node, Text):
+        return node.data
+    return "".join(_joined(child) for child in node.children)
+
+
+@given(st.one_of(source_documents(), result_sets().map(lambda results: results.to_xml())))
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_text_content_is_the_recursive_join(document):
+    for node in document.walk():
+        assert node.text_content() == _joined(node)
+    assert document.text_content() == _joined(document.root)
+    nested = Element("a")
+    nested.append_text(" x ")
+    nested.make_child("b").make_child("c").append_text("y")
+    nested.append_text("z")
+    nested.make_child("d")
+    assert nested.text_content() == _joined(nested) == " x yz"

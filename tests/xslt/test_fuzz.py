@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XsltError
-from repro.sgml.dom import Document
+from repro.sgml.dom import Document, Element
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
 from repro.xslt import (
@@ -21,8 +21,6 @@ from repro.xslt import (
     XPathContext,
     compile_avt,
     compile_stylesheet,
-    evaluate,
-    parse_pattern,
     parse_xpath,
     transform,
 )
@@ -33,6 +31,8 @@ from repro.xslt.xpath import (
     LiteralExpr,
     NumberExpr,
     PathExpr,
+    compile_string,
+    compile_xpath,
 )
 
 from tests.xslt.strategies import sheet_soup, source_documents, xpath_soup
@@ -67,9 +67,11 @@ def test_xpath_text_parses_evaluates_or_is_refused(expression, source):
     try:
         expr = parse_xpath(expression)
         assert isinstance(expr, AST_TYPES)
+        compiled, as_string = compile_xpath(expr), compile_string(expr)
         for node in [source, *source.walk()]:
-            value = evaluate(expr, XPathContext(node, 1, 2, root=source.root))
-            assert isinstance(value, (list, str, float, bool))
+            context = XPathContext(node, 1, 2, root=source.root)
+            assert isinstance(compiled(context), (list, str, float, bool))
+            assert isinstance(as_string(context), str)
     except XsltError:
         pass
 
@@ -93,14 +95,18 @@ def test_avt_text_compiles_or_is_refused(template_text):
 @given(st.one_of(xpath_soup, st.text(alphabet="ab/*()[]t ex.@-", max_size=10)))
 @example("a/" * 5000 + "a")
 def test_pattern_text_parses_or_is_refused(source):
+    sheet = Element("xsl:stylesheet")
+    sheet.make_child("xsl:template", match=source)  # a DOM: no escaping to get wrong
     try:
-        pattern = parse_pattern(source)
+        compiled = compile_stylesheet(Document(sheet))  # parses the pattern
     except XsltError:
         return
+    (template,) = {template for ranked in compiled.ranked.values() for template in ranked}
+    pattern = template.pattern
     assert pattern.is_root == (pattern.segments == ())
     document = parse_xml("<a><b>x</b></a>")
     for node in [document, *document.walk()]:
-        assert pattern.matches(node) in (True, False)
+        assert compiled.best_template(node, document.root) in (None, template)
 
 
 @given(st.one_of(sheet_soup(), st.text(max_size=40)), source_documents())

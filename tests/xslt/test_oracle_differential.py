@@ -28,7 +28,8 @@ from repro.sgml.dom import Document, Element
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
 from repro.workloads import CorpusSpec, generate_corpus, generate_task_plans
-from repro.xslt import XPathContext, compile_stylesheet, evaluate, parse_xpath, transform
+from repro.xslt import XPathContext, compile_stylesheet, parse_xpath, transform
+from repro.xslt.xpath import compile_xpath
 from repro.xslt.stylesheet import MAX_DEPTH
 
 from tests.xslt import oracle
@@ -62,9 +63,10 @@ def outcome(run, *args):
 def assert_same_values(expression, source):
     """``expression`` at every node of ``source``: both evaluators agree."""
     expr = parse_xpath(expression)
+    compiled = compile_xpath(expr)
     for position, node in enumerate([source, *source.walk()], start=1):
         context = XPathContext(node, position, position + 1, root=source.root)
-        found, expected = evaluate(expr, context), oracle.evaluate(expr, context)
+        found, expected = compiled(context), oracle.evaluate(expr, context)
         assert _plain(found) == _plain(expected), (expression, serialize(node))
 
 

@@ -59,9 +59,9 @@ class TestTemplates:
     def test_pattern_matching_ancestors(self):
         pattern = parse_pattern("x/y")
         document = parse_xml("<x><y/></x>")
-        assert pattern.matches(document.find("y"))
+        assert pattern.ancestors_match(document.find("y"))
         other = parse_xml("<z><y/></z>")
-        assert not pattern.matches(other.find("y"))
+        assert not pattern.ancestors_match(other.find("y"))
 
 
 class TestInstructions:

@@ -4,7 +4,17 @@ import pytest
 
 from repro.errors import XPathError
 from repro.sgml.parser import parse_xml
-from repro.xslt.xpath import XPathContext, evaluate, parse_xpath, select, to_string
+from repro.sgml.serializer import serialize
+from repro.xslt import transform
+from repro.xslt.xpath import (
+    XPathContext,
+    compile_xpath,
+    parse_xpath,
+    require_node_set,
+    to_string,
+)
+
+from tests.xslt import oracle
 
 DOC = parse_xml(
     """<catalog count="3">
@@ -20,101 +30,146 @@ def ctx(node=None):
     return XPathContext(node or DOC.root, root=DOC.root)
 
 
+def value(expression, context):
+    return compile_xpath(parse_xpath(expression))(context)
+
+
 def titles(items):
     return [item.text_content() for item in items]
 
 
 class TestPaths:
     def test_child_path(self):
-        assert titles(select("book/title", ctx())) == ["Alpha", "Beta", "Gamma"]
+        assert titles(value("book/title", ctx())) == ["Alpha", "Beta", "Gamma"]
 
     def test_absolute_path(self):
-        assert titles(select("/catalog/book/title", ctx())) == [
+        assert titles(value("/catalog/book/title", ctx())) == [
             "Alpha", "Beta", "Gamma",
         ]
 
     def test_descendant_path(self):
-        assert titles(select("//title", ctx())) == ["Alpha", "Beta", "Gamma"]
+        assert titles(value("//title", ctx())) == ["Alpha", "Beta", "Gamma"]
 
     def test_wildcard(self):
-        assert len(select("book/*", ctx())) == 6
+        assert len(value("book/*", ctx())) == 6
 
     def test_attribute_axis(self):
-        assert select("@count", ctx()) == ["3"]
-        assert select("book/@id", ctx()) == ["1", "2", "3"]
+        assert value("@count", ctx()) == ["3"]
+        assert value("book/@id", ctx()) == ["1", "2", "3"]
 
     def test_missing_attribute_empty(self):
-        assert select("@missing", ctx()) == []
+        assert value("@missing", ctx()) == []
 
     def test_text_node_test(self):
         note = DOC.find("note")
-        assert select("text()", ctx(note))[0].data == "standalone"
+        assert value("text()", ctx(note))[0].data == "standalone"
 
     def test_self_and_parent(self):
         book = DOC.find("book")
-        assert select(".", ctx(book)) == [book]
-        assert select("..", ctx(book)) == [DOC.root]
+        assert value(".", ctx(book)) == [book]
+        assert value("..", ctx(book)) == [DOC.root]
 
     def test_root_only_path(self):
-        assert select("/", ctx())[0].__class__.__name__ == "_DocumentAnchor"
+        assert value("/", ctx())[0].__class__.__name__ == "_DocumentAnchor"
+
+
+RESULTS = parse_xml(
+    '<results query="Q" n="2"><result doc="d1" n="1">a</result><result doc="d2">b</result>'
+    "</results>"
+)
+
+
+def at_document(expression):
+    """``expression`` at the document node: compiled, and the oracle's."""
+    context = XPathContext(RESULTS, root=RESULTS.root)
+    return value(expression, context), oracle.evaluate(parse_xpath(expression), context)
+
+
+class TestEveryAttribute:
+    """``@*`` selects every attribute value, in source order; it used to
+    look up an attribute literally named ``*`` and select nothing."""
+
+    def test_count_and_select(self):
+        assert at_document("count(results/result[1]/@*)") == (2.0, 2.0)
+        assert at_document("count(results/result[2]/@*)") == (1.0, 1.0)
+        assert at_document("results/@*") == (["Q", "2"], ["Q", "2"])
+        assert at_document("results/result/@*[2]") == (["1"], ["1"])
+
+    def test_value_of_and_copy_of(self):
+        sheet = (
+            '<xsl:stylesheet><xsl:template match="/"><o>'
+            '<v><xsl:value-of select="results/@*"/></v>'
+            '<c><xsl:copy-of select="results/@*"/></c>'
+            "</o></xsl:template></xsl:stylesheet>"
+        )
+        composed = serialize(transform(sheet, RESULTS))
+        assert composed == "<o><v>Q</v><c>Q2</c></o>"
+        assert serialize(oracle.transform(sheet, RESULTS)) == composed
 
 
 class TestPredicates:
     def test_positional(self):
-        assert titles(select("book[2]/title", ctx())) == ["Beta"]
+        assert titles(value("book[2]/title", ctx())) == ["Beta"]
 
     def test_last(self):
-        assert titles(select("book[last()]/title", ctx())) == ["Gamma"]
+        assert titles(value("book[last()]/title", ctx())) == ["Gamma"]
+
+    def test_a_position_no_node_has_selects_nothing(self):
+        # ``[n]`` is ``[position() = n]``: ``[1.5]`` used to truncate to ``[1]``.
+        assert at_document("results/result[1.5]") == ([], [])
+        assert at_document("results/result[0]") == ([], [])
+        last, expected = at_document("results/result[last()]")
+        assert [node.get("doc") for node in last] == ["d2"] and last == expected
 
     def test_attribute_equality(self):
-        assert titles(select("book[@lang='en']/title", ctx())) == ["Alpha"]
+        assert titles(value("book[@lang='en']/title", ctx())) == ["Alpha"]
 
     def test_attribute_existence(self):
-        assert titles(select("book[@lang]/title", ctx())) == ["Alpha", "Gamma"]
+        assert titles(value("book[@lang]/title", ctx())) == ["Alpha", "Gamma"]
 
     def test_child_value_equality(self):
-        assert select("book[title='Beta']/@id", ctx()) == ["2"]
+        assert value("book[title='Beta']/@id", ctx()) == ["2"]
 
     def test_child_existence(self):
-        assert len(select("book[price]", ctx())) == 3
+        assert len(value("book[price]", ctx())) == 3
 
     def test_chained_predicates(self):
-        assert titles(select("book[@lang][1]/title", ctx())) == ["Alpha"]
+        assert titles(value("book[@lang][1]/title", ctx())) == ["Alpha"]
 
     def test_position_function_in_predicate(self):
-        assert titles(select("book[position()=3]/title", ctx())) == ["Gamma"]
+        assert titles(value("book[position()=3]/title", ctx())) == ["Gamma"]
 
 
 class TestFunctions:
     def test_count(self):
-        assert evaluate(parse_xpath("count(book)"), ctx()) == 3.0
+        assert value("count(book)", ctx()) == 3.0
 
     def test_concat(self):
-        result = evaluate(parse_xpath("concat('a', 'b', @count)"), ctx())
+        result = value("concat('a', 'b', @count)", ctx())
         assert result == "ab3"
 
     def test_name(self):
-        assert evaluate(parse_xpath("name()"), ctx()) == "catalog"
+        assert value("name()", ctx()) == "catalog"
 
     def test_string_of_path(self):
-        assert evaluate(parse_xpath("string(note)"), ctx()) == "standalone"
+        assert value("string(note)", ctx()) == "standalone"
 
     def test_normalize_space(self):
         document = parse_xml("<a>  x   y  </a>")
         context = XPathContext(document.root, root=document.root)
-        assert evaluate(parse_xpath("normalize-space(.)"), context) == "x y"
+        assert value("normalize-space(.)", context) == "x y"
 
     def test_contains(self):
-        assert evaluate(parse_xpath("contains(note, 'alone')"), ctx()) is True
-        assert evaluate(parse_xpath("contains(note, 'xyz')"), ctx()) is False
+        assert value("contains(note, 'alone')", ctx()) is True
+        assert value("contains(note, 'xyz')", ctx()) is False
 
     def test_not_true_false(self):
-        assert evaluate(parse_xpath("not(false())"), ctx()) is True
-        assert evaluate(parse_xpath("not(book)"), ctx()) is False
+        assert value("not(false())", ctx()) is True
+        assert value("not(book)", ctx()) is False
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(XPathError):
-            evaluate(parse_xpath("count(book, note)"), ctx())
+            value("count(book, note)", ctx())
 
     def test_unknown_function_rejected(self):
         with pytest.raises(XPathError):
@@ -123,20 +178,20 @@ class TestFunctions:
 
 class TestComparisons:
     def test_nodeset_vs_literal_is_existential(self):
-        assert evaluate(parse_xpath("book/title = 'Beta'"), ctx()) is True
-        assert evaluate(parse_xpath("book/title = 'Delta'"), ctx()) is False
+        assert value("book/title = 'Beta'", ctx()) is True
+        assert value("book/title = 'Delta'", ctx()) is False
 
     def test_not_equal(self):
-        assert evaluate(parse_xpath("@count != '4'"), ctx()) is True
+        assert value("@count != '4'", ctx()) is True
 
     def test_numeric_comparison(self):
-        assert evaluate(parse_xpath("count(book) = 3"), ctx()) is True
+        assert value("count(book) = 3", ctx()) is True
 
     def test_boolean_connectives(self):
         expr = "book and note"
-        assert evaluate(parse_xpath(expr), ctx()) is True
-        assert evaluate(parse_xpath("book and missing"), ctx()) is False
-        assert evaluate(parse_xpath("missing or note"), ctx()) is True
+        assert value(expr, ctx()) is True
+        assert value("book and missing", ctx()) is False
+        assert value("missing or note", ctx()) is True
 
 
 class TestErrorsAndStrings:
@@ -152,10 +207,10 @@ class TestErrorsAndStrings:
 
     def test_select_rejects_scalar_expr(self):
         with pytest.raises(XPathError):
-            select("count(book)", ctx())
+            require_node_set(parse_xpath("count(book)"), "count(book)")
 
     def test_to_string_of_nodeset(self):
-        assert to_string(select("book/title", ctx())) == "Alpha"
+        assert to_string(value("book/title", ctx())) == "Alpha"
         assert to_string([]) == ""
         assert to_string(2.0) == "2"
         assert to_string(2.5) == "2.5"
