@@ -10,15 +10,15 @@ section each:
     The original mix: a write with probability 0.25, else a query.
 ``replace_heavy``
     One replace for every two queries, over a query list that leans on
-    the catalog (``Format=`` / ``Doc=`` / ``Nodename=``): the shared
-    pool keeps serving lifts and catalog entries of documents that were
-    just superseded, so this is where a fact that was not immutable
-    after all would show.
+    the catalog (``Format=`` / ``Doc=`` / ``Nodename=``): the store's
+    catalog map keeps serving the entries of documents that were just
+    superseded, so this is where an entry that was not immutable after
+    all would show.
 ``held_pin``
     A snapshot held across four writes and re-queried through both
     engines: pinned recomputation and pinned replay both equal the
     answer before the writes, although readers on newer pins have been
-    putting into the same pool meanwhile.
+    filling the same catalog map meanwhile.
 
 The artifact (``BENCH_cache_differential.json``) carries only
 deterministic counters — schedule composition, cache hit/miss traffic,
@@ -137,7 +137,6 @@ class Drill:
 
     def counters(self) -> dict[str, object]:
         result = self.cached.cache.snapshot_counters()
-        lift = self.store.lift_cache.snapshot_counters()
         assert result["hits"] == self.replays > 0  # the schedule replayed
         per_hit = self.replay_nodes / self.replays
         return {
@@ -147,8 +146,6 @@ class Drill:
             "result_cache_hits": result["hits"],
             "result_cache_misses": result["misses"],
             "result_cache_evictions": result["evictions"],
-            "lift_cache_hits": lift["hits"],
-            "lift_cache_misses": lift["misses"],
             # An int (gated exactly) while every replay builds the same.
             "dom_nodes_built_per_hit": (
                 int(per_hit) if per_hit.is_integer() else round(per_hit, 2)
@@ -187,14 +184,13 @@ def run_held_pin() -> dict[str, object]:
         before = [drill.compare(query, pin) for query in queries]
         for _ in range(HELD_WRITES):
             drill.write()
-            # Readers on the newer pins fill the pool the held pin reads.
+            # Readers on the newer pins fill the catalog map the held pin reads.
             with drill.store.snapshot() as newer:
                 for query in queries:
                     drill.compare(query, newer)
         # The newer readers' stores replaced the held pin's entries, and
         # an entry stamped above a reader's LSN never answers it: the
-        # first pass recomputes through the pin and the warm pool, the
-        # second replays.
+        # first pass recomputes through the pin, the second replays.
         for _ in range(2):
             assert [drill.compare(query, pin) for query in queries] == before
     return {"held_across_writes": HELD_WRITES, **drill.counters()}
@@ -210,12 +206,10 @@ def test_report_cache_differential(benchmark):
         print_table(
             f"Cache differential: seed {SEED}",
             ["schedule", "queries", "writes", "result hits",
-             "result misses", "lift hits", "lift misses",
-             "DOM nodes built per hit", "mismatches"],
+             "result misses", "DOM nodes built per hit", "mismatches"],
             [
                 [name, c["queries"], c["writes"], c["result_cache_hits"],
-                 c["result_cache_misses"], c["lift_cache_hits"],
-                 c["lift_cache_misses"], c["dom_nodes_built_per_hit"],
+                 c["result_cache_misses"], c["dom_nodes_built_per_hit"],
                  c["mismatches"]]
                 for name, c in sections.items()
             ],

@@ -245,10 +245,13 @@ def _rows_read() -> int:
 
 
 def test_report_rows_read_by_request(benchmark, stores):
-    """Rows one request reads, lift pool warm, result cache bypassed.
+    """Rows one request reads on its second run, result cache bypassed.
 
     The row count of a whole request — plan, lazy section loads and
-    serialization — as the table doors report it.  Exact counters: a
+    serialization — as the table doors report it.  The first run only
+    fills the store's catalog map: a section's rows are read afresh by
+    every request, once per match (the run ``SectionWalk`` read, or one
+    forward read when the match renders).  Exact counters: a
     change that makes ``limit`` bound what a read touches moves them on
     purpose and re-banks; any other change must leave them where they are.
     """
@@ -260,7 +263,7 @@ def test_report_rows_read_by_request(benchmark, stores):
         counters = {}
         for request in ROWS_READ_REQUESTS:
             query = parse_query(request + "&Cache=0")
-            serialize(engine.execute(query).to_xml(), indent=2)  # warm the pool
+            serialize(engine.execute(query).to_xml(), indent=2)  # fill the catalog map
             before = _rows_read()
             result = engine.execute(query)
             serialize(result.to_xml(), indent=2)
@@ -270,7 +273,7 @@ def test_report_rows_read_by_request(benchmark, stores):
             }
             rows.append([request, counters[request]["rows_read"], len(result)])
         print_table(
-            f"FIG6: rows read per request ({SIZES[-1]} docs, pool warm, Cache=0)",
+            f"FIG6: rows read per request ({SIZES[-1]} docs, second run, Cache=0)",
             ["request", "rows read", "results"],
             rows,
         )

@@ -99,17 +99,9 @@ DEFAULT_LAYERS: dict[str, frozenset[str]] = {
 #: modules cycle-free.
 DEFAULT_MODULE_LAYERS: dict[str, frozenset[str]] = {
     # The batched tree accessor is the substrate every read rides on: it
-    # may see the ORDBMS, the node-type vocabulary, the schema names and
-    # the shared lift pool it memoizes through — but never composition,
-    # the store facade or the query tier.
-    "store.accessor": frozenset(
-        {"ordbms", "sgml", "store.schema", "store.liftcache"}
-    ),
-    # The cross-query lift pool is a leaf: pure keyed storage under one
-    # lock.  It needs the ROWID vocabulary for typing and nothing else —
-    # a cache that imported the accessor (or the store facade) that
-    # feeds it would be a cycle.
-    "store.liftcache": frozenset({"ordbms"}),
+    # may see the ORDBMS, the node-type vocabulary and the schema names —
+    # but never composition, the store facade or the query tier.
+    "store.accessor": frozenset({"ordbms", "sgml", "store.schema"}),
     # The result cache keys query ASTs and stores result matches; it
     # must not import the engine (the engine consults *it*), the plan
     # algebra, or the store facade — versions arrive as plain stamps.

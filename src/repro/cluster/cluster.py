@@ -365,6 +365,8 @@ class NetmarkCluster:
         for other in self.nodes.values():
             if other is not node and other.role == COORDINATOR:
                 other.role = FOLLOWER
+            if other.replica is not None:
+                other.replica.forget_store()
         self.coordinator = winner
         self.stats.failovers += 1
         obs.inc("repro_cluster_failovers_total")

@@ -114,6 +114,13 @@ class FollowerReplica:
             self._store = XmlStore.adopt(self.database, self.config)
         return self._store
 
+    def forget_store(self) -> None:
+        """Drop the store view; the next read adopts a fresh one.  A new
+        coordinator resumes doc ids past the highest it stores, so it may
+        hand out again the id of a document deleted last, whose entry
+        this view's catalog map still holds (DESIGN.md §16)."""
+        self._store = None
+
     def dump(self) -> str:
         """Canonical snapshot text — byte-identical across converged
         replicas."""

@@ -232,7 +232,7 @@ class Netmark:
         if repair:
             report = repair_store(self.store.database)
             # Repair rebuilds the section facts a cached answer was computed
-            # from; pooled lifts are read off rows, which it never edits.
+            # from; the store's catalog map holds DOC rows, which it never edits.
             self.api.engine.cache.clear()
             return report
         return check_store(self.store.database)

@@ -34,9 +34,10 @@ matter how large the corpus.  ``explain`` runs the same plan and returns
 the operator tree with observed row counts instead of results.
 
 All row access goes through one per-query
-:class:`~repro.store.accessor.NodeAccessor` (batched, memoized, a view
-at one commit LSN), shared with the lazy
-:class:`~repro.query.results.SectionMatch` loaders the plan emits.
+:class:`~repro.store.accessor.NodeAccessor` (batched, a view at one
+commit LSN), shared with the lazy
+:class:`~repro.query.results.SectionMatch` loaders the plan emits; a
+section match that ``SectionWalk`` read is rendered from that read.
 """
 
 from __future__ import annotations
@@ -78,12 +79,12 @@ class QueryEngine:
     """Evaluates XDB queries against one :class:`XmlStore`.
 
     With ``cache`` (a :class:`~repro.query.cache.QueryCache`) the engine
-    serves repeated queries from the result cache and
-    its plans read lifts and catalog entries through the store's shared
-    :class:`~repro.store.liftcache.LiftCache`.  Both are byte-identical
-    by construction; ``Cache=0`` on a query opts that request out.
-    Without ``cache`` (the default) execution is exactly the uncached
-    path — benchmarks and ablations construct bare engines on purpose.
+    serves repeated queries from the result cache, byte-identical by
+    construction; ``Cache=0`` on a query opts that request out.  Without
+    ``cache`` (the default) every query runs its plan — benchmarks and
+    ablations construct bare engines on purpose.  Bare or cached, plans
+    read catalog entries through the store's map
+    (:meth:`XmlStore.cached_entry`).
     """
 
     def __init__(
@@ -95,9 +96,6 @@ class QueryEngine:
         self.store = store
         self.use_index = use_index
         self.cache = cache
-        #: Cross-query lift sharing rides with result caching: a bare
-        #: engine must behave (and count work) exactly as before.
-        self._lifts = store.lift_cache if cache is not None else None
 
     # -- public entry points ------------------------------------------------
 
@@ -176,7 +174,7 @@ class QueryEngine:
     def _refill(self, query, snapshot, lsn, listed, spares):
         """``listed``, then the ``spares`` that pass the content test, in
         order and resolved, up to the limit; None unless that fills it."""
-        accessor = self.store.new_accessor(snapshot, lifts=self._lifts)
+        accessor = self.store.new_accessor(snapshot)
         ctx = PlanContext(self.store, accessor, self.use_index)
         node = Spares(ctx, spares if accessor.lsn == lsn else ())
         if query.content is not None:
@@ -216,15 +214,9 @@ class QueryEngine:
         if query.profile:
             attributes["profile"] = "work-units"
             attributes["total-ticks"] = str(root.ticks())
-            # Cache annotations: how much of the plan's structural work
-            # was answered by the shared lift pool.  Explain runs always
-            # bypass the result cache (a plan tree is diagnostics), so
-            # its contribution is reported as a mode, not a count.
+            # Explain runs always bypass the result cache (a plan tree is
+            # diagnostics), so it is reported as a mode, not a count.
             attributes["result-cache"] = "bypassed" if self.cache is not None else "off"
-            attributes["lift-cache"] = "shared" if self._lifts is not None else "private"
-            stats = ctx.accessor.stats
-            attributes["lift-cache-hits"] = str(stats.shared_hits)
-            attributes["lift-cache-misses"] = str(stats.shared_misses)
         plan_element = Element("plan", attributes)
         plan_element.append(root.explain_element(query.profile))
         return Document(plan_element, name="plan.xml")
@@ -242,15 +234,13 @@ class QueryEngine:
         """
         ctx.accessor.publish()
         stats = ctx.accessor.stats
-        for count, series, labels in (
-            (stats.rows_fetched, "repro_store_accessor_rows_fetched_total", {}),
-            (stats.batch_fetches, "repro_store_accessor_batch_fetches_total", {}),
-            (stats.cache_hits, "repro_store_accessor_cache_hits_total", {}),
-            (stats.shared_hits, "repro_cache_hits_total", {"cache": "lift"}),
-            (stats.shared_misses, "repro_cache_misses_total", {"cache": "lift"}),
+        for count, series in (
+            (stats.rows_fetched, "repro_store_accessor_rows_fetched_total"),
+            (stats.batch_fetches, "repro_store_accessor_batch_fetches_total"),
+            (stats.cache_hits, "repro_store_accessor_cache_hits_total"),
         ):
             if count:
-                obs.inc(series, count, **labels)
+                obs.inc(series, count)
 
     # -- plan construction ------------------------------------------------------
 
@@ -273,10 +263,7 @@ class QueryEngine:
         sits *under* the limit on purpose: that is the pushdown.
         """
         obs.inc("repro_query_queries_total", kind=query.kind)
-        ctx = PlanContext(
-            self.store, self.store.new_accessor(snapshot, lifts=self._lifts),
-            self.use_index, budget=budget,
-        )
+        ctx = PlanContext(self.store, self.store.new_accessor(snapshot), self.use_index, budget)
         kind = query.kind
         if kind in {"context", "combined"}:
             phrases = self._spec(query.context).phrases

@@ -57,7 +57,7 @@ from repro.query.results import SectionMatch
 from repro.sgml.dom import Element, TreeWriter
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.serializer import XmlWriter
-from repro.store.accessor import NodeAccessor
+from repro.store.accessor import NodeAccessor, joined_text, split_section
 from repro.store.compose import tree_of, write_rows
 from repro.store.schema import XmlRow
 from repro.store.xmlstore import StoredDocument, XmlStore
@@ -102,12 +102,11 @@ def text_satisfies(text: str, spec: ContentSpec) -> bool:
 class PlanContext:
     """Shared execution state for one query's plan.
 
-    Owns the per-query :class:`NodeAccessor` (memoized, batch-fetching
-    row access at one commit LSN, which every operator reads at),
-    through whose memo catalog entries go too: repeated
-    ``describe`` lookups during filtering and materialization cost at
-    most one B+tree probe per document, none when the store's pool
-    already holds the entry.
+    Owns the per-query :class:`NodeAccessor` (batch-fetching row access
+    at one commit LSN, which every operator reads at).  Catalog entries
+    come from the store's map (:meth:`XmlStore.cached_entry`): a
+    document's entry costs one B+tree probe the first time any plan asks
+    for it.
     """
 
     def __init__(
@@ -126,11 +125,8 @@ class PlanContext:
         self.ranked: list[Candidate] = []
 
     def entry(self, doc_id: int) -> StoredDocument:
-        """Catalog entry for ``doc_id`` — a DOC row is as write-once as
-        an XML row, so the entry is memoized like a lift."""
-        return self.accessor.memoized(
-            "entry", doc_id, self.store.entry_at, doc_id, self.accessor.lsn
-        )
+        """Catalog entry for ``doc_id`` at this plan's LSN."""
+        return self.store.cached_entry(doc_id, self.accessor.lsn)
 
 
 @dataclass
@@ -140,13 +136,16 @@ class Candidate:
     ``kind`` is "section" (``rowid`` addresses a CONTEXT row), "document"
     (the document's first context-less content hit) or "node" (an element
     row from a nodename search).  The row is read when something first
-    asks for it — under ``Limit``, for a section.
+    asks for it — under ``Limit``, for a section.  A section that
+    :class:`SectionWalk` tested carries the ``run`` it read, which its
+    match is rendered from.
     """
 
     kind: str
     rowid: RowId
     accessor: NodeAccessor = field(repr=False)
     score: float = 1.0
+    run: list[XmlRow] | None = field(default=None, repr=False)
 
     @property
     def row(self) -> XmlRow:
@@ -436,10 +435,11 @@ class SectionWalk(ContentTest):
     This is the expensive operator — resolving a section's text means
     reading every row of the section — so it sits directly under
     ``Limit``: candidates beyond what the limit needs are never walked.
-    Document-level candidates pass through untested (they matched on a
-    context-less hit; there is no section to test).  The heading
-    participates: ``Content=Shuttle`` returns sections containing the
-    term *anywhere*, headings included.
+    The read is one forward read of the section's run, which the
+    candidate carries on to its match.  Document-level candidates pass
+    through untested (they matched on a context-less hit; there is no
+    section to test).  The heading participates: ``Content=Shuttle``
+    returns sections containing the term *anywhere*, headings included.
     """
 
     name = "section-walk"
@@ -448,9 +448,8 @@ class SectionWalk(ContentTest):
         accessor = self.ctx.accessor
         for candidate in self.children[0].rows():
             if candidate.kind == "section":
-                row = candidate.row
-                text = accessor.context_title(row) + " " + accessor.section_text(row)
-                if not text_satisfies(text, self.spec):
+                candidate.run = accessor.section_run(candidate.row)
+                if not text_satisfies(joined_text(candidate.run), self.spec):
                     continue
             yield candidate
 
@@ -530,7 +529,8 @@ class Present(PlanNode):
 @dataclass
 class _Resolver:
     """What a lazy match's loader reads through: the plan's accessor, and
-    the match's rows (:meth:`_run`), which :meth:`kept` outlives it with."""
+    the match's rows (:meth:`_run`) — handed on by the plan, else read at
+    the first ask — which :meth:`kept` outlives it with."""
 
     ctx: PlanContext | None
     row: XmlRow
@@ -549,7 +549,7 @@ class _Resolver:
         return type(self)(None, self.row, self._run())
 
     def _run(self) -> list[XmlRow]:
-        """The row and what follows it in the match: one forward read."""
+        """The row and what follows it in the match: one forward read, at most."""
         if self._rows is None:
             self._rows = [self.row] + self.ctx.accessor.subtree(self.row, self.siblings)
         return self._rows
@@ -565,15 +565,16 @@ class _Resolver:
 
 
 class SectionResolver(_Resolver):
-    """Lazy-field loader for a section match (accessor-backed)."""
+    """Lazy-field loader for a section match: its heading's text, its
+    scope's text and its ``<result>``, all from the section's run."""
 
     siblings = True
 
     def context(self) -> str:
-        return self.ctx.accessor.context_title(self.row)
+        return joined_text(split_section(self._run())[0])
 
     def content(self) -> str:
-        return self.ctx.accessor.section_text(self.row)
+        return joined_text(split_section(self._run())[1])
 
 
 class NodeResolver(_Resolver):
@@ -594,9 +595,10 @@ class Materialize(PlanNode):
     """Candidates → lazy :class:`SectionMatch` objects.
 
     Section and nodename matches get loader-backed lazy fields (title,
-    content and ``<result>`` resolve on first access through the shared
-    accessor); document-level matches are materialized eagerly from the
-    hit row already in hand.
+    content and ``<result>`` resolve on first access from the match's
+    run: the one :class:`SectionWalk` read, else one forward read through
+    the shared accessor); document-level matches are materialized
+    eagerly from the hit row already in hand.
     """
 
     name = "materialize"
@@ -606,7 +608,7 @@ class Materialize(PlanNode):
         for candidate in self.children[0].rows():
             entry, row = ctx.entry(candidate.doc_id), candidate.row
             if candidate.kind == "section":
-                fields = {"loader": SectionResolver(ctx, row), "rowid": candidate.rowid}
+                fields = {"loader": SectionResolver(ctx, row, candidate.run), "rowid": row.rowid}
             elif candidate.kind == "document":
                 snippet = re.sub(r"\s+", " ", (row.NODEDATA or "").strip())
                 fields = {"context": entry.file_name, "content": snippet, "section": None}

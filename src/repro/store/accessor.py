@@ -1,16 +1,17 @@
-"""Batched, memoized node access for the read path.
+"""Batched node access for the read path.
 
 The paper's traversal story (§2.1.4) is ROWID hops — up from a text hit
 to its CONTEXT, back down through the siblings.  A :class:`NodeAccessor`
 reads what those hops would find in document order, and asks for rows
 last:
 
-* **batching** — rowid lists (memo answers, postings to resolve) come
-  through one ``visible_many`` call;
+* **batching** — rowid lists (postings to resolve) come through one
+  ``visible_many`` call;
 * **forward reads** — a document's rows are one contiguous ROWID run in
   document order (DESIGN.md §17), so a subtree or a whole section is the
   rows stored right after its first (:meth:`NodeAccessor.subtree`), read
   in one pass instead of a child probe per element and a hop per sibling;
+  a section's run holds its heading and its scope (:func:`split_section`);
 * **rows as stored** — a node row is the table's own object
   (:data:`~repro.store.schema.XmlRow`: ``row.NODETYPE``, ``row.rowid``),
   immutable and shared with every other reader; nothing is decoded or
@@ -21,20 +22,15 @@ last:
   (:meth:`NodeAccessor.text_facts`), else a fresh pass over the row's
   document as of the LSN (the scan path, rows changed since the LSN,
   an element's governing CONTEXT);
-* **memoization** — node rows and the three structural lifts (section
-  scope, text, title) are computed once per accessor and reused by
-  every operator of a plan and by the lazy
-  :class:`~repro.query.results.SectionMatch` loaders;
+* **one query-scoped memo** — node rows and documents' passes are kept
+  for the accessor's lifetime, one query, and reused by every operator
+  of a plan and by the lazy :class:`~repro.query.results.SectionMatch`
+  loaders;
 * **one commit LSN** — an accessor is a view at :attr:`NodeAccessor.lsn`,
   fixed at construction: rows resolve to their version as of it, index
-  probes are patched with the rows that changed since, and the caches
-  never invalidate, because the view never moves.  A later write is
-  seen by a new accessor, not this one;
-* **shared facts** — constructed with a
-  :class:`~repro.store.liftcache.LiftCache`, the memo reads through the
-  cross-query pool.  Stored rows never change, so a lift is a fact about
-  its ROWID for every reader that can see the row, and the pool needs no
-  version.
+  probes are patched with the rows that changed since, and the memo
+  never invalidates, because the view never moves.  A later write is
+  seen by a new accessor, not this one.
 
 Accessors are cheap to construct: the query engine makes one per query
 and an :class:`~repro.store.xmlstore.XmlStore` one per reconstruction.
@@ -43,16 +39,15 @@ This class is the only traversal implementation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.errors import RowIdError
 from repro.ordbms import Database, RowId, Snapshot
 from repro.sgml.nodetypes import NodeType
-from repro.store.liftcache import MISS as _MISS  # None is a legal memo value
-from repro.store.liftcache import LiftCache
 from repro.store.schema import XML_TABLE, XmlRow
 
 
@@ -64,10 +59,6 @@ class AccessorStats:
     batch_fetches: int = 0
     rows_fetched: int = 0
     cache_hits: int = 0
-    #: Cross-query :class:`~repro.store.liftcache.LiftCache` traffic
-    #: (zero unless the accessor was built with a shared pool).
-    shared_hits: int = 0
-    shared_misses: int = 0
 
     def reset(self) -> None:
         for field_name in self.__dataclass_fields__:
@@ -148,8 +139,7 @@ class SectionPass:
 
 
 class NodeAccessor:
-    """Memoizing, batch-fetching view over one store's XML table at one
-    commit LSN.
+    """Batch-fetching view over one store's XML table at one commit LSN.
 
     With ``snapshot`` the view is the pin's and stays exact for as long
     as the caller holds it.  Without one it is what a snapshot opened
@@ -160,64 +150,17 @@ class NodeAccessor:
     deleted row raises the typed :class:`~repro.errors.RowIdError`.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        snapshot: Snapshot | None = None,
-        lifts: LiftCache | None = None,
-    ) -> None:
+    def __init__(self, database: Database, snapshot: Snapshot | None = None) -> None:
         self.table = database.table(XML_TABLE)
         self.stats = AccessorStats()
         #: The commit LSN every read of this accessor resolves at.
         self.lsn = database.mvcc.read_lsn(snapshot)
-        #: Cross-query memo pool; None means "private memos only".
-        self._lifts = lifts
         self._rows: dict[RowId, XmlRow] = {}
         #: How many of ``stats.rows_fetched`` :meth:`publish` has counted.
         self._published = 0
-        #: doc id -> the pass over its rows, never pooled (:meth:`_pass`).
+        #: doc id -> the pass over its rows, and those rows (:meth:`_pass`).
         self._passes: dict[int, SectionPass] = {}
-        #: The one memo: the three structural lifts keyed ``(kind,
-        #: rowid)`` and catalog entries keyed ``("entry", doc_id)``.
-        self._memo: dict[tuple[str, Hashable], Any] = {}
-
-    # -- the memo: private first, then the shared pool -----------------------
-
-    def _recall(self, kind: str, key: Hashable) -> Any:
-        """The memoized ``kind`` fact about ``key``, or ``_MISS``.
-
-        One read of the private memo, then at most one of the shared
-        pool, whose answer the private memo adopts — so however often a
-        fact is asked for, the pool is asked once.
-        """
-        value = self._memo.get((kind, key), _MISS)
-        if value is not _MISS:
-            self.stats.cache_hits += 1
-        elif self._lifts is not None:
-            value = self._lifts.get(kind, key)
-            if value is _MISS:
-                self.stats.shared_misses += 1
-            else:
-                self.stats.shared_hits += 1
-                self._memo[kind, key] = value
-        return value
-
-    def _remember(self, kind: str, key: Hashable, value: Any) -> Any:
-        """Memoize a computed fact privately and in the shared pool."""
-        self._memo[kind, key] = value
-        if self._lifts is not None:
-            self._lifts.put(kind, key, value)
-        return value
-
-    def memoized(
-        self, kind: str, key: Hashable, compute: Callable[..., Any], *args: Any
-    ) -> Any:
-        """The ``kind`` fact about ``key`` (a ROWID, or a doc id for the
-        plan's catalog entries): ``compute(*args)``, at most once."""
-        value = self._recall(kind, key)
-        if value is _MISS:
-            value = self._remember(kind, key, compute(*args))
-        return value
+        self._held: dict[int, list[XmlRow]] = {}
 
     def publish(self) -> None:
         """Count the rows read since the last call into
@@ -276,7 +219,7 @@ class NodeAccessor:
     def is_text(row: XmlRow) -> bool:
         return row.NODETYPE == _TEXT
 
-    # -- traversal (paper §2.1.4), memoized ------------------------------------
+    # -- traversal (paper §2.1.4) ---------------------------------------------
 
     def text_facts(self, rowids: Sequence[RowId], indexed: bool = True) -> list[Fact]:
         """``(sections, ancestor, emphasised)`` of the TEXT rows at
@@ -312,6 +255,7 @@ class NodeAccessor:
             rows = self.lookup_rows("DOC_ID", doc_id)
             if not rows:
                 raise RowIdError(f"document {doc_id} is not visible at LSN {self.lsn}")
+            self._held[doc_id] = rows
             done = self._passes[doc_id] = SectionPass({})
             for row in rows:
                 done(row)
@@ -330,61 +274,70 @@ class NodeAccessor:
         row, or a slot with no row in this view, ends the run: a
         document is visible whole or not at all.
         """
-        doc_id, beside = row.DOC_ID, row.PARENTROWID
-
-        def take(rows: Iterable[XmlRow]) -> tuple[dict[RowId, XmlRow], int]:
-            """The run by ROWID after its head, and whether a row ended it."""
-            inside = {row.rowid: row}
-            for candidate in rows:
-                above = candidate.PARENTROWID
-                if candidate.DOC_ID != doc_id or not (above in inside or (
-                    siblings and above == beside and candidate.NODETYPE != _CONTEXT
-                )):
-                    return inside, 1
-                inside[candidate.rowid] = candidate
-            return inside, 0
-
         self.stats.batch_fetches += 1
-        inside, stopped = self.table.rows_after(row.rowid, self.lsn, take)
+        inside, stopped = self.table.rows_after(
+            row.rowid, self.lsn, lambda rows: _run(row, rows, siblings)
+        )
         del inside[row.rowid]
         self._rows.update(inside)
         self.stats.rows_fetched += len(inside) + stopped  # the rows pulled
         return list(inside.values())
 
+    def section_run(self, context_row: XmlRow) -> list[XmlRow]:
+        """The section ``context_row`` heads, itself first: its heading and
+        its scope in one forward read (:func:`split_section` parts them)."""
+        return [context_row] + self.subtree(context_row, siblings=True)
+
     def section_scope(self, context_row: XmlRow) -> list[XmlRow]:
-        """Rows of the section governed by ``context_row``.
-
-        Every following sibling (plus its subtree) up to, but not
-        including, the next CONTEXT sibling.  The memo (and the shared
-        pool) carries rowids only — immutable, thread-safe; the rows
-        come through this accessor's own fetch path, as of its LSN.
-        """
-        return self.nodes(self.memoized(
-            "scope", context_row.rowid, self._walk_scope, context_row
-        ))
-
-    def _walk_scope(self, context_row: XmlRow) -> tuple[RowId, ...]:
-        beside = context_row.PARENTROWID
-        run = self.subtree(context_row, siblings=True)
-        for first, row in enumerate(run):
-            if row.PARENTROWID == beside:  # before it: the heading's own
-                return tuple(row.rowid for row in run[first:])
-        return ()
+        """Rows of the section governed by ``context_row``: every following
+        sibling (plus its subtree) up to, not including, the next CONTEXT
+        sibling."""
+        return split_section(self.section_run(context_row))[1]
 
     def section_text(self, context_row: XmlRow) -> str:
         """Concatenated TEXT data of the scope — the "content portion"."""
-        return self.memoized(
-            "text", context_row.rowid,
-            lambda: self._joined_text(self.section_scope(context_row)),
-        )
+        return joined_text(self.section_scope(context_row))
 
     def context_title(self, context_row: XmlRow) -> str:
-        """Heading text of a CONTEXT element (its TEXT descendants)."""
-        return self.memoized(
-            "title", context_row.rowid,
-            lambda: self._joined_text(self.subtree(context_row)),
-        )
+        """Heading text of a CONTEXT element (its TEXT descendants): off
+        the rows its document's pass read, if :meth:`_pass` ran, else
+        one forward read."""
+        held = self._held.get(context_row.DOC_ID)
+        if held is None:
+            return joined_text(self.subtree(context_row))
+        head = bisect_right(held, context_row.rowid, key=attrgetter("rowid"))
+        after = (held[at] for at in range(head, len(held)))
+        return joined_text(_run(context_row, after, False)[0].values())
 
-    def _joined_text(self, rows: Iterable[XmlRow]) -> str:
-        pieces = ((row.NODEDATA or "").strip() for row in rows if self.is_text(row))
-        return " ".join(piece for piece in pieces if piece)
+
+def _run(head: XmlRow, rows: Iterable[XmlRow], siblings: bool) -> tuple[dict[RowId, XmlRow], int]:
+    """``head`` and the run of ``rows`` after it that
+    :meth:`NodeAccessor.subtree` takes, by ROWID, and whether a row
+    ended it."""
+    doc_id, beside = head.DOC_ID, head.PARENTROWID
+    inside = {head.rowid: head}
+    for candidate in rows:
+        above = candidate.PARENTROWID
+        if candidate.DOC_ID != doc_id or not (above in inside or (
+            siblings and above == beside and candidate.NODETYPE != _CONTEXT
+        )):
+            return inside, 1
+        inside[candidate.rowid] = candidate
+    return inside, 0
+
+
+def split_section(run: list[XmlRow]) -> tuple[list[XmlRow], list[XmlRow]]:
+    """A section's run (:meth:`NodeAccessor.section_run`) as its heading —
+    the CONTEXT row's descendants — and its scope, which starts at the
+    first row beside the CONTEXT row."""
+    beside = run[0].PARENTROWID
+    for first in range(1, len(run)):
+        if run[first].PARENTROWID == beside:
+            return run[1:first], run[first:]
+    return run[1:], []
+
+
+def joined_text(rows: Iterable[XmlRow]) -> str:
+    """The TEXT rows' data, each stripped, joined by one space."""
+    pieces = ((row.NODEDATA or "").strip() for row in rows if row.NODETYPE == _TEXT)
+    return " ".join(piece for piece in pieces if piece)

@@ -27,7 +27,6 @@ from repro.sgml.dom import Document
 from repro.sgml.serializer import XmlWriter
 from repro.store.accessor import NodeAccessor, SectionPass
 from repro.store.compose import compose_document, document_rows, write_rows
-from repro.store.liftcache import LiftCache
 from repro.store.decompose import DecomposeResult, Decomposer
 from repro.store.schema import (
     DOC_TABLE,
@@ -84,9 +83,8 @@ class XmlStore:
         # row listed among its sections' members; the rows there, in one pass.
         self._xml_table.derive_facts(SectionPass, SectionPass.is_heading, SectionPass.sections)
         self._decomposer = Decomposer(database, config)
-        #: Cross-query pool of lifts and catalog entries; cache-enabled
-        #: query engines read through it (:mod:`repro.store.liftcache`).
-        self.lift_cache = LiftCache()
+        #: doc id -> catalog entry, read and filled by :meth:`cached_entry`.
+        self._entries: dict[int, StoredDocument] = {}
         #: Set by :meth:`open` when the store came back from a crash.
         self.last_recovery = None
 
@@ -211,6 +209,7 @@ class XmlStore:
             (XML_TABLE, [(row, None) for row in node_rows]),
             (DOC_TABLE, [(doc_rows[0], None)]),
         ])
+        self._entries.pop(doc_id, None)
         return len(node_rows)
 
     # -- snapshots (MVCC) -----------------------------------------------------
@@ -256,6 +255,21 @@ class XmlStore:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
         return self._to_stored(rows[0])
 
+    def cached_entry(self, doc_id: int, lsn: int) -> StoredDocument:
+        """:meth:`entry_at`, answered from the store's catalog map once
+        any reader has read it.  A DOC row is written once and this
+        store's doc ids only count up, so an entry is the same at every
+        LSN that shows it (DESIGN.md §16).  A delete takes its entry out;
+        a reader pinned before it may put it back, and shipped deletes
+        (a follower) never take one out, so the map is dropped whenever
+        it outgrows twice the stored documents."""
+        entry = self._entries.get(doc_id)
+        if entry is None:
+            if len(self._entries) > 2 * len(self._doc_table) + 64:
+                self._entries.clear()
+            entry = self._entries[doc_id] = self.entry_at(doc_id, lsn)
+        return entry
+
     def lookup_by_name(self, file_name: str) -> StoredDocument | None:
         """The stored document named ``file_name`` (the oldest, if several:
         index postings are in ROWID order, as a scan would meet them)."""
@@ -288,17 +302,9 @@ class XmlStore:
         self.entry_at(doc_id, accessor.lsn)
         write_rows(document_rows(doc_id, accessor), writer)
 
-    def new_accessor(
-        self,
-        snapshot: Snapshot | None = None,
-        lifts: LiftCache | None = None,
-    ) -> NodeAccessor:
-        """A fresh accessor: a view as of ``snapshot``, else as of now.
-
-        Pass ``lifts=store.lift_cache`` to let the accessor share lifts
-        and catalog entries across queries; cache-enabled engines do.
-        """
-        return NodeAccessor(self.database, snapshot=snapshot, lifts=lifts)
+    def new_accessor(self, snapshot: Snapshot | None = None) -> NodeAccessor:
+        """A fresh accessor: a view as of ``snapshot``, else as of now."""
+        return NodeAccessor(self.database, snapshot=snapshot)
 
     def contexts(self, doc_id: int) -> Iterator[XmlRow]:
         """CONTEXT element rows of one document, in document order."""

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster import NetmarkCluster
 from repro.errors import AllSourcesFailedError, NoQuorumError
+from repro.query.engine import QueryEngine
 from tests.cluster.drills import kill_matrix, partition_drill
 
 
@@ -87,6 +88,31 @@ class TestReadAvailability:
         cluster.kill("n1")
         cluster.tick(4)
         assert len(cluster.search("content=alpha")) == 1
+
+    def test_a_surviving_follower_names_a_reused_doc_id_afresh(self):
+        """A new coordinator resumes doc ids past the highest it stores,
+        so after the old one deleted its newest document the id comes
+        back for another; a follower that served the deleted one still
+        names the new one right."""
+        cluster = NetmarkCluster(["n1", "n2", "n3"], heartbeat_timeout=2)
+        cluster.ingest("a.md", "# A\n\nalpha\n")
+        cluster.ingest("b.md", "# B\n\nbeta\n")
+        doomed = cluster.nodes["n1"].store.lookup_by_name("b.md").doc_id
+        for name in ("n2", "n3"):
+            [match] = QueryEngine(cluster.nodes[name].replica.store).execute("Content=beta").matches
+            assert match.file_name == "b.md"
+        cluster.nodes["n1"].store.delete_document(doomed)
+        for name in ("n2", "n3"):
+            cluster.catch_up(name)
+        cluster.kill("n1")
+        cluster.tick(4)
+        assert cluster.ingest("c.md", "# C\n\nbeta gamma\n").doc_id == doomed
+        [follower] = [name for name in ("n2", "n3") if name != cluster.coordinator]
+        cluster.catch_up(follower)
+        store = cluster.nodes[follower].replica.store
+        [match] = QueryEngine(store).execute("Content=beta").matches
+        assert (match.doc_id, match.file_name) == (doomed, "c.md")
+        assert store.describe(doomed).file_name == "c.md"
 
     def test_balancer_rotates_across_replicas(self):
         cluster = NetmarkCluster(["n1", "n2", "n3"])

@@ -185,7 +185,7 @@ class TestCountOncePerRequest:
     def test_a_warm_cold_read_makes_a_handful_of_bumps(self, nodes, monkeypatch):
         node = nodes[0]
         for target in COLD:
-            node.http_get(target)  # the lift pool and catalog entries warm
+            node.http_get(target)  # the catalog map warms
         calls = []
         inc = obs.inc
 

@@ -1,12 +1,12 @@
 """Cache-correctness differential gate (the PR 10 CI satellite).
 
-One store, two engines: a cache-enabled engine (result cache + shared
-lift pool) and a bare baseline engine.  A seeded pseudo-random schedule
+One store, two engines: a cache-enabled engine (result cache) and a
+bare baseline engine, both reading the store's catalog map.  A seeded pseudo-random schedule
 interleaves queries with ingests, replacements and deletions; after
 every query both engines' rendered XML must be **byte-identical**.  Any
 divergence means the cache served across a write, replayed the wrong
-presentation, or pooled a fact about a stored row that was not
-immutable after all — exactly the failure classes the gate exists to
+presentation, or mapped a catalog entry that was not immutable after
+all — exactly the failure classes the gate exists to
 catch.
 
 ``benchmarks/bench_cache_differential.py`` runs the same discipline at
@@ -42,7 +42,7 @@ QUERIES = [
 ]
 
 #: Queries whose filters and resolvers ask for catalog entries (the
-#: pool's kind ``"entry"``) beyond the one per match ``Materialize`` asks.
+#: store's map) beyond the one per match ``Materialize`` asks.
 CATALOG_QUERIES = [
     "Content=relay&Format=markdown",
     "Content=orbit&Format=pdf",
@@ -148,18 +148,17 @@ class TestCacheDifferential:
                 assert _xml(recompute) == expected
 
     def test_replace_heavy_schedule_over_catalog_queries(self):
-        """One replace per two queries: the pool keeps serving lifts and
-        catalog entries of documents that were just superseded."""
+        """One replace per two queries: the catalog map keeps serving the
+        entries of documents that were just superseded."""
         harness = Harness(31)
         for _ in range(20):
             for _ in range(2):
                 harness.compare(harness.rng.choice(QUERIES + CATALOG_QUERIES))
             harness.replace()
         assert harness.cached.cache.snapshot_counters()["hits"] > 0
-        assert harness.store.lift_cache.snapshot_counters()["hits"] > 0
 
     def test_a_pin_held_across_writes_is_requeried_through_both_engines(self):
-        """Readers on newer pins put into the pool the held pin reads
+        """Readers on newer pins fill the catalog map the held pin reads
         (and replace its result entries): recomputed, then replayed, the
         held pin's answers are the ones from before the writes."""
         harness = Harness(57)
@@ -178,8 +177,8 @@ class TestCacheDifferential:
             assert harness.cached.cache.snapshot_counters()["hits"] > hits
 
     def test_shared_lifts_never_change_answers(self):
-        """Even with the result cache defeated (Cache=0 per request) the
-        shared lift pool alone must be invisible in the output."""
+        """With the result cache defeated (Cache=0 per request) the cached
+        engine runs the bare plan, and must be invisible in the output."""
         harness = Harness(123)
         for _ in range(20):
             harness.mutate()

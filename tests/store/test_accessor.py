@@ -64,33 +64,20 @@ class TestMemoization:
         assert accessor.stats.point_fetches == 1
         assert accessor.stats.cache_hits == 1
 
-    def test_section_text_computed_once(self, store_with_doc):
-        store, _ = store_with_doc
-        accessor = store.new_accessor()
-        alpha = next(
-            row
-            for row in context_rows(store)
-            if accessor.context_title(row) == "Alpha"
-        )
-        text = accessor.section_text(alpha)
-        assert "alpha text one" in text and "alpha text two" in text
-        accessor.stats.reset()
-        assert accessor.section_text(alpha) == text
-        assert accessor.stats.point_fetches == 0
-        assert accessor.stats.rows_fetched == 0
-        assert accessor.stats.cache_hits == 1
-
     def test_a_documents_pass_runs_once_per_accessor(self, store_with_doc):
         store, _ = store_with_doc
         accessor = store.new_accessor()
         texts = [row for row in store.xml_table.scan() if accessor.is_text(row)]
         first = accessor.text_facts([row.rowid for row in texts], indexed=False)
-        titles = [accessor.context_title(accessor.node(f[0][0])) for f in first]
+        governing = [accessor.node(fact[0][0]) for fact in first]
+        titles = [accessor.context_title(row) for row in governing]
         assert titles == ["Alpha", "Alpha", "Alpha", "Beta", "Beta"]
         accessor.stats.reset()
         assert accessor.text_facts([texts[-1].rowid], indexed=False) == first[-1:]
         content = accessor.node(texts[-1].PARENTROWID)
-        assert accessor.context_title(accessor.governing(content)) == "Beta"
+        assert accessor.governing(content) == governing[-1]
+        # The title comes off the rows the pass read: no forward read.
+        assert accessor.context_title(governing[-1]) == "Beta"
         assert accessor.stats.batch_fetches == accessor.stats.rows_fetched == 0
 
 

@@ -301,10 +301,10 @@ class TestCorruptionClasses:
 
 
 class TestRepairUnderAWarmPool:
-    """Repair rebuilds derived state and edits no row: a pooled lift,
-    read off rows, stays true and stays pooled, while a cached answer
-    computed from the section facts it rebuilds is dropped — the facade
-    clears the result cache after it."""
+    """Repair rebuilds derived state and edits no row: the store's catalog
+    map, read off DOC rows, stays true and stays whole, while a cached
+    answer computed from the section facts it rebuilds is dropped — the
+    facade clears the result cache after it."""
 
     QUERIES = ("Content=engine", "Content=shuttle", "Context=Budget")
 
@@ -331,14 +331,15 @@ class TestRepairUnderAWarmPool:
         ).PARENTROWID
         node.store.xml_table.index_on("NODENAME").insert("ghost-entry", heading)
         assert node.fsck().codes() == {"btree-drift"}
-        damaged = self.answers(cached, self.QUERIES)  # warms the pool
+        damaged = self.answers(cached, self.QUERIES)  # warms the result cache
         assert damaged == self.answers(bare, self.QUERIES) == clean
         assert self.answers(node.engine, self.QUERIES) == clean
-        pooled = len(node.store.lift_cache)
-        assert pooled > 0
+        entries = dict(node.store._entries)
+        assert entries
         report = node.fsck(repair=True)
         assert report.ok and report.repaired >= 2
-        assert len(node.store.lift_cache) == pooled
+        assert node.store._entries == entries  # the map is intact
+        assert entries == {doc_id: node.store.describe(doc_id) for doc_id in entries}
         assert self.answers(cached, self.QUERIES) == clean
         assert self.answers(bare, self.QUERIES) == clean
 
@@ -347,7 +348,7 @@ class TestRepairUnderAWarmPool:
     ):
         """A full, ROWID-ordered answer outlives commits while its sections
         stay visible, and repair keeps every ROWID visible: the facade
-        clears the result cache beside the pool."""
+        clears the result cache."""
         node, query = loaded_netmark, ["Context=Budget&limit=2"]
         clean = self.answers(node.engine, query)
         # Say notes.md's "Budget" heading text sits under its "Overview"
