@@ -2,8 +2,8 @@
 
 NETMARK's database "is nothing more than an intelligent storage
 component"; intelligent storage survives restarts.  A snapshot captures
-everything — schemas, declared indexes, and every heap block *including
-tombstoned slots* — so that physical ROWIDs come back identical, which
+everything — schemas, declared indexes, and every heap slot *including
+tombstoned ones* — so that physical ROWIDs come back identical, which
 matters because ROWIDs are stored inside XML-table rows (``PARENTROWID``)
 and ROWID order is document order.  Indexes are rebuilt from the
 restored heaps rather than serialised; they are derived state.
@@ -11,19 +11,22 @@ restored heaps rather than serialised; they are derived state.
 Format: a line-oriented text format (version-stamped), one section per
 table::
 
-    %NETMARK-SNAPSHOT 2
+    %NETMARK-SNAPSHOT 3
     TABLE <name>
     SCHEMA <json-ish schema line>
-    ROW <file>.<block>.<slot> <the row's image>
-    TOMB <file>.<block>.<slot>
+    ROW <slot> <the row's image>
+    TOMB <slot>
     ...
 
 A row's image is the one the write-ahead log carries
 (:meth:`~repro.ordbms.schema.TableSchema.pack`): its columns' text
 forms, tab-separated, each written by its column's type — no value tag,
 the ``SCHEMA`` line above says what each column is — with ``~`` for
-NULL and strings escaped once (:mod:`repro.ordbms.valuecodec`).  A dump
-in version 1's tagged dialect is refused by its magic line.
+NULL and strings escaped once (:mod:`repro.ordbms.valuecodec`).  A ROWID,
+the slot's address and a ``ROWID`` column's value alike, is its decimal
+slot number.  A dump in an older dialect — version 1's tagged values,
+version 2's ``F<file>.B<block>.S<slot>`` addresses — is refused by its
+magic line.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.ordbms.table import Table
 from repro.ordbms.types import ALL_TYPES
 from repro.ordbms.valuecodec import SEPARATOR
 
-MAGIC = "%NETMARK-SNAPSHOT 2"
+MAGIC = "%NETMARK-SNAPSHOT 3"
 
 _TYPE_NAMES = {dtype.name: dtype for dtype in ALL_TYPES}
 
@@ -185,5 +188,5 @@ def _load_slots(table: Table, slots: list[tuple[RowId, Any]]) -> None:
             table.change([(None, row) for _, row in run])
         else:
             for _ in run:
-                heap.delete(heap.insert(None))
+                heap.insert(None)
     slots.clear()

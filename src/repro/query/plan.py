@@ -137,8 +137,8 @@ class Candidate:
     (the document's first context-less content hit) or "node" (an element
     row from a nodename search).  The row is read when something first
     asks for it — under ``Limit``, for a section.  A section that
-    :class:`SectionWalk` tested carries the ``run`` it read, which its
-    match is rendered from.
+    :class:`SectionWalk` tested, or a node :class:`ContentFilter` tested,
+    carries the ``run`` it read, which its match is rendered from.
     """
 
     kind: str
@@ -463,14 +463,15 @@ def node_text(rows: list[XmlRow]) -> str:
 
 class ContentFilter(ContentTest):
     """Nodename-search content test: one forward read of the element's
-    rows, and the test on their text."""
+    rows, the test on their text, and the run on to its match."""
 
     name = "content-filter"
 
     def _produce(self) -> Iterator[Candidate]:
         accessor = self.ctx.accessor
         for candidate in self.children[0].rows():
-            if text_satisfies(node_text(accessor.subtree(candidate.row)), self.spec):
+            candidate.run = [candidate.row] + accessor.subtree(candidate.row)
+            if text_satisfies(node_text(candidate.run), self.spec):
                 yield candidate
 
 
@@ -596,9 +597,9 @@ class Materialize(PlanNode):
 
     Section and nodename matches get loader-backed lazy fields (title,
     content and ``<result>`` resolve on first access from the match's
-    run: the one :class:`SectionWalk` read, else one forward read through
-    the shared accessor); document-level matches are materialized
-    eagerly from the hit row already in hand.
+    run: the one :class:`SectionWalk` or :class:`ContentFilter` read,
+    else one forward read through the shared accessor); document-level
+    matches are materialized eagerly from the hit row already in hand.
     """
 
     name = "materialize"
@@ -613,5 +614,5 @@ class Materialize(PlanNode):
                 snippet = re.sub(r"\s+", " ", (row.NODEDATA or "").strip())
                 fields = {"context": entry.file_name, "content": snippet, "section": None}
             else:  # nodename
-                fields = {"loader": NodeResolver(ctx, row)}
+                fields = {"loader": NodeResolver(ctx, row, candidate.run)}
             yield SectionMatch(entry.doc_id, entry.file_name, score=candidate.score, **fields)

@@ -124,9 +124,9 @@ class SectionPass:
                 for child in sorted(early, key=lambda row: row.rowid):
                     self(child)
 
-    #: The text index's heading test: a fact's CONTEXT ancestor, set for
-    #: heading text alone — the rows a ``Context=`` probe can keep.
-    is_heading = staticmethod(itemgetter(1))
+    #: The text index's heading test: a fact has a CONTEXT ancestor (slot
+    #: 0 is one) for heading text alone — the rows a ``Context=`` probe can keep.
+    is_heading = staticmethod(lambda fact: fact[1] is not None)
     #: The text index's sections test: every section a fact's row is in.
     sections = staticmethod(itemgetter(0))
 

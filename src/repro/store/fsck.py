@@ -95,7 +95,7 @@ class FsckReport:
 
     def flag(self, code: str, table: str, rowid: Any, doc_id: int | None, detail: str) -> None:
         """Record one violation; ``rowid`` None for a table-level one."""
-        self.violations.append(Violation(code, table, str(rowid or ""), doc_id, detail))
+        self.violations.append(Violation(code, table, "" if rowid is None else str(rowid), doc_id, detail))
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready form (the CI artifact format)."""

@@ -4,4 +4,4 @@ from repro.ordbms import RowId
 
 
 def guess_sibling(rowid: RowId) -> RowId:
-    return RowId(rowid.file_no, rowid.block_no, rowid.slot_no + 1)  # line 7
+    return RowId(rowid + 1)  # line 7

@@ -102,7 +102,7 @@ class TestStoreDefensiveness:
 
         store = XmlStore()
         with pytest.raises(RowIdError):
-            store.xml_table.fetch(RowId(8, 8, 8))
+            store.xml_table.fetch(RowId(8_888_888))
 
     def test_double_store_same_name_allowed_as_distinct_docs(self):
         store = XmlStore()

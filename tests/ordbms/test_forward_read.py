@@ -1,7 +1,7 @@
 """The forward read: a run of slots taken as list slices is the slot walk.
 
 ``Table.rows_after`` reads a run in one seqlock window: it takes the
-slots as slices of the heap's blocks when the table holds no MVCC
+slots as slices of the heap's slot list when the table holds no MVCC
 history, and resolves every slot by its address (``Table._as_of``) when
 it does.  Either way it must be exactly what a walk of ``visible_row``
 over the slots stored after the head gives, up to the first slot with no
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import RowIdError
 from repro.ordbms import INTEGER, VARCHAR, Column, Database, TableSchema
-from repro.ordbms.storage import BLOCK_CAPACITY, HeapFile
+from repro.ordbms.storage import HeapFile
 from repro.ordbms.table import RUN_CHUNK, RUN_CHUNK_MAX
 
 
@@ -50,14 +50,10 @@ def check_heads(table, slots, pin):
 
 
 class TestHeapSlices:
-    def test_a_slice_is_scan_all_without_the_addresses(self, monkeypatch):
-        import repro.ordbms.storage as storage_module
-
-        monkeypatch.setattr(storage_module, "BLOCK_CAPACITY", 4)
-        monkeypatch.setattr(storage_module, "FILE_CAPACITY", 2)
+    def test_a_slice_is_scan_all_without_the_addresses(self):
         heap = HeapFile("T")
-        rowids = [heap.insert((i,)) for i in range(19)]  # 3 files, 5 blocks
-        for dead in (3, 6, 7, 18):
+        rowids = [heap.insert((i,)) for i in range(19)]
+        for dead in (3, 6, 7, 18):  # a lone tombstone, a run of two, the tail
             heap.delete(rowids[dead])
         for after in (None, *rowids):
             slots = [row for _, row in heap.scan_all(after)]
@@ -82,7 +78,7 @@ class TestSliceIsTheSlotWalk:
     @given(
         st.lists(
             st.one_of(
-                st.tuples(st.just("insert"), st.integers(1, BLOCK_CAPACITY + 9)),
+                st.tuples(st.just("insert"), st.integers(1, 73)),
                 st.tuples(st.just("delete"), st.integers(0, 10_000)),
                 st.tuples(st.just("update"), st.integers(0, 10_000)),
                 st.tuples(st.just("pin"), st.just(0)),

@@ -162,7 +162,7 @@ class TestRowIdStability:
         with pytest.raises(ConstraintError):
             database.insert("T", {"ID": 1})
         survivor = database.insert("T", {"ID": 2})
-        assert survivor.slot_no == first.slot_no + 1
+        assert survivor == first + 1
         recovered = crash_and_recover(database)
         assert recovered.fetch("T", survivor).ID == 2
 
@@ -302,7 +302,7 @@ class TestTornTail:
         device = MemoryLogDevice()
         database = durable_database(device)
         device.append(change_record(
-            database.wal.next_lsn, "GHOST", ((RowId(0, 0, 0), None, (1,)),),
+            database.wal.next_lsn, "GHOST", ((RowId(0), None, (1,)),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
@@ -316,7 +316,7 @@ class TestTornTail:
         kept = database.insert("T", {"ID": 1})
         device, lsn = database.wal.device, database.wal.next_lsn
         device.append(WalRecord(lsn, CHANGE, (
-            ("U", ((RowId(0, 0, 0), None, ["5"]),)),
+            ("U", ((RowId(0), None, ["5"]),)),
             ("T", ((kept, ["1", "imposter"], None),)),
         )).encode())
         with pytest.raises(RecoveryError, match=f"LSN {lsn}: cannot redo"):
@@ -507,7 +507,7 @@ def _mutate_record(rng: random.Random, log: str) -> str:
             else:
                 after = rng.choice(images) if after is None else None
         else:
-            rowid = rng.choice((changes[rng.randrange(len(changes))][0], RowId(0, 0, rng.randrange(40))))
+            rowid = rng.choice((changes[rng.randrange(len(changes))][0], RowId(rng.randrange(40))))
         changes[pair] = (rowid, before, after)
         if before is None and after is None:
             return log
@@ -552,17 +552,17 @@ class TestHostileLogs:
 
     @staticmethod
     def _with_first_insert(device: MemoryLogDevice, value: str) -> MemoryLogDevice:
-        """The device with the first document's node row at F0.B0.S3
+        """The device with the first document's node row at slot 3
         logging ``value`` for its DOC_ID (1), CRC recomputed."""
         lines = device.read_log().split("\n")
         (at,) = [
             index for index, line in enumerate(lines)
             if line.startswith(f"2\t{CHANGE}\tDOC\t1\t")
         ]
-        insert = "\tF0.B0.S3\t.\t1\t"
+        insert = "\t3\t.\t1\t"
         assert lines[at].count(insert) == 1
         lines[at] = _re_crc(
-            lines[at].rpartition("|")[0].replace(insert, f"\tF0.B0.S3\t.\t{value}\t")
+            lines[at].rpartition("|")[0].replace(insert, f"\t3\t.\t{value}\t")
         )
         return _with_log(device, "\n".join(lines))
 
@@ -634,6 +634,30 @@ class TestHostileLogs:
             with pytest.raises(CorruptLogError, match="does not parse"):
                 reopen(device)
             assert device.read_log() == TAGGED_LOG
+
+    def test_a_log_of_file_block_slot_addresses_is_refused_not_cut(self):
+        """The slotted heap logged each address as ``F<file>.B<block>.S<slot>``:
+        every line of such a log passes its CRC, none parses in today's
+        grammar, whose address is the decimal slot number."""
+        device = _small_store_device()
+
+        class Triple(RowId):
+            def encode(self):
+                return "F0.B%d.S%d" % divmod(self, 64)
+
+        log = "".join(
+            WalRecord(record.lsn, record.kind, tuple(
+                (table, tuple((Triple(rowid), *images) for rowid, *images in changes))
+                for table, changes in record.groups
+            )).encode()
+            for record in parse_log(device.read_log())[0]
+        )
+        assert "\tF0.B0.S" in log
+        for reopen in (recover, recover_follower):
+            copy = _with_log(device, log)
+            with pytest.raises(CorruptLogError, match="does not parse"):
+                reopen(copy)
+            assert copy.read_log() == log
 
     def test_a_log_the_transaction_era_wrote_is_refused_not_cut(self):
         """Every line of this log passes its CRC; none parses in today's

@@ -49,9 +49,17 @@ class TestTypes:
             TIMESTAMP.validate("not a date", "C")
 
     def test_rowid_type(self):
-        assert ROWID.validate(RowId(0, 0, 0), "C") == RowId(0, 0, 0)
+        assert ROWID.validate(RowId(0), "C") == RowId(0)
         with pytest.raises(TypeMismatchError):
             ROWID.validate("F0.B0.S0", "C")
+
+    @pytest.mark.parametrize("value", [5, RowId(4) + 1, True])
+    def test_a_plain_int_is_not_a_rowid(self, value):
+        """Arithmetic on a ROWID answers a plain ``int``: it names no
+        slot the heap handed out, so the column refuses it."""
+        assert type(value) is not RowId
+        with pytest.raises(TypeMismatchError):
+            ROWID.validate(value, "C")
 
     def test_none_always_passes_type_check(self):
         for data_type in (INTEGER, FLOAT, VARCHAR, TIMESTAMP, ROWID):

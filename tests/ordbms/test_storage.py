@@ -1,10 +1,10 @@
-"""Slotted-page heap storage: stability of ROWIDs, tombstones, restore at the tail."""
+"""Heap storage, one flat slot list: stability of ROWIDs, tombstones, restore at the tail."""
 
 import pytest
 
 from repro.errors import RowIdError
 from repro.ordbms.rowid import RowId
-from repro.ordbms.storage import BLOCK_CAPACITY, HeapFile
+from repro.ordbms.storage import HeapFile
 
 
 @pytest.fixture
@@ -16,18 +16,18 @@ class TestInsertFetch:
     def test_insert_returns_sequential_slots(self, heap):
         first = heap.insert(("a",))
         second = heap.insert(("b",))
-        assert first == RowId(0, 0, 0)
-        assert second == RowId(0, 0, 1)
+        assert first == RowId(0) and type(first) is RowId
+        assert second == RowId(1)
 
     def test_fetch_is_identity(self, heap):
         rowid = heap.insert((1, "x"))
         assert heap.fetch(rowid) == (1, "x")
 
     def test_block_overflow_opens_new_block(self, heap):
-        rowids = [heap.insert((i,)) for i in range(BLOCK_CAPACITY + 1)]
-        assert rowids[-1].block_no == 1
-        assert rowids[-1].slot_no == 0
-        assert heap.fetch(rowids[-1]) == (BLOCK_CAPACITY,)
+        """A flat heap has no block to overflow: the 65th row is slot 64."""
+        rowids = [heap.insert((i,)) for i in range(65)]
+        assert rowids == list(range(65))
+        assert heap.fetch(rowids[-1]) == (64,)
 
     def test_len_counts_live_rows(self, heap):
         for i in range(5):
@@ -36,13 +36,19 @@ class TestInsertFetch:
 
     def test_fetch_out_of_range_raises(self, heap):
         with pytest.raises(RowIdError):
-            heap.fetch(RowId(0, 0, 99))
+            heap.fetch(RowId(99))
         with pytest.raises(RowIdError):
-            heap.fetch(RowId(5, 0, 0))
+            heap.fetch(heap.next_rowids(1)[0])  # the tail: no slot yet
 
     def test_fetch_invalid_rowid_raises(self, heap):
-        with pytest.raises(RowIdError):
-            heap.fetch(RowId(-1, 0, 0))
+        """A negative slot is no address, not the list's last row."""
+        heap.insert(("last",))
+        for rowid in (RowId(-1), -1):
+            with pytest.raises(RowIdError):
+                heap.fetch(rowid)
+            with pytest.raises(RowIdError):
+                heap.holds(rowid)
+            assert not heap.exists(rowid)
 
 
 class TestDelete:
@@ -75,7 +81,7 @@ class TestDelete:
         assert heap.exists(rowid)
         heap.delete(rowid)
         assert not heap.exists(rowid)
-        assert not heap.exists(RowId(9, 9, 9))
+        assert not heap.exists(RowId(999_999))
 
 
 class TestRestore:
@@ -97,7 +103,7 @@ class TestRestore:
 
     def test_restore_out_of_range_raises(self, heap):
         with pytest.raises(RowIdError):
-            heap.restore(RowId(0, 0, 7), ("x",))
+            heap.restore(RowId(7), ("x",))
 
 
 class TestScanAndUpdate:
@@ -123,46 +129,37 @@ class TestScanAndUpdate:
         with pytest.raises(RowIdError):
             heap.update(rowid, ("new",))
 
-    def test_block_count_grows(self, heap):
-        assert heap.block_count == 1
-        for i in range(BLOCK_CAPACITY + 1):
-            heap.insert((i,))
-        assert heap.block_count == 2
-
 
 class TestFileRollover:
-    def test_new_data_file_opens_when_file_fills(self, monkeypatch):
-        import repro.ordbms.storage as storage_module
-
-        monkeypatch.setattr(storage_module, "FILE_CAPACITY", 2)
+    def test_new_data_file_opens_when_file_fills(self):
+        """No data file fills either: addresses and scan order run on
+        past what a slotted file once held, and a run of tombstones in
+        between keeps every survivor's address."""
         heap = HeapFile("T")
-        total = BLOCK_CAPACITY * 2 + 1  # fills file 0, spills into file 1
+        total = 64 * 2 + 1
         rowids = [heap.insert((i,)) for i in range(total)]
-        assert rowids[-1].file_no == 1
-        assert rowids[-1].block_no == 0
+        for dead in range(60, 70):
+            heap.delete(rowids[dead])
+        assert rowids[-1] == total - 1
         assert heap.fetch(rowids[-1]) == (total - 1,)
-        assert len(heap) == total
-        # Scan order still matches insert order across files.
-        assert [row[0] for _, row in heap.scan()] == list(range(total))
+        assert len(heap) == total - 10
+        assert [row[0] for _, row in heap.scan()] == [i for i in range(total) if not 60 <= i < 70]
 
 
 class TestScanAll:
-    def test_every_slot_after_an_address_across_blocks_and_files(
-        self, monkeypatch
-    ):
-        import repro.ordbms.storage as storage_module
-
-        monkeypatch.setattr(storage_module, "BLOCK_CAPACITY", 4)
-        monkeypatch.setattr(storage_module, "FILE_CAPACITY", 2)
+    def test_every_slot_after_an_address_across_blocks_and_files(self):
+        """From any address on: across a tombstone run, up to the tail."""
         heap = HeapFile("T")
-        rowids = [heap.insert((i,)) for i in range(19)]  # 3 files, 5 blocks
-        heap.delete(rowids[6])
+        rowids = [heap.insert((i,)) for i in range(19)]
+        for dead in (6, 7, 8):
+            heap.delete(rowids[dead])
         slots = list(heap.scan_all())
         assert [rowid for rowid, _ in slots] == rowids
+        assert all(type(rowid) is RowId for rowid, _ in slots)
         assert [row for _, row in slots] == [
-            None if i == 6 else (i,) for i in range(19)
+            None if 6 <= i <= 8 else (i,) for i in range(19)
         ]
-        for start in (0, 3, 4, 7, 8, 17):  # mid-block, block end, file end
+        for start in (0, 5, 6, 7, 8, 17):  # before, into and out of the run, the tail
             assert list(heap.scan_all(rowids[start])) == slots[start + 1:]
         assert list(heap.scan_all(rowids[-1])) == []
         # Addresses past the tail (a reservation not landed yet) follow nothing.
@@ -170,4 +167,6 @@ class TestScanAll:
 
     def test_invalid_start_raises(self, heap):
         with pytest.raises(RowIdError):
-            list(heap.scan_all(RowId(0, -1, 0)))
+            list(heap.scan_all(RowId(-1)))
+        with pytest.raises(RowIdError):
+            heap.slots_after(RowId(-1), 4)

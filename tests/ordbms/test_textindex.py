@@ -12,7 +12,7 @@ from repro.ordbms.textindex import STOPWORDS, TextIndex, tokenize
 
 
 def rid(n: int) -> RowId:
-    return RowId(0, 0, n)
+    return RowId(n)
 
 
 class TestTokenize:

@@ -22,7 +22,7 @@ from repro.ordbms.wal import (
     parse_log,
 )
 
-ROWID, NEXT = RowId(0, 0, 0), RowId(0, 0, 1)
+ROWID, NEXT = RowId(0), RowId(1)
 T = TableSchema("T", (Column("ID", INTEGER), Column("V", VARCHAR)))
 D = TableSchema("D", (Column("ID", INTEGER),))
 
@@ -45,12 +45,12 @@ def sample_records() -> list[WalRecord]:
             (ROWID, T.pack((1, "a b\tc")), T.pack((1, "x\ny"))),
             (NEXT, None, T.pack((2, "."))),
         ))),
-        change(3, ("D", ((ROWID, None, ["7"]),)), ("T", ((RowId(0, 0, 2), None, ["3", "~"]),))),
+        change(3, ("D", ((ROWID, None, ["7"]),)), ("T", ((RowId(2), None, ["3", "~"]),))),
         change(4, ("T", ((ROWID, T.pack((1, "x\ny")), None),))),
         change(5, ("T", ((NEXT, T.pack((2, ".")), None),)), ("D", ((ROWID, ["7"], None),))),
         change(6, ("A", ((ROWID, None, [""]),)), ("B", ((ROWID, None, ["~"]),)), ("C", ((ROWID, None, ["1.5"]),))),
         WalRecord(7, CHECKPOINT),
-        change(8, ("T", ((RowId(0, 0, 2), ["3", "~"], T.pack((3, "three"))),))),
+        change(8, ("T", ((RowId(2), ["3", "~"], T.pack((3, "three"))),))),
     ]
 
 
@@ -67,7 +67,7 @@ class TestRecordCodec:
         assert encoded.count("\n") == 1
         body, _, crc = encoded.rstrip("\n").rpartition("|")
         # Per group its table, change count and image width; no value tags.
-        assert body == "1 CHANGE D 1 1 F0.B0.S0 . 7 T 1 1 F0.B0.S1 1 .".replace(" ", "\t")
+        assert body == "1 CHANGE D 1 1 0 . 7 T 1 1 1 1 .".replace(" ", "\t")
         assert len(crc) == 8
 
     def test_unknown_kind_rejected(self):
@@ -77,7 +77,7 @@ class TestRecordCodec:
         # Reading refuses what writing refuses — the savepoint, per-row
         # and transaction kinds this grammar once had included — and a
         # whole record it cannot read is corruption, never a torn tail.
-        for body in ("1 MERGE 7", "4 TRUNCATE 7 1", "2 INSERT 1 T F0.B0.S0 1", "1 BEGIN 7"):
+        for body in ("1 MERGE 7", "4 TRUNCATE 7 1", "2 INSERT 1 T 0 1", "1 BEGIN 7"):
             with pytest.raises(CorruptLogError, match="unknown WAL record kind"):
                 parse_log(line(body))
 
@@ -96,7 +96,7 @@ class TestRecordCodec:
         rows = [(None, None), (".", None), (ABSENT_IMAGE, 1), ("~", 2), ("", 3)]
         assert ABSENT_IMAGE not in [schema.pack(row)[0] for row in rows]
         record = change(1, ("V", tuple(
-            (RowId(0, 0, slot), schema.pack(row), None) for slot, row in enumerate(rows)
+            (RowId(slot), schema.pack(row), None) for slot, row in enumerate(rows)
         )))
         assert parse_log(record.encode()) == ([record], None)
         (parsed,), _ = parse_log(record.encode())
@@ -141,7 +141,7 @@ class TestParseLog:
         letter, _, text = value.partition(":")
         image = {"i": "1", "f": "1.5", "t": dt.datetime(2005, 6, 14).isoformat()}
         image[letter] = text
-        bad = line(f"3 CHANGE T 1 3 F0.B0.S0 . {image['i']} {image['f']} {image['t']}")
+        bad = line(f"3 CHANGE T 1 3 0 . {image['i']} {image['f']} {image['t']}")
         first, last = WalRecord(2, CHECKPOINT).encode(), WalRecord(4, CHECKPOINT).encode()
         assert parse_log(first + bad + last)[1] is None  # the log does not type it
         for text in (first + bad, first + bad + last):
@@ -151,19 +151,19 @@ class TestParseLog:
                 recover(device)
 
     @pytest.mark.parametrize("body", [
-        "2 CHANGE T 2 1 F0.B0.S0 . 1",  # a count the pairs do not fill
-        "2 CHANGE T 0 1 F0.B0.S0 . 1",  # pairs past the count
-        "2 CHANGE T 1 F0.B0.S0 . 1",  # no count
+        "2 CHANGE T 2 1 0 . 1",  # a count the pairs do not fill
+        "2 CHANGE T 0 1 0 . 1",  # pairs past the count
+        "2 CHANGE T 1 0 . 1",  # no count
         "2 CHANGE T 0 1",  # a group of no change
-        "2 CHANGE T 1 0 F0.B0.S0 .",  # an image of no column
-        "2 CHANGE T 1 2 F0.B0.S0 . 1",  # an image short of its width
-        "2 CHANGE T 1 1 F0.B0.S0 . .",  # neither image
+        "2 CHANGE T 1 0 0 .",  # an image of no column
+        "2 CHANGE T 1 2 0 . 1",  # an image short of its width
+        "2 CHANGE T 1 1 0 . .",  # neither image
         "2 CHANGE T 1 1 nowhere . 1",  # no rowid
-        "2 CHANGE T 1 1 F0.B0.S0 1",  # one image
+        "2 CHANGE T 1 1 0 1",  # one image
         "2 CHANGE",  # no group
-        "2 CHANGE T 1 1 F0.B0.S0 . 1 U",  # a second group with no count
-        "2 CHANGE 1 T 1 F0.B0.S0 . i:1",  # the transaction-era layout
-        "2 CHANGE T 1 F0.B0.S0 . i:1",  # the tagged layout: no width
+        "2 CHANGE T 1 1 0 . 1 U",  # a second group with no count
+        "2 CHANGE 1 T 1 0 . i:1",  # the transaction-era layout
+        "2 CHANGE T 1 0 . i:1",  # the tagged layout: no width
     ])
     def test_a_change_of_the_wrong_shape_is_a_malformed_record(self, body):
         with pytest.raises(CorruptLogError, match="malformed WAL record"):
@@ -219,7 +219,7 @@ class TestWriteAheadLog:
         assert wal.records_written == 3
 
     def test_a_statement_is_one_record_and_one_append(self):
-        device, third = MemoryLogDevice(), RowId(0, 0, 2)
+        device, third = MemoryLogDevice(), RowId(2)
         wal = WriteAheadLog(device)
         row = T.row_type
         old, new = row(1, "v", ROWID), row(1, "w", ROWID)

@@ -5,16 +5,23 @@ the next CONTEXT sibling: the heading's rows, then the scope's
 (:func:`~repro.store.accessor.split_section`).  ``SectionWalk`` reads it
 to test a candidate and hands it on to the match; a match that nothing
 tested reads it the first time anything asks.  Either way the title, the
-text and the ``<result>`` come from that one list.
+text and the ``<result>`` come from that one list.  A nodename match's
+element is read the same way: once, by ``ContentFilter`` when it tests
+the element, which hands the run on.
 """
 
+import hashlib
+
 import pytest
+
+from repro import Netmark
 
 from repro.ordbms.table import Table
 from repro.query.engine import QueryEngine
 from repro.query.language import parse_query
 from repro.query.plan import PlanContext, SectionResolver
 from repro.sgml.serializer import serialize
+from repro.workloads import CorpusSpec, generate_corpus
 
 #: (file name, title, text) of every ``Context=Budget`` section in the
 #: sample corpus: the text is the scope's alone, the heading is the title.
@@ -112,3 +119,21 @@ class TestAKeptResolverNeedsNoAccessor:
         assert (kept.context(), kept.content()) == BUDGET[0][1:]
         assert serialize(kept.section()) == section
         assert reads == [match.rowid]
+
+
+class TestAFilteredNodeIsNotReadAgain:
+    def test_a_nodename_match_is_rendered_from_the_filters_read(self, reads):
+        """``ContentFilter`` reads each candidate element's rows once and
+        hands the run to its match: one forward read per distinct
+        element (65; 85 when each match read its element again), and
+        the body is the one a second read rendered."""
+        node = Netmark()
+        for generated in generate_corpus(CorpusSpec(documents=12, planted_term="zephyr")):
+            assert node.ingest(generated.name, generated.text).ok
+        reads.clear()
+        body = node.http_get("/search?Nodename=section&Content=zephyr").body
+        assert len(reads) == len(set(reads)) == 65
+        assert body.count("<result ") == 20
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "62015b9e4b7a89f3e9f87d515e71383ce1d732c70efe2e04b34309d3ce5d6071"
+        )

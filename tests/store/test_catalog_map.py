@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.ordbms import storage
 from repro.query.plan import PlanContext
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
@@ -240,9 +239,10 @@ class TestFactsNeverChange:
         for step in steps:
             sequence.apply(*step)
 
-    def test_across_block_and_file_boundaries(self, monkeypatch):
-        monkeypatch.setattr(storage, "BLOCK_CAPACITY", 4)
-        monkeypatch.setattr(storage, "FILE_CAPACITY", 2)
+    def test_across_block_and_file_boundaries(self):
+        """Across what a flat heap has: runs of tombstones (deleted,
+        replaced and refused loads) between live documents, and a
+        document that ends at the heap's tail."""
         sequence = Sequence()
         for step in (
             (INGEST, 0, WIDE), (INGEST, 0, SMALL), (FAIL, 0, WIDE),
@@ -250,8 +250,10 @@ class TestFactsNeverChange:
             (INGEST, 0, WIDE), (REPLACE, 1, WIDE),
         ):
             sequence.apply(*step)
-        files = {rowid.file_no for rowid in sequence.retired_rowids}
-        assert len(files) > 1  # the retired addresses span heap files
+        retired = sorted(sequence.retired_rowids)
+        assert any(b == a + 1 for a, b in zip(retired, retired[1:]))  # a tombstone run
+        table = sequence.store.xml_table
+        assert max(rowid for rowid, _ in table._heap.scan()) == sequence._tail() - 1  # noqa: SLF001
         assert sequence.store._entries
 
 

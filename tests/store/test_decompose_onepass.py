@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RowIdError, TypeMismatchError
-from repro.ordbms import MemoryLogDevice, storage
+from repro.ordbms import MemoryLogDevice
 from repro.ordbms.table import Table
 from repro.sgml.dom import Document, Element, Text
 from repro.store import DOC_TABLE, XML_TABLE, XmlStore, check_store
@@ -125,16 +125,21 @@ class TestAgainstTheOracle:
         assert store.database.stats.rows_updated == 0
         assert store.database.stats.rows_inserted == result.node_count + 1
 
-    def test_block_and_file_boundaries(self, monkeypatch):
-        monkeypatch.setattr(storage, "BLOCK_CAPACITY", 4)
-        monkeypatch.setattr(storage, "FILE_CAPACITY", 2)
-        one_pass, oracle = load_both([WIDE, SMALL, WIDE])
+    def test_block_and_file_boundaries(self):
+        """What a flat heap still has to cross: a load right behind a
+        run of tombstones (a deleted document) and one ending at the tail."""
+        def delete_one(store):
+            store.store_document(document(SMALL, "gone.xml"))
+            store.delete_document(1)
+
+        one_pass, oracle = load_both([WIDE, SMALL, WIDE], prepare=delete_one)
         assert_same_heap(one_pass, oracle)
         addresses = [row.rowid for row in one_pass.xml_table.scan()]
-        assert {rowid.file_no for rowid in addresses} >= {0, 1, 2}
-        assert max(rowid.slot_no for rowid in addresses) == 3
-        # A document's links cross both kinds of boundary and still resolve.
-        rebuilt = one_pass.document(1)
+        assert not one_pass.xml_table.exists(addresses[0] - 1)  # behind the tombstones
+        assert addresses[-1] == one_pass.xml_table.next_rowids(1)[0] - 1  # at the tail
+        assert addresses == list(range(addresses[0], addresses[-1] + 1))
+        # The first document's links still resolve, behind the tombstones.
+        rebuilt = one_pass.document(2)
         assert [child.tag for child in rebuilt.root.children] == ["section"] * 5
 
     def test_tail_of_tombstones_left_by_a_rollback(self):

@@ -197,6 +197,17 @@ class TestCorruptionClasses:
         assert repair_store(loaded.database).ok
         assert loaded.xml_table.index_on("DOC_ID").search(key)[0] == first
 
+    def test_a_finding_on_slot_zero_names_it(self, loaded):
+        """Slot 0 is a row: a finding on the XML table's very first row
+        carries its address, ``0``, not a table-level blank."""
+        first = xml_rows(loaded)[0]
+        assert first.rowid == 0 and first.PARENTROWID is None
+        loaded.database.update(XML_TABLE, first.rowid, {"NODETYPE": 99})
+        report = check_store(loaded.database)
+        [found] = [v for v in report.violations if v.code == "bad-node-type"]
+        assert (found.table, found.rowid, found.doc_id) == (XML_TABLE, "0", 1)
+        assert "bad-node-type: 0 doc=1: " in report.render_text()
+
     def test_misplaced_row_is_the_only_finding_and_repair_leaves_it(self, loaded):
         """``doc-order`` is about where a row sits, nothing else: every
         link of the planted row is right, and nothing derivable moves it."""

@@ -110,3 +110,17 @@ class TestHeadingPostingsAreTheHeadingRowsPostings:
             index = back.xml_table.text_index_on("NODEDATA")
             assert index.signature(headings=True) == expected.signature(headings=True)
             assert index.members() == expected.members()
+
+
+class TestSlotZeroIsAHeading:
+    def test_a_context_at_slot_zero_governs_its_text(self):
+        """The XML table's first row is slot 0: as a CONTEXT ancestor it
+        still makes its text heading text, and ``Context=`` finds it."""
+        store = XmlStore()
+        store.store_text("<title>Budget review</title>", "t.xml")
+        root, text = store.xml_table.scan()
+        assert root.rowid == 0 and root.NODETYPE == int(NodeType.CONTEXT)
+        index = store.xml_table.text_index_on("NODEDATA")
+        assert index.lookup_phrase("budget", headings=True) == {text.rowid}
+        assert [m.rowid for m in QueryEngine(store).execute("Context=Budget")] == [0]
+        assert_heading_postings(store)

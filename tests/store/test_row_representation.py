@@ -54,14 +54,17 @@ class TestNoByteMoved:
     """Twelve generated documents through the daemon onto a WAL, one
     replaced, one deleted.  The served bodies are the parent commit's;
     the WAL, the dump rows and the fsck findings are the six-column
-    XML row's own (no NODEID, parent NODEID, sibling link or ordinal)."""
+    XML row's own (no NODEID, parent NODEID, sibling link or ordinal),
+    with decimal slot numbers for addresses."""
 
     GOLDEN = {
-        # Logged and dumped bytes moved on purpose: the six-column row.
-        "wal": "e78b262bc7a9d6ba54be50ad7c068d75d12338bfe17e9f0f25411e657c7ef52c",
-        "dump_rows": "1dd79572fe52c63312ecb3e5e4d4e36c07bf3c2040a6a030b3b6c48d5f46d313",
+        # Logged and dumped bytes moved on purpose: the six-column row,
+        # each address (a row's, a PARENTROWID) its decimal slot number —
+        # the previous bytes with every ``F<f>.B<b>.S<s>`` so rewritten.
+        "wal": "b6dca726aaa5930f8fa4068b9ae22dea72fcb5934fd85df143d1d1849cb1df4a",
+        "dump_rows": "f5440375d472e38960da5565fd292638f0599698046bff588e6c2d130fa71397",
         # The dangling parent is the walk's break: one finding, not two.
-        "fsck_violations": "a08057a2dfdf4496b31d0b24bd50a24ef6f574b2a241cb0db5b1535812db65ad",
+        "fsck_violations": "69512d9f6b7c138bc2c3ea3764e5c49803bfda3ae85173370f684fa5877e82ec",
         "search_bodies": [
             "911c534018a5964c6cf3ea20fe6f659a0a84aece7a1fb098cdbe34d59c621e3e",
             "aeca9c88057a41e45e39c35c5474a357c06fa87b6e2db7d3d28440c894473e91",
@@ -93,10 +96,10 @@ class TestNoByteMoved:
         )
         # Damage two rows through the in-place door so fsck has
         # something to say: the root's first child gets a NODETYPE of 99,
-        # and the next row a parent that is no live row.
+        # and the next row a parent that is no live row (a slot past the tail).
         child, next_row = node.store.xml_table.index_on("DOC_ID").search(1)[1:3]
         node.database.update(XML_TABLE, child, {"NODETYPE": 99})
-        node.database.update(XML_TABLE, next_row, {"PARENTROWID": RowId(9, 9, 9)})
+        node.database.update(XML_TABLE, next_row, {"PARENTROWID": RowId(999_999)})
         violations = [
             [v.code, v.table, v.rowid, v.doc_id, v.detail]
             for v in check_store(node.database).violations
@@ -263,7 +266,7 @@ class TestTheWriteDoor:
             pytest.param({"ID": 1, "BOGUS": 2}, SchemaError, id="unknown-column"),
             pytest.param({"id": 1}, SchemaError, id="keys-are-matched-as-stored"),
             pytest.param(
-                {"ID": 1, "rowid": RowId(0, 0, 0)}, SchemaError,
+                {"ID": 1, "rowid": RowId(0)}, SchemaError,
                 id="the-address-is-not-a-column",
             ),
             pytest.param({"ID": "one"}, TypeMismatchError, id="wrong-type"),
@@ -281,14 +284,14 @@ class TestTheWriteDoor:
         with pytest.raises(refusal):
             table.insert(values)
         assert len(table) == 0
-        assert table.insert({"ID": 1}) == RowId(0, 0, 0)  # no address spent
+        assert table.insert({"ID": 1}) == RowId(0)  # no address spent
 
     @pytest.mark.parametrize(
         "changes, refusal",
         [
             ({"ID": None}, TypeMismatchError),
             ({"BOGUS": 2}, SchemaError),
-            ({"rowid": RowId(9, 9, 9)}, SchemaError),
+            ({"rowid": RowId(999_999)}, SchemaError),
             ({"SCORE": "high"}, TypeMismatchError),
         ],
     )
@@ -332,7 +335,7 @@ class TestWhatARowCannotCarry:
         database = _durable()
         device = database.wal.device
         device.append(WalRecord(
-            database.wal.next_lsn, CHANGE, (("EMP", ((RowId(0, 0, 2), None, image),)),),
+            database.wal.next_lsn, CHANGE, (("EMP", ((RowId(2), None, image),)),),
         ).encode())
         with pytest.raises(RecoveryError):
             recover(device)
@@ -341,6 +344,26 @@ class TestWhatARowCannotCarry:
         "payload", ["3", "3\ta\t\t~\t~\textra"], ids=["short", "long"]
     )
     def test_a_checkpoint_row_of_the_wrong_width_is_refused_at_load(self, payload):
-        text = dump_database(_durable()) + f"ROW F0.B0.S2 {payload}\n"
+        text = dump_database(_durable()) + f"ROW 2 {payload}\n"
         with pytest.raises(DatabaseError):
             load_database(text)
+
+    @pytest.mark.parametrize("parent", [5, RowId(0) + 1], ids=["int", "rowid-plus-one"])
+    def test_a_plain_int_is_no_parent_link(self, parent):
+        """A ``PARENTROWID`` must be an address the heap handed out:
+        a plain ``int`` — arithmetic on a ROWID answers one — is refused
+        at every door a statement's row comes in by, and nothing moves."""
+        device = MemoryLogDevice()
+        node = Netmark(device=device)
+        node.ingest("a.md", "# Budget\n\ntravel\n")
+        xml, logged = node.store.xml_table, device.read_log()
+        head = xml.next_rowids(1)[0]
+        with pytest.raises(TypeMismatchError, match="PARENTROWID"):
+            node.database.change([(XML_TABLE, [(None, xml.schema.row(
+                {"DOC_ID": 1, "NODETYPE": 2, "PARENTROWID": parent}, head,
+            ))])])
+        root = next(xml.scan())
+        with pytest.raises(TypeMismatchError, match="PARENTROWID"):
+            node.database.update(XML_TABLE, root.rowid, {"PARENTROWID": parent})
+        assert device.read_log() == logged and next(xml.scan()) is root
+        assert check_store(node.database).ok

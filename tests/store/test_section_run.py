@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RowIdError
-from repro.ordbms import MemoryLogDevice, storage
+from repro.ordbms import MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Element, Text
 from repro.sgml.nodetypes import NodeType
@@ -40,24 +40,24 @@ from tests.store.test_decompose_onepass import (
 #: The rows the old recursive loader laid down (memo.md stored twice,
 #: plan.md stored and deleted), dumped by today's schema.
 OLD_LOADER_SNAPSHOT = (
-    "%NETMARK-SNAPSHOT 2\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
-    "ROW F0.B0.S0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
-    "ROW F0.B0.S1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
-    "TOMB F0.B0.S2\n"
+    "%NETMARK-SNAPSHOT 3\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
+    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "ROW 1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "TOMB 2\n"
     "TABLE XML\nSCHEMA DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\t-\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
-    "ROW F0.B0.S0 1\t~\t1\tdocument\t~\t~\n"
-    "ROW F0.B0.S1 1\tF0.B0.S0\t5\tsection\t~\t~\n"
-    "ROW F0.B0.S2 1\tF0.B0.S1\t3\tcontext\t~\t~\n"
-    "ROW F0.B0.S3 1\tF0.B0.S2\t2\t~\tBudget\t~\n"
-    "ROW F0.B0.S4 1\tF0.B0.S1\t1\tcontent\t~\t~\n"
-    "ROW F0.B0.S5 1\tF0.B0.S4\t2\t~\tTravel funds.\t~\n"
-    "ROW F0.B0.S6 2\t~\t1\tdocument\t~\t~\n"
-    "ROW F0.B0.S7 2\tF0.B0.S6\t5\tsection\t~\t~\n"
-    "ROW F0.B0.S8 2\tF0.B0.S7\t3\tcontext\t~\t~\n"
-    "ROW F0.B0.S9 2\tF0.B0.S8\t2\t~\tOps\t~\n"
-    "ROW F0.B0.S10 2\tF0.B0.S7\t1\tcontent\t~\t~\n"
-    "ROW F0.B0.S11 2\tF0.B0.S10\t2\t~\tLaunch pad work.\t~\n"
-    + "".join(f"TOMB F0.B0.S{slot}\n" for slot in range(12, 18))
+    "ROW 0 1\t~\t1\tdocument\t~\t~\n"
+    "ROW 1 1\t0\t5\tsection\t~\t~\n"
+    "ROW 2 1\t1\t3\tcontext\t~\t~\n"
+    "ROW 3 1\t2\t2\t~\tBudget\t~\n"
+    "ROW 4 1\t1\t1\tcontent\t~\t~\n"
+    "ROW 5 1\t4\t2\t~\tTravel funds.\t~\n"
+    "ROW 6 2\t~\t1\tdocument\t~\t~\n"
+    "ROW 7 2\t6\t5\tsection\t~\t~\n"
+    "ROW 8 2\t7\t3\tcontext\t~\t~\n"
+    "ROW 9 2\t8\t2\t~\tOps\t~\n"
+    "ROW 10 2\t7\t1\tcontent\t~\t~\n"
+    "ROW 11 2\t10\t2\t~\tLaunch pad work.\t~\n"
+    + "".join(f"TOMB {slot}\n" for slot in range(12, 18))
 )
 
 
@@ -257,15 +257,22 @@ class TestAgainstTheHopWalk:
             store.store_document(document(spec, f"d{index}.xml"))
         assert_reads_agree(store)
 
-    def test_block_and_file_boundaries(self, monkeypatch):
-        monkeypatch.setattr(storage, "BLOCK_CAPACITY", 4)
-        monkeypatch.setattr(storage, "FILE_CAPACITY", 2)
+    def test_block_and_file_boundaries(self):
+        """What a flat heap still has to cross: runs that start right
+        behind a run of tombstones, and a document that ends at the tail."""
         store = XmlStore()
         for index, spec in enumerate([FLAT, WIDE, FLAT, SMALL]):
             store.store_document(document(spec, f"d{index}.xml"))
-        assert assert_reads_agree(store) > 3 * 4 * 2  # runs cross files
-        longest = store.new_accessor().subtree(next(store.xml_table.scan()))  # d0's root
-        assert {row.rowid.file_no for row in longest} >= {0, 1}
+        store.delete_document(store.lookup_by_name("d1.xml").doc_id)
+        store.store_document(document(WIDE, "tail.xml"))
+        assert "TOMB" in store.dump()
+        assert assert_reads_agree(store) > 3 * 4 * 2
+        rows = list(store.xml_table.scan())
+        behind = next(row for row in rows if row.DOC_ID == store.lookup_by_name("d2.xml").doc_id)
+        assert not store.xml_table.exists(behind.rowid - 1)  # d2's root follows the tombstones
+        root = next(row for row in rows if row.DOC_ID == store.lookup_by_name("tail.xml").doc_id)
+        last = store.new_accessor().subtree(root)[-1]
+        assert last.rowid == store.xml_table.next_rowids(1)[0] - 1  # the run ends at the tail
 
     def test_after_a_replace(self):
         """The old run is a row of tombstones, the new one is at the tail."""

@@ -210,24 +210,24 @@ class TestLookupByNameIndex:
 #: stored twice, plan.md stored and deleted.  Its rows are in the
 #: column-typed codec (no value tags): what is old is the schema.
 PRE_INDEX_SNAPSHOT = (
-    "%NETMARK-SNAPSHOT 2\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\t-\t-\n"
-    "ROW F0.B0.S0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
-    "ROW F0.B0.S1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
-    "TOMB F0.B0.S2\n"
+    "%NETMARK-SNAPSHOT 3\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\t-\t-\n"
+    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "ROW 1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "TOMB 2\n"
     "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME|NODETYPE\tNODEDATA\n"
-    "ROW F0.B0.S0 1\t1\t~\t1\tdocument\t~\t~\n"
-    "ROW F0.B0.S1 2\t1\tF0.B0.S0\t5\tsection\t~\t~\n"
-    "ROW F0.B0.S2 3\t1\tF0.B0.S1\t3\tcontext\t~\t~\n"
-    "ROW F0.B0.S3 4\t1\tF0.B0.S2\t2\t~\tBudget\t~\n"
-    "ROW F0.B0.S4 5\t1\tF0.B0.S1\t1\tcontent\t~\t~\n"
-    "ROW F0.B0.S5 6\t1\tF0.B0.S4\t2\t~\tTravel funds.\t~\n"
-    "ROW F0.B0.S6 7\t2\t~\t1\tdocument\t~\t~\n"
-    "ROW F0.B0.S7 8\t2\tF0.B0.S6\t5\tsection\t~\t~\n"
-    "ROW F0.B0.S8 9\t2\tF0.B0.S7\t3\tcontext\t~\t~\n"
-    "ROW F0.B0.S9 10\t2\tF0.B0.S8\t2\t~\tOps\t~\n"
-    "ROW F0.B0.S10 11\t2\tF0.B0.S7\t1\tcontent\t~\t~\n"
-    "ROW F0.B0.S11 12\t2\tF0.B0.S10\t2\t~\tLaunch pad work.\t~\n"
-    + "".join(f"TOMB F0.B0.S{slot}\n" for slot in range(12, 18))
+    "ROW 0 1\t1\t~\t1\tdocument\t~\t~\n"
+    "ROW 1 2\t1\t0\t5\tsection\t~\t~\n"
+    "ROW 2 3\t1\t1\t3\tcontext\t~\t~\n"
+    "ROW 3 4\t1\t2\t2\t~\tBudget\t~\n"
+    "ROW 4 5\t1\t1\t1\tcontent\t~\t~\n"
+    "ROW 5 6\t1\t4\t2\t~\tTravel funds.\t~\n"
+    "ROW 6 7\t2\t~\t1\tdocument\t~\t~\n"
+    "ROW 7 8\t2\t6\t5\tsection\t~\t~\n"
+    "ROW 8 9\t2\t7\t3\tcontext\t~\t~\n"
+    "ROW 9 10\t2\t8\t2\t~\tOps\t~\n"
+    "ROW 10 11\t2\t7\t1\tcontent\t~\t~\n"
+    "ROW 11 12\t2\t10\t2\t~\tLaunch pad work.\t~\n"
+    + "".join(f"TOMB {slot}\n" for slot in range(12, 18))
 )
 
 
@@ -303,15 +303,15 @@ class TestOtherBtreesAreRefused:
 #: seven-column row's, the parent's NODEID, the next sibling's ROWID
 #: and the position among siblings, which no read followed.
 TEN_COLUMN_SNAPSHOT = (
-    "%NETMARK-SNAPSHOT 2\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
-    "ROW F0.B0.S0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "%NETMARK-SNAPSHOT 3\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
+    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
     "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
-    "ROW F0.B0.S0 1\t1\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
-    "ROW F0.B0.S1 2\t1\tF0.B0.S0\t1\t~\t5\tsection\t~\t0\t~\n"
-    "ROW F0.B0.S2 3\t1\tF0.B0.S1\t2\tF0.B0.S4\t3\tcontext\t~\t0\t~\n"
-    "ROW F0.B0.S3 4\t1\tF0.B0.S2\t3\t~\t2\t~\tBudget\t0\t~\n"
-    "ROW F0.B0.S4 5\t1\tF0.B0.S1\t2\t~\t1\tcontent\t~\t1\t~\n"
-    "ROW F0.B0.S5 6\t1\tF0.B0.S4\t5\t~\t2\t~\tTravel funds.\t0\t~\n"
+    "ROW 0 1\t1\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
+    "ROW 1 2\t1\t0\t1\t~\t5\tsection\t~\t0\t~\n"
+    "ROW 2 3\t1\t1\t2\t4\t3\tcontext\t~\t0\t~\n"
+    "ROW 3 4\t1\t2\t3\t~\t2\t~\tBudget\t0\t~\n"
+    "ROW 4 5\t1\t1\t2\t~\t1\tcontent\t~\t1\t~\n"
+    "ROW 5 6\t1\t4\t5\t~\t2\t~\tTravel funds.\t0\t~\n"
 )
 
 
