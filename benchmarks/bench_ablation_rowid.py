@@ -33,6 +33,7 @@ from repro import obs
 from repro.ordbms import CLOB, INTEGER, Column, Table, TableSchema
 from repro.sgml.nodetypes import NodeType
 from repro.store import XmlStore
+from repro.store.accessor import joined_text, split_section
 from repro.workloads import CorpusSpec, generate_corpus
 
 
@@ -170,7 +171,8 @@ def _resolve_physical(store, hits):
         [(sections, _, _)] = accessor.text_facts([hit.rowid])
         if sections:
             context = accessor.node(sections[0])
-            answers.append((context.rowid, accessor.section_text(context)))
+            scope = split_section(accessor.run(context, siblings=True))[1]
+            answers.append((context.rowid, joined_text(scope)))
         rows += accessor.stats.rows_fetched
     return answers, _btree_probes() - before, rows
 

@@ -174,6 +174,8 @@ class TextIndex:
         maps = [postings.get(term, {}) for term in tokenize(phrase, keep_stopwords=True)]
         if not maps or not all(maps):
             return set()
+        if len(maps) == 1:  # one token: every row holding it
+            return set(maps[0])
         first, rest = maps[0], list(enumerate(maps[1:], 1))
         # Positions lists are short: a membership test reads one directly.
         matches: set[RowId] = set()

@@ -64,6 +64,11 @@ class ContentSpec:
     def text(self) -> str:
         return " ".join(self.terms)
 
+    @property
+    def held(self) -> tuple[str, ...]:
+        """What must hold: the phrase as one term, else each term."""
+        return (self.text,) if self.mode == "phrase" else self.terms
+
 
 @dataclass(frozen=True)
 class XdbQuery:

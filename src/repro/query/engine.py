@@ -23,9 +23,9 @@ explicit operator tree (:mod:`repro.query.plan`) and pulled lazily:
 
 A combined ``Context=X&Content=Y`` query intersects: sections whose
 heading matches X *and* whose text contains Y.  On the indexed path a
-section-level semijoin (``Intersect``) keeps only the sections holding
-Y's tokens, before any row is read: per token, from the smaller side —
-its postings' section facts, or the candidates' section members.
+section-level semijoin (``Intersect``; a multi-term ``all`` content
+query gets one too) keeps only the sections holding Y's tokens, before
+any row is read; with one-token terms it decides the walk's test.
 
 ``limit`` pushes all the way down: ``Rank`` orders candidates by score
 (stable within ties), ``Limit`` stops the pull, and the expensive
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.errors import QueryError
-from repro.query.ast import ContentSpec, XdbQuery
+from repro.query.ast import XdbQuery
 from repro.query.cache import QueryCache
 from repro.query.language import format_query, parse_query
 from repro.query.plan import (
@@ -67,6 +67,7 @@ from repro.query.plan import (
     phrase_in,
 )
 from repro.ordbms import Snapshot
+from repro.ordbms.textindex import tokenize
 from repro.query.results import ResultSet
 from repro.resilience.deadline import Budget, Deadline
 from repro.sgml.dom import Document, Element
@@ -253,28 +254,35 @@ class QueryEngine:
         The shape by query kind (leaf → root), shared tail elided::
 
             context:   probe* > context-lift   > ...
-            content:   probe* > governing-lift > ...
+            content:   probe* > governing-lift > [intersect] > ...
             combined:  probe* > context-lift   > intersect > ...
             nodename:  nodename-probe          > ...
 
         Tail: doc/format filters, ``rank``, the expensive per-candidate
-        test (``section-walk`` / ``content-filter``) when the kind has
-        one, ``limit``, ``present``, ``materialize``.  The expensive test
-        sits *under* the limit on purpose: that is the pushdown.
+        test (``section-walk`` — decided by the index for one-token
+        terms — or ``content-filter``) when the kind has one, ``limit``,
+        ``present``, ``materialize``.  The expensive test sits *under*
+        the limit on purpose: that is the pushdown.
         """
         obs.inc("repro_query_queries_total", kind=query.kind)
         ctx = PlanContext(self.store, self.store.new_accessor(snapshot), self.use_index, budget)
         kind = query.kind
+        content = self._spec(query.content) if kind in {"content", "combined"} else None
         if kind in {"context", "combined"}:
             phrases = self._spec(query.context).phrases
             node = ContextLift(ctx, *[TextSource(ctx, p, True, headings=True) for p in phrases])
-            if kind == "combined" and self.use_index:
-                node = Intersect(ctx, node, self._spec(query.content))
-        elif kind == "content":
-            spec = self._spec(query.content)
-            node = GoverningLift(ctx, *self._content_probes(ctx, spec))
+        elif content is not None:
+            # Every term's postings ("any" and "all" alike) or the phrase's.
+            phrase = content.mode == "phrase"
+            node = GoverningLift(ctx, *[TextSource(ctx, t, phrase) for t in content.held])
         else:  # nodename
             node = NodenameProbe(ctx, self._spec(query.nodename))
+        # A lift keeps a section for one term's posting: the other terms
+        # of a combined or a multi-term "all" query take the semijoin.
+        if content is not None and self.use_index and (
+            kind == "combined" or content.mode == "all" and len(content.terms) > 1
+        ):
+            node = Intersect(ctx, node, content)
         if query.doc:
             node = DocFilter(ctx, node, query.doc)
         if query.format:
@@ -282,21 +290,16 @@ class QueryEngine:
         node = Rank(ctx, node)
         # The expensive per-candidate test goes under the limit so only
         # candidates the limit admits ever pay for it.
-        if kind in {"content", "combined"}:
-            node = SectionWalk(ctx, node, self._spec(query.content))
-        elif kind == "nodename" and query.content is not None:
+        if content is not None:
+            # One-token terms are decided on the index path: by an exact
+            # semijoin, or by the posting a section was lifted from.
+            one_token = all(len(tokenize(t, keep_stopwords=True)) == 1 for t in content.held)
+            node = SectionWalk(ctx, node, content, decided=self.use_index and one_token)
+        elif query.content is not None:
             node = ContentFilter(ctx, node, query.content)
         node = Limit(ctx, node, query.limit)
         node = Present(ctx, node)
         return ctx, Materialize(ctx, node)
-
-    def _content_probes(self, ctx: PlanContext, spec: ContentSpec) -> list[PlanNode]:
-        if spec.mode == "phrase":
-            return [TextSource(ctx, spec.text, phrase_mode=True)]
-        # "any"/"all" alike read every term's postings; the conjunction
-        # (for "all") happens at the section level, since terms may be
-        # satisfied by *different* text nodes of one section.
-        return [TextSource(ctx, term, phrase_mode=False) for term in spec.terms]
 
     @staticmethod
     def _spec(value):

@@ -25,16 +25,16 @@ Operator inventory (leaf → root; each class says the rest):
     Every source emits in ROWID order, which is (document, node) order:
     the presentation order.
 ``Intersect``
-    Section-level semijoin: the candidate sections whose text holds the
-    content terms, from the index alone (postings, facts and section
-    members), before any row is read.
+    Section-level semijoin (combined and multi-term ``all`` queries): the
+    candidate sections holding the content terms, from the index alone
+    (postings, facts and section members) — exact for one-token terms.
 ``Rank`` … ``Limit`` … ``Present``
     ``Rank`` (blocking) re-orders by descending score, so ``Limit`` is
     *rank-aware*; ``Present`` restores presentation order afterwards.
 ``SectionWalk`` / ``ContentFilter``
     The expensive per-candidate content test, directly under ``Limit``:
-    one forward read of the candidate's section (heading included), or,
-    for a nodename search, of the element's rows.
+    one forward read of the candidate's section (heading included) or a
+    nodename match's element; a walk the index ``decided`` skips the test.
 ``Materialize``
     Converts surviving candidates into lazy
     :class:`~repro.query.results.SectionMatch` objects.
@@ -46,7 +46,9 @@ see :meth:`PlanNode.explain_element`.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import DocumentNotFoundError, QueryError
@@ -94,8 +96,7 @@ def text_satisfies(text: str, spec: ContentSpec) -> bool:
     match the text they were typed from.
     """
     haystack = tokenize(text, keep_stopwords=True)
-    terms = [spec.text] if spec.mode == "phrase" else spec.terms
-    holds = (_run_in(tokenize(term, keep_stopwords=True), haystack) for term in terms)
+    holds = (_run_in(tokenize(term, keep_stopwords=True), haystack) for term in spec.held)
     return any(holds) if spec.mode == "any" else all(holds)
 
 
@@ -137,7 +138,7 @@ class Candidate:
     (the document's first context-less content hit) or "node" (an element
     row from a nodename search).  The row is read when something first
     asks for it — under ``Limit``, for a section.  A section that
-    :class:`SectionWalk` tested, or a node :class:`ContentFilter` tested,
+    :class:`SectionWalk` walked, or a node :class:`ContentFilter` tested,
     carries the ``run`` it read, which its match is rendered from.
     """
 
@@ -150,10 +151,6 @@ class Candidate:
     @property
     def row(self) -> XmlRow:
         return self.accessor.node(self.rowid)
-
-    @property
-    def doc_id(self) -> int:
-        return self.row.DOC_ID
 
 
 class PlanNode:
@@ -361,7 +358,7 @@ class DocFilter(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
-            if self.needle in self.ctx.entry(candidate.doc_id).file_name.lower():
+            if self.needle in self.ctx.entry(candidate.row.DOC_ID).file_name.lower():
                 yield candidate
 
 
@@ -377,7 +374,7 @@ class FormatFilter(PlanNode):
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
             try:
-                entry = self.ctx.entry(candidate.doc_id)
+                entry = self.ctx.entry(candidate.row.DOC_ID)
             except DocumentNotFoundError:
                 yield candidate  # federated matches lack local entries
                 continue
@@ -386,11 +383,15 @@ class FormatFilter(PlanNode):
 
 
 class ContentTest(PlanNode):
-    """An operator that holds candidates against the query's content spec."""
+    """An operator that holds candidates against the query's content spec;
+    a ``decided`` one (a :class:`SectionWalk`) knows the index held them."""
 
-    def __init__(self, ctx: PlanContext, child: PlanNode, spec: ContentSpec) -> None:
-        super().__init__(ctx, child, detail=f"{spec.mode}: {spec.text}")
-        self.spec = spec
+    def __init__(
+        self, ctx: PlanContext, child: PlanNode, spec: ContentSpec, decided: bool = False
+    ) -> None:
+        decision = "; decided by the index" if decided else ""
+        super().__init__(ctx, child, detail=f"{spec.mode}: {spec.text}{decision}")
+        self.spec, self.decided = spec, decided
 
 
 class Intersect(ContentTest):
@@ -402,22 +403,23 @@ class Intersect(ContentTest):
     that for every token at once from the smaller side (a row changed
     since the LSN takes its facts from :meth:`NodeAccessor.text_facts`).
     A term needs all its tokens there (``cost-benefit`` is two), ``all``
-    every term, ``any`` one, a phrase every token: a superset of what
-    satisfies the spec, or equal to it — :class:`SectionWalk`, under the
-    limit, has the last word on adjacency.  No row is fetched, no
-    document probed.
+    every term, ``any`` one, a phrase every token: exactly what satisfies
+    the spec when every term is one token, else a superset —
+    :class:`SectionWalk`, under the limit, has the last word on
+    adjacency.  Document-level candidates pass untested, as they pass the
+    walk.  No row is fetched, no document probed.
     """
 
     name = "intersect"
 
     def _produce(self) -> Iterator[Candidate]:
         spec = self.spec
-        terms = [spec.text] if spec.mode == "phrase" else spec.terms
-        per_term = [tokenize(term, keep_stopwords=True) for term in terms]
+        per_term = [tokenize(term, keep_stopwords=True) for term in spec.held]
         candidates, accessor = list(self.children[0].rows()), self.ctx.accessor
         holding = accessor.table.snapshot_text_sections(
             "NODEDATA", [token for tokens in per_term for token in tokens],
-            {candidate.rowid for candidate in candidates}, accessor.text_facts, accessor.lsn,
+            {candidate.rowid for candidate in candidates if candidate.kind == "section"},
+            accessor.text_facts, accessor.lsn,
         )
         combine = set.union if spec.mode == "any" else set.intersection
         admitted = combine(*(
@@ -425,7 +427,7 @@ class Intersect(ContentTest):
             for tokens in per_term
         ))
         for candidate in candidates:
-            if candidate.rowid in admitted:
+            if candidate.kind == "document" or candidate.rowid in admitted:
                 yield candidate
 
 
@@ -440,16 +442,18 @@ class SectionWalk(ContentTest):
     through untested (they matched on a context-less hit; there is no
     section to test).  The heading participates: ``Content=Shuttle``
     returns sections containing the term *anywhere*, headings included.
+    A ``decided`` walk reads each run but skips the test: the index path
+    answered it (:meth:`~repro.query.engine.QueryEngine.compile`).
     """
 
     name = "section-walk"
 
     def _produce(self) -> Iterator[Candidate]:
-        accessor = self.ctx.accessor
+        accessor, tested = self.ctx.accessor, not self.decided
         for candidate in self.children[0].rows():
             if candidate.kind == "section":
-                candidate.run = accessor.section_run(candidate.row)
-                if not text_satisfies(joined_text(candidate.run), self.spec):
+                candidate.run = accessor.run(candidate.row, siblings=True)
+                if tested and not text_satisfies(joined_text(candidate.run), self.spec):
                     continue
             yield candidate
 
@@ -470,7 +474,7 @@ class ContentFilter(ContentTest):
     def _produce(self) -> Iterator[Candidate]:
         accessor = self.ctx.accessor
         for candidate in self.children[0].rows():
-            candidate.run = [candidate.row] + accessor.subtree(candidate.row)
+            candidate.run = accessor.run(candidate.row)
             if text_satisfies(node_text(candidate.run), self.spec):
                 yield candidate
 
@@ -500,28 +504,22 @@ class Limit(PlanNode):
 
     def __init__(self, ctx: PlanContext, child: PlanNode, limit: int | None) -> None:
         super().__init__(ctx, child, detail="" if limit is None else str(limit))
-        self.limit = limit
+        self.limit = limit if limit is None else min(limit, sys.maxsize)  # islice's bound
 
     def _produce(self) -> Iterator[Any]:
-        if self.limit is None:
-            yield from self.children[0].rows()
-            return
-        emitted = 0
-        for item in self.children[0].rows():
-            yield item
-            emitted += 1
-            if emitted >= self.limit:
-                break
+        return islice(self.children[0].rows(), self.limit)
 
 
 class Present(PlanNode):
-    """Restore presentation order after rank-aware limiting: sections
-    (or nodes) by ROWID, then the document-level hits by ROWID."""
+    """Restore presentation order after rank-aware limiting: sections (or
+    nodes), then document-level hits, each by ROWID; rows come in one batch."""
 
     name = "present"
 
     def _produce(self) -> Iterator[Candidate]:
-        yield from sorted(self.children[0].rows(), key=lambda c: (c.kind == "document", c.rowid))
+        survivors = list(self.children[0].rows())
+        self.ctx.accessor.nodes([candidate.rowid for candidate in survivors])
+        yield from sorted(survivors, key=lambda c: (c.kind == "document", c.rowid))
 
 
 # -- materialization ----------------------------------------------------------
@@ -552,7 +550,7 @@ class _Resolver:
     def _run(self) -> list[XmlRow]:
         """The row and what follows it in the match: one forward read, at most."""
         if self._rows is None:
-            self._rows = [self.row] + self.ctx.accessor.subtree(self.row, self.siblings)
+            self._rows = self.ctx.accessor.run(self.row, self.siblings)
         return self._rows
 
     def section(self) -> Element | None:
@@ -607,7 +605,8 @@ class Materialize(PlanNode):
     def _produce(self) -> Iterator[SectionMatch]:
         ctx = self.ctx
         for candidate in self.children[0].rows():
-            entry, row = ctx.entry(candidate.doc_id), candidate.row
+            row = candidate.row
+            entry = ctx.entry(row.DOC_ID)
             if candidate.kind == "section":
                 fields = {"loader": SectionResolver(ctx, row, candidate.run), "rowid": row.rowid}
             elif candidate.kind == "document":

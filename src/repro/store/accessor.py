@@ -9,9 +9,11 @@ last:
   ``visible_many`` call;
 * **forward reads** — a document's rows are one contiguous ROWID run in
   document order (DESIGN.md §17), so a subtree or a whole section is the
-  rows stored right after its first (:meth:`NodeAccessor.subtree`), read
+  rows stored right after its first (:meth:`NodeAccessor.run`), read
   in one pass instead of a child probe per element and a hop per sibling;
-  a section's run holds its heading and its scope (:func:`split_section`);
+  a run is a list, a row in it when its parent's slot is at or after the
+  first's, and a section's holds its heading and its scope
+  (:func:`split_section`);
 * **rows as stored** — a node row is the table's own object
   (:data:`~repro.store.schema.XmlRow`: ``row.NODETYPE``, ``row.rowid``),
   immutable and shared with every other reader; nothing is decoded or
@@ -22,7 +24,7 @@ last:
   (:meth:`NodeAccessor.text_facts`), else a fresh pass over the row's
   document as of the LSN (the scan path, rows changed since the LSN,
   an element's governing CONTEXT);
-* **one query-scoped memo** — node rows and documents' passes are kept
+* **one query-scoped memo** — rows read by address and documents' passes are kept
   for the accessor's lifetime, one query, and reused by every operator
   of a plan and by the lazy :class:`~repro.query.results.SectionMatch`
   loaders;
@@ -77,8 +79,7 @@ class SectionPass:
 
     ``facts[rowid]`` is ``(sections, ancestor, emphasised)``: the ROWIDs
     of every CONTEXT whose title or scope holds the row
-    (:meth:`NodeAccessor.context_title` / ``section_scope``), governing
-    context first; its nearest CONTEXT ancestor (heading text only);
+    (:func:`split_section`), governing context first; its nearest CONTEXT ancestor (heading text only);
     whether it sits under INTENSE.  State is per open element, dropped
     at the next document's root; rows of one section share one fact.
     """
@@ -261,8 +262,9 @@ class NodeAccessor:
                 done(row)
         return done
 
-    def subtree(self, row: XmlRow, siblings: bool = False) -> list[XmlRow]:
-        """All descendant rows in document order — one forward read.
+    def run(self, row: XmlRow, siblings: bool = False) -> list[XmlRow]:
+        """``row`` and all its descendant rows in document order — one
+        forward read.
 
         A document's rows sit in one contiguous ROWID run in document
         order (DESIGN.md §17), so the descendants of ``row`` are the
@@ -270,33 +272,17 @@ class NodeAccessor:
         in the run.  With ``siblings`` the run also admits the following
         non-CONTEXT siblings of ``row`` and their subtrees — the paper's
         walk "back down the tree structure via the sibling node", i.e.
-        the whole section a CONTEXT ``row`` heads.  Another document's
+        the whole section a CONTEXT ``row`` heads, its heading and its
+        scope (:func:`split_section` parts them).  Another document's
         row, or a slot with no row in this view, ends the run: a
         document is visible whole or not at all.
         """
         self.stats.batch_fetches += 1
-        inside, stopped = self.table.rows_after(
+        run, stopped = self.table.rows_after(
             row.rowid, self.lsn, lambda rows: _run(row, rows, siblings)
         )
-        del inside[row.rowid]
-        self._rows.update(inside)
-        self.stats.rows_fetched += len(inside) + stopped  # the rows pulled
-        return list(inside.values())
-
-    def section_run(self, context_row: XmlRow) -> list[XmlRow]:
-        """The section ``context_row`` heads, itself first: its heading and
-        its scope in one forward read (:func:`split_section` parts them)."""
-        return [context_row] + self.subtree(context_row, siblings=True)
-
-    def section_scope(self, context_row: XmlRow) -> list[XmlRow]:
-        """Rows of the section governed by ``context_row``: every following
-        sibling (plus its subtree) up to, not including, the next CONTEXT
-        sibling."""
-        return split_section(self.section_run(context_row))[1]
-
-    def section_text(self, context_row: XmlRow) -> str:
-        """Concatenated TEXT data of the scope — the "content portion"."""
-        return joined_text(self.section_scope(context_row))
+        self.stats.rows_fetched += len(run) - 1 + stopped  # the rows pulled
+        return run
 
     def context_title(self, context_row: XmlRow) -> str:
         """Heading text of a CONTEXT element (its TEXT descendants): off
@@ -304,30 +290,35 @@ class NodeAccessor:
         one forward read."""
         held = self._held.get(context_row.DOC_ID)
         if held is None:
-            return joined_text(self.subtree(context_row))
+            return joined_text(self.run(context_row))
         head = bisect_right(held, context_row.rowid, key=attrgetter("rowid"))
         after = (held[at] for at in range(head, len(held)))
-        return joined_text(_run(context_row, after, False)[0].values())
+        return joined_text(_run(context_row, after, False)[0])
 
 
-def _run(head: XmlRow, rows: Iterable[XmlRow], siblings: bool) -> tuple[dict[RowId, XmlRow], int]:
-    """``head`` and the run of ``rows`` after it that
-    :meth:`NodeAccessor.subtree` takes, by ROWID, and whether a row
-    ended it."""
-    doc_id, beside = head.DOC_ID, head.PARENTROWID
-    inside = {head.rowid: head}
+def _run(head: XmlRow, rows: Iterable[XmlRow], siblings: bool) -> tuple[list[XmlRow], int]:
+    """``head`` and the run of ``rows`` after it that :meth:`NodeAccessor.run`
+    takes, and whether a row ended it.
+
+    A parent's slot comes before its child's (fsck ``doc-order``), so
+    while the run is unbroken a row's parent is in it exactly when the
+    parent's slot is at or after the head's: membership is one compare
+    of slot numbers.  The rest of the run are the admitted siblings."""
+    doc_id, beside, first = head.DOC_ID, head.PARENTROWID, head.rowid
+    run = [head]
     for candidate in rows:
         above = candidate.PARENTROWID
-        if candidate.DOC_ID != doc_id or not (above in inside or (
-            siblings and above == beside and candidate.NODETYPE != _CONTEXT
-        )):
-            return inside, 1
-        inside[candidate.rowid] = candidate
-    return inside, 0
+        if candidate.DOC_ID != doc_id or not (
+            above is not None and above >= first
+            or siblings and above == beside and candidate.NODETYPE != _CONTEXT
+        ):
+            return run, 1
+        run.append(candidate)
+    return run, 0
 
 
 def split_section(run: list[XmlRow]) -> tuple[list[XmlRow], list[XmlRow]]:
-    """A section's run (:meth:`NodeAccessor.section_run`) as its heading —
+    """A section's run (:meth:`NodeAccessor.run` with ``siblings``) as its heading —
     the CONTEXT row's descendants — and its scope, which starts at the
     first row beside the CONTEXT row."""
     beside = run[0].PARENTROWID

@@ -67,7 +67,7 @@ def tree_of(rows: list[XmlRow], wrapper: str = "") -> Node:
 
 def compose_node(row: XmlRow, accessor: NodeAccessor) -> Element | Text:
     """Rebuild the DOM subtree rooted at ``row``."""
-    return tree_of([row] + accessor.subtree(row))
+    return tree_of(accessor.run(row))
 
 
 def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
@@ -78,7 +78,7 @@ def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
     rowids = accessor.lookup_rowids("DOC_ID", doc_id)
     rows = accessor.nodes(rowids[:1])
     if rows:
-        rows += accessor.subtree(rows[0])
+        rows = accessor.run(rows[0])
     accessor.publish()
     if (
         len(rows) != len(rowids) or not rows or rows[0].PARENTROWID is not None
@@ -103,4 +103,4 @@ def compose_section(context_row: XmlRow, accessor: NodeAccessor) -> Element:
     shape, not necessarily a stored element.  Content is every sibling
     subtree up to the next context, reconstructed in full.
     """
-    return tree_of([context_row] + accessor.subtree(context_row, siblings=True), "section")
+    return tree_of(accessor.run(context_row, siblings=True), "section")

@@ -108,6 +108,34 @@ class TestPhrase:
         assert idx.lookup_phrase("of of") == set()
 
 
+class TestOneTokenPhrase:
+    def test_every_heading_word_of_a_400_document_store(self):
+        """A one-token phrase is the token's posting keys, read without the
+        positions loop: the rows whose text holds the word, over every
+        row and over the heading rows, for each word of every heading."""
+        from repro.query.plan import phrase_in
+        from repro.store import XmlStore
+        from repro.store.accessor import SectionPass
+        from repro.workloads import HEADINGS, CorpusSpec, generate_corpus
+
+        store = XmlStore()
+        for file in generate_corpus(CorpusSpec(documents=400, seed=2005)):
+            store.store_text(file.text, file.name)
+        index, table = store.xml_table.text_index_on("NODEDATA"), store.xml_table
+        texts = {
+            row.rowid: row.NODEDATA for row in table.snapshot_scan(store.new_accessor().lsn)
+            if row.NODEDATA and row.rowid in index.facts
+        }
+        heading_words = set(tokenize(" ".join(HEADINGS), keep_stopwords=True))
+        assert len(heading_words) > 20
+        for word in heading_words:
+            holding = {rowid for rowid, text in texts.items() if phrase_in(word, text)}
+            headed = {r for r in holding if SectionPass.is_heading(index.facts[r])}
+            assert holding and headed
+            assert index.lookup_phrase(word) == holding
+            assert index.lookup_phrase(word, headings=True) == headed
+
+
 class TestHeadingPostings:
     """The rows whose fact the ``heading`` test accepts are posted twice;
     ``lookup_phrase(..., headings=True)`` reads only those."""

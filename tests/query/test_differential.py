@@ -9,8 +9,12 @@ under-prunes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.query import QueryEngine
+from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
+from repro.sgml.dom import Document, Element, Text
 from repro.store import XmlStore
 from repro.workloads import CorpusSpec, generate_corpus
 
@@ -194,3 +198,107 @@ class TestIntersectFromEitherSide:
         finally:
             for snapshot, _ in taken:
                 snapshot.release()
+
+
+#: Heading tags (``context`` is one by default, a plain element under
+#: :data:`PLAIN_CONTEXT`), INTENSE, SIMULATION and plain elements.
+TAGS = ["div", "p", "h1", "h2", "context", "b", "section"]
+PLAIN_CONTEXT = NodeTypeConfig(context_tags=frozenset({"h1", "h2"}))
+#: One-token terms, a stop word among them; ``cost`` and ``benefit`` also
+#: come hyphenated, so a text may hold them together or apart.
+WORDS = ["alpha", "beta", "cost", "benefit", "the"]
+words = st.lists(st.sampled_from(WORDS + ["cost-benefit"]), min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def subtrees(draw, depth=0):
+    element = Element(draw(st.sampled_from(TAGS)))
+    for _ in range(draw(st.integers(0, 3 if depth < 3 else 0))):
+        if draw(st.booleans()):
+            element.append(Text(draw(words)))
+        else:
+            element.append(draw(subtrees(depth + 1)))
+    return element
+
+
+@st.composite
+def documents(draw):
+    """A root holding generated subtrees — sections nest when a heading
+    sits below another's siblings — and at least one ``<h1>``."""
+    heading = Element("h1")
+    heading.append_text(draw(words))
+    children = draw(st.lists(subtrees(), max_size=4))
+    children.insert(draw(st.integers(0, len(children))), heading)
+    root = Element("doc")
+    for child in children:
+        root.append(child)
+    return root
+
+
+@st.composite
+def one_token_queries(draw):
+    """``Content=`` or ``Context=…&Content=…`` with one-token terms, in
+    mode all, any or phrase, with or without a limit."""
+    terms = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3, unique=True))
+    mode = draw(st.sampled_from(["all", "any", "phrase"]))
+    content = f'"{terms[0]}"' if mode == "phrase" else f"{mode}:{'+'.join(terms)}"
+    query = f"Content={content}"
+    if draw(st.booleans()):
+        query = f"Context={draw(st.sampled_from(WORDS))}&{query}"
+    if draw(st.booleans()):
+        query += f"&limit={draw(st.integers(1, 3))}"
+    return query
+
+
+def both_paths(store, query, snapshot=None):
+    """The index path's answer and the scan path's."""
+    return [
+        [(m.rowid, m.context, m.content, m.score)
+         for m in QueryEngine(store, use_index=use).execute(query, snapshot)]
+        for use in (True, False)
+    ]
+
+
+class TestTheIndexDecidesOneTokenTerms:
+    """With every term one token the walk trusts the index and skips its
+    text test; the scan path still runs it.  Both must give one answer,
+    live and under a pin held across a replace."""
+
+    @given(
+        st.lists(documents(), min_size=2, max_size=3),
+        documents(),
+        st.lists(one_token_queries(), min_size=1, max_size=4),
+        st.sampled_from([DEFAULT_CONFIG, PLAIN_CONTEXT]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_index_path_is_the_scan_path(self, roots, replacement, queries, config):
+        store = XmlStore(config=config)
+        doc_ids = [
+            store.store_document(Document(root, name=f"g{n}.xml")).doc_id
+            for n, root in enumerate(roots)
+        ]
+        with store.snapshot() as snapshot:
+            before = [both_paths(store, query, snapshot) for query in queries]
+            store.delete_document(doc_ids[0])
+            store.store_document(Document(replacement, name="g0.xml"))
+            pinned = [both_paths(store, query, snapshot) for query in queries]
+        live = [both_paths(store, query) for query in queries]
+        for query, (indexed, scanned) in zip(queries * 3, before + pinned + live):
+            assert indexed == scanned, query
+        assert pinned == before
+
+    @pytest.mark.parametrize("query", ['Content=cost-benefit', 'Content="cost benefit"'])
+    @pytest.mark.parametrize("context", ["", "Context=alpha&"])
+    def test_a_two_token_term_is_still_walked(self, query, context):
+        """Both tokens in a section, apart, are not the term: a two-token
+        term is not decided, on either path."""
+        store = XmlStore()
+        for name, text in (("apart.xml", "benefit of the cost"), ("together.xml", "cost benefit")):
+            root = Element("doc")
+            heading = root.append(Element("h1"))
+            heading.append_text("alpha")
+            root.append(Element("p")).append_text(text)
+            store.store_document(Document(root, name=name))
+        indexed, scanned = both_paths(store, context + query)
+        assert indexed == scanned
+        assert [content for _, _, content, _ in indexed] == ["cost benefit"]

@@ -140,6 +140,11 @@ class TestLimitsAndOrdering:
     def test_limit_applies(self, engine):
         assert len(engine.execute("Content=Shuttle&limit=2")) == 2
 
+    def test_limit_past_maxsize_admits_every_match(self, engine):
+        unlimited = engine.execute("Context=Budget").matches
+        huge = engine.execute("Context=Budget&limit=" + "9" * 30).matches
+        assert [m.rowid for m in huge] == [m.rowid for m in unlimited]
+
     def test_results_ordered_by_doc_then_node(self, engine):
         matches = engine.execute("Context=Budget").matches
         doc_ids = [match.doc_id for match in matches]

@@ -137,3 +137,23 @@ class TestAFilteredNodeIsNotReadAgain:
         assert hashlib.sha256(body.encode()).hexdigest() == (
             "62015b9e4b7a89f3e9f87d515e71383ce1d732c70efe2e04b34309d3ce5d6071"
         )
+
+
+class TestAMultiTermContentQueryWalksOnlyItsMatches:
+    def test_one_read_per_match(self, reads):
+        """``Content=budget schedule`` puts ``Intersect`` over the lift: a
+        section holding one of the terms but not the other is dropped
+        before any row is read, so the walk reads the five matches alone
+        (seven when the walk tested every ranked candidate), and the
+        body is the one that walk rendered."""
+        from tests.xslt.test_oracle_differential import REPO_ROOT, _load
+
+        plans = _load(REPO_ROOT / "benchmarks" / "e2e" / "plans.py")
+        node = Netmark()
+        node.ingest_many([(g.name, g.text) for g in plans.build_plan("mixed_rw", 2005, 120).corpus])
+        reads.clear()
+        body = node.http_get("/search?Content=budget+schedule&limit=5&Cache=0").body
+        assert body.count("<result ") == len(reads) == len(set(reads)) == 5
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "e331aa040cb66e83f3635210840f8c70eb74972652348f5368bf6b4e07ee4ccd"
+        )

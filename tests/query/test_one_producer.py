@@ -67,7 +67,7 @@ def old_node_result(match) -> Element:
     element rebuilt by ``dom_path.build``, its children but a
     ``context`` one hung under ``<result>``."""
     loader = match._loader
-    rows = [loader.row] + loader.ctx.accessor.subtree(loader.row)
+    rows = loader.ctx.accessor.run(loader.row)
     [element] = dom_path.build(rows, Element("parent")).children
     result = Element("result", {"doc": match.file_name, "source": match.source})
     result.make_child("context").append_text(match.context)

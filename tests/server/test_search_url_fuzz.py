@@ -65,6 +65,7 @@ def node() -> Netmark:
 @example("databank=nope&Context=Budget&Explain=1")
 @example("Context=Budget&xslt=nope.xsl&databank=all")
 @example("limit=" + "9" * 5000)
+@example("context=&context=Budget&limit=" + "9" * 30)
 @example("Context=Budget&Deadline=-1")
 @example("=&=&%=%")
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

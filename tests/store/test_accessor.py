@@ -6,6 +6,8 @@ from repro.errors import RowIdError
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
 from repro.store import XmlStore
+from repro.store.accessor import joined_text
+from tests.store.test_section_run import scope
 
 
 @pytest.fixture
@@ -118,7 +120,7 @@ class TestInvalidation:
             )
             store.delete_document(result.doc_id)
             # Rows this accessor never fetched still resolve at its LSN.
-            assert "alpha text one" in accessor.section_text(alpha)
+            assert "alpha text one" in joined_text(scope(accessor, alpha))
             assert accessor.lookup_rowids("DOC_ID", result.doc_id) != []
         later = store.new_accessor()
         assert later.lookup_rowids("DOC_ID", result.doc_id) == []
@@ -140,7 +142,7 @@ class TestInvalidation:
         assert accessor.node(result.root_rowid) is root
         assert accessor.lookup_rowids("DOC_ID", result.doc_id) == []
         for read in (
-            lambda: accessor.node(last), lambda: accessor.subtree(root),
+            lambda: accessor.node(last), lambda: accessor.run(root)[1:],
             lambda: accessor.governing(root),  # its document's pass has no rows
         ):
             with pytest.raises(RowIdError):

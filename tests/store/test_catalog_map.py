@@ -28,6 +28,7 @@ import repro
 from repro.query.plan import PlanContext
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore
+from repro.store.accessor import joined_text
 from tests.store.test_decompose_onepass import (
     SMALL,
     WIDE,
@@ -35,6 +36,7 @@ from tests.store.test_decompose_onepass import (
     load_rolled_back,
     tree_strategy,
 )
+from tests.store.test_section_run import scope
 
 
 def _mapped(store, snapshot=None):
@@ -149,8 +151,8 @@ def _facts(store, accessor):
             fact = [address(accessor.governing(row))]
         if accessor.is_context(row):
             fact += [
-                tuple(map(address, accessor.section_scope(row))),
-                accessor.section_text(row),
+                tuple(map(address, scope(accessor, row))),
+                joined_text(scope(accessor, row)),
                 accessor.context_title(row),
             ]
         lifts[row.rowid] = fact

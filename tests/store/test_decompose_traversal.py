@@ -9,7 +9,8 @@ import pytest
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
 from repro.store import XML_TABLE, XmlStore
-from tests.store.test_section_run import HopOracle
+from repro.store.accessor import joined_text
+from tests.store.test_section_run import HopOracle, scope
 
 
 @pytest.fixture
@@ -127,7 +128,7 @@ class TestTraversal:
         store, _ = store_with_doc
         [alpha_heading] = text_rows(store, "Alpha")
         context = hops(store).parent(alpha_heading)
-        text = store.new_accessor().section_text(context)
+        text = joined_text(scope(store.new_accessor(), context))
         assert "alpha text one" in text and "alpha text two" in text
         assert "beta" not in text
 
@@ -136,7 +137,7 @@ class TestTraversal:
         [alpha_heading] = text_rows(store, "Alpha")
         context = hops(store).parent(alpha_heading)
         rowids = {
-            row.rowid for row in store.new_accessor().section_scope(context)
+            row.rowid for row in scope(store.new_accessor(), context)
         }
         [content_row] = text_rows(store, "alpha text one")
         assert content_row.rowid in rowids
@@ -165,7 +166,7 @@ class TestTraversal:
         store.store_document(document)
         [heading] = text_rows(store, "First")
         context = hops(store).parent(heading)
-        assert store.new_accessor().section_text(context) == "one"
+        assert joined_text(scope(store.new_accessor(), context)) == "one"
 
     def test_front_matter_has_no_context(self):
         store = XmlStore()
@@ -183,5 +184,5 @@ class TestTraversal:
         store.store_document(second)
         rows = text_rows(store, "alpha text one")
         context = governing(store, rows[0])
-        text = store.new_accessor().section_text(context)
+        text = joined_text(scope(store.new_accessor(), context))
         assert "other document" not in text

@@ -4,7 +4,7 @@
 before: children by their ``PARENTROWID`` in ROWID order, a section by
 next-sibling hops, a DOM by recursion over both, and a row's sections by
 a climb to the root.  It trusts only the parent links and the order of
-siblings.  ``NodeAccessor.subtree`` and the ``compose_*`` functions
+siblings.  ``NodeAccessor.run`` and the ``compose_*`` functions
 trust the whole layout instead — a document's rows are one ROWID run in
 document order — and must hand back the same rows and the same
 serialized XML, as of now and pinned, from every heap the store can be
@@ -28,6 +28,7 @@ from repro.store import (
     compose_node,
     compose_section,
 )
+from repro.store.accessor import joined_text, split_section
 from repro.store.schema import decode_attributes
 from tests.store.test_decompose_onepass import (
     SMALL,
@@ -36,6 +37,13 @@ from tests.store.test_decompose_onepass import (
     load_rolled_back,
     tree_strategy,
 )
+
+
+def scope(accessor, context_row):
+    """The scope of the section ``context_row`` heads: its run past the
+    heading (:func:`split_section`)."""
+    return split_section(accessor.run(context_row, siblings=True))[1]
+
 
 #: The rows the old recursive loader laid down (memo.md stored twice,
 #: plan.md stored and deleted), dumped by today's schema.
@@ -202,18 +210,18 @@ def assert_reads_agree(store):
                     assert accessor.governing(row) == (
                         row if accessor.is_context(row) else oracle.governing(row)
                     )
-                assert accessor.subtree(row) == oracle.subtree(row)
+                assert accessor.run(row)[1:] == oracle.subtree(row)
                 assert serialize(compose_node(row, accessor)) == (
                     serialize(oracle.compose_node(row))
                 )
                 if not accessor.is_context(row):
                     continue
-                scope = oracle.section_scope(row)
-                assert accessor.section_scope(row) == scope
-                assert accessor.subtree(row, siblings=True) == (
-                    oracle.subtree(row) + scope
+                hops = oracle.section_scope(row)
+                assert scope(accessor, row) == hops
+                assert accessor.run(row, siblings=True) == (
+                    [row] + oracle.subtree(row) + hops
                 )
-                assert accessor.section_text(row) == oracle.text_of(scope)
+                assert joined_text(scope(accessor, row)) == oracle.text_of(hops)
                 assert accessor.context_title(row) == (
                     oracle.text_of(oracle.subtree(row))
                 )
@@ -271,7 +279,7 @@ class TestAgainstTheHopWalk:
         behind = next(row for row in rows if row.DOC_ID == store.lookup_by_name("d2.xml").doc_id)
         assert not store.xml_table.exists(behind.rowid - 1)  # d2's root follows the tombstones
         root = next(row for row in rows if row.DOC_ID == store.lookup_by_name("tail.xml").doc_id)
-        last = store.new_accessor().subtree(root)[-1]
+        last = store.new_accessor().run(root)[-1]
         assert last.rowid == store.xml_table.next_rowids(1)[0] - 1  # the run ends at the tail
 
     def test_after_a_replace(self):
@@ -283,7 +291,7 @@ class TestAgainstTheHopWalk:
         assert "TOMB" in store.dump()
         assert_reads_agree(store)
         last = context_rows(store)[-1]
-        assert store.new_accessor().section_text(last) == "many"
+        assert joined_text(scope(store.new_accessor(), last)) == "many"
 
     def test_after_a_rolled_back_load(self):
         """The last section of the last document runs into tombstones."""
@@ -299,7 +307,7 @@ class TestAgainstTheHopWalk:
         store = XmlStore()
         store.store_document(document(FLAT, "only.xml"))
         last = context_rows(store)[-1]
-        run = store.new_accessor().subtree(last, siblings=True)
+        run = store.new_accessor().run(last, siblings=True)[1:]
         assert run and store.xml_table.next_rowids(1)[0] > run[-1].rowid
         assert list(store.xml_table.rows_after(run[-1].rowid, now(store))) == []
         assert_reads_agree(store)
@@ -310,9 +318,9 @@ class TestAgainstTheHopWalk:
         store.store_document(document(("title", {}, [])))
         [first, second] = context_rows(store)
         assert first.PARENTROWID is None
-        assert store.new_accessor().section_scope(first) == []
+        assert scope(store.new_accessor(), first) == []
         assert store.new_accessor().context_title(first) == "alpha x"
-        assert store.new_accessor().subtree(second, siblings=True) == []
+        assert store.new_accessor().run(second, siblings=True)[1:] == []
         assert_reads_agree(store)
 
     def test_store_reopened_through_recover(self):
@@ -346,9 +354,9 @@ class TestPinnedRun:
         last = context_rows(store)[-1]
         with store.snapshot() as snapshot:
             pinned = store.new_accessor(snapshot)
-            before = pinned.subtree(last, siblings=True)
+            before = pinned.run(last, siblings=True)[1:]
             store.store_document(document(FLAT, "unseen.xml"))
-            assert store.new_accessor(snapshot).subtree(last, siblings=True) == before
+            assert store.new_accessor(snapshot).run(last, siblings=True)[1:] == before
             assert list(
                 store.xml_table.rows_after(before[-1].rowid, snapshot.lsn)
             ) == []
@@ -366,7 +374,7 @@ class TestPinnedRun:
             expected = oracle.subtree(root)
             store.delete_document(result.doc_id)
             pinned = store.new_accessor(snapshot)
-            assert pinned.subtree(root) == expected
+            assert pinned.run(root)[1:] == expected
             assert serialize(
                 compose_document(result.doc_id, pinned)
             ) == serialize(oracle.compose_document(result.doc_id))
@@ -377,14 +385,14 @@ class TestPinnedRun:
 
 
 class TestOneWindow:
-    """``subtree`` reads a run in one ``Table.rows_after`` window with
+    """``run`` reads a run in one ``Table.rows_after`` window with
     one head check, and counts the rows it pulled: the run, and the row
     that ended it when a row did."""
 
     @staticmethod
     def fetched(accessor, row):
         accessor.stats.reset()
-        run = accessor.subtree(row, siblings=True)
+        run = accessor.run(row, siblings=True)[1:]
         assert accessor.stats.batch_fetches == 1
         return run, accessor.stats.rows_fetched
 
@@ -395,7 +403,7 @@ class TestOneWindow:
         accessor, endings = store.new_accessor(), []
         for row in context_rows(store):
             run, pulled = self.fetched(accessor, row)
-            assert run == accessor.subtree(row) + accessor.section_scope(row)
+            assert run == accessor.run(row)[1:] + scope(accessor, row)
             after = run[-1].rowid if run else row.rowid
             stopper = store.xml_table.rows_after(after, now(store), lambda rows: next(rows, None))
             assert pulled == len(run) + (stopper is not None)
@@ -431,7 +439,7 @@ class TestOneWindow:
             table.vacuum_versions()
             assert bool(table._history) is history
             with pytest.raises(RowIdError, match="not visible"):
-                accessor.subtree(head, siblings=True)
+                accessor.run(head, siblings=True)[1:]
 
     def test_runs_read_under_a_real_writer_are_the_runs_at_their_lsn(self):
         """Two reader threads pin, and read every section's run, while a
@@ -470,7 +478,7 @@ class TestOneWindow:
                     for entry in store.documents(snapshot):
                         for row in accessor.lookup_rows("DOC_ID", entry.doc_id):
                             if accessor.is_context(row):
-                                runs[row.rowid] = accessor.subtree(row, siblings=True)
+                                runs[row.rowid] = accessor.run(row, siblings=True)[1:]
             except Exception as error:  # noqa: BLE001 - reported below
                 errors.append(error)
 
@@ -489,7 +497,7 @@ class TestOneWindow:
             for snapshot, runs in taken:
                 accessor = store.new_accessor(snapshot)
                 for rowid, run in runs.items():
-                    assert accessor.subtree(accessor.node(rowid), siblings=True) == run
+                    assert accessor.run(accessor.node(rowid), siblings=True)[1:] == run
         finally:
             for snapshot, _ in taken:
                 snapshot.release()

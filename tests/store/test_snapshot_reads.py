@@ -208,7 +208,7 @@ class TestPinnedReadersUnderARealWriter:
         results = engine.execute(self.QUERY, snapshot=snap)
         accessor = store.new_accessor(snap)
         runs = [
-            accessor.subtree(accessor.node(match.rowid), siblings=True)
+            accessor.run(accessor.node(match.rowid), siblings=True)[1:]
             for match in results
         ]
         rowids = [
