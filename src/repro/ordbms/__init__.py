@@ -19,7 +19,7 @@ from repro.ordbms.database import Database, DatabaseStats
 from repro.ordbms.mvcc import ABSENT, MvccState, Snapshot
 from repro.ordbms.recovery import RecoveryResult, recover
 from repro.ordbms.rowid import RowId
-from repro.ordbms.schema import Column, ForeignKey, TableSchema
+from repro.ordbms.schema import Column, TableSchema
 from repro.ordbms.snapshot import dump_database, load_database
 from repro.ordbms.table import Table
 from repro.ordbms.textindex import STOPWORDS, TextIndex, tokenize
@@ -53,7 +53,6 @@ __all__ = [
     "DataType",
     "FLOAT",
     "FileLogDevice",
-    "ForeignKey",
     "INTEGER",
     "LogDevice",
     "MemoryLogDevice",

@@ -1,15 +1,13 @@
 """Table and column definitions for the ORDBMS substrate.
 
 A :class:`TableSchema` is a named, ordered collection of :class:`Column`
-definitions plus optional primary-key and unique constraints.  Schemas are
-immutable after construction; the catalog owns the mapping from names to
-schemas.
+definitions plus an optional primary key.  Schemas are immutable after
+construction; the catalog owns the mapping from names to schemas.
 
 Only the features the NETMARK generated schema needs are implemented:
-scalar columns, NOT NULL, a single-column primary key, unique constraints,
-and defaults.  Foreign keys are declared (so the catalog can describe the
-``DOC_ID`` relationship in Fig 5) but enforcement is optional per table,
-because NETMARK bulk-loads parent and child rows in one statement.
+scalar columns, NOT NULL, a single-column primary key and defaults.  The
+two NETMARK tables are joined by address (a DOC row's ``ROOTROWID``), not
+by a declared key.
 
 A schema also fixes the one shape a row of its table ever has
 (:attr:`TableSchema.row_type`): an immutable named tuple of the columns,
@@ -79,28 +77,12 @@ class Column:
 
 
 @dataclass(frozen=True)
-class ForeignKey:
-    """A declared (not necessarily enforced) foreign-key relationship."""
-
-    column: str
-    ref_table: str
-    ref_column: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "column", self.column.upper())
-        object.__setattr__(self, "ref_table", self.ref_table.upper())
-        object.__setattr__(self, "ref_column", self.ref_column.upper())
-
-
-@dataclass(frozen=True)
 class TableSchema:
     """An immutable table definition."""
 
     name: str
     columns: tuple[Column, ...]
     primary_key: str | None = None
-    unique: tuple[str, ...] = ()
-    foreign_keys: tuple[ForeignKey, ...] = ()
     _index: Mapping[str, int] = field(default_factory=dict, repr=False, compare=False)
     #: The class of every stored row: the columns, then ``rowid``.
     row_type: type = field(init=False, repr=False, compare=False)
@@ -132,18 +114,6 @@ class TableSchema:
             if self.primary_key not in index:
                 raise SchemaError(
                     f"primary key {self.primary_key} is not a column of {self.name}"
-                )
-        normalized_unique = tuple(u.upper() for u in self.unique)
-        object.__setattr__(self, "unique", normalized_unique)
-        for unique_col in normalized_unique:
-            if unique_col not in index:
-                raise SchemaError(
-                    f"unique column {unique_col} is not a column of {self.name}"
-                )
-        for fk in self.foreign_keys:
-            if fk.column not in index:
-                raise SchemaError(
-                    f"foreign key column {fk.column} is not a column of {self.name}"
                 )
 
     # -- lookups ---------------------------------------------------------

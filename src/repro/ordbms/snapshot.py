@@ -4,16 +4,16 @@ NETMARK's database "is nothing more than an intelligent storage
 component"; intelligent storage survives restarts.  A snapshot captures
 everything — schemas, declared indexes, and every heap slot *including
 tombstoned ones* — so that physical ROWIDs come back identical, which
-matters because ROWIDs are stored inside XML-table rows (``PARENTROWID``)
+matters because ROWIDs are stored inside rows (``PARENTROWID``, ``ROOTROWID``)
 and ROWID order is document order.  Indexes are rebuilt from the
 restored heaps rather than serialised; they are derived state.
 
 Format: a line-oriented text format (version-stamped), one section per
 table::
 
-    %NETMARK-SNAPSHOT 3
+    %NETMARK-SNAPSHOT 4
     TABLE <name>
-    SCHEMA <json-ish schema line>
+    SCHEMA <columns> <primary key> <B+trees> <text indexes>
     ROW <slot> <the row's image>
     TOMB <slot>
     ...
@@ -24,9 +24,10 @@ forms, tab-separated, each written by its column's type — no value tag,
 the ``SCHEMA`` line above says what each column is — with ``~`` for
 NULL and strings escaped once (:mod:`repro.ordbms.valuecodec`).  A ROWID,
 the slot's address and a ``ROWID`` column's value alike, is its decimal
-slot number.  A dump in an older dialect — version 1's tagged values,
-version 2's ``F<file>.B<block>.S<slot>`` addresses — is refused by its
-magic line.
+slot number.  The ``SCHEMA`` line's fields are tab-separated, ``-``
+for none.  A dump in an older dialect — version 1's tagged values,
+version 2's ``F<file>.B<block>.S<slot>`` addresses, version 3's unique
+and foreign-key fields — is refused by its magic line.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from typing import Any
 from repro.errors import DatabaseError
 from repro.ordbms.database import Database
 from repro.ordbms.rowid import RowId
-from repro.ordbms.schema import Column, ForeignKey, TableSchema
+from repro.ordbms.schema import Column, TableSchema
 from repro.ordbms.table import Table
 from repro.ordbms.types import ALL_TYPES
 from repro.ordbms.valuecodec import SEPARATOR
 
-MAGIC = "%NETMARK-SNAPSHOT 3"
+MAGIC = "%NETMARK-SNAPSHOT 4"
 
 _TYPE_NAMES = {dtype.name: dtype for dtype in ALL_TYPES}
 
@@ -54,29 +55,22 @@ def _encode_schema(table: Table) -> str:
         for column in schema.columns
     )
     pk = schema.primary_key or "-"
-    unique = "|".join(schema.unique) or "-"
-    fks = "|".join(
-        f"{fk.column}>{fk.ref_table}.{fk.ref_column}"
-        for fk in schema.foreign_keys
-    ) or "-"
     indexes = "|".join(
-        column
-        for column in table.index_columns
-        if column != schema.primary_key and column not in schema.unique
+        column for column in table.index_columns if column != schema.primary_key
     ) or "-"
     text_indexes = "|".join(
         column.name
         for column in schema.columns
         if table.text_index_on(column.name) is not None
     ) or "-"
-    return "\t".join([header, pk, unique, fks, indexes, text_indexes])
+    return "\t".join([header, pk, indexes, text_indexes])
 
 
 def _decode_schema(name: str, line: str) -> tuple[TableSchema, list[str], list[str]]:
     fields = line.split("\t")
-    if len(fields) != 6:
-        raise DatabaseError(f"table {name}: SCHEMA has {len(fields)} fields, not 6")
-    header, pk, unique, fks, indexes, text_indexes = fields
+    if len(fields) != 4:
+        raise DatabaseError(f"table {name}: SCHEMA has {len(fields)} fields, not 4")
+    header, pk, indexes, text_indexes = fields
     columns: list[Column] = []
     for part in header.split(","):
         column_name, _, type_part = part.partition(":")
@@ -86,19 +80,7 @@ def _decode_schema(name: str, line: str) -> tuple[TableSchema, list[str], list[s
         if dtype is None:
             raise DatabaseError(f"unknown snapshot column type {type_name!r}")
         columns.append(Column(column_name, dtype, nullable=nullable))
-    foreign_keys = []
-    if fks != "-":
-        for fk_part in fks.split("|"):
-            column, _, reference = fk_part.partition(">")
-            ref_table, _, ref_column = reference.partition(".")
-            foreign_keys.append(ForeignKey(column, ref_table, ref_column))
-    schema = TableSchema(
-        name,
-        tuple(columns),
-        primary_key=None if pk == "-" else pk,
-        unique=() if unique == "-" else tuple(unique.split("|")),
-        foreign_keys=tuple(foreign_keys),
-    )
+    schema = TableSchema(name, tuple(columns), primary_key=None if pk == "-" else pk)
     extra_indexes = [] if indexes == "-" else indexes.split("|")
     text_index_columns = [] if text_indexes == "-" else text_indexes.split("|")
     return schema, extra_indexes, text_index_columns

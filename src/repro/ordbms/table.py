@@ -4,8 +4,8 @@ A :class:`Table` binds a :class:`~repro.ordbms.schema.TableSchema` to a
 :class:`~repro.ordbms.storage.HeapFile` and keeps every secondary
 :class:`~repro.ordbms.btree.BTreeIndex` and
 :class:`~repro.ordbms.textindex.TextIndex` consistent across inserts,
-updates and deletes.  Primary-key and unique constraints are enforced via
-automatically created B+tree indexes, so enforcement is O(log n).
+updates and deletes.  A primary key is enforced via an automatically
+created B+tree index, so enforcement is O(log n).
 
 A row has one shape (:attr:`TableSchema.row_type
 <repro.ordbms.schema.TableSchema.row_type>`): :meth:`Table.insert` builds
@@ -119,12 +119,9 @@ class Table:
         #: The text indexes' per-row facts: the streaming pass, what makes
         #: a fresh one, the heading and sections tests (:meth:`derive_facts`).
         self._pass = self._new_pass = self._heading = self._sections = None
-        # Unique enforcement piggybacks on B+tree indexes over these columns.
-        self._unique_columns = list(
-            dict.fromkeys(filter(None, (schema.primary_key, *schema.unique)))
-        )
-        for column in self._unique_columns:
-            self.create_index(column)
+        # Primary-key enforcement piggybacks on a B+tree over the key.
+        if schema.primary_key is not None:
+            self.create_index(schema.primary_key)
 
     # -- MVCC ----------------------------------------------------------------
 
@@ -305,7 +302,7 @@ class Table:
         on this table (:func:`apply_statement`).
 
         Every slot must hold its ``before`` and an insert must take the
-        heap's tail, none may be named twice and unique columns must
+        heap's tail, none may be named twice and the primary key must
         stay unique, else :class:`~repro.errors.RowIdError` /
         :class:`~repro.errors.ConstraintError` and nothing moved.
         """
@@ -370,10 +367,10 @@ class Table:
                         f"the change replaces"
                     )
             held.append(row)
-        # A unique value an ``after`` brings is held by no other ``after``
-        # and by no row outside the batch's slots (theirs move away): one
-        # range read over the batch's values finds every stored holder.
-        for column in self._unique_columns:
+        # A key an ``after`` brings is held by no other ``after`` and by
+        # no row outside the batch's slots (theirs move away): one range
+        # read over the batch's keys finds every stored holder.
+        if (column := self.schema.primary_key) is not None:
             position, index = self.schema.position(column), self._indexes[column]
             values: set[Any] = set()
             for _, after in pairs:

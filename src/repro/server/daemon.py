@@ -43,6 +43,7 @@ from repro.obs import NULL_TRACER, Tracer
 from repro.resilience.clock import LogicalClock
 from repro.resilience.retry import RetryPolicy, RetryStats, call_with_retry
 from repro.server.vfs import VirtualFileSystem, base_name, normalize_path
+from repro.store.compose import document_rows
 from repro.store.xmlstore import XmlStore
 
 
@@ -206,14 +207,14 @@ class NetmarkDaemon:
             if self.vfs.is_file(path):
                 self._move(path, self.processed_folder)
             entry = self.store.lookup_by_name(name)
-            doc_id = entry.doc_id if entry is not None else None
-            node_count = (
-                len(self.store.xml_table.lookup("DOC_ID", doc_id))
-                if doc_id is not None
-                else 0
-            )
+            doc_id, node_count, error = None if entry is None else entry.doc_id, 0, ""
+            if doc_id is not None:
+                try:
+                    node_count = len(document_rows(doc_id, self.store.new_accessor()))
+                except ReproError as failure:  # the statement landed; its rows are fsck's to judge
+                    error = f"stored, but its rows could not be read: {failure}"
             return IngestRecord(
-                path=path, status="stored", doc_id=doc_id, node_count=node_count
+                path=path, status="stored", doc_id=doc_id, node_count=node_count, error=error
             )
         if self.vfs.is_file(path):
             self._remember_skip(path)

@@ -50,7 +50,7 @@ from repro import obs
 from repro.errors import RowIdError
 from repro.ordbms import Database, RowId, Snapshot
 from repro.sgml.nodetypes import NodeType
-from repro.store.schema import XML_TABLE, XmlRow
+from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow
 
 
 @dataclass
@@ -152,7 +152,7 @@ class NodeAccessor:
     """
 
     def __init__(self, database: Database, snapshot: Snapshot | None = None) -> None:
-        self.table = database.table(XML_TABLE)
+        self.table, self._docs = database.table(XML_TABLE), database.table(DOC_TABLE)
         self.stats = AccessorStats()
         #: The commit LSN every read of this accessor resolves at.
         self.lsn = database.mvcc.read_lsn(snapshot)
@@ -201,14 +201,10 @@ class NodeAccessor:
 
     # -- probes as of the LSN ----------------------------------------------------
 
-    def lookup_rowids(self, column: str, value: Any) -> list[RowId]:
-        """Addresses of the rows whose (indexed) ``column`` equals
-        ``value``, in physical order — no row fetched."""
-        return self.table.snapshot_rowids(column, value, self.lsn)
-
     def lookup_rows(self, column: str, value: Any) -> list[XmlRow]:
-        """The rows at :meth:`lookup_rowids`, in one batch."""
-        return self.nodes(self.lookup_rowids(column, value))
+        """The rows whose (indexed) ``column`` equals ``value``, in
+        physical order, in one batch."""
+        return self.nodes(self.table.snapshot_rowids(column, value, self.lsn))
 
     # -- node predicates -------------------------------------------------------
 
@@ -253,14 +249,22 @@ class NodeAccessor:
         written, the document deleted since or not."""
         done = self._passes.get(doc_id)
         if done is None:
-            rows = self.lookup_rows("DOC_ID", doc_id)
-            if not rows:
-                raise RowIdError(f"document {doc_id} is not visible at LSN {self.lsn}")
-            self._held[doc_id] = rows
+            rows = self._held[doc_id] = self.document(doc_id)
             done = self._passes[doc_id] = SectionPass({})
             for row in rows:
+                self._rows[row.rowid] = row
                 done(row)
         return done
+
+    def document(self, doc_id: int) -> list[XmlRow]:
+        """Document ``doc_id``'s rows as of :attr:`lsn`, in document order:
+        one hop from its DOC row's ``ROOTROWID`` to the root, then the
+        root's :meth:`run` — a document is one ROWID run (fsck
+        ``doc-order``), which the next parentless row ends."""
+        docs = self._docs.snapshot_search("DOC_ID", doc_id, self.lsn)
+        if not docs:
+            raise RowIdError(f"document {doc_id} is not visible at LSN {self.lsn}")
+        return self.run(self.node(docs[0].ROOTROWID))
 
     def run(self, row: XmlRow, siblings: bool = False) -> list[XmlRow]:
         """``row`` and all its descendant rows in document order — one
@@ -273,9 +277,9 @@ class NodeAccessor:
         non-CONTEXT siblings of ``row`` and their subtrees — the paper's
         walk "back down the tree structure via the sibling node", i.e.
         the whole section a CONTEXT ``row`` heads, its heading and its
-        scope (:func:`split_section` parts them).  Another document's
-        row, or a slot with no row in this view, ends the run: a
-        document is visible whole or not at all.
+        scope (:func:`split_section` parts them).  A row with no parent
+        — the next document's root — or a slot with no row in this view
+        ends the run: a document is visible whole or not at all.
         """
         self.stats.batch_fetches += 1
         run, stopped = self.table.rows_after(
@@ -303,13 +307,14 @@ def _run(head: XmlRow, rows: Iterable[XmlRow], siblings: bool) -> tuple[list[Xml
     A parent's slot comes before its child's (fsck ``doc-order``), so
     while the run is unbroken a row's parent is in it exactly when the
     parent's slot is at or after the head's: membership is one compare
-    of slot numbers.  The rest of the run are the admitted siblings."""
-    doc_id, beside, first = head.DOC_ID, head.PARENTROWID, head.rowid
+    of slot numbers.  The rest of the run are the admitted siblings.  A
+    parentless row is the next document's root: the run ends there."""
+    beside, first = head.PARENTROWID, head.rowid
     run = [head]
     for candidate in rows:
         above = candidate.PARENTROWID
-        if candidate.DOC_ID != doc_id or not (
-            above is not None and above >= first
+        if above is None or not (
+            above >= first
             or siblings and above == beside and candidate.NODETYPE != _CONTEXT
         ):
             return run, 1

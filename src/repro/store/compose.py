@@ -8,7 +8,7 @@ DOM for the facade, where a SIMULATION row's element is ``synthetic``).
 
 All row access funnels through a :class:`~repro.store.accessor.NodeAccessor`:
 a node, a section or a whole document is one forward read of the rows
-stored after its first (:meth:`NodeAccessor.subtree`), in document order,
+stored after its first (:meth:`NodeAccessor.run`), in document order,
 as of the accessor's commit LSN.
 
 The decompose→compose round trip preserves structure, attributes, text
@@ -71,23 +71,15 @@ def compose_node(row: XmlRow, accessor: NodeAccessor) -> Element | Text:
 
 
 def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
-    """Document ``doc_id``'s rows: one ROWID run in document order, its
-    lowest address its root element and the rest exactly the root's
-    subtree — ``XML.DOC_ID``'s postings say how many rows that must be.
-    A whole read: the accessor publishes what it read."""
-    rowids = accessor.lookup_rowids("DOC_ID", doc_id)
-    rows = accessor.nodes(rowids[:1])
-    if rows:
-        rows = accessor.run(rows[0])
+    """Document ``doc_id``'s rows: one ROWID run in document order, from
+    the root its DOC row names (:meth:`NodeAccessor.document`), which must
+    be a parentless element of this document.  A whole read: the
+    accessor publishes what it read."""
+    rows = accessor.document(doc_id)
     accessor.publish()
-    if (
-        len(rows) != len(rowids) or not rows or rows[0].PARENTROWID is not None
-        or accessor.is_text(rows[0])
-    ):
-        raise StoreError(
-            f"document {doc_id}'s {len(rowids)} rows are not one root element "
-            f"followed by its subtree"
-        )
+    root = rows[0]
+    if root.PARENTROWID is not None or root.DOC_ID != doc_id or accessor.is_text(root):
+        raise StoreError(f"document {doc_id}'s ROOTROWID {root.rowid} is not its root element")
     return rows
 
 

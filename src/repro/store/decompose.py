@@ -11,7 +11,8 @@ so the addresses the rows will land at are known up front
 (:meth:`repro.ordbms.table.Table.next_rowids`): every row is written
 once, already carrying its parent's ROWID (``PARENTROWID``), and is
 never touched again.
-The DOC row and the node rows go in as one statement
+The DOC row, which names the root's ROWID (``ROOTROWID``), and the node
+rows go in as one statement
 (:meth:`repro.ordbms.Database.change`), one WAL record, which refuses a
 row whose address is not the next one its heap hands out — and then
 nothing moves in either table.  The result is the traversal structure
@@ -64,6 +65,7 @@ class Decomposer:
         size = document.metadata.get("char_size")
         flat = _flatten(document.root)
         doc, xml = database.table(DOC_TABLE), database.table(XML_TABLE)
+        rowids = xml.next_rowids(len(flat))
         doc_row = doc.schema.row(
             {
                 "DOC_ID": doc_id,
@@ -72,10 +74,10 @@ class Decomposer:
                 "FILE_SIZE": size if isinstance(size, int) else None,
                 "FORMAT": str(document.metadata.get("format", "unknown")),
                 "METADATA": encode_metadata(document.metadata),
+                "ROOTROWID": rowids[0],
             },
             doc.next_rowids(1)[0],
         )
-        rowids = xml.next_rowids(len(flat))
         row, classify, pairs = xml.schema.row_of_image, self._config.classify, []
         for position, (node, parent) in enumerate(flat):
             is_element = isinstance(node, Element)

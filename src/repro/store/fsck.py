@@ -8,11 +8,13 @@ enforce those, so this module does, after the fact:
 * every ``NODETYPE`` is one of the five NETMARK types;
 * each document's rows, taken in ROWID order, are one run laid out as a
   pre-order walk of one tree — the layout the read path's forward reads
-  (:meth:`repro.store.accessor.NodeAccessor.subtree`) stand on, and the
-  only record of sibling order — and ``DOC_ID`` rises with the ROWID.
-  This one walk is the structural check: a parent that is no live row
-  of the document, a parent chain that loops, a document with no root
-  or two all break it, and its report says which;
+  (:meth:`repro.store.accessor.NodeAccessor.run`) stand on, and the
+  only record of sibling order — and ``DOC_ID`` rises with the ROWID;
+  the DOC row's ``ROOTROWID`` names the run's first row, where every
+  reader of a whole document starts.  This one walk is the structural
+  check: a parent that is no live row of the document, a parent chain
+  that loops, a document with no root or two, a ``ROOTROWID`` that
+  names any other slot all break it, and its report says which;
 * DOC↔XML referential integrity both ways (no orphaned nodes, no empty
   documents);
 * derived state agrees with the rows: every B+tree and text index on
@@ -43,7 +45,7 @@ from repro.errors import CatalogError, FsckError, StoreError
 from repro.ordbms import Database, RowId, Table
 from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import SectionPass
-from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow, require_netmark_schema
+from repro.store.schema import DOC_TABLE, XML_TABLE, DocRow, XmlRow, require_netmark_schema
 
 #: Violation codes, in check order.  Codes marked repairable concern
 #: derived state that :func:`repair_store` can rebuild from the rows.
@@ -122,13 +124,14 @@ def check_store(database: Database) -> FsckReport:
     """Run every invariant check; never mutates the database."""
     doc_table, xml_table = _netmark_tables(database)
     report = FsckReport()
-    doc_ids = {row.DOC_ID for row in doc_table.scan()}
+    docs = list(doc_table.scan())
+    doc_ids = {row.DOC_ID for row in docs}
     report.documents_checked = len(doc_ids)
     nodes = list(xml_table.scan())
     report.nodes_checked = len(nodes)
     by_rowid: dict[RowId, XmlRow] = {row.rowid: row for row in nodes}
     _check_node_fields(report, nodes, doc_ids)
-    _check_doc_order(report, nodes, by_rowid)
+    _check_doc_order(report, docs, nodes, by_rowid)
     facts = None
     if report.ok:  # a pass needs sound links, in document order
         facts = _check_section_facts(report, database, by_rowid)
@@ -184,9 +187,10 @@ def _check_node_fields(report: FsckReport, nodes: list[XmlRow], doc_ids: set[int
 
 
 def _check_doc_order(
-    report: FsckReport, nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
+    report: FsckReport, docs: list[DocRow], nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
 ) -> None:
-    """Each document is one ROWID run, laid out as a pre-order walk.
+    """Each document is one ROWID run, laid out as a pre-order walk, and
+    its DOC row's ``ROOTROWID`` names the run's first row.
 
     Walking the heap in physical order, ``DOC_ID`` must rise with the
     ROWID (so no other document's live row sits inside a run), a run
@@ -195,16 +199,20 @@ def _check_doc_order(
     is a live row of the same document stored before its children, no
     parent chain loops and every subtree is contiguous.  Sibling order
     is ROWID order, so nothing else says what it should be.  One report
-    per document, at the first row that breaks the walk, saying why;
-    nothing here is derivable, so ``--repair`` leaves it.
+    per document, at the first row that breaks the walk, saying why —
+    else, if its ``ROOTROWID`` is wrong, at its DOC row (a document
+    with no rows is ``empty-document``'s).  Nothing here is derivable —
+    ``ROOTROWID`` is stored, not rebuilt — so ``--repair`` leaves it.
     """
     broken: set[int] = set()
+    first: dict[int, RowId] = {}  # doc id -> the first row of its run
     doc_id, latest = None, float("-inf")
     path: list[RowId] = []  # open ancestors
     for row in nodes:
         parent, problem = row.PARENTROWID, ""
         if row.DOC_ID != doc_id:
             doc_id, path = row.DOC_ID, []
+            first.setdefault(doc_id, row.rowid)
             if doc_id <= latest:
                 problem = f"DOC_ID does not rise: document {latest}'s rows come first"
             elif parent is not None:
@@ -224,6 +232,14 @@ def _check_doc_order(
                         f"rows are not a pre-order walk of the tree: {problem}")
         else:
             path.append(row.rowid)
+    for doc in docs:
+        root, named = first.get(doc.DOC_ID), by_rowid.get(doc.ROOTROWID)
+        if root is not None and doc.DOC_ID not in broken and doc.ROOTROWID != root:
+            what = ("no live XML row" if named is None
+                    else f"a row of document {named.DOC_ID}" if named.DOC_ID != doc.DOC_ID
+                    else "not its root")
+            report.flag("doc-order", DOC_TABLE, doc.rowid, doc.DOC_ID,
+                        f"ROOTROWID {doc.ROOTROWID} is {what}: the run starts at {root}")
 
 
 def _cause(row: XmlRow, by_rowid: dict[RowId, XmlRow]) -> str:

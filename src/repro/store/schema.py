@@ -6,32 +6,35 @@ Two tables store *every* document of *any* type — the schema-less claim:
     ``DOC_ID`` (PK), ``FILE_NAME``, ``FILE_DATE``, ``FILE_SIZE``,
     plus ``FORMAT`` and ``METADATA`` (converter facts, serialised
     ``key=value;`` text) which the paper's figure omits but its
-    applications clearly use.
+    applications clearly use, and ``ROOTROWID`` — the *physical ROWID*
+    of the document's root node row.
 
 ``XML`` — one row per decomposed node, with no key of its own: a node
 *is* its ROWID.
-    ``DOC_ID`` (FK to DOC),
+    ``DOC_ID`` — the document the node belongs to,
     ``PARENTROWID`` — *physical ROWID* of the parent node row,
     ``NODETYPE`` — the five-way NETMARK type (1..5),
     ``NODENAME`` — element tag (NULL for text nodes),
     ``NODEDATA`` — character data (NULL for element nodes),
     ``ATTRS`` — serialised element attributes.
 
-The row keeps only what a read follows.  The up-hop is ``PARENTROWID``;
-the down- and across-hops are the forward read, since a document's rows
-are one ROWID run in document order: a node's subtree is the rows that
-follow it, and its next sibling is the next ROWID past that subtree,
-if that row's ``PARENTROWID`` is the node's own.  Position among siblings is
-ROWID order, so no column stores it.
+The two tables are joined by address, not by key.  A document's rows
+are one ROWID run in document order, so the document is found from its
+DOC row by one hop to ``ROOTROWID`` and one forward read, which ends at
+the next row without a parent; within the run a node's subtree is the
+rows that follow it, and its next sibling is the next ROWID past that
+subtree, if that row's ``PARENTROWID`` is the node's own.  The up-hop is
+``PARENTROWID``.  Position among siblings is ROWID order, so no column
+stores it.
 
 Indexes created with the schema (:data:`INDEXES`), beside ``DOC_ID``'s
 primary key: B+trees on ``DOC.FILE_NAME`` (the write path's "is this name
-already stored" probe), ``XML.DOC_ID`` (a document's rows) and
-``XML.NODENAME`` (the nodename search), plus the text index on
-``XML.NODEDATA`` (the Oracle Text stand-in the query path hits first).
-Nothing probes by parent: which section a row belongs to is what one
-pass over its document in ROWID order says.  A store has exactly these
-B+trees; a dump or checkpoint declaring others is refused, not aligned.
+already stored" probe) and ``XML.NODENAME`` (the nodename search), plus
+the text index on ``XML.NODEDATA`` (the Oracle Text stand-in the query
+path hits first).  Nothing probes XML by document or by parent: which
+section a row belongs to is what one pass over its document in ROWID
+order says.  A store has exactly these B+trees; a dump or checkpoint
+declaring others is refused, not aligned.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from repro.ordbms import (
     VARCHAR,
     Column,
     Database,
-    ForeignKey,
     Table,
     TableSchema,
 )
@@ -66,6 +68,7 @@ def doc_schema() -> TableSchema:
             Column("FILE_SIZE", INTEGER),
             Column("FORMAT", VARCHAR),
             Column("METADATA", CLOB),
+            Column("ROOTROWID", ROWID, nullable=False),
         ),
         primary_key="DOC_ID",
     )
@@ -83,7 +86,6 @@ def xml_schema() -> TableSchema:
             Column("NODEDATA", CLOB),
             Column("ATTRS", CLOB),
         ),
-        foreign_keys=(ForeignKey("DOC_ID", DOC_TABLE, "DOC_ID"),),
     )
 
 
@@ -95,7 +97,7 @@ XmlRow = xml_schema().row_type
 
 
 #: The B+trees each table carries beside its primary key's.
-INDEXES = {DOC_TABLE: ("FILE_NAME",), XML_TABLE: ("DOC_ID", "NODENAME")}
+INDEXES = {DOC_TABLE: ("FILE_NAME",), XML_TABLE: ("NODENAME",)}
 
 
 def create_netmark_schema(database: Database) -> tuple[Table, Table]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
 from repro.converters import convert
@@ -200,11 +201,18 @@ class XmlStore:
 
     def delete_document(self, doc_id: int) -> int:
         """Remove a document and all its nodes, as one statement; returns
-        nodes removed."""
+        nodes removed.  The nodes are the run from the root its DOC row
+        names, read off the heap as it stands (the writer's own pre-read)."""
         doc_rows = self._doc_table.lookup("DOC_ID", doc_id)
         if not doc_rows:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
-        node_rows = self._xml_table.lookup("DOC_ID", doc_id)
+        xml, node_rows = self._xml_table, []
+        # The run ends at a tombstone, the heap tail, the next root or another document's row.
+        for slot in count(doc_rows[0].ROOTROWID):
+            row = xml.fetch(slot) if xml.exists(slot) else None
+            if row is None or row.DOC_ID != doc_id or node_rows and row.PARENTROWID is None:
+                break
+            node_rows.append(row)
         self.database.change([
             (XML_TABLE, [(row, None) for row in node_rows]),
             (DOC_TABLE, [(doc_rows[0], None)]),
@@ -310,9 +318,7 @@ class XmlStore:
         """CONTEXT element rows of one document, in document order."""
         accessor = self.new_accessor()
         self.entry_at(doc_id, accessor.lsn)  # raises if unknown
-        rows = accessor.lookup_rows("DOC_ID", doc_id)
-        accessor.publish()
-        return filter(NodeAccessor.is_context, rows)
+        return filter(NodeAccessor.is_context, document_rows(doc_id, accessor))
 
     # -- table access for the query layer -------------------------------------
 

@@ -15,7 +15,7 @@ from repro.query.results import SectionMatch
 from repro.server.http import NetmarkHttpApi
 from repro.server.webdav import WebDavServer
 from repro.sgml.dom import Document, Element
-from repro.store import XmlStore
+from repro.store import XmlStore, check_store
 from repro.workloads.corpus import _render
 from repro.xslt.xpath import node_string_value
 
@@ -37,10 +37,13 @@ class TestErrorTypes:
 
 class TestComposeMultiRoot:
     def test_multiple_roots_detected(self):
+        """A second parentless row ends the run a reader takes from the
+        root, so it is fsck's to find; a ROOTROWID that names no root is
+        refused by the reader itself."""
         store = XmlStore()
         result = store.store_text("# A\nx\n", "a.md")
         # Manually corrupt: insert a second parentless row for the doc.
-        store.database.insert(
+        rogue = store.database.insert(
             "XML",
             {
                 "DOC_ID": result.doc_id,
@@ -49,7 +52,13 @@ class TestComposeMultiRoot:
                 "NODENAME": "rogue",
             },
         )
-        with pytest.raises(StoreError):
+        [found] = check_store(store.database).violations
+        assert (found.code, found.rowid) == ("doc-order", str(rogue))
+        assert "a second root" in found.detail
+        [doc] = store.doc_table.lookup("DOC_ID", result.doc_id)
+        child = store.new_accessor().document(result.doc_id)[1]
+        store.database.update("DOC", doc.rowid, {"ROOTROWID": child.rowid})
+        with pytest.raises(StoreError, match="is not its root element"):
             store.document(result.doc_id)
 
 

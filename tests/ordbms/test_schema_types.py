@@ -13,7 +13,6 @@ from repro.ordbms import (
     TIMESTAMP,
     VARCHAR,
     Column,
-    ForeignKey,
     RowId,
     TableSchema,
 )
@@ -98,13 +97,12 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             make_schema(primary_key="NOPE")
 
-    def test_unique_must_exist(self):
-        with pytest.raises(SchemaError):
-            make_schema(unique=("NOPE",))
-
-    def test_foreign_key_column_must_exist(self):
-        with pytest.raises(SchemaError):
-            make_schema(foreign_keys=(ForeignKey("NOPE", "OTHER", "ID"),))
+    @pytest.mark.parametrize("declared", ["unique", "foreign_keys"])
+    def test_a_primary_key_is_the_only_constraint(self, declared):
+        """No unique column and no foreign key: the NETMARK tables are
+        joined by address, and the primary key is all a table enforces."""
+        with pytest.raises(TypeError, match=declared):
+            make_schema(**{declared: ("NAME",)})
 
     def test_position_and_column_lookup(self):
         schema = make_schema()

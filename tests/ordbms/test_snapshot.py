@@ -54,9 +54,9 @@ def build_sample() -> tuple[Database, list[RowId]]:
                 Column("WHEN_", TIMESTAMP),
             ),
             primary_key="ID",
-            unique=("NAME",),
         )
     )
+    table.create_index("NAME")
     table.create_index("NOTE")
     table.create_text_index("NOTE")
     rowids = []
@@ -122,7 +122,6 @@ class TestRoundTrip:
         restored = load_database(dump_database(database))
         schema = restored.table("T").schema
         assert schema.primary_key == "ID"
-        assert schema.unique == ("NAME",)
         assert schema.column("WHEN_").dtype.name == "TIMESTAMP"
 
     def test_indexes_rebuilt_and_enforced(self):
@@ -135,7 +134,7 @@ class TestRoundTrip:
         from repro.errors import ConstraintError
 
         with pytest.raises(ConstraintError):
-            restored.insert("T", {"ID": 100, "NAME": "name1"})
+            restored.insert("T", {"ID": 1, "NAME": "another"})
 
     def test_text_index_rebuilt(self):
         database, _ = build_sample()
@@ -354,6 +353,36 @@ class TestHostileSnapshots:
         for load in (load_database, XmlStore.restore):
             with pytest.raises(RowIdError, match="malformed ROWID"):
                 load(version_2.replace("%NETMARK-SNAPSHOT 2", MAGIC, 1))
+
+    def test_a_version_3_dump_is_refused_by_its_magic_line(self):
+        """Version 3 wrote unique and foreign-key fields on each SCHEMA
+        line and no ROOTROWID on a DOC row: a dump of it, and a
+        checkpoint holding one, are refused whole; and such a SCHEMA line
+        under this version's magic is a typed error."""
+        for load in (load_database, XmlStore.restore):
+            with pytest.raises(DatabaseError, match="magic"):
+                load(VERSION_3_DUMP)
+        device = MemoryLogDevice()
+        device.save_checkpoint(encode_checkpoint(0, VERSION_3_DUMP))
+        for reopen in (recover, XmlStore.open):
+            with pytest.raises(DatabaseError, match="magic"):
+                reopen(device)
+        assert device.load_checkpoint() == encode_checkpoint(0, VERSION_3_DUMP)  # left as it was
+        for load in (load_database, XmlStore.restore):
+            with pytest.raises(DatabaseError, match="SCHEMA has 6 fields, not 4"):
+                load(VERSION_3_DUMP.replace("%NETMARK-SNAPSHOT 3", MAGIC, 1))
+
+
+#: ``<doc><h1>Alpha</h1><p>beta</p></doc>`` as version 3 dumped it.
+VERSION_3_DUMP = (
+    "%NETMARK-SNAPSHOT 3\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,"
+    "FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
+    "ROW 0 1\tb.xml\t~\t36\txml\tchar_size=36;format=xml;line_count=1\n"
+    "TABLE XML\nSCHEMA DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,"
+    "ATTRS:CLOB\t-\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
+    "ROW 0 1\t~\t1\tdoc\t~\t~\nROW 1 1\t0\t3\th1\t~\t~\nROW 2 1\t1\t2\t~\tAlpha\t~\n"
+    "ROW 3 1\t0\t1\tp\t~\t~\nROW 4 1\t3\t2\t~\tbeta\t~\n"
+)
 
 
 #: One Markdown file's store as the previous, tagged codec dumped it:

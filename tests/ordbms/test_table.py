@@ -48,8 +48,7 @@ class TestConstraints:
         schema = TableSchema(
             "U",
             (Column("ID", INTEGER, nullable=False), Column("EMAIL", VARCHAR)),
-            primary_key="ID",
-            unique=("EMAIL",),
+            primary_key="EMAIL",
         )
         table = Table(schema)
         table.insert({"ID": 1, "EMAIL": "x@y"})
@@ -122,7 +121,7 @@ class TestUniqueCheckIsOneRangeProbe:
     def test_null_unique_values_are_skipped(self):
         table = Table(TableSchema(
             "U", (Column("ID", INTEGER, nullable=False), Column("EMAIL", VARCHAR)),
-            primary_key="ID", unique=("EMAIL",),
+            primary_key="EMAIL",
         ))
         table.insert({"ID": 1})
         table.change(self.inserts(table, (None, "x@y", None), column="EMAIL"))

@@ -75,10 +75,7 @@ class TestEverySectionStreamsTheDomPathsBytes:
         with store.snapshot() as snapshot:
             accessor = store.new_accessor(snapshot)
             ctx = PlanContext(store, accessor, use_index=True)
-            contexts = [
-                row for row in accessor.lookup_rows("DOC_ID", doc_id)
-                if accessor.is_context(row)
-            ]
+            contexts = [row for row in accessor.document(doc_id) if accessor.is_context(row)]
             assert contexts
             for row in contexts:
                 for indent in (2, None):

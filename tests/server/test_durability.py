@@ -144,6 +144,25 @@ class TestCrashRestart:
         assert vfs.exists("/incoming/processed/r.ndoc")
         assert restarted.poll() == []
 
+    def test_a_settled_ingest_whose_rows_cannot_be_read_says_so(self):
+        """The statement landed, so the ingest is settled as stored; a DOC
+        row whose ROOTROWID names no root leaves its rows unreadable, and
+        the record says that instead of a node count (fsck reports it)."""
+        device = MemoryLogDevice()
+        vfs = VirtualFileSystem()
+        store = XmlStore.open(device)
+        daemon = NetmarkDaemon(store, vfs, "/incoming")
+        vfs.write("/incoming/r.ndoc", NDOC)
+        daemon._journal_begin("/incoming/r.ndoc", NDOC)  # noqa: SLF001
+        result = store.replace_text(NDOC, "r.ndoc")
+        [doc] = store.doc_table.lookup("DOC_ID", result.doc_id)
+        child = store.new_accessor().document(result.doc_id)[1]
+        store.database.update("DOC", doc.rowid, {"ROOTROWID": child.rowid})
+        restarted_store, _, [record] = self.restart(device, vfs)
+        assert record.ok and (record.doc_id, record.node_count) == (result.doc_id, 0)
+        assert "is not its root element" in record.error
+        assert check_store(restarted_store.database).codes() == {"doc-order"}
+
     def test_other_pending_files_still_ingest_after_restart(self):
         device, vfs = self.crash_mid_ingest(sync_index=1)
         vfs.write("/incoming/second.ndoc", NDOC2)

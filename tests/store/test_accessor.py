@@ -101,11 +101,12 @@ class TestInvalidation:
             assert accessor.lsn == snapshot.lsn
             assert accessor.stats.point_fetches == 1
             assert accessor.stats.cache_hits == 1
-            assert accessor.lookup_rowids("DOC_ID", extra.doc_id) == []
+            with pytest.raises(RowIdError):
+                accessor.document(extra.doc_id)
         later = store.new_accessor()
         assert later.lsn > accessor.lsn
         assert later.node(extra.root_rowid).DOC_ID == extra.doc_id
-        assert later.lookup_rowids("DOC_ID", extra.doc_id) != []
+        assert later.document(extra.doc_id)[0].rowid == extra.root_rowid
 
     def test_a_delete_is_seen_by_a_new_accessor_not_this_one(
         self, store_with_doc
@@ -121,11 +122,11 @@ class TestInvalidation:
             store.delete_document(result.doc_id)
             # Rows this accessor never fetched still resolve at its LSN.
             assert "alpha text one" in joined_text(scope(accessor, alpha))
-            assert accessor.lookup_rowids("DOC_ID", result.doc_id) != []
+            assert accessor.document(result.doc_id)[0].rowid == result.root_rowid
         later = store.new_accessor()
-        assert later.lookup_rowids("DOC_ID", result.doc_id) == []
-        with pytest.raises(RowIdError):
-            later.node(result.root_rowid)
+        for read in (lambda: later.document(result.doc_id), lambda: later.node(result.root_rowid)):
+            with pytest.raises(RowIdError):
+                read()
 
     def test_without_a_held_pin_the_view_is_exact_until_the_next_commit(
         self, store_with_doc
@@ -133,15 +134,15 @@ class TestInvalidation:
         store, result = store_with_doc
         accessor = store.new_accessor()
         root = accessor.node(result.root_rowid)
-        *_, last = accessor.lookup_rowids("DOC_ID", result.doc_id)
+        last = accessor.run(root)[-1].rowid
         assert accessor.lsn == store.database.mvcc.lsn
         store.delete_document(result.doc_id)
         # Nothing held the history, so the commit reclaimed it: what was
-        # fetched stays, the rest of the deleted document is gone — no
-        # rows to a probe, the typed error to a fetch or a forward read.
+        # fetched stays, the rest of the deleted document is gone — the
+        # typed error to its DOC row, a fetch or a forward read.
         assert accessor.node(result.root_rowid) is root
-        assert accessor.lookup_rowids("DOC_ID", result.doc_id) == []
         for read in (
+            lambda: accessor.document(result.doc_id),
             lambda: accessor.node(last), lambda: accessor.run(root)[1:],
             lambda: accessor.governing(root),  # its document's pass has no rows
         ):

@@ -50,6 +50,7 @@ def oracle_load(store, document):
             "FILE_SIZE": None,
             "FORMAT": str(document.metadata.get("format", "unknown")),
             "METADATA": encode_metadata(document.metadata),
+            "ROOTROWID": database.table(XML_TABLE).next_rowids(1)[0],
         },
     )
     insert_subtree(document.root, None)

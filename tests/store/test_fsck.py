@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FsckError
-from repro.ordbms import Database, FileLogDevice, TableSchema, load_database
+from repro.ordbms import Database, FileLogDevice, RowId, TableSchema, load_database
 from repro.ordbms.wal import encode_checkpoint
 from repro.query import QueryCache, QueryEngine
 from repro.sgml.serializer import serialize
@@ -35,7 +35,7 @@ class TestCleanStore:
         assert report.ok
         assert report.documents_checked == len(loaded)
         assert report.nodes_checked == loaded.node_count
-        assert report.indexes_checked == 5  # 2 DOC + 2 XML btrees + 1 text
+        assert report.indexes_checked == 4  # 2 DOC + 1 XML btree + 1 text
 
     def test_empty_store_is_clean(self, store):
         assert check_store(store.database).ok
@@ -175,6 +175,54 @@ class TestCorruptionClasses:
         report = repair_store(loaded.database)
         assert [v.doc_id for v in report.violations if v.code == "doc-order"] == [1]
 
+    #: A DOC row whose ROOTROWID names some other slot than its run's
+    #: first row: how to pick that slot, and what the finding says of it.
+    ROOT_DAMAGES = {
+        "tombstone": "no live XML row",
+        "out-of-range": "no live XML row",
+        "non-root": "not its root",
+        "another-document": "a row of document 2",
+    }
+
+    def plant_root(self, store: XmlStore, damage: str) -> None:
+        """Point document 1's ROOTROWID at the ``damage`` slot."""
+        root = node_where(store, PARENTROWID=None, DOC_ID=1)
+        if damage == "tombstone":
+            last = max(store.documents(), key=lambda entry: entry.doc_id)
+            doomed = node_where(store, PARENTROWID=None, DOC_ID=last.doc_id)
+            store.delete_document(last.doc_id)
+            named = doomed.rowid
+        elif damage == "out-of-range":
+            named = RowId(999_999)
+        elif damage == "non-root":
+            named = node_where(store, PARENTROWID=root.rowid).rowid
+        else:
+            named = node_where(store, PARENTROWID=None, DOC_ID=2).rowid
+        [doc] = store.doc_table.lookup("DOC_ID", 1)
+        store.database.update("DOC", doc.rowid, {"ROOTROWID": named})
+
+    @pytest.mark.parametrize("damage", ROOT_DAMAGES)
+    def test_a_rootrowid_that_misses_the_run_is_one_finding(self, loaded, damage):
+        """A reader finds a document's run only through its DOC row's
+        ``ROOTROWID``: naming any other slot breaks the run's layout, one
+        ``doc-order`` finding on the DOC row; the column is stored, not
+        derived, so a repair leaves it."""
+        self.plant_root(loaded, damage)
+        for check in (check_store, repair_store):
+            [found] = check(loaded.database).violations
+            assert (found.code, found.table, found.doc_id) == ("doc-order", "DOC", 1)
+            assert self.ROOT_DAMAGES[damage] in found.detail
+
+    def test_a_delete_through_another_documents_root_takes_none_of_its_rows(self, loaded):
+        """The delete reads its run from ``ROOTROWID`` and stops at a row
+        of another document: document 2 stays whole, and document 1's
+        rows, which the damage hid from it, are left for fsck."""
+        second = len(loaded.new_accessor().document(2))
+        self.plant_root(loaded, "another-document")
+        assert loaded.delete_document(1) == 0
+        assert len(loaded.new_accessor().document(2)) == second
+        assert check_store(loaded.database).codes() == {"orphan-node"}
+
     @pytest.mark.parametrize("code", sorted(REPAIRABLE))
     def test_repairable_classes_repair_clean(self, loaded, code):
         self.seed(loaded, code)
@@ -187,15 +235,16 @@ class TestCorruptionClasses:
     def test_postings_out_of_rowid_order_are_drift(self, loaded):
         """``BTreeIndex.delete`` bisects a posting list, so one out of
         ROWID order (same contents) would make it miss: fsck says so."""
-        index = loaded.xml_table.index_on("DOC_ID")
-        key, first = next(index.items())
-        postings = index._find_leaf(key).values[0]
+        index = loaded.xml_table.index_on("NODENAME")
+        key, first = next(item for item in index.items() if len(index.search(item[0])) > 1)
+        leaf = index._find_leaf(key)
+        postings = leaf.values[leaf.keys.index(key)]
         assert postings[0] == first and len(postings) > 1
         postings.reverse()
         assert not index.delete(key, first)  # the miss fsck is guarding
         assert "btree-drift" in check_store(loaded.database).codes()
         assert repair_store(loaded.database).ok
-        assert loaded.xml_table.index_on("DOC_ID").search(key)[0] == first
+        assert loaded.xml_table.index_on("NODENAME").search(key)[0] == first
 
     def test_a_finding_on_slot_zero_names_it(self, loaded):
         """Slot 0 is a row: a finding on the XML table's very first row
@@ -230,9 +279,9 @@ class TestCorruptionClasses:
     )
     def test_every_way_of_leaving_document_order(self, store, layout, problem):
         database = store.database
-        database.insert("DOC", {"DOC_ID": 1, "FILE_NAME": "planted.xml"})
         names = [name for name, _ in layout]
         addresses = dict(zip(names, store.xml_table.next_rowids(len(layout))))
+        database.insert("DOC", {"DOC_ID": 1, "FILE_NAME": "planted.xml", "ROOTROWID": addresses["r"]})
         for name, parent in layout:
             database.insert(XML_TABLE, {
                 "DOC_ID": 1, "NODETYPE": 2, "NODENAME": name,
@@ -250,9 +299,9 @@ class TestCorruptionClasses:
         after a higher-numbered one is out of order, though each is one
         well-formed run."""
         database = store.database
-        for doc_id in (1, 2):
-            database.insert("DOC", {"DOC_ID": doc_id, "FILE_NAME": f"{doc_id}.xml"})
-        second = store.xml_table.next_rowids(2)[1]
+        first, second = store.xml_table.next_rowids(2)
+        for doc_id, root in ((1, second), (2, first)):
+            database.insert("DOC", {"DOC_ID": doc_id, "FILE_NAME": f"{doc_id}.xml", "ROOTROWID": root})
         for doc_id in (2, 1):
             database.insert(XML_TABLE, {"DOC_ID": doc_id, "NODETYPE": 1, "NODENAME": "n"})
         [found] = check_store(database).violations

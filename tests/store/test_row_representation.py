@@ -54,15 +54,17 @@ class TestNoByteMoved:
     """Twelve generated documents through the daemon onto a WAL, one
     replaced, one deleted.  The served bodies are the parent commit's;
     the WAL, the dump rows and the fsck findings are the six-column
-    XML row's own (no NODEID, parent NODEID, sibling link or ordinal),
-    with decimal slot numbers for addresses."""
+    XML row's own (no NODEID, parent NODEID, sibling link or ordinal)
+    and a DOC row naming its root, with decimal slot numbers for
+    addresses."""
 
     GOLDEN = {
-        # Logged and dumped bytes moved on purpose: the six-column row,
-        # each address (a row's, a PARENTROWID) its decimal slot number —
-        # the previous bytes with every ``F<f>.B<b>.S<s>`` so rewritten.
-        "wal": "b6dca726aaa5930f8fa4068b9ae22dea72fcb5934fd85df143d1d1849cb1df4a",
-        "dump_rows": "f5440375d472e38960da5565fd292638f0599698046bff588e6c2d130fa71397",
+        # Logged and dumped bytes moved on purpose: each DOC image gains
+        # ROOTROWID, its root's decimal slot number — the previous bytes
+        # with that one field appended to every DOC image (and the CRCs
+        # recomputed); no XML image moved.
+        "wal": "9647c940d663d7c7a1d82ef26b86121d1acb82bb55e3fa28c0258b153a8f2b00",
+        "dump_rows": "41c29d747177b9ca9b7a08f3889c2cdbe2b72d3422b6d71f772a8e67dd7e56d3",
         # The dangling parent is the walk's break: one finding, not two.
         "fsck_violations": "69512d9f6b7c138bc2c3ea3764e5c49803bfda3ae85173370f684fa5877e82ec",
         "search_bodies": [
@@ -97,7 +99,7 @@ class TestNoByteMoved:
         # Damage two rows through the in-place door so fsck has
         # something to say: the root's first child gets a NODETYPE of 99,
         # and the next row a parent that is no live row (a slot past the tail).
-        child, next_row = node.store.xml_table.index_on("DOC_ID").search(1)[1:3]
+        child, next_row = (row.rowid for row in node.store.new_accessor().document(1)[1:3])
         node.database.update(XML_TABLE, child, {"NODETYPE": 99})
         node.database.update(XML_TABLE, next_row, {"PARENTROWID": RowId(999_999)})
         violations = [

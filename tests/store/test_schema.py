@@ -37,15 +37,18 @@ class TestGeneratedSchema:
         database = Database()
         doc_table, xml_table = create_netmark_schema(database)
         assert doc_table.index_columns == ("DOC_ID", "FILE_NAME")
-        # Two XML B+trees: nobody probes NODETYPE, by parent or by node.
-        assert xml_table.index_columns == ("DOC_ID", "NODENAME")
+        # One XML B+tree: nobody probes NODETYPE, by parent, by node or
+        # by document (a document is found through its DOC row's root).
+        assert xml_table.index_columns == ("NODENAME",)
         assert xml_table.text_index_on("NODEDATA") is not None
 
-    def test_doc_id_foreign_key_declared(self):
+    def test_a_doc_row_names_its_root_by_address(self):
+        """DOC and XML are joined by address, not by a declared key."""
         database = Database()
-        _, xml_table = create_netmark_schema(database)
-        [foreign_key] = xml_table.schema.foreign_keys
-        assert foreign_key.ref_table == "DOC"
+        doc_table, _ = create_netmark_schema(database)
+        root = doc_table.schema.column("ROOTROWID")
+        assert (root.dtype.name, root.nullable) == ("ROWID", False)
+        assert not hasattr(doc_table.schema, "foreign_keys")
 
 
 class TestMetadataEncoding:

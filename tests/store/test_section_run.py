@@ -48,11 +48,11 @@ def scope(accessor, context_row):
 #: The rows the old recursive loader laid down (memo.md stored twice,
 #: plan.md stored and deleted), dumped by today's schema.
 OLD_LOADER_SNAPSHOT = (
-    "%NETMARK-SNAPSHOT 3\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
-    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
-    "ROW 1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "%NETMARK-SNAPSHOT 4\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB,ROOTROWID:ROWID!\tDOC_ID\tFILE_NAME\t-\n"
+    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t0\n"
+    "ROW 1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t6\n"
     "TOMB 2\n"
-    "TABLE XML\nSCHEMA DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\t-\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
+    "TABLE XML\nSCHEMA DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\t-\tNODENAME\tNODEDATA\n"
     "ROW 0 1\t~\t1\tdocument\t~\t~\n"
     "ROW 1 1\t0\t5\tsection\t~\t~\n"
     "ROW 2 1\t1\t3\tcontext\t~\t~\n"
@@ -89,13 +89,17 @@ class HopOracle:
         later = [sibling for sibling in family if sibling.rowid > row.rowid]
         return later[0] if later else None
 
-    def children(self, row):
-        rows = self._documents.get(row.DOC_ID)
+    def rows(self, doc_id):
+        """Document ``doc_id``'s rows as of the LSN, found by their key:
+        a filtered scan, blind to the run a forward read follows."""
+        rows = self._documents.get(doc_id)
         if rows is None:
-            rows = self._documents[row.DOC_ID] = (
-                self.accessor.lookup_rows("DOC_ID", row.DOC_ID)
-            )
-        below = [child for child in rows if child.PARENTROWID == row.rowid]
+            accessor = self.accessor
+            rows = self._documents[doc_id] = accessor.table.snapshot_search("DOC_ID", doc_id, accessor.lsn)
+        return rows
+
+    def children(self, row):
+        below = [child for child in self.rows(row.DOC_ID) if child.PARENTROWID == row.rowid]
         return sorted(below, key=lambda child: child.rowid)
 
     def facts(self, row):
@@ -182,11 +186,7 @@ class HopOracle:
         return section
 
     def compose_document(self, doc_id):
-        [root] = [
-            row
-            for row in self.accessor.lookup_rows("DOC_ID", doc_id)
-            if row.PARENTROWID is None
-        ]
+        [root] = [row for row in self.rows(doc_id) if row.PARENTROWID is None]
         return self.compose_node(root)
 
 
@@ -476,7 +476,7 @@ class TestOneWindow:
                     taken.append((snapshot, runs := {}))
                     accessor = store.new_accessor(snapshot)
                     for entry in store.documents(snapshot):
-                        for row in accessor.lookup_rows("DOC_ID", entry.doc_id):
+                        for row in accessor.document(entry.doc_id):
                             if accessor.is_context(row):
                                 runs[row.rowid] = accessor.run(row, siblings=True)[1:]
             except Exception as error:  # noqa: BLE001 - reported below

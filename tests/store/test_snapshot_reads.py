@@ -211,10 +211,7 @@ class TestPinnedReadersUnderARealWriter:
             accessor.run(accessor.node(match.rowid), siblings=True)[1:]
             for match in results
         ]
-        rowids = [
-            store.xml_table.snapshot_rowids("DOC_ID", match.doc_id, snap.lsn)
-            for match in results
-        ]
+        rowids = [[row.rowid for row in accessor.document(match.doc_id)] for match in results]
         return serialize(results.to_xml(), indent=2), runs, rowids
 
     def test_answers_do_not_move_while_the_writer_does(self, store, corpus):
@@ -321,9 +318,8 @@ class TestWhoMayReadWithoutAnLsn:
     pin-less reader has to say why it may, then join the list."""
 
     CALLERS = {
-        "store/xmlstore.py": 4,  # delete_document x2, lookup_by_name, adopt
+        "store/xmlstore.py": 4,  # delete_document (its DOC row and its run), lookup_by_name, adopt
         "store/fsck.py": 3,  # the checker reads the heap it is checking
-        "server/daemon.py": 1,  # settling a journalled ingest at startup
         "baselines/shredded.py": 8,  # the baseline's own tables, not XML/DOC
         # Same method names, not the table's:
         "query/engine.py": 1,  # QueryCache.lookup

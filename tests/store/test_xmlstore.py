@@ -184,7 +184,7 @@ class TestLookupByNameIndex:
         doc = store.doc_table
         [row] = doc.lookup("DOC_ID", first.doc_id)
         c_md, twin = (
-            doc.schema.row({"DOC_ID": doc_id, "FILE_NAME": "c.md"}, rowid)
+            doc.schema.row({"DOC_ID": doc_id, "FILE_NAME": "c.md", "ROOTROWID": row.ROOTROWID}, rowid)
             for doc_id, rowid in zip((99, 99), doc.next_rowids(2))
         )
         with pytest.raises(ConstraintError):  # DOC_ID 99 twice: nothing moves
@@ -207,14 +207,15 @@ class TestLookupByNameIndex:
 #: ``XmlStore.dump()`` of a store written before DOC had a FILE_NAME
 #: index (its DOC schema line declares no secondary index) and while XML
 #: rows carried a NODEID primary key and a NODETYPE B+tree: memo.md
-#: stored twice, plan.md stored and deleted.  Its rows are in the
-#: column-typed codec (no value tags): what is old is the schema.
+#: stored twice, plan.md stored and deleted.  Its rows are in today's
+#: dialect (column-typed codec, magic 4, DOC rows naming their root):
+#: what is old is the XML schema.
 PRE_INDEX_SNAPSHOT = (
-    "%NETMARK-SNAPSHOT 3\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\t-\t-\n"
-    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
-    "ROW 1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
+    "%NETMARK-SNAPSHOT 4\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB,ROOTROWID:ROWID!\tDOC_ID\t-\t-\n"
+    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t0\n"
+    "ROW 1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t6\n"
     "TOMB 2\n"
-    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME|NODETYPE\tNODEDATA\n"
+    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\tNODEID\tDOC_ID|NODENAME|NODETYPE\tNODEDATA\n"
     "ROW 0 1\t1\t~\t1\tdocument\t~\t~\n"
     "ROW 1 2\t1\t0\t5\tsection\t~\t~\n"
     "ROW 2 3\t1\t1\t3\tcontext\t~\t~\n"
@@ -248,8 +249,8 @@ class TestPreIndexSnapshot:
         assert "NODEID:INTEGER!" in device.load_checkpoint()  # left as it was
 
     def test_with_the_schemas_btrees_its_columns_are_refused(self):
-        text = PRE_INDEX_SNAPSHOT.replace("\tDOC_ID\t-\t-\t-\t-\n", "\tDOC_ID\t-\t-\tFILE_NAME\t-\n")
-        text = text.replace("DOC_ID|NODENAME|NODETYPE", "DOC_ID|NODENAME")
+        text = PRE_INDEX_SNAPSHOT.replace("\tDOC_ID\t-\t-\n", "\tDOC_ID\tFILE_NAME\t-\n")
+        text = text.replace("DOC_ID|NODENAME|NODETYPE", "NODENAME")
         device = MemoryLogDevice()
         device.save_checkpoint(encode_checkpoint(0, text))
         for reopen in (lambda: XmlStore.restore(text), lambda: XmlStore.open(device)):
@@ -264,7 +265,7 @@ def with_btrees(doc: str, xml: str) -> str:
     store.store_text("# Budget\n\nTravel funds.\n", "memo.md")
     text = store.dump()
     for declared, wanted in (("FILE_NAME\t-\n", f"{doc}\t-\n"),
-                             ("DOC_ID|NODENAME\tNODEDATA\n", f"{xml}\tNODEDATA\n")):
+                             ("NODENAME\tNODEDATA\n", f"{xml}\tNODEDATA\n")):
         assert text.count(f"\t{declared}") == 1
         text = text.replace(f"\t{declared}", f"\t{wanted}")
     return text
@@ -273,8 +274,9 @@ def with_btrees(doc: str, xml: str) -> str:
 #: B+trees other than the schema's, as a dump or checkpoint may declare
 #: them: ``(DOC's, XML's)`` beside DOC's primary key.
 OTHER_BTREES = {
-    "doc-without-file-name": ("-", "DOC_ID|NODENAME"),
-    "xml-with-nodetype": ("FILE_NAME", "DOC_ID|NODENAME|NODETYPE"),
+    "doc-without-file-name": ("-", "NODENAME"),
+    "xml-with-doc-id": ("FILE_NAME", "DOC_ID|NODENAME"),
+    "xml-with-nodetype": ("FILE_NAME", "NODENAME|NODETYPE"),
     "xml-without-nodename": ("FILE_NAME", "DOC_ID"),
 }
 
@@ -284,7 +286,7 @@ class TestOtherBtreesAreRefused:
     checkpoint declaring others is refused, not aligned."""
 
     def test_the_schemas_own_load(self):
-        assert check_store(XmlStore.restore(with_btrees("FILE_NAME", "DOC_ID|NODENAME")).database).ok
+        assert check_store(XmlStore.restore(with_btrees("FILE_NAME", "NODENAME")).database).ok
 
     @pytest.mark.parametrize("declared", OTHER_BTREES)
     def test_restore(self, declared):
@@ -299,13 +301,14 @@ class TestOtherBtreesAreRefused:
             XmlStore.open(device)
 
 
-#: memo.md as the ten-column XML schema dumped it: beside the
+#: memo.md as the ten-column XML schema dumped it, in today's dump
+#: dialect: beside the
 #: seven-column row's, the parent's NODEID, the next sibling's ROWID
 #: and the position among siblings, which no read followed.
 TEN_COLUMN_SNAPSHOT = (
-    "%NETMARK-SNAPSHOT 3\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB\tDOC_ID\t-\t-\tFILE_NAME\t-\n"
-    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\n"
-    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB\tNODEID\t-\tDOC_ID>DOC.DOC_ID\tDOC_ID|NODENAME\tNODEDATA\n"
+    "%NETMARK-SNAPSHOT 4\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB,ROOTROWID:ROWID!\tDOC_ID\tFILE_NAME\t-\n"
+    "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t0\n"
+    "TABLE XML\nSCHEMA NODEID:INTEGER!,DOC_ID:INTEGER!,PARENTROWID:ROWID,PARENTNODEID:INTEGER,SIBLINGID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ORDINAL:INTEGER!,ATTRS:CLOB\tNODEID\tNODENAME\tNODEDATA\n"
     "ROW 0 1\t1\t~\t~\t~\t1\tdocument\t~\t0\t~\n"
     "ROW 1 2\t1\t0\t1\t~\t5\tsection\t~\t0\t~\n"
     "ROW 2 3\t1\t1\t2\t4\t3\tcontext\t~\t0\t~\n"
