@@ -690,13 +690,8 @@ class Table:
         return found
 
     def snapshot_search(self, column: str, value: Any, pin: int) -> list[Any]:
-        """Equality lookup as of ``pin``: the rows of
-        :meth:`snapshot_rowids`, or a filtered :meth:`snapshot_scan`
-        when ``column`` has no index."""
-        column = column.upper()
-        if column not in self._indexes:
-            position = self.schema.position(column)
-            return [row for row in self.snapshot_scan(pin) if row[position] == value]
+        """Equality lookup as of ``pin``: the rows of :meth:`snapshot_rowids`
+        (a column with no B+tree is refused there)."""
         rowids = self.snapshot_rowids(column, value, pin)
         return list(self._counted(self.visible_many(rowids, pin), "snapshot"))
 

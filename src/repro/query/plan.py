@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.errors import DocumentNotFoundError, QueryError
+from repro.errors import QueryError
 from repro.ordbms import RowId
 from repro.ordbms.textindex import TextIndex, tokenize
 from repro.query.ast import ContentSpec
@@ -125,9 +125,9 @@ class PlanContext:
         #: What ``Rank`` ordered; a full answer's cache entry keeps some.
         self.ranked: list[Candidate] = []
 
-    def entry(self, doc_id: int) -> StoredDocument:
-        """Catalog entry for ``doc_id`` at this plan's LSN."""
-        return self.store.cached_entry(doc_id, self.accessor.lsn)
+    def entry(self, row: XmlRow) -> StoredDocument:
+        """Catalog entry of the document ``row`` is in, at this plan's LSN."""
+        return self.store.cached_entry(self.accessor.document_of(row)[1], self.accessor.lsn)
 
 
 @dataclass
@@ -311,7 +311,7 @@ class GoverningLift(Lift):
             yield Candidate("section", rowid, self.ctx.accessor, scores[rowid])
         doc_level: dict[int, RowId] = {}
         for row in self.ctx.accessor.nodes(sorted(unowned)):
-            doc_level.setdefault(row.DOC_ID, row.rowid)
+            doc_level.setdefault(self.ctx.accessor.document_of(row)[1], row.rowid)
         for doc_id in sorted(doc_level):
             yield Candidate("document", doc_level[doc_id], self.ctx.accessor)
 
@@ -358,7 +358,7 @@ class DocFilter(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
-            if self.needle in self.ctx.entry(candidate.row.DOC_ID).file_name.lower():
+            if self.needle in self.ctx.entry(candidate.row).file_name.lower():
                 yield candidate
 
 
@@ -373,12 +373,7 @@ class FormatFilter(PlanNode):
 
     def _produce(self) -> Iterator[Candidate]:
         for candidate in self.children[0].rows():
-            try:
-                entry = self.ctx.entry(candidate.row.DOC_ID)
-            except DocumentNotFoundError:
-                yield candidate  # federated matches lack local entries
-                continue
-            if entry.format == self.wanted:
+            if self.ctx.entry(candidate.row).format == self.wanted:
                 yield candidate
 
 
@@ -583,7 +578,7 @@ class NodeResolver(_Resolver):
     def context(self) -> str:
         governing = self.ctx.accessor.governing(self.row)
         if governing is None:
-            return self.ctx.entry(self.row.DOC_ID).file_name
+            return self.ctx.entry(self.row).file_name
         return self.ctx.accessor.context_title(governing)
 
     def content(self) -> str:
@@ -606,7 +601,7 @@ class Materialize(PlanNode):
         ctx = self.ctx
         for candidate in self.children[0].rows():
             row = candidate.row
-            entry = ctx.entry(row.DOC_ID)
+            entry = ctx.entry(row)
             if candidate.kind == "section":
                 fields = {"loader": SectionResolver(ctx, row, candidate.run), "rowid": row.rowid}
             elif candidate.kind == "document":

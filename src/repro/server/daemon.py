@@ -43,7 +43,6 @@ from repro.obs import NULL_TRACER, Tracer
 from repro.resilience.clock import LogicalClock
 from repro.resilience.retry import RetryPolicy, RetryStats, call_with_retry
 from repro.server.vfs import VirtualFileSystem, base_name, normalize_path
-from repro.store.compose import document_rows
 from repro.store.xmlstore import XmlStore
 
 
@@ -210,7 +209,7 @@ class NetmarkDaemon:
             doc_id, node_count, error = None if entry is None else entry.doc_id, 0, ""
             if doc_id is not None:
                 try:
-                    node_count = len(document_rows(doc_id, self.store.new_accessor()))
+                    node_count = len(self.store.new_accessor().document(doc_id))
                 except ReproError as failure:  # the statement landed; its rows are fsck's to judge
                     error = f"stored, but its rows could not be read: {failure}"
             return IngestRecord(

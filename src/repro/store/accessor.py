@@ -22,9 +22,10 @@ last:
   one streaming pass in document order says (:class:`SectionPass`): the
   index's pass as each TEXT row is written, read off the text index
   (:meth:`NodeAccessor.text_facts`), else a fresh pass over the row's
-  document as of the LSN (the scan path, rows changed since the LSN,
+  run as of the LSN (the scan path, rows changed since the LSN,
   an element's governing CONTEXT);
-* **one query-scoped memo** — rows read by address and documents' passes are kept
+* **a row's document is its run's** (:meth:`NodeAccessor.document_of`);
+* **one query-scoped memo** — rows read by address and runs' passes are kept
   for the accessor's lifetime, one query, and reused by every operator
   of a plan and by the lazy :class:`~repro.query.results.SectionMatch`
   loaders;
@@ -41,16 +42,16 @@ This class is the only traversal implementation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Sequence
 
 from repro import obs
-from repro.errors import RowIdError
-from repro.ordbms import Database, RowId, Snapshot
+from repro.errors import RowIdError, StoreError
+from repro.ordbms import Database, RowId, Snapshot, Table
 from repro.sgml.nodetypes import NodeType
-from repro.store.schema import DOC_TABLE, XML_TABLE, XmlRow
+from repro.store.schema import DOC_TABLE, XML_TABLE, DocRow, XmlRow
 
 
 @dataclass
@@ -139,6 +140,27 @@ class SectionPass:
         return sections[0] if sections else None
 
 
+class RunRoots:
+    """``docs``: a run's root slot -> the id of the first DOC row naming
+    it; ``roots``: those slots, sorted.  Fed every DOC row written (live,
+    replayed or shipped) and the live ones at open (``Table.derive_facts``
+    on DOC); never logged, only added to (no slot is reused): a pin held
+    across a delete or a rebuild still resolves the deleted rows.  A root
+    is the XML heap's tail or a parentless row: a damaged one claims no run."""
+
+    def __init__(self, runs: Table) -> None:
+        self._runs = runs  # the XML table
+        self.docs: dict[RowId, int] = {}
+        self.roots: list[RowId] = []
+
+    def __call__(self, row: DocRow) -> None:
+        root, runs = row.ROOTROWID, self._runs
+        if root not in self.docs and (root == runs.next_rowids(1)[0] or (
+                runs.exists(root) and runs.fetch(root).PARENTROWID is None)):
+            self.docs[root] = row.DOC_ID  # first: a reader that finds the root reads it
+            insort(self.roots, root)
+
+
 class NodeAccessor:
     """Batch-fetching view over one store's XML table at one commit LSN.
 
@@ -151,17 +173,20 @@ class NodeAccessor:
     deleted row raises the typed :class:`~repro.errors.RowIdError`.
     """
 
-    def __init__(self, database: Database, snapshot: Snapshot | None = None) -> None:
+    def __init__(
+        self, database: Database, roots: RunRoots, snapshot: Snapshot | None = None
+    ) -> None:
         self.table, self._docs = database.table(XML_TABLE), database.table(DOC_TABLE)
+        self._roots = roots
         self.stats = AccessorStats()
         #: The commit LSN every read of this accessor resolves at.
         self.lsn = database.mvcc.read_lsn(snapshot)
         self._rows: dict[RowId, XmlRow] = {}
         #: How many of ``stats.rows_fetched`` :meth:`publish` has counted.
         self._published = 0
-        #: doc id -> the pass over its rows, and those rows (:meth:`_pass`).
-        self._passes: dict[int, SectionPass] = {}
-        self._held: dict[int, list[XmlRow]] = {}
+        #: run root -> the pass over its run, and that run (:meth:`_pass`).
+        self._passes: dict[RowId, SectionPass] = {}
+        self._held: dict[RowId, list[XmlRow]] = {}
 
     def publish(self) -> None:
         """Count the rows read since the last call into
@@ -224,33 +249,41 @@ class NodeAccessor:
         the text index — no row is fetched.  A row with no fact there
         (it changed after :attr:`lsn`: its live fact went with it), and
         every row when ``indexed`` is false (the scan path), is fetched
-        and answered by its document's pass (:meth:`_pass`)."""
+        and answered by its run's pass (:meth:`_pass`)."""
         index = self.table.text_index_on("NODEDATA")
         carried = (indexed and index is not None and index.facts) or {}
         facts = [carried.get(rowid) for rowid in rowids]
         if None in facts:
             absent = [r for r, fact in zip(rowids, facts) if fact is None]
-            passed = {row.rowid: self._pass(row.DOC_ID).facts[row.rowid]
-                      for row in self.nodes(absent)}
+            passed = {row.rowid: self._pass(row).facts[row.rowid] for row in self.nodes(absent)}
             facts = [fact or passed[r] for r, fact in zip(rowids, facts)]
         return facts
 
     def governing(self, row: XmlRow) -> XmlRow | None:
         """The CONTEXT governing element ``row`` — itself, if it is one —
-        by its document's pass; None for front matter."""
-        head = self._pass(row.DOC_ID).governing(row.rowid)
+        by its run's pass; None for front matter."""
+        head = self._pass(row).governing(row.rowid)
         return None if head is None else self.node(head)
 
-    def _pass(self, doc_id: int) -> SectionPass:
-        """A fresh :class:`SectionPass` over document ``doc_id``'s rows as
-        of :attr:`lsn` — ROWID order is document order (fsck
-        ``doc-order``) — once per accessor.  Facts describe immutable
-        ROWIDs, so it says what the index said of each row when it was
-        written, the document deleted since or not."""
-        done = self._passes.get(doc_id)
+    def document_of(self, row: XmlRow) -> tuple[RowId, int]:
+        """The root of ``row``'s run (:class:`RunRoots`) and its doc id."""
+        roots = self._roots.roots
+        at = bisect_right(roots, row.rowid) - 1
+        if at < 0:
+            raise RowIdError(f"ROWID {row.rowid} lies before every document's root")
+        return roots[at], self._roots.docs[roots[at]]
+
+    def _pass(self, row: XmlRow) -> SectionPass:
+        """A fresh :class:`SectionPass` over the run ``row`` sits in — its
+        document's rows as of :attr:`lsn`, read from the root; ROWID order
+        is document order (fsck ``doc-order``) — once per accessor.  Facts
+        describe immutable ROWIDs, so it says what the index said of each
+        row when it was written, the document deleted since or not."""
+        root = self.document_of(row)[0]
+        done = self._passes.get(root)
         if done is None:
-            rows = self._held[doc_id] = self.document(doc_id)
-            done = self._passes[doc_id] = SectionPass({})
+            rows = self._held[root] = self.run(self.node(root))
+            done = self._passes[root] = SectionPass({})
             for row in rows:
                 self._rows[row.rowid] = row
                 done(row)
@@ -258,13 +291,19 @@ class NodeAccessor:
 
     def document(self, doc_id: int) -> list[XmlRow]:
         """Document ``doc_id``'s rows as of :attr:`lsn`, in document order:
-        one hop from its DOC row's ``ROOTROWID`` to the root, then the
-        root's :meth:`run` — a document is one ROWID run (fsck
-        ``doc-order``), which the next parentless row ends."""
+        one hop from its DOC row's ``ROOTROWID`` to the root — a parentless
+        element whose run is this document's — and the root's :meth:`run`,
+        which the next parentless row ends.  It publishes what it read."""
         docs = self._docs.snapshot_search("DOC_ID", doc_id, self.lsn)
         if not docs:
             raise RowIdError(f"document {doc_id} is not visible at LSN {self.lsn}")
-        return self.run(self.node(docs[0].ROOTROWID))
+        root = self.node(docs[0].ROOTROWID)
+        if root.PARENTROWID is not None or self.is_text(root) or (
+                self.document_of(root) != (root.rowid, doc_id)):
+            raise StoreError(f"document {doc_id}'s ROOTROWID {root.rowid} is not its root element")
+        rows = self.run(root)
+        self.publish()
+        return rows
 
     def run(self, row: XmlRow, siblings: bool = False) -> list[XmlRow]:
         """``row`` and all its descendant rows in document order — one
@@ -290,9 +329,9 @@ class NodeAccessor:
 
     def context_title(self, context_row: XmlRow) -> str:
         """Heading text of a CONTEXT element (its TEXT descendants): off
-        the rows its document's pass read, if :meth:`_pass` ran, else
-        one forward read."""
-        held = self._held.get(context_row.DOC_ID)
+        the rows its run's pass read, if :meth:`_pass` ran, else one
+        forward read."""
+        held = self._held.get(self.document_of(context_row)[0])
         if held is None:
             return joined_text(self.run(context_row))
         head = bisect_right(held, context_row.rowid, key=attrgetter("rowid"))

@@ -18,7 +18,6 @@ through it.
 
 from __future__ import annotations
 
-from repro.errors import StoreError
 from repro.ordbms import RowId
 from repro.sgml.dom import Document, Element, Node, Text, TreeWriter
 from repro.sgml.nodetypes import NodeType
@@ -70,22 +69,9 @@ def compose_node(row: XmlRow, accessor: NodeAccessor) -> Element | Text:
     return tree_of(accessor.run(row))
 
 
-def document_rows(doc_id: int, accessor: NodeAccessor) -> list[XmlRow]:
-    """Document ``doc_id``'s rows: one ROWID run in document order, from
-    the root its DOC row names (:meth:`NodeAccessor.document`), which must
-    be a parentless element of this document.  A whole read: the
-    accessor publishes what it read."""
-    rows = accessor.document(doc_id)
-    accessor.publish()
-    root = rows[0]
-    if root.PARENTROWID is not None or root.DOC_ID != doc_id or accessor.is_text(root):
-        raise StoreError(f"document {doc_id}'s ROOTROWID {root.rowid} is not its root element")
-    return rows
-
-
 def compose_document(doc_id: int, accessor: NodeAccessor, name: str = "") -> Document:
     """Rebuild the full DOM of document ``doc_id``."""
-    return Document(tree_of(document_rows(doc_id, accessor)), name=name)
+    return Document(tree_of(accessor.document(doc_id)), name=name)
 
 
 def compose_section(context_row: XmlRow, accessor: NodeAccessor) -> Element:

@@ -82,7 +82,6 @@ class Decomposer:
         for position, (node, parent) in enumerate(flat):
             is_element = isinstance(node, Element)
             pairs.append((None, row((  # XML_TABLE's columns, in order
-                doc_id,
                 None if parent is None else rowids[parent],
                 int(classify(node)),
                 node.tag if is_element else None,

@@ -6,17 +6,16 @@ order, the five-way NODETYPE vocabulary.  Nothing in the ORDBMS can
 enforce those, so this module does, after the fact:
 
 * every ``NODETYPE`` is one of the five NETMARK types;
-* each document's rows, taken in ROWID order, are one run laid out as a
-  pre-order walk of one tree — the layout the read path's forward reads
-  (:meth:`repro.store.accessor.NodeAccessor.run`) stand on, and the
-  only record of sibling order — and ``DOC_ID`` rises with the ROWID;
-  the DOC row's ``ROOTROWID`` names the run's first row, where every
-  reader of a whole document starts.  This one walk is the structural
-  check: a parent that is no live row of the document, a parent chain
-  that loops, a document with no root or two, a ``ROOTROWID`` that
-  names any other slot all break it, and its report says which;
-* DOC↔XML referential integrity both ways (no orphaned nodes, no empty
-  documents);
+* the XML rows in ROWID order are runs, each from a row without a parent,
+  each laid out as a pre-order walk of one tree — the layout the forward
+  reads (:meth:`repro.store.accessor.NodeAccessor.run`) stand on, and the
+  only record of sibling order and of a row's document.  This one walk is
+  the structural check: a parent that is no live row of the run, a parent
+  chain that loops, a run not starting at its root all break it, and its
+  report says which;
+* each DOC row's ``ROOTROWID`` names a run's first row and rises with the
+  DOC row's slot (one statement appends both); every run is some DOC
+  row's (no orphans), every ``ROOTROWID`` a live row (no empty documents);
 * derived state agrees with the rows: every B+tree and text index on
   DOC/XML — the NODEDATA index's heading postings and section members
   too — matches a fresh rebuild from the heap, and what the NODEDATA
@@ -38,8 +37,9 @@ recovers the store from ``<wal-base-path>.wal``/``.ckpt`` and checks it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import CatalogError, FsckError, StoreError
 from repro.ordbms import Database, RowId, Table
@@ -47,7 +47,7 @@ from repro.sgml.nodetypes import NodeType
 from repro.store.accessor import SectionPass
 from repro.store.schema import DOC_TABLE, XML_TABLE, DocRow, XmlRow, require_netmark_schema
 
-#: Violation codes, in check order.  Codes marked repairable concern
+#: Violation codes.  Codes marked repairable concern
 #: derived state that :func:`repair_store` can rebuild from the rows.
 CODES = (
     "bad-node-type",
@@ -125,16 +125,14 @@ def check_store(database: Database) -> FsckReport:
     doc_table, xml_table = _netmark_tables(database)
     report = FsckReport()
     docs = list(doc_table.scan())
-    doc_ids = {row.DOC_ID for row in docs}
-    report.documents_checked = len(doc_ids)
+    report.documents_checked = len(docs)
     nodes = list(xml_table.scan())
     report.nodes_checked = len(nodes)
     by_rowid: dict[RowId, XmlRow] = {row.rowid: row for row in nodes}
-    _check_node_fields(report, nodes, doc_ids)
-    _check_doc_order(report, docs, nodes, by_rowid)
+    doc_of = _check_documents(report, docs, nodes, by_rowid)
     facts = None
     if report.ok:  # a pass needs sound links, in document order
-        facts = _check_section_facts(report, database, by_rowid)
+        facts = _check_section_facts(report, database, by_rowid, doc_of)
     report.indexes_checked = _check_indexes(report, (doc_table, xml_table), facts)
     return report
 
@@ -171,91 +169,79 @@ def _netmark_tables(database: Database) -> tuple[Table, Table]:
     return database.table(DOC_TABLE), database.table(XML_TABLE)
 
 
-def _check_node_fields(report: FsckReport, nodes: list[XmlRow], doc_ids: set[int]) -> None:
-    valid_types = {int(node_type) for node_type in NodeType}
-    for row in nodes:
-        rowid = row.rowid
-        if row.NODETYPE not in valid_types:
-            report.flag("bad-node-type", XML_TABLE, rowid, row.DOC_ID,
-                        f"NODETYPE {row.NODETYPE!r} is not one of {sorted(valid_types)}")
-        if row.DOC_ID not in doc_ids:
-            report.flag("orphan-node", XML_TABLE, rowid, row.DOC_ID,
-                        f"DOC_ID {row.DOC_ID} has no DOC row")
-    for doc_id in sorted(doc_ids - {row.DOC_ID for row in nodes}):
-        report.flag("empty-document", DOC_TABLE, None, doc_id,
-                    "document has no XML nodes at all")
-
-
-def _check_doc_order(
+def _check_documents(
     report: FsckReport, docs: list[DocRow], nodes: list[XmlRow], by_rowid: dict[RowId, XmlRow]
-) -> None:
-    """Each document is one ROWID run, laid out as a pre-order walk, and
-    its DOC row's ``ROOTROWID`` names the run's first row.
+) -> Callable[[RowId], int | None]:
+    """The runs — a row without a parent (or the first row) starts one —
+    and their documents, as the module docstring says; answers each row's
+    document.  Walking a run, its first row must be its root and every
+    other row's parent on the path of still-open ancestors: so every
+    parent is a live row of the run stored before its children, no chain
+    loops and every subtree is contiguous.  One report per run, at the
+    first row that breaks the walk.  Nothing here is derivable."""
+    starts = [row.rowid for at, row in enumerate(nodes) if row.PARENTROWID is None or not at]
+    owners: dict[RowId, int] = {}  # a run's start -> the first DOC row naming a slot in it
 
-    Walking the heap in physical order, ``DOC_ID`` must rise with the
-    ROWID (so no other document's live row sits inside a run), a run
-    must start at its root and hold no second one, and every other row's
-    parent must be on the path of still-open ancestors — so every parent
-    is a live row of the same document stored before its children, no
-    parent chain loops and every subtree is contiguous.  Sibling order
-    is ROWID order, so nothing else says what it should be.  One report
-    per document, at the first row that breaks the walk, saying why —
-    else, if its ``ROOTROWID`` is wrong, at its DOC row (a document
-    with no rows is ``empty-document``'s).  Nothing here is derivable —
-    ``ROOTROWID`` is stored, not rebuilt — so ``--repair`` leaves it.
-    """
-    broken: set[int] = set()
-    first: dict[int, RowId] = {}  # doc id -> the first row of its run
-    doc_id, latest = None, float("-inf")
-    path: list[RowId] = []  # open ancestors
-    for row in nodes:
-        parent, problem = row.PARENTROWID, ""
-        if row.DOC_ID != doc_id:
-            doc_id, path = row.DOC_ID, []
-            first.setdefault(doc_id, row.rowid)
-            if doc_id <= latest:
-                problem = f"DOC_ID does not rise: document {latest}'s rows come first"
-            elif parent is not None:
-                problem = f"the run does not start at the root: {_cause(row, by_rowid)}"
-            latest = max(latest, doc_id)
-        if doc_id in broken:
+    def start(rowid: RowId) -> RowId:
+        return starts[bisect_right(starts, rowid) - 1]
+
+    def cause(row: XmlRow) -> str:
+        """Why ``row``'s parent is not an open ancestor."""
+        parent = by_rowid.get(row.PARENTROWID)
+        if parent is None:
+            return f"PARENTROWID {row.PARENTROWID} is not a live XML row"
+        if (theirs := start(parent.rowid)) != start(row.rowid):  # None: no DOC row names it
+            return f"parent {parent.rowid} belongs to document {owners.get(theirs)}"
+        if parent.rowid >= row.rowid:  # every parent chain that loops has one
+            return f"parent {parent.rowid} does not precede it"
+        return f"parent {parent.rowid} is not an open ancestor"
+
+    latest: tuple[RowId, int] | None = None  # the last root named rightly, and by whom
+    for doc in docs:
+        named, doc_id = doc.ROOTROWID, doc.DOC_ID
+        if named not in by_rowid:
+            report.flag("empty-document", DOC_TABLE, doc.rowid, doc_id,
+                        f"ROOTROWID {named} is no live XML row")
             continue
-        if not problem and parent is None and path:
-            problem = "a second root"
+        root = start(named)
+        owners.setdefault(root, doc_id)
+        if named != root:
+            problem = f"is not its root: the run starts at {root}"
+        elif latest is not None and named <= latest[0]:
+            problem = f"does not rise: document {latest[1]} names {latest[0]} before it"
+        else:
+            latest = named, doc_id
+            continue
+        report.flag("doc-order", DOC_TABLE, doc.rowid, doc_id, f"ROOTROWID {named} {problem}")
+    valid_types = {int(node_type) for node_type in NodeType}
+    path: list[RowId] | None = []  # open ancestors; None once the walk broke
+    for at, row in enumerate(nodes):
+        rowid, parent, problem = row.rowid, row.PARENTROWID, ""
+        if parent is None or not at:  # a run starts
+            path, doc_id = [], owners.get(rowid)
+            if doc_id is None:
+                report.flag("orphan-node", XML_TABLE, rowid, None,
+                            "no DOC row names the run this row starts")
+            if parent is not None:
+                problem = f"the run does not start at the root: {cause(row)}"
+        if row.NODETYPE not in valid_types:
+            report.flag("bad-node-type", XML_TABLE, rowid, doc_id,
+                        f"NODETYPE {row.NODETYPE!r} is not one of {sorted(valid_types)}")
         while not problem and path and path[-1] != parent:
             path.pop()
             if not path:
-                problem = _cause(row, by_rowid)
+                problem = cause(row)
         if problem:
-            broken.add(doc_id)
-            report.flag("doc-order", XML_TABLE, row.rowid, doc_id,
+            path = None
+            report.flag("doc-order", XML_TABLE, rowid, doc_id,
                         f"rows are not a pre-order walk of the tree: {problem}")
-        else:
-            path.append(row.rowid)
-    for doc in docs:
-        root, named = first.get(doc.DOC_ID), by_rowid.get(doc.ROOTROWID)
-        if root is not None and doc.DOC_ID not in broken and doc.ROOTROWID != root:
-            what = ("no live XML row" if named is None
-                    else f"a row of document {named.DOC_ID}" if named.DOC_ID != doc.DOC_ID
-                    else "not its root")
-            report.flag("doc-order", DOC_TABLE, doc.rowid, doc.DOC_ID,
-                        f"ROOTROWID {doc.ROOTROWID} is {what}: the run starts at {root}")
-
-
-def _cause(row: XmlRow, by_rowid: dict[RowId, XmlRow]) -> str:
-    """Why ``row``'s parent is not an open ancestor."""
-    parent = by_rowid.get(row.PARENTROWID)
-    if parent is None:
-        return f"PARENTROWID {row.PARENTROWID} is not a live XML row"
-    if parent.DOC_ID != row.DOC_ID:
-        return f"parent {parent.rowid} belongs to document {parent.DOC_ID}"
-    if parent.rowid >= row.rowid:  # every parent chain that loops has one
-        return f"parent {parent.rowid} does not precede it"
-    return f"parent {parent.rowid} is not an open ancestor"
+        elif path is not None:
+            path.append(rowid)
+    return lambda rowid: owners.get(start(rowid)) if rowid in by_rowid else None
 
 
 def _check_section_facts(
-    report: FsckReport, database: Database, by_rowid: dict[RowId, XmlRow]
+    report: FsckReport, database: Database, by_rowid: dict[RowId, XmlRow], doc_of: Callable
 ) -> dict[RowId, Any] | None:
     """What the NODEDATA index carries for each TEXT row equals what a
     fresh :class:`~repro.store.accessor.SectionPass` over the heap in
@@ -271,9 +257,9 @@ def _check_section_facts(
     for row in by_rowid.values():  # physical order
         fresh(row)
     for rowid in sorted(facts.keys() | fresh.facts.keys()):
-        row, passed = by_rowid.get(rowid), fresh.facts.get(rowid)
+        passed = fresh.facts.get(rowid)
         if facts.get(rowid) != passed:
-            report.flag("section-facts", XML_TABLE, rowid, row and row.DOC_ID,
+            report.flag("section-facts", XML_TABLE, rowid, doc_of(rowid),
                         f"the text index says {facts.get(rowid)}, a fresh pass "
                         f"{passed} (sections, CONTEXT ancestor, under INTENSE)")
     return fresh.facts

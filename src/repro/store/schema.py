@@ -10,8 +10,7 @@ Two tables store *every* document of *any* type — the schema-less claim:
     of the document's root node row.
 
 ``XML`` — one row per decomposed node, with no key of its own: a node
-*is* its ROWID.
-    ``DOC_ID`` — the document the node belongs to,
+*is* its ROWID, and its document is the run it sits in.
     ``PARENTROWID`` — *physical ROWID* of the parent node row,
     ``NODETYPE`` — the five-way NETMARK type (1..5),
     ``NODENAME`` — element tag (NULL for text nodes),
@@ -24,8 +23,8 @@ DOC row by one hop to ``ROOTROWID`` and one forward read, which ends at
 the next row without a parent; within the run a node's subtree is the
 rows that follow it, and its next sibling is the next ROWID past that
 subtree, if that row's ``PARENTROWID`` is the node's own.  The up-hop is
-``PARENTROWID``.  Position among siblings is ROWID order, so no column
-stores it.
+``PARENTROWID``.  Position among siblings is ROWID order, and a row's
+document the DOC row naming its run's root, so no column stores either.
 
 Indexes created with the schema (:data:`INDEXES`), beside ``DOC_ID``'s
 primary key: B+trees on ``DOC.FILE_NAME`` (the write path's "is this name
@@ -79,7 +78,6 @@ def xml_schema() -> TableSchema:
     return TableSchema(
         name=XML_TABLE,
         columns=(
-            Column("DOC_ID", INTEGER, nullable=False),
             Column("PARENTROWID", ROWID),
             Column("NODETYPE", INTEGER, nullable=False),
             Column("NODENAME", VARCHAR),

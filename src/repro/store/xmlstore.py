@@ -26,8 +26,8 @@ from repro.ordbms import Database, Snapshot, Table
 from repro.sgml.config import DEFAULT_CONFIG, NodeTypeConfig
 from repro.sgml.dom import Document
 from repro.sgml.serializer import XmlWriter
-from repro.store.accessor import NodeAccessor, SectionPass
-from repro.store.compose import compose_document, document_rows, write_rows
+from repro.store.accessor import NodeAccessor, RunRoots, SectionPass
+from repro.store.compose import compose_document, write_rows
 from repro.store.decompose import DecomposeResult, Decomposer
 from repro.store.schema import (
     DOC_TABLE,
@@ -83,6 +83,8 @@ class XmlStore:
         # which sections its text is in — heading text posted twice, every
         # row listed among its sections' members; the rows there, in one pass.
         self._xml_table.derive_facts(SectionPass, SectionPass.is_heading, SectionPass.sections)
+        roots = self._roots = RunRoots(self._xml_table)
+        self._doc_table.derive_facts(lambda _: roots)
         self._decomposer = Decomposer(database, config)
         #: doc id -> catalog entry, read and filled by :meth:`cached_entry`.
         self._entries: dict[int, StoredDocument] = {}
@@ -200,17 +202,17 @@ class XmlStore:
         return self.store_document(document, file_date=file_date)
 
     def delete_document(self, doc_id: int) -> int:
-        """Remove a document and all its nodes, as one statement; returns
-        nodes removed.  The nodes are the run from the root its DOC row
-        names, read off the heap as it stands (the writer's own pre-read)."""
+        """Remove a document and its nodes, as one statement; returns nodes
+        removed: the run from the root its DOC row names, read off the heap
+        as it stands (a writer's pre-read), none if the root is another's."""
         doc_rows = self._doc_table.lookup("DOC_ID", doc_id)
         if not doc_rows:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
-        xml, node_rows = self._xml_table, []
-        # The run ends at a tombstone, the heap tail, the next root or another document's row.
-        for slot in count(doc_rows[0].ROOTROWID):
+        xml, node_rows, root = self._xml_table, [], doc_rows[0].ROOTROWID
+        # The run ends at a tombstone, the heap tail or the next root.
+        for slot in count(root) if self._roots.docs.get(root) == doc_id else ():
             row = xml.fetch(slot) if xml.exists(slot) else None
-            if row is None or row.DOC_ID != doc_id or node_rows and row.PARENTROWID is None:
+            if row is None or node_rows and row.PARENTROWID is None:
                 break
             node_rows.append(row)
         self.database.change([
@@ -308,17 +310,17 @@ class XmlStore:
         """Write what :meth:`document` rebuilds to ``writer``, from the rows."""
         accessor = self.new_accessor(snapshot)
         self.entry_at(doc_id, accessor.lsn)
-        write_rows(document_rows(doc_id, accessor), writer)
+        write_rows(accessor.document(doc_id), writer)
 
     def new_accessor(self, snapshot: Snapshot | None = None) -> NodeAccessor:
         """A fresh accessor: a view as of ``snapshot``, else as of now."""
-        return NodeAccessor(self.database, snapshot=snapshot)
+        return NodeAccessor(self.database, self._roots, snapshot)
 
     def contexts(self, doc_id: int) -> Iterator[XmlRow]:
         """CONTEXT element rows of one document, in document order."""
         accessor = self.new_accessor()
         self.entry_at(doc_id, accessor.lsn)  # raises if unknown
-        return filter(NodeAccessor.is_context, document_rows(doc_id, accessor))
+        return filter(NodeAccessor.is_context, accessor.document(doc_id))
 
     # -- table access for the query layer -------------------------------------
 

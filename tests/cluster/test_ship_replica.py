@@ -19,6 +19,7 @@ from repro.sgml.config import DEFAULT_CONFIG
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.serializer import serialize
 from repro.store.xmlstore import XmlStore
+from tests.store.chain import document_rows
 
 
 def coordinator_rig():
@@ -209,7 +210,7 @@ class TestFollowerReplica:
         monkeypatch.undo()
         assert seen == [before]
         lsn = follower.database.mvcc.read_lsn()
-        assert len(xml.snapshot_search("DOC_ID", stored.doc_id, lsn)) > 0
+        assert len(document_rows(follower.database, stored.doc_id, lsn)) > 0
         assert [entry.file_name for entry in follower.store.documents()] == [
             "a.md", "b.md",
         ]

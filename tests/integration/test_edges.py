@@ -38,23 +38,22 @@ class TestErrorTypes:
 class TestComposeMultiRoot:
     def test_multiple_roots_detected(self):
         """A second parentless row ends the run a reader takes from the
-        root, so it is fsck's to find; a ROOTROWID that names no root is
-        refused by the reader itself."""
+        root and starts one no DOC row names, so it is fsck's to find; a
+        ROOTROWID that names no root is refused by the reader itself."""
         store = XmlStore()
         result = store.store_text("# A\nx\n", "a.md")
         # Manually corrupt: insert a second parentless row for the doc.
         rogue = store.database.insert(
             "XML",
             {
-                "DOC_ID": result.doc_id,
                 "PARENTROWID": None,
                 "NODETYPE": 1,
                 "NODENAME": "rogue",
             },
         )
         [found] = check_store(store.database).violations
-        assert (found.code, found.rowid) == ("doc-order", str(rogue))
-        assert "a second root" in found.detail
+        assert (found.code, found.rowid) == ("orphan-node", str(rogue))
+        assert "no DOC row names the run" in found.detail
         [doc] = store.doc_table.lookup("DOC_ID", result.doc_id)
         child = store.new_accessor().document(result.doc_id)[1]
         store.database.update("DOC", doc.rowid, {"ROOTROWID": child.rowid})

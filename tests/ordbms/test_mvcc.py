@@ -145,14 +145,13 @@ class TestSnapshotVisibility:
             ] == [1]
             assert table.snapshot_search("ID", 9, snap.lsn) == []
 
-    def test_snapshot_search_unindexed_column_falls_back_to_scan(
-        self, database, table
-    ):
+    def test_snapshot_search_refuses_an_unindexed_column(self, database, table):
+        """No silent scan: a column with no B+tree is refused, as
+        :meth:`Table.snapshot_rowids` refuses it, and no row is read."""
         database.insert("T", {"ID": 1, "V": "x"})
         with database.open_snapshot() as snap:
-            database.insert("T", {"ID": 2, "V": "x"})
-            rows = table.snapshot_search("V", "x", snap.lsn)
-            assert [row.ID for row in rows] == [1]
+            with pytest.raises(CatalogError, match="no index on T.V"):
+                table.snapshot_search("V", "x", snap.lsn)
 
     def test_snapshot_rowids_is_snapshot_search_without_the_rows(
         self, database, table

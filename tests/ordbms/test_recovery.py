@@ -553,26 +553,26 @@ class TestHostileLogs:
     @staticmethod
     def _with_first_insert(device: MemoryLogDevice, value: str) -> MemoryLogDevice:
         """The device with the first document's node row at slot 3
-        logging ``value`` for its DOC_ID (1), CRC recomputed."""
+        logging ``value`` for its NODETYPE (2), CRC recomputed."""
         lines = device.read_log().split("\n")
         (at,) = [
             index for index, line in enumerate(lines)
             if line.startswith(f"2\t{CHANGE}\tDOC\t1\t")
         ]
-        insert = "\t3\t.\t1\t"
+        insert = "\t3\t.\t2\t2\t"
         assert lines[at].count(insert) == 1
         lines[at] = _re_crc(
-            lines[at].rpartition("|")[0].replace(insert, f"\t3\t.\t{value}\t")
+            lines[at].rpartition("|")[0].replace(insert, f"\t3\t.\t2\t{value}\t")
         )
         return _with_log(device, "\n".join(lines))
 
     def test_a_wrong_typed_logged_value_is_a_recovery_error(self):
-        """``~`` in the INTEGER (NOT NULL, B+tree-indexed) DOC_ID column,
-        the one value of another type a column-typed image can carry:
-        NULL would reach the B+tree and compare with an int."""
+        """``~`` in the INTEGER (NOT NULL) NODETYPE column, the one value
+        of another type a column-typed image can carry: NULL would reach
+        the store as a node of no type."""
         device = self._with_first_insert(_small_store_device(), "~")
         for reopen in (recover, recover_follower):
-            with pytest.raises(RecoveryError, match="DOC_ID"):
+            with pytest.raises(RecoveryError, match="NODETYPE"):
                 reopen(device)
 
     @pytest.mark.parametrize("value", ["4x", "s:4"], ids=["unreadable", "tagged"])

@@ -215,7 +215,7 @@ class TestXmlStoreRestore:
         restored = XmlStore.restore(store.dump())
         result = restored.store_text("# B\ny\n", "b.md")
         assert result.doc_id == 2
-        assert check_store(restored.database).ok  # DOC_ID still rises with the ROWID
+        assert check_store(restored.database).ok  # ROOTROWID still rises with the DOC row's slot
 
 
 def _small_store_dump() -> str:

@@ -9,6 +9,7 @@ from repro.ordbms.snapshot import dump_database
 from repro.ordbms.wal import CHANGE
 from repro.resilience import FaultPlan
 from repro.store import DOC_TABLE, XML_TABLE, XmlStore, check_store
+from tests.store.chain import document_rows
 
 TEXT = "<doc><h1>Alpha</h1><p>beta <b>gamma</b></p></doc>"
 
@@ -27,7 +28,7 @@ def heaps(store):
     """What every table holds, indexes included: slots, probes, tail."""
     return (
         store.dump(),
-        [row.rowid for row in store.xml_table.lookup("DOC_ID", 2)],
+        [row.rowid for row in store.xml_table.lookup("NODENAME", "doc")],
         [row.rowid for row in store.doc_table.lookup("DOC_ID", 2)],
         store.xml_table.next_rowids(1), store.doc_table.next_rowids(1),
     )
@@ -72,11 +73,11 @@ class TestVisibility:
             result = store.store_text(TEXT, "a.xml")
             pin = before.lsn
             assert store.doc_table.snapshot_search("DOC_ID", result.doc_id, pin) == []
-            assert store.xml_table.snapshot_search("DOC_ID", result.doc_id, pin) == []
+            assert document_rows(database, result.doc_id, pin) == []
             assert [entry.file_name for entry in store.documents(before)] == ["first.xml"]
         now = database.mvcc.read_lsn()
         assert len(store.doc_table.snapshot_search("DOC_ID", result.doc_id, now)) == 1
-        assert len(store.xml_table.snapshot_search("DOC_ID", result.doc_id, now)) == result.node_count
+        assert len(document_rows(database, result.doc_id, now)) == result.node_count
 
 
 class TestNothingMoves:
@@ -87,7 +88,7 @@ class TestNothingMoves:
         taken = next(doc.scan())
         stamp = heaps(store), len(device._chunks), database.mvcc.lsn  # noqa: SLF001
         template = dict(zip((c.name for c in xml.schema.columns), next(xml.scan())))
-        node = xml.schema.row({**template, "DOC_ID": 2}, xml.next_rowids(1)[0])
+        node = xml.schema.row(template, xml.next_rowids(1)[0])
         twin = doc.schema.row(
             {**dict(zip((c.name for c in doc.schema.columns), taken)), "FILE_NAME": "twin"},
             doc.next_rowids(1)[0],
@@ -115,14 +116,14 @@ class TestNothingMoves:
         indexes and the LSN stay as they were."""
         store, device = durable_store()
         doc_id = store.store_text(TEXT, "a.xml").doc_id
-        gone = store.xml_table.lookup("DOC_ID", doc_id)
+        gone = document_rows(store.database, doc_id)
         store.delete_document(doc_id)
         database = store.database
         stamp = store.dump(), store.xml_table.next_rowids(3), database.mvcc.lsn
         landed = len(device._chunks)  # noqa: SLF001
         with pytest.raises(RowIdError, match="tail"):
             database.change([(XML_TABLE, [(None, gone[0])])])
-        assert store.xml_table.lookup("DOC_ID", doc_id) == []
+        assert not any(store.xml_table.exists(row.rowid) for row in gone)
         assert (store.dump(), store.xml_table.next_rowids(3), database.mvcc.lsn) == stamp
         assert appended(device, landed) == []
         assert dump_database(recover(device).database) == store.dump()

@@ -22,6 +22,7 @@ from repro.sgml.nodetypes import NodeType
 from repro.sgml.serializer import XmlWriter, serialize
 from tests.conftest import SAMPLE_FILES
 from tests.sgml import dom_path
+from tests.store.chain import document_rows
 
 #: A document whose first text precedes every heading (a document-level
 #: hit for ``Content=zephyr``), with an attribute and nested markup.
@@ -157,7 +158,7 @@ def test_stored_simulation_elements_come_back_synthetic(node):
     entry = store.lookup_by_name("report1.ndoc")
     document = store.document(entry.doc_id)
     rows = [
-        row for row in store.xml_table.lookup("DOC_ID", entry.doc_id)
+        row for row in document_rows(store.database, entry.doc_id)
         if row.NODETYPE != int(NodeType.TEXT)
     ]
     elements = [node for node in document.root.walk() if isinstance(node, Element)]

@@ -105,7 +105,7 @@ class TestInvalidation:
                 accessor.document(extra.doc_id)
         later = store.new_accessor()
         assert later.lsn > accessor.lsn
-        assert later.node(extra.root_rowid).DOC_ID == extra.doc_id
+        assert later.document_of(later.node(extra.root_rowid)) == (extra.root_rowid, extra.doc_id)
         assert later.document(extra.doc_id)[0].rowid == extra.root_rowid
 
     def test_a_delete_is_seen_by_a_new_accessor_not_this_one(

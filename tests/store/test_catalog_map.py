@@ -39,10 +39,16 @@ from tests.store.test_decompose_onepass import (
 from tests.store.test_section_run import scope
 
 
+def entry_of(ctx, doc_id):
+    """``ctx.entry`` of document ``doc_id``, asked with its root row."""
+    [doc] = ctx.store.doc_table.snapshot_search("DOC_ID", doc_id, ctx.accessor.lsn)
+    return ctx.entry(ctx.accessor.node(doc.ROOTROWID))
+
+
 def _mapped(store, snapshot=None):
     """Every visible document's entry as a plan reads it: through the map."""
     ctx = PlanContext(store, store.new_accessor(snapshot), use_index=True)
-    return {entry.doc_id: ctx.entry(entry.doc_id) for entry in store.documents()}
+    return {entry.doc_id: entry_of(ctx, entry.doc_id) for entry in store.documents()}
 
 
 class TestTheMapAnswersWhatEntryAtReads:
@@ -51,7 +57,7 @@ class TestTheMapAnswersWhatEntryAtReads:
         entry, whether the map held it before the delete or the pinned
         reader fills it after."""
         warm, cold = loaded_store.documents()[:2]
-        PlanContext(loaded_store, loaded_store.new_accessor(), True).entry(warm.doc_id)
+        entry_of(PlanContext(loaded_store, loaded_store.new_accessor(), True), warm.doc_id)
         assert set(loaded_store._entries) == {warm.doc_id}
         with loaded_store.snapshot() as before:
             for doomed in (warm, cold):
@@ -59,7 +65,7 @@ class TestTheMapAnswersWhatEntryAtReads:
             assert not loaded_store._entries  # the delete took it out
             early = PlanContext(loaded_store, loaded_store.new_accessor(before), True)
             for doomed in (warm, cold):
-                assert early.entry(doomed.doc_id) == doomed
+                assert entry_of(early, doomed.doc_id) == doomed
                 assert loaded_store.entry_at(doomed.doc_id, before.lsn) == doomed
                 assert loaded_store._entries[doomed.doc_id] == doomed
         assert not {warm.doc_id, cold.doc_id} & set(_mapped(loaded_store))
@@ -79,7 +85,7 @@ class TestTheMapAnswersWhatEntryAtReads:
                 new = store.replace_text(text, name).doc_id
                 ever[new] = store.describe(new)
                 early = PlanContext(store, store.new_accessor(before), True)
-                assert early.entry(old.doc_id) == old
+                assert entry_of(early, old.doc_id) == old
             assert len(store._entries) <= 2 * live + 65
         assert store._entries == {doc_id: ever[doc_id] for doc_id in store._entries}
 
@@ -101,7 +107,7 @@ class TestTheMapAnswersWhatEntryAtReads:
                 start.wait()
                 ctx = PlanContext(store, store.new_accessor(), use_index=True)
                 for doc_id in order[seed:] + order[:seed]:
-                    entry = ctx.entry(doc_id)
+                    entry = entry_of(ctx, doc_id)
                     if entry != expected[doc_id]:
                         wrong.append((doc_id, entry))
 

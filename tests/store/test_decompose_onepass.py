@@ -30,7 +30,6 @@ def oracle_load(store, document):
         rowid = database.insert(
             XML_TABLE,
             {
-                "DOC_ID": doc_id,
                 "PARENTROWID": parent_rowid,
                 "NODETYPE": int(store.config.classify(node)),
                 "NODENAME": node.tag if is_element else None,

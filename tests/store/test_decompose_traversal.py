@@ -8,8 +8,9 @@ import pytest
 
 from repro.sgml.nodetypes import NodeType
 from repro.sgml.parser import parse_xml
-from repro.store import XML_TABLE, XmlStore
+from repro.store import XmlStore
 from repro.store.accessor import joined_text
+from tests.store.chain import document_of, document_rows
 from tests.store.test_section_run import HopOracle, scope
 
 
@@ -43,7 +44,7 @@ def governing(store, row):
 def classify_counts(database, doc_id):
     """Histogram of node types for one document."""
     counts = {}
-    for row in database.table(XML_TABLE).lookup("DOC_ID", doc_id):
+    for row in document_rows(database, doc_id):
         node_type = NodeType(row.NODETYPE)
         counts[node_type] = counts.get(node_type, 0) + 1
     return counts
@@ -76,7 +77,7 @@ class TestDecomposition:
         for row in store.xml_table.scan():
             parent = hops(store).parent(row)
             if parent is not None:  # same document, stored before its child
-                assert parent.DOC_ID == row.DOC_ID
+                assert document_of(store.database, parent) == document_of(store.database, row)
                 assert parent.rowid < row.rowid
 
     def test_sibling_chain_terminates_and_orders(self, store_with_doc):

@@ -1,9 +1,10 @@
-"""A document is found by its root: no reader probes XML by ``DOC_ID``.
+"""A document is found by its root: no reader scans XML for its rows.
 
 The DOC row names its root's ROWID (``ROOTROWID``), and a document's
-rows are the run a forward read takes from there.  XML carries no
-``DOC_ID`` B+tree, so a reader left probing it would not fail: it would
-fall back to a scan of the whole node table (``Table.lookup``).  This
+rows are the run a forward read takes from there; no node row names its
+document.  A reader that looked a document's rows up by some other
+column would not fail: with no B+tree there it would fall back to a scan
+of the whole node table (``Table.lookup``).  This
 guard drives every reader of a whole document — ingest, replace, delete,
 ``/doc``, ``contexts()``, a heading found by ``Nodename=``,
 checkpoint-and-recover and the daemon settling a journalled ingest — and

@@ -10,6 +10,7 @@ from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, repair_store
 from repro.store.fsck import REPAIRABLE, main
 from repro.store.schema import XML_TABLE, doc_schema, xml_schema
+from tests.store.chain import document_rows
 from tests.store.test_xmlstore import OTHER_BTREES, TEN_COLUMN_SNAPSHOT, with_btrees
 
 
@@ -22,11 +23,14 @@ def xml_rows(store: XmlStore) -> list:
     return list(store.xml_table.scan())
 
 
-def node_where(store: XmlStore, **conditions):
-    for row in xml_rows(store):
+def node_where(store: XmlStore, doc_id: int | None = None, **conditions):
+    """The first row meeting ``conditions`` — of document ``doc_id``, by
+    its parent chain (:mod:`tests.store.chain`), when one is given."""
+    rows = xml_rows(store) if doc_id is None else document_rows(store.database, doc_id)
+    for row in rows:
         if all(getattr(row, key) == value for key, value in conditions.items()):
             return row
-    raise AssertionError(f"no node matching {conditions}")
+    raise AssertionError(f"no node matching {conditions} in document {doc_id}")
 
 
 class TestCleanStore:
@@ -49,7 +53,7 @@ class TestCleanStore:
         database.create_table(doc_schema()).create_index("FILE_NAME")
         columns = [c for c in xml_schema().columns if c.name != "NODETYPE"]
         database.create_table(TableSchema(XML_TABLE, tuple(columns)))
-        database.insert(XML_TABLE, {"DOC_ID": 1})
+        database.insert(XML_TABLE, {"PARENTROWID": None})
         with pytest.raises(FsckError, match="NETMARK columns"):
             check_store(database)
 
@@ -74,22 +78,24 @@ class TestCleanStore:
 
 class TestCorruptionClasses:
     """Each seeded corruption class is detected: under its own code, or
-    as the break of its document's pre-order walk."""
+    as the break of its run's pre-order walk."""
 
-    #: Damages with no code of their own: each breaks its document's
+    #: Damages with no code of their own: each breaks document 1's
     #: pre-order walk, reported as ``doc-order`` with the cause.
     WALK_BREAKS = {
         "missing-root": "the run does not start at the root: parent",
-        "multiple-roots": "a second root",
         "dangling-parent": "is not a live XML row",
         "foreign-parent": "belongs to document 2",
         "parent-cycle": "does not precede it",
     }
 
+    #: Damages reported under another class's code: a second root starts
+    #: a run of its own, which no DOC row names.
+    REPORTED_AS = {"multiple-roots": "orphan-node"}
+
     def seed(self, store: XmlStore, code: str) -> None:
         database = store.database
-        rows = xml_rows(store)
-        root = node_where(store, PARENTROWID=None, DOC_ID=1)
+        root = node_where(store, 1, PARENTROWID=None)
         child = node_where(store, PARENTROWID=root.rowid)
         if code == "bad-node-type":
             database.update(XML_TABLE, child.rowid, {"NODETYPE": 99})
@@ -97,9 +103,8 @@ class TestCorruptionClasses:
             doc_row = store.doc_table.lookup("DOC_ID", 1)[0]
             database.delete("DOC", doc_row.rowid)
         elif code == "empty-document":
-            for row in rows:
-                if row.DOC_ID == 1:
-                    database.delete(XML_TABLE, row.rowid)
+            for row in document_rows(database, 1):
+                database.delete(XML_TABLE, row.rowid)
         elif code == "missing-root":
             database.update(
                 XML_TABLE, root.rowid, {"PARENTROWID": child.rowid}
@@ -112,7 +117,7 @@ class TestCorruptionClasses:
             orphaned = node_where(store, PARENTROWID=victim.rowid)
             assert orphaned is not None  # its children now dangle
         elif code == "foreign-parent":
-            other = node_where(store, PARENTROWID=None, DOC_ID=2)
+            other = node_where(store, 2, PARENTROWID=None)
             database.update(
                 XML_TABLE, child.rowid, {"PARENTROWID": other.rowid}
             )
@@ -122,10 +127,10 @@ class TestCorruptionClasses:
                 XML_TABLE, child.rowid, {"PARENTROWID": grandchild.rowid}
             )
         elif code == "doc-order":
-            # A well-linked last child of document 1's, stored behind
-            # document 2's rows: no link is wrong, only where the row sits.
+            # A well-linked last child of document 1's, stored in the last
+            # document's run: no link is wrong, only where the row sits.
             database.insert(XML_TABLE, {
-                "DOC_ID": 1, "NODETYPE": 2, "NODENAME": "late", "PARENTROWID": child.rowid,
+                "NODETYPE": 2, "NODENAME": "late", "PARENTROWID": child.rowid,
             })
         elif code == "btree-drift":
             index = store.xml_table.index_on("NODENAME")
@@ -165,31 +170,38 @@ class TestCorruptionClasses:
             [found] = [v for v in report.violations if v.code == "doc-order"]
             assert found.doc_id == 1 and self.WALK_BREAKS[code] in found.detail
         else:
+            code = self.REPORTED_AS.get(code, code)
             assert code in report.codes(), (
                 f"seeded {code}, fsck reported {sorted(report.codes())}"
             )
 
-    @pytest.mark.parametrize("damage", [*WALK_BREAKS, "doc-order"])
+    @pytest.mark.parametrize("damage", [*WALK_BREAKS, "multiple-roots", "doc-order"])
     def test_a_broken_walk_survives_repair(self, loaded, damage):
+        """Where rows sit and what they link to is stored, not derived:
+        a repair leaves every finding as it was."""
         self.seed(loaded, damage)
-        report = repair_store(loaded.database)
-        assert [v.doc_id for v in report.violations if v.code == "doc-order"] == [1]
+        found = check_store(loaded.database).violations
+        assert found and not REPAIRABLE & {violation.code for violation in found}
+        assert repair_store(loaded.database).violations == found
 
     #: A DOC row whose ROOTROWID names some other slot than its run's
-    #: first row: how to pick that slot, and what the finding says of it.
+    #: first row: how to pick that slot; the one finding on a DOC row —
+    #: whose, its code, what it says —; and whether document 1's run is
+    #: left named by no DOC row (an ``orphan-node`` at its root, slot 0).
     ROOT_DAMAGES = {
-        "tombstone": "no live XML row",
-        "out-of-range": "no live XML row",
-        "non-root": "not its root",
-        "another-document": "a row of document 2",
+        "tombstone": (1, "empty-document", "is no live XML row", True),
+        "out-of-range": (1, "empty-document", "is no live XML row", True),
+        "non-root": (1, "doc-order", "is not its root: the run starts at 0", False),
+        # Two DOC rows name document 2's root: the later one breaks the rise.
+        "another-document": (2, "doc-order", "does not rise: document 1 names", True),
     }
 
     def plant_root(self, store: XmlStore, damage: str) -> None:
         """Point document 1's ROOTROWID at the ``damage`` slot."""
-        root = node_where(store, PARENTROWID=None, DOC_ID=1)
+        root = node_where(store, 1, PARENTROWID=None)
         if damage == "tombstone":
             last = max(store.documents(), key=lambda entry: entry.doc_id)
-            doomed = node_where(store, PARENTROWID=None, DOC_ID=last.doc_id)
+            doomed = node_where(store, last.doc_id, PARENTROWID=None)
             store.delete_document(last.doc_id)
             named = doomed.rowid
         elif damage == "out-of-range":
@@ -197,21 +209,42 @@ class TestCorruptionClasses:
         elif damage == "non-root":
             named = node_where(store, PARENTROWID=root.rowid).rowid
         else:
-            named = node_where(store, PARENTROWID=None, DOC_ID=2).rowid
+            named = node_where(store, 2, PARENTROWID=None).rowid
         [doc] = store.doc_table.lookup("DOC_ID", 1)
         store.database.update("DOC", doc.rowid, {"ROOTROWID": named})
 
     @pytest.mark.parametrize("damage", ROOT_DAMAGES)
     def test_a_rootrowid_that_misses_the_run_is_one_finding(self, loaded, damage):
         """A reader finds a document's run only through its DOC row's
-        ``ROOTROWID``: naming any other slot breaks the run's layout, one
-        ``doc-order`` finding on the DOC row; the column is stored, not
-        derived, so a repair leaves it."""
+        ``ROOTROWID``, and a row its document through the DOC row naming
+        its run's root: naming any other slot is one finding on a DOC row,
+        and a run no DOC row names any more is an ``orphan-node``; the
+        column is stored, not derived, so a repair leaves both."""
         self.plant_root(loaded, damage)
+        doc_id, code, detail, hidden = self.ROOT_DAMAGES[damage]
         for check in (check_store, repair_store):
-            [found] = check(loaded.database).violations
-            assert (found.code, found.table, found.doc_id) == ("doc-order", "DOC", 1)
-            assert self.ROOT_DAMAGES[damage] in found.detail
+            report = check(loaded.database)
+            [found] = [violation for violation in report.violations if violation.table == "DOC"]
+            assert (found.code, found.doc_id) == (code, doc_id) and detail in found.detail
+            assert [(v.code, v.rowid) for v in report.violations if v.table == XML_TABLE] == (
+                [("orphan-node", "0")] if hidden else []
+            )
+
+    def test_exchanged_roots_are_found_by_the_rise(self, loaded):
+        """Two DOC rows' ``ROOTROWID`` swapped: each still names a run's
+        root and every run is named, so only the rise with the DOC row's
+        slot tells — one finding, at the later DOC row."""
+        first, second = (loaded.doc_table.lookup("DOC_ID", doc_id)[0] for doc_id in (1, 2))
+        loaded.database.update("DOC", first.rowid, {"ROOTROWID": second.ROOTROWID})
+        loaded.database.update("DOC", second.rowid, {"ROOTROWID": first.ROOTROWID})
+        [found] = check_store(loaded.database).violations
+        assert (found.code, found.table, found.rowid, found.doc_id) == (
+            "doc-order", "DOC", str(second.rowid), 2
+        )
+        assert found.detail == (
+            f"ROOTROWID {first.ROOTROWID} does not rise: document 1 names "
+            f"{second.ROOTROWID} before it"
+        )
 
     def test_a_delete_through_another_documents_root_takes_none_of_its_rows(self, loaded):
         """The delete reads its run from ``ROOTROWID`` and stops at a row
@@ -259,54 +292,58 @@ class TestCorruptionClasses:
 
     def test_misplaced_row_is_the_only_finding_and_repair_leaves_it(self, loaded):
         """``doc-order`` is about where a row sits, nothing else: every
-        link of the planted row is right, and nothing derivable moves it."""
+        link of the planted row is right, and nothing derivable moves it.
+        The finding is the run's it sits in, the last document's."""
         self.seed(loaded, "doc-order")
         report = check_store(loaded.database)
         assert report.codes() == {"doc-order"} and report.count("doc-order") == 1
-        assert report.violations[0].doc_id == 1
+        assert report.violations[0].doc_id == len(loaded)
+        assert "belongs to document 1" in report.violations[0].detail
         assert repair_store(loaded.database).codes() == {"doc-order"}
 
     @pytest.mark.parametrize(
-        "layout, problem",
+        "layout, code, problem",
         [
             # (name, parent) in the order the rows are stored; siblings
             # are in the order they are stored, so none is out of it
-            ([("a", "r"), ("r", None)], "does not start at the root"),
-            ([("r", None), ("a", "r"), ("b", "r"), ("c", "a")],
-             "not an open ancestor"),
-            ([("r", None), ("a", "r"), ("s", None)], "a second root"),
+            pytest.param([("a", "r"), ("r", None)], "doc-order", "does not start at the root",
+                         id="layout0-does not start at the root"),
+            pytest.param([("r", None), ("a", "r"), ("b", "r"), ("c", "a")],
+                         "doc-order", "not an open ancestor", id="layout1-not an open ancestor"),
+            # A second root starts a run of its own, which no DOC row names.
+            pytest.param([("r", None), ("a", "r"), ("s", None)], "orphan-node",
+                         "no DOC row names the run", id="layout2-a second root"),
         ],
     )
-    def test_every_way_of_leaving_document_order(self, store, layout, problem):
+    def test_every_way_of_leaving_document_order(self, store, layout, code, problem):
         database = store.database
         names = [name for name, _ in layout]
         addresses = dict(zip(names, store.xml_table.next_rowids(len(layout))))
         database.insert("DOC", {"DOC_ID": 1, "FILE_NAME": "planted.xml", "ROOTROWID": addresses["r"]})
         for name, parent in layout:
             database.insert(XML_TABLE, {
-                "DOC_ID": 1, "NODETYPE": 2, "NODENAME": name,
-                "PARENTROWID": addresses.get(parent),
+                "NODETYPE": 2, "NODENAME": name, "PARENTROWID": addresses.get(parent),
             })
         [found] = [
             violation for violation in check_store(database).violations
-            if violation.code == "doc-order"
+            if violation.code == code and violation.table == XML_TABLE
         ]
         assert problem in found.detail
 
     def test_rowid_order_is_document_node_order(self, store):
-        """A plan reads the presentation order off the ROWID, so documents
-        follow one another in DOC_ID order along the heap: one stored
-        after a higher-numbered one is out of order, though each is one
-        well-formed run."""
+        """A plan reads the presentation order off the ROWID, and a DOC
+        row is appended with its run, so ``ROOTROWID`` rises with the DOC
+        row's slot: a document whose root comes before the one its DOC
+        row follows is out of order, though each is one well-formed run."""
         database = store.database
         first, second = store.xml_table.next_rowids(2)
         for doc_id, root in ((1, second), (2, first)):
             database.insert("DOC", {"DOC_ID": doc_id, "FILE_NAME": f"{doc_id}.xml", "ROOTROWID": root})
-        for doc_id in (2, 1):
-            database.insert(XML_TABLE, {"DOC_ID": doc_id, "NODETYPE": 1, "NODENAME": "n"})
+        for _ in range(2):
+            database.insert(XML_TABLE, {"NODETYPE": 1, "NODENAME": "n"})
         [found] = check_store(database).violations
-        assert found.code == "doc-order" and found.rowid == str(second)
-        assert "DOC_ID does not rise: document 2's rows come first" in found.detail
+        assert (found.code, found.table, found.doc_id) == ("doc-order", "DOC", 2)
+        assert found.detail == f"ROOTROWID {first} does not rise: document 1 names {second} before it"
 
     @pytest.mark.parametrize("damage", ["ghost", "missing"])
     def test_heading_postings_are_held_to_a_fresh_pass(self, loaded, damage):
@@ -386,9 +423,7 @@ class TestRepairUnderAWarmPool:
         # A ghost posting of a heading, under a name no query asks for:
         # drift that repair fixes and no read follows.
         report1 = node.store.lookup_by_name("report1.ndoc").doc_id
-        heading = node_where(
-            node.store, DOC_ID=report1, NODEDATA="Budget"
-        ).PARENTROWID
+        heading = node_where(node.store, report1, NODEDATA="Budget").PARENTROWID
         node.store.xml_table.index_on("NODENAME").insert("ghost-entry", heading)
         assert node.fsck().codes() == {"btree-drift"}
         damaged = self.answers(cached, self.QUERIES)  # warms the result cache

@@ -53,18 +53,18 @@ def _sha(text: str) -> str:
 class TestNoByteMoved:
     """Twelve generated documents through the daemon onto a WAL, one
     replaced, one deleted.  The served bodies are the parent commit's;
-    the WAL, the dump rows and the fsck findings are the six-column
-    XML row's own (no NODEID, parent NODEID, sibling link or ordinal)
-    and a DOC row naming its root, with decimal slot numbers for
+    the WAL, the dump rows and the fsck findings are the five-column
+    XML row's own (no NODEID, parent NODEID, sibling link, ordinal or
+    DOC_ID) and a DOC row naming its root, with decimal slot numbers for
     addresses."""
 
     GOLDEN = {
-        # Logged and dumped bytes moved on purpose: each DOC image gains
-        # ROOTROWID, its root's decimal slot number — the previous bytes
-        # with that one field appended to every DOC image (and the CRCs
-        # recomputed); no XML image moved.
-        "wal": "9647c940d663d7c7a1d82ef26b86121d1acb82bb55e3fa28c0258b153a8f2b00",
-        "dump_rows": "41c29d747177b9ca9b7a08f3889c2cdbe2b72d3422b6d71f772a8e67dd7e56d3",
+        # Logged and dumped bytes moved on purpose: each XML image loses
+        # DOC_ID, its first field — the previous bytes with that field
+        # dropped from every XML image (width 6 -> 5) and every XML ROW
+        # line, the CRCs recomputed; no DOC image moved.
+        "wal": "ce2e99e98a32288c8fda642467c3c512db07698731951b471d6b07c8a4e7d95a",
+        "dump_rows": "31ab5be0ada7ff9d203ccdaa229e646cac4aeb8b804632df2a3fd26479e748ab",
         # The dangling parent is the walk's break: one finding, not two.
         "fsck_violations": "69512d9f6b7c138bc2c3ea3764e5c49803bfda3ae85173370f684fa5877e82ec",
         "search_bodies": [
@@ -161,7 +161,6 @@ class TestTheStoredObjectIsTheRow:
             table.lookup("NOTE", ""),  # by scan
             list(table.snapshot_scan(lsn)),
             table.snapshot_search("NAME", "ride", lsn),
-            table.snapshot_search("NOTE", "", lsn),
         ):
             assert len(door) == 2
             assert door[0] is first and door[1] is second
@@ -362,7 +361,7 @@ class TestWhatARowCannotCarry:
         head = xml.next_rowids(1)[0]
         with pytest.raises(TypeMismatchError, match="PARENTROWID"):
             node.database.change([(XML_TABLE, [(None, xml.schema.row(
-                {"DOC_ID": 1, "NODETYPE": 2, "PARENTROWID": parent}, head,
+                {"NODETYPE": 2, "PARENTROWID": parent}, head,
             ))])])
         root = next(xml.scan())
         with pytest.raises(TypeMismatchError, match="PARENTROWID"):

@@ -28,9 +28,10 @@ class TestGeneratedSchema:
         # The row keeps only what a read follows: the parent's ROWID up,
         # ROWID order down and across.
         assert [column.name for column in xml_table.schema.columns] == [
-            "DOC_ID", "PARENTROWID", "NODETYPE", "NODENAME", "NODEDATA", "ATTRS",
+            "PARENTROWID", "NODETYPE", "NODENAME", "NODEDATA", "ATTRS",
         ]
-        # A node is its ROWID: no key of its own.
+        # A node is its ROWID, and its document the run it sits in: no
+        # key of its own, no key of its document's.
         assert xml_table.schema.primary_key is None
 
     def test_indexes_created(self):

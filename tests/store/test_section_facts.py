@@ -17,9 +17,10 @@ from repro.ordbms.wal import CHANGE, MemoryLogDevice, parse_log
 from repro.query import QueryEngine
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, repair_store
-from repro.store.accessor import NodeAccessor, SectionPass
+from repro.store.accessor import NodeAccessor, RunRoots, SectionPass
 from repro.store.schema import XML_TABLE
 from repro.workloads import CorpusSpec, generate_corpus
+from tests.store.chain import document_of, document_rows
 from tests.store.test_section_run import HopOracle
 
 NESTED = (
@@ -73,7 +74,10 @@ class TestThePassEqualsTheWalk:
         assert database.table(XML_TABLE).text_index_on("NODEDATA").facts is None
         assert check_store(database).ok  # nothing derived, nothing to drift
         row = next(r for r in database.table(XML_TABLE).scan() if r.NODEDATA)
-        accessor = NodeAccessor(database)  # reads run a pass, as the scan path does
+        roots = RunRoots(database.table(XML_TABLE))  # what a store feeds every DOC row
+        for doc in database.table("DOC").scan():
+            roots(doc)
+        accessor = NodeAccessor(database, roots)  # reads run a pass, as the scan path does
         assert accessor.text_facts([row.rowid]) == [HopOracle(accessor).facts(row)]
 
     def test_a_pass_takes_a_document_newest_row_first(self, store):
@@ -93,7 +97,7 @@ class TestThePassEqualsTheWalk:
         or in part, feeds them again — and must not inherit that state."""
         store.store_text(NESTED, "nested.xml")
         xml = store.xml_table
-        rows = xml.lookup("DOC_ID", store.lookup_by_name("nested.xml").doc_id)
+        rows = document_rows(store.database, store.lookup_by_name("nested.xml").doc_id)
         for edited in (rows, rows[:4]):
             store.database.change([(XML_TABLE, [
                 (xml.fetch(row.rowid), xml.schema.row_of_image(row[:-1], row.rowid))
@@ -169,7 +173,7 @@ def nodename_contexts(store, name, snapshot=None):
         heading = row if accessor.is_context(row) else oracle.governing(row)
         expected.append(
             accessor.context_title(heading) if heading is not None
-            else store.entry_at(row.DOC_ID, accessor.lsn).file_name
+            else store.entry_at(document_of(store.database, row, accessor.lsn), accessor.lsn).file_name
         )
     return expected
 
@@ -184,7 +188,7 @@ class TestEveryFallbackIsTheDocumentsPass:
         store.store_text("<doc><h1>Other</h1><p>beta</p></doc>", "other.xml")
         with store.snapshot() as pin:
             texts = [
-                row for row in store.xml_table.lookup("DOC_ID", result.doc_id)
+                row for row in document_rows(store.database, result.doc_id)
                 if NodeAccessor.is_text(row)
             ]
             walked = [HopOracle(store.new_accessor(pin)).facts(row) for row in texts]
@@ -256,7 +260,7 @@ class TestEveryWayAStoreComesBack:
             store.store_text(file.text, file.name)
         store.replace_text(files[3].text + "\n\nshuttle program system\n", files[3].name)
         store.delete_document(store.lookup_by_name(files[5].name).doc_id)
-        rows = store.xml_table.lookup("DOC_ID", store.lookup_by_name("nested.xml").doc_id)
+        rows = document_rows(store.database, store.lookup_by_name("nested.xml").doc_id)
         with pytest.raises(RowIdError):  # a slot named twice: the delete moves nothing
             store.database.change([(XML_TABLE, [(row, None) for row in rows + rows[:1]])])
         follower.apply_batch(shipper.batch_after(follower.acked_lsn))

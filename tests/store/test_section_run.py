@@ -30,6 +30,7 @@ from repro.store import (
 )
 from repro.store.accessor import joined_text, split_section
 from repro.store.schema import decode_attributes
+from tests.store.chain import by_root, document_of, document_rows
 from tests.store.test_decompose_onepass import (
     SMALL,
     WIDE,
@@ -52,19 +53,19 @@ OLD_LOADER_SNAPSHOT = (
     "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t0\n"
     "ROW 1 2\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t6\n"
     "TOMB 2\n"
-    "TABLE XML\nSCHEMA DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\t-\tNODENAME\tNODEDATA\n"
-    "ROW 0 1\t~\t1\tdocument\t~\t~\n"
-    "ROW 1 1\t0\t5\tsection\t~\t~\n"
-    "ROW 2 1\t1\t3\tcontext\t~\t~\n"
-    "ROW 3 1\t2\t2\t~\tBudget\t~\n"
-    "ROW 4 1\t1\t1\tcontent\t~\t~\n"
-    "ROW 5 1\t4\t2\t~\tTravel funds.\t~\n"
-    "ROW 6 2\t~\t1\tdocument\t~\t~\n"
-    "ROW 7 2\t6\t5\tsection\t~\t~\n"
-    "ROW 8 2\t7\t3\tcontext\t~\t~\n"
-    "ROW 9 2\t8\t2\t~\tOps\t~\n"
-    "ROW 10 2\t7\t1\tcontent\t~\t~\n"
-    "ROW 11 2\t10\t2\t~\tLaunch pad work.\t~\n"
+    "TABLE XML\nSCHEMA PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\t-\tNODENAME\tNODEDATA\n"
+    "ROW 0 ~\t1\tdocument\t~\t~\n"
+    "ROW 1 0\t5\tsection\t~\t~\n"
+    "ROW 2 1\t3\tcontext\t~\t~\n"
+    "ROW 3 2\t2\t~\tBudget\t~\n"
+    "ROW 4 1\t1\tcontent\t~\t~\n"
+    "ROW 5 4\t2\t~\tTravel funds.\t~\n"
+    "ROW 6 ~\t1\tdocument\t~\t~\n"
+    "ROW 7 6\t5\tsection\t~\t~\n"
+    "ROW 8 7\t3\tcontext\t~\t~\n"
+    "ROW 9 8\t2\t~\tOps\t~\n"
+    "ROW 10 7\t1\tcontent\t~\t~\n"
+    "ROW 11 10\t2\t~\tLaunch pad work.\t~\n"
     + "".join(f"TOMB {slot}\n" for slot in range(12, 18))
 )
 
@@ -73,11 +74,12 @@ class HopOracle:
     """The hop-based walk, on the parent links alone: ``PARENTROWID`` up,
     children by ``PARENTROWID`` in ROWID order, the next such child
     across.  Rows come through ``accessor``, so the oracle reads as of
-    its LSN."""
+    its LSN; a document is the rows whose parent chain ends at the root
+    its DOC row names (:mod:`tests.store.chain`)."""
 
     def __init__(self, accessor):
         self.accessor = accessor
-        self._documents = {}  # doc id -> its rows as of the LSN
+        self._by_root = None  # chain root -> its rows as of the LSN
 
     def parent(self, row):
         above = row.PARENTROWID
@@ -89,17 +91,25 @@ class HopOracle:
         later = [sibling for sibling in family if sibling.rowid > row.rowid]
         return later[0] if later else None
 
-    def rows(self, doc_id):
-        """Document ``doc_id``'s rows as of the LSN, found by their key:
-        a filtered scan, blind to the run a forward read follows."""
-        rows = self._documents.get(doc_id)
-        if rows is None:
+    def tree(self, row):
+        """The rows as of the LSN whose parent chains end where ``row``'s
+        does: a scan, blind to the run a forward read follows."""
+        if self._by_root is None:
             accessor = self.accessor
-            rows = self._documents[doc_id] = accessor.table.snapshot_search("DOC_ID", doc_id, accessor.lsn)
-        return rows
+            self._by_root = by_root(list(accessor.table.snapshot_scan(accessor.lsn)))
+        while row.PARENTROWID is not None:
+            row = self.parent(row)
+        return self._by_root[row.rowid]
+
+    def rows(self, doc_id):
+        """Document ``doc_id``'s rows as of the LSN: the tree of the root
+        its DOC row names."""
+        accessor = self.accessor
+        [doc] = accessor._docs.snapshot_search("DOC_ID", doc_id, accessor.lsn)
+        return self.tree(self.accessor.node(doc.ROOTROWID))
 
     def children(self, row):
-        below = [child for child in self.rows(row.DOC_ID) if child.PARENTROWID == row.rowid]
+        below = [child for child in self.tree(row) if child.PARENTROWID == row.rowid]
         return sorted(below, key=lambda child: child.rowid)
 
     def facts(self, row):
@@ -275,10 +285,9 @@ class TestAgainstTheHopWalk:
         store.store_document(document(WIDE, "tail.xml"))
         assert "TOMB" in store.dump()
         assert assert_reads_agree(store) > 3 * 4 * 2
-        rows = list(store.xml_table.scan())
-        behind = next(row for row in rows if row.DOC_ID == store.lookup_by_name("d2.xml").doc_id)
+        behind = document_rows(store.database, store.lookup_by_name("d2.xml").doc_id)[0]
         assert not store.xml_table.exists(behind.rowid - 1)  # d2's root follows the tombstones
-        root = next(row for row in rows if row.DOC_ID == store.lookup_by_name("tail.xml").doc_id)
+        root = document_rows(store.database, store.lookup_by_name("tail.xml").doc_id)[0]
         last = store.new_accessor().run(root)[-1]
         assert last.rowid == store.xml_table.next_rowids(1)[0] - 1  # the run ends at the tail
 
@@ -407,7 +416,9 @@ class TestOneWindow:
             after = run[-1].rowid if run else row.rowid
             stopper = store.xml_table.rows_after(after, now(store), lambda rows: next(rows, None))
             assert pulled == len(run) + (stopper is not None)
-            endings.append(None if stopper is None else stopper.DOC_ID != row.DOC_ID)
+            endings.append(None if stopper is None else (
+                document_of(store.database, stopper) != document_of(store.database, row)
+            ))
         # A sibling heading, the next document's root, the heap's tail.
         assert endings.count(False) and endings.count(True) == 1 and endings[-1] is None
 

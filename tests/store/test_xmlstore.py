@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConstraintError, DocumentNotFoundError, StoreError
+from repro.errors import ConstraintError, DocumentNotFoundError, ReproError, StoreError
 from repro.ordbms import FileLogDevice, MemoryLogDevice
 from repro.ordbms.wal import encode_checkpoint
 from repro.sgml.dom import Document, Element, Text
 from repro.sgml.parser import parse_xml
 from repro.sgml.serializer import serialize
 from repro.store import XmlStore, check_store, compose_section
+from tests.store.chain import document_rows
 
 
 class TestIngestion:
@@ -189,7 +190,7 @@ class TestLookupByNameIndex:
         )
         with pytest.raises(ConstraintError):  # DOC_ID 99 twice: nothing moves
             store.database.change([
-                ("XML", [(node, None) for node in store.xml_table.lookup("DOC_ID", first.doc_id)]),
+                ("XML", [(node, None) for node in document_rows(store.database, first.doc_id)]),
                 ("DOC", [(row, None), (None, c_md), (None, twin)]),
             ])
         # Refused: a.md's oldest row is still the oldest, c.md never was.
@@ -275,9 +276,9 @@ def with_btrees(doc: str, xml: str) -> str:
 #: them: ``(DOC's, XML's)`` beside DOC's primary key.
 OTHER_BTREES = {
     "doc-without-file-name": ("-", "NODENAME"),
-    "xml-with-doc-id": ("FILE_NAME", "DOC_ID|NODENAME"),
+    "xml-with-parentrowid": ("FILE_NAME", "NODENAME|PARENTROWID"),
     "xml-with-nodetype": ("FILE_NAME", "NODENAME|NODETYPE"),
-    "xml-without-nodename": ("FILE_NAME", "DOC_ID"),
+    "xml-without-nodename": ("FILE_NAME", "-"),
 }
 
 
@@ -339,3 +340,59 @@ class TestTheOldSchemaIsRefused:
             device.close()
         with open(base + ".ckpt", encoding="utf-8") as checkpoint:
             assert "ORDINAL:INTEGER!" in checkpoint.read()  # left as it was
+
+
+#: memo.md as the six-column XML schema dumped it — each node row
+#: carrying its document's ``DOC_ID`` — and as that schema logged it,
+#: onto a checkpoint of the empty store.
+_SIX_COLUMN_DOC = (
+    "%NETMARK-SNAPSHOT 4\nTABLE DOC\nSCHEMA DOC_ID:INTEGER!,FILE_NAME:VARCHAR!,FILE_DATE:TIMESTAMP,FILE_SIZE:INTEGER,FORMAT:VARCHAR,METADATA:CLOB,ROOTROWID:ROWID!\tDOC_ID\tFILE_NAME\t-\n"
+)
+_SIX_COLUMN_XML = (
+    "TABLE XML\nSCHEMA DOC_ID:INTEGER!,PARENTROWID:ROWID,NODETYPE:INTEGER!,NODENAME:VARCHAR,NODEDATA:CLOB,ATTRS:CLOB\t-\tNODENAME\tNODEDATA\n"
+)
+SIX_COLUMN_SNAPSHOT = (
+    _SIX_COLUMN_DOC
+    + "ROW 0 1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t0\n"
+    + _SIX_COLUMN_XML
+    + "ROW 0 1\t~\t1\tdocument\t~\t~\n"
+    "ROW 1 1\t0\t5\tsection\t~\t~\n"
+    "ROW 2 1\t1\t3\tcontext\t~\t~\n"
+    "ROW 3 1\t2\t2\t~\tBudget\t~\n"
+    "ROW 4 1\t1\t1\tcontent\t~\t~\n"
+    "ROW 5 1\t4\t2\t~\tTravel funds.\t~\n"
+)
+SIX_COLUMN_CHECKPOINT = encode_checkpoint(0, _SIX_COLUMN_DOC + _SIX_COLUMN_XML)
+SIX_COLUMN_LOG = (
+    "1\tCHECKPOINT|68010076\n"
+    "2\tCHANGE\tDOC\t1\t7\t0\t.\t1\tmemo.md\t~\t24\tmarkdown\tchar_size=24;format=markdown;line_count=4\t0"
+    "\tXML\t6\t6\t0\t.\t1\t~\t1\tdocument\t~\t~\t1\t.\t1\t0\t5\tsection\t~\t~\t2\t.\t1\t1\t3\tcontext\t~\t~"
+    "\t3\t.\t1\t2\t2\t~\tBudget\t~\t4\t.\t1\t1\t1\tcontent\t~\t~\t5\t.\t1\t4\t2\t~\tTravel funds.\t~|10d58636\n"
+)
+
+
+class TestTheSixColumnTableIsRefused:
+    """A node row no longer names its document: a dump or checkpoint
+    declaring the six-column XML table, or a log of six-field XML images
+    replayed onto today's, is refused with a typed error, never converted."""
+
+    def test_restore(self):
+        with pytest.raises(StoreError, match="NETMARK columns"):
+            XmlStore.restore(SIX_COLUMN_SNAPSHOT)
+
+    def test_open_from_its_checkpoint_and_log(self):
+        device = MemoryLogDevice()
+        device.save_checkpoint(SIX_COLUMN_CHECKPOINT)
+        device.append(SIX_COLUMN_LOG)
+        with pytest.raises(StoreError, match="NETMARK columns"):
+            XmlStore.open(device)
+        assert device.load_checkpoint() == SIX_COLUMN_CHECKPOINT  # left as it was
+
+    def test_its_log_onto_todays_checkpoint(self):
+        """Six fields where today's XML image has five: the record is
+        refused by the replayer, not shifted into the wrong columns."""
+        device = MemoryLogDevice()
+        XmlStore.open(device)
+        device.append(SIX_COLUMN_LOG.split("\n", 1)[1])
+        with pytest.raises(ReproError, match="width 6"):
+            XmlStore.open(device)
